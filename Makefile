@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay in sync.
 GO ?= go
 
-.PHONY: all build vet fmt test race race-collective race-serve race-fault race-client race-spill race-place bench bench-collective ci
+.PHONY: all build vet fmt test race bench-module bench bench-collective ci
 
 all: build
 
@@ -18,63 +18,15 @@ fmt:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector, full-size (~1 min): a new
+# test is raced without having to match a -run pattern.
 race:
-	$(GO) test -race ./internal/mpool ./... -short
+	$(GO) test -race ./...
 
-# Collective-I/O differential + queue stress tests under the race
-# detector (drxmp_collective_par_test.go, drxmp_wb_diff_test.go,
-# drxmp_rc_diff_test.go, internal/pfs queue/close-flusher stress,
-# internal/mpiio collective + file-cache suites). The heavy suites skip
-# under the -short race target above and run full-size here.
-race-collective:
-	$(GO) test -race -run 'Collective|WriteBehind|CloseFlusher|ReadCache|FileCache' . ./internal/pfs ./internal/mpiio
-
-# Serving-tier e2e under the race detector: the HTTP front end's
-# admission control, cross-client coalescing and single-flight fills
-# are all cross-goroutine by construction (drxmp_serve_diff_test.go's
-# 32-client cold burst, internal/serve unit suites).
-race-serve:
-	$(GO) test -race -run 'Serve|Admission|Coalescer|SingleFlight' . ./internal/serve ./internal/exp
-
-# Fault-path + erasure suites under the race detector: degraded reads
-# race late straggler completions against reconstruction by design
-# (private-buffer handoff in internal/pfs), and the fault regression
-# tests drive injected failures through the queue, cache, serving and
-# collective layers (parity differential + degraded e2e at the root,
-# internal/ec property tests, internal/pfs degraded/fault suites,
-# internal/mpiio fallback suites, internal/serve panic-path pins).
-race-fault:
-	$(GO) test -race -run 'Erasure|Degraded|Fault' . ./internal/ec ./internal/pfs ./internal/mpiio ./internal/serve
-
-# Resilient-client suites under the race detector: hedged reads race
-# two attempts against each other by design, the breaker and latency
-# tracker are shared across calls, and the chaos e2e suites
-# (chaos_e2e_test.go) kill and restart the serving tier under a
-# concurrent retrying workload while checking for leaked goroutines and
-# admission budget. Admission-cancellation regressions ride along.
-race-client:
-	$(GO) test -race -count=1 ./internal/drxclient
-	$(GO) test -race -run 'Chaos|AdmissionCancel|RequestTimeout|ShedOverload' . ./internal/serve
-
-# Tiered-cache suites under the race detector: the spill store is
-# shared by every reader of a file (demotions, promotions and punches
-# interleave from concurrent ReadThrough calls), the adaptive
-# controller retunes under the same lock, and the tiered differential
-# pins the spill-off path byte-identical to the RAM-only stack.
-race-spill:
-	$(GO) test -race -count=1 ./internal/spill
-	$(GO) test -race -run 'Spill|Tiered|Adaptive' . ./internal/mpiio ./internal/exp ./internal/serve
-
-# Placement suites under the race detector: the policy carving is
-# consulted concurrently by every rank of a collective, elected
-# flushers interleave FlushOwned sweeps with other ranks' absorbs on
-# the shared cache, and the root differential suite pins every policy
-# byte-identical to the serial baseline with write-behind + spill on
-# (internal/place property suite, drxmp_place_diff_test.go, the
-# cbnodes policy regression and mpiio flush-election paths).
-race-place:
-	$(GO) test -race -count=1 ./internal/place
-	$(GO) test -race -run 'Place|Affinity|FlushElect' . ./internal/mpiio
+# bench/ is a nested module (replace drxmp => ../) that ./... never
+# builds, so an API change can break it unnoticed.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
@@ -97,4 +49,4 @@ bench-collective:
 	$(GO) run ./cmd/drxbench -benchjson BENCH_collective.json
 	@cat BENCH_collective.json
 
-ci: build vet fmt test race race-collective race-serve race-fault race-client race-spill race-place bench bench-collective
+ci: build vet fmt test race bench-module bench bench-collective

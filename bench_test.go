@@ -141,17 +141,15 @@ func BenchmarkE16ParallelIO(b *testing.B) {
 }
 
 // sectionBench measures one rank's ReadSection/WriteSection wall-clock
-// over an 8-server store that charges real service time, at a given
-// parallelism — the tentpole's before/after benchmark. Throughput is
-// meaningful (SetBytes); speedup = parallel MB/s over serial MB/s.
-func sectionBench(b *testing.B, parallelism int, write bool) {
+// over an 8-server store that charges real service time. Throughput is
+// meaningful (SetBytes).
+func sectionBench(b *testing.B, write bool) {
 	const n, chunk = 256, 64
 	cost := pfs.CostModel{RequestOverhead: 150 * time.Microsecond, ByteTime: 10 * time.Nanosecond, RealTime: true}
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := drxmp.Create(c, "bench-sec", drxmp.Options{
 			DType: drxmp.Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{n, n},
-			FS:     pfs.Options{Servers: 8, StripeSize: 32 << 10, Cost: cost},
-			Tuning: drxmp.Tuning{Parallelism: parallelism},
+			FS: pfs.Options{Servers: 8, StripeSize: 32 << 10, Cost: cost},
 		})
 		if err != nil {
 			return err
@@ -181,15 +179,9 @@ func sectionBench(b *testing.B, parallelism int, write bool) {
 	}
 }
 
-func BenchmarkSectionRead(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { sectionBench(b, -1, false) })
-	b.Run("par8", func(b *testing.B) { sectionBench(b, 8, false) })
-}
+func BenchmarkSectionRead(b *testing.B) { sectionBench(b, false) }
 
-func BenchmarkSectionWrite(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { sectionBench(b, -1, true) })
-	b.Run("par8", func(b *testing.B) { sectionBench(b, 8, true) })
-}
+func BenchmarkSectionWrite(b *testing.B) { sectionBench(b, true) }
 
 // reportSimTimes surfaces a table's simulated-time column as custom
 // benchmark metrics (ns), keyed by the row's first column.

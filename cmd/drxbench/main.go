@@ -7,7 +7,7 @@
 //	drxbench -exp fig1           # one experiment
 //	drxbench -exp e4 -scale full # full-size run
 //	drxbench -exp e7 -csv        # CSV output
-//	drxbench -exp e16 -par 16    # parallel section I/O, wider sweep
+//	drxbench -exp e16 -par 16    # drx chunk pipeline, wider sweep
 //	drxbench -exp e17 -cpar 16   # parallel collective, wider sweep
 //	drxbench -exp e20 -cache 4194304  # read-cache ablation, fixed 4 MiB budget
 //	drxbench -exp e23 -spill 8388608  # tiered cache, fixed 8 MiB spill budget
@@ -18,7 +18,7 @@
 //	                             #  + e24 placement rows)
 //
 // Experiments: fig1 fig2 fig3 e1..e24 (e11-e15 are design ablations,
-// e16 is the parallel-vs-serial section I/O study, e17 the parallel
+// e16 is the drx parallel-vs-serial chunk-pipeline study, e17 the parallel
 // two-phase collective study, e18 the elevator-scheduler / adaptive
 // cb_nodes ablation, e19 the write-behind collective-buffering
 // ablation, e20 the unified-file-cache read ablation: cold/warm
@@ -74,7 +74,7 @@ var experiments = []struct {
 	{"e13", "record lookup: binary search vs linear scan", exp.E13SearchAblation},
 	{"e14", "chunk cache (Mpool) size sweep", exp.E14CacheAblation},
 	{"e15", "transport ablation: in-process vs loopback TCP", exp.E15TransportAblation},
-	{"e16", "parallel vs serial section I/O (sharded pool + run-group workers)", exp.E16ParallelIO},
+	{"e16", "parallel vs serial drx chunk pipeline (sharded pool)", exp.E16ParallelIO},
 	{"e17", "parallel two-phase collective (per-aggregator workers + pfs server queues)", exp.E17CollectiveParallelism},
 	{"e18", "elevator scheduling + adaptive cb_nodes ablation (incl. straggler servers)", exp.E18SchedulerCBNodes},
 	{"e19", "write-behind collective buffering ablation (immediate / watermark / close-only)", exp.E19WriteBehind},
@@ -90,7 +90,7 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	list := flag.Bool("list", false, "list experiments and exit")
-	parFlag := flag.Int("par", exp.DefaultParallelism, "max section-I/O parallelism swept by e16")
+	parFlag := flag.Int("par", exp.DefaultParallelism, "max drx chunk-pipeline parallelism swept by e16")
 	cparFlag := flag.Int("cpar", exp.DefaultCollectiveParallelism, "max collective parallelism swept by e17")
 	cacheFlag := flag.Int64("cache", 0, "read-cache budget in bytes for e20 (0 sizes it to the array)")
 	spillFlag := flag.Int64("spill", 0, "spill-tier budget in bytes for e23 (0 sizes it to the array)")

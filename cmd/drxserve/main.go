@@ -48,7 +48,6 @@ func main() {
 	shutdownTimeout := flag.Duration("shutdown-timeout", 5*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 	cache := flag.Int64("cache", 64<<20, "unified extent cache budget per array in bytes (0 disables)")
 	readAhead := flag.Int64("readahead", 0, "sieve read-ahead in bytes")
-	par := flag.Int("par", 0, "per-array independent I/O parallelism (0 = GOMAXPROCS)")
 	demo := flag.String("demo", "", "serve an in-memory demo float64 array of this shape, e.g. 256x256")
 	demoChunk := flag.Int("demo-chunk", 64, "demo array chunk edge")
 	flag.Parse()
@@ -57,7 +56,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	tuning := drxmp.Tuning{Parallelism: *par, CacheBytes: *cache, ReadAheadBytes: *readAhead}
+	tuning := drxmp.Tuning{CacheBytes: *cache, ReadAheadBytes: *readAhead}
 	cfg := serve.Config{
 		CoalesceWindow:      *window,
 		MaxInFlightRequests: *maxReqs,

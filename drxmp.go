@@ -81,19 +81,14 @@ var ErrBadOptions = errors.New("drxmp: bad options")
 // they are. The zero value is a valid default for every field. A
 // tenant's knobs apply atomically after open through File.SetTuning.
 type Tuning struct {
-	// Parallelism bounds the worker goroutines used per rank for
-	// independent section I/O and one-sided section transfers: 0 (the
-	// default) selects GOMAXPROCS, negative forces the serial path, and
-	// values above GOMAXPROCS are honored (the workers overlap I/O
-	// latency across the striped servers, not CPU).
-	Parallelism int
 	// CollectiveParallelism bounds the worker goroutines each rank uses
 	// inside a collective call (ReadSectionAll/WriteSectionAll): the
-	// two-phase aggregate-stage file requests and exchange-stage piece
-	// carving fan out across up to this many workers, with the same
-	// 0=auto / negative=serial semantics as Parallelism. The parallel
-	// and serial collective paths produce byte-identical arrays; the
-	// workers only change how much per-server service time overlaps.
+	// exchange-stage piece carving fans out across up to this many
+	// workers, and a DistArray's GetSection/PutSection run that many
+	// per-owner transfers at once. 0 (the default) selects GOMAXPROCS,
+	// negative forces the serial path, and values above GOMAXPROCS are
+	// honored. The parallel and serial collective paths produce
+	// byte-identical arrays.
 	CollectiveParallelism int
 	// CBNodes bounds how many aggregators a collective call uses (the
 	// ROMIO "cb_nodes" analogue): 0 (the default) picks adaptively —
@@ -127,8 +122,9 @@ type Tuning struct {
 	// extents flush-on-evict. 0 (the default) disables read caching.
 	// The cache is shared by every rank's handle on the store, so a
 	// block fetched by one rank warms all of them. The sieve block
-	// granularity is the stripe size unless IO().SieveSize overrides
-	// it. Every rank must pass the same value.
+	// granularity is the stripe size; it is not a Tuning knob (the
+	// mpiio handle's SieveSize field, which SetTuning preserves, is the
+	// override tests use). Every rank must pass the same value.
 	CacheBytes int64
 	// ReadAheadBytes extends each sieve fetch past the requested range
 	// by this many bytes (rounded up to whole sieve blocks), so a
@@ -153,15 +149,14 @@ type Tuning struct {
 	// AdaptiveIO enables histogram-driven tuning: the cache
 	// periodically re-derives its effective sieve block and read-ahead
 	// from the server request-size histograms (p90, stripe-rounded) and
-	// the observed read sequentiality, overriding the static
-	// ReadAheadBytes / IO().SieveSize values. Requires CacheBytes > 0.
-	// Every rank must pass the same value.
+	// the observed read sequentiality, overriding the static sieve
+	// block and ReadAheadBytes. Requires CacheBytes > 0. Every rank
+	// must pass the same value.
 	AdaptiveIO bool
 	// Placement selects the collective aggregation-domain placement
-	// policy: "" (the default) keeps the historical byte arithmetic —
-	// byte- and accounting-identical to the pre-policy stack —
-	// PlacementByteCyclic names the same arithmetic as an explicit
-	// policy, PlacementZoneCurve carves domains out of whole chunks
+	// policy: "" (the default) carves stripe-aligned byte domains
+	// (place.ByteCyclic), PlacementByteCyclic names the same carving
+	// explicitly, PlacementZoneCurve carves domains out of whole chunks
 	// ordered along a zone (Morton) curve, and PlacementCacheAffinity
 	// assigns every chunk a sticky aggregator from a static zone-curve
 	// cut of the chunk grid, so repeated collectives re-elect the same
@@ -184,7 +179,7 @@ const (
 )
 
 // validate rejects knob values with no defined meaning. Negative
-// Parallelism/CollectiveParallelism (serial), CBNodes (one aggregator
+// CollectiveParallelism (serial), CBNodes (one aggregator
 // per rank) and WriteBehindBytes (unbounded buffering) are meaningful
 // and stay legal.
 func (t Tuning) validate() error {
@@ -241,9 +236,8 @@ type Options struct {
 	Tuning
 }
 
-// OpenOptions configures OpenWith. Unlike the legacy positional Open,
-// it can set every tuning knob at open time, and its shape mirrors
-// Options so create-vs-open call sites stay symmetric.
+// OpenOptions configures OpenWith. Its shape mirrors Options so
+// create-vs-open call sites stay symmetric.
 type OpenOptions struct {
 	// FS configures the backing parallel file system. The backend is
 	// forced to Disk (only disk-backed arrays can be re-opened) and a
@@ -271,7 +265,7 @@ type File struct {
 	kind        zone.Kind
 	cyclicBlock int
 	diskBacked  bool
-	par         int // Parallelism knob (see Options.Parallelism)
+	tuning      Tuning // the validated block last applied (see Tuning())
 
 	decomp *zone.Decomp // cached; invalidated by extensions
 }
@@ -372,7 +366,6 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 		kind:        opts.Decomp,
 		cyclicBlock: opts.CyclicBlock,
 		diskBacked:  fsOpts.Backend == pfs.Disk,
-		par:         opts.Parallelism,
 	}
 	if err := f.applyTuning(opts.Tuning); err != nil {
 		// The one failing knob is the spill-tier open, which is
@@ -389,32 +382,22 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 	// handle: persistMeta can only fail on rank 0 (it is a no-op
 	// elsewhere), and without the agreement round the other ranks would
 	// return healthy handles on a store rank 0 is about to release.
-	perr := f.persistMeta()
-	ok := []byte{1}
-	if perr != nil {
-		ok = []byte{0}
-	}
-	ok, err = c.Bcast(0, ok)
-	if err != nil {
-		return nil, err
-	}
-	if len(ok) == 0 || ok[0] == 0 {
+	if err := f.agreeRank0(f.persistMeta(), "create: metadata persist"); err != nil {
 		// Rank 0 owns the store it just created: release it (queue
 		// goroutines, disk files) rather than leak it on a failed create.
 		if c.Rank() == 0 {
 			fs.Close()
-			return nil, perr
 		}
-		return nil, fmt.Errorf("drxmp: create %s: metadata persist failed on rank 0", path)
+		return nil, err
 	}
 	return f, c.Barrier()
 }
 
 // OpenWith collectively opens an existing disk-backed array
 // (DRXMP_Open): rank 0 reads the .xmd file and broadcasts it; every
-// process installs its replica. Unlike the legacy Open it accepts the
-// full Tuning block, so every knob a Create can set is available at
-// open time too. Validation failures wrap ErrBadOptions.
+// process installs its replica. It accepts the full Tuning block, so
+// every knob a Create can set is available at open time too.
+// Validation failures wrap ErrBadOptions.
 func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 	if opts.CyclicBlock < 0 {
 		return nil, fmt.Errorf("%w: negative CyclicBlock %d", ErrBadOptions, opts.CyclicBlock)
@@ -464,7 +447,6 @@ func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 		kind:        opts.Decomp,
 		cyclicBlock: opts.CyclicBlock,
 		diskBacked:  true,
-		par:         opts.Parallelism,
 	}
 	if err := f.applyTuning(opts.Tuning); err != nil {
 		// Same uniform-error reasoning as in Create.
@@ -476,15 +458,6 @@ func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 	return f, c.Barrier()
 }
 
-// Open collectively opens an existing disk-backed array with the
-// legacy positional signature.
-//
-// Deprecated: use OpenWith, which can also set the tuning knobs at
-// open time. Open remains as a thin wrapper so existing callers build.
-func Open(c *cluster.Comm, path string, fsOpts pfs.Options, kind zone.Kind, cyclicBlock int) (*File, error) {
-	return OpenWith(c, path, OpenOptions{FS: fsOpts, Decomp: kind, CyclicBlock: cyclicBlock})
-}
-
 // Close collectively closes the array (DRXMP_Close). Every rank first
 // flushes its write-behind cache (deferred collective writes become
 // durable before the store shuts down — the flush-before-close
@@ -493,8 +466,11 @@ func Open(c *cluster.Comm, path string, fsOpts pfs.Options, kind zone.Kind, cycl
 // this up for callers that close the FS directly.
 func (f *File) Close() error {
 	serr := f.io.Sync()
-	if err := f.persistMeta(); err != nil {
-		return err
+	// A persist failure is reported after the barrier and the store
+	// close, not instead of them: returning here would strand the other
+	// ranks at the barrier and leak the store.
+	if err := f.persistMeta(); err != nil && serr == nil {
+		serr = err
 	}
 	if err := f.comm.Barrier(); err != nil {
 		return err
@@ -516,11 +492,58 @@ func (f *File) Sync() error {
 	return f.io.SyncAll()
 }
 
+// persistMeta writes the .xmd replica atomically (rank 0 of a
+// disk-backed array; a no-op elsewhere): the encoding goes to a
+// synced temp file in the same directory and is renamed into place, so
+// a failed or interrupted write leaves the previous .xmd intact.
 func (f *File) persistMeta() error {
 	if !f.diskBacked || f.comm.Rank() != 0 {
 		return nil
 	}
-	return os.WriteFile(f.path+".xmd", f.m.Encode(), 0o644)
+	dst := f.path + ".xmd"
+	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp*")
+	if err != nil {
+		return err
+	}
+	err = tmp.Chmod(0o644) // CreateTemp's 0600 would outlive the rename
+	if err == nil {
+		_, err = tmp.Write(f.m.Encode())
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
+// agreeRank0 is the agreement round after a step only rank 0 performs
+// (its error is perr there, nil elsewhere): rank 0 broadcasts the
+// outcome and every rank returns an error when the step failed, so no
+// rank carries on with state rank 0 could not make durable.
+func (f *File) agreeRank0(perr error, step string) error {
+	ok := []byte{1}
+	if perr != nil {
+		ok[0] = 0
+	}
+	ok, err := f.comm.Bcast(0, ok)
+	if err != nil {
+		return err
+	}
+	if len(ok) == 0 || ok[0] == 0 {
+		if perr != nil {
+			return perr
+		}
+		return fmt.Errorf("drxmp: %s %s: failed on rank 0", f.path, step)
+	}
+	return nil
 }
 
 // --- metadata accessors ---
@@ -556,43 +579,23 @@ func (f *File) FS() *pfs.FS { return f.fs }
 // IO exposes the MPI-IO style handle (to tune collective buffering).
 func (f *File) IO() *mpiio.File { return f.io }
 
-// Tuning returns the file's current knob block (raw values, not the
-// resolved worker counts — see Parallelism/CollectiveParallelism for
-// those). OpenWith/Create round-trip: the Tuning passed in is the
-// Tuning read back.
-func (f *File) Tuning() Tuning {
-	var placement string
-	if f.io.Placement != nil {
-		placement = f.io.Placement.Name()
-	}
-	return Tuning{
-		Parallelism:           f.par,
-		CollectiveParallelism: f.io.Parallelism,
-		CBNodes:               f.io.CBNodes,
-		WriteBehindBytes:      f.io.WriteBehind,
-		CacheBytes:            f.io.CacheBytes,
-		ReadAheadBytes:        f.io.ReadAhead,
-		SpillBytes:            f.io.SpillBytes,
-		SpillPath:             f.io.SpillPath,
-		AdaptiveIO:            f.io.AdaptiveIO,
-		Placement:             placement,
-		NoFlushElection:       placement != "" && !f.io.ElectFlush,
-	}
-}
+// Tuning returns the knob block the file last applied, exactly as it
+// was passed to Create, OpenWith or SetTuning (raw values, not the
+// resolved worker count — see CollectiveParallelism for that). A
+// SetTuning that returned an error leaves it unchanged.
+func (f *File) Tuning() Tuning { return f.tuning }
 
 // placementPolicy resolves a Tuning.Placement name to its policy
-// object (nil for the empty name; validate has rejected anything
-// else).
+// object; the empty name is ByteCyclic (validate has rejected unknown
+// names).
 func placementPolicy(name string) place.Policy {
 	switch name {
-	case PlacementByteCyclic:
-		return place.ByteCyclic{}
 	case PlacementZoneCurve:
 		return place.ZoneCurve{}
 	case PlacementCacheAffinity:
 		return place.CacheAffinity{}
 	}
-	return nil
+	return place.ByteCyclic{}
 }
 
 // chunkGeom adapts the replicated array metadata to place.Geometry:
@@ -607,15 +610,19 @@ func (g chunkGeom) Chunks() int64                 { return g.m.Space.Total() }
 func (g chunkGeom) Bounds() []int                 { return g.m.Space.Bounds() }
 func (g chunkGeom) Coords(q int64) ([]int, error) { return g.m.Space.Inverse(q, nil) }
 
-// knobs projects t onto the mpiio handle's parameter block, keeping
-// the handle's SieveSize (an IO()-level knob Tuning does not carry).
-func (f *File) knobs(t Tuning) mpiio.TuningKnobs {
-	policy := placementPolicy(t.Placement)
+// applyTuning installs an already validated t on the mpiio handle and
+// records it, keeping the handle's SieveSize (a handle-level field
+// Tuning does not carry). Chunk geometry and flush election ride only
+// on an explicitly named policy, so the default carves and sweeps by
+// byte arithmetic alone. A spill-tier open failure surfaces here — it
+// is the one knob with a resource behind it.
+func (f *File) applyTuning(t Tuning) error {
+	named := t.Placement != ""
 	var geom place.Geometry
-	if policy != nil {
+	if named {
 		geom = chunkGeom{m: f.m}
 	}
-	return mpiio.TuningKnobs{
+	err := f.io.ApplyTuning(mpiio.TuningKnobs{
 		Parallelism: t.CollectiveParallelism,
 		CBNodes:     t.CBNodes,
 		WriteBehind: t.WriteBehindBytes,
@@ -625,111 +632,44 @@ func (f *File) knobs(t Tuning) mpiio.TuningKnobs {
 		SpillBytes:  t.SpillBytes,
 		SpillPath:   t.SpillPath,
 		AdaptiveIO:  t.AdaptiveIO,
-		Placement:   policy,
+		Placement:   placementPolicy(t.Placement),
 		PlaceGeom:   geom,
-		ElectFlush:  policy != nil && !t.NoFlushElection,
+		ElectFlush:  named && !t.NoFlushElection,
+	})
+	if err == nil {
+		f.tuning = t
 	}
-}
-
-// applyTuning installs t without validation or flush side effects
-// (open/create path: nothing can be buffered yet). A spill-tier open
-// failure surfaces here — it is the one knob with a resource behind
-// it.
-func (f *File) applyTuning(t Tuning) error {
-	f.par = t.Parallelism
-	return f.io.ApplyTuning(f.knobs(t))
+	return err
 }
 
 // SetTuning validates t (ErrBadOptions on rejection) and applies every
-// knob atomically — one call instead of six setters, so a serving tier
-// can swap a tenant's whole profile between requests. Disabling
-// write-behind (newly zero) flushes any buffered dirty extents first,
-// exactly as SetWriteBehind does, and returns the flush error. Every
-// rank must apply the same Tuning.
+// knob atomically, so a serving tier can swap a tenant's whole profile
+// between requests. Disabling write-behind (newly zero) flushes any
+// buffered dirty extents first and returns the flush error; disabling
+// the cache releases its clean extents. Every rank must apply the same
+// Tuning.
 func (f *File) SetTuning(t Tuning) error {
 	if err := t.validate(); err != nil {
 		return err
 	}
-	f.par = t.Parallelism
-	return f.io.ApplyTuning(f.knobs(t))
-}
-
-// SetParallelism adjusts the per-rank I/O parallelism knob after open
-// (same semantics as Tuning.Parallelism). A wrapper over SetTuning.
-func (f *File) SetParallelism(n int) {
-	t := f.Tuning()
-	t.Parallelism = n
-	_ = f.SetTuning(t)
-}
-
-// Parallelism returns the resolved worker bound for independent I/O.
-func (f *File) Parallelism() int { return par.Resolve(f.par) }
-
-// SetCollectiveParallelism adjusts the per-rank collective I/O worker
-// bound after open (same semantics as Tuning.CollectiveParallelism).
-func (f *File) SetCollectiveParallelism(n int) {
-	t := f.Tuning()
-	t.CollectiveParallelism = n
-	_ = f.SetTuning(t)
+	return f.applyTuning(t)
 }
 
 // CollectiveParallelism returns the resolved worker bound for the
-// two-phase collective stages.
+// two-phase collective stages and the DistArray section transfers.
 func (f *File) CollectiveParallelism() int { return par.Resolve(f.io.Parallelism) }
-
-// SetCBNodes adjusts the collective aggregator-count knob after open
-// (same semantics as Tuning.CBNodes; must match on every rank).
-func (f *File) SetCBNodes(n int) {
-	t := f.Tuning()
-	t.CBNodes = n
-	_ = f.SetTuning(t)
-}
 
 // CBNodes returns the collective aggregator-count knob (0 = adaptive).
 func (f *File) CBNodes() int { return f.io.CBNodes }
 
-// SetWriteBehind adjusts the write-behind policy after open (same
-// semantics as Tuning.WriteBehindBytes; must match on every rank).
-// Disabling (n == 0) flushes any buffered dirty extents first, so no
-// deferred bytes can linger behind a disabled cache.
-func (f *File) SetWriteBehind(n int64) error {
-	t := f.Tuning()
-	t.WriteBehindBytes = n
-	return f.SetTuning(t)
-}
-
 // WriteBehind returns the write-behind policy knob (0 = immediate).
 func (f *File) WriteBehind() int64 { return f.io.WriteBehind }
-
-// SetCacheBytes adjusts the read-cache memory budget after open (same
-// semantics as Tuning.CacheBytes; must match on every rank).
-// Disabling (n <= 0) releases the cached clean extents; deferred
-// write-behind extents stay buffered.
-func (f *File) SetCacheBytes(n int64) {
-	t := f.Tuning()
-	t.CacheBytes = max(n, 0)
-	_ = f.SetTuning(t)
-}
 
 // CacheBytes returns the read-cache memory budget (0 = disabled).
 func (f *File) CacheBytes() int64 { return f.io.CacheBytes }
 
-// SetReadAhead adjusts the sieve read-ahead after open (same semantics
-// as Tuning.ReadAheadBytes; must match on every rank).
-func (f *File) SetReadAhead(n int64) {
-	t := f.Tuning()
-	t.ReadAheadBytes = max(n, 0)
-	_ = f.SetTuning(t)
-}
-
 // ReadAhead returns the sieve read-ahead knob (0 = disabled).
 func (f *File) ReadAhead() int64 { return f.io.ReadAhead }
-
-// SpillBytes returns the spill-tier budget (0 = disabled).
-func (f *File) SpillBytes() int64 { return f.io.SpillBytes }
-
-// AdaptiveIO reports whether histogram-driven tuning is on.
-func (f *File) AdaptiveIO() bool { return f.io.AdaptiveIO }
 
 // CacheStats returns the cumulative unified-cache accounting for the
 // file (hits, misses, sieve fetches, evictions, absorbs, flushes).
@@ -742,19 +682,6 @@ func (f *File) Dirty() int64 { return f.io.Dirty() }
 // Cached returns the total bytes (clean + dirty) currently held by the
 // file's shared extent cache.
 func (f *File) Cached() int64 { return f.io.Cached() }
-
-// syncWorkers is the worker bound of the DistArray section-sync paths
-// (GetSection/PutSection): the larger of the independent-I/O and
-// collective worker budgets, so one-sided section transfers benefit
-// from the collective machinery's parallelism even when the
-// independent knob is left serial.
-func (f *File) syncWorkers() int {
-	w := par.Resolve(f.par)
-	if cw := par.Resolve(f.io.Parallelism); cw > w {
-		w = cw
-	}
-	return w
-}
 
 // Decomp returns the current zone decomposition of the chunk grid. It
 // is recomputed from the replicated metadata after extensions, so every
@@ -836,15 +763,16 @@ func (f *File) Extend(dim, by int) error {
 	if err := f.comm.Barrier(); err != nil {
 		return err
 	}
+	// Rank 0 grows the store and persists the metadata; every rank then
+	// agrees on its outcome, so a failure surfaces everywhere instead of
+	// stranding the peers at a barrier rank 0 never reaches.
+	var perr error
 	if f.comm.Rank() == 0 {
-		if err := f.fs.Truncate(f.m.FileBytes()); err != nil {
-			return err
-		}
-		if err := f.persistMeta(); err != nil {
-			return err
+		if perr = f.fs.Truncate(f.m.FileBytes()); perr == nil {
+			perr = f.persistMeta()
 		}
 	}
-	return f.comm.Barrier()
+	return f.agreeRank0(perr, "extend: truncate or metadata persist")
 }
 
 // --- section I/O ---
@@ -949,6 +877,13 @@ func (f *File) scatterGather(runs []ioRun, scratch, user []byte, toUser bool) {
 	}
 }
 
+// sectionIO moves one section between buf and the file through a
+// scratch buffer packed in file-offset order. Independent I/O is ONE
+// vectored request (mpiio.File.ReadV/WriteV, which also apply the
+// extent cache's coherence rules): every per-server segment is queued
+// up front, so the server queues overlap the service time. Collective
+// I/O goes through the two-phase exchange, whose aggregate stage is
+// likewise one vectored request per aggregator.
 func (f *File) sectionIO(box Box, buf []byte, order Order, write, collective bool) error {
 	runs, err := f.sectionRuns(box, order)
 	if err != nil {
@@ -963,22 +898,15 @@ func (f *File) sectionIO(box Box, buf []byte, order Order, write, collective boo
 		return fmt.Errorf("drxmp: buffer of %d bytes for %d-byte section", len(buf), box.Volume()*es)
 	}
 	scratch := make([]byte, total)
-	// Independent I/O with more than one worker goes through the
-	// parallel run-group path. Collective I/O parallelizes inside the
-	// two-phase exchange itself (mpiio honors io.Parallelism, set from
-	// Options.CollectiveParallelism): the communicator collectives keep
-	// their fixed rank order, only the piece carving fans out — the
-	// aggregate stage is a single vectored request per aggregator.
-	var blocks []mpiio.Block
-	var pruns []pfs.Run
+	if write {
+		f.scatterGather(runs, scratch, buf, false)
+	}
 	if collective {
-		blocks = make([]mpiio.Block, len(runs))
-		for i, r := range runs {
-			blocks[i] = mpiio.Block{Off: r.fileOff, Len: r.elems * es}
-		}
+		err = f.collectiveIO(runs, scratch, write)
 	} else {
 		// Coalesce adjacent extents (runs are sorted by file offset, and
 		// ReadV/WriteV pack them back-to-back, so merging is lossless).
+		var pruns []pfs.Run
 		for _, r := range runs {
 			l := r.elems * es
 			if n := len(pruns); n > 0 && pruns[n-1].Off+pruns[n-1].Len == r.fileOff {
@@ -987,53 +915,27 @@ func (f *File) sectionIO(box Box, buf []byte, order Order, write, collective boo
 			}
 			pruns = append(pruns, pfs.Run{Off: r.fileOff, Len: l})
 		}
-		// Unified-cache coherence before any direct store access: writes
-		// punch the about-to-be-overwritten ranges out of the cache
-		// (clean and dirty), and reads either go THROUGH the cache (read
-		// caching on: covered bytes from memory, holes sieve-fetched —
-		// see the dispatch below) or flush this rank's intersecting
-		// dirty extents first and talk to the store directly.
-		if write || !f.cacheActive() {
-			if err := f.io.Coherent(pruns, write); err != nil {
-				return err
-			}
-		}
-		if workers := f.Parallelism(); workers > 1 && len(runs) > 1 {
-			if err := f.sectionIOParallel(runs, scratch, buf, write, workers); err != nil {
-				return err
-			}
-			if write {
-				// Close the sieve-fetch race once the group writes have
-				// landed (see mpiio.File.PostWrite).
-				return f.io.PostWrite(pruns)
-			}
-			return nil
+		if write {
+			err = f.io.WriteV(pruns, scratch)
+		} else {
+			err = f.io.ReadV(pruns, scratch)
 		}
 	}
+	if err != nil || write {
+		return err
+	}
+	f.scatterGather(runs, scratch, buf, true)
+	return nil
+}
 
-	if write {
-		f.scatterGather(runs, scratch, buf, false)
-		if collective {
-			if len(blocks) == 0 {
-				return f.io.WriteAllAt(nil, 0)
-			}
-			ft, err := mpiio.FromBlocks(blocks)
-			if err != nil {
-				return err
-			}
-			if err := f.io.SetView(0, ft); err != nil {
-				return err
-			}
-			return f.io.WriteAllAt(scratch, 0)
-		}
-		if _, err := f.fs.WriteV(pruns, scratch); err != nil {
-			return err
-		}
-		return f.io.PostWrite(pruns)
-	}
-	if collective {
-		if len(blocks) == 0 {
-			return f.io.ReadAllAt(nil, 0)
+// collectiveIO transfers the packed scratch through a file view made
+// of the section's runs (ranks with an empty section still take part).
+func (f *File) collectiveIO(runs []ioRun, scratch []byte, write bool) error {
+	if len(runs) > 0 {
+		es := int64(f.m.DType.Size())
+		blocks := make([]mpiio.Block, len(runs))
+		for i, r := range runs {
+			blocks[i] = mpiio.Block{Off: r.fileOff, Len: r.elems * es}
 		}
 		ft, err := mpiio.FromBlocks(blocks)
 		if err != nil {
@@ -1042,28 +944,12 @@ func (f *File) sectionIO(box Box, buf []byte, order Order, write, collective boo
 		if err := f.io.SetView(0, ft); err != nil {
 			return err
 		}
-		if err := f.io.ReadAllAt(scratch, 0); err != nil {
-			return err
-		}
-	} else if f.cacheActive() {
-		// Cache-coherent independent read: one ReadV through the unified
-		// cache serves cached stripes from memory and sieve-fetches the
-		// holes as a single vectored request.
-		if err := f.io.ReadV(pruns, scratch); err != nil {
-			return err
-		}
-	} else {
-		if _, err := f.fs.ReadV(pruns, scratch); err != nil {
-			return err
-		}
 	}
-	f.scatterGather(runs, scratch, buf, true)
-	return nil
+	if write {
+		return f.io.WriteAllAt(scratch, 0)
+	}
+	return f.io.ReadAllAt(scratch, 0)
 }
-
-// cacheActive reports whether independent reads route through the
-// unified extent cache (Options.CacheBytes > 0).
-func (f *File) cacheActive() bool { return f.io.CacheBytes > 0 }
 
 // ReadSection reads the sub-array `box` into buf (dense, in the given
 // order) with independent I/O.

@@ -73,7 +73,7 @@ func rankData(r int, box drxmp.Box, salt int64) []byte {
 // three paths and requires identical buffers on every rank.
 func TestCollectiveParallelSerialIndependentIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential suite runs in the dedicated collective race step")
+		t.Skip("heavy differential suite: skipped under -short")
 	}
 	const ranks = 4
 	for _, sh := range collShapes() {
@@ -180,7 +180,7 @@ func TestCollectiveParallelSerialIndependentIdentical(t *testing.T) {
 // worker count.
 func TestCollectiveOverlappingWritesParallelSerialIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential suite runs in the dedicated collective race step")
+		t.Skip("heavy differential suite: skipped under -short")
 	}
 	const ranks = 4
 	for _, sh := range collShapes() {
@@ -241,8 +241,8 @@ func TestCollectiveOverlappingWritesParallelSerialIdentical(t *testing.T) {
 	}
 }
 
-// TestCollectiveParallelismKnob pins the knob plumbing: option, setter,
-// and resolution.
+// TestCollectiveParallelismKnob pins the knob plumbing: option,
+// SetTuning, and resolution.
 func TestCollectiveParallelismKnob(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := drxmp.Create(c, "knob", drxmp.Options{
@@ -256,9 +256,11 @@ func TestCollectiveParallelismKnob(t *testing.T) {
 		if got := f.CollectiveParallelism(); got != 6 {
 			return fmt.Errorf("CollectiveParallelism() = %d, want 6", got)
 		}
-		f.SetCollectiveParallelism(-1)
+		if err := f.SetTuning(drxmp.Tuning{CollectiveParallelism: -1}); err != nil {
+			return err
+		}
 		if got := f.CollectiveParallelism(); got != 1 {
-			return fmt.Errorf("after SetCollectiveParallelism(-1): %d, want 1", got)
+			return fmt.Errorf("after SetTuning(CollectiveParallelism: -1): %d, want 1", got)
 		}
 		return nil
 	})

@@ -1,12 +1,12 @@
 package drxmp_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"drxmp"
 	"drxmp/internal/cluster"
@@ -26,14 +26,13 @@ func optionsCreateDisk(c *cluster.Comm, path string, tuning drxmp.Tuning) (*drxm
 }
 
 // TestServeOpenWithTuningRoundTrip pins that every knob OpenWith
-// accepts lands on the opened handle exactly (the knob-plumbing
-// guarantee of the Options redesign), and that the legacy positional
-// Open still works as a wrapper.
+// accepts lands on the opened handle exactly, and that a zero
+// OpenOptions reads the block back as the zero Tuning (Placement ""
+// stays "", not the resolved policy's name).
 func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "arr")
 	want := drxmp.Tuning{
-		Parallelism:           3,
 		CollectiveParallelism: 5,
 		CBNodes:               2,
 		WriteBehindBytes:      -1,
@@ -84,34 +83,26 @@ func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 			}
 		}
 
-		// Legacy positional Open still round-trips the data (with zero
-		// tuning).
+		// A zero-tuning re-open reads the same data and the zero block.
 		if err := f.Close(); err != nil {
 			return err
 		}
-		f, err = drxmp.Open(c, path, pfs.Options{Servers: 2, StripeSize: 512}, 0, 0)
+		f, err = drxmp.OpenWith(c, path, drxmp.OpenOptions{FS: pfs.Options{Servers: 2, StripeSize: 512}})
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		if got := f.Tuning(); got != (drxmp.Tuning{}) {
-			return fmt.Errorf("legacy Open applied tuning %+v", got)
+			return fmt.Errorf("zero OpenOptions applied tuning %+v", got)
 		}
-		buf := make([]byte, full.Volume()*8)
-		if err := f.ReadSection(full, buf, drxmp.RowMajor); err != nil {
-			return err
-		}
-		want2 := make([]byte, full.Volume()*8)
-		f2, err := drxmp.OpenWith(c, path, drxmp.OpenOptions{FS: pfs.Options{Servers: 2, StripeSize: 512}})
+		got, err = f.ReadSectionFloat64s(full, drxmp.RowMajor)
 		if err != nil {
 			return err
 		}
-		defer f2.Close()
-		if err := f2.ReadSection(full, want2, drxmp.RowMajor); err != nil {
-			return err
-		}
-		if !bytes.Equal(buf, want2) {
-			return fmt.Errorf("legacy Open and OpenWith read different bytes")
+		for i := range vals {
+			if got[i] != vals[i] {
+				return fmt.Errorf("data mismatch at %d after zero-tuning OpenWith: %v != %v", i, got[i], vals[i])
+			}
 		}
 		return nil
 	})
@@ -133,7 +124,7 @@ func TestServeSetTuningValidation(t *testing.T) {
 		}
 		defer f.Close()
 		want := drxmp.Tuning{
-			Parallelism: -1, CollectiveParallelism: 4, CBNodes: 1,
+			CollectiveParallelism: 4, CBNodes: 1,
 			WriteBehindBytes: 4096, CacheBytes: 1 << 14, ReadAheadBytes: 512,
 		}
 		if err := f.SetTuning(want); err != nil {
@@ -243,5 +234,49 @@ func TestServeCreatePersistFailureAllRanks(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeExtendPersistFailureAllRanks pins the same agreement for
+// Extend: when rank 0 cannot persist the grown metadata (the array's
+// directory is gone), BOTH ranks return an error — rank 0 used to
+// return before the closing barrier and leave its peer blocked there
+// forever — and Close still completes on both.
+func TestServeExtendPersistFailureAllRanks(t *testing.T) {
+	const ranks = 2
+	dir := filepath.Join(t.TempDir(), "gone")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, ranks)
+	done := make(chan error, 1)
+	go func() {
+		done <- cluster.Run(ranks, func(c *cluster.Comm) error {
+			f, err := optionsCreateDisk(c, filepath.Join(dir, "arr"), drxmp.Tuning{})
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				if err := os.RemoveAll(dir); err != nil {
+					return err
+				}
+			}
+			errs[c.Rank()] = f.Extend(0, 8)
+			f.Close() // rank 0's persist fails again; it must not hang either
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Extend with a failing persist stranded a rank")
+	}
+	for r, err := range errs {
+		if err == nil {
+			t.Errorf("rank %d: Extend returned nil despite rank 0's persist failure", r)
+		}
 	}
 }

@@ -30,6 +30,7 @@ type placeVariant struct {
 
 func placeVariants() []placeVariant {
 	return []placeVariant{
+		{"default", "", false}, // resolves to byte-cyclic, unelected, no geometry
 		{"byte-cyclic", drxmp.PlacementByteCyclic, false},
 		{"zone-curve", drxmp.PlacementZoneCurve, false},
 		{"cache-affinity", drxmp.PlacementCacheAffinity, false},
@@ -44,7 +45,7 @@ func placeVariants() []placeVariant {
 // against a serial no-placement baseline.
 func TestPlacementDifferentialIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential suite runs in the dedicated placement race step")
+		t.Skip("heavy differential suite: skipped under -short")
 	}
 	const ranks = 4
 	variants := placeVariants()

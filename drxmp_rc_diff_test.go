@@ -2,6 +2,7 @@ package drxmp_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -67,7 +68,7 @@ func rcCreate(c *cluster.Comm, name string, sh collShape, v rcVariant) (*drxmp.F
 // cache-off baseline.
 func TestReadCacheDifferentialIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential suite runs in the dedicated collective race step")
+		t.Skip("heavy differential suite: skipped under -short")
 	}
 	const ranks = 4
 	variants := rcVariants()
@@ -258,7 +259,7 @@ func TestReadCacheWarmAfterSync(t *testing.T) {
 }
 
 // TestReadCacheKnobPlumbing pins the drxmp-level wiring: options,
-// setters, accessors, Cached, CacheStats, and the
+// SetTuning, accessors, Cached, CacheStats, and the
 // disable-releases-clean-extents rule.
 func TestReadCacheKnobPlumbing(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
@@ -301,9 +302,11 @@ func TestReadCacheKnobPlumbing(t *testing.T) {
 		if f.CacheStats().Hits == 0 {
 			return fmt.Errorf("warm re-read not a hit")
 		}
-		f.SetCacheBytes(0)
+		if err := f.SetTuning(drxmp.Tuning{}); err != nil {
+			return err
+		}
 		if f.Cached() != 0 {
-			return fmt.Errorf("SetCacheBytes(0) left %d cached bytes", f.Cached())
+			return fmt.Errorf("disabling the cache left %d cached bytes", f.Cached())
 		}
 		if err := f.ReadSection(box, got, drxmp.RowMajor); err != nil {
 			return err
@@ -321,10 +324,10 @@ func TestReadCacheKnobPlumbing(t *testing.T) {
 // TestReadCacheEvictionStressRace hammers the cache from every rank
 // under a tiny budget (constant eviction and dirty flush-on-evict
 // racing reads and Syncs) on real-time elevator servers. Run with
-// -race (the CI collective race step matches this name).
+// -race.
 func TestReadCacheEvictionStressRace(t *testing.T) {
 	if testing.Short() {
-		t.Skip("stress suite runs in the dedicated collective race step")
+		t.Skip("heavy stress suite: skipped under -short")
 	}
 	const ranks = 4
 	const n = 64
@@ -339,7 +342,6 @@ func TestReadCacheEvictionStressRace(t *testing.T) {
 			},
 			Tuning: drxmp.Tuning{
 				CollectiveParallelism: 8,
-				Parallelism:           4,
 				WriteBehindBytes:      2048,
 				CacheBytes:            4096, // tiny: every round evicts
 				ReadAheadBytes:        1024,
@@ -382,21 +384,18 @@ func TestReadCacheEvictionStressRace(t *testing.T) {
 	}
 }
 
-// TestReadCacheParallelFirstTouchRace pins the lazy cache resolution:
-// a fresh handle whose FIRST cached operation is a multi-run parallel
-// ReadSection resolves the shared cache from concurrent run-group
-// workers — the memoized pointer must be race-free. Run with -race
-// (the CI collective race step matches this name).
-func TestReadCacheParallelFirstTouchRace(t *testing.T) {
+// TestReadCacheConcurrentFirstTouchRace pins the lazy cache resolution:
+// a fresh handle whose FIRST cached operations are ReadSections issued
+// from concurrent goroutines (what the serving tier does with one
+// handle) resolves the shared cache from all of them at once — the
+// memoized pointer must be race-free. Run with -race.
+func TestReadCacheConcurrentFirstTouchRace(t *testing.T) {
 	const n = 64
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := drxmp.Create(c, "rcfirsttouch", drxmp.Options{
 			DType: drxmp.Float64, ChunkShape: []int{8, 8}, Bounds: []int{n, n},
-			FS: pfs.Options{Servers: 4, StripeSize: 512},
-			Tuning: drxmp.Tuning{
-				Parallelism: 8,
-				CacheBytes:  1 << 20,
-			},
+			FS:     pfs.Options{Servers: 4, StripeSize: 512},
+			Tuning: drxmp.Tuning{CacheBytes: 1 << 20},
 		})
 		if err != nil {
 			return err
@@ -407,14 +406,22 @@ func TestReadCacheParallelFirstTouchRace(t *testing.T) {
 		if err := f.WriteSection(box, data, drxmp.RowMajor); err != nil {
 			return err
 		}
-		got := make([]byte, box.Volume()*8)
-		if err := f.ReadSection(box, got, drxmp.RowMajor); err != nil {
-			return err
+		errs := make([]error, 8)
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got := make([]byte, box.Volume()*8)
+				if err := f.ReadSection(box, got, drxmp.RowMajor); err != nil {
+					errs[i] = err
+				} else if !bytes.Equal(got, data) {
+					errs[i] = fmt.Errorf("concurrent first-touch cached read %d wrong", i)
+				}
+			}(i)
 		}
-		if !bytes.Equal(got, data) {
-			return fmt.Errorf("parallel first-touch cached read wrong")
-		}
-		return nil
+		wg.Wait()
+		return errors.Join(errs...)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -473,6 +480,11 @@ func TestDistArrayRefreshCached(t *testing.T) {
 			da.LocalData()[i] = 0xEE
 		}
 		if err := da.Refresh(); err != nil {
+			return err
+		}
+		// Refresh holds no fence: without one, a remote Get below could
+		// read a zone its owner is still refreshing.
+		if err := da.Fence(); err != nil {
 			return err
 		}
 		if got, err := da.Get([]int{box.Lo[0], 0}); err != nil || got != seed[0] {

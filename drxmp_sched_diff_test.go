@@ -40,7 +40,7 @@ func schedVariants() []schedVariant {
 // fifo-fixed baseline exactly.
 func TestCollectiveSchedulerCBNodesIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential suite runs in the dedicated collective race step")
+		t.Skip("heavy differential suite: skipped under -short")
 	}
 	const ranks = 4
 	variants := schedVariants()
@@ -130,7 +130,7 @@ func TestCollectiveSchedulerCBNodesIdentical(t *testing.T) {
 // elevator reordering and aggregator re-carving.
 func TestCollectiveSchedulerOverlappingWrites(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential suite runs in the dedicated collective race step")
+		t.Skip("heavy differential suite: skipped under -short")
 	}
 	const ranks = 4
 	variants := schedVariants()
@@ -193,7 +193,7 @@ func TestCollectiveSchedulerOverlappingWrites(t *testing.T) {
 }
 
 // TestCBNodesKnob pins the drxmp-level plumbing of the aggregator
-// knob: option, setter, and accessor.
+// knob: option, SetTuning, and accessor.
 func TestCBNodesKnob(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := drxmp.Create(c, "cbknob", drxmp.Options{
@@ -207,9 +207,11 @@ func TestCBNodesKnob(t *testing.T) {
 		if got := f.CBNodes(); got != 3 {
 			return fmt.Errorf("CBNodes() = %d, want 3", got)
 		}
-		f.SetCBNodes(-1)
+		if err := f.SetTuning(drxmp.Tuning{CBNodes: -1}); err != nil {
+			return err
+		}
 		if got := f.CBNodes(); got != -1 {
-			return fmt.Errorf("after SetCBNodes(-1): %d, want -1", got)
+			return fmt.Errorf("after SetTuning(CBNodes: -1): %d, want -1", got)
 		}
 		if got := f.IO().CBNodes; got != -1 {
 			return fmt.Errorf("IO().CBNodes = %d, want -1", got)

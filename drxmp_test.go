@@ -12,7 +12,6 @@ import (
 	"drxmp/internal/cluster"
 	"drxmp/internal/grid"
 	"drxmp/internal/pfs"
-	"drxmp/internal/zone"
 )
 
 func defaultOpts() Options {
@@ -431,7 +430,7 @@ func TestDiskPersistenceParallel(t *testing.T) {
 	}
 	// Re-open with a different process count.
 	err = cluster.Run(3, func(c *cluster.Comm) error {
-		f, err := Open(c, path, pfs.Options{Servers: 3, StripeSize: 128, Dir: dir}, zone.Block, 0)
+		f, err := OpenWith(c, path, OpenOptions{FS: pfs.Options{Servers: 3, StripeSize: 128, Dir: dir}})
 		if err != nil {
 			return err
 		}

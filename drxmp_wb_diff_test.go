@@ -40,7 +40,7 @@ func wbVariants() []wbVariant {
 // buffers against the immediate baseline.
 func TestWriteBehindDifferentialIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("differential suite runs in the dedicated collective race step")
+		t.Skip("heavy differential suite: skipped under -short")
 	}
 	const ranks = 4
 	variants := wbVariants()
@@ -202,7 +202,7 @@ func TestWriteBehindCloseFlushes(t *testing.T) {
 }
 
 // TestWriteBehindKnobPlumbing pins the drxmp-level wiring: option,
-// setter (disable flushes), accessor, and Dirty.
+// SetTuning (disable flushes), accessor, and Dirty.
 func TestWriteBehindKnobPlumbing(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := drxmp.Create(c, "wbknob", drxmp.Options{
@@ -224,14 +224,14 @@ func TestWriteBehindKnobPlumbing(t *testing.T) {
 		if f.Dirty() == 0 {
 			return fmt.Errorf("no dirty bytes buffered under close-only write-behind")
 		}
-		if err := f.SetWriteBehind(0); err != nil { // disable: must flush
+		if err := f.SetTuning(drxmp.Tuning{}); err != nil { // disable: must flush
 			return err
 		}
 		if f.Dirty() != 0 {
-			return fmt.Errorf("SetWriteBehind(0) left %d dirty bytes", f.Dirty())
+			return fmt.Errorf("disabling write-behind left %d dirty bytes", f.Dirty())
 		}
 		if got := f.WriteBehind(); got != 0 {
-			return fmt.Errorf("after SetWriteBehind(0): %d", got)
+			return fmt.Errorf("after disabling write-behind: %d", got)
 		}
 		got := make([]byte, box.Volume()*8)
 		if err := f.ReadSection(box, got, drxmp.RowMajor); err != nil {
@@ -323,10 +323,10 @@ func TestDistArrayCheckpointWriteBehind(t *testing.T) {
 // TestWriteBehindStressRace hammers write-behind from every rank under
 // the elevator scheduler: concurrent collective write/read rounds with
 // interleaved independent reads and Syncs, on real-time servers. Run
-// with -race (the CI collective race step matches this name).
+// with -race.
 func TestWriteBehindStressRace(t *testing.T) {
 	if testing.Short() {
-		t.Skip("stress suite runs in the dedicated collective race step")
+		t.Skip("heavy stress suite: skipped under -short")
 	}
 	const ranks = 4
 	const n = 64

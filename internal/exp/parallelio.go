@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"drxmp"
 	"drxmp/drx"
-	"drxmp/internal/cluster"
 	"drxmp/internal/grid"
 	"drxmp/internal/pfs"
 	"drxmp/internal/report"
@@ -32,55 +30,20 @@ func e16Cost() pfs.CostModel {
 	}
 }
 
-// E16ParallelIO measures the tentpole of the parallel-access hot path:
-// one rank moving a multi-chunk section through (a) drxmp's independent
-// section I/O with the run groups dispatched across 1..P workers, and
-// (b) drx's chunk pipeline through the sharded buffer pool. The
-// backing store charges real service time per server, so the speedup
-// column is genuine wall-clock overlap across the 8 striped servers.
+// E16ParallelIO measures drx's chunk pipeline through the sharded
+// buffer pool: one process moving a multi-chunk section with 1..P
+// workers. The backing store charges real service time per server, so
+// the speedup column is genuine wall-clock overlap across the 8 striped
+// servers. (drxmp's independent section I/O has no worker knob to
+// sweep: it is one vectored request and the server queues overlap it.)
 func E16ParallelIO(sc Scale) []*report.Table {
 	n := sc.pick(256, 512)
 	const chunk = 64
 	const servers = 8
 	stripe := int64(32 << 10)
+	buf := make([]byte, n*n*8)
 
-	t := report.New(fmt.Sprintf("E16a: drxmp section I/O of a %dx%d f64 array, %d real-time servers", n, n, servers),
-		"op", "workers", "wall", "speedup")
-	full := drxmp.NewBox([]int{0, 0}, []int{n, n})
-	buf := make([]byte, full.Volume()*8)
-	var base time.Duration
-	for _, workers := range e16Sweep() {
-		err := cluster.Run(1, func(c *cluster.Comm) error {
-			f, err := drxmp.Create(c, "e16", drxmp.Options{
-				DType: drxmp.Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{n, n},
-				FS:     pfs.Options{Servers: servers, StripeSize: stripe, Cost: e16Cost()},
-				Tuning: drxmp.Tuning{Parallelism: workers},
-			})
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := f.WriteSectionFloat64s(full, workload.FillBox(full, grid.RowMajor), drxmp.RowMajor); err != nil {
-				return err
-			}
-			start := time.Now()
-			if err := f.ReadSection(full, buf, drxmp.RowMajor); err != nil {
-				return err
-			}
-			wall := time.Since(start)
-			if workers <= 1 {
-				base = wall
-			}
-			t.AddRow("read", f.Parallelism(), wall.Round(time.Microsecond),
-				report.Ratio(float64(base), float64(wall)))
-			return nil
-		})
-		if err != nil {
-			t.AddNote("workers=%d: %v", workers, err)
-		}
-	}
-
-	t2 := report.New(fmt.Sprintf("E16b: drx chunk pipeline, %dx%d f64, cache smaller than the working set", n, n),
+	t2 := report.New(fmt.Sprintf("E16: drx chunk pipeline, %dx%d f64, cache smaller than the working set", n, n),
 		"op", "workers", "wall", "prefetches", "speedup")
 	var base2 time.Duration
 	for _, workers := range e16Sweep() {
@@ -120,9 +83,8 @@ func E16ParallelIO(sc Scale) []*report.Table {
 			report.Ratio(float64(base2), float64(wall)))
 		a.Close()
 	}
-	t.AddNote("shape check: wall time falls with workers until the %d servers saturate", servers)
 	t2.AddNote("the pool caps workers at its safe concurrency; prefetches>0 shows read-ahead overlapping the scatter")
-	return []*report.Table{t, t2}
+	return []*report.Table{t2}
 }
 
 // e16Sweep returns the worker counts to measure: serial, then doubling

@@ -160,10 +160,7 @@ func e20Strided(n, servers int, stripe int64, cache func(int64) int64) (
 				Servers: servers, StripeSize: stripe, Cost: e20Cost(),
 				Scheduler: pfs.Elevator,
 			},
-			Tuning: drxmp.Tuning{
-				Parallelism: 8,
-				CacheBytes:  cache(arrayBytes),
-			},
+			Tuning: drxmp.Tuning{CacheBytes: cache(arrayBytes)},
 		})
 		if err != nil {
 			return err
@@ -199,8 +196,8 @@ func e20Strided(n, servers int, stripe int64, cache func(int64) int64) (
 }
 
 // e20Scan is the read-ahead study: ONE rank reads every chunk-row
-// band in file order through the serial independent path (so each band
-// is one vectored cached read), with the cache budget sized to the
+// band in file order through the independent path (each band is one
+// vectored cached read), with the cache budget sized to the
 // array. Read-ahead extends each miss's fetch toward the next band.
 func e20Scan(n, servers int, stripe, ra int64) (
 	wall time.Duration, reads, seeks int64, cs drxmp.CacheStats, err error) {
@@ -214,7 +211,6 @@ func e20Scan(n, servers int, stripe, ra int64) (
 				Scheduler: pfs.Elevator,
 			},
 			Tuning: drxmp.Tuning{
-				Parallelism:    -1, // serial: one vectored cached read per band
 				CacheBytes:     e20Budget(arrayBytes),
 				ReadAheadBytes: ra,
 			},

@@ -84,10 +84,9 @@ func e23Run(n, servers int, stripe int64, cfg e23Config, passes int) ([]e23Pass,
 				Scheduler: pfs.Elevator,
 			},
 			Tuning: drxmp.Tuning{
-				Parallelism: -1, // serial: one vectored cached read per slab
-				CacheBytes:  arrayBytes / 4,
-				SpillBytes:  spillB,
-				AdaptiveIO:  cfg.adaptive,
+				CacheBytes: arrayBytes / 4,
+				SpillBytes: spillB,
+				AdaptiveIO: cfg.adaptive,
 			},
 		})
 		if err != nil {

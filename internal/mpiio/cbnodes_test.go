@@ -10,7 +10,9 @@ import (
 	"drxmp/internal/place"
 )
 
-// TestCBNodesResolution pins the aggregator-count rule: adaptive
+// TestCBNodesResolution pins the aggregator-count rule of the default
+// carving (a handle as Open returns it: place.ByteCyclic fed the
+// handle's CBNodes, stripe and communicator size): adaptive
 // clamp(totalBytes/stripe, 1, nranks) by default, fixed (clamped)
 // when positive, full fan-out when negative.
 func TestCBNodesResolution(t *testing.T) {
@@ -39,9 +41,12 @@ func TestCBNodesResolution(t *testing.T) {
 		}
 		for _, tc := range cases {
 			f.CBNodes = tc.cbNodes
-			if got := f.cbNodes(tc.totalBytes); got != tc.want {
-				return fmt.Errorf("cbNodes(%d) with CBNodes=%d = %d, want %d",
-					tc.totalBytes, tc.cbNodes, got, tc.want)
+			for _, wb := range []int64{0, -1} { // span and cyclic carvings
+				f.WriteBehind = wb
+				if got := f.carve(0, tc.totalBytes, tc.totalBytes, nil).N(); got != tc.want {
+					return fmt.Errorf("carve N for %d bytes with CBNodes=%d WriteBehind=%d = %d, want %d",
+						tc.totalBytes, tc.cbNodes, wb, got, tc.want)
+				}
 			}
 		}
 		return nil
@@ -65,9 +70,9 @@ func (g rowGeom) Coords(q int64) ([]int, error) {
 }
 
 // TestCBNodesPlacementPolicyDomainCount pins the placement/adaptive-clamp
-// interaction: with a policy active, the aggregator count comes from
-// the policy's own domain structure (chunk groups), NOT from the
-// historical clamp(totalBytes/stripe, 1, nranks). A tiny payload
+// interaction: with a chunk-aware policy, the aggregator count comes
+// from the policy's own domain structure (chunk groups), NOT from
+// ByteCyclic's clamp(totalBytes/stripe, 1, nranks). A tiny payload
 // spread over many chunks used to collapse to one aggregator; a
 // chunk-aware policy must keep one domain per rank as long as there
 // are chunks to go around.
@@ -91,11 +96,8 @@ func TestCBNodesPlacementPolicyDomainCount(t *testing.T) {
 		runsByRank := [][]pfs.Run{runs, nil, nil, nil}
 		lo, hi, total := int64(0), int64(7*128+1), int64(8)
 
-		if got := f.cbNodes(total); got != 1 {
-			return fmt.Errorf("byte clamp sanity: cbNodes(%d) = %d, want 1", total, got)
-		}
 		if got := f.carve(lo, hi, total, runsByRank).N(); got != 1 {
-			return fmt.Errorf("no policy: carve N = %d, want the byte clamp's 1", got)
+			return fmt.Errorf("default policy: carve N = %d, want the byte clamp's 1", got)
 		}
 		for _, p := range []place.Policy{place.ZoneCurve{}, place.CacheAffinity{}} {
 			f.Placement, f.PlaceGeom = p, geom

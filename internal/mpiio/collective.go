@@ -14,11 +14,13 @@ import (
 // Two-phase collective I/O (the ROMIO technique referenced through the
 // paper's citation [25], "Noncontiguous I/O accesses through MPI-IO").
 //
-// Phase assignment: the byte range touched by any process is split into
-// stripe-aligned aggregation domains, one per aggregator. The
-// aggregator count is the ROMIO "cb_nodes" analogue: adaptive by
-// default (one aggregator per stripe of payload, clamped to [1,
-// nranks]) with an explicit File.CBNodes override, so small collectives
+// Phase assignment: the placement policy (File.Placement, internal/
+// place; stripe-aligned ByteCyclic unless another is named) splits the
+// byte range touched by any process into aggregation domains, one per
+// aggregator. The aggregator count is the ROMIO "cb_nodes" analogue:
+// adaptive by default (ByteCyclic: one aggregator per stripe of
+// payload, clamped to [1, nranks]) with an explicit File.CBNodes
+// override, so small collectives
 // funnel through few aggregators — fewer, larger, elevator-friendly
 // server requests — while large ones keep full fan-out. In a read, each
 // aggregator fetches the coalesced union of its domain's requested
@@ -153,9 +155,8 @@ func (f *File) collective(buf []byte, viewOff int64, write bool) error {
 	// Aggregator selection and domain carving: every rank computes the
 	// same carving from the allgathered run lists (and the shared
 	// placement policy + CBNodes setting), so the placement agrees
-	// everywhere without another round. With a policy active the
-	// aggregator count is the policy's domain count, not the raw
-	// byte-arithmetic clamp.
+	// everywhere without another round. The aggregator count is the
+	// policy's domain count.
 	dom := f.carve(lo, hi, totalBytes, runsByRank)
 	size := f.comm.Size()
 	me := f.comm.Rank()
@@ -334,38 +335,29 @@ func (f *File) agree(opErr error) error {
 	return opErr
 }
 
-// carve produces the aggregation-domain partition of one collective.
-// With a placement policy set, the policy carves (and resolves the
-// aggregator count from its own domain structure — chunk-aware
-// policies count chunk groups, not payload stripes); otherwise the
-// historical byte arithmetic runs unchanged, bit-identically to the
-// pre-policy stack.
+// carve produces the aggregation-domain partition of one collective:
+// the placement policy carves, and resolves the aggregator count from
+// its own domain structure (ByteCyclic counts payload stripes,
+// chunk-aware policies count chunk groups).
 func (f *File) carve(lo, hi, totalBytes int64, runsByRank [][]pfs.Run) place.Domains {
-	if f.Placement != nil {
-		return f.Placement.Carve(place.Req{
-			Lo:          lo,
-			Hi:          hi,
-			TotalBytes:  totalBytes,
-			Ranks:       f.comm.Size(),
-			CBNodes:     f.CBNodes,
-			Stripe:      f.fs.StripeSize(),
-			WriteBehind: f.WriteBehind != 0,
-			Geom:        f.PlaceGeom,
-			Runs:        runsByRank,
-		})
-	}
-	return f.domains(lo, hi, f.cbNodes(totalBytes))
+	return f.Placement.Carve(place.Req{
+		Lo:          lo,
+		Hi:          hi,
+		TotalBytes:  totalBytes,
+		Ranks:       f.comm.Size(),
+		CBNodes:     f.CBNodes,
+		Stripe:      f.fs.StripeSize(),
+		WriteBehind: f.WriteBehind != 0,
+		Geom:        f.PlaceGeom,
+		Runs:        runsByRank,
+	})
 }
 
 // attrLocality charges the pfs domain-locality counters for the pieces
 // this rank aggregates: a piece is domain-local when the rank that
 // requested it IS the aggregator serving it (no exchange hop).
-// Accounting only — no service time — and only when a placement policy
-// is active, so Placement unset stays accounting-identical.
+// Accounting only — no service time.
 func (f *File) attrLocality(placedBy [][]placed) {
-	if f.Placement == nil {
-		return
-	}
 	me := f.comm.Rank()
 	for r, pl := range placedBy {
 		for _, p := range pl {
@@ -374,98 +366,6 @@ func (f *File) attrLocality(placedBy [][]placed) {
 			}
 		}
 	}
-}
-
-// cbNodes resolves the aggregator count for a collective moving
-// totalBytes: the explicit CBNodes override when set, otherwise
-// clamp(totalBytes/stripeSize, 1, nranks) — one aggregator per stripe
-// of payload, so small transfers coalesce onto few aggregators while
-// large ones keep every rank busy.
-func (f *File) cbNodes(totalBytes int64) int {
-	size := f.comm.Size()
-	switch {
-	case f.CBNodes > 0:
-		if f.CBNodes > size {
-			return size
-		}
-		return f.CBNodes
-	case f.CBNodes < 0:
-		return size
-	}
-	n := int(totalBytes / f.fs.StripeSize())
-	if n < 1 {
-		n = 1
-	}
-	if n > size {
-		n = size
-	}
-	return n
-}
-
-// domains describes the stripe-aligned aggregation domains of one
-// collective operation. Aggregators are ranks 0..n-1 of the
-// communicator; ranks past n own no domain and only exchange data.
-//
-// Two carvings exist. The span carving (cyclic == false, the PR 3
-// behavior) splits the collective's own [lo, hi) span into n
-// contiguous stripe-aligned blocks — best for a single collective, but
-// the boundaries move with every collective's span. The cyclic carving
-// (write-behind mode) assigns byte b to aggregator (b/per) mod n from
-// absolute file offset 0, so the same aggregator owns the same file
-// stripes in EVERY collective: dirty unions absorbed across successive
-// collectives land in the same rank's cache, merge into growing
-// extents, and — because stripe u of a file lands on server u mod S —
-// flush as server-aligned ascending sweeps.
-type domains struct {
-	lo     int64 // aligned start (0 for cyclic)
-	per    int64 // bytes per domain block (stripe multiple)
-	n      int   // number of aggregators (<= comm size)
-	cyclic bool  // file-aligned block-cyclic carving (write-behind)
-}
-
-func (f *File) domains(lo, hi int64, n int) domains {
-	stripe := f.fs.StripeSize()
-	if f.WriteBehind != 0 {
-		return domains{lo: 0, per: stripe, n: n, cyclic: true}
-	}
-	alo := (lo / stripe) * stripe
-	span := hi - alo
-	per := (span + int64(n) - 1) / int64(n)
-	per = ((per + stripe - 1) / stripe) * stripe
-	if per < stripe {
-		per = stripe
-	}
-	return domains{lo: alo, per: per, n: n}
-}
-
-// N implements place.Domains.
-func (d domains) N() int { return d.n }
-
-// Owner implements place.Domains: the aggregator rank owning the byte
-// at off.
-func (d domains) Owner(off int64) int {
-	if d.cyclic {
-		return int((off / d.per) % int64(d.n))
-	}
-	o := int((off - d.lo) / d.per)
-	if o >= d.n {
-		o = d.n - 1
-	}
-	return o
-}
-
-// BlockEnd implements place.Domains: the first offset past off where
-// ownership may change. The span carving's last domain takes the tail,
-// so its end is unbounded (callers clip to their run).
-func (d domains) BlockEnd(off int64) int64 {
-	if d.cyclic {
-		return (off/d.per + 1) * d.per
-	}
-	o := d.Owner(off)
-	if o == d.n-1 {
-		return int64(1)<<62 - 1
-	}
-	return d.lo + int64(o+1)*d.per
 }
 
 // piece is a run fragment assigned to one aggregation domain.
@@ -498,35 +398,6 @@ func splitRun(d place.Domains, run pfs.Run) []piece {
 		remaining -= take
 	}
 	return out
-}
-
-// split cuts a run at this carving's domain boundaries (kept as a
-// method so the arithmetic carvings stay directly testable).
-func (d domains) split(run pfs.Run) []piece { return splitRun(d, run) }
-
-// coveredSpan returns the minimal contiguous extent of domain `owner`
-// touched by any rank's runs (empty Run with Len 0 if none).
-func (d domains) coveredSpan(owner int, runsByRank [][]pfs.Run) pfs.Run {
-	var a, b int64 = -1, -1
-	for _, rr := range runsByRank {
-		for _, run := range rr {
-			for _, p := range splitRun(d, run) {
-				if p.owner != owner {
-					continue
-				}
-				if a < 0 || p.run.Off < a {
-					a = p.run.Off
-				}
-				if p.run.Off+p.run.Len > b {
-					b = p.run.Off + p.run.Len
-				}
-			}
-		}
-	}
-	if a < 0 {
-		return pfs.Run{}
-	}
-	return pfs.Run{Off: a, Len: b - a}
 }
 
 // domainRuns returns the coalesced union of the pieces every rank
@@ -683,11 +554,11 @@ func (f *File) aggregateWrite(dom place.Domains, placedBy [][]placed, recv [][]b
 	// The packed staging layout is exactly WriteV's: one vectored call
 	// dispatches every per-server segment of the domain at once. The
 	// post-write punch closes the sieve-fetch race exactly as on the
-	// independent path (File.PostWrite).
+	// independent path (File.postWrite).
 	if _, err := f.fs.WriteV(capRuns(runs, f.CollectiveBufferSize), s.data); err != nil {
 		return err
 	}
-	return f.PostWrite(runs)
+	return f.postWrite(runs)
 }
 
 // --- run wire encoding (fixed 16 bytes per run) ---

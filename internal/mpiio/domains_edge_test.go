@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"drxmp/internal/pfs"
+	"drxmp/internal/place"
 )
 
 // Edge-case coverage for the aggregation-domain geometry: zero-length
@@ -11,12 +12,18 @@ import (
 // stripe/domain boundaries. These paths feed every collective call, so
 // their corner behavior is pinned explicitly.
 
+// spanCarve is the default policy's span carving of [lo, hi) into n
+// stripe-aligned domains (the last one takes the tail).
+func spanCarve(lo, hi, stripe int64, n int) place.Domains {
+	return place.ByteCyclic{}.Carve(place.Req{Lo: lo, Hi: hi, Stripe: stripe, Ranks: n, CBNodes: n})
+}
+
 // TestCollectiveDomainsSplitZeroLengthRun: a zero-length run produces
 // no pieces, regardless of where it sits.
 func TestCollectiveDomainsSplitZeroLengthRun(t *testing.T) {
-	d := domains{lo: 0, per: 64, n: 4}
+	d := spanCarve(0, 256, 64, 4)
 	for _, off := range []int64{0, 63, 64, 255, 1000} {
-		if got := d.split(pfs.Run{Off: off, Len: 0}); len(got) != 0 {
+		if got := splitRun(d, pfs.Run{Off: off, Len: 0}); len(got) != 0 {
 			t.Errorf("split of zero-length run at %d yielded %d pieces", off, len(got))
 		}
 	}
@@ -27,8 +34,8 @@ func TestCollectiveDomainsSplitZeroLengthRun(t *testing.T) {
 // of a run must land on its own owner, with the tail spilling into the
 // last domain.
 func TestCollectiveDomainsSplitSingleByteDomains(t *testing.T) {
-	d := domains{lo: 0, per: 1, n: 4}
-	pieces := d.split(pfs.Run{Off: 0, Len: 10})
+	d := spanCarve(0, 4, 1, 4)
+	pieces := splitRun(d, pfs.Run{Off: 0, Len: 10})
 	if len(pieces) != 4 {
 		t.Fatalf("pieces = %d, want 4 (one per domain + tail)", len(pieces))
 	}
@@ -43,7 +50,7 @@ func TestCollectiveDomainsSplitSingleByteDomains(t *testing.T) {
 		t.Errorf("tail piece = %+v, want %+v", pieces[3], want)
 	}
 	// A single-byte run in the middle maps to exactly its domain.
-	one := d.split(pfs.Run{Off: 2, Len: 1})
+	one := splitRun(d, pfs.Run{Off: 2, Len: 1})
 	if len(one) != 1 || one[0] != (piece{owner: 2, run: pfs.Run{Off: 2, Len: 1}}) {
 		t.Errorf("single-byte split = %+v", one)
 	}
@@ -52,58 +59,60 @@ func TestCollectiveDomainsSplitSingleByteDomains(t *testing.T) {
 // TestCollectiveDomainsSplitBoundaryAligned: runs that start or stop
 // exactly on a domain boundary must not leak a byte across it.
 func TestCollectiveDomainsSplitBoundaryAligned(t *testing.T) {
-	d := domains{lo: 128, per: 64, n: 3}
+	d := spanCarve(130, 128+3*64, 64, 3) // start aligns down to 128
 	// Exactly one domain, [128, 192).
-	p := d.split(pfs.Run{Off: 128, Len: 64})
+	p := splitRun(d, pfs.Run{Off: 128, Len: 64})
 	if len(p) != 1 || p[0].owner != 0 || p[0].run != (pfs.Run{Off: 128, Len: 64}) {
 		t.Errorf("aligned split = %+v", p)
 	}
 	// Straddle the first boundary by one byte on each side.
-	p = d.split(pfs.Run{Off: 191, Len: 2})
+	p = splitRun(d, pfs.Run{Off: 191, Len: 2})
 	if len(p) != 2 ||
 		p[0] != (piece{owner: 0, run: pfs.Run{Off: 191, Len: 1}}) ||
 		p[1] != (piece{owner: 1, run: pfs.Run{Off: 192, Len: 1}}) {
 		t.Errorf("straddling split = %+v", p)
 	}
 	// Past the last domain: the tail rule absorbs everything.
-	p = d.split(pfs.Run{Off: 128 + 3*64 - 1, Len: 10})
+	p = splitRun(d, pfs.Run{Off: 128 + 3*64 - 1, Len: 10})
 	if len(p) != 1 || p[0].owner != 2 || p[0].run.Len != 10 {
 		t.Errorf("tail split = %+v", p)
 	}
 }
 
-// TestCollectiveCoveredSpanZeroLengthRuns: zero-length runs contribute
-// nothing to a domain's covered span, and untouched domains report an
-// empty span.
-func TestCollectiveCoveredSpanZeroLengthRuns(t *testing.T) {
-	d := domains{lo: 0, per: 64, n: 2}
-	runsByRank := [][]pfs.Run{
-		{{Off: 10, Len: 0}, {Off: 20, Len: 4}},
-		{{Off: 40, Len: 0}},
+// TestCollectiveDomainRunsZeroLengthRuns: zero-length runs contribute
+// nothing to a domain's transfer list, and untouched domains get an
+// empty one.
+func TestCollectiveDomainRunsZeroLengthRuns(t *testing.T) {
+	d := spanCarve(0, 128, 64, 2)
+	placedBy := [][]placed{
+		placePieces(d, []pfs.Run{{Off: 10, Len: 0}, {Off: 20, Len: 4}}),
+		placePieces(d, []pfs.Run{{Off: 40, Len: 0}}),
 	}
-	if got := d.coveredSpan(0, runsByRank); got != (pfs.Run{Off: 20, Len: 4}) {
-		t.Errorf("coveredSpan(0) = %+v, want {20 4}", got)
+	if got := domainRuns(0, placedBy); len(got) != 1 || got[0] != (pfs.Run{Off: 20, Len: 4}) {
+		t.Errorf("domainRuns(0) = %+v, want [{20 4}]", got)
 	}
-	// Domain 1 saw only a zero-length run: empty span, Len 0.
-	if got := d.coveredSpan(1, runsByRank); got != (pfs.Run{}) {
-		t.Errorf("coveredSpan(1) = %+v, want empty", got)
+	// Domain 1 saw only a zero-length run.
+	if got := domainRuns(1, placedBy); len(got) != 0 {
+		t.Errorf("domainRuns(1) = %+v, want empty", got)
 	}
-	// No runs at all.
-	if got := d.coveredSpan(0, nil); got != (pfs.Run{}) {
-		t.Errorf("coveredSpan of no runs = %+v, want empty", got)
+	if got := domainRuns(0, nil); len(got) != 0 {
+		t.Errorf("domainRuns of no runs = %+v, want empty", got)
 	}
 }
 
-// TestCollectiveCoveredSpanSingleByteAtBoundary: a single-byte run on
-// the last byte of a domain spans exactly that byte.
-func TestCollectiveCoveredSpanSingleByteAtBoundary(t *testing.T) {
-	d := domains{lo: 0, per: 64, n: 2}
-	runsByRank := [][]pfs.Run{{{Off: 63, Len: 1}}, {{Off: 64, Len: 1}}}
-	if got := d.coveredSpan(0, runsByRank); got != (pfs.Run{Off: 63, Len: 1}) {
-		t.Errorf("coveredSpan(0) = %+v, want {63 1}", got)
+// TestCollectiveDomainRunsSingleByteAtBoundary: single-byte runs on
+// either side of a domain boundary stay with their own domain.
+func TestCollectiveDomainRunsSingleByteAtBoundary(t *testing.T) {
+	d := spanCarve(0, 128, 64, 2)
+	placedBy := [][]placed{
+		placePieces(d, []pfs.Run{{Off: 63, Len: 1}}),
+		placePieces(d, []pfs.Run{{Off: 64, Len: 1}}),
 	}
-	if got := d.coveredSpan(1, runsByRank); got != (pfs.Run{Off: 64, Len: 1}) {
-		t.Errorf("coveredSpan(1) = %+v, want {64 1}", got)
+	if got := domainRuns(0, placedBy); len(got) != 1 || got[0] != (pfs.Run{Off: 63, Len: 1}) {
+		t.Errorf("domainRuns(0) = %+v, want [{63 1}]", got)
+	}
+	if got := domainRuns(1, placedBy); len(got) != 1 || got[0] != (pfs.Run{Off: 64, Len: 1}) {
+		t.Errorf("domainRuns(1) = %+v, want [{64 1}]", got)
 	}
 }
 
@@ -111,7 +120,7 @@ func TestCollectiveCoveredSpanSingleByteAtBoundary(t *testing.T) {
 // the coalesced union across ranks — overlapping and adjacent pieces
 // from different ranks collapse.
 func TestCollectiveDomainRunsCoalesces(t *testing.T) {
-	d := domains{lo: 0, per: 256, n: 1}
+	d := spanCarve(0, 256, 256, 1)
 	placedBy := [][]placed{
 		placePieces(d, []pfs.Run{{Off: 0, Len: 8}, {Off: 16, Len: 8}}),
 		placePieces(d, []pfs.Run{{Off: 8, Len: 8}, {Off: 100, Len: 4}}),

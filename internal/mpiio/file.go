@@ -114,12 +114,11 @@ type File struct {
 	// the same value.
 	AdaptiveIO bool
 
-	// Placement selects the aggregation-domain carving policy of the
-	// two-phase collective (internal/place). nil (the default) keeps
-	// the historical byte arithmetic — bit- and accounting-identical to
-	// the pre-policy stack. Every rank of a communicator must use the
-	// same policy (the carving is computed independently on each rank
-	// from replicated state and must agree).
+	// Placement is the aggregation-domain carving policy of the
+	// two-phase collective (internal/place); Open installs
+	// place.ByteCyclic and it is never nil. Every rank of a communicator
+	// must use the same policy (the carving is computed independently on
+	// each rank from replicated state and must agree).
 	Placement place.Policy
 
 	// PlaceGeom supplies the replicated chunk geometry chunk-aware
@@ -132,14 +131,14 @@ type File struct {
 	// crossings and SyncAll sweep only the regions the placement
 	// assigns this rank, instead of every crossing rank racing a global
 	// FlushAll whose partial sweeps interleave in file space.
-	// Meaningful only with Placement and PlaceGeom set; Sync/Close
-	// still drain everything (the correctness backstop).
+	// Meaningful only with PlaceGeom set; Sync/Close still drain
+	// everything (the correctness backstop).
 	ElectFlush bool
 
-	// fc memoizes the shared extent cache. Atomic because the parallel
-	// independent-read path resolves it from concurrent run-group
-	// workers (every resolver stores the same per-store instance, so
-	// racing stores are idempotent).
+	// fc memoizes the shared extent cache. Atomic because the serving
+	// tier reads through one handle from concurrent requests (every
+	// resolver stores the same per-store instance, so racing stores are
+	// idempotent).
 	fc atomic.Pointer[fileCache]
 }
 
@@ -192,25 +191,6 @@ func (f *File) sharedCache() *fileCache {
 // unified cache (clean caching / data sieving enabled).
 func (f *File) cacheActive() bool { return f.CacheBytes > 0 }
 
-// SetCacheBytes adjusts the cache memory budget and applies it to the
-// shared cache immediately when one exists — dropping the budget to 0
-// releases the clean extents right away instead of at the next cached
-// operation. Every rank must use the same value.
-func (f *File) SetCacheBytes(n int64) {
-	f.CacheBytes = n
-	if w := f.sharedCache(); w != nil {
-		w.Configure(f.cacheConfig())
-	}
-}
-
-// SetReadAhead adjusts the sieve read-ahead, applied like SetCacheBytes.
-func (f *File) SetReadAhead(n int64) {
-	f.ReadAhead = n
-	if w := f.sharedCache(); w != nil {
-		w.Configure(f.cacheConfig())
-	}
-}
-
 // TuningKnobs is ApplyTuning's parameter block — one field per handle
 // knob, so the signature stops growing positionally as knobs accrue.
 type TuningKnobs struct {
@@ -230,10 +210,10 @@ type TuningKnobs struct {
 
 // ApplyTuning installs every collective/cache knob of the handle in
 // one call — the atomic application point behind drxmp.File.SetTuning,
-// so a serving tier can swap a whole tenant profile instead of
-// individual setters. The shared cache is reconfigured once. Disabling
-// write-behind (newly zero) flushes the buffered dirty extents exactly
-// as the individual setter does; disabling the cache or the spill tier
+// so a serving tier can swap a whole tenant profile. k.Placement must
+// not be nil. The shared cache is reconfigured once. Disabling
+// write-behind (newly zero) flushes the buffered dirty extents;
+// disabling the cache or the spill tier
 // first drains every deferred byte under the OLD configuration (the
 // caching sweep is the only path that reads dirty extents back out of
 // the spill file). Enabling the spill tier opens the spill file
@@ -302,8 +282,8 @@ func (f *File) Sync() error {
 // deferred bytes are on the servers and any rank's flush failure
 // surfaces everywhere. Every rank must call it.
 //
-// With flush election active (ElectFlush + a placement policy with
-// geometry), each rank sweeps only the file regions the placement
+// With flush election active (ElectFlush + chunk geometry), each rank
+// sweeps only the file regions the placement
 // assigns it — the region map covers every byte, so the union of the
 // elected sweeps is the whole dirty set — and the agreement round
 // doubles as the election's completion barrier. Per-rank Sync (and the
@@ -327,7 +307,7 @@ func (f *File) SyncAll() error {
 // region, so the predicates still partition everything a stale sweep
 // might hold.
 func (f *File) flushOwned() func(off int64) bool {
-	if !f.ElectFlush || f.Placement == nil || f.PlaceGeom == nil {
+	if !f.ElectFlush || f.PlaceGeom == nil {
 		return nil
 	}
 	hi := f.PlaceGeom.Chunks() * f.PlaceGeom.ChunkBytes()
@@ -382,14 +362,14 @@ func (f *File) WriteBehindStats() (absorbed, flushes int64) {
 	return st.Absorbed, st.Flushes
 }
 
-// Coherent applies the unified-cache coherence rule to a run list this
+// coherent applies the unified-cache coherence rule to a run list this
 // rank is about to transfer directly against the store: a read flushes
 // the dirty extents it intersects (so it observes every handle's
 // deferred bytes — the cache is shared), a write punches the runs out
 // of the cache, clean and dirty alike (so neither a later flush nor a
 // cached re-read can resurrect superseded bytes). No-op without a
 // cache.
-func (f *File) Coherent(runs []pfs.Run, write bool) error {
+func (f *File) coherent(runs []pfs.Run, write bool) error {
 	w := f.sharedCache()
 	if w == nil {
 		return nil
@@ -412,7 +392,7 @@ func (f *File) ReadV(runs []pfs.Run, buf []byte) error {
 	if f.cacheActive() {
 		return f.cache().ReadThrough(runs, buf)
 	}
-	if err := f.Coherent(runs, false); err != nil {
+	if err := f.coherent(runs, false); err != nil {
 		return err
 	}
 	_, err := f.fs.ReadV(runs, buf)
@@ -421,27 +401,27 @@ func (f *File) ReadV(runs []pfs.Run, buf []byte) error {
 
 // WriteV writes the coalesced runs from buf (packed back-to-back),
 // punching the runs out of the unified cache first — and, with clean
-// caching on, once more after the store write lands (PostWrite).
+// caching on, once more after the store write lands (postWrite).
 func (f *File) WriteV(runs []pfs.Run, buf []byte) error {
-	if err := f.Coherent(runs, true); err != nil {
+	if err := f.coherent(runs, true); err != nil {
 		return err
 	}
 	if _, err := f.fs.WriteV(runs, buf); err != nil {
 		return err
 	}
-	return f.PostWrite(runs)
+	return f.postWrite(runs)
 }
 
-// PostWrite re-punches runs after a direct store write has completed.
-// The pre-write punch (Coherent) bumps the cache generation, but a
+// postWrite re-punches runs after a direct store write has completed.
+// The pre-write punch (coherent) bumps the cache generation, but a
 // sieve fetch already in flight may have read the store BEFORE the
 // write landed and would insert those stale bytes as clean afterwards;
 // the gen guard stops inserts that finish after this punch, and this
-// punch removes any that slipped in between. Direct-write paths above
-// the cache (drxmp sectionIO, the collective aggregateWrite) call it
-// once their store writes return. No-op unless clean caching is on —
+// punch removes any that slipped in between. The direct-write paths
+// (WriteV, the collective aggregateWrite) call it once their store
+// writes return. No-op unless clean caching is on —
 // without clean extents there is nothing a racing read could poison.
-func (f *File) PostWrite(runs []pfs.Run) error {
+func (f *File) postWrite(runs []pfs.Run) error {
 	if w := f.sharedCache(); w != nil && w.caching() {
 		for _, r := range runs {
 			w.Punch(r.Off, r.Len)
@@ -453,7 +433,7 @@ func (f *File) PostWrite(runs []pfs.Run) error {
 // Open returns a handle on fs for this process. It is collective only
 // by convention (no synchronization is needed to open).
 func Open(comm *cluster.Comm, fs *pfs.FS) *File {
-	f := &File{fs: fs, comm: comm}
+	f := &File{fs: fs, comm: comm, Placement: place.ByteCyclic{}}
 	f.filetype = MustBytes(1 << 20) // default view: raw bytes
 	return f
 }

@@ -91,7 +91,7 @@ func TestTieredPunchInvalidatesSpill(t *testing.T) {
 		t.Fatal("nothing demoted; the race under test never happens")
 	}
 	// Supersede [0, 512) behind the cache's back, then punch — the
-	// independent-write / PostWrite protocol.
+	// independent-write / postWrite protocol.
 	if _, err := fs.WriteAt(bytes.Repeat([]byte{0xEE}, 512), 0); err != nil {
 		t.Fatal(err)
 	}

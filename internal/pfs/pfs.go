@@ -187,9 +187,8 @@ type ServerStats struct {
 	// LocalBytes / RemoteBytes attribute collective payload held by
 	// this server to aggregation-domain locality: local bytes were
 	// requested by the rank that also aggregates them (no exchange
-	// hop), remote bytes crossed the rank exchange. Charged only when
-	// a placement policy is active (mpiio), so the counters stay zero
-	// — accounting-identical — otherwise.
+	// hop), remote bytes crossed the rank exchange. Charged by every
+	// collective (mpiio); independent I/O leaves them zero.
 	LocalBytes  int64
 	RemoteBytes int64
 	// ReqSize is the per-request transfer-size histogram and SvcTime
@@ -248,7 +247,7 @@ func (s Stats) Bytes() int64 {
 }
 
 // DomainLocalBytes returns total placement-attributed domain-local
-// bytes across servers (zero unless a placement policy is active).
+// bytes across servers (zero until a collective runs).
 func (s Stats) DomainLocalBytes() int64 {
 	var n int64
 	for _, ps := range s.PerServer {
@@ -893,8 +892,7 @@ func (fs *FS) Stats() Stats {
 // domain-locality counters of the servers holding them: local reports
 // whether the rank that requested the bytes is also the aggregator
 // serving them (no exchange hop). Pure accounting — no service time,
-// no seek state — called by the collective layer only when a placement
-// policy is active.
+// no seek state — called by the collective layer.
 func (fs *FS) AttrLocality(off, n int64, local bool) {
 	fs.forEachSegment(off, n, func(s int, _, _, length int64) error {
 		sv := fs.servers[s]

@@ -28,7 +28,7 @@ func segsOf(off, n, stripe int64) int64 {
 // accumulated Busy time is exactly Requests x overhead.
 func TestCollectiveQueueRaceStress(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-size stress runs in the dedicated collective race step")
+		t.Skip("full-size stress: skipped under -short")
 	}
 	const (
 		servers = 5

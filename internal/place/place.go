@@ -14,11 +14,9 @@
 //
 // Three policies are provided:
 //
-//   - ByteCyclic: the historical arithmetic carving (span-partition for
-//     plain collectives, file-aligned block-cyclic under write-behind),
-//     bit-identical to the carving formerly hard-coded in
-//     internal/mpiio. The zero policy: Placement unset behaves exactly
-//     like this.
+//   - ByteCyclic: pure byte arithmetic (span-partition for plain
+//     collectives, file-aligned block-cyclic under write-behind). The
+//     default policy: it needs no chunk geometry.
 //   - ZoneCurve: domains follow chunk zones. The chunks the collective
 //     touches are ordered along a zone curve (Morton order over chunk
 //     coordinates, zone.CurveKey) and cut into payload-balanced,
@@ -130,13 +128,16 @@ func resolveN(r Req, want int) int {
 	return n
 }
 
-// ByteCyclic is the historical arithmetic carving, bit-identical to
-// the one formerly hard-coded in the collective path: under
-// write-behind, file-aligned block-cyclic stripes (so successive union
-// flushes merge server-aligned); otherwise a stripe-aligned span
-// partition whose last domain absorbs the tail. The adaptive
-// aggregator count is the historical clamp(TotalBytes/Stripe, 1,
-// Ranks).
+// ByteCyclic carves by byte arithmetic alone: under write-behind,
+// file-aligned block-cyclic stripes — the same aggregator owns the same
+// file stripes in EVERY collective, so dirty unions absorbed across
+// successive collectives merge into growing extents and, because
+// stripe u lands on server u mod S, flush as server-aligned ascending
+// sweeps; otherwise a stripe-aligned partition of the collective's own
+// span whose last domain absorbs the tail. The adaptive aggregator
+// count is clamp(TotalBytes/Stripe, 1, Ranks): one aggregator per
+// stripe of payload, so small transfers coalesce onto few aggregators
+// while large ones keep every rank busy.
 type ByteCyclic struct{}
 
 // Name implements Policy.

@@ -7,30 +7,31 @@ import (
 )
 
 // TestSyncWorkersResolution pins the DistArray section-sync worker
-// bound: GetSection/PutSection take the larger of the independent and
-// collective parallelism budgets, so a serial independent knob no
-// longer caps one-sided section transfers when the collective budget
-// is wider.
+// bound: GetSection/PutSection fan out over CollectiveParallelism, the
+// one per-rank worker knob.
 func TestSyncWorkersResolution(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := Create(c, "syncw", Options{
 			DType: Float64, ChunkShape: []int{4, 4}, Bounds: []int{8, 8},
-			Tuning: Tuning{Parallelism: -1, CollectiveParallelism: 6},
+			Tuning: Tuning{CollectiveParallelism: 6},
 		})
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if got := f.syncWorkers(); got != 6 {
-			t.Errorf("syncWorkers() = %d, want 6 (collective budget wins)", got)
+		d, err := f.Distribute(RowMajor)
+		if err != nil {
+			return err
 		}
-		f.SetCollectiveParallelism(-1)
-		if got := f.syncWorkers(); got != 1 {
-			t.Errorf("syncWorkers() with both serial = %d, want 1", got)
+		defer d.Free()
+		if got := d.f.CollectiveParallelism(); got != 6 {
+			t.Errorf("section-sync bound = %d, want 6", got)
 		}
-		f.SetParallelism(4)
-		if got := f.syncWorkers(); got != 4 {
-			t.Errorf("syncWorkers() = %d, want 4 (independent budget wins)", got)
+		if err := f.SetTuning(Tuning{CollectiveParallelism: -1}); err != nil {
+			return err
+		}
+		if got := d.f.CollectiveParallelism(); got != 1 {
+			t.Errorf("section-sync bound after serial SetTuning = %d, want 1", got)
 		}
 		return nil
 	})
