@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay in sync.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench-module bench bench-collective ci
+.PHONY: all build vet fmt test race bench-module bench bench-pairs bench-collective ci
 
 all: build
 
@@ -30,6 +30,14 @@ bench-module:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# Paired runs of BASE against the working tree on one bench/ workload,
+# with the -compare verdicts: make bench-pairs W=serve_mixed N=10 BASE=HEAD~1
+W ?= serve_mixed
+N ?= 10
+BASE ?= HEAD
+bench-pairs:
+	bash scripts/bench_pairs.sh $(W) $(N) $(BASE)
 
 # Collective-benchmark smoke: one iteration of the Collective
 # benchmarks (parallel vs serial two-phase, FIFO vs elevator

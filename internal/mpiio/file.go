@@ -257,14 +257,6 @@ func (f *File) ApplyTuning(k TuningKnobs) error {
 	return nil
 }
 
-// CacheStatsDelta returns the cache accounting accumulated since a
-// prior CacheStats snapshot — the hook the serving tier uses to
-// attribute hit/miss/fetch traffic to the requests between two
-// snapshots.
-func (f *File) CacheStatsDelta(prev CacheStats) CacheStats {
-	return f.CacheStats().Sub(prev)
-}
-
 // Sync flushes every buffered dirty extent of the file — all ranks'
 // deferred collective writes share one cache — to the file system as
 // one vectored flush sweep (MPI_File_sync). With clean caching on the
@@ -355,13 +347,6 @@ func (f *File) CacheStats() CacheStats {
 	return CacheStats{}
 }
 
-// WriteBehindStats returns cumulative write-behind accounting for the
-// file: bytes absorbed by the cache and flush sweeps issued.
-func (f *File) WriteBehindStats() (absorbed, flushes int64) {
-	st := f.CacheStats()
-	return st.Absorbed, st.Flushes
-}
-
 // coherent applies the unified-cache coherence rule to a run list this
 // rank is about to transfer directly against the store: a read flushes
 // the dirty extents it intersects (so it observes every handle's
@@ -375,9 +360,7 @@ func (f *File) coherent(runs []pfs.Run, write bool) error {
 		return nil
 	}
 	if write {
-		for _, r := range runs {
-			w.Punch(r.Off, r.Len)
-		}
+		w.PunchV(runs)
 		return nil
 	}
 	return w.FlushIntersecting(runs)
@@ -413,19 +396,17 @@ func (f *File) WriteV(runs []pfs.Run, buf []byte) error {
 }
 
 // postWrite re-punches runs after a direct store write has completed.
-// The pre-write punch (coherent) bumps the cache generation, but a
-// sieve fetch already in flight may have read the store BEFORE the
-// write landed and would insert those stale bytes as clean afterwards;
-// the gen guard stops inserts that finish after this punch, and this
-// punch removes any that slipped in between. The direct-write paths
+// A sieve fetch in flight across the pre-write punch (coherent) has the
+// runs in its guard and will not insert them, but one that started
+// after that punch may still have read the store BEFORE the write
+// landed: this punch enters its guard if it is still out, and removes
+// the stale clean bytes it inserted if it is not. The direct-write paths
 // (WriteV, the collective aggregateWrite) call it once their store
 // writes return. No-op unless clean caching is on —
 // without clean extents there is nothing a racing read could poison.
 func (f *File) postWrite(runs []pfs.Run) error {
 	if w := f.sharedCache(); w != nil && w.caching() {
-		for _, r := range runs {
-			w.Punch(r.Off, r.Len)
-		}
+		w.PunchV(runs)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package mpiio
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -54,10 +55,18 @@ import (
 //     bytes alone exceed the budget, the least-recently-used dirty
 //     extents flush-on-evict through the same vectored pfs.FlushV
 //     sweep and then evict as clean.
-//   - A generation counter (bumped by every punch and absorb) guards
-//     sieve fetches: a fetch that raced a write serves its caller but
-//     does not insert, so pre-write store bytes can never enter the
-//     cache as clean.
+//   - Every in-flight sieve fetch holds a GUARD that collects the
+//     ranges punched, absorbed or restored while its store read is out;
+//     the fetch serves its caller but inserts only outside those ranges,
+//     so pre-write store bytes can never enter the cache as clean — and
+//     a write to a disjoint range costs the fetch nothing.
+//
+// Cost: the extent list stays a sorted slice, searched by galloping
+// binary search and punched by one vectored window splice
+// (extent.Find/PunchV); recency lives in two lazy heaps, clean and
+// dirty (extent.LRU), which double as the "still resident" mark. So a
+// punch, absorb, hit, miss, eviction or flush-mark costs O(log N +
+// extents touched) — never a walk, sort or rebuild of all N extents.
 //
 // Tiering (PR 9): with Tuning.SpillBytes set, eviction DEMOTES instead
 // of dropping — clean victims (and, under dirty-only budget pressure,
@@ -83,15 +92,27 @@ import (
 // until the next Configure turns it off.
 
 // cext is one cached byte range and its buffered data
-// (len(data) == length of the range).
+// (len(data) == length of the range; off and data never change).
 type cext struct {
 	off   int64
 	data  []byte
 	dirty bool
-	use   int64 // LRU stamp (fileCache.clock at last touch)
+	use   int64          // LRU stamp (fileCache.clock at last touch)
+	node  extent.LRUNode // linked in fileCache.lru[color] exactly while resident
 }
 
-func (e *cext) end() int64 { return e.off + int64(len(e.data)) }
+func (e *cext) end() int64            { return e.off + int64(len(e.data)) }
+func (e *cext) Span() pfs.Run         { return pfs.Run{Off: e.off, Len: int64(len(e.data))} }
+func (e *cext) Stamp() int64          { return e.use }
+func (e *cext) Node() *extent.LRUNode { return &e.node }
+
+// color indexes fileCache.lru: 0 clean, 1 dirty.
+func (e *cext) color() int {
+	if e.dirty {
+		return 1
+	}
+	return 0
+}
 
 // CacheStats is the cumulative accounting of a file's extent cache
 // (never reset; Sub snapshots for phase measurement).
@@ -168,12 +189,14 @@ type fileCache struct {
 	flushMu sync.Mutex // serializes flush sweeps (see above)
 
 	mu       sync.Mutex
-	ext      []*cext // sorted by off, pairwise disjoint
-	dirty    int64   // buffered dirty bytes
-	total    int64   // buffered bytes, clean + dirty
-	arrivals int     // ranks arrived at PunchOnce in this collective
-	gen      int64   // bumped by every punch/absorb (sieve-insert guard)
-	clock    int64   // LRU clock
+	ext      []*cext              // sorted by off, pairwise disjoint
+	lru      [2]extent.LRU[*cext] // recency order of the clean [0] and dirty [1] extents
+	tmp      []*cext              // PunchV's window scratch
+	dirty    int64                // buffered dirty bytes
+	total    int64                // buffered bytes, clean + dirty
+	arrivals int                  // ranks arrived at PunchOnce in this collective
+	guards   []*fetchGuard        // the sieve fetches in flight
+	clock    int64                // LRU clock
 
 	// Policy (Configure): shared, so every handle on the store must
 	// agree — the same rule as every other collective knob.
@@ -283,7 +306,6 @@ func (w *fileCache) closeHook() error {
 func (w *fileCache) Configure(cfg cacheConfig) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	budget := cfg.budget
 	w.budget, w.sieve, w.readAhead = cfg.budget, cfg.sieve, cfg.readAhead
 	if !cfg.adaptive && w.adaptive {
 		w.adaptSet = false // controller off: back to the base values
@@ -305,17 +327,9 @@ func (w *fileCache) Configure(cfg cacheConfig) {
 		w.spill.Close()
 		w.spill = nil
 	}
-	if budget <= 0 {
-		keep := w.ext[:0]
-		for _, e := range w.ext {
-			if e.dirty {
-				keep = append(keep, e)
-			} else {
-				w.total -= int64(len(e.data))
-				w.stats.Evicted += int64(len(e.data))
-			}
-		}
-		w.ext = keep
+	if cfg.budget <= 0 {
+		w.stats.Evicted += w.total - w.dirty
+		w.takeLocked(slices.Clone(w.lru[0].Items()))
 	}
 }
 
@@ -363,11 +377,14 @@ func (w *fileCache) readAheadSize() int64 {
 func (w *fileCache) Bytes() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	d := w.dirty
+	return w.dirtyLocked()
+}
+
+func (w *fileCache) dirtyLocked() int64 {
 	if w.spill != nil {
-		d += w.spill.Dirty()
+		return w.dirty + w.spill.Dirty()
 	}
-	return d
+	return w.dirty
 }
 
 // Cached returns the currently buffered total bytes (clean + dirty).
@@ -406,14 +423,22 @@ func (w *fileCache) Absorb(off int64, p []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.stats.Absorbed += int64(len(p))
-	w.gen++
 	w.clock++
+	w.punchLocked([]pfs.Run{{Off: off, Len: int64(len(p))}}, true)
+	w.mergeDirtyLocked(off, p, w.clock)
+}
+
+// mergeDirtyLocked enters the dirty run [off, off+len(p)) — which no
+// clean extent overlaps — merging it with the dirty extents it overlaps
+// or touches, its own bytes winning. Absorbs, dirty promotions and
+// restores all enter here, which is what keeps dirty extents
+// non-adjacent. Must be called with w.mu held.
+func (w *fileCache) mergeDirtyLocked(off int64, p []byte, use int64) {
 	end := off + int64(len(p))
-	w.punchLocked(off, end-off, true)
 	// [i, j) is the range of dirty extents overlapping or adjacent to
-	// the run. Clean extents cannot overlap it (just punched) but may
-	// touch its boundaries; they stay out of the merge.
-	i := sort.Search(len(w.ext), func(k int) bool { return w.ext[k].end() >= off })
+	// the run. Clean extents may touch its boundaries; they stay out of
+	// the merge.
+	i := extent.Find(w.ext, off-1, 0) // first extent ending at or past off
 	if i < len(w.ext) && !w.ext[i].dirty && w.ext[i].end() == off {
 		i++ // left-adjacent clean extent: not merged
 	}
@@ -426,9 +451,7 @@ func (w *fileCache) Absorb(off int64, p []byte) {
 	}
 	if i == j {
 		// Disjoint from all dirty extents: plain insert.
-		w.insertAtLocked(i, &cext{off: off, data: p, dirty: true, use: w.clock})
-		w.dirty += int64(len(p))
-		w.total += int64(len(p))
+		w.ext = slices.Insert(w.ext, i, w.link(&cext{off: off, data: p, dirty: true, use: use}))
 		return
 	}
 	lo, hi := off, end
@@ -439,22 +462,49 @@ func (w *fileCache) Absorb(off int64, p []byte) {
 		hi = e
 	}
 	merged := make([]byte, hi-lo)
-	var old int64
 	for _, e := range w.ext[i:j] {
 		copy(merged[e.off-lo:], e.data)
-		old += int64(len(e.data))
+		w.unlink(e)
 	}
 	copy(merged[off-lo:], p) // new data last: last writer wins
-	w.ext = append(w.ext[:i], append([]*cext{{off: lo, data: merged, dirty: true, use: w.clock}}, w.ext[j:]...)...)
-	w.dirty += int64(len(merged)) - old
-	w.total += int64(len(merged)) - old
+	w.ext = slices.Replace(w.ext, i, j, w.link(&cext{off: lo, data: merged, dirty: true, use: use}))
 }
 
-// insertAtLocked inserts e at position i of the sorted extent list.
-func (w *fileCache) insertAtLocked(i int, e *cext) {
-	w.ext = append(w.ext, nil)
-	copy(w.ext[i+1:], w.ext[i:])
-	w.ext[i] = e
+// link books a new extent and enters it in its color's recency heap;
+// unlink is the inverse, and leaves e marked not resident
+// (e.node.Linked() is false from then on). Neither touches w.ext:
+// insert and remove do both halves. All four need w.mu held.
+func (w *fileCache) link(e *cext) *cext {
+	w.total += int64(len(e.data))
+	if e.dirty {
+		w.dirty += int64(len(e.data))
+	}
+	w.lru[e.color()].Push(e)
+	return e
+}
+
+func (w *fileCache) unlink(e *cext) {
+	w.total -= int64(len(e.data))
+	if e.dirty {
+		w.dirty -= int64(len(e.data))
+	}
+	w.lru[e.color()].Remove(e)
+}
+
+func (w *fileCache) insert(e *cext) { w.ext = extent.Insert(w.ext, w.link(e)) }
+func (w *fileCache) remove(e *cext) { w.unlink(e); w.ext = extent.Delete(w.ext, e) }
+
+// takeLocked removes a batch of resident extents in one pass over the
+// list (the wb-only flushes, which write them back afterwards, and
+// Configure's release of every clean extent).
+func (w *fileCache) takeLocked(victims []*cext) {
+	if len(victims) == 0 {
+		return
+	}
+	for _, e := range victims {
+		w.unlink(e)
+	}
+	w.ext = slices.DeleteFunc(w.ext, func(e *cext) bool { return !e.node.Linked() })
 }
 
 // PunchOnce punches every run of a collective write's global union,
@@ -476,9 +526,7 @@ func (w *fileCache) PunchOnce(nranks int, runs []pfs.Run) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.arrivals == 0 {
-		for _, r := range runs {
-			w.punchLocked(r.Off, r.Len, false)
-		}
+		w.punchLocked(runs, false)
 	}
 	w.arrivals++
 	if w.arrivals >= nranks {
@@ -486,79 +534,74 @@ func (w *fileCache) PunchOnce(nranks int, runs []pfs.Run) {
 	}
 }
 
-// Punch discards cached bytes in [off, off+n), clean and dirty alike:
-// extents fully inside are dropped, extents straddling a boundary are
-// trimmed or split. Used by collective writes (PunchOnce: the global
-// union is about to be re-absorbed or rewritten) and independent
-// writes (the file copy is about to become newer than the cache).
-func (w *fileCache) Punch(off, n int64) {
+// PunchV discards the cached bytes of every run, clean and dirty alike,
+// in both tiers and under one lock hold: extents fully inside a run are
+// dropped, extents straddling a boundary are trimmed or split. Used by
+// independent writes, before the store write (the file copy is about to
+// become newer than the cache) and again after it (File.postWrite).
+//
+// A flush sweep that picked up dirty bytes of these runs before the
+// punch may still be writing them, and the caller's store write has to
+// land AFTER it or the sweep's older bytes would win on the store. So a
+// punch that discarded dirty bytes waits out the sweeps in flight — as
+// does every punch in wb-only mode, where a sweep's victims have
+// already left the cache and cannot be seen here.
+func (w *fileCache) PunchV(runs []pfs.Run) {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.punchLocked(off, n, false)
+	was := w.dirtyLocked()
+	w.punchLocked(runs, false)
+	wait := w.budget <= 0 || w.dirtyLocked() < was
+	w.mu.Unlock()
+	if wait {
+		w.flushMu.Lock()
+		w.flushMu.Unlock() // a barrier, not a critical section
+	}
 }
 
-// punchLocked removes [off, off+n) from the cached extents; cleanOnly
-// restricts it to clean extents (the absorb path, which merges dirty
+// punchLocked removes runs from the cached extents; cleanOnly restricts
+// the memory tier to clean extents (the absorb path, which merges dirty
 // overlaps itself). Untouched extents keep their identity (pointer),
-// which the flush paths rely on; trimmed remainders are new extents.
-func (w *fileCache) punchLocked(off, n int64, cleanOnly bool) {
-	if n <= 0 {
-		return
-	}
-	w.gen++
-	// Every punch means "this range is about to be superseded", so the
-	// spill tier loses it too — all colors even on the cleanOnly path
-	// (an absorb's new dirty bytes supersede older spilled dirty bytes
-	// exactly as they supersede clean ones; the memory-side dirty
-	// overlap is what merges, and it is never in the spill tier at the
-	// same time).
+// which the flush paths rely on; trimmed remainders are new extents
+// sharing the old data. Every punch means "this range is about to be
+// superseded", so the fetches in flight learn of it and the spill tier
+// loses it too — all colors even on the cleanOnly path (an absorb's new
+// dirty bytes supersede older spilled dirty bytes exactly as they
+// supersede clean ones; the memory-side dirty overlap is what merges,
+// and it is never in the spill tier at the same time).
+func (w *fileCache) punchLocked(runs []pfs.Run, cleanOnly bool) {
+	w.noteWrite(runs...)
 	if w.spill != nil {
-		w.spill.Punch(off, n)
+		w.spill.PunchV(runs)
 	}
-	end := off + n
-	var out []*cext
-	for _, e := range w.ext {
-		if e.end() <= off || e.off >= end || (cleanOnly && e.dirty) {
-			out = append(out, e)
-			continue
+	w.ext, w.tmp = extent.PunchV(w.ext, w.tmp, runs, func(e *cext, hole pfs.Run, out []*cext) []*cext {
+		if cleanOnly && e.dirty {
+			return append(out, e)
 		}
-		sub := func(x int64) {
-			w.total -= x
-			if e.dirty {
-				w.dirty -= x
-			}
+		w.unlink(e)
+		if e.off < hole.Off { // keep the left remainder
+			out = append(out, w.link(&cext{off: e.off, data: e.data[:hole.Off-e.off], dirty: e.dirty, use: e.use}))
 		}
-		sub(int64(len(e.data)))
-		if e.off < off { // keep the left remainder
-			left := &cext{off: e.off, data: e.data[:off-e.off], dirty: e.dirty, use: e.use}
-			sub(-int64(len(left.data)))
-			out = append(out, left)
+		if end := hole.End(); e.end() > end { // keep the right remainder
+			out = append(out, w.link(&cext{off: end, data: e.data[end-e.off:], dirty: e.dirty, use: e.use}))
 		}
-		if e.end() > end { // keep the right remainder
-			right := &cext{off: end, data: e.data[end-e.off:], dirty: e.dirty, use: e.use}
-			sub(-int64(len(right.data)))
-			out = append(out, right)
-		}
-	}
-	w.ext = out
+		return out
+	})
 }
 
-// pickDirty returns the dirty extents overlapping any of runs, by a
-// two-pointer merge over the two sorted lists (runs arrive sorted and
-// coalesced). Must be called with w.mu held.
+// pickDirty returns the dirty extents overlapping any of runs, one
+// windowed lookup per run (runs arrive sorted and coalesced; an extent
+// spanning two of them is picked once). Must be called with w.mu held.
 func (w *fileCache) pickDirty(runs []pfs.Run) []*cext {
 	var out []*cext
-	j := 0
-	for _, e := range w.ext {
-		if !e.dirty {
-			continue
+	at := 0
+	for _, r := range runs {
+		i, j := extent.Window(w.ext, r, at)
+		for _, e := range w.ext[i:j] {
+			if e.dirty && (len(out) == 0 || out[len(out)-1] != e) {
+				out = append(out, e)
+			}
 		}
-		for j < len(runs) && runs[j].Off+runs[j].Len <= e.off {
-			j++
-		}
-		if j < len(runs) && runs[j].Off < e.end() {
-			out = append(out, e)
-		}
+		at = i
 	}
 	return out
 }
@@ -571,31 +614,7 @@ func (w *fileCache) FlushAll() error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()
-	if w.budget > 0 {
-		victims := make([]*cext, 0, len(w.ext))
-		for _, e := range w.ext {
-			if e.dirty {
-				victims = append(victims, e)
-			}
-		}
-		return w.flushMarkCleanLocked(victims) // unlocks w.mu
-	}
-	ext := w.ext
-	w.ext = nil
-	w.dirty = 0
-	w.total = 0
-	if len(ext) > 0 {
-		w.stats.Flushes++
-	}
-	w.mu.Unlock()
-	if err := w.flushExtents(ext, nil); err != nil {
-		// The extents were removed before the sweep; putting their
-		// bytes back keeps the dirty data buffered for a retry instead
-		// of silently dropping it on a failed flush.
-		w.restoreDirty(ext)
-		return err
-	}
-	return nil
+	return w.flushLocked(slices.Clone(w.lru[1].Items()), nil)
 }
 
 // FlushIntersecting writes back exactly the dirty extents that overlap
@@ -605,45 +624,15 @@ func (w *fileCache) FlushAll() error {
 // means a reader whose coherence check races another flush blocks
 // until that flush's bytes are durable, instead of reading the store
 // in the removed-but-not-yet-written window. With clean caching on the
-// flushed extents stay, marked clean (no window exists to protect).
+// flushed extents stay, marked clean (no window exists to protect), and
+// the sweep also drains the spill tier's dirty bytes (all of them, not
+// just the intersecting ones — flushing deferred bytes early is always
+// safe, and it keeps the sweep one vectored FlushV).
 func (w *fileCache) FlushIntersecting(runs []pfs.Run) error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()
-	victims := w.pickDirty(runs)
-	spillDirty := w.spill != nil && w.spill.Dirty() > 0
-	if len(victims) == 0 && !spillDirty {
-		w.mu.Unlock()
-		return nil
-	}
-	if w.budget > 0 {
-		// The caching sweep also drains the spill tier's dirty bytes
-		// (all of them, not just the intersecting ones — flushing
-		// deferred bytes early is always safe, and it keeps the sweep
-		// one vectored FlushV).
-		return w.flushMarkCleanLocked(victims) // unlocks w.mu
-	}
-	flush := make([]*cext, 0, len(victims))
-	var keep []*cext
-	vi := 0
-	for _, e := range w.ext {
-		if vi < len(victims) && victims[vi] == e {
-			flush = append(flush, e)
-			w.dirty -= int64(len(e.data))
-			w.total -= int64(len(e.data))
-			vi++
-		} else {
-			keep = append(keep, e)
-		}
-	}
-	w.ext = keep
-	w.stats.Flushes++
-	w.mu.Unlock()
-	if err := w.flushExtents(flush, nil); err != nil {
-		w.restoreDirty(flush)
-		return err
-	}
-	return nil
+	return w.flushLocked(w.pickDirty(runs), nil)
 }
 
 // FlushOwned writes back exactly the dirty extents starting in a file
@@ -660,89 +649,48 @@ func (w *fileCache) FlushOwned(owned func(off int64) bool) error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()
-	victims := make([]*cext, 0, len(w.ext))
-	for _, e := range w.ext {
-		if e.dirty && owned(e.off) {
+	var victims []*cext
+	for _, e := range w.lru[1].Items() {
+		if owned(e.off) {
 			victims = append(victims, e)
 		}
 	}
-	spillDirty := w.spill != nil && w.spill.Dirty() > 0
-	if len(victims) == 0 && !spillDirty {
-		w.mu.Unlock()
-		return nil
+	if len(victims) > 0 || (w.spill != nil && w.spill.Dirty() > 0) {
+		w.stats.OwnedFlushes++
 	}
-	w.stats.OwnedFlushes++
-	if w.budget > 0 {
-		return w.flushMarkCleanOwnedLocked(victims, owned) // unlocks w.mu
-	}
-	flush := make([]*cext, 0, len(victims))
-	var keep []*cext
-	vi := 0
-	for _, e := range w.ext {
-		if vi < len(victims) && victims[vi] == e {
-			flush = append(flush, e)
-			w.dirty -= int64(len(e.data))
-			w.total -= int64(len(e.data))
-			vi++
-		} else {
-			keep = append(keep, e)
+	return w.flushLocked(victims, owned)
+}
+
+// flushLocked is the one flush sweep behind FlushAll, FlushIntersecting
+// and FlushOwned, over victims the caller picked (a slice of its own,
+// in any order). Entered with flushMu and w.mu held; releases w.mu.
+//
+// With clean caching on it writes the victims — plus every dirty extent
+// of the spill tier, read back from the spill file; with owned non-nil
+// only those starting in an owned region, since an elected flusher must
+// not sweep a region another rank owns — as one vectored sweep and
+// marks them clean IN PLACE, so the data never leaves the cache
+// mid-flush (readers stay coherent without taking flushMu). A victim
+// punched or re-absorbed during the sweep (no longer resident in
+// memory, a new entry id in the spill tier) is skipped: its replacement
+// keeps its own dirtiness and flushes later.
+//
+// In wb-only mode the victims leave the cache before the sweep; if it
+// fails their bytes go back (restoreDirty), so a failed flush keeps the
+// dirty data buffered for a retry instead of silently dropping it.
+func (w *fileCache) flushLocked(victims []*cext, owned func(off int64) bool) error {
+	if w.budget <= 0 {
+		w.takeLocked(victims)
+		if len(victims) > 0 {
+			w.stats.Flushes++
 		}
-	}
-	w.ext = keep
-	if len(flush) > 0 {
-		w.stats.Flushes++
-	}
-	w.mu.Unlock()
-	if err := w.flushExtents(flush, nil); err != nil {
-		w.restoreDirty(flush)
+		w.mu.Unlock()
+		err := w.flushExtents(victims, nil)
+		if err != nil {
+			w.restoreDirty(victims)
+		}
 		return err
 	}
-	return nil
-}
-
-// restoreDirty reinserts extents that a wb-only flush removed from the
-// cache before its FlushV sweep failed, so the dirty bytes survive for
-// a retry. Each extent's bytes return dirty only where the cache is
-// currently uncovered: anything absorbed since the removal is newer
-// and wins. Callers hold flushMu (the sweep that failed), never mu.
-func (w *fileCache) restoreDirty(ext []*cext) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, e := range ext {
-		cur := make([]pfs.Run, len(w.ext))
-		for i, c := range w.ext {
-			cur[i] = pfs.Run{Off: c.off, Len: int64(len(c.data))}
-		}
-		for _, g := range extent.Holes(pfs.Run{Off: e.off, Len: int64(len(e.data))}, cur) {
-			w.clock++
-			data := e.data[g.Off-e.off : g.Off-e.off+g.Len]
-			i := sort.Search(len(w.ext), func(k int) bool { return w.ext[k].off > g.Off })
-			w.insertAtLocked(i, &cext{off: g.Off, data: data, dirty: true, use: w.clock})
-			w.dirty += g.Len
-			w.total += g.Len
-		}
-	}
-	w.gen++
-}
-
-// flushMarkCleanLocked is the caching-mode flush: write the victim
-// extents — plus every dirty extent of the spill tier, read back from
-// the spill file — as one vectored sweep and mark them clean IN PLACE,
-// so the data never leaves the cache mid-flush (readers stay coherent
-// without taking flushMu). Entered with w.mu held (and flushMu held by
-// the caller); returns with both released... flushMu by the caller's
-// defer. A victim punched or re-absorbed during the sweep (a new
-// pointer in memory, a new entry id in the spill tier) keeps its
-// replacement's dirtiness — the replacement flushes later.
-func (w *fileCache) flushMarkCleanLocked(victims []*cext) error {
-	return w.flushMarkCleanOwnedLocked(victims, nil)
-}
-
-// flushMarkCleanOwnedLocked is flushMarkCleanLocked with an optional
-// region-ownership filter for the spill tier: with owned non-nil, only
-// the spilled dirty chunks starting in an owned region join the sweep
-// (an elected flusher must not sweep a region another rank owns).
-func (w *fileCache) flushMarkCleanOwnedLocked(victims []*cext, owned func(off int64) bool) error {
 	var chunks []spill.Chunk
 	if w.spill != nil && w.spill.Dirty() > 0 {
 		var err error
@@ -751,13 +699,7 @@ func (w *fileCache) flushMarkCleanOwnedLocked(victims []*cext, owned func(off in
 			return err
 		}
 		if owned != nil {
-			kept := chunks[:0]
-			for _, c := range chunks {
-				if owned(c.Off) {
-					kept = append(kept, c)
-				}
-			}
-			chunks = kept
+			chunks = slices.DeleteFunc(chunks, func(c spill.Chunk) bool { return !owned(c.Off) })
 		}
 	}
 	if len(victims) == 0 && len(chunks) == 0 {
@@ -765,21 +707,16 @@ func (w *fileCache) flushMarkCleanOwnedLocked(victims []*cext, owned func(off in
 		return nil
 	}
 	w.stats.Flushes++
-	snap := make([]*cext, len(victims))
-	copy(snap, victims)
 	w.mu.Unlock()
-	if err := w.flushExtents(snap, chunks); err != nil {
+	if err := w.flushExtents(victims, chunks); err != nil {
 		return err
 	}
 	w.mu.Lock()
-	present := make(map[*cext]bool, len(w.ext))
-	for _, e := range w.ext {
-		present[e] = true
-	}
-	for _, e := range snap {
-		if present[e] && e.dirty {
+	for _, e := range victims {
+		if e.node.Linked() && e.dirty {
+			w.unlink(e)
 			e.dirty = false
-			w.dirty -= int64(len(e.data))
+			w.link(e)
 		}
 	}
 	if w.spill != nil && len(chunks) > 0 {
@@ -792,6 +729,23 @@ func (w *fileCache) flushMarkCleanOwnedLocked(victims []*cext, owned func(off in
 	w.evictCleanLocked()
 	w.mu.Unlock()
 	return nil
+}
+
+// restoreDirty reinserts extents that a wb-only flush removed from the
+// cache before its FlushV sweep failed, so the dirty bytes survive for
+// a retry. Each extent's bytes return dirty only where the cache is
+// currently uncovered: anything absorbed since the removal is newer
+// and wins. Callers hold flushMu (the sweep that failed), never mu.
+func (w *fileCache) restoreDirty(ext []*cext) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, e := range ext {
+		for _, g := range w.uncovered(e.Span()) {
+			w.clock++
+			w.mergeDirtyLocked(g.Off, e.data[g.Off-e.off:g.End()-e.off], w.clock)
+			w.noteWrite(g)
+		}
+	}
 }
 
 // flushExtents issues one vectored FlushV covering the given memory
@@ -836,33 +790,22 @@ func (w *fileCache) flushExtents(ext []*cext, chunks []spill.Chunk) error {
 	return err
 }
 
-// evictCleanLocked removes clean extents in LRU order until the cache
-// fits its budget (or only dirty extents remain): one sorted pass over
-// the clean extents and one slice rebuild, so a large over-budget
-// round costs O(n log n) rather than a min-scan per victim. With the
-// spill tier on, eviction DEMOTES: each victim's bytes move to the
-// spill file before the memory copy drops, so a warm working set
-// larger than RAM re-reads from local disk instead of the pfs (a
-// refused demote — spill budget full, disk failure — degrades to the
-// plain drop). Must be called with w.mu held.
+// evictCleanLocked removes clean extents, least recently used first
+// (ties by offset), until the cache fits its budget or only dirty
+// extents remain — at O(log N) per victim. With the spill tier on,
+// eviction DEMOTES: each victim's bytes move to the spill file before
+// the memory copy drops, so a warm working set larger than RAM re-reads
+// from local disk instead of the pfs (a refused demote — spill budget
+// full, disk failure — degrades to the plain drop). Must be called with
+// w.mu held.
 func (w *fileCache) evictCleanLocked() {
-	if w.budget <= 0 || w.total <= w.budget {
-		return
-	}
-	clean := make([]*cext, 0, len(w.ext))
-	for _, e := range w.ext {
-		if !e.dirty {
-			clean = append(clean, e)
+	for w.budget > 0 && w.total > w.budget {
+		e, ok := w.lru[0].Min()
+		if !ok {
+			return
 		}
-	}
-	sort.Slice(clean, func(i, j int) bool { return clean[i].use < clean[j].use })
-	drop := make(map[*cext]bool, len(clean))
-	for _, e := range clean {
-		if w.total <= w.budget {
-			break
-		}
+		w.remove(e)
 		n := int64(len(e.data))
-		w.total -= n
 		w.stats.Evicted += n
 		if w.spill != nil {
 			if w.spill.Put(e.off, e.data, false) {
@@ -871,18 +814,7 @@ func (w *fileCache) evictCleanLocked() {
 				w.stats.SpillRejected++
 			}
 		}
-		drop[e] = true
 	}
-	if len(drop) == 0 {
-		return
-	}
-	keep := w.ext[:0]
-	for _, e := range w.ext {
-		if !drop[e] {
-			keep = append(keep, e)
-		}
-	}
-	w.ext = keep
 }
 
 // EnforceBudget brings the cache back under its memory budget: clean
@@ -892,10 +824,6 @@ func (w *fileCache) evictCleanLocked() {
 // ReadThrough inserts) call it after releasing mu.
 func (w *fileCache) EnforceBudget() error {
 	w.mu.Lock()
-	if w.budget <= 0 || w.total <= w.budget {
-		w.mu.Unlock()
-		return nil
-	}
 	w.evictCleanLocked()
 	// Dirty bytes alone exceed the memory budget: with the spill tier
 	// on, demote LRU dirty extents to local disk first — write-behind
@@ -903,72 +831,73 @@ func (w *fileCache) EnforceBudget() error {
 	// from the spill file — falling back to flush-on-evict for whatever
 	// the spill tier cannot take (its budget may itself be full of
 	// dirty bytes, which it never drops).
-	if w.spill != nil && w.total > w.budget {
-		var dirtyExts []*cext
-		for _, e := range w.ext {
-			if e.dirty {
-				dirtyExts = append(dirtyExts, e)
-			}
+	for w.spill != nil && w.budget > 0 && w.total > w.budget {
+		e, _ := w.lru[1].Min() // over budget with no clean extent left: a dirty one exists
+		if !w.spill.Put(e.off, e.data, true) {
+			w.stats.SpillRejected++
+			break
 		}
-		sort.Slice(dirtyExts, func(i, j int) bool { return dirtyExts[i].use < dirtyExts[j].use })
-		demoted := make(map[*cext]bool, len(dirtyExts))
-		for _, e := range dirtyExts {
-			if w.total <= w.budget {
-				break
-			}
-			n := int64(len(e.data))
-			if !w.spill.Put(e.off, e.data, true) {
-				w.stats.SpillRejected++
-				break
-			}
-			w.stats.SpillDemoted += n
-			w.total -= n
-			w.dirty -= n
-			demoted[e] = true
-		}
-		if len(demoted) > 0 {
-			keep := w.ext[:0]
-			for _, e := range w.ext {
-				if !demoted[e] {
-					keep = append(keep, e)
-				}
-			}
-			w.ext = keep
-		}
+		w.stats.SpillDemoted += int64(len(e.data))
+		w.remove(e)
 	}
-	over := w.total > w.budget
+	over := w.budget > 0 && w.total > w.budget
 	w.mu.Unlock()
 	if !over {
 		return nil
 	}
-	// Dirty bytes alone exceed the budget: flush-on-evict.
+	// Flush-on-evict: unlink the coldest dirty extents until the rest
+	// fits, then link them back — they stay resident and dirty until the
+	// sweep has written them.
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()
-	var dirtyExts []*cext
-	for _, e := range w.ext {
-		if e.dirty {
-			dirtyExts = append(dirtyExts, e)
-		}
-	}
-	sort.Slice(dirtyExts, func(i, j int) bool { return dirtyExts[i].use < dirtyExts[j].use })
 	var victims []*cext
 	var vbytes int64
-	for _, e := range dirtyExts {
-		if w.total-vbytes <= w.budget {
+	for w.total-vbytes > w.budget {
+		e, ok := w.lru[1].Min()
+		if !ok {
 			break
 		}
+		w.lru[1].Remove(e)
 		victims = append(victims, e)
 		vbytes += int64(len(e.data))
 	}
+	for _, e := range victims {
+		w.lru[1].Push(e)
+	}
 	w.stats.FlushEvicted += vbytes
-	return w.flushMarkCleanLocked(victims) // unlocks w.mu; evicts the marked-clean victims
+	return w.flushLocked(victims, nil) // unlocks w.mu; evicts the marked-clean victims
 }
 
 // hole is one uncached sub-range of a ReadThrough request and its
 // position in the caller's packed buffer.
 type hole struct {
 	off, n, bufAt int64
+}
+
+// fetchGuard is one sieve fetch in flight: wrote collects every range
+// punched, absorbed or restored while the store read is out (under
+// w.mu), and the fetch inserts only outside them.
+type fetchGuard struct{ wrote []pfs.Run }
+
+// uncovered returns the sub-ranges of span that neither tier holds, at
+// the cost of the extents inside span. Both tiers are "already cached":
+// block rounding and read-ahead must not re-fetch a spilled range —
+// worse than wasted I/O, the store bytes would be STALE wherever the
+// spilled extent is a deferred dirty write. Must be called with w.mu
+// held.
+func (w *fileCache) uncovered(span pfs.Run) []pfs.Run {
+	i, j := extent.Window(w.ext, span, 0)
+	cover := make([]pfs.Run, 0, j-i)
+	for _, e := range w.ext[i:j] {
+		cover = append(cover, e.Span())
+	}
+	if w.spill != nil {
+		if cover = w.spill.Covered(span, cover); len(cover) > j-i {
+			cover = extent.Coalesce(cover) // merge the two sorted, disjoint lists
+		}
+	}
+	return extent.Holes(span, cover)
 }
 
 // ReadThrough serves a vectored read (runs packed back-to-back into
@@ -985,7 +914,6 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 	// computation below sees the promoted extents as ordinary memory
 	// coverage and the two tiers never cover a byte twice.
 	w.mu.Lock()
-	genStart := w.gen
 	w.clock++
 	stamp := w.clock
 	if w.adaptive && len(runs) > 0 {
@@ -1015,25 +943,27 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 	}
 	var holes []hole
 	var at, hitBytes int64
+	k := 0
 	for _, r := range runs {
 		rEnd := r.Off + r.Len
 		pos := r.Off
-		k := sort.Search(len(w.ext), func(i int) bool { return w.ext[i].end() > r.Off })
-		for k < len(w.ext) && w.ext[k].off < rEnd {
+		if k > 0 && w.ext[k-1].end() > r.Off {
+			k = 0 // runs out of order: no search hint
+		}
+		for k = extent.Find(w.ext, r.Off, k); k < len(w.ext) && w.ext[k].off < rEnd; k++ {
 			e := w.ext[k]
 			if e.off > pos {
 				holes = append(holes, hole{off: pos, n: e.off - pos, bufAt: at + (pos - r.Off)})
 				pos = e.off
 			}
-			o := e.end()
-			if o > rEnd {
-				o = rEnd
-			}
+			o := min(e.end(), rEnd)
 			copy(buf[at+(pos-r.Off):at+(o-r.Off)], e.data[pos-e.off:o-e.off])
 			hitBytes += o - pos
 			e.use = stamp
 			pos = o
-			k++
+			if e.end() > rEnd {
+				break // e may serve the next run too: the hint stays on it
+			}
 		}
 		if pos < rEnd {
 			holes = append(holes, hole{off: pos, n: rEnd - pos, bufAt: at + (pos - r.Off)})
@@ -1082,21 +1012,12 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 		ahead := ((ra + sieve - 1) / sieve) * sieve
 		blocks = append(blocks, pfs.Run{Off: last.Off + last.Len, Len: ahead})
 	}
-	cover := make([]pfs.Run, len(w.ext), len(w.ext)+8)
-	for i, e := range w.ext {
-		cover[i] = pfs.Run{Off: e.off, Len: int64(len(e.data))}
-	}
-	if w.spill != nil {
-		// Both tiers are "already cached": block rounding and read-ahead
-		// must not re-fetch a spilled range — worse than wasted I/O, the
-		// store bytes would be STALE wherever the spilled extent is a
-		// deferred dirty write.
-		cover = extent.Coalesce(w.spill.Coverage(cover))
-	}
 	var fetch []pfs.Run
 	for _, b := range pfs.Coalesce(blocks) {
-		fetch = append(fetch, extent.Holes(b, cover)...)
+		fetch = append(fetch, w.uncovered(b)...)
 	}
+	g := &fetchGuard{}
+	w.guards = append(w.guards, g)
 	w.mu.Unlock()
 
 	// Phase 2: fetch the plan in one vectored sieve read, without
@@ -1110,6 +1031,9 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 	}
 	temp := make([]byte, ftotal)
 	if _, err := w.fs.SieveReadV(fetch, temp); err != nil {
+		w.mu.Lock()
+		w.endFetch(g)
+		w.mu.Unlock()
 		// Degraded fallback: the sieve plan reads MORE than the caller
 		// asked for (block rounding plus read-ahead), so a failure in
 		// that speculative territory must not fail the demand read.
@@ -1130,60 +1054,58 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 	}
 
 	// Phase 3: populate the cache with the fetched blocks, filling only
-	// the gaps between existing extents (which are either identical
-	// clean bytes or NEWER dirty bytes — they always win). If any punch
-	// or absorb landed during the fetch, the store bytes we hold may
-	// predate a write: serve the caller (a racing unsynced conflict is
-	// undefined, as in MPI) but do not let them into the cache.
+	// the gaps between existing extents of either tier (which are either
+	// identical clean bytes or NEWER dirty bytes — they always win; a
+	// demote during phase 2 moved bytes to the spill tier, and the
+	// fetched store copy of that range is at best redundant and stale
+	// where the demoted extent was dirty) and staying out of every range
+	// the guard saw written during the fetch: the store bytes we hold
+	// there may predate the write. They serve the caller (a racing
+	// unsynced conflict is undefined, as in MPI) but must not enter the
+	// cache.
 	w.mu.Lock()
+	w.endFetch(g)
 	w.stats.SieveFetched += ftotal
-	if w.gen != genStart {
-		w.mu.Unlock()
-		return nil
-	}
-	cur := make([]pfs.Run, len(w.ext), len(w.ext)+8)
-	for i, e := range w.ext {
-		cur[i] = pfs.Run{Off: e.off, Len: int64(len(e.data))}
-	}
-	if w.spill != nil {
-		// Re-clip against the spill tier too: a concurrent demote during
-		// phase 2 moved bytes there, and the fetched store copy of that
-		// range is at best redundant (double budget) and stale where the
-		// demoted extent was dirty.
-		cur = extent.Coalesce(w.spill.Coverage(cur))
-	}
+	wrote := extent.Coalesce(g.wrote)
 	// Demanded bytes end here; fetched blocks past it are speculative
 	// read-ahead and insert one LRU tick colder, so speculation never
 	// evicts the data the caller just asked for.
 	reqEnd := holes[len(holes)-1].off + holes[len(holes)-1].n
 	for _, fr := range fetch {
-		for _, g := range extent.Holes(fr, cur) {
-			// Insert split at sieve-block boundaries: the block is the
-			// cache's eviction granule, so one large fetch never becomes
-			// a single monolithic extent the LRU can only drop whole.
-			for g.Len > 0 {
-				n := ((g.Off/sieve)+1)*sieve - g.Off
-				if n > g.Len {
-					n = g.Len
+		for _, u := range w.uncovered(fr) {
+			for _, g := range extent.Holes(u, wrote) {
+				// Insert split at sieve-block boundaries: the block is the
+				// cache's eviction granule, so one large fetch never becomes
+				// a single monolithic extent the LRU can only drop whole.
+				for g.Len > 0 {
+					n := min(((g.Off/sieve)+1)*sieve-g.Off, g.Len)
+					o := tempAt(g.Off)
+					use := stamp
+					if g.Off >= reqEnd {
+						use = stamp - 1
+					}
+					w.insert(&cext{off: g.Off, data: slices.Clone(temp[o : o+n]), use: use})
+					g.Off += n
+					g.Len -= n
 				}
-				data := make([]byte, n)
-				o := tempAt(g.Off)
-				copy(data, temp[o:o+n])
-				use := stamp
-				if g.Off >= reqEnd {
-					use = stamp - 1
-				}
-				i := sort.Search(len(w.ext), func(k int) bool { return w.ext[k].off > g.Off })
-				w.insertAtLocked(i, &cext{off: g.Off, data: data, use: use})
-				w.total += n
-				g.Off += n
-				g.Len -= n
 			}
 		}
 	}
 	w.evictCleanLocked()
 	w.mu.Unlock()
 	return nil
+}
+
+// noteWrite enters runs in the guard of every fetch in flight; endFetch
+// retires a fetch's guard. Both need w.mu held.
+func (w *fileCache) noteWrite(runs ...pfs.Run) {
+	for _, g := range w.guards {
+		g.wrote = append(g.wrote, runs...)
+	}
+}
+
+func (w *fileCache) endFetch(g *fetchGuard) {
+	w.guards = slices.DeleteFunc(w.guards, func(x *fetchGuard) bool { return x == g })
 }
 
 // readHolesDirect is ReadThrough's fallback when the sieve-aligned
@@ -1242,12 +1164,12 @@ func (w *fileCache) promoteLocked(off, n, stamp int64) (int64, error) {
 			overlap += hi - lo
 		}
 		// The tiers are disjoint, so the promoted range is uncovered in
-		// memory: a plain sorted insert keeps the extent-list invariant.
-		i := sort.Search(len(w.ext), func(k int) bool { return w.ext[k].off > p.Off })
-		w.insertAtLocked(i, &cext{off: p.Off, data: p.Data, dirty: p.Dirty, use: stamp})
-		w.total += pn
+		// memory: a plain sorted insert keeps the extent-list invariant
+		// (a dirty one may touch dirty neighbors, and merges).
 		if p.Dirty {
-			w.dirty += pn
+			w.mergeDirtyLocked(p.Off, p.Data, stamp)
+		} else {
+			w.insert(&cext{off: p.Off, data: p.Data, use: stamp})
 		}
 	}
 	return overlap, nil

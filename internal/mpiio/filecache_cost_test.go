@@ -1,0 +1,249 @@
+package mpiio
+
+import (
+	"bytes"
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+
+	"drxmp/internal/pfs"
+)
+
+// midFetch is a store hook: it runs fn once, inside the first read
+// request the store serves — that is, while a ReadThrough has its sieve
+// fetch out and holds no lock.
+type midFetch struct {
+	once sync.Once
+	fn   func()
+}
+
+func (h *midFetch) Fail(server int, write bool, off, n int64) error {
+	if !write {
+		h.once.Do(h.fn)
+	}
+	return nil
+}
+
+// TestSieveGuardKeepsPunchedRangeOut: a write that lands while a fetch
+// of the same block is out punches its range mid-fetch. The fetched
+// bytes of that range predate the write and must not enter the cache —
+// but the rest of the block, which no write touched, must.
+func TestSieveGuardKeepsPunchedRangeOut(t *testing.T) {
+	fs, w := fcForTest(t, 1<<20, 256, 0)
+	wrote := []pfs.Run{{Off: 300, Len: 40}}
+	fs.SetInjector(&midFetch{fn: func() { w.PunchV(wrote) }})
+	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, make([]byte, 256)); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetInjector(nil)
+	// The write lands after the fetch read the store; its own post-write
+	// punch is deliberately left out, so only the guard stands between
+	// the stale fetched bytes and the cache.
+	if _, err := fs.WriteAt(bytes.Repeat([]byte{0xEE}, 40), 300); err != nil {
+		t.Fatal(err)
+	}
+	fetched := w.Stats().SieveFetched
+	buf := make([]byte, 256)
+	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, buf); err != nil {
+		t.Fatal(err)
+	}
+	wantPattern(t, buf[:44], 256)
+	if !bytes.Equal(buf[44:84], bytes.Repeat([]byte{0xEE}, 40)) {
+		t.Fatal("bytes fetched before the write were cached as clean and served after it")
+	}
+	wantPattern(t, buf[84:], 340)
+	if got := w.Stats().SieveFetched - fetched; got != 40 {
+		t.Fatalf("second read fetched %d bytes, want exactly the 40 punched ones: the rest of the block should have been cached", got)
+	}
+}
+
+// TestSieveGuardIgnoresDisjointPunch: another client's write to a range
+// the fetch does not touch must not cost the fetch its insert.
+func TestSieveGuardIgnoresDisjointPunch(t *testing.T) {
+	fs, w := fcForTest(t, 1<<20, 256, 0)
+	fs.SetInjector(&midFetch{fn: func() { w.PunchV([]pfs.Run{{Off: 2048, Len: 512}}) }})
+	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, make([]byte, 256)); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetInjector(nil)
+	before := w.Stats()
+	buf := make([]byte, 256)
+	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, buf); err != nil {
+		t.Fatal(err)
+	}
+	wantPattern(t, buf, 256)
+	after := w.Stats()
+	if after.Hits != before.Hits+1 || after.SieveFetched != before.SieveFetched {
+		t.Fatalf("a disjoint punch discarded the fetch: hits %d -> %d, fetched %d -> %d",
+			before.Hits, after.Hits, before.SieveFetched, after.SieveFetched)
+	}
+}
+
+const benchExt = 512 // bytes per resident extent in the cost fixtures
+
+// fragmentedCache returns a cache holding n clean extents of benchExt
+// bytes at a stride of 2*benchExt (so nothing is adjacent and every
+// extent can be split), over a store seeded to match, and the function
+// that restores that state. budget 0 means "exactly what is resident".
+func fragmentedCache(tb testing.TB, n int, budget, spillBytes int64) (*fileCache, func()) {
+	tb.Helper()
+	fs, err := pfs.Create("frag", pfs.Options{Servers: 4, StripeSize: 64 << 10})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { fs.Close() })
+	file := make([]byte, int64(n)*2*benchExt)
+	for i := range file {
+		file[i] = byte(i >> 9)
+	}
+	if _, err := fs.WriteAt(file, 0); err != nil {
+		tb.Fatal(err)
+	}
+	if budget == 0 {
+		budget = int64(n) * benchExt
+	}
+	w := newFileCache(fs)
+	w.Configure(cacheConfig{budget: budget, sieve: benchExt, spillBytes: spillBytes, spillPath: filepath.Join(tb.TempDir(), "spill.dat")})
+	if err := w.SpillErr(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { w.closeHook() })
+	refill := func() {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		w.punchLocked([]pfs.Run{{Off: 0, Len: int64(len(file))}}, false)
+		for off := int64(0); off < int64(len(file)); off += 2 * benchExt {
+			w.clock++
+			w.insert(&cext{off: off, data: file[off : off+benchExt], use: w.clock})
+		}
+	}
+	refill()
+	if err := checkInvariants(w); err != nil {
+		tb.Fatal(err)
+	}
+	return w, refill
+}
+
+// splitRuns returns k sorted runs, each cutting the middle out of one of
+// k consecutive extents starting at extent first.
+func splitRuns(first, k int) []pfs.Run {
+	runs := make([]pfs.Run, k)
+	for i := range runs {
+		runs[i] = pfs.Run{Off: int64(first+i)*2*benchExt + 128, Len: 128}
+	}
+	return runs
+}
+
+func allocated(fn func()) uint64 {
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	fn()
+	runtime.ReadMemStats(&b)
+	return b.TotalAlloc - a.TotalAlloc
+}
+
+// TestPunchVCostIsItsVictims pins the vectored punch by counts, not
+// wall time: 256 runs splitting 256 of 65 536 extents allocate the 512
+// remainders and little else — not a rebuilt list per run — and the
+// same punch again, which now overlaps nothing (every post-write punch),
+// allocates nothing at all.
+func TestPunchVCostIsItsVictims(t *testing.T) {
+	w, _ := fragmentedCache(t, 65536+1024, 0, 0)
+	// A cache that has seen churn has slack in its slices; one that was
+	// filled to exactly its capacity would pay a (doubling, amortized)
+	// regrowth of the whole list on its first split.
+	w.PunchV([]pfs.Run{{Off: 65536 * 2 * benchExt, Len: 1024 * 2 * benchExt}})
+	runs := splitRuns(30000, 256)
+	if got := allocated(func() { w.PunchV(runs) }); got >= 64<<10 {
+		t.Fatalf("punching 256 runs out of 65536 extents allocated %d bytes, want < 64 KiB", got)
+	}
+	if len(w.ext) != 65536+256 {
+		t.Fatalf("%d extents after 256 splits of 65536", len(w.ext))
+	}
+	if got := allocated(func() { w.PunchV(runs) }); got != 0 {
+		t.Fatalf("a punch that overlaps nothing allocated %d bytes", got)
+	}
+	if err := checkInvariants(w); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var benchSizes = []int{1 << 10, 16 << 10, 128 << 10}
+
+// BenchmarkFileCachePunchV: one independent write's pre-write punch —
+// 64 sorted runs, each splitting a resident extent — against caches of
+// growing fragment counts. The cost must follow the 64, not the N.
+func BenchmarkFileCachePunchV(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			w, refill := fragmentedCache(b, n, 0, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, first := 0, n/4; i < b.N; i, first = i+1, first+64 {
+				if first+64 > n { // the cursor has split every extent ahead of it
+					b.StopTimer()
+					refill()
+					first = n / 4
+					b.StartTimer()
+				}
+				w.PunchV(splitRuns(first, 64))
+			}
+		})
+	}
+}
+
+// BenchmarkFileCacheReadThroughWarm: a 16-run read served entirely from
+// memory, moving through the cache.
+func BenchmarkFileCacheReadThroughWarm(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			w, _ := fragmentedCache(b, n, 0, 0)
+			runs, buf := make([]pfs.Run, 16), make([]byte, 16*256)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				first := (n/4 + i*16) % (n - 16)
+				for k := range runs {
+					runs[k] = pfs.Run{Off: int64(first+k)*2*benchExt + 64, Len: 256}
+				}
+				if err := w.ReadThrough(runs, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if st := w.Stats(); st.Misses != 0 {
+				b.Fatalf("%d misses in the warm benchmark", st.Misses)
+			}
+		})
+	}
+}
+
+// BenchmarkFileCacheMissEvict: a one-block miss into a cache exactly at
+// its budget — fetch, insert, evict the coldest block — with the
+// victim dropped (spill off) or demoted to a spill file that is itself
+// full (spill on). The scan cycles over twice what the cache holds (the
+// resident blocks and the gaps between them), so it never hits.
+func BenchmarkFileCacheMissEvict(b *testing.B) {
+	for _, spillBytes := range []int64{0, 64 << 10} {
+		for _, n := range benchSizes {
+			b.Run(fmt.Sprintf("spill=%v/N=%d", spillBytes > 0, n), func(b *testing.B) {
+				w, _ := fragmentedCache(b, n, 0, spillBytes)
+				buf := make([]byte, benchExt)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// First the gaps, then the blocks they pushed out, and so on.
+					hole := pfs.Run{Off: int64(i%n)*2*benchExt + benchExt*int64(1-i/n%2), Len: benchExt}
+					if err := w.ReadThrough([]pfs.Run{hole}, buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if st := w.Stats(); st.Hits != 0 || st.Evicted == 0 {
+					b.Fatalf("want all misses and evictions, got %+v", st)
+				}
+			})
+		}
+	}
+}

@@ -266,7 +266,7 @@ func TestFileCachePunchDropsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Independent-write coherence: punch, then the store is rewritten.
-	w.Punch(0, 128)
+	w.PunchV([]pfs.Run{{Off: 0, Len: 128}})
 	if _, err := fs.WriteAt(bytes.Repeat([]byte{42}, 128), 0); err != nil {
 		t.Fatal(err)
 	}

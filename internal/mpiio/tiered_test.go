@@ -95,7 +95,7 @@ func TestTieredPunchInvalidatesSpill(t *testing.T) {
 	if _, err := fs.WriteAt(bytes.Repeat([]byte{0xEE}, 512), 0); err != nil {
 		t.Fatal(err)
 	}
-	w.Punch(0, 512)
+	w.PunchV([]pfs.Run{{Off: 0, Len: 512}})
 	buf := make([]byte, 512)
 	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 512}}, buf); err != nil {
 		t.Fatal(err)

@@ -63,18 +63,18 @@ func TestWriteBehindAbsorbMerges(t *testing.T) {
 func TestWriteBehindPunch(t *testing.T) {
 	_, w := wbCacheForTest(t)
 	w.Absorb(0, fill(100, 5))
-	w.Punch(40, 20) // split into [0,40) and [60,100)
+	w.PunchV([]pfs.Run{{Off: 40, Len: 20}}) // split into [0,40) and [60,100)
 	if len(w.ext) != 2 || w.Bytes() != 80 {
 		t.Fatalf("after split: %d extents, %d dirty; want 2, 80", len(w.ext), w.Bytes())
 	}
 	if w.ext[0].off != 0 || len(w.ext[0].data) != 40 || w.ext[1].off != 60 || len(w.ext[1].data) != 40 {
 		t.Fatalf("split extents = %+v", w.ext)
 	}
-	w.Punch(0, 1000) // drop everything
+	w.PunchV([]pfs.Run{{Off: 0, Len: 1000}}) // drop everything
 	if len(w.ext) != 0 || w.Bytes() != 0 {
 		t.Fatalf("after full punch: %d extents, %d dirty", len(w.ext), w.Bytes())
 	}
-	w.Punch(0, 10) // empty cache: no-op
+	w.PunchV([]pfs.Run{{Off: 0, Len: 10}}) // empty cache: no-op
 }
 
 // TestWriteBehindFlushIntersecting: only extents overlapping the query

@@ -24,8 +24,9 @@ package spill
 
 import (
 	"fmt"
+	"math"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 
 	"drxmp/internal/extent"
@@ -51,10 +52,14 @@ type ext struct {
 	n     int64
 	slot  int64
 	dirty bool
-	use   int64 // LRU stamp
+	use   int64          // LRU stamp
+	node  extent.LRUNode // linked in Store.lru exactly while live and clean
 }
 
-func (e *ext) end() int64 { return e.off + e.n }
+func (e *ext) end() int64            { return e.off + e.n }
+func (e *ext) Span() extent.Run      { return extent.Run{Off: e.off, Len: e.n} }
+func (e *ext) Stamp() int64          { return e.use }
+func (e *ext) Node() *extent.LRUNode { return &e.node }
 
 // Promoted is one extent moved out of the spill tier by Take.
 type Promoted struct {
@@ -83,7 +88,9 @@ type Store struct {
 	dirty  int64 // live dirty bytes
 	size   int64 // spill-file high-water mark
 	free   []extent.Run
-	ext    []*ext // sorted by off, pairwise disjoint
+	ext    []*ext           // sorted by off, pairwise disjoint (extent.Find/PunchV)
+	lru    extent.LRU[*ext] // the clean entries, least recently spilled first
+	tmp    []*ext           // PunchV's window scratch
 	clock  int64
 	nextID int64
 	stats  Stats
@@ -164,7 +171,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.ext, s.free = nil, nil
+	s.ext, s.free, s.lru = nil, nil, extent.LRU[*ext]{}
 	s.used, s.dirty, s.size = 0, 0, 0
 	err := s.f.Close()
 	if rerr := os.Remove(s.path); rerr != nil && err == nil && !os.IsNotExist(rerr) {
@@ -211,102 +218,80 @@ func (s *Store) release(slot, n int64) {
 	}
 }
 
-// dropLocked removes entry at index i and frees its slot.
-func (s *Store) dropLocked(i int) {
-	e := s.ext[i]
+// link books a new live entry (clean ones join the LRU); unlink is its
+// inverse. Neither touches the sorted index or the slot.
+func (s *Store) link(e *ext) *ext {
+	s.used += e.n
+	if e.dirty {
+		s.dirty += e.n
+	} else {
+		s.lru.Push(e)
+	}
+	return e
+}
+
+func (s *Store) unlink(e *ext) {
 	s.used -= e.n
 	if e.dirty {
 		s.dirty -= e.n
+	} else {
+		s.lru.Remove(e)
 	}
-	s.release(e.slot, e.n)
-	s.ext = append(s.ext[:i], s.ext[i+1:]...)
 }
 
-// punchLocked removes [off, off+n) from the index, all colors:
-// entries fully inside are dropped, straddlers are trimmed or split
-// (the kept parts go on referencing their sub-ranges of the original
-// slot; the punched middle returns to the free list).
-func (s *Store) punchLocked(off, n int64) {
-	if n <= 0 {
-		return
-	}
-	end := off + n
-	var out []*ext
-	for _, e := range s.ext {
-		if e.end() <= off || e.off >= end {
-			out = append(out, e)
-			continue
-		}
-		lo, hi := off, end
-		if e.off > lo {
-			lo = e.off
-		}
-		if e.end() < hi {
-			hi = e.end()
-		}
-		cut := hi - lo
-		s.used -= cut
-		if e.dirty {
-			s.dirty -= cut
-		}
-		s.release(e.slot+(lo-e.off), cut)
+// dropLocked removes entry at index i and frees its slot.
+func (s *Store) dropLocked(i int) {
+	e := s.ext[i]
+	s.unlink(e)
+	s.release(e.slot, e.n)
+	s.ext = slices.Delete(s.ext, i, i+1)
+}
+
+// punchLocked removes runs from the index, all colors: entries fully
+// inside a run are dropped, straddlers are trimmed or split (the kept
+// parts go on referencing their sub-ranges of the original slot under
+// new ids; the punched middle returns to the free list).
+func (s *Store) punchLocked(runs []extent.Run) {
+	s.ext, s.tmp = extent.PunchV(s.ext, s.tmp, runs, func(e *ext, hole extent.Run, out []*ext) []*ext {
+		lo, hi := max(hole.Off, e.off), min(hole.End(), e.end())
+		s.unlink(e)
+		s.release(e.slot+(lo-e.off), hi-lo)
 		if e.off < lo { // left remainder keeps the slot prefix
 			s.nextID++
-			out = append(out, &ext{id: s.nextID, off: e.off, n: lo - e.off,
-				slot: e.slot, dirty: e.dirty, use: e.use})
+			out = append(out, s.link(&ext{id: s.nextID, off: e.off, n: lo - e.off,
+				slot: e.slot, dirty: e.dirty, use: e.use}))
 		}
 		if e.end() > hi { // right remainder keeps the slot suffix
 			s.nextID++
-			out = append(out, &ext{id: s.nextID, off: hi, n: e.end() - hi,
-				slot: e.slot + (hi - e.off), dirty: e.dirty, use: e.use})
+			out = append(out, s.link(&ext{id: s.nextID, off: hi, n: e.end() - hi,
+				slot: e.slot + (hi - e.off), dirty: e.dirty, use: e.use}))
 		}
-	}
-	s.ext = out
+		return out
+	})
 }
 
-// Punch discards spilled bytes in [off, off+n) — the spill half of the
-// cache's write-coherence rule (superseded bytes may not survive in
-// any tier).
-func (s *Store) Punch(off, n int64) {
+// PunchV discards the spilled bytes of every run — the spill half of
+// the cache's write-coherence rule (superseded bytes may not survive in
+// any tier) — in one lock hold and one pass (extent.PunchV).
+func (s *Store) PunchV(runs []extent.Run) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return
+	if !s.closed {
+		s.punchLocked(runs)
 	}
-	s.punchLocked(off, n)
 }
 
 // evictLocked drops clean entries LRU-first until need bytes fit the
-// budget. Dirty entries are never dropped. Reports whether the room
-// was made.
+// budget, at O(log N) per victim. Dirty entries are never dropped, so
+// when they alone leave no room nothing is evicted and it reports false.
 func (s *Store) evictLocked(need int64) bool {
-	if s.used+need <= s.budget {
-		return true
-	}
-	clean := make([]*ext, 0, len(s.ext))
-	for _, e := range s.ext {
-		if !e.dirty {
-			clean = append(clean, e)
-		}
-	}
-	sort.Slice(clean, func(i, j int) bool { return clean[i].use < clean[j].use })
-	drop := make(map[*ext]bool)
-	freed := int64(0)
-	for _, e := range clean {
-		if s.used-freed+need <= s.budget {
-			break
-		}
-		drop[e] = true
-		freed += e.n
-	}
-	if s.used-freed+need > s.budget {
+	if s.dirty+need > s.budget {
 		return false
 	}
-	for i := len(s.ext) - 1; i >= 0; i-- {
-		if drop[s.ext[i]] {
-			s.stats.Evicted += s.ext[i].n
-			s.dropLocked(i)
-		}
+	for s.used+need > s.budget {
+		e, _ := s.lru.Min() // used-dirty > 0: a clean entry exists
+		s.stats.Evicted += e.n
+		s.dropLocked(extent.Find(s.ext, e.off, 0))
 	}
 	return true
 }
@@ -328,7 +313,7 @@ func (s *Store) Put(off int64, data []byte, dirty bool) bool {
 	if s.closed {
 		return false
 	}
-	s.punchLocked(off, n)
+	s.punchLocked([]extent.Run{{Off: off, Len: n}})
 	if !s.evictLocked(n) {
 		s.stats.Rejected++
 		return false
@@ -341,15 +326,7 @@ func (s *Store) Put(off int64, data []byte, dirty bool) bool {
 	}
 	s.clock++
 	s.nextID++
-	e := &ext{id: s.nextID, off: off, n: n, slot: slot, dirty: dirty, use: s.clock}
-	i := sort.Search(len(s.ext), func(k int) bool { return s.ext[k].off > off })
-	s.ext = append(s.ext, nil)
-	copy(s.ext[i+1:], s.ext[i:])
-	s.ext[i] = e
-	s.used += n
-	if dirty {
-		s.dirty += n
-	}
+	s.ext = extent.Insert(s.ext, s.link(&ext{id: s.nextID, off: off, n: n, slot: slot, dirty: dirty, use: s.clock}))
 	s.stats.Puts++
 	s.stats.PutBytes += n
 	return true
@@ -375,7 +352,7 @@ func (s *Store) Take(off, n int64) ([]Promoted, error) {
 	end := off + n
 	var out []Promoted
 	var firstErr error
-	i := sort.Search(len(s.ext), func(k int) bool { return s.ext[k].end() > off })
+	i := extent.Find(s.ext, off, 0)
 	for i < len(s.ext) && s.ext[i].off < end {
 		e := s.ext[i]
 		data := make([]byte, e.n)
@@ -395,17 +372,24 @@ func (s *Store) Take(off, n int64) ([]Promoted, error) {
 	return out, firstErr
 }
 
-// Coverage appends the live spilled ranges to into, in offset order —
-// the cache's fetch planner clips speculative reads against BOTH
-// tiers' coverage, so sieve rounding never re-fetches (or worse,
-// overwrites with stale store bytes) a range the spill tier holds.
-func (s *Store) Coverage(into []extent.Run) []extent.Run {
+// Covered appends the live spilled ranges overlapping span to into, in
+// offset order — the cache's fetch planner clips speculative reads
+// against BOTH tiers' coverage, so sieve rounding never re-fetches (or
+// worse, overwrites with stale store bytes) a range the spill tier
+// holds. It costs the entries inside span, not the whole index.
+func (s *Store) Covered(span extent.Run, into []extent.Run) []extent.Run {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.ext {
-		into = append(into, extent.Run{Off: e.off, Len: e.n})
+	i, j := extent.Window(s.ext, span, 0)
+	for _, e := range s.ext[i:j] {
+		into = append(into, e.Span())
 	}
 	return into
+}
+
+// Coverage is Covered over the whole file (invariant checks).
+func (s *Store) Coverage(into []extent.Run) []extent.Run {
+	return s.Covered(extent.Run{Len: math.MaxInt64}, into)
 }
 
 // CollectDirty reads back every dirty extent for a flush sweep,
@@ -454,6 +438,7 @@ func (s *Store) MarkClean(ids []int64) {
 		if e.dirty && set[e.id] {
 			e.dirty = false
 			s.dirty -= e.n
+			s.lru.Push(e)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func TestSpillTakeOverlapOnly(t *testing.T) {
 func TestSpillPunchSplit(t *testing.T) {
 	s := mk(t, 1<<20)
 	s.Put(0, pat(0, 100), false)
-	s.Punch(40, 20)
+	s.PunchV([]extent.Run{{Off: 40, Len: 20}})
 	if got := s.Used(); got != 80 {
 		t.Fatalf("used after punch = %d, want 80", got)
 	}
@@ -217,7 +217,7 @@ func TestSpillCollectDirtyMarkClean(t *testing.T) {
 	}
 	// A punch during the sweep invalidates that entry's id: MarkClean
 	// must not resurrect it as clean.
-	s.Punch(100, 8)
+	s.PunchV([]extent.Run{{Off: 100, Len: 8}})
 	ids := []int64{chunks[0].ID, chunks[1].ID}
 	s.MarkClean(ids)
 	if got := s.Dirty(); got != 24 {
@@ -288,7 +288,7 @@ func TestSpillConcurrentChurn(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				s.Put(base, pat(base, 512), false)
 				s.Take(base, 512)
-				s.Punch(base, 256)
+				s.PunchV([]extent.Run{{Off: base, Len: 256}})
 			}
 		}(g)
 	}
@@ -300,5 +300,8 @@ func TestSpillConcurrentChurn(t *testing.T) {
 	}
 	if got := s.Used(); got != live {
 		t.Fatalf("used = %d but live coverage = %d", got, live)
+	}
+	if err := checkStore(s); err != nil {
+		t.Fatal(err)
 	}
 }
