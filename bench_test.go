@@ -1,18 +1,15 @@
-// Root benchmark harness: one testing.B target per reproduced figure /
-// experiment (DESIGN.md §4). Each benchmark drives the same code as
-// cmd/drxbench, so `go test -bench=.` regenerates every table the
-// harness prints; custom metrics carry the simulated I/O costs that
-// wall-clock time alone cannot show.
+// One testing.B target per reproduced figure / paper table (fig1..fig3,
+// E1..E15). Each benchmark drives the same code as cmd/drxbench, so
+// `go test -bench=.` regenerates every table it prints; custom metrics
+// carry the simulated I/O costs that wall-clock time alone cannot show.
+// Performance of the stack itself is bench/'s job, not this file's.
 package drxmp_test
 
 import (
 	"testing"
 	"time"
 
-	"drxmp"
-	"drxmp/internal/cluster"
 	"drxmp/internal/exp"
-	"drxmp/internal/pfs"
 	"drxmp/internal/report"
 )
 
@@ -135,53 +132,6 @@ func BenchmarkE14CacheAblation(b *testing.B) {
 func BenchmarkE15TransportAblation(b *testing.B) {
 	run(b, 1, exp.E15TransportAblation)
 }
-
-func BenchmarkE16ParallelIO(b *testing.B) {
-	run(b, 3, exp.E16ParallelIO)
-}
-
-// sectionBench measures one rank's ReadSection/WriteSection wall-clock
-// over an 8-server store that charges real service time. Throughput is
-// meaningful (SetBytes).
-func sectionBench(b *testing.B, write bool) {
-	const n, chunk = 256, 64
-	cost := pfs.CostModel{RequestOverhead: 150 * time.Microsecond, ByteTime: 10 * time.Nanosecond, RealTime: true}
-	err := cluster.Run(1, func(c *cluster.Comm) error {
-		f, err := drxmp.Create(c, "bench-sec", drxmp.Options{
-			DType: drxmp.Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{n, n},
-			FS: pfs.Options{Servers: 8, StripeSize: 32 << 10, Cost: cost},
-		})
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		full := drxmp.NewBox([]int{0, 0}, []int{n, n})
-		buf := make([]byte, full.Volume()*8)
-		if err := f.WriteSection(full, buf, drxmp.RowMajor); err != nil {
-			return err
-		}
-		b.SetBytes(int64(len(buf)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if write {
-				if err := f.WriteSection(full, buf, drxmp.RowMajor); err != nil {
-					return err
-				}
-			} else if err := f.ReadSection(full, buf, drxmp.RowMajor); err != nil {
-				return err
-			}
-		}
-		b.StopTimer()
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkSectionRead(b *testing.B) { sectionBench(b, false) }
-
-func BenchmarkSectionWrite(b *testing.B) { sectionBench(b, true) }
 
 // reportSimTimes surfaces a table's simulated-time column as custom
 // benchmark metrics (ns), keyed by the row's first column.

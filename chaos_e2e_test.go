@@ -127,13 +127,23 @@ func waitGoroutines(want, slack int, d time.Duration, settle func()) error {
 	}
 }
 
+// assertAdmissionIdle polls until no array holds admission budget: the
+// handler of a hedge's losing attempt releases its slot only once it
+// sees the cancel, which can be after the winning call returned.
 func assertAdmissionIdle(srv *serve.Server) error {
-	for _, a := range srv.Stats().Arrays {
-		if a.Admission.InFlight != 0 || a.Admission.InFlightBytes != 0 || a.Admission.Queued != 0 {
-			return fmt.Errorf("array %s still holds admission budget: %+v", a.Name, a.Admission)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		var held error
+		for _, a := range srv.Stats().Arrays {
+			if a.Admission.InFlight != 0 || a.Admission.InFlightBytes != 0 || a.Admission.Queued != 0 {
+				held = fmt.Errorf("array %s still holds admission budget: %+v", a.Name, a.Admission)
+			}
 		}
+		if held == nil || time.Now().After(deadline) {
+			return held
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	return nil
 }
 
 // TestChaosFaultyTransport drives the workload through a transport that

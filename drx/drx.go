@@ -296,10 +296,6 @@ func (a *Array) FS() *pfs.FS { return a.fs }
 // CacheStats returns the chunk-cache counters.
 func (a *Array) CacheStats() mpool.Stats { return a.pool.Stats() }
 
-// SetParallelism adjusts the chunk-transfer parallelism knob after open
-// (same semantics as Options.Parallelism).
-func (a *Array) SetParallelism(n int) { a.par = n }
-
 // Parallelism returns the resolved worker bound for Read/Write calls,
 // additionally capped by the pool's safe concurrency (each worker pins
 // one page and prefetches ahead; the pool must fit both however the

@@ -122,9 +122,8 @@ type Tuning struct {
 	// extents flush-on-evict. 0 (the default) disables read caching.
 	// The cache is shared by every rank's handle on the store, so a
 	// block fetched by one rank warms all of them. The sieve block
-	// granularity is the stripe size; it is not a Tuning knob (the
-	// mpiio handle's SieveSize field, which SetTuning preserves, is the
-	// override tests use). Every rank must pass the same value.
+	// granularity is the stripe size (AdaptiveIO may move it); it is
+	// not a knob. Every rank must pass the same value.
 	CacheBytes int64
 	// ReadAheadBytes extends each sieve fetch past the requested range
 	// by this many bytes (rounded up to whole sieve blocks), so a
@@ -166,8 +165,8 @@ type Tuning struct {
 	Placement string
 	// NoFlushElection keeps the uncoordinated flush behavior (every
 	// watermark-crossing rank sweeps the whole cache) while a Placement
-	// policy is active — the ablation knob E24 measures. Meaningful
-	// only with Placement set. Every rank must pass the same value.
+	// policy is active — the ablation knob. Meaningful only with
+	// Placement set. Every rank must pass the same value.
 	NoFlushElection bool
 }
 
@@ -611,8 +610,7 @@ func (g chunkGeom) Bounds() []int                 { return g.m.Space.Bounds() }
 func (g chunkGeom) Coords(q int64) ([]int, error) { return g.m.Space.Inverse(q, nil) }
 
 // applyTuning installs an already validated t on the mpiio handle and
-// records it, keeping the handle's SieveSize (a handle-level field
-// Tuning does not carry). Chunk geometry and flush election ride only
+// records it. Chunk geometry and flush election ride only
 // on an explicitly named policy, so the default carves and sweeps by
 // byte arithmetic alone. A spill-tier open failure surfaces here — it
 // is the one knob with a resource behind it.
@@ -627,7 +625,6 @@ func (f *File) applyTuning(t Tuning) error {
 		CBNodes:     t.CBNodes,
 		WriteBehind: t.WriteBehindBytes,
 		CacheBytes:  t.CacheBytes,
-		SieveSize:   f.io.SieveSize,
 		ReadAhead:   t.ReadAheadBytes,
 		SpillBytes:  t.SpillBytes,
 		SpillPath:   t.SpillPath,

@@ -223,22 +223,35 @@ func TestPlacementKnobPlumbing(t *testing.T) {
 	}
 }
 
-// TestPlacementFlushElectStats: under an elected policy the shared
-// cache records owned (per-region) flush sweeps, and with election
-// disabled it records none — the coordination is observable, not just
-// plumbed.
+// TestPlacementFlushElectStats: placement and flush election are
+// observable in the counters, not just plumbed. Each rank rewrites its
+// own contiguous slab one full-width chunk row per collective through
+// write-behind, on a server count the aggregator count does not divide,
+// so watermark crossings land while every region is partly absorbed.
+// Under an elected policy the shared cache records owned (per-region)
+// flush sweeps, and with election disabled it records none.
+// Cache-affinity makes every rank the aggregator of its own slab: the
+// exchange stays on the writing rank and each sweep is one contiguous
+// run, where byte-cyclic hands every rank each fourth stripe of the
+// whole file; and a region's elected flusher seeks less than every
+// crossing rank flushing fragments of all four regions.
 func TestPlacementFlushElectStats(t *testing.T) {
 	const ranks = 4
-	const n = 64
-	run := func(noElection bool) drxmp.CacheStats {
-		var stats drxmp.CacheStats
+	const n, cols = 256, 64
+	type result struct {
+		cache     drxmp.CacheStats
+		fs        pfs.Stats
+		warmSeeks int64 // charged by the second, steady-state rewrite
+	}
+	run := func(placement string, noElection bool) result {
+		var res result
 		err := cluster.Run(ranks, func(c *cluster.Comm) error {
-			f, err := drxmp.Create(c, fmt.Sprintf("placeelect-%v", noElection), drxmp.Options{
-				DType: drxmp.Float64, ChunkShape: []int{8, n}, Bounds: []int{n, n},
+			f, err := drxmp.Create(c, fmt.Sprintf("placeelect-%s-%v", placement, noElection), drxmp.Options{
+				DType: drxmp.Float64, ChunkShape: []int{8, cols}, Bounds: []int{n, cols},
 				FS: pfs.Options{Servers: 3, StripeSize: 512},
 				Tuning: drxmp.Tuning{
-					WriteBehindBytes: 2048,
-					Placement:        drxmp.PlacementCacheAffinity,
+					WriteBehindBytes: n * cols * 8 / 8,
+					Placement:        placement,
 					NoFlushElection:  noElection,
 				},
 			})
@@ -247,31 +260,52 @@ func TestPlacementFlushElectStats(t *testing.T) {
 			}
 			defer f.Close()
 			for round := 0; round < 2; round++ {
-				box := slabBox([]int{n, n}, ranks, c.Rank(), 0)
-				data := rankData(c.Rank(), box, int64(round))
-				if err := f.WriteSectionAll(box, data, drxmp.RowMajor); err != nil {
-					return err
+				cold := f.FS().Stats().Seeks() // Sync is a barrier: round 0 is fully charged
+				for lo := c.Rank() * n / ranks; lo < (c.Rank()+1)*n/ranks; lo += 8 {
+					box := drxmp.NewBox([]int{lo, 0}, []int{lo + 8, cols})
+					if err := f.WriteSectionAll(box, rankData(c.Rank(), box, int64(round)), drxmp.RowMajor); err != nil {
+						return err
+					}
 				}
 				if err := f.Sync(); err != nil {
 					return err
 				}
+				if c.Rank() == 0 {
+					res.fs = f.FS().Stats()
+					res.warmSeeks = res.fs.Seeks() - cold
+				}
 			}
 			if c.Rank() == 0 {
-				stats = f.CacheStats()
+				res.cache = f.CacheStats()
 			}
 			return c.Barrier()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats
+		return res
 	}
-	elected := run(false)
-	unelected := run(true)
-	if elected.OwnedFlushes == 0 {
-		t.Fatalf("elected run recorded no owned flush sweeps: %+v", elected)
+	elected := run(drxmp.PlacementCacheAffinity, false)
+	unelected := run(drxmp.PlacementCacheAffinity, true)
+	cyclic := run(drxmp.PlacementByteCyclic, false)
+	if elected.cache.OwnedFlushes == 0 {
+		t.Fatalf("elected run recorded no owned flush sweeps: %+v", elected.cache)
 	}
-	if unelected.OwnedFlushes != 0 {
-		t.Fatalf("unelected run recorded %d owned flush sweeps", unelected.OwnedFlushes)
+	if unelected.cache.OwnedFlushes != 0 {
+		t.Fatalf("unelected run recorded %d owned flush sweeps", unelected.cache.OwnedFlushes)
+	}
+	if l, r := elected.fs.DomainLocalBytes(), elected.fs.DomainRemoteBytes(); r != 0 || l == 0 {
+		t.Errorf("cache-affinity exchange not domain-local: local=%d remote=%d", l, r)
+	}
+	if cyclic.fs.DomainRemoteBytes() == 0 {
+		t.Errorf("byte-cyclic exchange recorded no remote bytes")
+	}
+	if elected.warmSeeks >= cyclic.warmSeeks {
+		t.Errorf("cache-affinity warm rewrite charged %d seeks, byte-cyclic %d: want fewer",
+			elected.warmSeeks, cyclic.warmSeeks)
+	}
+	if elected.warmSeeks >= unelected.warmSeeks {
+		t.Errorf("elected flushers charged %d warm seeks, unelected %d: want fewer",
+			elected.warmSeeks, unelected.warmSeeks)
 	}
 }

@@ -21,30 +21,34 @@ import (
 
 // rcVariant is one cache configuration under test.
 type rcVariant struct {
-	name  string
-	wb    int64 // write-behind policy
-	cache int64 // CacheBytes budget
-	ra    int64 // ReadAheadBytes
-	sieve int64 // IO().SieveSize override (0 = stripe)
+	name   string
+	wb     int64 // write-behind policy
+	cache  int64 // CacheBytes budget
+	ra     int64 // ReadAheadBytes
+	stripe int64 // store stripe = sieve block (0 = 1 KiB)
 }
 
 func rcVariants() []rcVariant {
 	return []rcVariant{
-		{name: "off"},                                        // the PR 4 baseline
-		{name: "cache", cache: 1 << 20},                      // sieving, ample budget
-		{name: "cache-ra", cache: 1 << 20, ra: 4 << 10},      // + read-ahead
-		{name: "cache-tiny", cache: 2 << 10},                 // constant eviction pressure
-		{name: "cache-wb", cache: 1 << 20, wb: -1},           // + close-only write-behind
-		{name: "cache-wb-tiny", cache: 2 << 10, wb: -1},      // dirty flush-on-evict in play
-		{name: "cache-sieve4k", cache: 1 << 20, sieve: 4096}, // coarse sieve blocks
+		{name: "off"},                                         // the PR 4 baseline
+		{name: "cache", cache: 1 << 20},                       // sieving, ample budget
+		{name: "cache-ra", cache: 1 << 20, ra: 4 << 10},       // + read-ahead
+		{name: "cache-tiny", cache: 2 << 10},                  // constant eviction pressure
+		{name: "cache-wb", cache: 1 << 20, wb: -1},            // + close-only write-behind
+		{name: "cache-wb-tiny", cache: 2 << 10, wb: -1},       // dirty flush-on-evict in play
+		{name: "cache-sieve4k", cache: 1 << 20, stripe: 4096}, // coarse sieve blocks
 	}
 }
 
 func rcCreate(c *cluster.Comm, name string, sh collShape, v rcVariant) (*drxmp.File, error) {
-	f, err := drxmp.Create(c, name, drxmp.Options{
+	stripe := v.stripe
+	if stripe == 0 {
+		stripe = 1 << 10
+	}
+	return drxmp.Create(c, name, drxmp.Options{
 		DType: drxmp.Float64, ChunkShape: sh.chunk, Bounds: sh.bounds,
 		FS: pfs.Options{
-			Servers: 4, StripeSize: 1 << 10, Scheduler: pfs.Elevator,
+			Servers: 4, StripeSize: stripe, Scheduler: pfs.Elevator,
 		},
 		Tuning: drxmp.Tuning{
 			CollectiveParallelism: 8,
@@ -53,11 +57,6 @@ func rcCreate(c *cluster.Comm, name string, sh collShape, v rcVariant) (*drxmp.F
 			ReadAheadBytes:        v.ra,
 		},
 	})
-	if err != nil {
-		return nil, err
-	}
-	f.IO().SieveSize = v.sieve
-	return f, nil
 }
 
 // TestReadCacheDifferentialIdentical drives interleaved rounds —

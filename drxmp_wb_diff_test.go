@@ -145,18 +145,23 @@ func TestWriteBehindDifferentialIdentical(t *testing.T) {
 	}
 }
 
-// TestWriteBehindCloseFlushes: deferred bytes written close-only are on
-// the store after Close with no Sync — the flush-before-close
-// guarantee at the drxmp layer.
+// TestWriteBehindCloseFlushes: deferred bytes are on the store after
+// Close with no Sync — the flush-before-close guarantee at the drxmp
+// layer — and deferring them pays in charged work. The epoch is
+// write-only and multi-round: each rank writes its column half one
+// chunk-row per collective, in an order whose consecutive rows are
+// rarely adjacent in the file, so immediate dispatch seeks on almost
+// every round while the buffered policies merge the dirty unions into
+// contiguous extents and flush them as sorted sweeps.
 func TestWriteBehindCloseFlushes(t *testing.T) {
 	const ranks = 2
-	const n = 32
-	stores := map[string]*pfs.FS{}
-	sizes := map[string]int64{}
+	const n, chunk = 64, 8
+	variants := []wbVariant{{"immediate", 0}, {"watermark", n * n * 8 / 2}, {"close-only", -1}}
+	stores := make([]*pfs.FS, len(variants))
 	err := cluster.Run(ranks, func(c *cluster.Comm) error {
-		for _, v := range []wbVariant{{"immediate", 0}, {"close-only", -1}} {
+		for i, v := range variants {
 			f, err := drxmp.Create(c, "wbclose-"+v.name, drxmp.Options{
-				DType: drxmp.Float64, ChunkShape: []int{8, 8}, Bounds: []int{n, n},
+				DType: drxmp.Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{n, n},
 				FS:     pfs.Options{Servers: 2, StripeSize: 512},
 				Tuning: drxmp.Tuning{WriteBehindBytes: v.wb},
 			})
@@ -164,13 +169,14 @@ func TestWriteBehindCloseFlushes(t *testing.T) {
 				return err
 			}
 			if c.Rank() == 0 {
-				stores[v.name] = f.FS()
-				sizes[v.name] = f.FS().Size()
+				stores[i] = f.FS()
 			}
-			box := slabBox([]int{n, n}, ranks, c.Rank(), 0)
-			data := rankData(c.Rank(), box, 5)
-			if err := f.WriteSectionAll(box, data, drxmp.RowMajor); err != nil {
-				return err
+			q := n / ranks
+			for _, row := range []int{0, 2, 1, 3, 4, 6, 5, 7} {
+				box := drxmp.NewBox([]int{row * chunk, c.Rank() * q}, []int{(row + 1) * chunk, (c.Rank() + 1) * q})
+				if err := f.WriteSectionAll(box, rankData(c.Rank(), box, int64(5+row)), drxmp.RowMajor); err != nil {
+					return err
+				}
 			}
 			// Close with NO Sync: the deferred bytes must still land.
 			if err := f.Close(); err != nil {
@@ -182,22 +188,32 @@ func TestWriteBehindCloseFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both stores are closed; their raw contents (read through the
+	// The stores are closed; their raw contents (read through the
 	// post-Close synchronous path) must be identical.
-	size := sizes["immediate"]
-	if size == 0 {
-		size = n * n * 8
+	imm := stores[0].Stats()
+	if fb := imm.FlushBytes(); fb != 0 {
+		t.Errorf("immediate dispatch attributed %d flush bytes", fb)
 	}
-	want := make([]byte, size)
-	got := make([]byte, size)
-	if _, err := stores["immediate"].ReadAt(want, 0); err != nil {
+	want := make([]byte, n*n*8)
+	if _, err := stores[0].ReadAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stores["close-only"].ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("close-only write-behind store differs from immediate after Close")
+	for i := 1; i < len(variants); i++ {
+		st := stores[i].Stats()
+		got := make([]byte, len(want))
+		if _, err := stores[i].ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s write-behind store differs from immediate after Close", variants[i].name)
+		}
+		if st.Seeks() >= imm.Seeks() {
+			t.Errorf("%s charged %d seeks, immediate %d: write-behind must seek strictly less",
+				variants[i].name, st.Seeks(), imm.Seeks())
+		}
+		if st.FlushBytes() == 0 {
+			t.Errorf("%s attributed no flush bytes", variants[i].name)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // ablation2.go holds the design-choice ablations E12–E15: each isolates
-// one decision DESIGN.md calls out (record merging, binary search,
-// chunk caching, the in-process transport shortcut) and measures what
-// the system loses without it.
+// one decision of the design (record merging, binary search, chunk
+// caching, the in-process transport shortcut) and measures what the
+// system loses without it.
 package exp
 
 import (

@@ -120,16 +120,17 @@ func TestE2ShapeHolds(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("E2 rows = %d", len(rows))
 	}
-	// rows: dra-row, dra-col, drx-row, drx-col; parse sim time column (4).
-	parse := func(i int) string { return rows[i][4] }
-	// The dra column scan must be the worst cell of the table; compare
-	// row text lengths is fragile, so re-derive from request counts
-	// (column 2) instead.
-	reqs := func(i int) string { return rows[i][2] }
-	if reqs(1) <= reqs(0) && len(reqs(1)) <= len(reqs(0)) {
-		t.Fatalf("dra column scan (%s reqs) not worse than row scan (%s)", reqs(1), reqs(0))
+	// rows: dra-row, dra-col, drx-row, drx-col; columns 2 and 3 are the
+	// charged requests and seeks.
+	reqs := func(i int) int64 { return atoi(t, rows[i][2]) }
+	seeks := func(i int) int64 { return atoi(t, rows[i][3]) }
+	if reqs(1) < 100*reqs(0) || seeks(1) <= seeks(0) {
+		t.Fatalf("dra column scan (%d reqs, %d seeks) not >= 100x the requests and more seeks than its row scan (%d, %d)",
+			reqs(1), seeks(1), reqs(0), seeks(0))
 	}
-	_ = parse
+	if reqs(3) != reqs(2) {
+		t.Fatalf("drx column scan issued %d requests, row scan %d: chunking symmetry broken", reqs(3), reqs(2))
+	}
 }
 
 func TestE3Runs(t *testing.T) {
@@ -260,8 +261,9 @@ func TestE10ShapeHolds(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("E10 rows = %d", len(rows))
 	}
-	// The explicit transpose must transfer strictly more bytes.
-	if !(len(rows[1][1]) >= len(rows[0][1])) {
-		t.Fatalf("E10 bytes: fly=%s explicit=%s", rows[0][1], rows[1][1])
+	// The explicit transpose reads, writes and re-reads the array.
+	fly, explicit := atoi(t, rows[0][1]), atoi(t, rows[1][1])
+	if fly == 0 || explicit != 3*fly {
+		t.Fatalf("E10 bytes: fly=%d explicit=%d, want exactly 3x", fly, explicit)
 	}
 }

@@ -1,9 +1,10 @@
-// Package exp implements the reproduction experiments indexed in
-// DESIGN.md §4: the paper's three figures as exact structural
-// reproductions, and experiments E1–E10 turning the paper's performance
-// claims into measured tables. Both cmd/drxbench and the root
-// bench_test.go drive these functions, so the harness and the `go test
-// -bench` targets always agree.
+// Package exp holds what reproduces the paper: its three figures as
+// exact structural reproductions, experiments E1–E10 turning its
+// performance claims into tables of charged requests, seeks and bytes
+// against conventional array files, and the design ablations E11–E15.
+// Both cmd/drxbench and the root bench_test.go drive these functions,
+// so the command and the `go test -bench` targets always agree. How
+// fast the stack itself runs is bench/'s question, not this package's.
 package exp
 
 import (

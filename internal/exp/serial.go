@@ -405,7 +405,7 @@ func E10Transpose(sc Scale) []*report.Table {
 	buf := make([]byte, full.Volume()*8)
 	_ = a.Read(full, buf, drx.ColMajor)
 	st := a.FS().Stats()
-	t.AddRow("drx on-the-fly (read F-order)", report.Bytes(st.Bytes()), st.Requests(), st.Elapsed())
+	t.AddRow("drx on-the-fly (read F-order)", st.Bytes(), st.Requests(), st.Elapsed())
 	a.Close()
 
 	// dra: out-of-core transpose = read tiles in row order, write the
@@ -428,7 +428,7 @@ func E10Transpose(sc Scale) []*report.Table {
 	stA := ra.FS().Stats()
 	stB := tr.FS().Stats()
 	t.AddRow("dra explicit transpose (read+write+read)",
-		report.Bytes(stA.Bytes()+stB.Bytes()), stA.Requests()+stB.Requests(), stA.Elapsed()+stB.Elapsed())
+		stA.Bytes()+stB.Bytes(), stA.Requests()+stB.Requests(), stA.Elapsed()+stB.Elapsed())
 	ra.Close()
 	tr.Close()
 	t.AddNote("shape check: on-the-fly moves the array once; the explicit transpose moves it three times")

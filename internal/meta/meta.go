@@ -157,16 +157,6 @@ func (m *Meta) Locate(elem []int, ci, wi []int) (int64, int64, error) {
 	return q, grid.Offset(m.ChunkShape, wi, m.MemOrder), nil
 }
 
-// ByteOffset maps an element index to its absolute byte offset in the
-// principal-array file.
-func (m *Meta) ByteOffset(elem []int) (int64, error) {
-	q, within, err := m.Locate(elem, nil, nil)
-	if err != nil {
-		return 0, err
-	}
-	return q*m.ChunkBytes() + within*int64(m.DType.Size()), nil
-}
-
 // Clone returns an independent deep copy (used when replicating the
 // metadata to every process of a parallel program).
 func (m *Meta) Clone() *Meta {

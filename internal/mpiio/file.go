@@ -80,12 +80,6 @@ type File struct {
 	// value.
 	CacheBytes int64
 
-	// SieveSize is the sieve block granularity of cached read fetches
-	// (requested ranges round out to multiples of it). 0 selects the
-	// store's stripe size, which keeps sieve fetches server-aligned.
-	// Meaningful only with CacheBytes > 0.
-	SieveSize int64
-
 	// ReadAhead extends each sieve fetch past the requested range by
 	// this many bytes (rounded up to whole sieve blocks), so a forward
 	// sectioned scan finds its next block already cached. 0 disables.
@@ -107,7 +101,7 @@ type File struct {
 	SpillPath string
 
 	// AdaptiveIO enables the histogram-driven controller: every few
-	// cache misses the effective SieveSize/ReadAhead are re-derived
+	// cache misses the effective sieve block and ReadAhead are re-derived
 	// from the observed server request-size distribution and read
 	// sequentiality (internal/tune), overriding the static values
 	// above. Meaningful only with CacheBytes > 0; every rank must use
@@ -146,11 +140,12 @@ type File struct {
 func (f *File) workers() int { return par.Resolve(f.Parallelism) }
 
 // cacheConfig projects this handle's policy knobs into the shared
-// cache's Configure block.
+// cache's Configure block. The sieve block is left at the store's
+// stripe size, which keeps sieve fetches server-aligned; only the
+// adaptive controller moves it.
 func (f *File) cacheConfig() cacheConfig {
 	return cacheConfig{
 		budget:     f.CacheBytes,
-		sieve:      f.SieveSize,
 		readAhead:  f.ReadAhead,
 		spillBytes: f.SpillBytes,
 		spillPath:  f.SpillPath,
@@ -160,8 +155,8 @@ func (f *File) cacheConfig() cacheConfig {
 
 // cache returns the file's shared extent cache, creating it (and
 // registering its flush with the store's Close) on first use, and
-// re-applies this handle's policy knobs (CacheBytes/SieveSize/
-// ReadAhead/SpillBytes/SpillPath/AdaptiveIO — shared state, so every
+// re-applies this handle's policy knobs (CacheBytes/ReadAhead/
+// SpillBytes/SpillPath/AdaptiveIO — shared state, so every
 // rank must use the same values). Every handle on the same store
 // resolves to the same cache.
 func (f *File) cache() *fileCache {
@@ -198,7 +193,6 @@ type TuningKnobs struct {
 	CBNodes     int
 	WriteBehind int64
 	CacheBytes  int64
-	SieveSize   int64
 	ReadAhead   int64
 	SpillBytes  int64
 	SpillPath   string
@@ -232,7 +226,6 @@ func (f *File) ApplyTuning(k TuningKnobs) error {
 	f.CBNodes = k.CBNodes
 	f.WriteBehind = k.WriteBehind
 	f.CacheBytes = k.CacheBytes
-	f.SieveSize = k.SieveSize
 	f.ReadAhead = k.ReadAhead
 	f.SpillBytes = k.SpillBytes
 	f.SpillPath = k.SpillPath

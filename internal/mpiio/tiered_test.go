@@ -13,8 +13,9 @@ import (
 
 // tieredForTest builds a seeded store and a cache with both tiers on:
 // a deliberately small memory budget so reads continuously evict (and
-// therefore demote), and a spill file under the test's temp dir.
-func tieredForTest(t *testing.T, budget, spillBytes int64) (*pfs.FS, *fileCache, string) {
+// therefore demote), a spill file under the test's temp dir, and the
+// sieve/read-ahead controller on request.
+func tieredForTest(t *testing.T, budget, spillBytes int64, adaptive bool) (*pfs.FS, *fileCache, string) {
 	t.Helper()
 	fs, err := pfs.Create("tiered", pfs.Options{Servers: 2, StripeSize: 128})
 	if err != nil {
@@ -31,7 +32,7 @@ func tieredForTest(t *testing.T, budget, spillBytes int64) (*pfs.FS, *fileCache,
 	fs.ResetStats()
 	path := filepath.Join(t.TempDir(), "spill.dat")
 	w := newFileCache(fs)
-	w.Configure(cacheConfig{budget: budget, sieve: 256, spillBytes: spillBytes, spillPath: path})
+	w.Configure(cacheConfig{budget: budget, sieve: 256, spillBytes: spillBytes, spillPath: path, adaptive: adaptive})
 	if err := w.SpillErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,31 +52,47 @@ func readRange(t *testing.T, w *fileCache, off, n int64) {
 }
 
 // TestTieredDemotePromoteRoundTrip: a scan 4x the memory budget
-// demotes its evictions to the spill tier, and the re-read is served
+// demotes its evictions to the spill tier, and the re-reads are served
 // back from local disk — correct bytes, zero further store reads.
+// With the adaptive controller on, the same three-pass scan retunes off
+// the static sieve/read-ahead during the cold pass and then goes quiet:
+// a last pass that still retuned would mean it never converged.
 func TestTieredDemotePromoteRoundTrip(t *testing.T) {
-	fs, w, _ := tieredForTest(t, 1024, 8192)
-	for off := int64(0); off < 4096; off += 256 {
-		readRange(t, w, off, 256)
-	}
-	cold := fs.Stats().Reads()
-	if cold == 0 {
-		t.Fatal("cold scan issued no store reads")
-	}
-	cs := w.Stats()
-	if cs.SpillDemoted == 0 {
-		t.Fatalf("scan past the budget demoted nothing: %+v", cs)
-	}
-	// Warm wrap-around: everything is in memory or the spill tier.
-	for off := int64(0); off < 4096; off += 256 {
-		readRange(t, w, off, 256)
-	}
-	if got := fs.Stats().Reads(); got != cold {
-		t.Fatalf("warm wrap issued %d extra store reads", got-cold)
-	}
-	cs = w.Stats()
-	if cs.SpillPromoted == 0 || cs.SpillHits == 0 || cs.SpillHitBytes == 0 {
-		t.Fatalf("warm wrap never promoted from the spill tier: %+v", cs)
+	for _, adaptive := range []bool{false, true} {
+		fs, w, _ := tieredForTest(t, 1024, 8192, adaptive)
+		scan := func() {
+			for off := int64(0); off < 4096; off += 256 {
+				readRange(t, w, off, 256)
+			}
+		}
+		scan()
+		cold := fs.Stats().Reads()
+		if cold == 0 {
+			t.Fatal("cold scan issued no store reads")
+		}
+		cs := w.Stats()
+		if cs.SpillDemoted == 0 {
+			t.Fatalf("scan past the budget demoted nothing: %+v", cs)
+		}
+		// Warm wrap-arounds: everything is in memory or the spill tier.
+		scan()
+		second := w.Stats().Retunes
+		scan()
+		if got := fs.Stats().Reads(); got != cold {
+			t.Fatalf("adaptive=%v: warm wraps issued %d extra store reads", adaptive, got-cold)
+		}
+		cs = w.Stats()
+		if cs.SpillPromoted == 0 || cs.SpillHits == 0 || cs.SpillHitBytes == 0 {
+			t.Fatalf("warm wraps never promoted from the spill tier: %+v", cs)
+		}
+		moved := cs.SieveSize != 256 || cs.ReadAheadBytes != 0
+		if !adaptive && (cs.Retunes != 0 || moved) {
+			t.Fatalf("static cache retuned: %+v", cs)
+		}
+		if adaptive && (cs.Retunes == 0 || cs.Retunes != second || !moved) {
+			t.Fatalf("controller made %d retunes, %d of them in the last pass, gauges sieve=%d ra=%d: want >= 1, 0, off 256/0",
+				cs.Retunes, cs.Retunes-second, cs.SieveSize, cs.ReadAheadBytes)
+		}
 	}
 }
 
@@ -83,7 +100,7 @@ func TestTieredDemotePromoteRoundTrip(t *testing.T) {
 // punch — after the store's copy is superseded, a read has to fetch
 // the NEW bytes, not promote the stale spilled ones.
 func TestTieredPunchInvalidatesSpill(t *testing.T) {
-	fs, w, _ := tieredForTest(t, 1024, 8192)
+	fs, w, _ := tieredForTest(t, 1024, 8192, false)
 	for off := int64(0); off < 4096; off += 256 {
 		readRange(t, w, off, 256)
 	}
@@ -110,7 +127,7 @@ func TestTieredPunchInvalidatesSpill(t *testing.T) {
 // silently — the read falls through to the store, returns correct
 // bytes, and caches nothing stale.
 func TestTieredSpillCorruptionFallsBackToPFS(t *testing.T) {
-	fs, w, path := tieredForTest(t, 1024, 8192)
+	fs, w, path := tieredForTest(t, 1024, 8192, false)
 	for off := int64(0); off < 4096; off += 256 {
 		readRange(t, w, off, 256)
 	}
@@ -137,7 +154,7 @@ func TestTieredSpillCorruptionFallsBackToPFS(t *testing.T) {
 // if the spill tier cannot read a demoted DIRTY extent back, the flush
 // must fail loudly instead of silently dropping the write.
 func TestTieredDirtySpillLossSurfaces(t *testing.T) {
-	_, w, path := tieredForTest(t, 1024, 8192)
+	_, w, path := tieredForTest(t, 1024, 8192, false)
 	w.Absorb(0, bytes.Repeat([]byte{7}, 2048))
 	if err := w.EnforceBudget(); err != nil {
 		t.Fatal(err)
@@ -158,7 +175,7 @@ func TestTieredDirtySpillLossSurfaces(t *testing.T) {
 // then checks the books: the extent list sums to the accounted total,
 // nothing is dirty, and no byte is covered by both tiers at once.
 func TestTieredBudgetAccountingUnderChurn(t *testing.T) {
-	_, w, _ := tieredForTest(t, 1024, 8192)
+	_, w, _ := tieredForTest(t, 1024, 8192, false)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

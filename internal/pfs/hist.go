@@ -9,7 +9,7 @@ import "math/bits"
 const HistBuckets = 40
 
 // Hist is a fixed power-of-two bucket histogram, the request-level
-// accounting behind the E18/E19 report tables. It is a plain value:
+// accounting of sizes and service times. It is a plain value:
 // copy, add, and subtract like the counters in ServerStats.
 type Hist struct {
 	N [HistBuckets]int64

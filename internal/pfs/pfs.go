@@ -173,15 +173,15 @@ type ServerStats struct {
 	Busy time.Duration
 	// FlushWrites counts the write services that carried write-behind
 	// flush-sweep bytes, and FlushBytes the bytes themselves — the
-	// attribution that lets the E19 tables split ordinary dispatch from
-	// deferred flush traffic.
+	// attribution that splits ordinary dispatch from deferred flush
+	// traffic.
 	FlushWrites int64
 	FlushBytes  int64
 	// SieveReads counts the read services that carried data-sieving
 	// fetch bytes (the mpiio file cache's SieveReadV traffic), and
 	// SieveBytes the bytes themselves — the read-side mirror of the
-	// flush attribution, so the E20 tables split sieve-block fetches
-	// from ordinary reads.
+	// flush attribution, splitting sieve-block fetches from ordinary
+	// reads.
 	SieveReads int64
 	SieveBytes int64
 	// LocalBytes / RemoteBytes attribute collective payload held by
@@ -640,10 +640,6 @@ func Remove(name string, opts Options) error {
 
 // Servers returns the server count (data + parity).
 func (fs *FS) Servers() int { return fs.opts.Servers }
-
-// DataServers returns the number of servers holding data stripes
-// (Servers - Parity).
-func (fs *FS) DataServers() int { return fs.dataServers() }
 
 // Parity returns the number of parity servers.
 func (fs *FS) Parity() int { return fs.opts.Parity }

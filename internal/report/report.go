@@ -1,6 +1,5 @@
-// Package report renders the benchmark harness's tables: fixed-width
-// ASCII for the terminal (the rows EXPERIMENTS.md quotes) and CSV for
-// machine consumption.
+// Package report renders the tables cmd/drxbench prints: fixed-width
+// ASCII for the terminal and CSV for machine consumption.
 package report
 
 import (
@@ -135,32 +134,4 @@ func Ratio(a, b float64) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%.1fx", a/b)
-}
-
-// Micros renders a microsecond count in human units (histogram bucket
-// labels for service-latency tables).
-func Micros(us int64) string {
-	return time.Duration(us * int64(time.Microsecond)).String()
-}
-
-// PowHist renders a power-of-two bucket histogram (bucket i counts
-// observations with upper bound 2^i, the pfs.Hist convention) as
-// "≤label:count" pairs, skipping empty buckets. label formats a
-// bucket's upper bound — Bytes for request sizes, Micros for service
-// latencies.
-func PowHist(counts []int64, label func(int64) string) string {
-	var b strings.Builder
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "≤%s:%d", label(int64(1)<<uint(i)), c)
-	}
-	if b.Len() == 0 {
-		return "-"
-	}
-	return b.String()
 }

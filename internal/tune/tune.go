@@ -1,9 +1,9 @@
 // Package tune derives data-sieving parameters from observed workload
 // statistics — the online half of the tiered extent cache. The pfs
-// servers already histogram every request size (pfs.Hist, the E18/E19
-// report tables); Recommend closes the loop by turning a window of
-// those histograms plus the cache's own sequentiality counters into
-// the SieveSize / ReadAheadBytes the cache should run next, replacing
+// servers already histogram every request size (pfs.Hist); Recommend
+// closes the loop by turning a window of those histograms plus the
+// cache's own sequentiality counters into the sieve block and
+// read-ahead the cache should run next, replacing
 // the static stripe-derived defaults with values matched to what the
 // workload is actually asking for.
 package tune

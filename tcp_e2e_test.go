@@ -1,11 +1,13 @@
 package drxmp
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"drxmp/internal/cluster"
 	"drxmp/internal/grid"
+	"drxmp/internal/pfs"
 )
 
 // TestTCPTransportEndToEnd runs the full parallel workflow — collective
@@ -162,5 +164,54 @@ func TestTCPTransportCollectiveRead(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTCPAdaptiveCBNodesFewerFrames: each rank collectively writes and
+// reads back a thin column slab — pieces scattered across the whole
+// file span, so they land in every aggregation domain, while the whole
+// transfer is only two stripes. One aggregator per rank pays the full
+// rank x aggregator exchange mesh; adaptive cb_nodes funnels the same
+// bytes through two aggregators and the sparse exchange ships no empty
+// frames, so the round crosses the sockets in strictly fewer messages.
+func TestTCPAdaptiveCBNodesFewerFrames(t *testing.T) {
+	const ranks, n = 4, 128
+	frames := func(cbNodes int) int64 {
+		st, err := cluster.RunTCPStats(ranks, func(c *cluster.Comm) error {
+			f, err := Create(c, fmt.Sprintf("tcp-cb%d", cbNodes), Options{
+				DType: Float64, ChunkShape: []int{32, 32}, Bounds: []int{n, n},
+				FS:     pfs.Options{Servers: 4, StripeSize: 8 << 10},
+				Tuning: Tuning{CBNodes: cbNodes},
+			})
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			box := NewBox([]int{0, 4 * c.Rank()}, []int{n, 4*c.Rank() + 4})
+			data := make([]byte, box.Volume()*8)
+			for i := range data {
+				data[i] = byte(c.Rank()*13 + i)
+			}
+			if err := f.WriteSectionAll(box, data, RowMajor); err != nil {
+				return err
+			}
+			got := make([]byte, len(data))
+			if err := f.ReadSectionAll(box, got, RowMajor); err != nil {
+				return err
+			}
+			if !bytes.Equal(got, data) {
+				return fmt.Errorf("rank %d: slab read back wrong under CBNodes %d", c.Rank(), cbNodes)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Msgs
+	}
+	perRank, adaptive := frames(-1), frames(0)
+	if adaptive >= perRank {
+		t.Fatalf("adaptive cb_nodes crossed the wire in %d frames, one aggregator per rank in %d: want strictly fewer",
+			adaptive, perRank)
 	}
 }
