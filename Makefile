@@ -28,11 +28,14 @@ race:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# Every benchmark once, and only the benchmarks (-run '^$$'): the test
+# leg has already run the unit suite.
 bench:
-	$(GO) test -bench=. -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# Paired runs of BASE against the working tree on one bench/ workload,
-# with the -compare verdicts: make bench-pairs W=serve_mixed N=10 BASE=HEAD~1
+# Paired runs of BASE against the working tree on one bench/ workload
+# (W=all: each of the five in turn), with the -compare verdicts:
+# make bench-pairs W=serve_mixed N=10 BASE=HEAD~1
 W ?= serve_mixed
 N ?= 10
 BASE ?= HEAD

@@ -12,20 +12,39 @@
 // independent (MDS), while m == 1 parity degenerates to the plain XOR
 // of the data shards — the property tests pin this.
 //
-// Everything is pure Go table-driven GF(2^8) arithmetic (primitive
-// polynomial 0x11d); there are no dependencies and no assembly. Shards
-// in this repo are one pfs stripe unit wide, so the byte-at-a-time
-// inner loops are well within simulation budgets.
+// Everything is pure Go GF(2^8) arithmetic (primitive polynomial
+// 0x11d); there are no dependencies and no assembly. Coding a row is a
+// handful of passes of one kernel, mulXor(dst, src, coef), under both
+// Encode and every decode. Coefficient 1 — all of parity row 0, hence
+// all of m == 1, and every decode that goes through parity row 0 with
+// one data shard lost — is crypto/subtle.XORBytes, which runs at memory
+// speed. Any other coefficient walks that coefficient's 256-byte row of
+// a product table built once at init: the row stays in L1 for the whole
+// pass and the loop, unrolled eight bytes at a time, has no
+// data-dependent branch (the log/exp form needs one for zero bytes).
+// The log/exp tables remain for matrix algebra only.
+//
+// Decoding inverts the k×k matrix of the surviving generator rows. The
+// inverse depends only on which shards survive, so a Code caches one
+// Decoder per survivor set: a dead server costs one inversion, not one
+// per reconstructed segment.
 package ec
 
-import "fmt"
+import (
+	"crypto/subtle"
+	"fmt"
+	"sync"
+)
 
 // GF(2^8) log/antilog tables for the primitive polynomial x^8 + x^4 +
 // x^3 + x^2 + 1 (0x11d). expTbl is doubled so gfMul can index
-// logA+logB without a mod-255 reduction.
+// logA+logB without a mod-255 reduction. mulTbl[c][v] = c·v is the
+// product table the shard kernel walks one row of (64 KiB in all; a
+// pass touches 256 bytes of it).
 var (
 	logTbl [256]byte
 	expTbl [510]byte
+	mulTbl [256][256]byte
 )
 
 func init() {
@@ -37,6 +56,11 @@ func init() {
 		x <<= 1
 		if x&0x100 != 0 {
 			x ^= 0x11d
+		}
+	}
+	for c := 1; c < 256; c++ {
+		for v := 1; v < 256; v++ {
+			mulTbl[c][v] = gfMul(byte(c), byte(v))
 		}
 	}
 }
@@ -51,6 +75,40 @@ func gfMul(a, b byte) byte {
 func gfInv(a byte) byte {
 	// a must be non-zero; callers guard.
 	return expTbl[255-int(logTbl[a])]
+}
+
+// mulXor adds coef·src into dst (dst ^= coef·src, bytewise over
+// GF(2^8)); src must be at least as long as dst. It is the only loop
+// in the package that touches shard bytes.
+func mulXor(dst, src []byte, coef byte) {
+	switch coef {
+	case 0:
+		return
+	case 1:
+		subtle.XORBytes(dst, dst, src)
+		return
+	}
+	// Eight independent load-lookup-xor chains per iteration; measured
+	// here a third faster than assembling the products into one 64-bit
+	// word, whose shifts and ORs serialize.
+	t := &mulTbl[coef]
+	n := len(dst)
+	src = src[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+		d[0] ^= t[s[0]]
+		d[1] ^= t[s[1]]
+		d[2] ^= t[s[2]]
+		d[3] ^= t[s[3]]
+		d[4] ^= t[s[4]]
+		d[5] ^= t[s[5]]
+		d[6] ^= t[s[6]]
+		d[7] ^= t[s[7]]
+	}
+	for ; i < n; i++ {
+		dst[i] ^= t[src[i]]
+	}
 }
 
 // matrix is a dense GF(2^8) matrix, row major.
@@ -112,14 +170,26 @@ func (a matrix) invert() (matrix, error) {
 	return out, nil
 }
 
-// Code is a systematic Reed-Solomon k+m codec. Safe for concurrent use
-// (it is immutable after New).
+// Code is a systematic Reed-Solomon k+m codec. Safe for concurrent use:
+// the generator is immutable after New and the decoder cache is locked.
 type Code struct {
 	k, m int
 	// gen is the (k+m)×k systematic generator matrix: top k rows are
 	// the identity, bottom m rows the parity coefficients.
 	gen matrix
+
+	mu       sync.RWMutex
+	decoders map[survivors]*Decoder
 }
+
+// survivors is the set of shard indices a Decoder reads, as a bitmask
+// (k+m <= 255).
+type survivors [4]uint64
+
+// maxDecoders bounds the decoder cache. A store sees one survivor set
+// per failure pattern, a handful at most; a caller that walks many
+// patterns of a wide code just starts the cache over.
+const maxDecoders = 64
 
 // New builds a codec with k data shards and m parity shards.
 // m == 0 is allowed and yields a pass-through codec.
@@ -155,7 +225,7 @@ func New(k, m int) (*Code, error) {
 			}
 		}
 	}
-	return &Code{k: k, m: m, gen: gen}, nil
+	return &Code{k: k, m: m, gen: gen, decoders: make(map[survivors]*Decoder)}, nil
 }
 
 // K returns the number of data shards.
@@ -196,29 +266,10 @@ func (c *Code) Encode(shards [][]byte) error {
 		return err
 	}
 	for j := 0; j < c.m; j++ {
-		row := c.gen[c.k+j]
 		out := shards[c.k+j]
-		for b := range out {
-			out[b] = 0
-		}
-		for t := 0; t < c.k; t++ {
-			coef := row[t]
-			if coef == 0 {
-				continue
-			}
-			in := shards[t]
-			if coef == 1 {
-				for b := range out {
-					out[b] ^= in[b]
-				}
-				continue
-			}
-			lc := int(logTbl[coef])
-			for b := range out {
-				if v := in[b]; v != 0 {
-					out[b] ^= expTbl[lc+int(logTbl[v])]
-				}
-			}
+		clear(out)
+		for t, coef := range c.gen[c.k+j] {
+			mulXor(out, shards[t], coef)
 		}
 	}
 	return nil
@@ -241,65 +292,21 @@ func (c *Code) reconstruct(shards [][]byte, parityToo bool) error {
 	if err != nil {
 		return err
 	}
-	present := 0
-	for _, s := range shards {
-		if s != nil {
-			present++
-		}
+	// Also the check that k shards survive; with no data shard lost it
+	// is the cached identity and Decode is never called.
+	dec, err := c.Decoder(shards)
+	if err != nil {
+		return err
 	}
-	if present < c.k {
-		return fmt.Errorf("ec: only %d of %d shards present, need %d", present, c.k+c.m, c.k)
-	}
-	missingData := false
-	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
-			missingData = true
-			break
+	for d := 0; d < c.k; d++ {
+		if shards[d] != nil {
+			continue
 		}
-	}
-	if missingData {
-		// Pick k present shards; their generator rows stacked form an
-		// invertible k×k matrix whose inverse maps them back to data.
-		rows := make(matrix, 0, c.k)
-		srcIdx := make([]int, 0, c.k)
-		for i := 0; i < c.k+c.m && len(rows) < c.k; i++ {
-			if shards[i] != nil {
-				rows = append(rows, c.gen[i])
-				srcIdx = append(srcIdx, i)
-			}
+		out := make([]byte, size)
+		if err := dec.Decode(out, d, shards); err != nil {
+			return err
 		}
-		sub := newMatrix(c.k, c.k)
-		for i, r := range rows {
-			copy(sub[i], r)
-		}
-		dec, err := sub.invert()
-		if err != nil {
-			return err // unreachable: any k generator rows are independent
-		}
-		for d := 0; d < c.k; d++ {
-			if shards[d] != nil {
-				continue
-			}
-			out := make([]byte, size)
-			for t := 0; t < c.k; t++ {
-				coef := dec[d][t]
-				if coef == 0 {
-					continue
-				}
-				in := shards[srcIdx[t]]
-				lc := int(logTbl[coef])
-				for b := range out {
-					if v := in[b]; v != 0 {
-						if coef == 1 {
-							out[b] ^= v
-						} else {
-							out[b] ^= expTbl[lc+int(logTbl[v])]
-						}
-					}
-				}
-			}
-			shards[d] = out
-		}
+		shards[d] = out
 	}
 	if parityToo {
 		// Data is complete now; recompute any missing parity directly.
@@ -310,6 +317,82 @@ func (c *Code) reconstruct(shards [][]byte, parityToo bool) error {
 			shards[c.k+j] = make([]byte, size)
 		}
 		return c.Encode(shards)
+	}
+	return nil
+}
+
+// Decoder rebuilds data shards from one fixed set of k surviving
+// shards: the inverse of their stacked generator rows. Immutable, so
+// one Decoder serves any number of concurrent Decode calls.
+type Decoder struct {
+	src []int  // the k shard indices read, ascending
+	inv matrix // k×k: data shard d = Σ_t inv[d][t] · shards[src[t]]
+}
+
+// Decoder returns the decoder that reads the first k non-nil entries of
+// shards, building and caching it on the first use of that survivor
+// set. Callers that reconstruct many byte ranges under one failure
+// pattern fetch it once and call Decode per range.
+func (c *Code) Decoder(shards [][]byte) (*Decoder, error) {
+	if len(shards) != c.k+c.m {
+		return nil, fmt.Errorf("ec: got %d shards, want %d", len(shards), c.k+c.m)
+	}
+	var key survivors
+	present := 0
+	for i := 0; i < len(shards) && present < c.k; i++ {
+		if shards[i] != nil {
+			key[i/64] |= 1 << (i % 64)
+			present++
+		}
+	}
+	if present < c.k {
+		return nil, fmt.Errorf("ec: only %d of %d shards present, need %d", present, c.k+c.m, c.k)
+	}
+	c.mu.RLock()
+	dec := c.decoders[key]
+	c.mu.RUnlock()
+	if dec != nil {
+		return dec, nil
+	}
+	// Their generator rows stacked form an invertible k×k matrix whose
+	// inverse maps the survivors back to data.
+	src := make([]int, 0, c.k)
+	sub := make(matrix, 0, c.k)
+	for i := range shards {
+		if key[i/64]&(1<<(i%64)) != 0 {
+			src = append(src, i)
+			sub = append(sub, c.gen[i])
+		}
+	}
+	inv, err := sub.invert()
+	if err != nil {
+		return nil, err // unreachable: any k generator rows are independent
+	}
+	dec = &Decoder{src: src, inv: inv}
+	c.mu.Lock()
+	if len(c.decoders) >= maxDecoders {
+		clear(c.decoders)
+	}
+	c.decoders[key] = dec
+	c.mu.Unlock()
+	return dec, nil
+}
+
+// Decode computes data shard d into dst from the survivors the decoder
+// was built for, which must all be present in shards at dst's length.
+// Nothing is allocated and shards is not modified.
+func (dec *Decoder) Decode(dst []byte, d int, shards [][]byte) error {
+	if d < 0 || d >= len(dec.inv) {
+		return fmt.Errorf("ec: shard %d is not a data shard", d)
+	}
+	for _, i := range dec.src {
+		if i >= len(shards) || len(shards[i]) != len(dst) {
+			return fmt.Errorf("ec: decoder reads shard %d at %d bytes, which shards does not hold", i, len(dst))
+		}
+	}
+	clear(dst)
+	for t, coef := range dec.inv[d] {
+		mulXor(dst, shards[dec.src[t]], coef)
 	}
 	return nil
 }

@@ -429,3 +429,105 @@ func TestDegradedReadErrorIsInjected(t *testing.T) {
 		t.Fatalf("err = %v, want the injected sentinel", err)
 	}
 }
+
+// TestDegradedTornWriteKeepsParity (bugfix pin): a write whose dispatch
+// fails part-way has still stored the segments ahead of the failure, so
+// parity must be re-encoded before the error returns — otherwise a
+// degraded read of a unit nobody wrote decodes through stale parity and
+// returns wrong bytes without an error.
+func TestDegradedTornWriteKeepsParity(t *testing.T) {
+	const stripe = 64
+	for _, vectored := range []bool{false, true} {
+		fs := degradedFS(t, Options{Servers: 5, Parity: 2, StripeSize: stripe})
+		if _, err := fs.WriteAt(pattern(3*stripe, 13), 0); err != nil {
+			t.Fatal(err)
+		}
+		// Unit 0 lands on server 0, unit 1 is refused by server 1.
+		fs.SetInjector(&FaultPoint{Server: 1, Op: FaultWrites})
+		torn := pattern(2*stripe, 14)
+		var err error
+		if vectored {
+			_, err = fs.WriteV([]Run{{Off: 0, Len: 2 * stripe}}, torn)
+		} else {
+			_, err = fs.WriteAt(torn, 0)
+		}
+		if err == nil {
+			t.Fatalf("vectored=%v: write through a refusing server succeeded", vectored)
+		}
+		fs.SetInjector(nil)
+		healthy := make([]byte, 3*stripe)
+		if _, err := fs.ReadAt(healthy, 0); err != nil {
+			t.Fatal(err)
+		}
+		for dead := 0; dead < 3; dead++ {
+			fs.SetInjector(&FaultPoint{Server: dead, Op: FaultReads, Permanent: true})
+			got := make([]byte, 3*stripe)
+			if _, err := fs.ReadAt(got, 0); err != nil {
+				t.Fatalf("vectored=%v: degraded read (server %d dead): %v", vectored, dead, err)
+			}
+			for u := 0; u < 3; u++ {
+				if !bytes.Equal(got[u*stripe:(u+1)*stripe], healthy[u*stripe:(u+1)*stripe]) {
+					t.Fatalf("vectored=%v: after a torn write, unit %d read with server %d dead differs from the healthy read",
+						vectored, u, dead)
+				}
+			}
+			fs.SetInjector(nil)
+		}
+	}
+}
+
+// TestParityUpdateAllocsFlat pins the parity engine's allocation count:
+// re-encoding one row allocates the same handful of descriptors whether
+// the row has 2 data units or 12 — the row buffers come from the pool.
+func TestParityUpdateAllocsFlat(t *testing.T) {
+	allocs := func(servers int) float64 {
+		fs := degradedFS(t, Options{Servers: servers, Parity: 2, StripeSize: 256})
+		run := []Run{{Off: 0, Len: 100}}
+		if err := fs.updateParity(run); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if err := fs.updateParity(run); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	narrow, wide := allocs(4), allocs(14)
+	if wide > narrow || wide > 6 {
+		t.Fatalf("one-row updateParity: %.0f allocs with k=2, %.0f with k=12; want O(1)", narrow, wide)
+	}
+}
+
+// TestDegradedParityBatchesAndUnsortedRuns: a vectored write covering
+// more rows than one parity batch, its runs handed over in descending
+// order and several to a row, leaves every row's parity consistent —
+// the pooled scratch is reused across batches and the row list has to
+// be sorted and deduplicated first.
+func TestDegradedParityBatchesAndUnsortedRuns(t *testing.T) {
+	const stripe, k = 32, 3
+	const rows = 2*parityRowBatch + 5
+	fs := degradedFS(t, Options{Servers: k + 2, Parity: 2, StripeSize: stripe})
+	want := make([]byte, rows*k*stripe)
+	var runs []Run
+	var buf []byte
+	for off := int64(len(want)) - 40; off >= 0; off -= 40 { // 40 B every 40 B, descending
+		runs = append(runs, Run{Off: off, Len: 40})
+		p := pattern(40, off)
+		copy(want[off:], p)
+		buf = append(buf, p...)
+	}
+	if _, err := fs.WriteV(runs, buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, dead := range []int{0, 2} {
+		fs.SetInjector(&FaultPoint{Server: dead, Op: FaultReads, Permanent: true})
+		got := make([]byte, len(want)) // the few bytes below the last run were never written: zeros
+		if _, err := fs.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		fs.SetInjector(nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("degraded read (server %d dead) differs after a %d-row unsorted vectored write", dead, rows)
+		}
+	}
+}

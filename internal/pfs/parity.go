@@ -14,31 +14,53 @@
 // degraded path turn a failed read segment straight into a
 // reconstruction over the other servers.
 //
-// Writes. After a write dispatch completes, every touched parity row
-// is re-encoded from the stored data units and the coded units are
-// dispatched as ordinary (charged, injectable) writes to the parity
-// servers. The row reads are deliberately uncharged: they model the
-// parity engine's server-local read-modify-write, not client traffic.
-// parityMu serializes the read-encode-write cycle, so the last writer
-// of a row — which by the lock ordering has observed every completed
-// data write — stores the parity of the final data state.
+// Writes. After a write dispatch returns, every parity row the write
+// touches is re-encoded whole from the *stored* data units and the
+// coded units are dispatched as ordinary (charged, injectable) writes
+// to the parity servers. Whole units, not the written sub-range: the
+// coded units of consecutive rows then stay contiguous on a parity
+// server, which saves a seek worth far more than the bytes. The row
+// reads are deliberately uncharged: they model the parity engine's
+// server-local read-modify-write, not client traffic. parityMu
+// serializes the read-encode-write cycle, so the last writer of a row —
+// which by the lock ordering has observed every completed data write —
+// stores the parity of the final data state.
 //
-// Degraded reads. Read segments are dispatched with private buffers;
-// a segment that is refused by the failure injector, errors in
-// service, exceeds the straggler deadline (DegradedReadFactor × the
-// nominal max per-server service time, RealTime cost models only), or
-// targets a server at or beyond AvoidSlowFactor is reconstructed: the
-// same byte sub-range of the row's other shards is fetched from the
-// fastest k of the remaining k+m-1 servers (ranked by slow factor,
-// then queue backlog), and the missing shard is decoded. Private
-// buffers make abandoning a straggler safe — its late completion
-// lands in memory nobody reads — and byte-range decoding works
-// because Reed-Solomon over GF(2^8) is bytewise.
+// The torn-write rule: parity always describes stored bytes. A data
+// dispatch that fails has still landed the segments ahead of the
+// failure, so WriteAt/WriteV/FlushV re-encode the rows of everything
+// they *attempted* before returning the dispatch error; otherwise the
+// next degraded read of an untouched neighbour unit in such a row
+// would decode garbage and report success.
+//
+// Row buffers. One update works out of a parityScratch taken from a
+// sync.Pool: k stripe units the data of one row is loaded into, reused
+// row after row, and m coded units per row of the batch, which the
+// parity dispatch reads from. The scratch goes back to the pool only
+// after that dispatch has returned — every queued write has completed
+// by then — so no server and no caller ever sees a pooled buffer after
+// the call.
+//
+// Degraded reads. A segment that is refused by the failure injector,
+// errors in service, exceeds the straggler deadline (DegradedReadFactor
+// × the nominal max per-server service time, RealTime cost models
+// only), or targets a server at or beyond AvoidSlowFactor is
+// reconstructed: the same byte sub-range of the row's other shards is
+// fetched from the fastest k of the remaining k+m-1 servers (ranked by
+// slow factor, then queue backlog), and the missing shard is decoded
+// straight into the caller's buffer — byte-range decoding works
+// because Reed-Solomon over GF(2^8) is bytewise. Segments are read in
+// place unless a deadline is armed; only then can a request be
+// abandoned, and only then does each go out with a private buffer
+// (one slab for the vector), so a straggler's late completion lands in
+// memory nobody reads.
 package pfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"drxmp/internal/ec"
@@ -74,58 +96,101 @@ func (fs *FS) dataServers() int { return fs.opts.Servers - fs.opts.Parity }
 // huge writes.
 const parityRowBatch = 64
 
+// parityScratch is the working memory of one updateParity call.
+type parityScratch struct {
+	buf    []byte   // k data units, then m coded units per row of a batch
+	shards [][]byte // Encode's k+m view of the row being coded
+	segs   []ioSeg  // the batch's parity writes
+}
+
+// parityScratches is shared by every store; a scratch too small for
+// the taker's geometry is regrown in place.
+var parityScratches = sync.Pool{New: func() any { return new(parityScratch) }}
+
+// parityRows returns the parity rows intersecting runs, ascending and
+// unique. Runs arrive sorted from every caller in the tree, so the
+// sort is the exception.
+func parityRows(runs []Run, rowBytes int64) []int64 {
+	n := int64(0)
+	for _, r := range runs {
+		if r.Len > 0 {
+			n += (r.Off+r.Len-1)/rowBytes - r.Off/rowBytes + 1
+		}
+	}
+	rows := make([]int64, 0, n)
+	sorted := true
+	for _, r := range runs {
+		if r.Len <= 0 {
+			continue
+		}
+		for row := r.Off / rowBytes; row <= (r.Off+r.Len-1)/rowBytes; row++ {
+			if n := len(rows); n > 0 {
+				if row == rows[n-1] {
+					continue
+				}
+				sorted = sorted && row > rows[n-1]
+			}
+			rows = append(rows, row)
+		}
+	}
+	if !sorted {
+		slices.Sort(rows)
+		rows = slices.Compact(rows)
+	}
+	return rows
+}
+
 // updateParity re-encodes every parity row intersecting runs and
 // writes the coded units to the parity servers. No-op when parity is
-// off. Callers invoke it after their data dispatch completed.
+// off. Callers invoke it after their data dispatch returned, whether
+// or not it succeeded (the torn-write rule above).
 func (fs *FS) updateParity(runs []Run) error {
 	if fs.code == nil || len(runs) == 0 {
 		return nil
 	}
 	k, m := fs.code.K(), fs.code.M()
 	stripe := fs.opts.StripeSize
-	rowBytes := int64(k) * stripe
-	rowSet := make(map[int64]struct{})
-	for _, r := range runs {
-		if r.Len <= 0 {
-			continue
-		}
-		for row := r.Off / rowBytes; row <= (r.Off+r.Len-1)/rowBytes; row++ {
-			rowSet[row] = struct{}{}
-		}
+	rows := parityRows(runs, int64(k)*stripe)
+	if len(rows) == 0 {
+		return nil
 	}
-	rows := make([]int64, 0, len(rowSet))
-	for row := range rowSet {
-		rows = append(rows, row)
+
+	sc := parityScratches.Get().(*parityScratch)
+	defer parityScratches.Put(sc)
+	if need := (int64(k) + int64(min(len(rows), parityRowBatch)*m)) * stripe; int64(cap(sc.buf)) < need {
+		sc.buf = make([]byte, need)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
+	if cap(sc.shards) < k+m {
+		sc.shards = make([][]byte, k+m)
+	}
+	shards := sc.shards[:k+m]
+	for c := 0; c < k; c++ {
+		shards[c] = sc.buf[int64(c)*stripe : int64(c+1)*stripe]
+	}
 
 	fs.parityMu.Lock()
 	defer fs.parityMu.Unlock()
-	shards := make([][]byte, k+m)
-	for start := 0; start < len(rows); start += parityRowBatch {
-		end := start + parityRowBatch
-		if end > len(rows) {
-			end = len(rows)
-		}
-		segs := make([]ioSeg, 0, (end-start)*m)
-		for _, row := range rows[start:end] {
+	for len(rows) > 0 {
+		batch := rows[:min(len(rows), parityRowBatch)]
+		rows = rows[len(batch):]
+		coded := sc.buf[int64(k)*stripe:]
+		segs := sc.segs[:0]
+		for _, row := range batch {
 			// The parity engine's local read-modify-write: load the
 			// row's stored data units uncharged (holes read as zeros,
 			// and zero data encodes to zero parity, so never-written
 			// rows stay consistent).
 			for c := 0; c < k; c++ {
-				buf := make([]byte, stripe)
 				sv := fs.servers[c]
 				sv.mu.Lock()
-				err := sv.loadLocked(buf, row*stripe)
+				err := sv.loadLocked(shards[c], row*stripe)
 				sv.mu.Unlock()
 				if err != nil {
 					return fmt.Errorf("pfs: parity row %d read: %w", row, err)
 				}
-				shards[c] = buf
 			}
 			for j := 0; j < m; j++ {
-				shards[k+j] = make([]byte, stripe)
+				shards[k+j], coded = coded[:stripe], coded[stripe:]
 			}
 			if err := fs.code.Encode(shards); err != nil {
 				return err
@@ -134,6 +199,7 @@ func (fs *FS) updateParity(runs []Run) error {
 				segs = append(segs, ioSeg{server: k + j, off: row * stripe, p: shards[k+j], write: true})
 			}
 		}
+		sc.segs = segs
 		if _, err := fs.dispatch(segs); err != nil {
 			return fmt.Errorf("pfs: parity update: %w", err)
 		}
@@ -178,13 +244,16 @@ func (fs *FS) readDeadline(segs []ioSeg) time.Duration {
 	return time.Duration(float64(max) * f)
 }
 
-// dispatchDegraded is the read-side dispatch when parity is on. Every
-// segment goes out with a private buffer; segments that fail, time
-// out, or are proactively avoided collect into a reconstruction list
-// and are decoded from the surviving shards. On success the call is
-// byte-identical to a healthy dispatch.
+// dispatchDegraded is the read-side dispatch when parity is on.
+// Segments that fail, time out, or are proactively avoided collect into
+// a reconstruction list and are decoded from the surviving shards. On
+// success the call is byte-identical to a healthy dispatch.
 func (fs *FS) dispatchDegraded(segs []ioSeg) (int64, error) {
 	var recon []int
+	var total int64
+	for i := range segs {
+		total += int64(len(segs[i].p))
+	}
 	fs.qmu.RLock()
 	if fs.qclosed || fs.queues == nil {
 		fs.qmu.RUnlock()
@@ -210,8 +279,15 @@ func (fs *FS) dispatchDegraded(segs []ioSeg) (int64, error) {
 			}
 		}
 	} else {
+		deadline := fs.readDeadline(segs)
 		done := make(chan *ioReq, len(segs)) // buffered: abandoned completions never block a worker
-		pending := make(map[int]*ioReq, len(segs))
+		reqs := make([]ioReq, len(segs))
+		// Only an armed deadline can abandon a request, so only then do
+		// requests read into private memory, copied out on completion.
+		var private []byte
+		if deadline > 0 {
+			private = make([]byte, total)
+		}
 		sent := 0
 		for i := range segs {
 			s := &segs[i]
@@ -223,17 +299,17 @@ func (fs *FS) dispatchDegraded(segs []ioSeg) (int64, error) {
 				recon = append(recon, i)
 				continue
 			}
-			priv := *s
-			priv.p = make([]byte, len(s.p))
-			req := &ioReq{seg: priv, idx: i, done: done}
-			fs.queues[s.server] <- req
-			pending[i] = req
+			reqs[i] = ioReq{seg: *s, idx: i, done: done}
+			if deadline > 0 {
+				reqs[i].seg.p, private = private[:len(s.p)], private[len(s.p):]
+			}
+			fs.queues[s.server] <- &reqs[i]
 			sent++
 		}
 		fs.qmu.RUnlock()
 		var timeout <-chan time.Time
-		if d := fs.readDeadline(segs); d > 0 {
-			t := time.NewTimer(d)
+		if deadline > 0 {
+			t := time.NewTimer(deadline)
 			defer t.Stop()
 			timeout = t.C
 		}
@@ -241,10 +317,10 @@ func (fs *FS) dispatchDegraded(segs []ioSeg) (int64, error) {
 		for received := 0; received < sent; received++ {
 			select {
 			case r := <-done:
-				delete(pending, r.idx)
+				r.done = nil // received; a request still holding its channel below is outstanding
 				if r.err != nil {
 					recon = append(recon, r.idx)
-				} else {
+				} else if deadline > 0 {
 					copy(segs[r.idx].p, r.seg.p)
 				}
 			case <-timeout:
@@ -255,13 +331,11 @@ func (fs *FS) dispatchDegraded(segs []ioSeg) (int64, error) {
 				break wait
 			}
 		}
-		for idx := range pending {
-			recon = append(recon, idx)
+		for i := range reqs {
+			if reqs[i].done != nil {
+				recon = append(recon, i)
+			}
 		}
-	}
-	var total int64
-	for i := range segs {
-		total += int64(len(segs[i].p))
 	}
 	if len(recon) == 0 {
 		return total, nil
@@ -279,53 +353,61 @@ func (fs *FS) dispatchDegraded(segs []ioSeg) (int64, error) {
 	return total, nil
 }
 
+// reconFetch is one source read of a reconstruction: the byte range of
+// job's segment, out of the shard that server holds.
+type reconFetch struct {
+	job    *reconJob
+	server int
+	p      []byte // carved by serviceReconBatch
+	err    error
+}
+
 // serviceReconBatch issues a round of reconstruction source fetches,
 // coalescing per-server contiguous fetches into single requests first:
 // a multi-row degraded read pulls consecutive shard rows from the same
 // source server, and one large request pays one overhead + seek where
-// the per-shard fetches would pay them per row. Results and errors are
-// distributed back to the original segments (a merged failure fails
-// every member, which then moves on to its next candidate).
-func (fs *FS) serviceReconBatch(batch []ioSeg) []error {
+// the per-shard fetches would pay them per row. The fetches' buffers
+// are carved from one slab in request order, so a merged request reads
+// straight into its members. A merged failure fails every member,
+// which then moves on to its next candidate.
+func (fs *FS) serviceReconBatch(batch []reconFetch) {
 	idx := make([]int, len(batch))
+	total := 0
 	for i := range idx {
 		idx[i] = i
+		total += batch[i].job.n
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		sa, sb := &batch[idx[a]], &batch[idx[b]]
-		if sa.server != sb.server {
-			return sa.server < sb.server
+	sort.SliceStable(idx, func(a, b int) bool {
+		fa, fb := &batch[idx[a]], &batch[idx[b]]
+		if fa.server != fb.server {
+			return fa.server < fb.server
 		}
-		return sa.off < sb.off
+		return fa.job.off < fb.job.off
 	})
-	var merged []ioSeg
-	var members [][]int // batch indices served by each merged request
-	for _, i := range idx {
-		s := &batch[i]
+	slab := make([]byte, total)
+	merged := make([]ioSeg, 0, len(batch))
+	first := make([]int, 0, len(batch)+1) // merged[i] serves batch[idx[first[i]:first[i+1]]]
+	for at, i := range idx {
+		f := &batch[i]
+		f.p, slab = slab[:f.job.n], slab[f.job.n:]
 		if n := len(merged); n > 0 {
 			last := &merged[n-1]
-			if last.server == s.server && last.off+int64(len(last.p)) == s.off {
-				last.p = append(last.p, s.p...) // scratch; grown then filled by the read
-				members[n-1] = append(members[n-1], i)
+			if last.server == f.server && last.off+int64(len(last.p)) == f.job.off {
+				last.p = last.p[:len(last.p)+len(f.p)] // f.p is the slab's next bytes
 				continue
 			}
 		}
-		merged = append(merged, ioSeg{server: s.server, off: s.off, p: append([]byte(nil), s.p...)})
-		members = append(members, []int{i})
+		merged = append(merged, ioSeg{server: f.server, off: f.job.off, p: f.p})
+		first = append(first, at)
 	}
-	mErrs := fs.serviceReads(merged)
-	errs := make([]error, len(batch))
-	for mi := range merged {
-		for _, bi := range members[mi] {
-			if mErrs[mi] != nil {
-				errs[bi] = mErrs[mi]
-				continue
+	first = append(first, len(idx))
+	for mi, err := range fs.serviceReads(merged) {
+		if err != nil {
+			for _, i := range idx[first[mi]:first[mi+1]] {
+				batch[i].err = err
 			}
-			at := batch[bi].off - merged[mi].off
-			copy(batch[bi].p, merged[mi].p[at:at+int64(len(batch[bi].p))])
 		}
 	}
-	return errs
 }
 
 // serviceReads runs read segments through the per-server queues (or
@@ -353,6 +435,7 @@ func (fs *FS) serviceReads(segs []ioSeg) []error {
 		return errs
 	}
 	done := make(chan *ioReq, len(segs))
+	reqs := make([]ioReq, len(segs))
 	sent := 0
 	for i := range segs {
 		s := &segs[i]
@@ -360,7 +443,8 @@ func (fs *FS) serviceReads(segs []ioSeg) []error {
 			errs[i] = err
 			continue
 		}
-		fs.queues[s.server] <- &ioReq{seg: *s, idx: i, done: done}
+		reqs[i] = ioReq{seg: *s, idx: i, done: done}
+		fs.queues[s.server] <- &reqs[i]
 		sent++
 	}
 	fs.qmu.RUnlock()
@@ -398,61 +482,65 @@ func (fs *FS) sourceOrder() []int {
 	return order
 }
 
-// reconJob tracks one segment being reconstructed: which shards have
-// been fetched, and which candidates remain.
+// reconJob tracks one segment being reconstructed: which shards it
+// holds, and how far down the source ranking it has asked.
 type reconJob struct {
 	segIdx int
-	row    int64 // parity row (server-local offset / stripe)
-	within int64 // byte offset of the segment inside its stripe unit
-	n      int
-	shards [][]byte // k+m entries; non-nil = fetched
+	server int      // the segment's own server: the shard to rebuild
+	off    int64    // server-local offset, the same on every server of the row
+	n      int      // segment length
+	shards [][]byte // k+m entries; non-nil = held
 	got    int
-	cands  []int // remaining source servers, fastest first
-	next   int
+	next   int // next entry of the source ranking to try
 	lastE  error
 }
 
+// sameSurvivors reports whether two jobs hold shards of the same
+// servers, and so decode through the same ec.Decoder.
+func sameSurvivors(a, b [][]byte) bool {
+	for i := range a {
+		if (a[i] == nil) != (b[i] == nil) {
+			return false
+		}
+	}
+	return true
+}
+
 // reconstructSegs rebuilds the listed segments from the surviving
-// shards. Source reads batch across jobs per round, so several
-// reconstructions pay max- not sum-per-server service time. On failure
-// it returns the smallest segment index it could not serve.
+// shards, straight into the segments' own buffers. Source reads batch
+// across jobs per round, so several reconstructions pay max- not
+// sum-per-server service time. Jobs live in one slab and their shard
+// tables in another; the decoder is looked up once per run of jobs
+// with the same survivor set — one per row and failure pattern, not
+// one per segment. On failure it returns the smallest segment index it
+// could not serve.
 func (fs *FS) reconstructSegs(segs []ioSeg, recon []int) (int, error) {
 	k, m := fs.code.K(), fs.code.M()
 	stripe := fs.opts.StripeSize
 	order := fs.sourceOrder()
-	jobs := make([]*reconJob, 0, len(recon))
-	for _, idx := range recon {
+	jobs := make([]reconJob, len(recon))
+	shardTabs := make([][]byte, len(recon)*(k+m))
+	inRecon := make([]bool, len(segs))
+	for ji, idx := range recon {
 		s := &segs[idx]
-		j := &reconJob{
-			segIdx: idx,
-			row:    s.off / stripe,
-			within: s.off % stripe,
-			n:      len(s.p),
-			shards: make([][]byte, k+m),
+		jobs[ji] = reconJob{
+			segIdx: idx, server: s.server, off: s.off, n: len(s.p),
+			shards: shardTabs[ji*(k+m) : (ji+1)*(k+m)],
 		}
-		for _, c := range order {
-			if c != s.server {
-				j.cands = append(j.cands, c)
-			}
-		}
-		jobs = append(jobs, j)
+		inRecon[idx] = true
 	}
 	// Seed shards the vector already holds: a row-mate of the target
 	// segment that was served healthily covers the same byte range of
 	// its own stripe unit, so it is a reconstruction source for free —
 	// a whole-row degraded read then only fetches the parity shards.
-	inRecon := make(map[int]bool, len(recon))
-	for _, idx := range recon {
-		inRecon[idx] = true
-	}
-	for _, j := range jobs {
+	for ji := range jobs {
+		j := &jobs[ji]
 		for i := range segs {
 			if j.got >= k {
 				break
 			}
 			s := &segs[i]
-			if inRecon[i] || s.server == segs[j.segIdx].server ||
-				s.off/stripe != j.row || s.off%stripe != j.within ||
+			if inRecon[i] || s.server == j.server || s.off != j.off ||
 				len(s.p) != j.n || j.shards[s.server] != nil {
 				continue
 			}
@@ -460,48 +548,39 @@ func (fs *FS) reconstructSegs(segs []ioSeg, recon []int) (int, error) {
 			j.got++
 		}
 	}
+	var batch []reconFetch
 	for {
-		var batch []ioSeg
-		var owners []*reconJob
-		var shardOf []int
-		for _, j := range jobs {
-			for need := k - j.got; need > 0 && j.next < len(j.cands); {
-				c := j.cands[j.next]
+		batch = batch[:0]
+		for ji := range jobs {
+			j := &jobs[ji]
+			for need := k - j.got; need > 0 && j.next < len(order); {
+				c := order[j.next]
 				j.next++
-				if j.shards[c] != nil {
-					continue // already seeded from the vector
+				if c == j.server || j.shards[c] != nil {
+					continue // its own server, or already seeded from the vector
 				}
-				buf := make([]byte, j.n)
-				batch = append(batch, ioSeg{server: c, off: j.row*stripe + j.within, p: buf})
-				owners = append(owners, j)
-				shardOf = append(shardOf, c)
+				batch = append(batch, reconFetch{job: j, server: c})
 				need--
 			}
 		}
 		if len(batch) == 0 {
 			break
 		}
-		errs := fs.serviceReconBatch(batch)
+		fs.serviceReconBatch(batch)
 		for i := range batch {
-			j := owners[i]
-			if errs[i] != nil {
-				j.lastE = errs[i]
+			f := &batch[i]
+			if f.err != nil {
+				f.job.lastE = f.err
 				continue
 			}
-			j.shards[shardOf[i]] = batch[i].p
-			j.got++
-		}
-		doneAll := true
-		for _, j := range jobs {
-			if j.got < k && j.next < len(j.cands) {
-				doneAll = false
-			}
-		}
-		if doneAll {
-			break
+			f.job.shards[f.server] = f.p
+			f.job.got++
 		}
 	}
-	for _, j := range jobs {
+	var dec *ec.Decoder
+	var decFor [][]byte // the shard table dec was chosen for
+	for ji := range jobs {
+		j := &jobs[ji]
 		s := &segs[j.segIdx]
 		if j.got < k {
 			err := j.lastE
@@ -509,12 +588,18 @@ func (fs *FS) reconstructSegs(segs []ioSeg, recon []int) (int, error) {
 				err = fmt.Errorf("only %d of %d shards reachable", j.got, k)
 			}
 			return j.segIdx, fmt.Errorf("pfs: degraded read: cannot reconstruct server %d row %d: %w",
-				s.server, j.row, err)
+				s.server, j.off/stripe, err)
 		}
-		if err := fs.code.ReconstructData(j.shards); err != nil {
+		if dec == nil || !sameSurvivors(j.shards, decFor) {
+			var err error
+			if dec, err = fs.code.Decoder(j.shards); err != nil {
+				return j.segIdx, fmt.Errorf("pfs: degraded read: %w", err)
+			}
+			decFor = j.shards
+		}
+		if err := dec.Decode(s.p, j.server, j.shards); err != nil {
 			return j.segIdx, fmt.Errorf("pfs: degraded read: %w", err)
 		}
-		copy(s.p, j.shards[s.server])
 		fs.degraded.Add(1)
 		fs.reconBytes.Add(int64(j.n))
 	}

@@ -473,27 +473,22 @@ func (sv *server) storeLocked(p []byte, off int64) error {
 }
 
 // loadLocked fills p from the backend at off (holes and regions past
-// the per-server EOF read as zeros), with no accounting. Must be called
+// the per-server EOF read as zeros), with no accounting: stored bytes
+// are copied in and only the tail past them is zeroed. Must be called
 // with sv.mu held.
 func (sv *server) loadLocked(p []byte, off int64) error {
-	for i := range p {
-		p[i] = 0
-	}
+	n := 0
 	if sv.f != nil {
 		if off < sv.size {
-			n := int64(len(p))
-			if off+n > sv.size {
-				n = sv.size - off
-			}
+			n = int(min(int64(len(p)), sv.size-off))
 			if _, err := sv.f.ReadAt(p[:n], off); err != nil {
 				return err
 			}
 		}
-		return nil
+	} else if off < int64(len(sv.mem)) {
+		n = copy(p, sv.mem[off:])
 	}
-	if off < int64(len(sv.mem)) {
-		copy(p, sv.mem[off:])
-	}
+	clear(p[n:])
 	return nil
 }
 
@@ -700,15 +695,31 @@ func (fs *FS) forEachSegment(off, n int64, fn func(server int, srvOff, logOff, l
 	return nil
 }
 
-// segments collects the per-server segments of [off, off+len(p)) in
+// segCount returns how many per-server segments [off, off+n) splits
+// into: one per stripe unit it touches.
+func (fs *FS) segCount(off, n int64) int {
+	if n <= 0 {
+		return 0
+	}
+	return int((off+n-1)/fs.opts.StripeSize - off/fs.opts.StripeSize + 1)
+}
+
+// appendSegs appends the per-server segments of [off, off+len(p)) in
 // logical order, sharing p's backing storage.
-func (fs *FS) segments(p []byte, off int64, write bool) []ioSeg {
-	segs := make([]ioSeg, 0, len(p)/int(fs.opts.StripeSize)+2)
-	fs.forEachSegment(off, int64(len(p)), func(s int, so, lo, n int64) error {
-		segs = append(segs, ioSeg{server: s, off: so, p: p[lo-off : lo-off+n], write: write})
-		return nil
-	})
+func (fs *FS) appendSegs(segs []ioSeg, p []byte, off int64, write bool) []ioSeg {
+	stripe := fs.opts.StripeSize
+	for len(p) > 0 {
+		s, so := fs.locate(off)
+		n := min(stripe-off%stripe, int64(len(p))) // to the end of this stripe unit
+		segs = append(segs, ioSeg{server: s, off: so, p: p[:n], write: write})
+		p, off = p[n:], off+n
+	}
 	return segs
+}
+
+// segments is appendSegs into a slice sized for the range.
+func (fs *FS) segments(p []byte, off int64, write bool) []ioSeg {
+	return fs.appendSegs(make([]ioSeg, 0, fs.segCount(off, int64(len(p)))), p, off, write)
 }
 
 // WriteAt writes p at logical offset off, growing the file as needed.
@@ -718,10 +729,13 @@ func (fs *FS) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("pfs: negative offset")
 	}
-	if _, err := fs.dispatch(fs.segments(p, off, true)); err != nil {
-		return 0, err
+	_, err := fs.dispatch(fs.segments(p, off, true))
+	// Parity describes stored bytes, so it is brought up to date even
+	// when the dispatch failed: segments ahead of the failure landed.
+	if perr := fs.updateParity([]Run{{Off: off, Len: int64(len(p))}}); err == nil {
+		err = perr
 	}
-	if err := fs.updateParity([]Run{{Off: off, Len: int64(len(p))}}); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	fs.mu.Lock()
@@ -759,25 +773,35 @@ func Coalesce(runs []Run) []Run { return extent.Coalesce(runs) }
 
 // vectored builds the full segment list of a vectored operation. It
 // stops at the first run that does not fit buf, returning the segments
-// gathered so far, the bytes they cover, and the validation error.
-func (fs *FS) vectored(runs []Run, buf []byte, write bool) ([]ioSeg, int64, error) {
-	var segs []ioSeg
-	var at int64
+// of the runs before it, how many runs and bytes those are, and the
+// validation error.
+func (fs *FS) vectored(runs []Run, buf []byte, write bool) (segs []ioSeg, accepted int, at int64, verr error) {
 	op := "ReadV"
 	if write {
 		op = "WriteV"
 	}
+	// Validate and count first, so the list is allocated once.
+	n := 0
 	for _, r := range runs {
 		if r.Off < 0 {
-			return segs, at, fmt.Errorf("pfs: %s negative offset %d", op, r.Off)
+			verr = fmt.Errorf("pfs: %s negative offset %d", op, r.Off)
+			break
 		}
 		if at+r.Len > int64(len(buf)) {
-			return segs, at, fmt.Errorf("pfs: %s buffer too small (%d < %d)", op, len(buf), at+r.Len)
+			verr = fmt.Errorf("pfs: %s buffer too small (%d < %d)", op, len(buf), at+r.Len)
+			break
 		}
-		segs = append(segs, fs.segments(buf[at:at+r.Len], r.Off, write)...)
+		n += fs.segCount(r.Off, r.Len)
+		at += r.Len
+		accepted++
+	}
+	segs = make([]ioSeg, 0, n)
+	at = 0
+	for _, r := range runs[:accepted] {
+		segs = fs.appendSegs(segs, buf[at:at+r.Len], r.Off, write)
 		at += r.Len
 	}
-	return segs, at, nil
+	return segs, accepted, at, verr
 }
 
 // ReadV performs a vectored read of runs into buf (runs packed
@@ -798,7 +822,7 @@ func (fs *FS) SieveReadV(runs []Run, buf []byte) (int64, error) {
 }
 
 func (fs *FS) readV(runs []Run, buf []byte, sieve bool) (int64, error) {
-	segs, at, verr := fs.vectored(runs, buf, false)
+	segs, _, at, verr := fs.vectored(runs, buf, false)
 	if sieve {
 		for i := range segs {
 			segs[i].sieve = true
@@ -827,44 +851,33 @@ func (fs *FS) FlushV(runs []Run, buf []byte) (int64, error) {
 }
 
 func (fs *FS) writeV(runs []Run, buf []byte, flush bool) (int64, error) {
-	segs, at, verr := fs.vectored(runs, buf, true)
+	segs, accepted, at, verr := fs.vectored(runs, buf, true)
 	if flush {
 		for i := range segs {
 			segs[i].flush = true
 		}
 	}
 	done, err := fs.dispatch(segs)
+	// Recompute parity for every row the accepted runs touch (no-op
+	// with Parity 0) — also when the dispatch failed, because segments
+	// ahead of the failure landed and parity describes stored bytes.
+	// FlushV sweeps come through here too, so write-behind flushes
+	// maintain parity like direct writes.
+	perr := fs.updateParity(runs[:accepted])
 	if err != nil {
 		return done, err
 	}
 	if at > 0 {
 		fs.mu.Lock()
-		var covered int64
-		for _, r := range runs {
-			if covered+r.Len > at {
-				break // run was rejected by validation; nothing written
-			}
-			covered += r.Len
+		for _, r := range runs[:accepted] {
 			if end := r.Off + r.Len; end > fs.size {
 				fs.size = end
 			}
 		}
 		fs.mu.Unlock()
-		// Recompute parity for every row the accepted runs touched
-		// (no-op with Parity 0). FlushV sweeps come through here too,
-		// so write-behind flushes maintain parity like direct writes.
-		var accepted []Run
-		covered = 0
-		for _, r := range runs {
-			if covered+r.Len > at {
-				break
-			}
-			covered += r.Len
-			accepted = append(accepted, r)
-		}
-		if err := fs.updateParity(accepted); err != nil {
-			return at, err
-		}
+	}
+	if perr != nil {
+		return at, perr
 	}
 	return at, verr
 }

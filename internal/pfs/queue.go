@@ -255,6 +255,7 @@ func (fs *FS) dispatch(segs []ioSeg) (int64, error) {
 		return fs.dispatchSync(segs)
 	}
 	done := make(chan *ioReq, len(segs))
+	reqs := make([]ioReq, len(segs)) // one slab; the queues carry pointers into it
 	sent := 0
 	errIdx := len(segs)
 	var firstErr error
@@ -264,24 +265,24 @@ func (fs *FS) dispatch(segs []ioSeg) (int64, error) {
 			errIdx, firstErr = i, err
 			break
 		}
-		fs.queues[s.server] <- &ioReq{seg: *s, idx: i, done: done}
+		reqs[i] = ioReq{seg: *s, idx: i, done: done}
+		fs.queues[s.server] <- &reqs[i]
 		sent++
 	}
 	fs.qmu.RUnlock()
-	completed := make([]*ioReq, 0, sent)
 	for i := 0; i < sent; i++ {
-		completed = append(completed, <-done)
+		<-done
 	}
-	return settle(segs, completed, errIdx, firstErr)
+	return settle(segs, reqs[:sent], errIdx, firstErr)
 }
 
 // settle folds the service results into the dispatch contract shared
 // by the queued and synchronous paths: the earliest failure in
 // submission order wins, and the returned count is the bytes of the
 // segments preceding it.
-func settle(segs []ioSeg, reqs []*ioReq, errIdx int, firstErr error) (int64, error) {
-	for _, r := range reqs {
-		if r.err != nil && r.idx < errIdx {
+func settle(segs []ioSeg, reqs []ioReq, errIdx int, firstErr error) (int64, error) {
+	for i := range reqs {
+		if r := &reqs[i]; r.err != nil && r.idx < errIdx {
 			errIdx, firstErr = r.idx, r.err
 		}
 	}
@@ -316,18 +317,19 @@ func (fs *FS) dispatchSync(segs []ioSeg) (int64, error) {
 			break
 		}
 	}
-	reqs := make([]*ioReq, accepted)
-	for i := 0; i < accepted; i++ {
-		reqs[i] = &ioReq{seg: segs[i], idx: i}
+	reqs := make([]ioReq, accepted)
+	for i := range reqs {
+		reqs[i] = ioReq{seg: segs[i], idx: i}
 	}
 	if fs.opts.Scheduler == Elevator {
 		// Per server, the accepted segments form one frozen batch — the
 		// same sort-and-merge sweep a queue worker applies.
+		var batch []*ioReq
 		for s, sv := range fs.servers {
-			var batch []*ioReq
-			for _, r := range reqs {
-				if r.seg.server == s {
-					batch = append(batch, r)
+			batch = batch[:0]
+			for i := range reqs {
+				if reqs[i].seg.server == s {
+					batch = append(batch, &reqs[i])
 				}
 			}
 			if len(batch) > 0 {
@@ -335,7 +337,8 @@ func (fs *FS) dispatchSync(segs []ioSeg) (int64, error) {
 			}
 		}
 	} else {
-		for _, r := range reqs {
+		for i := range reqs {
+			r := &reqs[i]
 			sv := fs.servers[r.seg.server]
 			var d time.Duration
 			if r.seg.write {
