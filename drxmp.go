@@ -22,11 +22,12 @@
 package drxmp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"drxmp/internal/cluster"
@@ -774,84 +775,152 @@ func (f *File) Extend(dim, by int) error {
 
 // --- section I/O ---
 
-// ioRun is one contiguous file extent of a section transfer plus its
-// placement in the user buffer: element e of the run lives at user
-// element offset DstStart + e*DstStride.
+// ioRun is one contiguous file extent of a section transfer — one row
+// of box ∩ chunk — plus its placement in the user buffer: element e of
+// the run lives at user element offset dstStart + e*stride, where the
+// stride is the same for every run of the section (sectionRuns).
 type ioRun struct {
-	fileOff   int64
-	elems     int64
-	dstStart  int64
-	dstStride int64
+	fileOff  int64
+	elems    int64
+	dstStart int64
 }
 
 // sectionRuns translates box ∩ chunks into file runs with user-buffer
-// placement, sorted by file offset. The caller's buffer is dense over
-// box in the given order.
-func (f *File) sectionRuns(box Box, order Order) ([]ioRun, error) {
+// placement, sorted by file offset, and returns the user-buffer element
+// stride along a run. The caller's buffer is dense over box in the
+// given order. Only the chunk cover is sorted (by storage address);
+// each chunk then emits its rows in MemOrder, which is ascending
+// within the chunk, so the row list needs no sort of its own and is
+// sized up front.
+func (f *File) sectionRuns(box Box, order Order) ([]ioRun, int64, error) {
 	if box.Rank() != f.Rank() {
-		return nil, fmt.Errorf("drxmp: box rank %d != array rank %d", box.Rank(), f.Rank())
+		return nil, 0, fmt.Errorf("drxmp: box rank %d != array rank %d", box.Rank(), f.Rank())
 	}
 	if box.Empty() {
-		return nil, nil
+		return nil, 1, nil
 	}
 	if !grid.BoxOf(f.m.ElemBounds).ContainsBox(box) {
-		return nil, fmt.Errorf("drxmp: box %v outside bounds %v", box, f.m.ElemBounds)
+		return nil, 0, fmt.Errorf("drxmp: box %v outside bounds %v", box, f.m.ElemBounds)
 	}
+	k := f.Rank()
 	es := int64(f.m.DType.Size())
+	cs := f.m.ChunkShape
 	boxShape := box.Shape()
 	dstStrides := grid.Strides(boxShape, order)
-	chunkStrides := grid.Strides(f.m.ChunkShape, f.m.MemOrder)
-	// The innermost storage dimension (varies within a chunk row).
-	inner := f.Rank() - 1
+	chunkStrides := grid.Strides(cs, f.m.MemOrder)
+	// The innermost storage dimension (varies within a chunk row); the
+	// others, fastest first, are the order rows follow within a chunk.
+	inner := k - 1
+	outer := make([]int, 0, k-1)
 	if f.m.MemOrder == ColMajor {
 		inner = 0
+		for d := 1; d < k; d++ {
+			outer = append(outer, d)
+		}
+	} else {
+		for d := k - 2; d >= 0; d-- {
+			outer = append(outer, d)
+		}
 	}
 
-	var runs []ioRun
-	var outerErr error
-	cover := grid.ChunkCover(box, f.m.ChunkShape)
+	// The cover's chunks by storage address; ord is the chunk's
+	// row-major position in the cover.
+	type coverChunk struct {
+		q   int64
+		ord int64
+	}
+	cover := grid.ChunkCover(box, cs)
+	coverShape := cover.Shape()
+	chunks := make([]coverChunk, 0, coverShape.Volume())
+	var mapErr error
 	cover.Iterate(grid.RowMajor, func(cidx []int) bool {
 		q, err := f.m.Space.Map(cidx)
 		if err != nil {
-			outerErr = err
+			mapErr = err
 			return false
 		}
-		base := q * f.m.ChunkBytes()
-		cbox := grid.ChunkBox(cidx, f.m.ChunkShape)
-		ibox := cbox.Intersect(box)
-		if ibox.Empty() {
-			return true
-		}
-		ibox.Rows(f.m.MemOrder, func(start []int, n int) bool {
-			var chunkOff, dstOff int64
-			for d := range start {
-				chunkOff += int64(start[d]-cbox.Lo[d]) * chunkStrides[d]
-				dstOff += int64(start[d]-box.Lo[d]) * dstStrides[d]
-			}
-			runs = append(runs, ioRun{
-				fileOff:   base + chunkOff*es,
-				elems:     int64(n),
-				dstStart:  dstOff,
-				dstStride: dstStrides[inner],
-			})
-			return true
-		})
+		chunks = append(chunks, coverChunk{q: q, ord: int64(len(chunks))})
 		return true
 	})
-	if outerErr != nil {
-		return nil, outerErr
+	if mapErr != nil {
+		return nil, 0, mapErr
 	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].fileOff < runs[j].fileOff })
-	return runs, nil
+	slices.SortFunc(chunks, func(a, b coverChunk) int { return cmp.Compare(a.q, b.q) })
+
+	// Every chunk of the cover contributes one row per point of the box
+	// outside the inner dimension.
+	rows := int64(coverShape[inner])
+	for _, d := range outer {
+		rows *= int64(boxShape[d])
+	}
+	runs := make([]ioRun, 0, rows)
+	scratch := make([]int, 4*k)
+	cidx, lo, hi, idx := scratch[:k], scratch[k:2*k], scratch[2*k:3*k], scratch[3*k:]
+	for _, c := range chunks {
+		// lo/hi: box ∩ chunk; chunkOff/dstOff: its first row, in elements
+		// from the chunk's and the box's origin.
+		grid.Unoffset(coverShape, c.ord, grid.RowMajor, cidx)
+		var chunkOff, dstOff int64
+		for d := 0; d < k; d++ {
+			c0 := (cover.Lo[d] + cidx[d]) * cs[d]
+			lo[d] = max(c0, box.Lo[d])
+			hi[d] = min(c0+cs[d], box.Hi[d])
+			chunkOff += int64(lo[d]-c0) * chunkStrides[d]
+			dstOff += int64(lo[d]-box.Lo[d]) * dstStrides[d]
+		}
+		base := c.q * f.m.ChunkBytes()
+		n := int64(hi[inner] - lo[inner])
+		copy(idx, lo)
+	chunkRows:
+		for {
+			runs = append(runs, ioRun{fileOff: base + chunkOff*es, elems: n, dstStart: dstOff})
+			for _, d := range outer {
+				idx[d]++
+				chunkOff += chunkStrides[d]
+				dstOff += dstStrides[d]
+				if idx[d] < hi[d] {
+					continue chunkRows
+				}
+				span := int64(hi[d] - lo[d])
+				chunkOff -= span * chunkStrides[d]
+				dstOff -= span * dstStrides[d]
+				idx[d] = lo[d]
+			}
+			break
+		}
+	}
+	return runs, dstStrides[inner], nil
+}
+
+// fileRuns coalesces the rows' file extents into the vectored request:
+// runs are sorted by file offset and their bytes pack back-to-back in
+// that order, so merging touching extents is lossless.
+func (f *File) fileRuns(runs []ioRun) []pfs.Run {
+	es := int64(f.m.DType.Size())
+	n := 0
+	for i, r := range runs {
+		if i == 0 || runs[i-1].fileOff+runs[i-1].elems*es != r.fileOff {
+			n++
+		}
+	}
+	out := make([]pfs.Run, 0, n)
+	for i, r := range runs {
+		if i > 0 && runs[i-1].fileOff+runs[i-1].elems*es == r.fileOff {
+			out[len(out)-1].Len += r.elems * es
+			continue
+		}
+		out = append(out, pfs.Run{Off: r.fileOff, Len: r.elems * es})
+	}
+	return out
 }
 
 // scatterGather moves bytes between the sorted-run scratch buffer and
 // the user buffer.
-func (f *File) scatterGather(runs []ioRun, scratch, user []byte, toUser bool) {
+func (f *File) scatterGather(runs []ioRun, stride int64, scratch, user []byte, toUser bool) {
 	es := int64(f.m.DType.Size())
 	var at int64
 	for _, r := range runs {
-		if r.dstStride == 1 {
+		if stride == 1 {
 			u := user[r.dstStart*es : (r.dstStart+r.elems)*es]
 			s := scratch[at : at+r.elems*es]
 			if toUser {
@@ -861,7 +930,7 @@ func (f *File) scatterGather(runs []ioRun, scratch, user []byte, toUser bool) {
 			}
 		} else {
 			for e := int64(0); e < r.elems; e++ {
-				u := user[(r.dstStart+e*r.dstStride)*es:]
+				u := user[(r.dstStart+e*stride)*es:]
 				s := scratch[at+e*es:]
 				if toUser {
 					copy(u[:es], s[:es])
@@ -874,82 +943,83 @@ func (f *File) scatterGather(runs []ioRun, scratch, user []byte, toUser bool) {
 	}
 }
 
-// sectionIO moves one section between buf and the file through a
-// scratch buffer packed in file-offset order. Independent I/O is ONE
-// vectored request (mpiio.File.ReadV/WriteV, which also apply the
-// extent cache's coherence rules): every per-server segment is queued
-// up front, so the server queues overlap the service time. Collective
-// I/O goes through the two-phase exchange, whose aggregate stage is
-// likewise one vectored request per aggregator.
+// userRows is the memory vector of a section whose rows are unit-stride
+// in the caller's buffer: segment i is run i's row of buf, so the runs'
+// bytes in file order are the segments in order.
+type userRows struct {
+	runs  []ioRun
+	buf   []byte
+	es    int64
+	total int64 // bytes in all rows
+}
+
+func (u userRows) Len() int64 { return u.total }
+func (u userRows) Seg(i int) []byte {
+	r := u.runs[i]
+	return u.buf[r.dstStart*u.es : (r.dstStart+r.elems)*u.es]
+}
+
+// sectionIO moves one section between buf and the file as one request
+// over its coalesced file runs. Independent I/O is ONE vectored
+// mpiio.File.ReadV/WriteV (which also apply the extent cache's
+// coherence rules): every per-server segment is queued up front, so
+// the server queues overlap the service time. Collective I/O is the
+// two-phase ReadAllV/WriteAllV over the same runs (ranks with an empty
+// section still take part), and when the rows are unit-stride in buf
+// the caller's own rows are its memory vector: the bytes go straight
+// between buf and the aggregators' staging buffers. Every other case —
+// independent I/O, strided or transposed rows — passes through a
+// pooled scratch buffer packed in file-offset order. If a read fails,
+// the contents of buf are unspecified.
 func (f *File) sectionIO(box Box, buf []byte, order Order, write, collective bool) error {
-	runs, err := f.sectionRuns(box, order)
+	runs, stride, err := f.sectionRuns(box, order)
 	if err != nil {
 		return err
 	}
 	es := int64(f.m.DType.Size())
-	var total int64
-	for _, r := range runs {
-		total += r.elems * es
-	}
 	if !box.Empty() && int64(len(buf)) < box.Volume()*es {
 		return fmt.Errorf("drxmp: buffer of %d bytes for %d-byte section", len(buf), box.Volume()*es)
 	}
-	scratch := make([]byte, total)
-	if write {
-		f.scatterGather(runs, scratch, buf, false)
+	pruns := f.fileRuns(runs)
+	var total int64
+	for _, r := range pruns {
+		total += r.Len
 	}
-	if collective {
-		err = f.collectiveIO(runs, scratch, write)
+	// direct: the caller's rows are the collective's memory vector.
+	direct := collective && stride == 1
+	var mem mpiio.Vec
+	var scratch []byte
+	if direct {
+		mem = userRows{runs: runs, buf: buf, es: es, total: total}
 	} else {
-		// Coalesce adjacent extents (runs are sorted by file offset, and
-		// ReadV/WriteV pack them back-to-back, so merging is lossless).
-		var pruns []pfs.Run
-		for _, r := range runs {
-			l := r.elems * es
-			if n := len(pruns); n > 0 && pruns[n-1].Off+pruns[n-1].Len == r.fileOff {
-				pruns[n-1].Len += l
-				continue
-			}
-			pruns = append(pruns, pfs.Run{Off: r.fileOff, Len: l})
-		}
+		pooled := mpiio.GetBuf(total)
+		defer pooled.Release()
+		scratch = pooled.B
+		mem = mpiio.Contig(scratch)
 		if write {
-			err = f.io.WriteV(pruns, scratch)
-		} else {
-			err = f.io.ReadV(pruns, scratch)
+			f.scatterGather(runs, stride, scratch, buf, false)
 		}
 	}
-	if err != nil || write {
-		return err
+	switch {
+	case collective && write:
+		err = f.io.WriteAllV(pruns, mem)
+	case collective:
+		err = f.io.ReadAllV(pruns, mem)
+	case write:
+		err = f.io.WriteV(pruns, scratch)
+	default:
+		err = f.io.ReadV(pruns, scratch)
 	}
-	f.scatterGather(runs, scratch, buf, true)
-	return nil
-}
-
-// collectiveIO transfers the packed scratch through a file view made
-// of the section's runs (ranks with an empty section still take part).
-func (f *File) collectiveIO(runs []ioRun, scratch []byte, write bool) error {
-	if len(runs) > 0 {
-		es := int64(f.m.DType.Size())
-		blocks := make([]mpiio.Block, len(runs))
-		for i, r := range runs {
-			blocks[i] = mpiio.Block{Off: r.fileOff, Len: r.elems * es}
-		}
-		ft, err := mpiio.FromBlocks(blocks)
-		if err != nil {
-			return err
-		}
-		if err := f.io.SetView(0, ft); err != nil {
-			return err
-		}
+	if err == nil && !write && !direct {
+		f.scatterGather(runs, stride, scratch, buf, true)
 	}
-	if write {
-		return f.io.WriteAllAt(scratch, 0)
-	}
-	return f.io.ReadAllAt(scratch, 0)
+	return err
 }
 
 // ReadSection reads the sub-array `box` into buf (dense, in the given
-// order) with independent I/O.
+// order) with independent I/O. If it returns an error the contents of
+// buf are unspecified — as for every section read, ReadSectionAll
+// included.
 func (f *File) ReadSection(box Box, buf []byte, order Order) error {
 	return f.sectionIO(box, buf, order, false, false)
 }
@@ -964,7 +1034,8 @@ func (f *File) WriteSection(box Box, buf []byte, order Order) error {
 // ReadSectionAll is the collective read (DRXMP_Read_all): every process
 // of the communicator must call it, each with its own box (possibly
 // empty). Two-phase aggregation turns the interleaved chunk accesses
-// into streaming reads.
+// into streaming reads. The handle's file view plays no part and is
+// left as it was.
 func (f *File) ReadSectionAll(box Box, buf []byte, order Order) error {
 	return f.sectionIO(box, buf, order, false, true)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"drxmp/internal/par"
 	"drxmp/internal/pfs"
@@ -14,34 +15,58 @@ import (
 // Two-phase collective I/O (the ROMIO technique referenced through the
 // paper's citation [25], "Noncontiguous I/O accesses through MPI-IO").
 //
-// Phase assignment: the placement policy (File.Placement, internal/
-// place; stripe-aligned ByteCyclic unless another is named) splits the
-// byte range touched by any process into aggregation domains, one per
-// aggregator. The aggregator count is the ROMIO "cb_nodes" analogue:
-// adaptive by default (ByteCyclic: one aggregator per stripe of
-// payload, clamped to [1, nranks]) with an explicit File.CBNodes
-// override, so small collectives
-// funnel through few aggregators — fewer, larger, elevator-friendly
-// server requests — while large ones keep full fan-out. In a read, each
-// aggregator fetches the coalesced union of its domain's requested
-// extents with large contiguous requests and ships the pieces wanted by
-// each process; in a write, each process ships its pieces to the owning
-// aggregators, which overlay them and write the coalesced union back —
-// no read-modify-write round is needed, because every byte of the union
-// is covered by some rank's piece. This turns many small interleaved
-// requests into a few streaming ones — exactly the effect experiment E5
-// measures against independent I/O.
+// Who owns what. The placement policy (File.Placement, internal/place;
+// stripe-aligned ByteCyclic unless another is named) splits the byte
+// range touched by any rank into aggregation domains, one per
+// aggregator; the aggregator count is the ROMIO "cb_nodes" analogue
+// (adaptive by default, File.CBNodes overrides). Every rank allgathers
+// its file runs, carves the same domains from the replicated lists and
+// cuts every rank's runs into pieces at domain boundaries (placePieces)
+// — so both sides of every transfer below know the layout without
+// another message.
 //
-// The aggregate phase is vectored: each aggregator issues its capped
-// runs as ONE pfs.ReadV/WriteV call, so every per-server segment of
-// the whole domain is queued up front and the server queues (and the
-// elevator's reorder window) see the full batch without needing wide
-// File.Parallelism. Workers (internal/par, File.Parallelism) still fan
-// out the per-peer piece carving/reassembly of the exchange phase
-// (disjoint buffers). The communicator collectives — Allgather, the
-// sparse exchange, and the agree round — stay in the same fixed order
-// on every rank, so the parallel path is byte-identical to the serial
-// one and the error-agreement semantics are unchanged.
+// Who copies what. A caller hands the collective its file runs and its
+// memory as an ordered vector of segments (ReadAllV/WriteAllV; a
+// contiguous buffer is the one-segment vector ReadAllAt/WriteAllAt
+// pass). Each byte then moves twice on this rank, plus the hop only
+// remote bytes take:
+//
+//	write:  caller's memory ──copy──▶ aggregator staging ──WriteV──▶ servers
+//	read:   servers ──ReadV──▶ aggregator staging ──copy──▶ caller's memory
+//
+// A piece whose aggregator is the calling rank takes exactly that path:
+// it is copied straight between the caller's segments and the staging
+// buffer and never enters the exchange. Only a piece owned by another
+// rank is packed into a per-peer send buffer, crosses
+// cluster.AlltoallvSparse (which copies it into the message) and is
+// copied out of the received payload on the far side. The staging
+// buffer holds the domain's coalesced union runs packed back-to-back,
+// which is the layout pfs.ReadV/WriteV take, so the aggregate phase is
+// ONE vectored call per aggregator: every per-server segment is queued
+// up front and the elevator sees the whole batch. A write needs no
+// read-modify-write round because every byte of the union is covered by
+// some rank's piece; overlapping writes resolve in rank order (higher
+// rank wins), a deterministic refinement of MPI's "undefined".
+//
+// Which buffers are pooled. Staging and send buffers come from bufPool
+// (GetBuf) with UNSPECIFIED contents — nothing here zero-fills them,
+// which is sound because a write's staging is fully covered by pieces
+// and a read's staging is fully filled by ReadV/ReadThrough (the
+// poisoned-pool tests hold both to it). A send buffer returns to the
+// pool as soon as the exchange returns (the messages are copies); a
+// staging buffer returns when the aggregate write has landed or the
+// last piece has been copied out of it. The one exemption is a write
+// under File.WriteBehind: the shared extent cache ALIASES the staging
+// buffer's runs as its dirty extents (Absorb), so that buffer belongs
+// to the cache from then on and is allocated fresh, never pooled.
+//
+// Workers (internal/par, File.Parallelism) fan out the stages whose
+// items are independent — carving each rank's pieces, packing each
+// peer's read payload; moving the caller's own bytes is one ordered
+// walk over its vector. The communicator collectives — Allgather, the
+// sparse exchange, the agree round — stay in one fixed order on every
+// rank, so the worker count is invisible to the data and to the
+// error-agreement semantics.
 //
 // With File.WriteBehind enabled, a collective write does not dispatch
 // at all: each aggregator absorbs its coalesced union runs into the
@@ -59,72 +84,206 @@ import (
 // the same cache: aggregateRead serves cached stripes (clean or
 // deferred-dirty) from memory and sieve-fetches only the holes.
 
+// Buf is a byte buffer from the package's pool. B has the requested
+// length and UNSPECIFIED contents: the taker overwrites every byte it
+// later reads.
+type Buf struct{ B []byte }
+
+// bufPool holds the collective's staging and send buffers and drxmp's
+// section scratch. A buffer too small for its taker is regrown in
+// place, so the pool converges on the largest transfer in flight.
+var bufPool = sync.Pool{New: func() any { return new(Buf) }}
+
+// GetBuf takes an n-byte buffer from the pool.
+func GetBuf(n int64) *Buf {
+	b := bufPool.Get().(*Buf)
+	if int64(cap(b.B)) < n {
+		b.B = make([]byte, n)
+	}
+	b.B = b.B[:n]
+	return b
+}
+
+// Release returns b to the pool; the caller must not touch b.B again.
+// A nil b is a no-op.
+func (b *Buf) Release() {
+	if b != nil {
+		bufPool.Put(b)
+	}
+}
+
 // ReadAllAt is the collective read: every rank of the communicator must
 // call it (ranks with nothing to read pass an empty buf). Each rank
 // reads len(buf) view bytes at its own viewOff through its own view.
 func (f *File) ReadAllAt(buf []byte, viewOff int64) error {
-	return f.collective(buf, viewOff, false)
+	return f.collectiveAt(buf, viewOff, false)
 }
 
 // WriteAllAt is the collective write counterpart of ReadAllAt.
 func (f *File) WriteAllAt(buf []byte, viewOff int64) error {
-	return f.collective(buf, viewOff, true)
+	return f.collectiveAt(buf, viewOff, true)
 }
 
-// placed is one run fragment with its aggregation-domain owner, file
-// extent, and position in the owning rank's packed transfer buffer.
-// Both sides of every exchange walk a rank's placed list in the same
-// order, so payload layouts agree without further communication.
+func (f *File) collectiveAt(buf []byte, viewOff int64, write bool) error {
+	if viewOff < 0 {
+		return fmt.Errorf("mpiio: negative view offset %d", viewOff)
+	}
+	var runs []pfs.Run
+	if len(buf) > 0 {
+		runs = f.runsFor(viewOff, int64(len(buf)))
+	}
+	return f.collective(runs, Contig(buf), write)
+}
+
+// Vec is a caller's memory as an ordered list of segments: the bytes
+// of a vectored transfer, packed back-to-back in run order, occupy
+// Seg(0), Seg(1), … in turn, Len() bytes in all. Segments may be empty.
+// The collective only reads or only writes the segments, only during
+// the call, and never asks for one past the Len()-th byte.
+type Vec interface {
+	Len() int64
+	Seg(i int) []byte
+}
+
+// Contig is the one-segment Vec: a contiguous buffer.
+type Contig []byte
+
+func (b Contig) Len() int64     { return int64(len(b)) }
+func (b Contig) Seg(int) []byte { return b }
+
+// ReadAllV is the collective twin of ReadV: every rank must call it,
+// each with its own absolute file runs (none on an idle rank) and its
+// own memory vector. The runs' bytes, packed back-to-back in run order,
+// fill mem's segments in order, so mem.Len() must be the sum of the run
+// lengths; the file view plays no part. On error the contents of
+// mem are unspecified.
+func (f *File) ReadAllV(runs []pfs.Run, mem Vec) error {
+	if err := checkVec(runs, mem); err != nil {
+		return err
+	}
+	return f.collective(runs, mem, false)
+}
+
+// WriteAllV is the collective write counterpart of ReadAllV: mem's
+// segments, concatenated, supply the runs' bytes in run order.
+func (f *File) WriteAllV(runs []pfs.Run, mem Vec) error {
+	if err := checkVec(runs, mem); err != nil {
+		return err
+	}
+	return f.collective(runs, mem, true)
+}
+
+// checkVec rejects a memory vector that does not hold exactly the runs'
+// bytes. Like every argument check it fails locally, before the first
+// communicator round.
+func checkVec(runs []pfs.Run, mem Vec) error {
+	var want int64
+	for _, r := range runs {
+		if r.Off < 0 || r.Len <= 0 {
+			return fmt.Errorf("mpiio: invalid run %+v", r)
+		}
+		want += r.Len
+	}
+	if have := mem.Len(); want != have {
+		return fmt.Errorf("mpiio: memory vector of %d bytes for %d bytes of runs", have, want)
+	}
+	return nil
+}
+
+// memCursor walks a memory vector front to back: each call moves or
+// skips the next bytes of the packed transfer, whichever segments they
+// fall in.
+type memCursor struct {
+	mem  Vec
+	next int    // the next segment to open
+	rest []byte // what is left of the open one
+}
+
+// open makes rest non-empty; the caller has bytes left to place, so a
+// segment holding them exists (checkVec, and Vec's own Len).
+func (c *memCursor) open() {
+	for len(c.rest) == 0 {
+		c.rest = c.mem.Seg(c.next)
+		c.next++
+	}
+}
+
+// skip advances past n bytes without touching them.
+func (c *memCursor) skip(n int64) {
+	for n > 0 {
+		c.open()
+		k := min(n, int64(len(c.rest)))
+		c.rest = c.rest[k:]
+		n -= k
+	}
+}
+
+// move copies the next len(p) bytes of the vector into p (toMem false)
+// or p into them (toMem true).
+func (c *memCursor) move(p []byte, toMem bool) {
+	for len(p) > 0 {
+		c.open()
+		var k int
+		if toMem {
+			k = copy(c.rest, p)
+		} else {
+			k = copy(p, c.rest)
+		}
+		p, c.rest = p[k:], c.rest[k:]
+	}
+}
+
+// placed is one run fragment with its aggregation-domain owner and file
+// extent. A rank's placed list is in the order of its packed transfer
+// (the concatenation of its memory vector), and both sides of every
+// exchange walk it in that order, so payload layouts agree without
+// further communication.
 type placed struct {
 	owner   int
 	fileOff int64
-	bufOff  int64
 	n       int64
 }
 
-// placePieces cuts a rank's runs at domain boundaries and assigns each
-// piece its packed-buffer position (runs pack back-to-back in order).
-func placePieces(dom place.Domains, runs []pfs.Run) []placed {
-	var out []placed
-	var cursor int64
-	for _, run := range runs {
-		for _, p := range splitRun(dom, run) {
-			out = append(out, placed{owner: p.owner, fileOff: p.run.Off, bufOff: cursor, n: p.run.Len})
-			cursor += p.run.Len
+// splitRun cuts a run at domain boundaries, in offset order, for ANY
+// carving, and appends the pieces to out. Zero-length runs produce no
+// pieces. Adjacent pieces of the run with the same owner merge (under
+// the cyclic carving with one aggregator, every block has the same
+// owner).
+func splitRun(out []placed, d place.Domains, run pfs.Run) []placed {
+	first := len(out)
+	off, remaining := run.Off, run.Len
+	for remaining > 0 {
+		owner := d.Owner(off)
+		take := min(d.BlockEnd(off)-off, remaining)
+		if m := len(out) - 1; m >= first && out[m].owner == owner {
+			out[m].n += take
+		} else {
+			out = append(out, placed{owner: owner, fileOff: off, n: take})
 		}
+		off += take
+		remaining -= take
 	}
 	return out
 }
 
-// ownedBytes sums the payload bytes of pl that belong to owner.
-func ownedBytes(pl []placed, owner int) int64 {
-	var n int64
+// placePieces cuts a rank's runs, in order, at domain boundaries and
+// sums the bytes it places with each of the `ranks` possible owners.
+func placePieces(dom place.Domains, runs []pfs.Run, ranks int) (pl []placed, toOwner []int64) {
+	pl = make([]placed, 0, 2*len(runs))
+	toOwner = make([]int64, ranks)
+	for _, run := range runs {
+		pl = splitRun(pl, dom, run)
+	}
 	for _, p := range pl {
-		if p.owner == owner {
-			n += p.n
-		}
+		toOwner[p.owner] += p.n
 	}
-	return n
+	return pl, toOwner
 }
 
-// sparseExchange is the exchange round of the two-phase collective:
-// cluster.AlltoallvSparse with the pair pattern derived from the
-// replicated placement lists, so only non-empty rank↔aggregator
-// payloads cross the wire. This is what makes aggregator funneling
-// (cb_nodes < nranks) pay off for small collectives: the exchange
-// touches aggregator pairs only, instead of the full rank mesh.
-func (f *File) sparseExchange(send [][]byte, expect []bool) ([][]byte, error) {
-	return f.comm.AlltoallvSparse(send, expect)
-}
-
-func (f *File) collective(buf []byte, viewOff int64, write bool) error {
-	if viewOff < 0 {
-		return fmt.Errorf("mpiio: negative view offset %d", viewOff)
-	}
-	var myRuns []pfs.Run
-	if len(buf) > 0 {
-		myRuns = f.runsFor(viewOff, int64(len(buf)))
-	}
+// collective is the one two-phase core: this rank transfers runs (file
+// order is the caller's) between the file and mem, whose segments hold
+// the runs' bytes packed in run order.
+func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	all, err := f.comm.Allgather(encodeRuns(myRuns))
 	if err != nil {
 		return err
@@ -163,10 +322,13 @@ func (f *File) collective(buf []byte, viewOff int64, write bool) error {
 	workers := f.workers()
 
 	// Place every rank's pieces once; every later stage walks these
-	// lists instead of re-splitting runs.
+	// lists instead of re-splitting runs. bytesTo[r][a] is what rank r
+	// moves through aggregator a: it sizes every payload and decides
+	// who exchanges with whom.
 	placedBy := make([][]placed, size)
+	bytesTo := make([][]int64, size)
 	_ = par.Do(workers, size, func(r int) error {
-		placedBy[r] = placePieces(dom, runsByRank[r])
+		placedBy[r], bytesTo[r] = placePieces(dom, runsByRank[r], size)
 		return nil
 	})
 	myPlaced := placedBy[me]
@@ -219,92 +381,107 @@ func (f *File) collective(buf []byte, viewOff int64, write bool) error {
 		}
 	}
 
-	if write {
-		// Phase 1: ship my bytes to the owning aggregators, split at
-		// domain boundaries, in my run order (one worker per peer; each
-		// builds one disjoint send buffer).
-		send := make([][]byte, size)
-		_ = par.Do(workers, size, func(owner int) error {
-			n := ownedBytes(myPlaced, owner)
-			if n == 0 {
-				return nil
-			}
-			out := make([]byte, 0, n)
-			for _, p := range myPlaced {
-				if p.owner == owner {
-					out = append(out, buf[p.bufOff:p.bufOff+p.n]...)
-				}
-			}
-			send[owner] = out
-			return nil
-		})
-		// As aggregator, expect payload from exactly the ranks whose
-		// placement lists put pieces in my domain.
-		expect := make([]bool, size)
-		for r := 0; r < size; r++ {
-			expect[r] = ownedBytes(placedBy[r], me) > 0
+	// Only remote payloads cross the exchange: send[me] stays nil and
+	// expect[me] false, on both sides of both directions.
+	send := make([][]byte, size)
+	sendBufs := make([]*Buf, size)
+	expect := make([]bool, size)
+	exchange := func() ([][]byte, error) {
+		recv, err := f.comm.AlltoallvSparse(send, expect)
+		for _, b := range sendBufs { // the messages are copies
+			b.Release()
 		}
-		recv, err := f.sparseExchange(send, expect)
+		return recv, err
+	}
+
+	if write {
+		// Phase 1: pack the pieces other ranks aggregate, one buffer per
+		// owner, in my piece order; as aggregator, expect payload from
+		// exactly the ranks whose pieces fall in my domain.
+		fill := make([]int64, size)
+		for owner, n := range bytesTo[me] {
+			if owner != me && n > 0 {
+				sendBufs[owner] = GetBuf(n)
+				send[owner] = sendBufs[owner].B
+			}
+		}
+		cur := memCursor{mem: mem}
+		for _, p := range myPlaced {
+			if p.owner == me {
+				cur.skip(p.n)
+				continue
+			}
+			cur.move(send[p.owner][fill[p.owner]:fill[p.owner]+p.n], false)
+			fill[p.owner] += p.n
+		}
+		for r := range expect {
+			expect[r] = r != me && bytesTo[r][me] > 0
+		}
+		recv, err := exchange()
 		if err != nil {
 			return err
 		}
-		// Phase 2: as aggregator for domain `me`, overlay the received
-		// pieces and write the coalesced union back with large
-		// contiguous requests. All ranks agree on the outcome so a
-		// server failure surfaces on every member of the collective.
-		return f.agree(f.aggregateWrite(dom, placedBy, recv))
+		// Phase 2: as aggregator for domain `me`, overlay my own pieces
+		// (straight from mem) and the received ones and write the
+		// coalesced union back with large contiguous requests. All ranks
+		// agree on the outcome so a server failure surfaces on every
+		// member of the collective.
+		return f.agree(f.aggregateWrite(placedBy, recv, mem))
 	}
 
 	// Read. Phase 1: as aggregator, fetch my domain's coalesced union
-	// and carve out each rank's pieces. Ranks must agree on failure
-	// before the exchange phase: a rank that aborted here would
+	// and carve out each other rank's pieces. Ranks must agree on
+	// failure before the exchange phase: a rank that aborted here would
 	// otherwise leave its peers blocked in Alltoallv forever.
-	stage, err := f.aggregateRead(dom, placedBy)
+	stage, err := f.aggregateRead(placedBy)
 	if err = f.agree(err); err != nil {
 		return err
 	}
-	send := make([][]byte, size)
+	defer stage.release()
+	for r := range send {
+		if n := bytesTo[r][me]; r != me && n > 0 {
+			sendBufs[r] = GetBuf(n)
+			send[r] = sendBufs[r].B
+		}
+	}
 	_ = par.Do(workers, size, func(r int) error {
-		n := ownedBytes(placedBy[r], me)
-		if n == 0 {
+		if send[r] == nil {
 			return nil
 		}
-		out := make([]byte, 0, n)
+		var at int64
 		for _, p := range placedBy[r] {
 			if p.owner == me {
-				out = append(out, stage.slice(p.fileOff, p.n)...)
+				at += int64(copy(send[r][at:], stage.slice(p.fileOff, p.n)))
 			}
 		}
-		send[r] = out
 		return nil
 	})
 	// Expect payload from exactly the aggregators owning my pieces.
-	expect := make([]bool, size)
-	for owner := 0; owner < size; owner++ {
-		expect[owner] = ownedBytes(myPlaced, owner) > 0
+	for owner, n := range bytesTo[me] {
+		expect[owner] = owner != me && n > 0
 	}
-	recv, err := f.sparseExchange(send, expect)
+	recv, err := exchange()
 	if err != nil {
 		return err
 	}
-	// Phase 2: reassemble my buffer, consuming each aggregator's payload
-	// in run order (both sides walk the placed list in the same order;
-	// one worker per aggregator, writing disjoint buffer pieces).
-	return par.Do(workers, size, func(owner int) error {
-		payload := recv[owner]
-		var cursor int64
-		for _, p := range myPlaced {
-			if p.owner != owner {
-				continue
-			}
-			if cursor+p.n > int64(len(payload)) {
-				return errors.New("mpiio: collective read reassembly underflow")
-			}
-			copy(buf[p.bufOff:p.bufOff+p.n], payload[cursor:cursor+p.n])
-			cursor += p.n
+	// Phase 2: fill mem in piece order — my own domain's pieces straight
+	// from the staging buffer, the others from each aggregator's payload
+	// (both sides walked the placed list in the same order).
+	taken := make([]int64, size)
+	cur := memCursor{mem: mem}
+	for _, p := range myPlaced {
+		if p.owner == me {
+			cur.move(stage.slice(p.fileOff, p.n), true)
+			continue
 		}
-		return nil
-	})
+		payload := recv[p.owner]
+		if taken[p.owner]+p.n > int64(len(payload)) {
+			return errors.New("mpiio: collective read reassembly underflow")
+		}
+		cur.move(payload[taken[p.owner]:taken[p.owner]+p.n], true)
+		taken[p.owner] += p.n
+	}
+	return nil
 }
 
 // agree is the error-agreement round of a collective operation: if the
@@ -368,38 +545,6 @@ func (f *File) attrLocality(placedBy [][]placed) {
 	}
 }
 
-// piece is a run fragment assigned to one aggregation domain.
-type piece struct {
-	owner int
-	run   pfs.Run
-}
-
-// splitRun cuts a run at domain boundaries, in offset order, for ANY
-// carving. Zero-length runs produce no pieces. Adjacent pieces with
-// the same owner merge (under the cyclic carving with one aggregator,
-// every block has the same owner).
-func splitRun(d place.Domains, run pfs.Run) []piece {
-	var out []piece
-	off, remaining := run.Off, run.Len
-	for remaining > 0 {
-		owner := d.Owner(off)
-		end := d.BlockEnd(off)
-		take := end - off
-		if take > remaining {
-			take = remaining
-		}
-		if m := len(out) - 1; m >= 0 && out[m].owner == owner &&
-			out[m].run.Off+out[m].run.Len == off {
-			out[m].run.Len += take
-		} else {
-			out = append(out, piece{owner: owner, run: pfs.Run{Off: off, Len: take}})
-		}
-		off += take
-		remaining -= take
-	}
-	return out
-}
-
 // domainRuns returns the coalesced union of the pieces every rank
 // placed in domain `owner` — exactly the bytes its aggregator must
 // transfer, sorted and non-overlapping.
@@ -440,20 +585,36 @@ func capRuns(runs []pfs.Run, cb int64) []pfs.Run {
 // the cyclic carving (whose domains interleave across nearly the whole
 // collective span) costs the same memory as the span carving.
 type staging struct {
-	runs  []pfs.Run
-	start []int64 // packed offset of runs[i]
-	data  []byte
+	runs   []pfs.Run
+	start  []int64 // packed offset of runs[i]
+	data   []byte
+	pooled *Buf // data's owner, nil when data was allocated for keeps
 }
 
-func newStaging(runs []pfs.Run) *staging {
+// newStaging lays out runs. A pooled staging buffer has unspecified
+// contents (the caller fills every byte before reading any) and goes
+// back with release; an unpooled one is the caller's to give away.
+func newStaging(runs []pfs.Run, pooled bool) *staging {
 	s := &staging{runs: runs, start: make([]int64, len(runs))}
 	var at int64
 	for i, r := range runs {
 		s.start[i] = at
 		at += r.Len
 	}
-	s.data = make([]byte, at)
+	if pooled {
+		s.pooled = GetBuf(at)
+		s.data = s.pooled.B
+	} else {
+		s.data = make([]byte, at)
+	}
 	return s
+}
+
+// release returns a pooled staging buffer; s may be nil.
+func (s *staging) release() {
+	if s != nil {
+		s.pooled.Release()
+	}
 }
 
 // slice returns the packed sub-buffer of file range [off, off+n). The
@@ -473,45 +634,63 @@ func (s *staging) slice(off, n int64) []byte {
 // clean caching on, the read goes through the unified cache instead:
 // cached stripes (including other ranks' deferred dirty bytes) come
 // from memory and only the holes are sieve-fetched, so a re-read of a
-// warm domain touches no server at all.
-func (f *File) aggregateRead(dom place.Domains, placedBy [][]placed) (*staging, error) {
+// warm domain touches no server at all. Either way every byte of the
+// pooled staging buffer is overwritten; the caller releases it.
+func (f *File) aggregateRead(placedBy [][]placed) (*staging, error) {
 	runs := domainRuns(f.comm.Rank(), placedBy)
 	if len(runs) == 0 {
 		return nil, nil
 	}
-	s := newStaging(runs)
+	s := newStaging(runs, true)
 	// Capped runs pack back-to-back in exactly the staging layout (the
 	// cap only splits runs, never reorders or drops bytes).
 	capped := capRuns(runs, f.CollectiveBufferSize)
+	var err error
 	if c := f.sharedCache(); c != nil && c.caching() {
-		if err := c.ReadThrough(capped, s.data); err != nil {
-			return nil, err
-		}
-		return s, nil
+		err = c.ReadThrough(capped, s.data)
+	} else {
+		_, err = f.fs.ReadV(capped, s.data)
 	}
-	if _, err := f.fs.ReadV(capped, s.data); err != nil {
+	if err != nil {
+		s.release()
 		return nil, err
 	}
 	return s, nil
 }
 
 // aggregateWrite overlays every rank's pieces for this rank's domain
-// onto the packed staging buffer, then either absorbs the coalesced
-// union into the shared write-behind cache (WriteBehind enabled —
-// dispatch is deferred to a flush sweep) or writes it back immediately
-// as ONE vectored WriteV of the capped runs. Every byte of the union is covered by
-// some rank's piece, so no read-modify-write round is needed and the
-// gaps between runs are never touched. Overlapping writes resolve in
-// rank order (higher rank wins), a deterministic refinement of MPI's
-// "undefined".
-func (f *File) aggregateWrite(dom place.Domains, placedBy [][]placed, recv [][]byte) error {
+// onto the packed staging buffer — this rank's own straight from mem,
+// the others from their received payloads — then either absorbs the
+// coalesced union into the shared write-behind cache (WriteBehind
+// enabled — dispatch is deferred to a flush sweep) or writes it back
+// immediately as ONE vectored WriteV of the capped runs. Every byte of
+// the union is covered by some rank's piece, so no read-modify-write
+// round is needed, the gaps between runs are never touched, and the
+// staging buffer's prior contents never reach a server. Overlapping
+// writes resolve in rank order (higher rank wins), a deterministic
+// refinement of MPI's "undefined".
+func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error {
 	me := f.comm.Rank()
 	runs := domainRuns(me, placedBy)
 	if len(runs) == 0 {
 		return nil
 	}
-	s := newStaging(runs)
+	// Absorb aliases the staging runs as the cache's dirty extents, so
+	// under write-behind the buffer is the cache's, not the pool's.
+	s := newStaging(runs, f.WriteBehind == 0)
+	defer s.release()
 	for r, pl := range placedBy {
+		if r == me {
+			cur := memCursor{mem: mem}
+			for _, p := range pl {
+				if p.owner == me {
+					cur.move(s.slice(p.fileOff, p.n), false)
+				} else {
+					cur.skip(p.n)
+				}
+			}
+			continue
+		}
 		payload := recv[r]
 		var cursor int64
 		for _, p := range pl {
@@ -528,8 +707,6 @@ func (f *File) aggregateWrite(dom place.Domains, placedBy [][]placed, recv [][]b
 	if f.WriteBehind != 0 {
 		w := f.cache()
 		for i, r := range runs {
-			// The staging buffer is private to this collective, so the
-			// cache may alias its run slices instead of copying.
 			w.Absorb(r.Off, s.data[s.start[i]:s.start[i]+r.Len])
 		}
 		// The memory budget caps clean + dirty: over it, clean extents

@@ -154,13 +154,6 @@ func Subarray(shape grid.Shape, box grid.Box, elemSize int64, order grid.Order) 
 	return build(blocks, shape.Volume()*elemSize)
 }
 
-// FromBlocks builds a datatype directly from raw byte extents (they may
-// be unsorted but must be disjoint). The extent is the end of the last
-// block. DRX-MP uses this for row-exact chunk-intersection I/O.
-func FromBlocks(blocks []Block) (Datatype, error) {
-	return build(append([]Block(nil), blocks...), 0)
-}
-
 // build normalizes blocks (sort, verify disjoint, merge adjacent) and
 // computes prefix sums for O(log n) view translation.
 func build(blocks []Block, extent int64) (Datatype, error) {

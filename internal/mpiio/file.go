@@ -40,15 +40,16 @@ type File struct {
 	CBNodes int
 
 	// Parallelism bounds the worker goroutines this rank uses inside a
-	// collective call: the exchange-phase piece carving/reassembly runs
-	// one worker per peer on up to this many workers (internal/par
-	// semantics: 0 selects GOMAXPROCS, negative forces the serial path,
-	// values above GOMAXPROCS are honored). The aggregate phase no
-	// longer needs workers at all — each aggregator issues its capped
-	// runs as one vectored ReadV/WriteV, so the per-server queues see
-	// the full batch regardless of this knob. The parallel and serial
-	// paths are byte-identical: workers only ever touch disjoint
-	// extents, and merge order is fixed.
+	// collective call: carving each rank's pieces and packing each
+	// peer's read payload run one item per rank on up to this many
+	// workers (internal/par semantics: 0 selects GOMAXPROCS, negative
+	// forces the serial path, values above GOMAXPROCS are honored).
+	// Moving the caller's own bytes is one ordered walk, and the
+	// aggregate phase needs no workers at all — each aggregator issues
+	// its capped runs as one vectored ReadV/WriteV, so the per-server
+	// queues see the full batch regardless of this knob. The parallel
+	// and serial paths are byte-identical: workers only ever touch
+	// disjoint buffers, and merge order is fixed.
 	Parallelism int
 
 	// WriteBehind selects the write-behind policy for collective

@@ -724,3 +724,75 @@ func BenchmarkCollectiveIrregularRead(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// segs is a many-segment memory vector for the tests.
+type segs [][]byte
+
+func (s segs) Seg(i int) []byte { return s[i] }
+func (s segs) Len() (n int64) {
+	for _, p := range s {
+		n += int64(len(p))
+	}
+	return n
+}
+
+// TestCollectiveVectored: WriteAllV/ReadAllV move exactly the runs'
+// bytes, in run order, through a memory vector whose segment borders
+// fall anywhere — inside runs, on them, with empty segments between —
+// for runs the caller did not sort, and leave the file view alone. A
+// vector that does not hold the runs' bytes is rejected locally.
+func TestCollectiveVectored(t *testing.T) {
+	const ranks = 3
+	fs, err := pfs.Create("t", pfs.Options{Servers: 3, StripeSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, ranks*100)
+	err = cluster.Run(ranks, func(c *cluster.Comm) error {
+		f := Open(c, fs)
+		base := int64(c.Rank()) * 100
+		// 70 bytes in three runs, the last one first in the file.
+		runs := []pfs.Run{{Off: base + 40, Len: 30}, {Off: base + 75, Len: 25}, {Off: base + 3, Len: 15}}
+		payload := make([]byte, 70)
+		for i := range payload {
+			payload[i] = byte(1 + c.Rank()*70 + i)
+		}
+		copy(want[base+40:], payload[:30])
+		copy(want[base+75:], payload[30:55])
+		copy(want[base+3:], payload[55:])
+		cut := func(p []byte) segs {
+			return segs{p[:7], nil, p[7:30], p[30:31], {}, p[31:]}
+		}
+		if err := f.WriteAllV(runs, cut(payload)); err != nil {
+			return err
+		}
+		got := make([]byte, 70)
+		if err := f.ReadAllV(runs, cut(got)); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, payload) {
+			return fmt.Errorf("rank %d: ReadAllV returned %v, wrote %v", c.Rank(), got, payload)
+		}
+		if f.ReadAllV(runs, Contig(got[:69])) == nil || f.WriteAllV([]pfs.Run{{Off: -1, Len: 70}}, Contig(got)) == nil {
+			return fmt.Errorf("rank %d: a vector that does not match its runs was accepted", c.Rank())
+		}
+		// The default view is still in place: view byte v is file byte v.
+		if err := f.ReadAt(got[:15], base+3); err != nil {
+			return err
+		}
+		if !bytes.Equal(got[:15], payload[55:]) {
+			return fmt.Errorf("rank %d: view moved by a vectored collective", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, len(want))
+	if _, err := fs.ReadAt(raw, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, want) {
+		t.Fatalf("file holds\n%v\nwant\n%v", raw, want)
+	}
+}

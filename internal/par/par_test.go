@@ -36,21 +36,34 @@ func TestDoCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestDoStopsOnError: every item but the failing one blocks until the
+// failing item is about to return, so nothing beyond the four items in
+// flight has started when the error comes back. The released workers
+// may still draw items in the instants before Do records the error —
+// under -race on a busy machine that gap was seen to outlast a thousand
+// items, which is what made the old n = 1000 flaky — so n is a billion:
+// running them all takes minutes, and "fewer than all" then holds for
+// any stall a scheduler can produce. With early stop working the test
+// runs a handful of calls.
 func TestDoStopsOnError(t *testing.T) {
+	const n = 1 << 30
 	boom := errors.New("boom")
-	var ran atomic.Int32
-	err := Do(4, 1000, func(i int) error {
+	failing := make(chan struct{})
+	var ran atomic.Int64
+	err := Do(4, n, func(i int) error {
 		ran.Add(1)
 		if i == 3 {
+			close(failing)
 			return boom
 		}
+		<-failing
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if n := ran.Load(); n >= 1000 {
-		t.Fatalf("no early stop: %d calls", n)
+	if got := ran.Load(); got >= n {
+		t.Fatalf("no early stop: all %d calls ran", got)
 	}
 }
 

@@ -460,9 +460,9 @@ func (sv *server) storeLocked(p []byte, off int64) error {
 		}
 	} else {
 		if need := off + int64(len(p)); need > int64(len(sv.mem)) {
-			grown := make([]byte, need+need/4)
-			copy(grown, sv.mem)
-			sv.mem = grown
+			// append zero-fills only the new tail, not the part the old
+			// bytes are about to be copied over.
+			sv.mem = append(sv.mem, make([]byte, need+need/4-int64(len(sv.mem)))...)
 		}
 		copy(sv.mem[off:], p)
 	}

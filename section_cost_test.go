@@ -47,7 +47,7 @@ func TestWriteSectionChargesOneVectoredWrite(t *testing.T) {
 			return err
 		}
 
-		runs, err := f.sectionRuns(box, RowMajor)
+		runs, stride, err := f.sectionRuns(box, RowMajor)
 		if err != nil {
 			return err
 		}
@@ -57,7 +57,7 @@ func TestWriteSectionChargesOneVectoredWrite(t *testing.T) {
 		}
 		pruns = pfs.Coalesce(pruns)
 		scratch := make([]byte, len(data))
-		f.scatterGather(runs, scratch, data, false)
+		f.scatterGather(runs, stride, scratch, data, false)
 		if _, err := ref.WriteV(pruns, scratch); err != nil {
 			return err
 		}
