@@ -40,7 +40,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	servers := flag.Int("servers", 4, "pfs I/O server count (demo arrays / open)")
 	stripe := flag.Int64("stripe", 64<<10, "pfs stripe size in bytes")
-	window := flag.Duration("window", 500*time.Microsecond, "coalescing batch window (0 disables)")
+	window := flag.Duration("window", 500*time.Microsecond, "coalescing: longest a read queued behind an in-flight fetch is held to merge; an idle read never waits (0 disables)")
 	maxReqs := flag.Int("max-inflight", 64, "admission: max in-flight requests per array (0 = unbounded)")
 	maxBytes := flag.Int64("max-inflight-bytes", 256<<20, "admission: max in-flight payload bytes per array (0 = unbounded)")
 	maxQueued := flag.Int("max-queued", 256, "admission: max queued requests per array before shedding with 503 (0 = unbounded)")

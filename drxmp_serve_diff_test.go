@@ -234,11 +234,29 @@ func TestServeDifferentialSections(t *testing.T) {
 	}
 }
 
+// readGate is a pfs.Injector that injects no failure: it parks the
+// store's first read request until open is closed (parked closes once
+// it is held) — a cold fetch that stays in flight for exactly as long
+// as the test needs, whatever the machine's speed.
+type readGate struct {
+	once         sync.Once
+	parked, open chan struct{}
+}
+
+func (g *readGate) Fail(server int, write bool, off, n int64) error {
+	if !write {
+		g.once.Do(func() { close(g.parked); <-g.open })
+	}
+	return nil
+}
+
 // TestServeConcurrentColdClients is the acceptance e2e: 32 concurrent
-// clients issue overlapping cold section reads; every response must be
-// byte-identical to direct access, and the backing store must see
-// measurably fewer section reads than the client count — the
-// coalescing and single-flight counters prove where they went.
+// clients issue overlapping cold section reads while the first backing
+// fetch is still in flight; every response must be byte-identical to
+// direct access, and the whole burst must cost exactly two backing
+// section reads — the fetch that found the file idle and ONE merged
+// read for everything that queued behind it. The coalescing and
+// single-flight counters prove where the other 30 went.
 func TestServeConcurrentColdClients(t *testing.T) {
 	const clients = 32
 	sc := serveCase{name: "cold", chunk: []int{16, 16}, bounds: []int{96, 96}}
@@ -257,8 +275,8 @@ func TestServeConcurrentColdClients(t *testing.T) {
 		defer base.Close()
 
 		srv := serve.New(serve.Config{
-			CoalesceWindow:      150 * time.Millisecond,
-			MaxInFlightRequests: clients, // bound present, never the bottleneck here
+			CoalesceWindow:      30 * time.Second, // a cap the held fetch never reaches
+			MaxInFlightRequests: clients,          // bound present, never the bottleneck here
 		})
 		if err := srv.Register("cold", f); err != nil {
 			return err
@@ -276,6 +294,8 @@ func TestServeConcurrentColdClients(t *testing.T) {
 
 		f.FS().ResetStats()
 		base.FS().ResetStats()
+		gate := &readGate{parked: make(chan struct{}), open: make(chan struct{})}
+		f.FS().SetInjector(gate)
 
 		start := make(chan struct{})
 		errs := make([]error, clients)
@@ -301,6 +321,20 @@ func TestServeConcurrentColdClients(t *testing.T) {
 			}(i)
 		}
 		close(start)
+		// Hold the first fetch until every other client is parked behind
+		// it: on its box's single-flight entry, or in the coalescer's queue.
+		<-gate.parked
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			a := srv.Stats().Arrays[0]
+			if a.SingleFlight.Hits+a.Coalesce.Batched == clients-1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				close(gate.open)
+				return fmt.Errorf("burst never piled up behind the held fetch: %+v %+v", a.SingleFlight, a.Coalesce)
+			}
+		}
+		close(gate.open)
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
@@ -319,23 +353,23 @@ func TestServeConcurrentColdClients(t *testing.T) {
 		}
 		t.Logf("serving tier: %d clients -> %d backing section reads (%d single-flight hits, %d coalesced); pfs reads served=%d direct=%d",
 			clients, a.Coalesce.BackingReads, a.SingleFlight.Hits, a.Coalesce.Merged, servedReads, directReads)
-		if a.Coalesce.BackingReads >= clients {
-			return fmt.Errorf("%d backing section reads for %d clients: no sharing happened", a.Coalesce.BackingReads, clients)
-		}
-		if a.SingleFlight.Hits+a.Coalesce.Merged == 0 {
-			return fmt.Errorf("neither single-flight nor coalescing absorbed any request")
-		}
-		if a.SingleFlight.Hits+a.Coalesce.Merged+a.Coalesce.BackingReads < clients {
-			return fmt.Errorf("counters do not account for the client burst: hits=%d merged=%d backing=%d",
-				a.SingleFlight.Hits, a.Coalesce.Merged, a.Coalesce.BackingReads)
+		// The 8 boxes round out to 4 distinct chunk covers: 4 fills and 28
+		// single-flight hits; the 3 fills that queued overlap into one
+		// cluster (2 merged).
+		if a.Coalesce.BackingReads != 2 || a.SingleFlight.Hits != 28 || a.Coalesce.Merged != 2 {
+			return fmt.Errorf("counters for the client burst: backing=%d hits=%d merged=%d, want 2 / 28 / 2",
+				a.Coalesce.BackingReads, a.SingleFlight.Hits, a.Coalesce.Merged)
 		}
 		if servedReads >= directReads {
 			return fmt.Errorf("store saw %d reads through the server vs %d direct: serving tier amplified I/O", servedReads, directReads)
 		}
 		// Every request went through admission; none should still be
 		// holding budget.
-		if a.Admission.InFlight != 0 || a.Admission.Admitted != clients {
+		if a.Admission.Admitted != clients {
 			return fmt.Errorf("admission accounting off: %+v", a.Admission)
+		}
+		if err := assertAdmissionIdle(srv); err != nil {
+			return err
 		}
 		return nil
 	})

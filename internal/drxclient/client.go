@@ -436,7 +436,7 @@ func (c *Client) attemptOnce(ctx context.Context, method, u string, payload []by
 		// Transport-level failure: refused, reset, dropped.
 		return nil, &attemptError{err: err, retryable: true, breaks: true}
 	}
-	body, rerr := io.ReadAll(resp.Body)
+	body, rerr := readBody(resp)
 	resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusNoContent:
@@ -472,6 +472,25 @@ func (c *Client) attemptOnce(ctx context.Context, method, u string, payload []by
 		// 4xx: the caller's mistake; retrying cannot fix it.
 		return nil, &attemptError{err: &StatusError{Code: resp.StatusCode, Body: string(body)}}
 	}
+}
+
+// maxSizedBody caps the buffer readBody sizes from a Content-Length it
+// has only the server's word for.
+const maxSizedBody = 1 << 30
+
+// readBody reads the response body into one buffer of the announced
+// length — a section body is sized once, not regrown by io.ReadAll —
+// and returns what arrived together with the read error when the body
+// ends short of it. An unknown or implausibly large length falls back
+// to io.ReadAll.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, n)
+	got, err := io.ReadFull(resp.Body, body)
+	return body[:got], err
 }
 
 func parseRetryAfter(v string) time.Duration {

@@ -1029,7 +1029,11 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 		starts[i] = ftotal
 		ftotal += r.Len
 	}
-	temp := make([]byte, ftotal)
+	// Pooled: SieveReadV overwrites every byte, the holes copy out of it
+	// and phase 3 inserts clones, so nothing references it past return.
+	pooled := GetBuf(ftotal)
+	defer pooled.Release()
+	temp := pooled.B
 	if _, err := w.fs.SieveReadV(fetch, temp); err != nil {
 		w.mu.Lock()
 		w.endFetch(g)

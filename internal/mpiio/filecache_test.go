@@ -365,3 +365,45 @@ func TestCollectiveReadCacheCoherent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFileCacheReadThroughPoisonedPool: a miss's fetch buffer comes
+// from the buffer pool with unspecified contents and goes back when
+// ReadThrough returns. Out of a poisoned pool the caller and the cache
+// must still see store bytes only — zeros past EOF, where read-ahead
+// reaches — and an extent cached by one miss must survive the next miss
+// reusing the same pooled buffer.
+func TestFileCacheReadThroughPoisonedPool(t *testing.T) {
+	_, w := fcForTest(t, 1<<20, 256, 512)
+	poison := func() {
+		held := make([]*Buf, 8)
+		for i := range held {
+			held[i] = GetBuf(4096)
+			for j := range held[i].B {
+				held[i].B[j] = 0xA5
+			}
+		}
+		for _, b := range held {
+			b.Release()
+		}
+	}
+	read := func(off, n int64) []byte {
+		poison()
+		buf := make([]byte, n)
+		if err := w.ReadThrough([]pfs.Run{{Off: off, Len: n}}, buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	wantPattern(t, read(3900, 196), 3900) // miss; read-ahead runs past the 4096-byte store
+	misses := w.Stats().Misses
+	for i, b := range read(4096, 300) { // served from the read-ahead blocks
+		if b != 0 {
+			t.Fatalf("byte %d past EOF = %#x, want 0 (poison leaked through the pooled fetch buffer)", i, b)
+		}
+	}
+	if got := w.Stats().Misses; got != misses {
+		t.Fatalf("read past EOF missed the cache (%d -> %d misses): read-ahead did not populate it", misses, got)
+	}
+	wantPattern(t, read(100, 50), 100)    // a second miss reuses the pooled buffer
+	wantPattern(t, read(3900, 196), 3900) // the first miss's extents are clones, not aliases
+}

@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"drxmp"
 	"drxmp/internal/grid"
+	"drxmp/internal/mpiio"
 	"drxmp/internal/pfs"
 )
 
@@ -78,7 +80,7 @@ func TestFaultSingleFlightPanicSettlesWaiters(t *testing.T) {
 	leaderDone := make(chan any, 1)
 	go func() {
 		defer func() { leaderDone <- recover() }()
-		tb.do(context.Background(), "k", func() ([]byte, error) {
+		tb.do(context.Background(), "k", func() (*mpiio.Buf, error) {
 			close(armed)
 			<-release
 			panic("fill exploded")
@@ -87,7 +89,7 @@ func TestFaultSingleFlightPanicSettlesWaiters(t *testing.T) {
 	<-armed
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, shared, err := tb.do(context.Background(), "k", func() ([]byte, error) {
+		_, shared, err := tb.do(context.Background(), "k", func() (*mpiio.Buf, error) {
 			t.Error("waiter's fetch ran despite an in-flight fill")
 			return nil, nil
 		})
@@ -111,31 +113,47 @@ func TestFaultSingleFlightPanicSettlesWaiters(t *testing.T) {
 		t.Fatal("waiter stranded after the fill panicked")
 	}
 	// The entry is gone: the next request becomes a fresh leader.
-	buf, shared, err := tb.do(context.Background(), "k", func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || shared || string(buf) != "ok" {
-		t.Fatalf("table did not recover: buf=%q shared=%v err=%v", buf, shared, err)
+	fl, shared, err := tb.do(context.Background(), "k", func() (*mpiio.Buf, error) { return &mpiio.Buf{B: []byte("ok")}, nil })
+	if err != nil || shared || string(fl.buf.B) != "ok" {
+		t.Fatalf("table did not recover: buf=%q shared=%v err=%v", fl.buf.B, shared, err)
 	}
 }
 
 // TestFaultCoalescerPanicSettlesMembers (bugfix regression): a backing
-// fetch that panics mid-batch must settle every member with an error.
+// fetch that panics must release the queue behind it, a batch whose
+// fetch panics must settle every member with an error, and the
+// coalescer must be idle again afterwards — the next read proceeds.
 func TestFaultCoalescerPanicSettlesMembers(t *testing.T) {
-	co := newCoalescer(20*time.Millisecond, 1, func(b grid.Box) ([]byte, error) {
-		panic("backing read exploded")
+	var healthy atomic.Bool
+	fetch, started, release := heldFetch(func(b grid.Box) (*mpiio.Buf, error) {
+		if !healthy.Load() {
+			panic("backing read exploded")
+		}
+		return &mpiio.Buf{B: sliceSrc(b)}, nil
 	})
-	box := grid.NewBox([]int{0, 0}, []int{4, 4})
-	leaderDone := make(chan any, 1)
-	go func() {
-		defer func() { leaderDone <- recover() }()
+	defer release()
+	co := newCoalescer(time.Hour, 1, fetch)
+	read := func(box grid.Box, out chan<- any) {
+		defer func() { out <- recover() }()
 		co.read(context.Background(), box)
-	}()
-	// A member joining the leader's window.
+	}
+	// The held fetch, then a queue of two behind it: its leader...
+	heldDone, leaderDone := make(chan any, 1), make(chan any, 1)
+	go read(farBox, heldDone)
+	<-started
+	go read(grid.NewBox([]int{0, 0}, []int{4, 4}), leaderDone)
+	waitFor(t, "the leader to queue", func() bool { return co.snapshot().Batched == 1 })
+	// ...and a member.
 	memberDone := make(chan error, 1)
-	time.Sleep(5 * time.Millisecond)
 	go func() {
 		_, _, err := co.read(context.Background(), grid.NewBox([]int{1, 1}, []int{3, 3}))
 		memberDone <- err
 	}()
+	waitFor(t, "the member to queue", func() bool { return co.snapshot().Batched == 2 })
+	release()
+	if r := <-heldDone; r == nil {
+		t.Fatal("the held fetch's panic was swallowed")
+	}
 	if r := <-leaderDone; r == nil {
 		t.Fatal("leader's panic was swallowed")
 	}
@@ -146,5 +164,19 @@ func TestFaultCoalescerPanicSettlesMembers(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("member stranded after the batch leader panicked")
+	}
+	// Nothing is left in flight or queued: the next read goes straight
+	// to the (now healthy) file.
+	healthy.Store(true)
+	box := grid.NewBox([]int{0, 0}, []int{4, 4})
+	buf, _, err := co.read(context.Background(), box)
+	if err != nil || !bytes.Equal(buf.B, sliceSrc(box)) {
+		t.Fatalf("read after the panics: err=%v", err)
+	}
+	co.mu.Lock()
+	inflight, pending := co.inflight, len(co.pending)
+	co.mu.Unlock()
+	if inflight != 0 || pending != 0 {
+		t.Fatalf("coalescer not idle after the panics: %d in flight, %d queued", inflight, pending)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -11,6 +10,7 @@ import (
 
 	"drxmp"
 	"drxmp/internal/grid"
+	"drxmp/internal/mpiio"
 )
 
 // TestAdmissionCancelQueuedReleasesSlot (regression for the queued-
@@ -129,47 +129,58 @@ func TestAdmissionShedsBeyondQueueBound(t *testing.T) {
 	}
 }
 
+// holdFirstFetch parks the array's first backing fetch until release is
+// called (started closes once it is parked), so a test decides how long
+// the first request stays in flight. Call before any request is sent.
+func holdFirstFetch(s *Server, name string) (started <-chan struct{}, release func()) {
+	a := s.array(name)
+	a.co.fetch, started, release = heldFetch(a.co.fetch)
+	return started, release
+}
+
+// getAsync issues one GET and delivers its status code.
+func getAsync(t *testing.T, url string) <-chan int {
+	code := make(chan int, 1)
+	go func() {
+		resp, _ := get(t, url)
+		code <- resp.StatusCode
+	}()
+	return code
+}
+
 // TestServeShedOverloadHTTP pins the HTTP mapping: queue-bound
 // overflow returns 503 with Retry-After while the earlier requests
 // complete, and the budget drains to zero.
 func TestServeShedOverloadHTTP(t *testing.T) {
-	cfg := Config{MaxInFlightRequests: 1, MaxQueuedRequests: 1, CoalesceWindow: 20 * time.Millisecond}
+	cfg := Config{MaxInFlightRequests: 1, MaxQueuedRequests: 1}
 	withServer(t, cfg, drxmp.Tuning{}, func(f *drxmp.File, s *Server, url string) {
-		// The coalescing window holds the first request long enough for
-		// the burst to pile onto the admission queue.
+		started, release := holdFirstFetch(s, "unit")
+		defer release()
+		adm := s.array("unit").adm
+		// One request holds the only slot (its fetch is parked), one
+		// waits in the queue; every later arrival finds the queue full.
 		const K = 8
-		codes := make([]int, K)
-		var wg sync.WaitGroup
-		for i := 0; i < K; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				// Distinct chunks so no two requests share a fill.
-				resp, _ := get(t, url+"/v1/arrays/unit/section?lo=0,0&hi=32,32")
-				codes[i] = resp.StatusCode
-			}(i)
-		}
-		wg.Wait()
-		var ok, shed int
-		for _, c := range codes {
-			switch c {
-			case http.StatusOK:
-				ok++
-			case http.StatusServiceUnavailable:
-				shed++
-			default:
-				t.Fatalf("unexpected status %d", c)
+		section := url + "/v1/arrays/unit/section?lo=0,0&hi=32,32"
+		admitted := []<-chan int{getAsync(t, section)}
+		<-started
+		admitted = append(admitted, getAsync(t, section))
+		waitFor(t, "the second request to queue", func() bool { return adm.snapshot().Queued == 1 })
+		for i := 2; i < K; i++ {
+			resp, _ := get(t, section)
+			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("request %d past the queue bound: status %d, Retry-After %q; want 503 with Retry-After",
+					i, resp.StatusCode, resp.Header.Get("Retry-After"))
 			}
 		}
-		if ok == 0 {
-			t.Fatal("no request completed")
+		release()
+		for i, c := range admitted {
+			if code := <-c; code != http.StatusOK {
+				t.Fatalf("admitted request %d: status %d", i, code)
+			}
 		}
-		adm := s.array("unit").adm.snapshot()
-		if adm.InFlight != 0 || adm.Queued != 0 {
-			t.Fatalf("admission not idle after burst: %+v", adm)
-		}
-		if shed > 0 && adm.Shed == 0 {
-			t.Fatalf("shed responses without shed accounting: %+v", adm)
+		waitIdle(t, adm)
+		if st := adm.snapshot(); st.Shed != K-2 {
+			t.Fatalf("admission after the burst: %+v, want idle with %d shed", st, K-2)
 		}
 	})
 }
@@ -177,40 +188,60 @@ func TestServeShedOverloadHTTP(t *testing.T) {
 // TestServeRequestTimeoutQueued: a request whose per-request timeout
 // expires while queued gets 503 and releases nothing.
 func TestServeRequestTimeoutQueued(t *testing.T) {
-	cfg := Config{
-		MaxInFlightRequests: 1,
-		RequestTimeout:      30 * time.Millisecond,
-		CoalesceWindow:      150 * time.Millisecond, // first request parks in the window holding the only slot
-	}
+	cfg := Config{MaxInFlightRequests: 1, RequestTimeout: 30 * time.Millisecond}
 	withServer(t, cfg, drxmp.Tuning{}, func(f *drxmp.File, s *Server, url string) {
-		var wg sync.WaitGroup
-		codes := make([]int, 2)
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				// Disjoint chunk-aligned boxes: the second cannot share
-				// the first's fill, so it queues on admission.
-				lo := i * 16
-				resp, _ := get(t, fmt.Sprintf("%s/v1/arrays/unit/section?lo=%d,0&hi=%d,8", url, lo, lo+8))
-				codes[i] = resp.StatusCode
-			}(i)
-			time.Sleep(10 * time.Millisecond)
+		started, release := holdFirstFetch(s, "unit")
+		defer release()
+		adm := s.array("unit").adm
+		// The first request's fetch is parked holding the only slot; the
+		// second queues on admission until its deadline.
+		first := getAsync(t, url+"/v1/arrays/unit/section?lo=0,0&hi=8,8")
+		<-started
+		if code := <-getAsync(t, url+"/v1/arrays/unit/section?lo=16,0&hi=24,8"); code != http.StatusServiceUnavailable {
+			t.Fatalf("queued request: status %d, want 503 on its deadline", code)
 		}
-		wg.Wait()
-		var timedOut int
-		for _, c := range codes {
-			if c == http.StatusServiceUnavailable {
-				timedOut++
-			}
+		if st := adm.snapshot(); st.InFlight != 1 || st.Queued != 0 || st.Canceled != 1 {
+			t.Fatalf("admission after the queued timeout: %+v, want only the held request", st)
 		}
-		if timedOut == 0 {
-			t.Fatalf("no request timed out, codes %v", codes)
+		release()
+		// The fetch outlived the first request's own deadline, but it is
+		// the request's own fill: the bytes are good and it answers.
+		if code := <-first; code != http.StatusOK {
+			t.Fatalf("held request: status %d", code)
 		}
-		adm := s.array("unit").adm.snapshot()
-		if adm.InFlight != 0 || adm.Queued != 0 {
-			t.Fatalf("admission not idle: %+v", adm)
+		waitIdle(t, adm)
+	})
+}
+
+// TestServeCoalescedMemberTimeoutReleasesSlot: a read queued in the
+// coalescer (not its queue's leader) whose request deadline expires
+// answers 503 and gives its admission slot back, while the fetch it
+// queued behind and the queue's leader stay in flight.
+func TestServeCoalescedMemberTimeoutReleasesSlot(t *testing.T) {
+	cfg := Config{CoalesceWindow: time.Hour, RequestTimeout: 50 * time.Millisecond}
+	withServer(t, cfg, drxmp.Tuning{}, func(f *drxmp.File, s *Server, url string) {
+		started, release := holdFirstFetch(s, "unit")
+		defer release()
+		a := s.array("unit")
+		// Three disjoint chunk covers, so no two share a single-flight key.
+		held := getAsync(t, url+"/v1/arrays/unit/section?lo=0,0&hi=8,8")
+		<-started
+		leader := getAsync(t, url+"/v1/arrays/unit/section?lo=8,0&hi=16,8")
+		waitFor(t, "the leader to queue", func() bool { return a.co.snapshot().Batched == 1 })
+		if code := <-getAsync(t, url+"/v1/arrays/unit/section?lo=16,0&hi=24,8"); code != http.StatusServiceUnavailable {
+			t.Fatalf("expired member: status %d, want 503", code)
 		}
+		// Its slot comes back (after its response is out) while the held
+		// request and the leader keep theirs.
+		waitFor(t, "the member's slot to come back", func() bool { return a.adm.snapshot().InFlight == 2 })
+		release()
+		if code := <-held; code != http.StatusOK {
+			t.Fatalf("held request: status %d", code)
+		}
+		if code := <-leader; code != http.StatusOK {
+			t.Fatalf("queue leader: status %d", code)
+		}
+		waitIdle(t, a.adm)
 	})
 }
 
@@ -252,7 +283,7 @@ func TestServePanicMiddleware(t *testing.T) {
 	withServer(t, Config{}, drxmp.Tuning{}, func(f *drxmp.File, s *Server, url string) {
 		a := s.array("unit")
 		orig := a.co.fetch
-		a.co.fetch = func(b grid.Box) ([]byte, error) { panic("fill exploded") }
+		a.co.fetch = func(b grid.Box) (*mpiio.Buf, error) { panic("fill exploded") }
 		resp, body := get(t, url+"/v1/arrays/unit/section?lo=0,0&hi=8,8")
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("panicked request status %d: %s", resp.StatusCode, body)
@@ -280,17 +311,17 @@ func TestSingleFlightWaiterDeadline(t *testing.T) {
 	release := make(chan struct{})
 	leaderOut := make(chan error, 1)
 	go func() {
-		_, _, err := tb.do(context.Background(), "k", func() ([]byte, error) {
+		_, _, err := tb.do(context.Background(), "k", func() (*mpiio.Buf, error) {
 			close(armed)
 			<-release
-			return []byte("late"), nil
+			return &mpiio.Buf{B: []byte("late")}, nil
 		})
 		leaderOut <- err
 	}()
 	<-armed
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, shared, err := tb.do(ctx, "k", func() ([]byte, error) { return nil, nil })
+	_, shared, err := tb.do(ctx, "k", func() (*mpiio.Buf, error) { return nil, nil })
 	if !shared || err == nil || !strings.Contains(err.Error(), "abandoned") {
 		t.Fatalf("deadline waiter: shared=%v err=%v, want abandoned error", shared, err)
 	}

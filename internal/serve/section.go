@@ -75,11 +75,11 @@ func boundingBox(a, b grid.Box) grid.Box {
 	return grid.NewBox(lo, hi)
 }
 
-// sliceSection copies sub-box dst out of a buffer dense over src in
-// RowMajor order, producing a buffer dense over dst in the requested
-// order. src must contain dst.
-func sliceSection(buf []byte, src, dst grid.Box, es int64, order grid.Order) []byte {
-	out := make([]byte, dst.Volume()*es)
+// sliceSection copies sub-box dst out of buf, dense over src in
+// RowMajor order, into out, dense over dst in the requested order.
+// src must contain dst; out holds dst.Volume()*es bytes and every one
+// of them is written, so it may come from a pool.
+func sliceSection(out, buf []byte, src, dst grid.Box, es int64, order grid.Order) {
 	srcStrides := grid.Strides(src.Shape(), grid.RowMajor)
 	dstStrides := grid.Strides(dst.Shape(), order)
 	inner := dst.Rank() - 1 // RowMajor rows vary in the last dimension
@@ -99,5 +99,4 @@ func sliceSection(buf []byte, src, dst grid.Box, es int64, order grid.Order) []b
 		}
 		return true
 	})
-	return out
 }

@@ -7,16 +7,27 @@
 //
 //   - Per-file admission control: a bounded in-flight request/byte
 //     budget with queueing (admission.go), so a client burst degrades
-//     into an orderly queue instead of unbounded section buffers.
-//   - Cross-client request coalescing: overlapping section reads
-//     arriving within a batching window merge into one backing
+//     into an orderly queue instead of unbounded section buffers. A
+//     PUT is admitted before its body is buffered, so the byte budget
+//     bounds write buffers as well as read ones.
+//   - Cross-client request coalescing: section reads that arrive
+//     while a backing fetch of the array is in flight queue behind it,
+//     and the overlapping ones among them merge into one backing
 //     section read whose result is sliced back per client
-//     (coalesce.go).
+//     (coalesce.go). A read that finds the array idle goes straight to
+//     the file: batching waits on work, never on a clock, and
+//     CoalesceWindow only caps how long a queued read may be held.
 //   - Single-flight cold fills: a per-(aligned box, write generation)
 //     table of in-progress fetches, so K waiters on a cold range
 //     block on the first fetcher instead of issuing K server sweeps
 //     (singleflight.go). Warmth beyond the in-flight window comes
 //     from the unified extent cache (drxmp Tuning.CacheBytes).
+//
+// A section body is sized once on each end of the wire: GETs carry
+// Content-Length (the client reads into one buffer of that length and
+// can tell a truncated body from a whole one), and the fill's chunk
+// cover, the per-request slice and the PUT body all live in mpiio's
+// buffer pool for exactly as long as a request uses them.
 //
 // Every request is attributed to a tenant (X-Drx-Tenant header or
 // ?tenant=) in per-tenant counters layered on top of pfs.ServerStats.
@@ -39,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -46,13 +58,17 @@ import (
 
 	"drxmp"
 	"drxmp/internal/grid"
+	"drxmp/internal/mpiio"
 )
 
 // Config tunes the serving mechanisms. The zero value serves
-// correctly: no admission bound, no batching window.
+// correctly: no admission bound, no coalescing.
 type Config struct {
-	// CoalesceWindow is the batching window overlapping reads wait to
-	// merge. 0 disables coalescing (reads still single-flight).
+	// CoalesceWindow caps how long a read queued behind an in-flight
+	// backing fetch is held for merging: the queue leaves when that
+	// fetch settles or after this long, whichever is first. A read that
+	// finds no fetch in flight never waits. 0 disables coalescing
+	// (reads still single-flight).
 	CoalesceWindow time.Duration
 	// MaxInFlightRequests bounds admitted requests per array
 	// (0 = unbounded).
@@ -122,10 +138,13 @@ func (s *Server) Register(name string, f *drxmp.File) error {
 		adm:  newAdmission(s.cfg.MaxInFlightRequests, s.cfg.MaxInFlightBytes, s.cfg.MaxQueuedRequests),
 		fl:   newFlightTable(),
 	}
-	a.co = newCoalescer(s.cfg.CoalesceWindow, int64(f.DType().Size()),
-		func(b grid.Box) ([]byte, error) {
-			buf := make([]byte, b.Volume()*int64(f.DType().Size()))
-			if err := f.ReadSection(b, buf, drxmp.RowMajor); err != nil {
+	es := int64(f.DType().Size())
+	a.co = newCoalescer(s.cfg.CoalesceWindow, es,
+		func(b grid.Box) (*mpiio.Buf, error) {
+			// Pooled: a successful ReadSection writes every byte of the box.
+			buf := mpiio.GetBuf(b.Volume() * es)
+			if err := f.ReadSection(b, buf.B, drxmp.RowMajor); err != nil {
+				buf.Release()
 				return nil, err
 			}
 			return buf, nil
@@ -194,6 +213,9 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	sw.wrote = true
 	return sw.ResponseWriter.Write(b)
 }
+
+// Unwrap lets http.ResponseController reach the connection's deadlines.
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // middleware wraps the mux with panic recovery and the per-request
 // timeout. Admission, single-flight waits and coalescer member waits
@@ -386,11 +408,15 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 	ab := alignBox(box, a.f.ChunkShape(), a.f.Bounds())
 	key := strconv.FormatInt(a.gen.Load(), 10) + "|" + ab.String()
 	var coalesced bool
-	buf, shared, err := a.fl.do(ctx, key, func() ([]byte, error) {
+	fl, shared, err := a.fl.do(ctx, key, func() (*mpiio.Buf, error) {
 		b, merged, err := a.co.read(ctx, ab)
 		coalesced = merged
 		return b, err
 	})
+	// The fill's buffer is shared with every request that joined the
+	// flight and goes back to the pool with the last of them — for this
+	// one, once w.Write below has returned.
+	defer fl.release()
 	if err != nil {
 		s.tenants.update(tenant, func(t *TenantStats) { t.Requests++; t.Reads++; t.Errors++ })
 		if ctx.Err() != nil {
@@ -412,9 +438,14 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "read %v: %v", box, err)
 		return
 	}
-	out := buf
+	out := fl.buf.B
 	if !box.Equal(ab) || order != drxmp.RowMajor {
-		out = sliceSection(buf, ab, box, es, order)
+		// The slice is this request's alone: pooled too, and back in
+		// the pool once w.Write has returned.
+		pooled := mpiio.GetBuf(n)
+		defer pooled.Release()
+		out = pooled.B
+		sliceSection(out, fl.buf.B, ab, box, es, order)
 	}
 	s.tenants.update(tenant, func(t *TenantStats) {
 		t.Requests++
@@ -431,6 +462,9 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	w.Header().Set("Content-Type", "application/octet-stream")
+	// Sized, not chunked: the client reads into one buffer of this
+	// length and can tell a truncated body from a complete one.
+	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
 	if shared {
 		w.Header().Set("X-Drx-Single-Flight", "hit")
 	} else {
@@ -443,6 +477,17 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Drx-Queued", "1")
 	}
 	setCacheHeader(w, a)
+	// The last byte waits in net/http's response buffer until this
+	// handler has returned — after the deferred releases above. A client
+	// that has read its whole (sized) body therefore finds its admission
+	// slot free again: a closed-loop client never queues behind its own
+	// previous request, and no trace sees a handler outlive its round
+	// trip. (A chunked body gave this for free: its terminator is only
+	// sent when the handler returns.)
+	if last := len(out) - 1; last > 0 {
+		w.Write(out[:last])
+		out = out[last:]
+	}
 	w.Write(out)
 }
 
@@ -484,25 +529,53 @@ func (s *Server) handleWrite(w http.ResponseWriter, r *http.Request) {
 	}
 	es := int64(a.f.DType().Size())
 	n := box.Volume() * es
-	body, err := io.ReadAll(io.LimitReader(r.Body, n+1))
-	if err != nil {
+	if r.ContentLength >= 0 && r.ContentLength != n {
 		s.tenants.update(tenant, func(t *TenantStats) { t.Requests++; t.Errors++ })
-		httpError(w, http.StatusBadRequest, "body: %v", err)
-		return
-	}
-	if int64(len(body)) != n {
-		s.tenants.update(tenant, func(t *TenantStats) { t.Requests++; t.Errors++ })
-		httpError(w, http.StatusBadRequest, "body of %d bytes for %d-byte section %v", len(body), n, box)
+		httpError(w, http.StatusBadRequest, "body of %d bytes for %d-byte section %v", r.ContentLength, n, box)
 		return
 	}
 
-	waited, err := a.adm.acquire(r.Context(), n)
+	// Admission comes BEFORE the body is buffered (n is known from the
+	// box), so MaxInFlightBytes bounds write buffers too: a burst of
+	// large PUTs holds one admitted body, not one per connection.
+	ctx := r.Context()
+	waited, err := a.adm.acquire(ctx, n)
 	if err != nil {
 		s.tenants.update(tenant, func(t *TenantStats) { t.Requests++; t.Writes++; t.Errors++ })
 		unavailable(w, err)
 		return
 	}
 	defer a.adm.release(n)
+
+	// A slow sender now holds its slot while it sends, so the request's
+	// deadline (RequestTimeout) also bounds the body read. Best effort:
+	// a writer with no connection behind it has nothing to time out.
+	if dl, ok := ctx.Deadline(); ok {
+		_ = http.NewResponseController(w).SetReadDeadline(dl)
+	}
+	// One n-byte buffer, then a one-byte probe for a body that runs
+	// past it (an unsized, chunked PUT is only measured here). Pooled:
+	// WriteSection packs the bytes into its own scratch and keeps
+	// nothing of the caller's.
+	pooled := mpiio.GetBuf(n)
+	defer pooled.Release()
+	body := pooled.B
+	got, err := io.ReadFull(r.Body, body)
+	if err == nil {
+		var probe [1]byte
+		if m, _ := io.ReadFull(r.Body, probe[:]); m > 0 {
+			got, err = got+m, errors.New("body runs past the section")
+		}
+	}
+	if err != nil {
+		s.tenants.update(tenant, func(t *TenantStats) { t.Requests++; t.Errors++ })
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			unavailable(w, fmt.Errorf("body of %d bytes for %d-byte section %v: %w", got, n, box, err))
+			return
+		}
+		httpError(w, http.StatusBadRequest, "body of %d bytes for %d-byte section %v: %v", got, n, box, err)
+		return
+	}
 
 	if err := a.f.WriteSection(box, body, order); err != nil {
 		s.tenants.update(tenant, func(t *TenantStats) { t.Requests++; t.Writes++; t.Errors++ })

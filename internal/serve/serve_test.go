@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +16,7 @@ import (
 	"drxmp"
 	"drxmp/internal/cluster"
 	"drxmp/internal/grid"
+	"drxmp/internal/mpiio"
 	"drxmp/internal/pfs"
 )
 
@@ -83,12 +83,14 @@ func TestServeSliceSection(t *testing.T) {
 	src := grid.NewBox([]int{2, 4}, []int{10, 12})
 	buf := sliceSrc(src)
 	sub := grid.NewBox([]int{3, 5}, []int{7, 11})
-	got := sliceSection(buf, src, sub, 1, grid.RowMajor)
+	got := make([]byte, sub.Volume())
+	sliceSection(got, buf, src, sub, 1, grid.RowMajor)
 	if want := sliceSrc(sub); !bytes.Equal(got, want) {
 		t.Fatalf("sliceSection RowMajor mismatch")
 	}
 	// ColMajor output: same bytes, transposed placement.
-	gotF := sliceSection(buf, src, sub, 1, grid.ColMajor)
+	gotF := make([]byte, sub.Volume())
+	sliceSection(gotF, buf, src, sub, 1, grid.ColMajor)
 	shape := sub.Shape()
 	for i := 0; i < shape[0]; i++ {
 		for j := 0; j < shape[1]; j++ {
@@ -187,22 +189,22 @@ func TestSingleFlightColdFill(t *testing.T) {
 	var fetches atomic.Int32
 	release := make(chan struct{})
 	want := []byte("cold fill payload")
-	results := make([][]byte, K)
+	results := make([]*flight, K)
 	shared := make([]bool, K)
 	var wg sync.WaitGroup
 	for i := 0; i < K; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			buf, sh, err := ft.do(context.Background(), "k", func() ([]byte, error) {
+			fl, sh, err := ft.do(context.Background(), "k", func() (*mpiio.Buf, error) {
 				fetches.Add(1)
 				<-release // hold the fill until every waiter has piled up
-				return want, nil
+				return &mpiio.Buf{B: want}, nil
 			})
 			if err != nil {
 				t.Error(err)
 			}
-			results[i], shared[i] = buf, sh
+			results[i], shared[i] = fl, sh
 		}(i)
 	}
 	// Wait until the K-1 non-leaders have joined the in-flight entry.
@@ -224,110 +226,35 @@ func TestSingleFlightColdFill(t *testing.T) {
 		t.Fatalf("stats %+v, want 1 fill / %d hits", st, K-1)
 	}
 	var nShared int
-	for i := range results {
-		if !bytes.Equal(results[i], want) {
-			t.Fatalf("reader %d got %q", i, results[i])
+	// Every reader holds the one pooled buffer until it releases: while
+	// any of them still does, the pool cannot hand it to someone else.
+	for i, fl := range results {
+		if !bytes.Equal(fl.buf.B, want) {
+			t.Fatalf("reader %d got %q", i, fl.buf.B)
 		}
 		if shared[i] {
 			nShared++
 		}
+		if i > 0 {
+			results[i-1].release()
+			for j := 0; j < 4; j++ {
+				if b := mpiio.GetBuf(int64(len(want))); &b.B[0] == &want[0] {
+					t.Fatalf("the fill's buffer went back to the pool with %d readers still on it", K-i)
+				}
+			}
+		}
+	}
+	results[K-1].release()
+	if n := results[0].users.Load(); n != 0 {
+		t.Fatalf("%d users left on the flight after %d releases", n, K)
 	}
 	if nShared != K-1 {
 		t.Fatalf("%d shared results, want %d", nShared, K-1)
 	}
 	// The completed fill must leave the table: the next reader fetches
 	// fresh (warmth is the extent cache's job).
-	if _, sh, _ := ft.do(context.Background(), "k", func() ([]byte, error) { return want, nil }); sh {
+	if _, sh, _ := ft.do(context.Background(), "k", func() (*mpiio.Buf, error) { return nil, nil }); sh {
 		t.Fatal("completed fill still shared")
-	}
-}
-
-// --- coalescer ---
-
-func TestCoalescerMergesOverlappingWindow(t *testing.T) {
-	var fetches atomic.Int32
-	co := newCoalescer(50*time.Millisecond, 1, func(b grid.Box) ([]byte, error) {
-		fetches.Add(1)
-		return sliceSrc(b), nil
-	})
-	// 8 overlapping boxes along a diagonal: every neighbor intersects,
-	// so the fix-point clustering collapses them into one read.
-	const K = 8
-	var wg sync.WaitGroup
-	errs := make([]error, K)
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			box := grid.NewBox([]int{i, i}, []int{i + 8, i + 8})
-			buf, _, err := co.read(context.Background(), box)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if !bytes.Equal(buf, sliceSrc(box)) {
-				errs[i] = fmt.Errorf("client %d: sliced bytes differ", i)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := fetches.Load(); n != 1 {
-		t.Fatalf("%d backing reads for %d overlapping clients in one window, want 1", n, K)
-	}
-	st := co.snapshot()
-	if st.Merged != K-1 || st.BackingReads != 1 || st.Batched != K {
-		t.Fatalf("stats %+v, want %d merged / 1 backing / %d batched", st, K-1, K)
-	}
-}
-
-func TestCoalescerDisjointClustersStaySeparate(t *testing.T) {
-	var fetches atomic.Int32
-	co := newCoalescer(50*time.Millisecond, 1, func(b grid.Box) ([]byte, error) {
-		fetches.Add(1)
-		return sliceSrc(b), nil
-	})
-	boxes := []grid.Box{
-		grid.NewBox([]int{0, 0}, []int{4, 4}),
-		grid.NewBox([]int{2, 2}, []int{6, 6}),     // overlaps the first
-		grid.NewBox([]int{100, 0}, []int{104, 4}), // far away
-	}
-	var wg sync.WaitGroup
-	for _, b := range boxes {
-		wg.Add(1)
-		go func(b grid.Box) {
-			defer wg.Done()
-			buf, _, err := co.read(context.Background(), b)
-			if err != nil {
-				t.Error(err)
-			} else if !bytes.Equal(buf, sliceSrc(b)) {
-				t.Errorf("box %v: bytes differ", b)
-			}
-		}(b)
-	}
-	wg.Wait()
-	if n := fetches.Load(); n != 2 {
-		t.Fatalf("%d backing reads, want 2 (one merged cluster + one loner)", n)
-	}
-}
-
-func TestCoalescerZeroWindowPassthrough(t *testing.T) {
-	var fetches atomic.Int32
-	co := newCoalescer(0, 1, func(b grid.Box) ([]byte, error) {
-		fetches.Add(1)
-		return sliceSrc(b), nil
-	})
-	box := grid.NewBox([]int{0, 0}, []int{4, 4})
-	buf, merged, err := co.read(context.Background(), box)
-	if err != nil || merged || !bytes.Equal(buf, sliceSrc(box)) {
-		t.Fatalf("passthrough read wrong: merged=%v err=%v", merged, err)
-	}
-	if fetches.Load() != 1 {
-		t.Fatalf("fetches = %d", fetches.Load())
 	}
 }
 
@@ -514,6 +441,7 @@ func TestServeAdmissionQueueHTTP(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		waitIdle(t, s.array("unit").adm)
 		st := s.Stats().Arrays[0].Admission
 		if st.PeakInFlight > 1 {
 			t.Fatalf("peak in-flight %d with budget 1", st.PeakInFlight)

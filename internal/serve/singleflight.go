@@ -4,15 +4,29 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
+
+	"drxmp/internal/mpiio"
 )
 
 // flight is one in-progress cold fill. Waiters block on done; the
-// leader publishes buf/err before closing it. The buffer is shared
-// read-only by every waiter (responses slice copies out of it).
+// leader publishes buf/err before closing it. The buffer is pooled and
+// shared read-only by every user of the flight (responses write it out
+// or slice copies out of it): users counts the leader plus every waiter
+// that joined, each of which calls release exactly once, and the last
+// release returns the buffer to the pool.
 type flight struct {
-	done chan struct{}
-	buf  []byte
-	err  error
+	done  chan struct{}
+	buf   *mpiio.Buf
+	err   error
+	users atomic.Int32
+}
+
+// release ends the caller's use of fl.buf.
+func (fl *flight) release() {
+	if fl.users.Add(-1) == 0 {
+		fl.buf.Release()
+	}
 }
 
 // flightTable is the per-file single-flight table: one entry per
@@ -34,28 +48,32 @@ func newFlightTable() *flightTable {
 	return &flightTable{inflight: map[string]*flight{}}
 }
 
-// do returns the fill result for key, issuing fetch only if no fill
-// for key is already in flight. shared reports that the caller waited
-// on another request's fill (a single-flight hit).
+// do returns the flight holding the fill result for key, issuing fetch
+// only if no fill for key is already in flight. shared reports that the
+// caller waited on another request's fill (a single-flight hit). The
+// caller owes the returned flight one release, error or not, once it is
+// done with fl.buf.
 //
 // ctx bounds only the WAIT of a non-leader: a waiter whose deadline
 // expires (or whose client disconnects) unparks with ctx's error and
 // releases its admission slot, while the fill keeps running for the
 // remaining waiters. The leader never abandons its fetch — it owes the
 // waiters a settled flight.
-func (t *flightTable) do(ctx context.Context, key string, fetch func() ([]byte, error)) (buf []byte, shared bool, err error) {
+func (t *flightTable) do(ctx context.Context, key string, fetch func() (*mpiio.Buf, error)) (fl *flight, shared bool, err error) {
 	t.mu.Lock()
 	if fl, ok := t.inflight[key]; ok {
 		t.hits++
+		fl.users.Add(1) // under mu, so before the leader can retire the entry and release
 		t.mu.Unlock()
 		select {
 		case <-fl.done:
-			return fl.buf, true, fl.err
+			return fl, true, fl.err
 		case <-ctx.Done():
-			return nil, true, fmt.Errorf("serve: abandoned in-flight fill for %q: %w", key, ctx.Err())
+			return fl, true, fmt.Errorf("serve: abandoned in-flight fill for %q: %w", key, ctx.Err())
 		}
 	}
-	fl := &flight{done: make(chan struct{})}
+	fl = &flight{done: make(chan struct{})}
+	fl.users.Store(1)
 	t.inflight[key] = fl
 	t.fills++
 	t.mu.Unlock()
@@ -78,7 +96,7 @@ func (t *flightTable) do(ctx context.Context, key string, fetch func() ([]byte, 
 	}()
 	fl.buf, fl.err = fetch()
 	completed = true
-	return fl.buf, false, fl.err
+	return fl, false, fl.err
 }
 
 // FlightStats is the single-flight table's surfaced accounting.
