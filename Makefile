@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay in sync.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench-module bench bench-pairs loc ci
+.PHONY: all build vet fmt test race bench-module bench bench-pairs profile loc ci
 
 all: build
 
@@ -41,6 +41,17 @@ N ?= 10
 BASE ?= HEAD
 bench-pairs:
 	bash scripts/bench_pairs.sh $(W) $(N) $(BASE)
+
+# CPU profile of one Go benchmark, flat top printed; binary and profile
+# stay under .bench_build/ (go tool pprof .bench_build/prof.test
+# .bench_build/cpu.prof for more):
+# make profile B=Dispatch/FIFO PKG=./internal/pfs
+B ?= .
+PKG ?= .
+profile:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench '$(B)' -benchtime=2s -o .bench_build/prof.test -cpuprofile .bench_build/cpu.prof $(PKG)
+	$(GO) tool pprof -top -nodecount=35 .bench_build/prof.test .bench_build/cpu.prof
 
 # Non-test and test Go lines, per top-level package of the root module
 # and for bench/ — the figures ROADMAP quotes.

@@ -914,29 +914,19 @@ func (f *File) fileRuns(runs []ioRun) []pfs.Run {
 	return out
 }
 
-// scatterGather moves bytes between the sorted-run scratch buffer and
-// the user buffer.
+// scatterGather moves bytes, an element at a time, between the
+// sorted-run scratch buffer and a user buffer whose rows are strided.
 func (f *File) scatterGather(runs []ioRun, stride int64, scratch, user []byte, toUser bool) {
 	es := int64(f.m.DType.Size())
 	var at int64
 	for _, r := range runs {
-		if stride == 1 {
-			u := user[r.dstStart*es : (r.dstStart+r.elems)*es]
-			s := scratch[at : at+r.elems*es]
+		for e := int64(0); e < r.elems; e++ {
+			u := user[(r.dstStart+e*stride)*es:]
+			s := scratch[at+e*es:]
 			if toUser {
-				copy(u, s)
+				copy(u[:es], s[:es])
 			} else {
-				copy(s, u)
-			}
-		} else {
-			for e := int64(0); e < r.elems; e++ {
-				u := user[(r.dstStart+e*stride)*es:]
-				s := scratch[at+e*es:]
-				if toUser {
-					copy(u[:es], s[:es])
-				} else {
-					copy(s[:es], u[:es])
-				}
+				copy(s[:es], u[:es])
 			}
 		}
 		at += r.elems * es
@@ -962,13 +952,13 @@ func (u userRows) Seg(i int) []byte {
 // sectionIO moves one section between buf and the file as one request
 // over its coalesced file runs. Independent I/O is ONE vectored
 // mpiio.File.ReadV/WriteV (which also apply the extent cache's
-// coherence rules): every per-server segment is queued up front, so
+// coherence rules): each server gets its list of segments up front, so
 // the server queues overlap the service time. Collective I/O is the
 // two-phase ReadAllV/WriteAllV over the same runs (ranks with an empty
-// section still take part), and when the rows are unit-stride in buf
-// the caller's own rows are its memory vector: the bytes go straight
-// between buf and the aggregators' staging buffers. Every other case —
-// independent I/O, strided or transposed rows — passes through a
+// section still take part). When the rows are unit-stride in buf the
+// caller's own rows are the request's memory vector and no scratch
+// exists: the servers (or the aggregators' staging buffers) exchange
+// bytes with buf directly. Strided or transposed rows pass through a
 // pooled scratch buffer packed in file-offset order. If a read fails,
 // the contents of buf are unspecified.
 func (f *File) sectionIO(box Box, buf []byte, order Order, write, collective bool) error {
@@ -985,11 +975,9 @@ func (f *File) sectionIO(box Box, buf []byte, order Order, write, collective boo
 	for _, r := range pruns {
 		total += r.Len
 	}
-	// direct: the caller's rows are the collective's memory vector.
-	direct := collective && stride == 1
 	var mem mpiio.Vec
 	var scratch []byte
-	if direct {
+	if stride == 1 {
 		mem = userRows{runs: runs, buf: buf, es: es, total: total}
 	} else {
 		pooled := mpiio.GetBuf(total)
@@ -1006,11 +994,11 @@ func (f *File) sectionIO(box Box, buf []byte, order Order, write, collective boo
 	case collective:
 		err = f.io.ReadAllV(pruns, mem)
 	case write:
-		err = f.io.WriteV(pruns, scratch)
+		err = f.io.WriteV(pruns, mem)
 	default:
-		err = f.io.ReadV(pruns, scratch)
+		err = f.io.ReadV(pruns, mem)
 	}
-	if err == nil && !write && !direct {
+	if err == nil && !write && scratch != nil {
 		f.scatterGather(runs, stride, scratch, buf, true)
 	}
 	return err

@@ -135,21 +135,13 @@ func (f *File) collectiveAt(buf []byte, viewOff int64, write bool) error {
 	return f.collective(runs, Contig(buf), write)
 }
 
-// Vec is a caller's memory as an ordered list of segments: the bytes
-// of a vectored transfer, packed back-to-back in run order, occupy
-// Seg(0), Seg(1), … in turn, Len() bytes in all. Segments may be empty.
-// The collective only reads or only writes the segments, only during
-// the call, and never asks for one past the Len()-th byte.
-type Vec interface {
-	Len() int64
-	Seg(i int) []byte
-}
-
-// Contig is the one-segment Vec: a contiguous buffer.
-type Contig []byte
-
-func (b Contig) Len() int64     { return int64(len(b)) }
-func (b Contig) Seg(int) []byte { return b }
+// Vec is a caller's memory as an ordered list of segments and Contig
+// the one-segment Vec (see pfs.Vec): the same vector travels from a
+// section call down to the servers.
+type (
+	Vec    = pfs.Vec
+	Contig = pfs.Contig
+)
 
 // ReadAllV is the collective twin of ReadV: every rank must call it,
 // each with its own absolute file runs (none on an idle rank) and its
@@ -188,49 +180,6 @@ func checkVec(runs []pfs.Run, mem Vec) error {
 		return fmt.Errorf("mpiio: memory vector of %d bytes for %d bytes of runs", have, want)
 	}
 	return nil
-}
-
-// memCursor walks a memory vector front to back: each call moves or
-// skips the next bytes of the packed transfer, whichever segments they
-// fall in.
-type memCursor struct {
-	mem  Vec
-	next int    // the next segment to open
-	rest []byte // what is left of the open one
-}
-
-// open makes rest non-empty; the caller has bytes left to place, so a
-// segment holding them exists (checkVec, and Vec's own Len).
-func (c *memCursor) open() {
-	for len(c.rest) == 0 {
-		c.rest = c.mem.Seg(c.next)
-		c.next++
-	}
-}
-
-// skip advances past n bytes without touching them.
-func (c *memCursor) skip(n int64) {
-	for n > 0 {
-		c.open()
-		k := min(n, int64(len(c.rest)))
-		c.rest = c.rest[k:]
-		n -= k
-	}
-}
-
-// move copies the next len(p) bytes of the vector into p (toMem false)
-// or p into them (toMem true).
-func (c *memCursor) move(p []byte, toMem bool) {
-	for len(p) > 0 {
-		c.open()
-		var k int
-		if toMem {
-			k = copy(c.rest, p)
-		} else {
-			k = copy(p, c.rest)
-		}
-		p, c.rest = p[k:], c.rest[k:]
-	}
 }
 
 // placed is one run fragment with its aggregation-domain owner and file
@@ -405,13 +354,13 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 				send[owner] = sendBufs[owner].B
 			}
 		}
-		cur := memCursor{mem: mem}
+		cur := pfs.Cursor{Mem: mem}
 		for _, p := range myPlaced {
 			if p.owner == me {
-				cur.skip(p.n)
+				cur.Skip(p.n)
 				continue
 			}
-			cur.move(send[p.owner][fill[p.owner]:fill[p.owner]+p.n], false)
+			cur.Move(send[p.owner][fill[p.owner]:fill[p.owner]+p.n], false)
 			fill[p.owner] += p.n
 		}
 		for r := range expect {
@@ -468,17 +417,17 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	// from the staging buffer, the others from each aggregator's payload
 	// (both sides walked the placed list in the same order).
 	taken := make([]int64, size)
-	cur := memCursor{mem: mem}
+	cur := pfs.Cursor{Mem: mem}
 	for _, p := range myPlaced {
 		if p.owner == me {
-			cur.move(stage.slice(p.fileOff, p.n), true)
+			cur.Move(stage.slice(p.fileOff, p.n), true)
 			continue
 		}
 		payload := recv[p.owner]
 		if taken[p.owner]+p.n > int64(len(payload)) {
 			return errors.New("mpiio: collective read reassembly underflow")
 		}
-		cur.move(payload[taken[p.owner]:taken[p.owner]+p.n], true)
+		cur.Move(payload[taken[p.owner]:taken[p.owner]+p.n], true)
 		taken[p.owner] += p.n
 	}
 	return nil
@@ -647,7 +596,7 @@ func (f *File) aggregateRead(placedBy [][]placed) (*staging, error) {
 	capped := capRuns(runs, f.CollectiveBufferSize)
 	var err error
 	if c := f.sharedCache(); c != nil && c.caching() {
-		err = c.ReadThrough(capped, s.data)
+		err = c.ReadThrough(capped, Contig(s.data))
 	} else {
 		_, err = f.fs.ReadV(capped, s.data)
 	}
@@ -681,12 +630,12 @@ func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error
 	defer s.release()
 	for r, pl := range placedBy {
 		if r == me {
-			cur := memCursor{mem: mem}
+			cur := pfs.Cursor{Mem: mem}
 			for _, p := range pl {
 				if p.owner == me {
-					cur.move(s.slice(p.fileOff, p.n), false)
+					cur.Move(s.slice(p.fileOff, p.n), false)
 				} else {
-					cur.skip(p.n)
+					cur.Skip(p.n)
 				}
 			}
 			continue

@@ -30,7 +30,7 @@ func TestFaultSieveReadFallsBackToDemandRead(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 256, 256)
 	fs.SetInjector(&bigReadFault{min: 128, err: errors.New("block fetch refused")})
 	buf := make([]byte, 80)
-	if err := w.ReadThrough([]pfs.Run{{Off: 300, Len: 80}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 300, Len: 80}}, Contig(buf)); err != nil {
 		t.Fatalf("ReadThrough with failing sieve fetch: %v", err)
 	}
 	wantPattern(t, buf, 300)
@@ -44,7 +44,7 @@ func TestFaultSieveReadFallsBackToDemandRead(t *testing.T) {
 	}
 	// With the injector cleared the next read resumes sieve caching.
 	fs.SetInjector(nil)
-	if err := w.ReadThrough([]pfs.Run{{Off: 300, Len: 80}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 300, Len: 80}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	wantPattern(t, buf, 300)
@@ -61,7 +61,7 @@ func TestFaultSieveFallbackSurfacesRealError(t *testing.T) {
 	sentinel := errors.New("dead server")
 	w.fs.SetInjector(&bigReadFault{min: 1, err: sentinel})
 	buf := make([]byte, 80)
-	err := w.ReadThrough([]pfs.Run{{Off: 300, Len: 80}}, buf)
+	err := w.ReadThrough([]pfs.Run{{Off: 300, Len: 80}}, Contig(buf))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want the injected sentinel", err)
 	}

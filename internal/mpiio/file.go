@@ -360,30 +360,33 @@ func (f *File) coherent(runs []pfs.Run, write bool) error {
 	return w.FlushIntersecting(runs)
 }
 
-// ReadV reads the coalesced runs into buf (packed back-to-back). With
-// clean caching on (CacheBytes > 0) the read goes through the unified
-// cache — covered bytes, dirty or clean, come from memory and holes
-// are sieve-fetched; otherwise it applies the wb-only read coherence
-// (flush intersecting dirty extents) and reads the store.
-func (f *File) ReadV(runs []pfs.Run, buf []byte) error {
+// ReadV reads the coalesced runs into mem (their bytes packed
+// back-to-back fill its segments in order). With clean caching on
+// (CacheBytes > 0) the read goes through the unified cache — covered
+// bytes, dirty or clean, come from memory and holes are sieve-fetched;
+// otherwise it applies the wb-only read coherence (flush intersecting
+// dirty extents) and reads the store, whose servers move the bytes
+// straight into mem's segments.
+func (f *File) ReadV(runs []pfs.Run, mem Vec) error {
 	if f.cacheActive() {
-		return f.cache().ReadThrough(runs, buf)
+		return f.cache().ReadThrough(runs, mem)
 	}
 	if err := f.coherent(runs, false); err != nil {
 		return err
 	}
-	_, err := f.fs.ReadV(runs, buf)
+	_, err := f.fs.ReadVec(runs, mem)
 	return err
 }
 
-// WriteV writes the coalesced runs from buf (packed back-to-back),
-// punching the runs out of the unified cache first — and, with clean
-// caching on, once more after the store write lands (postWrite).
-func (f *File) WriteV(runs []pfs.Run, buf []byte) error {
+// WriteV writes the coalesced runs from mem (its segments,
+// concatenated, supply the runs' bytes), punching the runs out of the
+// unified cache first — and, with clean caching on, once more after
+// the store write lands (postWrite).
+func (f *File) WriteV(runs []pfs.Run, mem Vec) error {
 	if err := f.coherent(runs, true); err != nil {
 		return err
 	}
-	if _, err := f.fs.WriteV(runs, buf); err != nil {
+	if _, err := f.fs.WriteVec(runs, mem); err != nil {
 		return err
 	}
 	return f.postWrite(runs)
@@ -478,7 +481,7 @@ func (f *File) ReadAt(buf []byte, viewOff int64) error {
 	if len(buf) == 0 {
 		return nil
 	}
-	return f.ReadV(f.runsFor(viewOff, int64(len(buf))), buf)
+	return f.ReadV(f.runsFor(viewOff, int64(len(buf))), Contig(buf))
 }
 
 // WriteAt writes len(buf) view bytes at view offset viewOff
@@ -490,7 +493,7 @@ func (f *File) WriteAt(buf []byte, viewOff int64) error {
 	if len(buf) == 0 {
 		return nil
 	}
-	return f.WriteV(f.runsFor(viewOff, int64(len(buf))), buf)
+	return f.WriteV(f.runsFor(viewOff, int64(len(buf))), Contig(buf))
 }
 
 // Read reads from the individual file pointer and advances it.

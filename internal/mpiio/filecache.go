@@ -870,7 +870,7 @@ func (w *fileCache) EnforceBudget() error {
 }
 
 // hole is one uncached sub-range of a ReadThrough request and its
-// position in the caller's packed buffer.
+// position in the caller's packed transfer.
 type hole struct {
 	off, n, bufAt int64
 }
@@ -901,14 +901,14 @@ func (w *fileCache) uncovered(span pfs.Run) []pfs.Run {
 }
 
 // ReadThrough serves a vectored read (runs packed back-to-back into
-// buf) through the cache: bytes covered by cached extents — clean or
+// mem's segments) through the cache: bytes covered by cached extents — clean or
 // dirty — copy straight from memory, and the uncovered holes are
 // fetched from the store as ONE vectored SieveReadV of sieve-aligned
 // blocks (plus the read-ahead extension), which then populate the
 // cache as clean extents for the next reader. Requires clean caching
 // (budget > 0); File.ReadV and the collective aggregateRead route
 // through here when it is on.
-func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
+func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 	// Phase 1: serve what the cache covers, collect the holes. Spill
 	// hits promote FIRST — still under this same mu hold, so the hole
 	// computation below sees the promoted extents as ordinary memory
@@ -944,6 +944,7 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 	var holes []hole
 	var at, hitBytes int64
 	k := 0
+	cur := pfs.Cursor{Mem: mem} // hits land in packed order; holes are skipped
 	for _, r := range runs {
 		rEnd := r.Off + r.Len
 		pos := r.Off
@@ -954,10 +955,11 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 			e := w.ext[k]
 			if e.off > pos {
 				holes = append(holes, hole{off: pos, n: e.off - pos, bufAt: at + (pos - r.Off)})
+				cur.Skip(e.off - pos)
 				pos = e.off
 			}
 			o := min(e.end(), rEnd)
-			copy(buf[at+(pos-r.Off):at+(o-r.Off)], e.data[pos-e.off:o-e.off])
+			cur.Move(e.data[pos-e.off:o-e.off], true)
 			hitBytes += o - pos
 			e.use = stamp
 			pos = o
@@ -967,6 +969,7 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 		}
 		if pos < rEnd {
 			holes = append(holes, hole{off: pos, n: rEnd - pos, bufAt: at + (pos - r.Off)})
+			cur.Skip(rEnd - pos)
 		}
 		at += r.Len
 	}
@@ -1042,9 +1045,9 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 		// asked for (block rounding plus read-ahead), so a failure in
 		// that speculative territory must not fail the demand read.
 		// Retry with exactly the uncovered holes, straight into the
-		// caller's buffer, and skip cache population — the cache only
+		// caller's memory, and skip cache population — the cache only
 		// ever holds whole verified blocks.
-		return w.readHolesDirect(holes, buf)
+		return w.readHolesDirect(holes, mem)
 	}
 	// tempAt maps a file offset inside the fetched blocks to its packed
 	// position in temp (every hole lies within one coalesced block).
@@ -1052,10 +1055,10 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, buf []byte) error {
 		i := sort.Search(len(fetch), func(k int) bool { return fetch[k].Off > off }) - 1
 		return starts[i] + (off - fetch[i].Off)
 	}
-	for _, h := range holes {
+	fillHoles(holes, mem, func(h hole) []byte {
 		o := tempAt(h.off)
-		copy(buf[h.bufAt:h.bufAt+h.n], temp[o:o+h.n])
-	}
+		return temp[o : o+h.n]
+	})
 
 	// Phase 3: populate the cache with the fetched blocks, filling only
 	// the gaps between existing extents of either tier (which are either
@@ -1112,13 +1115,25 @@ func (w *fileCache) endFetch(g *fetchGuard) {
 	w.guards = slices.DeleteFunc(w.guards, func(x *fetchGuard) bool { return x == g })
 }
 
+// fillHoles copies each hole's bytes, as src finds them, to its place
+// in mem; holes are in packed order.
+func fillHoles(holes []hole, mem Vec, src func(hole) []byte) {
+	cur := pfs.Cursor{Mem: mem}
+	var at int64
+	for _, h := range holes {
+		cur.Skip(h.bufAt - at)
+		cur.Move(src(h), true)
+		at = h.bufAt + h.n
+	}
+}
+
 // readHolesDirect is ReadThrough's fallback when the sieve-aligned
 // fetch fails: a tight vectored read of exactly the uncovered holes,
-// placed straight into the caller's buffer. No sieve attribution, no
+// placed straight into the caller's memory. No sieve attribution, no
 // read-ahead, no cache insert — the minimal demand I/O that can still
 // satisfy the caller when part of the speculative fetch range is
 // unreachable.
-func (w *fileCache) readHolesDirect(holes []hole, buf []byte) error {
+func (w *fileCache) readHolesDirect(holes []hole, mem Vec) error {
 	runs := make([]pfs.Run, len(holes))
 	var total int64
 	for i, h := range holes {
@@ -1129,11 +1144,11 @@ func (w *fileCache) readHolesDirect(holes []hole, buf []byte) error {
 	if _, err := w.fs.ReadV(runs, tight); err != nil {
 		return err
 	}
-	var at int64
-	for _, h := range holes {
-		copy(buf[h.bufAt:h.bufAt+h.n], tight[at:at+h.n])
-		at += h.n
-	}
+	fillHoles(holes, mem, func(h hole) []byte {
+		p := tight[:h.n]
+		tight = tight[h.n:]
+		return p
+	})
 	return nil
 }
 

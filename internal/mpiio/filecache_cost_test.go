@@ -34,7 +34,7 @@ func TestSieveGuardKeepsPunchedRangeOut(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 256, 0)
 	wrote := []pfs.Run{{Off: 300, Len: 40}}
 	fs.SetInjector(&midFetch{fn: func() { w.PunchV(wrote) }})
-	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, make([]byte, 256)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, make(Contig, 256)); err != nil {
 		t.Fatal(err)
 	}
 	fs.SetInjector(nil)
@@ -46,7 +46,7 @@ func TestSieveGuardKeepsPunchedRangeOut(t *testing.T) {
 	}
 	fetched := w.Stats().SieveFetched
 	buf := make([]byte, 256)
-	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	wantPattern(t, buf[:44], 256)
@@ -64,13 +64,13 @@ func TestSieveGuardKeepsPunchedRangeOut(t *testing.T) {
 func TestSieveGuardIgnoresDisjointPunch(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 256, 0)
 	fs.SetInjector(&midFetch{fn: func() { w.PunchV([]pfs.Run{{Off: 2048, Len: 512}}) }})
-	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, make([]byte, 256)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, make(Contig, 256)); err != nil {
 		t.Fatal(err)
 	}
 	fs.SetInjector(nil)
 	before := w.Stats()
 	buf := make([]byte, 256)
-	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	wantPattern(t, buf, 256)
@@ -209,7 +209,7 @@ func BenchmarkFileCacheReadThroughWarm(b *testing.B) {
 				for k := range runs {
 					runs[k] = pfs.Run{Off: int64(first+k)*2*benchExt + 64, Len: 256}
 				}
-				if err := w.ReadThrough(runs, buf); err != nil {
+				if err := w.ReadThrough(runs, Contig(buf)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -236,7 +236,7 @@ func BenchmarkFileCacheMissEvict(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					// First the gaps, then the blocks they pushed out, and so on.
 					hole := pfs.Run{Off: int64(i%n)*2*benchExt + benchExt*int64(1-i/n%2), Len: benchExt}
-					if err := w.ReadThrough([]pfs.Run{hole}, buf); err != nil {
+					if err := w.ReadThrough([]pfs.Run{hole}, Contig(buf)); err != nil {
 						b.Fatal(err)
 					}
 				}

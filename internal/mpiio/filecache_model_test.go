@@ -174,7 +174,7 @@ func (m *cacheModel) enforce() error {
 func (m *cacheModel) read(runs []pfs.Run) error {
 	buf := packed(runs)
 	if m.w.caching() {
-		if err := m.w.ReadThrough(runs, buf); err != nil {
+		if err := m.w.ReadThrough(runs, Contig(buf)); err != nil {
 			return err
 		}
 	} else {

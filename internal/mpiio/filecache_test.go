@@ -48,7 +48,7 @@ func wantPattern(t *testing.T, buf []byte, off int64) {
 func TestFileCacheSieveFetchAndWarmHit(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 256, 0)
 	buf := make([]byte, 80)
-	if err := w.ReadThrough([]pfs.Run{{Off: 300, Len: 80}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 300, Len: 80}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	wantPattern(t, buf, 300)
@@ -63,7 +63,7 @@ func TestFileCacheSieveFetchAndWarmHit(t *testing.T) {
 	// Re-read, and a different range inside the same block: both warm.
 	for _, r := range []pfs.Run{{Off: 300, Len: 80}, {Off: 256, Len: 256}} {
 		got := make([]byte, r.Len)
-		if err := w.ReadThrough([]pfs.Run{r}, got); err != nil {
+		if err := w.ReadThrough([]pfs.Run{r}, Contig(got)); err != nil {
 			t.Fatal(err)
 		}
 		wantPattern(t, got, r.Off)
@@ -86,7 +86,7 @@ func TestFileCacheSieveFetchAndWarmHit(t *testing.T) {
 func TestFileCacheReadAhead(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 256, 256)
 	buf := make([]byte, 64)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 64}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 64}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	st := fs.Stats()
@@ -94,7 +94,7 @@ func TestFileCacheReadAhead(t *testing.T) {
 		t.Fatalf("SieveBytes = %d, want 512 (block + read-ahead block)", st.SieveBytes())
 	}
 	// The forward scan's next block: warm.
-	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, make([]byte, 256)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, make(Contig, 256)); err != nil {
 		t.Fatal(err)
 	}
 	if after := fs.Stats(); after.Reads() != st.Reads() {
@@ -109,7 +109,7 @@ func TestFileCacheServesDirtyWithoutFlush(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 128, 0)
 	w.Absorb(128, bytes.Repeat([]byte{9}, 128)) // exactly one sieve block
 	buf := make([]byte, 128)
-	if err := w.ReadThrough([]pfs.Run{{Off: 128, Len: 128}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 128, Len: 128}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, bytes.Repeat([]byte{9}, 128)) {
@@ -132,7 +132,7 @@ func TestFileCacheDirtyStraddleRead(t *testing.T) {
 	_, w := fcForTest(t, 1<<20, 128, 0)
 	w.Absorb(200, bytes.Repeat([]byte{7}, 100)) // dirty [200, 300)
 	buf := make([]byte, 256)
-	if err := w.ReadThrough([]pfs.Run{{Off: 100, Len: 256}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 100, Len: 256}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	wantPattern(t, buf[:100], 100) // [100, 200): store
@@ -166,7 +166,7 @@ func TestFileCacheFlushKeepsWarm(t *testing.T) {
 	}
 	fs.ResetStats()
 	buf := make([]byte, 256)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 256}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 256}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, back) {
@@ -182,18 +182,18 @@ func TestFileCacheFlushKeepsWarm(t *testing.T) {
 func TestFileCacheLRUEviction(t *testing.T) {
 	fs, w := fcForTest(t, 256, 128, 0)
 	// Two blocks fill the budget exactly.
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make([]byte, 128)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.ReadThrough([]pfs.Run{{Off: 1024, Len: 128}}, make([]byte, 128)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 1024, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
 	// Touch the first block so the second becomes LRU.
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make([]byte, 128)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
 	// A third block forces an eviction.
-	if err := w.ReadThrough([]pfs.Run{{Off: 2048, Len: 128}}, make([]byte, 128)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 2048, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
 	if w.Cached() != 256 {
@@ -201,13 +201,13 @@ func TestFileCacheLRUEviction(t *testing.T) {
 	}
 	base := fs.Stats().Reads()
 	// First block still warm, second (LRU) evicted.
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make([]byte, 128)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.Stats().Reads(); got != base {
 		t.Fatalf("recently-used block was evicted (%d extra reads)", got-base)
 	}
-	if err := w.ReadThrough([]pfs.Run{{Off: 1024, Len: 128}}, make([]byte, 128)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 1024, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
 	if got := fs.Stats().Reads(); got == base {
@@ -262,7 +262,7 @@ func TestFileCacheDirtyFlushOnEvict(t *testing.T) {
 // of serving superseded cache contents.
 func TestFileCachePunchDropsClean(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 128, 0)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make([]byte, 128)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
 	// Independent-write coherence: punch, then the store is rewritten.
@@ -271,7 +271,7 @@ func TestFileCachePunchDropsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 128)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, bytes.Repeat([]byte{42}, 128)) {
@@ -284,12 +284,12 @@ func TestFileCachePunchDropsClean(t *testing.T) {
 // remainder outside the write survives.
 func TestFileCacheAbsorbPunchesClean(t *testing.T) {
 	_, w := fcForTest(t, 1<<20, 128, 0)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 256}}, make([]byte, 256)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 256}}, make(Contig, 256)); err != nil {
 		t.Fatal(err)
 	}
 	w.Absorb(64, bytes.Repeat([]byte{9}, 64))
 	buf := make([]byte, 256)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 256}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 256}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	wantPattern(t, buf[:64], 0)
@@ -307,7 +307,7 @@ func TestFileCacheAbsorbPunchesClean(t *testing.T) {
 // keeping dirty ones buffered.
 func TestFileCacheConfigureDisableDropsClean(t *testing.T) {
 	_, w := fcForTest(t, 1<<20, 128, 0)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make([]byte, 128)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
 	w.Absorb(1024, bytes.Repeat([]byte{3}, 64))
@@ -389,7 +389,7 @@ func TestFileCacheReadThroughPoisonedPool(t *testing.T) {
 	read := func(off, n int64) []byte {
 		poison()
 		buf := make([]byte, n)
-		if err := w.ReadThrough([]pfs.Run{{Off: off, Len: n}}, buf); err != nil {
+		if err := w.ReadThrough([]pfs.Run{{Off: off, Len: n}}, Contig(buf)); err != nil {
 			t.Fatal(err)
 		}
 		return buf

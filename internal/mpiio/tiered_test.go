@@ -45,7 +45,7 @@ func tieredForTest(t *testing.T, budget, spillBytes int64, adaptive bool) (*pfs.
 func readRange(t *testing.T, w *fileCache, off, n int64) {
 	t.Helper()
 	buf := make([]byte, n)
-	if err := w.ReadThrough([]pfs.Run{{Off: off, Len: n}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: off, Len: n}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	wantPattern(t, buf, off)
@@ -114,7 +114,7 @@ func TestTieredPunchInvalidatesSpill(t *testing.T) {
 	}
 	w.PunchV([]pfs.Run{{Off: 0, Len: 512}})
 	buf := make([]byte, 512)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 512}}, buf); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 512}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, bytes.Repeat([]byte{0xEE}, 512)) {
@@ -185,7 +185,7 @@ func TestTieredBudgetAccountingUnderChurn(t *testing.T) {
 			buf := make([]byte, 256)
 			for i := 0; i < 60; i++ {
 				off := int64(rng.Intn(15)) * 256
-				if err := w.ReadThrough([]pfs.Run{{Off: off, Len: 256}}, buf); err != nil {
+				if err := w.ReadThrough([]pfs.Run{{Off: off, Len: 256}}, Contig(buf)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -278,7 +278,7 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 			var got [][]byte
 			for _, w := range caches {
 				buf := make([]byte, n)
-				if err := w.ReadThrough([]pfs.Run{{Off: off, Len: n}}, buf); err != nil {
+				if err := w.ReadThrough([]pfs.Run{{Off: off, Len: n}}, Contig(buf)); err != nil {
 					t.Fatal(err)
 				}
 				got = append(got, buf)

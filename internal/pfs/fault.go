@@ -40,22 +40,36 @@ func (fs *FS) SetInjector(inj Injector) {
 // type to hold (a nil inside the box means "no injection").
 type injBox struct{ inj Injector }
 
-// inject consults the installed injector, if any.
-func (fs *FS) inject(server int, write bool, off, n int64) error {
-	box := fs.inj.Load()
+// fail consults the boxed injector, if any.
+func (box *injBox) fail(server int, write bool, off, n int64) error {
 	if box == nil || box.inj == nil {
 		return nil
 	}
 	if err := box.inj.Fail(server, write, off, n); err != nil {
-		op := "read"
-		if write {
-			op = "write"
-		}
-		return fmt.Errorf("pfs: injected %s fault on server %d (off %d, %d bytes): %w",
-			op, server, off, n, err)
+		return &injectedFault{server: server, write: write, off: off, n: n, err: err}
 	}
 	return nil
 }
+
+// injectedFault is the error of a refused request. A degraded read
+// discards most of them unread, so the text is formatted on demand.
+type injectedFault struct {
+	server int
+	write  bool
+	off, n int64
+	err    error
+}
+
+func (e *injectedFault) Error() string {
+	op := "read"
+	if e.write {
+		op = "write"
+	}
+	return fmt.Sprintf("pfs: injected %s fault on server %d (off %d, %d bytes): %v",
+		op, e.server, e.off, e.n, e.err)
+}
+
+func (e *injectedFault) Unwrap() error { return e.err }
 
 // AnyServer matches every server in a FaultPoint.
 const AnyServer = -1

@@ -33,13 +33,11 @@
 // next degraded read of an untouched neighbour unit in such a row
 // would decode garbage and report success.
 //
-// Row buffers. One update works out of a parityScratch taken from a
-// sync.Pool: k stripe units the data of one row is loaded into, reused
-// row after row, and m coded units per row of the batch, which the
-// parity dispatch reads from. The scratch goes back to the pool only
-// after that dispatch has returned — every queued write has completed
-// by then — so no server and no caller ever sees a pooled buffer after
-// the call.
+// Row buffers. An update works out of the store's parityScratch, which
+// parityMu guards along with the cycle: k stripe units the data of one
+// row is loaded into, reused row after row, and m coded units per row
+// of the batch, which the parity dispatch reads from and has finished
+// with when it returns.
 //
 // Degraded reads. A segment that is refused by the failure injector,
 // errors in service, exceeds the straggler deadline (DegradedReadFactor
@@ -47,20 +45,24 @@
 // only), or targets a server at or beyond AvoidSlowFactor is
 // reconstructed: the same byte sub-range of the row's other shards is
 // fetched from the fastest k of the remaining k+m-1 servers (ranked by
-// slow factor, then queue backlog), and the missing shard is decoded
+// slow factor, then requests queued), and the missing shard is decoded
 // straight into the caller's buffer — byte-range decoding works
-// because Reed-Solomon over GF(2^8) is bytewise. Segments are read in
-// place unless a deadline is armed; only then can a request be
-// abandoned, and only then does each go out with a private buffer
-// (one slab for the vector), so a straggler's late completion lands in
-// memory nobody reads.
+// because Reed-Solomon over GF(2^8) is bytewise. (A caller's vector
+// that is not one contiguous buffer is assembled in the dispatch's
+// staging buffer and copied out once.) The deadline cuts lists, not
+// calls: when it fires, every segment a server has marked served is
+// kept and the rest of each unfinished list is a straggler. Segments
+// are read in place unless a deadline is armed; only then can a list be
+// abandoned, and only then do the servers read into a private slab, so
+// a straggler's late completions land in memory nobody reads — and the
+// dispatch they belong to is never reused.
 package pfs
 
 import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"drxmp/internal/ec"
@@ -96,16 +98,12 @@ func (fs *FS) dataServers() int { return fs.opts.Servers - fs.opts.Parity }
 // huge writes.
 const parityRowBatch = 64
 
-// parityScratch is the working memory of one updateParity call.
+// parityScratch is updateParity's working memory, regrown on demand.
 type parityScratch struct {
 	buf    []byte   // k data units, then m coded units per row of a batch
+	mem    Vec      // buf, as the parity writes' memory vector
 	shards [][]byte // Encode's k+m view of the row being coded
-	segs   []ioSeg  // the batch's parity writes
 }
-
-// parityScratches is shared by every store; a scratch too small for
-// the taker's geometry is regrown in place.
-var parityScratches = sync.Pool{New: func() any { return new(parityScratch) }}
 
 // parityRows returns the parity rows intersecting runs, ascending and
 // unique. Runs arrive sorted from every caller in the tree, so the
@@ -155,26 +153,25 @@ func (fs *FS) updateParity(runs []Run) error {
 		return nil
 	}
 
-	sc := parityScratches.Get().(*parityScratch)
-	defer parityScratches.Put(sc)
-	if need := (int64(k) + int64(min(len(rows), parityRowBatch)*m)) * stripe; int64(cap(sc.buf)) < need {
+	fs.parityMu.Lock()
+	defer fs.parityMu.Unlock()
+	sc := &fs.parity
+	if need := (int64(k) + int64(min(len(rows), parityRowBatch)*m)) * stripe; int64(len(sc.buf)) < need {
 		sc.buf = make([]byte, need)
+		sc.mem = Contig(sc.buf)
 	}
-	if cap(sc.shards) < k+m {
+	if sc.shards == nil {
 		sc.shards = make([][]byte, k+m)
 	}
-	shards := sc.shards[:k+m]
+	shards := sc.shards
 	for c := 0; c < k; c++ {
 		shards[c] = sc.buf[int64(c)*stripe : int64(c+1)*stripe]
 	}
-
-	fs.parityMu.Lock()
-	defer fs.parityMu.Unlock()
 	for len(rows) > 0 {
 		batch := rows[:min(len(rows), parityRowBatch)]
 		rows = rows[len(batch):]
-		coded := sc.buf[int64(k)*stripe:]
-		segs := sc.segs[:0]
+		at := int64(k) * stripe // the next coded unit's place in sc.buf
+		d := fs.newDispatch(sc.mem, true)
 		for _, row := range batch {
 			// The parity engine's local read-modify-write: load the
 			// row's stored data units uncharged (holes read as zeros,
@@ -186,21 +183,21 @@ func (fs *FS) updateParity(runs []Run) error {
 				err := sv.loadLocked(shards[c], row*stripe)
 				sv.mu.Unlock()
 				if err != nil {
+					fs.release(d)
 					return fmt.Errorf("pfs: parity row %d read: %w", row, err)
 				}
 			}
 			for j := 0; j < m; j++ {
-				shards[k+j], coded = coded[:stripe], coded[stripe:]
+				shards[k+j] = sc.buf[at : at+stripe]
+				d.segs = append(d.segs, ioSeg{server: int32(k + j), off: row * stripe, n: stripe, mo: at})
+				at += stripe
 			}
 			if err := fs.code.Encode(shards); err != nil {
+				fs.release(d)
 				return err
 			}
-			for j := 0; j < m; j++ {
-				segs = append(segs, ioSeg{server: k + j, off: row * stripe, p: shards[k+j], write: true})
-			}
 		}
-		sc.segs = segs
-		if _, err := fs.dispatch(segs); err != nil {
+		if _, err := fs.dispatch(d); err != nil {
 			return fmt.Errorf("pfs: parity update: %w", err)
 		}
 	}
@@ -233,124 +230,79 @@ func (fs *FS) readDeadline(segs []ioSeg) time.Duration {
 	per := make([]time.Duration, fs.opts.Servers)
 	for i := range segs {
 		s := &segs[i]
-		per[s.server] += c.RequestOverhead + c.SeekLatency + time.Duration(len(s.p))*c.ByteTime
+		per[s.server] += c.RequestOverhead + c.SeekLatency + time.Duration(s.n)*c.ByteTime
 	}
-	var max time.Duration
-	for _, d := range per {
-		if d > max {
-			max = d
-		}
-	}
-	return time.Duration(float64(max) * f)
+	return time.Duration(float64(slices.Max(per)) * f)
 }
 
 // dispatchDegraded is the read-side dispatch when parity is on.
-// Segments that fail, time out, or are proactively avoided collect into
-// a reconstruction list and are decoded from the surviving shards. On
-// success the call is byte-identical to a healthy dispatch.
-func (fs *FS) dispatchDegraded(segs []ioSeg) (int64, error) {
-	var recon []int
+// Segments that fail, time out, or are proactively avoided are
+// reconstructed from the surviving shards. On success the call is
+// byte-identical to a healthy dispatch. Decoding wants contiguous
+// memory, so a scattered vector is read into the dispatch's staging
+// buffer and copied out at the end.
+func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
+	segs, mem := d.segs, d.mem
 	var total int64
 	for i := range segs {
-		total += int64(len(segs[i].p))
+		total += segs[i].n
 	}
-	fs.qmu.RLock()
-	if fs.qclosed || fs.queues == nil {
-		fs.qmu.RUnlock()
-		// Post-Close synchronous path: serve in the caller, diverting
-		// failures to reconstruction.
+	buf, inPlace := mem.(Contig)
+	if !inPlace {
+		if int64(cap(d.stage)) < total {
+			d.stage = make([]byte, total)
+		}
+		buf = d.stage[:total]
+		var at int64
 		for i := range segs {
-			s := &segs[i]
-			if fs.avoidServer(s.server) {
-				recon = append(recon, i)
-				continue
-			}
-			if err := fs.inject(s.server, false, s.off, int64(len(s.p))); err != nil {
-				recon = append(recon, i)
-				continue
-			}
-			sv := fs.servers[s.server]
-			d, err := sv.readAt(s.p, s.off, s.sieve)
-			if sv.cost.RealTime && d > 0 {
-				time.Sleep(d)
-			}
-			if err != nil {
-				recon = append(recon, i)
-			}
-		}
-	} else {
-		deadline := fs.readDeadline(segs)
-		done := make(chan *ioReq, len(segs)) // buffered: abandoned completions never block a worker
-		reqs := make([]ioReq, len(segs))
-		// Only an armed deadline can abandon a request, so only then do
-		// requests read into private memory, copied out on completion.
-		var private []byte
-		if deadline > 0 {
-			private = make([]byte, total)
-		}
-		sent := 0
-		for i := range segs {
-			s := &segs[i]
-			if fs.avoidServer(s.server) {
-				recon = append(recon, i)
-				continue
-			}
-			if err := fs.inject(s.server, false, s.off, int64(len(s.p))); err != nil {
-				recon = append(recon, i)
-				continue
-			}
-			reqs[i] = ioReq{seg: *s, idx: i, done: done}
-			if deadline > 0 {
-				reqs[i].seg.p, private = private[:len(s.p)], private[len(s.p):]
-			}
-			fs.queues[s.server] <- &reqs[i]
-			sent++
-		}
-		fs.qmu.RUnlock()
-		var timeout <-chan time.Time
-		if deadline > 0 {
-			t := time.NewTimer(deadline)
-			defer t.Stop()
-			timeout = t.C
-		}
-	wait:
-		for received := 0; received < sent; received++ {
-			select {
-			case r := <-done:
-				r.done = nil // received; a request still holding its channel below is outstanding
-				if r.err != nil {
-					recon = append(recon, r.idx)
-				} else if deadline > 0 {
-					copy(segs[r.idx].p, r.seg.p)
-				}
-			case <-timeout:
-				// Deadline: whatever is still outstanding is treated as
-				// a straggler and reconstructed. The abandoned requests
-				// complete into their private buffers eventually (the
-				// buffered done channel absorbs the notifications).
-				break wait
-			}
-		}
-		for i := range reqs {
-			if reqs[i].done != nil {
-				recon = append(recon, i)
-			}
+			segs[i].mi, segs[i].mo = 0, at
+			at += segs[i].n
 		}
 	}
-	if len(recon) == 0 {
-		return total, nil
+	// Only an armed deadline can abandon a request, so only then do the
+	// servers read into private memory, copied out segment by segment:
+	// a straggler's late completion lands where nobody reads.
+	deadline := fs.readDeadline(segs)
+	target := buf
+	if deadline > 0 {
+		target = make([]byte, total)
 	}
-	sort.Ints(recon)
-	if failIdx, err := fs.reconstructSegs(segs, recon); err != nil {
-		// Keep the dispatch contract: bytes of the segments preceding
-		// the earliest segment that could not be served.
-		var n int64
-		for i := 0; i < failIdx; i++ {
-			n += int64(len(segs[i].p))
+	if deadline > 0 || !inPlace {
+		d.mem = Contig(target)
+	}
+	d.skip, d.avoid = true, true
+	if cap(d.served) < len(segs) {
+		d.served = make([]atomic.Bool, len(segs))
+	}
+	d.served = d.served[:len(segs)]
+	finished := fs.submit(d, deadline)
+	// Whatever is not marked served — refused, avoided, failed, or still
+	// outstanding at the deadline — is reconstructed.
+	var recon []int
+	for i := range segs {
+		if !d.served[i].Load() {
+			recon = append(recon, i)
+		} else if deadline > 0 {
+			copy(segs[i].in(buf), segs[i].in(target))
 		}
-		return n, err
 	}
-	return total, nil
+	var err error
+	if len(recon) > 0 {
+		var failIdx int
+		if failIdx, err = fs.reconstructSegs(segs, buf, recon); err != nil {
+			// Keep the dispatch contract: bytes of the segments preceding
+			// the earliest segment that could not be served.
+			total = d.bytesBefore(failIdx)
+		}
+	}
+	if !inPlace {
+		c := Cursor{Mem: mem}
+		c.Move(buf, true)
+	}
+	if finished {
+		fs.release(d)
+	}
+	return total, err
 }
 
 // reconFetch is one source read of a reconstruction: the byte range of
@@ -368,8 +320,9 @@ type reconFetch struct {
 // source server, and one large request pays one overhead + seek where
 // the per-shard fetches would pay them per row. The fetches' buffers
 // are carved from one slab in request order, so a merged request reads
-// straight into its members. A merged failure fails every member,
-// which then moves on to its next candidate.
+// straight into its members. One failure does not stop the others; a
+// merged failure fails every member, which then moves on to its next
+// candidate.
 func (fs *FS) serviceReconBatch(batch []reconFetch) {
 	idx := make([]int, len(batch))
 	total := 0
@@ -385,92 +338,41 @@ func (fs *FS) serviceReconBatch(batch []reconFetch) {
 		return fa.job.off < fb.job.off
 	})
 	slab := make([]byte, total)
-	merged := make([]ioSeg, 0, len(batch))
-	first := make([]int, 0, len(batch)+1) // merged[i] serves batch[idx[first[i]:first[i+1]]]
-	for at, i := range idx {
+	d := fs.newDispatch(Contig(slab), false)
+	d.skip = true
+	first := make([]int, 0, len(batch)+1) // d.segs[i] serves batch[idx[first[i]:first[i+1]]]
+	var at int64
+	for k, i := range idx {
 		f := &batch[i]
-		f.p, slab = slab[:f.job.n], slab[f.job.n:]
-		if n := len(merged); n > 0 {
-			last := &merged[n-1]
-			if last.server == f.server && last.off+int64(len(last.p)) == f.job.off {
-				last.p = last.p[:len(last.p)+len(f.p)] // f.p is the slab's next bytes
-				continue
-			}
+		n := int64(f.job.n)
+		f.p = slab[at : at+n]
+		if last := len(d.segs) - 1; last >= 0 && int(d.segs[last].server) == f.server &&
+			d.segs[last].off+d.segs[last].n == f.job.off {
+			d.segs[last].n += n // f.p is the slab's next bytes
+		} else {
+			d.segs = append(d.segs, ioSeg{server: int32(f.server), off: f.job.off, n: n, mo: at})
+			first = append(first, k)
 		}
-		merged = append(merged, ioSeg{server: f.server, off: f.job.off, p: f.p})
-		first = append(first, at)
+		at += n
 	}
 	first = append(first, len(idx))
-	for mi, err := range fs.serviceReads(merged) {
-		if err != nil {
-			for _, i := range idx[first[mi]:first[mi+1]] {
-				batch[i].err = err
-			}
+	fs.submit(d, 0)
+	for _, fl := range d.fails {
+		for _, i := range idx[first[fl.idx]:first[fl.idx+1]] {
+			batch[i].err = fl.err
 		}
 	}
-}
-
-// serviceReads runs read segments through the per-server queues (or
-// synchronously after Close) and returns a per-segment error slice —
-// unlike dispatch, one failure does not stop the others. Used for
-// reconstruction source reads.
-func (fs *FS) serviceReads(segs []ioSeg) []error {
-	errs := make([]error, len(segs))
-	fs.qmu.RLock()
-	if fs.qclosed || fs.queues == nil {
-		fs.qmu.RUnlock()
-		for i := range segs {
-			s := &segs[i]
-			if err := fs.inject(s.server, false, s.off, int64(len(s.p))); err != nil {
-				errs[i] = err
-				continue
-			}
-			sv := fs.servers[s.server]
-			d, err := sv.readAt(s.p, s.off, false)
-			if sv.cost.RealTime && d > 0 {
-				time.Sleep(d)
-			}
-			errs[i] = err
-		}
-		return errs
-	}
-	done := make(chan *ioReq, len(segs))
-	reqs := make([]ioReq, len(segs))
-	sent := 0
-	for i := range segs {
-		s := &segs[i]
-		if err := fs.inject(s.server, false, s.off, int64(len(s.p))); err != nil {
-			errs[i] = err
-			continue
-		}
-		reqs[i] = ioReq{seg: *s, idx: i, done: done}
-		fs.queues[s.server] <- &reqs[i]
-		sent++
-	}
-	fs.qmu.RUnlock()
-	for ; sent > 0; sent-- {
-		r := <-done
-		errs[r.idx] = r.err
-	}
-	return errs
+	fs.release(d)
 }
 
 // sourceOrder ranks servers for reconstruction sources: healthy-fast
-// first (ascending slow factor), then shallow queue backlog, then
+// first (ascending slow factor), then fewest requests queued, then
 // index — the "fastest k of k+m" selection.
 func (fs *FS) sourceOrder() []int {
-	n := fs.opts.Servers
-	backlog := make([]int, n)
-	fs.qmu.RLock()
-	if !fs.qclosed && fs.queues != nil {
-		for i, ch := range fs.queues {
-			backlog[i] = len(ch)
-		}
-	}
-	fs.qmu.RUnlock()
-	order := make([]int, n)
+	order := make([]int, fs.opts.Servers)
+	backlog := make([]int64, len(order))
 	for i := range order {
-		order[i] = i
+		order[i], backlog[i] = i, fs.servers[i].queued.Load()
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		sa, sb := fs.servers[order[a]].slow, fs.servers[order[b]].slow
@@ -507,14 +409,14 @@ func sameSurvivors(a, b [][]byte) bool {
 }
 
 // reconstructSegs rebuilds the listed segments from the surviving
-// shards, straight into the segments' own buffers. Source reads batch
+// shards, straight into the segments' places in buf. Source reads batch
 // across jobs per round, so several reconstructions pay max- not
 // sum-per-server service time. Jobs live in one slab and their shard
 // tables in another; the decoder is looked up once per run of jobs
 // with the same survivor set — one per row and failure pattern, not
 // one per segment. On failure it returns the smallest segment index it
 // could not serve.
-func (fs *FS) reconstructSegs(segs []ioSeg, recon []int) (int, error) {
+func (fs *FS) reconstructSegs(segs []ioSeg, buf []byte, recon []int) (int, error) {
 	k, m := fs.code.K(), fs.code.M()
 	stripe := fs.opts.StripeSize
 	order := fs.sourceOrder()
@@ -524,7 +426,7 @@ func (fs *FS) reconstructSegs(segs []ioSeg, recon []int) (int, error) {
 	for ji, idx := range recon {
 		s := &segs[idx]
 		jobs[ji] = reconJob{
-			segIdx: idx, server: s.server, off: s.off, n: len(s.p),
+			segIdx: idx, server: int(s.server), off: s.off, n: int(s.n),
 			shards: shardTabs[ji*(k+m) : (ji+1)*(k+m)],
 		}
 		inRecon[idx] = true
@@ -540,11 +442,11 @@ func (fs *FS) reconstructSegs(segs []ioSeg, recon []int) (int, error) {
 				break
 			}
 			s := &segs[i]
-			if inRecon[i] || s.server == j.server || s.off != j.off ||
-				len(s.p) != j.n || j.shards[s.server] != nil {
+			if inRecon[i] || int(s.server) == j.server || s.off != j.off ||
+				int(s.n) != j.n || j.shards[s.server] != nil {
 				continue
 			}
-			j.shards[s.server] = s.p
+			j.shards[s.server] = s.in(buf)
 			j.got++
 		}
 	}
@@ -597,7 +499,7 @@ func (fs *FS) reconstructSegs(segs []ioSeg, recon []int) (int, error) {
 			}
 			decFor = j.shards
 		}
-		if err := dec.Decode(s.p, j.server, j.shards); err != nil {
+		if err := dec.Decode(s.in(buf), j.server, j.shards); err != nil {
 			return j.segIdx, fmt.Errorf("pfs: degraded read: %w", err)
 		}
 		fs.degraded.Add(1)

@@ -210,78 +210,50 @@ type Stats struct {
 	ReconstructBytes int64
 }
 
-// Requests returns total read+write requests across servers.
-func (s Stats) Requests() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.Reads + ps.Writes
+// total sums one quantity over the servers.
+func (s Stats) total(of func(*ServerStats) int64) (n int64) {
+	for i := range s.PerServer {
+		n += of(&s.PerServer[i])
 	}
 	return n
+}
+
+// Requests returns total read+write requests across servers.
+func (s Stats) Requests() int64 {
+	return s.total(func(ps *ServerStats) int64 { return ps.Reads + ps.Writes })
 }
 
 // Reads returns total read requests across servers.
-func (s Stats) Reads() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.Reads
-	}
-	return n
-}
+func (s Stats) Reads() int64 { return s.total(func(ps *ServerStats) int64 { return ps.Reads }) }
 
 // BytesRead returns total bytes read across servers.
-func (s Stats) BytesRead() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.BytesRead
-	}
-	return n
-}
+func (s Stats) BytesRead() int64 { return s.total(func(ps *ServerStats) int64 { return ps.BytesRead }) }
 
 // Bytes returns total bytes moved across servers.
 func (s Stats) Bytes() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.BytesRead + ps.BytesWritten
-	}
-	return n
+	return s.total(func(ps *ServerStats) int64 { return ps.BytesRead + ps.BytesWritten })
 }
 
 // DomainLocalBytes returns total placement-attributed domain-local
 // bytes across servers (zero until a collective runs).
 func (s Stats) DomainLocalBytes() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.LocalBytes
-	}
-	return n
+	return s.total(func(ps *ServerStats) int64 { return ps.LocalBytes })
 }
 
 // DomainRemoteBytes returns total placement-attributed domain-remote
 // bytes across servers (zero unless a placement policy is active).
 func (s Stats) DomainRemoteBytes() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.RemoteBytes
-	}
-	return n
+	return s.total(func(ps *ServerStats) int64 { return ps.RemoteBytes })
 }
 
 // Seeks returns total seeks across servers.
-func (s Stats) Seeks() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.Seeks
-	}
-	return n
-}
+func (s Stats) Seeks() int64 { return s.total(func(ps *ServerStats) int64 { return ps.Seeks }) }
 
 // Elapsed returns the simulated parallel elapsed time (max server Busy).
 func (s Stats) Elapsed() time.Duration {
 	var m time.Duration
 	for _, ps := range s.PerServer {
-		if ps.Busy > m {
-			m = ps.Busy
-		}
+		m = max(m, ps.Busy)
 	}
 	return m
 }
@@ -289,47 +261,27 @@ func (s Stats) Elapsed() time.Duration {
 // BusySum returns the total service time across servers (the serial
 // equivalent of Elapsed).
 func (s Stats) BusySum() time.Duration {
-	var m time.Duration
-	for _, ps := range s.PerServer {
-		m += ps.Busy
-	}
-	return m
+	return time.Duration(s.total(func(ps *ServerStats) int64 { return int64(ps.Busy) }))
 }
 
 // FlushWrites returns total flush-sweep write services across servers.
 func (s Stats) FlushWrites() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.FlushWrites
-	}
-	return n
+	return s.total(func(ps *ServerStats) int64 { return ps.FlushWrites })
 }
 
 // FlushBytes returns total flush-sweep bytes across servers.
 func (s Stats) FlushBytes() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.FlushBytes
-	}
-	return n
+	return s.total(func(ps *ServerStats) int64 { return ps.FlushBytes })
 }
 
 // SieveReads returns total sieve-fetch read services across servers.
 func (s Stats) SieveReads() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.SieveReads
-	}
-	return n
+	return s.total(func(ps *ServerStats) int64 { return ps.SieveReads })
 }
 
 // SieveBytes returns total sieve-fetch bytes across servers.
 func (s Stats) SieveBytes() int64 {
-	var n int64
-	for _, ps := range s.PerServer {
-		n += ps.SieveBytes
-	}
-	return n
+	return s.total(func(ps *ServerStats) int64 { return ps.SieveBytes })
 }
 
 // ReqSizes returns the request-size histogram merged across servers.
@@ -395,6 +347,9 @@ type server struct {
 	sched   Scheduler
 	window  int     // elevator reorder window (0 = auto-scale with backlog)
 	slow    float64 // per-server bandwidth-asymmetry factor (>= 1 normally)
+	// queued counts the requests submitted to this server and not yet
+	// settled: the elevator's backlog and sourceOrder's ranking key.
+	queued atomic.Int64
 }
 
 // newServer builds server i with its cost model, queue discipline, and
@@ -407,10 +362,9 @@ func newServer(i int, opts Options) *server {
 	return sv
 }
 
-// charge accounts one request and returns its service time. The caller
-// decides where the RealTime sleep happens: the queue worker sleeps in
-// its service loop (queue.go), the synchronous fallback sleeps after
-// releasing the lock. Must be called with sv.mu held.
+// charge accounts one request and returns its service time; the service
+// loop (queue.go) sleeps it, outside the lock, when the cost model is
+// RealTime. Must be called with sv.mu held.
 func (sv *server) charge(n int64, off int64, write bool) time.Duration {
 	seek := off != sv.lastEnd
 	if seek {
@@ -437,18 +391,17 @@ func (sv *server) charge(n int64, off int64, write bool) time.Duration {
 	return d
 }
 
-// attrFlush attributes n flush-sweep bytes to one write service. Must
-// be called with sv.mu held, after the service's charge.
-func (sv *server) attrFlush(n int64) {
-	sv.stats.FlushWrites++
-	sv.stats.FlushBytes += n
-}
-
-// attrSieve attributes n sieve-fetch bytes to one read service. Must
-// be called with sv.mu held, after the service's charge.
-func (sv *server) attrSieve(n int64) {
-	sv.stats.SieveReads++
-	sv.stats.SieveBytes += n
+// attribute counts n bytes of one service as flush-sweep (write) or
+// sieve-fetch (read) traffic. Must be called with sv.mu held, after the
+// service's charge.
+func (sv *server) attribute(n int64, write bool) {
+	if write {
+		sv.stats.FlushWrites++
+		sv.stats.FlushBytes += n
+	} else {
+		sv.stats.SieveReads++
+		sv.stats.SieveBytes += n
+	}
 }
 
 // storeLocked moves p into the backend at off and grows the per-server
@@ -492,35 +445,15 @@ func (sv *server) loadLocked(p []byte, off int64) error {
 	return nil
 }
 
-func (sv *server) writeAt(p []byte, off int64, flush bool) (time.Duration, error) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	d := sv.charge(int64(len(p)), off, true)
-	if flush {
-		sv.attrFlush(int64(len(p)))
-	}
-	return d, sv.storeLocked(p, off)
-}
-
-func (sv *server) readAt(p []byte, off int64, sieve bool) (time.Duration, error) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	d := sv.charge(int64(len(p)), off, false)
-	if sieve {
-		sv.attrSieve(int64(len(p)))
-	}
-	return d, sv.loadLocked(p, off)
-}
-
 // FS is one striped logical file. Methods are safe for concurrent use.
 //
 // Every request is serviced by the owning server's queue goroutine
-// (queue.go): one logical ReadAt/WriteAt/ReadV/WriteV enqueues all of
-// its per-server segments up front and waits for the completions, so
-// service time overlaps across servers even within a single call while
-// each server still services one request at a time, in the order its
-// Scheduler imposes (arrival order under FIFO, ascending C-SCAN sweeps
-// under Elevator).
+// (queue.go): one logical ReadAt/WriteAt/ReadV/WriteV hands each server
+// it touches the list of its segments up front and waits for the
+// completions, so service time overlaps across servers even within a
+// single call while each server still services one request at a time,
+// in the order its Scheduler imposes (arrival order under FIFO,
+// ascending C-SCAN sweeps under Elevator).
 type FS struct {
 	opts    Options
 	servers []*server
@@ -531,13 +464,17 @@ type FS struct {
 	// writers converge on the parity of the final data state.
 	code       *ec.Code
 	parityMu   sync.Mutex
-	degraded   atomic.Int64 // read segments served by reconstruction
-	reconBytes atomic.Int64 // bytes served by reconstruction
+	parity     parityScratch // guarded by parityMu
+	degraded   atomic.Int64  // read segments served by reconstruction
+	reconBytes atomic.Int64  // bytes served by reconstruction
 
-	queues  []chan *ioReq  // one FIFO request queue per server
+	queues  []chan *batch  // one request-list queue per server
 	qwg     sync.WaitGroup // running queue workers
 	qmu     sync.RWMutex   // guards qclosed vs. in-flight enqueues
 	qclosed bool           // Close drained the queues (sync fallback)
+
+	idleMu sync.Mutex  // guards idle
+	idle   []*dispatch // dispatches between submissions (queue.go)
 
 	flushMu  sync.Mutex     // guards flushers
 	flushers []func() error // write-behind flushes Close runs before draining
@@ -677,49 +614,25 @@ func (fs *FS) locate(off int64) (int, int64) {
 }
 
 // forEachSegment splits [off, off+n) into per-server contiguous
-// segments in logical order.
-func (fs *FS) forEachSegment(off, n int64, fn func(server int, srvOff, logOff, length int64) error) error {
+// segments — one per stripe unit touched — in logical order.
+func (fs *FS) forEachSegment(off, n int64, fn func(server int, srvOff, length int64)) {
+	stripe := fs.opts.StripeSize
 	for n > 0 {
 		s, so := fs.locate(off)
-		// Length until the end of this stripe unit.
-		left := fs.opts.StripeSize - off%fs.opts.StripeSize
-		if left > n {
-			left = n
-		}
-		if err := fn(s, so, off, left); err != nil {
-			return err
-		}
-		off += left
-		n -= left
+		take := min(stripe-off%stripe, n) // to the end of this stripe unit
+		fn(s, so, take)
+		off, n = off+take, n-take
 	}
-	return nil
 }
 
-// segCount returns how many per-server segments [off, off+n) splits
-// into: one per stripe unit it touches.
-func (fs *FS) segCount(off, n int64) int {
-	if n <= 0 {
-		return 0
-	}
-	return int((off+n-1)/fs.opts.StripeSize - off/fs.opts.StripeSize + 1)
-}
-
-// appendSegs appends the per-server segments of [off, off+len(p)) in
-// logical order, sharing p's backing storage.
-func (fs *FS) appendSegs(segs []ioSeg, p []byte, off int64, write bool) []ioSeg {
-	stripe := fs.opts.StripeSize
-	for len(p) > 0 {
-		s, so := fs.locate(off)
-		n := min(stripe-off%stripe, int64(len(p))) // to the end of this stripe unit
-		segs = append(segs, ioSeg{server: s, off: so, p: p[:n], write: write})
-		p, off = p[n:], off+n
-	}
-	return segs
-}
-
-// segments is appendSegs into a slice sized for the range.
-func (fs *FS) segments(p []byte, off int64, write bool) []ioSeg {
-	return fs.appendSegs(make([]ioSeg, 0, fs.segCount(off, int64(len(p)))), p, off, write)
+// appendSegs appends to d the segments of [off, off+n), their memory
+// the next bytes under cur.
+func (fs *FS) appendSegs(d *dispatch, off, n int64, cur *Cursor) {
+	fs.forEachSegment(off, n, func(s int, so, take int64) {
+		mi, mo := cur.pos()
+		d.segs = append(d.segs, ioSeg{server: int32(s), off: so, n: take, mi: mi, mo: mo})
+		cur.Skip(take)
+	})
 }
 
 // WriteAt writes p at logical offset off, growing the file as needed.
@@ -729,20 +642,9 @@ func (fs *FS) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("pfs: negative offset")
 	}
-	_, err := fs.dispatch(fs.segments(p, off, true))
-	// Parity describes stored bytes, so it is brought up to date even
-	// when the dispatch failed: segments ahead of the failure landed.
-	if perr := fs.updateParity([]Run{{Off: off, Len: int64(len(p))}}); err == nil {
-		err = perr
-	}
-	if err != nil {
+	if _, err := fs.transfer([]Run{{Off: off, Len: int64(len(p))}}, Contig(p), true, false); err != nil {
 		return 0, err
 	}
-	fs.mu.Lock()
-	if end := off + int64(len(p)); end > fs.size {
-		fs.size = end
-	}
-	fs.mu.Unlock()
 	return len(p), nil
 }
 
@@ -754,7 +656,7 @@ func (fs *FS) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("pfs: negative offset")
 	}
-	if _, err := fs.dispatch(fs.segments(p, off, false)); err != nil {
+	if _, err := fs.transfer([]Run{{Off: off, Len: int64(len(p))}}, Contig(p), false, false); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -771,45 +673,19 @@ type Run = extent.Run
 // shared implementation).
 func Coalesce(runs []Run) []Run { return extent.Coalesce(runs) }
 
-// vectored builds the full segment list of a vectored operation. It
-// stops at the first run that does not fit buf, returning the segments
-// of the runs before it, how many runs and bytes those are, and the
-// validation error.
-func (fs *FS) vectored(runs []Run, buf []byte, write bool) (segs []ioSeg, accepted int, at int64, verr error) {
-	op := "ReadV"
-	if write {
-		op = "WriteV"
-	}
-	// Validate and count first, so the list is allocated once.
-	n := 0
-	for _, r := range runs {
-		if r.Off < 0 {
-			verr = fmt.Errorf("pfs: %s negative offset %d", op, r.Off)
-			break
-		}
-		if at+r.Len > int64(len(buf)) {
-			verr = fmt.Errorf("pfs: %s buffer too small (%d < %d)", op, len(buf), at+r.Len)
-			break
-		}
-		n += fs.segCount(r.Off, r.Len)
-		at += r.Len
-		accepted++
-	}
-	segs = make([]ioSeg, 0, n)
-	at = 0
-	for _, r := range runs[:accepted] {
-		segs = fs.appendSegs(segs, buf[at:at+r.Len], r.Off, write)
-		at += r.Len
-	}
-	return segs, accepted, at, verr
+// ReadVec performs a vectored read of runs into mem: the runs' bytes,
+// packed back-to-back in run order, fill mem's segments in order. It
+// returns the total bytes read. The whole vector is submitted at once,
+// so segments bound for different servers interleave service time
+// instead of serializing run-by-run, and a per-server segment is one
+// request however many memory segments it lands in.
+func (fs *FS) ReadVec(runs []Run, mem Vec) (int64, error) {
+	return fs.transfer(runs, mem, false, false)
 }
 
-// ReadV performs a vectored read of runs into buf (runs packed
-// back-to-back in order). It returns the total bytes read. The whole
-// vector is queued at once, so segments bound for different servers
-// interleave service time instead of serializing run-by-run.
+// ReadV is ReadVec into a contiguous buffer.
 func (fs *FS) ReadV(runs []Run, buf []byte) (int64, error) {
-	return fs.readV(runs, buf, false)
+	return fs.transfer(runs, Contig(buf), false, false)
 }
 
 // SieveReadV is ReadV with sieve-fetch attribution: the serviced bytes
@@ -818,27 +694,18 @@ func (fs *FS) ReadV(runs []Run, buf []byte) (int64, error) {
 // dispatch. The mpiio file cache sends its sieve-aligned covering
 // reads through this path.
 func (fs *FS) SieveReadV(runs []Run, buf []byte) (int64, error) {
-	return fs.readV(runs, buf, true)
+	return fs.transfer(runs, Contig(buf), false, true)
 }
 
-func (fs *FS) readV(runs []Run, buf []byte, sieve bool) (int64, error) {
-	segs, _, at, verr := fs.vectored(runs, buf, false)
-	if sieve {
-		for i := range segs {
-			segs[i].sieve = true
-		}
-	}
-	done, err := fs.dispatch(segs)
-	if err != nil {
-		return done, err
-	}
-	return at, verr
+// WriteVec performs a vectored write of runs from mem (the runs' bytes
+// are mem's segments, concatenated). It returns the total bytes written.
+func (fs *FS) WriteVec(runs []Run, mem Vec) (int64, error) {
+	return fs.transfer(runs, mem, true, false)
 }
 
-// WriteV performs a vectored write of runs from buf (runs packed
-// back-to-back in order). It returns the total bytes written.
+// WriteV is WriteVec from a contiguous buffer.
 func (fs *FS) WriteV(runs []Run, buf []byte) (int64, error) {
-	return fs.writeV(runs, buf, false)
+	return fs.transfer(runs, Contig(buf), true, false)
 }
 
 // FlushV is WriteV with flush-sweep attribution: the serviced bytes are
@@ -847,17 +714,35 @@ func (fs *FS) WriteV(runs []Run, buf []byte) (int64, error) {
 // dispatch. Write-behind caches (internal/mpiio) send their deferred
 // dirty extents through this path.
 func (fs *FS) FlushV(runs []Run, buf []byte) (int64, error) {
-	return fs.writeV(runs, buf, true)
+	return fs.transfer(runs, Contig(buf), true, true)
 }
 
-func (fs *FS) writeV(runs []Run, buf []byte, flush bool) (int64, error) {
-	segs, accepted, at, verr := fs.vectored(runs, buf, true)
-	if flush {
-		for i := range segs {
-			segs[i].flush = true
+// transfer is every logical operation: it builds the segment list of
+// the runs that fit mem — stopping at the first that does not, with a
+// validation error — dispatches it, and on a write brings parity and
+// the logical size up to date.
+func (fs *FS) transfer(runs []Run, mem Vec, write, attr bool) (int64, error) {
+	d := fs.newDispatch(mem, write)
+	d.attr = attr
+	var verr error
+	var at int64
+	accepted, size, cur := 0, mem.Len(), Cursor{Mem: mem}
+	for _, r := range runs {
+		if r.Off < 0 || at+r.Len > size {
+			verr = fmt.Errorf("pfs: vectored run %+v at a negative offset or past the memory's %d bytes", r, size)
+			break
 		}
+		fs.appendSegs(d, r.Off, r.Len, &cur)
+		at += r.Len
+		accepted++
 	}
-	done, err := fs.dispatch(segs)
+	done, err := fs.dispatch(d)
+	if !write {
+		if err != nil {
+			return done, err
+		}
+		return at, verr
+	}
 	// Recompute parity for every row the accepted runs touch (no-op
 	// with Parity 0) — also when the dispatch failed, because segments
 	// ahead of the failure landed and parity describes stored bytes.
@@ -903,7 +788,7 @@ func (fs *FS) Stats() Stats {
 // serving them (no exchange hop). Pure accounting — no service time,
 // no seek state — called by the collective layer.
 func (fs *FS) AttrLocality(off, n int64, local bool) {
-	fs.forEachSegment(off, n, func(s int, _, _, length int64) error {
+	fs.forEachSegment(off, n, func(s int, _, length int64) {
 		sv := fs.servers[s]
 		sv.mu.Lock()
 		if local {
@@ -912,7 +797,6 @@ func (fs *FS) AttrLocality(off, n int64, local bool) {
 			sv.stats.RemoteBytes += length
 		}
 		sv.mu.Unlock()
-		return nil
 	})
 }
 

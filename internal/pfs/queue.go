@@ -1,65 +1,182 @@
 // queue.go gives every simulated I/O server its own request queue: a
 // dedicated service goroutine draining a channel, the way each PVFS2
-// server daemon services its own request stream. A logical FS operation
-// enqueues all of its per-server segments up front and then waits for
-// the completions, so when a request vector spans several servers their
-// service times overlap — the caller pays max-per-server instead of the
-// sum — while each individual server still services one request at a
-// time. CostModel.RealTime sleeps inside the server loop (the server is
-// busy; its queue backs up), not in the caller, which is what makes the
-// overlap measurable as wall-clock time by the collective-I/O
-// benchmarks.
+// server daemon services its own request stream — and, as in PVFS list
+// I/O, what travels on the queue is a list. One logical FS operation
+// splits into per-server segments (one per stripe unit it touches, each
+// ONE charged request), and a queue entry is the operation's whole list
+// for that server: submit hands every server it uses one batch and
+// waits for one signal per batch, so the program pays a scheduler
+// round-trip per (call, server), not per 260-byte piece, while the
+// device model still sees — and charges — every request. Service times
+// overlap across servers (the caller pays max-per-server, not the sum);
+// each server services one request at a time. CostModel.RealTime
+// sleeps inside the server loop (the server is busy; its queue backs
+// up), not in the caller.
 //
-// The order a server services its queue in is the Options.Scheduler
-// knob: FIFO takes requests strictly in arrival order; Elevator freezes
-// the pending requests into a bounded reorder window and services the
-// window as one ascending C-SCAN sweep, merging physically adjacent
-// same-direction segments into single streamed services so a sweep
-// charges one seek per discontinuity instead of one per request.
+// The order a server services its requests in is the Options.Scheduler
+// knob. FIFO walks each list in submission order, lists in arrival
+// order. Elevator appends arriving lists to its pending requests,
+// freezes a reorder window of them — Options.WindowSize counts
+// requests, not lists, and when 0 (auto) the window is everything
+// pending at that moment, so one call's list is swept whole — and
+// services the window as one ascending C-SCAN sweep, merging physically
+// adjacent same-direction segments into single streamed services: a
+// sweep charges one seek per discontinuity instead of one per request.
+//
+// The state of one submission (segments, batches, outcomes) is a pooled
+// dispatch, back on its store's idle list once every batch has
+// signalled. A degraded read whose straggler deadline fired returns
+// while a batch is still with its server: that dispatch is never
+// recycled — the worker will yet read its segments and write into its
+// private buffer — and is left to the garbage collector.
 package pfs
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// queueDepth is the per-server channel buffer: deep enough that a
-// dispatcher rarely blocks handing over a striped vector, small enough
-// to bound memory for runaway producers.
+// queueDepth is the per-server channel buffer, in batches: deep enough
+// that concurrent dispatchers rarely block handing over their lists,
+// small enough to bound memory for runaway producers.
 const queueDepth = 64
 
-// ioSeg is one per-server segment of a logical operation, pre-resolved
-// to a server-local offset and a sub-slice of the caller's buffer.
-// flush marks write segments that belong to a write-behind flush sweep
-// (FlushV) and sieve marks read segments that belong to a data-sieving
-// block fetch (SieveReadV), for stats attribution.
+// ioSeg is one per-server segment of a logical operation: a server-local
+// extent and a cursor into the operation's memory vector — the segment's
+// bytes start at byte mo of Seg(mi) and run on through the following
+// memory segments, n bytes in all. However many memory segments it
+// spans, it is one request to its server.
 type ioSeg struct {
-	server int
 	off    int64 // server-local offset
-	p      []byte
-	write  bool
-	flush  bool
-	sieve  bool
+	n      int64
+	mo     int64
+	mi     int32
+	server int32
 }
 
-// ioReq is an ioSeg in flight: submission index for deterministic
-// error selection, completion channel back to the dispatcher.
-type ioReq struct {
-	seg  ioSeg
-	idx  int
-	err  error
-	done chan *ioReq
+// in returns the segment's bytes in buf, the contiguous memory (Contig)
+// the segment list was built over.
+func (s *ioSeg) in(buf []byte) []byte { return buf[s.mo : s.mo+s.n] }
+
+// segErr is the failure of one segment, by submission index.
+type segErr struct {
+	idx int
+	err error
+}
+
+// batch is a dispatch's list for one server: the queue entry.
+type batch struct {
+	d    *dispatch
+	idx  []int32 // the accepted segments bound for this server, in submission order
+	left int     // not yet serviced; the worker's, once queued
+}
+
+// dispatch is one submission: the segments of a logical operation in
+// submission order (which is the packed order of its memory vector),
+// how they are to be submitted, and what became of them.
+type dispatch struct {
+	segs  []ioSeg
+	mem   Vec
+	write bool
+	attr  bool // count the bytes as flush-sweep (write) or sieve-fetch (read) traffic
+	// skip: a segment the injector refuses is skipped and submission goes
+	// on (reads that can reconstruct); otherwise it ends the submission.
+	// avoid: segments bound for an avoided straggler are skipped too.
+	skip, avoid bool
+
+	batches []batch       // by server
+	done    chan struct{} // one signal per queued batch; never blocks (cap = servers)
+	// served marks the segments serviced without error, when the
+	// submitter sized it (degraded reads): what a deadline may cut short.
+	served []atomic.Bool
+	mu     sync.Mutex // guards fails: workers of different servers append
+	fails  []segErr
+	stage  []byte // degraded reads: contiguous stand-in for a scattered vector
+}
+
+// maxIdle bounds a store's list of idle dispatches: enough for the
+// callers a store sees at once, so a burst does not pin its slabs.
+const maxIdle = 16
+
+// newDispatch takes an idle dispatch, or makes one shaped for this
+// store. The list is the store's own rather than a sync.Pool: a
+// dispatch fits one server count, and its reuse is what the allocation
+// pins in the tests count on, -race included.
+func (fs *FS) newDispatch(mem Vec, write bool) *dispatch {
+	var d *dispatch
+	fs.idleMu.Lock()
+	if n := len(fs.idle); n > 0 {
+		d, fs.idle = fs.idle[n-1], fs.idle[:n-1]
+	}
+	fs.idleMu.Unlock()
+	if d == nil {
+		n := len(fs.servers)
+		d = &dispatch{batches: make([]batch, n), done: make(chan struct{}, n)}
+		for i := range d.batches {
+			d.batches[i].d = d
+		}
+	}
+	d.mem, d.write = mem, write
+	return d
+}
+
+// release resets d and returns it to the idle list. Only for a dispatch
+// whose batches have all signalled.
+func (fs *FS) release(d *dispatch) {
+	for i := range d.batches {
+		d.batches[i].idx = d.batches[i].idx[:0]
+	}
+	clear(d.served)
+	clear(d.fails)
+	d.segs, d.served, d.fails = d.segs[:0], d.served[:0], d.fails[:0]
+	d.mem, d.write, d.attr, d.skip, d.avoid = nil, false, false, false, false
+	fs.idleMu.Lock()
+	if len(fs.idle) < maxIdle {
+		fs.idle = append(fs.idle, d)
+	}
+	fs.idleMu.Unlock()
+}
+
+// fail records the failure of segment i.
+func (d *dispatch) fail(i int, err error) {
+	d.mu.Lock()
+	d.fails = append(d.fails, segErr{i, err})
+	d.mu.Unlock()
+}
+
+// settle records the outcome of segment i, once its service time has
+// passed.
+func (d *dispatch) settle(i int32, err error) {
+	if err != nil {
+		d.fail(int(i), err)
+	} else if len(d.served) > 0 {
+		d.served[i].Store(true)
+	}
+}
+
+// finish takes n serviced requests of the batch off the server's
+// count and, after the batch's last, signals the dispatcher — in that
+// order, so a dispatcher that has all its signals reads settled counts.
+// The worker must not touch the batch after that.
+func (b *batch) finish(sv *server, n int) {
+	sv.queued.Add(int64(-n))
+	if b.left -= n; b.left == 0 {
+		b.d.done <- struct{}{}
+	}
 }
 
 // startQueues launches one service goroutine per server.
 func (fs *FS) startQueues() {
-	fs.queues = make([]chan *ioReq, len(fs.servers))
+	fs.queues = make([]chan *batch, len(fs.servers))
 	for i, sv := range fs.servers {
-		ch := make(chan *ioReq, queueDepth)
+		ch := make(chan *batch, queueDepth)
 		fs.queues[i] = ch
 		fs.qwg.Add(1)
-		go func(sv *server, ch chan *ioReq) {
+		go func(sv *server, ch chan *batch) {
 			defer fs.qwg.Done()
 			sv.serve(ch)
 		}(sv, ch)
@@ -68,7 +185,7 @@ func (fs *FS) startQueues() {
 
 // stopQueues drains the queues and stops the workers. In-flight
 // dispatchers still receive their completions: workers finish every
-// queued request before exiting.
+// queued batch before exiting.
 func (fs *FS) stopQueues() {
 	fs.qmu.Lock()
 	if fs.qclosed {
@@ -84,78 +201,122 @@ func (fs *FS) stopQueues() {
 }
 
 // serve is one server's service loop, under the configured discipline.
-func (sv *server) serve(ch chan *ioReq) {
-	if sv.sched == Elevator {
-		sv.serveElevator(ch)
+func (sv *server) serve(ch chan *batch) {
+	if sv.sched != Elevator {
+		for b := range ch {
+			sv.serveFIFO(b)
+		}
 		return
 	}
-	// FIFO: execute, sleep the charged service time when the cost model
-	// is real-time (the server is busy — later requests on this queue
-	// wait, other servers keep serving), then signal the dispatcher.
-	for req := range ch {
-		var d time.Duration
-		if req.seg.write {
-			d, req.err = sv.writeAt(req.seg.p, req.seg.off, req.seg.flush)
-		} else {
-			d, req.err = sv.readAt(req.seg.p, req.seg.off, req.seg.sieve)
+	// Elevator: block for a batch only when nothing is pending, take in
+	// whatever else is already queued until the reorder window is full,
+	// and sweep one window. Requests arriving during a sweep wait for
+	// the next one — the frozen window is what bounds bypass (no
+	// starvation). Once the channel is closed and empty, what is pending
+	// is swept out and the loop ends.
+	var pending []pend
+	for open := true; open || len(pending) > 0; {
+		if len(pending) == 0 {
+			b, ok := <-ch
+			if !ok {
+				return
+			}
+			pending = admit(pending, b)
 		}
-		if sv.cost.RealTime && d > 0 {
-			time.Sleep(d)
-		}
-		req.done <- req
-	}
-}
-
-// serveElevator is the batching C-SCAN loop: block for one request,
-// opportunistically drain whatever else is already queued (up to the
-// reorder window), freeze the batch, and service it as one ascending
-// sweep. The window is Options.WindowSize when positive; when 0 (auto)
-// each sweep freezes the backlog present at its start, so the window
-// tracks queue depth. Either way requests arriving during a sweep wait
-// for the next one — the frozen window is what bounds bypass (no
-// starvation). A receive that reports the channel closed means the
-// buffer is already empty, so the loop can exit right after servicing
-// its last batch.
-func (sv *server) serveElevator(ch chan *ioReq) {
-	notify := func(req *ioReq) { req.done <- req }
-	for {
-		req, ok := <-ch
-		if !ok {
-			return
-		}
-		window := sv.reorderWindow(len(ch))
-		batch := []*ioReq{req}
-		open := true
+		window := sv.reorderWindow(int(sv.queued.Load()) - 1)
 	drain:
-		for len(batch) < window {
+		for open && len(pending) < window {
 			select {
-			case r, ok := <-ch:
-				if !ok {
-					open = false
-					break drain
+			case b, ok := <-ch:
+				if open = ok; ok {
+					pending = admit(pending, b)
 				}
-				batch = append(batch, r)
 			default:
 				break drain
 			}
 		}
-		sv.serviceSweep(batch, notify)
-		if !open {
-			return
-		}
+		pending = sv.sweep(pending, window)
 	}
 }
 
+// serveFIFO services a batch in submission order: execute, sleep the
+// charged service time when the cost model is real-time (the server is
+// busy — later requests wait, other servers keep serving), settle. The
+// server's lock is held over the list, not taken per request — an
+// atomic after every 260-byte copy waits for the copy's stores to
+// drain — and only let go for a sleep.
+func (sv *server) serveFIFO(b *batch) {
+	d := b.d
+	sv.mu.Lock()
+	for _, i := range b.idx {
+		s := &d.segs[i]
+		dur := sv.charge(s.n, s.off, d.write)
+		if d.attr {
+			sv.attribute(s.n, d.write)
+		}
+		err := sv.moveLocked(d, s)
+		if sv.cost.RealTime && dur > 0 {
+			sv.mu.Unlock()
+			time.Sleep(dur)
+			sv.mu.Lock()
+		}
+		d.settle(i, err)
+	}
+	sv.mu.Unlock()
+	b.finish(sv, len(b.idx))
+}
+
+// pend is one request pending at an elevator.
+type pend struct {
+	b   *batch
+	i   int32
+	err error
+}
+
+func (p *pend) seg() *ioSeg { return &p.b.d.segs[p.i] }
+
+// admit appends a batch's requests to the pending list.
+func admit(pending []pend, b *batch) []pend {
+	for _, i := range b.idx {
+		pending = append(pending, pend{b: b, i: i})
+	}
+	return pending
+}
+
+// moveLocked moves segment s between the backend and its memory, which
+// may continue over several segments of the vector. Must be called with
+// sv.mu held.
+func (sv *server) moveLocked(d *dispatch, s *ioSeg) error {
+	off, n, mo := s.off, s.n, s.mo
+	for mi := int(s.mi); n > 0; mi, mo = mi+1, 0 {
+		p := d.mem.Seg(mi)[mo:]
+		if int64(len(p)) > n {
+			p = p[:n]
+		}
+		var err error
+		if d.write {
+			err = sv.storeLocked(p, off)
+		} else {
+			err = sv.loadLocked(p, off)
+		}
+		if err != nil {
+			return err
+		}
+		off, n = off+int64(len(p)), n-int64(len(p))
+	}
+	return nil
+}
+
 // reorderWindow resolves the elevator's effective reorder window for a
-// sweep starting with `backlog` requests already queued behind the one
-// just received. The base window is Options.WindowSize when positive,
-// or 1+backlog (freeze the current backlog) when auto. A straggler
-// server (CostModel.SlowFactor > 1) scales its window by that factor,
-// rounded up: requests pile up at the slow server while its peers
-// drain, and a wider frozen window lets each of its sweeps merge more
-// adjacent segments, so the straggler pays its seek surcharge fewer
-// times per byte. Nominal servers (factor <= 1) keep the base window,
-// so the tuning never changes single-speed configurations.
+// sweep starting with `backlog` requests queued behind the first. The
+// base window is Options.WindowSize when positive, or 1+backlog (freeze
+// everything queued) when auto. A straggler server (CostModel.SlowFactor
+// > 1) scales its window by that factor, rounded up: requests pile up
+// at the slow server while its peers drain, and a wider frozen window
+// lets each of its sweeps merge more adjacent segments, so the
+// straggler pays its seek surcharge fewer times per byte. Nominal
+// servers (factor <= 1) keep the base window, so the tuning never
+// changes single-speed configurations.
 func (sv *server) reorderWindow(backlog int) int {
 	w := sv.window
 	if w <= 0 {
@@ -167,189 +328,154 @@ func (sv *server) reorderWindow(backlog int) int {
 	return w
 }
 
-// serviceSweep services one frozen batch as a single ascending C-SCAN
-// sweep: requests sort by server-local offset (stable, so requests at
-// the same offset keep arrival order), and maximal groups of physically
-// adjacent same-direction segments are serviced as one streamed request
-// — one charge (at most one seek, one request overhead, byte time for
-// the whole stream) covering every segment of the group. notify is
-// called once per request, after its group has been serviced.
-func (sv *server) serviceSweep(batch []*ioReq, notify func(*ioReq)) {
-	sort.SliceStable(batch, func(i, j int) bool {
-		return batch[i].seg.off < batch[j].seg.off
-	})
-	for i := 0; i < len(batch); {
-		j := i + 1
-		for j < len(batch) && batch[j].seg.write == batch[i].seg.write &&
-			batch[j].seg.off == batch[j-1].seg.off+int64(len(batch[j-1].seg.p)) {
+// sweep freezes the first `window` pending requests, services them as a
+// single ascending C-SCAN sweep and returns the rest: requests sort by
+// server-local offset (stable, so requests at the same offset keep
+// arrival order), and each maximal group of physically adjacent
+// same-direction segments is serviced as one streamed request — one
+// charge (at most one seek, one request overhead, byte time for the
+// whole stream), then the per-segment data movement. Each request is
+// settled after its group has been serviced.
+func (sv *server) sweep(pending []pend, window int) []pend {
+	frozen := pending[:min(window, len(pending))]
+	slices.SortStableFunc(frozen, func(a, b pend) int { return cmp.Compare(a.seg().off, b.seg().off) })
+	for i := 0; i < len(frozen); {
+		j, write := i+1, frozen[i].b.d.write
+		total := frozen[i].seg().n
+		for j < len(frozen) && frozen[j].b.d.write == write &&
+			frozen[j].seg().off == frozen[j-1].seg().off+frozen[j-1].seg().n {
+			total += frozen[j].seg().n
 			j++
 		}
-		d := sv.serviceRun(batch[i:j])
-		if sv.cost.RealTime && d > 0 {
-			time.Sleep(d)
-		}
+		var attributed int64
+		sv.mu.Lock()
+		dur := sv.charge(total, frozen[i].seg().off, write)
 		for k := i; k < j; k++ {
-			notify(batch[k])
-		}
-		i = j
-	}
-}
-
-// serviceRun executes one merged group of physically contiguous
-// same-direction segments: a single charge for the whole stream, then
-// the per-segment data movement.
-func (sv *server) serviceRun(reqs []*ioReq) time.Duration {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	var total int64
-	for _, r := range reqs {
-		total += int64(len(r.seg.p))
-	}
-	d := sv.charge(total, reqs[0].seg.off, reqs[0].seg.write)
-	var flushed, sieved int64
-	for _, r := range reqs {
-		if r.seg.write {
-			r.err = sv.storeLocked(r.seg.p, r.seg.off)
-			if r.seg.flush {
-				flushed += int64(len(r.seg.p))
-			}
-		} else {
-			r.err = sv.loadLocked(r.seg.p, r.seg.off)
-			if r.seg.sieve {
-				sieved += int64(len(r.seg.p))
+			r := &frozen[k]
+			r.err = sv.moveLocked(r.b.d, r.seg())
+			if r.b.d.attr {
+				attributed += r.seg().n
 			}
 		}
+		if attributed > 0 {
+			sv.attribute(attributed, write)
+		}
+		sv.mu.Unlock()
+		if sv.cost.RealTime && dur > 0 {
+			time.Sleep(dur)
+		}
+		for ; i < j; i++ {
+			frozen[i].b.d.settle(frozen[i].i, frozen[i].err)
+			frozen[i].b.finish(sv, 1)
+		}
 	}
-	if flushed > 0 {
-		sv.attrFlush(flushed)
-	}
-	if sieved > 0 {
-		sv.attrSieve(sieved)
-	}
-	return d
+	rest := copy(pending, pending[len(frozen):])
+	clear(pending[rest:]) // no batch stays reachable from the list's spare capacity
+	return pending[:rest]
 }
 
-// dispatch runs a segment list through the per-server queues and waits
-// for all completions. Failure injection is consulted per segment, in
-// submission order, exactly as the pre-queue code did: an injected
-// fault stops submission (the request "never reached a server"),
-// already-queued segments still complete. The returned count is the
-// bytes of the segments that precede the earliest failure in submission
-// order; the returned error is the earliest failure (injection or
-// service), so serial callers observe the same error they always did.
-func (fs *FS) dispatch(segs []ioSeg) (int64, error) {
-	if len(segs) == 0 {
-		return 0, nil
+// submit is the one way requests reach a server. The injector is
+// consulted once per segment, in submission order, before anything is
+// queued: a refused segment "never reached a server" and is recorded
+// in d.fails; unless d.skip, it also ends the submission — the accepted
+// prefix still goes out. The accepted segments are bucketed by server
+// (submission order kept inside a server), every server used gets its
+// batch — on its queue, or serviced right here once Close has stopped
+// the workers — and submit waits for one signal per batch. It reports
+// false if the deadline (0: none) passed first; d then still belongs to
+// the servers.
+func (fs *FS) submit(d *dispatch, deadline time.Duration) bool {
+	inj := fs.inj.Load()
+	for i := range d.segs {
+		s := &d.segs[i]
+		if d.avoid && fs.avoidServer(int(s.server)) {
+			continue
+		}
+		if err := inj.fail(int(s.server), d.write, s.off, s.n); err != nil {
+			d.fail(i, err)
+			if d.skip {
+				continue
+			}
+			break
+		}
+		b := &d.batches[s.server]
+		b.idx = append(b.idx, int32(i))
 	}
+	used := 0
+	fs.qmu.RLock()
+	inline := fs.qclosed || fs.queues == nil
+	for s := range d.batches {
+		b := &d.batches[s]
+		if b.left = len(b.idx); b.left == 0 {
+			continue
+		}
+		used++
+		fs.servers[s].queued.Add(int64(b.left))
+		if !inline {
+			fs.queues[s] <- b
+		}
+	}
+	fs.qmu.RUnlock()
+	for s := 0; inline && s < len(d.batches); s++ {
+		if b := &d.batches[s]; b.left > 0 {
+			// The post-Close fallback: the caller runs the server's own
+			// loop over a queue holding just this batch, so discipline,
+			// lastEnd state and accounting are the queued path's.
+			ch := make(chan *batch, 1)
+			ch <- b
+			close(ch)
+			fs.servers[s].serve(ch)
+		}
+	}
+	var timeout <-chan time.Time
+	if deadline > 0 {
+		t := time.NewTimer(deadline)
+		defer t.Stop()
+		timeout = t.C
+	}
+	for ; used > 0; used-- {
+		select {
+		case <-d.done:
+		case <-timeout:
+			// Whatever is still outstanding is a straggler's; its batch
+			// completes into d eventually (done never blocks a worker).
+			return false
+		}
+	}
+	return true
+}
+
+// dispatch runs d's segments through the servers, waits for them and
+// recycles d. The returned error is the earliest failure in submission
+// order (injection or service), so serial callers observe the same error
+// they always did; with it comes the byte count of the segments that
+// precede that failure.
+func (fs *FS) dispatch(d *dispatch) (int64, error) {
 	// With parity configured, reads take the degraded-capable path: a
 	// segment that fails (injection or service error), exceeds the
 	// straggler deadline, or targets an avoided slow server is
 	// reconstructed from the other servers instead of failing the call.
-	// A dispatch only ever carries one direction, so segs[0] decides.
-	if fs.code != nil && !segs[0].write {
-		return fs.dispatchDegraded(segs)
+	if fs.code != nil && !d.write {
+		return fs.dispatchDegraded(d)
 	}
-	fs.qmu.RLock()
-	if fs.qclosed || fs.queues == nil {
-		fs.qmu.RUnlock()
-		return fs.dispatchSync(segs)
+	defer fs.release(d)
+	fs.submit(d, 0)
+	if len(d.fails) == 0 {
+		return 0, nil
 	}
-	done := make(chan *ioReq, len(segs))
-	reqs := make([]ioReq, len(segs)) // one slab; the queues carry pointers into it
-	sent := 0
-	errIdx := len(segs)
-	var firstErr error
-	for i := range segs {
-		s := &segs[i]
-		if err := fs.inject(s.server, s.write, s.off, int64(len(s.p))); err != nil {
-			errIdx, firstErr = i, err
-			break
+	first := d.fails[0]
+	for _, f := range d.fails[1:] {
+		if f.idx < first.idx {
+			first = f
 		}
-		reqs[i] = ioReq{seg: *s, idx: i, done: done}
-		fs.queues[s.server] <- &reqs[i]
-		sent++
 	}
-	fs.qmu.RUnlock()
-	for i := 0; i < sent; i++ {
-		<-done
-	}
-	return settle(segs, reqs[:sent], errIdx, firstErr)
+	return d.bytesBefore(first.idx), first.err
 }
 
-// settle folds the service results into the dispatch contract shared
-// by the queued and synchronous paths: the earliest failure in
-// submission order wins, and the returned count is the bytes of the
-// segments preceding it.
-func settle(segs []ioSeg, reqs []ioReq, errIdx int, firstErr error) (int64, error) {
-	for i := range reqs {
-		if r := &reqs[i]; r.err != nil && r.idx < errIdx {
-			errIdx, firstErr = r.idx, r.err
-		}
+// bytesBefore returns the bytes of the segments preceding segment i.
+func (d *dispatch) bytesBefore(i int) (n int64) {
+	for _, s := range d.segs[:i] {
+		n += s.n
 	}
-	var n int64
-	for i := 0; i < errIdx && i < len(segs); i++ {
-		n += int64(len(segs[i].p))
-	}
-	return n, firstErr
-}
-
-// dispatchSync is the post-Close fallback: service the segments in the
-// caller, under the same discipline the queues would have applied, and
-// against the same per-server lastEnd state, so the seek detector sees
-// one continuous request history across Close. For streams whose sweep
-// partition cannot change the outcome — per-server ascending, or
-// mutually discontiguous segments — the charged seeks are identical to
-// the queued path's (pinned by TestSchedulerCloseSeekParity); for
-// streams the elevator actually reorders, the queued path's counts
-// additionally depend on how arrivals happened to fall into reorder
-// windows. Injection is consulted in submission order and stops
-// submission, as in dispatch; already-accepted segments are still
-// serviced, and the returned error is the earliest failure in
-// submission order.
-func (fs *FS) dispatchSync(segs []ioSeg) (int64, error) {
-	errIdx := len(segs)
-	var firstErr error
-	accepted := len(segs)
-	for i := range segs {
-		s := &segs[i]
-		if err := fs.inject(s.server, s.write, s.off, int64(len(s.p))); err != nil {
-			errIdx, firstErr, accepted = i, err, i
-			break
-		}
-	}
-	reqs := make([]ioReq, accepted)
-	for i := range reqs {
-		reqs[i] = ioReq{seg: segs[i], idx: i}
-	}
-	if fs.opts.Scheduler == Elevator {
-		// Per server, the accepted segments form one frozen batch — the
-		// same sort-and-merge sweep a queue worker applies.
-		var batch []*ioReq
-		for s, sv := range fs.servers {
-			batch = batch[:0]
-			for i := range reqs {
-				if reqs[i].seg.server == s {
-					batch = append(batch, &reqs[i])
-				}
-			}
-			if len(batch) > 0 {
-				sv.serviceSweep(batch, func(*ioReq) {})
-			}
-		}
-	} else {
-		for i := range reqs {
-			r := &reqs[i]
-			sv := fs.servers[r.seg.server]
-			var d time.Duration
-			if r.seg.write {
-				d, r.err = sv.writeAt(r.seg.p, r.seg.off, r.seg.flush)
-			} else {
-				d, r.err = sv.readAt(r.seg.p, r.seg.off, r.seg.sieve)
-			}
-			if sv.cost.RealTime && d > 0 {
-				time.Sleep(d)
-			}
-		}
-	}
-	return settle(segs, reqs, errIdx, firstErr)
+	return n
 }

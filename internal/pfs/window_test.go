@@ -43,29 +43,28 @@ func TestReorderWindowStragglerScaling(t *testing.T) {
 // batches, charges fewer seeks when the window is wider — the property
 // the straggler scaling buys the slow server. The batches are formed
 // deterministically here (the queue path's batches depend on arrival
-// timing), using the same serviceSweep the queue workers run.
+// timing), using the same sweep the queue workers run.
 func TestStragglerWindowSweepsMergeMore(t *testing.T) {
-	// Two interleaved streams of 8 contiguous 64-byte segments each.
-	mkReqs := func() []*ioReq {
-		var reqs []*ioReq
+	// Two interleaved streams of 8 contiguous 64-byte segments each, as
+	// one server's batch of a write.
+	mkBatch := func() *batch {
+		d := &dispatch{mem: Contig(bytes.Repeat([]byte{1}, 16*64)), write: true,
+			batches: make([]batch, 1), done: make(chan struct{}, 1)}
+		b := &d.batches[0]
+		b.d = d
 		for i := 0; i < 8; i++ {
 			for s := 0; s < 2; s++ {
-				off := int64(s)*4096 + int64(i)*64
-				reqs = append(reqs, &ioReq{seg: ioSeg{
-					off: off, p: bytes.Repeat([]byte{byte(s)}, 64), write: true}})
+				b.idx = append(b.idx, int32(len(d.segs)))
+				d.segs = append(d.segs, ioSeg{off: int64(s)*4096 + int64(i)*64, n: 64, mo: int64(len(d.segs)) * 64})
 			}
 		}
-		return reqs
+		b.left = len(b.idx)
+		return b
 	}
 	seeksWithWindow := func(window int) int64 {
 		sv := newServer(0, Options{Scheduler: Elevator, Cost: schedCost()})
-		reqs := mkReqs()
-		for i := 0; i < len(reqs); i += window {
-			j := i + window
-			if j > len(reqs) {
-				j = len(reqs)
-			}
-			sv.serviceSweep(reqs[i:j], func(*ioReq) {})
+		for pending := admit(nil, mkBatch()); len(pending) > 0; {
+			pending = sv.sweep(pending, window)
 		}
 		return sv.stats.Seeks
 	}

@@ -23,6 +23,7 @@
 package spill
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -199,13 +200,28 @@ func (s *Store) alloc(n int64) int64 {
 	return slot
 }
 
-// release returns a slot range to the free list (coalescing).
-// Must be called with s.mu held.
+// release returns a slot range to the free list, which stays sorted and
+// coalesced: the range was live, so it overlaps nothing and at most
+// touches its two neighbours, found by binary search and merged in
+// place. Must be called with s.mu held.
 func (s *Store) release(slot, n int64) {
 	if n <= 0 {
 		return
 	}
-	s.free = extent.Coalesce(append(s.free, extent.Run{Off: slot, Len: n}))
+	i, _ := slices.BinarySearchFunc(s.free, slot, func(r extent.Run, off int64) int { return cmp.Compare(r.Off, off) })
+	left := i > 0 && s.free[i-1].End() == slot
+	right := i < len(s.free) && s.free[i].Off == slot+n
+	switch {
+	case left && right:
+		s.free[i-1].Len += n + s.free[i].Len
+		s.free = slices.Delete(s.free, i, i+1)
+	case left:
+		s.free[i-1].Len += n
+	case right:
+		s.free[i] = extent.Run{Off: slot, Len: n + s.free[i].Len}
+	default:
+		s.free = slices.Insert(s.free, i, extent.Run{Off: slot, Len: n})
+	}
 	// Trim trailing free space off the high-water mark so a drained
 	// store shrinks back instead of ratcheting.
 	for len(s.free) > 0 {

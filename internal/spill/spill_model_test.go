@@ -12,8 +12,9 @@ import (
 
 // checkStore asserts the store's structural invariants: entries sorted
 // and disjoint, the books equal to the sums, the LRU holding exactly
-// the clean entries, and slots and free runs tiling the spill file
-// without overlap. It takes s.mu, so it may run beside other users.
+// the clean entries, the free list sorted, coalesced and short of the
+// file's end, and slots and free runs tiling the spill file without
+// overlap. It takes s.mu, so it may run beside other users.
 func checkStore(s *Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -40,6 +41,11 @@ func checkStore(s *Store) error {
 	}
 	if s.lru.Len() != len(clean) {
 		return fmt.Errorf("LRU holds %d entries, %d are clean", s.lru.Len(), len(clean))
+	}
+	for i, r := range s.free {
+		if r.Len <= 0 || (i > 0 && s.free[i-1].End() >= r.Off) || r.End() >= s.size {
+			return fmt.Errorf("free list %v (file size %d) is not sorted, coalesced and trimmed", s.free, s.size)
+		}
 	}
 	slices.SortFunc(slots, func(a, b extent.Run) int { return int(a.Off - b.Off) })
 	var at int64

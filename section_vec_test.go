@@ -1,0 +1,199 @@
+package drxmp
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"drxmp/internal/cluster"
+	"drxmp/internal/pfs"
+)
+
+// Independent section I/O hands the servers the caller's own rows when
+// they are unit-stride in the buffer, and a packed scratch otherwise.
+// Either way the bytes must be a flat array's.
+
+// flatBox copies box between flat (a dense row-major rows x cols array
+// of 8-byte elements) and buf (dense over box in the given order).
+func flatBox(flat []byte, cols int, box Box, buf []byte, order Order, toBuf bool) {
+	h, w := box.Hi[0]-box.Lo[0], box.Hi[1]-box.Lo[1]
+	for r := 0; r < h; r++ {
+		for c := 0; c < w; c++ {
+			at := (r*w + c) * 8
+			if order == ColMajor {
+				at = (c*h + r) * 8
+			}
+			f := flat[((box.Lo[0]+r)*cols+box.Lo[1]+c)*8:][:8]
+			if toBuf {
+				copy(buf[at:at+8], f)
+			} else {
+				copy(f, buf[at:at+8])
+			}
+		}
+	}
+}
+
+// TestSectionVecOracle: random independent section writes and reads,
+// row-major (the caller's rows are the memory vector) and column-major
+// (strided: through the scratch) buffers, with and without parity and a
+// dead server, with and without the extent cache, against a flat
+// oracle. The 16x16 chunks are 2 KiB and the stripe 1 KiB, so a box
+// that covers a chunk's width makes server segments of eight buffer
+// rows each.
+func TestSectionVecOracle(t *testing.T) {
+	const rows, cols = 96, 80
+	for _, parity := range []int{0, 2} {
+		for _, cache := range []int64{0, 64 << 10} {
+			t.Run(fmt.Sprintf("parity=%d/cache=%d", parity, cache), func(t *testing.T) {
+				err := cluster.Run(1, func(c *cluster.Comm) error {
+					f, err := Create(c, "section-vec", Options{
+						DType: Float64, ChunkShape: []int{16, 16}, Bounds: []int{rows, cols},
+						FS:     pfs.Options{Servers: 4 + parity, Parity: parity, StripeSize: 1 << 10},
+						Tuning: Tuning{CacheBytes: cache},
+					})
+					if err != nil {
+						return err
+					}
+					defer f.Close()
+					rng := rand.New(rand.NewSource(int64(parity)*7 + cache))
+					flat := make([]byte, rows*cols*8)
+					rng.Read(flat)
+					full := NewBox([]int{0, 0}, []int{rows, cols})
+					if err := f.WriteSection(full, flat, RowMajor); err != nil {
+						return err
+					}
+					if parity > 0 {
+						f.FS().SetInjector(&pfs.FaultPoint{Server: 1, Op: pfs.FaultReads, Permanent: true})
+					}
+					for step := 0; step < 120; step++ {
+						box := randomBox(rng, []int{rows, cols})
+						order := Order(RowMajor)
+						if rng.Intn(2) == 0 {
+							order = ColMajor
+						}
+						buf := make([]byte, box.Volume()*8)
+						if rng.Intn(3) == 0 {
+							rng.Read(buf)
+							if err := f.WriteSection(box, buf, order); err != nil {
+								return fmt.Errorf("step %d write %v: %w", step, box, err)
+							}
+							if !box.Empty() {
+								flatBox(flat, cols, box, buf, order, false)
+							}
+							continue
+						}
+						if err := f.ReadSection(box, buf, order); err != nil {
+							return fmt.Errorf("step %d read %v: %w", step, box, err)
+						}
+						want := make([]byte, len(buf))
+						if !box.Empty() {
+							flatBox(flat, cols, box, want, order, true)
+						}
+						if !bytes.Equal(buf, want) {
+							return fmt.Errorf("step %d: read %v (order %v) differs from the flat array", step, box, order)
+						}
+					}
+					if parity > 0 && f.FS().Stats().DegradedReads == 0 {
+						return fmt.Errorf("no read was served by reconstruction")
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestSectionReadIsScratchFree: a unit-stride independent ReadSection
+// allocates no section-sized buffer. Two collections empty every
+// sync.Pool first, so a scratch — pooled or not — would have to be
+// allocated afresh and show as at least the payload's bytes.
+func TestSectionReadIsScratchFree(t *testing.T) {
+	const side = 512
+	err := cluster.Run(1, func(c *cluster.Comm) error {
+		f, err := Create(c, "scratch-free", Options{
+			DType: Float64, ChunkShape: []int{64, 64}, Bounds: []int{side, side},
+			FS: pfs.Options{Servers: 8},
+		})
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		box := NewBox([]int{100, 130}, []int{356, 386})
+		buf := make([]byte, box.Volume()*8)
+		if err := f.ReadSection(box, buf, RowMajor); err != nil { // sizes the reusable state
+			return err
+		}
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f.ReadSection(box, buf, RowMajor); err != nil {
+			return err
+		}
+		runtime.ReadMemStats(&after)
+		if got, payload := after.TotalAlloc-before.TotalAlloc, uint64(len(buf)); got >= payload/4 {
+			return fmt.Errorf("a %d-byte unit-stride ReadSection allocated %d bytes, want < 1/4 of the payload", payload, got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkSectionIO is one section_mixed op without the benchmark
+// around it: a 2048x2048 float64 array in 64x64 chunks on 8 in-memory
+// servers, bench/'s cost model charged and never slept, independent
+// row-major sections of 200-300 elements a side at unaligned places.
+func BenchmarkSectionIO(b *testing.B) {
+	const side = 2048
+	err := cluster.Run(1, func(c *cluster.Comm) error {
+		f, err := Create(c, "bench-section-io", Options{
+			DType: Float64, ChunkShape: []int{64, 64}, Bounds: []int{side, side},
+			FS: pfs.Options{Servers: 8, Cost: pfs.CostModel{
+				RequestOverhead: 100 * time.Microsecond, SeekLatency: time.Millisecond, ByteTime: 4 * time.Nanosecond}},
+		})
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		band := make([]byte, 64*side*8)
+		for r := 0; r < side; r += 64 { // grow the servers
+			if err := f.WriteSection(NewBox([]int{r, 0}, []int{r + 64, side}), band, RowMajor); err != nil {
+				return err
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		boxes := make([]Box, 64)
+		var bytesPerOp int64
+		for i := range boxes {
+			h, w := 200+rng.Intn(101), 200+rng.Intn(101)
+			r, c := rng.Intn(side-h), rng.Intn(side-w)
+			boxes[i] = NewBox([]int{r, c}, []int{r + h, c + w})
+			bytesPerOp += boxes[i].Volume() * 8 / int64(len(boxes))
+		}
+		buf := make([]byte, 300*300*8)
+		for _, write := range []bool{false, true} {
+			b.Run(map[bool]string{false: "read", true: "write"}[write], func(b *testing.B) {
+				b.SetBytes(bytesPerOp)
+				b.ReportAllocs()
+				for i := 0; b.Loop(); i++ {
+					box := boxes[i%len(boxes)]
+					if err := f.sectionIO(box, buf[:box.Volume()*8], RowMajor, write, false); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
