@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay in sync.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench-module bench bench-pairs profile loc ci
+.PHONY: all build vet fmt test race bench-module bench fuzz bench-pairs profile loc ci
 
 all: build
 
@@ -33,6 +33,14 @@ bench-module:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
+# Each Fuzz* target for FUZZTIME past its seed corpus (which `test`
+# already replays); -fuzz takes one target of one package per run.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeReconstruct$$' -fuzztime $(FUZZTIME) ./internal/ec
+	$(GO) test -run '^$$' -fuzz '^FuzzParityUpdate$$' -fuzztime $(FUZZTIME) ./internal/pfs
+	$(GO) test -run '^$$' -fuzz '^FuzzMetaDecode$$' -fuzztime $(FUZZTIME) ./internal/meta
+
 # Paired runs of BASE against the working tree on one bench/ workload
 # (W=all: each of the five in turn), with the -compare verdicts:
 # make bench-pairs W=serve_mixed N=10 BASE=HEAD~1
@@ -58,4 +66,4 @@ profile:
 loc:
 	@bash scripts/loc.sh
 
-ci: build vet fmt test race bench-module bench
+ci: build vet fmt test race bench-module bench fuzz

@@ -44,12 +44,11 @@ type message struct {
 
 // mailbox is one rank's incoming queue with condition-variable matching.
 type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []message
-	closed  bool
-	err     error  // sticky failure reported to blocked receivers
-	blocked string // what the rank is waiting for (deadlock reports)
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  []message
+	closed bool
+	err    error // sticky failure reported to blocked receivers
 }
 
 func newMailbox() *mailbox {
@@ -213,7 +212,6 @@ func (c *Comm) recv(from, tag int) ([]byte, Status, error) {
 	mb := c.world.boxes[c.ranks[c.rank]]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	mb.blocked = fmt.Sprintf("recv(from=%d, tag=%d, ctx=%d)", from, tag, c.ctx)
 	for {
 		for i, m := range mb.queue {
 			if m.ctx != c.ctx {
@@ -226,11 +224,9 @@ func (c *Comm) recv(from, tag int) ([]byte, Status, error) {
 				continue
 			}
 			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-			mb.blocked = ""
 			return m.data, Status{Source: m.from, Tag: m.tag}, nil
 		}
 		if mb.closed {
-			mb.blocked = ""
 			err := mb.err
 			if err == nil {
 				err = errors.New("cluster: mailbox closed")

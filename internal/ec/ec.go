@@ -14,8 +14,9 @@
 //
 // Everything is pure Go GF(2^8) arithmetic (primitive polynomial
 // 0x11d); there are no dependencies and no assembly. Coding a row is a
-// handful of passes of one kernel, mulXor(dst, src, coef), under both
-// Encode and every decode. Coefficient 1 — all of parity row 0, hence
+// handful of passes of one kernel, mulXor(dst, src, coef), under
+// Encode, Update (a delta of one data shard added into the parity) and
+// every decode. Coefficient 1 — all of parity row 0, hence
 // all of m == 1, and every decode that goes through parity row 0 with
 // one data shard lost — is crypto/subtle.XORBytes, which runs at memory
 // speed. Any other coefficient walks that coefficient's 256-byte row of
@@ -271,6 +272,24 @@ func (c *Code) Encode(shards [][]byte) error {
 		for t, coef := range c.gen[c.k+j] {
 			mulXor(out, shards[t], coef)
 		}
+	}
+	return nil
+}
+
+// Update adds a change of data shard t to the m parity shards: delta
+// is the XOR of the shard's old and new bytes from byte col on, and
+// each parity[j] gets coef(j, t)·delta added at the same column. Code
+// is linear, so parity encoded from the old data plus the update is the
+// parity of the new data, and updates of any order compose.
+func (c *Code) Update(parity [][]byte, t, col int, delta []byte) error {
+	if len(parity) != c.m || t < 0 || t >= c.k {
+		return fmt.Errorf("ec: update of data shard %d into %d parity shards; the code has %d and %d", t, len(parity), c.k, c.m)
+	}
+	for j, p := range parity {
+		if col < 0 || col+len(delta) > len(p) {
+			return fmt.Errorf("ec: update of bytes [%d,%d) outside parity shard %d's %d", col, col+len(delta), j, len(p))
+		}
+		mulXor(p[col:col+len(delta)], delta, c.gen[c.k+j][t])
 	}
 	return nil
 }

@@ -111,6 +111,31 @@ func FuzzEncodeReconstruct(f *testing.F) {
 			t.Fatalf("k=%d m=%d size=%d: Encode wrote outside the parity shards", k, m, size)
 		}
 
+		// Overwrite a byte range of one data shard and add its delta into
+		// the parity: the same parity as encoding the new data afresh.
+		if size > 0 {
+			d, col := rng.Intn(k), rng.Intn(size)
+			n := rng.Intn(size - col + 1)
+			delta := make([]byte, n)
+			rng.Read(delta)
+			for i, x := range delta {
+				shards[d][col+i] ^= x
+			}
+			if err := c.Update(shards[k:], d, col, delta); err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range shards[:k] {
+				want[i] = append(want[i][:0], s...)
+			}
+			refEncode(c, want)
+			for j := k; j < k+m; j++ {
+				if !bytes.Equal(shards[j], want[j]) {
+					t.Fatalf("k=%d m=%d size=%d: Update of shard %d [%d,%d) leaves parity %d unlike a fresh encode",
+						k, m, size, d, col, col+n, j)
+				}
+			}
+		}
+
 		// Lose up to m shards, chosen by the mask.
 		var lost []int
 		for i := 0; i < k+m && len(lost) < m; i++ {

@@ -233,8 +233,8 @@ func (m *Meta) Encode() []byte {
 
 // Decode parses and validates an .xmd blob.
 func Decode(b []byte) (*Meta, error) {
-	if len(b) < 16 {
-		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrCorrupt, len(b))
+	if len(b) < 20 {
+		return nil, fmt.Errorf("%w: short blob (%d bytes)", ErrCorrupt, len(b))
 	}
 	if string(b[:4]) != string(Magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:4])
@@ -244,8 +244,8 @@ func Decode(b []byte) (*Meta, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
 	plen := binary.LittleEndian.Uint64(b[8:])
-	if plen > uint64(len(b))-16 {
-		return nil, fmt.Errorf("%w: truncated payload (%d declared, %d available)", ErrCorrupt, plen, len(b)-16)
+	if plen != uint64(len(b))-20 {
+		return nil, fmt.Errorf("%w: payload of %d bytes declared, %d present", ErrCorrupt, plen, len(b)-20)
 	}
 	payload := b[16 : 16+plen]
 	gotCRC := binary.LittleEndian.Uint32(b[16+plen:])
@@ -292,7 +292,9 @@ func Decode(b []byte) (*Meta, error) {
 	axial := make([]core.Vector, k)
 	for d := 0; d < k; d++ {
 		n := int(r.u32())
-		if r.err != nil || n < 1 || n > 1<<20 {
+		// Each record takes 16+8k bytes, so the count is bounded by what
+		// is left before anything is allocated for it.
+		if r.err != nil || n < 1 || n > len(r.b)/(16+8*k) {
 			return nil, fmt.Errorf("%w: record count %d for dimension %d", ErrCorrupt, n, d)
 		}
 		recs := make([]core.Record, n)

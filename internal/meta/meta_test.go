@@ -1,7 +1,10 @@
 package meta
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -230,6 +233,71 @@ func TestDecodeRandomGarbage(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// reseal rewrites a blob's declared payload length and CRC to match
+// the bytes between the header and the last four, so a mutation of the
+// payload reaches the field checks instead of stopping at the CRC.
+func reseal(b []byte) []byte {
+	if len(b) < 20 {
+		return b
+	}
+	out := append([]byte(nil), b...)
+	payload := out[16 : len(out)-4]
+	binary.LittleEndian.PutUint64(out[8:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(payload))
+	return out
+}
+
+// FuzzMetaDecode feeds Decode hostile blobs, each as given and resealed
+// with a valid length and CRC: it must never panic, and either reject
+// the blob with an ErrCorrupt-wrapped error or return metadata that
+// encodes back to exactly the blob.
+func FuzzMetaDecode(f *testing.F) {
+	geometries := []struct {
+		cs, eb grid.Shape
+		grow   []int // dimensions extended by one chunk and a bit, in turn
+	}{
+		{grid.Shape{4}, grid.Shape{10}, []int{0}},
+		{grid.Shape{2, 3}, grid.Shape{10, 10}, []int{1, 0, 1, 1}},
+		{grid.Shape{8, 8, 8}, grid.Shape{64, 64, 64}, []int{0, 1, 2, 0, 2}},
+		{grid.Shape{1, 2, 1, 3}, grid.Shape{3, 3, 3, 3}, []int{3, 3, 0}},
+	}
+	for _, g := range geometries {
+		m, err := New(dtype.Float64, grid.RowMajor, g.cs, g.eb)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, d := range g.grow {
+			if err := m.ExtendElems(d, m.ElemBounds[d]+g.cs[d]+1); err != nil {
+				f.Fatal(err)
+			}
+		}
+		blob := m.Encode()
+		f.Add(blob)
+		for _, n := range []int{0, 15, 16, 19, len(blob) / 2, len(blob) - 4, len(blob) - 1} {
+			f.Add(blob[:n])
+		}
+		for _, bit := range []int{0, 8 * 8, 8 * 16, 8 * 18, 8*len(blob) - 1} {
+			b := append([]byte(nil), blob...)
+			b[bit/8] ^= 1 << (bit % 8)
+			f.Add(b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		for _, b := range [][]byte{blob, reseal(blob)} {
+			m, err := Decode(b)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Decode error %v does not wrap ErrCorrupt", err)
+				}
+				continue
+			}
+			if again := m.Encode(); !bytes.Equal(again, b) {
+				t.Fatalf("decoded metadata encodes to %d bytes unlike the %d decoded", len(again), len(b))
+			}
+		}
+	})
 }
 
 func BenchmarkEncode(b *testing.B) {

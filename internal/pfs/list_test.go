@@ -251,7 +251,7 @@ func TestListSourceOrderCountsRequests(t *testing.T) {
 	for fs.servers[1].queued.Load() != 7 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if got, want := fs.sourceOrder(), []int{0, 2, 3, 1}; !reflect.DeepEqual(got, want) {
+	if got, want := fs.sourceOrder(new(reconScratch)), []int{0, 2, 3, 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("sourceOrder = %v with 7 requests parked at server 1, want %v", got, want)
 	}
 	close(gate)

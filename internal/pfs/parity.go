@@ -14,30 +14,53 @@
 // degraded path turn a failed read segment straight into a
 // reconstruction over the other servers.
 //
-// Writes. After a write dispatch returns, every parity row the write
-// touches is re-encoded whole from the *stored* data units and the
-// coded units are dispatched as ordinary (charged, injectable) writes
-// to the parity servers. Whole units, not the written sub-range: the
-// coded units of consecutive rows then stay contiguous on a parity
-// server, which saves a seek worth far more than the bytes. The row
-// reads are deliberately uncharged: they model the parity engine's
-// server-local read-modify-write, not client traffic. parityMu
-// serializes the read-encode-write cycle, so the last writer of a row —
-// which by the lock ordering has observed every completed data write —
-// stores the parity of the final data state.
+// Writes. Parity follows a write by delta, the RAID small-write
+// read-modify-write: for every data segment stored,
+// P_j ^= c_jt·(D_t' ⊕ D_t) over exactly the bytes it stored, in each of
+// the m coded units of its row. The pre-image D_t is captured by the
+// server: it loads the bytes a segment is about to overwrite into the
+// dispatch's pre slab under the same lock hold as the store. After the
+// dispatch the writer XORs its new bytes in to form the deltas, loads
+// each touched row's m stored coded units, adds the deltas in
+// (ec.Code.Update) and dispatches the coded units as ordinary (charged,
+// injectable) writes to the parity servers. The work is m × the payload
+// instead of a k-unit re-encode of every touched row. Coded units are
+// still written whole, not the written sub-range: the coded units of
+// consecutive rows then stay contiguous on a parity server, which saves
+// a seek worth far more than the bytes, and the device sees the same
+// requests as a re-encode would make. The row loads are deliberately
+// uncharged: they model the parity engine's server-local
+// read-modify-write, not client traffic.
 //
-// The torn-write rule: parity always describes stored bytes. A data
-// dispatch that fails has still landed the segments ahead of the
-// failure, so WriteAt/WriteV/FlushV re-encode the rows of everything
-// they *attempted* before returning the dispatch error; otherwise the
-// next degraded read of an untouched neighbour unit in such a row
-// would decode garbage and report success.
+// Why concurrent writers agree. The code is linear, so deltas apply in
+// any order; and since a pre-image is taken atomically with its store,
+// the deltas of any interleaving of writes to one byte telescope —
+// (D0⊕D1) ⊕ (D1⊕D2) ⊕ … — to the XOR of its first and last stored
+// values. parityMu serializes the coded units' load-add-store, so every
+// delta lands exactly once, whichever writer lands it first.
+//
+// The exceptions: whole-row re-encode. Parity always describes stored
+// bytes, and two kinds of row are re-encoded whole from their stored
+// data units instead. The torn-write rule: a data dispatch that failed
+// has still landed the segments ahead of the failure, and a segment
+// that failed in service may have landed in part, so every row the
+// write attempted is re-encoded before the dispatch error returns —
+// otherwise the next degraded read of an untouched neighbour unit in
+// such a row would decode garbage and report success. The stale rule: a
+// row whose coded units may not have landed, because its parity
+// dispatch or load failed, is kept in fs.stale and re-encoded by the
+// next write, whichever rows that write touches. A re-encode reads
+// stored bytes, so it must not run while a writer has stored bytes
+// whose delta has not landed: that delta would count twice. parityGate
+// orders the two: a data write holds it shared from before its
+// dispatch until its deltas land, a re-encode holds it exclusively.
 //
 // Row buffers. An update works out of the store's parityScratch, which
-// parityMu guards along with the cycle: k stripe units the data of one
-// row is loaded into, reused row after row, and m coded units per row
-// of the batch, which the parity dispatch reads from and has finished
-// with when it returns.
+// parityMu guards: k stripe units the data of a re-encoded row is
+// loaded into, reused row after row, and m coded units per row of the
+// batch, which the parity dispatch reads from and has finished with
+// when it returns. The pre slab belongs to the data write's dispatch
+// and is pooled with it.
 //
 // Degraded reads. A segment that is refused by the failure injector,
 // errors in service, exceeds the straggler deadline (DegradedReadFactor
@@ -55,13 +78,15 @@
 // are read in place unless a deadline is armed; only then can a list be
 // abandoned, and only then do the servers read into a private slab, so
 // a straggler's late completions land in memory nobody reads — and the
-// dispatch they belong to is never reused.
+// dispatch they belong to is never reused. A degraded read's working
+// memory (reconScratch) rides on its dispatch, so it is pooled with it.
 package pfs
 
 import (
+	"cmp"
+	"crypto/subtle"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -102,20 +127,14 @@ const parityRowBatch = 64
 type parityScratch struct {
 	buf    []byte   // k data units, then m coded units per row of a batch
 	mem    Vec      // buf, as the parity writes' memory vector
-	shards [][]byte // Encode's k+m view of the row being coded
+	shards [][]byte // the k+m view of the row being coded
+	rows   []int64  // the rows of the update
 }
 
-// parityRows returns the parity rows intersecting runs, ascending and
-// unique. Runs arrive sorted from every caller in the tree, so the
-// sort is the exception.
-func parityRows(runs []Run, rowBytes int64) []int64 {
-	n := int64(0)
-	for _, r := range runs {
-		if r.Len > 0 {
-			n += (r.Off+r.Len-1)/rowBytes - r.Off/rowBytes + 1
-		}
-	}
-	rows := make([]int64, 0, n)
+// parityRows appends to rows the parity rows intersecting runs,
+// ascending and unique. Runs arrive sorted from every caller in the
+// tree, so the sort is the exception.
+func parityRows(rows []int64, runs []Run, rowBytes int64) []int64 {
 	sorted := true
 	for _, r := range runs {
 		if r.Len <= 0 {
@@ -138,23 +157,74 @@ func parityRows(runs []Run, rowBytes int64) []int64 {
 	return rows
 }
 
-// updateParity re-encodes every parity row intersecting runs and
-// writes the coded units to the parity servers. No-op when parity is
-// off. Callers invoke it after their data dispatch returned, whether
-// or not it succeeded (the torn-write rule above).
-func (fs *FS) updateParity(runs []Run) error {
-	if fs.code == nil || len(runs) == 0 {
+// writeCoded dispatches the data write d of runs with the pre-images
+// captured, then brings parity up to date: by delta when every segment
+// landed and no row is stale, else by re-encoding whole rows — those
+// the write attempted and every stale one — under the exclusive gate.
+// It returns the data dispatch's outcome and the parity update's error.
+func (fs *FS) writeCoded(d *dispatch, runs []Run) (done int64, err, perr error) {
+	var total int64
+	d.at = d.at[:0]
+	for i := range d.segs {
+		d.at = append(d.at, total)
+		total += d.segs[i].n
+	}
+	d.pre = slices.Grow(d.pre[:0], int(total))[:total]
+	d.capture = true
+	rowBytes := int64(fs.code.K()) * fs.opts.StripeSize
+
+	fs.parityGate.RLock()
+	fs.submit(d, 0)
+	done, err = d.outcome()
+	if len(d.fails) == 0 { // every segment landed: not torn
+		d.deltas()
+		fs.parityMu.Lock()
+		if len(fs.stale) == 0 {
+			fs.parity.rows = parityRows(fs.parity.rows[:0], runs, rowBytes)
+			perr = fs.updateParity(fs.parity.rows, d)
+			fs.parityMu.Unlock()
+			fs.parityGate.RUnlock()
+			fs.release(d)
+			return done, err, perr
+		}
+		fs.parityMu.Unlock()
+	}
+	fs.parityGate.RUnlock()
+	fs.release(d)
+
+	fs.parityGate.Lock()
+	defer fs.parityGate.Unlock()
+	fs.parityMu.Lock()
+	defer fs.parityMu.Unlock()
+	rows := append(parityRows(fs.parity.rows[:0], runs, rowBytes), fs.stale...)
+	slices.Sort(rows)
+	fs.parity.rows, fs.stale = slices.Compact(rows), fs.stale[:0]
+	return done, err, fs.updateParity(fs.parity.rows, nil)
+}
+
+// deltas turns every segment's pre-image into its delta: the XOR of
+// the bytes the segment overwrote and the bytes it stored, which are
+// still the caller's. The pre slab is laid out like the packed
+// transfer, so that is one pass over the memory vector.
+func (d *dispatch) deltas() {
+	p := d.pre
+	for mi := 0; len(p) > 0; mi++ {
+		p = p[subtle.XORBytes(p, p, d.mem.Seg(mi)):]
+	}
+}
+
+// updateParity writes the coded units of rows — ascending, unique — to
+// the parity servers, parityRowBatch rows per dispatch. With deltas nil
+// every row is re-encoded from its stored data units; otherwise each
+// row's stored coded units are loaded and the deltas of deltas'
+// segments in the row are added in. Rows whose coded units may not
+// have landed are marked stale. The caller holds parityMu.
+func (fs *FS) updateParity(rows []int64, deltas *dispatch) error {
+	if len(rows) == 0 {
 		return nil
 	}
 	k, m := fs.code.K(), fs.code.M()
 	stripe := fs.opts.StripeSize
-	rows := parityRows(runs, int64(k)*stripe)
-	if len(rows) == 0 {
-		return nil
-	}
-
-	fs.parityMu.Lock()
-	defer fs.parityMu.Unlock()
 	sc := &fs.parity
 	if need := (int64(k) + int64(min(len(rows), parityRowBatch)*m)) * stripe; int64(len(sc.buf)) < need {
 		sc.buf = make([]byte, need)
@@ -163,43 +233,79 @@ func (fs *FS) updateParity(runs []Run) error {
 	if sc.shards == nil {
 		sc.shards = make([][]byte, k+m)
 	}
-	shards := sc.shards
 	for c := 0; c < k; c++ {
-		shards[c] = sc.buf[int64(c)*stripe : int64(c+1)*stripe]
+		sc.shards[c] = sc.buf[int64(c)*stripe : int64(c+1)*stripe]
 	}
-	for len(rows) > 0 {
-		batch := rows[:min(len(rows), parityRowBatch)]
-		rows = rows[len(batch):]
-		at := int64(k) * stripe // the next coded unit's place in sc.buf
-		d := fs.newDispatch(sc.mem, true)
-		for _, row := range batch {
-			// The parity engine's local read-modify-write: load the
-			// row's stored data units uncharged (holes read as zeros,
-			// and zero data encodes to zero parity, so never-written
-			// rows stay consistent).
-			for c := 0; c < k; c++ {
-				sv := fs.servers[c]
-				sv.mu.Lock()
-				err := sv.loadLocked(shards[c], row*stripe)
-				sv.mu.Unlock()
-				if err != nil {
-					fs.release(d)
-					return fmt.Errorf("pfs: parity row %d read: %w", row, err)
-				}
+	for b := 0; b < len(rows); b += parityRowBatch {
+		if err := fs.parityBatch(rows[b:min(len(rows), b+parityRowBatch)], deltas); err != nil {
+			rest := rows[b:]
+			fs.stale = append(fs.stale, rest...)
+			slices.Sort(fs.stale)
+			fs.stale = slices.Compact(fs.stale)
+			return err
+		}
+	}
+	return nil
+}
+
+// parityBatch codes one batch of rows into the scratch — coded unit j
+// of the batch's row bi at(bi, j) bytes in — and dispatches them.
+func (fs *FS) parityBatch(batch []int64, deltas *dispatch) error {
+	k, m := fs.code.K(), fs.code.M()
+	stripe := fs.opts.StripeSize
+	sc := &fs.parity
+	shards := sc.shards
+	at := func(bi, j int) int64 { return int64(k+bi*m+j) * stripe }
+	d := fs.newDispatch(sc.mem, true)
+	// The parity engine's local read-modify-write, uncharged: a re-encode
+	// loads the row's stored data units (holes read as zeros, and zero
+	// data encodes to zero parity, so never-written rows stay
+	// consistent), a delta update the row's stored coded units.
+	load, n := 0, k
+	if deltas != nil {
+		load, n = k, m
+	}
+	for bi, row := range batch {
+		for j := 0; j < m; j++ {
+			shards[k+j] = sc.buf[at(bi, j):][:stripe]
+			d.segs = append(d.segs, ioSeg{server: int32(k + j), off: row * stripe, n: stripe, mo: at(bi, j)})
+		}
+		for c := load; c < load+n; c++ {
+			sv := fs.servers[c]
+			sv.mu.Lock()
+			err := sv.loadLocked(shards[c], row*stripe)
+			sv.mu.Unlock()
+			if err != nil {
+				fs.release(d)
+				return fmt.Errorf("pfs: parity row %d read: %w", row, err)
 			}
-			for j := 0; j < m; j++ {
-				shards[k+j] = sc.buf[at : at+stripe]
-				d.segs = append(d.segs, ioSeg{server: int32(k + j), off: row * stripe, n: stripe, mo: at})
-				at += stripe
-			}
+		}
+		if deltas == nil {
 			if err := fs.code.Encode(shards); err != nil {
 				fs.release(d)
 				return err
 			}
 		}
-		if _, err := fs.dispatch(d); err != nil {
-			return fmt.Errorf("pfs: parity update: %w", err)
+	}
+	if deltas != nil {
+		for i := range deltas.segs {
+			s := &deltas.segs[i]
+			row := s.off / stripe
+			bi, ok := slices.BinarySearch(batch, row)
+			if !ok {
+				continue
+			}
+			for j := 0; j < m; j++ {
+				shards[k+j] = sc.buf[at(bi, j):][:stripe]
+			}
+			if err := fs.code.Update(shards[k:], int(s.server), int(s.off-row*stripe), deltas.pre[deltas.at[i]:][:s.n]); err != nil {
+				fs.release(d)
+				return err
+			}
 		}
+	}
+	if _, err := fs.dispatch(d); err != nil {
+		return fmt.Errorf("pfs: parity update: %w", err)
 	}
 	return nil
 }
@@ -215,7 +321,7 @@ func (fs *FS) avoidServer(s int) bool {
 // configured factor times the nominal (SlowFactor-free) max per-server
 // service time of the vector, seek surcharge included as slack. Zero
 // means no deadline (non-RealTime cost models, or factor < 0).
-func (fs *FS) readDeadline(segs []ioSeg) time.Duration {
+func (fs *FS) readDeadline(sc *reconScratch, segs []ioSeg) time.Duration {
 	c := fs.opts.Cost
 	if !c.RealTime {
 		return 0
@@ -227,7 +333,8 @@ func (fs *FS) readDeadline(segs []ioSeg) time.Duration {
 	if f == 0 {
 		f = 3
 	}
-	per := make([]time.Duration, fs.opts.Servers)
+	per := grow(&sc.per, fs.opts.Servers)
+	clear(per)
 	for i := range segs {
 		s := &segs[i]
 		per[s.server] += c.RequestOverhead + c.SeekLatency + time.Duration(s.n)*c.ByteTime
@@ -259,10 +366,15 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 			at += segs[i].n
 		}
 	}
+	if d.recon == nil {
+		d.recon = new(reconScratch)
+	}
+	sc := d.recon
 	// Only an armed deadline can abandon a request, so only then do the
 	// servers read into private memory, copied out segment by segment:
-	// a straggler's late completion lands where nobody reads.
-	deadline := fs.readDeadline(segs)
+	// a straggler's late completion lands where nobody reads. That
+	// memory is the one thing not drawn from the scratch.
+	deadline := fs.readDeadline(sc, segs)
 	target := buf
 	if deadline > 0 {
 		target = make([]byte, total)
@@ -278,7 +390,7 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 	finished := fs.submit(d, deadline)
 	// Whatever is not marked served — refused, avoided, failed, or still
 	// outstanding at the deadline — is reconstructed.
-	var recon []int
+	recon := sc.recon[:0]
 	for i := range segs {
 		if !d.served[i].Load() {
 			recon = append(recon, i)
@@ -286,10 +398,11 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 			copy(segs[i].in(buf), segs[i].in(target))
 		}
 	}
+	sc.recon = recon
 	var err error
 	if len(recon) > 0 {
 		var failIdx int
-		if failIdx, err = fs.reconstructSegs(segs, buf, recon); err != nil {
+		if failIdx, err = fs.reconstructSegs(sc, segs, buf, recon); err != nil {
 			// Keep the dispatch contract: bytes of the segments preceding
 			// the earliest segment that could not be served.
 			total = d.bytesBefore(failIdx)
@@ -323,24 +436,21 @@ type reconFetch struct {
 // straight into its members. One failure does not stop the others; a
 // merged failure fails every member, which then moves on to its next
 // candidate.
-func (fs *FS) serviceReconBatch(batch []reconFetch) {
-	idx := make([]int, len(batch))
+func (fs *FS) serviceReconBatch(sc *reconScratch, batch []reconFetch) {
+	idx := grow(&sc.idx, len(batch))
 	total := 0
 	for i := range idx {
 		idx[i] = i
 		total += batch[i].job.n
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		fa, fb := &batch[idx[a]], &batch[idx[b]]
-		if fa.server != fb.server {
-			return fa.server < fb.server
-		}
-		return fa.job.off < fb.job.off
+	slices.SortStableFunc(idx, func(a, b int) int {
+		fa, fb := &batch[a], &batch[b]
+		return cmp.Or(cmp.Compare(fa.server, fb.server), cmp.Compare(fa.job.off, fb.job.off))
 	})
-	slab := make([]byte, total)
+	slab := sc.carve(total)
 	d := fs.newDispatch(Contig(slab), false)
 	d.skip = true
-	first := make([]int, 0, len(batch)+1) // d.segs[i] serves batch[idx[first[i]:first[i+1]]]
+	first := sc.first[:0] // d.segs[i] serves batch[idx[first[i]:first[i+1]]]
 	var at int64
 	for k, i := range idx {
 		f := &batch[i]
@@ -356,6 +466,7 @@ func (fs *FS) serviceReconBatch(batch []reconFetch) {
 		at += n
 	}
 	first = append(first, len(idx))
+	sc.first = first
 	fs.submit(d, 0)
 	for _, fl := range d.fails {
 		for _, i := range idx[first[fl.idx]:first[fl.idx+1]] {
@@ -368,20 +479,56 @@ func (fs *FS) serviceReconBatch(batch []reconFetch) {
 // sourceOrder ranks servers for reconstruction sources: healthy-fast
 // first (ascending slow factor), then fewest requests queued, then
 // index — the "fastest k of k+m" selection.
-func (fs *FS) sourceOrder() []int {
-	order := make([]int, fs.opts.Servers)
-	backlog := make([]int64, len(order))
+func (fs *FS) sourceOrder(sc *reconScratch) []int {
+	order := grow(&sc.order, fs.opts.Servers)
+	backlog := grow(&sc.backlog, len(order))
 	for i := range order {
 		order[i], backlog[i] = i, fs.servers[i].queued.Load()
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := fs.servers[order[a]].slow, fs.servers[order[b]].slow
-		if sa != sb {
-			return sa < sb
-		}
-		return backlog[order[a]] < backlog[order[b]]
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(fs.servers[a].slow, fs.servers[b].slow), cmp.Compare(backlog[a], backlog[b]))
 	})
 	return order
+}
+
+// reconScratch is a degraded read's working memory, carried by its
+// dispatch and pooled with it; what a read sizes here stays for the
+// next. A deadline that abandons the dispatch abandons its scratch too.
+type reconScratch struct {
+	per     []time.Duration // readDeadline: nominal service time per server
+	order   []int           // sourceOrder: the ranking
+	backlog []int64         //   and the requests queued per server
+	recon   []int           // the segments to reconstruct
+	jobs    []reconJob
+	tabs    [][]byte // the jobs' shard tables, k+m entries each
+	inRecon []bool
+	batch   []reconFetch
+	idx     []int  // serviceReconBatch: the fetches in request order
+	first   []int  //   and where each request's fetches start
+	slab    []byte // the source fetches' bytes
+	used    int    // of slab, by this read's earlier rounds
+}
+
+// grow returns *s resized to n, reallocated only when too small. The
+// contents are whatever was there.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
+// carve returns n bytes of the slab that no earlier round of this read
+// holds. A round that does not fit gets a fresh slab; the earlier
+// rounds' fetches keep the old one alive until the read is decoded.
+func (sc *reconScratch) carve(n int) []byte {
+	if sc.used+n > len(sc.slab) {
+		sc.slab, sc.used = make([]byte, max(n, 2*len(sc.slab))), 0
+	}
+	p := sc.slab[sc.used : sc.used+n : sc.used+n]
+	sc.used += n
+	return p
 }
 
 // reconJob tracks one segment being reconstructed: which shards it
@@ -411,18 +558,23 @@ func sameSurvivors(a, b [][]byte) bool {
 // reconstructSegs rebuilds the listed segments from the surviving
 // shards, straight into the segments' places in buf. Source reads batch
 // across jobs per round, so several reconstructions pay max- not
-// sum-per-server service time. Jobs live in one slab and their shard
-// tables in another; the decoder is looked up once per run of jobs
-// with the same survivor set — one per row and failure pattern, not
-// one per segment. On failure it returns the smallest segment index it
-// could not serve.
-func (fs *FS) reconstructSegs(segs []ioSeg, buf []byte, recon []int) (int, error) {
+// sum-per-server service time. Jobs, their shard tables and the
+// fetched bytes all come from sc; the decoder is looked up once per run
+// of jobs with the same survivor set — one per row and failure pattern,
+// not one per segment. On failure it returns the smallest segment index
+// it could not serve.
+func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon []int) (int, error) {
 	k, m := fs.code.K(), fs.code.M()
 	stripe := fs.opts.StripeSize
-	order := fs.sourceOrder()
-	jobs := make([]reconJob, len(recon))
-	shardTabs := make([][]byte, len(recon)*(k+m))
-	inRecon := make([]bool, len(segs))
+	order := fs.sourceOrder(sc)
+	jobs := grow(&sc.jobs, len(recon))
+	shardTabs := grow(&sc.tabs, len(recon)*(k+m))
+	inRecon := grow(&sc.inRecon, len(segs))
+	clear(shardTabs)
+	clear(inRecon)
+	sc.used = 0
+	// The tables point into the caller's buffer: let go of it.
+	defer clear(shardTabs)
 	for ji, idx := range recon {
 		s := &segs[idx]
 		jobs[ji] = reconJob{
@@ -450,7 +602,7 @@ func (fs *FS) reconstructSegs(segs []ioSeg, buf []byte, recon []int) (int, error
 			j.got++
 		}
 	}
-	var batch []reconFetch
+	batch := sc.batch
 	for {
 		batch = batch[:0]
 		for ji := range jobs {
@@ -468,7 +620,8 @@ func (fs *FS) reconstructSegs(segs []ioSeg, buf []byte, recon []int) (int, error
 		if len(batch) == 0 {
 			break
 		}
-		fs.serviceReconBatch(batch)
+		sc.batch = batch
+		fs.serviceReconBatch(sc, batch)
 		for i := range batch {
 			f := &batch[i]
 			if f.err != nil {

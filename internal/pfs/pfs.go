@@ -459,12 +459,15 @@ type FS struct {
 	servers []*server
 	inj     atomic.Pointer[injBox] // failure injection (fault.go)
 
-	// Erasure coding (parity.go). code is nil when Options.Parity is 0;
-	// parityMu serializes parity-row read-modify-write so concurrent
-	// writers converge on the parity of the final data state.
+	// Erasure coding (parity.go). code is nil when Options.Parity is 0.
+	// A data write holds parityGate shared from before its dispatch until
+	// its deltas have landed; a whole-row re-encode holds it exclusively.
+	// parityMu serializes the coded units' read-modify-write.
 	code       *ec.Code
+	parityGate sync.RWMutex
 	parityMu   sync.Mutex
 	parity     parityScratch // guarded by parityMu
+	stale      []int64       // rows whose coded units may not have landed, ascending; guarded by parityMu
 	degraded   atomic.Int64  // read segments served by reconstruction
 	reconBytes atomic.Int64  // bytes served by reconstruction
 
@@ -736,19 +739,25 @@ func (fs *FS) transfer(runs []Run, mem Vec, write, attr bool) (int64, error) {
 		at += r.Len
 		accepted++
 	}
-	done, err := fs.dispatch(d)
 	if !write {
+		done, err := fs.dispatch(d)
 		if err != nil {
 			return done, err
 		}
 		return at, verr
 	}
-	// Recompute parity for every row the accepted runs touch (no-op
-	// with Parity 0) — also when the dispatch failed, because segments
-	// ahead of the failure landed and parity describes stored bytes.
-	// FlushV sweeps come through here too, so write-behind flushes
-	// maintain parity like direct writes.
-	perr := fs.updateParity(runs[:accepted])
+	// With parity on, the parity of every row the accepted runs touch is
+	// brought up to date — also when the dispatch failed, because
+	// segments ahead of the failure landed and parity describes stored
+	// bytes. FlushV sweeps come through here too, so write-behind
+	// flushes maintain parity like direct writes.
+	var done int64
+	var err, perr error
+	if fs.code != nil {
+		done, err, perr = fs.writeCoded(d, runs[:accepted])
+	} else {
+		done, err = fs.dispatch(d)
+	}
 	if err != nil {
 		return done, err
 	}

@@ -96,6 +96,14 @@ type dispatch struct {
 	mu     sync.Mutex // guards fails: workers of different servers append
 	fails  []segErr
 	stage  []byte // degraded reads: contiguous stand-in for a scattered vector
+	// capture: a parity write. Each segment loads the bytes it is about
+	// to overwrite into pre at its packed position at[i], under the same
+	// server lock hold as its store (parity.go). pre and at keep their
+	// capacity across submissions.
+	capture bool
+	pre     []byte
+	at      []int64
+	recon   *reconScratch // degraded reads' working memory, made on first use
 }
 
 // maxIdle bounds a store's list of idle dispatches: enough for the
@@ -133,7 +141,7 @@ func (fs *FS) release(d *dispatch) {
 	clear(d.served)
 	clear(d.fails)
 	d.segs, d.served, d.fails = d.segs[:0], d.served[:0], d.fails[:0]
-	d.mem, d.write, d.attr, d.skip, d.avoid = nil, false, false, false, false
+	d.mem, d.write, d.attr, d.skip, d.avoid, d.capture = nil, false, false, false, false, false
 	fs.idleMu.Lock()
 	if len(fs.idle) < maxIdle {
 		fs.idle = append(fs.idle, d)
@@ -254,7 +262,7 @@ func (sv *server) serveFIFO(b *batch) {
 		if d.attr {
 			sv.attribute(s.n, d.write)
 		}
-		err := sv.moveLocked(d, s)
+		err := sv.moveLocked(d, i)
 		if sv.cost.RealTime && dur > 0 {
 			sv.mu.Unlock()
 			time.Sleep(dur)
@@ -283,11 +291,17 @@ func admit(pending []pend, b *batch) []pend {
 	return pending
 }
 
-// moveLocked moves segment s between the backend and its memory, which
-// may continue over several segments of the vector. Must be called with
-// sv.mu held.
-func (sv *server) moveLocked(d *dispatch, s *ioSeg) error {
+// moveLocked moves segment i of d between the backend and its memory,
+// which may continue over several segments of the vector. Must be
+// called with sv.mu held.
+func (sv *server) moveLocked(d *dispatch, i int32) error {
+	s := &d.segs[i]
 	off, n, mo := s.off, s.n, s.mo
+	if d.capture {
+		if err := sv.loadLocked(d.pre[d.at[i]:d.at[i]+n], off); err != nil {
+			return err
+		}
+	}
 	for mi := int(s.mi); n > 0; mi, mo = mi+1, 0 {
 		p := d.mem.Seg(mi)[mo:]
 		if int64(len(p)) > n {
@@ -352,7 +366,7 @@ func (sv *server) sweep(pending []pend, window int) []pend {
 		dur := sv.charge(total, frozen[i].seg().off, write)
 		for k := i; k < j; k++ {
 			r := &frozen[k]
-			r.err = sv.moveLocked(r.b.d, r.seg())
+			r.err = sv.moveLocked(r.b.d, r.i)
 			if r.b.d.attr {
 				attributed += r.seg().n
 			}
@@ -460,6 +474,12 @@ func (fs *FS) dispatch(d *dispatch) (int64, error) {
 	}
 	defer fs.release(d)
 	fs.submit(d, 0)
+	return d.outcome()
+}
+
+// outcome reports a submitted dispatch's earliest failure in submission
+// order and the bytes of the segments ahead of it.
+func (d *dispatch) outcome() (int64, error) {
 	if len(d.fails) == 0 {
 		return 0, nil
 	}

@@ -11,8 +11,8 @@ import (
 // I/O costs the device: on a 6+2 parity store, an unaligned 96x96
 // WriteSection charges exactly the device bytes and requests of ONE
 // fs.WriteV of the same coalesced runs. Splitting the section into
-// several store writes would re-encode every parity row two of them
-// share, and charge it twice.
+// several store writes would write the coded units of every parity row
+// two of them share once per write, and charge them each time.
 func TestWriteSectionChargesOneVectoredWrite(t *testing.T) {
 	fsOpts := pfs.Options{Servers: 8, Parity: 2, StripeSize: 16 << 10}
 	err := cluster.Run(1, func(c *cluster.Comm) error {

@@ -147,17 +147,16 @@ func TestSectionReadIsScratchFree(t *testing.T) {
 	}
 }
 
-// BenchmarkSectionIO is one section_mixed op without the benchmark
-// around it: a 2048x2048 float64 array in 64x64 chunks on 8 in-memory
-// servers, bench/'s cost model charged and never slept, independent
-// row-major sections of 200-300 elements a side at unaligned places.
-func BenchmarkSectionIO(b *testing.B) {
-	const side = 2048
+// benchCost is bench/'s service-time model, charged and never slept.
+var benchCost = pfs.CostModel{RequestOverhead: 100 * time.Microsecond, SeekLatency: time.Millisecond, ByteTime: 4 * time.Nanosecond}
+
+// sectionBench runs fn over a side x side float64 array in 64x64 chunks
+// on fo, every chunk written once, with 64 row-major boxes of lo..hi
+// elements a side at random places, and their mean payload.
+func sectionBench(b *testing.B, side int, fo pfs.Options, lo, hi int, fn func(f *File, boxes []Box, bytesPerOp int64)) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
-		f, err := Create(c, "bench-section-io", Options{
-			DType: Float64, ChunkShape: []int{64, 64}, Bounds: []int{side, side},
-			FS: pfs.Options{Servers: 8, Cost: pfs.CostModel{
-				RequestOverhead: 100 * time.Microsecond, SeekLatency: time.Millisecond, ByteTime: 4 * time.Nanosecond}},
+		f, err := Create(c, "bench-section", Options{
+			DType: Float64, ChunkShape: []int{64, 64}, Bounds: []int{side, side}, FS: fo,
 		})
 		if err != nil {
 			return err
@@ -173,27 +172,58 @@ func BenchmarkSectionIO(b *testing.B) {
 		boxes := make([]Box, 64)
 		var bytesPerOp int64
 		for i := range boxes {
-			h, w := 200+rng.Intn(101), 200+rng.Intn(101)
+			h, w := lo+rng.Intn(hi-lo+1), lo+rng.Intn(hi-lo+1)
 			r, c := rng.Intn(side-h), rng.Intn(side-w)
 			boxes[i] = NewBox([]int{r, c}, []int{r + h, c + w})
 			bytesPerOp += boxes[i].Volume() * 8 / int64(len(boxes))
 		}
-		buf := make([]byte, 300*300*8)
-		for _, write := range []bool{false, true} {
-			b.Run(map[bool]string{false: "read", true: "write"}[write], func(b *testing.B) {
-				b.SetBytes(bytesPerOp)
-				b.ReportAllocs()
-				for i := 0; b.Loop(); i++ {
-					box := boxes[i%len(boxes)]
-					if err := f.sectionIO(box, buf[:box.Volume()*8], RowMajor, write, false); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		fn(f, boxes, bytesPerOp)
 		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+}
+
+// loopSections is the timed loop: one independent section op per
+// iteration, cycling through boxes.
+func loopSections(b *testing.B, f *File, boxes []Box, bytesPerOp int64, write bool) {
+	var most int64
+	for _, box := range boxes {
+		most = max(most, box.Volume()*8)
+	}
+	buf := make([]byte, most)
+	b.SetBytes(bytesPerOp)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		box := boxes[i%len(boxes)]
+		if err := f.sectionIO(box, buf[:box.Volume()*8], RowMajor, write, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSectionIO is one section_mixed op without the benchmark
+// around it: a 2048x2048 float64 array on 8 in-memory servers,
+// independent sections of 200-300 elements a side.
+func BenchmarkSectionIO(b *testing.B) {
+	sectionBench(b, 2048, pfs.Options{Servers: 8, Cost: benchCost}, 200, 300, func(f *File, boxes []Box, bytesPerOp int64) {
+		for _, write := range []bool{false, true} {
+			b.Run(map[bool]string{false: "read", true: "write"}[write], func(b *testing.B) {
+				loopSections(b, f, boxes, bytesPerOp, write)
+			})
+		}
+	})
+}
+
+// BenchmarkParityWrite is one parity_degraded write op without the
+// benchmark around it: a 1024x1024 float64 array on a 6+2 store of
+// 16 KiB stripe units whose server 0 fails every read, independent
+// section writes of 48-96 elements a side.
+func BenchmarkParityWrite(b *testing.B) {
+	fo := pfs.Options{Servers: 8, Parity: 2, StripeSize: 16 << 10, Cost: benchCost}
+	sectionBench(b, 1024, fo, 48, 96, func(f *File, boxes []Box, bytesPerOp int64) {
+		f.FS().SetInjector(&pfs.FaultPoint{Server: 0, Op: pfs.FaultReads, Permanent: true})
+		loopSections(b, f, boxes, bytesPerOp, true)
+	})
 }
