@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeReconstruct$$' -fuzztime $(FUZZTIME) ./internal/ec
 	$(GO) test -run '^$$' -fuzz '^FuzzParityUpdate$$' -fuzztime $(FUZZTIME) ./internal/pfs
 	$(GO) test -run '^$$' -fuzz '^FuzzMetaDecode$$' -fuzztime $(FUZZTIME) ./internal/meta
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBox$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Paired runs of BASE against the working tree on one bench/ workload
 # (W=all: each of the five in turn), with the -compare verdicts:

@@ -47,7 +47,7 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request handling timeout (0 disables)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 5*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 	cache := flag.Int64("cache", 64<<20, "unified extent cache budget per array in bytes (0 disables)")
-	readAhead := flag.Int64("readahead", 0, "sieve read-ahead in bytes")
+	readAhead := flag.Int64("readahead", 0, "sieve read-ahead in bytes (requires -cache > 0)")
 	demo := flag.String("demo", "", "serve an in-memory demo float64 array of this shape, e.g. 256x256")
 	demoChunk := flag.Int("demo-chunk", 64, "demo array chunk edge")
 	flag.Parse()

@@ -37,7 +37,6 @@ import (
 	"drxmp/internal/mpiio"
 	"drxmp/internal/par"
 	"drxmp/internal/pfs"
-	"drxmp/internal/place"
 	"drxmp/internal/zone"
 )
 
@@ -123,14 +122,14 @@ type Tuning struct {
 	// extents flush-on-evict. 0 (the default) disables read caching.
 	// The cache is shared by every rank's handle on the store, so a
 	// block fetched by one rank warms all of them. The sieve block
-	// granularity is the stripe size (AdaptiveIO may move it); it is
-	// not a knob. Every rank must pass the same value.
+	// granularity is the stripe size; it is not a knob. Every rank must
+	// pass the same value.
 	CacheBytes int64
 	// ReadAheadBytes extends each sieve fetch past the requested range
 	// by this many bytes (rounded up to whole sieve blocks), so a
 	// forward sectioned scan finds its next block already cached. 0
-	// (the default) disables read-ahead. Meaningful only with
-	// CacheBytes > 0. Every rank must pass the same value.
+	// (the default) disables read-ahead; requires CacheBytes > 0. Every
+	// rank must pass the same value.
 	ReadAheadBytes int64
 	// SpillBytes enables the local-disk spill tier of the extent cache
 	// with that byte budget: extents evicted from the CacheBytes memory
@@ -146,37 +145,7 @@ type Tuning struct {
 	// temp file. The file is created at first use and removed when the
 	// array's store closes. Meaningful only with SpillBytes > 0.
 	SpillPath string
-	// AdaptiveIO enables histogram-driven tuning: the cache
-	// periodically re-derives its effective sieve block and read-ahead
-	// from the server request-size histograms (p90, stripe-rounded) and
-	// the observed read sequentiality, overriding the static sieve
-	// block and ReadAheadBytes. Requires CacheBytes > 0. Every rank
-	// must pass the same value.
-	AdaptiveIO bool
-	// Placement selects the collective aggregation-domain placement
-	// policy: "" (the default) carves stripe-aligned byte domains
-	// (place.ByteCyclic), PlacementByteCyclic names the same carving
-	// explicitly, PlacementZoneCurve carves domains out of whole chunks
-	// ordered along a zone (Morton) curve, and PlacementCacheAffinity
-	// assigns every chunk a sticky aggregator from a static zone-curve
-	// cut of the chunk grid, so repeated collectives re-elect the same
-	// aggregator per region. Any non-empty policy also elects one
-	// flusher per file region at watermark crossings and Sync (see
-	// NoFlushElection). Every rank must pass the same value.
-	Placement string
-	// NoFlushElection keeps the uncoordinated flush behavior (every
-	// watermark-crossing rank sweeps the whole cache) while a Placement
-	// policy is active — the ablation knob. Meaningful only with
-	// Placement set. Every rank must pass the same value.
-	NoFlushElection bool
 }
-
-// Placement policy names accepted by Tuning.Placement.
-const (
-	PlacementByteCyclic    = "byte-cyclic"
-	PlacementZoneCurve     = "zone-curve"
-	PlacementCacheAffinity = "cache-affinity"
-)
 
 // validate rejects knob values with no defined meaning. Negative
 // CollectiveParallelism (serial), CBNodes (one aggregator
@@ -192,22 +161,14 @@ func (t Tuning) validate() error {
 	if t.SpillBytes < 0 {
 		return fmt.Errorf("%w: negative SpillBytes %d", ErrBadOptions, t.SpillBytes)
 	}
+	if t.ReadAheadBytes > 0 && t.CacheBytes == 0 {
+		return fmt.Errorf("%w: ReadAheadBytes %d without CacheBytes (read-ahead extends cache fetches)", ErrBadOptions, t.ReadAheadBytes)
+	}
 	if t.SpillBytes > 0 && t.CacheBytes == 0 {
 		return fmt.Errorf("%w: SpillBytes %d without CacheBytes (the spill tier backs the memory tier)", ErrBadOptions, t.SpillBytes)
 	}
 	if t.SpillPath != "" && t.SpillBytes == 0 {
 		return fmt.Errorf("%w: SpillPath %q without SpillBytes", ErrBadOptions, t.SpillPath)
-	}
-	if t.AdaptiveIO && t.CacheBytes == 0 {
-		return fmt.Errorf("%w: AdaptiveIO without CacheBytes (the controller tunes the cache)", ErrBadOptions)
-	}
-	switch t.Placement {
-	case "", PlacementByteCyclic, PlacementZoneCurve, PlacementCacheAffinity:
-	default:
-		return fmt.Errorf("%w: unknown Placement %q", ErrBadOptions, t.Placement)
-	}
-	if t.NoFlushElection && t.Placement == "" {
-		return fmt.Errorf("%w: NoFlushElection without Placement (election rides on a policy)", ErrBadOptions)
 	}
 	return nil
 }
@@ -576,51 +537,16 @@ func (f *File) Meta() *meta.Meta { return f.m }
 // FS exposes the shared backing store (statistics in benchmarks).
 func (f *File) FS() *pfs.FS { return f.fs }
 
-// IO exposes the MPI-IO style handle (to tune collective buffering).
-func (f *File) IO() *mpiio.File { return f.io }
-
 // Tuning returns the knob block the file last applied, exactly as it
 // was passed to Create, OpenWith or SetTuning (raw values, not the
 // resolved worker count — see CollectiveParallelism for that). A
 // SetTuning that returned an error leaves it unchanged.
 func (f *File) Tuning() Tuning { return f.tuning }
 
-// placementPolicy resolves a Tuning.Placement name to its policy
-// object; the empty name is ByteCyclic (validate has rejected unknown
-// names).
-func placementPolicy(name string) place.Policy {
-	switch name {
-	case PlacementZoneCurve:
-		return place.ZoneCurve{}
-	case PlacementCacheAffinity:
-		return place.CacheAffinity{}
-	}
-	return place.ByteCyclic{}
-}
-
-// chunkGeom adapts the replicated array metadata to place.Geometry:
-// chunk q occupies file bytes [q*ChunkBytes, (q+1)*ChunkBytes) and its
-// grid coordinates come from the extendible array's F*⁻¹. Read-only
-// over the shared Meta — safe concurrently by the same contract as
-// every other metadata read (no concurrent Extend).
-type chunkGeom struct{ m *meta.Meta }
-
-func (g chunkGeom) ChunkBytes() int64             { return g.m.ChunkBytes() }
-func (g chunkGeom) Chunks() int64                 { return g.m.Space.Total() }
-func (g chunkGeom) Bounds() []int                 { return g.m.Space.Bounds() }
-func (g chunkGeom) Coords(q int64) ([]int, error) { return g.m.Space.Inverse(q, nil) }
-
 // applyTuning installs an already validated t on the mpiio handle and
-// records it. Chunk geometry and flush election ride only
-// on an explicitly named policy, so the default carves and sweeps by
-// byte arithmetic alone. A spill-tier open failure surfaces here — it
-// is the one knob with a resource behind it.
+// records it. A spill-tier open failure surfaces here — it is the one
+// knob with a resource behind it.
 func (f *File) applyTuning(t Tuning) error {
-	named := t.Placement != ""
-	var geom place.Geometry
-	if named {
-		geom = chunkGeom{m: f.m}
-	}
 	err := f.io.ApplyTuning(mpiio.TuningKnobs{
 		Parallelism: t.CollectiveParallelism,
 		CBNodes:     t.CBNodes,
@@ -629,10 +555,6 @@ func (f *File) applyTuning(t Tuning) error {
 		ReadAhead:   t.ReadAheadBytes,
 		SpillBytes:  t.SpillBytes,
 		SpillPath:   t.SpillPath,
-		AdaptiveIO:  t.AdaptiveIO,
-		Placement:   placementPolicy(t.Placement),
-		PlaceGeom:   geom,
-		ElectFlush:  named && !t.NoFlushElection,
 	})
 	if err == nil {
 		f.tuning = t

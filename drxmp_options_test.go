@@ -27,8 +27,7 @@ func optionsCreateDisk(c *cluster.Comm, path string, tuning drxmp.Tuning) (*drxm
 
 // TestServeOpenWithTuningRoundTrip pins that every knob OpenWith
 // accepts lands on the opened handle exactly, and that a zero
-// OpenOptions reads the block back as the zero Tuning (Placement ""
-// stays "", not the resolved policy's name).
+// OpenOptions reads the block back as the zero Tuning.
 func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "arr")
@@ -150,7 +149,7 @@ func TestServeSetTuningValidation(t *testing.T) {
 }
 
 // TestServeBadOptions pins the typed validation error across Create,
-// OpenWith and the Tuning block.
+// OpenWith, SetTuning and the Tuning block.
 func TestServeBadOptions(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		base := drxmp.Options{DType: drxmp.Float64, ChunkShape: []int{8}, Bounds: []int{32}}
@@ -171,18 +170,32 @@ func TestServeBadOptions(t *testing.T) {
 				o.Tuning = drxmp.Tuning{ReadAheadBytes: -1}
 				return o
 			}(),
+			"readahead-no-cache": func() drxmp.Options {
+				o := base
+				o.Tuning = drxmp.Tuning{ReadAheadBytes: 4096}
+				return o
+			}(),
 		} {
 			if _, err := drxmp.Create(c, "bad-"+name, opts); !errors.Is(err, drxmp.ErrBadOptions) {
 				return fmt.Errorf("Create(%s) = %v, want ErrBadOptions", name, err)
 			}
 		}
 		for name, opts := range map[string]drxmp.OpenOptions{
-			"cyclic": {CyclicBlock: -2},
-			"cache":  {Tuning: drxmp.Tuning{CacheBytes: -1}},
+			"cyclic":             {CyclicBlock: -2},
+			"cache":              {Tuning: drxmp.Tuning{CacheBytes: -1}},
+			"readahead-no-cache": {Tuning: drxmp.Tuning{ReadAheadBytes: 4096}},
 		} {
 			if _, err := drxmp.OpenWith(c, "nope", opts); !errors.Is(err, drxmp.ErrBadOptions) {
 				return fmt.Errorf("OpenWith(%s) = %v, want ErrBadOptions", name, err)
 			}
+		}
+		f, err := drxmp.Create(c, "bad-settuning", base)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := f.SetTuning(drxmp.Tuning{ReadAheadBytes: 4096}); !errors.Is(err, drxmp.ErrBadOptions) {
+			return fmt.Errorf("SetTuning(readahead-no-cache) = %v, want ErrBadOptions", err)
 		}
 		return nil
 	})

@@ -213,9 +213,6 @@ func TestCBNodesKnob(t *testing.T) {
 		if got := f.CBNodes(); got != -1 {
 			return fmt.Errorf("after SetTuning(CBNodes: -1): %d, want -1", got)
 		}
-		if got := f.IO().CBNodes; got != -1 {
-			return fmt.Errorf("IO().CBNodes = %d, want -1", got)
-		}
 		return nil
 	})
 	if err != nil {

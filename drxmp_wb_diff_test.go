@@ -3,6 +3,7 @@ package drxmp_test
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -16,20 +17,22 @@ import (
 // any watermark, including close-only — must be invisible to the data.
 // Interleaved read/write rounds, overlapping rank sections, odd chunk
 // shapes, and 2-D/3-D arrays all must come out byte-identical to the
-// immediate-dispatch baseline of PR 3.
+// immediate-dispatch baseline — also with the tiered (memory +
+// local-disk spill) cache underneath the buffered writes.
 
 // wbVariant is one write-behind policy under test.
 type wbVariant struct {
-	name string
-	wb   int64
+	name  string
+	wb    int64
+	spill bool // an 8 KiB memory cache over a 1 MiB spill tier
 }
 
 func wbVariants() []wbVariant {
 	return []wbVariant{
-		{"immediate", 0},          // the PR 3 baseline
-		{"watermark-4k", 4096},    // flushes every few collectives
-		{"watermark-1m", 1 << 20}, // rarely crosses: mostly close-only
-		{"close-only", -1},        // unbounded buffering
+		{name: "immediate"},                 // the baseline: no buffering
+		{name: "watermark-4k", wb: 4096},    // flushes every few collectives
+		{name: "watermark-1m", wb: 1 << 20}, // rarely crosses: mostly close-only
+		{name: "close-only", wb: -1},        // unbounded buffering
 	}
 }
 
@@ -42,10 +45,31 @@ func TestWriteBehindDifferentialIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy differential suite: skipped under -short")
 	}
+	diffWriteBehind(t, "wb", 4, 70, wbVariants())
+}
+
+// TestPlacementDifferentialIdentical: the byte-cyclic aggregator
+// placement, on a server count the four ranks do not divide, with
+// write-behind and the tiered (memory + local-disk spill) cache under
+// it, comes out byte-identical to the serial immediate baseline.
+func TestPlacementDifferentialIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy differential suite: skipped under -short")
+	}
+	diffWriteBehind(t, "place", 3, 90, []wbVariant{
+		{name: "baseline"},
+		{name: "default", wb: 4096, spill: true},
+	})
+}
+
+// diffWriteBehind runs the interleaved rounds on four ranks over every
+// collShapes shape, one file per variant on the given server count,
+// and compares every variant against variants[0].
+func diffWriteBehind(t *testing.T, prefix string, servers int, seed int64, variants []wbVariant) {
 	const ranks = 4
-	variants := wbVariants()
 	for _, sh := range collShapes() {
 		t.Run(sh.name, func(t *testing.T) {
+			spillDir := t.TempDir()
 			full := drxmp.NewBox(make([]int, len(sh.bounds)), sh.bounds)
 			fullBytes := make([][]byte, len(variants))
 			rankReads := make([][][]byte, ranks)
@@ -55,15 +79,18 @@ func TestWriteBehindDifferentialIdentical(t *testing.T) {
 			err := cluster.Run(ranks, func(c *cluster.Comm) error {
 				files := make([]*drxmp.File, len(variants))
 				for i, v := range variants {
-					f, err := drxmp.Create(c, fmt.Sprintf("wb-%s-%s", v.name, sh.name), drxmp.Options{
+					tuning := drxmp.Tuning{CollectiveParallelism: 8, WriteBehindBytes: v.wb}
+					if v.spill {
+						tuning.CacheBytes = 8 << 10
+						tuning.SpillBytes = 1 << 20
+						tuning.SpillPath = filepath.Join(spillDir, v.name+"-"+sh.name+".spill")
+					}
+					f, err := drxmp.Create(c, fmt.Sprintf("%s-%s-%s", prefix, v.name, sh.name), drxmp.Options{
 						DType: drxmp.Float64, ChunkShape: sh.chunk, Bounds: sh.bounds,
 						FS: pfs.Options{
-							Servers: 4, StripeSize: 1 << 10, Scheduler: pfs.Elevator,
+							Servers: servers, StripeSize: 1 << 10, Scheduler: pfs.Elevator,
 						},
-						Tuning: drxmp.Tuning{
-							CollectiveParallelism: 8,
-							WriteBehindBytes:      v.wb,
-						},
+						Tuning: tuning,
 					})
 					if err != nil {
 						return err
@@ -77,7 +104,7 @@ func TestWriteBehindDifferentialIdentical(t *testing.T) {
 				// must flush exactly the dirty extents it crosses.
 				for round := 0; round < 3; round++ {
 					wbox := slabBox(sh.bounds, ranks, c.Rank(), round)
-					data := rankData(c.Rank(), wbox, int64(70+round))
+					data := rankData(c.Rank(), wbox, seed+int64(round))
 					for _, f := range files {
 						if err := f.WriteSectionAll(wbox, data, drxmp.RowMajor); err != nil {
 							return err
@@ -156,7 +183,7 @@ func TestWriteBehindDifferentialIdentical(t *testing.T) {
 func TestWriteBehindCloseFlushes(t *testing.T) {
 	const ranks = 2
 	const n, chunk = 64, 8
-	variants := []wbVariant{{"immediate", 0}, {"watermark", n * n * 8 / 2}, {"close-only", -1}}
+	variants := []wbVariant{{name: "immediate"}, {name: "watermark", wb: n * n * 8 / 2}, {name: "close-only", wb: -1}}
 	stores := make([]*pfs.FS, len(variants))
 	err := cluster.Run(ranks, func(c *cluster.Comm) error {
 		for i, v := range variants {

@@ -10,7 +10,7 @@
 //   - hedged reads: a second attempt fires after a delay derived from
 //     the client's own observed latency percentile, so one straggling
 //     server (or one dropped packet) does not become the request's
-//     tail — the drxserve-side analog of pfs's DegradedReadFactor,
+//     tail — the drxserve-side analog of pfs's degraded-read deadline,
 //   - a per-endpoint circuit breaker (closed / open / half-open with
 //     probe requests), so a dead server fails fast instead of burning
 //     a full retry budget per call,

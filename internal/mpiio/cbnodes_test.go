@@ -7,12 +7,11 @@ import (
 
 	"drxmp/internal/cluster"
 	"drxmp/internal/pfs"
-	"drxmp/internal/place"
 )
 
 // TestCBNodesResolution pins the aggregator-count rule of the default
-// carving (a handle as Open returns it: place.ByteCyclic fed the
-// handle's CBNodes, stripe and communicator size): adaptive
+// carving (place.ByteCyclic fed the handle's CBNodes, stripe and
+// communicator size): adaptive
 // clamp(totalBytes/stripe, 1, nranks) by default, fixed (clamped)
 // when positive, full fan-out when negative.
 func TestCBNodesResolution(t *testing.T) {
@@ -43,7 +42,7 @@ func TestCBNodesResolution(t *testing.T) {
 			f.CBNodes = tc.cbNodes
 			for _, wb := range []int64{0, -1} { // span and cyclic carvings
 				f.WriteBehind = wb
-				if got := f.carve(0, tc.totalBytes, tc.totalBytes, nil).N(); got != tc.want {
+				if got := f.carve(0, tc.totalBytes, tc.totalBytes).N(); got != tc.want {
 					return fmt.Errorf("carve N for %d bytes with CBNodes=%d WriteBehind=%d = %d, want %d",
 						tc.totalBytes, tc.cbNodes, wb, got, tc.want)
 				}
@@ -56,60 +55,27 @@ func TestCBNodesResolution(t *testing.T) {
 	}
 }
 
-// rowGeom is a minimal place.Geometry over a 1-D chunk grid.
-type rowGeom struct {
-	cb     int64
-	chunks int
-}
-
-func (g rowGeom) ChunkBytes() int64 { return g.cb }
-func (g rowGeom) Chunks() int64     { return int64(g.chunks) }
-func (g rowGeom) Bounds() []int     { return []int{g.chunks} }
-func (g rowGeom) Coords(q int64) ([]int, error) {
-	return []int{int(q)}, nil
-}
-
-// TestCBNodesPlacementPolicyDomainCount pins the placement/adaptive-clamp
-// interaction: with a chunk-aware policy, the aggregator count comes
-// from the policy's own domain structure (chunk groups), NOT from
-// ByteCyclic's clamp(totalBytes/stripe, 1, nranks). A tiny payload
-// spread over many chunks used to collapse to one aggregator; a
-// chunk-aware policy must keep one domain per rank as long as there
-// are chunks to go around.
+// TestCBNodesPlacementPolicyDomainCount pins the aggregator count of
+// a tiny payload spread over a wide span: the count follows the
+// payload (clamp(totalBytes/stripe, 1, nranks) = 1), not the span,
+// while an explicit CBNodes cap or forced fan-out still wins.
 func TestCBNodesPlacementPolicyDomainCount(t *testing.T) {
 	err := cluster.Run(4, func(c *cluster.Comm) error {
-		// Stripe far above the payload, so the byte-arithmetic clamp
-		// would resolve to a single aggregator.
+		// Stripe far above the payload, so the adaptive count resolves
+		// to a single aggregator.
 		fs, err := pfs.Create("cbp", pfs.Options{Servers: 2, StripeSize: 1 << 20})
 		if err != nil {
 			return err
 		}
 		defer fs.Close()
 		f := Open(c, fs)
-		geom := rowGeom{cb: 128, chunks: 8}
-
-		// One byte touched per chunk: 8 bytes total over 8 chunks.
-		var runs []pfs.Run
-		for q := int64(0); q < 8; q++ {
-			runs = append(runs, pfs.Run{Off: q * 128, Len: 1})
-		}
-		runsByRank := [][]pfs.Run{runs, nil, nil, nil}
+		// One byte touched every 128 bytes: 8 bytes total over 897.
 		lo, hi, total := int64(0), int64(7*128+1), int64(8)
-
-		if got := f.carve(lo, hi, total, runsByRank).N(); got != 1 {
-			return fmt.Errorf("default policy: carve N = %d, want the byte clamp's 1", got)
-		}
-		for _, p := range []place.Policy{place.ZoneCurve{}, place.CacheAffinity{}} {
-			f.Placement, f.PlaceGeom = p, geom
-			if got := f.carve(lo, hi, total, runsByRank).N(); got != c.Size() {
-				return fmt.Errorf("%s: carve N = %d, want the policy's domain count %d",
-					p.Name(), got, c.Size())
+		for _, tc := range []struct{ cbNodes, want int }{{0, 1}, {2, 2}, {-1, c.Size()}} {
+			f.CBNodes = tc.cbNodes
+			if got := f.carve(lo, hi, total).N(); got != tc.want {
+				return fmt.Errorf("CBNodes=%d: carve N = %d, want %d", tc.cbNodes, got, tc.want)
 			}
-		}
-		// An explicit CBNodes cap still wins over the policy count.
-		f.CBNodes = 2
-		if got := f.carve(lo, hi, total, runsByRank).N(); got != 2 {
-			return fmt.Errorf("CBNodes=2 with policy: carve N = %d, want 2", got)
 		}
 		return nil
 	})

@@ -15,11 +15,10 @@ import (
 // Two-phase collective I/O (the ROMIO technique referenced through the
 // paper's citation [25], "Noncontiguous I/O accesses through MPI-IO").
 //
-// Who owns what. The placement policy (File.Placement, internal/place;
-// stripe-aligned ByteCyclic unless another is named) splits the byte
-// range touched by any rank into aggregation domains, one per
-// aggregator; the aggregator count is the ROMIO "cb_nodes" analogue
-// (adaptive by default, File.CBNodes overrides). Every rank allgathers
+// Who owns what. The carving (internal/place.ByteCyclic, stripe
+// aligned) splits the byte range touched by any rank into aggregation
+// domains, one per aggregator; the aggregator count is the ROMIO
+// "cb_nodes" analogue (adaptive by default, File.CBNodes overrides). Every rank allgathers
 // its file runs, carves the same domains from the replicated lists and
 // cuts every rank's runs into pieces at domain boundaries (placePieces)
 // — so both sides of every transfer below know the layout without
@@ -261,11 +260,10 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	}
 
 	// Aggregator selection and domain carving: every rank computes the
-	// same carving from the allgathered run lists (and the shared
-	// placement policy + CBNodes setting), so the placement agrees
-	// everywhere without another round. The aggregator count is the
-	// policy's domain count.
-	dom := f.carve(lo, hi, totalBytes, runsByRank)
+	// same carving from the allgathered span (and the shared CBNodes
+	// setting), so the placement agrees everywhere without another
+	// round. The aggregator count is the carving's domain count.
+	dom := f.carve(lo, hi, totalBytes)
 	size := f.comm.Size()
 	me := f.comm.Rank()
 	workers := f.workers()
@@ -461,12 +459,11 @@ func (f *File) agree(opErr error) error {
 	return opErr
 }
 
-// carve produces the aggregation-domain partition of one collective:
-// the placement policy carves, and resolves the aggregator count from
-// its own domain structure (ByteCyclic counts payload stripes,
-// chunk-aware policies count chunk groups).
-func (f *File) carve(lo, hi, totalBytes int64, runsByRank [][]pfs.Run) place.Domains {
-	return f.Placement.Carve(place.Req{
+// carve produces the aggregation-domain partition of one collective
+// (the aggregator count is clamp(totalBytes/stripe, 1, nranks) unless
+// CBNodes overrides it).
+func (f *File) carve(lo, hi, totalBytes int64) place.Domains {
+	return place.ByteCyclic{}.Carve(place.Req{
 		Lo:          lo,
 		Hi:          hi,
 		TotalBytes:  totalBytes,
@@ -474,8 +471,6 @@ func (f *File) carve(lo, hi, totalBytes int64, runsByRank [][]pfs.Run) place.Dom
 		CBNodes:     f.CBNodes,
 		Stripe:      f.fs.StripeSize(),
 		WriteBehind: f.WriteBehind != 0,
-		Geom:        f.PlaceGeom,
-		Runs:        runsByRank,
 	})
 }
 
@@ -664,15 +659,6 @@ func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error
 			return err
 		}
 		if f.WriteBehind > 0 && w.Bytes() >= f.WriteBehind {
-			// Elected flushers: instead of every watermark-crossing rank
-			// racing a global FlushAll (partial, interleaved sweeps over
-			// regions other ranks are still filling), each rank sweeps
-			// only the file regions the placement assigns it — its own
-			// absorbs are complete at this point, so elected sweeps are
-			// full contiguous region slabs.
-			if owned := f.flushOwned(); owned != nil {
-				return w.FlushOwned(owned)
-			}
 			return w.FlushAll()
 		}
 		return nil

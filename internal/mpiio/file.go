@@ -8,7 +8,6 @@ import (
 	"drxmp/internal/cluster"
 	"drxmp/internal/par"
 	"drxmp/internal/pfs"
-	"drxmp/internal/place"
 )
 
 // File is one process's handle on a shared striped file, with a private
@@ -101,35 +100,6 @@ type File struct {
 	// Meaningful only with SpillBytes > 0.
 	SpillPath string
 
-	// AdaptiveIO enables the histogram-driven controller: every few
-	// cache misses the effective sieve block and ReadAhead are re-derived
-	// from the observed server request-size distribution and read
-	// sequentiality (internal/tune), overriding the static values
-	// above. Meaningful only with CacheBytes > 0; every rank must use
-	// the same value.
-	AdaptiveIO bool
-
-	// Placement is the aggregation-domain carving policy of the
-	// two-phase collective (internal/place); Open installs
-	// place.ByteCyclic and it is never nil. Every rank of a communicator
-	// must use the same policy (the carving is computed independently on
-	// each rank from replicated state and must agree).
-	Placement place.Policy
-
-	// PlaceGeom supplies the replicated chunk geometry chunk-aware
-	// policies carve with (and flush election maps regions with). nil
-	// makes chunk-aware policies fall back to byte-cyclic carving and
-	// disables flush election.
-	PlaceGeom place.Geometry
-
-	// ElectFlush elects one flusher per file region: watermark
-	// crossings and SyncAll sweep only the regions the placement
-	// assigns this rank, instead of every crossing rank racing a global
-	// FlushAll whose partial sweeps interleave in file space.
-	// Meaningful only with PlaceGeom set; Sync/Close still drain
-	// everything (the correctness backstop).
-	ElectFlush bool
-
 	// fc memoizes the shared extent cache. Atomic because the serving
 	// tier reads through one handle from concurrent requests (every
 	// resolver stores the same per-store instance, so racing stores are
@@ -142,24 +112,22 @@ func (f *File) workers() int { return par.Resolve(f.Parallelism) }
 
 // cacheConfig projects this handle's policy knobs into the shared
 // cache's Configure block. The sieve block is left at the store's
-// stripe size, which keeps sieve fetches server-aligned; only the
-// adaptive controller moves it.
+// stripe size, which keeps sieve fetches server-aligned.
 func (f *File) cacheConfig() cacheConfig {
 	return cacheConfig{
 		budget:     f.CacheBytes,
 		readAhead:  f.ReadAhead,
 		spillBytes: f.SpillBytes,
 		spillPath:  f.SpillPath,
-		adaptive:   f.AdaptiveIO,
 	}
 }
 
 // cache returns the file's shared extent cache, creating it (and
 // registering its flush with the store's Close) on first use, and
 // re-applies this handle's policy knobs (CacheBytes/ReadAhead/
-// SpillBytes/SpillPath/AdaptiveIO — shared state, so every
-// rank must use the same values). Every handle on the same store
-// resolves to the same cache.
+// SpillBytes/SpillPath — shared state, so every rank must use the
+// same values). Every handle on the same store resolves to the same
+// cache.
 func (f *File) cache() *fileCache {
 	c := f.fc.Load()
 	if c == nil {
@@ -197,19 +165,14 @@ type TuningKnobs struct {
 	ReadAhead   int64
 	SpillBytes  int64
 	SpillPath   string
-	AdaptiveIO  bool
-	Placement   place.Policy
-	PlaceGeom   place.Geometry
-	ElectFlush  bool
 }
 
 // ApplyTuning installs every collective/cache knob of the handle in
 // one call — the atomic application point behind drxmp.File.SetTuning,
-// so a serving tier can swap a whole tenant profile. k.Placement must
-// not be nil. The shared cache is reconfigured once. Disabling
-// write-behind (newly zero) flushes the buffered dirty extents;
-// disabling the cache or the spill tier
-// first drains every deferred byte under the OLD configuration (the
+// so a serving tier can swap a whole tenant profile. The shared cache
+// is reconfigured once. Disabling write-behind (newly zero) flushes the
+// buffered dirty extents; disabling the cache or the spill tier first
+// drains every deferred byte under the OLD configuration (the
 // caching sweep is the only path that reads dirty extents back out of
 // the spill file). Enabling the spill tier opens the spill file
 // eagerly, so a bad SpillPath fails this call rather than silently
@@ -230,10 +193,6 @@ func (f *File) ApplyTuning(k TuningKnobs) error {
 	f.ReadAhead = k.ReadAhead
 	f.SpillBytes = k.SpillBytes
 	f.SpillPath = k.SpillPath
-	f.AdaptiveIO = k.AdaptiveIO
-	f.Placement = k.Placement
-	f.PlaceGeom = k.PlaceGeom
-	f.ElectFlush = k.ElectFlush
 	var w *fileCache
 	if f.SpillBytes > 0 && f.CacheBytes > 0 {
 		w = f.cache() // eager: the spill file opens here
@@ -267,52 +226,7 @@ func (f *File) Sync() error {
 // (which doubles as a barrier), so every rank returns only after all
 // deferred bytes are on the servers and any rank's flush failure
 // surfaces everywhere. Every rank must call it.
-//
-// With flush election active (ElectFlush + chunk geometry), each rank
-// sweeps only the file regions the placement
-// assigns it — the region map covers every byte, so the union of the
-// elected sweeps is the whole dirty set — and the agreement round
-// doubles as the election's completion barrier. Per-rank Sync (and the
-// store-close hook) still drain everything, so election can never
-// strand a dirty byte.
-func (f *File) SyncAll() error {
-	if owned := f.flushOwned(); owned != nil {
-		if w := f.sharedCache(); w != nil {
-			return f.agree(w.FlushOwned(owned))
-		}
-		return f.agree(nil)
-	}
-	return f.agree(f.Sync())
-}
-
-// flushOwned returns this rank's region-ownership predicate for
-// elected flushing, or nil when election is off. The region map is the
-// placement policy's carving of the WHOLE allocated file span (not one
-// collective's span), so it is identical on every rank and stable
-// between extends; offsets past the allocated span clamp to the last
-// region, so the predicates still partition everything a stale sweep
-// might hold.
-func (f *File) flushOwned() func(off int64) bool {
-	if !f.ElectFlush || f.PlaceGeom == nil {
-		return nil
-	}
-	hi := f.PlaceGeom.Chunks() * f.PlaceGeom.ChunkBytes()
-	if hi <= 0 {
-		return nil
-	}
-	dom := f.Placement.Carve(place.Req{
-		Lo:          0,
-		Hi:          hi,
-		TotalBytes:  hi,
-		Ranks:       f.comm.Size(),
-		CBNodes:     f.CBNodes,
-		Stripe:      f.fs.StripeSize(),
-		WriteBehind: f.WriteBehind != 0,
-		Geom:        f.PlaceGeom,
-	})
-	me := f.comm.Rank()
-	return func(off int64) bool { return dom.Owner(off) == me }
-}
+func (f *File) SyncAll() error { return f.agree(f.Sync()) }
 
 // Dirty returns the dirty bytes currently buffered by the file's
 // shared extent cache.
@@ -411,7 +325,7 @@ func (f *File) postWrite(runs []pfs.Run) error {
 // Open returns a handle on fs for this process. It is collective only
 // by convention (no synchronization is needed to open).
 func Open(comm *cluster.Comm, fs *pfs.FS) *File {
-	f := &File{fs: fs, comm: comm, Placement: place.ByteCyclic{}}
+	f := &File{fs: fs, comm: comm}
 	f.filetype = MustBytes(1 << 20) // default view: raw bytes
 	return f
 }

@@ -8,7 +8,6 @@ import (
 	"drxmp/internal/extent"
 	"drxmp/internal/pfs"
 	"drxmp/internal/spill"
-	"drxmp/internal/tune"
 )
 
 // Unified per-file extent cache: the write-behind machinery of PR 4
@@ -83,13 +82,6 @@ import (
 // and flush in the same vectored FlushV sweep as the memory tier's
 // (CollectDirty reads them back, MarkClean settles them by entry id so
 // a mid-sweep punch keeps its remainder dirty).
-//
-// Adaptive tuning (Tuning.AdaptiveIO): every tuneEvery cache misses
-// the controller re-derives the effective sieve block and read-ahead
-// from the window of server request sizes (pfs.Hist quantiles) and
-// request sequentiality observed since the last retune
-// (internal/tune.Recommend), overriding the configured base values
-// until the next Configure turns it off.
 
 // cext is one cached byte range and its buffered data
 // (len(data) == length of the range; off and data never change).
@@ -119,7 +111,6 @@ func (e *cext) color() int {
 type CacheStats struct {
 	Absorbed     int64 // dirty bytes absorbed from collective writes
 	Flushes      int64 // flush sweeps issued
-	OwnedFlushes int64 // elected per-region flush sweeps (subset of Flushes)
 	Hits         int64 // ReadThrough calls served entirely from memory
 	Misses       int64 // ReadThrough calls that fetched at least one hole
 	HitBytes     int64 // bytes served from cached extents
@@ -137,9 +128,10 @@ type CacheStats struct {
 	SpillUsed     int64 // gauge: live spilled bytes right now
 	SpillDirty    int64 // gauge: dirty spilled bytes right now
 
-	// Adaptive controller (Retunes stays zero when Tuning.AdaptiveIO is
-	// off; the gauges always report the effective values).
-	Retunes        int64 // adaptive sieve/read-ahead re-derivations applied
+	// Retunes is always zero: the sieve block and read-ahead are fixed by
+	// the stripe size and Tuning.ReadAheadBytes, and nothing re-derives
+	// them. The field stays because the benchmark harness reports it.
+	Retunes        int64
 	SieveSize      int64 // gauge: effective sieve block size
 	ReadAheadBytes int64 // gauge: effective read-ahead
 }
@@ -151,7 +143,6 @@ func (s CacheStats) Sub(t CacheStats) CacheStats {
 	return CacheStats{
 		Absorbed:     s.Absorbed - t.Absorbed,
 		Flushes:      s.Flushes - t.Flushes,
-		OwnedFlushes: s.OwnedFlushes - t.OwnedFlushes,
 		Hits:         s.Hits - t.Hits,
 		Misses:       s.Misses - t.Misses,
 		HitBytes:     s.HitBytes - t.HitBytes,
@@ -212,38 +203,18 @@ type fileCache struct {
 	spillPath  string
 	spillErr   error
 
-	// Adaptive controller. adaptSieve/adaptRA override the configured
-	// base sieve/readAhead once adaptSet — the base values survive, so
-	// turning the controller off restores them. The windows (tunedReq,
-	// seqReads/randReads) reset at every retune.
-	adaptive   bool
-	adaptSet   bool
-	adaptSieve int64
-	adaptRA    int64
-	missTune   int      // cache misses since the last retune
-	tunedReq   pfs.Hist // server ReqSizes snapshot at the last retune
-	seqReads   int64    // window: reads continuing the previous request
-	randReads  int64    // window: reads that jumped
-	lastEnd    int64    // end offset of the last ReadThrough request
-
 	stats CacheStats
 }
-
-// tuneEvery is the adaptive controller's cadence: re-derive the sieve
-// and read-ahead every this many cache misses (hits carry no new
-// information about what the store is being asked for).
-const tuneEvery = 8
 
 // cacheConfig is the policy block Configure installs — the cache-side
 // projection of drxmp.Tuning. Handles re-apply it on every resolve;
 // every rank must agree (last writer wins).
 type cacheConfig struct {
 	budget     int64 // memory budget; 0 disables clean caching
-	sieve      int64 // base sieve block; 0 = stripe size
-	readAhead  int64 // base read-ahead; 0 = none
+	sieve      int64 // sieve block; 0 = stripe size
+	readAhead  int64 // read-ahead; 0 = none
 	spillBytes int64 // spill-tier budget; 0 disables the tier
 	spillPath  string
-	adaptive   bool
 }
 
 func newFileCache(fs *pfs.FS) *fileCache {
@@ -307,10 +278,6 @@ func (w *fileCache) Configure(cfg cacheConfig) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.budget, w.sieve, w.readAhead = cfg.budget, cfg.sieve, cfg.readAhead
-	if !cfg.adaptive && w.adaptive {
-		w.adaptSet = false // controller off: back to the base values
-	}
-	w.adaptive = cfg.adaptive
 	if cfg.spillBytes != w.spillBytes || cfg.spillPath != w.spillPath {
 		w.spillErr = nil // config changed: a failed open may retry
 		if w.spill != nil && w.spill.Dirty() == 0 {
@@ -350,25 +317,13 @@ func (w *fileCache) SpillErr() error {
 }
 
 // sieveSize resolves the effective sieve block granularity (the
-// adaptive override when set, else the configured base, else the
-// stripe size). Must be called with w.mu held.
+// configured block, else the stripe size). Must be called with w.mu
+// held.
 func (w *fileCache) sieveSize() int64 {
-	if w.adaptSet && w.adaptSieve > 0 {
-		return w.adaptSieve
-	}
 	if w.sieve > 0 {
 		return w.sieve
 	}
 	return w.fs.StripeSize()
-}
-
-// readAheadSize resolves the effective read-ahead. Must be called with
-// w.mu held.
-func (w *fileCache) readAheadSize() int64 {
-	if w.adaptSet {
-		return w.adaptRA
-	}
-	return w.readAhead
 }
 
 // Bytes returns the currently buffered dirty bytes — BOTH tiers, so
@@ -402,7 +357,7 @@ func (w *fileCache) Stats() CacheStats {
 	defer w.mu.Unlock()
 	st := w.stats
 	st.SieveSize = w.sieveSize()
-	st.ReadAheadBytes = w.readAheadSize()
+	st.ReadAheadBytes = w.readAhead
 	if w.spill != nil {
 		st.SpillUsed = w.spill.Used()
 		st.SpillDirty = w.spill.Dirty()
@@ -614,7 +569,7 @@ func (w *fileCache) FlushAll() error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()
-	return w.flushLocked(slices.Clone(w.lru[1].Items()), nil)
+	return w.flushLocked(slices.Clone(w.lru[1].Items()))
 }
 
 // FlushIntersecting writes back exactly the dirty extents that overlap
@@ -632,44 +587,16 @@ func (w *fileCache) FlushIntersecting(runs []pfs.Run) error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 	w.mu.Lock()
-	return w.flushLocked(w.pickDirty(runs), nil)
+	return w.flushLocked(w.pickDirty(runs))
 }
 
-// FlushOwned writes back exactly the dirty extents starting in a file
-// region the predicate claims — the elected per-region flush sweep.
-// Region ownership partitions the file, so concurrent elected sweeps
-// from different ranks have disjoint victim sets: each region is swept
-// by exactly one flusher, and a sweep is a full contiguous slab of that
-// rank's absorbed regions instead of an interleaved snapshot of
-// everyone's. An extent that merged across a region boundary belongs to
-// the region its first byte lies in (flushing a tail early is always
-// safe). With clean caching on the victims stay cached, marked clean;
-// in wb-only mode they are removed exactly like FlushIntersecting's.
-func (w *fileCache) FlushOwned(owned func(off int64) bool) error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	var victims []*cext
-	for _, e := range w.lru[1].Items() {
-		if owned(e.off) {
-			victims = append(victims, e)
-		}
-	}
-	if len(victims) > 0 || (w.spill != nil && w.spill.Dirty() > 0) {
-		w.stats.OwnedFlushes++
-	}
-	return w.flushLocked(victims, owned)
-}
-
-// flushLocked is the one flush sweep behind FlushAll, FlushIntersecting
-// and FlushOwned, over victims the caller picked (a slice of its own,
+// flushLocked is the one flush sweep behind FlushAll and
+// FlushIntersecting, over victims the caller picked (a slice of its own,
 // in any order). Entered with flushMu and w.mu held; releases w.mu.
 //
 // With clean caching on it writes the victims — plus every dirty extent
-// of the spill tier, read back from the spill file; with owned non-nil
-// only those starting in an owned region, since an elected flusher must
-// not sweep a region another rank owns — as one vectored sweep and
-// marks them clean IN PLACE, so the data never leaves the cache
+// of the spill tier, read back from the spill file — as one vectored
+// sweep and marks them clean IN PLACE, so the data never leaves the cache
 // mid-flush (readers stay coherent without taking flushMu). A victim
 // punched or re-absorbed during the sweep (no longer resident in
 // memory, a new entry id in the spill tier) is skipped: its replacement
@@ -678,7 +605,7 @@ func (w *fileCache) FlushOwned(owned func(off int64) bool) error {
 // In wb-only mode the victims leave the cache before the sweep; if it
 // fails their bytes go back (restoreDirty), so a failed flush keeps the
 // dirty data buffered for a retry instead of silently dropping it.
-func (w *fileCache) flushLocked(victims []*cext, owned func(off int64) bool) error {
+func (w *fileCache) flushLocked(victims []*cext) error {
 	if w.budget <= 0 {
 		w.takeLocked(victims)
 		if len(victims) > 0 {
@@ -697,9 +624,6 @@ func (w *fileCache) flushLocked(victims []*cext, owned func(off int64) bool) err
 		if chunks, err = w.spill.CollectDirty(); err != nil {
 			w.mu.Unlock()
 			return err
-		}
-		if owned != nil {
-			chunks = slices.DeleteFunc(chunks, func(c spill.Chunk) bool { return !owned(c.Off) })
 		}
 	}
 	if len(victims) == 0 && len(chunks) == 0 {
@@ -866,7 +790,7 @@ func (w *fileCache) EnforceBudget() error {
 		w.lru[1].Push(e)
 	}
 	w.stats.FlushEvicted += vbytes
-	return w.flushLocked(victims, nil) // unlocks w.mu; evicts the marked-clean victims
+	return w.flushLocked(victims) // unlocks w.mu; evicts the marked-clean victims
 }
 
 // hole is one uncached sub-range of a ReadThrough request and its
@@ -916,14 +840,6 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 	w.mu.Lock()
 	w.clock++
 	stamp := w.clock
-	if w.adaptive && len(runs) > 0 {
-		if runs[0].Off == w.lastEnd {
-			w.seqReads++
-		} else {
-			w.randReads++
-		}
-		w.lastEnd = runs[len(runs)-1].Off + runs[len(runs)-1].Len
-	}
 	var promoted bool
 	if w.spill != nil {
 		var hitSpill int64
@@ -988,14 +904,8 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 	for _, h := range holes {
 		w.stats.MissBytes += h.n
 	}
-	if w.adaptive {
-		w.missTune++
-		if w.missTune >= tuneEvery {
-			w.retuneLocked()
-		}
-	}
 	sieve := w.sieveSize()
-	ra := w.readAheadSize()
+	ra := w.readAhead
 	// The fetch plan: the holes' sieve-aligned covering blocks plus the
 	// read-ahead extension, CLIPPED against what the cache already
 	// holds — block rounding and read-ahead must never re-read bytes a
@@ -1192,36 +1102,4 @@ func (w *fileCache) promoteLocked(off, n, stamp int64) (int64, error) {
 		}
 	}
 	return overlap, nil
-}
-
-// retuneLocked is the adaptive controller: re-derive the effective
-// sieve block and read-ahead from the window of server request sizes
-// (pfs.Stats.ReqSizes, the per-server power-of-two histograms) and
-// request sequentiality observed since the last retune, and install
-// the recommendation as an override of the configured base values.
-// Called with w.mu held, every tuneEvery cache misses while AdaptiveIO
-// is on; a window too small to trust leaves the current values alone
-// (and keeps accumulating). A recommendation equal to what is already
-// in effect is not counted as a retune, so Retunes going quiet is the
-// convergence signal.
-func (w *fileCache) retuneLocked() {
-	w.missTune = 0
-	cur := w.fs.Stats().ReqSizes()
-	out, ok := tune.Recommend(tune.Input{
-		ReqSizes: cur.Sub(w.tunedReq),
-		Seq:      w.seqReads,
-		Rand:     w.randReads,
-		Stripe:   w.fs.StripeSize(),
-		Budget:   w.budget,
-	})
-	if !ok {
-		return
-	}
-	w.tunedReq = cur
-	w.seqReads, w.randReads = 0, 0
-	if out.Sieve == w.sieveSize() && out.ReadAhead == w.readAheadSize() {
-		return
-	}
-	w.adaptSieve, w.adaptRA, w.adaptSet = out.Sieve, out.ReadAhead, true
-	w.stats.Retunes++
 }

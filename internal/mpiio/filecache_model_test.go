@@ -230,7 +230,7 @@ func (m *cacheModel) reconfigure() error {
 // step runs one random operation.
 func (m *cacheModel) step() error {
 	runs := m.runs()
-	switch k := m.rng.Intn(20); {
+	switch k := m.rng.Intn(19); {
 	case k < 4:
 		return m.write(runs)
 	case k < 7:
@@ -250,9 +250,6 @@ func (m *cacheModel) step() error {
 		}
 		return m.durable(runs)
 	case k == 17:
-		half := m.rng.Int63n(2)
-		return m.w.FlushOwned(func(off int64) bool { return (off/512)%2 == half })
-	case k == 18:
 		return m.enforce()
 	}
 	if m.sole() { // the policy is shared: drivers with company leave it alone

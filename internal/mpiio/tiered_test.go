@@ -13,9 +13,8 @@ import (
 
 // tieredForTest builds a seeded store and a cache with both tiers on:
 // a deliberately small memory budget so reads continuously evict (and
-// therefore demote), a spill file under the test's temp dir, and the
-// sieve/read-ahead controller on request.
-func tieredForTest(t *testing.T, budget, spillBytes int64, adaptive bool) (*pfs.FS, *fileCache, string) {
+// therefore demote) and a spill file under the test's temp dir.
+func tieredForTest(t *testing.T, budget, spillBytes int64) (*pfs.FS, *fileCache, string) {
 	t.Helper()
 	fs, err := pfs.Create("tiered", pfs.Options{Servers: 2, StripeSize: 128})
 	if err != nil {
@@ -32,7 +31,7 @@ func tieredForTest(t *testing.T, budget, spillBytes int64, adaptive bool) (*pfs.
 	fs.ResetStats()
 	path := filepath.Join(t.TempDir(), "spill.dat")
 	w := newFileCache(fs)
-	w.Configure(cacheConfig{budget: budget, sieve: 256, spillBytes: spillBytes, spillPath: path, adaptive: adaptive})
+	w.Configure(cacheConfig{budget: budget, sieve: 256, spillBytes: spillBytes, spillPath: path})
 	if err := w.SpillErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,45 +53,34 @@ func readRange(t *testing.T, w *fileCache, off, n int64) {
 // TestTieredDemotePromoteRoundTrip: a scan 4x the memory budget
 // demotes its evictions to the spill tier, and the re-reads are served
 // back from local disk — correct bytes, zero further store reads.
-// With the adaptive controller on, the same three-pass scan retunes off
-// the static sieve/read-ahead during the cold pass and then goes quiet:
-// a last pass that still retuned would mean it never converged.
 func TestTieredDemotePromoteRoundTrip(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
-		fs, w, _ := tieredForTest(t, 1024, 8192, adaptive)
-		scan := func() {
-			for off := int64(0); off < 4096; off += 256 {
-				readRange(t, w, off, 256)
-			}
+	fs, w, _ := tieredForTest(t, 1024, 8192)
+	scan := func() {
+		for off := int64(0); off < 4096; off += 256 {
+			readRange(t, w, off, 256)
 		}
-		scan()
-		cold := fs.Stats().Reads()
-		if cold == 0 {
-			t.Fatal("cold scan issued no store reads")
-		}
-		cs := w.Stats()
-		if cs.SpillDemoted == 0 {
-			t.Fatalf("scan past the budget demoted nothing: %+v", cs)
-		}
-		// Warm wrap-arounds: everything is in memory or the spill tier.
-		scan()
-		second := w.Stats().Retunes
-		scan()
-		if got := fs.Stats().Reads(); got != cold {
-			t.Fatalf("adaptive=%v: warm wraps issued %d extra store reads", adaptive, got-cold)
-		}
-		cs = w.Stats()
-		if cs.SpillPromoted == 0 || cs.SpillHits == 0 || cs.SpillHitBytes == 0 {
-			t.Fatalf("warm wraps never promoted from the spill tier: %+v", cs)
-		}
-		moved := cs.SieveSize != 256 || cs.ReadAheadBytes != 0
-		if !adaptive && (cs.Retunes != 0 || moved) {
-			t.Fatalf("static cache retuned: %+v", cs)
-		}
-		if adaptive && (cs.Retunes == 0 || cs.Retunes != second || !moved) {
-			t.Fatalf("controller made %d retunes, %d of them in the last pass, gauges sieve=%d ra=%d: want >= 1, 0, off 256/0",
-				cs.Retunes, cs.Retunes-second, cs.SieveSize, cs.ReadAheadBytes)
-		}
+	}
+	scan()
+	cold := fs.Stats().Reads()
+	if cold == 0 {
+		t.Fatal("cold scan issued no store reads")
+	}
+	cs := w.Stats()
+	if cs.SpillDemoted == 0 {
+		t.Fatalf("scan past the budget demoted nothing: %+v", cs)
+	}
+	// Warm wrap-arounds: everything is in memory or the spill tier.
+	scan()
+	scan()
+	if got := fs.Stats().Reads(); got != cold {
+		t.Fatalf("warm wraps issued %d extra store reads", got-cold)
+	}
+	cs = w.Stats()
+	if cs.SpillPromoted == 0 || cs.SpillHits == 0 || cs.SpillHitBytes == 0 {
+		t.Fatalf("warm wraps never promoted from the spill tier: %+v", cs)
+	}
+	if cs.Retunes != 0 || cs.SieveSize != 256 || cs.ReadAheadBytes != 0 {
+		t.Fatalf("gauges moved off the configured sieve/read-ahead: %+v", cs)
 	}
 }
 
@@ -100,7 +88,7 @@ func TestTieredDemotePromoteRoundTrip(t *testing.T) {
 // punch — after the store's copy is superseded, a read has to fetch
 // the NEW bytes, not promote the stale spilled ones.
 func TestTieredPunchInvalidatesSpill(t *testing.T) {
-	fs, w, _ := tieredForTest(t, 1024, 8192, false)
+	fs, w, _ := tieredForTest(t, 1024, 8192)
 	for off := int64(0); off < 4096; off += 256 {
 		readRange(t, w, off, 256)
 	}
@@ -127,7 +115,7 @@ func TestTieredPunchInvalidatesSpill(t *testing.T) {
 // silently — the read falls through to the store, returns correct
 // bytes, and caches nothing stale.
 func TestTieredSpillCorruptionFallsBackToPFS(t *testing.T) {
-	fs, w, path := tieredForTest(t, 1024, 8192, false)
+	fs, w, path := tieredForTest(t, 1024, 8192)
 	for off := int64(0); off < 4096; off += 256 {
 		readRange(t, w, off, 256)
 	}
@@ -154,7 +142,7 @@ func TestTieredSpillCorruptionFallsBackToPFS(t *testing.T) {
 // if the spill tier cannot read a demoted DIRTY extent back, the flush
 // must fail loudly instead of silently dropping the write.
 func TestTieredDirtySpillLossSurfaces(t *testing.T) {
-	_, w, path := tieredForTest(t, 1024, 8192, false)
+	_, w, path := tieredForTest(t, 1024, 8192)
 	w.Absorb(0, bytes.Repeat([]byte{7}, 2048))
 	if err := w.EnforceBudget(); err != nil {
 		t.Fatal(err)
@@ -175,7 +163,7 @@ func TestTieredDirtySpillLossSurfaces(t *testing.T) {
 // then checks the books: the extent list sums to the accounted total,
 // nothing is dirty, and no byte is covered by both tiers at once.
 func TestTieredBudgetAccountingUnderChurn(t *testing.T) {
-	_, w, _ := tieredForTest(t, 1024, 8192, false)
+	_, w, _ := tieredForTest(t, 1024, 8192)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -225,16 +213,15 @@ func TestTieredBudgetAccountingUnderChurn(t *testing.T) {
 }
 
 // TestTieredDifferentialAgainstRAMOnly drives an identical seeded
-// workload of absorbs, reads, flushes and budget sweeps through three
-// caches — spill off, spill on, spill + adaptive — over three
-// identically seeded stores. Every read and both end states must be
-// byte-identical: the tiers and the controller are pure policy, never
-// content. The spill-off cache must also finish with every spill and
-// retune counter at zero and its gauges at the configured statics —
-// with the new knobs off, the accounting is exactly the old stack's.
+// workload of absorbs, reads, flushes and budget sweeps through two
+// caches — spill off, spill on — over two identically seeded stores.
+// Every read and the end state must be byte-identical: the tier is pure
+// policy, never content. The spill-off cache must also finish with
+// every spill counter at zero and its gauges at the configured values
+// — with the tier off, the accounting is exactly the RAM-only stack's.
 func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 	const fileN = 4096
-	mk := func(name string, spillBytes int64, adaptive bool) (*pfs.FS, *fileCache) {
+	mk := func(name string, spillBytes int64) (*pfs.FS, *fileCache) {
 		fs, err := pfs.Create(name, pfs.Options{Servers: 2, StripeSize: 128})
 		if err != nil {
 			t.Fatal(err)
@@ -249,17 +236,16 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 		}
 		w := newFileCache(fs)
 		w.Configure(cacheConfig{budget: 1024, sieve: 256, spillBytes: spillBytes,
-			spillPath: filepath.Join(t.TempDir(), name+".dat"), adaptive: adaptive})
+			spillPath: filepath.Join(t.TempDir(), name+".dat")})
 		if err := w.SpillErr(); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { w.closeHook() })
 		return fs, w
 	}
-	fsA, base := mk("diff-ram", 0, false)
-	fsB, sp := mk("diff-spill", 8192, false)
-	fsC, ad := mk("diff-adaptive", 8192, true)
-	caches := []*fileCache{base, sp, ad}
+	fsA, base := mk("diff-ram", 0)
+	fsB, sp := mk("diff-spill", 8192)
+	caches := []*fileCache{base, sp}
 
 	rng := rand.New(rand.NewSource(23))
 	for step := 0; step < 300; step++ {
@@ -283,7 +269,7 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 				}
 				got = append(got, buf)
 			}
-			if !bytes.Equal(got[0], got[1]) || !bytes.Equal(got[0], got[2]) {
+			if !bytes.Equal(got[0], got[1]) {
 				t.Fatalf("step %d: read [%d,+%d) diverged across tier configs", step, off, n)
 			}
 		default:
@@ -303,22 +289,20 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 	if _, err := fsA.ReadAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
-	for i, fs := range []*pfs.FS{fsB, fsC} {
-		got := make([]byte, fileN)
-		if _, err := fs.ReadAt(got, 0); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("store %d end state differs from the spill-off baseline", i+1)
-		}
+	got := make([]byte, fileN)
+	if _, err := fsB.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("spill-on end state differs from the spill-off baseline")
 	}
 	cs := base.Stats()
 	if cs.SpillDemoted != 0 || cs.SpillPromoted != 0 || cs.SpillHits != 0 ||
 		cs.SpillHitBytes != 0 || cs.SpillRejected != 0 || cs.SpillUsed != 0 ||
 		cs.SpillDirty != 0 || cs.Retunes != 0 {
-		t.Fatalf("spill-off cache shows tier/controller activity: %+v", cs)
+		t.Fatalf("spill-off cache shows tier activity: %+v", cs)
 	}
 	if cs.SieveSize != 256 || cs.ReadAheadBytes != 0 {
-		t.Fatalf("spill-off gauges moved off the configured statics: sieve=%d ra=%d", cs.SieveSize, cs.ReadAheadBytes)
+		t.Fatalf("spill-off gauges moved off the configured values: sieve=%d ra=%d", cs.SieveSize, cs.ReadAheadBytes)
 	}
 }

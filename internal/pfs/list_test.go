@@ -276,9 +276,8 @@ func TestListDeadlineCutsBatch(t *testing.T) {
 		fs, err := Create("cut", Options{
 			Servers: 5, Parity: 1, StripeSize: stripe,
 			// Server 0 takes 10 ms a request, its peers 2 ms; the deadline is
-			// 2.5 x 8 x 2 ms = 40 ms: about half of server 0's 80 ms list.
-			Cost:               CostModel{RequestOverhead: 2 * time.Millisecond, RealTime: true, SlowFactor: []float64{5}},
-			DegradedReadFactor: 2.5,
+			// 3 x 8 x 2 ms = 48 ms: about 60 % of server 0's 80 ms list.
+			Cost: CostModel{RequestOverhead: 2 * time.Millisecond, RealTime: true, SlowFactor: []float64{5}},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 // parity.go implements erasure-coded striping across the simulated I/O
 // servers: Reed-Solomon k+m parity maintenance on the write path and a
 // straggler-avoiding degraded read path, in the mold of the
-// hdpsr/Grasure designs (per-disk slow flags, fastest-k
+// hdpsr/Grasure designs (straggler deadline, fastest-k
 // reconstruction).
 //
 // Layout. With Options.Parity = m > 0, data stripes round-robin over
@@ -63,10 +63,9 @@
 // and is pooled with it.
 //
 // Degraded reads. A segment that is refused by the failure injector,
-// errors in service, exceeds the straggler deadline (DegradedReadFactor
-// × the nominal max per-server service time, RealTime cost models
-// only), or targets a server at or beyond AvoidSlowFactor is
-// reconstructed: the same byte sub-range of the row's other shards is
+// errors in service, or exceeds the straggler deadline
+// (degradedReadFactor × the nominal max per-server service time,
+// RealTime cost models only) is reconstructed: the same byte sub-range of the row's other shards is
 // fetched from the fastest k of the remaining k+m-1 servers (ranked by
 // slow factor, then requests queued), and the missing shard is decoded
 // straight into the caller's buffer — byte-range decoding works
@@ -310,28 +309,19 @@ func (fs *FS) parityBatch(batch []int64, deltas *dispatch) error {
 	return nil
 }
 
-// avoidServer reports whether reads should proactively skip the server
-// (its slow factor is at or beyond Options.AvoidSlowFactor).
-func (fs *FS) avoidServer(s int) bool {
-	t := fs.opts.AvoidSlowFactor
-	return t > 0 && fs.servers[s].slow >= t
-}
+// degradedReadFactor scales the straggler deadline of a degraded read:
+// a read vector not fully served after this many times its nominal max
+// per-server service time reconstructs its outstanding segments.
+const degradedReadFactor = 3
 
-// readDeadline returns the straggler deadline for a read vector: the
-// configured factor times the nominal (SlowFactor-free) max per-server
+// readDeadline returns the straggler deadline for a read vector:
+// degradedReadFactor times the nominal (SlowFactor-free) max per-server
 // service time of the vector, seek surcharge included as slack. Zero
-// means no deadline (non-RealTime cost models, or factor < 0).
+// means no deadline (non-RealTime cost models).
 func (fs *FS) readDeadline(sc *reconScratch, segs []ioSeg) time.Duration {
 	c := fs.opts.Cost
 	if !c.RealTime {
 		return 0
-	}
-	f := fs.opts.DegradedReadFactor
-	if f < 0 {
-		return 0
-	}
-	if f == 0 {
-		f = 3
 	}
 	per := grow(&sc.per, fs.opts.Servers)
 	clear(per)
@@ -339,13 +329,13 @@ func (fs *FS) readDeadline(sc *reconScratch, segs []ioSeg) time.Duration {
 		s := &segs[i]
 		per[s.server] += c.RequestOverhead + c.SeekLatency + time.Duration(s.n)*c.ByteTime
 	}
-	return time.Duration(float64(slices.Max(per)) * f)
+	return slices.Max(per) * degradedReadFactor
 }
 
 // dispatchDegraded is the read-side dispatch when parity is on.
-// Segments that fail, time out, or are proactively avoided are
-// reconstructed from the surviving shards. On success the call is
-// byte-identical to a healthy dispatch. Decoding wants contiguous
+// Segments that fail or time out are reconstructed from the surviving
+// shards. On success the call is byte-identical to a healthy dispatch.
+// Decoding wants contiguous
 // memory, so a scattered vector is read into the dispatch's staging
 // buffer and copied out at the end.
 func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
@@ -382,13 +372,13 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 	if deadline > 0 || !inPlace {
 		d.mem = Contig(target)
 	}
-	d.skip, d.avoid = true, true
+	d.skip = true
 	if cap(d.served) < len(segs) {
 		d.served = make([]atomic.Bool, len(segs))
 	}
 	d.served = d.served[:len(segs)]
 	finished := fs.submit(d, deadline)
-	// Whatever is not marked served — refused, avoided, failed, or still
+	// Whatever is not marked served — refused, failed, or still
 	// outstanding at the deadline — is reconstructed.
 	recon := sc.recon[:0]
 	for i := range segs {

@@ -130,26 +130,11 @@ type Options struct {
 	// sharing one round) stores Parity coded units on the reserved
 	// servers. Any k of the k+Parity units reconstruct the rest, so a
 	// read that hits a dead server (failure injection) or a straggler
-	// (past the degraded-read deadline, or proactively avoided via
-	// AvoidSlowFactor) is served by reconstruction from the fastest k
-	// instead of failing or waiting. 0 (the default) disables parity
-	// entirely and is byte- and accounting-identical to the pre-parity
-	// layout.
+	// (past the degraded-read deadline, armed on RealTime cost models
+	// only) is served by reconstruction from the fastest k instead of
+	// failing or waiting. 0 (the default) disables parity entirely and
+	// is byte- and accounting-identical to the pre-parity layout.
 	Parity int
-	// DegradedReadFactor arms the straggler deadline of degraded reads
-	// when the cost model is RealTime: a read vector that has not fully
-	// completed after factor × (the nominal max per-server service time
-	// of the vector, at SlowFactor 1) reconstructs its outstanding
-	// segments from the other servers instead of waiting. 0 defaults to
-	// 3; negative disables the deadline (degraded reads still trigger
-	// on injected errors). Ignored when Parity is 0.
-	DegradedReadFactor float64
-	// AvoidSlowFactor proactively routes reads around stragglers: a
-	// read segment bound for a server whose SlowFactor is >= this value
-	// is never dispatched there and is reconstructed from the fastest k
-	// instead (the hdpsr-style "slow disk" flag). 0 disables proactive
-	// avoidance. Ignored when Parity is 0.
-	AvoidSlowFactor float64
 }
 
 func (o Options) withDefaults() Options {
@@ -241,7 +226,8 @@ func (s Stats) DomainLocalBytes() int64 {
 }
 
 // DomainRemoteBytes returns total placement-attributed domain-remote
-// bytes across servers (zero unless a placement policy is active).
+// bytes across servers (zero until a collective routes a piece through
+// another rank's aggregator).
 func (s Stats) DomainRemoteBytes() int64 {
 	return s.total(func(ps *ServerStats) int64 { return ps.RemoteBytes })
 }

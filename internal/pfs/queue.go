@@ -85,8 +85,7 @@ type dispatch struct {
 	attr  bool // count the bytes as flush-sweep (write) or sieve-fetch (read) traffic
 	// skip: a segment the injector refuses is skipped and submission goes
 	// on (reads that can reconstruct); otherwise it ends the submission.
-	// avoid: segments bound for an avoided straggler are skipped too.
-	skip, avoid bool
+	skip bool
 
 	batches []batch       // by server
 	done    chan struct{} // one signal per queued batch; never blocks (cap = servers)
@@ -141,7 +140,7 @@ func (fs *FS) release(d *dispatch) {
 	clear(d.served)
 	clear(d.fails)
 	d.segs, d.served, d.fails = d.segs[:0], d.served[:0], d.fails[:0]
-	d.mem, d.write, d.attr, d.skip, d.avoid, d.capture = nil, false, false, false, false, false
+	d.mem, d.write, d.attr, d.skip, d.capture = nil, false, false, false, false
 	fs.idleMu.Lock()
 	if len(fs.idle) < maxIdle {
 		fs.idle = append(fs.idle, d)
@@ -402,9 +401,6 @@ func (fs *FS) submit(d *dispatch, deadline time.Duration) bool {
 	inj := fs.inj.Load()
 	for i := range d.segs {
 		s := &d.segs[i]
-		if d.avoid && fs.avoidServer(int(s.server)) {
-			continue
-		}
 		if err := inj.fail(int(s.server), d.write, s.off, s.n); err != nil {
 			d.fail(i, err)
 			if d.skip {

@@ -7,43 +7,10 @@ import (
 	"drxmp/internal/pfs"
 )
 
-// gridGeom is a synthetic chunk geometry over a dense row-major chunk
-// grid — enough structure for the policies, none of the array
-// machinery.
-type gridGeom struct {
-	cb     int64
-	bounds []int
-}
-
-func (g gridGeom) ChunkBytes() int64 { return g.cb }
-func (g gridGeom) Chunks() int64 {
-	n := int64(1)
-	for _, b := range g.bounds {
-		n *= int64(b)
-	}
-	return n
-}
-func (g gridGeom) Bounds() []int { return g.bounds }
-func (g gridGeom) Coords(q int64) ([]int, error) {
-	c := make([]int, len(g.bounds))
-	for d := len(g.bounds) - 1; d >= 0; d-- {
-		c[d] = int(q % int64(g.bounds[d]))
-		q /= int64(g.bounds[d])
-	}
-	return c, nil
-}
-
 // randomReq builds a random but well-formed carving request over a
-// random chunk grid.
+// random file size.
 func randomReq(rng *rand.Rand) Req {
-	dims := 1 + rng.Intn(3)
-	bounds := make([]int, dims)
-	for i := range bounds {
-		bounds[i] = 1 + rng.Intn(9)
-	}
-	cbs := []int64{64, 100, 256, 1000}
-	g := gridGeom{cb: cbs[rng.Intn(len(cbs))], bounds: bounds}
-	fileBytes := g.Chunks() * g.cb
+	fileBytes := 1 + rng.Int63n(729*1000)
 
 	ranks := 1 + rng.Intn(8)
 	runs := make([][]pfs.Run, ranks)
@@ -65,7 +32,7 @@ func randomReq(rng *rand.Rand) Req {
 		runs[r] = pfs.Coalesce(runs[r])
 	}
 	if lo < 0 { // nobody transfers: synthesize a minimal span
-		lo, hi, total = 0, g.cb, g.cb
+		lo, hi, total = 0, fileBytes, fileBytes
 	}
 	stripes := []int64{64, 256, 1024}
 	return Req{
@@ -74,7 +41,6 @@ func randomReq(rng *rand.Rand) Req {
 		CBNodes:     rng.Intn(6) - 1, // -1 (per-rank), 0 (adaptive), 1..4
 		Stripe:      stripes[rng.Intn(len(stripes))],
 		WriteBehind: rng.Intn(2) == 0,
-		Geom:        g,
 		Runs:        runs,
 	}
 }
@@ -133,84 +99,18 @@ func sameCarving(a, b Domains, req Req, rng *rand.Rand) bool {
 }
 
 // TestPoliciesPartitionAndDeterministic is the carving property test:
-// for random shapes, chunk sizes, rank counts, and run sets, every
-// policy's domains exactly partition the collective span (no gaps, no
-// overlaps, valid owners) and carving the same request twice — as two
-// ranks of a collective would — yields the identical placement.
+// for random spans, stripe sizes, rank counts, and run sets, the
+// ByteCyclic domains exactly partition the collective span (no gaps,
+// no overlaps, valid owners) and carving the same request twice — as
+// two ranks of a collective would — yields the identical placement.
 func TestPoliciesPartitionAndDeterministic(t *testing.T) {
-	policies := []Policy{ByteCyclic{}, ZoneCurve{}, CacheAffinity{}}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		req := randomReq(rng)
-		for _, p := range policies {
-			d := p.Carve(req)
-			checkPartition(t, d, req)
-			if !sameCarving(d, p.Carve(req), req, rand.New(rand.NewSource(int64(trial)))) {
-				t.Fatalf("trial %d: %s carving is not deterministic", trial, p.Name())
-			}
-		}
-	}
-}
-
-// TestPoliciesFallBackWithoutGeometry pins the chunk-aware policies'
-// degradation: with no geometry they must carve exactly like
-// ByteCyclic, so a caller that cannot supply chunk layout still gets a
-// correct (and familiar) partition.
-func TestPoliciesFallBackWithoutGeometry(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		req := randomReq(rng)
-		req.Geom = nil
-		want := ByteCyclic{}.Carve(req)
-		for _, p := range []Policy{ZoneCurve{}, CacheAffinity{}} {
-			got := p.Carve(req)
-			if !sameCarving(want, got, req, rand.New(rand.NewSource(int64(trial)))) {
-				t.Fatalf("trial %d: %s without geometry differs from ByteCyclic", trial, p.Name())
-			}
-		}
-	}
-}
-
-// TestCacheAffinitySticky pins the policy's defining property: the
-// owner of a chunk does not depend on the request (span, payload, run
-// set) — only on the grid, the rank count, and the CBNodes knob — so
-// repeated collectives over any sections re-elect the same aggregator
-// for the same chunk.
-func TestCacheAffinitySticky(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 100; trial++ {
-		a := randomReq(rng)
-		b := randomReq(rng)
-		// Same grid, ranks, and knobs; different spans and runs.
-		b.Geom, b.Ranks, b.CBNodes, b.Stripe, b.WriteBehind = a.Geom, a.Ranks, a.CBNodes, a.Stripe, a.WriteBehind
-		da := CacheAffinity{}.Carve(a)
-		db := CacheAffinity{}.Carve(b)
-		g := a.Geom.(gridGeom)
-		fileBytes := g.Chunks() * g.cb
-		for i := 0; i < 256; i++ {
-			off := rng.Int63n(fileBytes)
-			if da.Owner(off) != db.Owner(off) {
-				t.Fatalf("trial %d: affinity owner of byte %d moved with the request", trial, off)
-			}
-		}
-	}
-}
-
-// TestZoneCurveDomainsAreWholeChunks verifies the zone-curve carving
-// never splits a chunk across aggregators: ownership can only change
-// at chunk boundaries.
-func TestZoneCurveDomainsAreWholeChunks(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 100; trial++ {
-		req := randomReq(rng)
-		d := ZoneCurve{}.Carve(req)
-		cb := req.Geom.ChunkBytes()
-		for i := 0; i < 256; i++ {
-			off := req.Lo + rng.Int63n(req.Hi-req.Lo)
-			q := off / cb
-			if d.Owner(off) != d.Owner(q*cb) {
-				t.Fatalf("trial %d: chunk %d split across aggregators", trial, q)
-			}
+		d := ByteCyclic{}.Carve(req)
+		checkPartition(t, d, req)
+		if !sameCarving(d, ByteCyclic{}.Carve(req), req, rand.New(rand.NewSource(int64(trial)))) {
+			t.Fatalf("trial %d: carving is not deterministic", trial)
 		}
 	}
 }

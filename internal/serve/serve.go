@@ -493,7 +493,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 
 // setCacheHeader stamps the X-Drx-Cache debug header: "off" when the
 // array runs uncached, otherwise a snapshot of the tiered-cache
-// counters and effective (possibly adaptively retuned) knobs. The
+// counters and its sieve block and read-ahead. The
 // counters are cumulative across the array, not attributed to this
 // request — two requests racing see each other's hits — which is why
 // this is a debug header and the per-array stats JSON is the real API.
