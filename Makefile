@@ -41,6 +41,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParityUpdate$$' -fuzztime $(FUZZTIME) ./internal/pfs
 	$(GO) test -run '^$$' -fuzz '^FuzzMetaDecode$$' -fuzztime $(FUZZTIME) ./internal/meta
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBox$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzPunchV$$' -fuzztime $(FUZZTIME) ./internal/extent
+	$(GO) test -run '^$$' -fuzz '^FuzzSpillModel$$' -fuzztime $(FUZZTIME) ./internal/spill
 
 # Paired runs of BASE against the working tree on one bench/ workload
 # (W=all: each of the five in turn), with the -compare verdicts:

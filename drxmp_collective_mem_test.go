@@ -263,8 +263,9 @@ type collStep struct {
 // buffer pool returns and stores exactly the flat model's bytes — for
 // 1-4 ranks, empty boxes on some ranks, overlapping writes, row-major
 // and transposed user buffers, one aggregator and one per rank, and
-// with write-behind on, where the cache aliases a write's staging
-// buffer and so that buffer must never come back out of the pool.
+// with write-behind on, where a write's staging buffer goes back to the
+// pool as soon as the cache has copied it (a cache that kept the
+// staging bytes instead would serve the next poisoning).
 func TestCollectivePoisonedPool(t *testing.T) {
 	bounds := []int{37, 29}
 	chunk := []int{6, 5}

@@ -76,9 +76,13 @@ func PunchV[T Spanner](s, scratch []T, runs []Run, cut func(e T, hole Run, out [
 			out, lo, at = out[:0], -1, 0
 		}
 		done = r.End()
-		// The remainder the previous run left may reach into this one.
+		// The remainder the previous run left may reach into this one. Its
+		// slot is cleared first: if nothing of it survives, the slot falls
+		// past the end of out, where the final clear does not reach.
 		if n := len(out); n > 0 && out[n-1].Span().End() > r.Off {
-			out = cut(out[n-1], r, out[:n-1])
+			e := out[n-1]
+			clear(out[n-1:])
+			out = cut(e, r, out[:n-1])
 		}
 		i := Find(s, r.Off, at)
 		if i == len(s) || s[i].Span().Off >= r.End() {

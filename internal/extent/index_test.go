@@ -1,6 +1,7 @@
 package extent
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -79,54 +80,106 @@ func TestPunchVMatchesByteModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var scratch []*item
 	for round := 0; round < 400; round++ {
-		const size = 300
-		s, covered := randList(rng, size)
-		before := slices.Clone(s)
+		s, covered := randList(rng, modelSize)
 		var runs []Run
 		for k := rng.Intn(6); k > 0; k-- {
-			runs = append(runs, Run{Off: rng.Int63n(size), Len: rng.Int63n(40)})
+			runs = append(runs, Run{Off: rng.Int63n(modelSize), Len: rng.Int63n(40)})
 		}
 		if rng.Intn(3) > 0 {
 			runs = Coalesce(runs) // the normal case: sorted and disjoint
 		}
-		for _, r := range runs {
-			for b := r.Off; b < min(r.End(), size); b++ {
-				covered[b] = false
-			}
-		}
-		s, scratch = PunchV(s, scratch, runs, trim)
-		if len(scratch) != 0 {
-			t.Fatalf("round %d: scratch came back with length %d", round, len(scratch))
-		}
-		for _, e := range scratch[:cap(scratch)] {
-			if e != nil {
-				t.Fatalf("round %d: scratch still pins %v", round, e.r)
-			}
-		}
-		got := make([]bool, size)
-		var at int64
-		for _, e := range s {
-			if e.r.Len <= 0 || e.r.Off < at {
-				t.Fatalf("round %d: list not sorted/disjoint at %v (runs %v)", round, e.r, runs)
-			}
-			at = e.r.End()
-			for b := e.r.Off; b < e.r.End(); b++ {
-				got[b] = true
-			}
-		}
-		if !slices.Equal(got, covered) {
-			t.Fatalf("round %d: coverage differs from the byte model (runs %v)", round, runs)
-		}
-		for _, e := range before {
-			touched := false
-			for _, r := range runs {
-				touched = touched || (r.Len > 0 && e.r.Off < r.End() && e.r.End() > r.Off)
-			}
-			if !touched && !slices.Contains(s, e) {
-				t.Fatalf("round %d: untouched element %v lost its identity", round, e.r)
-			}
+		var err error
+		if scratch, err = punchAgainstModel(s, covered, runs, scratch); err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
 	}
+}
+
+// FuzzPunchV is TestPunchVMatchesByteModel with the list and the runs
+// decoded from the input: list is (gap, length) byte pairs, runs is
+// (offset, length) byte pairs in any order.
+func FuzzPunchV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, list, runs []byte) {
+		s, covered := decodeList(list)
+		var rs []Run
+		for ; len(runs) >= 2; runs = runs[2:] {
+			rs = append(rs, Run{Off: int64(runs[0]), Len: int64(runs[1] % 64)})
+		}
+		if _, err := punchAgainstModel(s, covered, rs, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+const modelSize = 300 // bytes in the punch model
+
+// decodeList builds a sorted, disjoint list over [0, modelSize) and the
+// byte map of what it covers from (gap, length) byte pairs: gaps of
+// 0-7 bytes (0 is adjacent), lengths of 1-12.
+func decodeList(p []byte) ([]*item, []bool) {
+	var s []*item
+	covered := make([]bool, modelSize)
+	var off int64
+	for ; len(p) >= 2; p = p[2:] {
+		off += int64(p[0] % 8)
+		n := min(1+int64(p[1]%12), modelSize-off)
+		if n <= 0 {
+			break
+		}
+		s = append(s, &item{r: Run{Off: off, Len: n}})
+		for b := off; b < off+n; b++ {
+			covered[b] = true
+		}
+		off += n
+	}
+	return s, covered
+}
+
+// punchAgainstModel punches runs out of s and checks the result against
+// the byte model covered: exactly the runs' bytes are gone, the list is
+// sorted and disjoint, every element no run overlaps is kept with its
+// identity, and the scratch comes back empty with nothing pinned. It
+// returns the scratch for the next punch.
+func punchAgainstModel(s []*item, covered []bool, runs []Run, scratch []*item) ([]*item, error) {
+	before := slices.Clone(s)
+	for _, r := range runs {
+		for b := max(r.Off, 0); b < min(r.End(), int64(len(covered))); b++ {
+			covered[b] = false
+		}
+	}
+	s, scratch = PunchV(s, scratch, runs, trim)
+	if len(scratch) != 0 {
+		return scratch, fmt.Errorf("scratch came back with length %d", len(scratch))
+	}
+	for _, e := range scratch[:cap(scratch)] {
+		if e != nil {
+			return scratch, fmt.Errorf("scratch still pins %v", e.r)
+		}
+	}
+	got := make([]bool, len(covered))
+	var at int64
+	for _, e := range s {
+		if e.r.Len <= 0 || e.r.Off < at {
+			return scratch, fmt.Errorf("list not sorted/disjoint at %v (runs %v)", e.r, runs)
+		}
+		at = e.r.End()
+		for b := e.r.Off; b < e.r.End(); b++ {
+			got[b] = true
+		}
+	}
+	if !slices.Equal(got, covered) {
+		return scratch, fmt.Errorf("coverage differs from the byte model (runs %v)", runs)
+	}
+	for _, e := range before {
+		touched := false
+		for _, r := range runs {
+			touched = touched || (r.Len > 0 && e.r.Off < r.End() && e.r.End() > r.Off)
+		}
+		if !touched && !slices.Contains(s, e) {
+			return scratch, fmt.Errorf("untouched element %v lost its identity (runs %v)", e.r, runs)
+		}
+	}
+	return scratch, nil
 }
 
 // TestPunchVKeepsWholeElements: a cut that returns the element itself

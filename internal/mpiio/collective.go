@@ -53,11 +53,9 @@ import (
 // and a read's staging is fully filled by ReadV/ReadThrough (the
 // poisoned-pool tests hold both to it). A send buffer returns to the
 // pool as soon as the exchange returns (the messages are copies); a
-// staging buffer returns when the aggregate write has landed or the
-// last piece has been copied out of it. The one exemption is a write
-// under File.WriteBehind: the shared extent cache ALIASES the staging
-// buffer's runs as its dirty extents (Absorb), so that buffer belongs
-// to the cache from then on and is allocated fresh, never pooled.
+// staging buffer returns when the aggregate write has landed, has been
+// absorbed (under File.WriteBehind the extent cache copies the runs into
+// its own memory), or the last piece has been copied out of it.
 //
 // Workers (internal/par, File.Parallelism) fan out the stages whose
 // items are independent — carving each rank's pieces, packing each
@@ -532,29 +530,25 @@ type staging struct {
 	runs   []pfs.Run
 	start  []int64 // packed offset of runs[i]
 	data   []byte
-	pooled *Buf // data's owner, nil when data was allocated for keeps
+	pooled *Buf // data's owner
 }
 
-// newStaging lays out runs. A pooled staging buffer has unspecified
+// newStaging lays out runs over a pooled buffer, which has unspecified
 // contents (the caller fills every byte before reading any) and goes
-// back with release; an unpooled one is the caller's to give away.
-func newStaging(runs []pfs.Run, pooled bool) *staging {
+// back with release.
+func newStaging(runs []pfs.Run) *staging {
 	s := &staging{runs: runs, start: make([]int64, len(runs))}
 	var at int64
 	for i, r := range runs {
 		s.start[i] = at
 		at += r.Len
 	}
-	if pooled {
-		s.pooled = GetBuf(at)
-		s.data = s.pooled.B
-	} else {
-		s.data = make([]byte, at)
-	}
+	s.pooled = GetBuf(at)
+	s.data = s.pooled.B
 	return s
 }
 
-// release returns a pooled staging buffer; s may be nil.
+// release returns the staging buffer to the pool; s may be nil.
 func (s *staging) release() {
 	if s != nil {
 		s.pooled.Release()
@@ -585,7 +579,7 @@ func (f *File) aggregateRead(placedBy [][]placed) (*staging, error) {
 	if len(runs) == 0 {
 		return nil, nil
 	}
-	s := newStaging(runs, true)
+	s := newStaging(runs)
 	// Capped runs pack back-to-back in exactly the staging layout (the
 	// cap only splits runs, never reorders or drops bytes).
 	capped := capRuns(runs, f.CollectiveBufferSize)
@@ -619,9 +613,7 @@ func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error
 	if len(runs) == 0 {
 		return nil
 	}
-	// Absorb aliases the staging runs as the cache's dirty extents, so
-	// under write-behind the buffer is the cache's, not the pool's.
-	s := newStaging(runs, f.WriteBehind == 0)
+	s := newStaging(runs)
 	defer s.release()
 	for r, pl := range placedBy {
 		if r == me {

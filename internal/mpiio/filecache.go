@@ -82,12 +82,34 @@ import (
 // and flush in the same vectored FlushV sweep as the memory tier's
 // (CollectDirty reads them back, MarkClean settles them by entry id so
 // a mid-sweep punch keeps its remainder dirty).
+//
+// Memory (filecache_mem.go): the cache owns every byte it holds. Each
+// extent's data is a sub-slice of a cache buffer (cbuf) taken from the
+// cache's free lists — one per power-of-two size class, a piece of n
+// bytes getting a buffer of n to 2n, so a 1 KB piece takes about 1 KB
+// and a sieve block a block — or made, exactly n bytes, when no free
+// buffer fits. Sieve fetches land straight in such buffers, spill
+// read-backs are read into them, and Absorb and the dirty merge copy
+// into them; nothing else is cached. A buffer is referenced by its
+// resident extents — punch remainders share their parent's — and by
+// PINS, one per reader that uses it outside mu: a flush sweep pins its
+// victims and its spill chunks, a fetch the buffers it reads into,
+// until its store call has returned. Only an extent leaving the cache
+// (remove, takeLocked, a punch, a merge) gives up its reference;
+// marking an extent clean after a sweep does not. The last reference
+// frees the buffer, so a punch links its remainders before it lets go
+// of the punched extent, and eviction demotes before it removes. The
+// free lists hold at most the memory budget in bytes: past it, the
+// longest-free buffers go to the garbage collector, and in wb-only mode
+// every freed one does.
 
-// cext is one cached byte range and its buffered data
-// (len(data) == length of the range; off and data never change).
+// cext is one cached byte range and its buffered data (len(data) ==
+// length of the range; data is a sub-slice of buf, and off and data
+// never change).
 type cext struct {
 	off   int64
 	data  []byte
+	buf   *cbuf
 	dirty bool
 	use   int64          // LRU stamp (fileCache.clock at last touch)
 	node  extent.LRUNode // linked in fileCache.lru[color] exactly while resident
@@ -189,6 +211,18 @@ type fileCache struct {
 	guards   []*fetchGuard        // the sieve fetches in flight
 	clock    int64                // LRU clock
 
+	// Cache memory (filecache_mem.go): the free buffers by size class,
+	// their bytes (at most budget), the clock that orders their freeing,
+	// the unused headers of the newest header slab, and the spill tier's
+	// Alloc over the buffers.
+	free      [64][]*cbuf
+	freeBytes int64
+	freeClock int64
+	hdrs      []cbuf
+	lend      spill.Alloc
+
+	sweep flushList // a flush sweep's request list, reused; flushMu guards it
+
 	// Policy (Configure): shared, so every handle on the store must
 	// agree — the same rule as every other collective knob.
 	budget    int64 // max total bytes; 0 disables clean caching (wb-only)
@@ -218,7 +252,9 @@ type cacheConfig struct {
 }
 
 func newFileCache(fs *pfs.FS) *fileCache {
-	return &fileCache{fs: fs}
+	w := &fileCache{fs: fs}
+	w.lend = w.lendBuf
+	return w
 }
 
 // fcAuxKey is the cache's slot in the store's Aux map — per-store
@@ -298,6 +334,9 @@ func (w *fileCache) Configure(cfg cacheConfig) {
 		w.stats.Evicted += w.total - w.dirty
 		w.takeLocked(slices.Clone(w.lru[0].Items()))
 	}
+	for w.freeBytes > w.budget { // a lowered budget
+		w.dropOldest()
+	}
 }
 
 // caching reports whether clean-extent caching (data sieving) is on.
@@ -368,9 +407,9 @@ func (w *fileCache) Stats() CacheStats {
 // Absorb merges the dirty run [off, off+len(p)) into the cache,
 // last-writer-wins where it overlaps existing extents: overlapping
 // clean ranges are punched (the write supersedes them), overlapping or
-// adjacent dirty extents merge. The cache may alias p (callers hand
-// over staging buffers they will not reuse). Callers grow the cache;
-// they must follow up with EnforceBudget.
+// adjacent dirty extents merge. The cache copies p into its own memory;
+// the caller keeps p. Callers grow the cache; they must follow up with
+// EnforceBudget.
 func (w *fileCache) Absorb(off int64, p []byte) {
 	if len(p) == 0 {
 		return
@@ -380,15 +419,17 @@ func (w *fileCache) Absorb(off int64, p []byte) {
 	w.stats.Absorbed += int64(len(p))
 	w.clock++
 	w.punchLocked([]pfs.Run{{Off: off, Len: int64(len(p))}}, true)
-	w.mergeDirtyLocked(off, p, w.clock)
+	w.mergeDirtyLocked(off, p, nil, w.clock)
 }
 
 // mergeDirtyLocked enters the dirty run [off, off+len(p)) — which no
 // clean extent overlaps — merging it with the dirty extents it overlaps
 // or touches, its own bytes winning. Absorbs, dirty promotions and
 // restores all enter here, which is what keeps dirty extents
-// non-adjacent. Must be called with w.mu held.
-func (w *fileCache) mergeDirtyLocked(off int64, p []byte, use int64) {
+// non-adjacent. b is the cache buffer p lies in, which a run that
+// merges with nothing keeps; with b nil, p is the caller's and is
+// copied. Must be called with w.mu held.
+func (w *fileCache) mergeDirtyLocked(off int64, p []byte, b *cbuf, use int64) {
 	end := off + int64(len(p))
 	// [i, j) is the range of dirty extents overlapping or adjacent to
 	// the run. Clean extents may touch its boundaries; they stay out of
@@ -406,7 +447,11 @@ func (w *fileCache) mergeDirtyLocked(off int64, p []byte, use int64) {
 	}
 	if i == j {
 		// Disjoint from all dirty extents: plain insert.
-		w.ext = slices.Insert(w.ext, i, w.link(&cext{off: off, data: p, dirty: true, use: use}))
+		if b == nil {
+			b = w.getBuf(int64(len(p)))
+			p = b.b[:copy(b.b, p)]
+		}
+		w.ext = slices.Insert(w.ext, i, w.link(newExt(off, p, b, true, use)))
 		return
 	}
 	lo, hi := off, end
@@ -416,19 +461,25 @@ func (w *fileCache) mergeDirtyLocked(off int64, p []byte, use int64) {
 	if e := w.ext[j-1].end(); e > hi {
 		hi = e
 	}
-	merged := make([]byte, hi-lo)
+	mb := w.getBuf(hi - lo)
+	merged := mb.b[:hi-lo]
 	for _, e := range w.ext[i:j] {
 		copy(merged[e.off-lo:], e.data)
-		w.unlink(e)
 	}
 	copy(merged[off-lo:], p) // new data last: last writer wins
-	w.ext = slices.Replace(w.ext, i, j, w.link(&cext{off: lo, data: merged, dirty: true, use: use}))
+	for _, e := range w.ext[i:j] {
+		w.leave(e)
+	}
+	w.ext = slices.Replace(w.ext, i, j, w.link(newExt(lo, merged, mb, true, use)))
 }
 
 // link books a new extent and enters it in its color's recency heap;
 // unlink is the inverse, and leaves e marked not resident
-// (e.node.Linked() is false from then on). Neither touches w.ext:
-// insert and remove do both halves. All four need w.mu held.
+// (e.node.Linked() is false from then on). Neither touches w.ext or
+// e's buffer reference, so marking an extent clean is an unlink and a
+// link. leave is an extent leaving the cache: unlinked, and its buffer
+// reference given up; remove also takes it out of w.ext, and insert is
+// an arrival's link plus its place in w.ext. All of them need w.mu held.
 func (w *fileCache) link(e *cext) *cext {
 	w.total += int64(len(e.data))
 	if e.dirty {
@@ -447,17 +498,18 @@ func (w *fileCache) unlink(e *cext) {
 }
 
 func (w *fileCache) insert(e *cext) { w.ext = extent.Insert(w.ext, w.link(e)) }
-func (w *fileCache) remove(e *cext) { w.unlink(e); w.ext = extent.Delete(w.ext, e) }
+func (w *fileCache) remove(e *cext) { w.leave(e); w.ext = extent.Delete(w.ext, e) }
+func (w *fileCache) leave(e *cext)  { w.unlink(e); w.unref(e.buf) }
 
 // takeLocked removes a batch of resident extents in one pass over the
-// list (the wb-only flushes, which write them back afterwards, and
-// Configure's release of every clean extent).
+// list (the wb-only flushes, which pin them and write them back
+// afterwards, and Configure's release of every clean extent).
 func (w *fileCache) takeLocked(victims []*cext) {
 	if len(victims) == 0 {
 		return
 	}
 	for _, e := range victims {
-		w.unlink(e)
+		w.leave(e)
 	}
 	w.ext = slices.DeleteFunc(w.ext, func(e *cext) bool { return !e.node.Linked() })
 }
@@ -517,12 +569,14 @@ func (w *fileCache) PunchV(runs []pfs.Run) {
 // the memory tier to clean extents (the absorb path, which merges dirty
 // overlaps itself). Untouched extents keep their identity (pointer),
 // which the flush paths rely on; trimmed remainders are new extents
-// sharing the old data. Every punch means "this range is about to be
-// superseded", so the fetches in flight learn of it and the spill tier
-// loses it too — all colors even on the cleanOnly path (an absorb's new
-// dirty bytes supersede older spilled dirty bytes exactly as they
-// supersede clean ones; the memory-side dirty overlap is what merges,
-// and it is never in the spill tier at the same time).
+// sharing the old buffer, linked before the punched extent lets go of
+// it (the other order could free it under them). Every punch means
+// "this range is about to be superseded", so the fetches in flight
+// learn of it and the spill tier loses it too — all colors even on the
+// cleanOnly path (an absorb's new dirty bytes supersede older spilled
+// dirty bytes exactly as they supersede clean ones; the memory-side
+// dirty overlap is what merges, and it is never in the spill tier at
+// the same time).
 func (w *fileCache) punchLocked(runs []pfs.Run, cleanOnly bool) {
 	w.noteWrite(runs...)
 	if w.spill != nil {
@@ -532,13 +586,13 @@ func (w *fileCache) punchLocked(runs []pfs.Run, cleanOnly bool) {
 		if cleanOnly && e.dirty {
 			return append(out, e)
 		}
-		w.unlink(e)
 		if e.off < hole.Off { // keep the left remainder
-			out = append(out, w.link(&cext{off: e.off, data: e.data[:hole.Off-e.off], dirty: e.dirty, use: e.use}))
+			out = append(out, w.link(newExt(e.off, e.data[:hole.Off-e.off], e.buf, e.dirty, e.use)))
 		}
 		if end := hole.End(); e.end() > end { // keep the right remainder
-			out = append(out, w.link(&cext{off: end, data: e.data[end-e.off:], dirty: e.dirty, use: e.use}))
+			out = append(out, w.link(newExt(end, e.data[end-e.off:], e.buf, e.dirty, e.use)))
 		}
+		w.leave(e)
 		return out
 	})
 }
@@ -603,27 +657,31 @@ func (w *fileCache) FlushIntersecting(runs []pfs.Run) error {
 // keeps its own dirtiness and flushes later.
 //
 // In wb-only mode the victims leave the cache before the sweep; if it
-// fails their bytes go back (restoreDirty), so a failed flush keeps the
-// dirty data buffered for a retry instead of silently dropping it.
+// fails their bytes go back (restoreDirtyLocked), so a failed flush
+// keeps the dirty data buffered for a retry instead of silently
+// dropping it.
+//
+// Either way every buffer the sweep reads — the victims' and the spill
+// chunks' — is pinned until FlushV has returned: without mu, a punch or
+// eviction (in wb-only mode, the take itself) may let go of a victim,
+// and a freed buffer is the next taker's to overwrite.
 func (w *fileCache) flushLocked(victims []*cext) error {
-	if w.budget <= 0 {
-		w.takeLocked(victims)
-		if len(victims) > 0 {
-			w.stats.Flushes++
-		}
-		w.mu.Unlock()
-		err := w.flushExtents(victims, nil)
-		if err != nil {
-			w.restoreDirty(victims)
-		}
-		return err
+	for _, e := range victims {
+		w.pin(e.buf)
 	}
+	wbOnly := w.budget <= 0
 	var chunks []spill.Chunk
-	if w.spill != nil && w.spill.Dirty() > 0 {
+	if wbOnly {
+		w.takeLocked(victims)
+	} else if w.spill != nil && w.spill.Dirty() > 0 {
 		var err error
-		if chunks, err = w.spill.CollectDirty(); err != nil {
+		if chunks, err = w.spill.CollectDirty(w.lend); err != nil {
+			w.unpinSweep(victims, nil)
 			w.mu.Unlock()
 			return err
+		}
+		for _, c := range chunks {
+			w.pin(c.Owner.(*cbuf))
 		}
 	}
 	if len(victims) == 0 && len(chunks) == 0 {
@@ -632,10 +690,19 @@ func (w *fileCache) flushLocked(victims []*cext) error {
 	}
 	w.stats.Flushes++
 	w.mu.Unlock()
-	if err := w.flushExtents(victims, chunks); err != nil {
+	err := w.flushExtents(victims, chunks)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	defer w.unpinSweep(victims, chunks)
+	if err != nil {
+		if wbOnly {
+			w.restoreDirtyLocked(victims)
+		}
 		return err
 	}
-	w.mu.Lock()
+	if wbOnly {
+		return nil
+	}
 	for _, e := range victims {
 		if e.node.Linked() && e.dirty {
 			w.unlink(e)
@@ -651,84 +718,94 @@ func (w *fileCache) flushLocked(victims []*cext) error {
 		w.spill.MarkClean(ids)
 	}
 	w.evictCleanLocked()
-	w.mu.Unlock()
 	return nil
 }
 
-// restoreDirty reinserts extents that a wb-only flush removed from the
-// cache before its FlushV sweep failed, so the dirty bytes survive for
-// a retry. Each extent's bytes return dirty only where the cache is
-// currently uncovered: anything absorbed since the removal is newer
-// and wins. Callers hold flushMu (the sweep that failed), never mu.
-func (w *fileCache) restoreDirty(ext []*cext) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// unpinSweep releases a sweep's pins. Must be called with w.mu held.
+func (w *fileCache) unpinSweep(victims []*cext, chunks []spill.Chunk) {
+	for _, e := range victims {
+		w.unpin(e.buf)
+	}
+	for _, c := range chunks {
+		w.unpin(c.Owner.(*cbuf))
+	}
+}
+
+// restoreDirtyLocked reinserts extents that a wb-only flush removed from
+// the cache before its FlushV sweep failed, so the dirty bytes survive
+// for a retry. Each extent's bytes return dirty only where the cache is
+// currently uncovered: anything absorbed since the removal is newer and
+// wins. The sweep still pins the extents' buffers, so their bytes are
+// intact, and a restored range that merges with nothing keeps its
+// buffer. Must be called with w.mu held.
+func (w *fileCache) restoreDirtyLocked(ext []*cext) {
 	for _, e := range ext {
 		for _, g := range w.uncovered(e.Span()) {
 			w.clock++
-			w.mergeDirtyLocked(g.Off, e.data[g.Off-e.off:g.End()-e.off], w.clock)
+			w.mergeDirtyLocked(g.Off, e.data[g.Off-e.off:g.End()-e.off], e.buf, w.clock)
 			w.noteWrite(g)
 		}
 	}
 }
 
 // flushExtents issues one vectored FlushV covering the given memory
-// extents plus the spill-tier chunks (sorted together by offset on a
-// copy; extent data is immutable once created, so snapshots taken
-// under mu stay valid without it — the two tiers are disjoint, so the
-// merged run list stays pairwise disjoint too).
+// extents plus the spill-tier chunks, sorted together by offset. Each
+// one's bytes are the memory segment of its run, so nothing is packed;
+// the caller's pins keep those bytes in place without mu. The two tiers
+// are disjoint, so the merged run list stays pairwise disjoint.
 func (w *fileCache) flushExtents(ext []*cext, chunks []spill.Chunk) error {
-	type piece struct {
-		off  int64
-		data []byte
-	}
-	pieces := make([]piece, 0, len(ext)+len(chunks))
+	l := &w.sweep
 	for _, e := range ext {
-		pieces = append(pieces, piece{e.off, e.data})
+		l.add(e.off, e.data)
 	}
 	for _, c := range chunks {
-		pieces = append(pieces, piece{c.Off, c.Data})
+		l.add(c.Off, c.Data)
 	}
-	if len(pieces) == 0 {
-		return nil
-	}
-	sort.Slice(pieces, func(i, j int) bool { return pieces[i].off < pieces[j].off })
-	runs := make([]pfs.Run, len(pieces))
-	var total int64
-	for i, p := range pieces {
-		runs[i] = pfs.Run{Off: p.off, Len: int64(len(p.data))}
-		total += int64(len(p.data))
-	}
-	var buf []byte
-	if len(pieces) == 1 {
-		buf = pieces[0].data // single extent: no packing copy needed
-	} else {
-		buf = make([]byte, total)
-		var at int64
-		for _, p := range pieces {
-			copy(buf[at:], p.data)
-			at += int64(len(p.data))
-		}
-	}
-	_, err := w.fs.FlushV(runs, buf)
+	sort.Sort(l)
+	_, err := w.fs.FlushV(l.runs, l.segs)
+	l.reset()
 	return err
+}
+
+// flushList is a sweep's request list, sortable by offset: one run per
+// extent or spill chunk, whose bytes are the run's memory segment.
+type flushList struct {
+	runs []pfs.Run
+	segs pfs.Segs
+}
+
+func (l *flushList) add(off int64, p []byte) {
+	l.runs = append(l.runs, pfs.Run{Off: off, Len: int64(len(p))})
+	l.segs = append(l.segs, p)
+}
+
+// reset empties the list for the next sweep and lets go of its bytes.
+func (l *flushList) reset() {
+	clear(l.segs)
+	l.runs, l.segs = l.runs[:0], l.segs[:0]
+}
+
+func (l *flushList) Len() int           { return len(l.runs) }
+func (l *flushList) Less(i, j int) bool { return l.runs[i].Off < l.runs[j].Off }
+func (l *flushList) Swap(i, j int) {
+	l.runs[i], l.runs[j] = l.runs[j], l.runs[i]
+	l.segs[i], l.segs[j] = l.segs[j], l.segs[i]
 }
 
 // evictCleanLocked removes clean extents, least recently used first
 // (ties by offset), until the cache fits its budget or only dirty
 // extents remain — at O(log N) per victim. With the spill tier on,
 // eviction DEMOTES: each victim's bytes move to the spill file before
-// the memory copy drops, so a warm working set larger than RAM re-reads
-// from local disk instead of the pfs (a refused demote — spill budget
-// full, disk failure — degrades to the plain drop). Must be called with
-// w.mu held.
+// the memory copy drops (and its buffer with it), so a warm working set
+// larger than RAM re-reads from local disk instead of the pfs (a
+// refused demote — spill budget full, disk failure — degrades to the
+// plain drop). Must be called with w.mu held.
 func (w *fileCache) evictCleanLocked() {
 	for w.budget > 0 && w.total > w.budget {
 		e, ok := w.lru[0].Min()
 		if !ok {
 			return
 		}
-		w.remove(e)
 		n := int64(len(e.data))
 		w.stats.Evicted += n
 		if w.spill != nil {
@@ -738,6 +815,7 @@ func (w *fileCache) evictCleanLocked() {
 				w.stats.SpillRejected++
 			}
 		}
+		w.remove(e)
 	}
 }
 
@@ -929,6 +1007,22 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 	for _, b := range pfs.Coalesce(blocks) {
 		fetch = append(fetch, w.uncovered(b)...)
 	}
+	// The fetch lands straight in cache memory: one buffer per sieve-block
+	// piece of the plan, pinned until phase 3 has linked what it keeps.
+	// The block is the cache's eviction granule, so one large fetch never
+	// becomes a single monolithic extent the LRU can only drop whole.
+	var pieces fetchPieces
+	var ftotal int64
+	for _, r := range fetch {
+		ftotal += r.Len
+		for off, end := r.Off, r.End(); off < end; {
+			n := min((off/sieve+1)*sieve, end) - off
+			b := w.getBuf(n)
+			w.pin(b)
+			pieces = append(pieces, fetchPiece{pfs.Run{Off: off, Len: n}, b})
+			off += n
+		}
+	}
 	g := &fetchGuard{}
 	w.guards = append(w.guards, g)
 	w.mu.Unlock()
@@ -936,20 +1030,12 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 	// Phase 2: fetch the plan in one vectored sieve read, without
 	// holding mu (the store sleeps RealTime service time; concurrent
 	// cache users must not wait on it).
-	starts := make([]int64, len(fetch))
-	var ftotal int64
-	for i, r := range fetch {
-		starts[i] = ftotal
-		ftotal += r.Len
-	}
-	// Pooled: SieveReadV overwrites every byte, the holes copy out of it
-	// and phase 3 inserts clones, so nothing references it past return.
-	pooled := GetBuf(ftotal)
-	defer pooled.Release()
-	temp := pooled.B
-	if _, err := w.fs.SieveReadV(fetch, temp); err != nil {
+	if _, err := w.fs.SieveReadV(fetch, pieces); err != nil {
 		w.mu.Lock()
 		w.endFetch(g)
+		for _, p := range pieces {
+			w.unpin(p.buf)
+		}
 		w.mu.Unlock()
 		// Degraded fallback: the sieve plan reads MORE than the caller
 		// asked for (block rounding plus read-ahead), so a failure in
@@ -959,18 +1045,18 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 		// ever holds whole verified blocks.
 		return w.readHolesDirect(holes, mem)
 	}
-	// tempAt maps a file offset inside the fetched blocks to its packed
-	// position in temp (every hole lies within one coalesced block).
-	tempAt := func(off int64) int64 {
-		i := sort.Search(len(fetch), func(k int) bool { return fetch[k].Off > off }) - 1
-		return starts[i] + (off - fetch[i].Off)
-	}
-	fillHoles(holes, mem, func(h hole) []byte {
-		o := tempAt(h.off)
-		return temp[o : o+h.n]
+	fillHoles(holes, mem, func(cur *pfs.Cursor, h hole) {
+		// A hole lies inside one fetch run, over one or more of its pieces.
+		i := sort.Search(len(pieces), func(k int) bool { return pieces[k].run.End() > h.off })
+		for off, end := h.off, h.off+h.n; off < end; i++ {
+			p := pieces[i]
+			o := min(p.run.End(), end)
+			cur.Move(p.buf.b[off-p.run.Off:o-p.run.Off], true)
+			off = o
+		}
 	})
 
-	// Phase 3: populate the cache with the fetched blocks, filling only
+	// Phase 3: populate the cache with the fetched pieces, filling only
 	// the gaps between existing extents of either tier (which are either
 	// identical clean bytes or NEWER dirty bytes — they always win; a
 	// demote during phase 2 moved bytes to the spill tier, and the
@@ -979,7 +1065,9 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 	// the guard saw written during the fetch: the store bytes we hold
 	// there may predate the write. They serve the caller (a racing
 	// unsynced conflict is undefined, as in MPI) but must not enter the
-	// cache.
+	// cache. What is kept is inserted split at the pieces' (sieve-block)
+	// boundaries, each extent a window on its piece's buffer; a piece
+	// nothing keeps goes back to the free lists with its pin.
 	w.mu.Lock()
 	w.endFetch(g)
 	w.stats.SieveFetched += ftotal
@@ -988,29 +1076,51 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 	// read-ahead and insert one LRU tick colder, so speculation never
 	// evicts the data the caller just asked for.
 	reqEnd := holes[len(holes)-1].off + holes[len(holes)-1].n
+	pi := 0 // the piece the next kept byte lies in
 	for _, fr := range fetch {
 		for _, u := range w.uncovered(fr) {
 			for _, g := range extent.Holes(u, wrote) {
-				// Insert split at sieve-block boundaries: the block is the
-				// cache's eviction granule, so one large fetch never becomes
-				// a single monolithic extent the LRU can only drop whole.
 				for g.Len > 0 {
-					n := min(((g.Off/sieve)+1)*sieve-g.Off, g.Len)
-					o := tempAt(g.Off)
+					for pieces[pi].run.End() <= g.Off {
+						pi++
+					}
+					p := pieces[pi]
+					n := min(p.run.End(), g.End()) - g.Off
 					use := stamp
 					if g.Off >= reqEnd {
 						use = stamp - 1
 					}
-					w.insert(&cext{off: g.Off, data: slices.Clone(temp[o : o+n]), use: use})
+					w.insert(newExt(g.Off, p.buf.b[g.Off-p.run.Off:][:n], p.buf, false, use))
 					g.Off += n
 					g.Len -= n
 				}
 			}
 		}
 	}
+	for _, p := range pieces {
+		w.unpin(p.buf)
+	}
 	w.evictCleanLocked()
 	w.mu.Unlock()
 	return nil
+}
+
+// fetchPiece is one sieve-block piece of a fetch plan and the pinned
+// cache buffer it is read into; a plan's pieces, in order, are the
+// memory vector of its read.
+type fetchPiece struct {
+	run pfs.Run
+	buf *cbuf
+}
+
+type fetchPieces []fetchPiece
+
+func (ps fetchPieces) Seg(i int) []byte { return ps[i].buf.b[:ps[i].run.Len] }
+func (ps fetchPieces) Len() (n int64) {
+	for _, p := range ps {
+		n += p.run.Len
+	}
+	return n
 }
 
 // noteWrite enters runs in the guard of every fetch in flight; endFetch
@@ -1025,14 +1135,14 @@ func (w *fileCache) endFetch(g *fetchGuard) {
 	w.guards = slices.DeleteFunc(w.guards, func(x *fetchGuard) bool { return x == g })
 }
 
-// fillHoles copies each hole's bytes, as src finds them, to its place
-// in mem; holes are in packed order.
-func fillHoles(holes []hole, mem Vec, src func(hole) []byte) {
+// fillHoles walks mem to each hole's place, in packed order, for move
+// to copy the hole's bytes there.
+func fillHoles(holes []hole, mem Vec, move func(cur *pfs.Cursor, h hole)) {
 	cur := pfs.Cursor{Mem: mem}
 	var at int64
 	for _, h := range holes {
 		cur.Skip(h.bufAt - at)
-		cur.Move(src(h), true)
+		move(&cur, h)
 		at = h.bufAt + h.n
 	}
 }
@@ -1054,10 +1164,9 @@ func (w *fileCache) readHolesDirect(holes []hole, mem Vec) error {
 	if _, err := w.fs.ReadV(runs, tight); err != nil {
 		return err
 	}
-	fillHoles(holes, mem, func(h hole) []byte {
-		p := tight[:h.n]
+	fillHoles(holes, mem, func(cur *pfs.Cursor, h hole) {
+		cur.Move(tight[:h.n], true)
 		tight = tight[h.n:]
-		return p
 	})
 	return nil
 }
@@ -1071,11 +1180,15 @@ func (w *fileCache) readHolesDirect(holes []hole, mem Vec) error {
 // clean extent whose spill read-back failed simply does not come back
 // — its range stays a hole and is re-fetched from the pfs with no
 // cache pollution, mirroring readHolesDirect — but a lost DIRTY extent
-// is an error: those bytes exist nowhere else. Must be called with
+// is an error: those bytes exist nowhere else. The read-backs land in
+// cache buffers, which the promoted extents keep. Must be called with
 // w.mu held.
 func (w *fileCache) promoteLocked(off, n, stamp int64) (int64, error) {
-	proms, err := w.spill.Take(off, n)
+	proms, err := w.spill.TakeInto(off, n, w.lend)
 	if err != nil {
+		for _, p := range proms {
+			w.drop(p.Owner.(*cbuf))
+		}
 		return 0, err
 	}
 	var overlap int64
@@ -1094,11 +1207,14 @@ func (w *fileCache) promoteLocked(off, n, stamp int64) (int64, error) {
 		}
 		// The tiers are disjoint, so the promoted range is uncovered in
 		// memory: a plain sorted insert keeps the extent-list invariant
-		// (a dirty one may touch dirty neighbors, and merges).
+		// (a dirty one may touch dirty neighbors, and merges — into a
+		// buffer of its own, which frees the read-back's).
+		b := p.Owner.(*cbuf)
 		if p.Dirty {
-			w.mergeDirtyLocked(p.Off, p.Data, stamp)
+			w.mergeDirtyLocked(p.Off, p.Data, b, stamp)
+			w.drop(b)
 		} else {
-			w.insert(&cext{off: p.Off, data: p.Data, use: stamp})
+			w.insert(newExt(p.Off, p.Data, b, false, stamp))
 		}
 	}
 	return overlap, nil

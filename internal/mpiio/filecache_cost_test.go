@@ -116,7 +116,8 @@ func fragmentedCache(tb testing.TB, n int, budget, spillBytes int64) (*fileCache
 		w.punchLocked([]pfs.Run{{Off: 0, Len: int64(len(file))}}, false)
 		for off := int64(0); off < int64(len(file)); off += 2 * benchExt {
 			w.clock++
-			w.insert(&cext{off: off, data: file[off : off+benchExt], use: w.clock})
+			b := w.getBuf(benchExt)
+			w.insert(newExt(off, b.b[:copy(b.b, file[off:off+benchExt])], b, false, w.clock))
 		}
 	}
 	refill()
@@ -164,6 +165,71 @@ func TestPunchVCostIsItsVictims(t *testing.T) {
 	}
 	if got := allocated(func() { w.PunchV(runs) }); got != 0 {
 		t.Fatalf("a punch that overlaps nothing allocated %d bytes", got)
+	}
+	if err := checkInvariants(w); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileCacheOwnsItsMemory pins the cache's memory ownership by
+// counts: a warmed cache with a budget, a spill tier and write-behind,
+// driven through cycles of miss → evict → demote → promote → absorb →
+// flush, takes every byte it caches from its own free lists, so the
+// whole process allocates under 0.1 B per payload byte.
+func TestFileCacheOwnsItsMemory(t *testing.T) {
+	const block, blocks = 64 << 10, 128
+	fs, err := pfs.Create("owns", pfs.Options{Servers: 4, StripeSize: block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	if _, err := fs.WriteAt(make([]byte, blocks*block), 0); err != nil {
+		t.Fatal(err)
+	}
+	w := newFileCache(fs)
+	w.Configure(cacheConfig{budget: 8 * block, spillBytes: 32 * block, spillPath: filepath.Join(t.TempDir(), "spill.dat")})
+	if err := w.SpillErr(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.closeHook() })
+	buf := make([]byte, 4*block)
+	window := func(i int) pfs.Run { return pfs.Run{Off: int64(i*4%blocks) * block, Len: 4 * block} }
+	var payload int64
+	cycle := func(i int) {
+		// Window i was last read 28 cycles ago and has left both tiers: a
+		// store miss, whose inserts evict and demote. Window i-4 was
+		// demoted 3 cycles ago and is in the spill tier: a promotion. Then
+		// a write-behind absorb and its flush sweep.
+		for _, r := range []pfs.Run{window(i), window(i - 4)} {
+			if err := w.ReadThrough([]pfs.Run{r}, Contig(buf)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.Absorb(window(i+1).Off+block/2, buf[:block])
+		if err := w.EnforceBudget(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		payload += 9 * block
+	}
+	for i := 4; i < 40; i++ {
+		cycle(i)
+	}
+	before := w.Stats()
+	payload = 0
+	got := allocated(func() {
+		for i := 40; i < 100; i++ {
+			cycle(i)
+		}
+	})
+	st := w.Stats().Sub(before)
+	if st.Misses == 0 || st.SpillDemoted == 0 || st.SpillPromoted == 0 || st.Absorbed == 0 || st.Flushes == 0 {
+		t.Fatalf("the cycles missed a path: %+v", st)
+	}
+	if perByte := float64(got) / float64(payload); perByte >= 0.1 {
+		t.Fatalf("%d bytes allocated for %d payload bytes: %.3f B/B, want < 0.1", got, payload, perByte)
 	}
 	if err := checkInvariants(w); err != nil {
 		t.Fatal(err)

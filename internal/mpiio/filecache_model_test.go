@@ -52,6 +52,9 @@ func checkInvariants(w *fileCache) error {
 			return fmt.Errorf("recency heap %d holds %d extents, the list has %d of that color (or they differ)", c, len(got), len(want))
 		}
 	}
+	if err := checkMemory(w); err != nil {
+		return err
+	}
 	if w.spill == nil {
 		return nil
 	}
@@ -69,7 +72,7 @@ func checkInvariants(w *fileCache) error {
 	if used := w.spill.Used(); used != spilled {
 		return fmt.Errorf("spill.Used = %d, its entries sum to %d", used, spilled)
 	}
-	chunks, err := w.spill.CollectDirty()
+	chunks, err := w.spill.CollectDirty(nil)
 	if err != nil {
 		return err
 	}
@@ -79,6 +82,44 @@ func checkInvariants(w *fileCache) error {
 	}
 	if d := w.spill.Dirty(); d != spillDirty {
 		return fmt.Errorf("spill.Dirty = %d, its dirty entries sum to %d", d, spillDirty)
+	}
+	return nil
+}
+
+// Every buffer the caches of this package's tests free is poisoned, so
+// a reader that outlives its reference reads 0xA5, not stale bytes that
+// happen to be right.
+func init() { poisonFree = true }
+
+// checkMemory asserts the ownership of the cache's memory: every resident
+// extent's buffer counts exactly the resident extents over it plus its
+// pins, no buffer on a free list is referenced (nor on the wrong list),
+// and the free lists hold at most the budget. Must be called with w.mu
+// held.
+func checkMemory(w *fileCache) error {
+	over := make(map[*cbuf]int32)
+	for _, e := range w.ext {
+		if e.buf == nil || len(e.data) > len(e.buf.b) {
+			return fmt.Errorf("extent [%d,%d) is not in a cache buffer", e.off, e.end())
+		}
+		over[e.buf]++
+	}
+	for b, n := range over {
+		if b.refs != n+b.pins {
+			return fmt.Errorf("buffer of %d B has %d references for %d resident extents and %d pins", len(b.b), b.refs, n, b.pins)
+		}
+	}
+	var free int64
+	for c, l := range w.free {
+		for _, b := range l {
+			if b.refs != 0 || over[b] > 0 || sizeClass(int64(len(b.b))) != c {
+				return fmt.Errorf("free buffer of %d B on list %d has %d references, %d of them resident extents", len(b.b), c, b.refs, over[b])
+			}
+			free += int64(len(b.b))
+		}
+	}
+	if free != w.freeBytes || free > max(w.budget, 0) {
+		return fmt.Errorf("free lists hold %d B, books say %d, budget %d", free, w.freeBytes, w.budget)
 	}
 	return nil
 }
@@ -153,9 +194,10 @@ func (m *cacheModel) absorb(runs []pfs.Run, collective bool) error {
 		m.w.PunchOnce(1, runs)
 	}
 	each(runs, p, func(r pfs.Run, b []byte) {
-		m.w.Absorb(r.Off, slices.Clone(b))
+		m.w.Absorb(r.Off, b)
 		copy(m.want[r.Off:], b)
 	})
+	clear(p) // Absorb copies: the caller may reuse its memory at once
 	return m.enforce()
 }
 

@@ -366,44 +366,46 @@ func TestCollectiveReadCacheCoherent(t *testing.T) {
 	}
 }
 
-// TestFileCacheReadThroughPoisonedPool: a miss's fetch buffer comes
-// from the buffer pool with unspecified contents and goes back when
-// ReadThrough returns. Out of a poisoned pool the caller and the cache
-// must still see store bytes only — zeros past EOF, where read-ahead
-// reaches — and an extent cached by one miss must survive the next miss
-// reusing the same pooled buffer.
+// TestFileCacheReadThroughPoisonedPool: a miss's fetch lands in buffers
+// from the cache's free lists, with unspecified contents — here the
+// 0xA5 the tests fill every freed buffer with. Out of that recycled
+// memory the caller and the cache must still see store bytes only —
+// zeros past EOF, where read-ahead reaches — and an extent cached by one
+// miss must survive the next miss recycling the memory freed before it.
 func TestFileCacheReadThroughPoisonedPool(t *testing.T) {
 	_, w := fcForTest(t, 1<<20, 256, 512)
-	poison := func() {
-		held := make([]*Buf, 8)
-		for i := range held {
-			held[i] = GetBuf(4096)
-			for j := range held[i].B {
-				held[i].B[j] = 0xA5
-			}
+	// recycle caches [1024, 2048) and punches it (and its read-ahead)
+	// out again: the freed buffers go back to the free lists, poisoned,
+	// for the next miss to take.
+	recycle := func() {
+		if err := w.ReadThrough([]pfs.Run{{Off: 1024, Len: 1024}}, make(Contig, 1024)); err != nil {
+			t.Fatal(err)
 		}
-		for _, b := range held {
-			b.Release()
-		}
+		w.PunchV([]pfs.Run{{Off: 1024, Len: 1536}})
 	}
-	read := func(off, n int64) []byte {
-		poison()
+	// read recycles, then reads [off, off+n) and counts its misses.
+	read := func(off, n int64) ([]byte, int64) {
+		recycle()
+		misses := w.Stats().Misses
 		buf := make([]byte, n)
 		if err := w.ReadThrough([]pfs.Run{{Off: off, Len: n}}, Contig(buf)); err != nil {
 			t.Fatal(err)
 		}
-		return buf
+		return buf, w.Stats().Misses - misses
 	}
-	wantPattern(t, read(3900, 196), 3900) // miss; read-ahead runs past the 4096-byte store
-	misses := w.Stats().Misses
-	for i, b := range read(4096, 300) { // served from the read-ahead blocks
+	buf, _ := read(3900, 196) // miss; read-ahead runs past the 4096-byte store
+	wantPattern(t, buf, 3900)
+	buf, missed := read(4096, 300) // served from the read-ahead blocks
+	if missed != 0 {
+		t.Fatal("read past EOF missed the cache: read-ahead did not populate it")
+	}
+	for i, b := range buf {
 		if b != 0 {
-			t.Fatalf("byte %d past EOF = %#x, want 0 (poison leaked through the pooled fetch buffer)", i, b)
+			t.Fatalf("byte %d past EOF = %#x, want 0 (poison leaked through recycled memory)", i, b)
 		}
 	}
-	if got := w.Stats().Misses; got != misses {
-		t.Fatalf("read past EOF missed the cache (%d -> %d misses): read-ahead did not populate it", misses, got)
-	}
-	wantPattern(t, read(100, 50), 100)    // a second miss reuses the pooled buffer
-	wantPattern(t, read(3900, 196), 3900) // the first miss's extents are clones, not aliases
+	buf, _ = read(100, 50) // a second miss, into recycled memory
+	wantPattern(t, buf, 100)
+	buf, _ = read(3900, 196) // the first miss's extents kept their memory
+	wantPattern(t, buf, 3900)
 }

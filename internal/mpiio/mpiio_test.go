@@ -725,17 +725,6 @@ func BenchmarkCollectiveIrregularRead(b *testing.B) {
 	}
 }
 
-// segs is a many-segment memory vector for the tests.
-type segs [][]byte
-
-func (s segs) Seg(i int) []byte { return s[i] }
-func (s segs) Len() (n int64) {
-	for _, p := range s {
-		n += int64(len(p))
-	}
-	return n
-}
-
 // TestCollectiveVectored: WriteAllV/ReadAllV move exactly the runs'
 // bytes, in run order, through a memory vector whose segment borders
 // fall anywhere — inside runs, on them, with empty segments between —
@@ -760,8 +749,8 @@ func TestCollectiveVectored(t *testing.T) {
 		copy(want[base+40:], payload[:30])
 		copy(want[base+75:], payload[30:55])
 		copy(want[base+3:], payload[55:])
-		cut := func(p []byte) segs {
-			return segs{p[:7], nil, p[7:30], p[30:31], {}, p[31:]}
+		cut := func(p []byte) pfs.Segs {
+			return pfs.Segs{p[:7], nil, p[7:30], p[30:31], {}, p[31:]}
 		}
 		if err := f.WriteAllV(runs, cut(payload)); err != nil {
 			return err

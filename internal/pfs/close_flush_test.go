@@ -34,7 +34,7 @@ func TestCloseRunsFlusherBeforeDrain(t *testing.T) {
 				t.Errorf("sched %v: flusher ran after the queues drained", sched)
 			}
 			ran = true
-			_, err := fs.FlushV([]Run{{Off: 0, Len: int64(len(payload))}}, payload)
+			_, err := fs.FlushV([]Run{{Off: 0, Len: int64(len(payload))}}, Contig(payload))
 			return err
 		})
 		if err := fs.Close(); err != nil {
@@ -85,7 +85,7 @@ func TestCloseFlusherWithQueuedReadsRace(t *testing.T) {
 		payload[i] = byte(200 - i)
 	}
 	fs.AddCloseFlusher(func() error {
-		_, err := fs.FlushV([]Run{{Off: 8192, Len: int64(len(payload))}}, payload)
+		_, err := fs.FlushV([]Run{{Off: 8192, Len: int64(len(payload))}}, Contig(payload))
 		return err
 	})
 

@@ -122,7 +122,7 @@ func TestDegradedReadVectored(t *testing.T) {
 	const stripe = 32
 	fs := degradedFS(t, Options{Servers: 4, Parity: 1, StripeSize: stripe, Scheduler: Elevator})
 	want := pattern(3*stripe*5, 5)
-	if _, err := fs.FlushV([]Run{{Off: 0, Len: int64(len(want))}}, want); err != nil {
+	if _, err := fs.FlushV([]Run{{Off: 0, Len: int64(len(want))}}, Contig(want)); err != nil {
 		t.Fatal(err)
 	}
 	fs.SetInjector(&FaultPoint{Server: 2, Op: FaultReads, Permanent: true})

@@ -334,8 +334,8 @@ func TestListScatteredMemory(t *testing.T) {
 		// empty one after each.
 		runs := []Run{{Off: 10, Len: 300}, {Off: 1030, Len: 200}, {Off: 2000, Len: 300}}
 		want := pattern(800, 5)
-		mk := func(src []byte) rows {
-			var v rows
+		mk := func(src []byte) Segs {
+			var v Segs
 			for at := 0; at < len(src); at += 50 {
 				v = append(v, bytes.Clone(src[at:at+50]), nil)
 			}
@@ -371,17 +371,6 @@ func TestListScatteredMemory(t *testing.T) {
 		}
 	}
 }
-
-// rows is a Vec of separately allocated rows.
-type rows [][]byte
-
-func (v rows) Len() (n int64) {
-	for _, r := range v {
-		n += int64(len(r))
-	}
-	return n
-}
-func (v rows) Seg(i int) []byte { return v[i] }
 
 // BenchmarkDispatch is one section_mixed-shaped vectored read without
 // the layers above it: 508 pieces of 260 B, 20 to a chunk at a 512-byte

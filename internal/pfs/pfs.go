@@ -677,13 +677,13 @@ func (fs *FS) ReadV(runs []Run, buf []byte) (int64, error) {
 	return fs.transfer(runs, Contig(buf), false, false)
 }
 
-// SieveReadV is ReadV with sieve-fetch attribution: the serviced bytes
-// are additionally counted in ServerStats.SieveReads/SieveBytes, so
-// benchmarks can split data-sieving block fetches from ordinary read
+// SieveReadV is ReadVec with sieve-fetch attribution: the serviced
+// bytes are additionally counted in ServerStats.SieveReads/SieveBytes,
+// so benchmarks can split data-sieving block fetches from ordinary read
 // dispatch. The mpiio file cache sends its sieve-aligned covering
-// reads through this path.
-func (fs *FS) SieveReadV(runs []Run, buf []byte) (int64, error) {
-	return fs.transfer(runs, Contig(buf), false, true)
+// reads through this path, straight into its own buffers.
+func (fs *FS) SieveReadV(runs []Run, mem Vec) (int64, error) {
+	return fs.transfer(runs, mem, false, true)
 }
 
 // WriteVec performs a vectored write of runs from mem (the runs' bytes
@@ -697,13 +697,13 @@ func (fs *FS) WriteV(runs []Run, buf []byte) (int64, error) {
 	return fs.transfer(runs, Contig(buf), true, false)
 }
 
-// FlushV is WriteV with flush-sweep attribution: the serviced bytes are
-// additionally counted in ServerStats.FlushWrites/FlushBytes, so
+// FlushV is WriteVec with flush-sweep attribution: the serviced bytes
+// are additionally counted in ServerStats.FlushWrites/FlushBytes, so
 // benchmarks can split write-behind flush traffic from ordinary
 // dispatch. Write-behind caches (internal/mpiio) send their deferred
-// dirty extents through this path.
-func (fs *FS) FlushV(runs []Run, buf []byte) (int64, error) {
-	return fs.transfer(runs, Contig(buf), true, true)
+// dirty extents through this path, one memory segment per extent.
+func (fs *FS) FlushV(runs []Run, mem Vec) (int64, error) {
+	return fs.transfer(runs, mem, true, true)
 }
 
 // transfer is every logical operation: it builds the segment list of

@@ -16,6 +16,17 @@ type Contig []byte
 func (b Contig) Len() int64     { return int64(len(b)) }
 func (b Contig) Seg(int) []byte { return b }
 
+// Segs is the many-segment Vec: separate slices, in order.
+type Segs [][]byte
+
+func (s Segs) Seg(i int) []byte { return s[i] }
+func (s Segs) Len() (n int64) {
+	for _, p := range s {
+		n += int64(len(p))
+	}
+	return n
+}
+
 // Cursor walks a memory vector front to back: each call moves or skips
 // the next bytes of the packed transfer, whichever segments they fall
 // in. The caller never walks past Mem.Len() bytes, so a segment holding

@@ -62,19 +62,23 @@ func (e *ext) Span() extent.Run      { return extent.Run{Off: e.off, Len: e.n} }
 func (e *ext) Stamp() int64          { return e.use }
 func (e *ext) Node() *extent.LRUNode { return &e.node }
 
-// Promoted is one extent moved out of the spill tier by Take.
+// Promoted is one extent moved out of the spill tier by Take; Owner is
+// what the Alloc returned with Data.
 type Promoted struct {
 	Off   int64
 	Data  []byte
+	Owner any
 	Dirty bool
 }
 
 // Chunk is one dirty extent surfaced by CollectDirty for a flush
-// sweep; ID names the entry for the follow-up MarkClean.
+// sweep; ID names the entry for the follow-up MarkClean, and Owner is
+// what the Alloc returned with Data.
 type Chunk struct {
-	ID   int64
-	Off  int64
-	Data []byte
+	ID    int64
+	Off   int64
+	Data  []byte
+	Owner any
 }
 
 // Store manages one local spill file. All methods are safe for
@@ -348,15 +352,33 @@ func (s *Store) Put(off int64, data []byte, dirty bool) bool {
 	return true
 }
 
-// Take moves every spilled extent overlapping [off, off+n) out of the
-// tier: each entry's bytes are read back from the spill file, the
-// entry is removed, and the data is returned for the caller to promote
-// into the memory tier. A clean entry whose read-back fails (short
-// read, I/O error — spill-file corruption) is silently dropped and not
-// returned, so its bytes fall through to the parallel file system with
-// no cache pollution; a DIRTY entry's read failure is returned as an
-// error, because those bytes exist nowhere else.
-func (s *Store) Take(off, n int64) ([]Promoted, error) {
+// Alloc supplies the memory a read-back lands in: n bytes, which the
+// store overwrites entirely and returns as the entry's Data, and the
+// caller's handle on that memory, returned beside it as Owner. It runs
+// under the store's lock, so it must not call the store. A nil Alloc
+// means make (and a nil Owner).
+type Alloc func(n int64) (data []byte, owner any)
+
+func (a Alloc) get(n int64) ([]byte, any) {
+	if a == nil {
+		return make([]byte, n), nil
+	}
+	return a(n)
+}
+
+// Take is TakeInto with freshly made memory.
+func (s *Store) Take(off, n int64) ([]Promoted, error) { return s.TakeInto(off, n, nil) }
+
+// TakeInto moves every spilled extent overlapping [off, off+n) out of
+// the tier: each entry's bytes are read back from the spill file into
+// alloc's memory, the entry is removed, and the data is returned for the
+// caller to promote into the memory tier. A clean entry whose read-back
+// fails (short read, I/O error — spill-file corruption) is silently
+// dropped and not returned, so its bytes fall through to the parallel
+// file system with no cache pollution; a DIRTY entry's read failure is
+// returned as an error, because those bytes exist nowhere else. Either
+// way the memory alloc gave that entry is not returned.
+func (s *Store) TakeInto(off, n int64, alloc Alloc) ([]Promoted, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -371,7 +393,7 @@ func (s *Store) Take(off, n int64) ([]Promoted, error) {
 	i := extent.Find(s.ext, off, 0)
 	for i < len(s.ext) && s.ext[i].off < end {
 		e := s.ext[i]
-		data := make([]byte, e.n)
+		data, owner := alloc.get(e.n)
 		if _, err := s.f.ReadAt(data, e.slot); err != nil {
 			s.stats.Failures++
 			if e.dirty && firstErr == nil {
@@ -380,7 +402,7 @@ func (s *Store) Take(off, n int64) ([]Promoted, error) {
 			s.dropLocked(i)
 			continue
 		}
-		out = append(out, Promoted{Off: e.off, Data: data, Dirty: e.dirty})
+		out = append(out, Promoted{Off: e.off, Data: data, Owner: owner, Dirty: e.dirty})
 		s.stats.Takes++
 		s.stats.TakeBytes += e.n
 		s.dropLocked(i)
@@ -408,12 +430,12 @@ func (s *Store) Coverage(into []extent.Run) []extent.Run {
 	return s.Covered(extent.Run{Len: math.MaxInt64}, into)
 }
 
-// CollectDirty reads back every dirty extent for a flush sweep,
-// leaving the entries in place (marked clean only after the sweep
-// succeeds, by MarkClean with the returned IDs). A dirty extent whose
-// read-back fails is a lost deferred write: it is dropped and the
-// error returned.
-func (s *Store) CollectDirty() ([]Chunk, error) {
+// CollectDirty reads back every dirty extent for a flush sweep, into
+// alloc's memory, leaving the entries in place (marked clean only after
+// the sweep succeeds, by MarkClean with the returned IDs). A dirty
+// extent whose read-back fails is a lost deferred write: it is dropped
+// and the error returned.
+func (s *Store) CollectDirty(alloc Alloc) ([]Chunk, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -425,13 +447,13 @@ func (s *Store) CollectDirty() ([]Chunk, error) {
 		if !e.dirty {
 			continue
 		}
-		data := make([]byte, e.n)
+		data, owner := alloc.get(e.n)
 		if _, err := s.f.ReadAt(data, e.slot); err != nil {
 			s.stats.Failures++
 			s.dropLocked(i)
 			return nil, fmt.Errorf("spill: dirty extent [%d,%d) lost: %w", e.off, e.end(), err)
 		}
-		out = append(out, Chunk{ID: e.id, Off: e.off, Data: data})
+		out = append(out, Chunk{ID: e.id, Off: e.off, Data: data, Owner: owner})
 	}
 	return out, nil
 }

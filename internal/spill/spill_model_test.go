@@ -61,114 +61,192 @@ func checkStore(s *Store) error {
 	return nil
 }
 
-// TestSpillModel: random Put/Take/PunchV/CollectDirty/MarkClean against
-// a flat byte model, the invariants asserted after every step. Clean
-// bytes may vanish (budget eviction); dirty bytes may not, and nothing
-// punched or taken may come back. `-run 'TestSpillModel/seed=N'`
-// replays one sequence.
+// The spill model's operations.
+const (
+	opPut = iota
+	opPunch
+	opTake
+	opTakeInto
+	opCollect
+	opMarkClean
+	nSpillOps
+)
+
+const spillModelSize = 4096 // bytes of array file the model covers
+
+// spillModel drives a Store against a flat byte model. Clean bytes may
+// vanish (budget eviction); dirty bytes may not, and nothing punched or
+// taken may come back.
+type spillModel struct {
+	s           *Store
+	have        []bool // the byte may be spilled
+	isDirty     []bool
+	val         []byte
+	putAt       []int // step of the byte's last put
+	pending     []Chunk
+	collectedAt int
+	step        int
+}
+
+func newSpillModel(t *testing.T, budget int64) *spillModel {
+	return &spillModel{s: mk(t, budget), have: make([]bool, spillModelSize), isDirty: make([]bool, spillModelSize),
+		val: make([]byte, spillModelSize), putAt: make([]int, spillModelSize), collectedAt: -1}
+}
+
+func (m *spillModel) forget(r extent.Run) {
+	for b := r.Off; b < r.End(); b++ {
+		m.have[b], m.isDirty[b] = false, false
+	}
+}
+
+// do runs operation op on r, inside [0, spillModelSize); aux picks a
+// put's bytes and color and a punch's second run. Then it checks the
+// store against the model.
+func (m *spillModel) do(op int, r extent.Run, aux byte) error {
+	m.step++
+	switch op {
+	case opPut:
+		data, d := make([]byte, r.Len), aux%3 == 0
+		for i := range data {
+			data[i] = aux + byte(i*7)
+		}
+		m.forget(r) // the put punches its range even when refused
+		if m.s.Put(r.Off, data, d) {
+			copy(m.val[r.Off:], data)
+			for b := r.Off; b < r.End(); b++ {
+				m.have[b], m.isDirty[b], m.putAt[b] = true, d, m.step
+			}
+		}
+	case opPunch:
+		runs := []extent.Run{r, {Off: r.End() + int64(aux%64), Len: int64(aux % 100)}}
+		runs[1].Len = max(0, min(runs[1].Len, spillModelSize-runs[1].Off))
+		m.s.PunchV(runs)
+		m.forget(runs[0])
+		m.forget(runs[1])
+	case opTake, opTakeInto:
+		var ps []Promoted
+		var err error
+		if op == opTake {
+			ps, err = m.s.Take(r.Off, r.Len)
+		} else {
+			// The caller's memory: one buffer, handed out front to back,
+			// each piece's end offset its owner.
+			mem, at := make([]byte, spillModelSize), 0
+			ps, err = m.s.TakeInto(r.Off, r.Len, func(n int64) ([]byte, any) {
+				at += int(n)
+				return mem[at-int(n) : at], at
+			})
+			for _, p := range ps {
+				if end := p.Owner.(int); &p.Data[0] != &mem[end-len(p.Data)] {
+					return fmt.Errorf("take into the caller's memory returned other memory for [%d,+%d)", p.Off, len(p.Data))
+				}
+			}
+		}
+		if err != nil {
+			return err
+		}
+		for _, p := range ps {
+			pr := extent.Run{Off: p.Off, Len: int64(len(p.Data))}
+			if !bytes.Equal(p.Data, m.val[pr.Off:pr.End()]) || p.Dirty != m.isDirty[pr.Off] {
+				return fmt.Errorf("take returned wrong bytes or color for %v", pr)
+			}
+			m.forget(pr)
+		}
+		for b := r.Off; b < r.End(); b++ {
+			if m.isDirty[b] {
+				return fmt.Errorf("take left dirty byte %d behind", b)
+			}
+			m.have[b] = false // a clean byte not returned had been evicted
+		}
+	case opCollect:
+		var err error
+		if m.pending, err = m.s.CollectDirty(nil); err != nil {
+			return err
+		}
+		m.collectedAt = m.step
+	case opMarkClean:
+		ids := make([]int64, len(m.pending))
+		for i, c := range m.pending {
+			ids[i] = c.ID
+		}
+		m.s.MarkClean(ids)
+		m.pending = nil
+		// Re-flushing is always allowed, so the store may keep more dirty
+		// than it must — but never make clean bytes dirty, nor clean a
+		// byte put after the collect.
+		chunks, err := m.s.CollectDirty(nil)
+		if err != nil {
+			return err
+		}
+		still := make([]bool, spillModelSize)
+		for _, c := range chunks {
+			for b := c.Off; b < c.Off+int64(len(c.Data)); b++ {
+				still[b] = true
+			}
+		}
+		for b := range still {
+			if still[b] != m.isDirty[b] && (still[b] || m.putAt[b] > m.collectedAt) {
+				return fmt.Errorf("byte %d dirty=%v in the store, %v in the model (put at %d, collected at %d)",
+					b, still[b], m.isDirty[b], m.putAt[b], m.collectedAt)
+			}
+		}
+		m.isDirty = still
+	}
+	if err := checkStore(m.s); err != nil {
+		return err
+	}
+	covered := make([]bool, spillModelSize)
+	for _, c := range m.s.Coverage(nil) {
+		for b := c.Off; b < c.End(); b++ {
+			if !m.have[b] {
+				return fmt.Errorf("byte %d is spilled but was punched, taken or never put", b)
+			}
+			covered[b] = true
+		}
+	}
+	for b := range m.have {
+		if m.isDirty[b] && !covered[b] {
+			return fmt.Errorf("dirty byte %d was dropped", b)
+		}
+		m.have[b] = covered[b] // uncovered clean bytes were evicted
+	}
+	return nil
+}
+
+// TestSpillModel: random Put/Take/TakeInto/PunchV/CollectDirty/MarkClean
+// against the flat byte model, the invariants asserted after every
+// step. `-run 'TestSpillModel/seed=N'` replays one sequence.
 func TestSpillModel(t *testing.T) {
-	const size = 4096
 	for seed := int64(1); seed <= 30; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			s := mk(t, 1024+rng.Int63n(2048))
-			have := make([]bool, size) // the byte may be spilled
-			isDirty := make([]bool, size)
-			val := make([]byte, size)
-			forget := func(r extent.Run) {
-				for b := r.Off; b < r.End(); b++ {
-					have[b], isDirty[b] = false, false
-				}
-			}
-			var pending []Chunk
-			putAt := make([]int, size) // step of the byte's last put
-			collectedAt := -1
+			m := newSpillModel(t, 1024+rng.Int63n(2048))
 			for step := 0; step < 300; step++ {
-				r := extent.Run{Off: rng.Int63n(size - 300), Len: 1 + rng.Int63n(300)}
-				switch k := rng.Intn(10); {
-				case k < 4:
-					data, d := make([]byte, r.Len), rng.Intn(3) == 0
-					rng.Read(data)
-					forget(r) // the put punches its range even when refused
-					if s.Put(r.Off, data, d) {
-						copy(val[r.Off:], data)
-						for b := r.Off; b < r.End(); b++ {
-							have[b], isDirty[b], putAt[b] = true, d, step
-						}
-					}
-				case k < 6:
-					runs := []extent.Run{r, {Off: r.End() + rng.Int63n(64), Len: rng.Int63n(100)}}
-					runs[1].Len = min(runs[1].Len, size-runs[1].Off)
-					s.PunchV(runs)
-					forget(runs[0])
-					forget(runs[1])
-				case k < 8:
-					for _, p := range takeAll(t, s, r.Off, r.Len) {
-						pr := extent.Run{Off: p.Off, Len: int64(len(p.Data))}
-						if !bytes.Equal(p.Data, val[pr.Off:pr.End()]) || p.Dirty != isDirty[pr.Off] {
-							t.Fatalf("step %d: take returned wrong bytes or color for %v", step, pr)
-						}
-						forget(pr)
-					}
-					for b := r.Off; b < r.End(); b++ {
-						if isDirty[b] {
-							t.Fatalf("step %d: take left dirty byte %d behind", step, b)
-						}
-						have[b] = false // a clean byte not returned had been evicted
-					}
-				case k == 8:
-					var err error
-					if pending, err = s.CollectDirty(); err != nil {
-						t.Fatal(err)
-					}
-					collectedAt = step
-				default:
-					ids := make([]int64, len(pending))
-					for i, c := range pending {
-						ids[i] = c.ID
-					}
-					s.MarkClean(ids)
-					pending = nil
-					// Re-flushing is always allowed, so the store may keep
-					// more dirty than it must — but never make clean bytes
-					// dirty, nor clean a byte put after the collect.
-					chunks, err := s.CollectDirty()
-					if err != nil {
-						t.Fatal(err)
-					}
-					still := make([]bool, size)
-					for _, c := range chunks {
-						for b := c.Off; b < c.Off+int64(len(c.Data)); b++ {
-							still[b] = true
-						}
-					}
-					for b := range still {
-						if still[b] != isDirty[b] && (still[b] || putAt[b] > collectedAt) {
-							t.Fatalf("step %d: byte %d dirty=%v in the store, %v in the model (put at %d, collected at %d)",
-								step, b, still[b], isDirty[b], putAt[b], collectedAt)
-						}
-					}
-					isDirty = still
-				}
-				if err := checkStore(s); err != nil {
+				r := extent.Run{Off: rng.Int63n(spillModelSize - 300), Len: 1 + rng.Int63n(300)}
+				op := []int{opPut, opPut, opPut, opPut, opPunch, opPunch, opTake, opTakeInto, opCollect, opMarkClean}[rng.Intn(10)]
+				if err := m.do(op, r, byte(rng.Intn(256))); err != nil {
 					t.Fatalf("step %d: %v", step, err)
-				}
-				covered := make([]bool, size)
-				for _, c := range s.Coverage(nil) {
-					for b := c.Off; b < c.End(); b++ {
-						if !have[b] {
-							t.Fatalf("step %d: byte %d is spilled but was punched, taken or never put", step, b)
-						}
-						covered[b] = true
-					}
-				}
-				for b := range have {
-					if isDirty[b] && !covered[b] {
-						t.Fatalf("step %d: dirty byte %d was dropped", step, b)
-					}
-					have[b] = covered[b] // uncovered clean bytes were evicted
 				}
 			}
 		})
 	}
+}
+
+// FuzzSpillModel is TestSpillModel with the budget and the operations
+// decoded from the input: the first byte sets the budget, and every 5
+// bytes after it are one operation — kind, offset (2 bytes), length,
+// aux.
+func FuzzSpillModel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p []byte) {
+		if len(p) == 0 {
+			return
+		}
+		m := newSpillModel(t, 1024+8*int64(p[0]))
+		for p = p[1:]; len(p) >= 5; p = p[5:] {
+			r := extent.Run{Off: (int64(p[1])<<8 | int64(p[2])) % (spillModelSize - 300), Len: 1 + int64(p[3])}
+			if err := m.do(int(p[0])%nSpillOps, r, p[4]); err != nil {
+				t.Fatalf("step %d: %v", m.step, err)
+			}
+		}
+	})
 }

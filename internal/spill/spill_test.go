@@ -197,7 +197,7 @@ func TestSpillCorruptDirtyErrors(t *testing.T) {
 	if _, err := s.Take(0, 64); err == nil {
 		t.Fatal("lost dirty extent must surface an error")
 	}
-	if _, err := s.CollectDirty(); err != nil {
+	if _, err := s.CollectDirty(nil); err != nil {
 		// The lost entry was dropped by Take; nothing dirty remains.
 		t.Fatalf("collect after drop: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestSpillCollectDirtyMarkClean(t *testing.T) {
 	s.Put(0, pat(0, 64), true)
 	s.Put(100, pat(100, 32), true)
 	s.Put(200, pat(200, 16), false)
-	chunks, err := s.CollectDirty()
+	chunks, err := s.CollectDirty(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
