@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBox$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzPunchV$$' -fuzztime $(FUZZTIME) ./internal/extent
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillModel$$' -fuzztime $(FUZZTIME) ./internal/spill
+	$(GO) test -run '^$$' -fuzz '^FuzzModel$$' -fuzztime $(FUZZTIME) .
 
 # Paired runs of BASE against the working tree on one bench/ workload
 # (W=all: each of the five in turn), with the -compare verdicts:

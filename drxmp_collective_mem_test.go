@@ -17,8 +17,9 @@ import (
 
 // Tests for the collective section path's memory discipline: run lists
 // built per chunk, bytes moved straight between the caller's rows and
-// the aggregators' staging buffers, and buffers drawn from a pool whose
-// contents nobody may rely on.
+// the aggregators' staging buffers, and heap allocations that follow
+// the chunks. The model test (model_test.go) runs the path out of a
+// poisoned buffer pool.
 
 // sectionRunsOracle is the run builder sectionRuns replaced, kept as
 // its reference: one heap box per chunk, rows appended in cover order,
@@ -197,154 +198,6 @@ func TestSectionAllLeavesViewAlone(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// flat is the flat row-major model array the collective differential
-// test compares against.
-type flat struct {
-	bounds []int
-	es     int
-	data   []byte
-}
-
-// each visits box's elements in `order`, passing the element's byte
-// offset in the model and its ordinal within the dense box buffer.
-func (m *flat) each(box Box, order Order, fn func(at, ord int)) {
-	strides := grid.Strides(m.bounds, grid.RowMajor)
-	ord := 0
-	box.Iterate(order, func(idx []int) bool {
-		var at int64
-		for d, i := range idx {
-			at += int64(i) * strides[d]
-		}
-		fn(int(at)*m.es, ord*m.es)
-		ord++
-		return true
-	})
-}
-
-func (m *flat) write(box Box, order Order, buf []byte) {
-	m.each(box, order, func(at, ord int) { copy(m.data[at:at+m.es], buf[ord:]) })
-}
-
-func (m *flat) read(box Box, order Order) []byte {
-	buf := make([]byte, int(box.Volume())*m.es)
-	m.each(box, order, func(at, ord int) { copy(buf[ord:ord+m.es], m.data[at:]) })
-	return buf
-}
-
-// poisonPool leaves 0xA5-filled buffers of at least n bytes in the
-// buffer pool, so a taker that reads a byte it did not write sees
-// poison, not the zeros of a fresh allocation.
-func poisonPool(n int64) {
-	held := make([]*mpiio.Buf, 4*runtime.GOMAXPROCS(0))
-	for i := range held {
-		held[i] = mpiio.GetBuf(n)
-		b := held[i].B[:cap(held[i].B)]
-		for j := range b {
-			b[j] = 0xA5
-		}
-	}
-	for _, b := range held {
-		b.Release()
-	}
-}
-
-// collStep is one round of the differential test: every rank writes
-// wbox (rank order resolves overlaps, higher wins), then reads rbox.
-type collStep struct {
-	wbox, rbox []Box
-	wdata      [][]byte
-	after      []byte // the model once the round's writes have landed
-}
-
-// TestCollectivePoisonedPool: collective section I/O out of a poisoned
-// buffer pool returns and stores exactly the flat model's bytes — for
-// 1-4 ranks, empty boxes on some ranks, overlapping writes, row-major
-// and transposed user buffers, one aggregator and one per rank, and
-// with write-behind on, where a write's staging buffer goes back to the
-// pool as soon as the cache has copied it (a cache that kept the
-// staging bytes instead would serve the next poisoning).
-func TestCollectivePoisonedPool(t *testing.T) {
-	bounds := []int{37, 29}
-	chunk := []int{6, 5}
-	const es = 8
-	for ranks := 1; ranks <= 4; ranks++ {
-		for _, cb := range []int{1, -1} {
-			for _, wb := range []int64{0, -1, 4096} {
-				for _, user := range []Order{RowMajor, ColMajor} {
-					name := fmt.Sprintf("ranks%d-cb%d-wb%d-user%v", ranks, cb, wb, user)
-					t.Run(name, func(t *testing.T) {
-						rng := rand.New(rand.NewSource(int64(ranks*100 + cb*10 + int(wb%7))))
-						model := &flat{bounds: bounds, es: es, data: make([]byte, bounds[0]*bounds[1]*es)}
-						steps := make([]collStep, 4)
-						for s := range steps {
-							st := &steps[s]
-							for r := 0; r < ranks; r++ {
-								wbox, rbox := randomBox(rng, bounds), randomBox(rng, bounds)
-								data := make([]byte, wbox.Volume()*es)
-								rng.Read(data)
-								st.wbox, st.rbox, st.wdata = append(st.wbox, wbox), append(st.rbox, rbox), append(st.wdata, data)
-								model.write(wbox, user, data)
-							}
-							st.after = bytes.Clone(model.data)
-						}
-						err := cluster.Run(ranks, func(c *cluster.Comm) error {
-							f, err := Create(c, "poison-"+name, Options{
-								DType: Float64, ChunkShape: chunk, Bounds: bounds,
-								FS:     pfs.Options{Servers: 3, StripeSize: 512},
-								Tuning: Tuning{CBNodes: cb, WriteBehindBytes: wb},
-							})
-							if err != nil {
-								return err
-							}
-							defer f.Close()
-							me := c.Rank()
-							for s, st := range steps {
-								if me == 0 {
-									poisonPool(int64(len(model.data)))
-								}
-								if err := c.Barrier(); err != nil {
-									return err
-								}
-								if err := f.WriteSectionAll(st.wbox[me], st.wdata[me], user); err != nil {
-									return err
-								}
-								got := make([]byte, st.rbox[me].Volume()*es)
-								if err := f.ReadSectionAll(st.rbox[me], got, user); err != nil {
-									return err
-								}
-								want := (&flat{bounds: bounds, es: es, data: st.after}).read(st.rbox[me], user)
-								if !bytes.Equal(got, want) {
-									t.Errorf("step %d rank %d: ReadSectionAll %v differs from the model", s, me, st.rbox[me])
-								}
-							}
-							if err := f.Sync(); err != nil {
-								return err
-							}
-							if err := c.Barrier(); err != nil {
-								return err
-							}
-							if me == 0 {
-								full := NewBox([]int{0, 0}, bounds)
-								got := make([]byte, len(model.data))
-								if err := f.ReadSection(full, got, RowMajor); err != nil {
-									return err
-								}
-								if !bytes.Equal(got, model.data) {
-									t.Errorf("final array differs from the model")
-								}
-							}
-							return nil
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-					})
-				}
-			}
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -707,72 +706,5 @@ func TestDistArrayPutSection(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestQuickParallelRoundTrip drives random shapes/zones/orders through
-// collective write + independent read.
-func TestQuickParallelRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 10; trial++ {
-		ranks := 1 + rng.Intn(5)
-		cs := []int{1 + rng.Intn(3), 1 + rng.Intn(4)}
-		nb := []int{4 + rng.Intn(10), 4 + rng.Intn(10)}
-		order := Order(rng.Intn(2))
-		err := cluster.Run(ranks, func(c *cluster.Comm) error {
-			f, err := Create(c, "q", Options{DType: Float64, ChunkShape: cs, Bounds: nb, Order: order})
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			my, err := f.MyZone()
-			if err != nil {
-				return err
-			}
-			var box Box
-			if len(my) > 0 {
-				box = my[0]
-			} else {
-				box = Box{Lo: []int{0, 0}, Hi: []int{0, 0}}
-			}
-			vals := make([]float64, box.Volume())
-			at := 0
-			box.Iterate(grid.RowMajor, func(idx []int) bool {
-				vals[at] = float64(10000*idx[0] + idx[1])
-				at++
-				return true
-			})
-			// The memory order must be rank-stable (the shared rng is not
-			// safe inside rank goroutines), so fix it per trial.
-			ro := RowMajor
-			if err := f.WriteSectionAll(box, encodeF64(vals), ro); err != nil {
-				return err
-			}
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				full := NewBox([]int{0, 0}, nb)
-				got, err := f.ReadSectionFloat64s(full, RowMajor)
-				if err != nil {
-					return err
-				}
-				at := 0
-				var bad error
-				full.Iterate(grid.RowMajor, func(idx []int) bool {
-					if got[at] != float64(10000*idx[0]+idx[1]) {
-						bad = fmt.Errorf("trial %d: (%v) = %v", trial, idx, got[at])
-						return false
-					}
-					at++
-					return true
-				})
-				return bad
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -1,110 +1,11 @@
 package drxmp
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
 	"drxmp/internal/cluster"
-	"drxmp/internal/grid"
 )
-
-// TestAllDTypesParallelRoundTrip drives every element type the paper
-// names ("integer, double and complex" — plus the narrower variants)
-// through the full parallel path: collective create, zone writes,
-// extension, and a cold full read. Data is compared byte-for-byte, so
-// element size handling in chunk layout, section runs and transposition
-// is exercised for each width.
-func TestAllDTypesParallelRoundTrip(t *testing.T) {
-	dtypes := []struct {
-		name string
-		dt   DType
-	}{
-		{"int32", Int32},
-		{"int64", Int64},
-		{"float32", Float32},
-		{"float64", Float64},
-		{"complex64", Complex64},
-		{"complex128", Complex128},
-	}
-	for _, tc := range dtypes {
-		t.Run(tc.name, func(t *testing.T) {
-			es := tc.dt.Size()
-			// stamp writes a deterministic, dtype-width pattern for the
-			// element at global index idx.
-			stamp := func(idx []int, out []byte) {
-				seed := byte(7*idx[0] + 13*idx[1] + 1)
-				for i := 0; i < es; i++ {
-					out[i] = seed + byte(i)
-				}
-			}
-			err := cluster.Run(3, func(c *cluster.Comm) error {
-				f, err := Create(c, "dt-"+tc.name, Options{
-					DType:      tc.dt,
-					ChunkShape: []int{2, 3},
-					Bounds:     []int{7, 8},
-				})
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				writeBoxes := func() error {
-					boxes, err := f.MyZone()
-					if err != nil {
-						return err
-					}
-					for _, box := range boxes {
-						buf := make([]byte, int(box.Volume())*es)
-						at := 0
-						box.Iterate(grid.RowMajor, func(idx []int) bool {
-							stamp(idx, buf[at*es:])
-							at++
-							return true
-						})
-						if err := f.WriteSection(box, buf, RowMajor); err != nil {
-							return err
-						}
-					}
-					return c.Barrier()
-				}
-				if err := writeBoxes(); err != nil {
-					return err
-				}
-				// Grow dimension 1 past a chunk boundary and restamp
-				// everything (the new cells included).
-				if err := f.Extend(1, 4); err != nil {
-					return err
-				}
-				if err := writeBoxes(); err != nil {
-					return err
-				}
-				// Cold full verify on every rank, in column-major memory
-				// order to exercise the transposing gather for width es.
-				full := NewBox([]int{0, 0}, f.Bounds())
-				got := make([]byte, int(full.Volume())*es)
-				if err := f.ReadSection(full, got, ColMajor); err != nil {
-					return err
-				}
-				want := make([]byte, es)
-				at := 0
-				var bad error
-				full.Iterate(grid.ColMajor, func(idx []int) bool {
-					stamp(idx, want)
-					if !bytes.Equal(got[at*es:(at+1)*es], want) {
-						bad = fmt.Errorf("%s rank %d: element %v corrupted", tc.name, c.Rank(), idx)
-						return false
-					}
-					at++
-					return true
-				})
-				return bad
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
 
 // TestDTypeSizesDriveLayout pins the chunk byte sizes the metadata
 // derives for each element type (2x3 chunks).

@@ -1180,19 +1180,18 @@ func (w *fileCache) readHolesDirect(holes []hole, mem Vec) error {
 // clean extent whose spill read-back failed simply does not come back
 // — its range stays a hole and is re-fetched from the pfs with no
 // cache pollution, mirroring readHolesDirect — but a lost DIRTY extent
-// is an error: those bytes exist nowhere else. The read-backs land in
-// cache buffers, which the promoted extents keep. Must be called with
-// w.mu held.
+// is an error: those bytes exist nowhere else. Either way every extent
+// that was read back is promoted, since it has left the spill tier. The
+// read-backs land in cache buffers, which the promoted extents keep and
+// the failed ones free. Must be called with w.mu held.
 func (w *fileCache) promoteLocked(off, n, stamp int64) (int64, error) {
 	proms, err := w.spill.TakeInto(off, n, w.lend)
-	if err != nil {
-		for _, p := range proms {
-			w.drop(p.Owner.(*cbuf))
-		}
-		return 0, err
-	}
 	var overlap int64
 	for _, p := range proms {
+		if p.Lost {
+			w.drop(p.Owner.(*cbuf))
+			continue
+		}
 		pn := int64(len(p.Data))
 		w.stats.SpillPromoted += pn
 		lo, hi := p.Off, p.Off+pn
@@ -1217,5 +1216,5 @@ func (w *fileCache) promoteLocked(off, n, stamp int64) (int64, error) {
 			w.insert(newExt(p.Off, p.Data, b, false, stamp))
 		}
 	}
-	return overlap, nil
+	return overlap, err
 }

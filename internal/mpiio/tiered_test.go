@@ -158,6 +158,39 @@ func TestTieredDirtySpillLossSurfaces(t *testing.T) {
 	}
 }
 
+// TestTieredDirtyLossKeepsNeighbours: a promotion that loses one dirty
+// spilled extent still promotes the ones it read back. Both dirty
+// extents demote; the spill file is cut so only the second is
+// unreadable. The read reports that loss, and the first extent — out of
+// the spill tier by then — must still reach the store.
+func TestTieredDirtyLossKeepsNeighbours(t *testing.T) {
+	fs, w, path := tieredForTest(t, 512, 8192)
+	w.Absorb(0, bytes.Repeat([]byte{7}, 1024))
+	w.Absorb(2048, bytes.Repeat([]byte{9}, 1024))
+	if err := w.EnforceBudget(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats().SpillDirty; got != 2048 {
+		t.Fatalf("%d dirty bytes demoted, want both extents (2048)", got)
+	}
+	if err := os.Truncate(path, 1024); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 3072)
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 3072}}, Contig(buf)); err == nil {
+		t.Fatal("read across a lost dirty extent reported no error")
+	}
+	if err := w.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.ReadAt(buf[:1024], 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf[:1024], bytes.Repeat([]byte{7}, 1024)) {
+		t.Fatal("the readable dirty extent [0,1024) was lost along with its neighbour")
+	}
+}
+
 // TestTieredBudgetAccountingUnderChurn hammers overlapping reads from
 // many goroutines — promotions, demotions and evictions interleave —
 // then checks the books: the extent list sums to the accounted total,

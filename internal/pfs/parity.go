@@ -79,6 +79,11 @@
 // a straggler's late completions land in memory nobody reads — and the
 // dispatch they belong to is never reused. A degraded read's working
 // memory (reconScratch) rides on its dispatch, so it is pooled with it.
+// A rebuild holds parityGate exclusively, so no write is halfway through
+// the rows it decodes, and the read's own served segments seed it only
+// if no data write overlapped the read (writesBegun, writesEnded). A
+// straggler whose rows cannot be rebuilt without it, because another of
+// their shards failed too, is waited for instead of failing the read.
 package pfs
 
 import (
@@ -173,6 +178,7 @@ func (fs *FS) writeCoded(d *dispatch, runs []Run) (done int64, err, perr error) 
 	rowBytes := int64(fs.code.K()) * fs.opts.StripeSize
 
 	fs.parityGate.RLock()
+	fs.writesBegun.Add(1)
 	fs.submit(d, 0)
 	done, err = d.outcome()
 	if len(d.fails) == 0 { // every segment landed: not torn
@@ -182,12 +188,14 @@ func (fs *FS) writeCoded(d *dispatch, runs []Run) (done int64, err, perr error) 
 			fs.parity.rows = parityRows(fs.parity.rows[:0], runs, rowBytes)
 			perr = fs.updateParity(fs.parity.rows, d)
 			fs.parityMu.Unlock()
+			fs.writesEnded.Add(1)
 			fs.parityGate.RUnlock()
 			fs.release(d)
 			return done, err, perr
 		}
 		fs.parityMu.Unlock()
 	}
+	fs.writesEnded.Add(1)
 	fs.parityGate.RUnlock()
 	fs.release(d)
 
@@ -377,32 +385,56 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 		d.served = make([]atomic.Bool, len(segs))
 	}
 	d.served = d.served[:len(segs)]
-	finished := fs.submit(d, deadline)
-	// Whatever is not marked served — refused, failed, or still
-	// outstanding at the deadline — is reconstructed.
-	recon := sc.recon[:0]
-	for i := range segs {
-		if !d.served[i].Load() {
-			recon = append(recon, i)
-		} else if deadline > 0 {
-			copy(segs[i].in(buf), segs[i].in(target))
-		}
-	}
-	sc.recon = recon
+	begun := fs.writesBegun.Load()
+	quiet := fs.writesEnded.Load() == begun // no data write in flight
+	left := fs.submit(d, deadline)
 	var err error
-	if len(recon) > 0 {
+	for {
+		// Whatever is not marked served — refused, failed, or still
+		// outstanding at the deadline — is reconstructed.
+		recon := sc.recon[:0]
+		for i := range segs {
+			if !d.served[i].Load() {
+				recon = append(recon, i)
+			} else if deadline > 0 {
+				copy(segs[i].in(buf), segs[i].in(target))
+			}
+		}
+		sc.recon = recon
+		if len(recon) == 0 {
+			err = nil
+			break
+		}
+		// A rebuild decodes one state of each row from its row-mates and
+		// coded units, so it holds writers off. The read's own served
+		// segments are row-mates from before the gate: they may seed it
+		// only if no data write overlapped the read, or a write to a
+		// row-mate could pair new data with old parity.
+		fs.parityGate.Lock()
+		seed := quiet && fs.writesBegun.Load() == begun
 		var failIdx int
-		if failIdx, err = fs.reconstructSegs(sc, segs, buf, recon); err != nil {
-			// Keep the dispatch contract: bytes of the segments preceding
-			// the earliest segment that could not be served.
-			total = d.bytesBefore(failIdx)
+		failIdx, err = fs.reconstructSegs(sc, segs, buf, recon, seed)
+		fs.parityGate.Unlock()
+		if err == nil || left == 0 {
+			if err != nil {
+				// Keep the dispatch contract: bytes of the segments
+				// preceding the earliest segment that could not be served.
+				total = d.bytesBefore(failIdx)
+			}
+			break
+		}
+		// A straggler is slow, not lost. When its rows cannot be rebuilt
+		// without it (another of their shards failed too), wait for it
+		// and go again with what it returned.
+		for ; left > 0; left-- {
+			<-d.done
 		}
 	}
 	if !inPlace {
 		c := Cursor{Mem: mem}
 		c.Move(buf, true)
 	}
-	if finished {
+	if left == 0 {
 		fs.release(d)
 	}
 	return total, err
@@ -551,9 +583,10 @@ func sameSurvivors(a, b [][]byte) bool {
 // sum-per-server service time. Jobs, their shard tables and the
 // fetched bytes all come from sc; the decoder is looked up once per run
 // of jobs with the same survivor set — one per row and failure pattern,
-// not one per segment. On failure it returns the smallest segment index
-// it could not serve.
-func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon []int) (int, error) {
+// not one per segment. With seed, the segments of segs already served
+// stand in for source fetches. On failure it returns the smallest
+// segment index it could not serve.
+func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon []int, seed bool) (int, error) {
 	k, m := fs.code.K(), fs.code.M()
 	stripe := fs.opts.StripeSize
 	order := fs.sourceOrder(sc)
@@ -577,7 +610,7 @@ func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon 
 	// segment that was served healthily covers the same byte range of
 	// its own stripe unit, so it is a reconstruction source for free —
 	// a whole-row degraded read then only fetches the parity shards.
-	for ji := range jobs {
+	for ji := 0; seed && ji < len(jobs); ji++ {
 		j := &jobs[ji]
 		for i := range segs {
 			if j.got >= k {

@@ -447,15 +447,17 @@ type FS struct {
 
 	// Erasure coding (parity.go). code is nil when Options.Parity is 0.
 	// A data write holds parityGate shared from before its dispatch until
-	// its deltas have landed; a whole-row re-encode holds it exclusively.
-	// parityMu serializes the coded units' read-modify-write.
-	code       *ec.Code
-	parityGate sync.RWMutex
-	parityMu   sync.Mutex
-	parity     parityScratch // guarded by parityMu
-	stale      []int64       // rows whose coded units may not have landed, ascending; guarded by parityMu
-	degraded   atomic.Int64  // read segments served by reconstruction
-	reconBytes atomic.Int64  // bytes served by reconstruction
+	// its deltas have landed, counted in writesBegun and writesEnded; a
+	// whole-row re-encode and a degraded read's rebuild hold it
+	// exclusively. parityMu serializes the coded units' read-modify-write.
+	code                     *ec.Code
+	parityGate               sync.RWMutex
+	writesBegun, writesEnded atomic.Int64
+	parityMu                 sync.Mutex
+	parity                   parityScratch // guarded by parityMu
+	stale                    []int64       // rows whose coded units may not have landed, ascending; guarded by parityMu
+	degraded                 atomic.Int64  // read segments served by reconstruction
+	reconBytes               atomic.Int64  // bytes served by reconstruction
 
 	queues  []chan *batch  // one request-list queue per server
 	qwg     sync.WaitGroup // running queue workers

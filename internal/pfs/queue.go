@@ -394,10 +394,11 @@ func (sv *server) sweep(pending []pend, window int) []pend {
 // prefix still goes out. The accepted segments are bucketed by server
 // (submission order kept inside a server), every server used gets its
 // batch — on its queue, or serviced right here once Close has stopped
-// the workers — and submit waits for one signal per batch. It reports
-// false if the deadline (0: none) passed first; d then still belongs to
-// the servers.
-func (fs *FS) submit(d *dispatch, deadline time.Duration) bool {
+// the workers — and submit waits for one signal per batch. It returns
+// how many batches were still outstanding when the deadline (0: none)
+// passed: until that many more signals arrive on d.done, d still
+// belongs to the servers.
+func (fs *FS) submit(d *dispatch, deadline time.Duration) int {
 	inj := fs.inj.Load()
 	for i := range d.segs {
 		s := &d.segs[i]
@@ -449,10 +450,10 @@ func (fs *FS) submit(d *dispatch, deadline time.Duration) bool {
 		case <-timeout:
 			// Whatever is still outstanding is a straggler's; its batch
 			// completes into d eventually (done never blocks a worker).
-			return false
+			return used
 		}
 	}
-	return true
+	return 0
 }
 
 // dispatch runs d's segments through the servers, waits for them and

@@ -63,12 +63,15 @@ func (e *ext) Stamp() int64          { return e.use }
 func (e *ext) Node() *extent.LRUNode { return &e.node }
 
 // Promoted is one extent moved out of the spill tier by Take; Owner is
-// what the Alloc returned with Data.
+// what the Alloc returned with Data. Lost marks an entry whose
+// read-back failed: it has no Data, only the Owner of the memory the
+// read-back went to, for the caller to release.
 type Promoted struct {
 	Off   int64
 	Data  []byte
 	Owner any
 	Dirty bool
+	Lost  bool
 }
 
 // Chunk is one dirty extent surfaced by CollectDirty for a flush
@@ -373,11 +376,13 @@ func (s *Store) Take(off, n int64) ([]Promoted, error) { return s.TakeInto(off, 
 // the tier: each entry's bytes are read back from the spill file into
 // alloc's memory, the entry is removed, and the data is returned for the
 // caller to promote into the memory tier. A clean entry whose read-back
-// fails (short read, I/O error — spill-file corruption) is silently
-// dropped and not returned, so its bytes fall through to the parallel
-// file system with no cache pollution; a DIRTY entry's read failure is
+// fails (short read, I/O error — spill-file corruption) is dropped
+// without an error, so its bytes fall through to the parallel file
+// system with no cache pollution; a DIRTY entry's read failure is
 // returned as an error, because those bytes exist nowhere else. Either
-// way the memory alloc gave that entry is not returned.
+// way the entries read back are returned with it, and a failed entry
+// whose memory has an Owner comes back Lost, for the caller to release
+// that memory (Take's has none, so Take never returns one).
 func (s *Store) TakeInto(off, n int64, alloc Alloc) ([]Promoted, error) {
 	if n <= 0 {
 		return nil, nil
@@ -398,6 +403,9 @@ func (s *Store) TakeInto(off, n int64, alloc Alloc) ([]Promoted, error) {
 			s.stats.Failures++
 			if e.dirty && firstErr == nil {
 				firstErr = fmt.Errorf("spill: dirty extent [%d,%d) lost: %w", e.off, e.end(), err)
+			}
+			if owner != nil {
+				out = append(out, Promoted{Off: e.off, Owner: owner, Dirty: e.dirty, Lost: true})
 			}
 			s.dropLocked(i)
 			continue
