@@ -247,21 +247,21 @@ func (d *DistArray) PutSection(box Box, src []byte) error {
 // Refresh collectively re-reads every zone from the principal array
 // file into the local buffers — the inverse of FlushToFile, for
 // workflows that alternate out-of-core passes with distributed ones.
-// The collective read is coherent with the unified extent cache: with
-// write-behind it observes every rank's deferred bytes, and with read
-// caching (Options.CacheBytes) a re-read of a warm file comes from
-// memory without touching the I/O servers. Must be called by every
-// process, between RMA epochs (as with Distribute, no fence is held).
+// With the extent cache on (Options.CacheBytes) the collective read
+// goes through it: every rank's deferred write-behind bytes come from
+// memory, and so does a re-read of a warm file, without touching the
+// I/O servers. Must be called by every process, between RMA epochs (as
+// with Distribute, no fence is held).
 func (d *DistArray) Refresh() error {
 	return d.f.ReadSectionAll(d.box, d.local, d.order)
 }
 
 // FlushToFile collectively writes every zone back to the principal
-// array file. With write-behind enabled the zones ride the dirty-extent
-// cache like any collective write: collective reads (and this rank's
-// own reads) stay coherent, but the bytes reach the I/O servers only on
-// the watermark, Sync, or Close — use Checkpoint when durability is the
-// point.
+// array file. With write-behind enabled the zones become dirty extents
+// of the cache like any collective write: every read, on any rank, is
+// served them from the cache, but the bytes reach the I/O servers only
+// on the watermark, budget pressure, Sync, or Close — use Checkpoint
+// when durability is the point.
 func (d *DistArray) FlushToFile() error {
 	return d.f.WriteSectionAll(d.box, d.local, d.order)
 }

@@ -105,25 +105,26 @@ type Tuning struct {
 	// and flushes the cache in one vectored sweep once that many bytes
 	// are buffered (the watermark counts the file's total buffered
 	// bytes — the cache is shared by every rank's handle); < 0 buffers
-	// without bound (flush on Sync, Close, or read coherence only).
-	// Reads through any handle — independent or collective, any rank —
-	// observe the deferred bytes: they are served from the cache when
-	// CacheBytes is set, and flushed first otherwise. Use Sync for
-	// durability ordering (bytes on the servers) and around concurrent
-	// conflicting access, whose outcome is otherwise undefined exactly
-	// as in MPI. Every rank must pass the same value.
+	// without bound (flush on Sync, Close, or budget pressure only).
+	// The deferred bytes are the extent cache's dirty extents, so
+	// write-behind requires CacheBytes > 0, and reads through any
+	// handle — independent or collective, any rank — are served them
+	// from the cache. Use Sync for durability ordering (bytes on the
+	// servers) and around concurrent conflicting access, whose outcome
+	// is otherwise undefined exactly as in MPI. Every rank must pass the
+	// same value.
 	WriteBehindBytes int64
-	// CacheBytes enables the read side of the unified per-file extent
-	// cache with that memory budget in bytes: independent and
-	// collective reads fetch sieve-aligned covering blocks (one
-	// vectored request per miss) into the cache, hole-free re-reads
-	// come from memory, and the budget caps the file's TOTAL cached
-	// bytes — clean extents evict LRU-first, deferred write-behind
-	// extents flush-on-evict. 0 (the default) disables read caching.
-	// The cache is shared by every rank's handle on the store, so a
-	// block fetched by one rank warms all of them. The sieve block
-	// granularity is the stripe size; it is not a knob. Every rank must
-	// pass the same value.
+	// CacheBytes turns the unified per-file extent cache on with that
+	// memory budget in bytes: independent and collective reads fetch
+	// sieve-aligned covering blocks (one vectored request per miss) into
+	// the cache, hole-free re-reads come from memory, write-behind keeps
+	// its deferred bytes there, and the budget caps the file's TOTAL
+	// cached bytes — clean extents evict LRU-first, deferred write-behind
+	// extents flush-on-evict. 0 (the default) turns the cache off, and
+	// with it write-behind. The cache is shared by every rank's handle on
+	// the store, so a block fetched by one rank warms all of them. The
+	// sieve block granularity is the stripe size; it is not a knob. Every
+	// rank must pass the same value.
 	CacheBytes int64
 	// ReadAheadBytes extends each sieve fetch past the requested range
 	// by this many bytes (rounded up to whole sieve blocks), so a
@@ -160,6 +161,9 @@ func (t Tuning) validate() error {
 	}
 	if t.SpillBytes < 0 {
 		return fmt.Errorf("%w: negative SpillBytes %d", ErrBadOptions, t.SpillBytes)
+	}
+	if t.WriteBehindBytes != 0 && t.CacheBytes == 0 {
+		return fmt.Errorf("%w: WriteBehindBytes %d without CacheBytes (write-behind defers writes into the cache)", ErrBadOptions, t.WriteBehindBytes)
 	}
 	if t.ReadAheadBytes > 0 && t.CacheBytes == 0 {
 		return fmt.Errorf("%w: ReadAheadBytes %d without CacheBytes (read-ahead extends cache fetches)", ErrBadOptions, t.ReadAheadBytes)
@@ -564,10 +568,10 @@ func (f *File) applyTuning(t Tuning) error {
 
 // SetTuning validates t (ErrBadOptions on rejection) and applies every
 // knob atomically, so a serving tier can swap a tenant's whole profile
-// between requests. Disabling write-behind (newly zero) flushes any
-// buffered dirty extents first and returns the flush error; disabling
-// the cache releases its clean extents. Every rank must apply the same
-// Tuning.
+// between requests. Turning write-behind, the cache or the spill tier
+// off flushes any buffered dirty extents first and returns the flush
+// error with nothing applied; turning the cache off then releases its
+// clean extents. Every rank must apply the same Tuning.
 func (f *File) SetTuning(t Tuning) error {
 	if err := t.validate(); err != nil {
 		return err

@@ -175,15 +175,21 @@ func TestServeBadOptions(t *testing.T) {
 				o.Tuning = drxmp.Tuning{ReadAheadBytes: 4096}
 				return o
 			}(),
+			"writebehind-no-cache": func() drxmp.Options {
+				o := base
+				o.Tuning = drxmp.Tuning{WriteBehindBytes: -1}
+				return o
+			}(),
 		} {
 			if _, err := drxmp.Create(c, "bad-"+name, opts); !errors.Is(err, drxmp.ErrBadOptions) {
 				return fmt.Errorf("Create(%s) = %v, want ErrBadOptions", name, err)
 			}
 		}
 		for name, opts := range map[string]drxmp.OpenOptions{
-			"cyclic":             {CyclicBlock: -2},
-			"cache":              {Tuning: drxmp.Tuning{CacheBytes: -1}},
-			"readahead-no-cache": {Tuning: drxmp.Tuning{ReadAheadBytes: 4096}},
+			"cyclic":               {CyclicBlock: -2},
+			"cache":                {Tuning: drxmp.Tuning{CacheBytes: -1}},
+			"readahead-no-cache":   {Tuning: drxmp.Tuning{ReadAheadBytes: 4096}},
+			"writebehind-no-cache": {Tuning: drxmp.Tuning{WriteBehindBytes: 4096}},
 		} {
 			if _, err := drxmp.OpenWith(c, "nope", opts); !errors.Is(err, drxmp.ErrBadOptions) {
 				return fmt.Errorf("OpenWith(%s) = %v, want ErrBadOptions", name, err)
@@ -194,8 +200,13 @@ func TestServeBadOptions(t *testing.T) {
 			return err
 		}
 		defer f.Close()
-		if err := f.SetTuning(drxmp.Tuning{ReadAheadBytes: 4096}); !errors.Is(err, drxmp.ErrBadOptions) {
-			return fmt.Errorf("SetTuning(readahead-no-cache) = %v, want ErrBadOptions", err)
+		for name, tuning := range map[string]drxmp.Tuning{
+			"readahead-no-cache":   {ReadAheadBytes: 4096},
+			"writebehind-no-cache": {WriteBehindBytes: -1},
+		} {
+			if err := f.SetTuning(tuning); !errors.Is(err, drxmp.ErrBadOptions) {
+				return fmt.Errorf("SetTuning(%s) = %v, want ErrBadOptions", name, err)
+			}
 		}
 		return nil
 	})

@@ -21,7 +21,8 @@ type wbVariant struct {
 
 // TestWriteBehindCloseFlushes: deferred bytes are on the store after
 // Close with no Sync — the flush-before-close guarantee at the drxmp
-// layer — and deferring them pays in charged work. The epoch is
+// layer — and deferring them pays in charged work. Every variant runs
+// over a cache the array fits in, so only the policy differs. The epoch is
 // write-only and multi-round: each rank writes its column half one
 // chunk-row per collective, in an order whose consecutive rows are
 // rarely adjacent in the file, so immediate dispatch seeks on almost
@@ -31,13 +32,14 @@ func TestWriteBehindCloseFlushes(t *testing.T) {
 	const ranks = 2
 	const n, chunk = 64, 8
 	variants := []wbVariant{{name: "immediate"}, {name: "watermark", wb: n * n * 8 / 2}, {name: "close-only", wb: -1}}
+	const cache = 1 << 20 // the whole array and more: nothing flushes on evict
 	stores := make([]*pfs.FS, len(variants))
 	err := cluster.Run(ranks, func(c *cluster.Comm) error {
 		for i, v := range variants {
 			f, err := drxmp.Create(c, "wbclose-"+v.name, drxmp.Options{
 				DType: drxmp.Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{n, n},
 				FS:     pfs.Options{Servers: 2, StripeSize: 512},
-				Tuning: drxmp.Tuning{WriteBehindBytes: v.wb},
+				Tuning: drxmp.Tuning{WriteBehindBytes: v.wb, CacheBytes: cache},
 			})
 			if err != nil {
 				return err
@@ -97,7 +99,7 @@ func TestWriteBehindKnobPlumbing(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := drxmp.Create(c, "wbknob", drxmp.Options{
 			DType: drxmp.Float64, ChunkShape: []int{4, 4}, Bounds: []int{8, 8},
-			Tuning: drxmp.Tuning{WriteBehindBytes: -1},
+			Tuning: drxmp.Tuning{WriteBehindBytes: -1, CacheBytes: 1 << 20},
 		})
 		if err != nil {
 			return err
@@ -148,14 +150,15 @@ func TestDistArrayCheckpointWriteBehind(t *testing.T) {
 		f, err := drxmp.Create(c, "wbga", drxmp.Options{
 			DType: drxmp.Float64, ChunkShape: []int{6, 6}, Bounds: []int{n, n},
 			FS:     pfs.Options{Servers: 2, StripeSize: 512},
-			Tuning: drxmp.Tuning{WriteBehindBytes: -1},
+			Tuning: drxmp.Tuning{WriteBehindBytes: -1, CacheBytes: 1 << 20},
 		})
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		// Seed through the collective path (rides write-behind), then
-		// distribute: Distribute's collective read must flush coherently.
+		// distribute: Distribute's collective read is served the deferred
+		// bytes from the cache.
 		box := slabBox([]int{n, n}, ranks, c.Rank())
 		seed := make([]float64, box.Volume())
 		for i := range seed {

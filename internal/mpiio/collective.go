@@ -65,21 +65,19 @@ import (
 // rank, so the worker count is invisible to the data and to the
 // error-agreement semantics.
 //
-// With File.WriteBehind enabled, a collective write does not dispatch
-// at all: each aggregator absorbs its coalesced union runs into the
-// file's SHARED unified extent cache (filecache.go — one cache per
-// store, used by every rank's handle), merging with the unions of
-// earlier collectives, and the cache flushes in large vectored sweeps
-// on the watermark, on Sync/Close, on budget-pressure eviction, or
-// when a read intersects a dirty extent. The collective's global union
-// is punched out of the cache exactly once before the exchange
-// (PunchOnce), so stale data for ranges whose domain ownership moved
-// cannot outlive the collective that rewrote them. Collective reads
-// add one agreement round after the coherence step so an in-flight
-// wb-only flush on one rank lands before any other rank's aggregator
-// starts fetching. With File.CacheBytes > 0 the read side goes through
-// the same cache: aggregateRead serves cached stripes (clean or
-// deferred-dirty) from memory and sieve-fetches only the holes.
+// With File.WriteBehind enabled (it requires File.CacheBytes > 0), a
+// collective write does not dispatch at all: each aggregator absorbs its
+// coalesced union runs into the file's SHARED extent cache
+// (filecache.go — one cache per store, used by every rank's handle),
+// merging with the unions of earlier collectives, and the cache flushes
+// in large vectored sweeps on the watermark, on Sync/Close, or on
+// budget-pressure eviction. The collective's global union is punched
+// out of the cache exactly once before the exchange (PunchOnce), so
+// stale data for ranges whose domain ownership moved cannot outlive the
+// collective that rewrote them. With File.CacheBytes > 0 the read side
+// goes through the same cache: aggregateRead serves cached stripes
+// (clean or deferred-dirty) from memory and sieve-fetches only the
+// holes, so a collective read needs no coherence round of its own.
 
 // Buf is a byte buffer from the package's pool. B has the requested
 // length and UNSPECIFIED contents: the taker overwrites every byte it
@@ -279,51 +277,28 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	myPlaced := placedBy[me]
 	f.attrLocality(placedBy)
 
-	// Unified-cache coherence. The global union of the collective is
-	// the exact byte set about to move: a write punches it out of the
-	// cache — clean and dirty extents alike — exactly once (PunchOnce:
-	// stale data for re-homed ranges is discarded before any
-	// aggregator absorbs or writes its replacement); a read must
-	// observe the deferred bytes. With clean caching on, the read side
-	// needs no flush — the aggregators' ReadThrough serves dirty
-	// extents straight from memory, and a caching flush never removes
-	// data mid-sweep — but in wb-only mode the intersecting dirty
-	// extents are flushed and the agreement round barriers in-flight
-	// flushes before any aggregator fetches.
-	wb := f.sharedCache()
-	if f.WriteBehind != 0 || f.cacheActive() {
+	// Unified-cache coherence. A write punches its global union — the
+	// exact byte set about to move — out of the cache, clean and dirty
+	// extents alike, exactly once (PunchOnce: stale data for re-homed
+	// ranges is discarded before any aggregator absorbs or writes its
+	// replacement). A read needs nothing here: with a budget the
+	// aggregators' ReadThrough serves deferred dirty extents from memory,
+	// and without one there are none.
+	c := f.sharedCache()
+	if f.caching() {
 		// Resolve (and on the first caching collective, create) the
 		// shared cache HERE, before any rank can absorb or fetch:
 		// creation mid-collective would let a slow rank observe the
 		// cache late and punch the union after a fast aggregator's
 		// absorb.
-		wb = f.cache()
+		c = f.cache()
 	}
-	var union []pfs.Run
-	if wb != nil {
+	if write && c != nil {
+		var union []pfs.Run
 		for _, rr := range runsByRank {
 			union = append(union, rr...)
 		}
-		union = pfs.Coalesce(union)
-	}
-	if write {
-		if wb != nil {
-			wb.PunchOnce(size, union)
-		}
-	} else if f.WriteBehind != 0 || wb != nil {
-		// The extra round runs only when a cache is in play, so the
-		// PR 3 wire pattern is untouched otherwise. It is mandatory
-		// whenever a flush can fail here: returning ferr without the
-		// round would strand peers in the exchange. Every rank must
-		// agree on the knobs, and cache existence is synchronized by
-		// the collective that created it.
-		var ferr error
-		if wb != nil && !wb.caching() {
-			ferr = wb.FlushIntersecting(union)
-		}
-		if err := f.agree(ferr); err != nil {
-			return err
-		}
+		c.PunchOnce(size, pfs.Coalesce(union))
 	}
 
 	// Only remote payloads cross the exchange: send[me] stays nil and
@@ -568,8 +543,8 @@ func (s *staging) slice(off, n int64) []byte {
 // of its domain's requested extents, capped by CollectiveBufferSize
 // and issued as ONE vectored ReadV — every per-server segment of the
 // domain is queued up front, so service time overlaps across servers
-// and the elevator sees the whole batch without needing workers. With
-// clean caching on, the read goes through the unified cache instead:
+// and the elevator sees the whole batch without needing workers. With a
+// cache budget, the read goes through the unified cache instead:
 // cached stripes (including other ranks' deferred dirty bytes) come
 // from memory and only the holes are sieve-fetched, so a re-read of a
 // warm domain touches no server at all. Either way every byte of the
@@ -584,8 +559,8 @@ func (f *File) aggregateRead(placedBy [][]placed) (*staging, error) {
 	// cap only splits runs, never reorders or drops bytes).
 	capped := capRuns(runs, f.CollectiveBufferSize)
 	var err error
-	if c := f.sharedCache(); c != nil && c.caching() {
-		err = c.ReadThrough(capped, Contig(s.data))
+	if f.caching() {
+		err = f.cache().ReadThrough(capped, Contig(s.data))
 	} else {
 		_, err = f.fs.ReadV(capped, s.data)
 	}
@@ -658,11 +633,12 @@ func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error
 	// The packed staging layout is exactly WriteV's: one vectored call
 	// dispatches every per-server segment of the domain at once. The
 	// post-write punch closes the sieve-fetch race exactly as on the
-	// independent path (File.postWrite).
+	// independent path (File.punch).
 	if _, err := f.fs.WriteV(capRuns(runs, f.CollectiveBufferSize), s.data); err != nil {
 		return err
 	}
-	return f.postWrite(runs)
+	f.punch(runs)
+	return nil
 }
 
 // --- run wire encoding (fixed 16 bytes per run) ---

@@ -2,7 +2,6 @@ package mpiio
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"drxmp/internal/pfs"
@@ -67,16 +66,12 @@ func TestFaultSieveFallbackSurfacesRealError(t *testing.T) {
 	}
 }
 
-// TestFaultFlushFailureRetainsDirty (bugfix pin): a wb-only FlushAll
-// whose FlushV sweep fails must keep the dirty bytes buffered, so a
-// retry after the fault clears still makes them durable.
+// TestFaultFlushFailureRetainsDirty (bugfix pin): a FlushAll whose
+// FlushV sweep fails must leave the extents dirty in place, so a retry
+// after the fault clears still makes them durable — with any newer
+// absorb winning over them.
 func TestFaultFlushFailureRetainsDirty(t *testing.T) {
-	fs, err := pfs.Create("wbfault", pfs.Options{Servers: 2, StripeSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	w := newFileCache(fs) // wb-only: budget 0
+	fs, w := wbCacheForTest(t)
 	data := make([]byte, 300)
 	for i := range data {
 		data[i] = byte(i % 97)
@@ -92,8 +87,8 @@ func TestFaultFlushFailureRetainsDirty(t *testing.T) {
 	if w.Bytes() != 300 {
 		t.Fatalf("dirty after failed flush = %d, want 300 (bytes lost)", w.Bytes())
 	}
-	// Newer absorbs win over restored bytes: overwrite part of the range
-	// between the failed flush and the retry.
+	// Newer absorbs win over the bytes the failed sweep kept: overwrite
+	// part of the range between the failed flush and the retry.
 	upd := make([]byte, 50)
 	for i := range upd {
 		upd[i] = 0xAB
@@ -117,45 +112,6 @@ func TestFaultFlushFailureRetainsDirty(t *testing.T) {
 		}
 		if got[i] != want {
 			t.Fatalf("byte %d = %#x, want %#x after retried flush", i, got[i], want)
-		}
-	}
-}
-
-// TestFaultFlushIntersectingFailureRetainsDirty: same pin for the
-// read-coherence sweep.
-func TestFaultFlushIntersectingFailureRetainsDirty(t *testing.T) {
-	fs, err := pfs.Create("wbfault2", pfs.Options{Servers: 2, StripeSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	w := newFileCache(fs)
-	data := make([]byte, 64)
-	for i := range data {
-		data[i] = byte(i + 1)
-	}
-	w.Absorb(0, data)
-	w.Absorb(1000, data)
-	fs.SetInjector(&pfs.FaultPoint{Server: pfs.AnyServer, Op: pfs.FaultWrites, Permanent: true})
-	if err := w.FlushIntersecting([]pfs.Run{{Off: 0, Len: 64}}); err == nil {
-		t.Fatal("intersecting flush through a dead server succeeded")
-	}
-	if w.Bytes() != 128 {
-		t.Fatalf("dirty after failed intersecting flush = %d, want 128", w.Bytes())
-	}
-	fs.SetInjector(nil)
-	if err := w.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	for _, off := range []int64{0, 1000} {
-		got := make([]byte, 64)
-		if _, err := fs.ReadAt(got, off); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != byte(i+1) {
-				t.Fatal(fmt.Sprintf("byte %d at %d corrupted after retry", i, off))
-			}
 		}
 	}
 }

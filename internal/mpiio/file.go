@@ -52,32 +52,29 @@ type File struct {
 	Parallelism int
 
 	// WriteBehind selects the write-behind policy for collective
-	// writes (the dirty side of the unified extent cache,
-	// filecache.go): 0 (the default) dispatches each collective's
-	// union runs immediately; > 0 buffers dirty unions across
-	// collectives and flushes the whole cache once that many bytes are
-	// buffered (the watermark); < 0 buffers without bound, flushing
-	// only on Sync, Close, read coherence, or budget-pressure
-	// eviction. The cache is shared by every handle on the same store
-	// (the watermark is on the file's total buffered dirty bytes), so
-	// reads through ANY handle observe the deferred bytes — served
-	// from memory when clean caching is on, flushed first otherwise.
-	// Every rank of a communicator must use the same enabled/disabled
-	// state (collective reads insert one coherence round when a cache
-	// is in play). Concurrent unsynced access to overlapping ranges
-	// keeps MPI's usual semantics: undefined without a Sync/barrier
-	// between the conflicting operations.
+	// writes — the dirty side of the extent cache (filecache.go), so it
+	// requires CacheBytes > 0 (ApplyTuning rejects it without): 0 (the
+	// default) dispatches each collective's union runs immediately; > 0
+	// buffers dirty unions across collectives and flushes the whole
+	// cache once that many bytes are buffered (the watermark); < 0
+	// buffers without bound, flushing only on Sync, Close, or
+	// budget-pressure eviction. The cache is shared by every handle on
+	// the same store (the watermark is on the file's total buffered dirty
+	// bytes), so reads through ANY handle observe the deferred bytes,
+	// served from memory. Every rank of a communicator must use the same
+	// value. Concurrent unsynced access to overlapping ranges keeps MPI's
+	// usual semantics: undefined without a Sync/barrier between the
+	// conflicting operations.
 	WriteBehind int64
 
-	// CacheBytes enables the clean side of the unified extent cache —
-	// data sieving for reads — with that memory budget in bytes: reads
-	// fetch sieve-aligned covering blocks (one vectored SieveReadV)
-	// into the cache and hole-free re-reads come from memory. The
-	// budget caps the file's TOTAL cached bytes, clean and dirty:
-	// clean extents evict LRU-first, dirty extents flush-on-evict. 0
-	// (the default) disables clean caching — the cache degenerates to
-	// the PR 4 write-behind behavior. Every rank must use the same
-	// value.
+	// CacheBytes turns the unified extent cache on with that memory
+	// budget in bytes: reads fetch sieve-aligned covering blocks (one
+	// vectored SieveReadV) into the cache and hole-free re-reads come
+	// from memory, and write-behind keeps its dirty extents there. The
+	// budget caps the file's TOTAL cached bytes, clean and dirty: clean
+	// extents evict LRU-first, dirty extents flush-on-evict. 0 (the
+	// default) turns the cache off: reads and writes go straight to the
+	// store. Every rank must use the same value.
 	CacheBytes int64
 
 	// ReadAhead extends each sieve fetch past the requested range by
@@ -139,8 +136,8 @@ func (f *File) cache() *fileCache {
 }
 
 // sharedCache returns the file's shared cache without creating one —
-// the coherence hooks use it, so a handle that never wrote still
-// observes the deferred bytes of the handles that did.
+// Sync, the stats and the write punches use it, so a handle that never
+// resolved the cache still sees the one the other handles share.
 func (f *File) sharedCache() *fileCache {
 	c := f.fc.Load()
 	if c == nil {
@@ -151,9 +148,12 @@ func (f *File) sharedCache() *fileCache {
 	return c
 }
 
-// cacheActive reports whether this handle runs reads through the
-// unified cache (clean caching / data sieving enabled).
-func (f *File) cacheActive() bool { return f.CacheBytes > 0 }
+// caching reports whether this handle has a cache budget. It is the one
+// read rule, on the independent and the collective path alike: with a
+// budget, reads go through the shared cache (ReadThrough), which serves
+// deferred dirty bytes from memory; without one they go straight to the
+// store, and no dirty bytes exist, since write-behind requires a budget.
+func (f *File) caching() bool { return f.CacheBytes > 0 }
 
 // TuningKnobs is ApplyTuning's parameter block — one field per handle
 // knob, so the signature stops growing positionally as knobs accrue.
@@ -169,21 +169,21 @@ type TuningKnobs struct {
 
 // ApplyTuning installs every collective/cache knob of the handle in
 // one call — the atomic application point behind drxmp.File.SetTuning,
-// so a serving tier can swap a whole tenant profile. The shared cache
-// is reconfigured once. Disabling write-behind (newly zero) flushes the
-// buffered dirty extents; disabling the cache or the spill tier first
-// drains every deferred byte under the OLD configuration (the
-// caching sweep is the only path that reads dirty extents back out of
-// the spill file). Enabling the spill tier opens the spill file
-// eagerly, so a bad SpillPath fails this call rather than silently
-// degrading later.
+// so a serving tier can swap a whole tenant profile. Write-behind
+// requires a cache budget. Turning write-behind, the cache or the spill
+// tier off first drains every deferred byte under the OLD configuration
+// (the caching sweep is the only path that reads dirty extents back out
+// of the spill file), so a cache without a budget never holds a dirty
+// byte. The shared cache is then reconfigured once. Enabling the spill
+// tier opens the spill file eagerly, so a bad SpillPath fails this call
+// rather than silently degrading later.
 func (f *File) ApplyTuning(k TuningKnobs) error {
-	wasWB := f.WriteBehind
-	if (k.CacheBytes <= 0 && f.CacheBytes > 0) || (k.SpillBytes <= 0 && f.SpillBytes > 0) {
-		if w := f.sharedCache(); w != nil {
-			if err := w.FlushAll(); err != nil {
-				return err
-			}
+	if k.WriteBehind != 0 && k.CacheBytes <= 0 {
+		return fmt.Errorf("mpiio: write-behind %d without a cache budget (deferred writes are the cache's dirty extents)", k.WriteBehind)
+	}
+	if (k.WriteBehind == 0 && f.WriteBehind != 0) || (k.CacheBytes <= 0 && f.CacheBytes > 0) || (k.SpillBytes <= 0 && f.SpillBytes > 0) {
+		if err := f.Sync(); err != nil {
+			return err
 		}
 	}
 	f.Parallelism = k.Parallelism
@@ -200,20 +200,15 @@ func (f *File) ApplyTuning(k TuningKnobs) error {
 		w.Configure(f.cacheConfig())
 	}
 	if w != nil {
-		if err := w.SpillErr(); err != nil {
-			return err
-		}
-	}
-	if k.WriteBehind == 0 && wasWB != 0 {
-		return f.Sync()
+		return w.SpillErr()
 	}
 	return nil
 }
 
 // Sync flushes every buffered dirty extent of the file — all ranks'
 // deferred collective writes share one cache — to the file system as
-// one vectored flush sweep (MPI_File_sync). With clean caching on the
-// flushed extents stay cached (clean), so a post-Sync re-read is warm.
+// one vectored flush sweep (MPI_File_sync). The flushed extents stay
+// cached (clean), so a post-Sync re-read is warm.
 // A file with nothing dirty is a no-op.
 func (f *File) Sync() error {
 	if w := f.sharedCache(); w != nil {
@@ -255,38 +250,29 @@ func (f *File) CacheStats() CacheStats {
 	return CacheStats{}
 }
 
-// coherent applies the unified-cache coherence rule to a run list this
-// rank is about to transfer directly against the store: a read flushes
-// the dirty extents it intersects (so it observes every handle's
-// deferred bytes — the cache is shared), a write punches the runs out
-// of the cache, clean and dirty alike (so neither a later flush nor a
-// cached re-read can resurrect superseded bytes). No-op without a
-// cache.
-func (f *File) coherent(runs []pfs.Run, write bool) error {
-	w := f.sharedCache()
-	if w == nil {
-		return nil
-	}
-	if write {
+// punch discards runs from the shared cache, clean and dirty alike, in
+// both tiers — the write side of the cache's coherence. A direct store
+// write (WriteV, the collective aggregateWrite) punches its runs twice.
+// Before the write, so neither a later flush nor a cached re-read can
+// resurrect superseded bytes. After it, because a sieve fetch that
+// started after the first punch may have read the store before the
+// write landed: the second punch enters its guard if it is still out,
+// and removes the stale clean bytes it inserted if it is not. No-op
+// without a cache.
+func (f *File) punch(runs []pfs.Run) {
+	if w := f.sharedCache(); w != nil {
 		w.PunchV(runs)
-		return nil
 	}
-	return w.FlushIntersecting(runs)
 }
 
 // ReadV reads the coalesced runs into mem (their bytes packed
-// back-to-back fill its segments in order). With clean caching on
-// (CacheBytes > 0) the read goes through the unified cache — covered
-// bytes, dirty or clean, come from memory and holes are sieve-fetched;
-// otherwise it applies the wb-only read coherence (flush intersecting
-// dirty extents) and reads the store, whose servers move the bytes
-// straight into mem's segments.
+// back-to-back fill its segments in order): through the shared cache
+// when the handle has a budget — covered bytes, dirty or clean, come
+// from memory and holes are sieve-fetched — and otherwise straight from
+// the store, whose servers move the bytes into mem's segments.
 func (f *File) ReadV(runs []pfs.Run, mem Vec) error {
-	if f.cacheActive() {
+	if f.caching() {
 		return f.cache().ReadThrough(runs, mem)
-	}
-	if err := f.coherent(runs, false); err != nil {
-		return err
 	}
 	_, err := f.fs.ReadVec(runs, mem)
 	return err
@@ -294,31 +280,13 @@ func (f *File) ReadV(runs []pfs.Run, mem Vec) error {
 
 // WriteV writes the coalesced runs from mem (its segments,
 // concatenated, supply the runs' bytes), punching the runs out of the
-// unified cache first — and, with clean caching on, once more after
-// the store write lands (postWrite).
+// shared cache before and after the store write.
 func (f *File) WriteV(runs []pfs.Run, mem Vec) error {
-	if err := f.coherent(runs, true); err != nil {
-		return err
-	}
+	f.punch(runs)
 	if _, err := f.fs.WriteVec(runs, mem); err != nil {
 		return err
 	}
-	return f.postWrite(runs)
-}
-
-// postWrite re-punches runs after a direct store write has completed.
-// A sieve fetch in flight across the pre-write punch (coherent) has the
-// runs in its guard and will not insert them, but one that started
-// after that punch may still have read the store BEFORE the write
-// landed: this punch enters its guard if it is still out, and removes
-// the stale clean bytes it inserted if it is not. The direct-write paths
-// (WriteV, the collective aggregateWrite) call it once their store
-// writes return. No-op unless clean caching is on —
-// without clean extents there is nothing a racing read could poison.
-func (f *File) postWrite(runs []pfs.Run) error {
-	if w := f.sharedCache(); w != nil && w.caching() {
-		w.PunchV(runs)
-	}
+	f.punch(runs)
 	return nil
 }
 

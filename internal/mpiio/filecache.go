@@ -10,24 +10,23 @@ import (
 	"drxmp/internal/spill"
 )
 
-// Unified per-file extent cache: the write-behind machinery of PR 4
-// (dirty extents absorbed from collective writes, flushed in vectored
-// pfs.FlushV sweeps) generalized into ONE cache holding clean and
-// dirty extents, so the same data structure serves both directions of
-// the out-of-core access pattern — deferred writes out, data-sieved
-// reads in.
+// Unified per-file extent cache: ONE cache holding clean and dirty
+// extents under one memory budget (File.CacheBytes), so the same data
+// structure serves both directions of the out-of-core access pattern —
+// deferred writes out, data-sieved reads in. Write-behind is this cache
+// holding dirty extents, so it requires a budget.
 //
 //   - Dirty extents are deferred collective-write bytes (File.WriteBehind).
-//     They flush on the watermark, Sync, Close, read coherence (when
-//     clean caching is off), or budget-pressure eviction.
-//   - Clean extents are sieve-block read fetches (File.CacheBytes > 0):
-//     a read fetches the covering extent rounded to sieve-aligned
-//     blocks as one vectored pfs.SieveReadV, serves the caller from it,
-//     and keeps it so hole-free re-reads come from memory. Read-ahead
-//     (File.ReadAhead) extends each fetch past the requested range so
-//     a sectioned forward scan finds its next block already cached.
+//     They flush in vectored pfs.FlushV sweeps on the watermark, Sync,
+//     Close, or budget-pressure eviction.
+//   - Clean extents are sieve-block read fetches: a read fetches the
+//     covering extent rounded to sieve-aligned blocks as one vectored
+//     pfs.SieveReadV, serves the caller from it, and keeps it so
+//     hole-free re-reads come from memory. Read-ahead (File.ReadAhead)
+//     extends each fetch past the requested range so a sectioned
+//     forward scan finds its next block already cached.
 //
-// Invariants and coherence (generalizing the PR 4 rules):
+// Invariants and coherence:
 //
 //   - The cache is SHARED by every handle opened on the same pfs.FS
 //     (one cache per file): aggregators on every rank absorb into it,
@@ -40,22 +39,19 @@ import (
 //     data may not survive the write that superseded it, exactly as
 //     stale dirty data may not (collective writes punch their global
 //     union once via PunchOnce, independent writes punch their runs).
-//   - Reads with clean caching enabled go through ReadThrough, which
-//     serves dirty bytes straight from memory — no coherence flush is
-//     needed because a flush never removes data from a caching cache:
-//     FlushAll/FlushIntersecting write the dirty bytes back and mark
-//     the extents clean IN PLACE, so there is no window where a byte
-//     is in neither the cache nor the store. With clean caching off
-//     (budget 0) the cache degenerates to the PR 4 write-behind cache:
-//     reads flush intersecting dirty extents and go to the store, and
-//     flushes remove what they wrote (flushMu closes the window).
+//   - Reads go through ReadThrough, which serves dirty bytes straight
+//     from memory — no coherence flush is needed because a flush never
+//     removes data: a sweep writes the dirty bytes back and marks the
+//     extents clean IN PLACE, so there is no window where a byte is in
+//     neither the cache nor the store. A handle without a budget reads
+//     the store directly, and then no dirty bytes exist.
 //   - The memory budget (CacheBytes) caps the TOTAL cached bytes.
 //     Over budget, clean extents evict in LRU order; if the dirty
 //     bytes alone exceed the budget, the least-recently-used dirty
 //     extents flush-on-evict through the same vectored pfs.FlushV
 //     sweep and then evict as clean.
 //   - Every in-flight sieve fetch holds a GUARD that collects the
-//     ranges punched, absorbed or restored while its store read is out;
+//     ranges punched or absorbed while its store read is out;
 //     the fetch serves its caller but inserts only outside those ranges,
 //     so pre-write store bytes can never enter the cache as clean — and
 //     a write to a disjoint range costs the fetch nothing.
@@ -100,8 +96,7 @@ import (
 // frees the buffer, so a punch links its remainders before it lets go
 // of the punched extent, and eviction demotes before it removes. The
 // free lists hold at most the memory budget in bytes: past it, the
-// longest-free buffers go to the garbage collector, and in wb-only mode
-// every freed one does.
+// longest-free buffers go to the garbage collector.
 
 // cext is one cached byte range and its buffered data (len(data) ==
 // length of the range; data is a sub-slice of buf, and off and data
@@ -192,10 +187,8 @@ func (s CacheStats) Sub(t CacheStats) CacheStats {
 // cache registers with the pfs store, share it).
 //
 // Lock order: flushMu before mu, never the reverse. flushMu serializes
-// flush sweeps END TO END; in wb-only mode (no clean caching) it
-// additionally closes the removed-but-not-yet-written window exactly
-// as in PR 4 — a reader's FlushIntersecting blocks until the in-flight
-// sweep is durable.
+// flush sweeps END TO END, so a punch that discarded dirty bytes can
+// wait out the sweep that may still be writing them (PunchV).
 type fileCache struct {
 	fs *pfs.FS
 
@@ -225,7 +218,7 @@ type fileCache struct {
 
 	// Policy (Configure): shared, so every handle on the store must
 	// agree — the same rule as every other collective knob.
-	budget    int64 // max total bytes; 0 disables clean caching (wb-only)
+	budget    int64 // max total bytes; 0: the cache is off and holds nothing
 	sieve     int64 // sieve block size; 0 = stripe size
 	readAhead int64 // extra fetch bytes past each miss; 0 = none
 
@@ -244,7 +237,7 @@ type fileCache struct {
 // projection of drxmp.Tuning. Handles re-apply it on every resolve;
 // every rank must agree (last writer wins).
 type cacheConfig struct {
-	budget     int64 // memory budget; 0 disables clean caching
+	budget     int64 // memory budget; 0 turns the cache off
 	sieve      int64 // sieve block; 0 = stripe size
 	readAhead  int64 // read-ahead; 0 = none
 	spillBytes int64 // spill-tier budget; 0 disables the tier
@@ -303,8 +296,9 @@ func (w *fileCache) closeHook() error {
 
 // Configure installs the cache policy. Handles re-apply their knobs on
 // every resolve; every rank must use the same values (last writer
-// wins). Dropping the budget to 0 returns the cache to wb-only mode
-// and releases every clean extent. A positive spillBytes (with an
+// wins). Dropping the budget to 0 releases every clean extent; the
+// handles flush before they drop it (ApplyTuning), so no dirty extent
+// is left in a cache that is off. A positive spillBytes (with an
 // active budget) opens the spill tier on first application; an open
 // failure is sticky (SpillErr) until the spill config changes.
 // Disabling the tier releases the spill file once nothing dirty
@@ -337,13 +331,6 @@ func (w *fileCache) Configure(cfg cacheConfig) {
 	for w.freeBytes > w.budget { // a lowered budget
 		w.dropOldest()
 	}
-}
-
-// caching reports whether clean-extent caching (data sieving) is on.
-func (w *fileCache) caching() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.budget > 0
 }
 
 // SpillErr returns the sticky spill-tier open failure, if any — the
@@ -424,11 +411,11 @@ func (w *fileCache) Absorb(off int64, p []byte) {
 
 // mergeDirtyLocked enters the dirty run [off, off+len(p)) — which no
 // clean extent overlaps — merging it with the dirty extents it overlaps
-// or touches, its own bytes winning. Absorbs, dirty promotions and
-// restores all enter here, which is what keeps dirty extents
-// non-adjacent. b is the cache buffer p lies in, which a run that
-// merges with nothing keeps; with b nil, p is the caller's and is
-// copied. Must be called with w.mu held.
+// or touches, its own bytes winning. Absorbs and dirty promotions both
+// enter here, which is what keeps dirty extents non-adjacent. b is the
+// cache buffer p lies in, which a run that merges with nothing keeps;
+// with b nil, p is the caller's and is copied. Must be called with w.mu
+// held.
 func (w *fileCache) mergeDirtyLocked(off int64, p []byte, b *cbuf, use int64) {
 	end := off + int64(len(p))
 	// [i, j) is the range of dirty extents overlapping or adjacent to
@@ -502,8 +489,7 @@ func (w *fileCache) remove(e *cext) { w.leave(e); w.ext = extent.Delete(w.ext, e
 func (w *fileCache) leave(e *cext)  { w.unlink(e); w.unref(e.buf) }
 
 // takeLocked removes a batch of resident extents in one pass over the
-// list (the wb-only flushes, which pin them and write them back
-// afterwards, and Configure's release of every clean extent).
+// list (Configure's release of every clean extent).
 func (w *fileCache) takeLocked(victims []*cext) {
 	if len(victims) == 0 {
 		return
@@ -529,6 +515,19 @@ func (w *fileCache) takeLocked(victims []*cext) {
 // straight to its absorb, and the executed punch must be complete —
 // not in flight — by then, or it would destroy freshly absorbed
 // bytes.
+//
+// Unlike PunchV, PunchOnce never waits out the sweeps in flight, and
+// needs no such barrier. PunchV waits because its caller goes on to
+// write the store directly, and that write must land after any sweep
+// still writing older dirty bytes of the same runs. A collective write
+// never does both. With write-behind on, it only absorbs: its bytes
+// reach the store in a later sweep, and sweeps run one at a time
+// (flushMu), so the older sweep's write lands first. With write-behind
+// off, it writes the store directly, but then the cache holds no dirty
+// bytes, so no sweep can be writing any: write-behind requires a
+// budget, ApplyTuning flushes when it turns off, and every rank agrees
+// on the knob. The model test checks that premise after every phase
+// run with write-behind off.
 func (w *fileCache) PunchOnce(nranks int, runs []pfs.Run) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -545,19 +544,17 @@ func (w *fileCache) PunchOnce(nranks int, runs []pfs.Run) {
 // in both tiers and under one lock hold: extents fully inside a run are
 // dropped, extents straddling a boundary are trimmed or split. Used by
 // independent writes, before the store write (the file copy is about to
-// become newer than the cache) and again after it (File.postWrite).
+// become newer than the cache) and again after it (File.punch).
 //
 // A flush sweep that picked up dirty bytes of these runs before the
 // punch may still be writing them, and the caller's store write has to
 // land AFTER it or the sweep's older bytes would win on the store. So a
-// punch that discarded dirty bytes waits out the sweeps in flight — as
-// does every punch in wb-only mode, where a sweep's victims have
-// already left the cache and cannot be seen here.
+// punch that discarded dirty bytes waits out the sweeps in flight.
 func (w *fileCache) PunchV(runs []pfs.Run) {
 	w.mu.Lock()
 	was := w.dirtyLocked()
 	w.punchLocked(runs, false)
-	wait := w.budget <= 0 || w.dirtyLocked() < was
+	wait := w.dirtyLocked() < was
 	w.mu.Unlock()
 	if wait {
 		w.flushMu.Lock()
@@ -597,28 +594,9 @@ func (w *fileCache) punchLocked(runs []pfs.Run, cleanOnly bool) {
 	})
 }
 
-// pickDirty returns the dirty extents overlapping any of runs, one
-// windowed lookup per run (runs arrive sorted and coalesced; an extent
-// spanning two of them is picked once). Must be called with w.mu held.
-func (w *fileCache) pickDirty(runs []pfs.Run) []*cext {
-	var out []*cext
-	at := 0
-	for _, r := range runs {
-		i, j := extent.Window(w.ext, r, at)
-		for _, e := range w.ext[i:j] {
-			if e.dirty && (len(out) == 0 || out[len(out)-1] != e) {
-				out = append(out, e)
-			}
-		}
-		at = i
-	}
-	return out
-}
-
-// FlushAll writes every dirty extent back as one vectored flush sweep.
-// With clean caching on, the flushed extents stay in the cache marked
-// clean (a Sync leaves the cache warm); in wb-only mode they are
-// removed, as in PR 4. A cache with nothing dirty is a no-op.
+// FlushAll writes every dirty extent back as one vectored flush sweep;
+// the flushed extents stay in the cache marked clean (a Sync leaves the
+// cache warm). A cache with nothing dirty is a no-op.
 func (w *fileCache) FlushAll() error {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
@@ -626,56 +604,36 @@ func (w *fileCache) FlushAll() error {
 	return w.flushLocked(slices.Clone(w.lru[1].Items()))
 }
 
-// FlushIntersecting writes back exactly the dirty extents that overlap
-// any of runs — the read-coherence sweep of wb-only mode. Extents
-// outside the queried ranges stay buffered. In wb-only mode the
-// flushed extents are removed, and holding flushMu for the whole sweep
-// means a reader whose coherence check races another flush blocks
-// until that flush's bytes are durable, instead of reading the store
-// in the removed-but-not-yet-written window. With clean caching on the
-// flushed extents stay, marked clean (no window exists to protect), and
-// the sweep also drains the spill tier's dirty bytes (all of them, not
-// just the intersecting ones — flushing deferred bytes early is always
-// safe, and it keeps the sweep one vectored FlushV).
-func (w *fileCache) FlushIntersecting(runs []pfs.Run) error {
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	w.mu.Lock()
-	return w.flushLocked(w.pickDirty(runs))
-}
-
-// flushLocked is the one flush sweep behind FlushAll and
-// FlushIntersecting, over victims the caller picked (a slice of its own,
-// in any order). Entered with flushMu and w.mu held; releases w.mu.
+// flushLocked is the one flush sweep behind FlushAll and EnforceBudget,
+// over victims the caller picked (a slice of its own, in any order).
+// Entered with flushMu and w.mu held; releases w.mu.
 //
-// With clean caching on it writes the victims — plus every dirty extent
-// of the spill tier, read back from the spill file — as one vectored
-// sweep and marks them clean IN PLACE, so the data never leaves the cache
-// mid-flush (readers stay coherent without taking flushMu). A victim
-// punched or re-absorbed during the sweep (no longer resident in
-// memory, a new entry id in the spill tier) is skipped: its replacement
-// keeps its own dirtiness and flushes later.
+// It writes the victims — plus every dirty extent of the spill tier,
+// read back from the spill file — as one vectored sweep and marks them
+// clean IN PLACE, so the data never leaves the cache mid-flush (readers
+// stay coherent without taking flushMu). A victim punched or re-absorbed
+// during the sweep (no longer resident in memory, a new entry id in the
+// spill tier) is skipped: its replacement keeps its own dirtiness and
+// flushes later. A failed sweep marks nothing, so every victim stays
+// dirty in place for a retry.
 //
-// In wb-only mode the victims leave the cache before the sweep; if it
-// fails their bytes go back (restoreDirtyLocked), so a failed flush
-// keeps the dirty data buffered for a retry instead of silently
-// dropping it.
-//
-// Either way every buffer the sweep reads — the victims' and the spill
-// chunks' — is pinned until FlushV has returned: without mu, a punch or
-// eviction (in wb-only mode, the take itself) may let go of a victim,
-// and a freed buffer is the next taker's to overwrite.
+// Every buffer the sweep reads — the victims' and the spill chunks' — is
+// pinned until FlushV has returned: without mu, a punch or eviction may
+// let go of a victim, and a freed buffer is the next taker's to
+// overwrite.
 func (w *fileCache) flushLocked(victims []*cext) error {
 	for _, e := range victims {
 		w.pin(e.buf)
 	}
-	wbOnly := w.budget <= 0
 	var chunks []spill.Chunk
-	if wbOnly {
-		w.takeLocked(victims)
-	} else if w.spill != nil && w.spill.Dirty() > 0 {
+	if w.spill != nil && w.spill.Dirty() > 0 {
 		var err error
 		if chunks, err = w.spill.CollectDirty(w.lend); err != nil {
+			// The read-backs made so far, and the failed one's memory,
+			// come back with the error; nothing holds them yet.
+			for _, c := range chunks {
+				w.drop(c.Owner.(*cbuf))
+			}
 			w.unpinSweep(victims, nil)
 			w.mu.Unlock()
 			return err
@@ -695,13 +653,7 @@ func (w *fileCache) flushLocked(victims []*cext) error {
 	defer w.mu.Unlock()
 	defer w.unpinSweep(victims, chunks)
 	if err != nil {
-		if wbOnly {
-			w.restoreDirtyLocked(victims)
-		}
 		return err
-	}
-	if wbOnly {
-		return nil
 	}
 	for _, e := range victims {
 		if e.node.Linked() && e.dirty {
@@ -728,23 +680,6 @@ func (w *fileCache) unpinSweep(victims []*cext, chunks []spill.Chunk) {
 	}
 	for _, c := range chunks {
 		w.unpin(c.Owner.(*cbuf))
-	}
-}
-
-// restoreDirtyLocked reinserts extents that a wb-only flush removed from
-// the cache before its FlushV sweep failed, so the dirty bytes survive
-// for a retry. Each extent's bytes return dirty only where the cache is
-// currently uncovered: anything absorbed since the removal is newer and
-// wins. The sweep still pins the extents' buffers, so their bytes are
-// intact, and a restored range that merges with nothing keeps its
-// buffer. Must be called with w.mu held.
-func (w *fileCache) restoreDirtyLocked(ext []*cext) {
-	for _, e := range ext {
-		for _, g := range w.uncovered(e.Span()) {
-			w.clock++
-			w.mergeDirtyLocked(g.Off, e.data[g.Off-e.off:g.End()-e.off], e.buf, w.clock)
-			w.noteWrite(g)
-		}
 	}
 }
 
@@ -878,7 +813,7 @@ type hole struct {
 }
 
 // fetchGuard is one sieve fetch in flight: wrote collects every range
-// punched, absorbed or restored while the store read is out (under
+// punched or absorbed while the store read is out (under
 // w.mu), and the fetch inserts only outside them.
 type fetchGuard struct{ wrote []pfs.Run }
 
@@ -907,9 +842,9 @@ func (w *fileCache) uncovered(span pfs.Run) []pfs.Run {
 // dirty — copy straight from memory, and the uncovered holes are
 // fetched from the store as ONE vectored SieveReadV of sieve-aligned
 // blocks (plus the read-ahead extension), which then populate the
-// cache as clean extents for the next reader. Requires clean caching
-// (budget > 0); File.ReadV and the collective aggregateRead route
-// through here when it is on.
+// cache as clean extents for the next reader. Requires a budget;
+// File.ReadV and the collective aggregateRead route through here
+// whenever the handle has one (File.caching).
 func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 	// Phase 1: serve what the cache covers, collect the holes. Spill
 	// hits promote FIRST — still under this same mu hold, so the hole

@@ -179,16 +179,18 @@ func (m *cacheModel) write(runs []pfs.Run) error {
 	if _, err := m.fs.WriteV(runs, p); err != nil {
 		return err
 	}
-	if m.w.caching() {
-		m.w.PunchV(runs)
-	}
+	m.w.PunchV(runs)
 	each(runs, p, func(r pfs.Run, b []byte) { copy(m.want[r.Off:], b) })
 	return nil
 }
 
 // absorb is the write-behind aggregator: defer every run, then settle
-// the budget. collective adds the union punch in front.
+// the budget. collective adds the union punch in front. Write-behind
+// requires a budget, so there is no absorb while it is 0.
 func (m *cacheModel) absorb(runs []pfs.Run, collective bool) error {
+	if m.cfg.budget <= 0 {
+		return nil
+	}
 	p := m.payload(runs)
 	if collective {
 		m.w.PunchOnce(1, runs)
@@ -212,20 +214,16 @@ func (m *cacheModel) enforce() error {
 	return nil
 }
 
-// read is File.ReadV's protocol, checked against the model.
+// read is File.ReadV's protocol, checked against the model: through the
+// cache with a budget, straight from the store without one.
 func (m *cacheModel) read(runs []pfs.Run) error {
 	buf := packed(runs)
-	if m.w.caching() {
+	if m.cfg.budget > 0 {
 		if err := m.w.ReadThrough(runs, Contig(buf)); err != nil {
 			return err
 		}
-	} else {
-		if err := m.w.FlushIntersecting(runs); err != nil {
-			return err
-		}
-		if _, err := m.fs.ReadV(runs, buf); err != nil {
-			return err
-		}
+	} else if _, err := m.fs.ReadV(runs, buf); err != nil {
+		return err
 	}
 	var bad error
 	each(runs, buf, func(r pfs.Run, b []byte) {
@@ -272,7 +270,7 @@ func (m *cacheModel) reconfigure() error {
 // step runs one random operation.
 func (m *cacheModel) step() error {
 	runs := m.runs()
-	switch k := m.rng.Intn(19); {
+	switch k := m.rng.Intn(18); {
 	case k < 4:
 		return m.write(runs)
 	case k < 7:
@@ -287,11 +285,6 @@ func (m *cacheModel) step() error {
 		}
 		return m.durable([]pfs.Run{{Off: m.lo, Len: m.hi - m.lo}})
 	case k == 16:
-		if err := m.w.FlushIntersecting(runs); err != nil {
-			return err
-		}
-		return m.durable(runs)
-	case k == 17:
 		return m.enforce()
 	}
 	if m.sole() { // the policy is shared: drivers with company leave it alone

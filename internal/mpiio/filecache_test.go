@@ -302,43 +302,33 @@ func TestFileCacheAbsorbPunchesClean(t *testing.T) {
 	}
 }
 
-// TestFileCacheConfigureDisableDropsClean: dropping the budget to 0
-// returns the cache to wb-only mode and releases clean extents while
-// keeping dirty ones buffered.
+// TestFileCacheConfigureDisableDropsClean: dropping the budget to 0,
+// after the flush ApplyTuning makes first, releases every extent — the
+// fetched ones and the flushed ones alike.
 func TestFileCacheConfigureDisableDropsClean(t *testing.T) {
 	_, w := fcForTest(t, 1<<20, 128, 0)
 	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
 	w.Absorb(1024, bytes.Repeat([]byte{3}, 64))
-	w.Configure(cacheConfig{})
-	if w.caching() {
-		t.Fatal("still caching after Configure(0)")
+	if err := w.FlushAll(); err != nil {
+		t.Fatal(err)
 	}
-	if w.Cached() != 64 || w.Bytes() != 64 {
-		t.Fatalf("cached/dirty = %d/%d after disable, want 64/64", w.Cached(), w.Bytes())
+	w.Configure(cacheConfig{})
+	if w.Cached() != 0 || w.Bytes() != 0 {
+		t.Fatalf("cached/dirty = %d/%d after disable, want 0/0", w.Cached(), w.Bytes())
+	}
+	if st := w.Stats(); st.Evicted != 192 {
+		t.Fatalf("evicted = %d, want the 192 released bytes", st.Evicted)
 	}
 }
 
 // TestCollectiveReadCacheCoherent: the mpiio-level integration — a
 // 4-rank collective write rides write-behind, a collective re-read
-// under CacheBytes serves every rank coherently, and a second re-read
-// issues no further store reads (warm across ranks: the cache is
-// shared per store).
+// serves every rank coherently, and a second re-read issues no further
+// store reads (warm across ranks: the cache is shared per store).
 func TestCollectiveReadCacheCoherent(t *testing.T) {
-	const ranks = 4
-	fs, err := pfs.Create("fccoll", pfs.Options{Servers: 2, StripeSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	err = cluster.Run(ranks, func(c *cluster.Comm) error {
-		f := Open(c, fs)
-		f.WriteBehind = -1
-		f.CacheBytes = 1 << 20
-		if err := f.SetView(int64(c.Rank())*512, MustBytes(1<<20)); err != nil {
-			return err
-		}
+	runWB(t, 4, -1, func(c *cluster.Comm, f *File) error {
 		data := make([]byte, 512)
 		for i := range data {
 			data[i] = byte(c.Rank()*31 + i)
@@ -355,15 +345,11 @@ func TestCollectiveReadCacheCoherent(t *testing.T) {
 				return fmt.Errorf("rank %d round %d: cached collective read incoherent", c.Rank(), round)
 			}
 		}
-		if c.Rank() == 0 && fs.Stats().Reads() != 0 {
-			return fmt.Errorf("cached reads over deferred dirty bytes touched the store (%d reads)",
-				fs.Stats().Reads())
+		if n := f.FS().Stats().Reads(); c.Rank() == 0 && n != 0 {
+			return fmt.Errorf("cached reads over deferred dirty bytes touched the store (%d reads)", n)
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestFileCacheReadThroughPoisonedPool: a miss's fetch lands in buffers

@@ -96,7 +96,7 @@ func TestTieredPunchInvalidatesSpill(t *testing.T) {
 		t.Fatal("nothing demoted; the race under test never happens")
 	}
 	// Supersede [0, 512) behind the cache's back, then punch — the
-	// independent-write / postWrite protocol.
+	// independent write's post-write punch.
 	if _, err := fs.WriteAt(bytes.Repeat([]byte{0xEE}, 512), 0); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 			}
 		default:
 			for _, w := range caches {
-				if err := w.FlushIntersecting([]pfs.Run{{Off: off, Len: n}}); err != nil {
+				if err := w.FlushAll(); err != nil {
 					t.Fatal(err)
 				}
 			}

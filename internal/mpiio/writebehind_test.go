@@ -3,12 +3,16 @@ package mpiio
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"drxmp/internal/cluster"
 	"drxmp/internal/pfs"
 )
 
+// wbCacheForTest builds a store and a cache on it whose budget no test
+// here fills, so nothing flushes on evict.
 func wbCacheForTest(t *testing.T) (*pfs.FS, *fileCache) {
 	t.Helper()
 	fs, err := pfs.Create("wb", pfs.Options{Servers: 2, StripeSize: 128})
@@ -16,7 +20,9 @@ func wbCacheForTest(t *testing.T) (*pfs.FS, *fileCache) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fs.Close() })
-	return fs, newFileCache(fs)
+	w := newFileCache(fs)
+	w.Configure(cacheConfig{budget: 1 << 20})
+	return fs, w
 }
 
 func fill(n int, v byte) []byte {
@@ -77,68 +83,98 @@ func TestWriteBehindPunch(t *testing.T) {
 	w.PunchV([]pfs.Run{{Off: 0, Len: 10}}) // empty cache: no-op
 }
 
-// TestWriteBehindFlushIntersecting: only extents overlapping the query
-// are flushed; the rest stay buffered; the flushed bytes are on the
-// store and attributed as flush traffic.
-func TestWriteBehindFlushIntersecting(t *testing.T) {
+// gateWrites is an injector that holds the first write submission until
+// release is closed, after signalling on held.
+type gateWrites struct {
+	once    sync.Once
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (g *gateWrites) Fail(server int, write bool, off, n int64) error {
+	if write {
+		g.once.Do(func() {
+			close(g.held)
+			<-g.release
+		})
+	}
+	return nil
+}
+
+// TestPunchWaitsOutSweepInFlight: a punch that discards dirty bytes a
+// flush sweep is still writing must not return before the sweep has
+// landed, or the caller's direct store write could land first and the
+// sweep's older bytes would win on the store.
+func TestPunchWaitsOutSweepInFlight(t *testing.T) {
 	fs, w := wbCacheForTest(t)
-	w.Absorb(0, fill(64, 1))
-	w.Absorb(1000, fill(64, 2))
-	w.Absorb(5000, fill(64, 3))
-	if err := w.FlushIntersecting([]pfs.Run{{Off: 1020, Len: 8}}); err != nil {
+	w.Absorb(0, fill(256, 1))
+	gate := &gateWrites{held: make(chan struct{}), release: make(chan struct{})}
+	fs.SetInjector(gate)
+	swept := make(chan error, 1)
+	go func() { swept <- w.FlushAll() }()
+	<-gate.held // the sweep has picked up [0, 256) and is held before its FlushV
+	punched := make(chan struct{})
+	wrote := make(chan error, 1)
+	go func() {
+		w.PunchV([]pfs.Run{{Off: 64, Len: 64}})
+		close(punched)
+		_, err := fs.WriteAt(fill(64, 9), 64)
+		wrote <- err
+	}()
+	select {
+	case <-punched:
+		t.Error("PunchV returned while a sweep of the bytes it discarded was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate.release)
+	if err := <-swept; err != nil {
 		t.Fatal(err)
 	}
-	if w.Bytes() != 128 {
-		t.Fatalf("dirty after partial flush = %d, want 128", w.Bytes())
-	}
-	back := make([]byte, 64)
-	if _, err := fs.ReadAt(back, 1000); err != nil {
+	if err := <-wrote; err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(back, fill(64, 2)) {
-		t.Fatal("intersecting extent not flushed to store")
-	}
-	if _, err := fs.ReadAt(back, 0); err != nil {
+	got, want := make([]byte, 256), fill(256, 1)
+	copy(want[64:], fill(64, 9))
+	if _, err := fs.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(back, fill(64, 1)) {
-		t.Fatal("non-intersecting extent leaked to store")
+	if !bytes.Equal(got, want) {
+		t.Fatal("the sweep's older bytes won on the store")
 	}
-	if fs.Stats().FlushBytes() != 64 {
-		t.Fatalf("FlushBytes = %d, want 64", fs.Stats().FlushBytes())
-	}
-	if err := w.FlushAll(); err != nil {
+}
+
+// runWB runs fn on `ranks` ranks of one fresh store, each through a
+// handle with write-behind wb over a 1 MiB cache and a view that starts
+// at its own 512-byte region, and returns the store.
+func runWB(t *testing.T, ranks int, wb int64, fn func(c *cluster.Comm, f *File) error) *pfs.FS {
+	t.Helper()
+	fs, err := pfs.Create(t.Name(), pfs.Options{Servers: 2, StripeSize: 256})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Bytes() != 0 {
-		t.Fatal("FlushAll left dirty bytes")
+	t.Cleanup(func() { fs.Close() })
+	err = cluster.Run(ranks, func(c *cluster.Comm) error {
+		f := Open(c, fs)
+		f.WriteBehind, f.CacheBytes = wb, 1<<20
+		if err := f.SetView(int64(c.Rank())*512, MustBytes(1<<20)); err != nil {
+			return err
+		}
+		return fn(c, f)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fs.Stats().FlushBytes() != 192 {
-		t.Fatalf("FlushBytes after FlushAll = %d, want 192", fs.Stats().FlushBytes())
-	}
-	if st := w.Stats(); st.Absorbed != 192 || st.Flushes != 2 {
-		t.Fatalf("cache stats = (%d absorbed, %d flushes), want (192, 2)", st.Absorbed, st.Flushes)
-	}
+	return fs
 }
 
 // TestCollectiveWriteBehindDefersAndStaysCoherent: with close-only
 // write-behind, a collective write leaves the store untouched (zero
-// write requests), but collective reads, this rank's independent
-// reads, and post-Sync store contents all observe the written bytes.
+// requests), collective reads are served the written bytes from the
+// cache, and after Sync the store holds them.
 func TestCollectiveWriteBehindDefersAndStaysCoherent(t *testing.T) {
 	const ranks = 4
-	fs, err := pfs.Create("wbcoll", pfs.Options{Servers: 2, StripeSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
 	want := make([]byte, ranks*512)
-	err = cluster.Run(ranks, func(c *cluster.Comm) error {
-		f := Open(c, fs)
-		f.WriteBehind = -1 // close-only
-		if err := f.SetView(int64(c.Rank())*512, MustBytes(1<<20)); err != nil {
-			return err
-		}
+	fs := runWB(t, ranks, -1, func(c *cluster.Comm, f *File) error {
 		data := make([]byte, 512)
 		for i := range data {
 			data[i] = byte(c.Rank()*31 + i)
@@ -147,10 +183,10 @@ func TestCollectiveWriteBehindDefersAndStaysCoherent(t *testing.T) {
 		if err := f.WriteAllAt(data, 0); err != nil {
 			return err
 		}
-		if c.Rank() == 0 && fs.Stats().Requests() != 0 {
-			return fmt.Errorf("collective write dispatched %d requests under write-behind", fs.Stats().Requests())
+		if n := f.FS().Stats().Requests(); c.Rank() == 0 && n != 0 {
+			return fmt.Errorf("collective write dispatched %d requests under write-behind", n)
 		}
-		// Collective read: coherent across ranks (flush + agree round).
+		// Collective read: every rank's deferred bytes, from the cache.
 		buf := make([]byte, 512)
 		if err := f.ReadAllAt(buf, 0); err != nil {
 			return err
@@ -158,31 +194,21 @@ func TestCollectiveWriteBehindDefersAndStaysCoherent(t *testing.T) {
 		if !bytes.Equal(buf, data) {
 			return fmt.Errorf("rank %d: collective read incoherent under write-behind", c.Rank())
 		}
-		return nil
+		return f.SyncAll()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := make([]byte, len(want))
 	if _, err := fs.ReadAt(got, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("store contents wrong after coherence flushes")
+		t.Fatal("store contents wrong after Sync")
 	}
 }
 
 // TestWriteBehindWatermark: crossing the watermark flushes the whole
 // cache in one sweep; below it nothing dispatches.
 func TestWriteBehindWatermark(t *testing.T) {
-	fs, err := pfs.Create("wbmark", pfs.Options{Servers: 1, StripeSize: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	err = cluster.Run(1, func(c *cluster.Comm) error {
-		f := Open(c, fs)
-		f.WriteBehind = 1024
+	fs := runWB(t, 1, 1024, func(_ *cluster.Comm, f *File) error {
 		data := fill(512, 7)
 		if err := f.WriteAllAt(data, 0); err != nil {
 			return err
@@ -198,9 +224,6 @@ func TestWriteBehindWatermark(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := fs.Stats()
 	if st.FlushBytes() != 1024 {
 		t.Fatalf("FlushBytes = %d, want 1024", st.FlushBytes())
@@ -214,14 +237,7 @@ func TestWriteBehindWatermark(t *testing.T) {
 // the same handle overrides overlapping dirty bytes — the cache punch
 // keeps a later flush from resurrecting stale data.
 func TestWriteBehindIndependentWritePunches(t *testing.T) {
-	fs, err := pfs.Create("wbpunch", pfs.Options{Servers: 1, StripeSize: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	err = cluster.Run(1, func(c *cluster.Comm) error {
-		f := Open(c, fs)
-		f.WriteBehind = -1
+	runWB(t, 1, -1, func(_ *cluster.Comm, f *File) error {
 		if err := f.WriteAllAt(fill(256, 1), 0); err != nil { // buffered
 			return err
 		}
@@ -246,9 +262,6 @@ func TestWriteBehindIndependentWritePunches(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestWriteBehindCrossRankReadCoherence pins the shared-cache fix: a
@@ -257,18 +270,7 @@ func TestWriteBehindIndependentWritePunches(t *testing.T) {
 // collective write usually lands in other ranks' domains, so local-only
 // coherence would return stale zeros here.
 func TestWriteBehindCrossRankReadCoherence(t *testing.T) {
-	const ranks = 4
-	fs, err := pfs.Create("wbxrank", pfs.Options{Servers: 2, StripeSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	err = cluster.Run(ranks, func(c *cluster.Comm) error {
-		f := Open(c, fs)
-		f.WriteBehind = -1
-		if err := f.SetView(int64(c.Rank())*512, MustBytes(1<<20)); err != nil {
-			return err
-		}
+	runWB(t, 4, -1, func(c *cluster.Comm, f *File) error {
 		data := make([]byte, 512)
 		for i := range data {
 			data[i] = byte(c.Rank()*41 + i)
@@ -290,9 +292,6 @@ func TestWriteBehindCrossRankReadCoherence(t *testing.T) {
 		}
 		return c.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestWriteBehindCrossRankLostUpdate pins the shared-cache punch: an
@@ -300,18 +299,7 @@ func TestWriteBehindCrossRankReadCoherence(t *testing.T) {
 // survive a later flush even when the stale bytes sit in ANOTHER
 // rank's absorbed extents.
 func TestWriteBehindCrossRankLostUpdate(t *testing.T) {
-	const ranks = 2
-	fs, err := pfs.Create("wblost", pfs.Options{Servers: 2, StripeSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	err = cluster.Run(ranks, func(c *cluster.Comm) error {
-		f := Open(c, fs)
-		f.WriteBehind = -1
-		if err := f.SetView(int64(c.Rank())*512, MustBytes(1<<20)); err != nil {
-			return err
-		}
+	runWB(t, 2, -1, func(c *cluster.Comm, f *File) error {
 		if err := f.WriteAllAt(fill(512, byte(1+c.Rank())), 0); err != nil {
 			return err
 		}
@@ -350,7 +338,4 @@ func TestWriteBehindCrossRankLostUpdate(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

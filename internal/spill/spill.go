@@ -76,12 +76,14 @@ type Promoted struct {
 
 // Chunk is one dirty extent surfaced by CollectDirty for a flush
 // sweep; ID names the entry for the follow-up MarkClean, and Owner is
-// what the Alloc returned with Data.
+// what the Alloc returned with Data. Lost marks the entry whose
+// read-back failed, as in Promoted.
 type Chunk struct {
 	ID    int64
 	Off   int64
 	Data  []byte
 	Owner any
+	Lost  bool
 }
 
 // Store manages one local spill file. All methods are safe for
@@ -441,8 +443,10 @@ func (s *Store) Coverage(into []extent.Run) []extent.Run {
 // CollectDirty reads back every dirty extent for a flush sweep, into
 // alloc's memory, leaving the entries in place (marked clean only after
 // the sweep succeeds, by MarkClean with the returned IDs). A dirty
-// extent whose read-back fails is a lost deferred write: it is dropped
-// and the error returned.
+// extent whose read-back fails is a lost deferred write: it is dropped,
+// and the error comes back with the chunks read so far and, if its
+// memory has an Owner, the failed one marked Lost — every piece of
+// memory alloc handed out is in the result, for the caller to release.
 func (s *Store) CollectDirty(alloc Alloc) ([]Chunk, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -459,7 +463,10 @@ func (s *Store) CollectDirty(alloc Alloc) ([]Chunk, error) {
 		if _, err := s.f.ReadAt(data, e.slot); err != nil {
 			s.stats.Failures++
 			s.dropLocked(i)
-			return nil, fmt.Errorf("spill: dirty extent [%d,%d) lost: %w", e.off, e.end(), err)
+			if owner != nil {
+				out = append(out, Chunk{ID: e.id, Off: e.off, Owner: owner, Lost: true})
+			}
+			return out, fmt.Errorf("spill: dirty extent [%d,%d) lost: %w", e.off, e.end(), err)
 		}
 		out = append(out, Chunk{ID: e.id, Off: e.off, Data: data, Owner: owner})
 	}

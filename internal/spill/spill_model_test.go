@@ -69,6 +69,7 @@ const (
 	opTakeInto
 	opCollect
 	opMarkClean
+	opLose
 	nSpillOps
 )
 
@@ -100,8 +101,8 @@ func (m *spillModel) forget(r extent.Run) {
 }
 
 // do runs operation op on r, inside [0, spillModelSize); aux picks a
-// put's bytes and color and a punch's second run. Then it checks the
-// store against the model.
+// put's bytes and color, a punch's second run and where a loss cuts the
+// spill file. Then it checks the store against the model.
 func (m *spillModel) do(op int, r extent.Run, aux byte) error {
 	m.step++
 	switch op {
@@ -191,6 +192,35 @@ func (m *spillModel) do(op int, r extent.Run, aux byte) error {
 			}
 		}
 		m.isDirty = still
+	case opLose:
+		// The spill file loses its tail, as on a failing disk: a flush's
+		// read-backs stop at the first dirty entry past the cut, and every
+		// buffer they were lent comes back, read or Lost. Then the tier
+		// is emptied.
+		if err := m.s.f.Truncate(m.s.FileSize() * int64(aux) / 256); err != nil {
+			return err
+		}
+		lent := map[any]bool{}
+		chunks, err := m.s.CollectDirty(func(n int64) ([]byte, any) {
+			lent[len(lent)] = true
+			return make([]byte, n), len(lent) - 1
+		})
+		for i, c := range chunks {
+			if !lent[c.Owner] || c.Lost != (err != nil && i == len(chunks)-1) {
+				return fmt.Errorf("collect chunk %d of %d (error %v): not lent, returned twice, or Lost=%v", i, len(chunks), err, c.Lost)
+			}
+			delete(lent, c.Owner)
+			if !c.Lost && !bytes.Equal(c.Data, m.val[c.Off:c.Off+int64(len(c.Data))]) {
+				return fmt.Errorf("collect returned wrong bytes for [%d,+%d)", c.Off, len(c.Data))
+			}
+		}
+		if len(lent) > 0 {
+			return fmt.Errorf("%d buffers lent to the collect did not come back (error %v)", len(lent), err)
+		}
+		all := extent.Run{Len: spillModelSize}
+		m.s.PunchV([]extent.Run{all})
+		m.forget(all)
+		m.pending = nil
 	}
 	if err := checkStore(m.s); err != nil {
 		return err
@@ -235,7 +265,8 @@ func TestSpillModel(t *testing.T) {
 // FuzzSpillModel is TestSpillModel with the budget and the operations
 // decoded from the input: the first byte sets the budget, and every 5
 // bytes after it are one operation — kind, offset (2 bytes), length,
-// aux.
+// aux. Its kinds add opLose, the failed read-backs the seeded test
+// never makes.
 func FuzzSpillModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, p []byte) {
 		if len(p) == 0 {

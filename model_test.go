@@ -141,8 +141,9 @@ func drawShape(s *stream) collShape {
 	return sh
 }
 
-// drawTuning draws a Tuning that validates: read-ahead and spill only
-// over a cache.
+// drawTuning draws a Tuning that validates: write-behind, read-ahead
+// and spill only over a cache. Write-behind is drawn before the cache
+// and dropped without one, so every draw reads the same bytes.
 func drawTuning(s *stream, sp *modelSpace) drxmp.Tuning {
 	t := drxmp.Tuning{
 		CollectiveParallelism: pick(s, sp.cpar), CBNodes: pick(s, sp.cbNodes),
@@ -150,6 +151,8 @@ func drawTuning(s *stream, sp *modelSpace) drxmp.Tuning {
 	}
 	if t.CacheBytes > 0 {
 		t.ReadAheadBytes, t.SpillBytes = pick(s, sp.readAhead), pick(s, sp.spill)
+	} else {
+		t.WriteBehindBytes = 0
 	}
 	return t
 }
@@ -303,8 +306,8 @@ func drawBox(s *stream, bounds []int) drxmp.Box {
 // drawIndependent draws the ops of an independent phase, such that no
 // rank writes a cell another rank's op touches. In a slab phase every
 // rank moves its whole slab of dimension 0 at once, the even ranks
-// reading and the odd ones writing, so that the flushes reads make run
-// beside other ranks' writes. Otherwise each rank draws 0-3 reads and
+// reading and the odd ones writing, so that the cache fetches reads make
+// run beside other ranks' writes. Otherwise each rank draws 0-3 reads and
 // writes; one that would conflict is cut to the rank's slab, and
 // dropped if that is not enough.
 func drawIndependent(s *stream, sp *modelSpace, bounds []int, ranks int) [][]modelOp {
@@ -487,6 +490,11 @@ func runModel(p *program, dir string) error {
 				if me == 0 {
 					note(at, tornWrite(f, plans[i][0][0], ph.server, dead >= 0))
 				}
+			}
+			// PunchOnce's premise: with write-behind off nothing is dirty,
+			// so no sweep can race a collective's direct store write.
+			if n := f.Dirty(); n != 0 && f.Tuning().WriteBehindBytes == 0 {
+				note(at, fmt.Errorf("%d dirty bytes cached with write-behind off", n))
 			}
 			if err := c.Barrier(); err != nil {
 				return err
@@ -716,14 +724,15 @@ func TestErasureDegradedEqualsHealthy(t *testing.T) {
 	}, indep, kill, indep)
 }
 
-// Every write-behind watermark under the elevator (was
-// drxmp_wb_diff_test.go), also over the spill tier on a server count
-// the four ranks do not divide; and close-only buffering with no cache,
-// where every independent read flushes beside other ranks' writes.
+// Every write-behind watermark under the elevator, in a tiny and a
+// roomy cache (was drxmp_wb_diff_test.go), also over the spill tier on
+// a server count the four ranks do not divide; and close-only buffering
+// in a 2 KiB cache, whose budget sweeps run between phases of
+// independent reads beside other ranks' writes.
 func TestWriteBehindDifferentialIdentical(t *testing.T) {
 	shapeRows(t, collShapes(), func(sp *modelSpace) {
 		sp.servers, sp.stripes, sp.scheds, sp.cpar = []int{4}, []int64{1 << 10}, []pfs.Scheduler{pfs.Elevator}, []int{8}
-		sp.wb = []int64{4096, 1 << 20, -1}
+		sp.wb, sp.cache = []int64{4096, 1 << 20, -1}, []int64{2 << 10, 1 << 20}
 	}, collWrite, collRead, collWrite, syncAll)
 }
 
@@ -738,7 +747,7 @@ func TestWriteBehindStressRace(t *testing.T) {
 	modelRow(t, func(sp *modelSpace) {
 		on(4, []int{128, 128}, []int{8, 8})(sp)
 		sp.servers, sp.stripes, sp.scheds = []int{4}, []int64{512}, []pfs.Scheduler{pfs.Elevator}
-		sp.cpar, sp.wb, sp.cache = []int{8}, []int64{-1}, []int64{0}
+		sp.cpar, sp.wb, sp.cache = []int{8}, []int64{-1}, []int64{2 << 10}
 		sp.zones, sp.slabs = []bool{true}, []bool{true}
 	}, slices.Repeat([]phaseKind{collWrite, indep}, 6)...)
 }
@@ -788,8 +797,8 @@ func TestSectionVecOracle(t *testing.T) {
 }
 
 // Collective I/O out of a poisoned buffer pool, per rank count,
-// aggregator count, write-behind policy and buffer order (was
-// drxmp_collective_mem_test.go).
+// aggregator count, write-behind policy (over a tiny or a roomy cache)
+// and buffer order (was drxmp_collective_mem_test.go).
 func TestCollectivePoisonedPool(t *testing.T) {
 	for ranks := 1; ranks <= 4; ranks++ {
 		for _, cb := range []int{1, -1} {
@@ -799,6 +808,9 @@ func TestCollectivePoisonedPool(t *testing.T) {
 						modelRow(t, func(sp *modelSpace) {
 							sp.ranks, sp.cbNodes, sp.wb = []int{ranks}, []int{cb}, []int64{wb}
 							sp.users, sp.poison = []drxmp.Order{user}, []bool{true}
+							if wb != 0 {
+								sp.cache = []int64{2 << 10, 1 << 20}
+							}
 						}, collWrite, collRead, collWrite, collRead)
 					})
 				}

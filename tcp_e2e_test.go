@@ -167,51 +167,71 @@ func TestTCPTransportCollectiveRead(t *testing.T) {
 	}
 }
 
-// TestTCPAdaptiveCBNodesFewerFrames: each rank collectively writes and
-// reads back a thin column slab — pieces scattered across the whole
-// file span, so they land in every aggregation domain, while the whole
-// transfer is only two stripes. One aggregator per rank pays the full
-// rank x aggregator exchange mesh; adaptive cb_nodes funnels the same
-// bytes through two aggregators and the sparse exchange ships no empty
-// frames, so the round crosses the sockets in strictly fewer messages.
-func TestTCPAdaptiveCBNodesFewerFrames(t *testing.T) {
+// tcpFrames runs four ranks over loopback TCP under tuning: each
+// collectively writes a thin column slab and reads it back `reads`
+// times. It returns the frames that crossed the sockets. The slabs
+// scatter pieces across the whole file span, so they land in every
+// aggregation domain, while the whole transfer is only two stripes.
+func tcpFrames(t *testing.T, tuning Tuning, reads int) int64 {
+	t.Helper()
 	const ranks, n = 4, 128
-	frames := func(cbNodes int) int64 {
-		st, err := cluster.RunTCPStats(ranks, func(c *cluster.Comm) error {
-			f, err := Create(c, fmt.Sprintf("tcp-cb%d", cbNodes), Options{
-				DType: Float64, ChunkShape: []int{32, 32}, Bounds: []int{n, n},
-				FS:     pfs.Options{Servers: 4, StripeSize: 8 << 10},
-				Tuning: Tuning{CBNodes: cbNodes},
-			})
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			box := NewBox([]int{0, 4 * c.Rank()}, []int{n, 4*c.Rank() + 4})
-			data := make([]byte, box.Volume()*8)
-			for i := range data {
-				data[i] = byte(c.Rank()*13 + i)
-			}
-			if err := f.WriteSectionAll(box, data, RowMajor); err != nil {
-				return err
-			}
-			got := make([]byte, len(data))
+	st, err := cluster.RunTCPStats(ranks, func(c *cluster.Comm) error {
+		f, err := Create(c, "tcp-frames", Options{
+			DType: Float64, ChunkShape: []int{32, 32}, Bounds: []int{n, n},
+			FS:     pfs.Options{Servers: 4, StripeSize: 8 << 10},
+			Tuning: tuning,
+		})
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		box := NewBox([]int{0, 4 * c.Rank()}, []int{n, 4*c.Rank() + 4})
+		data := make([]byte, box.Volume()*8)
+		for i := range data {
+			data[i] = byte(c.Rank()*13 + i)
+		}
+		if err := f.WriteSectionAll(box, data, RowMajor); err != nil {
+			return err
+		}
+		got := make([]byte, len(data))
+		for range reads {
 			if err := f.ReadSectionAll(box, got, RowMajor); err != nil {
 				return err
 			}
 			if !bytes.Equal(got, data) {
-				return fmt.Errorf("rank %d: slab read back wrong under CBNodes %d", c.Rank(), cbNodes)
+				return fmt.Errorf("rank %d: slab read back wrong under %+v", c.Rank(), tuning)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		return st.Msgs
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	perRank, adaptive := frames(-1), frames(0)
+	return st.Msgs
+}
+
+// TestTCPAdaptiveCBNodesFewerFrames: one aggregator per rank pays the
+// full rank x aggregator exchange mesh; adaptive cb_nodes funnels the
+// same bytes through two aggregators and the sparse exchange ships no
+// empty frames, so the round crosses the sockets in strictly fewer
+// messages.
+func TestTCPAdaptiveCBNodesFewerFrames(t *testing.T) {
+	perRank, adaptive := tcpFrames(t, Tuning{CBNodes: -1}, 1), tcpFrames(t, Tuning{}, 1)
 	if adaptive >= perRank {
 		t.Fatalf("adaptive cb_nodes crossed the wire in %d frames, one aggregator per rank in %d: want strictly fewer",
 			adaptive, perRank)
+	}
+}
+
+// TestTCPCachedCollectiveReadNoExtraRound: a collective read through the
+// extent cache crosses the sockets in exactly the frames of one without
+// it. No read flushes, so a cached read has no coherence round of its
+// own: the agreement after the aggregators' reads already orders every
+// cache read before the exchange.
+func TestTCPCachedCollectiveReadNoExtraRound(t *testing.T) {
+	const reads = 3
+	if cached, plain := tcpFrames(t, Tuning{CacheBytes: 1 << 20}, reads), tcpFrames(t, Tuning{}, reads); cached != plain {
+		t.Fatalf("%d collective reads crossed the wire in %d frames through the cache, %d without it: want the same",
+			reads, cached, plain)
 	}
 }
