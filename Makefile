@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay in sync.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench-module bench fuzz bench-pairs profile loc ci
+.PHONY: all build vet fmt test race bench-module bench fuzz mutants bench-pairs profile loc ci
 
 all: build
 
@@ -45,6 +45,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillModel$$' -fuzztime $(FUZZTIME) ./internal/spill
 	$(GO) test -run '^$$' -fuzz '^FuzzModel$$' -fuzztime $(FUZZTIME) .
 
+# Every patch under scripts/mutants/ breaks one invariant; each is
+# applied to an export of HEAD under .bench_build/mutants/ and the suite
+# must fail there. A missed, stale or timed-out mutant fails the target.
+mutants:
+	bash scripts/mutants.sh
+
 # Paired runs of BASE against the working tree on one bench/ workload
 # (W=all: each of the five in turn), with the -compare verdicts:
 # make bench-pairs W=serve_mixed N=10 BASE=HEAD~1
@@ -70,4 +76,4 @@ profile:
 loc:
 	@bash scripts/loc.sh
 
-ci: build vet fmt test race bench-module bench fuzz
+ci: build vet fmt test race bench-module bench fuzz mutants

@@ -155,9 +155,9 @@ func (d *DistArray) sectionOwners(box Box) []int {
 
 // GetSection copies an arbitrary global sub-array into dst (dense over
 // box in the distribution order), pulling remote pieces one-sidedly.
-// Transfers from different owner ranks proceed in parallel (bounded by
-// the file's CollectiveParallelism knob) — each remote Get only locks
-// its target rank's window, so pulls from distinct owners overlap.
+// Transfers from different owner ranks proceed in parallel on up to
+// GOMAXPROCS workers — each remote Get only locks its target rank's
+// window, so pulls from distinct owners overlap.
 func (d *DistArray) GetSection(box Box, dst []byte) error {
 	es := int64(d.f.m.DType.Size())
 	if int64(len(dst)) < box.Volume()*es {
@@ -168,7 +168,7 @@ func (d *DistArray) GetSection(box Box, dst []byte) error {
 	owners := d.sectionOwners(box)
 	// Per owning rank, copy the intersection row by row (rows in the
 	// owner's layout order so each remote Get is one contiguous span).
-	return par.Do(d.f.CollectiveParallelism(), len(owners), func(oi int) error {
+	return par.Do(par.Resolve(0), len(owners), func(oi int) error {
 		r := owners[oi]
 		ob := d.boxes[r]
 		ibox := ob.Intersect(box)
@@ -216,7 +216,7 @@ func (d *DistArray) PutSection(box Box, src []byte) error {
 	boxShape := box.Shape()
 	srcStrides := grid.Strides(boxShape, d.order)
 	owners := d.sectionOwners(box)
-	return par.Do(d.f.CollectiveParallelism(), len(owners), func(oi int) error {
+	return par.Do(par.Resolve(0), len(owners), func(oi int) error {
 		r := owners[oi]
 		ob := d.boxes[r]
 		ibox := ob.Intersect(box)

@@ -35,7 +35,6 @@ import (
 	"drxmp/internal/grid"
 	"drxmp/internal/meta"
 	"drxmp/internal/mpiio"
-	"drxmp/internal/par"
 	"drxmp/internal/pfs"
 	"drxmp/internal/zone"
 )
@@ -80,25 +79,10 @@ var ErrBadOptions = errors.New("drxmp: bad options")
 // OpenOptions — everything that shapes HOW bytes move, none of WHAT
 // they are. The zero value is a valid default for every field. A
 // tenant's knobs apply atomically after open through File.SetTuning.
+// A collective's aggregator count and worker count are rules, not
+// knobs: one aggregator per stripe of payload, clamped to [1, nranks],
+// and GOMAXPROCS workers.
 type Tuning struct {
-	// CollectiveParallelism bounds the worker goroutines each rank uses
-	// inside a collective call (ReadSectionAll/WriteSectionAll): the
-	// exchange-stage piece carving fans out across up to this many
-	// workers, and a DistArray's GetSection/PutSection run that many
-	// per-owner transfers at once. 0 (the default) selects GOMAXPROCS,
-	// negative forces the serial path, and values above GOMAXPROCS are
-	// honored. The parallel and serial collective paths produce
-	// byte-identical arrays.
-	CollectiveParallelism int
-	// CBNodes bounds how many aggregators a collective call uses (the
-	// ROMIO "cb_nodes" analogue): 0 (the default) picks adaptively —
-	// one aggregator per stripe of payload, clamped to [1, nranks] —
-	// positive fixes the count, negative forces one aggregator per rank
-	// (the pre-adaptive behavior). Aggregator selection never changes
-	// the bytes, only how the two-phase transfer is carved. Every rank
-	// must pass the same value. The queue discipline of the backing
-	// servers is the FS.Scheduler knob (pfs.FIFO / pfs.Elevator).
-	CBNodes int
 	// WriteBehindBytes selects write-behind buffering for collective
 	// writes: 0 (the default) dispatches each collective's coalesced
 	// union immediately; > 0 buffers dirty unions across collectives
@@ -148,10 +132,8 @@ type Tuning struct {
 	SpillPath string
 }
 
-// validate rejects knob values with no defined meaning. Negative
-// CollectiveParallelism (serial), CBNodes (one aggregator
-// per rank) and WriteBehindBytes (unbounded buffering) are meaningful
-// and stay legal.
+// validate rejects knob values with no defined meaning. A negative
+// WriteBehindBytes (unbounded buffering) is meaningful and stays legal.
 func (t Tuning) validate() error {
 	if t.CacheBytes < 0 {
 		return fmt.Errorf("%w: negative CacheBytes %d", ErrBadOptions, t.CacheBytes)
@@ -195,9 +177,8 @@ type Options struct {
 	// CyclicBlock is the BLOCK_CYCLIC(k) block size (default 1;
 	// negative is rejected).
 	CyclicBlock int
-	// Tuning carries the performance knobs (worker bounds, aggregator
-	// count, write-behind, cache budget, read-ahead). Every rank must
-	// pass identical values.
+	// Tuning carries the performance knobs (write-behind, cache budget,
+	// read-ahead, spill tier). Every rank must pass identical values.
 	Tuning
 }
 
@@ -542,9 +523,8 @@ func (f *File) Meta() *meta.Meta { return f.m }
 func (f *File) FS() *pfs.FS { return f.fs }
 
 // Tuning returns the knob block the file last applied, exactly as it
-// was passed to Create, OpenWith or SetTuning (raw values, not the
-// resolved worker count — see CollectiveParallelism for that). A
-// SetTuning that returned an error leaves it unchanged.
+// was passed to Create, OpenWith or SetTuning. A SetTuning that
+// returned an error leaves it unchanged.
 func (f *File) Tuning() Tuning { return f.tuning }
 
 // applyTuning installs an already validated t on the mpiio handle and
@@ -552,8 +532,6 @@ func (f *File) Tuning() Tuning { return f.tuning }
 // knob with a resource behind it.
 func (f *File) applyTuning(t Tuning) error {
 	err := f.io.ApplyTuning(mpiio.TuningKnobs{
-		Parallelism: t.CollectiveParallelism,
-		CBNodes:     t.CBNodes,
 		WriteBehind: t.WriteBehindBytes,
 		CacheBytes:  t.CacheBytes,
 		ReadAhead:   t.ReadAheadBytes,
@@ -578,13 +556,6 @@ func (f *File) SetTuning(t Tuning) error {
 	}
 	return f.applyTuning(t)
 }
-
-// CollectiveParallelism returns the resolved worker bound for the
-// two-phase collective stages and the DistArray section transfers.
-func (f *File) CollectiveParallelism() int { return par.Resolve(f.io.Parallelism) }
-
-// CBNodes returns the collective aggregator-count knob (0 = adaptive).
-func (f *File) CBNodes() int { return f.io.CBNodes }
 
 // WriteBehind returns the write-behind policy knob (0 = immediate).
 func (f *File) WriteBehind() int64 { return f.io.WriteBehind }

@@ -10,85 +10,6 @@ import (
 	"drxmp/internal/zone"
 )
 
-// TestThreeDimensionalParallel runs the full parallel life cycle on a
-// rank-3 array: collective create, zone writes, growth along every
-// dimension (interleaved to force new axial records), transposed reads.
-func TestThreeDimensionalParallel(t *testing.T) {
-	const ranks = 8
-	err := cluster.Run(ranks, func(c *cluster.Comm) error {
-		f, err := Create(c, "cube", Options{
-			DType:      Float64,
-			ChunkShape: []int{4, 4, 4},
-			Bounds:     []int{8, 8, 8},
-		})
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-
-		write := func() error {
-			my, err := f.MyZone()
-			if err != nil {
-				return err
-			}
-			var box Box
-			if len(my) > 0 {
-				box = my[0]
-			} else {
-				box = Box{Lo: []int{0, 0, 0}, Hi: []int{0, 0, 0}}
-			}
-			vals := workload.FillBox(box, grid.RowMajor)
-			return f.WriteSectionAll(box, encodeF64(vals), RowMajor)
-		}
-		if err := write(); err != nil {
-			return err
-		}
-		// Grow each dimension once, rewriting zones after each step
-		// (zones re-derive from the replicated metadata).
-		for dim := 0; dim < 3; dim++ {
-			if err := f.Extend(dim, 4); err != nil {
-				return err
-			}
-			if err := write(); err != nil {
-				return err
-			}
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			b := f.Bounds()
-			if b[0] != 12 || b[1] != 12 || b[2] != 12 {
-				return fmt.Errorf("bounds = %v", b)
-			}
-			// Every element must verify in both read orders.
-			full := NewBox([]int{0, 0, 0}, b)
-			for _, order := range []Order{RowMajor, ColMajor} {
-				buf := make([]byte, full.Volume()*8)
-				if err := f.ReadSection(full, buf, order); err != nil {
-					return err
-				}
-				vals := decodeF64(buf)
-				if bad := workload.Verify(full, vals, order); bad != nil {
-					return fmt.Errorf("order %v: mismatch at %v", order, bad)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func decodeF64(buf []byte) []float64 {
-	out := make([]float64, len(buf)/8)
-	for i := range out {
-		out[i] = f64(buf[i*8:])
-	}
-	return out
-}
-
 // TestBlockCyclicParallelIO verifies collective I/O over the
 // BLOCK_CYCLIC decomposition (many boxes per rank, heavily interleaved
 // file accesses).
@@ -160,55 +81,6 @@ func TestDistributeRequiresBlock(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestUnevenRanks exercises zones when the chunk grid does not divide
-// evenly by the process grid (empty zones included).
-func TestUnevenRanks(t *testing.T) {
-	for _, ranks := range []int{3, 5, 7} {
-		t.Run(fmt.Sprintf("P%d", ranks), func(t *testing.T) {
-			err := cluster.Run(ranks, func(c *cluster.Comm) error {
-				f, err := Create(c, "uneven", Options{
-					DType: Float64, ChunkShape: []int{3, 3}, Bounds: []int{7, 5},
-				})
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				my, err := f.MyZone()
-				if err != nil {
-					return err
-				}
-				var box Box
-				if len(my) > 0 {
-					box = my[0]
-				} else {
-					box = Box{Lo: []int{0, 0}, Hi: []int{0, 0}}
-				}
-				vals := workload.FillBox(box, grid.RowMajor)
-				if err := f.WriteSectionAll(box, encodeF64(vals), RowMajor); err != nil {
-					return err
-				}
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					full := NewBox([]int{0, 0}, []int{7, 5})
-					got, err := f.ReadSectionFloat64s(full, RowMajor)
-					if err != nil {
-						return err
-					}
-					if bad := workload.Verify(full, got, grid.RowMajor); bad != nil {
-						return fmt.Errorf("mismatch at %v", bad)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -228,8 +228,7 @@ func TestCollectiveAllocsPerChunk(t *testing.T) {
 		err := cluster.Run(2, func(c *cluster.Comm) error {
 			f, err := Create(c, fmt.Sprintf("allocs-%d", edge), Options{
 				DType: Float64, ChunkShape: []int{edge, edge}, Bounds: []int{side, side},
-				FS:     pfs.Options{Servers: 4, StripeSize: int64(edge * edge * 8)},
-				Tuning: Tuning{CollectiveParallelism: -1},
+				FS: pfs.Options{Servers: 4, StripeSize: int64(edge * edge * 8)},
 			})
 			if err != nil {
 				return err

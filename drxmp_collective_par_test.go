@@ -1,18 +1,13 @@
 package drxmp_test
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
-	"testing"
 
 	"drxmp"
-	"drxmp/internal/cluster"
 )
 
-// Shapes and slabs the collective tests share, and the plumbing of the
-// two collective knobs. That the knobs never change the bytes is the
-// model test's job (model_test.go).
+// Shapes and slabs the collective tests share.
 
 // collShape is one array shape: bounds and chunk shape.
 type collShape struct {
@@ -43,60 +38,4 @@ func rankData(r int, box drxmp.Box, salt int64) []byte {
 	data := make([]byte, box.Volume()*8)
 	rand.New(rand.NewSource(salt*1000 + int64(r))).Read(data)
 	return data
-}
-
-// TestCollectiveParallelismKnob pins the knob plumbing: option,
-// SetTuning, and resolution.
-func TestCollectiveParallelismKnob(t *testing.T) {
-	err := cluster.Run(1, func(c *cluster.Comm) error {
-		f, err := drxmp.Create(c, "knob", drxmp.Options{
-			DType: drxmp.Float64, ChunkShape: []int{4, 4}, Bounds: []int{8, 8},
-			Tuning: drxmp.Tuning{CollectiveParallelism: 6},
-		})
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if got := f.CollectiveParallelism(); got != 6 {
-			return fmt.Errorf("CollectiveParallelism() = %d, want 6", got)
-		}
-		if err := f.SetTuning(drxmp.Tuning{CollectiveParallelism: -1}); err != nil {
-			return err
-		}
-		if got := f.CollectiveParallelism(); got != 1 {
-			return fmt.Errorf("after SetTuning(CollectiveParallelism: -1): %d, want 1", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCBNodesKnob pins the drxmp-level plumbing of the aggregator
-// knob: option, SetTuning, and accessor.
-func TestCBNodesKnob(t *testing.T) {
-	err := cluster.Run(1, func(c *cluster.Comm) error {
-		f, err := drxmp.Create(c, "cbknob", drxmp.Options{
-			DType: drxmp.Float64, ChunkShape: []int{4, 4}, Bounds: []int{8, 8},
-			Tuning: drxmp.Tuning{CBNodes: 3},
-		})
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if got := f.CBNodes(); got != 3 {
-			return fmt.Errorf("CBNodes() = %d, want 3", got)
-		}
-		if err := f.SetTuning(drxmp.Tuning{CBNodes: -1}); err != nil {
-			return err
-		}
-		if got := f.CBNodes(); got != -1 {
-			return fmt.Errorf("after SetTuning(CBNodes: -1): %d, want -1", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

@@ -32,11 +32,9 @@ func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "arr")
 	want := drxmp.Tuning{
-		CollectiveParallelism: 5,
-		CBNodes:               2,
-		WriteBehindBytes:      -1,
-		CacheBytes:            1 << 16,
-		ReadAheadBytes:        2048,
+		WriteBehindBytes: -1,
+		CacheBytes:       1 << 16,
+		ReadAheadBytes:   2048,
 	}
 	err := cluster.Run(2, func(c *cluster.Comm) error {
 		f, err := optionsCreateDisk(c, path, drxmp.Tuning{})
@@ -67,10 +65,9 @@ func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 			return fmt.Errorf("Tuning() = %+v, want %+v", got, want)
 		}
 		// The resolved accessors must agree with the raw knobs too.
-		if f.CBNodes() != want.CBNodes || f.WriteBehind() != want.WriteBehindBytes ||
-			f.CacheBytes() != want.CacheBytes || f.ReadAhead() != want.ReadAheadBytes {
-			return fmt.Errorf("resolved accessors diverge: cb=%d wb=%d cache=%d ra=%d",
-				f.CBNodes(), f.WriteBehind(), f.CacheBytes(), f.ReadAhead())
+		if f.WriteBehind() != want.WriteBehindBytes || f.CacheBytes() != want.CacheBytes || f.ReadAhead() != want.ReadAheadBytes {
+			return fmt.Errorf("resolved accessors diverge: wb=%d cache=%d ra=%d",
+				f.WriteBehind(), f.CacheBytes(), f.ReadAhead())
 		}
 		got, err := f.ReadSectionFloat64s(full, drxmp.RowMajor)
 		if err != nil {
@@ -122,10 +119,7 @@ func TestServeSetTuningValidation(t *testing.T) {
 			return err
 		}
 		defer f.Close()
-		want := drxmp.Tuning{
-			CollectiveParallelism: 4, CBNodes: 1,
-			WriteBehindBytes: 4096, CacheBytes: 1 << 14, ReadAheadBytes: 512,
-		}
+		want := drxmp.Tuning{WriteBehindBytes: 4096, CacheBytes: 1 << 14, ReadAheadBytes: 512}
 		if err := f.SetTuning(want); err != nil {
 			return err
 		}

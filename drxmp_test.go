@@ -164,71 +164,6 @@ func putF64bits(p []byte, v float64) {
 	p[4], p[5], p[6], p[7] = byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56)
 }
 
-// TestParallelWriteSerialRead: each rank writes its zone collectively,
-// then rank 0 reads the full array and checks every element.
-func TestParallelWriteSerialRead(t *testing.T) {
-	for _, ranks := range []int{1, 2, 4, 6} {
-		t.Run(fmt.Sprintf("P%d", ranks), func(t *testing.T) {
-			err := cluster.Run(ranks, func(c *cluster.Comm) error {
-				f, err := Create(c, "w", Options{
-					DType:      Float64,
-					ChunkShape: []int{3, 4},
-					Bounds:     []int{11, 13},
-				})
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				my, err := f.MyZone()
-				if err != nil {
-					return err
-				}
-				var box Box
-				if len(my) == 1 {
-					box = my[0]
-					vals := make([]float64, box.Volume())
-					at := 0
-					box.Iterate(grid.RowMajor, func(idx []int) bool {
-						vals[at] = float64(1000*idx[0] + idx[1])
-						at++
-						return true
-					})
-					if err := f.WriteSectionAll(box, encodeF64(vals), RowMajor); err != nil {
-						return err
-					}
-				} else {
-					if err := f.WriteSectionAll(Box{Lo: []int{0, 0}, Hi: []int{0, 0}}, nil, RowMajor); err != nil {
-						return err
-					}
-				}
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					full := NewBox([]int{0, 0}, []int{11, 13})
-					got, err := f.ReadSectionFloat64s(full, RowMajor)
-					if err != nil {
-						return err
-					}
-					at := 0
-					for i := 0; i < 11; i++ {
-						for j := 0; j < 13; j++ {
-							if got[at] != float64(1000*i+j) {
-								return fmt.Errorf("(%d,%d) = %v", i, j, got[at])
-							}
-							at++
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 func encodeF64(vals []float64) []byte {
 	out := make([]byte, len(vals)*8)
 	for i, v := range vals {
@@ -302,52 +237,6 @@ func TestParallelExtendNoReorganization(t *testing.T) {
 				wantRank := (i / 4) / 2 // row i/4, two rows per rank
 				if v != float64(-wantRank-1) {
 					return fmt.Errorf("new region elem %d = %v, want %v", i, v, float64(-wantRank-1))
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTransposedParallelRead: write in C order, every rank reads its
-// zone in Fortran order; verify the permutation.
-func TestTransposedParallelRead(t *testing.T) {
-	err := cluster.Run(4, func(c *cluster.Comm) error {
-		f, err := Create(c, "tr", defaultOpts())
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if c.Rank() == 0 {
-			vals := make([]float64, 100)
-			for i := range vals {
-				vals[i] = float64(i)
-			}
-			if err := f.WriteSectionFloat64s(NewBox([]int{0, 0}, []int{10, 10}), vals, RowMajor); err != nil {
-				return err
-			}
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		my, err := f.MyZone()
-		if err != nil {
-			return err
-		}
-		box := my[0]
-		buf := make([]byte, box.Volume()*8)
-		if err := f.ReadSectionAll(box, buf, ColMajor); err != nil {
-			return err
-		}
-		sh := box.Shape()
-		for i := box.Lo[0]; i < box.Hi[0]; i++ {
-			for j := box.Lo[1]; j < box.Hi[1]; j++ {
-				off := grid.Offset(sh, []int{i - box.Lo[0], j - box.Lo[1]}, ColMajor)
-				if got := f64(buf[off*8:]); got != float64(10*i+j) {
-					return fmt.Errorf("rank %d (%d,%d) = %v", c.Rank(), i, j, got)
 				}
 			}
 		}

@@ -16,7 +16,9 @@
 //
 // Sends are buffered (never block); receives block until a matching
 // message arrives. Run collects per-rank errors and converts panics
-// into errors so a failing rank cannot hang the harness.
+// into errors. A rank that fails or panics aborts its world, as
+// MPI_Abort does: every blocked receive returns with that rank's error,
+// so a failing rank cannot hang its peers.
 package cluster
 
 import (
@@ -79,8 +81,9 @@ func (w *World) enqueue(wr int, m message) error {
 	mb := w.boxes[wr]
 	mb.mu.Lock()
 	if mb.closed {
+		err := mb.err
 		mb.mu.Unlock()
-		return fmt.Errorf("cluster: send to finished rank %d", wr)
+		return fmt.Errorf("cluster: send to rank %d aborted: %w", wr, err)
 	}
 	mb.queue = append(mb.queue, m)
 	mb.mu.Unlock()
@@ -89,7 +92,8 @@ func (w *World) enqueue(wr int, m message) error {
 }
 
 // fail closes every mailbox with a sticky error so blocked receivers
-// return instead of hanging (used when a transport connection dies).
+// return instead of hanging: a rank failed, or a transport connection
+// died. The first cause sticks.
 func (w *World) fail(err error) {
 	for _, mb := range w.boxes {
 		mb.mu.Lock()
@@ -574,12 +578,23 @@ func (w *World) run(fn func(c *Comm) error) error {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("cluster: rank %d panicked: %v\n%s", rank, p, debug.Stack())
+					cause, ok := p.(error)
+					if !ok {
+						cause = fmt.Errorf("%v", p)
+					}
+					errs[rank] = fmt.Errorf("cluster: rank %d panicked: %w\n%s", rank, cause, debug.Stack())
+				}
+				if errs[rank] != nil {
+					w.fail(errs[rank])
 				}
 			}()
 			c := &Comm{world: w, ctx: 1, rank: rank, ranks: ranks}
 			if err := fn(c); err != nil {
-				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
+				// Callers often name the rank themselves; say it once.
+				if prefix := fmt.Sprintf("rank %d: ", rank); !strings.HasPrefix(err.Error(), prefix) {
+					err = fmt.Errorf("%s%w", prefix, err)
+				}
+				errs[rank] = err
 			}
 		}(r)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunBasics(t *testing.T) {
@@ -50,6 +51,48 @@ func TestRunRecoversPanics(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "kapow") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestFailedRankAbortsWorld: a rank that returns an error or panics
+// aborts its world, so peers blocked in a collective return with its
+// error instead of hanging, on both transports. An error that already
+// names its rank is not prefixed a second time.
+func TestFailedRankAbortsWorld(t *testing.T) {
+	errBoom := errors.New("boom")
+	fail := func() error { return fmt.Errorf("rank 0: %w", errBoom) }
+	for _, tc := range []struct {
+		name string
+		run  func(int, func(*Comm) error) error
+		fail func() error
+	}{
+		{"run-error", Run, fail},
+		{"run-panic", Run, func() error { panic(errBoom) }},
+		{"tcp-error", RunTCP, fail},
+		{"tcp-panic", RunTCP, func() error { panic(errBoom) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				done <- tc.run(4, func(c *Comm) error {
+					if c.Rank() == 0 {
+						return tc.fail()
+					}
+					return c.Barrier()
+				})
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, errBoom) {
+					t.Fatalf("err = %v, want rank 0's error", err)
+				}
+				if strings.Contains(err.Error(), "rank 0: rank 0:") {
+					t.Fatalf("rank named twice: %v", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("peers of a failed rank still blocked after 1 s")
+			}
+		})
 	}
 }
 

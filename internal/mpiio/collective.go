@@ -17,12 +17,13 @@ import (
 //
 // Who owns what. The carving (internal/place.ByteCyclic, stripe
 // aligned) splits the byte range touched by any rank into aggregation
-// domains, one per aggregator; the aggregator count is the ROMIO
-// "cb_nodes" analogue (adaptive by default, File.CBNodes overrides). Every rank allgathers
-// its file runs, carves the same domains from the replicated lists and
-// cuts every rank's runs into pieces at domain boundaries (placePieces)
-// — so both sides of every transfer below know the layout without
-// another message.
+// domains, one per aggregator. Where ROMIO takes the aggregator count
+// as its "cb_nodes" hint, here it is a rule: one aggregator per stripe
+// of payload, clamped to [1, nranks]. Every rank allgathers its file
+// runs, carves the same domains from the replicated lists and cuts
+// every rank's runs into pieces at domain boundaries (placePieces) — so
+// both sides of every transfer below know the layout without another
+// message.
 //
 // Who copies what. A caller hands the collective its file runs and its
 // memory as an ordered vector of segments (ReadAllV/WriteAllV; a
@@ -57,13 +58,13 @@ import (
 // absorbed (under File.WriteBehind the extent cache copies the runs into
 // its own memory), or the last piece has been copied out of it.
 //
-// Workers (internal/par, File.Parallelism) fan out the stages whose
-// items are independent — carving each rank's pieces, packing each
-// peer's read payload; moving the caller's own bytes is one ordered
-// walk over its vector. The communicator collectives — Allgather, the
-// sparse exchange, the agree round — stay in one fixed order on every
-// rank, so the worker count is invisible to the data and to the
-// error-agreement semantics.
+// GOMAXPROCS workers (internal/par) fan out the stages whose items are
+// independent — carving each rank's pieces, packing each peer's read
+// payload; moving the caller's own bytes is one ordered walk over its
+// vector. Workers only touch disjoint buffers and the communicator
+// collectives — Allgather, the sparse exchange, the agree round — stay
+// in one fixed order on every rank, so the worker count is invisible to
+// the data and to the error-agreement semantics.
 //
 // With File.WriteBehind enabled (it requires File.CacheBytes > 0), a
 // collective write does not dispatch at all: each aggregator absorbs its
@@ -256,13 +257,13 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	}
 
 	// Aggregator selection and domain carving: every rank computes the
-	// same carving from the allgathered span (and the shared CBNodes
-	// setting), so the placement agrees everywhere without another
-	// round. The aggregator count is the carving's domain count.
+	// same carving from the allgathered span, so the placement agrees
+	// everywhere without another round. The aggregator count is the
+	// carving's domain count.
 	dom := f.carve(lo, hi, totalBytes)
 	size := f.comm.Size()
 	me := f.comm.Rank()
-	workers := f.workers()
+	workers := par.Resolve(0)
 
 	// Place every rank's pieces once; every later stage walks these
 	// lists instead of re-splitting runs. bytesTo[r][a] is what rank r
@@ -433,15 +434,13 @@ func (f *File) agree(opErr error) error {
 }
 
 // carve produces the aggregation-domain partition of one collective
-// (the aggregator count is clamp(totalBytes/stripe, 1, nranks) unless
-// CBNodes overrides it).
+// (the aggregator count is clamp(totalBytes/stripe, 1, nranks)).
 func (f *File) carve(lo, hi, totalBytes int64) place.Domains {
 	return place.ByteCyclic{}.Carve(place.Req{
 		Lo:          lo,
 		Hi:          hi,
 		TotalBytes:  totalBytes,
 		Ranks:       f.comm.Size(),
-		CBNodes:     f.CBNodes,
 		Stripe:      f.fs.StripeSize(),
 		WriteBehind: f.WriteBehind != 0,
 	})
@@ -475,25 +474,6 @@ func domainRuns(owner int, placedBy [][]placed) []pfs.Run {
 		}
 	}
 	return pfs.Coalesce(runs)
-}
-
-// capRuns splits runs into requests of at most cb bytes (cb <= 0 means
-// uncapped), preserving order.
-func capRuns(runs []pfs.Run, cb int64) []pfs.Run {
-	if cb <= 0 {
-		return runs
-	}
-	var out []pfs.Run
-	for _, r := range runs {
-		for off := int64(0); off < r.Len; off += cb {
-			n := cb
-			if off+n > r.Len {
-				n = r.Len - off
-			}
-			out = append(out, pfs.Run{Off: r.Off + off, Len: n})
-		}
-	}
-	return out
 }
 
 // staging is an aggregator's phase-1 buffer: the domain's coalesced
@@ -540,29 +520,26 @@ func (s *staging) slice(off, n int64) []byte {
 }
 
 // aggregateRead performs this rank's phase-1 read: the coalesced union
-// of its domain's requested extents, capped by CollectiveBufferSize
-// and issued as ONE vectored ReadV — every per-server segment of the
-// domain is queued up front, so service time overlaps across servers
-// and the elevator sees the whole batch without needing workers. With a
-// cache budget, the read goes through the unified cache instead:
-// cached stripes (including other ranks' deferred dirty bytes) come
-// from memory and only the holes are sieve-fetched, so a re-read of a
-// warm domain touches no server at all. Either way every byte of the
-// pooled staging buffer is overwritten; the caller releases it.
+// of its domain's requested extents, issued as ONE vectored ReadV —
+// every per-server segment of the domain is queued up front, so service
+// time overlaps across servers and the elevator sees the whole batch
+// without needing workers. With a cache budget, the read goes through
+// the unified cache instead: cached stripes (including other ranks'
+// deferred dirty bytes) come from memory and only the holes are
+// sieve-fetched, so a re-read of a warm domain touches no server at
+// all. Either way every byte of the pooled staging buffer is
+// overwritten; the caller releases it.
 func (f *File) aggregateRead(placedBy [][]placed) (*staging, error) {
 	runs := domainRuns(f.comm.Rank(), placedBy)
 	if len(runs) == 0 {
 		return nil, nil
 	}
 	s := newStaging(runs)
-	// Capped runs pack back-to-back in exactly the staging layout (the
-	// cap only splits runs, never reorders or drops bytes).
-	capped := capRuns(runs, f.CollectiveBufferSize)
 	var err error
 	if f.caching() {
-		err = f.cache().ReadThrough(capped, Contig(s.data))
+		err = f.cache().ReadThrough(runs, Contig(s.data))
 	} else {
-		_, err = f.fs.ReadV(capped, s.data)
+		_, err = f.fs.ReadV(runs, s.data)
 	}
 	if err != nil {
 		s.release()
@@ -576,7 +553,7 @@ func (f *File) aggregateRead(placedBy [][]placed) (*staging, error) {
 // the others from their received payloads — then either absorbs the
 // coalesced union into the shared write-behind cache (WriteBehind
 // enabled — dispatch is deferred to a flush sweep) or writes it back
-// immediately as ONE vectored WriteV of the capped runs. Every byte of
+// immediately as ONE vectored WriteV of the runs. Every byte of
 // the union is covered by some rank's piece, so no read-modify-write
 // round is needed, the gaps between runs are never touched, and the
 // staging buffer's prior contents never reach a server. Overlapping
@@ -634,7 +611,7 @@ func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error
 	// dispatches every per-server segment of the domain at once. The
 	// post-write punch closes the sieve-fetch race exactly as on the
 	// independent path (File.punch).
-	if _, err := f.fs.WriteV(capRuns(runs, f.CollectiveBufferSize), s.data); err != nil {
+	if _, err := f.fs.WriteV(runs, s.data); err != nil {
 		return err
 	}
 	f.punch(runs)

@@ -12,10 +12,11 @@ import (
 // stripe/domain boundaries. These paths feed every collective call, so
 // their corner behavior is pinned explicitly.
 
-// spanCarve is the default policy's span carving of [lo, hi) into n
-// stripe-aligned domains (the last one takes the tail).
+// spanCarve is the span carving of [lo, hi) into n stripe-aligned
+// domains (the last one takes the tail): n stripes of payload on n
+// ranks make n aggregators.
 func spanCarve(lo, hi, stripe int64, n int) place.Domains {
-	return place.ByteCyclic{}.Carve(place.Req{Lo: lo, Hi: hi, Stripe: stripe, Ranks: n, CBNodes: n})
+	return place.ByteCyclic{}.Carve(place.Req{Lo: lo, Hi: hi, TotalBytes: int64(n) * stripe, Stripe: stripe, Ranks: n})
 }
 
 // piecesOf is placePieces without the per-owner byte totals.
@@ -136,28 +137,5 @@ func TestCollectiveDomainRunsCoalesces(t *testing.T) {
 	want := []pfs.Run{{Off: 0, Len: 24}, {Off: 100, Len: 4}}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("domainRuns = %+v, want %+v", got, want)
-	}
-}
-
-// TestCollectiveCapRuns: request capping splits runs without moving
-// bytes between them.
-func TestCollectiveCapRuns(t *testing.T) {
-	runs := []pfs.Run{{Off: 0, Len: 10}, {Off: 20, Len: 3}}
-	if got := capRuns(runs, 0); len(got) != 2 { // uncapped
-		t.Errorf("uncapped = %+v", got)
-	}
-	got := capRuns(runs, 4)
-	want := []pfs.Run{{Off: 0, Len: 4}, {Off: 4, Len: 4}, {Off: 8, Len: 2}, {Off: 20, Len: 3}}
-	if len(got) != len(want) {
-		t.Fatalf("capped = %+v, want %+v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("capped = %+v, want %+v", got, want)
-		}
-	}
-	// Cap of 1: one request per byte, order preserved.
-	if got := capRuns([]pfs.Run{{Off: 5, Len: 3}}, 1); len(got) != 3 || got[0] != (pfs.Run{Off: 5, Len: 1}) || got[2] != (pfs.Run{Off: 7, Len: 1}) {
-		t.Errorf("unit cap = %+v", got)
 	}
 }

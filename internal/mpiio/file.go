@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"drxmp/internal/cluster"
-	"drxmp/internal/par"
 	"drxmp/internal/pfs"
 )
 
@@ -21,35 +20,6 @@ type File struct {
 	disp     int64
 	filetype Datatype
 	pos      int64 // individual file pointer, in view (data) bytes
-
-	// CollectiveBufferSize caps each aggregator's staging buffer per
-	// two-phase round (the ROMIO "cb_buffer_size" analogue). Zero means
-	// unbounded (single round).
-	CollectiveBufferSize int64
-
-	// CBNodes controls how many aggregators a collective operation
-	// uses (the ROMIO "cb_nodes" analogue). Zero (the default) selects
-	// adaptively: clamp(totalBytes/stripeSize, 1, nranks), so small
-	// collectives funnel through few aggregators — fewer, larger,
-	// scheduler-friendly server requests — while large ones keep full
-	// fan-out. Positive values fix the count (clamped to the
-	// communicator size); negative values force one aggregator per
-	// rank (the pre-adaptive behavior). Every rank of a collective
-	// must use the same setting.
-	CBNodes int
-
-	// Parallelism bounds the worker goroutines this rank uses inside a
-	// collective call: carving each rank's pieces and packing each
-	// peer's read payload run one item per rank on up to this many
-	// workers (internal/par semantics: 0 selects GOMAXPROCS, negative
-	// forces the serial path, values above GOMAXPROCS are honored).
-	// Moving the caller's own bytes is one ordered walk, and the
-	// aggregate phase needs no workers at all — each aggregator issues
-	// its capped runs as one vectored ReadV/WriteV, so the per-server
-	// queues see the full batch regardless of this knob. The parallel
-	// and serial paths are byte-identical: workers only ever touch
-	// disjoint buffers, and merge order is fixed.
-	Parallelism int
 
 	// WriteBehind selects the write-behind policy for collective
 	// writes — the dirty side of the extent cache (filecache.go), so it
@@ -104,9 +74,6 @@ type File struct {
 	fc atomic.Pointer[fileCache]
 }
 
-// workers resolves the collective parallelism knob.
-func (f *File) workers() int { return par.Resolve(f.Parallelism) }
-
 // cacheConfig projects this handle's policy knobs into the shared
 // cache's Configure block. The sieve block is left at the store's
 // stripe size, which keeps sieve fetches server-aligned.
@@ -158,8 +125,6 @@ func (f *File) caching() bool { return f.CacheBytes > 0 }
 // TuningKnobs is ApplyTuning's parameter block — one field per handle
 // knob, so the signature stops growing positionally as knobs accrue.
 type TuningKnobs struct {
-	Parallelism int
-	CBNodes     int
 	WriteBehind int64
 	CacheBytes  int64
 	ReadAhead   int64
@@ -167,7 +132,7 @@ type TuningKnobs struct {
 	SpillPath   string
 }
 
-// ApplyTuning installs every collective/cache knob of the handle in
+// ApplyTuning installs every write-behind and cache knob of the handle in
 // one call — the atomic application point behind drxmp.File.SetTuning,
 // so a serving tier can swap a whole tenant profile. Write-behind
 // requires a cache budget. Turning write-behind, the cache or the spill
@@ -186,8 +151,6 @@ func (f *File) ApplyTuning(k TuningKnobs) error {
 			return err
 		}
 	}
-	f.Parallelism = k.Parallelism
-	f.CBNodes = k.CBNodes
 	f.WriteBehind = k.WriteBehind
 	f.CacheBytes = k.CacheBytes
 	f.ReadAhead = k.ReadAhead

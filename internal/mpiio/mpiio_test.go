@@ -610,37 +610,6 @@ func TestCollectiveAggregationReducesRequests(t *testing.T) {
 	}
 }
 
-// TestCollectiveBufferCap: a bounded collective buffer still returns
-// identical data, just with more (capped) requests.
-func TestCollectiveBufferCap(t *testing.T) {
-	fs, _ := pfs.Create("t", pfs.Options{Servers: 2, StripeSize: 64})
-	seed := make([]byte, 2048)
-	rand.New(rand.NewSource(9)).Read(seed)
-	if _, err := fs.WriteAt(seed, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([][]byte, 2)
-	err := cluster.Run(2, func(c *cluster.Comm) error {
-		f := Open(c, fs)
-		f.CollectiveBufferSize = 128
-		if err := f.SetView(int64(c.Rank())*1024, MustBytes(1024)); err != nil {
-			return err
-		}
-		buf := make([]byte, 1024)
-		if err := f.ReadAllAt(buf, 0); err != nil {
-			return err
-		}
-		got[c.Rank()] = buf
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[0], seed[:1024]) || !bytes.Equal(got[1], seed[1024:]) {
-		t.Fatal("capped collective read corrupted data")
-	}
-}
-
 func TestDecodeRunsErrors(t *testing.T) {
 	if _, err := decodeRuns(make([]byte, 15)); err == nil {
 		t.Error("odd-length run list accepted")

@@ -123,61 +123,13 @@ func TestCloseFlusherWithQueuedReadsRace(t *testing.T) {
 	}
 }
 
-// TestWindowSizeKnob drives the deterministic synchronous elevator path
-// and the queued path under a fixed window, then checks the auto window
-// (0) still behaves like a frozen batch: both service identical bytes
-// and the fixed-window queued path never merges more requests into a
-// sweep than its window allows.
-func TestWindowSizeKnob(t *testing.T) {
-	runs := []Run{
-		{Off: 0, Len: 64}, {Off: 64, Len: 64}, {Off: 128, Len: 64}, {Off: 192, Len: 64},
-	}
-	payload := make([]byte, 256)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	for _, window := range []int{0, 1, 2, 32} {
-		fs, err := Create("win", Options{
-			Servers: 1, StripeSize: 64, Scheduler: Elevator,
-			WindowSize: window, Cost: schedCost(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fs.WriteV(runs, payload); err != nil {
-			t.Fatal(err)
-		}
-		back := make([]byte, len(payload))
-		if _, err := fs.ReadV(runs, back); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back, payload) {
-			t.Fatalf("window %d: readback mismatch", window)
-		}
-		st := fs.Stats()
-		if st.Bytes() != 512 {
-			t.Fatalf("window %d: bytes = %d, want 512", window, st.Bytes())
-		}
-		// A window of 1 degenerates to FIFO: one service per segment, so
-		// at least the 4 write + 4 read requests are charged. Larger
-		// windows may merge adjacent segments into fewer services but
-		// must never lose any.
-		if window == 1 && st.Requests() != 8 {
-			t.Fatalf("window 1 merged requests: got %d services, want 8", st.Requests())
-		}
-		if err := fs.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestWindowAutoScalesWithBacklog pins the auto window via the
 // synchronous elevator path being unaffected (whole batch) and, on the
 // queued path, that a deep pre-queued backlog is swept with fewer
 // services than requests (the auto window froze more than one request).
 func TestWindowAutoScalesWithBacklog(t *testing.T) {
 	fs, err := Create("autowin", Options{
-		Servers: 1, StripeSize: 64, Scheduler: Elevator, WindowSize: 0,
+		Servers: 1, StripeSize: 64, Scheduler: Elevator,
 		// A large per-request overhead with RealTime makes the first
 		// service slow, so the remaining segments pile into the queue and
 		// the second sweep freezes a deep backlog.

@@ -101,19 +101,16 @@ func TestListAutoWindowSweepsWholeList(t *testing.T) {
 // TestListStatsMatchInline: the same random vectors charge identical
 // Stats() — requests, seeks, bytes, busy time, both histograms — whether
 // their lists travel the queues or are serviced by the caller after
-// Close, under FIFO and under the elevator with an auto and a fixed
-// window (which counts requests: a list longer than the window is swept
-// in window-sized pieces on both paths).
+// Close, under FIFO and under the elevator.
 func TestListStatsMatchInline(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		sched  Scheduler
-		window int
-	}{{"fifo", FIFO, 0}, {"elevator-auto", Elevator, 0}, {"elevator-4", Elevator, 4}} {
+		name  string
+		sched Scheduler
+	}{{"fifo", FIFO}, {"elevator-auto", Elevator}} {
 		t.Run(tc.name, func(t *testing.T) {
 			mk := func() *FS {
 				fs, err := Create("inline", Options{Servers: 3, StripeSize: 64,
-					Scheduler: tc.sched, WindowSize: tc.window, Cost: schedCost()})
+					Scheduler: tc.sched, Cost: schedCost()})
 				if err != nil {
 					t.Fatal(err)
 				}

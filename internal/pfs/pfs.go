@@ -84,16 +84,16 @@ const (
 	// FIFO services requests strictly in arrival order (one request,
 	// one service, one potential seek).
 	FIFO Scheduler = iota
-	// Elevator drains the queue into a bounded reorder window and
-	// services the frozen batch as one ascending C-SCAN sweep: pending
-	// segments sort by server-local offset and physically adjacent
-	// same-direction segments merge into a single streamed service, so
-	// a sweep charges one seek per discontinuity instead of one per
-	// request. Requests arriving during a sweep wait for the next one,
-	// which bounds how long any request can be bypassed (no
-	// starvation). Note that writes to overlapping extents submitted
-	// concurrently may land in either order — exactly as under FIFO,
-	// where the channel interleaving is already scheduling-dependent.
+	// Elevator freezes what is queued when a sweep starts and services
+	// that backlog as one ascending C-SCAN sweep: pending segments sort
+	// by server-local offset and physically adjacent same-direction
+	// segments merge into a single streamed service, so a sweep charges
+	// one seek per discontinuity instead of one per request. Requests
+	// arriving during a sweep wait for the next one, which bounds how
+	// long any request can be bypassed (no starvation). Note that writes
+	// to overlapping extents submitted concurrently may land in either
+	// order — exactly as under FIFO, where the channel interleaving is
+	// already scheduling-dependent.
 	Elevator
 )
 
@@ -111,19 +111,6 @@ type Options struct {
 	Cost CostModel
 	// Scheduler selects the per-server queue discipline (default FIFO).
 	Scheduler Scheduler
-	// WindowSize bounds the elevator's reorder window: the maximum
-	// number of pending requests frozen into one C-SCAN sweep. 0 (the
-	// default) auto-scales with queue depth — each sweep freezes
-	// whatever backlog is queued when it starts, so shallow queues pay
-	// no reordering delay and deep queues merge aggressively. Positive
-	// values fix the window (32 was the pre-knob hard-coded value).
-	// A straggler server (Cost.SlowFactor > 1) additionally scales its
-	// own window by its slow factor — see server.reorderWindow — so
-	// the server where requests pile up merges the most per sweep.
-	// Either way the window is frozen before the sweep, which bounds
-	// how long any request can be bypassed (no starvation). Ignored
-	// under FIFO.
-	WindowSize int
 	// Parity reserves the last Parity servers of the stripe for
 	// Reed-Solomon parity: data stripes round-robin over the first
 	// k = Servers-Parity servers, and each parity row (the k data units
@@ -331,7 +318,6 @@ type server struct {
 	stats   ServerStats
 	cost    CostModel
 	sched   Scheduler
-	window  int     // elevator reorder window (0 = auto-scale with backlog)
 	slow    float64 // per-server bandwidth-asymmetry factor (>= 1 normally)
 	// queued counts the requests submitted to this server and not yet
 	// settled: the elevator's backlog and sourceOrder's ranking key.
@@ -341,7 +327,7 @@ type server struct {
 // newServer builds server i with its cost model, queue discipline, and
 // resolved straggler factor.
 func newServer(i int, opts Options) *server {
-	sv := &server{cost: opts.Cost, sched: opts.Scheduler, window: opts.WindowSize, slow: 1}
+	sv := &server{cost: opts.Cost, sched: opts.Scheduler, slow: 1}
 	if i < len(opts.Cost.SlowFactor) && opts.Cost.SlowFactor[i] > 0 {
 		sv.slow = opts.Cost.SlowFactor[i]
 	}

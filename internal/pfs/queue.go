@@ -16,12 +16,11 @@
 // The order a server services its requests in is the Options.Scheduler
 // knob. FIFO walks each list in submission order, lists in arrival
 // order. Elevator appends arriving lists to its pending requests,
-// freezes a reorder window of them — Options.WindowSize counts
-// requests, not lists, and when 0 (auto) the window is everything
-// pending at that moment, so one call's list is swept whole — and
-// services the window as one ascending C-SCAN sweep, merging physically
-// adjacent same-direction segments into single streamed services: a
-// sweep charges one seek per discontinuity instead of one per request.
+// freezes everything queued when a sweep starts — so one call's list is
+// swept whole — and services it as one ascending C-SCAN sweep, merging
+// physically adjacent same-direction segments into single streamed
+// services: a sweep charges one seek per discontinuity instead of one
+// per request.
 //
 // The state of one submission (segments, batches, outcomes) is a pooled
 // dispatch, back on its store's idle list once every batch has
@@ -33,7 +32,6 @@ package pfs
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -215,12 +213,13 @@ func (sv *server) serve(ch chan *batch) {
 		}
 		return
 	}
-	// Elevator: block for a batch only when nothing is pending, take in
-	// whatever else is already queued until the reorder window is full,
-	// and sweep one window. Requests arriving during a sweep wait for
-	// the next one — the frozen window is what bounds bypass (no
-	// starvation). Once the channel is closed and empty, what is pending
-	// is swept out and the loop ends.
+	// Elevator: block for a batch only when nothing is pending, then
+	// take in what was queued when the sweep starts — submit counts a
+	// batch in queued before sending it, so the snapshot covers every
+	// batch already on the channel — and sweep it all. Requests arriving
+	// during a sweep wait for the next one: the frozen backlog is what
+	// bounds bypass (no starvation). Once the channel is closed and
+	// empty, what is pending is swept out and the loop ends.
 	var pending []pend
 	for open := true; open || len(pending) > 0; {
 		if len(pending) == 0 {
@@ -230,9 +229,9 @@ func (sv *server) serve(ch chan *batch) {
 			}
 			pending = admit(pending, b)
 		}
-		window := sv.reorderWindow(int(sv.queued.Load()) - 1)
+		backlog := int(sv.queued.Load())
 	drain:
-		for open && len(pending) < window {
+		for open && len(pending) < backlog {
 			select {
 			case b, ok := <-ch:
 				if open = ok; ok {
@@ -242,7 +241,7 @@ func (sv *server) serve(ch chan *batch) {
 				break drain
 			}
 		}
-		pending = sv.sweep(pending, window)
+		pending = sv.sweep(pending)
 	}
 }
 
@@ -320,37 +319,15 @@ func (sv *server) moveLocked(d *dispatch, i int32) error {
 	return nil
 }
 
-// reorderWindow resolves the elevator's effective reorder window for a
-// sweep starting with `backlog` requests queued behind the first. The
-// base window is Options.WindowSize when positive, or 1+backlog (freeze
-// everything queued) when auto. A straggler server (CostModel.SlowFactor
-// > 1) scales its window by that factor, rounded up: requests pile up
-// at the slow server while its peers drain, and a wider frozen window
-// lets each of its sweeps merge more adjacent segments, so the
-// straggler pays its seek surcharge fewer times per byte. Nominal
-// servers (factor <= 1) keep the base window, so the tuning never
-// changes single-speed configurations.
-func (sv *server) reorderWindow(backlog int) int {
-	w := sv.window
-	if w <= 0 {
-		w = 1 + backlog // auto: freeze the current backlog
-	}
-	if sv.slow > 1 {
-		w = int(math.Ceil(float64(w) * sv.slow))
-	}
-	return w
-}
-
-// sweep freezes the first `window` pending requests, services them as a
-// single ascending C-SCAN sweep and returns the rest: requests sort by
-// server-local offset (stable, so requests at the same offset keep
-// arrival order), and each maximal group of physically adjacent
-// same-direction segments is serviced as one streamed request — one
-// charge (at most one seek, one request overhead, byte time for the
-// whole stream), then the per-segment data movement. Each request is
-// settled after its group has been serviced.
-func (sv *server) sweep(pending []pend, window int) []pend {
-	frozen := pending[:min(window, len(pending))]
+// sweep services the frozen requests as a single ascending C-SCAN sweep
+// and returns the emptied list: requests sort by server-local offset
+// (stable, so requests at the same offset keep arrival order), and each
+// maximal group of physically adjacent same-direction segments is
+// serviced as one streamed request — one charge (at most one seek, one
+// request overhead, byte time for the whole stream), then the
+// per-segment data movement. Each request is settled after its group
+// has been serviced.
+func (sv *server) sweep(frozen []pend) []pend {
 	slices.SortStableFunc(frozen, func(a, b pend) int { return cmp.Compare(a.seg().off, b.seg().off) })
 	for i := 0; i < len(frozen); {
 		j, write := i+1, frozen[i].b.d.write
@@ -382,9 +359,8 @@ func (sv *server) sweep(pending []pend, window int) []pend {
 			frozen[i].b.finish(sv, 1)
 		}
 	}
-	rest := copy(pending, pending[len(frozen):])
-	clear(pending[rest:]) // no batch stays reachable from the list's spare capacity
-	return pending[:rest]
+	clear(frozen) // no batch stays reachable from the list's spare capacity
+	return frozen[:0]
 }
 
 // submit is the one way requests reach a server. The injector is

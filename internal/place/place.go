@@ -6,25 +6,22 @@
 // exactly one answer per collective.
 //
 // The carving is a pure function of replicated state (the allgathered
-// span and the shared tuning knobs): every rank computes the identical
-// Domains with no extra communication.
+// span, the stripe and the write-behind mode): every rank computes the
+// identical Domains with no extra communication.
 package place
 
 import "drxmp/internal/pfs"
 
 // Req describes one carving request. Lo/Hi bound the union byte span
-// the collective touches and TotalBytes is the payload volume — all
-// replicated, so every rank builds an identical Req.
+// the collective touches and TotalBytes is the payload volume, which
+// sets the aggregator count — all replicated, so every rank builds an
+// identical Req.
 type Req struct {
 	Lo, Hi     int64
 	TotalBytes int64
 	// Ranks is the communicator size; owners returned by the carving
 	// are rank indices in [0, Ranks).
 	Ranks int
-	// CBNodes is the aggregator-count knob, verbatim: >0 caps the
-	// count, <0 forces one aggregator per rank, 0 lets the carving
-	// pick.
-	CBNodes int
 	// Stripe is the parallel file system stripe size.
 	Stripe int64
 	// WriteBehind reports whether the handle buffers writes behind a
@@ -52,44 +49,21 @@ type Domains interface {
 	BlockEnd(off int64) int64
 }
 
-// resolveN applies the CBNodes knob: an explicit cap wins, -1 means
-// every rank aggregates, and 0 defers to the adaptive count want.
-func resolveN(r Req, want int) int {
-	n := want
-	switch {
-	case r.CBNodes > 0:
-		n = r.CBNodes
-	case r.CBNodes < 0:
-		n = r.Ranks
-	}
-	if n > r.Ranks {
-		n = r.Ranks
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // ByteCyclic carves by byte arithmetic alone: under write-behind,
 // file-aligned block-cyclic stripes — the same aggregator owns the same
 // file stripes in EVERY collective, so dirty unions absorbed across
 // successive collectives merge into growing extents and, because
 // stripe u lands on server u mod S, flush as server-aligned ascending
 // sweeps; otherwise a stripe-aligned partition of the collective's own
-// span whose last domain absorbs the tail. The adaptive aggregator
-// count is clamp(TotalBytes/Stripe, 1, Ranks): one aggregator per
-// stripe of payload, so small transfers coalesce onto few aggregators
-// while large ones keep every rank busy.
+// span whose last domain absorbs the tail. The aggregator count is the
+// rule clamp(TotalBytes/Stripe, 1, Ranks): one aggregator per stripe of
+// payload, so small transfers coalesce onto few aggregators while large
+// ones keep every rank busy.
 type ByteCyclic struct{}
 
 // Carve carves the domains of one collective.
 func (ByteCyclic) Carve(r Req) Domains {
-	adaptive := int(r.TotalBytes / r.Stripe)
-	if adaptive < 1 {
-		adaptive = 1
-	}
-	n := resolveN(r, adaptive)
+	n := int(max(min(r.TotalBytes/r.Stripe, int64(r.Ranks)), 1))
 	if r.WriteBehind {
 		return cyclicDomains{per: r.Stripe, n: n}
 	}

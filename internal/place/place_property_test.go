@@ -38,7 +38,6 @@ func randomReq(rng *rand.Rand) Req {
 	return Req{
 		Lo: lo, Hi: hi, TotalBytes: total,
 		Ranks:       ranks,
-		CBNodes:     rng.Intn(6) - 1, // -1 (per-rank), 0 (adaptive), 1..4
 		Stripe:      stripes[rng.Intn(len(stripes))],
 		WriteBehind: rng.Intn(2) == 0,
 		Runs:        runs,

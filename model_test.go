@@ -65,15 +65,15 @@ func pick[T any](s *stream, xs []T) T { return xs[s.intn(len(xs))] }
 // from; a row pins an axis by narrowing it. No shapes means a random
 // one: rank 1-3, a few thousand cells, chunks of 1-7 cells a side.
 type modelSpace struct {
-	ranks, servers, parity, cpar, cbNodes []int
-	shapes                                []collShape
-	dtypes                                []drxmp.DType
-	orders, users                         []drxmp.Order // chunk order; each op's buffer order
-	stripes, wb, cache, readAhead, spill  []int64
-	scheds                                []pfs.Scheduler
-	realTime, poison                      []bool
-	zones, slabs                          []bool      // collective phases on zones; independent ones on slabs
-	must                                  []phaseKind // phases every program has
+	ranks, servers, parity               []int
+	shapes                               []collShape
+	dtypes                               []drxmp.DType
+	orders, users                        []drxmp.Order // chunk order; each op's buffer order
+	stripes, wb, cache, readAhead, spill []int64
+	scheds                               []pfs.Scheduler
+	realTime, poison                     []bool
+	zones, slabs                         []bool      // collective phases on zones; independent ones on slabs
+	must                                 []phaseKind // phases every program has
 }
 
 func fullSpace() modelSpace {
@@ -90,8 +90,6 @@ func fullSpace() modelSpace {
 		poison:    []bool{false, true},
 		zones:     []bool{false, false, false, true},
 		slabs:     []bool{false, true},
-		cpar:      []int{-1, 0, 8},
-		cbNodes:   []int{-1, 0, 1, 3},
 		wb:        []int64{0, -1, 4096},
 		cache:     []int64{0, 2 << 10, 1 << 20},
 		readAhead: []int64{0, 1 << 10},
@@ -145,10 +143,7 @@ func drawShape(s *stream) collShape {
 // and spill only over a cache. Write-behind is drawn before the cache
 // and dropped without one, so every draw reads the same bytes.
 func drawTuning(s *stream, sp *modelSpace) drxmp.Tuning {
-	t := drxmp.Tuning{
-		CollectiveParallelism: pick(s, sp.cpar), CBNodes: pick(s, sp.cbNodes),
-		WriteBehindBytes: pick(s, sp.wb), CacheBytes: pick(s, sp.cache),
-	}
+	t := drxmp.Tuning{WriteBehindBytes: pick(s, sp.wb), CacheBytes: pick(s, sp.cache)}
 	if t.CacheBytes > 0 {
 		t.ReadAheadBytes, t.SpillBytes = pick(s, sp.readAhead), pick(s, sp.spill)
 	} else {
@@ -681,10 +676,10 @@ func on(ranks int, bounds, chunk []int) func(*modelSpace) {
 // Each runs the model with that suite's axes pinned; every other axis is
 // drawn from a seed derived from the row's name.
 
-// Elevator and FIFO queues under every cb_nodes value (was
-// drxmp_sched_diff_test.go).
+// Elevator and FIFO queues (was drxmp_sched_diff_test.go, which also
+// crossed them with aggregator counts).
 func schedPins(sp *modelSpace) {
-	sp.servers, sp.stripes, sp.cpar = []int{4}, []int64{1 << 10}, []int{8}
+	sp.servers, sp.stripes = []int{4}, []int64{1 << 10}
 }
 
 func TestCollectiveSchedulerCBNodesIdentical(t *testing.T) {
@@ -695,10 +690,10 @@ func TestCollectiveSchedulerOverlappingWrites(t *testing.T) {
 	shapeRows(t, collShapes(), schedPins, collWrite, collWrite, collWrite)
 }
 
-// Parallel and serial collective workers beside independent I/O (was
-// drxmp_collective_par_test.go).
+// Collective I/O beside independent I/O (was drxmp_collective_par_test.go,
+// which also crossed it with worker counts).
 func workerPins(sp *modelSpace) {
-	sp.servers, sp.stripes, sp.scheds, sp.cbNodes = []int{4}, []int64{1 << 10}, []pfs.Scheduler{pfs.FIFO}, []int{0}
+	sp.servers, sp.stripes, sp.scheds = []int{4}, []int64{1 << 10}, []pfs.Scheduler{pfs.FIFO}
 }
 
 func TestCollectiveParallelSerialIndependentIdentical(t *testing.T) {
@@ -731,7 +726,7 @@ func TestErasureDegradedEqualsHealthy(t *testing.T) {
 // independent reads beside other ranks' writes.
 func TestWriteBehindDifferentialIdentical(t *testing.T) {
 	shapeRows(t, collShapes(), func(sp *modelSpace) {
-		sp.servers, sp.stripes, sp.scheds, sp.cpar = []int{4}, []int64{1 << 10}, []pfs.Scheduler{pfs.Elevator}, []int{8}
+		sp.servers, sp.stripes, sp.scheds = []int{4}, []int64{1 << 10}, []pfs.Scheduler{pfs.Elevator}
 		sp.wb, sp.cache = []int64{4096, 1 << 20, -1}, []int64{2 << 10, 1 << 20}
 	}, collWrite, collRead, collWrite, syncAll)
 }
@@ -747,7 +742,7 @@ func TestWriteBehindStressRace(t *testing.T) {
 	modelRow(t, func(sp *modelSpace) {
 		on(4, []int{128, 128}, []int{8, 8})(sp)
 		sp.servers, sp.stripes, sp.scheds = []int{4}, []int64{512}, []pfs.Scheduler{pfs.Elevator}
-		sp.cpar, sp.wb, sp.cache = []int{8}, []int64{-1}, []int64{2 << 10}
+		sp.wb, sp.cache = []int64{-1}, []int64{2 << 10}
 		sp.zones, sp.slabs = []bool{true}, []bool{true}
 	}, slices.Repeat([]phaseKind{collWrite, indep}, 6)...)
 }
@@ -757,7 +752,7 @@ func TestWriteBehindStressRace(t *testing.T) {
 // op on real-time servers.
 func TestReadCacheDifferentialIdentical(t *testing.T) {
 	shapeRows(t, collShapes(), func(sp *modelSpace) {
-		sp.servers, sp.stripes, sp.scheds, sp.cpar = []int{4}, []int64{1 << 10, 4 << 10}, []pfs.Scheduler{pfs.Elevator}, []int{8}
+		sp.servers, sp.stripes, sp.scheds = []int{4}, []int64{1 << 10, 4 << 10}, []pfs.Scheduler{pfs.Elevator}
 		sp.cache = []int64{2 << 10, 1 << 20}
 	}, collWrite, collRead, indep, syncAll)
 }
@@ -773,7 +768,7 @@ func TestReadCacheEvictionStressRace(t *testing.T) {
 	modelRow(t, func(sp *modelSpace) {
 		on(4, []int{32, 32}, []int{8, 8})(sp)
 		sp.servers, sp.stripes, sp.scheds, sp.realTime = []int{4}, []int64{512}, []pfs.Scheduler{pfs.Elevator}, []bool{true}
-		sp.cpar, sp.wb, sp.cache, sp.readAhead = []int{8}, []int64{2048}, []int64{4096}, []int64{1024}
+		sp.wb, sp.cache, sp.readAhead = []int64{2048}, []int64{4096}, []int64{1024}
 	}, collWrite, indep, collRead, syncAll)
 }
 
@@ -798,15 +793,20 @@ func TestSectionVecOracle(t *testing.T) {
 
 // Collective I/O out of a poisoned buffer pool, per rank count,
 // aggregator count, write-behind policy (over a tiny or a roomy cache)
-// and buffer order (was drxmp_collective_mem_test.go).
+// and buffer order (was drxmp_collective_mem_test.go). The stripe sets
+// the aggregator count, clamp(payload/stripe, 1, ranks): cb1 is a
+// stripe wider than the payloads these rows draw, so one rank
+// aggregates; cb-1 a 64-byte one, so every rank does once the payload
+// reaches a stripe per rank.
 func TestCollectivePoisonedPool(t *testing.T) {
+	stripes := map[int]int64{1: 1 << 20, -1: 64}
 	for ranks := 1; ranks <= 4; ranks++ {
 		for _, cb := range []int{1, -1} {
 			for _, wb := range []int64{0, -1, 4096} {
 				for _, user := range []drxmp.Order{drxmp.RowMajor, drxmp.ColMajor} {
 					t.Run(fmt.Sprintf("ranks%d-cb%d-wb%d-user%v", ranks, cb, wb, user), func(t *testing.T) {
 						modelRow(t, func(sp *modelSpace) {
-							sp.ranks, sp.cbNodes, sp.wb = []int{ranks}, []int{cb}, []int64{wb}
+							sp.ranks, sp.stripes, sp.wb = []int{ranks}, []int64{stripes[cb]}, []int64{wb}
 							sp.users, sp.poison = []drxmp.Order{user}, []bool{true}
 							if wb != 0 {
 								sp.cache = []int64{2 << 10, 1 << 20}
@@ -841,4 +841,43 @@ func TestAllDTypesParallelRoundTrip(t *testing.T) {
 			}, collWrite, extend, collWrite)
 		})
 	}
+}
+
+// Zone round trips on P ranks, read back by the model's final full
+// reads (was in drxmp_test.go and drxmp_3d_test.go): a collective write
+// of every rank's zone, on a grid that P divides or, for the uneven
+// rows, does not (empty zones included); every rank reading its zone in
+// the transposed order; and a rank-3 array grown once along every
+// dimension between zone writes.
+func zoneRows(t *testing.T, ranks []int, bounds, chunk []int) {
+	for _, p := range ranks {
+		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
+			modelRow(t, func(sp *modelSpace) {
+				on(p, bounds, chunk)(sp)
+				sp.zones = []bool{true}
+			}, collWrite)
+		})
+	}
+}
+
+func TestParallelWriteSerialRead(t *testing.T) {
+	zoneRows(t, []int{1, 2, 4, 6}, []int{11, 13}, []int{3, 4})
+}
+
+func TestUnevenRanks(t *testing.T) {
+	zoneRows(t, []int{3, 5, 7}, []int{7, 5}, []int{3, 3})
+}
+
+func TestTransposedParallelRead(t *testing.T) {
+	modelRow(t, func(sp *modelSpace) {
+		on(4, []int{10, 10}, []int{2, 3})(sp)
+		sp.zones, sp.users = []bool{true}, []drxmp.Order{drxmp.ColMajor}
+	}, indep, collRead)
+}
+
+func TestThreeDimensionalParallel(t *testing.T) {
+	modelRow(t, func(sp *modelSpace) {
+		on(8, []int{8, 8, 8}, []int{4, 4, 4})(sp)
+		sp.zones = []bool{true}
+	}, collWrite, extend, collWrite, extend, collWrite, extend, collWrite)
 }
