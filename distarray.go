@@ -3,6 +3,7 @@ package drxmp
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"drxmp/internal/dtype"
 	"drxmp/internal/grid"
@@ -168,7 +169,7 @@ func (d *DistArray) GetSection(box Box, dst []byte) error {
 	owners := d.sectionOwners(box)
 	// Per owning rank, copy the intersection row by row (rows in the
 	// owner's layout order so each remote Get is one contiguous span).
-	return par.Do(par.Resolve(0), len(owners), func(oi int) error {
+	return par.Do(runtime.GOMAXPROCS(0), len(owners), func(oi int) error {
 		r := owners[oi]
 		ob := d.boxes[r]
 		ibox := ob.Intersect(box)
@@ -216,7 +217,7 @@ func (d *DistArray) PutSection(box Box, src []byte) error {
 	boxShape := box.Shape()
 	srcStrides := grid.Strides(boxShape, d.order)
 	owners := d.sectionOwners(box)
-	return par.Do(par.Resolve(0), len(owners), func(oi int) error {
+	return par.Do(runtime.GOMAXPROCS(0), len(owners), func(oi int) error {
 		r := owners[oi]
 		ob := d.boxes[r]
 		ibox := ob.Intersect(box)

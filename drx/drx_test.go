@@ -1,13 +1,15 @@
 package drx
 
 import (
+	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"drxmp"
+	"drxmp/internal/cluster"
 	"drxmp/internal/grid"
 	"drxmp/internal/pfs"
 )
@@ -322,7 +324,7 @@ func TestDiskPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path, pfs.Options{Servers: 2, StripeSize: 64}, 0)
+	re, err := Open(path, pfs.Options{Servers: 2, StripeSize: 64}, drxmp.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,74 +345,86 @@ func TestDiskPersistence(t *testing.T) {
 	if err := Remove(path, pfs.Options{Servers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path, pfs.Options{Servers: 2, StripeSize: 64}, 0); err == nil {
+	if _, err := Open(path, pfs.Options{Servers: 2, StripeSize: 64}, drxmp.Tuning{}); err == nil {
 		t.Fatal("open after remove succeeded")
 	}
 }
 
-// TestSingleFileMode exercises the paper's Section V future-work
-// layout: metadata embedded in a header region of the data file, no
-// companion .xmd.
-func TestSingleFileMode(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "single")
+// TestOneFileFormat: an array drx writes, extends and closes is a drxmp
+// file — the parallel library opens it on two ranks and reads the same
+// bytes.
+func TestOneFileFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shared")
 	opts := defaultOpts()
-	opts.SingleFile = true
-	opts.FS = pfs.Options{Backend: pfs.Disk, Servers: 2, StripeSize: 128}
+	opts.FS = pfs.Options{Backend: pfs.Disk, Servers: 2}
 	a, err := Create(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	box := NewBox([]int{0, 0}, []int{10, 10})
-	vals := make([]float64, 100)
+	if err := a.Extend(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	full := NewBox([]int{0, 0}, a.Bounds())
+	vals := make([]float64, full.Volume())
 	for i := range vals {
-		vals[i] = float64(i) + 0.125
+		vals[i] = float64(i) - 0.5
 	}
-	if err := a.WriteFloat64s(box, vals, RowMajor); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Extend(0, 6); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Set([]int{15, 9}, -3); err != nil {
+	if err := a.WriteFloat64s(full, vals, RowMajor); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// No .xmd must exist.
-	if _, err := os.Stat(path + ".xmd"); !os.IsNotExist(err) {
-		t.Fatalf("single-file array left an .xmd: %v", err)
-	}
-	re, err := Open(path, pfs.Options{Servers: 2, StripeSize: 128}, 0)
+	err = cluster.Run(2, func(c *cluster.Comm) error {
+		f, err := drxmp.OpenWith(c, path, drxmp.OpenOptions{
+			FS: pfs.Options{Servers: 2, StripeSize: a.Meta().ChunkBytes()},
+		})
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		got, err := f.ReadSectionFloat64s(full, RowMajor)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got, vals) {
+			return fmt.Errorf("drxmp read of a drx file differs")
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if got := re.Bounds(); got[0] != 16 || got[1] != 10 {
-		t.Fatalf("reopened bounds = %v", got)
+}
+
+// TestStripeDefaultsToOneChunk: a zero StripeSize is the chunk's bytes,
+// so the cache's sieve block is one chunk; an explicit stripe is kept.
+func TestStripeDefaultsToOneChunk(t *testing.T) {
+	a := memArray(t, defaultOpts())
+	if got, want := a.FS().StripeSize(), a.Meta().ChunkBytes(); got != want {
+		t.Fatalf("default stripe = %d, want the chunk's %d bytes", got, want)
 	}
-	back, err := re.ReadFloat64s(box, RowMajor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, vals) {
-		t.Fatal("single-file data mismatch")
-	}
-	if v, _ := re.At([]int{15, 9}); v != -3 {
-		t.Fatalf("extended cell = %v", v)
+	o := defaultOpts()
+	o.FS.StripeSize = 4096
+	if got := memArray(t, o).FS().StripeSize(); got != 4096 {
+		t.Fatalf("explicit stripe = %d, want 4096", got)
 	}
 }
 
 func TestOpenMissingArray(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Open(filepath.Join(dir, "nope"), pfs.Options{}, 0); err == nil {
+	if _, err := Open(filepath.Join(dir, "nope"), pfs.Options{}, drxmp.Tuning{}); err == nil {
 		t.Fatal("open of missing array succeeded")
 	}
 }
 
+// TestCacheEffectiveness: under write-behind the Set is absorbed into
+// the cache, so the first At hits it; the second reads the chunk in
+// (the one miss) and every later At of that chunk hits.
 func TestCacheEffectiveness(t *testing.T) {
-	a := memArray(t, defaultOpts())
+	o := defaultOpts()
+	o.Tuning = drxmp.Tuning{CacheBytes: 1 << 10, WriteBehindBytes: -1}
+	a := memArray(t, o)
 	if err := a.Set([]int{0, 0}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +434,7 @@ func TestCacheEffectiveness(t *testing.T) {
 		}
 	}
 	st := a.CacheStats()
-	if st.Misses != 1 || st.Hits < 10 {
+	if st.Misses != 1 || st.Hits < 9 {
 		t.Fatalf("cache stats %+v", st)
 	}
 }
@@ -472,6 +486,32 @@ func TestQuickBoxRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParallelColMajorTranspose exercises the transposing (element-
+// wise) path over chunks that divide neither bound.
+func TestParallelColMajorTranspose(t *testing.T) {
+	const n = 24
+	a := memArray(t, Options{DType: Float64, ChunkShape: []int{5, 3}, Bounds: []int{n, n}})
+	full := NewBox([]int{0, 0}, []int{n, n})
+	vals := make([]float64, n*n)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	if err := a.WriteFloat64s(full, vals, RowMajor); err != nil {
+		t.Fatal(err)
+	}
+	colVals, err := a.ReadFloat64s(full, ColMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if got, want := colVals[j*n+i], vals[i*n+j]; got != want {
+				t.Fatalf("transposed (%d,%d) = %v, want %v", i, j, got, want)
+			}
+		}
 	}
 }
 

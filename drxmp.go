@@ -18,7 +18,9 @@
 // process holds its zone in memory and any process can Get/Put/
 // Accumulate any element via one-sided access (internal/rma).
 //
-// The serial counterpart is package drx.
+// The serial library, package drx, is a File opened on a one-rank
+// communicator (cluster.Self): one file format and one I/O path serve
+// both.
 package drxmp
 
 import (
@@ -558,13 +560,13 @@ func (f *File) SetTuning(t Tuning) error {
 }
 
 // WriteBehind returns the write-behind policy knob (0 = immediate).
-func (f *File) WriteBehind() int64 { return f.io.WriteBehind }
+func (f *File) WriteBehind() int64 { return f.tuning.WriteBehindBytes }
 
 // CacheBytes returns the read-cache memory budget (0 = disabled).
-func (f *File) CacheBytes() int64 { return f.io.CacheBytes }
+func (f *File) CacheBytes() int64 { return f.tuning.CacheBytes }
 
 // ReadAhead returns the sieve read-ahead knob (0 = disabled).
-func (f *File) ReadAhead() int64 { return f.io.ReadAhead }
+func (f *File) ReadAhead() int64 { return f.tuning.ReadAheadBytes }
 
 // CacheStats returns the cumulative unified-cache accounting for the
 // file (hits, misses, sieve fetches, evictions, absorbs, flushes).

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"drxmp"
 	"drxmp/drx"
 	"drxmp/internal/pfs"
 )
@@ -96,10 +97,14 @@ func main() {
 	}
 
 	// Re-open: the metadata (axial vectors) round-trips through .xmd.
-	re, err := drx.Open(path, pfs.Options{}, 0)
+	re, err := drx.Open(path, pfs.Options{}, drxmp.Tuning{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer re.Close()
-	fmt.Printf("re-opened: bounds=%v chunks=%d cache=%+v\n", re.Bounds(), re.Chunks(), re.CacheStats())
+	v, err = re.At([]int{13, 17})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("re-opened: bounds=%v chunks=%d element (13,17)=%v\n", re.Bounds(), re.Chunks(), v)
 }

@@ -545,6 +545,15 @@ func Run(n int, fn func(c *Comm) error) error {
 	return w.run(fn)
 }
 
+// Self returns the communicator of a fresh one-rank world, MPI's
+// COMM_SELF: its collectives complete on the calling goroutine, with no
+// Run and no rank goroutines. Serial callers (package drx) open drxmp
+// files on it.
+func Self() *Comm {
+	w, _ := newWorld(1)
+	return &Comm{world: w, ctx: 1, ranks: []int{0}}
+}
+
 // newWorld allocates the shared state for an n-rank world.
 func newWorld(n int) (*World, error) {
 	if n < 1 {

@@ -503,6 +503,25 @@ func TestSplitSingleton(t *testing.T) {
 	}
 }
 
+// TestSelfRunsCollectivesAlone: Self's collectives complete on the
+// calling goroutine, with no Run around them.
+func TestSelfRunsCollectivesAlone(t *testing.T) {
+	c := Self()
+	if c.Size() != 1 || c.Rank() != 0 {
+		t.Fatalf("Self: size %d rank %d", c.Size(), c.Rank())
+	}
+	if got, err := c.Bcast(0, []byte{7}); err != nil || !bytes.Equal(got, []byte{7}) {
+		t.Fatalf("Bcast = %v, %v", got, err)
+	}
+	if err := c.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	all, err := c.Allgather([]byte("me"))
+	if err != nil || len(all) != 1 || string(all[0]) != "me" {
+		t.Fatalf("Allgather = %q, %v", all, err)
+	}
+}
+
 func TestWorldSharedRegistry(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -178,12 +178,14 @@ func E13SearchAblation(sc Scale) []*report.Table {
 	return []*report.Table{t}
 }
 
-// E14CacheAblation sweeps the serial library's chunk buffer pool (the
-// BerkeleyDB-Mpool stand-in) on a random element-access workload: the
-// paper's serial DRX "accesses with I/O caching using the BerkeleyDB
-// Mpool sub-system". With no cache every element access pays a chunk
-// read; once the pool covers the working set, storage traffic collapses
-// to the cold misses.
+// E14CacheAblation sweeps the serial library's chunk cache on a random
+// element-access workload: the paper's serial DRX "accesses with I/O
+// caching using the BerkeleyDB Mpool sub-system". The extent cache
+// with a one-chunk sieve block (the stripe is one chunk) plays Mpool:
+// every miss reads one whole chunk, and the budget is counted in
+// chunks. With a tiny cache nearly every element access pays a chunk
+// read; once the cache covers the working set, storage traffic
+// collapses to the cold misses.
 func E14CacheAblation(sc Scale) []*report.Table {
 	n := sc.pick(64, 128) // n x n f64 array
 	chunk := 8            // 8x8 chunks -> (n/8)^2 chunks total
@@ -197,10 +199,13 @@ func E14CacheAblation(sc Scale) []*report.Table {
 		if cc > 2*chunks {
 			break
 		}
+		cb := int64(chunk * chunk * 8)
 		a, err := drx.Create("e14", drx.Options{
 			DType: drx.Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{n, n},
-			CacheChunks: cc,
-			FS:          pfs.Options{Servers: 4, StripeSize: 64 << 10, Cost: pfs.DefaultCost()},
+			FS: pfs.Options{Servers: 4, StripeSize: cb, Cost: pfs.DefaultCost()},
+			// Write-behind leaves the cache warm from the fill, as the
+			// pool's write-back did.
+			Tuning: drxmp.Tuning{CacheBytes: int64(cc) * cb, WriteBehindBytes: -1},
 		})
 		if err != nil {
 			panic(err)

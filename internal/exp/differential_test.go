@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"drxmp"
 	"drxmp/drx"
 	"drxmp/internal/dra"
 	"drxmp/internal/dtype"
@@ -33,7 +34,9 @@ func TestDifferentialEngines(t *testing.T) {
 
 		ax, err := drx.Create("diff-ax", drx.Options{
 			DType: drx.Float64, ChunkShape: []int{c0, c1}, Bounds: []int{n0, n1},
-			CacheChunks: 4, // tiny cache: force eviction/write-back paths
+			// Tiny write-behind cache: force the eviction and
+			// flush-on-evict paths.
+			Tuning: drxmp.Tuning{CacheBytes: int64(4 * c0 * c1 * 8), WriteBehindBytes: -1},
 		})
 		if err != nil {
 			t.Fatal(err)

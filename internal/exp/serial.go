@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"drxmp"
 	"drxmp/drx"
 	"drxmp/internal/core"
 	"drxmp/internal/dra"
@@ -157,7 +158,8 @@ func E2AccessOrder(sc Scale) []*report.Table {
 	for _, colScan := range []bool{false, true} {
 		a, _ := drx.Create("e2ax", drx.Options{
 			DType: drx.Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{n, n},
-			FS: pfs.Options{Cost: cost}, CacheChunks: n / chunk,
+			FS:     pfs.Options{Cost: cost},
+			Tuning: drxmp.Tuning{CacheBytes: int64(n/chunk) * int64(chunk*chunk*8)}, // one chunk row
 		})
 		fillDrx(a, n)
 		_ = a.Sync()
@@ -266,7 +268,8 @@ func E7Formats(sc Scale) []*report.Table {
 	{
 		a, _ := drx.Create("e7ax", drx.Options{
 			DType: drx.Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{n, n},
-			FS: pfs.Options{Cost: cost}, CacheChunks: 8,
+			FS:     pfs.Options{Cost: cost},
+			Tuning: drxmp.Tuning{CacheBytes: 8 * int64(chunk*chunk*8)}, // eight chunks
 		})
 		wT := timedStat(a.FS(), func() { fillDrx(a, n); _ = a.Sync() })
 		eT := timedStat(a.FS(), func() { _ = a.Extend(1, chunk); _ = a.Sync() })
@@ -392,11 +395,11 @@ func E10Transpose(sc Scale) []*report.Table {
 	t := report.New(fmt.Sprintf("E10: materializing a %dx%d array in Fortran order", n, n),
 		"method", "bytes transferred", "io requests", "sim time")
 
-	// drx: single read with order=ColMajor. A small cache forces the
-	// read to actually touch the file instead of replaying the fill.
+	// drx: single read with order=ColMajor and no cache, so the row
+	// counts exactly the bytes the read moves.
 	a, _ := drx.Create("e10ax", drx.Options{
 		DType: drx.Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{n, n},
-		FS: pfs.Options{Cost: cost}, CacheChunks: 2,
+		FS: pfs.Options{Cost: cost},
 	})
 	fillDrx(a, n)
 	_ = a.Sync()

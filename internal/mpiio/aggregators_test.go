@@ -25,7 +25,9 @@ func carveN(t *testing.T, stripe, lo, hi, total, wb int64) int {
 	ns := make([]int, 4)
 	err = cluster.Run(4, func(c *cluster.Comm) error {
 		f := Open(c, fs)
-		f.WriteBehind = wb
+		if err := f.ApplyTuning(TuningKnobs{WriteBehind: wb, CacheBytes: 1 << 20}); err != nil {
+			return err
+		}
 		ns[c.Rank()] = f.carve(lo, hi, total).N()
 		return nil
 	})

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -55,7 +56,7 @@ import (
 // poisoned-pool tests hold both to it). A send buffer returns to the
 // pool as soon as the exchange returns (the messages are copies); a
 // staging buffer returns when the aggregate write has landed, has been
-// absorbed (under File.WriteBehind the extent cache copies the runs into
+// absorbed (under write-behind the extent cache copies the runs into
 // its own memory), or the last piece has been copied out of it.
 //
 // GOMAXPROCS workers (internal/par) fan out the stages whose items are
@@ -66,16 +67,16 @@ import (
 // in one fixed order on every rank, so the worker count is invisible to
 // the data and to the error-agreement semantics.
 //
-// With File.WriteBehind enabled (it requires File.CacheBytes > 0), a
-// collective write does not dispatch at all: each aggregator absorbs its
-// coalesced union runs into the file's SHARED extent cache
-// (filecache.go — one cache per store, used by every rank's handle),
-// merging with the unions of earlier collectives, and the cache flushes
-// in large vectored sweeps on the watermark, on Sync/Close, or on
-// budget-pressure eviction. The collective's global union is punched
+// With write-behind enabled (TuningKnobs.WriteBehind; it requires a
+// cache budget), a collective write does not dispatch at all: each
+// aggregator absorbs its coalesced union runs into the file's SHARED
+// extent cache (filecache.go — one cache per store, used by every
+// rank's handle), merging with the unions of earlier collectives, and
+// the cache flushes in large vectored sweeps on the watermark, on
+// Sync/Close, or on budget-pressure eviction. The collective's global union is punched
 // out of the cache exactly once before the exchange (PunchOnce), so
 // stale data for ranges whose domain ownership moved cannot outlive the
-// collective that rewrote them. With File.CacheBytes > 0 the read side
+// collective that rewrote them. With a cache budget the read side
 // goes through the same cache: aggregateRead serves cached stripes
 // (clean or deferred-dirty) from memory and sieve-fetches only the
 // holes, so a collective read needs no coherence round of its own.
@@ -263,7 +264,7 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	dom := f.carve(lo, hi, totalBytes)
 	size := f.comm.Size()
 	me := f.comm.Rank()
-	workers := par.Resolve(0)
+	workers := runtime.GOMAXPROCS(0)
 
 	// Place every rank's pieces once; every later stage walks these
 	// lists instead of re-splitting runs. bytesTo[r][a] is what rank r
@@ -442,7 +443,7 @@ func (f *File) carve(lo, hi, totalBytes int64) place.Domains {
 		TotalBytes:  totalBytes,
 		Ranks:       f.comm.Size(),
 		Stripe:      f.fs.StripeSize(),
-		WriteBehind: f.WriteBehind != 0,
+		WriteBehind: f.knobs.WriteBehind != 0,
 	})
 }
 
@@ -592,7 +593,7 @@ func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error
 			cursor += p.n
 		}
 	}
-	if f.WriteBehind != 0 {
+	if wb := f.knobs.WriteBehind; wb != 0 {
 		w := f.cache()
 		for i, r := range runs {
 			w.Absorb(r.Off, s.data[s.start[i]:s.start[i]+r.Len])
@@ -602,7 +603,7 @@ func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error
 		if err := w.EnforceBudget(); err != nil {
 			return err
 		}
-		if f.WriteBehind > 0 && w.Bytes() >= f.WriteBehind {
+		if wb > 0 && w.Bytes() >= wb {
 			return w.FlushAll()
 		}
 		return nil

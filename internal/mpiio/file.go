@@ -21,51 +21,9 @@ type File struct {
 	filetype Datatype
 	pos      int64 // individual file pointer, in view (data) bytes
 
-	// WriteBehind selects the write-behind policy for collective
-	// writes — the dirty side of the extent cache (filecache.go), so it
-	// requires CacheBytes > 0 (ApplyTuning rejects it without): 0 (the
-	// default) dispatches each collective's union runs immediately; > 0
-	// buffers dirty unions across collectives and flushes the whole
-	// cache once that many bytes are buffered (the watermark); < 0
-	// buffers without bound, flushing only on Sync, Close, or
-	// budget-pressure eviction. The cache is shared by every handle on
-	// the same store (the watermark is on the file's total buffered dirty
-	// bytes), so reads through ANY handle observe the deferred bytes,
-	// served from memory. Every rank of a communicator must use the same
-	// value. Concurrent unsynced access to overlapping ranges keeps MPI's
-	// usual semantics: undefined without a Sync/barrier between the
-	// conflicting operations.
-	WriteBehind int64
-
-	// CacheBytes turns the unified extent cache on with that memory
-	// budget in bytes: reads fetch sieve-aligned covering blocks (one
-	// vectored SieveReadV) into the cache and hole-free re-reads come
-	// from memory, and write-behind keeps its dirty extents there. The
-	// budget caps the file's TOTAL cached bytes, clean and dirty: clean
-	// extents evict LRU-first, dirty extents flush-on-evict. 0 (the
-	// default) turns the cache off: reads and writes go straight to the
-	// store. Every rank must use the same value.
-	CacheBytes int64
-
-	// ReadAhead extends each sieve fetch past the requested range by
-	// this many bytes (rounded up to whole sieve blocks), so a forward
-	// sectioned scan finds its next block already cached. 0 disables.
-	// Meaningful only with CacheBytes > 0.
-	ReadAhead int64
-
-	// SpillBytes enables the local-disk spill tier of the extent cache
-	// with that byte budget: extents evicted from the memory tier
-	// demote to a local spill file instead of dropping (clean) or
-	// flushing (dirty), and reads consult memory → spill → pfs,
-	// promoting spill hits back under LRU. 0 (the default) disables the
-	// tier. Meaningful only with CacheBytes > 0; every rank must use
-	// the same value.
-	SpillBytes int64
-
-	// SpillPath names the spill file; empty selects a temp file. The
-	// file is created at first use and removed when the store closes.
-	// Meaningful only with SpillBytes > 0.
-	SpillPath string
+	// knobs is the write-behind and cache policy, set by ApplyTuning
+	// only (see TuningKnobs).
+	knobs TuningKnobs
 
 	// fc memoizes the shared extent cache. Atomic because the serving
 	// tier reads through one handle from concurrent requests (every
@@ -79,10 +37,10 @@ type File struct {
 // stripe size, which keeps sieve fetches server-aligned.
 func (f *File) cacheConfig() cacheConfig {
 	return cacheConfig{
-		budget:     f.CacheBytes,
-		readAhead:  f.ReadAhead,
-		spillBytes: f.SpillBytes,
-		spillPath:  f.SpillPath,
+		budget:     f.knobs.CacheBytes,
+		readAhead:  f.knobs.ReadAhead,
+		spillBytes: f.knobs.SpillBytes,
+		spillPath:  f.knobs.SpillPath,
 	}
 }
 
@@ -120,16 +78,30 @@ func (f *File) sharedCache() *fileCache {
 // budget, reads go through the shared cache (ReadThrough), which serves
 // deferred dirty bytes from memory; without one they go straight to the
 // store, and no dirty bytes exist, since write-behind requires a budget.
-func (f *File) caching() bool { return f.CacheBytes > 0 }
+func (f *File) caching() bool { return f.knobs.CacheBytes > 0 }
 
-// TuningKnobs is ApplyTuning's parameter block — one field per handle
-// knob, so the signature stops growing positionally as knobs accrue.
+// TuningKnobs is ApplyTuning's parameter block: the handle's
+// write-behind and extent-cache policy (drxmp.Tuning documents each
+// knob). Every rank of a communicator must use the same values.
 type TuningKnobs struct {
+	// WriteBehind: 0 dispatches each collective write's union runs
+	// immediately; > 0 absorbs them into the shared cache as dirty
+	// extents and flushes the whole cache once that many bytes are
+	// buffered; < 0 buffers without bound (flush on Sync, Close or
+	// budget-pressure eviction). Reads through any handle are served
+	// the deferred bytes. It requires CacheBytes > 0.
 	WriteBehind int64
-	CacheBytes  int64
-	ReadAhead   int64
-	SpillBytes  int64
-	SpillPath   string
+	// CacheBytes is the shared extent cache's budget, clean and dirty
+	// bytes together; 0 turns the cache off and reads and writes go
+	// straight to the store.
+	CacheBytes int64
+	// ReadAhead extends each sieve fetch by this many bytes.
+	ReadAhead int64
+	// SpillBytes is the budget of the local-disk spill tier evicted
+	// extents demote to; 0 disables it.
+	SpillBytes int64
+	// SpillPath names the spill file; empty selects a temp file.
+	SpillPath string
 }
 
 // ApplyTuning installs every write-behind and cache knob of the handle in
@@ -146,18 +118,15 @@ func (f *File) ApplyTuning(k TuningKnobs) error {
 	if k.WriteBehind != 0 && k.CacheBytes <= 0 {
 		return fmt.Errorf("mpiio: write-behind %d without a cache budget (deferred writes are the cache's dirty extents)", k.WriteBehind)
 	}
-	if (k.WriteBehind == 0 && f.WriteBehind != 0) || (k.CacheBytes <= 0 && f.CacheBytes > 0) || (k.SpillBytes <= 0 && f.SpillBytes > 0) {
+	old := f.knobs
+	if (k.WriteBehind == 0 && old.WriteBehind != 0) || (k.CacheBytes <= 0 && old.CacheBytes > 0) || (k.SpillBytes <= 0 && old.SpillBytes > 0) {
 		if err := f.Sync(); err != nil {
 			return err
 		}
 	}
-	f.WriteBehind = k.WriteBehind
-	f.CacheBytes = k.CacheBytes
-	f.ReadAhead = k.ReadAhead
-	f.SpillBytes = k.SpillBytes
-	f.SpillPath = k.SpillPath
+	f.knobs = k
 	var w *fileCache
-	if f.SpillBytes > 0 && f.CacheBytes > 0 {
+	if k.SpillBytes > 0 && k.CacheBytes > 0 {
 		w = f.cache() // eager: the spill file opens here
 	} else if w = f.sharedCache(); w != nil {
 		w.Configure(f.cacheConfig())

@@ -11,20 +11,21 @@ import (
 )
 
 // Unified per-file extent cache: ONE cache holding clean and dirty
-// extents under one memory budget (File.CacheBytes), so the same data
-// structure serves both directions of the out-of-core access pattern —
-// deferred writes out, data-sieved reads in. Write-behind is this cache
-// holding dirty extents, so it requires a budget.
+// extents under one memory budget (TuningKnobs.CacheBytes), so the same
+// data structure serves both directions of the out-of-core access
+// pattern — deferred writes out, data-sieved reads in. Write-behind is
+// this cache holding dirty extents, so it requires a budget.
 //
-//   - Dirty extents are deferred collective-write bytes (File.WriteBehind).
-//     They flush in vectored pfs.FlushV sweeps on the watermark, Sync,
-//     Close, or budget-pressure eviction.
+//   - Dirty extents are deferred collective-write bytes
+//     (TuningKnobs.WriteBehind). They flush in vectored pfs.FlushV
+//     sweeps on the watermark, Sync, Close, or budget-pressure eviction.
 //   - Clean extents are sieve-block read fetches: a read fetches the
 //     covering extent rounded to sieve-aligned blocks as one vectored
 //     pfs.SieveReadV, serves the caller from it, and keeps it so
-//     hole-free re-reads come from memory. Read-ahead (File.ReadAhead)
-//     extends each fetch past the requested range so a sectioned
-//     forward scan finds its next block already cached.
+//     hole-free re-reads come from memory. Read-ahead
+//     (TuningKnobs.ReadAhead) extends each fetch past the requested
+//     range so a sectioned forward scan finds its next block already
+//     cached.
 //
 // Invariants and coherence:
 //

@@ -155,7 +155,9 @@ func runWB(t *testing.T, ranks int, wb int64, fn func(c *cluster.Comm, f *File) 
 	t.Cleanup(func() { fs.Close() })
 	err = cluster.Run(ranks, func(c *cluster.Comm) error {
 		f := Open(c, fs)
-		f.WriteBehind, f.CacheBytes = wb, 1<<20
+		if err := f.ApplyTuning(TuningKnobs{WriteBehind: wb, CacheBytes: 1 << 20}); err != nil {
+			return err
+		}
 		if err := f.SetView(int64(c.Rank())*512, MustBytes(1<<20)); err != nil {
 			return err
 		}

@@ -1,31 +1,16 @@
-// Package par is the bounded worker pool shared by the section-I/O hot
-// paths: a fixed number of goroutines draining an indexed work list,
-// stopping at the first error. It is deliberately tiny — deterministic
-// fan-out over pre-computed work items, no channels of work structs, no
-// context plumbing — because the callers (drx, drxmp, distarray) all
-// reduce to "run fn(i) for i in [0,n) with at most w goroutines".
+// Package par is the bounded worker pool shared by the collective
+// stages (internal/mpiio) and DistArray's section transfers: a fixed
+// number of goroutines draining an indexed work list, stopping at the
+// first error. It is deliberately tiny — deterministic fan-out over
+// pre-computed work items, no channels of work structs, no context
+// plumbing — because its callers all reduce to "run fn(i) for i in
+// [0,n) with at most w goroutines", with w = GOMAXPROCS.
 package par
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// Resolve maps a Parallelism knob value to a worker count: 0 selects
-// GOMAXPROCS (auto), negative selects 1 (serial), positive is taken
-// as-is. I/O-bound callers may usefully pass values above GOMAXPROCS —
-// workers overlap I/O latency, not CPU.
-func Resolve(knob int) int {
-	switch {
-	case knob == 0:
-		return runtime.GOMAXPROCS(0)
-	case knob < 0:
-		return 1
-	default:
-		return knob
-	}
-}
 
 // Do runs fn(i) for every i in [0, n), using at most `workers`
 // goroutines, and returns the first error. After an error, remaining

@@ -6,18 +6,6 @@ import (
 	"testing"
 )
 
-func TestResolve(t *testing.T) {
-	if Resolve(-1) != 1 {
-		t.Fatal("negative knob must be serial")
-	}
-	if Resolve(5) != 5 {
-		t.Fatal("positive knob taken as-is")
-	}
-	if Resolve(0) < 1 {
-		t.Fatal("auto must be at least 1")
-	}
-}
-
 func TestDoCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 9} {
 		const n = 100
