@@ -43,6 +43,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBox$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzPunchV$$' -fuzztime $(FUZZTIME) ./internal/extent
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillModel$$' -fuzztime $(FUZZTIME) ./internal/spill
+	$(GO) test -run '^$$' -fuzz '^FuzzUnpackSlices$$' -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRuns$$' -fuzztime $(FUZZTIME) ./internal/mpiio
 	$(GO) test -run '^$$' -fuzz '^FuzzModel$$' -fuzztime $(FUZZTIME) .
 
 # Every patch under scripts/mutants/ breaks one invariant; each is

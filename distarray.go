@@ -138,7 +138,7 @@ func (d *DistArray) Acc(idx []int, v float64) error {
 	}
 	buf := make([]byte, d.f.m.DType.Size())
 	dtype.PutFloat64(d.f.m.DType, buf, v)
-	return d.win.Accumulate(owner, off, buf, d.f.m.DType, rma.Sum)
+	return d.win.Accumulate(owner, off, buf, d.f.m.DType)
 }
 
 // sectionOwners returns the ranks whose zones intersect box. The
@@ -164,41 +164,30 @@ func (d *DistArray) GetSection(box Box, dst []byte) error {
 	if int64(len(dst)) < box.Volume()*es {
 		return fmt.Errorf("drxmp: buffer of %d bytes for %d-byte section", len(dst), box.Volume()*es)
 	}
-	boxShape := box.Shape()
-	dstStrides := grid.Strides(boxShape, d.order)
+	dstStrides := grid.Strides(box.Shape(), d.order)
 	owners := d.sectionOwners(box)
-	// Per owning rank, copy the intersection row by row (rows in the
-	// owner's layout order so each remote Get is one contiguous span).
+	// Per owning rank, copy the intersection row by row, rows in the
+	// owner's layout order. dst uses the same order, so each row is
+	// contiguous on both sides: a local row is one copy and a remote
+	// one is one Get, straight into dst.
 	return par.Do(runtime.GOMAXPROCS(0), len(owners), func(oi int) error {
 		r := owners[oi]
 		ob := d.boxes[r]
-		ibox := ob.Intersect(box)
-		obShape := ob.Shape()
-		ownStrides := grid.Strides(obShape, d.order)
-		inner := 0
-		if d.order == RowMajor {
-			inner = d.f.Rank() - 1
-		}
+		ownStrides := grid.Strides(ob.Shape(), d.order)
 		var outerErr error
-		ibox.Rows(d.order, func(start []int, n int) bool {
+		ob.Intersect(box).Rows(d.order, func(start []int, n int) bool {
 			var srcOff, dstOff int64
 			for i := range start {
 				srcOff += int64(start[i]-ob.Lo[i]) * ownStrides[i]
 				dstOff += int64(start[i]-box.Lo[i]) * dstStrides[i]
 			}
-			srcB := srcOff * es
-			row := make([]byte, int64(n)*es)
+			row := dst[dstOff*es : (dstOff+int64(n))*es]
 			if r == d.f.comm.Rank() {
-				copy(row, d.local[srcB:srcB+int64(n)*es])
-			} else if err := d.win.Get(r, srcB, row); err != nil {
+				copy(row, d.local[srcOff*es:])
+			} else if err := d.win.Get(r, srcOff*es, row); err != nil {
 				outerErr = err
 				return false
 			}
-			// Place the row: contiguous in dst iff the inner dimension's
-			// dst stride is 1, which holds because dst uses the same
-			// order as the owner's layout.
-			_ = inner
-			copy(dst[dstOff*es:], row)
 			return true
 		})
 		return outerErr

@@ -4,12 +4,13 @@
 // A principal array is stored out-of-core in a (simulated) parallel file
 // system as fixed-shape chunks whose linear addresses come from the
 // axial-vector mapping function F* (internal/core). The array can be
-// extended along any dimension, by any process group, without
-// reorganizing previously written chunks. Parallel programs (package
-// internal/cluster provides the SPMD runtime standing in for MPI) open
-// the array collectively; the metadata — the axial vectors — is
-// replicated in every process, so any process computes the address of
-// any chunk and the owner of any element without communication.
+// extended along any dimension, collectively by every process that
+// opened it, without reorganizing previously written chunks. Parallel
+// programs (package internal/cluster provides the SPMD runtime standing
+// in for MPI) open the array collectively; the metadata — the axial
+// vectors — is replicated in every process, so any process computes the
+// address of any chunk and the owner of any element without
+// communication.
 //
 // Sub-arrays are read/written either independently or collectively
 // (two-phase I/O via internal/mpiio), into memory laid out in C or
@@ -921,8 +922,7 @@ func (f *File) WriteSection(box Box, buf []byte, order Order) error {
 // ReadSectionAll is the collective read (DRXMP_Read_all): every process
 // of the communicator must call it, each with its own box (possibly
 // empty). Two-phase aggregation turns the interleaved chunk accesses
-// into streaming reads. The handle's file view plays no part and is
-// left as it was.
+// into streaming reads.
 func (f *File) ReadSectionAll(box Box, buf []byte, order Order) error {
 	return f.sectionIO(box, buf, order, false, true)
 }

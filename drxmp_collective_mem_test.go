@@ -1,7 +1,6 @@
 package drxmp
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -11,7 +10,6 @@ import (
 
 	"drxmp/internal/cluster"
 	"drxmp/internal/grid"
-	"drxmp/internal/mpiio"
 	"drxmp/internal/pfs"
 )
 
@@ -128,76 +126,6 @@ func TestSectionRunsMatchesOracle(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestSectionAllLeavesViewAlone: a collective section call transfers by
-// absolute file runs, so a file view the caller installed on the handle
-// still selects the same bytes afterwards. (The collective path used to
-// install the section's runs as the view on every call.)
-func TestSectionAllLeavesViewAlone(t *testing.T) {
-	const ranks = 2
-	bounds := []int{32, 32}
-	err := cluster.Run(ranks, func(c *cluster.Comm) error {
-		f, err := Create(c, "view-alone", Options{
-			DType: Float64, ChunkShape: []int{8, 8}, Bounds: bounds,
-			FS: pfs.Options{Servers: 4, StripeSize: 1 << 10},
-		})
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		full := NewBox([]int{0, 0}, bounds)
-		data := make([]byte, full.Volume()*8)
-		rand.New(rand.NewSource(11)).Read(data)
-		if c.Rank() == 0 {
-			if err := f.WriteSection(full, data, RowMajor); err != nil {
-				return err
-			}
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-
-		// View: 8 visible bytes out of every 24, from a per-rank origin.
-		disp := int64(40 + 16*c.Rank())
-		ft, err := mpiio.Vector(16, 8, 24, mpiio.MustBytes(1))
-		if err != nil {
-			return err
-		}
-		if err := f.io.SetView(disp, ft); err != nil {
-			return err
-		}
-		file := make([]byte, f.m.FileBytes())
-		if _, err := f.fs.ReadAt(file, 0); err != nil {
-			return err
-		}
-		want := make([]byte, 16*8)
-		for v := range want {
-			want[v] = file[disp+int64(v/8)*24+int64(v%8)]
-		}
-
-		// Each rank collectively reads its slab and writes it back.
-		slab := NewBox([]int{16 * c.Rank(), 0}, []int{16 * (c.Rank() + 1), 32})
-		buf := make([]byte, slab.Volume()*8)
-		if err := f.ReadSectionAll(slab, buf, RowMajor); err != nil {
-			return err
-		}
-		if err := f.WriteSectionAll(slab, buf, RowMajor); err != nil {
-			return err
-		}
-
-		got := make([]byte, len(want))
-		if err := f.io.ReadAt(got, 0); err != nil {
-			return err
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("rank %d: ReadAt through the view changed after collective section I/O", c.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

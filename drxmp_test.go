@@ -492,6 +492,34 @@ func TestDistArrayGetSection(t *testing.T) {
 	}
 }
 
+// TestDistArrayGetSectionAllocsFlat: GetSection moves each row straight
+// into dst, so its heap allocations do not grow with the rows it
+// copies.
+func TestDistArrayGetSectionAllocsFlat(t *testing.T) {
+	f, err := Create(cluster.Self(), "gs-allocs", Options{DType: Float64, ChunkShape: []int{8, 8}, Bounds: []int{64, 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	da, err := f.Distribute(RowMajor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer da.Free()
+	allocs := func(rows int) float64 {
+		box := NewBox([]int{1, 2}, []int{1 + rows, 50})
+		dst := make([]byte, box.Volume()*8)
+		return testing.AllocsPerRun(20, func() {
+			if err := da.GetSection(box, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(4), allocs(60); many > few {
+		t.Fatalf("GetSection allocates %v times for 4 rows and %v for 60", few, many)
+	}
+}
+
 func TestDistArrayFlushToFile(t *testing.T) {
 	err := cluster.Run(4, func(c *cluster.Comm) error {
 		f, err := Create(c, "fl", defaultOpts())

@@ -2,17 +2,18 @@
 // reproduction. A "process" is a goroutine executing the user's rank
 // function; a Comm carries rank/size plus point-to-point messaging with
 // tags and the collective operations DRX-MP needs (barrier, broadcast,
-// gather, scatter, allgather, reduce, all-to-all).
+// gather, allgather, allreduce and the sparse all-to-all of two-phase
+// I/O). There is one communicator per world, so a rank is its world
+// rank.
 //
 // Semantics follow MPI where it matters to the paper's library:
 //
 //   - Messages between a pair of ranks with the same tag are
 //     non-overtaking (FIFO mailboxes with in-order matching).
-//   - Receives match on (source, tag) with AnySource / AnyTag wildcards.
+//   - Receives match on (source, tag).
 //   - Collectives must be called by every rank of the communicator in
 //     the same order (the usual SPMD contract); each call is sequence-
 //     numbered internally so adjacent collectives never cross-talk.
-//   - Split creates sub-communicators by color/key, as MPI_Comm_split.
 //
 // Sends are buffered (never block); receives block until a matching
 // message arrives. Run collects per-rank errors and converts panics
@@ -25,20 +26,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 )
 
-// AnySource matches messages from any rank.
-const AnySource = -1
-
-// AnyTag matches messages with any user tag.
-const AnyTag = -1
-
 // message is one queued point-to-point payload.
 type message struct {
-	ctx  int64
 	from int
 	tag  int
 	data []byte
@@ -64,18 +57,16 @@ type World struct {
 	size  int
 	boxes []*mailbox
 
-	// remote, when non-nil, carries a message from one world rank to
-	// another instead of the default direct mailbox enqueue. RunTCP
-	// installs a socket-based carrier here; self-sends stay local.
-	remote func(fromWorld, toWorld int, m message) error
+	// remote, when non-nil, carries a message from one rank to another
+	// instead of the default direct mailbox enqueue. RunTCP installs a
+	// socket-based carrier here; self-sends stay local.
+	remote func(from, to int, m message) error
 
 	mu     sync.Mutex
-	ctxIDs map[string]int64 // deterministic context keys -> unique ids
-	nextID int64
 	shared map[string]any // registry for one-sided windows (package rma)
 }
 
-// enqueue places m in world rank wr's mailbox (final local delivery,
+// enqueue places m in rank wr's mailbox (final local delivery,
 // used both by in-process sends and by transport readers).
 func (w *World) enqueue(wr int, m message) error {
 	mb := w.boxes[wr]
@@ -109,21 +100,6 @@ func (w *World) fail(err error) {
 // Size returns the number of ranks in the world.
 func (w *World) Size() int { return w.size }
 
-// ctxFor returns the unique context id for a deterministic key, creating
-// it on first use. All members of a new communicator compute the same
-// key, hence agree on the id without extra messaging.
-func (w *World) ctxFor(key string) int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if id, ok := w.ctxIDs[key]; ok {
-		return id
-	}
-	w.nextID++
-	id := w.nextID
-	w.ctxIDs[key] = id
-	return id
-}
-
 // SharedPut publishes a value under a key, for collective object
 // creation (e.g. RMA windows). Publishing an existing key overwrites.
 func (w *World) SharedPut(key string, v any) {
@@ -147,39 +123,31 @@ func (w *World) SharedDelete(key string) {
 	delete(w.shared, key)
 }
 
-// Comm is a communicator: a group of ranks with a private message
-// context. The zero value is invalid; communicators come from Run or
-// Split.
+// Comm is one rank's handle on its world, MPI_COMM_WORLD. The zero
+// value is invalid; communicators come from Run, RunTCP or Self.
 type Comm struct {
-	world *World
-	ctx   int64
-	rank  int   // rank within this communicator
-	ranks []int // communicator rank -> world rank
-
+	world   *World
+	rank    int
 	collSeq int64 // per-rank collective sequence number
-	splits  int64 // per-rank split counter (for deterministic ctx keys)
 }
 
-// Rank returns the caller's rank within the communicator.
+// Rank returns the caller's rank.
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the communicator size.
-func (c *Comm) Size() int { return len(c.ranks) }
+// Size returns the number of ranks.
+func (c *Comm) Size() int { return c.world.size }
 
 // World returns the underlying world (shared-object registry access).
 func (c *Comm) World() *World { return c.world }
 
-// WorldRank translates a communicator rank to the world rank.
-func (c *Comm) WorldRank(r int) int { return c.ranks[r] }
-
 // Status describes a received message.
 type Status struct {
-	Source int // communicator rank of the sender
+	Source int // rank of the sender
 	Tag    int
 }
 
-// Send delivers data to rank `to` (communicator rank) with a user tag
-// (>= 0). The payload is copied; sends never block.
+// Send delivers data to rank `to` with a user tag (>= 0). The payload
+// is copied; sends never block.
 func (c *Comm) Send(to, tag int, data []byte) error {
 	if tag < 0 {
 		return fmt.Errorf("cluster: user tags must be >= 0 (got %d)", tag)
@@ -188,43 +156,36 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 }
 
 func (c *Comm) send(to, tag int, data []byte) error {
-	if to < 0 || to >= len(c.ranks) {
-		return fmt.Errorf("cluster: send to rank %d of %d", to, len(c.ranks))
+	if to < 0 || to >= c.Size() {
+		return fmt.Errorf("cluster: send to rank %d of %d", to, c.Size())
 	}
-	m := message{ctx: c.ctx, from: c.rank, tag: tag, data: append([]byte(nil), data...)}
-	fromWorld, toWorld := c.ranks[c.rank], c.ranks[to]
-	if c.world.remote != nil && fromWorld != toWorld {
-		return c.world.remote(fromWorld, toWorld, m)
+	m := message{from: c.rank, tag: tag, data: append([]byte(nil), data...)}
+	if c.world.remote != nil && to != c.rank {
+		return c.world.remote(c.rank, to, m)
 	}
-	return c.world.enqueue(toWorld, m)
+	return c.world.enqueue(to, m)
 }
 
-// Recv blocks until a message matching (from, tag) arrives and returns
-// its payload. Use AnySource and/or AnyTag as wildcards. Matching is
-// FIFO among queued messages (non-overtaking per source+tag).
+// Recv blocks until a message from rank `from` with user tag `tag`
+// arrives and returns its payload. Matching is FIFO among queued
+// messages (non-overtaking per source+tag).
 func (c *Comm) Recv(from, tag int) ([]byte, Status, error) {
-	if tag < 0 && tag != AnyTag {
+	if tag < 0 {
 		return nil, Status{}, fmt.Errorf("cluster: invalid receive tag %d", tag)
 	}
 	return c.recv(from, tag)
 }
 
 func (c *Comm) recv(from, tag int) ([]byte, Status, error) {
-	if from != AnySource && (from < 0 || from >= len(c.ranks)) {
-		return nil, Status{}, fmt.Errorf("cluster: recv from rank %d of %d", from, len(c.ranks))
+	if from < 0 || from >= c.Size() {
+		return nil, Status{}, fmt.Errorf("cluster: recv from rank %d of %d", from, c.Size())
 	}
-	mb := c.world.boxes[c.ranks[c.rank]]
+	mb := c.world.boxes[c.rank]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
 		for i, m := range mb.queue {
-			if m.ctx != c.ctx {
-				continue
-			}
-			if from != AnySource && m.from != from {
-				continue
-			}
-			if tag != AnyTag && m.tag != tag {
+			if m.from != from || m.tag != tag {
 				continue
 			}
 			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
@@ -249,10 +210,8 @@ func (c *Comm) recv(from, tag int) ([]byte, Status, error) {
 // up across ranks.
 
 const (
-	opBarrier = iota
-	opBcast
+	opBcast = iota
 	opGather
-	opScatter
 	opAlltoall
 	opCount
 )
@@ -331,64 +290,11 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	return unpackSlices(flat)
 }
 
-// Scatter distributes parts[r] from root to rank r; every rank returns
-// its part (non-roots pass nil parts).
-func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	// Validate before consuming a collective sequence number: a failed
-	// local call must not desynchronize this rank's tags from its peers.
-	if c.rank == root && len(parts) != c.Size() {
-		return nil, fmt.Errorf("cluster: scatter needs %d parts, got %d", c.Size(), len(parts))
-	}
-	tag := c.collTag(opScatter)
-	if c.rank == root {
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.send(r, tag, parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return append([]byte(nil), parts[root]...), nil
-	}
-	got, _, err := c.recv(root, tag)
-	return got, err
-}
-
-// Alltoallv sends send[r] to each rank r and returns the payloads
-// received from every rank (indexed by source). send must have length
-// Size(). This is the collective underlying two-phase I/O shuffles.
-func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
-	if len(send) != c.Size() {
-		return nil, fmt.Errorf("cluster: alltoallv needs %d parts, got %d", c.Size(), len(send))
-	}
-	tag := c.collTag(opAlltoall)
-	for r := 0; r < c.Size(); r++ {
-		if r == c.rank {
-			continue
-		}
-		if err := c.send(r, tag, send[r]); err != nil {
-			return nil, err
-		}
-	}
-	out := make([][]byte, c.Size())
-	out[c.rank] = append([]byte(nil), send[c.rank]...)
-	for r := 0; r < c.Size(); r++ {
-		if r == c.rank {
-			continue
-		}
-		got, _, err := c.recv(r, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = got
-	}
-	return out, nil
-}
-
-// AlltoallvSparse is Alltoallv minus the empty frames: send[r] crosses
-// the wire only when non-empty, and a receive is posted from rank r
-// only when expect[r] is true. The SPMD contract extends to the
+// AlltoallvSparse sends send[r] to each rank r and returns the payloads
+// received from every rank (indexed by source), the shuffle underlying
+// two-phase I/O. It sends no empty frames: send[r] crosses the wire
+// only when non-empty, and a receive is posted from rank r only when
+// expect[r] is true. The SPMD contract extends to the
 // pattern: expect[r] on this rank must be true exactly when send[me]
 // is non-empty on rank r — callers derive both sides from replicated
 // state, so no communication is needed to agree. Like every
@@ -426,52 +332,6 @@ func (c *Comm) AlltoallvSparse(send [][]byte, expect []bool) ([][]byte, error) {
 		out[r] = got
 	}
 	return out, nil
-}
-
-// Split partitions the communicator by color; ranks with equal color
-// form a new communicator ordered by (key, rank), as MPI_Comm_split.
-func (c *Comm) Split(color, key int) (*Comm, error) {
-	type entry struct{ color, key, rank int }
-	payload := fmt.Sprintf("%d %d", color, key)
-	all, err := c.Allgather([]byte(payload))
-	if err != nil {
-		return nil, err
-	}
-	var members []entry
-	for r, b := range all {
-		var e entry
-		if _, err := fmt.Sscanf(string(b), "%d %d", &e.color, &e.key); err != nil {
-			return nil, fmt.Errorf("cluster: split payload: %w", err)
-		}
-		e.rank = r
-		if e.color == color {
-			members = append(members, e)
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].rank < members[j].rank
-	})
-	c.splits++
-	ranks := make([]int, len(members))
-	newRank := -1
-	ids := make([]string, len(members))
-	for i, m := range members {
-		ranks[i] = c.ranks[m.rank]
-		ids[i] = fmt.Sprint(m.rank)
-		if m.rank == c.rank {
-			newRank = i
-		}
-	}
-	key2 := fmt.Sprintf("split/%d/%d/%d/%s", c.ctx, c.splits, color, strings.Join(ids, ","))
-	return &Comm{
-		world: c.world,
-		ctx:   c.world.ctxFor(key2),
-		rank:  newRank,
-		ranks: ranks,
-	}, nil
 }
 
 // --- typed collective helpers (generic free functions) ---
@@ -525,14 +385,6 @@ func MaxInt64(a, b int64) int64 {
 	return b
 }
 
-// MinInt64 is the minimum operator for AllreduceInt64.
-func MinInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // --- world construction and Run ---
 
 // Run executes fn on n ranks (goroutines) sharing one world and returns
@@ -551,7 +403,7 @@ func Run(n int, fn func(c *Comm) error) error {
 // files on it.
 func Self() *Comm {
 	w, _ := newWorld(1)
-	return &Comm{world: w, ctx: 1, ranks: []int{0}}
+	return &Comm{world: w}
 }
 
 // newWorld allocates the shared state for an n-rank world.
@@ -562,7 +414,6 @@ func newWorld(n int) (*World, error) {
 	w := &World{
 		size:   n,
 		boxes:  make([]*mailbox, n),
-		ctxIDs: map[string]int64{},
 		shared: map[string]any{},
 	}
 	for i := range w.boxes {
@@ -575,10 +426,6 @@ func newWorld(n int) (*World, error) {
 // their errors (panics included, with stacks).
 func (w *World) run(fn func(c *Comm) error) error {
 	n := w.size
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for r := 0; r < n; r++ {
@@ -597,7 +444,7 @@ func (w *World) run(fn func(c *Comm) error) error {
 					w.fail(errs[rank])
 				}
 			}()
-			c := &Comm{world: w, ctx: 1, rank: rank, ranks: ranks}
+			c := &Comm{world: w, rank: rank}
 			if err := fn(c); err != nil {
 				// Callers often name the rank themselves; say it once.
 				if prefix := fmt.Sprintf("rank %d: ", rank); !strings.HasPrefix(err.Error(), prefix) {
@@ -635,20 +482,27 @@ func packSlices(parts [][]byte) []byte {
 	return out
 }
 
+// unpackSlices inverts packSlices. The pack may come from a peer, so
+// the count and every length are checked against the bytes that remain
+// (each slice needs at least its 8-byte length) before they size
+// anything.
 func unpackSlices(b []byte) ([][]byte, error) {
 	if len(b) < 8 {
 		return nil, errors.New("cluster: truncated pack header")
 	}
-	n := int(u64(b))
+	n := u64(b)
 	b = b[8:]
+	if n > uint64(len(b)/8) {
+		return nil, errors.New("cluster: truncated pack length")
+	}
 	out := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
+	for range n {
 		if len(b) < 8 {
 			return nil, errors.New("cluster: truncated pack length")
 		}
-		l := int(u64(b))
+		l := u64(b)
 		b = b[8:]
-		if len(b) < l {
+		if l > uint64(len(b)) {
 			return nil, errors.New("cluster: truncated pack payload")
 		}
 		out = append(out, append([]byte(nil), b[:l]...))

@@ -2,13 +2,13 @@
 //
 // Run delivers messages by direct mailbox enqueue inside one address
 // space. RunTCP keeps the same programming model (ranks, tags,
-// collectives, communicator splits) but routes every inter-rank
-// message over a real TCP socket, the way MPICH2 carries MPI
-// point-to-point traffic between cluster nodes. This exercises frame
-// encoding, kernel socket buffering and reader-side reassembly on
-// every Send/Recv and every collective, so transport costs and
-// serialization bugs are observable rather than hidden by the
-// in-process shortcut. Self-sends stay local, as in MPI.
+// collectives) but routes every inter-rank message over a real TCP
+// socket, the way MPICH2 carries MPI point-to-point traffic between
+// cluster nodes. This exercises frame encoding, kernel socket
+// buffering and reader-side reassembly on every Send/Recv and every
+// collective, so transport costs and serialization bugs are observable
+// rather than hidden by the in-process shortcut. Self-sends stay local,
+// as in MPI.
 //
 // Topology: a full mesh. Rank i owns one listener; during setup every
 // rank dials every other rank once, yielding one connection per
@@ -16,13 +16,14 @@
 // connection, which preserves the runtime's non-overtaking guarantee
 // (FIFO per source) end to end.
 //
-// Frame format (little-endian, 24-byte header + payload):
+// Frame format (little-endian, 12-byte header + payload):
 //
-//	offset 0  ctx   int64  communicator context id
-//	offset 8  from  int32  sender's communicator rank
-//	offset 12 tag   int32  user or collective tag
-//	offset 16 dlen  uint64 payload length
-//	offset 24 data  [dlen]byte
+//	offset 0  tag   int32  user or collective tag
+//	offset 4  dlen  uint64 payload length
+//	offset 12 data  [dlen]byte
+//
+// The sender is not in the frame: it is the connection's handshake
+// peer, since each directed pair has its own connection.
 //
 // A torn connection while ranks are still running poisons every
 // mailbox, so blocked receivers return an error instead of hanging.
@@ -38,7 +39,7 @@ import (
 )
 
 // tcpHeaderLen is the fixed frame header size in bytes.
-const tcpHeaderLen = 24
+const tcpHeaderLen = 12
 
 // tcpMaxFrame bounds a single payload; larger sends are rejected
 // rather than silently truncated (1 GiB is far beyond any test or
@@ -62,7 +63,7 @@ type tcpNet struct {
 	listeners []net.Listener
 	addrs     []string
 
-	// conns[i][j] carries frames from world rank i to world rank j.
+	// conns[i][j] carries frames from rank i to rank j.
 	// Written by rank i's goroutine; the per-connection mutex guards
 	// against user code sending from helper goroutines.
 	conns [][]net.Conn
@@ -127,7 +128,7 @@ func newTCPNet(w *World, n int) (*tcpNet, error) {
 	}
 
 	// Each listener accepts n-1 peers; the 4-byte handshake names the
-	// dialing world rank so the reader knows nothing else about the
+	// dialing rank, which is the sender of every frame on the
 	// connection (the destination is implied by the listener).
 	var acceptWG sync.WaitGroup
 	acceptErrs := make([]error, n)
@@ -154,7 +155,7 @@ func newTCPNet(w *World, n int) (*tcpNet, error) {
 					return
 				}
 				t.readers.Add(1)
-				go t.readLoop(conn, me)
+				go t.readLoop(conn, me, from)
 			}
 		}(i)
 	}
@@ -192,37 +193,35 @@ func newTCPNet(w *World, n int) (*tcpNet, error) {
 }
 
 // send frames m and writes it on the from->to connection.
-func (t *tcpNet) send(fromWorld, toWorld int, m message) error {
+func (t *tcpNet) send(from, to int, m message) error {
 	if len(m.data) > tcpMaxFrame {
 		return fmt.Errorf("cluster: tcp frame too large (%d bytes)", len(m.data))
 	}
-	conn := t.conns[fromWorld][toWorld]
+	conn := t.conns[from][to]
 	if conn == nil {
-		return fmt.Errorf("cluster: no tcp route %d->%d", fromWorld, toWorld)
+		return fmt.Errorf("cluster: no tcp route %d->%d", from, to)
 	}
 	frame := make([]byte, tcpHeaderLen+len(m.data))
-	putU64(frame[0:], uint64(m.ctx))
-	putU32(frame[8:], uint32(int32(m.from)))
-	putU32(frame[12:], uint32(int32(m.tag)))
-	putU64(frame[16:], uint64(len(m.data)))
+	putU32(frame[0:], uint32(int32(m.tag)))
+	putU64(frame[4:], uint64(len(m.data)))
 	copy(frame[tcpHeaderLen:], m.data)
 
-	mu := &t.mus[fromWorld][toWorld]
+	mu := &t.mus[from][to]
 	mu.Lock()
 	_, err := conn.Write(frame)
 	mu.Unlock()
 	if err != nil {
-		return fmt.Errorf("cluster: tcp send %d->%d: %w", fromWorld, toWorld, err)
+		return fmt.Errorf("cluster: tcp send %d->%d: %w", from, to, err)
 	}
 	t.msgs.Add(1)
 	t.bytes.Add(int64(len(frame)))
 	return nil
 }
 
-// readLoop reassembles frames for world rank me and enqueues them in
-// its mailbox. A read failure during normal operation (not shutdown)
-// poisons the world so no receiver hangs.
-func (t *tcpNet) readLoop(conn net.Conn, me int) {
+// readLoop reassembles the frames rank from sends to rank me and
+// enqueues them in me's mailbox. A read failure during normal operation
+// (not shutdown) poisons the world so no receiver hangs.
+func (t *tcpNet) readLoop(conn net.Conn, me, from int) {
 	defer t.readers.Done()
 	defer conn.Close()
 	hdr := make([]byte, tcpHeaderLen)
@@ -231,15 +230,14 @@ func (t *tcpNet) readLoop(conn net.Conn, me int) {
 			t.readFailed(me, err)
 			return
 		}
-		dlen := u64(hdr[16:])
+		dlen := u64(hdr[4:])
 		if dlen > tcpMaxFrame {
 			t.readFailed(me, fmt.Errorf("frame of %d bytes exceeds limit", dlen))
 			return
 		}
 		m := message{
-			ctx:  int64(u64(hdr[0:])),
-			from: int(int32(u32(hdr[8:]))),
-			tag:  int(int32(u32(hdr[12:]))),
+			from: from,
+			tag:  int(int32(u32(hdr[0:]))),
 			data: make([]byte, dlen),
 		}
 		if _, err := io.ReadFull(conn, m.data); err != nil {

@@ -152,21 +152,6 @@ func TestTCPCollectives(t *testing.T) {
 				}
 			}
 		}
-		// Scatter.
-		var outs [][]byte
-		if c.Rank() == 1 {
-			outs = make([][]byte, n)
-			for r := range outs {
-				outs[r] = []byte{byte(100 + r)}
-			}
-		}
-		mine, err := c.Scatter(1, outs)
-		if err != nil {
-			return err
-		}
-		if len(mine) != 1 || mine[0] != byte(100+c.Rank()) {
-			return fmt.Errorf("scatter got %v", mine)
-		}
 		// Allgather.
 		all, err := c.Allgather([]byte{byte(c.Rank() * 3)})
 		if err != nil {
@@ -175,21 +160,6 @@ func TestTCPCollectives(t *testing.T) {
 		for r, p := range all {
 			if len(p) != 1 || p[0] != byte(r*3) {
 				return fmt.Errorf("allgather[%d] = %v", r, p)
-			}
-		}
-		// Alltoallv with rank-dependent sizes.
-		send := make([][]byte, n)
-		for to := range send {
-			send[to] = bytes.Repeat([]byte{byte(c.Rank())}, to+1)
-		}
-		recv, err := c.Alltoallv(send)
-		if err != nil {
-			return err
-		}
-		for from, p := range recv {
-			want := bytes.Repeat([]byte{byte(from)}, c.Rank()+1)
-			if !bytes.Equal(p, want) {
-				return fmt.Errorf("alltoallv from %d = %v", from, p)
 			}
 		}
 		// Allreduce.
@@ -201,34 +171,6 @@ func TestTCPCollectives(t *testing.T) {
 			return fmt.Errorf("allreduce got %v", sums)
 		}
 		return c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTCPSplit(t *testing.T) {
-	err := RunTCP(6, func(c *Comm) error {
-		sub, err := c.Split(c.Rank()%2, c.Rank())
-		if err != nil {
-			return err
-		}
-		if sub.Size() != 3 {
-			return fmt.Errorf("split size %d", sub.Size())
-		}
-		// A collective inside the subcommunicator still crosses the
-		// wire between distinct world ranks.
-		all, err := sub.Allgather([]byte{byte(c.Rank())})
-		if err != nil {
-			return err
-		}
-		for i, p := range all {
-			want := byte(2*i + c.Rank()%2)
-			if len(p) != 1 || p[0] != want {
-				return fmt.Errorf("sub allgather[%d] = %v want %d", i, p, want)
-			}
-		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +192,8 @@ func TestTCPStatsCountTraffic(t *testing.T) {
 	if stats.Msgs != 1 {
 		t.Fatalf("frames = %d, want 1", stats.Msgs)
 	}
-	if want := int64(payload + tcpHeaderLen); stats.Bytes != want {
+	// The header is the tag (4 bytes) and the payload length (8 bytes).
+	if want := int64(payload + 12); stats.Bytes != want {
 		t.Fatalf("bytes = %d, want %d", stats.Bytes, want)
 	}
 }

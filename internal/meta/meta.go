@@ -137,26 +137,6 @@ func (m *Meta) ExtendElems(dim int, newBound int) error {
 	return nil
 }
 
-// Locate maps an element index to (linear chunk address, element offset
-// within the chunk). ci and wi are optional scratch buffers of rank k.
-// It returns an error if elem lies outside the element bounds.
-func (m *Meta) Locate(elem []int, ci, wi []int) (int64, int64, error) {
-	if len(elem) != m.Rank() {
-		return 0, 0, fmt.Errorf("meta: index rank %d != %d", len(elem), m.Rank())
-	}
-	for d, i := range elem {
-		if i < 0 || i >= m.ElemBounds[d] {
-			return 0, 0, fmt.Errorf("meta: index %d of dimension %d outside [0,%d)", i, d, m.ElemBounds[d])
-		}
-	}
-	ci, wi = grid.ChunkOf(elem, m.ChunkShape, ci, wi)
-	q, err := m.Space.Map(ci)
-	if err != nil {
-		return 0, 0, err
-	}
-	return q, grid.Offset(m.ChunkShape, wi, m.MemOrder), nil
-}
-
 // Clone returns an independent deep copy (used when replicating the
 // metadata to every process of a parallel program).
 func (m *Meta) Clone() *Meta {

@@ -73,14 +73,10 @@ func TestCBNodesPlacementPolicyDomainCount(t *testing.T) {
 // many aggregators.
 func TestCollectiveCBNodesIdentical(t *testing.T) {
 	const ranks = 4
-	const per = 3 * 64 // view bytes per rank, odd vs the stripe
+	const per = 3 * 64 // bytes per rank, odd vs the stripe
 
-	// Interleaved block-cyclic view: rank r owns every ranks-th block
+	// Interleaved block-cyclic layout: rank r owns every ranks-th block
 	// of 64 bytes, displaced by r blocks.
-	view, err := Vector(per/64, 64, ranks*64, MustBytes(1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	rankData := func(r int) []byte {
 		data := make([]byte, per)
 		for i := range data {
@@ -111,15 +107,13 @@ func TestCollectiveCBNodesIdentical(t *testing.T) {
 				if n := f.carve(0, ranks*per, ranks*per).N(); n != tc.aggs {
 					return fmt.Errorf("stripe %d carves %d aggregators, want %d", tc.stripe, n, tc.aggs)
 				}
-				if err := f.SetView(int64(c.Rank()*64), view); err != nil {
-					return err
-				}
+				runs := strided(c.Rank(), ranks, per/64, 64)
 				data := rankData(c.Rank())
-				if err := f.WriteAllAt(data, 0); err != nil {
+				if err := f.WriteAllV(runs, Contig(data)); err != nil {
 					return err
 				}
 				got := make([]byte, per)
-				if err := f.ReadAllAt(got, 0); err != nil {
+				if err := f.ReadAllV(runs, Contig(got)); err != nil {
 					return err
 				}
 				if !bytes.Equal(got, data) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -28,8 +29,7 @@ import (
 //
 // Who copies what. A caller hands the collective its file runs and its
 // memory as an ordered vector of segments (ReadAllV/WriteAllV; a
-// contiguous buffer is the one-segment vector ReadAllAt/WriteAllAt
-// pass). Each byte then moves twice on this rank, plus the hop only
+// contiguous buffer is the one-segment vector Contig). Each byte then moves twice on this rank, plus the hop only
 // remote bytes take:
 //
 //	write:  caller's memory ──copy──▶ aggregator staging ──WriteV──▶ servers
@@ -109,29 +109,6 @@ func (b *Buf) Release() {
 	}
 }
 
-// ReadAllAt is the collective read: every rank of the communicator must
-// call it (ranks with nothing to read pass an empty buf). Each rank
-// reads len(buf) view bytes at its own viewOff through its own view.
-func (f *File) ReadAllAt(buf []byte, viewOff int64) error {
-	return f.collectiveAt(buf, viewOff, false)
-}
-
-// WriteAllAt is the collective write counterpart of ReadAllAt.
-func (f *File) WriteAllAt(buf []byte, viewOff int64) error {
-	return f.collectiveAt(buf, viewOff, true)
-}
-
-func (f *File) collectiveAt(buf []byte, viewOff int64, write bool) error {
-	if viewOff < 0 {
-		return fmt.Errorf("mpiio: negative view offset %d", viewOff)
-	}
-	var runs []pfs.Run
-	if len(buf) > 0 {
-		runs = f.runsFor(viewOff, int64(len(buf)))
-	}
-	return f.collective(runs, Contig(buf), write)
-}
-
 // Vec is a caller's memory as an ordered list of segments and Contig
 // the one-segment Vec (see pfs.Vec): the same vector travels from a
 // section call down to the servers.
@@ -144,8 +121,7 @@ type (
 // each with its own absolute file runs (none on an idle rank) and its
 // own memory vector. The runs' bytes, packed back-to-back in run order,
 // fill mem's segments in order, so mem.Len() must be the sum of the run
-// lengths; the file view plays no part. On error the contents of
-// mem are unspecified.
+// lengths. On error the contents of mem are unspecified.
 func (f *File) ReadAllV(runs []pfs.Run, mem Vec) error {
 	if err := checkVec(runs, mem); err != nil {
 		return err
@@ -354,7 +330,7 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	// Read. Phase 1: as aggregator, fetch my domain's coalesced union
 	// and carve out each other rank's pieces. Ranks must agree on
 	// failure before the exchange phase: a rank that aborted here would
-	// otherwise leave its peers blocked in Alltoallv forever.
+	// otherwise leave its peers blocked in the exchange forever.
 	stage, err := f.aggregateRead(placedBy)
 	if err = f.agree(err); err != nil {
 		return err
@@ -630,6 +606,9 @@ func encodeRuns(runs []pfs.Run) []byte {
 	return out
 }
 
+// decodeRuns parses a peer's run list. Every run it returns has
+// Off >= 0, Len > 0 and an end that fits in an int64, so the collective's
+// span and domain arithmetic cannot wrap.
 func decodeRuns(b []byte) ([]pfs.Run, error) {
 	if len(b)%16 != 0 {
 		return nil, fmt.Errorf("mpiio: run list of %d bytes", len(b))
@@ -638,8 +617,8 @@ func decodeRuns(b []byte) ([]pfs.Run, error) {
 	for i := range runs {
 		runs[i].Off = int64(binary.LittleEndian.Uint64(b[i*16:]))
 		runs[i].Len = int64(binary.LittleEndian.Uint64(b[i*16+8:]))
-		if runs[i].Off < 0 || runs[i].Len <= 0 {
-			return nil, fmt.Errorf("mpiio: invalid run %+v", runs[i])
+		if r := runs[i]; r.Off < 0 || r.Len <= 0 || r.Off > math.MaxInt64-r.Len {
+			return nil, fmt.Errorf("mpiio: invalid run %+v", r)
 		}
 	}
 	return runs, nil

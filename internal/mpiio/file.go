@@ -1,7 +1,18 @@
+// Package mpiio reimplements the slice of MPI-IO that DRX-MP uses:
+// independent and collective (read_all/write_all, two-phase) transfers
+// over the striped parallel file system, with a shared extent cache and
+// write-behind.
+//
+// A transfer names its file bytes as a list of absolute runs
+// (offset, length), which is the representation PVFS's list I/O uses,
+// and its memory as an ordered vector of segments (Vec) that the runs'
+// bytes fill back-to-back. The paper's Section IV listing builds an
+// MPI_Type_indexed filetype of chunk addresses, sets a file view and
+// calls MPI_File_read_all; here the chunk addresses are the runs
+// handed to ReadAllV directly, so there is no datatype and no view.
 package mpiio
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -9,17 +20,12 @@ import (
 	"drxmp/internal/pfs"
 )
 
-// File is one process's handle on a shared striped file, with a private
-// file view (displacement + filetype), mirroring MPI_File +
-// MPI_File_set_view. All processes of the communicator share the same
-// underlying pfs.FS; each may set a different view.
+// File is one process's handle on a shared striped file, as MPI_File.
+// All processes of the communicator share the same underlying pfs.FS
+// and, through it, the same extent cache.
 type File struct {
 	fs   *pfs.FS
 	comm *cluster.Comm
-
-	disp     int64
-	filetype Datatype
-	pos      int64 // individual file pointer, in view (data) bytes
 
 	// knobs is the write-behind and cache policy, set by ApplyTuning
 	// only (see TuningKnobs).
@@ -225,117 +231,8 @@ func (f *File) WriteV(runs []pfs.Run, mem Vec) error {
 // Open returns a handle on fs for this process. It is collective only
 // by convention (no synchronization is needed to open).
 func Open(comm *cluster.Comm, fs *pfs.FS) *File {
-	f := &File{fs: fs, comm: comm}
-	f.filetype = MustBytes(1 << 20) // default view: raw bytes
-	return f
+	return &File{fs: fs, comm: comm}
 }
 
 // FS exposes the underlying striped file (stats access in benchmarks).
 func (f *File) FS() *pfs.FS { return f.fs }
-
-// SetView installs the process-local file view: visible data byte v of
-// the view maps to file offset disp + tile*extent + blockOffset, where
-// the filetype tiles the file starting at disp (MPI_File_set_view).
-// The individual file pointer resets to zero.
-func (f *File) SetView(disp int64, filetype Datatype) error {
-	if disp < 0 {
-		return fmt.Errorf("mpiio: negative displacement %d", disp)
-	}
-	if filetype.IsZero() {
-		return errors.New("mpiio: zero filetype")
-	}
-	f.disp = disp
-	f.filetype = filetype
-	f.pos = 0
-	return nil
-}
-
-// viewToFile maps a view data-byte position to an absolute file offset.
-func (f *File) viewToFile(v int64) int64 {
-	tile := v / f.filetype.size
-	within := v % f.filetype.size
-	bi, boff := f.filetype.locate(within)
-	return f.disp + tile*f.filetype.extent + f.filetype.blocks[bi].Off + boff
-}
-
-// runsFor translates the view range [viewOff, viewOff+n) into coalesced
-// contiguous file extents, in view order. Because filetype blocks are
-// sorted within a tile and tiles advance monotonically, the produced
-// runs are non-decreasing in file offset.
-func (f *File) runsFor(viewOff, n int64) []pfs.Run {
-	var runs []pfs.Run
-	v := viewOff
-	remaining := n
-	for remaining > 0 {
-		within := v % f.filetype.size
-		bi, boff := f.filetype.locate(within)
-		blk := f.filetype.blocks[bi]
-		avail := blk.Len - boff
-		if avail > remaining {
-			avail = remaining
-		}
-		off := f.viewToFile(v)
-		if m := len(runs); m > 0 && runs[m-1].Off+runs[m-1].Len == off {
-			runs[m-1].Len += avail
-		} else {
-			runs = append(runs, pfs.Run{Off: off, Len: avail})
-		}
-		v += avail
-		remaining -= avail
-	}
-	return runs
-}
-
-// ReadAt reads len(buf) view bytes starting at view offset viewOff
-// (independent I/O; MPI_File_read_at with the current view).
-func (f *File) ReadAt(buf []byte, viewOff int64) error {
-	if viewOff < 0 {
-		return fmt.Errorf("mpiio: negative view offset %d", viewOff)
-	}
-	if len(buf) == 0 {
-		return nil
-	}
-	return f.ReadV(f.runsFor(viewOff, int64(len(buf))), Contig(buf))
-}
-
-// WriteAt writes len(buf) view bytes at view offset viewOff
-// (independent I/O).
-func (f *File) WriteAt(buf []byte, viewOff int64) error {
-	if viewOff < 0 {
-		return fmt.Errorf("mpiio: negative view offset %d", viewOff)
-	}
-	if len(buf) == 0 {
-		return nil
-	}
-	return f.WriteV(f.runsFor(viewOff, int64(len(buf))), Contig(buf))
-}
-
-// Read reads from the individual file pointer and advances it.
-func (f *File) Read(buf []byte) error {
-	if err := f.ReadAt(buf, f.pos); err != nil {
-		return err
-	}
-	f.pos += int64(len(buf))
-	return nil
-}
-
-// Write writes at the individual file pointer and advances it.
-func (f *File) Write(buf []byte) error {
-	if err := f.WriteAt(buf, f.pos); err != nil {
-		return err
-	}
-	f.pos += int64(len(buf))
-	return nil
-}
-
-// SeekSet sets the individual file pointer (view bytes, absolute).
-func (f *File) SeekSet(viewOff int64) error {
-	if viewOff < 0 {
-		return fmt.Errorf("mpiio: negative seek %d", viewOff)
-	}
-	f.pos = viewOff
-	return nil
-}
-
-// Tell returns the individual file pointer.
-func (f *File) Tell() int64 { return f.pos }

@@ -333,12 +333,12 @@ func TestCollectiveReadCacheCoherent(t *testing.T) {
 		for i := range data {
 			data[i] = byte(c.Rank()*31 + i)
 		}
-		if err := f.WriteAllAt(data, 0); err != nil {
+		if err := f.WriteAllV(mine(c, 0, 512), Contig(data)); err != nil {
 			return err
 		}
 		for round := 0; round < 2; round++ {
 			buf := make([]byte, 512)
-			if err := f.ReadAllAt(buf, 0); err != nil {
+			if err := f.ReadAllV(mine(c, 0, 512), Contig(buf)); err != nil {
 				return err
 			}
 			if !bytes.Equal(buf, data) {

@@ -5,317 +5,29 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"drxmp/internal/cluster"
-	"drxmp/internal/grid"
 	"drxmp/internal/pfs"
 )
 
-// --- datatype construction ---
-
-func TestBytes(t *testing.T) {
-	d, err := Bytes(10)
-	if err != nil {
-		t.Fatal(err)
+// strided is rank r's share of a round-robin chunk map: n blocks of
+// size bytes, block i at (r + i*ranks)*size, as coalesced runs.
+func strided(r, ranks, n int, size int64) []pfs.Run {
+	runs := make([]pfs.Run, n)
+	for i := range runs {
+		runs[i] = pfs.Run{Off: int64(r+i*ranks) * size, Len: size}
 	}
-	if d.Size() != 10 || d.Extent() != 10 || d.NumBlocks() != 1 {
-		t.Fatalf("bytes(10): size %d extent %d blocks %d", d.Size(), d.Extent(), d.NumBlocks())
-	}
-	if _, err := Bytes(0); err == nil {
-		t.Error("Bytes(0) accepted")
-	}
-	if !(Datatype{}).IsZero() || d.IsZero() {
-		t.Error("IsZero misbehaves")
-	}
-}
-
-func TestContiguous(t *testing.T) {
-	base := MustBytes(6)
-	d, err := Contiguous(5, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Adjacent repetitions merge into one block.
-	if d.Size() != 30 || d.Extent() != 30 || d.NumBlocks() != 1 {
-		t.Fatalf("contiguous: size %d extent %d blocks %d", d.Size(), d.Extent(), d.NumBlocks())
-	}
-	if _, err := Contiguous(0, base); err == nil {
-		t.Error("count 0 accepted")
-	}
-}
-
-func TestVector(t *testing.T) {
-	base := MustBytes(4)
-	d, err := Vector(3, 2, 5, base) // 3 blocks of 2 elems, stride 5 elems
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Block{{0, 8}, {20, 8}, {40, 8}}
-	if !reflect.DeepEqual(d.Blocks(), want) {
-		t.Fatalf("vector blocks = %v", d.Blocks())
-	}
-	if d.Size() != 24 || d.Extent() != 48 {
-		t.Fatalf("size %d extent %d", d.Size(), d.Extent())
-	}
-	if _, err := Vector(2, 3, 2, base); err == nil {
-		t.Error("overlapping stride accepted")
-	}
-	if _, err := Vector(0, 1, 1, base); err == nil {
-		t.Error("count 0 accepted")
-	}
-}
-
-func TestIndexed(t *testing.T) {
-	chunk := MustBytes(6) // the paper's listing: ChunkSize doubles, here bytes
-	d, err := Indexed([]int{1, 1, 1}, []int{9, 10, 16}, chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chunks 9 and 10 are adjacent -> merged.
-	want := []Block{{54, 12}, {96, 6}}
-	if !reflect.DeepEqual(d.Blocks(), want) {
-		t.Fatalf("indexed blocks = %v", d.Blocks())
-	}
-	if d.Size() != 18 {
-		t.Fatalf("size = %d", d.Size())
-	}
-	if _, err := Indexed([]int{1}, []int{0, 1}, chunk); err == nil {
-		t.Error("mismatched lens accepted")
-	}
-	if _, err := Indexed(nil, nil, chunk); err == nil {
-		t.Error("empty indexed accepted")
-	}
-	if _, err := Indexed([]int{1, 1}, []int{0, 0}, chunk); err == nil {
-		t.Error("overlapping blocks accepted")
-	}
-	if _, err := Indexed([]int{-1}, []int{0}, chunk); err == nil {
-		t.Error("negative blocklen accepted")
-	}
-}
-
-func TestSubarray(t *testing.T) {
-	// 4x6 row-major array of 2-byte elements; take rows 1..3, cols 2..5.
-	d, err := Subarray(grid.Shape{4, 6}, grid.NewBox([]int{1, 2}, []int{3, 5}), 2, grid.RowMajor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Block{{16, 6}, {28, 6}}
-	if !reflect.DeepEqual(d.Blocks(), want) {
-		t.Fatalf("subarray blocks = %v", d.Blocks())
-	}
-	if d.Extent() != 48 {
-		t.Fatalf("extent = %d", d.Extent())
-	}
-	// Column-major flattening of the same box.
-	dc, err := Subarray(grid.Shape{4, 6}, grid.NewBox([]int{1, 2}, []int{3, 5}), 2, grid.ColMajor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dc.NumBlocks() != 3 { // three columns of 2 rows each
-		t.Fatalf("col-major subarray blocks = %v", dc.Blocks())
-	}
-	if _, err := Subarray(grid.Shape{4, 6}, grid.NewBox([]int{0, 0}, []int{5, 5}), 2, grid.RowMajor); err == nil {
-		t.Error("out-of-shape box accepted")
-	}
-	if _, err := Subarray(grid.Shape{4, 6}, grid.NewBox([]int{1, 1}, []int{1, 1}), 2, grid.RowMajor); err == nil {
-		t.Error("empty box accepted")
-	}
-	if _, err := Subarray(grid.Shape{4}, grid.NewBox([]int{0, 0}, []int{1, 1}), 2, grid.RowMajor); err == nil {
-		t.Error("rank mismatch accepted")
-	}
-	if _, err := Subarray(grid.Shape{4, 6}, grid.NewBox([]int{0, 0}, []int{1, 1}), 0, grid.RowMajor); err == nil {
-		t.Error("zero element size accepted")
-	}
-}
-
-// --- view translation ---
-
-func singleRankFile(t *testing.T, servers int, stripe int64) (*File, *pfs.FS) {
-	t.Helper()
-	fs, err := pfs.Create("t", pfs.Options{Servers: servers, StripeSize: stripe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file *File
-	err = cluster.Run(1, func(c *cluster.Comm) error {
-		file = Open(c, fs)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return file, fs
-}
-
-func TestViewTranslation(t *testing.T) {
-	f, fs := singleRankFile(t, 1, 64)
-	// Ground truth file: 0..255.
-	base := make([]byte, 256)
-	for i := range base {
-		base[i] = byte(i)
-	}
-	if _, err := fs.WriteAt(base, 0); err != nil {
-		t.Fatal(err)
-	}
-	// View: disp 10, vector of 3-byte blocks every 8 bytes.
-	ft, err := Vector(4, 3, 8, MustBytes(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.SetView(10, ft); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 12) // one full tile = 4 blocks x 3 bytes
-	if err := f.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{10, 11, 12, 18, 19, 20, 26, 27, 28, 34, 35, 36}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("view read = %v, want %v", got, want)
-	}
-	// Second tile starts at disp + extent (extent = 3*8+3 = 27).
-	got2 := make([]byte, 3)
-	if err := f.ReadAt(got2, 12); err != nil {
-		t.Fatal(err)
-	}
-	want2 := []byte{37, 38, 39}
-	if !bytes.Equal(got2, want2) {
-		t.Fatalf("tile-2 read = %v, want %v", got2, want2)
-	}
-}
-
-func TestViewWriteThenRawRead(t *testing.T) {
-	f, fs := singleRankFile(t, 2, 16)
-	ft, _ := Indexed([]int{1, 1}, []int{2, 5}, MustBytes(4))
-	if err := f.SetView(100, ft); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.WriteAt([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 0); err != nil {
-		t.Fatal(err)
-	}
-	raw := make([]byte, 32)
-	if _, err := fs.ReadAt(raw, 100); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw[8:12], []byte{1, 2, 3, 4}) || !bytes.Equal(raw[20:24], []byte{5, 6, 7, 8}) {
-		t.Fatalf("raw after view write = %v", raw)
-	}
-	for i, b := range raw {
-		if (i < 8 || (i >= 12 && i < 20) || i >= 24) && b != 0 {
-			t.Fatalf("byte %d spuriously written: %d", i, b)
-		}
-	}
-}
-
-func TestSetViewValidation(t *testing.T) {
-	f, _ := singleRankFile(t, 1, 64)
-	if err := f.SetView(-1, MustBytes(4)); err == nil {
-		t.Error("negative disp accepted")
-	}
-	if err := f.SetView(0, Datatype{}); err == nil {
-		t.Error("zero filetype accepted")
-	}
-	if err := f.ReadAt(make([]byte, 1), -1); err == nil {
-		t.Error("negative read offset accepted")
-	}
-	if err := f.WriteAt(make([]byte, 1), -1); err == nil {
-		t.Error("negative write offset accepted")
-	}
-	if err := f.SeekSet(-1); err == nil {
-		t.Error("negative seek accepted")
-	}
-}
-
-func TestFilePointer(t *testing.T) {
-	f, fs := singleRankFile(t, 1, 64)
-	base := make([]byte, 64)
-	for i := range base {
-		base[i] = byte(i)
-	}
-	if _, err := fs.WriteAt(base, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.SetView(0, MustBytes(64)); err != nil {
-		t.Fatal(err)
-	}
-	a := make([]byte, 4)
-	if err := f.Read(a); err != nil {
-		t.Fatal(err)
-	}
-	b := make([]byte, 4)
-	if err := f.Read(b); err != nil {
-		t.Fatal(err)
-	}
-	if a[0] != 0 || b[0] != 4 || f.Tell() != 8 {
-		t.Fatalf("sequential reads: %v %v pos %d", a, b, f.Tell())
-	}
-	if err := f.SeekSet(60); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Write([]byte{9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	if f.Tell() != 62 {
-		t.Fatalf("pos = %d", f.Tell())
-	}
-	got := make([]byte, 2)
-	if _, err := fs.ReadAt(got, 60); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 9 || got[1] != 9 {
-		t.Fatalf("write-through = %v", got)
-	}
-}
-
-// TestQuickViewRoundTrip: writing through an arbitrary indexed view and
-// reading back through the same view is the identity.
-func TestQuickViewRoundTrip(t *testing.T) {
-	f, _ := singleRankFile(t, 3, 16)
-	rng := rand.New(rand.NewSource(11))
-	prop := func(nBlocks8 uint8, seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := int(nBlocks8)%6 + 1
-		displs := make([]int, n)
-		lens := make([]int, n)
-		at := 0
-		for i := range displs {
-			at += r.Intn(5)
-			displs[i] = at
-			lens[i] = r.Intn(3) + 1
-			at += lens[i]
-		}
-		ft, err := Indexed(lens, displs, MustBytes(3))
-		if err != nil {
-			return false
-		}
-		if err := f.SetView(int64(r.Intn(100)), ft); err != nil {
-			return false
-		}
-		payload := make([]byte, ft.Size()*2) // two tiles
-		rng.Read(payload)
-		off := int64(r.Intn(10))
-		if err := f.WriteAt(payload, off); err != nil {
-			return false
-		}
-		got := make([]byte, len(payload))
-		if err := f.ReadAt(got, off); err != nil {
-			return false
-		}
-		return bytes.Equal(got, payload)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+	return pfs.Coalesce(runs)
 }
 
 // --- collective I/O ---
 
 // TestPaperListingCollectiveRead re-enacts the paper's Section IV code:
 // 4 processes, 20 chunks of 6 doubles, globalMap/inMemoryMap as given,
-// collective read into per-process buffers.
+// collective read into per-process buffers. The listing's indexed
+// filetype of chunk addresses is the run list: chunk q is the run
+// {q*48, 48}.
 func TestPaperListingCollectiveRead(t *testing.T) {
 	const chunkElems = 6
 	const elemSize = 8
@@ -350,22 +62,15 @@ func TestPaperListingCollectiveRead(t *testing.T) {
 	err = cluster.Run(4, func(c *cluster.Comm) error {
 		me := c.Rank()
 		f := Open(c, fs)
-		chunk := MustBytes(chunkElems * elemSize)
-		ones := make([]int, len(globalMap[me]))
-		for i := range ones {
-			ones[i] = 1
-		}
-		ft, err := Indexed(ones, globalMap[me], chunk)
-		if err != nil {
-			return err
-		}
-		if err := f.SetView(0, ft); err != nil {
-			return err
+		const chunkBytes = chunkElems * elemSize
+		runs := make([]pfs.Run, len(globalMap[me]))
+		for i, q := range globalMap[me] {
+			runs[i] = pfs.Run{Off: int64(q) * chunkBytes, Len: chunkBytes}
 		}
 		// Read all my chunks collectively, then place them per the
 		// in-memory map (the "memtype" of the listing).
-		flat := make([]byte, len(globalMap[me])*chunkElems*elemSize)
-		if err := f.ReadAllAt(flat, 0); err != nil {
+		flat := make([]byte, len(runs)*chunkBytes)
+		if err := f.ReadAllV(runs, Contig(flat)); err != nil {
 			return err
 		}
 		mem := make([]float64, len(flat)/8)
@@ -418,33 +123,17 @@ func TestCollectiveEqualsIndependent(t *testing.T) {
 			}
 			indep := make([][]byte, ranks)
 			coll := make([][]byte, ranks)
-			mkView := func(r int) (Datatype, int) {
-				// Rank r takes every ranks-th 16-byte chunk, 10 chunks.
-				displs := make([]int, 10)
-				ones := make([]int, 10)
-				for i := range displs {
-					displs[i] = r + i*ranks
-					ones[i] = 1
-				}
-				ft, err := Indexed(ones, displs, MustBytes(16))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return ft, 160
-			}
 			err = cluster.Run(ranks, func(c *cluster.Comm) error {
 				f := Open(c, fs)
-				ft, n := mkView(c.Rank())
-				if err := f.SetView(0, ft); err != nil {
-					return err
-				}
-				buf := make([]byte, n)
-				if err := f.ReadAt(buf, 0); err != nil {
+				// Rank r takes every ranks-th 16-byte chunk, 10 chunks.
+				runs := strided(c.Rank(), ranks, 10, 16)
+				buf := make([]byte, 160)
+				if err := f.ReadV(runs, Contig(buf)); err != nil {
 					return err
 				}
 				indep[c.Rank()] = buf
-				buf2 := make([]byte, n)
-				if err := f.ReadAllAt(buf2, 0); err != nil {
+				buf2 := make([]byte, 160)
+				if err := f.ReadAllV(runs, Contig(buf2)); err != nil {
 					return err
 				}
 				coll[c.Rank()] = buf2
@@ -474,21 +163,8 @@ func TestCollectiveWriteRoundTrip(t *testing.T) {
 		f := Open(c, fs)
 		r := c.Rank()
 		// Rank r owns every ranks-th 8-byte slot of 32 slots.
-		displs := make([]int, 8)
-		ones := make([]int, 8)
-		for i := range displs {
-			displs[i] = r + i*ranks
-			ones[i] = 1
-		}
-		ft, err := Indexed(ones, displs, MustBytes(8))
-		if err != nil {
-			return err
-		}
-		if err := f.SetView(0, ft); err != nil {
-			return err
-		}
 		payload := bytes.Repeat([]byte{byte(r + 1)}, 64)
-		if err := f.WriteAllAt(payload, 0); err != nil {
+		if err := f.WriteAllV(strided(r, ranks, 8, 8), Contig(payload)); err != nil {
 			return err
 		}
 		return c.Barrier()
@@ -524,13 +200,10 @@ func TestCollectiveWithIdleRanks(t *testing.T) {
 	err := cluster.Run(4, func(c *cluster.Comm) error {
 		f := Open(c, fs)
 		if c.Rank()%2 == 1 {
-			return f.ReadAllAt(nil, 0) // idle participant
-		}
-		if err := f.SetView(int64(c.Rank())*8, MustBytes(16)); err != nil {
-			return err
+			return f.ReadAllV(nil, Contig(nil)) // idle participant
 		}
 		buf := make([]byte, 16)
-		if err := f.ReadAllAt(buf, 0); err != nil {
+		if err := f.ReadAllV([]pfs.Run{{Off: int64(c.Rank()) * 8, Len: 16}}, Contig(buf)); err != nil {
 			return err
 		}
 		for i := range buf {
@@ -550,10 +223,10 @@ func TestCollectiveAllIdle(t *testing.T) {
 	fs, _ := pfs.Create("t", pfs.Options{})
 	err := cluster.Run(3, func(c *cluster.Comm) error {
 		f := Open(c, fs)
-		if err := f.ReadAllAt(nil, 0); err != nil {
+		if err := f.ReadAllV(nil, Contig(nil)); err != nil {
 			return err
 		}
-		return f.WriteAllAt(nil, 0)
+		return f.WriteAllV(nil, Contig(nil))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -577,24 +250,12 @@ func TestCollectiveAggregationReducesRequests(t *testing.T) {
 	run := func(fs *pfs.FS, collective bool) {
 		err := cluster.Run(ranks, func(c *cluster.Comm) error {
 			f := Open(c, fs)
-			displs := make([]int, 64)
-			ones := make([]int, 64)
-			for i := range displs {
-				displs[i] = c.Rank() + i*ranks
-				ones[i] = 1
-			}
-			ft, err := Indexed(ones, displs, MustBytes(16))
-			if err != nil {
-				return err
-			}
-			if err := f.SetView(0, ft); err != nil {
-				return err
-			}
+			runs := strided(c.Rank(), ranks, 64, 16)
 			buf := make([]byte, 64*16)
 			if collective {
-				return f.ReadAllAt(buf, 0)
+				return f.ReadAllV(runs, Contig(buf))
 			}
-			return f.ReadAt(buf, 0)
+			return f.ReadV(runs, Contig(buf))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -618,6 +279,30 @@ func TestDecodeRunsErrors(t *testing.T) {
 	if _, err := decodeRuns(bad); err == nil {
 		t.Error("zero-length run accepted")
 	}
+	wraps := encodeRuns([]pfs.Run{{Off: math.MaxInt64 - 1, Len: 2}})
+	if _, err := decodeRuns(wraps); err == nil {
+		t.Error("run whose end overflows int64 accepted")
+	}
+}
+
+// FuzzDecodeRuns: whatever bytes a peer allgathers, decodeRuns returns
+// an error or runs the collective can do arithmetic on — Off >= 0,
+// Len > 0, Off+Len within int64 — that encode back to the same bytes.
+func FuzzDecodeRuns(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		runs, err := decodeRuns(b)
+		if err != nil {
+			return
+		}
+		for _, r := range runs {
+			if r.Off < 0 || r.Len <= 0 || r.Off > math.MaxInt64-r.Len {
+				t.Fatalf("decoded run %+v", r)
+			}
+		}
+		if re := encodeRuns(runs); !bytes.Equal(re, b) {
+			t.Fatalf("re-encode of %x = %x", b, re)
+		}
+	})
 }
 
 func putF64(p []byte, v float64) {
@@ -640,19 +325,10 @@ func BenchmarkIndependentIrregularRead(b *testing.B) {
 	}
 	err := cluster.Run(4, func(c *cluster.Comm) error {
 		f := Open(c, fs)
-		displs := make([]int, 256)
-		ones := make([]int, 256)
-		for i := range displs {
-			displs[i] = c.Rank() + i*4
-			ones[i] = 1
-		}
-		ft, _ := Indexed(ones, displs, MustBytes(1024))
-		if err := f.SetView(0, ft); err != nil {
-			return err
-		}
+		runs := strided(c.Rank(), 4, 256, 1024)
 		buf := make([]byte, 256*1024)
 		for i := 0; i < b.N; i++ {
-			if err := f.ReadAt(buf, 0); err != nil {
+			if err := f.ReadV(runs, Contig(buf)); err != nil {
 				return err
 			}
 		}
@@ -671,19 +347,10 @@ func BenchmarkCollectiveIrregularRead(b *testing.B) {
 	}
 	err := cluster.Run(4, func(c *cluster.Comm) error {
 		f := Open(c, fs)
-		displs := make([]int, 256)
-		ones := make([]int, 256)
-		for i := range displs {
-			displs[i] = c.Rank() + i*4
-			ones[i] = 1
-		}
-		ft, _ := Indexed(ones, displs, MustBytes(1024))
-		if err := f.SetView(0, ft); err != nil {
-			return err
-		}
+		runs := strided(c.Rank(), 4, 256, 1024)
 		buf := make([]byte, 256*1024)
 		for i := 0; i < b.N; i++ {
-			if err := f.ReadAllAt(buf, 0); err != nil {
+			if err := f.ReadAllV(runs, Contig(buf)); err != nil {
 				return err
 			}
 		}
@@ -697,8 +364,8 @@ func BenchmarkCollectiveIrregularRead(b *testing.B) {
 // TestCollectiveVectored: WriteAllV/ReadAllV move exactly the runs'
 // bytes, in run order, through a memory vector whose segment borders
 // fall anywhere — inside runs, on them, with empty segments between —
-// for runs the caller did not sort, and leave the file view alone. A
-// vector that does not hold the runs' bytes is rejected locally.
+// for runs the caller did not sort. A vector that does not hold the
+// runs' bytes is rejected locally.
 func TestCollectiveVectored(t *testing.T) {
 	const ranks = 3
 	fs, err := pfs.Create("t", pfs.Options{Servers: 3, StripeSize: 16})
@@ -733,13 +400,6 @@ func TestCollectiveVectored(t *testing.T) {
 		}
 		if f.ReadAllV(runs, Contig(got[:69])) == nil || f.WriteAllV([]pfs.Run{{Off: -1, Len: 70}}, Contig(got)) == nil {
 			return fmt.Errorf("rank %d: a vector that does not match its runs was accepted", c.Rank())
-		}
-		// The default view is still in place: view byte v is file byte v.
-		if err := f.ReadAt(got[:15], base+3); err != nil {
-			return err
-		}
-		if !bytes.Equal(got[:15], payload[55:]) {
-			return fmt.Errorf("rank %d: view moved by a vectored collective", c.Rank())
 		}
 		return nil
 	})

@@ -144,8 +144,8 @@ func TestPunchWaitsOutSweepInFlight(t *testing.T) {
 }
 
 // runWB runs fn on `ranks` ranks of one fresh store, each through a
-// handle with write-behind wb over a 1 MiB cache and a view that starts
-// at its own 512-byte region, and returns the store.
+// handle with write-behind wb over a 1 MiB cache, and returns the store.
+// Rank r works in its own 512-byte region of the file (see mine).
 func runWB(t *testing.T, ranks int, wb int64, fn func(c *cluster.Comm, f *File) error) *pfs.FS {
 	t.Helper()
 	fs, err := pfs.Create(t.Name(), pfs.Options{Servers: 2, StripeSize: 256})
@@ -158,15 +158,17 @@ func runWB(t *testing.T, ranks int, wb int64, fn func(c *cluster.Comm, f *File) 
 		if err := f.ApplyTuning(TuningKnobs{WriteBehind: wb, CacheBytes: 1 << 20}); err != nil {
 			return err
 		}
-		if err := f.SetView(int64(c.Rank())*512, MustBytes(1<<20)); err != nil {
-			return err
-		}
 		return fn(c, f)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fs
+}
+
+// mine is the run of n bytes at off within rank c's 512-byte region.
+func mine(c *cluster.Comm, off, n int64) []pfs.Run {
+	return []pfs.Run{{Off: int64(c.Rank())*512 + off, Len: n}}
 }
 
 // TestCollectiveWriteBehindDefersAndStaysCoherent: with close-only
@@ -182,7 +184,7 @@ func TestCollectiveWriteBehindDefersAndStaysCoherent(t *testing.T) {
 			data[i] = byte(c.Rank()*31 + i)
 			want[c.Rank()*512+i] = data[i]
 		}
-		if err := f.WriteAllAt(data, 0); err != nil {
+		if err := f.WriteAllV(mine(c, 0, 512), Contig(data)); err != nil {
 			return err
 		}
 		if n := f.FS().Stats().Requests(); c.Rank() == 0 && n != 0 {
@@ -190,7 +192,7 @@ func TestCollectiveWriteBehindDefersAndStaysCoherent(t *testing.T) {
 		}
 		// Collective read: every rank's deferred bytes, from the cache.
 		buf := make([]byte, 512)
-		if err := f.ReadAllAt(buf, 0); err != nil {
+		if err := f.ReadAllV(mine(c, 0, 512), Contig(buf)); err != nil {
 			return err
 		}
 		if !bytes.Equal(buf, data) {
@@ -210,15 +212,15 @@ func TestCollectiveWriteBehindDefersAndStaysCoherent(t *testing.T) {
 // TestWriteBehindWatermark: crossing the watermark flushes the whole
 // cache in one sweep; below it nothing dispatches.
 func TestWriteBehindWatermark(t *testing.T) {
-	fs := runWB(t, 1, 1024, func(_ *cluster.Comm, f *File) error {
+	fs := runWB(t, 1, 1024, func(c *cluster.Comm, f *File) error {
 		data := fill(512, 7)
-		if err := f.WriteAllAt(data, 0); err != nil {
+		if err := f.WriteAllV(mine(c, 0, 512), Contig(data)); err != nil {
 			return err
 		}
 		if f.Dirty() != 512 {
 			return fmt.Errorf("dirty = %d, want 512 (below watermark)", f.Dirty())
 		}
-		if err := f.WriteAllAt(data, 512); err != nil {
+		if err := f.WriteAllV(mine(c, 512, 512), Contig(data)); err != nil {
 			return err
 		}
 		if f.Dirty() != 0 {
@@ -239,18 +241,18 @@ func TestWriteBehindWatermark(t *testing.T) {
 // the same handle overrides overlapping dirty bytes — the cache punch
 // keeps a later flush from resurrecting stale data.
 func TestWriteBehindIndependentWritePunches(t *testing.T) {
-	runWB(t, 1, -1, func(_ *cluster.Comm, f *File) error {
-		if err := f.WriteAllAt(fill(256, 1), 0); err != nil { // buffered
+	runWB(t, 1, -1, func(c *cluster.Comm, f *File) error {
+		if err := f.WriteAllV(mine(c, 0, 256), Contig(fill(256, 1))); err != nil { // buffered
 			return err
 		}
-		if err := f.WriteAt(fill(64, 9), 64); err != nil { // direct, newer
+		if err := f.WriteV(mine(c, 64, 64), Contig(fill(64, 9))); err != nil { // direct, newer
 			return err
 		}
 		if err := f.Sync(); err != nil { // stale flush must not clobber
 			return err
 		}
 		got := make([]byte, 256)
-		if err := f.ReadAt(got, 0); err != nil {
+		if err := f.ReadV(mine(c, 0, 256), Contig(got)); err != nil {
 			return err
 		}
 		for i := 0; i < 256; i++ {
@@ -277,7 +279,7 @@ func TestWriteBehindCrossRankReadCoherence(t *testing.T) {
 		for i := range data {
 			data[i] = byte(c.Rank()*41 + i)
 		}
-		if err := f.WriteAllAt(data, 0); err != nil {
+		if err := f.WriteAllV(mine(c, 0, 512), Contig(data)); err != nil {
 			return err
 		}
 		if err := c.Barrier(); err != nil {
@@ -286,7 +288,7 @@ func TestWriteBehindCrossRankReadCoherence(t *testing.T) {
 		// Independent read of MY region, which was absorbed by OTHER
 		// ranks' aggregators. No Sync: the shared cache must serve it.
 		got := make([]byte, 512)
-		if err := f.ReadAt(got, 0); err != nil {
+		if err := f.ReadV(mine(c, 0, 512), Contig(got)); err != nil {
 			return err
 		}
 		if !bytes.Equal(got, data) {
@@ -302,7 +304,7 @@ func TestWriteBehindCrossRankReadCoherence(t *testing.T) {
 // rank's absorbed extents.
 func TestWriteBehindCrossRankLostUpdate(t *testing.T) {
 	runWB(t, 2, -1, func(c *cluster.Comm, f *File) error {
-		if err := f.WriteAllAt(fill(512, byte(1+c.Rank())), 0); err != nil {
+		if err := f.WriteAllV(mine(c, 0, 512), Contig(fill(512, byte(1+c.Rank())))); err != nil {
 			return err
 		}
 		if err := c.Barrier(); err != nil {
@@ -312,7 +314,7 @@ func TestWriteBehindCrossRankLostUpdate(t *testing.T) {
 		// dirty bytes another rank absorbed), then everyone syncs: the
 		// newer bytes must win.
 		if c.Rank() == 1 {
-			if err := f.WriteAt(fill(64, 99), 100); err != nil {
+			if err := f.WriteV(mine(c, 100, 64), Contig(fill(64, 99))); err != nil {
 				return err
 			}
 		}
@@ -326,7 +328,7 @@ func TestWriteBehindCrossRankLostUpdate(t *testing.T) {
 			return err
 		}
 		got := make([]byte, 512)
-		if err := f.ReadAt(got, 0); err != nil {
+		if err := f.ReadV(mine(c, 0, 512), Contig(got)); err != nil {
 			return err
 		}
 		for i := range got {

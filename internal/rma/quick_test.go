@@ -1,6 +1,7 @@
 package rma
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -72,12 +73,12 @@ func TestQuickRMAMatchesShadow(t *testing.T) {
 			for _, roundSteps := range script {
 				st := roundSteps[me]
 				var buf [8]byte
-				putLE64(buf[:], uint64(st.putVal))
+				binary.LittleEndian.PutUint64(buf[:], uint64(st.putVal))
 				if err := w.Put(st.target, int64(1+me)*8, buf[:]); err != nil {
 					return err
 				}
-				putLE64(buf[:], uint64(st.accVal))
-				if err := w.Accumulate(st.accTgt, 0, buf[:], dtype.Int64, Sum); err != nil {
+				binary.LittleEndian.PutUint64(buf[:], uint64(st.accVal))
+				if err := w.Accumulate(st.accTgt, 0, buf[:], dtype.Int64); err != nil {
 					return err
 				}
 				if err := w.Fence(); err != nil {
@@ -91,7 +92,7 @@ func TestQuickRMAMatchesShadow(t *testing.T) {
 					return err
 				}
 				for s := 0; s < slots; s++ {
-					v := int64(le64(got[s*8:]))
+					v := int64(binary.LittleEndian.Uint64(got[s*8:]))
 					if v != shadow[r][s] {
 						return fmt.Errorf("rank %d viewing window %d slot %d: %d, want %d",
 							me, r, s, v, shadow[r][s])
@@ -135,8 +136,8 @@ func TestQuickAccumulateCommutes(t *testing.T) {
 			defer w.Free()
 			for _, v := range contrib[c.Rank()] {
 				var buf [8]byte
-				putLE64(buf[:], uint64(v))
-				if err := w.Accumulate(0, 0, buf[:], dtype.Int64, Sum); err != nil {
+				binary.LittleEndian.PutUint64(buf[:], uint64(v))
+				if err := w.Accumulate(0, 0, buf[:], dtype.Int64); err != nil {
 					return err
 				}
 			}
@@ -144,7 +145,7 @@ func TestQuickAccumulateCommutes(t *testing.T) {
 				return err
 			}
 			if c.Rank() == 0 {
-				got := int64(le64(local))
+				got := int64(binary.LittleEndian.Uint64(local))
 				if got != want {
 					return fmt.Errorf("sum = %d, want %d", got, want)
 				}

@@ -10,7 +10,9 @@
 // collective), mirroring MPI_Win_fence active-target synchronization.
 // Within an epoch, operations on a remote rank's buffer are atomic per
 // call (a per-window-per-rank mutex), and Accumulate is an atomic
-// read-modify-write, as MPI_Accumulate guarantees element-wise.
+// element-wise sum, as MPI_Accumulate with MPI_SUM guarantees. Get, Put
+// and that sum are the whole surface: they are what DistArray's
+// Get/Set/Acc and its section transfers use.
 package rma
 
 import (
@@ -90,16 +92,6 @@ func (w *Win) Free() error {
 // MPI_Win_fence-style).
 func (w *Win) Fence() error { return w.comm.Barrier() }
 
-// Size returns the exposed buffer length of rank r.
-func (w *Win) Size(r int) (int, error) {
-	if err := w.checkRank(r); err != nil {
-		return 0, err
-	}
-	w.shared.locks[r].Lock()
-	defer w.shared.locks[r].Unlock()
-	return len(w.shared.bufs[r]), nil
-}
-
 func (w *Win) checkRank(r int) error {
 	if w.shared == nil {
 		return errors.New("rma: window is freed")
@@ -147,24 +139,10 @@ func (w *Win) Put(r int, off int64, src []byte) error {
 	return nil
 }
 
-// Op is an accumulate operator.
-type Op int
-
-const (
-	// Sum adds source elements into the target (MPI_SUM).
-	Sum Op = iota
-	// Max keeps the element-wise maximum (MPI_MAX).
-	Max
-	// Min keeps the element-wise minimum (MPI_MIN).
-	Min
-	// Replace overwrites (MPI_REPLACE).
-	Replace
-)
-
-// Accumulate combines count elements of type dt from src into rank r's
-// window at byte offset off, element-wise and atomically per call
-// (MPI_Accumulate).
-func (w *Win) Accumulate(r int, off int64, src []byte, dt dtype.T, op Op) error {
+// Accumulate adds the elements of type dt in src into rank r's window
+// at byte offset off, element-wise and atomically per call
+// (MPI_Accumulate with MPI_SUM).
+func (w *Win) Accumulate(r int, off int64, src []byte, dt dtype.T) error {
 	if err := w.checkRank(r); err != nil {
 		return err
 	}
@@ -185,56 +163,11 @@ func (w *Win) Accumulate(r int, off int64, src []byte, dt dtype.T, op Op) error 
 	for i := 0; i < n; i++ {
 		sp := src[i*sz : (i+1)*sz]
 		tp := tgt[i*sz : (i+1)*sz]
-		switch op {
-		case Replace:
-			copy(tp, sp)
-		case Sum:
-			if dt == dtype.Complex64 || dt == dtype.Complex128 {
-				dtype.PutComplex(dt, tp, dtype.ComplexAt(dt, tp)+dtype.ComplexAt(dt, sp))
-			} else {
-				dtype.PutFloat64(dt, tp, dtype.Float64At(dt, tp)+dtype.Float64At(dt, sp))
-			}
-		case Max:
-			if dtype.Float64At(dt, sp) > dtype.Float64At(dt, tp) {
-				copy(tp, sp)
-			}
-		case Min:
-			if dtype.Float64At(dt, sp) < dtype.Float64At(dt, tp) {
-				copy(tp, sp)
-			}
-		default:
-			return fmt.Errorf("rma: unknown op %d", op)
+		if dt == dtype.Complex64 || dt == dtype.Complex128 {
+			dtype.PutComplex(dt, tp, dtype.ComplexAt(dt, tp)+dtype.ComplexAt(dt, sp))
+		} else {
+			dtype.PutFloat64(dt, tp, dtype.Float64At(dt, tp)+dtype.Float64At(dt, sp))
 		}
 	}
 	return nil
-}
-
-// CompareAndSwapInt64 atomically compares the int64 at off on rank r
-// with old and, if equal, stores new. It returns the prior value
-// (MPI_Compare_and_swap).
-func (w *Win) CompareAndSwapInt64(r int, off int64, oldV, newV int64) (int64, error) {
-	if err := w.checkRank(r); err != nil {
-		return 0, err
-	}
-	w.shared.locks[r].Lock()
-	defer w.shared.locks[r].Unlock()
-	if err := w.checkRange(r, off, 8); err != nil {
-		return 0, err
-	}
-	buf := w.shared.bufs[r][off : off+8]
-	cur := int64(le64(buf))
-	if cur == oldV {
-		putLE64(buf, uint64(newV))
-	}
-	return cur, nil
-}
-
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLE64(b []byte, v uint64) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
 }

@@ -60,13 +60,13 @@ func TestDifferentWindowSizes(t *testing.T) {
 			return err
 		}
 		defer w.Free()
+		// Each window holds exactly its own bytes.
 		for r := 0; r < 3; r++ {
-			n, err := w.Size(r)
-			if err != nil {
+			if err := w.Get(r, 0, make([]byte, r*10)); err != nil {
 				return err
 			}
-			if n != r*10 {
-				return fmt.Errorf("size(%d) = %d", r, n)
+			if err := w.Get(r, int64(r*10), make([]byte, 1)); err == nil {
+				return fmt.Errorf("read past rank %d's %d-byte window accepted", r, r*10)
 			}
 		}
 		// Out-of-range access errors cleanly.
@@ -98,7 +98,7 @@ func TestAccumulateSum(t *testing.T) {
 		src := make([]byte, 8)
 		dtype.PutFloat64(dtype.Float64, src, float64(c.Rank()+1))
 		for i := 0; i < 5; i++ {
-			if err := w.Accumulate(0, int64(c.Rank())*8, src, dtype.Float64, Sum); err != nil {
+			if err := w.Accumulate(0, int64(c.Rank())*8, src, dtype.Float64); err != nil {
 				return err
 			}
 		}
@@ -133,7 +133,7 @@ func TestAccumulateConcurrentAtomicity(t *testing.T) {
 		one := make([]byte, 8)
 		dtype.PutFloat64(dtype.Float64, one, 1)
 		for i := 0; i < iters; i++ {
-			if err := w.Accumulate(0, 0, one, dtype.Float64, Sum); err != nil {
+			if err := w.Accumulate(0, 0, one, dtype.Float64); err != nil {
 				return err
 			}
 		}
@@ -144,53 +144,6 @@ func TestAccumulateConcurrentAtomicity(t *testing.T) {
 			got := dtype.Float64At(dtype.Float64, local)
 			if got != ranks*iters {
 				return fmt.Errorf("sum = %v, want %d", got, ranks*iters)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAccumulateOps(t *testing.T) {
-	err := cluster.Run(2, func(c *cluster.Comm) error {
-		local := make([]byte, 8*3)
-		if c.Rank() == 0 {
-			dtype.PutFloat64(dtype.Float64, local[0:], 10)
-			dtype.PutFloat64(dtype.Float64, local[8:], 10)
-			dtype.PutFloat64(dtype.Float64, local[16:], 10)
-		}
-		w, err := Create(c, local)
-		if err != nil {
-			return err
-		}
-		defer w.Free()
-		if c.Rank() == 1 {
-			v := make([]byte, 8)
-			dtype.PutFloat64(dtype.Float64, v, 7)
-			if err := w.Accumulate(0, 0, v, dtype.Float64, Max); err != nil {
-				return err
-			}
-			if err := w.Accumulate(0, 8, v, dtype.Float64, Min); err != nil {
-				return err
-			}
-			if err := w.Accumulate(0, 16, v, dtype.Float64, Replace); err != nil {
-				return err
-			}
-		}
-		if err := w.Fence(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			if got := dtype.Float64At(dtype.Float64, local[0:]); got != 10 {
-				return fmt.Errorf("max = %v", got)
-			}
-			if got := dtype.Float64At(dtype.Float64, local[8:]); got != 7 {
-				return fmt.Errorf("min = %v", got)
-			}
-			if got := dtype.Float64At(dtype.Float64, local[16:]); got != 7 {
-				return fmt.Errorf("replace = %v", got)
 			}
 		}
 		return nil
@@ -214,7 +167,7 @@ func TestAccumulateComplex(t *testing.T) {
 		if c.Rank() == 1 {
 			v := make([]byte, 16)
 			dtype.PutComplex(dtype.Complex128, v, complex(10, 20))
-			if err := w.Accumulate(0, 0, v, dtype.Complex128, Sum); err != nil {
+			if err := w.Accumulate(0, 0, v, dtype.Complex128); err != nil {
 				return err
 			}
 		}
@@ -241,60 +194,14 @@ func TestAccumulateValidation(t *testing.T) {
 			return err
 		}
 		defer w.Free()
-		if err := w.Accumulate(0, 0, make([]byte, 7), dtype.Float64, Sum); err == nil {
+		if err := w.Accumulate(0, 0, make([]byte, 7), dtype.Float64); err == nil {
 			return errors.New("misaligned payload accepted")
 		}
-		if err := w.Accumulate(0, 0, make([]byte, 8), dtype.Invalid, Sum); err == nil {
+		if err := w.Accumulate(0, 0, make([]byte, 8), dtype.Invalid); err == nil {
 			return errors.New("invalid dtype accepted")
 		}
-		if err := w.Accumulate(0, 0, make([]byte, 8), dtype.Float64, Op(99)); err == nil {
-			return errors.New("unknown op accepted")
-		}
-		if err := w.Accumulate(0, 12, make([]byte, 8), dtype.Float64, Sum); err == nil {
+		if err := w.Accumulate(0, 12, make([]byte, 8), dtype.Float64); err == nil {
 			return errors.New("overflowing accumulate accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompareAndSwap(t *testing.T) {
-	const ranks = 6
-	winners := make([]bool, ranks)
-	err := cluster.Run(ranks, func(c *cluster.Comm) error {
-		local := make([]byte, 8) // an int64 lock word on rank 0
-		w, err := Create(c, local)
-		if err != nil {
-			return err
-		}
-		defer w.Free()
-		prev, err := w.CompareAndSwapInt64(0, 0, 0, int64(c.Rank())+1)
-		if err != nil {
-			return err
-		}
-		if prev == 0 {
-			winners[c.Rank()] = true
-		}
-		if err := w.Fence(); err != nil {
-			return err
-		}
-		// Exactly one winner, and the lock word holds its rank+1.
-		if c.Rank() == 0 {
-			n := 0
-			for _, won := range winners {
-				if won {
-					n++
-				}
-			}
-			if n != 1 {
-				return fmt.Errorf("%d CAS winners", n)
-			}
-			v := int64(le64(local))
-			if !winners[v-1] {
-				return fmt.Errorf("lock holds %d but that rank lost", v)
-			}
 		}
 		return nil
 	})

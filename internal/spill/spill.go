@@ -133,9 +133,6 @@ func Open(path string, budget int64) (*Store, error) {
 // Path returns the spill file's path.
 func (s *Store) Path() string { return s.path }
 
-// Budget returns the byte budget.
-func (s *Store) Budget() int64 { return s.budget }
-
 // Used returns the live spilled bytes (clean + dirty).
 func (s *Store) Used() int64 {
 	s.mu.Lock()
