@@ -20,6 +20,12 @@
 // into errors. A rank that fails or panics aborts its world, as
 // MPI_Abort does: every blocked receive returns with that rank's error,
 // so a failing rank cannot hang its peers.
+//
+// Ownership. A received payload belongs to the receiver. Send, Bcast
+// and Gather copy the caller's bytes into the message, so the caller may
+// reuse them at once. AlltoallvSparse, the bulk path of two-phase I/O,
+// copies nothing: it hands each send[r] over to rank r, and the caller
+// must not touch send[r] after the call.
 package cluster
 
 import (
@@ -152,14 +158,16 @@ func (c *Comm) Send(to, tag int, data []byte) error {
 	if tag < 0 {
 		return fmt.Errorf("cluster: user tags must be >= 0 (got %d)", tag)
 	}
-	return c.send(to, tag, data)
+	return c.send(to, tag, append([]byte(nil), data...))
 }
 
+// send hands data to rank `to` as the message itself: the in-process
+// transport enqueues the slice uncopied, so the caller gives it up.
 func (c *Comm) send(to, tag int, data []byte) error {
 	if to < 0 || to >= c.Size() {
 		return fmt.Errorf("cluster: send to rank %d of %d", to, c.Size())
 	}
-	m := message{from: c.rank, tag: tag, data: append([]byte(nil), data...)}
+	m := message{from: c.rank, tag: tag, data: data}
 	if c.world.remote != nil && to != c.rank {
 		return c.world.remote(c.rank, to, m)
 	}
@@ -240,7 +248,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 			if r == root {
 				continue
 			}
-			if err := c.send(r, tag, data); err != nil {
+			if err := c.send(r, tag, append([]byte(nil), data...)); err != nil {
 				return nil, err
 			}
 		}
@@ -255,7 +263,7 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	tag := c.collTag(opGather)
 	if c.rank != root {
-		return nil, c.send(root, tag, data)
+		return nil, c.send(root, tag, append([]byte(nil), data...))
 	}
 	out := make([][]byte, c.Size())
 	out[root] = append([]byte(nil), data...)
@@ -272,7 +280,8 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Allgather collects each rank's data at every rank.
+// Allgather collects each rank's data at every rank. The parts are
+// slices of one buffer the caller owns.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	all, err := c.Gather(0, data)
 	if err != nil {
@@ -300,9 +309,14 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 // state, so no communication is needed to agree. Like every
 // collective it runs in the reserved negative-tag space, so user
 // point-to-point traffic on the same communicator cannot cross-match
-// with its payloads. The self-payload out[me] aliases send[me] (no
-// defensive copy); sends never block, so send-all-then-receive cannot
+// with its payloads. Sends never block, so send-all-then-receive cannot
 // deadlock.
+//
+// Nothing is copied. Each non-empty send[r] is handed over to rank r:
+// the in-process transport enqueues the slice itself as the message
+// (RunTCP writes it to the socket), so the caller must not touch
+// send[r] after the call. Every out[r] belongs to the caller, to reuse
+// or send on; out[me] is send[me] itself.
 func (c *Comm) AlltoallvSparse(send [][]byte, expect []bool) ([][]byte, error) {
 	// Validate before consuming a collective sequence number: a failed
 	// local call must not desynchronize this rank's tags from its peers.
@@ -482,7 +496,9 @@ func packSlices(parts [][]byte) []byte {
 	return out
 }
 
-// unpackSlices inverts packSlices. The pack may come from a peer, so
+// unpackSlices inverts packSlices. The parts share the pack's memory:
+// each is a sub-slice of b, capped at its own length so an append to
+// one cannot overwrite the next. The pack may come from a peer, so
 // the count and every length are checked against the bytes that remain
 // (each slice needs at least its 8-byte length) before they size
 // anything.
@@ -505,7 +521,7 @@ func unpackSlices(b []byte) ([][]byte, error) {
 		if l > uint64(len(b)) {
 			return nil, errors.New("cluster: truncated pack payload")
 		}
-		out = append(out, append([]byte(nil), b[:l]...))
+		out = append(out, b[:l:l])
 		b = b[l:]
 	}
 	return out, nil

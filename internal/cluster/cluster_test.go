@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -538,6 +540,59 @@ func TestAlltoallvSparse(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAlltoallvSparseHandsOver: the in-process exchange hands each send
+// buffer to its receiver instead of copying it. Rank 0 sends a 1 MiB
+// buffer and rank 1 sends what it received straight back, so every
+// payload a rank receives must be the very buffer rank 0 allocated, and
+// an exchange must allocate well under 1 % of its payload.
+func TestAlltoallvSparseHandsOver(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const payload, trips = 1 << 20, 8
+	var allocated uint64
+	err := Run(2, func(c *Comm) error {
+		me, peer := c.Rank(), 1-c.Rank()
+		var buf []byte
+		if me == 0 {
+			buf = make([]byte, payload)
+			c.World().SharedPut("origin", &buf[0])
+		}
+		send, expect := make([][]byte, 2), make([]bool, 2)
+		var before, after runtime.MemStats
+		for i := range 2 * trips { // exchange i: rank i%2 sends
+			if i == 2 && me == 0 { // one round trip warmed the mailboxes
+				runtime.ReadMemStats(&before)
+			}
+			sender := i%2 == me
+			send[peer], expect[peer] = nil, !sender
+			if sender {
+				send[peer] = buf
+			}
+			got, err := c.AlltoallvSparse(send, expect)
+			if err != nil {
+				return err
+			}
+			if sender {
+				continue
+			}
+			origin, _ := c.World().SharedGet("origin")
+			if buf = got[peer]; len(buf) != payload || &buf[0] != origin.(*byte) {
+				return fmt.Errorf("exchange %d: received %d bytes in a copy, not the %d-byte buffer sent", i, len(buf), payload)
+			}
+		}
+		if me == 0 {
+			runtime.ReadMemStats(&after)
+			allocated = after.TotalAlloc - before.TotalAlloc
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per := allocated / (2*trips - 2); per >= payload/100 {
+		t.Fatalf("an exchange of a %d-byte payload allocated %d bytes, want < 1 %%", payload, per)
 	}
 }
 

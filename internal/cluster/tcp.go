@@ -192,7 +192,9 @@ func newTCPNet(w *World, n int) (*tcpNet, error) {
 	return t, nil
 }
 
-// send frames m and writes it on the from->to connection.
+// send writes m on the from->to connection: the header and the payload
+// go out as one vectored write (writev), so the payload is never copied
+// into a frame.
 func (t *tcpNet) send(from, to int, m message) error {
 	if len(m.data) > tcpMaxFrame {
 		return fmt.Errorf("cluster: tcp frame too large (%d bytes)", len(m.data))
@@ -201,20 +203,20 @@ func (t *tcpNet) send(from, to int, m message) error {
 	if conn == nil {
 		return fmt.Errorf("cluster: no tcp route %d->%d", from, to)
 	}
-	frame := make([]byte, tcpHeaderLen+len(m.data))
-	putU32(frame[0:], uint32(int32(m.tag)))
-	putU64(frame[4:], uint64(len(m.data)))
-	copy(frame[tcpHeaderLen:], m.data)
+	var hdr [tcpHeaderLen]byte
+	putU32(hdr[0:], uint32(int32(m.tag)))
+	putU64(hdr[4:], uint64(len(m.data)))
+	frame := net.Buffers{hdr[:], m.data}
 
 	mu := &t.mus[from][to]
 	mu.Lock()
-	_, err := conn.Write(frame)
+	n, err := frame.WriteTo(conn)
 	mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("cluster: tcp send %d->%d: %w", from, to, err)
 	}
 	t.msgs.Add(1)
-	t.bytes.Add(int64(len(frame)))
+	t.bytes.Add(n)
 	return nil
 }
 

@@ -39,8 +39,9 @@ import (
 // it is copied straight between the caller's segments and the staging
 // buffer and never enters the exchange. Only a piece owned by another
 // rank is packed into a per-peer send buffer, crosses
-// cluster.AlltoallvSparse (which copies it into the message) and is
-// copied out of the received payload on the far side. The staging
+// cluster.AlltoallvSparse by hand-off (the send buffer itself becomes
+// the receiver's payload, uncopied) and is copied out of that payload
+// on the far side. The staging
 // buffer holds the domain's coalesced union runs packed back-to-back,
 // which is the layout pfs.ReadV/WriteV take, so the aggregate phase is
 // ONE vectored call per aggregator: every per-server segment is queued
@@ -53,11 +54,15 @@ import (
 // (GetBuf) with UNSPECIFIED contents — nothing here zero-fills them,
 // which is sound because a write's staging is fully covered by pieces
 // and a read's staging is fully filled by ReadV/ReadThrough (the
-// poisoned-pool tests hold both to it). A send buffer returns to the
-// pool as soon as the exchange returns (the messages are copies); a
-// staging buffer returns when the aggregate write has landed, has been
-// absorbed (under write-behind the extent cache copies the runs into
-// its own memory), or the last piece has been copied out of it.
+// poisoned-pool tests hold both to it). A send buffer goes to its
+// receiver: the exchange hands it over, and the sender never touches it
+// again. The receiver returns every payload it got to the pool once
+// Phase 2 has consumed it, in both directions, so in the steady state a
+// remote piece allocates nothing — the pool that fed the sender refills
+// on the receiver. A staging buffer returns when the aggregate write
+// has landed, has been absorbed (under write-behind the extent cache
+// copies the runs into its own memory), or the last piece has been
+// copied out of it.
 //
 // GOMAXPROCS workers (internal/par) fan out the stages whose items are
 // independent — carving each rank's pieces, packing each peer's read
@@ -86,9 +91,10 @@ import (
 // later reads.
 type Buf struct{ B []byte }
 
-// bufPool holds the collective's staging and send buffers and drxmp's
-// section scratch. A buffer too small for its taker is regrown in
-// place, so the pool converges on the largest transfer in flight.
+// bufPool holds the collective's staging buffers, the exchange payloads
+// its receivers hand back (recycle) and drxmp's section scratch. A
+// buffer too small for its taker is regrown in place, so the pool
+// converges on the largest transfer in flight.
 var bufPool = sync.Pool{New: func() any { return new(Buf) }}
 
 // GetBuf takes an n-byte buffer from the pool.
@@ -106,6 +112,18 @@ func GetBuf(n int64) *Buf {
 func (b *Buf) Release() {
 	if b != nil {
 		bufPool.Put(b)
+	}
+}
+
+// recycle returns the payloads a sparse exchange handed this rank to
+// the pool, once Phase 2 has consumed them: the senders gave them up,
+// so the pool that fed a sender refills here. recv[me] is the caller's
+// own send[me] and is never taken.
+func recycle(recv [][]byte, me int) {
+	for r, p := range recv {
+		if r != me && p != nil {
+			bufPool.Put(&Buf{B: p})
+		}
 	}
 }
 
@@ -280,17 +298,11 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	}
 
 	// Only remote payloads cross the exchange: send[me] stays nil and
-	// expect[me] false, on both sides of both directions.
+	// expect[me] false, on both sides of both directions. The exchange
+	// hands every send buffer to its receiver, which returns it to the
+	// pool once Phase 2 has consumed it (recycle).
 	send := make([][]byte, size)
-	sendBufs := make([]*Buf, size)
 	expect := make([]bool, size)
-	exchange := func() ([][]byte, error) {
-		recv, err := f.comm.AlltoallvSparse(send, expect)
-		for _, b := range sendBufs { // the messages are copies
-			b.Release()
-		}
-		return recv, err
-	}
 
 	if write {
 		// Phase 1: pack the pieces other ranks aggregate, one buffer per
@@ -299,8 +311,7 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 		fill := make([]int64, size)
 		for owner, n := range bytesTo[me] {
 			if owner != me && n > 0 {
-				sendBufs[owner] = GetBuf(n)
-				send[owner] = sendBufs[owner].B
+				send[owner] = GetBuf(n).B
 			}
 		}
 		cur := pfs.Cursor{Mem: mem}
@@ -315,7 +326,7 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 		for r := range expect {
 			expect[r] = r != me && bytesTo[r][me] > 0
 		}
-		recv, err := exchange()
+		recv, err := f.comm.AlltoallvSparse(send, expect)
 		if err != nil {
 			return err
 		}
@@ -324,7 +335,9 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 		// coalesced union back with large contiguous requests. All ranks
 		// agree on the outcome so a server failure surfaces on every
 		// member of the collective.
-		return f.agree(f.aggregateWrite(placedBy, recv, mem))
+		err = f.aggregateWrite(placedBy, recv, mem)
+		recycle(recv, me)
+		return f.agree(err)
 	}
 
 	// Read. Phase 1: as aggregator, fetch my domain's coalesced union
@@ -338,8 +351,7 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	defer stage.release()
 	for r := range send {
 		if n := bytesTo[r][me]; r != me && n > 0 {
-			sendBufs[r] = GetBuf(n)
-			send[r] = sendBufs[r].B
+			send[r] = GetBuf(n).B
 		}
 	}
 	_ = par.Do(workers, size, func(r int) error {
@@ -358,10 +370,11 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	for owner, n := range bytesTo[me] {
 		expect[owner] = owner != me && n > 0
 	}
-	recv, err := exchange()
+	recv, err := f.comm.AlltoallvSparse(send, expect)
 	if err != nil {
 		return err
 	}
+	defer recycle(recv, me)
 	// Phase 2: fill mem in piece order — my own domain's pieces straight
 	// from the staging buffer, the others from each aggregator's payload
 	// (both sides walked the placed list in the same order).

@@ -308,10 +308,16 @@ func (s Stats) Sub(t Stats) Stats {
 	return out
 }
 
+// memPage is the Mem backend's unit of growth. A server's bytes live in
+// fixed pages, each allocated on its first store and read as zeros
+// until then, so a store far past the end allocates one page and growth
+// never re-copies stored bytes.
+const memPage = 64 << 10
+
 // server is one I/O server: a growable byte store plus accounting.
 type server struct {
 	mu      sync.Mutex
-	mem     []byte   // Mem backend
+	mem     [][]byte // Mem backend: memPage-byte pages, nil until stored
 	f       *os.File // Disk backend
 	size    int64    // bytes stored on this server
 	lastEnd int64    // end offset of the previous request (seek detection)
@@ -384,12 +390,17 @@ func (sv *server) storeLocked(p []byte, off int64) error {
 			return err
 		}
 	} else {
-		if need := off + int64(len(p)); need > int64(len(sv.mem)) {
-			// append zero-fills only the new tail, not the part the old
-			// bytes are about to be copied over.
-			sv.mem = append(sv.mem, make([]byte, need+need/4-int64(len(sv.mem)))...)
+		if last := (off + int64(len(p)) - 1) / memPage; len(p) > 0 && last >= int64(len(sv.mem)) {
+			sv.mem = append(sv.mem, make([][]byte, last+1-int64(len(sv.mem)))...)
 		}
-		copy(sv.mem[off:], p)
+		for at, q := off, p; len(q) > 0; {
+			page := &sv.mem[at/memPage]
+			if *page == nil {
+				*page = make([]byte, memPage)
+			}
+			n := copy((*page)[at%memPage:], q)
+			at, q = at+int64(n), q[n:]
+		}
 	}
 	if end := off + int64(len(p)); end > sv.size {
 		sv.size = end
@@ -399,19 +410,27 @@ func (sv *server) storeLocked(p []byte, off int64) error {
 
 // loadLocked fills p from the backend at off (holes and regions past
 // the per-server EOF read as zeros), with no accounting: stored bytes
-// are copied in and only the tail past them is zeroed. Must be called
-// with sv.mu held.
+// are copied in and only what lies past them, or in a page never
+// stored, is zeroed. Must be called with sv.mu held.
 func (sv *server) loadLocked(p []byte, off int64) error {
-	n := 0
-	if sv.f != nil {
-		if off < sv.size {
-			n = int(min(int64(len(p)), sv.size-off))
-			if _, err := sv.f.ReadAt(p[:n], off); err != nil {
-				return err
+	if sv.f == nil {
+		for at, q := off, p; len(q) > 0; {
+			n := min(len(q), int(memPage-at%memPage))
+			if i := at / memPage; i < int64(len(sv.mem)) && sv.mem[i] != nil {
+				copy(q[:n], sv.mem[i][at%memPage:])
+			} else {
+				clear(q[:n])
 			}
+			at, q = at+int64(n), q[n:]
 		}
-	} else if off < int64(len(sv.mem)) {
-		n = copy(p, sv.mem[off:])
+		return nil
+	}
+	n := 0
+	if off < sv.size {
+		n = int(min(int64(len(p)), sv.size-off))
+		if _, err := sv.f.ReadAt(p[:n], off); err != nil {
+			return err
+		}
 	}
 	clear(p[n:])
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -62,6 +63,61 @@ func TestHolesReadZero(t *testing.T) {
 			t.Fatalf("hole byte %d = %d", i, b)
 		}
 	}
+}
+
+// TestMemPages: the Mem backend grows by memPage pages. A store far
+// past a server's end allocates the page it lands in, not the gap
+// before it; a page never stored, and the region past the last page,
+// read as zeros. One server with a one-page stripe makes server offsets
+// logical offsets.
+func TestMemPages(t *testing.T) {
+	t.Run("far-write-allocates-one-page", func(t *testing.T) {
+		fs := memFS(t, 1, memPage, CostModel{})
+		if _, err := fs.WriteAt([]byte{1}, 0); err != nil { // warms the dispatch
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := fs.WriteAt([]byte{7}, 64<<20); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2*memPage {
+			t.Fatalf("a 1-byte write at 64 MiB allocated %d bytes, want <= %d", got, 2*memPage)
+		}
+		got := make([]byte, 1)
+		if _, err := fs.ReadAt(got, 64<<20); err != nil || got[0] != 7 {
+			t.Fatalf("read back %v, %v", got, err)
+		}
+	})
+	t.Run("hole-read-zeros", func(t *testing.T) {
+		fs := memFS(t, 1, memPage, CostModel{})
+		// Page 0 ends in a written run, page 1 is never stored, page 2
+		// holds a run past a stored gap, and page 3 lies past the end.
+		shadow := make([]byte, 4*memPage)
+		for _, w := range []struct {
+			off int64
+			n   int
+		}{{memPage - 100, 100}, {2*memPage + 10, 50}} {
+			for i := range w.n {
+				shadow[w.off+int64(i)] = byte(i + 1)
+			}
+			if _, err := fs.WriteAt(shadow[w.off:w.off+int64(w.n)], w.off); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := bytes.Repeat([]byte{0xFF}, 3*memPage+100)
+		if _, err := fs.ReadAt(got, memPage-100); err != nil {
+			t.Fatal(err)
+		}
+		if want := shadow[memPage-100 : 4*memPage]; !bytes.Equal(got, want) {
+			i := 0
+			for got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("byte at %d = %#x, want %#x", memPage-100+i, got[i], want[i])
+		}
+	})
 }
 
 func TestNegativeOffsets(t *testing.T) {
