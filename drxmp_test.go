@@ -625,3 +625,42 @@ func TestDistArrayPutSection(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriteKeepsCacheWarm: an independent write updates the cache's
+// clean copy of the bytes it writes, so re-reading a box just written
+// over a warm cache is served from memory — no miss, no sieve fetch —
+// and returns the written bytes.
+func TestWriteKeepsCacheWarm(t *testing.T) {
+	const n = 64
+	f, err := Create(cluster.Self(), "warm-write", Options{
+		DType: Float64, ChunkShape: []int{8, 8}, Bounds: []int{n, n},
+		FS:     pfs.Options{Servers: 2, StripeSize: 512},
+		Tuning: Tuning{CacheBytes: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.ReadSection(NewBox([]int{0, 0}, []int{n, n}), make([]byte, n*n*8), RowMajor); err != nil {
+		t.Fatal(err)
+	}
+	misses, sieves := f.CacheStats().Misses, f.FS().Stats().SieveReads()
+	box := NewBox([]int{5, 9}, []int{37, 50})
+	data := make([]byte, box.Volume()*8)
+	for i := range data {
+		data[i] = byte(i*7 + 3)
+	}
+	if err := f.WriteSection(box, data, RowMajor); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(data))
+	if err := f.ReadSection(box, got, RowMajor); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("re-read of the written box differs from what was written")
+	}
+	if m, s := f.CacheStats().Misses, f.FS().Stats().SieveReads(); m != misses || s != sieves {
+		t.Fatalf("re-read of a box written over a warm cache missed: misses %d -> %d, sieve reads %d -> %d", misses, m, sieves, s)
+	}
+}

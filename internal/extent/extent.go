@@ -77,6 +77,22 @@ func Holes(span Run, cover []Run) []Run {
 	return out
 }
 
+// Intersect returns the bytes both a run of runs and cover span, in the
+// order of runs. cover must be sorted by offset and pairwise
+// non-overlapping, as for Holes; runs may come in any order.
+func Intersect(runs, cover []Run) []Run {
+	var out []Run
+	for _, r := range runs {
+		i := sort.Search(len(cover), func(k int) bool { return cover[k].End() > r.Off })
+		for ; i < len(cover) && cover[i].Off < r.End(); i++ {
+			if lo, hi := max(r.Off, cover[i].Off), min(r.End(), cover[i].End()); hi > lo {
+				out = append(out, Run{Off: lo, Len: hi - lo})
+			}
+		}
+	}
+	return out
+}
+
 // Align widens r to unit boundaries: the start rounds down and the end
 // rounds up to multiples of unit. unit <= 1 returns r unchanged.
 func Align(r Run, unit int64) Run {

@@ -135,6 +135,58 @@ func TestHolesProperty(t *testing.T) {
 	}
 }
 
+// TestIntersectProperty: for disjoint runs in any order and a coalesced
+// cover, Intersect returns exactly the bytes both cover, each inside the
+// run it came from, in the order of the runs.
+func TestIntersectProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		var runs []Run
+		for at := int64(rng.Intn(40)); at < 300 && len(runs) < 6; at += int64(1 + rng.Intn(40)) {
+			n := int64(1 + rng.Intn(50))
+			runs = append(runs, Run{Off: at, Len: n})
+			at += n
+		}
+		rng.Shuffle(len(runs), func(i, j int) { runs[i], runs[j] = runs[j], runs[i] })
+		var raw []Run
+		for i := 0; i < rng.Intn(8); i++ {
+			raw = append(raw, Run{Off: int64(rng.Intn(350)), Len: int64(rng.Intn(60))})
+		}
+		cover := Coalesce(raw)
+		in := func(b int64, rs []Run) int {
+			for i, r := range rs {
+				if b >= r.Off && b < r.End() {
+					return i
+				}
+			}
+			return -1
+		}
+		got := make(map[int64]bool)
+		from := 0 // the run the last piece came from
+		for _, p := range Intersect(runs, cover) {
+			if p.Len <= 0 {
+				t.Fatalf("trial %d: empty piece %+v", trial, p)
+			}
+			k := in(p.Off, runs)
+			if k < from {
+				t.Fatalf("trial %d: piece %+v out of the runs' order", trial, p)
+			}
+			from = k
+			for b := p.Off; b < p.End(); b++ {
+				if in(b, runs) != k || in(b, cover) < 0 || got[b] {
+					t.Fatalf("trial %d: piece %+v byte %d is outside its run, uncovered or repeated", trial, p, b)
+				}
+				got[b] = true
+			}
+		}
+		for b := int64(0); b < 400; b++ {
+			if in(b, runs) >= 0 && in(b, cover) >= 0 && !got[b] {
+				t.Fatalf("trial %d: byte %d of both lists missing", trial, b)
+			}
+		}
+	}
+}
+
 // TestHolesFixed pins hand-checked hole cases.
 func TestHolesFixed(t *testing.T) {
 	cases := []struct {

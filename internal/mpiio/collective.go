@@ -78,13 +78,14 @@ import (
 // extent cache (filecache.go — one cache per store, used by every
 // rank's handle), merging with the unions of earlier collectives, and
 // the cache flushes in large vectored sweeps on the watermark, on
-// Sync/Close, or on budget-pressure eviction. The collective's global union is punched
-// out of the cache exactly once before the exchange (PunchOnce), so
-// stale data for ranges whose domain ownership moved cannot outlive the
-// collective that rewrote them. With a cache budget the read side
-// goes through the same cache: aggregateRead serves cached stripes
-// (clean or deferred-dirty) from memory and sieve-fetches only the
-// holes, so a collective read needs no coherence round of its own.
+// Sync/Close, or on budget-pressure eviction. The collective's global
+// union loses its dirty and spilled bytes exactly once before the
+// exchange (PunchOnce), so stale deferred data for ranges whose domain
+// ownership moved cannot outlive the collective that rewrote them.
+// With a cache budget the read side goes through the same cache:
+// aggregateRead serves cached stripes (clean or deferred-dirty) from
+// memory and sieve-fetches only the holes, so a collective read needs
+// no coherence round of its own.
 
 // Buf is a byte buffer from the package's pool. B has the requested
 // length and UNSPECIFIED contents: the taker overwrites every byte it
@@ -273,13 +274,14 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	myPlaced := placedBy[me]
 	f.attrLocality(placedBy)
 
-	// Unified-cache coherence. A write punches its global union — the
-	// exact byte set about to move — out of the cache, clean and dirty
-	// extents alike, exactly once (PunchOnce: stale data for re-homed
-	// ranges is discarded before any aggregator absorbs or writes its
-	// replacement). A read needs nothing here: with a budget the
-	// aggregators' ReadThrough serves deferred dirty extents from memory,
-	// and without one there are none.
+	// Unified-cache coherence. A write discards the dirty and spilled
+	// bytes of its global union — the exact byte set about to move —
+	// exactly once (PunchOnce: stale deferred data for re-homed ranges
+	// is gone before any aggregator absorbs or writes its replacement);
+	// each aggregator's absorb or direct write then settles the clean
+	// copies of its own domain. A read needs nothing here: with a budget
+	// the aggregators' ReadThrough serves deferred dirty extents from
+	// memory, and without one there are none.
 	c := f.sharedCache()
 	if f.caching() {
 		// Resolve (and on the first caching collective, create) the
@@ -598,14 +600,10 @@ func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error
 		return nil
 	}
 	// The packed staging layout is exactly WriteV's: one vectored call
-	// dispatches every per-server segment of the domain at once. The
-	// post-write punch closes the sieve-fetch race exactly as on the
-	// independent path (File.punch).
-	if _, err := f.fs.WriteV(runs, s.data); err != nil {
-		return err
-	}
-	f.punch(runs)
-	return nil
+	// dispatches every per-server segment of the domain at once, and the
+	// cache's clean copies of the domain take its bytes as on the
+	// independent path.
+	return f.WriteV(runs, Contig(s.data))
 }
 
 // --- run wire encoding (fixed 16 bytes per run) ---

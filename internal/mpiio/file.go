@@ -67,7 +67,7 @@ func (f *File) cache() *fileCache {
 }
 
 // sharedCache returns the file's shared cache without creating one —
-// Sync, the stats and the write punches use it, so a handle that never
+// Sync, the stats and the direct writes use it, so a handle that never
 // resolved the cache still sees the one the other handles share.
 func (f *File) sharedCache() *fileCache {
 	c := f.fc.Load()
@@ -188,21 +188,6 @@ func (f *File) CacheStats() CacheStats {
 	return CacheStats{}
 }
 
-// punch discards runs from the shared cache, clean and dirty alike, in
-// both tiers — the write side of the cache's coherence. A direct store
-// write (WriteV, the collective aggregateWrite) punches its runs twice.
-// Before the write, so neither a later flush nor a cached re-read can
-// resurrect superseded bytes. After it, because a sieve fetch that
-// started after the first punch may have read the store before the
-// write landed: the second punch enters its guard if it is still out,
-// and removes the stale clean bytes it inserted if it is not. No-op
-// without a cache.
-func (f *File) punch(runs []pfs.Run) {
-	if w := f.sharedCache(); w != nil {
-		w.PunchV(runs)
-	}
-}
-
 // ReadV reads the coalesced runs into mem (their bytes packed
 // back-to-back fill its segments in order): through the shared cache
 // when the handle has a budget — covered bytes, dirty or clean, come
@@ -217,15 +202,22 @@ func (f *File) ReadV(runs []pfs.Run, mem Vec) error {
 }
 
 // WriteV writes the coalesced runs from mem (its segments,
-// concatenated, supply the runs' bytes), punching the runs out of the
-// shared cache before and after the store write.
+// concatenated, supply the runs' bytes) straight to the store. With a
+// shared cache, the write goes through its BeginWrite/EndWrite pair:
+// the cache discards its dirty and spilled bytes of the runs before the
+// store write and copies the written bytes into its clean copies of
+// them after it, so a re-read of what this process just wrote stays
+// warm. No-op on the cache without one.
 func (f *File) WriteV(runs []pfs.Run, mem Vec) error {
-	f.punch(runs)
-	if _, err := f.fs.WriteVec(runs, mem); err != nil {
+	w := f.sharedCache()
+	if w == nil {
+		_, err := f.fs.WriteVec(runs, mem)
 		return err
 	}
-	f.punch(runs)
-	return nil
+	g := w.BeginWrite(runs)
+	_, err := f.fs.WriteVec(runs, mem)
+	w.EndWrite(g, runs, mem, err == nil)
+	return err
 }
 
 // Open returns a handle on fs for this process. It is collective only

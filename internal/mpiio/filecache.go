@@ -36,10 +36,17 @@ import (
 //   - Extents are sorted by offset and pairwise disjoint. Dirty extents
 //     are additionally non-adjacent to each other (absorbs merge);
 //     clean extents may sit adjacent to anything.
-//   - Writes PUNCH overlapping extents of either color — stale clean
-//     data may not survive the write that superseded it, exactly as
-//     stale dirty data may not (collective writes punch their global
-//     union once via PunchOnce, independent writes punch their runs).
+//   - Writes UPDATE the clean memory copies of what they write and
+//     discard the dirty, spilled and conflicting ones. A direct store
+//     write (BeginWrite, EndWrite) copies its bytes into every clean
+//     extent it overlaps once the store has them, so a process that
+//     re-reads what it just wrote hits memory, as a write to a pooled
+//     page does in a buffer pool; dirty and spilled bytes over its runs
+//     are discarded before it, clean bytes another write overlapped
+//     while it was out are punched after it, and uncached bytes stay
+//     uncached. An absorb punches the clean extents it overlaps and
+//     merges with the dirty ones; a collective discards the dirty and
+//     spilled bytes of its global union once (PunchOnce).
 //   - Reads go through ReadThrough, which serves dirty bytes straight
 //     from memory — no coherence flush is needed because a flush never
 //     removes data: a sweep writes the dirty bytes back and marks the
@@ -51,11 +58,13 @@ import (
 //     bytes alone exceed the budget, the least-recently-used dirty
 //     extents flush-on-evict through the same vectored pfs.FlushV
 //     sweep and then evict as clean.
-//   - Every in-flight sieve fetch holds a GUARD that collects the
-//     ranges punched or absorbed while its store read is out;
-//     the fetch serves its caller but inserts only outside those ranges,
-//     so pre-write store bytes can never enter the cache as clean — and
-//     a write to a disjoint range costs the fetch nothing.
+//   - Every in-flight sieve fetch and direct write holds a GUARD that
+//     collects the ranges punched, absorbed or written while its store
+//     call is out. A fetch serves its caller but inserts only outside
+//     those ranges, so pre-write store bytes can never enter the cache
+//     as clean; a write punches its clean copies of them, since two
+//     overlapping writes may land on the store in either order. A
+//     write to a disjoint range costs either nothing.
 //
 // Cost: the extent list stays a sorted slice, searched by galloping
 // binary search and punched by one vectored window splice
@@ -188,8 +197,8 @@ func (s CacheStats) Sub(t CacheStats) CacheStats {
 // cache registers with the pfs store, share it).
 //
 // Lock order: flushMu before mu, never the reverse. flushMu serializes
-// flush sweeps END TO END, so a punch that discarded dirty bytes can
-// wait out the sweep that may still be writing them (PunchV).
+// flush sweeps END TO END, so a write that discarded dirty bytes can
+// wait out the sweep that may still be writing them (BeginWrite).
 type fileCache struct {
 	fs *pfs.FS
 
@@ -198,11 +207,11 @@ type fileCache struct {
 	mu       sync.Mutex
 	ext      []*cext              // sorted by off, pairwise disjoint
 	lru      [2]extent.LRU[*cext] // recency order of the clean [0] and dirty [1] extents
-	tmp      []*cext              // PunchV's window scratch
+	tmp      []*cext              // punchMemLocked's window scratch
 	dirty    int64                // buffered dirty bytes
 	total    int64                // buffered bytes, clean + dirty
 	arrivals int                  // ranks arrived at PunchOnce in this collective
-	guards   []*fetchGuard        // the sieve fetches in flight
+	guards   []*fetchGuard        // the sieve fetches and direct writes in flight
 	clock    int64                // LRU clock
 
 	// Cache memory (filecache_mem.go): the free buffers by size class,
@@ -406,7 +415,7 @@ func (w *fileCache) Absorb(off int64, p []byte) {
 	defer w.mu.Unlock()
 	w.stats.Absorbed += int64(len(p))
 	w.clock++
-	w.punchLocked([]pfs.Run{{Off: off, Len: int64(len(p))}}, true)
+	w.punchLocked([]pfs.Run{{Off: off, Len: int64(len(p))}}, punchClean)
 	w.mergeDirtyLocked(off, p, nil, w.clock)
 }
 
@@ -501,28 +510,30 @@ func (w *fileCache) takeLocked(victims []*cext) {
 	w.ext = slices.DeleteFunc(w.ext, func(e *cext) bool { return !e.node.Linked() })
 }
 
-// PunchOnce punches every run of a collective write's global union,
-// exactly once per collective: every rank calls it (in lockstep
-// program order, before its exchange phase) with the communicator
-// size, the FIRST arrival executes the punch, and later arrivals —
-// which may already have raced past other ranks' absorbs — are
-// no-ops; the nranks-th arrival resets the counter for the next
+// PunchOnce discards the dirty and spilled bytes of a collective
+// write's global union, exactly once per collective: every rank calls
+// it (in lockstep program order, before its exchange phase) with the
+// communicator size, the FIRST arrival executes the discard, and later
+// arrivals — which may already have raced past other ranks' absorbs —
+// are no-ops; the nranks-th arrival resets the counter for the next
 // collective. Arrival counting needs no per-handle state, so handles
 // opened at different times on the same store stay correct. It relies
 // on collectives being serialized per file (every rank leaves
 // collective k through its agreement round before any enters k+1), so
 // arrivals of different collectives never interleave. The guard and
-// the punches form ONE critical section: a skipped rank may proceed
-// straight to its absorb, and the executed punch must be complete —
-// not in flight — by then, or it would destroy freshly absorbed
-// bytes.
+// the discard form ONE critical section: a skipped rank may proceed
+// straight to its absorb, and the executed discard must be complete —
+// not in flight — by then, or it would destroy freshly absorbed bytes.
+// Clean memory extents are left to the aggregators: an absorb punches
+// the clean ones it overlaps, and a direct write updates them
+// (BeginWrite, EndWrite).
 //
-// Unlike PunchV, PunchOnce never waits out the sweeps in flight, and
-// needs no such barrier. PunchV waits because its caller goes on to
-// write the store directly, and that write must land after any sweep
-// still writing older dirty bytes of the same runs. A collective write
-// never does both. With write-behind on, it only absorbs: its bytes
-// reach the store in a later sweep, and sweeps run one at a time
+// Unlike BeginWrite, PunchOnce never waits out the sweeps in flight,
+// and needs no such barrier. BeginWrite waits because its caller goes
+// on to write the store directly, and that write must land after any
+// sweep still writing older dirty bytes of the same runs. A collective
+// write never does both. With write-behind on, it only absorbs: its
+// bytes reach the store in a later sweep, and sweeps run one at a time
 // (flushMu), so the older sweep's write lands first. With write-behind
 // off, it writes the store directly, but then the cache holds no dirty
 // bytes, so no sweep can be writing any: write-behind requires a
@@ -533,7 +544,7 @@ func (w *fileCache) PunchOnce(nranks int, runs []pfs.Run) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.arrivals == 0 {
-		w.punchLocked(runs, false)
+		w.punchLocked(runs, punchDirty)
 	}
 	w.arrivals++
 	if w.arrivals >= nranks {
@@ -541,47 +552,125 @@ func (w *fileCache) PunchOnce(nranks int, runs []pfs.Run) {
 	}
 }
 
-// PunchV discards the cached bytes of every run, clean and dirty alike,
-// in both tiers and under one lock hold: extents fully inside a run are
-// dropped, extents straddling a boundary are trimmed or split. Used by
-// independent writes, before the store write (the file copy is about to
-// become newer than the cache) and again after it (File.punch).
+// BeginWrite opens a direct store write of runs — File.WriteV, or a
+// collective aggregator without write-behind — and returns the write's
+// guard, which the caller hands to EndWrite once the store write has
+// returned. Under one mu hold it discards the dirty memory extents and
+// every spill entry over runs (the write supersedes them), notes runs
+// in the guards in flight and registers the write's own guard, which
+// collects the writes that overlap this one while it is out.
 //
 // A flush sweep that picked up dirty bytes of these runs before the
-// punch may still be writing them, and the caller's store write has to
-// land AFTER it or the sweep's older bytes would win on the store. So a
-// punch that discarded dirty bytes waits out the sweeps in flight.
-func (w *fileCache) PunchV(runs []pfs.Run) {
+// discard may still be writing them, and the caller's store write has
+// to land AFTER it or the sweep's older bytes would win on the store.
+// So a BeginWrite that discarded dirty bytes waits out the sweeps in
+// flight.
+func (w *fileCache) BeginWrite(runs []pfs.Run) *fetchGuard {
 	w.mu.Lock()
 	was := w.dirtyLocked()
-	w.punchLocked(runs, false)
+	w.punchLocked(runs, punchDirty)
 	wait := w.dirtyLocked() < was
+	g := &fetchGuard{}
+	w.guards = append(w.guards, g)
 	w.mu.Unlock()
 	if wait {
 		w.flushMu.Lock()
 		w.flushMu.Unlock() // a barrier, not a critical section
 	}
+	return g
 }
 
-// punchLocked removes runs from the cached extents; cleanOnly restricts
-// the memory tier to clean extents (the absorb path, which merges dirty
-// overlaps itself). Untouched extents keep their identity (pointer),
-// which the flush paths rely on; trimmed remainders are new extents
-// sharing the old buffer, linked before the punched extent lets go of
-// it (the other order could free it under them). Every punch means
-// "this range is about to be superseded", so the fetches in flight
-// learn of it and the spill tier loses it too — all colors even on the
-// cleanOnly path (an absorb's new dirty bytes supersede older spilled
-// dirty bytes exactly as they supersede clean ones; the memory-side
-// dirty overlap is what merges, and it is never in the spill tier at
-// the same time).
-func (w *fileCache) punchLocked(runs []pfs.Run, cleanOnly bool) {
+// EndWrite closes the direct store write BeginWrite opened; mem holds
+// the runs' bytes packed back-to-back, as the write took them, and ok
+// reports whether the store write succeeded. It retires the write's
+// guard and notes runs in the guards in flight again: a fetch that
+// started after BeginWrite may have read the store before the write
+// landed.
+//
+// After a successful write the cache keeps what it holds warm. The
+// spill tier loses runs (an extent demoted mid-write carries pre-write
+// bytes); every CLEAN memory extent over runs takes the written bytes
+// from mem; then the clean bytes of runs that another write overlapped
+// while this one was out are punched, since the two may have landed on
+// the store in either order. Only clean extents are written into — a
+// flush sweep reads dirty buffers outside mu — and uncached bytes stay
+// uncached. After a failed write, which may have landed on some servers
+// and not others, runs are punched in both tiers.
+func (w *fileCache) EndWrite(g *fetchGuard, runs []pfs.Run, mem Vec, ok bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.endGuard(g)
+	if !ok {
+		w.punchLocked(runs, punchAll)
+		return
+	}
 	w.noteWrite(runs...)
 	if w.spill != nil {
 		w.spill.PunchV(runs)
 	}
+	w.updateCleanLocked(runs, mem)
+	if len(g.wrote) > 0 {
+		w.punchMemLocked(extent.Intersect(runs, extent.Coalesce(g.wrote)), punchClean)
+	}
+}
+
+// updateCleanLocked copies the bytes of runs, packed back-to-back in
+// mem, into every clean memory extent they overlap. Must be called with
+// w.mu held.
+func (w *fileCache) updateCleanLocked(runs []pfs.Run, mem Vec) {
+	cur := pfs.Cursor{Mem: mem}
+	k := 0
+	for _, r := range runs {
+		pos := r.Off // the cursor stands at this byte of r
+		if k > 0 && w.ext[k-1].end() > r.Off {
+			k = 0 // runs out of order: no search hint
+		}
+		for k = extent.Find(w.ext, r.Off, k); k < len(w.ext) && w.ext[k].off < r.End(); k++ {
+			e := w.ext[k]
+			if !e.dirty {
+				lo, hi := max(e.off, r.Off), min(e.end(), r.End())
+				cur.Skip(lo - pos)
+				cur.Move(e.data[lo-e.off:hi-e.off], false)
+				pos = hi
+			}
+			if e.end() > r.End() {
+				break // e may overlap the next run too: the hint stays on it
+			}
+		}
+		cur.Skip(r.End() - pos)
+	}
+}
+
+// Which colors a punch removes from the memory tier; the spill tier
+// always loses the whole range.
+const (
+	punchClean = 1 << iota
+	punchDirty
+	punchAll = punchClean | punchDirty
+)
+
+// punchLocked removes runs from the cache: from the spill tier in every
+// color, and from the memory tier in the colors given (punchClean for
+// an absorb, which merges dirty overlaps itself; punchDirty for a write
+// that updates the clean copies; punchAll for a failed write). Every
+// punch means "this range is being superseded", so the guards in flight
+// learn of it too. Must be called with w.mu held.
+func (w *fileCache) punchLocked(runs []pfs.Run, colors int) {
+	w.noteWrite(runs...)
+	if w.spill != nil {
+		w.spill.PunchV(runs)
+	}
+	w.punchMemLocked(runs, colors)
+}
+
+// punchMemLocked removes runs from the memory extents of the given
+// colors. Untouched extents keep their identity (pointer), which the
+// flush paths rely on; trimmed remainders are new extents sharing the
+// old buffer, linked before the punched extent lets go of it (the other
+// order could free it under them).
+func (w *fileCache) punchMemLocked(runs []pfs.Run, colors int) {
 	w.ext, w.tmp = extent.PunchV(w.ext, w.tmp, runs, func(e *cext, hole pfs.Run, out []*cext) []*cext {
-		if cleanOnly && e.dirty {
+		if colors&(1<<e.color()) == 0 {
 			return append(out, e)
 		}
 		if e.off < hole.Off { // keep the left remainder
@@ -813,9 +902,10 @@ type hole struct {
 	off, n, bufAt int64
 }
 
-// fetchGuard is one sieve fetch in flight: wrote collects every range
-// punched or absorbed while the store read is out (under
-// w.mu), and the fetch inserts only outside them.
+// fetchGuard is one sieve fetch or direct write in flight: wrote
+// collects every range punched, absorbed or written while its store
+// call is out (under w.mu). A fetch inserts only outside those ranges;
+// a write punches its clean copies of them (EndWrite).
 type fetchGuard struct{ wrote []pfs.Run }
 
 // uncovered returns the sub-ranges of span that neither tier holds, at
@@ -847,11 +937,52 @@ func (w *fileCache) uncovered(span pfs.Run) []pfs.Run {
 // File.ReadV and the collective aggregateRead route through here
 // whenever the handle has one (File.caching).
 func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
-	// Phase 1: serve what the cache covers, collect the holes. Spill
-	// hits promote FIRST — still under this same mu hold, so the hole
-	// computation below sees the promoted extents as ordinary memory
-	// coverage and the two tiers never cover a byte twice.
+	f, err := w.planFetch(runs, mem)
+	if err != nil || f.guard == nil {
+		return err
+	}
+	// Phase 2: fetch the plan in one vectored sieve read, without
+	// holding mu (the store sleeps RealTime service time; concurrent
+	// cache users must not wait on it).
+	if _, err := w.fs.SieveReadV(f.plan, f.pieces); err != nil {
+		w.mu.Lock()
+		w.endGuard(f.guard)
+		for _, p := range f.pieces {
+			w.unpin(p.buf)
+		}
+		w.mu.Unlock()
+		// Degraded fallback: the sieve plan reads MORE than the caller
+		// asked for (block rounding plus read-ahead), so a failure in
+		// that speculative territory must not fail the demand read.
+		// Retry with exactly the uncovered holes, straight into the
+		// caller's memory, and skip cache population — the cache only
+		// ever holds whole verified blocks.
+		return w.readHolesDirect(f.holes, mem)
+	}
+	w.settleFetch(&f, mem)
+	return nil
+}
+
+// sieveFetch is a ReadThrough miss between its plan and its insert: the
+// holes it serves, the clipped sieve-block plan and the pinned pieces
+// it reads into, the read's LRU stamp and its guard (nil when the read
+// was served whole from memory).
+type sieveFetch struct {
+	holes  []hole
+	plan   []pfs.Run
+	pieces fetchPieces
+	stamp  int64
+	guard  *fetchGuard
+}
+
+// planFetch is ReadThrough's phase 1, under one mu hold: it serves what
+// the cache covers into mem and plans the fetch of the holes.
+func (w *fileCache) planFetch(runs []pfs.Run, mem Vec) (sieveFetch, error) {
+	// Spill hits promote FIRST — still under this same mu hold, so the
+	// hole computation below sees the promoted extents as ordinary
+	// memory coverage and the two tiers never cover a byte twice.
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.clock++
 	stamp := w.clock
 	var promoted bool
@@ -860,8 +991,7 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 		for _, r := range runs {
 			n, err := w.promoteLocked(r.Off, r.Len, stamp)
 			if err != nil {
-				w.mu.Unlock()
-				return err
+				return sieveFetch{}, err
 			}
 			hitSpill += n
 		}
@@ -911,8 +1041,7 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 			// (which demote right back out) rather than sit over budget.
 			w.evictCleanLocked()
 		}
-		w.mu.Unlock()
-		return nil
+		return sieveFetch{}, nil
 	}
 	w.stats.Misses++
 	for _, h := range holes {
@@ -939,49 +1068,44 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 		ahead := ((ra + sieve - 1) / sieve) * sieve
 		blocks = append(blocks, pfs.Run{Off: last.Off + last.Len, Len: ahead})
 	}
-	var fetch []pfs.Run
+	f := sieveFetch{holes: holes, stamp: stamp, guard: &fetchGuard{}}
 	for _, b := range pfs.Coalesce(blocks) {
-		fetch = append(fetch, w.uncovered(b)...)
+		f.plan = append(f.plan, w.uncovered(b)...)
 	}
 	// The fetch lands straight in cache memory: one buffer per sieve-block
 	// piece of the plan, pinned until phase 3 has linked what it keeps.
 	// The block is the cache's eviction granule, so one large fetch never
 	// becomes a single monolithic extent the LRU can only drop whole.
-	var pieces fetchPieces
-	var ftotal int64
-	for _, r := range fetch {
-		ftotal += r.Len
+	for _, r := range f.plan {
 		for off, end := r.Off, r.End(); off < end; {
 			n := min((off/sieve+1)*sieve, end) - off
 			b := w.getBuf(n)
 			w.pin(b)
-			pieces = append(pieces, fetchPiece{pfs.Run{Off: off, Len: n}, b})
+			f.pieces = append(f.pieces, fetchPiece{pfs.Run{Off: off, Len: n}, b})
 			off += n
 		}
 	}
-	g := &fetchGuard{}
-	w.guards = append(w.guards, g)
-	w.mu.Unlock()
+	w.guards = append(w.guards, f.guard)
+	return f, nil
+}
 
-	// Phase 2: fetch the plan in one vectored sieve read, without
-	// holding mu (the store sleeps RealTime service time; concurrent
-	// cache users must not wait on it).
-	if _, err := w.fs.SieveReadV(fetch, pieces); err != nil {
-		w.mu.Lock()
-		w.endFetch(g)
-		for _, p := range pieces {
-			w.unpin(p.buf)
-		}
-		w.mu.Unlock()
-		// Degraded fallback: the sieve plan reads MORE than the caller
-		// asked for (block rounding plus read-ahead), so a failure in
-		// that speculative territory must not fail the demand read.
-		// Retry with exactly the uncovered holes, straight into the
-		// caller's memory, and skip cache population — the cache only
-		// ever holds whole verified blocks.
-		return w.readHolesDirect(holes, mem)
-	}
-	fillHoles(holes, mem, func(cur *pfs.Cursor, h hole) {
+// settleFetch is ReadThrough's phase 3, once the plan's store read has
+// landed in its pieces: it serves the holes into mem, then populates
+// the cache with the fetched pieces, filling only the gaps between
+// existing extents of either tier (which are either identical clean
+// bytes or NEWER dirty bytes — they always win; a demote during phase 2
+// moved bytes to the spill tier, and the fetched store copy of that
+// range is at best redundant and stale where the demoted extent was
+// dirty) and staying out of every range the guard saw written during
+// the fetch: the store bytes we hold there may predate the write. They
+// serve the caller (a racing unsynced conflict is undefined, as in MPI)
+// but must not enter the cache. What is kept is inserted split at the
+// pieces' (sieve-block) boundaries, each extent a window on its piece's
+// buffer; a piece nothing keeps goes back to the free lists with its
+// pin.
+func (w *fileCache) settleFetch(f *sieveFetch, mem Vec) {
+	pieces := f.pieces
+	fillHoles(f.holes, mem, func(cur *pfs.Cursor, h hole) {
 		// A hole lies inside one fetch run, over one or more of its pieces.
 		i := sort.Search(len(pieces), func(k int) bool { return pieces[k].run.End() > h.off })
 		for off, end := h.off, h.off+h.n; off < end; i++ {
@@ -992,28 +1116,18 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 		}
 	})
 
-	// Phase 3: populate the cache with the fetched pieces, filling only
-	// the gaps between existing extents of either tier (which are either
-	// identical clean bytes or NEWER dirty bytes — they always win; a
-	// demote during phase 2 moved bytes to the spill tier, and the
-	// fetched store copy of that range is at best redundant and stale
-	// where the demoted extent was dirty) and staying out of every range
-	// the guard saw written during the fetch: the store bytes we hold
-	// there may predate the write. They serve the caller (a racing
-	// unsynced conflict is undefined, as in MPI) but must not enter the
-	// cache. What is kept is inserted split at the pieces' (sieve-block)
-	// boundaries, each extent a window on its piece's buffer; a piece
-	// nothing keeps goes back to the free lists with its pin.
 	w.mu.Lock()
-	w.endFetch(g)
-	w.stats.SieveFetched += ftotal
-	wrote := extent.Coalesce(g.wrote)
+	defer w.mu.Unlock()
+	w.endGuard(f.guard)
+	w.stats.SieveFetched += pieces.Len()
+	wrote := extent.Coalesce(f.guard.wrote)
 	// Demanded bytes end here; fetched blocks past it are speculative
 	// read-ahead and insert one LRU tick colder, so speculation never
 	// evicts the data the caller just asked for.
-	reqEnd := holes[len(holes)-1].off + holes[len(holes)-1].n
+	last := f.holes[len(f.holes)-1]
+	reqEnd := last.off + last.n
 	pi := 0 // the piece the next kept byte lies in
-	for _, fr := range fetch {
+	for _, fr := range f.plan {
 		for _, u := range w.uncovered(fr) {
 			for _, g := range extent.Holes(u, wrote) {
 				for g.Len > 0 {
@@ -1022,9 +1136,9 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 					}
 					p := pieces[pi]
 					n := min(p.run.End(), g.End()) - g.Off
-					use := stamp
+					use := f.stamp
 					if g.Off >= reqEnd {
-						use = stamp - 1
+						use = f.stamp - 1
 					}
 					w.insert(newExt(g.Off, p.buf.b[g.Off-p.run.Off:][:n], p.buf, false, use))
 					g.Off += n
@@ -1037,8 +1151,6 @@ func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 		w.unpin(p.buf)
 	}
 	w.evictCleanLocked()
-	w.mu.Unlock()
-	return nil
 }
 
 // fetchPiece is one sieve-block piece of a fetch plan and the pinned
@@ -1059,15 +1171,15 @@ func (ps fetchPieces) Len() (n int64) {
 	return n
 }
 
-// noteWrite enters runs in the guard of every fetch in flight; endFetch
-// retires a fetch's guard. Both need w.mu held.
+// noteWrite enters runs in the guard of every fetch and write in
+// flight; endGuard retires a guard. Both need w.mu held.
 func (w *fileCache) noteWrite(runs ...pfs.Run) {
 	for _, g := range w.guards {
 		g.wrote = append(g.wrote, runs...)
 	}
 }
 
-func (w *fileCache) endFetch(g *fetchGuard) {
+func (w *fileCache) endGuard(g *fetchGuard) {
 	w.guards = slices.DeleteFunc(w.guards, func(x *fetchGuard) bool { return x == g })
 }
 

@@ -26,21 +26,24 @@ func (h *midFetch) Fail(server int, write bool, off, n int64) error {
 	return nil
 }
 
-// TestSieveGuardKeepsPunchedRangeOut: a write that lands while a fetch
-// of the same block is out punches its range mid-fetch. The fetched
-// bytes of that range predate the write and must not enter the cache —
-// but the rest of the block, which no write touched, must.
+// TestSieveGuardKeepsPunchedRangeOut: a write whose BeginWrite and
+// EndWrite both fall while a fetch of the same block is out. The
+// fetched bytes of that range may predate the write and must not enter
+// the cache — but the rest of the block, which no write touched, must.
 func TestSieveGuardKeepsPunchedRangeOut(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 256, 0)
 	wrote := []pfs.Run{{Off: 300, Len: 40}}
-	fs.SetInjector(&midFetch{fn: func() { w.PunchV(wrote) }})
+	fs.SetInjector(&midFetch{fn: func() {
+		g := w.BeginWrite(wrote)
+		w.EndWrite(g, wrote, Contig(bytes.Repeat([]byte{0xEE}, 40)), true)
+	}})
 	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, make(Contig, 256)); err != nil {
 		t.Fatal(err)
 	}
 	fs.SetInjector(nil)
-	// The write lands after the fetch read the store; its own post-write
-	// punch is deliberately left out, so only the guard stands between
-	// the stale fetched bytes and the cache.
+	// The store write itself lands only now, after the fetch read the
+	// store, so only the guard stands between the stale fetched bytes
+	// and the cache: EndWrite found nothing cached to update.
 	if _, err := fs.WriteAt(bytes.Repeat([]byte{0xEE}, 40), 300); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,10 @@ func TestSieveGuardKeepsPunchedRangeOut(t *testing.T) {
 // the fetch does not touch must not cost the fetch its insert.
 func TestSieveGuardIgnoresDisjointPunch(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 256, 0)
-	fs.SetInjector(&midFetch{fn: func() { w.PunchV([]pfs.Run{{Off: 2048, Len: 512}}) }})
+	fs.SetInjector(&midFetch{fn: func() {
+		runs := []pfs.Run{{Off: 2048, Len: 512}}
+		w.EndWrite(w.BeginWrite(runs), runs, make(Contig, 512), true)
+	}})
 	if err := w.ReadThrough([]pfs.Run{{Off: 256, Len: 256}}, make(Contig, 256)); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +82,7 @@ func TestSieveGuardIgnoresDisjointPunch(t *testing.T) {
 	wantPattern(t, buf, 256)
 	after := w.Stats()
 	if after.Hits != before.Hits+1 || after.SieveFetched != before.SieveFetched {
-		t.Fatalf("a disjoint punch discarded the fetch: hits %d -> %d, fetched %d -> %d",
+		t.Fatalf("a disjoint write discarded the fetch: hits %d -> %d, fetched %d -> %d",
 			before.Hits, after.Hits, before.SieveFetched, after.SieveFetched)
 	}
 }
@@ -113,7 +119,7 @@ func fragmentedCache(tb testing.TB, n int, budget, spillBytes int64) (*fileCache
 	refill := func() {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		w.punchLocked([]pfs.Run{{Off: 0, Len: int64(len(file))}}, false)
+		w.punchLocked([]pfs.Run{{Off: 0, Len: int64(len(file))}}, punchAll)
 		for off := int64(0); off < int64(len(file)); off += 2 * benchExt {
 			w.clock++
 			b := w.getBuf(benchExt)
@@ -148,22 +154,22 @@ func allocated(fn func()) uint64 {
 // TestPunchVCostIsItsVictims pins the vectored punch by counts, not
 // wall time: 256 runs splitting 256 of 65 536 extents allocate the 512
 // remainders and little else — not a rebuilt list per run — and the
-// same punch again, which now overlaps nothing (every post-write punch),
-// allocates nothing at all.
+// same punch again, which now overlaps nothing, allocates nothing at
+// all.
 func TestPunchVCostIsItsVictims(t *testing.T) {
 	w, _ := fragmentedCache(t, 65536+1024, 0, 0)
 	// A cache that has seen churn has slack in its slices; one that was
 	// filled to exactly its capacity would pay a (doubling, amortized)
 	// regrowth of the whole list on its first split.
-	w.PunchV([]pfs.Run{{Off: 65536 * 2 * benchExt, Len: 1024 * 2 * benchExt}})
+	punch(w, []pfs.Run{{Off: 65536 * 2 * benchExt, Len: 1024 * 2 * benchExt}})
 	runs := splitRuns(30000, 256)
-	if got := allocated(func() { w.PunchV(runs) }); got >= 64<<10 {
+	if got := allocated(func() { punch(w, runs) }); got >= 64<<10 {
 		t.Fatalf("punching 256 runs out of 65536 extents allocated %d bytes, want < 64 KiB", got)
 	}
 	if len(w.ext) != 65536+256 {
 		t.Fatalf("%d extents after 256 splits of 65536", len(w.ext))
 	}
-	if got := allocated(func() { w.PunchV(runs) }); got != 0 {
+	if got := allocated(func() { punch(w, runs) }); got != 0 {
 		t.Fatalf("a punch that overlaps nothing allocated %d bytes", got)
 	}
 	if err := checkInvariants(w); err != nil {
@@ -238,23 +244,24 @@ func TestFileCacheOwnsItsMemory(t *testing.T) {
 
 var benchSizes = []int{1 << 10, 16 << 10, 128 << 10}
 
-// BenchmarkFileCachePunchV: one independent write's pre-write punch —
-// 64 sorted runs, each splitting a resident extent — against caches of
-// growing fragment counts. The cost must follow the 64, not the N.
-func BenchmarkFileCachePunchV(b *testing.B) {
+// BenchmarkFileCacheWrite: one independent write's cache side —
+// BeginWrite and EndWrite of 64 sorted runs, each inside a resident
+// clean extent, whose bytes EndWrite updates in place — against caches
+// of growing fragment counts. The cost must follow the 64, not the N.
+func BenchmarkFileCacheWrite(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			w, refill := fragmentedCache(b, n, 0, 0)
+			w, _ := fragmentedCache(b, n, 0, 0)
+			mem := make(Contig, 64*128)
 			b.ReportAllocs()
+			b.SetBytes(int64(len(mem)))
 			b.ResetTimer()
 			for i, first := 0, n/4; i < b.N; i, first = i+1, first+64 {
-				if first+64 > n { // the cursor has split every extent ahead of it
-					b.StopTimer()
-					refill()
+				if first+64 > n {
 					first = n / 4
-					b.StartTimer()
 				}
-				w.PunchV(splitRuns(first, 64))
+				runs := splitRuns(first, 64)
+				w.EndWrite(w.BeginWrite(runs), runs, mem, true)
 			}
 		})
 	}

@@ -172,14 +172,12 @@ func each(runs []pfs.Run, buf []byte, fn func(r pfs.Run, p []byte)) {
 	}
 }
 
-// write is File.WriteV's protocol: punch, store write, punch again.
+// write is File.WriteV's protocol: BeginWrite, store write, EndWrite.
 func (m *cacheModel) write(runs []pfs.Run) error {
 	p := m.payload(runs)
-	m.w.PunchV(runs)
-	if _, err := m.fs.WriteV(runs, p); err != nil {
+	if err := writeThrough(m.fs, m.w, runs, p); err != nil {
 		return err
 	}
-	m.w.PunchV(runs)
 	each(runs, p, func(r pfs.Run, b []byte) { copy(m.want[r.Off:], b) })
 	return nil
 }
@@ -351,16 +349,20 @@ func TestFileCacheModel(t *testing.T) {
 	}
 }
 
-// TestFileCacheModelConcurrent: four drivers on disjoint quarters of one
-// file share the cache (sieve blocks, read-ahead and flush sweeps cross
-// the quarter boundaries), each checked against its own slice of the
-// model while a fifth goroutine asserts the invariants. Run under
-// -race.
+// TestFileCacheModelConcurrent: four drivers on disjoint quarters of
+// the file's first 16 KiB share the cache (sieve blocks, read-ahead and
+// flush sweeps cross the quarter boundaries), each checked against its
+// own slice of the model, while two writers share the last 2 KiB — their
+// direct writes overlap each other, and their reads keep clean copies
+// there for the writes to update — and a seventh goroutine asserts the
+// invariants. After the writers stop, the cache must equal the store
+// over their region. Run under -race.
 func TestFileCacheModelConcurrent(t *testing.T) {
-	const size, drivers = 16384, 4
-	base := newCacheModel(t, size, cacheConfig{budget: 3072, sieve: 256, readAhead: 256, spillBytes: 8192})
+	const size, drivers, shared = 16384, 4, 2048
+	base := newCacheModel(t, size+shared, cacheConfig{budget: 3072, sieve: 256, readAhead: 256, spillBytes: 8192})
 	var wg sync.WaitGroup
-	errs := make([]error, drivers+1)
+	chk := drivers + 2 // errs: the drivers', the two writers', the checker's
+	errs := make([]error, chk+1)
 	stop := make(chan struct{})
 	for d := 0; d < drivers; d++ {
 		m := *base
@@ -376,15 +378,32 @@ func TestFileCacheModelConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	for d := drivers; d < chk; d++ {
+		m := *base
+		m.rng = rand.New(rand.NewSource(int64(100 + d)))
+		m.lo, m.hi = size, size+shared
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for step := 0; step < 400 && errs[d] == nil; step++ {
+				runs := m.runs()
+				if m.rng.Intn(2) == 0 {
+					errs[d] = writeThrough(m.fs, m.w, runs, m.payload(runs))
+				} else {
+					errs[d] = m.w.ReadThrough(runs, Contig(packed(runs)))
+				}
+			}
+		}()
+	}
 	checked := make(chan struct{})
 	go func() {
 		defer close(checked)
-		for errs[drivers] == nil {
+		for errs[chk] == nil {
 			select {
 			case <-stop:
 				return
 			default:
-				errs[drivers] = checkInvariants(base.w)
+				errs[chk] = checkInvariants(base.w)
 			}
 		}
 	}()
@@ -399,7 +418,19 @@ func TestFileCacheModelConcurrent(t *testing.T) {
 	if err := checkInvariants(base.w); err != nil {
 		t.Fatal(err)
 	}
-	whole := []pfs.Run{{Off: 0, Len: size}}
+	region := []pfs.Run{{Off: size, Len: shared}}
+	got, want := packed(region), packed(region)
+	if err := base.w.ReadThrough(region, Contig(got)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := base.fs.ReadV(region, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("after the overlapping writers stopped, the cache differs from the store over their region")
+	}
+	copy(base.want[size:], want)
+	whole := []pfs.Run{{Off: 0, Len: size + shared}}
 	if err := base.read(whole); err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,23 @@ func fcForTest(t *testing.T, budget, sieve, ra int64) (*pfs.FS, *fileCache) {
 	return fs, w
 }
 
+// writeThrough is File.WriteV's protocol on w: BeginWrite, the store
+// write of p (runs packed back-to-back), EndWrite.
+func writeThrough(fs *pfs.FS, w *fileCache, runs []pfs.Run, p []byte) error {
+	g := w.BeginWrite(runs)
+	_, err := fs.WriteV(runs, p)
+	w.EndWrite(g, runs, Contig(p), err == nil)
+	return err
+}
+
+// punch removes runs from both tiers of w in every color, as
+// EndWrite does after a failed store write.
+func punch(w *fileCache, runs []pfs.Run) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.punchLocked(runs, punchAll)
+}
+
 // wantPattern checks buf against the seeded store pattern at off.
 func wantPattern(t *testing.T, buf []byte, off int64) {
 	t.Helper()
@@ -257,25 +274,27 @@ func TestFileCacheDirtyFlushOnEvict(t *testing.T) {
 	}
 }
 
-// TestFileCachePunchDropsClean: a write punch removes overlapping
-// clean extents, so the next read re-fetches fresh store bytes instead
-// of serving superseded cache contents.
+// TestFileCachePunchDropsClean: a direct write that fails punches the
+// clean extents it overlaps, so the next read re-fetches whatever the
+// store holds — here the bytes that landed before the failure was
+// reported — instead of serving the cache's pre-write copy.
 func TestFileCachePunchDropsClean(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 128, 0)
 	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
-	// Independent-write coherence: punch, then the store is rewritten.
-	w.PunchV([]pfs.Run{{Off: 0, Len: 128}})
+	runs := []pfs.Run{{Off: 0, Len: 128}}
+	g := w.BeginWrite(runs)
 	if _, err := fs.WriteAt(bytes.Repeat([]byte{42}, 128), 0); err != nil {
 		t.Fatal(err)
 	}
+	w.EndWrite(g, runs, make(Contig, 128), false)
 	buf := make([]byte, 128)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, Contig(buf)); err != nil {
+	if err := w.ReadThrough(runs, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, bytes.Repeat([]byte{42}, 128)) {
-		t.Fatal("read served stale clean bytes after punch")
+		t.Fatal("read served stale clean bytes after a failed write")
 	}
 }
 
@@ -367,7 +386,7 @@ func TestFileCacheReadThroughPoisonedPool(t *testing.T) {
 		if err := w.ReadThrough([]pfs.Run{{Off: 1024, Len: 1024}}, make(Contig, 1024)); err != nil {
 			t.Fatal(err)
 		}
-		w.PunchV([]pfs.Run{{Off: 1024, Len: 1536}})
+		punch(w, []pfs.Run{{Off: 1024, Len: 1536}})
 	}
 	// read recycles, then reads [off, off+n) and counts its misses.
 	read := func(off, n int64) ([]byte, int64) {

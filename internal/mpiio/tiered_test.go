@@ -95,18 +95,17 @@ func TestTieredPunchInvalidatesSpill(t *testing.T) {
 	if w.Stats().SpillDemoted == 0 {
 		t.Fatal("nothing demoted; the race under test never happens")
 	}
-	// Supersede [0, 512) behind the cache's back, then punch — the
-	// independent write's post-write punch.
-	if _, err := fs.WriteAt(bytes.Repeat([]byte{0xEE}, 512), 0); err != nil {
+	// Supersede [0, 512) with an independent write: the cache drops the
+	// spilled copy rather than update it.
+	if err := writeThrough(fs, w, []pfs.Run{{Off: 0, Len: 512}}, bytes.Repeat([]byte{0xEE}, 512)); err != nil {
 		t.Fatal(err)
 	}
-	w.PunchV([]pfs.Run{{Off: 0, Len: 512}})
 	buf := make([]byte, 512)
 	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 512}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, bytes.Repeat([]byte{0xEE}, 512)) {
-		t.Fatal("read after punch returned stale spilled bytes")
+		t.Fatal("read after the write returned stale spilled bytes")
 	}
 }
 

@@ -64,23 +64,33 @@ func TestWriteBehindAbsorbMerges(t *testing.T) {
 	}
 }
 
-// TestWriteBehindPunch: punching drops covered bytes and splits
-// straddled extents.
+// TestWriteBehindPunch: a direct write punches the dirty bytes it
+// covers and splits straddled dirty extents; it does not cache its own
+// bytes where nothing was cached.
 func TestWriteBehindPunch(t *testing.T) {
-	_, w := wbCacheForTest(t)
+	fs, w := wbCacheForTest(t)
 	w.Absorb(0, fill(100, 5))
-	w.PunchV([]pfs.Run{{Off: 40, Len: 20}}) // split into [0,40) and [60,100)
+	write := func(off, n int64) {
+		t.Helper()
+		if err := writeThrough(fs, w, []pfs.Run{{Off: off, Len: n}}, fill(int(n), 6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(40, 20) // split into [0,40) and [60,100)
 	if len(w.ext) != 2 || w.Bytes() != 80 {
 		t.Fatalf("after split: %d extents, %d dirty; want 2, 80", len(w.ext), w.Bytes())
 	}
 	if w.ext[0].off != 0 || len(w.ext[0].data) != 40 || w.ext[1].off != 60 || len(w.ext[1].data) != 40 {
 		t.Fatalf("split extents = %+v", w.ext)
 	}
-	w.PunchV([]pfs.Run{{Off: 0, Len: 1000}}) // drop everything
+	write(0, 1000) // drop everything
 	if len(w.ext) != 0 || w.Bytes() != 0 {
 		t.Fatalf("after full punch: %d extents, %d dirty", len(w.ext), w.Bytes())
 	}
-	w.PunchV([]pfs.Run{{Off: 0, Len: 10}}) // empty cache: no-op
+	write(0, 10) // empty cache: no-op
+	if len(w.ext) != 0 {
+		t.Fatalf("a write into an empty cache cached %d extents", len(w.ext))
+	}
 }
 
 // gateWrites is an injector that holds the first write submission until
@@ -101,10 +111,10 @@ func (g *gateWrites) Fail(server int, write bool, off, n int64) error {
 	return nil
 }
 
-// TestPunchWaitsOutSweepInFlight: a punch that discards dirty bytes a
-// flush sweep is still writing must not return before the sweep has
-// landed, or the caller's direct store write could land first and the
-// sweep's older bytes would win on the store.
+// TestPunchWaitsOutSweepInFlight: a BeginWrite that discards dirty
+// bytes a flush sweep is still writing must not return before the sweep
+// has landed, or the caller's direct store write could land first and
+// the sweep's older bytes would win on the store.
 func TestPunchWaitsOutSweepInFlight(t *testing.T) {
 	fs, w := wbCacheForTest(t)
 	w.Absorb(0, fill(256, 1))
@@ -116,14 +126,16 @@ func TestPunchWaitsOutSweepInFlight(t *testing.T) {
 	punched := make(chan struct{})
 	wrote := make(chan error, 1)
 	go func() {
-		w.PunchV([]pfs.Run{{Off: 64, Len: 64}})
+		runs := []pfs.Run{{Off: 64, Len: 64}}
+		g := w.BeginWrite(runs)
 		close(punched)
 		_, err := fs.WriteAt(fill(64, 9), 64)
+		w.EndWrite(g, runs, Contig(fill(64, 9)), err == nil)
 		wrote <- err
 	}()
 	select {
 	case <-punched:
-		t.Error("PunchV returned while a sweep of the bytes it discarded was in flight")
+		t.Error("BeginWrite returned while a sweep of the bytes it discarded was in flight")
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(gate.release)

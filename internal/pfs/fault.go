@@ -40,19 +40,20 @@ func (fs *FS) SetInjector(inj Injector) {
 // type to hold (a nil inside the box means "no injection").
 type injBox struct{ inj Injector }
 
-// fail consults the boxed injector, if any.
+// fail consults the boxed injector, if any, and returns its raw error:
+// the refusal is wrapped into an injectedFault only if it leaves the
+// package (segErr.error), so the refusals a degraded read absorbs cost
+// no allocation.
 func (box *injBox) fail(server int, write bool, off, n int64) error {
 	if box == nil || box.inj == nil {
 		return nil
 	}
-	if err := box.inj.Fail(server, write, off, n); err != nil {
-		return &injectedFault{server: server, write: write, off: off, n: n, err: err}
-	}
-	return nil
+	return box.inj.Fail(server, write, off, n)
 }
 
-// injectedFault is the error of a refused request. A degraded read
-// discards most of them unread, so the text is formatted on demand.
+// injectedFault is the error of a refused request, as the caller sees
+// it. It is made only when the refusal is returned, and its text is
+// formatted on demand.
 type injectedFault struct {
 	server int
 	write  bool

@@ -221,3 +221,42 @@ func ExampleFaultPoint() {
 	// server 0 write error: <nil>
 	// server 1 write failed: true
 }
+
+// TestRefusedSegmentsAllocateNothing: a degraded read absorbs the
+// refusals of a dead server by reconstruction, so a refusal that never
+// leaves the package must cost no allocation — the vectored read
+// allocates no more with four times the refused segments.
+func TestRefusedSegmentsAllocateNothing(t *testing.T) {
+	const stripe, k = 64, 6
+	fs, err := Create("refused", Options{Servers: k + 2, Parity: 2, StripeSize: stripe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	const rows = 32
+	if _, err := fs.WriteAt(bytes.Repeat([]byte{7}, rows*k*stripe), 0); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetInjector(&FaultPoint{Server: 0, Op: FaultReads, Permanent: true})
+	allocs := func(n int) float64 {
+		// One 20-byte run in every stripe unit of n rows: n of them on the
+		// dead server 0.
+		var runs []Run
+		for u := int64(0); u < int64(n*k); u++ {
+			runs = append(runs, Run{Off: u*stripe + 10, Len: 20})
+		}
+		buf := make(Contig, 20*len(runs))
+		read := func() {
+			if _, err := fs.ReadVec(runs, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read()
+		return testing.AllocsPerRun(20, read)
+	}
+	narrow, wide := allocs(rows/4), allocs(rows)
+	if wide > narrow {
+		t.Fatalf("a degraded read with %d refused segments allocated %.0f times, with %d: %.0f; want no allocation per refusal",
+			rows/4, narrow, rows, wide)
+	}
+}

@@ -446,7 +446,7 @@ type reconFetch struct {
 	job    *reconJob
 	server int
 	p      []byte // carved by serviceReconBatch
-	err    error
+	err    segErr // err.err nil: fetched
 }
 
 // serviceReconBatch issues a round of reconstruction source fetches,
@@ -459,40 +459,58 @@ type reconFetch struct {
 // merged failure fails every member, which then moves on to its next
 // candidate.
 func (fs *FS) serviceReconBatch(sc *reconScratch, batch []reconFetch) {
+	// Request order is (server, offset), ties in batch order: a stable
+	// counting sort by server, then a stable sort by offset of the one
+	// server's run only where it is out of order (a round's fetches
+	// mostly arrive row by row, so ascending already).
 	idx := grow(&sc.idx, len(batch))
+	at := grow(&sc.at, fs.opts.Servers+1)
+	clear(at)
 	total := 0
-	for i := range idx {
-		idx[i] = i
+	for i := range batch {
+		at[batch[i].server+1]++
 		total += batch[i].job.n
 	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		fa, fb := &batch[a], &batch[b]
-		return cmp.Or(cmp.Compare(fa.server, fb.server), cmp.Compare(fa.job.off, fb.job.off))
-	})
+	for s := 1; s < len(at); s++ {
+		at[s] += at[s-1]
+	}
+	for i := range batch {
+		s := batch[i].server
+		idx[at[s]] = i
+		at[s]++
+	}
+	byOff := func(a, b int) int { return cmp.Compare(batch[a].job.off, batch[b].job.off) }
+	for s, lo := 0, 0; s < fs.opts.Servers; s++ {
+		run := idx[lo:at[s]]
+		if !slices.IsSortedFunc(run, byOff) {
+			slices.SortStableFunc(run, byOff)
+		}
+		lo = at[s]
+	}
 	slab := sc.carve(total)
 	d := fs.newDispatch(Contig(slab), false)
 	d.skip = true
 	first := sc.first[:0] // d.segs[i] serves batch[idx[first[i]:first[i+1]]]
-	var at int64
+	var mo int64
 	for k, i := range idx {
 		f := &batch[i]
 		n := int64(f.job.n)
-		f.p = slab[at : at+n]
+		f.p = slab[mo : mo+n]
 		if last := len(d.segs) - 1; last >= 0 && int(d.segs[last].server) == f.server &&
 			d.segs[last].off+d.segs[last].n == f.job.off {
 			d.segs[last].n += n // f.p is the slab's next bytes
 		} else {
-			d.segs = append(d.segs, ioSeg{server: int32(f.server), off: f.job.off, n: n, mo: at})
+			d.segs = append(d.segs, ioSeg{server: int32(f.server), off: f.job.off, n: n, mo: mo})
 			first = append(first, k)
 		}
-		at += n
+		mo += n
 	}
 	first = append(first, len(idx))
 	sc.first = first
 	fs.submit(d, 0)
 	for _, fl := range d.fails {
 		for _, i := range idx[first[fl.idx]:first[fl.idx+1]] {
-			batch[i].err = fl.err
+			batch[i].err = fl
 		}
 	}
 	fs.release(d)
@@ -525,8 +543,10 @@ type reconScratch struct {
 	tabs    [][]byte // the jobs' shard tables, k+m entries each
 	inRecon []bool
 	batch   []reconFetch
-	idx     []int  // serviceReconBatch: the fetches in request order
+	idx     []int  // serviceReconBatch: the fetches in request order,
+	at      []int  //   the counting sort's bucket ends
 	first   []int  //   and where each request's fetches start
+	served  []int  // reconstructSegs: the served segments by offset
 	slab    []byte // the source fetches' bytes
 	used    int    // of slab, by this read's earlier rounds
 }
@@ -562,8 +582,8 @@ type reconJob struct {
 	n      int      // segment length
 	shards [][]byte // k+m entries; non-nil = held
 	got    int
-	next   int // next entry of the source ranking to try
-	lastE  error
+	next   int    // next entry of the source ranking to try
+	lastE  segErr // the last source fetch that failed, if any
 }
 
 // sameSurvivors reports whether two jobs hold shards of the same
@@ -609,20 +629,34 @@ func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon 
 	// Seed shards the vector already holds: a row-mate of the target
 	// segment that was served healthily covers the same byte range of
 	// its own stripe unit, so it is a reconstruction source for free —
-	// a whole-row degraded read then only fetches the parity shards.
-	for ji := 0; seed && ji < len(jobs); ji++ {
-		j := &jobs[ji]
+	// a whole-row degraded read then only fetches the parity shards. The
+	// served segments are indexed by offset (ties in vector order) once,
+	// so each job looks at its own row-mates only, in vector order.
+	if seed {
+		served := sc.served[:0]
 		for i := range segs {
-			if j.got >= k {
-				break
+			if !inRecon[i] {
+				served = append(served, i)
 			}
-			s := &segs[i]
-			if inRecon[i] || int(s.server) == j.server || s.off != j.off ||
-				int(s.n) != j.n || j.shards[s.server] != nil {
-				continue
+		}
+		slices.SortFunc(served, func(a, b int) int {
+			return cmp.Or(cmp.Compare(segs[a].off, segs[b].off), cmp.Compare(a, b))
+		})
+		sc.served = served
+		for ji := range jobs {
+			j := &jobs[ji]
+			at, _ := slices.BinarySearchFunc(served, j.off, func(i int, off int64) int { return cmp.Compare(segs[i].off, off) })
+			for _, i := range served[at:] {
+				s := &segs[i]
+				if j.got >= k || s.off != j.off {
+					break
+				}
+				if int(s.server) == j.server || int(s.n) != j.n || j.shards[s.server] != nil {
+					continue
+				}
+				j.shards[s.server] = s.in(buf)
+				j.got++
 			}
-			j.shards[s.server] = s.in(buf)
-			j.got++
 		}
 	}
 	batch := sc.batch
@@ -647,7 +681,7 @@ func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon 
 		fs.serviceReconBatch(sc, batch)
 		for i := range batch {
 			f := &batch[i]
-			if f.err != nil {
+			if f.err.err != nil {
 				f.job.lastE = f.err
 				continue
 			}
@@ -661,7 +695,7 @@ func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon 
 		j := &jobs[ji]
 		s := &segs[j.segIdx]
 		if j.got < k {
-			err := j.lastE
+			err := j.lastE.error()
 			if err == nil {
 				err = fmt.Errorf("only %d of %d shards reachable", j.got, k)
 			}

@@ -60,10 +60,24 @@ type ioSeg struct {
 // the segment list was built over.
 func (s *ioSeg) in(buf []byte) []byte { return buf[s.mo : s.mo+s.n] }
 
-// segErr is the failure of one segment, by submission index.
+// segErr is the failure of one segment, by submission index: a service
+// error, or the raw error an injector refused the segment with, kept
+// beside the segment (refused) and wrapped only where it is returned.
 type segErr struct {
-	idx int
-	err error
+	idx     int
+	err     error
+	refused bool
+	write   bool
+	seg     ioSeg
+}
+
+// error returns the failure as the caller sees it: a refusal becomes an
+// injectedFault naming its server, operation and range.
+func (f *segErr) error() error {
+	if !f.refused {
+		return f.err
+	}
+	return &injectedFault{server: int(f.seg.server), write: f.write, off: f.seg.off, n: f.seg.n, err: f.err}
 }
 
 // batch is a dispatch's list for one server: the queue entry.
@@ -146,10 +160,11 @@ func (fs *FS) release(d *dispatch) {
 	fs.idleMu.Unlock()
 }
 
-// fail records the failure of segment i.
-func (d *dispatch) fail(i int, err error) {
+// fail records the failure of segment i; refused marks an injector's
+// refusal.
+func (d *dispatch) fail(i int, err error, refused bool) {
 	d.mu.Lock()
-	d.fails = append(d.fails, segErr{i, err})
+	d.fails = append(d.fails, segErr{idx: i, err: err, refused: refused, write: d.write, seg: d.segs[i]})
 	d.mu.Unlock()
 }
 
@@ -157,7 +172,7 @@ func (d *dispatch) fail(i int, err error) {
 // passed.
 func (d *dispatch) settle(i int32, err error) {
 	if err != nil {
-		d.fail(int(i), err)
+		d.fail(int(i), err, false)
 	} else if len(d.served) > 0 {
 		d.served[i].Store(true)
 	}
@@ -379,7 +394,7 @@ func (fs *FS) submit(d *dispatch, deadline time.Duration) int {
 	for i := range d.segs {
 		s := &d.segs[i]
 		if err := inj.fail(int(s.server), d.write, s.off, s.n); err != nil {
-			d.fail(i, err)
+			d.fail(i, err, true)
 			if d.skip {
 				continue
 			}
@@ -462,7 +477,7 @@ func (d *dispatch) outcome() (int64, error) {
 			first = f
 		}
 	}
-	return d.bytesBefore(first.idx), first.err
+	return d.bytesBefore(first.idx), first.error()
 }
 
 // bytesBefore returns the bytes of the segments preceding segment i.
