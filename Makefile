@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local runs and CI stay in sync.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench-module bench fuzz mutants bench-pairs profile loc ci
+.PHONY: all build vet fmt cross test race bench-module bench fuzz mutants bench-pairs profile loc ci
 
 all: build
 
@@ -14,6 +14,12 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# internal/ec has amd64 assembly; keep the pure-Go fallback compiling
+# (and vetted) for other architectures.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -38,6 +44,7 @@ bench:
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeReconstruct$$' -fuzztime $(FUZZTIME) ./internal/ec
+	$(GO) test -run '^$$' -fuzz '^FuzzMulXor$$' -fuzztime $(FUZZTIME) ./internal/ec
 	$(GO) test -run '^$$' -fuzz '^FuzzParityUpdate$$' -fuzztime $(FUZZTIME) ./internal/pfs
 	$(GO) test -run '^$$' -fuzz '^FuzzMetaDecode$$' -fuzztime $(FUZZTIME) ./internal/meta
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBox$$' -fuzztime $(FUZZTIME) ./internal/serve
@@ -78,4 +85,4 @@ profile:
 loc:
 	@bash scripts/loc.sh
 
-ci: build vet fmt test race bench-module bench fuzz mutants
+ci: build vet fmt cross test race bench-module bench fuzz mutants

@@ -12,16 +12,27 @@
 // independent (MDS), while m == 1 parity degenerates to the plain XOR
 // of the data shards — the property tests pin this.
 //
-// Everything is pure Go GF(2^8) arithmetic (primitive polynomial
-// 0x11d); there are no dependencies and no assembly. Coding a row is a
-// handful of passes of one kernel, mulXor(dst, src, coef), under
-// Encode, Update (a delta of one data shard added into the parity) and
-// every decode. Coefficient 1 — all of parity row 0, hence
-// all of m == 1, and every decode that goes through parity row 0 with
-// one data shard lost — is crypto/subtle.XORBytes, which runs at memory
-// speed. Any other coefficient walks that coefficient's 256-byte row of
-// a product table built once at init: the row stays in L1 for the whole
-// pass and the loop, unrolled eight bytes at a time, has no
+// The arithmetic is GF(2^8) over the primitive polynomial 0x11d, with
+// no dependencies and no cgo. Coding a row is a handful of passes of
+// one kernel, mulXor(dst, src, coef), under Encode, Update (a delta of
+// one data shard added into the parity) and every decode. Coefficient
+// 1 — all of parity row 0, hence all of m == 1, and every decode that
+// goes through parity row 0 with one data shard lost — is
+// crypto/subtle.XORBytes, which runs at memory speed. Any other
+// coefficient c runs, on amd64 with SSSE3, an assembly kernel over the
+// whole 16-byte blocks (mulxor_amd64.s), using Intel ISA-L's
+// split-nibble method: c·v is c·(v&15) XOR c·(v&0xf0), so two 16-entry
+// tables per coefficient (8 KiB for all 256, built once from the
+// product table) and one PSHUFB each look up 16 products at a time,
+// about six instructions per 16 bytes. CPUID picks the kernel at init
+// (leaf 1, ECX bit 9): Go's default GOAMD64=v1 does not promise SSSE3.
+// It uses 128-bit registers because a 256-bit AVX2 version, faster on
+// 16 KiB, cost more per call on the 300-byte slices parity deltas
+// mostly are. The bytes after the last whole block, every byte on a
+// CPU without SSSE3 and every byte on other architectures go through
+// the portable loop: it walks the coefficient's 256-byte row of a
+// product table built once at init, which stays in L1 for the whole
+// pass; the loop is unrolled eight bytes at a time and has no
 // data-dependent branch (the log/exp form needs one for zero bytes).
 // The log/exp tables remain for matrix algebra only.
 //
@@ -64,6 +75,7 @@ func init() {
 			mulTbl[c][v] = gfMul(byte(c), byte(v))
 		}
 	}
+	initVector()
 }
 
 func gfMul(a, b byte) byte {
@@ -79,8 +91,9 @@ func gfInv(a byte) byte {
 }
 
 // mulXor adds coef·src into dst (dst ^= coef·src, bytewise over
-// GF(2^8)); src must be at least as long as dst. It is the only loop
-// in the package that touches shard bytes.
+// GF(2^8)); src must be at least as long as dst, and either the same
+// slice or not overlapping it. It and the vector kernel it calls are
+// the only code in the package that touches shard bytes.
 func mulXor(dst, src []byte, coef byte) {
 	switch coef {
 	case 0:
@@ -89,13 +102,15 @@ func mulXor(dst, src []byte, coef byte) {
 		subtle.XORBytes(dst, dst, src)
 		return
 	}
-	// Eight independent load-lookup-xor chains per iteration; measured
-	// here a third faster than assembling the products into one 64-bit
-	// word, whose shifts and ORs serialize.
-	t := &mulTbl[coef]
 	n := len(dst)
 	src = src[:n]
-	i := 0
+	// The vector kernel takes the whole 16-byte blocks, where the CPU
+	// has one; the table loop below does the rest. Eight independent
+	// load-lookup-xor chains per iteration; measured here a third
+	// faster than assembling the products into one 64-bit word, whose
+	// shifts and ORs serialize.
+	i := mulXorVec(dst, src, coef)
+	t := &mulTbl[coef]
 	for ; i+8 <= n; i += 8 {
 		d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
 		d[0] ^= t[s[0]]
