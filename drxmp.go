@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"drxmp/internal/cluster"
@@ -217,6 +218,9 @@ type File struct {
 	tuning      Tuning // the validated block last applied (see Tuning())
 
 	decomp *zone.Decomp // cached; invalidated by extensions
+
+	planMu sync.Mutex
+	plans  []*sectionPlan // released section plans (getPlan/putPlan)
 }
 
 var fsSeq atomic.Int64
@@ -685,33 +689,103 @@ type ioRun struct {
 	dstStart int64
 }
 
-// sectionRuns translates box ∩ chunks into file runs with user-buffer
-// placement, sorted by file offset, and returns the user-buffer element
-// stride along a run. The caller's buffer is dense over box in the
-// given order. Only the chunk cover is sorted (by storage address);
-// each chunk then emits its rows in MemOrder, which is ascending
-// within the chunk, so the row list needs no sort of its own and is
-// sized up front.
-func (f *File) sectionRuns(box Box, order Order) ([]ioRun, int64, error) {
-	if box.Rank() != f.Rank() {
-		return nil, 0, fmt.Errorf("drxmp: box rank %d != array rank %d", box.Rank(), f.Rank())
+// coverChunk is one chunk of a section's cover: its storage address and
+// its row-major position in the cover.
+type coverChunk struct {
+	q   int64
+	ord int64
+}
+
+// sectionPlan is the working memory of one section call: the cover's
+// chunks, the rows, the coalesced file runs handed to the file system,
+// the memory vector over the caller's rows, and index scratch. A File
+// keeps released plans on a free list (getPlan/putPlan), so a call in
+// the steady state allocates none of it; nothing below sectionIO keeps
+// any of it once the call returns.
+type sectionPlan struct {
+	chunks  []coverChunk
+	rows    userRows  // rows.runs is the row list, in file order
+	runs    []pfs.Run // the rows' file extents, touching ones merged
+	ints    []int
+	strides []int64
+}
+
+// poisonPlans makes putPlan point a released plan's runs at file
+// offset 0 and its rows at the start of the user buffer, so a callee
+// that kept them past the call moves the wrong bytes, which the tests'
+// data checks see. The lengths stay valid, so no argument check fails
+// first (a rank failing one alone would strand its peers in a
+// collective). Tests turn it on.
+var poisonPlans bool
+
+func (f *File) getPlan() *sectionPlan {
+	f.planMu.Lock()
+	defer f.planMu.Unlock()
+	n := len(f.plans)
+	if n == 0 {
+		return new(sectionPlan)
 	}
-	if box.Empty() {
-		return nil, 1, nil
+	p := f.plans[n-1]
+	f.plans = f.plans[:n-1]
+	return p
+}
+
+// putPlan returns p to the free list; it drops the caller's buffer so a
+// parked plan keeps no user memory alive.
+func (f *File) putPlan(p *sectionPlan) {
+	p.rows.buf = nil
+	if poisonPlans {
+		for i := range p.runs {
+			p.runs[i].Off = 0
+		}
+		for i := range p.rows.runs {
+			p.rows.runs[i].fileOff, p.rows.runs[i].dstStart = 0, 0
+		}
 	}
-	if !grid.BoxOf(f.m.ElemBounds).ContainsBox(box) {
-		return nil, 0, fmt.Errorf("drxmp: box %v outside bounds %v", box, f.m.ElemBounds)
-	}
+	f.planMu.Lock()
+	f.plans = append(f.plans, p)
+	f.planMu.Unlock()
+}
+
+// sectionRuns translates box ∩ chunks into p's rows, sorted by file
+// offset with their user-buffer placement, and p's coalesced file runs,
+// and returns the user-buffer element stride along a row. The caller's
+// buffer is dense over box in the given order. Only the chunk cover is
+// sorted (by storage address); each chunk then emits its rows in
+// MemOrder, which is ascending within the chunk, so the rows need no
+// sort of their own, and a row that starts where the last file run ends
+// extends it.
+func (f *File) sectionRuns(p *sectionPlan, box Box, order Order) (int64, error) {
 	k := f.Rank()
+	if box.Rank() != k {
+		return 0, fmt.Errorf("drxmp: box rank %d != array rank %d", box.Rank(), k)
+	}
+	p.chunks, p.rows.runs, p.runs = p.chunks[:0], p.rows.runs[:0], p.runs[:0]
 	es := int64(f.m.DType.Size())
+	p.rows.es, p.rows.total = es, 0
+	if box.Empty() {
+		return 1, nil
+	}
+	for d, n := range f.m.ElemBounds {
+		if box.Lo[d] < 0 || box.Hi[d] > n {
+			return 0, fmt.Errorf("drxmp: box %v outside bounds %v", box, f.m.ElemBounds)
+		}
+	}
 	cs := f.m.ChunkShape
-	boxShape := box.Shape()
-	dstStrides := grid.Strides(boxShape, order)
-	chunkStrides := grid.Strides(cs, f.m.MemOrder)
+	p.ints = slices.Grow(p.ints[:0], 8*k)[:8*k]
+	p.strides = slices.Grow(p.strides[:0], 2*k)[:2*k]
+	boxShape, coverLo, coverShape, cidx := p.ints[:k], p.ints[k:2*k], p.ints[2*k:3*k], p.ints[3*k:4*k]
+	lo, hi, idx, outer := p.ints[4*k:5*k], p.ints[5*k:6*k], p.ints[6*k:7*k], p.ints[7*k:7*k]
+	for d := range k {
+		boxShape[d] = box.Hi[d] - box.Lo[d]
+		coverLo[d] = box.Lo[d] / cs[d]
+		coverShape[d] = (box.Hi[d]+cs[d]-1)/cs[d] - coverLo[d]
+	}
+	dstStrides := grid.StridesInto(p.strides[:k], boxShape, order)
+	chunkStrides := grid.StridesInto(p.strides[k:], cs, f.m.MemOrder)
 	// The innermost storage dimension (varies within a chunk row); the
 	// others, fastest first, are the order rows follow within a chunk.
 	inner := k - 1
-	outer := make([]int, 0, k-1)
 	if f.m.MemOrder == ColMajor {
 		inner = 0
 		for d := 1; d < k; d++ {
@@ -723,29 +797,26 @@ func (f *File) sectionRuns(box Box, order Order) ([]ioRun, int64, error) {
 		}
 	}
 
-	// The cover's chunks by storage address; ord is the chunk's
-	// row-major position in the cover.
-	type coverChunk struct {
-		q   int64
-		ord int64
-	}
-	cover := grid.ChunkCover(box, cs)
-	coverShape := cover.Shape()
-	chunks := make([]coverChunk, 0, coverShape.Volume())
-	var mapErr error
-	cover.Iterate(grid.RowMajor, func(cidx []int) bool {
-		q, err := f.m.Space.Map(cidx)
+	// The cover's chunks by storage address, walked row-major.
+	copy(idx, coverLo)
+	for ord := int64(0); ; ord++ {
+		q, err := f.m.Space.Map(idx)
 		if err != nil {
-			mapErr = err
-			return false
+			return 0, err
 		}
-		chunks = append(chunks, coverChunk{q: q, ord: int64(len(chunks))})
-		return true
-	})
-	if mapErr != nil {
-		return nil, 0, mapErr
+		p.chunks = append(p.chunks, coverChunk{q: q, ord: ord})
+		d := k - 1
+		for ; d >= 0; d-- {
+			if idx[d]++; idx[d] < coverLo[d]+coverShape[d] {
+				break
+			}
+			idx[d] = coverLo[d]
+		}
+		if d < 0 {
+			break
+		}
 	}
-	slices.SortFunc(chunks, func(a, b coverChunk) int { return cmp.Compare(a.q, b.q) })
+	slices.SortFunc(p.chunks, func(a, b coverChunk) int { return cmp.Compare(a.q, b.q) })
 
 	// Every chunk of the cover contributes one row per point of the box
 	// outside the inner dimension.
@@ -753,16 +824,14 @@ func (f *File) sectionRuns(box Box, order Order) ([]ioRun, int64, error) {
 	for _, d := range outer {
 		rows *= int64(boxShape[d])
 	}
-	runs := make([]ioRun, 0, rows)
-	scratch := make([]int, 4*k)
-	cidx, lo, hi, idx := scratch[:k], scratch[k:2*k], scratch[2*k:3*k], scratch[3*k:]
-	for _, c := range chunks {
+	p.rows.runs = slices.Grow(p.rows.runs, int(rows))
+	for _, c := range p.chunks {
 		// lo/hi: box ∩ chunk; chunkOff/dstOff: its first row, in elements
 		// from the chunk's and the box's origin.
 		grid.Unoffset(coverShape, c.ord, grid.RowMajor, cidx)
 		var chunkOff, dstOff int64
 		for d := 0; d < k; d++ {
-			c0 := (cover.Lo[d] + cidx[d]) * cs[d]
+			c0 := (coverLo[d] + cidx[d]) * cs[d]
 			lo[d] = max(c0, box.Lo[d])
 			hi[d] = min(c0+cs[d], box.Hi[d])
 			chunkOff += int64(lo[d]-c0) * chunkStrides[d]
@@ -773,7 +842,14 @@ func (f *File) sectionRuns(box Box, order Order) ([]ioRun, int64, error) {
 		copy(idx, lo)
 	chunkRows:
 		for {
-			runs = append(runs, ioRun{fileOff: base + chunkOff*es, elems: n, dstStart: dstOff})
+			off := base + chunkOff*es
+			p.rows.runs = append(p.rows.runs, ioRun{fileOff: off, elems: n, dstStart: dstOff})
+			if last := len(p.runs) - 1; last >= 0 && p.runs[last].Off+p.runs[last].Len == off {
+				p.runs[last].Len += n * es
+			} else {
+				p.runs = append(p.runs, pfs.Run{Off: off, Len: n * es})
+			}
+			p.rows.total += n * es
 			for _, d := range outer {
 				idx[d]++
 				chunkOff += chunkStrides[d]
@@ -789,29 +865,7 @@ func (f *File) sectionRuns(box Box, order Order) ([]ioRun, int64, error) {
 			break
 		}
 	}
-	return runs, dstStrides[inner], nil
-}
-
-// fileRuns coalesces the rows' file extents into the vectored request:
-// runs are sorted by file offset and their bytes pack back-to-back in
-// that order, so merging touching extents is lossless.
-func (f *File) fileRuns(runs []ioRun) []pfs.Run {
-	es := int64(f.m.DType.Size())
-	n := 0
-	for i, r := range runs {
-		if i == 0 || runs[i-1].fileOff+runs[i-1].elems*es != r.fileOff {
-			n++
-		}
-	}
-	out := make([]pfs.Run, 0, n)
-	for i, r := range runs {
-		if i > 0 && runs[i-1].fileOff+runs[i-1].elems*es == r.fileOff {
-			out[len(out)-1].Len += r.elems * es
-			continue
-		}
-		out = append(out, pfs.Run{Off: r.fileOff, Len: r.elems * es})
-	}
-	return out
+	return dstStrides[inner], nil
 }
 
 // scatterGather moves bytes, an element at a time, between the
@@ -843,8 +897,8 @@ type userRows struct {
 	total int64 // bytes in all rows
 }
 
-func (u userRows) Len() int64 { return u.total }
-func (u userRows) Seg(i int) []byte {
+func (u *userRows) Len() int64 { return u.total }
+func (u *userRows) Seg(i int) []byte {
 	r := u.runs[i]
 	return u.buf[r.dstStart*u.es : (r.dstStart+r.elems)*u.es]
 }
@@ -859,47 +913,47 @@ func (u userRows) Seg(i int) []byte {
 // caller's own rows are the request's memory vector and no scratch
 // exists: the servers (or the aggregators' staging buffers) exchange
 // bytes with buf directly. Strided or transposed rows pass through a
-// pooled scratch buffer packed in file-offset order. If a read fails,
-// the contents of buf are unspecified.
+// pooled scratch buffer packed in file-offset order. The run lists and
+// the memory vector live in a plan from the file's free list, returned
+// when the call does. If a read fails, the contents of buf are
+// unspecified.
 func (f *File) sectionIO(box Box, buf []byte, order Order, write, collective bool) error {
-	runs, stride, err := f.sectionRuns(box, order)
+	p := f.getPlan()
+	defer f.putPlan(p)
+	stride, err := f.sectionRuns(p, box, order)
 	if err != nil {
 		return err
 	}
-	es := int64(f.m.DType.Size())
-	if !box.Empty() && int64(len(buf)) < box.Volume()*es {
-		return fmt.Errorf("drxmp: buffer of %d bytes for %d-byte section", len(buf), box.Volume()*es)
-	}
-	pruns := f.fileRuns(runs)
-	var total int64
-	for _, r := range pruns {
-		total += r.Len
+	total := p.rows.total
+	if int64(len(buf)) < total {
+		return fmt.Errorf("drxmp: buffer of %d bytes for %d-byte section", len(buf), total)
 	}
 	var mem mpiio.Vec
 	var scratch []byte
 	if stride == 1 {
-		mem = userRows{runs: runs, buf: buf, es: es, total: total}
+		p.rows.buf = buf
+		mem = &p.rows
 	} else {
 		pooled := mpiio.GetBuf(total)
 		defer pooled.Release()
 		scratch = pooled.B
 		mem = mpiio.Contig(scratch)
 		if write {
-			f.scatterGather(runs, stride, scratch, buf, false)
+			f.scatterGather(p.rows.runs, stride, scratch, buf, false)
 		}
 	}
 	switch {
 	case collective && write:
-		err = f.io.WriteAllV(pruns, mem)
+		err = f.io.WriteAllV(p.runs, mem)
 	case collective:
-		err = f.io.ReadAllV(pruns, mem)
+		err = f.io.ReadAllV(p.runs, mem)
 	case write:
-		err = f.io.WriteV(pruns, mem)
+		err = f.io.WriteV(p.runs, mem)
 	default:
-		err = f.io.ReadV(pruns, mem)
+		err = f.io.ReadV(p.runs, mem)
 	}
 	if err == nil && !write && scratch != nil {
-		f.scatterGather(runs, stride, scratch, buf, true)
+		f.scatterGather(p.rows.runs, stride, scratch, buf, true)
 	}
 	return err
 }

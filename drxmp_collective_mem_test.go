@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 
@@ -67,7 +68,9 @@ func randomBox(rng *rand.Rand, bounds []int) Box {
 // extensions (so boxes cross extension segments and storage order is
 // not cover order), for rank 1-3, both chunk orders and both user
 // orders, sectionRuns emits exactly the old builder's runs — already in
-// ascending file order, with the same user-buffer placement.
+// ascending file order, with the same user-buffer placement — and its
+// fused file runs are exactly pfs.Coalesce of those rows' extents. One
+// plan serves every box, as the free list reuses it.
 func TestSectionRunsMatchesOracle(t *testing.T) {
 	shapes := []struct{ bounds, chunk []int }{
 		{[]int{23}, []int{5}},
@@ -98,12 +101,14 @@ func TestSectionRunsMatchesOracle(t *testing.T) {
 					for i := 0; i < 60; i++ {
 						boxes = append(boxes, randomBox(rng, bounds))
 					}
+					var p sectionPlan
 					for _, box := range boxes {
 						for _, user := range []Order{RowMajor, ColMajor} {
-							got, stride, err := f.sectionRuns(box, user)
+							stride, err := f.sectionRuns(&p, box, user)
 							if err != nil {
 								return err
 							}
+							got := p.rows.runs
 							want, wantStride := sectionRunsOracle(f, box, user)
 							if len(got) != len(want) || (len(want) > 0 && stride != wantStride) {
 								t.Fatalf("box %v user %v: %d runs stride %d, oracle %d runs stride %d",
@@ -116,6 +121,13 @@ func TestSectionRunsMatchesOracle(t *testing.T) {
 								if i > 0 && got[i].fileOff <= got[i-1].fileOff {
 									t.Fatalf("box %v user %v: run %d not in ascending file order", box, user, i)
 								}
+							}
+							var rowExtents []pfs.Run
+							for _, r := range want {
+								rowExtents = append(rowExtents, pfs.Run{Off: r.fileOff, Len: r.elems * 8})
+							}
+							if fused := pfs.Coalesce(rowExtents); !slices.Equal(p.runs, fused) {
+								t.Fatalf("box %v user %v: fused runs %v, coalesced oracle rows %v", box, user, p.runs, fused)
 							}
 						}
 					}

@@ -281,22 +281,47 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 }
 
 // Allgather collects each rank's data at every rank. The parts are
-// slices of one buffer the caller owns.
+// slices of one buffer the caller owns. It is a Gather then a Bcast at
+// rank 0, which packs its own data and the parts it receives straight
+// into that buffer and keeps it; every other rank is sent a copy of the
+// pack (the in-process transport hands over the slice itself).
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
-	all, err := c.Gather(0, data)
-	if err != nil {
-		return nil, err
+	if c.rank != 0 {
+		if _, err := c.Gather(0, data); err != nil {
+			return nil, err
+		}
+		flat, err := c.Bcast(0, nil)
+		if err != nil {
+			return nil, err
+		}
+		return unpackSlices(flat)
 	}
-	// Flatten with length prefixes for the broadcast.
-	var flat []byte
-	if c.rank == 0 {
-		flat = packSlices(all)
+	// Rank 0's halves of that Gather and Bcast, without their copies.
+	gtag := c.collTag(opGather)
+	parts := make([][]byte, c.Size())
+	parts[0] = data
+	for r := 1; r < c.Size(); r++ {
+		got, _, err := c.recv(r, gtag)
+		if err != nil {
+			return nil, err
+		}
+		parts[r] = got
 	}
-	flat, err = c.Bcast(0, flat)
-	if err != nil {
-		return nil, err
+	flat := packSlices(parts)
+	btag := c.collTag(opBcast)
+	for r := 1; r < c.Size(); r++ {
+		if err := c.send(r, btag, append([]byte(nil), flat...)); err != nil {
+			return nil, err
+		}
 	}
-	return unpackSlices(flat)
+	// Re-point the parts into the pack, as unpackSlices would.
+	at := 8
+	for r, p := range parts {
+		at += 8
+		parts[r] = flat[at : at+len(p) : at+len(p)]
+		at += len(p)
+	}
+	return parts, nil
 }
 
 // AlltoallvSparse sends send[r] to each rank r and returns the payloads

@@ -306,6 +306,70 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
+// TestAllgatherRootCopiesOnce: per Allgather on 4 ranks, rank 0
+// allocates no more than one pack per rank (its own, kept as the
+// result, and one copy per peer) plus the parts header. The heap count
+// is process-wide, so the peers' known share — each sends a copy of
+// its part and unpacks the header of its result — is taken off first.
+// Part and pack sizes are exact size classes, so the bytes are exact
+// but for transport bookkeeping (a mailbox queue growing), of which up
+// to 512 bytes a call are forgiven — one extra copy of the pack alone
+// is 8 KiB.
+func TestAllgatherRootCopiesOnce(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const size, calls = 4, 50
+	const part = 2038                // each part; a peer's copy rounds up to 2048
+	const packed = 8 + size*(8+part) // 8192: a size class
+	const header = size * 24         // 96: a size class
+	const peers = (size - 1) * (2048 + header)
+	var total uint64
+	err := Run(size, func(c *Comm) error {
+		data := bytes.Repeat([]byte{byte(c.Rank())}, part)
+		if _, err := c.Allgather(data); err != nil { // warm the mailboxes
+			return err
+		}
+		var before, after runtime.MemStats
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		for range calls {
+			all, err := c.Allgather(data)
+			if err != nil {
+				return err
+			}
+			for r, p := range all {
+				if len(p) != part || p[0] != byte(r) || p[part-1] != byte(r) {
+					return fmt.Errorf("rank %d: part %d is %d bytes of %d", c.Rank(), r, len(p), p[0])
+				}
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+			total = after.TotalAlloc - before.TotalAlloc
+		}
+		return c.Barrier() // the peers stay parked while rank 0 reads
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two barriers inside the window allocate a parts header each at
+	// rank 0.
+	root := (int64(total)-2*header)/calls - peers
+	if want := int64(size*packed + header); root > want+512 {
+		t.Errorf("rank 0 allocates %d bytes per Allgather, want <= %d (%d packs of %d bytes and a %d-byte header)",
+			root, want, size, packed, header)
+	}
+}
+
 func TestCollectivesDontCrossTalk(t *testing.T) {
 	// Back-to-back collectives with different payloads must not mix.
 	err := Run(4, func(c *Comm) error {

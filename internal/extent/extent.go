@@ -22,7 +22,7 @@ func (r Run) End() int64 { return r.Off + r.Len }
 // (on a copy), empty runs dropped, and adjacent or overlapping extents
 // merged. The result never has more runs than the input.
 func Coalesce(runs []Run) []Run {
-	var out []Run
+	out := make([]Run, 0, len(runs))
 	for _, r := range runs {
 		if r.Len > 0 {
 			out = append(out, r)

@@ -112,8 +112,13 @@ func (o Order) String() string {
 // Strides returns the linear stride of each dimension for shape s in
 // order o. Offset(idx) = sum_i idx[i]*strides[i].
 func Strides(s Shape, o Order) []int64 {
+	return StridesInto(make([]int64, len(s)), s, o)
+}
+
+// StridesInto is Strides writing into st, which must have len(s)
+// elements; it returns st.
+func StridesInto(st []int64, s Shape, o Order) []int64 {
 	k := len(s)
-	st := make([]int64, k)
 	switch o {
 	case ColMajor:
 		acc := int64(1)
@@ -217,8 +222,14 @@ func (b Box) Shape() Shape {
 	return s
 }
 
-// Volume returns the number of points in b.
-func (b Box) Volume() int64 { return b.Shape().Volume() }
+// Volume returns the number of points in b (0 if b is empty).
+func (b Box) Volume() int64 {
+	v := int64(1)
+	for i := range b.Lo {
+		v *= int64(max(b.Hi[i]-b.Lo[i], 0))
+	}
+	return v
+}
 
 // Empty reports whether b contains no points.
 func (b Box) Empty() bool {

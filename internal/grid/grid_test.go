@@ -104,6 +104,27 @@ func TestQuickOffsetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBoxVolumeAllocFree: Volume multiplies the extents in place —
+// zero for an empty box, one for rank 0 — without building a Shape.
+func TestBoxVolumeAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		b    Box
+		want int64
+	}{
+		{NewBox([]int{1, 2, 0}, []int{4, 5, 7}), 63},
+		{NewBox([]int{3, 2}, []int{1, 5}), 0},
+		{NewBox([]int{3}, []int{3}), 0},
+		{Box{}, 1},
+	} {
+		if got := c.b.Volume(); got != c.want {
+			t.Errorf("%v.Volume() = %d, want %d", c.b, got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = c.b.Volume() }); n != 0 {
+			t.Errorf("%v.Volume() allocates %.0f times", c.b, n)
+		}
+	}
+}
+
 func TestBoxBasics(t *testing.T) {
 	b := NewBox([]int{1, 2}, []int{4, 5})
 	if b.Rank() != 2 || b.Volume() != 9 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"drxmp/internal/cluster"
@@ -56,6 +57,66 @@ func demote(w *fileCache, runs []pfs.Run) {
 				w.remove(e)
 			}
 		}
+	}
+}
+
+// holdWrites parks the first write request the store is handed until
+// release is closed, signalling held once it does.
+type holdWrites struct {
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (h *holdWrites) Fail(_ int, write bool, _, _ int64) error {
+	if write {
+		h.once.Do(func() {
+			close(h.held)
+			<-h.release
+		})
+	}
+	return nil
+}
+
+// TestFirstWriteResolvesCache: the first I/O of a caching handle is a
+// write, and a read of the same bytes through the handle runs — and
+// creates the cache, and caches the store's old bytes — while the
+// write is held before its store write. Once the write returns, a
+// re-read must see the new bytes: the write registered with the cache
+// it would otherwise have missed, and updated that cached copy.
+func TestFirstWriteResolvesCache(t *testing.T) {
+	fs, err := pfs.Create("first-write", pfs.Options{Servers: 2, StripeSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	old := bytes.Repeat([]byte{1}, 512)
+	if _, err := fs.WriteAt(old, 0); err != nil {
+		t.Fatal(err)
+	}
+	f := Open(cluster.Self(), fs)
+	if err := f.ApplyTuning(TuningKnobs{CacheBytes: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	h := &holdWrites{held: make(chan struct{}), release: make(chan struct{})}
+	fs.SetInjector(h)
+	runs := []pfs.Run{{Off: 0, Len: 512}}
+	fresh := bytes.Repeat([]byte{2}, 512)
+	wrote := make(chan error, 1)
+	go func() { wrote <- f.WriteV(runs, Contig(fresh)) }()
+	<-h.held
+	got := make([]byte, 512)
+	if err := f.ReadV(runs, Contig(got)); err != nil {
+		t.Fatal(err)
+	}
+	close(h.release)
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if err := f.ReadV(runs, Contig(got)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, fresh) {
+		t.Fatalf("re-read after the write returned %v..., want the written %v...", got[:4], fresh[:4])
 	}
 }
 

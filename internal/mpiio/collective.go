@@ -457,7 +457,15 @@ func (f *File) attrLocality(placedBy [][]placed) {
 // placed in domain `owner` — exactly the bytes its aggregator must
 // transfer, sorted and non-overlapping.
 func domainRuns(owner int, placedBy [][]placed) []pfs.Run {
-	var runs []pfs.Run
+	n := 0
+	for _, pl := range placedBy {
+		for _, p := range pl {
+			if p.owner == owner {
+				n++
+			}
+		}
+	}
+	runs := make([]pfs.Run, 0, n)
 	for _, pl := range placedBy {
 		for _, p := range pl {
 			if p.owner == owner {

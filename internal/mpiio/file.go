@@ -207,9 +207,15 @@ func (f *File) ReadV(runs []pfs.Run, mem Vec) error {
 // the cache discards its dirty and spilled bytes of the runs before the
 // store write and copies the written bytes into its clean copies of
 // them after it, so a re-read of what this process just wrote stays
-// warm. No-op on the cache without one.
+// warm. No-op on the cache without one. A handle with a budget creates
+// the cache here if no read has yet, as ReadV would: a read that
+// created it while this write was out would otherwise cache the bytes
+// the write replaces, and the write would never update them.
 func (f *File) WriteV(runs []pfs.Run, mem Vec) error {
 	w := f.sharedCache()
+	if f.caching() {
+		w = f.cache()
+	}
 	if w == nil {
 		_, err := f.fs.WriteVec(runs, mem)
 		return err

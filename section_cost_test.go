@@ -47,17 +47,18 @@ func TestWriteSectionChargesOneVectoredWrite(t *testing.T) {
 			return err
 		}
 
-		runs, stride, err := f.sectionRuns(box, RowMajor)
+		var p sectionPlan
+		stride, err := f.sectionRuns(&p, box, RowMajor)
 		if err != nil {
 			return err
 		}
 		var pruns []pfs.Run
-		for _, r := range runs {
+		for _, r := range p.rows.runs {
 			pruns = append(pruns, pfs.Run{Off: r.fileOff, Len: r.elems * 8})
 		}
 		pruns = pfs.Coalesce(pruns)
 		scratch := make([]byte, len(data))
-		f.scatterGather(runs, stride, scratch, data, false)
+		f.scatterGather(p.rows.runs, stride, scratch, data, false)
 		if _, err := ref.WriteV(pruns, scratch); err != nil {
 			return err
 		}
