@@ -90,23 +90,27 @@ import (
 // a mid-sweep punch keeps its remainder dirty).
 //
 // Memory (filecache_mem.go): the cache owns every byte it holds. Each
-// extent's data is a sub-slice of a cache buffer (cbuf) taken from the
-// cache's free lists — one per power-of-two size class, a piece of n
-// bytes getting a buffer of n to 2n, so a 1 KB piece takes about 1 KB
-// and a sieve block a block — or made, exactly n bytes, when no free
-// buffer fits. Sieve fetches land straight in such buffers, spill
-// read-backs are read into them, and Absorb and the dirty merge copy
-// into them; nothing else is cached. A buffer is referenced by its
-// resident extents — punch remainders share their parent's — and by
-// PINS, one per reader that uses it outside mu: a flush sweep pins its
-// victims and its spill chunks, a fetch the buffers it reads into,
-// until its store call has returned. Only an extent leaving the cache
-// (remove, takeLocked, a punch, a merge) gives up its reference;
-// marking an extent clean after a sweep does not. The last reference
-// frees the buffer, so a punch links its remainders before it lets go
-// of the punched extent, and eviction demotes before it removes. The
-// free lists hold at most the memory budget in bytes: past it, the
-// longest-free buffers go to the garbage collector.
+// extent's data is a sub-slice of a cache buffer (cbuf) of a power of
+// two bytes, a piece of n bytes getting one of n rounded up, so n to
+// 2n: a 1 KB piece takes about 1 KB and a sieve block a block. It comes
+// from that size class's pool, shared by every cache in the process, or
+// is made when the pool is empty. Sieve fetches land straight in such
+// buffers, spill read-backs are read into them, and Absorb and the
+// dirty merge copy into them; nothing else is cached. A buffer is
+// referenced by its resident extents — punch remainders share their
+// parent's — and by PINS, one per reader that uses it outside mu: a
+// flush sweep pins its victims and its spill chunks, a fetch the
+// buffers it reads into, until its store call has returned. Only an
+// extent leaving the cache (remove, takeLocked, a punch, a merge) gives
+// up its reference; marking an extent clean after a sweep does not. The
+// last reference frees the buffer, so a punch links its remainders
+// before it lets go of the punched extent, and eviction demotes before
+// it removes. A freed buffer goes back to its class's pool. The budget
+// caps the resident extents' bytes, not the pools: nothing but the
+// garbage collector bounds idle memory, and a pool it finds idle
+// empties over two cycles. So an out-of-core scan, whose fetch plans
+// may exceed the budget, recycles the same buffers op after op instead
+// of handing them to the collector and allocating them again.
 
 // cext is one cached byte range and its buffered data (len(data) ==
 // length of the range; data is a sub-slice of buf, and off and data
@@ -214,15 +218,7 @@ type fileCache struct {
 	guards   []*fetchGuard        // the sieve fetches and direct writes in flight
 	clock    int64                // LRU clock
 
-	// Cache memory (filecache_mem.go): the free buffers by size class,
-	// their bytes (at most budget), the clock that orders their freeing,
-	// the unused headers of the newest header slab, and the spill tier's
-	// Alloc over the buffers.
-	free      [64][]*cbuf
-	freeBytes int64
-	freeClock int64
-	hdrs      []cbuf
-	lend      spill.Alloc
+	lend spill.Alloc // the spill tier's Alloc over cache memory (lendBuf)
 
 	sweep flushList // a flush sweep's request list, reused; flushMu guards it
 
@@ -337,9 +333,6 @@ func (w *fileCache) Configure(cfg cacheConfig) {
 	if cfg.budget <= 0 {
 		w.stats.Evicted += w.total - w.dirty
 		w.takeLocked(slices.Clone(w.lru[0].Items()))
-	}
-	for w.freeBytes > w.budget { // a lowered budget
-		w.dropOldest()
 	}
 }
 
@@ -1101,8 +1094,7 @@ func (w *fileCache) planFetch(runs []pfs.Run, mem Vec) (sieveFetch, error) {
 // serve the caller (a racing unsynced conflict is undefined, as in MPI)
 // but must not enter the cache. What is kept is inserted split at the
 // pieces' (sieve-block) boundaries, each extent a window on its piece's
-// buffer; a piece nothing keeps goes back to the free lists with its
-// pin.
+// buffer; a piece nothing keeps goes back to its pool with its pin.
 func (w *fileCache) settleFetch(f *sieveFetch, mem Vec) {
 	pieces := f.pieces
 	fillHoles(f.holes, mem, func(cur *pfs.Cursor, h hole) {

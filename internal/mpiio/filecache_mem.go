@@ -1,6 +1,9 @@
 package mpiio
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // The extent cache's own memory (see "Memory" in filecache.go). Every
 // function here needs fileCache.mu held.
@@ -11,10 +14,9 @@ import "math/bits"
 // outside fileCache.mu; pins is the part of refs that is pins. The
 // buffer is free once refs is zero.
 type cbuf struct {
-	b     []byte // len == cap
-	refs  int32
-	pins  int32
-	freed int64 // fileCache.freeClock when b last went on a free list
+	b    []byte // len == cap, a power of two
+	refs int32
+	pins int32
 }
 
 // poisonFree makes every buffer that becomes free fill with 0xA5, so a
@@ -22,64 +24,21 @@ type cbuf struct {
 // bytes that happen to be right. Only tests set it.
 var poisonFree bool
 
-// sizeClass is the free list a buffer of n > 0 bytes goes on: n's power
-// of two, rounded down.
-func sizeClass(n int64) int { return bits.Len64(uint64(n)) - 1 }
+// bufClasses holds the free buffers of every cache in the process, one
+// pool per power of two: class c holds buffers of exactly 1<<c bytes.
+// Nothing caps them; a pool the garbage collector finds idle empties
+// over two cycles.
+var bufClasses [64]sync.Pool
 
-// getBuf returns an unreferenced buffer of at least n and under 2n
-// bytes, n > 0: the newest free one of n's size class if it is large
-// enough, else the newest of the next larger class that has one — cut
-// to n bytes if it holds 2n, the rest staying free — else a new one of
-// exactly n bytes.
+// getBuf returns an unreferenced buffer for n > 0 bytes: one of exactly
+// n rounded up to a power of two, so at least n and under 2n, from
+// that class's pool or made.
 func (w *fileCache) getBuf(n int64) *cbuf {
-	c := sizeClass(n)
-	if l := w.free[c]; len(l) > 0 && int64(len(l[len(l)-1].b)) >= n {
-		return w.pop(c)
-	}
-	for k := c + 1; k < len(w.free); k++ {
-		if len(w.free[k]) == 0 {
-			continue
-		}
-		b := w.pop(k)
-		if int64(len(b.b)) >= 2*n {
-			w.push(w.newHeader(b.b[n:]))
-			b.b = b.b[:n:n]
-		}
+	c := bits.Len64(uint64(n - 1))
+	if b, ok := bufClasses[c].Get().(*cbuf); ok {
 		return b
 	}
-	return w.newHeader(make([]byte, n))
-}
-
-// newHeader wraps memory in a buffer header. Headers are allocated 64 to
-// a slab, so a header given to the garbage collector lets go of its
-// bytes (the slab may live on).
-func (w *fileCache) newHeader(p []byte) *cbuf {
-	if len(w.hdrs) == 0 {
-		w.hdrs = make([]cbuf, 64)
-	}
-	b := &w.hdrs[0]
-	w.hdrs = w.hdrs[1:]
-	b.b = p
-	return b
-}
-
-// pop takes the newest buffer off free list c; push puts a free buffer
-// on its list, newest last.
-func (w *fileCache) pop(c int) *cbuf {
-	l := w.free[c]
-	b := l[len(l)-1]
-	l[len(l)-1] = nil
-	w.free[c] = l[:len(l)-1]
-	w.freeBytes -= int64(len(b.b))
-	return b
-}
-
-func (w *fileCache) push(b *cbuf) {
-	w.freeClock++
-	b.freed = w.freeClock
-	c := sizeClass(int64(len(b.b)))
-	w.free[c] = append(w.free[c], b)
-	w.freeBytes += int64(len(b.b))
+	return &cbuf{b: make([]byte, 1<<c)}
 }
 
 // newExt makes an extent over data, a sub-slice of b, and counts it in
@@ -102,10 +61,7 @@ func (w *fileCache) unref(b *cbuf) {
 	w.drop(b)
 }
 
-// drop frees b if nothing references it. The free lists keep at most
-// the budget in bytes: to make room they give their longest-free
-// buffers to the garbage collector, since the sizes just freed are the
-// likeliest to be asked for next.
+// drop frees b into its class's pool if nothing references it.
 func (w *fileCache) drop(b *cbuf) {
 	if b.refs > 0 {
 		return
@@ -115,31 +71,7 @@ func (w *fileCache) drop(b *cbuf) {
 			b.b[i] = 0xA5
 		}
 	}
-	if int64(len(b.b)) > w.budget {
-		b.b = nil
-		return
-	}
-	for w.freeBytes+int64(len(b.b)) > w.budget {
-		w.dropOldest()
-	}
-	w.push(b)
-}
-
-// dropOldest gives the longest-free buffer to the garbage collector.
-// Each list is in the order its buffers were freed, so that buffer is
-// the first of some list.
-func (w *fileCache) dropOldest() {
-	k := -1
-	for c, l := range w.free {
-		if len(l) > 0 && (k < 0 || l[0].freed < w.free[k][0].freed) {
-			k = c
-		}
-	}
-	l := w.free[k]
-	w.freeBytes -= int64(len(l[0].b))
-	l[0].b = nil
-	l[0] = nil
-	w.free[k] = l[1:]
+	bufClasses[bits.Len64(uint64(len(b.b)))-1].Put(b)
 }
 
 // lendBuf is the spill tier's Alloc: read-backs land in cache memory,

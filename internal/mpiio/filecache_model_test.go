@@ -93,9 +93,7 @@ func init() { poisonFree = true }
 
 // checkMemory asserts the ownership of the cache's memory: every resident
 // extent's buffer counts exactly the resident extents over it plus its
-// pins, no buffer on a free list is referenced (nor on the wrong list),
-// and the free lists hold at most the budget. Must be called with w.mu
-// held.
+// pins. Must be called with w.mu held.
 func checkMemory(w *fileCache) error {
 	over := make(map[*cbuf]int32)
 	for _, e := range w.ext {
@@ -108,18 +106,6 @@ func checkMemory(w *fileCache) error {
 		if b.refs != n+b.pins {
 			return fmt.Errorf("buffer of %d B has %d references for %d resident extents and %d pins", len(b.b), b.refs, n, b.pins)
 		}
-	}
-	var free int64
-	for c, l := range w.free {
-		for _, b := range l {
-			if b.refs != 0 || over[b] > 0 || sizeClass(int64(len(b.b))) != c {
-				return fmt.Errorf("free buffer of %d B on list %d has %d references, %d of them resident extents", len(b.b), c, b.refs, over[b])
-			}
-			free += int64(len(b.b))
-		}
-	}
-	if free != w.freeBytes || free > max(w.budget, 0) {
-		return fmt.Errorf("free lists hold %d B, books say %d, budget %d", free, w.freeBytes, w.budget)
 	}
 	return nil
 }

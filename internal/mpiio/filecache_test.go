@@ -372,7 +372,7 @@ func TestCollectiveReadCacheCoherent(t *testing.T) {
 }
 
 // TestFileCacheReadThroughPoisonedPool: a miss's fetch lands in buffers
-// from the cache's free lists, with unspecified contents — here the
+// from the cache's pools, with unspecified contents — here the
 // 0xA5 the tests fill every freed buffer with. Out of that recycled
 // memory the caller and the cache must still see store bytes only —
 // zeros past EOF, where read-ahead reaches — and an extent cached by one
@@ -380,7 +380,7 @@ func TestCollectiveReadCacheCoherent(t *testing.T) {
 func TestFileCacheReadThroughPoisonedPool(t *testing.T) {
 	_, w := fcForTest(t, 1<<20, 256, 512)
 	// recycle caches [1024, 2048) and punches it (and its read-ahead)
-	// out again: the freed buffers go back to the free lists, poisoned,
+	// out again: the freed buffers go back to the pools, poisoned,
 	// for the next miss to take.
 	recycle := func() {
 		if err := w.ReadThrough([]pfs.Run{{Off: 1024, Len: 1024}}, make(Contig, 1024)); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -495,6 +496,62 @@ func TestDegradedParityBatchesAndUnsortedRuns(t *testing.T) {
 		fs.SetInjector(nil)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("degraded read (server %d dead) differs after a %d-row unsorted vectored write", dead, rows)
+		}
+	}
+}
+
+// TestDegradedReadSeedsFromRowMates: a vector that covers a whole parity
+// row already holds k-1 row-mates of the unit a dead server loses, so
+// the rebuild fetches one shard, a parity unit, and no data unit again
+// — with the vector's runs ascending or descending. Two runs per unit
+// give every server two segments of the read.
+func TestDegradedReadSeedsFromRowMates(t *testing.T) {
+	const stripe, k, m = 64, 6, 2
+	fs := degradedFS(t, Options{Servers: k + m, Parity: m, StripeSize: stripe})
+	want := pattern(k*stripe, 7)
+	if _, err := fs.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	var asc []Run
+	for off := int64(0); off < k*stripe; off += stripe / 2 {
+		asc = append(asc, Run{Off: off, Len: stripe / 2})
+	}
+	desc := slices.Clone(asc)
+	slices.Reverse(desc)
+	// requests reads runs and returns the requests each server served.
+	requests := func(runs []Run) []int64 {
+		before := fs.Stats()
+		buf := make([]byte, k*stripe)
+		if _, err := fs.ReadV(runs, buf); err != nil {
+			t.Fatal(err)
+		}
+		for at := 0; len(runs) > 0; runs = runs[1:] {
+			r := runs[0]
+			if !bytes.Equal(buf[at:at+int(r.Len)], want[r.Off:r.End()]) {
+				t.Fatalf("run at %d differs", r.Off)
+			}
+			at += int(r.Len)
+		}
+		after := fs.Stats()
+		reqs := make([]int64, k+m)
+		for s := range reqs {
+			a, b := &after.PerServer[s], &before.PerServer[s]
+			reqs[s] = a.Reads + a.Writes - b.Reads - b.Writes
+		}
+		return reqs
+	}
+	for _, leg := range []struct {
+		name string
+		runs []Run
+	}{{"ascending", asc}, {"descending", desc}} {
+		healthy := requests(leg.runs)
+		fs.SetInjector(&FaultPoint{Server: 0, Op: FaultReads, Permanent: true})
+		degraded := requests(leg.runs)
+		fs.SetInjector(nil)
+		if fetched := degraded[k] + degraded[k+1]; fetched != 1 || degraded[0] != 0 ||
+			!slices.Equal(degraded[1:k], healthy[1:k]) {
+			t.Fatalf("%s: requests per server %v healthy, %v with server 0 dead: want the row-mates' unchanged and one parity fetch",
+				leg.name, healthy, degraded)
 		}
 	}
 }

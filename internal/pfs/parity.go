@@ -463,29 +463,16 @@ func (fs *FS) serviceReconBatch(sc *reconScratch, batch []reconFetch) {
 	// counting sort by server, then a stable sort by offset of the one
 	// server's run only where it is out of order (a round's fetches
 	// mostly arrive row by row, so ascending already).
-	idx := grow(&sc.idx, len(batch))
-	at := grow(&sc.at, fs.opts.Servers+1)
-	clear(at)
-	total := 0
-	for i := range batch {
-		at[batch[i].server+1]++
-		total += batch[i].job.n
-	}
-	for s := 1; s < len(at); s++ {
-		at[s] += at[s-1]
-	}
-	for i := range batch {
-		s := batch[i].server
-		idx[at[s]] = i
-		at[s]++
-	}
+	idx, at := sc.byServer(fs.opts.Servers, len(batch), func(i int) int { return batch[i].server })
 	byOff := func(a, b int) int { return cmp.Compare(batch[a].job.off, batch[b].job.off) }
-	for s, lo := 0, 0; s < fs.opts.Servers; s++ {
-		run := idx[lo:at[s]]
-		if !slices.IsSortedFunc(run, byOff) {
+	for s := 0; s < fs.opts.Servers; s++ {
+		if run := idx[at[s]:at[s+1]]; !slices.IsSortedFunc(run, byOff) {
 			slices.SortStableFunc(run, byOff)
 		}
-		lo = at[s]
+	}
+	total := 0
+	for i := range batch {
+		total += batch[i].job.n
 	}
 	slab := sc.carve(total)
 	d := fs.newDispatch(Contig(slab), false)
@@ -516,6 +503,31 @@ func (fs *FS) serviceReconBatch(sc *reconScratch, batch []reconFetch) {
 	fs.release(d)
 }
 
+// byServer orders the items 0..n-1 by their server, stably, with one
+// counting sort: server s's items are idx[at[s]:at[s+1]]. Both slices
+// are sc's, valid until the next call.
+func (sc *reconScratch) byServer(servers, n int, server func(i int) int) (idx, at []int) {
+	idx = grow(&sc.idx, n)
+	at = grow(&sc.at, servers+1)
+	clear(at)
+	for i := 0; i < n; i++ {
+		at[server(i)+1]++
+	}
+	for s := 1; s < len(at); s++ {
+		at[s] += at[s-1]
+	}
+	for i := 0; i < n; i++ {
+		s := server(i)
+		idx[at[s]] = i
+		at[s]++
+	}
+	// at[s] has walked to the end of server s's bucket, which is where
+	// server s+1's starts.
+	copy(at[1:], at)
+	at[0] = 0
+	return idx, at
+}
+
 // sourceOrder ranks servers for reconstruction sources: healthy-fast
 // first (ascending slow factor), then fewest requests queued, then
 // index — the "fastest k of k+m" selection.
@@ -543,10 +555,9 @@ type reconScratch struct {
 	tabs    [][]byte // the jobs' shard tables, k+m entries each
 	inRecon []bool
 	batch   []reconFetch
-	idx     []int  // serviceReconBatch: the fetches in request order,
-	at      []int  //   the counting sort's bucket ends
-	first   []int  //   and where each request's fetches start
-	served  []int  // reconstructSegs: the served segments by offset
+	idx     []int  // byServer: the items by server
+	at      []int  //   and where each server's items start
+	first   []int  // serviceReconBatch: where each request's fetches start
 	slab    []byte // the source fetches' bytes
 	used    int    // of slab, by this read's earlier rounds
 }
@@ -630,32 +641,44 @@ func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon 
 	// segment that was served healthily covers the same byte range of
 	// its own stripe unit, so it is a reconstruction source for free —
 	// a whole-row degraded read then only fetches the parity shards. The
-	// served segments are indexed by offset (ties in vector order) once,
-	// so each job looks at its own row-mates only, in vector order.
+	// segments are bucketed by server once, each bucket ascending by
+	// (offset, length) — already so when the vector's runs are — so a
+	// job binary-searches each other server's bucket for its own range,
+	// and takes one shard per server.
 	if seed {
-		served := sc.served[:0]
-		for i := range segs {
-			if !inRecon[i] {
-				served = append(served, i)
+		idx, at := sc.byServer(fs.opts.Servers, len(segs), func(i int) int { return int(segs[i].server) })
+		byRange := func(a, b int) int {
+			return cmp.Or(cmp.Compare(segs[a].off, segs[b].off), cmp.Compare(segs[a].n, segs[b].n))
+		}
+		for s := 0; s < fs.opts.Servers; s++ {
+			if b := idx[at[s]:at[s+1]]; !slices.IsSortedFunc(b, byRange) {
+				slices.SortStableFunc(b, byRange)
 			}
 		}
-		slices.SortFunc(served, func(a, b int) int {
-			return cmp.Or(cmp.Compare(segs[a].off, segs[b].off), cmp.Compare(a, b))
-		})
-		sc.served = served
 		for ji := range jobs {
 			j := &jobs[ji]
-			at, _ := slices.BinarySearchFunc(served, j.off, func(i int, off int64) int { return cmp.Compare(segs[i].off, off) })
-			for _, i := range served[at:] {
-				s := &segs[i]
-				if j.got >= k || s.off != j.off {
-					break
-				}
-				if int(s.server) == j.server || int(s.n) != j.n || j.shards[s.server] != nil {
+			for c := 0; c < fs.opts.Servers && j.got < k; c++ {
+				if c == j.server {
 					continue
 				}
-				j.shards[s.server] = s.in(buf)
-				j.got++
+				lo, hi := at[c], at[c+1] // to the first of c's segments not below j's range
+				for lo < hi {
+					h := int(uint(lo+hi) >> 1)
+					if s := &segs[idx[h]]; s.off < j.off || s.off == j.off && int(s.n) < j.n {
+						lo = h + 1
+					} else {
+						hi = h
+					}
+				}
+				for _, i := range idx[lo:at[c+1]] {
+					if s := &segs[i]; s.off != j.off || int(s.n) != j.n {
+						break
+					} else if !inRecon[i] {
+						j.shards[c] = s.in(buf)
+						j.got++
+						break
+					}
+				}
 			}
 		}
 	}
