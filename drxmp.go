@@ -55,6 +55,11 @@ type (
 	// CacheStats is the unified extent cache's cumulative accounting
 	// (see File.CacheStats).
 	CacheStats = mpiio.CacheStats
+	// Tuning is the performance-knob block of Options and OpenOptions
+	// (write-behind, cache budget, read-ahead, spill tier; mpiio.Tuning
+	// documents each knob). It is fixed when the file opens: to change
+	// it, Close the file and open it again with OpenWith.
+	Tuning = mpiio.Tuning
 )
 
 // Element types and orders.
@@ -73,72 +78,15 @@ const (
 // NewBox builds a half-open box [lo, hi).
 func NewBox(lo, hi []int) Box { return grid.NewBox(lo, hi) }
 
-// ErrBadOptions is the typed validation error of Create, OpenWith and
-// SetTuning: every rejected option wraps it, so callers (and the
-// serving tier mapping tenant knobs onto files) can errors.Is instead
-// of string-matching.
+// ErrBadOptions is the typed validation error of Create and OpenWith:
+// every rejected option wraps it, so callers (and the serving tier) can
+// errors.Is instead of string-matching.
 var ErrBadOptions = errors.New("drxmp: bad options")
 
-// Tuning is the shared performance-knob block of Options and
-// OpenOptions — everything that shapes HOW bytes move, none of WHAT
-// they are. The zero value is a valid default for every field. A
-// tenant's knobs apply atomically after open through File.SetTuning.
-// A collective's aggregator count and worker count are rules, not
-// knobs: one aggregator per stripe of payload, clamped to [1, nranks],
-// and GOMAXPROCS workers.
-type Tuning struct {
-	// WriteBehindBytes selects write-behind buffering for collective
-	// writes: 0 (the default) dispatches each collective's coalesced
-	// union immediately; > 0 buffers dirty unions across collectives
-	// and flushes the cache in one vectored sweep once that many bytes
-	// are buffered (the watermark counts the file's total buffered
-	// bytes — the cache is shared by every rank's handle); < 0 buffers
-	// without bound (flush on Sync, Close, or budget pressure only).
-	// The deferred bytes are the extent cache's dirty extents, so
-	// write-behind requires CacheBytes > 0, and reads through any
-	// handle — independent or collective, any rank — are served them
-	// from the cache. Use Sync for durability ordering (bytes on the
-	// servers) and around concurrent conflicting access, whose outcome
-	// is otherwise undefined exactly as in MPI. Every rank must pass the
-	// same value.
-	WriteBehindBytes int64
-	// CacheBytes turns the unified per-file extent cache on with that
-	// memory budget in bytes: independent and collective reads fetch
-	// sieve-aligned covering blocks (one vectored request per miss) into
-	// the cache, hole-free re-reads come from memory, write-behind keeps
-	// its deferred bytes there, and the budget caps the file's TOTAL
-	// cached bytes — clean extents evict LRU-first, deferred write-behind
-	// extents flush-on-evict. 0 (the default) turns the cache off, and
-	// with it write-behind. The cache is shared by every rank's handle on
-	// the store, so a block fetched by one rank warms all of them. The
-	// sieve block granularity is the stripe size; it is not a knob. Every
-	// rank must pass the same value.
-	CacheBytes int64
-	// ReadAheadBytes extends each sieve fetch past the requested range
-	// by this many bytes (rounded up to whole sieve blocks), so a
-	// forward sectioned scan finds its next block already cached. 0
-	// (the default) disables read-ahead; requires CacheBytes > 0. Every
-	// rank must pass the same value.
-	ReadAheadBytes int64
-	// SpillBytes enables the local-disk spill tier of the extent cache
-	// with that byte budget: extents evicted from the CacheBytes memory
-	// tier demote to a local spill file instead of dropping (clean) or
-	// flushing (dirty), reads consult memory → spill → pfs with spill
-	// hits promoted back under LRU, and write-behind can buffer far
-	// past RAM (spilled dirty bytes count toward the watermark and
-	// flush in the same vectored sweep). 0 (the default) disables the
-	// tier; requires CacheBytes > 0. Every rank must pass the same
-	// value.
-	SpillBytes int64
-	// SpillPath names the spill file; empty (the default) selects a
-	// temp file. The file is created at first use and removed when the
-	// array's store closes. Meaningful only with SpillBytes > 0.
-	SpillPath string
-}
-
-// validate rejects knob values with no defined meaning. A negative
-// WriteBehindBytes (unbounded buffering) is meaningful and stays legal.
-func (t Tuning) validate() error {
+// validateTuning rejects knob values with no defined meaning. A
+// negative WriteBehindBytes (unbounded buffering) is meaningful and
+// stays legal.
+func validateTuning(t Tuning) error {
 	if t.CacheBytes < 0 {
 		return fmt.Errorf("%w: negative CacheBytes %d", ErrBadOptions, t.CacheBytes)
 	}
@@ -215,7 +163,6 @@ type File struct {
 	kind        zone.Kind
 	cyclicBlock int
 	diskBacked  bool
-	tuning      Tuning // the validated block last applied (see Tuning())
 
 	decomp *zone.Decomp // cached; invalidated by extensions
 
@@ -270,7 +217,7 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 	if opts.CyclicBlock == 0 {
 		opts.CyclicBlock = 1
 	}
-	if err := opts.Tuning.validate(); err != nil {
+	if err := validateTuning(opts.Tuning); err != nil {
 		return nil, err
 	}
 	// Rank 0 builds the metadata; everyone receives the encoded replica
@@ -310,26 +257,27 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{
-		comm:        c,
-		m:           m,
-		fs:          fs,
-		io:          mpiio.Open(c, fs),
-		path:        path,
-		kind:        opts.Decomp,
-		cyclicBlock: opts.CyclicBlock,
-		diskBacked:  fsOpts.Backend == pfs.Disk,
-	}
-	if err := f.applyTuning(opts.Tuning); err != nil {
+	io, err := mpiio.Open(c, fs, opts.Tuning)
+	if err != nil {
 		// The one failing knob is the spill-tier open, which is
-		// attempted exactly once on the shared cache (the failure is
-		// sticky), so every rank observes the same error and returns
-		// here uniformly — no agreement round needed. Rank 0 owns the
-		// store it just created and releases it.
+		// attempted exactly once, when the first handle creates the
+		// shared cache (later handles get the same error), so every rank
+		// observes it and returns here uniformly — no agreement round
+		// needed. Rank 0 owns the store it just created and releases it.
 		if c.Rank() == 0 {
 			fs.Close()
 		}
 		return nil, err
+	}
+	f := &File{
+		comm:        c,
+		m:           m,
+		fs:          fs,
+		io:          io,
+		path:        path,
+		kind:        opts.Decomp,
+		cyclicBlock: opts.CyclicBlock,
+		diskBacked:  fsOpts.Backend == pfs.Disk,
 	}
 	// Agree on the metadata-persist outcome before any rank returns a
 	// handle: persistMeta can only fail on rank 0 (it is a no-op
@@ -358,7 +306,7 @@ func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 	if opts.CyclicBlock == 0 {
 		opts.CyclicBlock = 1
 	}
-	if err := opts.Tuning.validate(); err != nil {
+	if err := validateTuning(opts.Tuning); err != nil {
 		return nil, err
 	}
 	var blob []byte
@@ -391,22 +339,23 @@ func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &File{
-		comm:        c,
-		m:           m,
-		fs:          fs,
-		io:          mpiio.Open(c, fs),
-		path:        path,
-		kind:        opts.Decomp,
-		cyclicBlock: opts.CyclicBlock,
-		diskBacked:  true,
-	}
-	if err := f.applyTuning(opts.Tuning); err != nil {
+	io, err := mpiio.Open(c, fs, opts.Tuning)
+	if err != nil {
 		// Same uniform-error reasoning as in Create.
 		if c.Rank() == 0 {
 			fs.Close()
 		}
 		return nil, err
+	}
+	f := &File{
+		comm:        c,
+		m:           m,
+		fs:          fs,
+		io:          io,
+		path:        path,
+		kind:        opts.Decomp,
+		cyclicBlock: opts.CyclicBlock,
+		diskBacked:  true,
 	}
 	return f, c.Barrier()
 }
@@ -529,56 +478,20 @@ func (f *File) Meta() *meta.Meta { return f.m }
 // FS exposes the shared backing store (statistics in benchmarks).
 func (f *File) FS() *pfs.FS { return f.fs }
 
-// Tuning returns the knob block the file last applied, exactly as it
-// was passed to Create, OpenWith or SetTuning. A SetTuning that
-// returned an error leaves it unchanged.
-func (f *File) Tuning() Tuning { return f.tuning }
-
-// applyTuning installs an already validated t on the mpiio handle and
-// records it. A spill-tier open failure surfaces here — it is the one
-// knob with a resource behind it.
-func (f *File) applyTuning(t Tuning) error {
-	err := f.io.ApplyTuning(mpiio.TuningKnobs{
-		WriteBehind: t.WriteBehindBytes,
-		CacheBytes:  t.CacheBytes,
-		ReadAhead:   t.ReadAheadBytes,
-		SpillBytes:  t.SpillBytes,
-		SpillPath:   t.SpillPath,
-	})
-	if err == nil {
-		f.tuning = t
-	}
-	return err
-}
-
-// SetTuning validates t (ErrBadOptions on rejection) and applies every
-// knob atomically, so a serving tier can swap a tenant's whole profile
-// between requests. Turning write-behind, the cache or the spill tier
-// off flushes any buffered dirty extents first and returns the flush
-// error with nothing applied; turning the cache off then releases its
-// clean extents. Every rank must apply the same Tuning.
-func (f *File) SetTuning(t Tuning) error {
-	if err := t.validate(); err != nil {
-		return err
-	}
-	return f.applyTuning(t)
-}
-
-// WriteBehind returns the write-behind policy knob (0 = immediate).
-func (f *File) WriteBehind() int64 { return f.tuning.WriteBehindBytes }
+// Tuning returns the knob block the file was opened with, exactly as
+// it was passed to Create or OpenWith.
+func (f *File) Tuning() Tuning { return f.io.Tuning() }
 
 // CacheBytes returns the read-cache memory budget (0 = disabled).
-func (f *File) CacheBytes() int64 { return f.tuning.CacheBytes }
-
-// ReadAhead returns the sieve read-ahead knob (0 = disabled).
-func (f *File) ReadAhead() int64 { return f.tuning.ReadAheadBytes }
+func (f *File) CacheBytes() int64 { return f.io.Tuning().CacheBytes }
 
 // CacheStats returns the cumulative unified-cache accounting for the
 // file (hits, misses, sieve fetches, evictions, absorbs, flushes).
 func (f *File) CacheStats() mpiio.CacheStats { return f.io.CacheStats() }
 
-// Dirty returns the bytes currently buffered by this rank's
-// write-behind cache (benchmarks and tests).
+// Dirty returns the dirty bytes currently buffered by the file's
+// shared extent cache: every rank's deferred collective writes
+// (benchmarks and tests).
 func (f *File) Dirty() int64 { return f.io.Dirty() }
 
 // Cached returns the total bytes (clean + dirty) currently held by the

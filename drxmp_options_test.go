@@ -64,10 +64,9 @@ func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 		if got := f.Tuning(); got != want {
 			return fmt.Errorf("Tuning() = %+v, want %+v", got, want)
 		}
-		// The resolved accessors must agree with the raw knobs too.
-		if f.WriteBehind() != want.WriteBehindBytes || f.CacheBytes() != want.CacheBytes || f.ReadAhead() != want.ReadAheadBytes {
-			return fmt.Errorf("resolved accessors diverge: wb=%d cache=%d ra=%d",
-				f.WriteBehind(), f.CacheBytes(), f.ReadAhead())
+		// The accessor must agree with the raw knob too.
+		if f.CacheBytes() != want.CacheBytes {
+			return fmt.Errorf("CacheBytes() = %d, want %d", f.CacheBytes(), want.CacheBytes)
 		}
 		got, err := f.ReadSectionFloat64s(full, drxmp.RowMajor)
 		if err != nil {
@@ -107,43 +106,8 @@ func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeSetTuningValidation pins SetTuning's all-or-nothing
-// behavior: a valid block applies every knob, an invalid one applies
-// none and reports ErrBadOptions.
-func TestServeSetTuningValidation(t *testing.T) {
-	err := cluster.Run(1, func(c *cluster.Comm) error {
-		f, err := drxmp.Create(c, "tuning", drxmp.Options{
-			DType: drxmp.Float64, ChunkShape: []int{8, 8}, Bounds: []int{16, 16},
-		})
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		want := drxmp.Tuning{WriteBehindBytes: 4096, CacheBytes: 1 << 14, ReadAheadBytes: 512}
-		if err := f.SetTuning(want); err != nil {
-			return err
-		}
-		if got := f.Tuning(); got != want {
-			return fmt.Errorf("SetTuning applied %+v, want %+v", got, want)
-		}
-		bad := want
-		bad.CacheBytes = -5
-		err = f.SetTuning(bad)
-		if !errors.Is(err, drxmp.ErrBadOptions) {
-			return fmt.Errorf("SetTuning(bad) = %v, want ErrBadOptions", err)
-		}
-		if got := f.Tuning(); got != want {
-			return fmt.Errorf("rejected SetTuning still mutated knobs: %+v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestServeBadOptions pins the typed validation error across Create,
-// OpenWith, SetTuning and the Tuning block.
+// OpenWith and the Tuning block.
 func TestServeBadOptions(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		base := drxmp.Options{DType: drxmp.Float64, ChunkShape: []int{8}, Bounds: []int{32}}
@@ -187,19 +151,6 @@ func TestServeBadOptions(t *testing.T) {
 		} {
 			if _, err := drxmp.OpenWith(c, "nope", opts); !errors.Is(err, drxmp.ErrBadOptions) {
 				return fmt.Errorf("OpenWith(%s) = %v, want ErrBadOptions", name, err)
-			}
-		}
-		f, err := drxmp.Create(c, "bad-settuning", base)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		for name, tuning := range map[string]drxmp.Tuning{
-			"readahead-no-cache":   {ReadAheadBytes: 4096},
-			"writebehind-no-cache": {WriteBehindBytes: -1},
-		} {
-			if err := f.SetTuning(tuning); !errors.Is(err, drxmp.ErrBadOptions) {
-				return fmt.Errorf("SetTuning(%s) = %v, want ErrBadOptions", name, err)
 			}
 		}
 		return nil

@@ -94,7 +94,7 @@ func TestWriteBehindCloseFlushes(t *testing.T) {
 }
 
 // TestWriteBehindKnobPlumbing pins the drxmp-level wiring: option,
-// SetTuning (disable flushes), accessor, and Dirty.
+// accessor, Dirty, and Sync draining the deferred bytes.
 func TestWriteBehindKnobPlumbing(t *testing.T) {
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := drxmp.Create(c, "wbknob", drxmp.Options{
@@ -105,8 +105,8 @@ func TestWriteBehindKnobPlumbing(t *testing.T) {
 			return err
 		}
 		defer f.Close()
-		if got := f.WriteBehind(); got != -1 {
-			return fmt.Errorf("WriteBehind() = %d, want -1", got)
+		if got := f.Tuning().WriteBehindBytes; got != -1 {
+			return fmt.Errorf("WriteBehindBytes = %d, want -1", got)
 		}
 		box := drxmp.NewBox([]int{0, 0}, []int{8, 8})
 		data := rankData(0, box, 9)
@@ -116,21 +116,18 @@ func TestWriteBehindKnobPlumbing(t *testing.T) {
 		if f.Dirty() == 0 {
 			return fmt.Errorf("no dirty bytes buffered under close-only write-behind")
 		}
-		if err := f.SetTuning(drxmp.Tuning{}); err != nil { // disable: must flush
+		if err := f.Sync(); err != nil {
 			return err
 		}
 		if f.Dirty() != 0 {
-			return fmt.Errorf("disabling write-behind left %d dirty bytes", f.Dirty())
-		}
-		if got := f.WriteBehind(); got != 0 {
-			return fmt.Errorf("after disabling write-behind: %d", got)
+			return fmt.Errorf("Sync left %d dirty bytes", f.Dirty())
 		}
 		got := make([]byte, box.Volume()*8)
 		if err := f.ReadSection(box, got, drxmp.RowMajor); err != nil {
 			return err
 		}
 		if !bytes.Equal(got, data) {
-			return fmt.Errorf("flushed bytes wrong after disable")
+			return fmt.Errorf("flushed bytes wrong after Sync")
 		}
 		return nil
 	})

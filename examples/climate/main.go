@@ -36,7 +36,14 @@ func observe(day, lat, lon int) float64 {
 }
 
 func main() {
-	err := cluster.Run(ranks, func(c *cluster.Comm) error {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go runs it.
+func run() error {
+	return cluster.Run(ranks, func(c *cluster.Comm) error {
 		// Start with a single day of capacity; time will grow.
 		f, err := drxmp.Create(c, "climate", drxmp.Options{
 			DType:      drxmp.Float64,
@@ -104,7 +111,4 @@ func main() {
 		}
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -122,7 +122,14 @@ func verify(cf *drxmp.File, colLo, colHi int) error {
 }
 
 func main() {
-	err := cluster.Run(ranks, func(c *cluster.Comm) error {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go runs it.
+func run() error {
+	return cluster.Run(ranks, func(c *cluster.Comm) error {
 		fsOpts := pfs.Options{Servers: 4, StripeSize: 16 << 10}
 		newFile := func(name string, bounds []int) (*drxmp.File, error) {
 			return drxmp.Create(c, name, drxmp.Options{
@@ -225,7 +232,4 @@ func main() {
 		}
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -19,9 +19,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go runs it.
+func run() error {
 	dir, err := os.MkdirTemp("", "drx-quickstart")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "demo")
@@ -35,7 +42,7 @@ func main() {
 		FS:         pfs.Options{Backend: pfs.Disk},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Write a 4x5 sub-array at (2,3) in C order.
@@ -45,28 +52,28 @@ func main() {
 		vals[i] = float64(i + 1)
 	}
 	if err := a.WriteFloat64s(box, vals, drx.RowMajor); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("wrote %d elements into %v\n", len(vals), box)
 
 	// Extend dimension 1, then dimension 0 — the operations a
 	// conventional array file cannot do without rewriting everything.
 	if err := a.Extend(1, 8); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := a.Extend(0, 4); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("extended to bounds %v (%d chunks on disk, no data moved)\n", a.Bounds(), a.Chunks())
 
 	// Data written before the extensions is untouched.
 	back, err := a.ReadFloat64s(box, drx.RowMajor)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := range vals {
 		if back[i] != vals[i] {
-			log.Fatalf("element %d changed after extension: %v != %v", i, back[i], vals[i])
+			return fmt.Errorf("element %d changed after extension: %v != %v", i, back[i], vals[i])
 		}
 	}
 	fmt.Println("verified: all pre-extension data intact")
@@ -75,7 +82,7 @@ func main() {
 	// transposition of the paper (no out-of-core transpose step).
 	colVals, err := a.ReadFloat64s(box, drx.ColMajor)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("C order row 0:      %v\n", vals[:5])
 	col0 := make([]float64, 4)
@@ -84,27 +91,28 @@ func main() {
 
 	// Write into the newly grown region.
 	if err := a.Set([]int{13, 17}, 99.5); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	v, err := a.At([]int{13, 17})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("element in grown region: %v\n", v)
 
 	if err := a.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Re-open: the metadata (axial vectors) round-trips through .xmd.
 	re, err := drx.Open(path, pfs.Options{}, drxmp.Tuning{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer re.Close()
 	v, err = re.At([]int{13, 17})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("re-opened: bounds=%v chunks=%d element (13,17)=%v\n", re.Bounds(), re.Chunks(), v)
+	return nil
 }

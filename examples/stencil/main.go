@@ -30,7 +30,14 @@ const (
 )
 
 func main() {
-	err := cluster.Run(ranks, func(c *cluster.Comm) error {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go runs it.
+func run() error {
+	return cluster.Run(ranks, func(c *cluster.Comm) error {
 		// The checkpoint file: (snapshot, i, j), starting with one
 		// snapshot of capacity and growing along dimension 0.
 		ck, err := drxmp.Create(c, "stencil-ck", drxmp.Options{
@@ -186,9 +193,6 @@ func main() {
 		}
 		return nil
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 }
 
 func f64(p []byte) float64 {

@@ -30,6 +30,13 @@ const n = 256
 func truth(i, j int) float64 { return float64(i)*1000 + float64(j) }
 
 func main() {
+	if err := run(); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; main_test.go runs it.
+func run() error {
 	a, err := drx.Create("transpose-demo", drx.Options{
 		DType:      drx.Float64,
 		ChunkShape: []int{32, 32},
@@ -39,7 +46,7 @@ func main() {
 		Tuning: drxmp.Tuning{CacheBytes: n / 32 * 32 * 32 * 8},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer a.Close()
 
@@ -52,10 +59,10 @@ func main() {
 		}
 	}
 	if err := a.WriteFloat64s(full, vals, drx.RowMajor); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := a.Sync(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Consumer 1: C-order scan, row slabs.
@@ -63,7 +70,7 @@ func main() {
 	rowBuf := make([]byte, n*8)
 	for i := 0; i < n; i++ {
 		if err := a.Read(drx.NewBox([]int{i, 0}, []int{i + 1, n}), rowBuf, drx.RowMajor); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	cStats := a.FS().Stats()
@@ -73,7 +80,7 @@ func main() {
 	colBuf := make([]byte, n*8)
 	for j := 0; j < n; j++ {
 		if err := a.Read(drx.NewBox([]int{0, j}, []int{n, j + 1}), colBuf, drx.ColMajor); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	fStats := a.FS().Stats()
@@ -81,17 +88,21 @@ func main() {
 	// Verify a full Fortran-order materialization element by element.
 	colVals, err := a.ReadFloat64s(full, drx.ColMajor)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	checked := 0
 	grid.BoxOf(grid.Shape{n, n}).Iterate(grid.RowMajor, func(idx []int) bool {
 		i, j := idx[0], idx[1]
 		if colVals[j*n+i] != truth(i, j) {
-			log.Fatalf("Fortran read wrong at (%d,%d)", i, j)
+			err = fmt.Errorf("Fortran read wrong at (%d,%d)", i, j)
+			return false
 		}
 		checked++
 		return true
 	})
+	if err != nil {
+		return err
+	}
 
 	fmt.Printf("verified %d elements in Fortran order (no out-of-core transpose)\n", checked)
 	for _, sc := range []struct {
@@ -104,4 +115,5 @@ func main() {
 	fmt.Printf("each scan fetches every chunk at most once, a whole chunk per miss; the Fortran scan\n")
 	fmt.Printf("seeks once per chunk (%d), where a plain row-major file would seek once per\n", fStats.Seeks())
 	fmt.Printf("element (~%d) — see drxbench -exp e2\n", n*(n-1))
+	return nil
 }

@@ -24,8 +24,8 @@ func carveN(t *testing.T, stripe, lo, hi, total, wb int64) int {
 	defer fs.Close()
 	ns := make([]int, 4)
 	err = cluster.Run(4, func(c *cluster.Comm) error {
-		f := Open(c, fs)
-		if err := f.ApplyTuning(TuningKnobs{WriteBehind: wb, CacheBytes: 1 << 20}); err != nil {
+		f, err := Open(c, fs, Tuning{WriteBehindBytes: wb, CacheBytes: 1 << 20})
+		if err != nil {
 			return err
 		}
 		ns[c.Rank()] = f.carve(lo, hi, total).N()
@@ -103,7 +103,7 @@ func TestCollectiveCBNodesIdentical(t *testing.T) {
 			}
 			defer fs.Close()
 			err = cluster.Run(ranks, func(c *cluster.Comm) error {
-				f := Open(c, fs)
+				f := openPlain(c, fs)
 				if n := f.carve(0, ranks*per, ranks*per).N(); n != tc.aggs {
 					return fmt.Errorf("stripe %d carves %d aggregators, want %d", tc.stripe, n, tc.aggs)
 				}

@@ -3,6 +3,7 @@ package mpiio
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -79,10 +80,10 @@ func (h *holdWrites) Fail(_ int, write bool, _, _ int64) error {
 
 // TestFirstWriteResolvesCache: the first I/O of a caching handle is a
 // write, and a read of the same bytes through the handle runs — and
-// creates the cache, and caches the store's old bytes — while the
-// write is held before its store write. Once the write returns, a
-// re-read must see the new bytes: the write registered with the cache
-// it would otherwise have missed, and updated that cached copy.
+// caches the store's old bytes — while the write is held before its
+// store write. Once the write returns, a re-read must see the new
+// bytes: the write's guard saw the read's fetch, and its EndWrite
+// updated or dropped that cached copy.
 func TestFirstWriteResolvesCache(t *testing.T) {
 	fs, err := pfs.Create("first-write", pfs.Options{Servers: 2, StripeSize: 128})
 	if err != nil {
@@ -93,8 +94,8 @@ func TestFirstWriteResolvesCache(t *testing.T) {
 	if _, err := fs.WriteAt(old, 0); err != nil {
 		t.Fatal(err)
 	}
-	f := Open(cluster.Self(), fs)
-	if err := f.ApplyTuning(TuningKnobs{CacheBytes: 1 << 20}); err != nil {
+	f, err := Open(cluster.Self(), fs, Tuning{CacheBytes: 1 << 20})
+	if err != nil {
 		t.Fatal(err)
 	}
 	h := &holdWrites{held: make(chan struct{}), release: make(chan struct{})}
@@ -248,8 +249,8 @@ func firstDiff(a, b []byte) int {
 // over its runs: a read through it equals the store.
 func TestFailedWriteLeavesCacheEqualToStore(t *testing.T) {
 	fs, _ := fcForTest(t, 1<<20, 256, 0)
-	f := Open(cluster.Self(), fs)
-	if err := f.ApplyTuning(TuningKnobs{CacheBytes: 1 << 20}); err != nil {
+	f, err := Open(cluster.Self(), fs, Tuning{CacheBytes: 1 << 20})
+	if err != nil {
 		t.Fatal(err)
 	}
 	whole := []pfs.Run{{Off: 0, Len: 4096}}
@@ -274,5 +275,35 @@ func TestFailedWriteLeavesCacheEqualToStore(t *testing.T) {
 	}
 	if i := firstDiff(got, want); i >= 0 {
 		t.Fatalf("the cache serves %#x at byte %d of the write, the store holds %#x", got[i], i, want[i])
+	}
+}
+
+// TestOpenSharesOneCache: every caching handle on a store holds the
+// cache the first one created, and a handle without a budget holds
+// none. When the first Open cannot open its spill file, every later
+// Open on that store returns the same error rather than trying again.
+func TestOpenSharesOneCache(t *testing.T) {
+	open := func(fs *pfs.FS, tn Tuning) (*File, error) { return Open(cluster.Self(), fs, tn) }
+	fs, err := pfs.Create("open-shared", pfs.Options{Servers: 2, StripeSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	a, _ := open(fs, Tuning{CacheBytes: 1 << 20})
+	b, _ := open(fs, Tuning{CacheBytes: 1 << 20})
+	plain, _ := open(fs, Tuning{})
+	if a.fc == nil || b.fc != a.fc || plain.fc != nil {
+		t.Fatalf("caches %p, %p and %p: want one shared cache and none for the plain handle", a.fc, b.fc, plain.fc)
+	}
+	bad, err := pfs.Create("open-bad-spill", pfs.Options{Servers: 2, StripeSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	tn := Tuning{CacheBytes: 1 << 20, SpillBytes: 1 << 20, SpillPath: filepath.Join(t.TempDir(), "missing", "spill.dat")}
+	_, err1 := open(bad, tn)
+	_, err2 := open(bad, tn)
+	if err1 == nil || err2 != err1 {
+		t.Fatalf("Opens with an unopenable spill file returned %v, then %v: want one error, twice", err1, err2)
 	}
 }

@@ -72,15 +72,16 @@ import (
 // in one fixed order on every rank, so the worker count is invisible to
 // the data and to the error-agreement semantics.
 //
-// With write-behind enabled (TuningKnobs.WriteBehind; it requires a
+// With write-behind enabled (Tuning.WriteBehindBytes; it requires a
 // cache budget), a collective write does not dispatch at all: each
 // aggregator absorbs its coalesced union runs into the file's SHARED
 // extent cache (filecache.go — one cache per store, used by every
 // rank's handle), merging with the unions of earlier collectives, and
 // the cache flushes in large vectored sweeps on the watermark, on
-// Sync/Close, or on budget-pressure eviction. The collective's global
-// union loses its dirty and spilled bytes exactly once before the
-// exchange (PunchOnce), so stale deferred data for ranges whose domain
+// Sync/Close, or on budget-pressure eviction. The domains partition
+// the collective's union, and each aggregator's absorb (or, without
+// write-behind, its direct write) discards the older dirty and spilled
+// bytes of its domain, so stale deferred data for ranges whose domain
 // ownership moved cannot outlive the collective that rewrote them.
 // With a cache budget the read side goes through the same cache:
 // aggregateRead serves cached stripes (clean or deferred-dirty) from
@@ -274,31 +275,6 @@ func (f *File) collective(myRuns []pfs.Run, mem Vec, write bool) error {
 	myPlaced := placedBy[me]
 	f.attrLocality(placedBy)
 
-	// Unified-cache coherence. A write discards the dirty and spilled
-	// bytes of its global union — the exact byte set about to move —
-	// exactly once (PunchOnce: stale deferred data for re-homed ranges
-	// is gone before any aggregator absorbs or writes its replacement);
-	// each aggregator's absorb or direct write then settles the clean
-	// copies of its own domain. A read needs nothing here: with a budget
-	// the aggregators' ReadThrough serves deferred dirty extents from
-	// memory, and without one there are none.
-	c := f.sharedCache()
-	if f.caching() {
-		// Resolve (and on the first caching collective, create) the
-		// shared cache HERE, before any rank can absorb or fetch:
-		// creation mid-collective would let a slow rank observe the
-		// cache late and punch the union after a fast aggregator's
-		// absorb.
-		c = f.cache()
-	}
-	if write && c != nil {
-		var union []pfs.Run
-		for _, rr := range runsByRank {
-			union = append(union, rr...)
-		}
-		c.PunchOnce(size, pfs.Coalesce(union))
-	}
-
 	// Only remote payloads cross the exchange: send[me] stays nil and
 	// expect[me] false, on both sides of both directions. The exchange
 	// hands every send buffer to its receiver, which returns it to the
@@ -434,7 +410,7 @@ func (f *File) carve(lo, hi, totalBytes int64) place.Domains {
 		TotalBytes:  totalBytes,
 		Ranks:       f.comm.Size(),
 		Stripe:      f.fs.StripeSize(),
-		WriteBehind: f.knobs.WriteBehind != 0,
+		WriteBehind: f.t.WriteBehindBytes != 0,
 	})
 }
 
@@ -536,8 +512,8 @@ func (f *File) aggregateRead(placedBy [][]placed) (*staging, error) {
 	}
 	s := newStaging(runs)
 	var err error
-	if f.caching() {
-		err = f.cache().ReadThrough(runs, Contig(s.data))
+	if f.fc != nil {
+		err = f.fc.ReadThrough(runs, Contig(s.data))
 	} else {
 		_, err = f.fs.ReadV(runs, s.data)
 	}
@@ -592,8 +568,8 @@ func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error
 			cursor += p.n
 		}
 	}
-	if wb := f.knobs.WriteBehind; wb != 0 {
-		w := f.cache()
+	if wb := f.t.WriteBehindBytes; wb != 0 {
+		w := f.fc
 		for i, r := range runs {
 			w.Absorb(r.Off, s.data[s.start[i]:s.start[i]+r.Len])
 		}

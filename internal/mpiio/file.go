@@ -13,9 +13,6 @@
 package mpiio
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"drxmp/internal/cluster"
 	"drxmp/internal/pfs"
 )
@@ -26,121 +23,73 @@ import (
 type File struct {
 	fs   *pfs.FS
 	comm *cluster.Comm
+	t    Tuning // fixed at Open
 
-	// knobs is the write-behind and cache policy, set by ApplyTuning
-	// only (see TuningKnobs).
-	knobs TuningKnobs
-
-	// fc memoizes the shared extent cache. Atomic because the serving
-	// tier reads through one handle from concurrent requests (every
-	// resolver stores the same per-store instance, so racing stores are
-	// idempotent).
-	fc atomic.Pointer[fileCache]
+	// fc is the store's shared extent cache, resolved at Open; nil when
+	// the handle has no budget. It is the one read rule, on the
+	// independent and the collective path alike: with a cache, reads go
+	// through it (ReadThrough), which serves deferred dirty bytes from
+	// memory; without one they go straight to the store, and no dirty
+	// bytes exist, since write-behind requires a budget.
+	fc *fileCache
 }
 
-// cacheConfig projects this handle's policy knobs into the shared
-// cache's Configure block. The sieve block is left at the store's
-// stripe size, which keeps sieve fetches server-aligned.
-func (f *File) cacheConfig() cacheConfig {
-	return cacheConfig{
-		budget:     f.knobs.CacheBytes,
-		readAhead:  f.knobs.ReadAhead,
-		spillBytes: f.knobs.SpillBytes,
-		spillPath:  f.knobs.SpillPath,
-	}
-}
-
-// cache returns the file's shared extent cache, creating it (and
-// registering its flush with the store's Close) on first use, and
-// re-applies this handle's policy knobs (CacheBytes/ReadAhead/
-// SpillBytes/SpillPath — shared state, so every rank must use the
-// same values). Every handle on the same store resolves to the same
-// cache.
-func (f *File) cache() *fileCache {
-	c := f.fc.Load()
-	if c == nil {
-		c = sharedFileCache(f.fs)
-		f.fc.Store(c)
-	}
-	c.Configure(f.cacheConfig())
-	return c
-}
-
-// sharedCache returns the file's shared cache without creating one —
-// Sync, the stats and the direct writes use it, so a handle that never
-// resolved the cache still sees the one the other handles share.
-func (f *File) sharedCache() *fileCache {
-	c := f.fc.Load()
-	if c == nil {
-		if c = lookupFileCache(f.fs); c != nil {
-			f.fc.Store(c)
-		}
-	}
-	return c
-}
-
-// caching reports whether this handle has a cache budget. It is the one
-// read rule, on the independent and the collective path alike: with a
-// budget, reads go through the shared cache (ReadThrough), which serves
-// deferred dirty bytes from memory; without one they go straight to the
-// store, and no dirty bytes exist, since write-behind requires a budget.
-func (f *File) caching() bool { return f.knobs.CacheBytes > 0 }
-
-// TuningKnobs is ApplyTuning's parameter block: the handle's
-// write-behind and extent-cache policy (drxmp.Tuning documents each
-// knob). Every rank of a communicator must use the same values.
-type TuningKnobs struct {
-	// WriteBehind: 0 dispatches each collective write's union runs
-	// immediately; > 0 absorbs them into the shared cache as dirty
-	// extents and flushes the whole cache once that many bytes are
-	// buffered; < 0 buffers without bound (flush on Sync, Close or
-	// budget-pressure eviction). Reads through any handle are served
-	// the deferred bytes. It requires CacheBytes > 0.
-	WriteBehind int64
-	// CacheBytes is the shared extent cache's budget, clean and dirty
-	// bytes together; 0 turns the cache off and reads and writes go
-	// straight to the store.
+// Tuning is the performance-knob block of a handle (drxmp's Options
+// and OpenOptions embed it) — everything that shapes HOW bytes move,
+// none of WHAT they are. It is fixed when the handle opens, as the
+// paper's DRXMP_Init and DRXMP_Open fix an array's parameters; to
+// change it, close the file and open it again. The zero value is a
+// valid default for every field. A collective's aggregator count and
+// worker count are rules, not knobs: one aggregator per stripe of
+// payload, clamped to [1, nranks], and GOMAXPROCS workers.
+type Tuning struct {
+	// WriteBehindBytes selects write-behind buffering for collective
+	// writes: 0 (the default) dispatches each collective's coalesced
+	// union immediately; > 0 buffers dirty unions across collectives
+	// and flushes the cache in one vectored sweep once that many bytes
+	// are buffered (the watermark counts the file's total buffered
+	// bytes — the cache is shared by every rank's handle); < 0 buffers
+	// without bound (flush on Sync, Close, or budget pressure only).
+	// The deferred bytes are the extent cache's dirty extents, so
+	// write-behind requires CacheBytes > 0, and reads through any
+	// handle — independent or collective, any rank — are served them
+	// from the cache. Use Sync for durability ordering (bytes on the
+	// servers) and around concurrent conflicting access, whose outcome
+	// is otherwise undefined exactly as in MPI. Every rank must pass the
+	// same value.
+	WriteBehindBytes int64
+	// CacheBytes turns the unified per-file extent cache on with that
+	// memory budget in bytes: independent and collective reads fetch
+	// sieve-aligned covering blocks (one vectored request per miss) into
+	// the cache, hole-free re-reads come from memory, write-behind keeps
+	// its deferred bytes there, and the budget caps the file's TOTAL
+	// cached bytes — clean extents evict LRU-first, deferred write-behind
+	// extents flush-on-evict. 0 (the default) turns the cache off, and
+	// with it write-behind. The cache is shared by every rank's handle on
+	// the store, so a block fetched by one rank warms all of them. The
+	// sieve block granularity is the stripe size; it is not a knob. Every
+	// rank must pass the same value.
 	CacheBytes int64
-	// ReadAhead extends each sieve fetch by this many bytes.
-	ReadAhead int64
-	// SpillBytes is the budget of the local-disk spill tier evicted
-	// extents demote to; 0 disables it.
+	// ReadAheadBytes extends each sieve fetch past the requested range
+	// by this many bytes (rounded up to whole sieve blocks), so a
+	// forward sectioned scan finds its next block already cached. 0
+	// (the default) disables read-ahead; requires CacheBytes > 0. Every
+	// rank must pass the same value.
+	ReadAheadBytes int64
+	// SpillBytes enables the local-disk spill tier of the extent cache
+	// with that byte budget: extents evicted from the CacheBytes memory
+	// tier demote to a local spill file instead of dropping (clean) or
+	// flushing (dirty), reads consult memory → spill → pfs with spill
+	// hits promoted back under LRU, and write-behind can buffer far
+	// past RAM (spilled dirty bytes count toward the watermark and
+	// flush in the same vectored sweep). 0 (the default) disables the
+	// tier; requires CacheBytes > 0. Every rank must pass the same
+	// value.
 	SpillBytes int64
-	// SpillPath names the spill file; empty selects a temp file.
+	// SpillPath names the spill file; empty (the default) selects a
+	// temp file. The file is created when the cache is and removed when
+	// the array's store closes. Meaningful only with SpillBytes > 0.
 	SpillPath string
-}
-
-// ApplyTuning installs every write-behind and cache knob of the handle in
-// one call — the atomic application point behind drxmp.File.SetTuning,
-// so a serving tier can swap a whole tenant profile. Write-behind
-// requires a cache budget. Turning write-behind, the cache or the spill
-// tier off first drains every deferred byte under the OLD configuration
-// (the caching sweep is the only path that reads dirty extents back out
-// of the spill file), so a cache without a budget never holds a dirty
-// byte. The shared cache is then reconfigured once. Enabling the spill
-// tier opens the spill file eagerly, so a bad SpillPath fails this call
-// rather than silently degrading later.
-func (f *File) ApplyTuning(k TuningKnobs) error {
-	if k.WriteBehind != 0 && k.CacheBytes <= 0 {
-		return fmt.Errorf("mpiio: write-behind %d without a cache budget (deferred writes are the cache's dirty extents)", k.WriteBehind)
-	}
-	old := f.knobs
-	if (k.WriteBehind == 0 && old.WriteBehind != 0) || (k.CacheBytes <= 0 && old.CacheBytes > 0) || (k.SpillBytes <= 0 && old.SpillBytes > 0) {
-		if err := f.Sync(); err != nil {
-			return err
-		}
-	}
-	f.knobs = k
-	var w *fileCache
-	if k.SpillBytes > 0 && k.CacheBytes > 0 {
-		w = f.cache() // eager: the spill file opens here
-	} else if w = f.sharedCache(); w != nil {
-		w.Configure(f.cacheConfig())
-	}
-	if w != nil {
-		return w.SpillErr()
-	}
-	return nil
 }
 
 // Sync flushes every buffered dirty extent of the file — all ranks'
@@ -149,8 +98,8 @@ func (f *File) ApplyTuning(k TuningKnobs) error {
 // cached (clean), so a post-Sync re-read is warm.
 // A file with nothing dirty is a no-op.
 func (f *File) Sync() error {
-	if w := f.sharedCache(); w != nil {
-		return w.FlushAll()
+	if f.fc != nil {
+		return f.fc.FlushAll()
 	}
 	return nil
 }
@@ -164,8 +113,8 @@ func (f *File) SyncAll() error { return f.agree(f.Sync()) }
 // Dirty returns the dirty bytes currently buffered by the file's
 // shared extent cache.
 func (f *File) Dirty() int64 {
-	if w := f.sharedCache(); w != nil {
-		return w.Bytes()
+	if f.fc != nil {
+		return f.fc.Bytes()
 	}
 	return 0
 }
@@ -173,8 +122,8 @@ func (f *File) Dirty() int64 {
 // Cached returns the total bytes (clean + dirty) currently held by the
 // file's shared extent cache.
 func (f *File) Cached() int64 {
-	if w := f.sharedCache(); w != nil {
-		return w.Cached()
+	if f.fc != nil {
+		return f.fc.Cached()
 	}
 	return 0
 }
@@ -182,8 +131,8 @@ func (f *File) Cached() int64 {
 // CacheStats returns the cumulative extent-cache accounting for the
 // file (absorbs, flushes, hits/misses, sieve fetches, evictions).
 func (f *File) CacheStats() CacheStats {
-	if w := f.sharedCache(); w != nil {
-		return w.Stats()
+	if f.fc != nil {
+		return f.fc.Stats()
 	}
 	return CacheStats{}
 }
@@ -194,8 +143,8 @@ func (f *File) CacheStats() CacheStats {
 // from memory and holes are sieve-fetched — and otherwise straight from
 // the store, whose servers move the bytes into mem's segments.
 func (f *File) ReadV(runs []pfs.Run, mem Vec) error {
-	if f.caching() {
-		return f.cache().ReadThrough(runs, mem)
+	if f.fc != nil {
+		return f.fc.ReadThrough(runs, mem)
 	}
 	_, err := f.fs.ReadVec(runs, mem)
 	return err
@@ -203,34 +152,43 @@ func (f *File) ReadV(runs []pfs.Run, mem Vec) error {
 
 // WriteV writes the coalesced runs from mem (its segments,
 // concatenated, supply the runs' bytes) straight to the store. With a
-// shared cache, the write goes through its BeginWrite/EndWrite pair:
-// the cache discards its dirty and spilled bytes of the runs before the
-// store write and copies the written bytes into its clean copies of
-// them after it, so a re-read of what this process just wrote stays
-// warm. No-op on the cache without one. A handle with a budget creates
-// the cache here if no read has yet, as ReadV would: a read that
-// created it while this write was out would otherwise cache the bytes
-// the write replaces, and the write would never update them.
+// cache, the write goes through its BeginWrite/EndWrite pair: the cache
+// discards its dirty and spilled bytes of the runs before the store
+// write and copies the written bytes into its clean copies of them
+// after it, so a re-read of what this process just wrote stays warm.
 func (f *File) WriteV(runs []pfs.Run, mem Vec) error {
-	w := f.sharedCache()
-	if f.caching() {
-		w = f.cache()
-	}
-	if w == nil {
+	if f.fc == nil {
 		_, err := f.fs.WriteVec(runs, mem)
 		return err
 	}
-	g := w.BeginWrite(runs)
+	g := f.fc.BeginWrite(runs)
 	_, err := f.fs.WriteVec(runs, mem)
-	w.EndWrite(g, runs, mem, err == nil)
+	f.fc.EndWrite(g, runs, mem, err == nil)
 	return err
 }
 
-// Open returns a handle on fs for this process. It is collective only
-// by convention (no synchronization is needed to open).
-func Open(comm *cluster.Comm, fs *pfs.FS) *File {
-	return &File{fs: fs, comm: comm}
+// Open returns a handle on fs for this process, with t fixed for its
+// lifetime; t must already be validated (drxmp does, and wraps its
+// errors in ErrBadOptions). It is collective only by convention (no
+// synchronization is needed to open). With t.CacheBytes > 0 the handle
+// takes the store's shared extent cache: the first such Open on the
+// store creates it, and its spill file, under t, and every later handle
+// gets the same cache — or the same error, when the spill file could
+// not be opened. Every handle on one store must pass the same t.
+func Open(comm *cluster.Comm, fs *pfs.FS, t Tuning) (*File, error) {
+	f := &File{fs: fs, comm: comm, t: t}
+	if t.CacheBytes > 0 {
+		fc, err := sharedFileCache(fs, t)
+		if err != nil {
+			return nil, err
+		}
+		f.fc = fc
+	}
+	return f, nil
 }
+
+// Tuning returns the policy the handle was opened with.
+func (f *File) Tuning() Tuning { return f.t }
 
 // FS exposes the underlying striped file (stats access in benchmarks).
 func (f *File) FS() *pfs.FS { return f.fs }

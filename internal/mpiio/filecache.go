@@ -11,19 +11,19 @@ import (
 )
 
 // Unified per-file extent cache: ONE cache holding clean and dirty
-// extents under one memory budget (TuningKnobs.CacheBytes), so the same
+// extents under one memory budget (Tuning.CacheBytes), so the same
 // data structure serves both directions of the out-of-core access
 // pattern — deferred writes out, data-sieved reads in. Write-behind is
 // this cache holding dirty extents, so it requires a budget.
 //
 //   - Dirty extents are deferred collective-write bytes
-//     (TuningKnobs.WriteBehind). They flush in vectored pfs.FlushV
+//     (Tuning.WriteBehindBytes). They flush in vectored pfs.FlushV
 //     sweeps on the watermark, Sync, Close, or budget-pressure eviction.
 //   - Clean extents are sieve-block read fetches: a read fetches the
 //     covering extent rounded to sieve-aligned blocks as one vectored
 //     pfs.SieveReadV, serves the caller from it, and keeps it so
 //     hole-free re-reads come from memory. Read-ahead
-//     (TuningKnobs.ReadAhead) extends each fetch past the requested
+//     (Tuning.ReadAheadBytes) extends each fetch past the requested
 //     range so a sectioned forward scan finds its next block already
 //     cached.
 //
@@ -44,9 +44,10 @@ import (
 //     page does in a buffer pool; dirty and spilled bytes over its runs
 //     are discarded before it, clean bytes another write overlapped
 //     while it was out are punched after it, and uncached bytes stay
-//     uncached. An absorb punches the clean extents it overlaps and
-//     merges with the dirty ones; a collective discards the dirty and
-//     spilled bytes of its global union once (PunchOnce).
+//     uncached. An absorb punches the clean and spilled bytes it
+//     overlaps and merges over the dirty ones, its own bytes winning. A
+//     collective's domains partition its union, so its aggregators'
+//     absorbs or direct writes supersede every older byte of it.
 //   - Reads go through ReadThrough, which serves dirty bytes straight
 //     from memory — no coherence flush is needed because a flush never
 //     removes data: a sweep writes the dirty bytes back and marks the
@@ -101,7 +102,7 @@ import (
 // parent's — and by PINS, one per reader that uses it outside mu: a
 // flush sweep pins its victims and its spill chunks, a fetch the
 // buffers it reads into, until its store call has returned. Only an
-// extent leaving the cache (remove, takeLocked, a punch, a merge) gives
+// extent leaving the cache (remove, a punch, a merge) gives
 // up its reference; marking an extent clean after a sweep does not. The
 // last reference frees the buffer, so a punch links its remainders
 // before it lets go of the punched extent, and eviction demotes before
@@ -208,78 +209,72 @@ type fileCache struct {
 
 	flushMu sync.Mutex // serializes flush sweeps (see above)
 
-	mu       sync.Mutex
-	ext      []*cext              // sorted by off, pairwise disjoint
-	lru      [2]extent.LRU[*cext] // recency order of the clean [0] and dirty [1] extents
-	tmp      []*cext              // punchMemLocked's window scratch
-	dirty    int64                // buffered dirty bytes
-	total    int64                // buffered bytes, clean + dirty
-	arrivals int                  // ranks arrived at PunchOnce in this collective
-	guards   []*fetchGuard        // the sieve fetches and direct writes in flight
-	clock    int64                // LRU clock
+	mu     sync.Mutex
+	ext    []*cext              // sorted by off, pairwise disjoint
+	lru    [2]extent.LRU[*cext] // recency order of the clean [0] and dirty [1] extents
+	tmp    []*cext              // punchMemLocked's window scratch
+	dirty  int64                // buffered dirty bytes
+	total  int64                // buffered bytes, clean + dirty
+	guards []*fetchGuard        // the sieve fetches and direct writes in flight
+	clock  int64                // LRU clock
 
 	lend spill.Alloc // the spill tier's Alloc over cache memory (lendBuf)
 
 	sweep flushList // a flush sweep's request list, reused; flushMu guards it
 
-	// Policy (Configure): shared, so every handle on the store must
-	// agree — the same rule as every other collective knob.
-	budget    int64 // max total bytes; 0: the cache is off and holds nothing
-	sieve     int64 // sieve block size; 0 = stripe size
+	// Policy, fixed when the cache is created. The sieve block is the
+	// store's stripe size, which keeps sieve fetches server-aligned.
+	budget    int64 // max total bytes
 	readAhead int64 // extra fetch bytes past each miss; 0 = none
 
-	// Spill tier. spill stays nil until a Configure with positive
-	// spillBytes (and an active budget) opens it; spillErr is the sticky
-	// open failure, retried only when the spill config changes.
-	spill      *spill.Store
-	spillBytes int64
-	spillPath  string
-	spillErr   error
+	spill *spill.Store // the spill tier; nil when Tuning.SpillBytes is 0
 
 	stats CacheStats
 }
 
-// cacheConfig is the policy block Configure installs — the cache-side
-// projection of drxmp.Tuning. Handles re-apply it on every resolve;
-// every rank must agree (last writer wins).
-type cacheConfig struct {
-	budget     int64 // memory budget; 0 turns the cache off
-	sieve      int64 // sieve block; 0 = stripe size
-	readAhead  int64 // read-ahead; 0 = none
-	spillBytes int64 // spill-tier budget; 0 disables the tier
-	spillPath  string
-}
-
-func newFileCache(fs *pfs.FS) *fileCache {
-	w := &fileCache{fs: fs}
+// newFileCache builds a cache under t's budget, read-ahead and spill
+// tier, opening the spill file when t has one.
+func newFileCache(fs *pfs.FS, t Tuning) (*fileCache, error) {
+	w := &fileCache{fs: fs, budget: t.CacheBytes, readAhead: t.ReadAheadBytes}
 	w.lend = w.lendBuf
-	return w
+	if t.SpillBytes > 0 {
+		sp, err := spill.Open(t.SpillPath, t.SpillBytes)
+		if err != nil {
+			return nil, err
+		}
+		w.spill = sp
+	}
+	return w, nil
 }
 
 // fcAuxKey is the cache's slot in the store's Aux map — per-store
 // state, so the cache's lifetime is exactly the store's.
 const fcAuxKey = "mpiio.filecache"
 
-// sharedFileCache returns the store's shared cache, creating it (and
-// registering its flush-before-drain hook with FS.Close) on first use.
-func sharedFileCache(fs *pfs.FS) *fileCache {
-	return fs.Aux(fcAuxKey, func() any {
-		w := newFileCache(fs)
-		// The ordering guarantee on FS.Close: the cache drains through
-		// the still-open queues before Close drains them (and only then
-		// releases its spill file — the sweep reads dirty bytes back
-		// from it).
-		fs.AddCloseFlusher(w.closeHook)
-		return w
-	}).(*fileCache)
+// cacheSlot is a store's Aux slot: its cache, or the error creating
+// it returned.
+type cacheSlot struct {
+	w   *fileCache
+	err error
 }
 
-// lookupFileCache returns the store's shared cache without creating one.
-func lookupFileCache(fs *pfs.FS) *fileCache {
-	if v := fs.AuxLookup(fcAuxKey); v != nil {
-		return v.(*fileCache)
-	}
-	return nil
+// sharedFileCache returns the store's shared cache, creating it under t
+// (and registering its flush-before-drain hook with FS.Close) on first
+// use. A failed creation is remembered: every later call returns the
+// same error.
+func sharedFileCache(fs *pfs.FS, t Tuning) (*fileCache, error) {
+	sc := fs.Aux(fcAuxKey, func() any {
+		w, err := newFileCache(fs, t)
+		if err == nil {
+			// The ordering guarantee on FS.Close: the cache drains through
+			// the still-open queues before Close drains them (and only then
+			// releases its spill file — the sweep reads dirty bytes back
+			// from it).
+			fs.AddCloseFlusher(w.closeHook)
+		}
+		return cacheSlot{w, err}
+	}).(cacheSlot)
+	return sc.w, sc.err
 }
 
 // closeHook is the cache's FS.Close flusher: drain every deferred byte
@@ -298,61 +293,6 @@ func (w *fileCache) closeHook() error {
 		}
 	}
 	return err
-}
-
-// Configure installs the cache policy. Handles re-apply their knobs on
-// every resolve; every rank must use the same values (last writer
-// wins). Dropping the budget to 0 releases every clean extent; the
-// handles flush before they drop it (ApplyTuning), so no dirty extent
-// is left in a cache that is off. A positive spillBytes (with an
-// active budget) opens the spill tier on first application; an open
-// failure is sticky (SpillErr) until the spill config changes.
-// Disabling the tier releases the spill file once nothing dirty
-// remains inside (ApplyTuning flushes before disabling, so that is
-// immediate on the tuning path).
-func (w *fileCache) Configure(cfg cacheConfig) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.budget, w.sieve, w.readAhead = cfg.budget, cfg.sieve, cfg.readAhead
-	if cfg.spillBytes != w.spillBytes || cfg.spillPath != w.spillPath {
-		w.spillErr = nil // config changed: a failed open may retry
-		if w.spill != nil && w.spill.Dirty() == 0 {
-			w.spill.Close()
-			w.spill = nil
-		}
-	}
-	w.spillBytes, w.spillPath = cfg.spillBytes, cfg.spillPath
-	if w.spillBytes > 0 && w.budget > 0 {
-		if w.spill == nil && w.spillErr == nil {
-			w.spill, w.spillErr = spill.Open(w.spillPath, w.spillBytes)
-		}
-	} else if w.spill != nil && w.spill.Dirty() == 0 {
-		w.spill.Close()
-		w.spill = nil
-	}
-	if cfg.budget <= 0 {
-		w.stats.Evicted += w.total - w.dirty
-		w.takeLocked(slices.Clone(w.lru[0].Items()))
-	}
-}
-
-// SpillErr returns the sticky spill-tier open failure, if any — the
-// handle surfaces it through ApplyTuning so a bad SpillPath fails the
-// open/SetTuning call instead of silently degrading.
-func (w *fileCache) SpillErr() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.spillErr
-}
-
-// sieveSize resolves the effective sieve block granularity (the
-// configured block, else the stripe size). Must be called with w.mu
-// held.
-func (w *fileCache) sieveSize() int64 {
-	if w.sieve > 0 {
-		return w.sieve
-	}
-	return w.fs.StripeSize()
 }
 
 // Bytes returns the currently buffered dirty bytes — BOTH tiers, so
@@ -385,7 +325,7 @@ func (w *fileCache) Stats() CacheStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	st := w.stats
-	st.SieveSize = w.sieveSize()
+	st.SieveSize = w.fs.StripeSize()
 	st.ReadAheadBytes = w.readAhead
 	if w.spill != nil {
 		st.SpillUsed = w.spill.Used()
@@ -400,6 +340,10 @@ func (w *fileCache) Stats() CacheStats {
 // adjacent dirty extents merge. The cache copies p into its own memory;
 // the caller keeps p. Callers grow the cache; they must follow up with
 // EnforceBudget.
+//
+// Unlike BeginWrite, Absorb never waits out the sweeps in flight: its
+// bytes reach the store in a later sweep, and sweeps run one at a time
+// (flushMu), so an older sweep's write of the same bytes lands first.
 func (w *fileCache) Absorb(off int64, p []byte) {
 	if len(p) == 0 {
 		return
@@ -490,60 +434,6 @@ func (w *fileCache) unlink(e *cext) {
 func (w *fileCache) insert(e *cext) { w.ext = extent.Insert(w.ext, w.link(e)) }
 func (w *fileCache) remove(e *cext) { w.leave(e); w.ext = extent.Delete(w.ext, e) }
 func (w *fileCache) leave(e *cext)  { w.unlink(e); w.unref(e.buf) }
-
-// takeLocked removes a batch of resident extents in one pass over the
-// list (Configure's release of every clean extent).
-func (w *fileCache) takeLocked(victims []*cext) {
-	if len(victims) == 0 {
-		return
-	}
-	for _, e := range victims {
-		w.leave(e)
-	}
-	w.ext = slices.DeleteFunc(w.ext, func(e *cext) bool { return !e.node.Linked() })
-}
-
-// PunchOnce discards the dirty and spilled bytes of a collective
-// write's global union, exactly once per collective: every rank calls
-// it (in lockstep program order, before its exchange phase) with the
-// communicator size, the FIRST arrival executes the discard, and later
-// arrivals — which may already have raced past other ranks' absorbs —
-// are no-ops; the nranks-th arrival resets the counter for the next
-// collective. Arrival counting needs no per-handle state, so handles
-// opened at different times on the same store stay correct. It relies
-// on collectives being serialized per file (every rank leaves
-// collective k through its agreement round before any enters k+1), so
-// arrivals of different collectives never interleave. The guard and
-// the discard form ONE critical section: a skipped rank may proceed
-// straight to its absorb, and the executed discard must be complete —
-// not in flight — by then, or it would destroy freshly absorbed bytes.
-// Clean memory extents are left to the aggregators: an absorb punches
-// the clean ones it overlaps, and a direct write updates them
-// (BeginWrite, EndWrite).
-//
-// Unlike BeginWrite, PunchOnce never waits out the sweeps in flight,
-// and needs no such barrier. BeginWrite waits because its caller goes
-// on to write the store directly, and that write must land after any
-// sweep still writing older dirty bytes of the same runs. A collective
-// write never does both. With write-behind on, it only absorbs: its
-// bytes reach the store in a later sweep, and sweeps run one at a time
-// (flushMu), so the older sweep's write lands first. With write-behind
-// off, it writes the store directly, but then the cache holds no dirty
-// bytes, so no sweep can be writing any: write-behind requires a
-// budget, ApplyTuning flushes when it turns off, and every rank agrees
-// on the knob. The model test checks that premise after every phase
-// run with write-behind off.
-func (w *fileCache) PunchOnce(nranks int, runs []pfs.Run) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.arrivals == 0 {
-		w.punchLocked(runs, punchDirty)
-	}
-	w.arrivals++
-	if w.arrivals >= nranks {
-		w.arrivals = 0
-	}
-}
 
 // BeginWrite opens a direct store write of runs — File.WriteV, or a
 // collective aggregator without write-behind — and returns the write's
@@ -819,7 +709,7 @@ func (l *flushList) Swap(i, j int) {
 // refused demote — spill budget full, disk failure — degrades to the
 // plain drop). Must be called with w.mu held.
 func (w *fileCache) evictCleanLocked() {
-	for w.budget > 0 && w.total > w.budget {
+	for w.total > w.budget {
 		e, ok := w.lru[0].Min()
 		if !ok {
 			return
@@ -851,7 +741,7 @@ func (w *fileCache) EnforceBudget() error {
 	// from the spill file — falling back to flush-on-evict for whatever
 	// the spill tier cannot take (its budget may itself be full of
 	// dirty bytes, which it never drops).
-	for w.spill != nil && w.budget > 0 && w.total > w.budget {
+	for w.spill != nil && w.total > w.budget {
 		e, _ := w.lru[1].Min() // over budget with no clean extent left: a dirty one exists
 		if !w.spill.Put(e.off, e.data, true) {
 			w.stats.SpillRejected++
@@ -860,7 +750,7 @@ func (w *fileCache) EnforceBudget() error {
 		w.stats.SpillDemoted += int64(len(e.data))
 		w.remove(e)
 	}
-	over := w.budget > 0 && w.total > w.budget
+	over := w.total > w.budget
 	w.mu.Unlock()
 	if !over {
 		return nil
@@ -926,9 +816,9 @@ func (w *fileCache) uncovered(span pfs.Run) []pfs.Run {
 // dirty — copy straight from memory, and the uncovered holes are
 // fetched from the store as ONE vectored SieveReadV of sieve-aligned
 // blocks (plus the read-ahead extension), which then populate the
-// cache as clean extents for the next reader. Requires a budget;
-// File.ReadV and the collective aggregateRead route through here
-// whenever the handle has one (File.caching).
+// cache as clean extents for the next reader. File.ReadV and the
+// collective aggregateRead route through here whenever the handle has a
+// cache.
 func (w *fileCache) ReadThrough(runs []pfs.Run, mem Vec) error {
 	f, err := w.planFetch(runs, mem)
 	if err != nil || f.guard == nil {
@@ -1040,7 +930,7 @@ func (w *fileCache) planFetch(runs []pfs.Run, mem Vec) (sieveFetch, error) {
 	for _, h := range holes {
 		w.stats.MissBytes += h.n
 	}
-	sieve := w.sieveSize()
+	sieve := w.fs.StripeSize()
 	ra := w.readAhead
 	// The fetch plan: the holes' sieve-aligned covering blocks plus the
 	// read-ahead extension, CLIPPED against what the cache already

@@ -95,7 +95,7 @@ const benchExt = 512 // bytes per resident extent in the cost fixtures
 // that restores that state. budget 0 means "exactly what is resident".
 func fragmentedCache(tb testing.TB, n int, budget, spillBytes int64) (*fileCache, func()) {
 	tb.Helper()
-	fs, err := pfs.Create("frag", pfs.Options{Servers: 4, StripeSize: 64 << 10})
+	fs, err := pfs.Create("frag", pfs.Options{Servers: 4, StripeSize: benchExt})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -110,12 +110,7 @@ func fragmentedCache(tb testing.TB, n int, budget, spillBytes int64) (*fileCache
 	if budget == 0 {
 		budget = int64(n) * benchExt
 	}
-	w := newFileCache(fs)
-	w.Configure(cacheConfig{budget: budget, sieve: benchExt, spillBytes: spillBytes, spillPath: filepath.Join(tb.TempDir(), "spill.dat")})
-	if err := w.SpillErr(); err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { w.closeHook() })
+	w := cacheForTest(tb, fs, Tuning{CacheBytes: budget, SpillBytes: spillBytes, SpillPath: filepath.Join(tb.TempDir(), "spill.dat")})
 	refill := func() {
 		w.mu.Lock()
 		defer w.mu.Unlock()
@@ -213,12 +208,7 @@ func TestFileCacheOwnsItsMemory(t *testing.T) {
 	}
 
 	t.Run("cycles", func(t *testing.T) {
-		w := newFileCache(fs)
-		w.Configure(cacheConfig{budget: 8 * block, spillBytes: 32 * block, spillPath: filepath.Join(t.TempDir(), "spill.dat")})
-		if err := w.SpillErr(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { w.closeHook() })
+		w := cacheForTest(t, fs, Tuning{CacheBytes: 8 * block, SpillBytes: 32 * block, SpillPath: filepath.Join(t.TempDir(), "spill.dat")})
 		buf := make([]byte, 4*block)
 		window := func(i int) pfs.Run { return pfs.Run{Off: int64(i*4%blocks) * block, Len: 4 * block} }
 		cycle := func(i int) int64 {
@@ -256,8 +246,7 @@ func TestFileCacheOwnsItsMemory(t *testing.T) {
 
 	t.Run("fetch-over-budget", func(t *testing.T) {
 		const budget, window = 4 * block, 8 * block
-		w := newFileCache(fs)
-		w.Configure(cacheConfig{budget: budget})
+		w := cacheForTest(t, fs, Tuning{CacheBytes: budget})
 		buf := make([]byte, window)
 		cycle := func(i int) int64 {
 			r := pfs.Run{Off: int64(i) * window % (blocks * block), Len: window}

@@ -115,7 +115,7 @@ func checkMemory(w *fileCache) error {
 type cacheModel struct {
 	fs   *pfs.FS
 	w    *fileCache
-	cfg  cacheConfig
+	cfg  Tuning
 	want []byte
 	rng  *rand.Rand
 	lo   int64 // the slice of the file this driver owns
@@ -169,16 +169,9 @@ func (m *cacheModel) write(runs []pfs.Run) error {
 }
 
 // absorb is the write-behind aggregator: defer every run, then settle
-// the budget. collective adds the union punch in front. Write-behind
-// requires a budget, so there is no absorb while it is 0.
-func (m *cacheModel) absorb(runs []pfs.Run, collective bool) error {
-	if m.cfg.budget <= 0 {
-		return nil
-	}
+// the budget.
+func (m *cacheModel) absorb(runs []pfs.Run) error {
 	p := m.payload(runs)
-	if collective {
-		m.w.PunchOnce(1, runs)
-	}
 	each(runs, p, func(r pfs.Run, b []byte) {
 		m.w.Absorb(r.Off, b)
 		copy(m.want[r.Off:], b)
@@ -192,21 +185,17 @@ func (m *cacheModel) enforce() error {
 	if err := m.w.EnforceBudget(); err != nil {
 		return err
 	}
-	if got := m.w.Cached(); m.sole() && m.cfg.budget > 0 && got > m.cfg.budget {
-		return fmt.Errorf("%d bytes cached after EnforceBudget, budget %d", got, m.cfg.budget)
+	if got := m.w.Cached(); m.sole() && got > m.cfg.CacheBytes {
+		return fmt.Errorf("%d bytes cached after EnforceBudget, budget %d", got, m.cfg.CacheBytes)
 	}
 	return nil
 }
 
-// read is File.ReadV's protocol, checked against the model: through the
-// cache with a budget, straight from the store without one.
+// read is File.ReadV's protocol through the cache, checked against the
+// model.
 func (m *cacheModel) read(runs []pfs.Run) error {
 	buf := packed(runs)
-	if m.cfg.budget > 0 {
-		if err := m.w.ReadThrough(runs, Contig(buf)); err != nil {
-			return err
-		}
-	} else if _, err := m.fs.ReadV(runs, buf); err != nil {
+	if err := m.w.ReadThrough(runs, Contig(buf)); err != nil {
 		return err
 	}
 	var bad error
@@ -233,34 +222,14 @@ func (m *cacheModel) durable(runs []pfs.Run) error {
 	return bad
 }
 
-// reconfigure moves the budget up, down or to 0 and the spill tier on
-// or off, draining first where ApplyTuning would.
-func (m *cacheModel) reconfigure() error {
-	next := m.cfg
-	next.budget = []int64{0, 512, 1024, 4096, 1 << 20}[m.rng.Intn(5)]
-	if m.rng.Intn(2) == 0 {
-		next.spillBytes = []int64{0, 2048, 16384}[m.rng.Intn(3)]
-	}
-	if (next.budget <= 0 && m.cfg.budget > 0) || (next.spillBytes <= 0 && m.cfg.spillBytes > 0) {
-		if err := m.w.FlushAll(); err != nil {
-			return err
-		}
-	}
-	m.cfg = next
-	m.w.Configure(next)
-	return m.w.SpillErr()
-}
-
 // step runs one random operation.
 func (m *cacheModel) step() error {
 	runs := m.runs()
-	switch k := m.rng.Intn(18); {
+	switch k := m.rng.Intn(17); {
 	case k < 4:
 		return m.write(runs)
-	case k < 7:
-		return m.absorb(runs, false)
 	case k < 9:
-		return m.absorb(runs, true)
+		return m.absorb(runs)
 	case k < 15:
 		return m.read(runs)
 	case k == 15:
@@ -268,22 +237,17 @@ func (m *cacheModel) step() error {
 			return err
 		}
 		return m.durable([]pfs.Run{{Off: m.lo, Len: m.hi - m.lo}})
-	case k == 16:
-		return m.enforce()
 	}
-	if m.sole() { // the policy is shared: drivers with company leave it alone
-		return m.reconfigure()
-	}
-	return nil
+	return m.enforce()
 }
 
 // sole reports whether this driver has the whole file, and therefore
 // the cache, to itself.
 func (m *cacheModel) sole() bool { return m.lo == 0 && m.hi == int64(len(m.want)) }
 
-func newCacheModel(t *testing.T, size int64, cfg cacheConfig) *cacheModel {
+func newCacheModel(t *testing.T, size int64, cfg Tuning) *cacheModel {
 	t.Helper()
-	fs, err := pfs.Create("model", pfs.Options{Servers: 2, StripeSize: 128})
+	fs, err := pfs.Create("model", pfs.Options{Servers: 2, StripeSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,25 +257,19 @@ func newCacheModel(t *testing.T, size int64, cfg cacheConfig) *cacheModel {
 	if _, err := fs.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
-	cfg.spillPath = filepath.Join(t.TempDir(), "spill.dat")
-	w := newFileCache(fs)
-	w.Configure(cfg)
-	if err := w.SpillErr(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.closeHook() })
-	return &cacheModel{fs: fs, w: w, cfg: cfg, want: want, hi: size}
+	cfg.SpillPath = filepath.Join(t.TempDir(), "spill.dat")
+	return &cacheModel{fs: fs, w: cacheForTest(t, fs, cfg), cfg: cfg, want: want, hi: size}
 }
 
 // TestFileCacheModel: random operation sequences — every protocol the
-// handles drive, under budgets that move between roomy, tight and off
-// and a spill tier that comes and goes — against the flat model, with
+// handles drive, under a tight budget with and without read-ahead and
+// a spill tier — against the flat model, with
 // the invariants asserted after every step. A failure names its seed
 // and step; `-run 'TestFileCacheModel/seed=N'` replays it.
 func TestFileCacheModel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			m := newCacheModel(t, 8192, cacheConfig{budget: 2048, sieve: 256, readAhead: 256 * (seed % 2), spillBytes: 4096 * (seed % 3)})
+			m := newCacheModel(t, 8192, Tuning{CacheBytes: 2048, ReadAheadBytes: 256 * (seed % 2), SpillBytes: 4096 * (seed % 3)})
 			m.rng = rand.New(rand.NewSource(seed))
 			for step := 0; step < 250; step++ {
 				if err := m.step(); err != nil {
@@ -345,7 +303,7 @@ func TestFileCacheModel(t *testing.T) {
 // over their region. Run under -race.
 func TestFileCacheModelConcurrent(t *testing.T) {
 	const size, drivers, shared = 16384, 4, 2048
-	base := newCacheModel(t, size+shared, cacheConfig{budget: 3072, sieve: 256, readAhead: 256, spillBytes: 8192})
+	base := newCacheModel(t, size+shared, Tuning{CacheBytes: 3072, ReadAheadBytes: 256, SpillBytes: 8192})
 	var wg sync.WaitGroup
 	chk := drivers + 2 // errs: the drivers', the two writers', the checker's
 	errs := make([]error, chk+1)

@@ -10,10 +10,11 @@ import (
 )
 
 // fcForTest builds a store seeded with a position-dependent pattern
-// and a caching-enabled cache on top of it.
+// and a caching-enabled cache on top of it. The sieve block is the
+// store's stripe.
 func fcForTest(t *testing.T, budget, sieve, ra int64) (*pfs.FS, *fileCache) {
 	t.Helper()
-	fs, err := pfs.Create("fc", pfs.Options{Servers: 2, StripeSize: 128})
+	fs, err := pfs.Create("fc", pfs.Options{Servers: 2, StripeSize: sieve})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +27,19 @@ func fcForTest(t *testing.T, budget, sieve, ra int64) (*pfs.FS, *fileCache) {
 		t.Fatal(err)
 	}
 	fs.ResetStats()
-	w := newFileCache(fs)
-	w.Configure(cacheConfig{budget: budget, sieve: sieve, readAhead: ra})
-	return fs, w
+	return fs, cacheForTest(t, fs, Tuning{CacheBytes: budget, ReadAheadBytes: ra})
+}
+
+// cacheForTest builds a cache on fs under t, as the store's first
+// caching Open does, and releases its spill file when the test ends.
+func cacheForTest(tb testing.TB, fs *pfs.FS, t Tuning) *fileCache {
+	tb.Helper()
+	w, err := newFileCache(fs, t)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { w.closeHook() })
+	return w
 }
 
 // writeThrough is File.WriteV's protocol on w: BeginWrite, the store
@@ -318,27 +329,6 @@ func TestFileCacheAbsorbPunchesClean(t *testing.T) {
 	wantPattern(t, buf[128:], 128)
 	if w.Bytes() != 64 {
 		t.Fatalf("dirty = %d, want 64", w.Bytes())
-	}
-}
-
-// TestFileCacheConfigureDisableDropsClean: dropping the budget to 0,
-// after the flush ApplyTuning makes first, releases every extent — the
-// fetched ones and the flushed ones alike.
-func TestFileCacheConfigureDisableDropsClean(t *testing.T) {
-	_, w := fcForTest(t, 1<<20, 128, 0)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 128}}, make(Contig, 128)); err != nil {
-		t.Fatal(err)
-	}
-	w.Absorb(1024, bytes.Repeat([]byte{3}, 64))
-	if err := w.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	w.Configure(cacheConfig{})
-	if w.Cached() != 0 || w.Bytes() != 0 {
-		t.Fatalf("cached/dirty = %d/%d after disable, want 0/0", w.Cached(), w.Bytes())
-	}
-	if st := w.Stats(); st.Evicted != 192 {
-		t.Fatalf("evicted = %d, want the 192 released bytes", st.Evicted)
 	}
 }
 

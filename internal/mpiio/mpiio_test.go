@@ -11,6 +11,12 @@ import (
 	"drxmp/internal/pfs"
 )
 
+// openPlain opens a handle without a cache, an Open that cannot fail.
+func openPlain(c *cluster.Comm, fs *pfs.FS) *File {
+	f, _ := Open(c, fs, Tuning{})
+	return f
+}
+
 // strided is rank r's share of a round-robin chunk map: n blocks of
 // size bytes, block i at (r + i*ranks)*size, as coalesced runs.
 func strided(r, ranks, n int, size int64) []pfs.Run {
@@ -61,7 +67,7 @@ func TestPaperListingCollectiveRead(t *testing.T) {
 	results := make([][]float64, 4)
 	err = cluster.Run(4, func(c *cluster.Comm) error {
 		me := c.Rank()
-		f := Open(c, fs)
+		f := openPlain(c, fs)
 		const chunkBytes = chunkElems * elemSize
 		runs := make([]pfs.Run, len(globalMap[me]))
 		for i, q := range globalMap[me] {
@@ -124,7 +130,7 @@ func TestCollectiveEqualsIndependent(t *testing.T) {
 			indep := make([][]byte, ranks)
 			coll := make([][]byte, ranks)
 			err = cluster.Run(ranks, func(c *cluster.Comm) error {
-				f := Open(c, fs)
+				f := openPlain(c, fs)
 				// Rank r takes every ranks-th 16-byte chunk, 10 chunks.
 				runs := strided(c.Rank(), ranks, 10, 16)
 				buf := make([]byte, 160)
@@ -160,7 +166,7 @@ func TestCollectiveWriteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = cluster.Run(ranks, func(c *cluster.Comm) error {
-		f := Open(c, fs)
+		f := openPlain(c, fs)
 		r := c.Rank()
 		// Rank r owns every ranks-th 8-byte slot of 32 slots.
 		payload := bytes.Repeat([]byte{byte(r + 1)}, 64)
@@ -198,7 +204,7 @@ func TestCollectiveWithIdleRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := cluster.Run(4, func(c *cluster.Comm) error {
-		f := Open(c, fs)
+		f := openPlain(c, fs)
 		if c.Rank()%2 == 1 {
 			return f.ReadAllV(nil, Contig(nil)) // idle participant
 		}
@@ -222,7 +228,7 @@ func TestCollectiveWithIdleRanks(t *testing.T) {
 func TestCollectiveAllIdle(t *testing.T) {
 	fs, _ := pfs.Create("t", pfs.Options{})
 	err := cluster.Run(3, func(c *cluster.Comm) error {
-		f := Open(c, fs)
+		f := openPlain(c, fs)
 		if err := f.ReadAllV(nil, Contig(nil)); err != nil {
 			return err
 		}
@@ -249,7 +255,7 @@ func TestCollectiveAggregationReducesRequests(t *testing.T) {
 	}
 	run := func(fs *pfs.FS, collective bool) {
 		err := cluster.Run(ranks, func(c *cluster.Comm) error {
-			f := Open(c, fs)
+			f := openPlain(c, fs)
 			runs := strided(c.Rank(), ranks, 64, 16)
 			buf := make([]byte, 64*16)
 			if collective {
@@ -324,7 +330,7 @@ func BenchmarkIndependentIrregularRead(b *testing.B) {
 		b.Fatal(err)
 	}
 	err := cluster.Run(4, func(c *cluster.Comm) error {
-		f := Open(c, fs)
+		f := openPlain(c, fs)
 		runs := strided(c.Rank(), 4, 256, 1024)
 		buf := make([]byte, 256*1024)
 		for i := 0; i < b.N; i++ {
@@ -346,7 +352,7 @@ func BenchmarkCollectiveIrregularRead(b *testing.B) {
 		b.Fatal(err)
 	}
 	err := cluster.Run(4, func(c *cluster.Comm) error {
-		f := Open(c, fs)
+		f := openPlain(c, fs)
 		runs := strided(c.Rank(), 4, 256, 1024)
 		buf := make([]byte, 256*1024)
 		for i := 0; i < b.N; i++ {
@@ -374,7 +380,7 @@ func TestCollectiveVectored(t *testing.T) {
 	}
 	want := make([]byte, ranks*100)
 	err = cluster.Run(ranks, func(c *cluster.Comm) error {
-		f := Open(c, fs)
+		f := openPlain(c, fs)
 		base := int64(c.Rank()) * 100
 		// 70 bytes in three runs, the last one first in the file.
 		runs := []pfs.Run{{Off: base + 40, Len: 30}, {Off: base + 75, Len: 25}, {Off: base + 3, Len: 15}}

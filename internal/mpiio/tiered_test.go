@@ -16,7 +16,7 @@ import (
 // therefore demote) and a spill file under the test's temp dir.
 func tieredForTest(t *testing.T, budget, spillBytes int64) (*pfs.FS, *fileCache, string) {
 	t.Helper()
-	fs, err := pfs.Create("tiered", pfs.Options{Servers: 2, StripeSize: 128})
+	fs, err := pfs.Create("tiered", pfs.Options{Servers: 2, StripeSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +30,7 @@ func tieredForTest(t *testing.T, budget, spillBytes int64) (*pfs.FS, *fileCache,
 	}
 	fs.ResetStats()
 	path := filepath.Join(t.TempDir(), "spill.dat")
-	w := newFileCache(fs)
-	w.Configure(cacheConfig{budget: budget, sieve: 256, spillBytes: spillBytes, spillPath: path})
-	if err := w.SpillErr(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.closeHook() })
-	return fs, w, path
+	return fs, cacheForTest(t, fs, Tuning{CacheBytes: budget, SpillBytes: spillBytes, SpillPath: path}), path
 }
 
 // readRange reads [off, off+n) through the cache and checks the seeded
@@ -254,7 +248,7 @@ func TestTieredBudgetAccountingUnderChurn(t *testing.T) {
 func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 	const fileN = 4096
 	mk := func(name string, spillBytes int64) (*pfs.FS, *fileCache) {
-		fs, err := pfs.Create(name, pfs.Options{Servers: 2, StripeSize: 128})
+		fs, err := pfs.Create(name, pfs.Options{Servers: 2, StripeSize: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,14 +260,8 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 		if _, err := fs.WriteAt(seed, 0); err != nil {
 			t.Fatal(err)
 		}
-		w := newFileCache(fs)
-		w.Configure(cacheConfig{budget: 1024, sieve: 256, spillBytes: spillBytes,
-			spillPath: filepath.Join(t.TempDir(), name+".dat")})
-		if err := w.SpillErr(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { w.closeHook() })
-		return fs, w
+		return fs, cacheForTest(t, fs, Tuning{CacheBytes: 1024, SpillBytes: spillBytes,
+			SpillPath: filepath.Join(t.TempDir(), name+".dat")})
 	}
 	fsA, base := mk("diff-ram", 0)
 	fsB, sp := mk("diff-spill", 8192)

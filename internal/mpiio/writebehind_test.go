@@ -20,9 +20,7 @@ func wbCacheForTest(t *testing.T) (*pfs.FS, *fileCache) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fs.Close() })
-	w := newFileCache(fs)
-	w.Configure(cacheConfig{budget: 1 << 20})
-	return fs, w
+	return fs, cacheForTest(t, fs, Tuning{CacheBytes: 1 << 20})
 }
 
 func fill(n int, v byte) []byte {
@@ -166,8 +164,8 @@ func runWB(t *testing.T, ranks int, wb int64, fn func(c *cluster.Comm, f *File) 
 	}
 	t.Cleanup(func() { fs.Close() })
 	err = cluster.Run(ranks, func(c *cluster.Comm) error {
-		f := Open(c, fs)
-		if err := f.ApplyTuning(TuningKnobs{WriteBehind: wb, CacheBytes: 1 << 20}); err != nil {
+		f, err := Open(c, fs, Tuning{WriteBehindBytes: wb, CacheBytes: 1 << 20})
+		if err != nil {
 			return err
 		}
 		return fn(c, f)

@@ -833,13 +833,6 @@ func (fs *FS) Aux(key string, mk func() any) any {
 	return v
 }
 
-// AuxLookup returns the store's slot for key without creating it.
-func (fs *FS) AuxLookup(key string) any {
-	fs.auxMu.Lock()
-	defer fs.auxMu.Unlock()
-	return fs.aux[key]
-}
-
 // AddCloseFlusher registers fn to run at the start of Close, before
 // the per-server queues drain. Write-behind caches layered above the
 // store register their flush here, which gives them the ordering

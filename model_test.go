@@ -161,13 +161,12 @@ const (
 	indep                      // every rank makes 0-3 independent reads and writes
 	extend                     // Extend one dimension; the dimensions take turns
 	syncAll                    // Sync
-	retune                     // SetTuning to a fresh draw, the same on every rank
 	kill                       // a permanent read fault on one server (parity >= 1)
 	revive                     // lift it
 	torn                       // rank 0 writes under a one-shot write fault on one server, then retries
 )
 
-var phaseNames = [...]string{"collective write", "collective read", "independent", "extend", "sync", "set tuning", "server dead", "server back", "torn write"}
+var phaseNames = [...]string{"collective write", "collective read", "independent", "extend", "sync", "server dead", "server back", "torn write"}
 
 func (k phaseKind) String() string { return phaseNames[k] }
 
@@ -198,7 +197,6 @@ type phase struct {
 	ops     [][]modelOp // per rank
 	dim, by int         // extend
 	server  int         // kill, torn
-	tuning  drxmp.Tuning
 }
 
 type program struct {
@@ -218,8 +216,6 @@ func (p *program) String() string {
 			fmt.Fprintf(&b, " dim %d by %d", ph.dim, ph.by)
 		case kill, torn:
 			fmt.Fprintf(&b, " server %d", ph.server)
-		case retune:
-			fmt.Fprintf(&b, " %+v", ph.tuning)
 		}
 		for r, ops := range ph.ops {
 			fmt.Fprintf(&b, "\n      rank %d:", r)
@@ -236,7 +232,7 @@ func (p *program) String() string {
 // phases of sp.must, in order, among them.
 func drawProgram(s *stream, sp modelSpace) *program {
 	p := &program{cfg: drawConfig(s, &sp)}
-	kinds := []phaseKind{collWrite, collWrite, collWrite, collRead, collRead, indep, indep, indep, extend, syncAll, retune, torn}
+	kinds := []phaseKind{collWrite, collWrite, collWrite, collRead, collRead, indep, indep, indep, extend, syncAll, torn}
 	if p.cfg.fs.Parity > 0 {
 		kinds = append(kinds, kill, revive)
 	}
@@ -264,8 +260,6 @@ func drawProgram(s *stream, sp modelSpace) *program {
 			ph.by = 1 + s.intn(p.cfg.shape.chunk[ph.dim]+1)
 			bounds[ph.dim] += ph.by
 			extends++
-		case retune:
-			ph.tuning = drawTuning(s, &sp)
 		case kill:
 			ph.server = s.intn(p.cfg.fs.Servers)
 		case torn:
@@ -479,15 +473,13 @@ func runModel(p *program, dir string) error {
 				note(at, f.Extend(ph.dim, ph.by))
 			case syncAll:
 				note(at, f.Sync())
-			case retune:
-				note(at, f.SetTuning(withSpill(ph.tuning)))
 			case torn:
 				if me == 0 {
 					note(at, tornWrite(f, plans[i][0][0], ph.server, dead >= 0))
 				}
 			}
-			// PunchOnce's premise: with write-behind off nothing is dirty,
-			// so no sweep can race a collective's direct store write.
+			// Only write-behind makes bytes dirty: with it off nothing is,
+			// so no sweep can race a direct store write.
 			if n := f.Dirty(); n != 0 && f.Tuning().WriteBehindBytes == 0 {
 				note(at, fmt.Errorf("%d dirty bytes cached with write-behind off", n))
 			}
@@ -500,8 +492,8 @@ func runModel(p *program, dir string) error {
 		}
 
 		// The end: Sync and read the whole array on every rank; then read
-		// the store's own bytes with every knob off and, with parity,
-		// once more with each server in turn read-dead.
+		// the store's own bytes through a cacheless view and, with
+		// parity, once more with each server in turn read-dead.
 		if me == 0 {
 			final = modelOp{box: m.whole(), user: drxmp.RowMajor, data: m.read(m.whole(), drxmp.RowMajor)}
 		}
@@ -510,16 +502,16 @@ func runModel(p *program, dir string) error {
 			return err
 		}
 		note("final read", doOp(f, final, false))
-		note("final set tuning", f.SetTuning(drxmp.Tuning{}))
 		if err := c.Barrier(); err != nil {
 			return err
 		}
 		if me == 0 {
-			note("store read", doOp(f, final, false))
+			store := drxmp.StoreView(f)
+			note("store read", doOp(store, final, false))
 			if cfg.fs.Parity > 0 {
 				for s := range cfg.fs.Servers {
 					f.FS().SetInjector(&pfs.FaultPoint{Server: s, Op: pfs.FaultReads, Permanent: true})
-					note(fmt.Sprintf("store read, server %d dead", s), doOp(f, final, false))
+					note(fmt.Sprintf("store read, server %d dead", s), doOp(store, final, false))
 				}
 				f.FS().SetInjector(nil)
 				if f.FS().Stats().DegradedReads == 0 {
