@@ -47,7 +47,10 @@ type CostModel struct {
 	// RequestOverhead is charged once per server request.
 	RequestOverhead time.Duration
 	// SeekLatency is charged when a request does not start at the
-	// server's previous end offset.
+	// server's previous end offset. With it set, a server reads through
+	// a small hole between two segments of one read list rather than
+	// seek over it (queue.go's readsThrough): a dense run of the list is
+	// one request, charged its span, holes included.
 	SeekLatency time.Duration
 	// ByteTime is charged per byte transferred.
 	ByteTime time.Duration
@@ -82,18 +85,20 @@ type Scheduler int
 
 const (
 	// FIFO services requests strictly in arrival order (one request,
-	// one service, one potential seek).
+	// one service, one potential seek); read segments a small hole
+	// apart are one request (see CostModel.SeekLatency).
 	FIFO Scheduler = iota
 	// Elevator freezes what is queued when a sweep starts and services
 	// that backlog as one ascending C-SCAN sweep: pending segments sort
-	// by server-local offset and physically adjacent same-direction
-	// segments merge into a single streamed service, so a sweep charges
-	// one seek per discontinuity instead of one per request. Requests
-	// arriving during a sweep wait for the next one, which bounds how
-	// long any request can be bypassed (no starvation). Note that writes
-	// to overlapping extents submitted concurrently may land in either
-	// order — exactly as under FIFO, where the channel interleaving is
-	// already scheduling-dependent.
+	// by server-local offset, and physically adjacent same-direction
+	// segments, or read segments a small hole apart (see
+	// CostModel.SeekLatency), merge into a single streamed service, so
+	// a sweep charges one seek per discontinuity instead of one per
+	// request. Requests arriving during a sweep wait for the next one,
+	// which bounds how long any request can be bypassed (no
+	// starvation). Note that writes to overlapping extents submitted
+	// concurrently may land in either order — exactly as under FIFO,
+	// where the channel interleaving is already scheduling-dependent.
 	Elevator
 )
 
@@ -328,6 +333,9 @@ type server struct {
 	// queued counts the requests submitted to this server and not yet
 	// settled: the elevator's backlog and sourceOrder's ranking key.
 	queued atomic.Int64
+	// errs is serveFIFO's scratch, reused under mu: the outcomes of a
+	// run's segments, kept while the run sleeps its service time.
+	errs []error
 }
 
 // newServer builds server i with its cost model, queue discipline, and

@@ -22,6 +22,14 @@
 // services: a sweep charges one seek per discontinuity instead of one
 // per request.
 //
+// Under either discipline a read list's dense runs are one request:
+// when the next read segment lies a small hole past the previous one
+// (readsThrough), the server reads through the hole instead of seeking
+// over it — data sieving, done on the server. The run is charged as one
+// request over its span, holes included (one overhead, at most one
+// seek), while only the segments' own bytes move, so hole bytes never
+// reach memory. Writes never read through.
+//
 // The state of one submission (segments, batches, outcomes) is a pooled
 // dispatch, back on its store's idle list once every batch has
 // signalled. A degraded read whose straggler deadline fired returns
@@ -260,31 +268,69 @@ func (sv *server) serve(ch chan *batch) {
 	}
 }
 
-// serveFIFO services a batch in submission order: execute, sleep the
-// charged service time when the cost model is real-time (the server is
-// busy — later requests wait, other servers keep serving), settle. The
+// serveFIFO services a batch in submission order, one request at a
+// time — a request being a segment, or a run of read segments the
+// server reads through (readsThrough): execute, sleep the charged
+// service time when the cost model is real-time (the server is busy —
+// later requests wait, other servers keep serving), settle. The
 // server's lock is held over the list, not taken per request — an
 // atomic after every 260-byte copy waits for the copy's stores to
 // drain — and only let go for a sleep.
 func (sv *server) serveFIFO(b *batch) {
 	d := b.d
 	sv.mu.Lock()
-	for _, i := range b.idx {
-		s := &d.segs[i]
-		dur := sv.charge(s.n, s.off, d.write)
-		if d.attr {
-			sv.attribute(s.n, d.write)
+	for k := 0; k < len(b.idx); {
+		j := k + 1
+		for j < len(b.idx) && sv.readsThrough(&d.segs[b.idx[j-1]], &d.segs[b.idx[j]], d.write) {
+			j++
 		}
-		err := sv.moveLocked(d, i)
-		if sv.cost.RealTime && dur > 0 {
+		run := b.idx[k:j]
+		first, last := &d.segs[run[0]], &d.segs[run[len(run)-1]]
+		dur := sv.charge(last.off+last.n-first.off, first.off, d.write)
+		// A run that sleeps its service time settles after the sleep,
+		// from the outcomes kept in errs.
+		sleep := sv.cost.RealTime && dur > 0
+		errs := sv.errs[:0]
+		var moved int64
+		for _, i := range run {
+			if err := sv.moveLocked(d, i); sleep {
+				errs = append(errs, err)
+			} else {
+				d.settle(i, err)
+			}
+			moved += d.segs[i].n
+		}
+		if d.attr {
+			sv.attribute(moved, d.write)
+		}
+		if sleep {
+			sv.errs = nil // errs stays this run's while the lock is let go
 			sv.mu.Unlock()
 			time.Sleep(dur)
 			sv.mu.Lock()
+			for g, i := range run {
+				d.settle(i, errs[g])
+			}
+			clear(errs)
+			sv.errs = errs[:0]
 		}
-		d.settle(i, err)
+		k = j
 	}
 	sv.mu.Unlock()
 	b.finish(sv, len(b.idx))
+}
+
+// readsThrough reports whether segment s, served right after p on this
+// server, joins p's request because the server reads through the hole
+// of g = s.off − (p.off+p.n) > 0 bytes between them instead of seeking
+// over it. Both must be reads, and there must be a seek to save; the
+// hole must cost less than the seek and request overhead it saves, and
+// be at most half of each neighbour — so a read list never moves more
+// than 1.5× its payload off the device.
+func (sv *server) readsThrough(p, s *ioSeg, write bool) bool {
+	g := s.off - (p.off + p.n)
+	return !write && g > 0 && 2*g <= min(p.n, s.n) && sv.cost.SeekLatency > 0 &&
+		time.Duration(g)*sv.cost.ByteTime < sv.cost.SeekLatency+sv.cost.RequestOverhead
 }
 
 // pend is one request pending at an elevator.
@@ -337,24 +383,26 @@ func (sv *server) moveLocked(d *dispatch, i int32) error {
 // sweep services the frozen requests as a single ascending C-SCAN sweep
 // and returns the emptied list: requests sort by server-local offset
 // (stable, so requests at the same offset keep arrival order), and each
-// maximal group of physically adjacent same-direction segments is
-// serviced as one streamed request — one charge (at most one seek, one
-// request overhead, byte time for the whole stream), then the
-// per-segment data movement. Each request is settled after its group
-// has been serviced.
+// maximal group of same-direction segments that touch, or that the
+// server reads through (readsThrough), is serviced as one streamed
+// request — one charge over its span (at most one seek, one request
+// overhead, byte time for the whole stream), then the per-segment data
+// movement. Each request is settled after its group has been serviced.
 func (sv *server) sweep(frozen []pend) []pend {
 	slices.SortStableFunc(frozen, func(a, b pend) int { return cmp.Compare(a.seg().off, b.seg().off) })
 	for i := 0; i < len(frozen); {
 		j, write := i+1, frozen[i].b.d.write
-		total := frozen[i].seg().n
-		for j < len(frozen) && frozen[j].b.d.write == write &&
-			frozen[j].seg().off == frozen[j-1].seg().off+frozen[j-1].seg().n {
-			total += frozen[j].seg().n
+		for j < len(frozen) && frozen[j].b.d.write == write {
+			p, s := frozen[j-1].seg(), frozen[j].seg()
+			if s.off != p.off+p.n && !sv.readsThrough(p, s, write) {
+				break
+			}
 			j++
 		}
 		var attributed int64
+		first, last := frozen[i].seg(), frozen[j-1].seg()
 		sv.mu.Lock()
-		dur := sv.charge(total, frozen[i].seg().off, write)
+		dur := sv.charge(last.off+last.n-first.off, first.off, write)
 		for k := i; k < j; k++ {
 			r := &frozen[k]
 			r.err = sv.moveLocked(r.b.d, r.i)

@@ -1,7 +1,9 @@
 package drxmp
 
 import (
+	"bytes"
 	"testing"
+	"time"
 
 	"drxmp/internal/cluster"
 	"drxmp/internal/pfs"
@@ -67,6 +69,94 @@ func TestWriteSectionChargesOneVectoredWrite(t *testing.T) {
 		if got.Bytes() != want.Bytes() || got.Requests() != want.Requests() {
 			t.Errorf("WriteSection charged %d device bytes in %d requests; one WriteV of its runs charges %d in %d",
 				got.Bytes(), got.Requests(), want.Bytes(), want.Requests())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadSectionReadsThroughDenseChunks pins what an unaligned
+// ReadSection costs once servers read through small holes: on 8
+// servers with the benchmark's cost model, a box whose edge chunks are
+// at least two thirds covered along a row is charged one request per
+// chunk it covers, while a box whose edge chunks are at most a third
+// covered is charged a request per row of them, as before. Either way
+// the device moves at most 1.5× the payload, and the bytes are the
+// array's.
+func TestReadSectionReadsThroughDenseChunks(t *testing.T) {
+	const dim, chunk = 256, 64
+	fsOpts := pfs.Options{Servers: 8, StripeSize: chunk * chunk * 8, Cost: pfs.CostModel{
+		RequestOverhead: 100 * time.Microsecond, SeekLatency: time.Millisecond, ByteTime: 4 * time.Nanosecond}}
+	boxes := []struct {
+		name  string
+		box   Box
+		dense bool // edge chunks at least 2/3 covered along a row
+	}{
+		// Columns 21..234: 43 of 64 in each edge chunk.
+		{"dense", NewBox([]int{10, 21}, []int{118, 235}), true},
+		// Columns 43..212: 21 of 64 in each edge chunk.
+		{"sparse", NewBox([]int{10, 43}, []int{118, 213}), false},
+	}
+	err := cluster.Run(1, func(c *cluster.Comm) error {
+		f, err := Create(c, "read-through", Options{
+			DType: Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{dim, dim}, FS: fsOpts,
+		})
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		flat := make([]byte, dim*dim*8)
+		for i := range flat {
+			flat[i] = byte(i*7 + i/251)
+		}
+		if err := f.WriteSection(NewBox([]int{0, 0}, []int{dim, dim}), flat, RowMajor); err != nil {
+			return err
+		}
+		server := func(off int64) int { return int(off / fsOpts.StripeSize % int64(fsOpts.Servers)) }
+		for _, tc := range boxes {
+			// Per server, the chunks the box covers and its coalesced runs.
+			var p sectionPlan
+			if _, err := f.sectionRuns(&p, tc.box, RowMajor); err != nil {
+				return err
+			}
+			chunks, runs := make([]int64, fsOpts.Servers), make([]int64, fsOpts.Servers)
+			for _, ch := range p.chunks {
+				chunks[server(ch.q*f.m.ChunkBytes())]++
+			}
+			for _, r := range p.runs {
+				runs[server(r.Off)]++
+			}
+			want := runs
+			if tc.dense {
+				want = chunks
+			}
+
+			f.fs.ResetStats()
+			rows, cols := tc.box.Hi[0]-tc.box.Lo[0], tc.box.Hi[1]-tc.box.Lo[1]
+			buf := make([]byte, rows*cols*8)
+			if err := f.ReadSection(tc.box, buf, RowMajor); err != nil {
+				return err
+			}
+			st := f.fs.Stats()
+			for s, ps := range st.PerServer {
+				if ps.Reads != want[s] {
+					t.Errorf("%s: server %d charged %d read requests for %d chunks in %d runs; want %d",
+						tc.name, s, ps.Reads, chunks[s], runs[s], want[s])
+				}
+			}
+			if payload := int64(len(buf)); 2*st.BytesRead() > 3*payload {
+				t.Errorf("%s: the device read %d bytes for a %d-byte payload, over 1.5×", tc.name, st.BytesRead(), payload)
+			} else if tc.dense && st.BytesRead() == payload {
+				t.Errorf("%s: the device read just the payload; the holes read through were not charged", tc.name)
+			}
+			for r := 0; r < rows; r++ {
+				at := ((tc.box.Lo[0]+r)*dim + tc.box.Lo[1]) * 8
+				if !bytes.Equal(buf[r*cols*8:(r+1)*cols*8], flat[at:at+cols*8]) {
+					t.Fatalf("%s: row %d differs from the array", tc.name, r)
+				}
+			}
 		}
 		return nil
 	})
