@@ -207,16 +207,6 @@ func (s *Space) Total() int64 { return s.total }
 // record ("uninterrupted expansion").
 func (s *Space) LastDim() int { return s.lastDim }
 
-// Vectors returns a deep copy of the axial vectors, for persistence and
-// inspection.
-func (s *Space) Vectors() []Vector {
-	out := make([]Vector, len(s.axial))
-	for i, v := range s.axial {
-		out[i] = v.clone()
-	}
-	return out
-}
-
 // Records returns a deep copy of dimension d's axial vector records.
 func (s *Space) Records(d int) []Record {
 	return s.axial[d].clone().Records

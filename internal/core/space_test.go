@@ -672,3 +672,13 @@ func BenchmarkMapManyRecords(b *testing.B) {
 		s.mapUnchecked(idx)
 	}
 }
+
+// Vectors returns a deep copy of the axial vectors, for Restore round
+// trips.
+func (s *Space) Vectors() []Vector {
+	out := make([]Vector, len(s.axial))
+	for i, v := range s.axial {
+		out[i] = v.clone()
+	}
+	return out
+}

@@ -50,7 +50,10 @@ type CostModel struct {
 	// server's previous end offset. With it set, a server reads through
 	// a small hole between two segments of one read list rather than
 	// seek over it (queue.go's readsThrough): a dense run of the list is
-	// one request, charged its span, holes included.
+	// one request, charged its span, holes included. A hole is small
+	// when it is at most half of each neighbour, or when its read
+	// operation granted it out of a budget of 1/8 of the operation's
+	// payload (no larger than either neighbour, smallest first).
 	SeekLatency time.Duration
 	// ByteTime is charged per byte transferred.
 	ByteTime time.Duration
@@ -86,7 +89,9 @@ type Scheduler int
 const (
 	// FIFO services requests strictly in arrival order (one request,
 	// one service, one potential seek); read segments a small hole
-	// apart are one request (see CostModel.SeekLatency).
+	// apart are one request (see CostModel.SeekLatency), a hole granted
+	// out of the operation's budget judged against the segment before
+	// it in the list.
 	FIFO Scheduler = iota
 	// Elevator freezes what is queued when a sweep starts and services
 	// that backlog as one ascending C-SCAN sweep: pending segments sort
@@ -94,7 +99,10 @@ const (
 	// segments, or read segments a small hole apart (see
 	// CostModel.SeekLatency), merge into a single streamed service, so
 	// a sweep charges one seek per discontinuity instead of one per
-	// request. Requests arriving during a sweep wait for the next one,
+	// request. A hole granted out of an operation's budget is read
+	// through only when the segment before it in the sweep belongs to
+	// the same operation, so each operation stays within its own
+	// budget however a sweep interleaves callers. Requests arriving during a sweep wait for the next one,
 	// which bounds how long any request can be bypassed (no
 	// starvation). Note that writes to overlapping extents submitted
 	// concurrently may land in either order — exactly as under FIFO,

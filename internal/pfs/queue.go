@@ -28,7 +28,14 @@
 // over it — data sieving, done on the server. The run is charged as one
 // request over its span, holes included (one overhead, at most one
 // seek), while only the segments' own bytes move, so hole bytes never
-// reach memory. Writes never read through.
+// reach memory. Writes never read through. A hole is small by one of
+// two rules. Per pair: at most half of each neighbour. Per operation:
+// submit sees every server's list of a read dispatch and grants the
+// holes no larger than either neighbour, smallest first, out of a
+// budget of 1/8 of the dispatch's payload (holeBudgetShare) — so one
+// server holding all of an operation's holes still reads through them,
+// while an operation with holes everywhere moves at most 9/8 of its
+// payload beyond the per-pair rule's holes.
 //
 // The state of one submission (segments, batches, outcomes) is a pooled
 // dispatch, back on its store's idle list once every batch has
@@ -123,7 +130,27 @@ type dispatch struct {
 	pre     []byte
 	at      []int64
 	recon   *reconScratch // degraded reads' working memory, made on first use
+	// grant[i], when grant is not empty and grant[i] > 0, is the hole
+	// before segment i that its server may read through beyond the
+	// per-pair rule, spent by submit out of the dispatch's hole budget.
+	// A negative entry is a candidate hole that was not granted.
+	grant []int64
 }
+
+// holeBudgetShare sets a read dispatch's hole budget: the holes granted
+// beyond the per-pair rule sum to at most 1/holeBudgetShare of the
+// dispatch's accepted payload. Time alone would grant nearly every
+// candidate: under the benchmark's model a 64 KiB hole costs 0.26 ms
+// of byte time against the 1.1 ms of seek and overhead it saves. What
+// the share bounds is device bytes, as ROMIO bounds its sieve buffer
+// per call. An eighth caps the worst case, holes on every server, at
+// 9/8 of the payload. On the benchmark's unaligned section reads
+// (section_mixed, seed 1: 54.4 simulated ms per op at 1.025 device
+// bytes per payload byte without a budget) an eighth reads 46.2 ms at
+// 1.077; granting every candidate, 45.4 ms at 1.242; a quarter, 45.5 ms
+// at 1.152; a sixteenth, 49.4 ms at 1.045. An eighth buys nine tenths
+// of the time for a quarter of the bytes.
+const holeBudgetShare = 8
 
 // maxIdle bounds a store's list of idle dispatches: enough for the
 // callers a store sees at once, so a burst does not pin its slabs.
@@ -160,6 +187,7 @@ func (fs *FS) release(d *dispatch) {
 	clear(d.served)
 	clear(d.fails)
 	d.segs, d.served, d.fails = d.segs[:0], d.served[:0], d.fails[:0]
+	d.grant = d.grant[:0]
 	d.mem, d.write, d.attr, d.skip, d.capture = nil, false, false, false, false
 	fs.idleMu.Lock()
 	if len(fs.idle) < maxIdle {
@@ -281,7 +309,7 @@ func (sv *server) serveFIFO(b *batch) {
 	sv.mu.Lock()
 	for k := 0; k < len(b.idx); {
 		j := k + 1
-		for j < len(b.idx) && sv.readsThrough(&d.segs[b.idx[j-1]], &d.segs[b.idx[j]], d.write) {
+		for j < len(b.idx) && sv.readsThrough(&d.segs[b.idx[j-1]], &d.segs[b.idx[j]], d.write, d.grantOf(b.idx[j])) {
 			j++
 		}
 		run := b.idx[k:j]
@@ -323,14 +351,71 @@ func (sv *server) serveFIFO(b *batch) {
 // readsThrough reports whether segment s, served right after p on this
 // server, joins p's request because the server reads through the hole
 // of g = s.off − (p.off+p.n) > 0 bytes between them instead of seeking
-// over it. Both must be reads, and there must be a seek to save; the
-// hole must cost less than the seek and request overhead it saves, and
-// be at most half of each neighbour — so a read list never moves more
-// than 1.5× its payload off the device.
-func (sv *server) readsThrough(p, s *ioSeg, write bool) bool {
+// over it. Both must be reads. The hole is read through when it is at
+// most grant, the hole submit granted s out of its dispatch's budget
+// (≤ 0: none), or by the per-pair rule: there is a seek to save, the
+// hole costs less than the seek and request overhead it saves, and it
+// is at most half of each neighbour — so the per-pair holes of a read
+// list never move more than 1.5× its payload off the device.
+func (sv *server) readsThrough(p, s *ioSeg, write bool, grant int64) bool {
 	g := s.off - (p.off + p.n)
-	return !write && g > 0 && 2*g <= min(p.n, s.n) && sv.cost.SeekLatency > 0 &&
-		time.Duration(g)*sv.cost.ByteTime < sv.cost.SeekLatency+sv.cost.RequestOverhead
+	return !write && g > 0 && (g <= grant || 2*g <= min(p.n, s.n) && pays(sv.cost, g))
+}
+
+// pays reports whether reading through a g-byte hole costs less than
+// the seek and request overhead it saves.
+func pays(c CostModel, g int64) bool {
+	return c.SeekLatency > 0 && time.Duration(g)*c.ByteTime < c.SeekLatency+c.RequestOverhead
+}
+
+// grantOf returns the hole granted segment i out of the budget, ≤ 0
+// when none was.
+func (d *dispatch) grantOf(i int32) int64 {
+	if len(d.grant) == 0 {
+		return 0
+	}
+	return d.grant[i]
+}
+
+// grantHoles spends budget on the candidate holes, each entered in
+// d.grant as its size negated, which sum to want: smallest first, ties
+// in submission order, while their sum stays within budget. A grant
+// turns the entry positive. When the budget does not cover them all,
+// each pass grants the candidates of the smallest size left, in
+// submission order: an op's holes come in a handful of sizes (at most
+// four per op on the benchmark's workloads), so a few linear passes
+// cost less than a sort, and the first hole that does not fit ends
+// them all.
+func (d *dispatch) grantHoles(budget, want int64) {
+	grant := d.grant
+	if want <= budget {
+		for i, g := range grant {
+			if g < 0 {
+				grant[i] = -g
+			}
+		}
+		return
+	}
+	for {
+		var m int64 // the smallest candidate left
+		for _, g := range grant {
+			if g < 0 && (m == 0 || -g < m) {
+				m = -g
+			}
+		}
+		if m == 0 {
+			return
+		}
+		for i, g := range grant {
+			if g == -m {
+				if m > budget {
+					return
+				}
+				budget -= m
+				grant[i] = m
+			}
+		}
+	}
 }
 
 // pend is one request pending at an elevator.
@@ -394,7 +479,14 @@ func (sv *server) sweep(frozen []pend) []pend {
 		j, write := i+1, frozen[i].b.d.write
 		for j < len(frozen) && frozen[j].b.d.write == write {
 			p, s := frozen[j-1].seg(), frozen[j].seg()
-			if s.off != p.off+p.n && !sv.readsThrough(p, s, write) {
+			// A grant is spent only behind a segment of its own
+			// dispatch: however sweeps interleave callers, each
+			// dispatch's holes stay within its own budget.
+			var grant int64
+			if frozen[j-1].b == frozen[j].b {
+				grant = frozen[j].b.d.grantOf(frozen[j].i)
+			}
+			if s.off != p.off+p.n && !sv.readsThrough(p, s, write, grant) {
 				break
 			}
 			j++
@@ -426,31 +518,15 @@ func (sv *server) sweep(frozen []pend) []pend {
 	return frozen[:0]
 }
 
-// submit is the one way requests reach a server. The injector is
-// consulted once per segment, in submission order, before anything is
-// queued: a refused segment "never reached a server" and is recorded
-// in d.fails; unless d.skip, it also ends the submission — the accepted
-// prefix still goes out. The accepted segments are bucketed by server
-// (submission order kept inside a server), every server used gets its
+// submit is the one way requests reach a server. It sorts d's segments
+// into per-server batches (accept); then every server used gets its
 // batch — on its queue, or serviced right here once Close has stopped
 // the workers — and submit waits for one signal per batch. It returns
 // how many batches were still outstanding when the deadline (0: none)
 // passed: until that many more signals arrive on d.done, d still
 // belongs to the servers.
 func (fs *FS) submit(d *dispatch, deadline time.Duration) int {
-	inj := fs.inj.Load()
-	for i := range d.segs {
-		s := &d.segs[i]
-		if err := inj.fail(int(s.server), d.write, s.off, s.n); err != nil {
-			d.fail(i, err, true)
-			if d.skip {
-				continue
-			}
-			break
-		}
-		b := &d.batches[s.server]
-		b.idx = append(b.idx, int32(i))
-	}
+	fs.accept(d)
 	used := 0
 	fs.qmu.RLock()
 	inline := fs.qclosed || fs.queues == nil
@@ -493,6 +569,51 @@ func (fs *FS) submit(d *dispatch, deadline time.Duration) int {
 		}
 	}
 	return 0
+}
+
+// accept consults the injector once per segment, in submission order,
+// before anything is queued: a refused segment "never reached a server"
+// and is recorded in d.fails; unless d.skip, it also ends the
+// submission — the accepted prefix still goes out. The accepted
+// segments are bucketed by server (submission order kept inside a
+// server), and a read's holes between consecutive segments of one
+// server's list are granted out of its budget (grantHoles).
+func (fs *FS) accept(d *dispatch) {
+	inj := fs.inj.Load()
+	c := fs.opts.Cost
+	sieve := !d.write && c.SeekLatency > 0
+	var payload, want int64
+	for i := range d.segs {
+		s := &d.segs[i]
+		if err := inj.fail(int(s.server), d.write, s.off, s.n); err != nil {
+			d.fail(i, err, true)
+			if d.skip {
+				continue
+			}
+			break
+		}
+		b := &d.batches[s.server]
+		if sieve {
+			// A candidate for the budget: a hole the per-pair rule
+			// refuses, no larger than either neighbour, that pays.
+			payload += s.n
+			if k := len(b.idx); k > 0 {
+				p := &d.segs[b.idx[k-1]]
+				g, m := s.off-(p.off+p.n), min(p.n, s.n)
+				if g > 0 && 2*g > m && g <= m && pays(c, g) {
+					if want == 0 {
+						clear(grow(&d.grant, len(d.segs)))
+					}
+					d.grant[i] = -g
+					want += g
+				}
+			}
+		}
+		b.idx = append(b.idx, int32(i))
+	}
+	if want > 0 {
+		d.grantHoles(payload/holeBudgetShare, want)
+	}
 }
 
 // dispatch runs d's segments through the servers, waits for them and

@@ -154,14 +154,6 @@ func (s *Store) Len() int {
 	return len(s.ext)
 }
 
-// FileSize returns the spill file's high-water mark — live bytes plus
-// free-list fragmentation.
-func (s *Store) FileSize() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.size
-}
-
 // Stats returns a snapshot of the cumulative accounting.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

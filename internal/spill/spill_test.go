@@ -305,3 +305,11 @@ func TestSpillConcurrentChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FileSize returns the spill file's high-water mark — live bytes plus
+// free-list fragmentation.
+func (s *Store) FileSize() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.size
+}

@@ -47,16 +47,6 @@ type GrowthStep struct {
 // Schedule is a deterministic growth schedule.
 type Schedule []GrowthStep
 
-// AppendSchedule models the intro's motivating workload: a dataset
-// growing along one dimension (e.g. time) in fixed increments.
-func AppendSchedule(dim, steps, by int) Schedule {
-	s := make(Schedule, steps)
-	for i := range s {
-		s[i] = GrowthStep{Dim: dim, By: by}
-	}
-	return s
-}
-
 // RoundRobinSchedule grows every dimension in turn — the adversarial
 // case for one-dimension-extendible formats.
 func RoundRobinSchedule(rank, steps, by int) Schedule {
@@ -94,24 +84,6 @@ func RandomBoxes(bounds []int, n, maxEdge int, seed int64) []grid.Box {
 			hi[d] = lo[d] + e
 		}
 		out[i] = grid.Box{Lo: lo, Hi: hi}
-	}
-	return out
-}
-
-// RowSlabs partitions the bounds into contiguous slabs along dim
-// (scan-by-rows workload); each slab is `thick` indices thick (the last
-// may be thinner).
-func RowSlabs(bounds []int, dim, thick int) []grid.Box {
-	var out []grid.Box
-	for lo := 0; lo < bounds[dim]; lo += thick {
-		hi := lo + thick
-		if hi > bounds[dim] {
-			hi = bounds[dim]
-		}
-		b := grid.BoxOf(grid.Shape(bounds))
-		b.Lo[dim] = lo
-		b.Hi[dim] = hi
-		out = append(out, b)
 	}
 	return out
 }

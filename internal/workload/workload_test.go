@@ -37,15 +37,6 @@ func TestFillBoxAndVerify(t *testing.T) {
 }
 
 func TestSchedules(t *testing.T) {
-	app := AppendSchedule(2, 5, 3)
-	if len(app) != 5 {
-		t.Fatalf("append len = %d", len(app))
-	}
-	for _, s := range app {
-		if s.Dim != 2 || s.By != 3 {
-			t.Fatalf("append step = %+v", s)
-		}
-	}
 	rr := RoundRobinSchedule(3, 6, 1)
 	dims := []int{}
 	for _, s := range rr {
@@ -89,22 +80,5 @@ func TestRandomBoxes(t *testing.T) {
 	again := RandomBoxes(bounds, 50, 6, 3)
 	if !reflect.DeepEqual(boxes, again) {
 		t.Fatal("RandomBoxes not deterministic")
-	}
-}
-
-func TestRowSlabs(t *testing.T) {
-	slabs := RowSlabs([]int{10, 4}, 0, 3)
-	if len(slabs) != 4 {
-		t.Fatalf("slabs = %d", len(slabs))
-	}
-	var total int64
-	for _, s := range slabs {
-		total += s.Volume()
-	}
-	if total != 40 {
-		t.Fatalf("slabs cover %d cells", total)
-	}
-	if slabs[3].Hi[0] != 10 || slabs[3].Lo[0] != 9 {
-		t.Fatalf("last slab = %v", slabs[3])
 	}
 }

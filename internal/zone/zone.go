@@ -49,12 +49,12 @@ func (k Kind) String() string {
 	}
 }
 
-// DimsCreate factorizes nprocs into a k-dimensional process grid with
+// dimsCreate factorizes nprocs into a k-dimensional process grid with
 // factors as close to each other as possible, larger factors first
 // (mirroring MPI_Dims_create).
-func DimsCreate(nprocs, k int) ([]int, error) {
+func dimsCreate(nprocs, k int) ([]int, error) {
 	if nprocs < 1 || k < 1 {
-		return nil, fmt.Errorf("zone: DimsCreate(%d, %d)", nprocs, k)
+		return nil, fmt.Errorf("zone: dimsCreate(%d, %d)", nprocs, k)
 	}
 	dims := make([]int, k)
 	for i := range dims {
@@ -100,7 +100,6 @@ type Decomp struct {
 	bounds grid.Shape // chunk-space bounds
 	dims   []int      // process grid
 	block  int        // BLOCK_CYCLIC block size (chunk indices per deal)
-	nproc  int
 }
 
 // New builds a decomposition of the given chunk-space bounds over
@@ -119,7 +118,7 @@ func New(kind Kind, bounds grid.Shape, nprocs, block int) (*Decomp, error) {
 	if kind == BlockCyclic && block < 1 {
 		return nil, fmt.Errorf("zone: BLOCK_CYCLIC block %d", block)
 	}
-	dims, err := DimsCreate(nprocs, len(bounds))
+	dims, err := dimsCreate(nprocs, len(bounds))
 	if err != nil {
 		return nil, err
 	}
@@ -135,21 +134,15 @@ func New(kind Kind, bounds grid.Shape, nprocs, block int) (*Decomp, error) {
 	for i, d := range byBound {
 		oriented[d.dim] = dims[i]
 	}
-	return &Decomp{kind: kind, bounds: bounds.Clone(), dims: oriented, block: block, nproc: nprocs}, nil
+	return &Decomp{kind: kind, bounds: bounds.Clone(), dims: oriented, block: block}, nil
 }
-
-// Dims returns the process grid.
-func (d *Decomp) Dims() []int { return append([]int(nil), d.dims...) }
-
-// NumProcs returns the process count the decomposition was built for.
-func (d *Decomp) NumProcs() int { return d.nproc }
 
 // Kind returns the decomposition kind.
 func (d *Decomp) Kind() Kind { return d.kind }
 
-// gridVolume returns the number of process-grid cells (>= nproc; excess
-// cells own empty zones when nproc doesn't factor nicely — cannot
-// happen with DimsCreate, which factors nproc exactly).
+// gridVolume returns the number of process-grid cells (>= the process
+// count; excess cells own empty zones when the count doesn't factor
+// nicely — cannot happen with dimsCreate, which factors it exactly).
 func (d *Decomp) gridVolume() int {
 	v := 1
 	for _, n := range d.dims {
@@ -275,40 +268,4 @@ func (d *Decomp) Owner(ci []int) (int, error) {
 		}
 	}
 	return d.rankOf(pc), nil
-}
-
-// Volumes returns the number of chunks owned by each rank (a load-
-// balance metric).
-func (d *Decomp) Volumes() []int64 {
-	out := make([]int64, d.gridVolume())
-	for r := range out {
-		for _, b := range d.ZoneOf(r) {
-			out[r] += b.Volume()
-		}
-	}
-	return out
-}
-
-// Imbalance returns max/mean of per-rank chunk counts (1.0 = perfect).
-func (d *Decomp) Imbalance() float64 {
-	vols := d.Volumes()
-	var sum, maxV int64
-	for _, v := range vols {
-		sum += v
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(vols))
-	return float64(maxV) / mean
-}
-
-// Rebound returns a decomposition of the same kind/grid over new chunk
-// bounds (used after the array is extended: zones are recomputed from
-// the replicated metadata, no data structure is persisted).
-func (d *Decomp) Rebound(bounds grid.Shape) (*Decomp, error) {
-	return New(d.kind, bounds, d.nproc, d.block)
 }

@@ -24,19 +24,19 @@ func TestDimsCreate(t *testing.T) {
 		{16, 1, []int{16}},
 	}
 	for _, c := range cases {
-		got, err := DimsCreate(c.n, c.k)
+		got, err := dimsCreate(c.n, c.k)
 		if err != nil {
-			t.Fatalf("DimsCreate(%d,%d): %v", c.n, c.k, err)
+			t.Fatalf("dimsCreate(%d,%d): %v", c.n, c.k, err)
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("DimsCreate(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
+			t.Errorf("dimsCreate(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
 		}
 	}
-	if _, err := DimsCreate(0, 2); err == nil {
-		t.Error("DimsCreate(0,2) accepted")
+	if _, err := dimsCreate(0, 2); err == nil {
+		t.Error("dimsCreate(0,2) accepted")
 	}
-	if _, err := DimsCreate(4, 0); err == nil {
-		t.Error("DimsCreate(4,0) accepted")
+	if _, err := dimsCreate(4, 0); err == nil {
+		t.Error("dimsCreate(4,0) accepted")
 	}
 }
 
@@ -44,7 +44,7 @@ func TestQuickDimsCreateProduct(t *testing.T) {
 	f := func(n8, k8 uint8) bool {
 		n := int(n8)%63 + 1
 		k := int(k8)%4 + 1
-		dims, err := DimsCreate(n, k)
+		dims, err := dimsCreate(n, k)
 		if err != nil {
 			return false
 		}
@@ -199,7 +199,7 @@ func TestOrientationFollowsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dims := d.Dims()
+	dims := d.dims
 	if dims[1] < dims[0] {
 		t.Fatalf("process grid %v does not follow the long dimension", dims)
 	}
@@ -235,18 +235,6 @@ func TestVolumesSum(t *testing.T) {
 	}
 }
 
-func TestRebound(t *testing.T) {
-	d, _ := New(Block, grid.Shape{5, 4}, 4, 0)
-	d2, err := d.Rebound(grid.Shape{5, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Kind() != Block || d2.NumProcs() != 4 {
-		t.Fatal("rebound lost configuration")
-	}
-	checkPartition(t, d2, grid.Shape{5, 8}, 4)
-}
-
 func TestQuickOwnerInZone(t *testing.T) {
 	f := func(b0, b1, p8, kind8, c0, c1 uint8) bool {
 		bounds := grid.Shape{int(b0)%9 + 1, int(b1)%9 + 1}
@@ -276,4 +264,33 @@ func TestQuickOwnerInZone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Volumes returns the number of chunks owned by each rank (a load-
+// balance metric).
+func (d *Decomp) Volumes() []int64 {
+	out := make([]int64, d.gridVolume())
+	for r := range out {
+		for _, b := range d.ZoneOf(r) {
+			out[r] += b.Volume()
+		}
+	}
+	return out
+}
+
+// Imbalance returns max/mean of per-rank chunk counts (1.0 = perfect).
+func (d *Decomp) Imbalance() float64 {
+	vols := d.Volumes()
+	var sum, maxV int64
+	for _, v := range vols {
+		sum += v
+		if v > maxV {
+			maxV = v
+		}
+	}
+	if sum == 0 {
+		return 0
+	}
+	mean := float64(sum) / float64(len(vols))
+	return float64(maxV) / mean
 }

@@ -164,3 +164,59 @@ func TestReadSectionReadsThroughDenseChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadSectionSpendsHoleBudget pins the hole budget on the geometry
+// of a collective window's left edge: 8 servers, a 64 KiB stripe and
+// 64×64 float64 chunks, 16 to a chunk row, so chunk rows lie one stripe
+// row apart and server 0 holds chunk columns 0 and 1 of every one. A
+// box from chunk column 1 on leaves server 0 one 32 KiB piece per chunk
+// row behind a 32 KiB hole, which the per-pair rule refuses. The holes
+// are a small share of the read's payload, so the budget grants them:
+// server 0 is charged one request and one seek for the whole column,
+// and the device moves at most 9/8 of the payload.
+func TestReadSectionSpendsHoleBudget(t *testing.T) {
+	const rows, cols, chunk = 256, 16 * 64, 64
+	fsOpts := pfs.Options{Servers: 8, StripeSize: 64 << 10, Cost: pfs.CostModel{
+		RequestOverhead: 100 * time.Microsecond, SeekLatency: time.Millisecond, ByteTime: 4 * time.Nanosecond}}
+	err := cluster.Run(1, func(c *cluster.Comm) error {
+		f, err := Create(c, "hole-budget", Options{
+			DType: Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{rows, cols}, FS: fsOpts,
+		})
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		flat := make([]byte, rows*cols*8)
+		for i := range flat {
+			flat[i] = byte(i*7 + i/251)
+		}
+		if err := f.WriteSection(NewBox([]int{0, 0}, []int{rows, cols}), flat, RowMajor); err != nil {
+			return err
+		}
+		box := NewBox([]int{0, chunk}, []int{rows, cols})
+		f.fs.ResetStats()
+		w := cols - chunk
+		buf := make([]byte, rows*w*8)
+		if err := f.ReadSection(box, buf, RowMajor); err != nil {
+			return err
+		}
+		st := f.fs.Stats()
+		if s0 := st.PerServer[0]; s0.Reads != 1 || s0.Seeks != 1 {
+			t.Errorf("server 0 charged %d read requests and %d seeks for %d chunk rows; want 1 and 1",
+				s0.Reads, s0.Seeks, rows/chunk)
+		}
+		if payload := int64(len(buf)); 8*st.BytesRead() > 9*payload {
+			t.Errorf("the device read %d bytes for a %d-byte payload, over 9/8", st.BytesRead(), payload)
+		}
+		for r := 0; r < rows; r++ {
+			at := (r*cols + chunk) * 8
+			if !bytes.Equal(buf[r*w*8:(r+1)*w*8], flat[at:at+w*8]) {
+				t.Fatalf("row %d differs from the array", r)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
