@@ -53,7 +53,8 @@ type CostModel struct {
 	// one request, charged its span, holes included. A hole is small
 	// when it is at most half of each neighbour, or when its read
 	// operation granted it out of a budget of 1/8 of the operation's
-	// payload (no larger than either neighbour, smallest first).
+	// payload (any hole that pays, smallest first). A run never reads
+	// through a segment the injector refused.
 	SeekLatency time.Duration
 	// ByteTime is charged per byte transferred.
 	ByteTime time.Duration

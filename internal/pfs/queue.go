@@ -31,11 +31,12 @@
 // reach memory. Writes never read through. A hole is small by one of
 // two rules. Per pair: at most half of each neighbour. Per operation:
 // submit sees every server's list of a read dispatch and grants the
-// holes no larger than either neighbour, smallest first, out of a
-// budget of 1/8 of the dispatch's payload (holeBudgetShare) — so one
-// server holding all of an operation's holes still reads through them,
-// while an operation with holes everywhere moves at most 9/8 of its
-// payload beyond the per-pair rule's holes.
+// other holes that pay, whatever their neighbours, smallest first, out
+// of a budget of 1/8 of the dispatch's payload (holeBudgetShare) — so
+// one server holding all of an operation's holes still reads through
+// them, while an operation with holes everywhere moves at most 9/8 of
+// its payload beyond the per-pair rule's holes. Neither rule reads
+// through a segment the injector refused: the run stops there.
 //
 // The state of one submission (segments, batches, outcomes) is a pooled
 // dispatch, back on its store's idle list once every batch has
@@ -47,6 +48,7 @@ package pfs
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -100,6 +102,9 @@ type batch struct {
 	d    *dispatch
 	idx  []int32 // the accepted segments bound for this server, in submission order
 	left int     // not yet serviced; the worker's, once queued
+	// refused: the injector refused a segment for this server since the
+	// last one accepted (accept's; see cut).
+	refused bool
 }
 
 // dispatch is one submission: the segments of a logical operation in
@@ -133,9 +138,15 @@ type dispatch struct {
 	// grant[i], when grant is not empty and grant[i] > 0, is the hole
 	// before segment i that its server may read through beyond the
 	// per-pair rule, spent by submit out of the dispatch's hole budget.
-	// A negative entry is a candidate hole that was not granted.
+	// A negative entry is a candidate hole that was not granted, or cut.
 	grant []int64
 }
+
+// cut is the grant of a segment whose server must not read through to
+// it from its predecessor by either rule: a segment of the same list
+// that the injector refused lies between them, and a refused range
+// never reaches its server.
+const cut = math.MinInt64
 
 // holeBudgetShare sets a read dispatch's hole budget: the holes granted
 // beyond the per-pair rule sum to at most 1/holeBudgetShare of the
@@ -144,12 +155,20 @@ type dispatch struct {
 // of byte time against the 1.1 ms of seek and overhead it saves. What
 // the share bounds is device bytes, as ROMIO bounds its sieve buffer
 // per call. An eighth caps the worst case, holes on every server, at
-// 9/8 of the payload. On the benchmark's unaligned section reads
-// (section_mixed, seed 1: 54.4 simulated ms per op at 1.025 device
-// bytes per payload byte without a budget) an eighth reads 46.2 ms at
-// 1.077; granting every candidate, 45.4 ms at 1.242; a quarter, 45.5 ms
-// at 1.152; a sixteenth, 49.4 ms at 1.045. An eighth buys nine tenths
-// of the time for a quarter of the bytes.
+// 9/8 of the payload. Every grant saves one request at the price of
+// its own bytes, so smallest first is the most requests for the bytes.
+// On the benchmark's unaligned section reads (section_mixed, seed 1:
+// 54.4 simulated ms per op at 1.025 device bytes per payload byte
+// without a budget) the share trades time for bytes as
+//
+//	share  sim ms/op  dev B/B
+//	1/16   44.5       1.068
+//	1/8    35.9       1.111
+//	1/6    32.0       1.137
+//	1/4    26.2       1.192
+//
+// so an eighth buys two thirds of a quarter's saving for half of its
+// extra bytes.
 const holeBudgetShare = 8
 
 // maxIdle bounds a store's list of idle dispatches: enough for the
@@ -182,7 +201,7 @@ func (fs *FS) newDispatch(mem Vec, write bool) *dispatch {
 // whose batches have all signalled.
 func (fs *FS) release(d *dispatch) {
 	for i := range d.batches {
-		d.batches[i].idx = d.batches[i].idx[:0]
+		d.batches[i].idx, d.batches[i].refused = d.batches[i].idx[:0], false
 	}
 	clear(d.served)
 	clear(d.fails)
@@ -351,15 +370,16 @@ func (sv *server) serveFIFO(b *batch) {
 // readsThrough reports whether segment s, served right after p on this
 // server, joins p's request because the server reads through the hole
 // of g = s.off − (p.off+p.n) > 0 bytes between them instead of seeking
-// over it. Both must be reads. The hole is read through when it is at
-// most grant, the hole submit granted s out of its dispatch's budget
-// (≤ 0: none), or by the per-pair rule: there is a seek to save, the
-// hole costs less than the seek and request overhead it saves, and it
-// is at most half of each neighbour — so the per-pair holes of a read
-// list never move more than 1.5× its payload off the device.
+// over it. Both must be reads, and grant must not be cut. The hole is
+// read through when it is at most grant, the hole submit granted s out
+// of its dispatch's budget (≤ 0: none), or by the per-pair rule: there
+// is a seek to save, the hole costs less than the seek and request
+// overhead it saves, and it is at most half of each neighbour — so the
+// per-pair holes of a read list never move more than 1.5× its payload
+// off the device.
 func (sv *server) readsThrough(p, s *ioSeg, write bool, grant int64) bool {
 	g := s.off - (p.off + p.n)
-	return !write && g > 0 && (g <= grant || 2*g <= min(p.n, s.n) && pays(sv.cost, g))
+	return !write && g > 0 && grant != cut && (g <= grant || 2*g <= min(p.n, s.n) && pays(sv.cost, g))
 }
 
 // pays reports whether reading through a g-byte hole costs less than
@@ -369,7 +389,7 @@ func pays(c CostModel, g int64) bool {
 }
 
 // grantOf returns the hole granted segment i out of the budget, ≤ 0
-// when none was.
+// when none was, cut when a refused segment precedes it.
 func (d *dispatch) grantOf(i int32) int64 {
 	if len(d.grant) == 0 {
 		return 0
@@ -380,17 +400,16 @@ func (d *dispatch) grantOf(i int32) int64 {
 // grantHoles spends budget on the candidate holes, each entered in
 // d.grant as its size negated, which sum to want: smallest first, ties
 // in submission order, while their sum stays within budget. A grant
-// turns the entry positive. When the budget does not cover them all,
-// each pass grants the candidates of the smallest size left, in
-// submission order: an op's holes come in a handful of sizes (at most
-// four per op on the benchmark's workloads), so a few linear passes
-// cost less than a sort, and the first hole that does not fit ends
-// them all.
+// turns the entry positive; a cut entry is no candidate. When the
+// budget does not cover them all, each pass grants the candidates of
+// the smallest size left, in submission order: an op's holes come in a
+// handful of sizes, so a few linear passes cost less than a sort, and
+// the first hole that does not fit ends them all.
 func (d *dispatch) grantHoles(budget, want int64) {
 	grant := d.grant
 	if want <= budget {
 		for i, g := range grant {
-			if g < 0 {
+			if g < 0 && g != cut {
 				grant[i] = -g
 			}
 		}
@@ -399,7 +418,7 @@ func (d *dispatch) grantHoles(budget, want int64) {
 	for {
 		var m int64 // the smallest candidate left
 		for _, g := range grant {
-			if g < 0 && (m == 0 || -g < m) {
+			if g < 0 && g != cut && (m == 0 || -g < m) {
 				m = -g
 			}
 		}
@@ -481,10 +500,11 @@ func (sv *server) sweep(frozen []pend) []pend {
 			p, s := frozen[j-1].seg(), frozen[j].seg()
 			// A grant is spent only behind a segment of its own
 			// dispatch: however sweeps interleave callers, each
-			// dispatch's holes stay within its own budget.
-			var grant int64
-			if frozen[j-1].b == frozen[j].b {
-				grant = frozen[j].b.d.grantOf(frozen[j].i)
+			// dispatch's holes stay within its own budget. A cut
+			// holds behind any segment.
+			grant := frozen[j].b.d.grantOf(frozen[j].i)
+			if grant > 0 && frozen[j-1].b != frozen[j].b {
+				grant = 0
 			}
 			if s.off != p.off+p.n && !sv.readsThrough(p, s, write, grant) {
 				break
@@ -574,10 +594,11 @@ func (fs *FS) submit(d *dispatch, deadline time.Duration) int {
 // accept consults the injector once per segment, in submission order,
 // before anything is queued: a refused segment "never reached a server"
 // and is recorded in d.fails; unless d.skip, it also ends the
-// submission — the accepted prefix still goes out. The accepted
-// segments are bucketed by server (submission order kept inside a
-// server), and a read's holes between consecutive segments of one
-// server's list are granted out of its budget (grantHoles).
+// submission — the accepted prefix still goes out, and with d.skip the
+// next segment its server accepts is cut. The accepted segments are
+// bucketed by server (submission order kept inside a server), and a
+// read's holes between consecutive segments of one server's list are
+// granted out of its budget (grantHoles).
 func (fs *FS) accept(d *dispatch) {
 	inj := fs.inj.Load()
 	c := fs.opts.Cost
@@ -585,35 +606,45 @@ func (fs *FS) accept(d *dispatch) {
 	var payload, want int64
 	for i := range d.segs {
 		s := &d.segs[i]
+		b := &d.batches[s.server]
 		if err := inj.fail(int(s.server), d.write, s.off, s.n); err != nil {
 			d.fail(i, err, true)
 			if d.skip {
+				b.refused = true
 				continue
 			}
 			break
 		}
-		b := &d.batches[s.server]
 		if sieve {
 			// A candidate for the budget: a hole the per-pair rule
-			// refuses, no larger than either neighbour, that pays.
+			// refuses that pays, whatever its neighbours.
 			payload += s.n
-			if k := len(b.idx); k > 0 {
+			if b.refused {
+				d.grants()[i] = cut
+			} else if k := len(b.idx); k > 0 {
 				p := &d.segs[b.idx[k-1]]
 				g, m := s.off-(p.off+p.n), min(p.n, s.n)
-				if g > 0 && 2*g > m && g <= m && pays(c, g) {
-					if want == 0 {
-						clear(grow(&d.grant, len(d.segs)))
-					}
-					d.grant[i] = -g
+				if g > 0 && 2*g > m && pays(c, g) {
+					d.grants()[i] = -g
 					want += g
 				}
 			}
 		}
+		b.refused = false
 		b.idx = append(b.idx, int32(i))
 	}
 	if want > 0 {
 		d.grantHoles(payload/holeBudgetShare, want)
 	}
+}
+
+// grants returns d.grant, sized and zeroed for d's segments on first use
+// in a submission.
+func (d *dispatch) grants() []int64 {
+	if len(d.grant) == 0 {
+		clear(grow(&d.grant, len(d.segs)))
+	}
+	return d.grant
 }
 
 // dispatch runs d's segments through the servers, waits for them and

@@ -74,7 +74,7 @@ const readThroughStripe = 8192
 // the segments' bytes reach memory. A hole is read through by the
 // per-pair rule (at most half of each neighbour), or out of its read
 // dispatch's budget: 1/8 of the payload, spent across all servers on
-// the holes no larger than either neighbour, smallest first.
+// the other holes that pay, whatever their neighbours, smallest first.
 func TestReadThrough(t *testing.T) {
 	bench := benchCost()
 	noSeek := bench
@@ -115,8 +115,11 @@ func TestReadThrough(t *testing.T) {
 		// One byte more, and past 1/8 of the payload: 101 > 500/8.
 		{name: "half-hole-plus-one", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 401, Len: 300}}, reqs: 2, seeks: 2, bytes: 500},
 		// Each hole is judged against the segments beside it: the last is
-		// larger than the 99 bytes after it, so neither rule takes it.
-		{name: "chain", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}, {Off: 800, Len: 300}, {Off: 1200, Len: 99}}, reqs: 2, seeks: 2, bytes: 1099},
+		// larger than the 99 bytes after it, so the per-pair rule refuses
+		// it, but it is within the budget, 899/8 = 112 bytes.
+		{name: "budget-larger-than-neighbour", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}, {Off: 800, Len: 300}, {Off: 1200, Len: 99}}, reqs: 1, seeks: 1, bytes: 1199},
+		// The same run 100 bytes further on: a 200-byte hole, over budget.
+		{name: "budget-larger-than-neighbour-over-budget", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}, {Off: 800, Len: 300}, {Off: 1300, Len: 99}}, reqs: 2, seeks: 2, bytes: 1099},
 		// The same hole beside a 100-byte segment is within the budget.
 		{name: "chain-budget", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}, {Off: 800, Len: 300}, {Off: 1200, Len: 100}}, reqs: 1, seeks: 1, bytes: 1200},
 		{name: "no-seek-latency", cost: noSeek, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}}, reqs: 2, seeks: 2, bytes: 500},
@@ -217,39 +220,47 @@ func TestReadThrough(t *testing.T) {
 // readThroughDegraded: on a 6+2 store, a read list whose pieces the
 // healthy servers read through reconstructs the refused segments' bytes
 // and nothing more — with server 0 dead to reads, and with one segment
-// in the middle of a dense run refused.
+// in the middle of a dense run refused. Neither rule reads through a
+// refused segment: the run is split there.
 func readThroughDegraded(t *testing.T) {
 	const stripe = 4096
 	// Eight 384-byte rows at a 512-byte pitch in each of the first 12
 	// stripe units: a dense run on every data server.
-	var runs []Run
-	var payload int64
+	var rows []Run
 	for u := int64(0); u < 12; u++ {
 		for r := int64(0); r < 8; r++ {
-			runs = append(runs, Run{Off: u*stripe + r*512 + 64, Len: 384})
-			payload += 384
+			rows = append(rows, Run{Off: u*stripe + r*512 + 64, Len: 384})
 		}
 	}
-	// Server 1's unit 1 row 3, local offset 3*512+64.
-	const refusedOff = 3*512 + 64
-	injectors := []struct {
-		name    string
-		inj     Injector
-		refused int64 // segments
-		// Server 1's read requests: none when it is dead; else its two
-		// stripe units are one dense run, split where the refusal is.
-		reads1 int64
-	}{
-		{"dead-server", &FaultPoint{Server: 1, Op: FaultReads, Permanent: true}, 16, 0},
-		{"one-refused", injectorFunc(func(server int, write bool, off, _ int64) error {
+	// Server 1's local offsets 64 (1,000 bytes), 1,064 (100 bytes) and
+	// 1,164 (1,000 bytes): refusing the middle one leaves a hole the
+	// per-pair rule would take.
+	small := []Run{{Off: stripe + 64, Len: 1000}, {Off: stripe + 1064, Len: 100}, {Off: stripe + 1164, Len: 1000}}
+	refuseAt := func(refusedOff int64) Injector {
+		return injectorFunc(func(server int, write bool, off, _ int64) error {
 			if server == 1 && !write && off == refusedOff {
 				return errInjected
 			}
 			return nil
-		}), 1, 2},
+		})
+	}
+	cases := []struct {
+		name string
+		runs []Run
+		inj  Injector
+		// The segments and bytes reconstructed.
+		refused, reconBytes int64
+		// Server 1's read requests: none when it is dead; else its
+		// segments are one dense run, split where the refusal is.
+		reads1 int64
+	}{
+		{"dead-server", rows, &FaultPoint{Server: 1, Op: FaultReads, Permanent: true}, 16, 16 * 384, 0},
+		// Server 1's unit 1 row 3.
+		{"one-refused", rows, refuseAt(3*512 + 64), 1, 384, 2},
+		{"one-refused-small-hole", small, refuseAt(1064), 1, 100, 2},
 	}
 	for _, sched := range []Scheduler{FIFO, Elevator} {
-		for _, tc := range injectors {
+		for _, tc := range cases {
 			t.Run(fmt.Sprintf("6+2/%s/%v", tc.name, map[Scheduler]string{FIFO: "FIFO", Elevator: "Elevator"}[sched]), func(t *testing.T) {
 				fs := degradedFS(t, Options{Servers: 8, Parity: 2, StripeSize: stripe, Scheduler: sched, Cost: benchCost()})
 				all := pattern(12*stripe, 3)
@@ -258,14 +269,18 @@ func readThroughDegraded(t *testing.T) {
 				}
 				fs.SetInjector(tc.inj)
 				fs.ResetStats()
-				mem, intact := guarded(runs)
-				if n, err := fs.ReadVec(runs, mem); n != payload || err != nil {
+				var payload int64
+				for _, r := range tc.runs {
+					payload += r.Len
+				}
+				mem, intact := guarded(tc.runs)
+				if n, err := fs.ReadVec(tc.runs, mem); n != payload || err != nil {
 					t.Fatalf("ReadVec = %d, %v", n, err)
 				}
 				st := fs.Stats()
-				if st.DegradedReads != tc.refused || st.ReconstructBytes != tc.refused*384 {
+				if st.DegradedReads != tc.refused || st.ReconstructBytes != tc.reconBytes {
 					t.Errorf("reconstructed %d segments, %d bytes; want %d, %d",
-						st.DegradedReads, st.ReconstructBytes, tc.refused, tc.refused*384)
+						st.DegradedReads, st.ReconstructBytes, tc.refused, tc.reconBytes)
 				}
 				if got := st.PerServer[1].Reads; got != tc.reads1 {
 					t.Errorf("server 1 served %d read requests, want %d", got, tc.reads1)
@@ -275,7 +290,7 @@ func readThroughDegraded(t *testing.T) {
 				}
 				got := bytes.Join(mem, nil)
 				at := int64(0)
-				for _, r := range runs {
+				for _, r := range tc.runs {
 					if !bytes.Equal(got[at:at+r.Len], all[r.Off:r.Off+r.Len]) {
 						t.Fatalf("run %+v read the wrong bytes", r)
 					}

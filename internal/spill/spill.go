@@ -147,13 +147,6 @@ func (s *Store) Dirty() int64 {
 	return s.dirty
 }
 
-// Len returns the live entry count (tests).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ext)
-}
-
 // Stats returns a snapshot of the cumulative accounting.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

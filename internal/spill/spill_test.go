@@ -313,3 +313,10 @@ func (s *Store) FileSize() int64 {
 	defer s.mu.Unlock()
 	return s.size
 }
+
+// Len returns the live entry count.
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.ext)
+}
