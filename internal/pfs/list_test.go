@@ -3,6 +3,7 @@ package pfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -47,8 +48,13 @@ func hookWorkers(fs *FS, before func(server int)) {
 }
 
 // TestListOneEntryPerServer: a 512-segment vector over 8 servers makes
-// at most 8 queue entries, 512 charged requests, and — the dispatch
-// state being reused — allocates exactly what an 8-segment vector does.
+// at most 8 queue entries, one charged request per segment but for the
+// runs its hole budget joins, and — the dispatch state being reused —
+// allocates exactly what an 8-segment vector does. The write's budget,
+// 1/10 of 20,480 bytes, buys 23 of its 24-byte holes at 2×24 + 40 = 88
+// bytes each, in submission order: servers 0-6 each join their first
+// four segments, server 7 its first three, into a read and a write, so
+// 7×2 + 1 = 15 requests fewer.
 func TestListOneEntryPerServer(t *testing.T) {
 	fs := memFS(t, 8, 64, schedCost())
 	var entries atomic.Int64
@@ -61,8 +67,8 @@ func TestListOneEntryPerServer(t *testing.T) {
 	if got := entries.Load(); got > 8 {
 		t.Fatalf("a 512-segment write made %d queue entries, want <= 8", got)
 	}
-	if got := fs.Stats().Requests(); got != 512 {
-		t.Fatalf("a 512-segment write was charged %d requests, want 512", got)
+	if got := fs.Stats().Requests(); got != 512-15 {
+		t.Fatalf("a 512-segment write was charged %d requests, want %d", got, 512-15)
 	}
 	back := make([]byte, len(bigBuf))
 	allocs := func(runs []Run, buf []byte) float64 {
@@ -198,27 +204,47 @@ func (f injectorFunc) Fail(server int, write bool, off, n int64) error {
 }
 
 // TestListInjectorBeforeQueue: the injector sees every segment once, in
-// submission order, before any of them has reached a server.
+// submission order, and then the read leg of every run the write joins
+// through its holes, before any of them has reached a server. Each
+// server holds four 40-byte pieces 24 bytes apart and one 4,000-byte
+// piece: the budget, 16,640/10 bytes, buys the twelve 88-byte holes
+// between the small pieces, so each server joins those into one run.
 func TestListInjectorBeforeQueue(t *testing.T) {
-	fs := memFS(t, 4, 64, schedCost())
-	runs, data := vector(20, 64)
-	var seen []int
-	fs.SetInjector(injectorFunc(func(server int, _ bool, _, _ int64) error {
-		if got := fs.Stats().Requests(); got != 0 {
-			t.Errorf("segment %d consulted after %d requests were serviced", len(seen), got)
+	const stripe = 4096
+	fs := memFS(t, 4, stripe, schedCost())
+	var runs []Run
+	var want []string
+	for u := int64(0); u < 4; u++ {
+		for r := int64(0); r < 4; r++ {
+			runs = append(runs, Run{Off: u*stripe + r*64 + 7, Len: 40})
+			want = append(want, fmt.Sprintf("write %d", u))
 		}
-		seen = append(seen, server)
+	}
+	for u := int64(4); u < 8; u++ {
+		runs = append(runs, Run{Off: u * stripe, Len: 4000})
+		want = append(want, fmt.Sprintf("write %d", u-4))
+	}
+	for s := 0; s < 4; s++ {
+		// From the end of the first piece to the start of the last.
+		want = append(want, fmt.Sprintf("read %d 47+152", s))
+	}
+	var seen []string
+	fs.SetInjector(injectorFunc(func(server int, write bool, off, n int64) error {
+		if got := fs.Stats().Requests(); got != 0 {
+			t.Errorf("request %d consulted after %d requests were serviced", len(seen), got)
+		}
+		if write {
+			seen = append(seen, fmt.Sprintf("write %d", server))
+		} else {
+			seen = append(seen, fmt.Sprintf("read %d %d+%d", server, off, n))
+		}
 		return nil
 	}))
-	if _, err := fs.WriteV(runs, data); err != nil {
+	if _, err := fs.WriteV(runs, pattern(16*40+4*4000, 8)); err != nil {
 		t.Fatal(err)
 	}
-	want := make([]int, len(runs))
-	for i := range want {
-		want[i] = i % 4
-	}
 	if !reflect.DeepEqual(seen, want) {
-		t.Fatalf("injector saw servers %v, want submission order %v", seen, want)
+		t.Fatalf("injector saw %q, want the segments in submission order, then the read legs: %q", seen, want)
 	}
 }
 
@@ -369,10 +395,10 @@ func TestListScatteredMemory(t *testing.T) {
 	}
 }
 
-// BenchmarkDispatch is one section_mixed-shaped vectored read without
-// the layers above it: 508 pieces of 260 B, 20 to a chunk at a 512-byte
-// row pitch, the chunks spread over 8 in-memory servers, the bench/
-// cost model charged and never slept.
+// BenchmarkDispatch is one section_mixed-shaped vectored read, and one
+// write, without the layers above them: 508 pieces of 260 B, 20 to a
+// chunk at a 512-byte row pitch, the chunks spread over 8 in-memory
+// servers, the bench/ cost model charged and never slept.
 func BenchmarkDispatch(b *testing.B) {
 	const pieces, piece = 508, 260
 	runs := make([]Run, pieces)
@@ -391,12 +417,22 @@ func BenchmarkDispatch(b *testing.B) {
 			if _, err := fs.WriteV(runs, buf); err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(pieces * piece)
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := fs.ReadV(runs, buf); err != nil {
-					b.Fatal(err)
-				}
+			for _, write := range []bool{false, true} {
+				b.Run(map[bool]string{false: "read", true: "write"}[write], func(b *testing.B) {
+					b.SetBytes(pieces * piece)
+					b.ReportAllocs()
+					for b.Loop() {
+						var err error
+						if write {
+							_, err = fs.WriteV(runs, buf)
+						} else {
+							_, err = fs.ReadV(runs, buf)
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}

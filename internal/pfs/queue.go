@@ -22,21 +22,29 @@
 // services: a sweep charges one seek per discontinuity instead of one
 // per request.
 //
-// Under either discipline a read list's dense runs are one request:
-// when the next read segment lies a small hole past the previous one
-// (readsThrough), the server reads through the hole instead of seeking
-// over it — data sieving, done on the server. The run is charged as one
-// request over its span, holes included (one overhead, at most one
-// seek), while only the segments' own bytes move, so hole bytes never
-// reach memory. Writes never read through. A hole is small by one of
-// two rules. Per pair: at most half of each neighbour. Per operation:
-// submit sees every server's list of a read dispatch and grants the
-// other holes that pay, whatever their neighbours, smallest first, out
-// of a budget of 1/8 of the dispatch's payload (holeBudgetShare) — so
-// one server holding all of an operation's holes still reads through
-// them, while an operation with holes everywhere moves at most 9/8 of
-// its payload beyond the per-pair rule's holes. Neither rule reads
-// through a segment the injector refused: the run stops there.
+// Under either discipline a list's dense runs are one request: when the
+// next segment lies a hole past the previous one that its operation
+// granted (readsThrough), the server reads through the hole instead of
+// seeking over it — data sieving, done on the server. A read run is
+// charged as one request over its span, holes included (one overhead,
+// at most one seek). A write run is a read-modify-write, as ROMIO's
+// write sieving, but with no file lock to take, since the server holds
+// its own list under one lock: one read of the run's interior, from the
+// end of its first segment to the start of its last, then one write of
+// its whole span. Either way only the segments' bytes move, so hole
+// bytes never reach memory and a write leaves its holes exactly as its
+// read found them. One rule grants holes in both directions: submit
+// sees every server's list of a dispatch, takes every hole between
+// consecutive segments of one server's list that pays (its byte time is
+// less than the seek and request overhead it saves), and grants them
+// cheapest first out of a budget of the dispatch's payload: 1/4 for
+// reads (holeBudgetShare), 1/10 for writes (writeBudgetShare). A read
+// hole costs its own bytes; a write hole costs them twice, read and
+// written, plus the segment behind it, which the read leg passes over.
+// A write run joins at least two holes, since a run of two saves no
+// request, and its read leg is a read request the injector sees: a
+// refused leg leaves the run as plain writes. No run reads through a
+// segment the injector refused: the run stops there.
 //
 // The state of one submission (segments, batches, outcomes) is a pooled
 // dispatch, back on its store's idle list once every batch has
@@ -135,41 +143,58 @@ type dispatch struct {
 	pre     []byte
 	at      []int64
 	recon   *reconScratch // degraded reads' working memory, made on first use
-	// grant[i], when grant is not empty and grant[i] > 0, is the hole
-	// before segment i that its server may read through beyond the
-	// per-pair rule, spent by submit out of the dispatch's hole budget.
-	// A negative entry is a candidate hole that was not granted, or cut.
+	// grant[i], when grant is not empty and grant[i] > 0, is what the
+	// hole before segment i cost the dispatch's hole budget: the server
+	// reads through that hole. A negative entry is a candidate that was
+	// not granted, or cut.
 	grant []int64
 }
 
 // cut is the grant of a segment whose server must not read through to
-// it from its predecessor by either rule: a segment of the same list
-// that the injector refused lies between them, and a refused range
-// never reaches its server.
+// it from its predecessor: a segment of the same list that the injector
+// refused lies between them, and a refused range never reaches its
+// server.
 const cut = math.MinInt64
 
-// holeBudgetShare sets a read dispatch's hole budget: the holes granted
-// beyond the per-pair rule sum to at most 1/holeBudgetShare of the
+// holeBudgetShare sets a read dispatch's hole budget: the holes its
+// servers read through sum to at most 1/holeBudgetShare of the
 // dispatch's accepted payload. Time alone would grant nearly every
 // candidate: under the benchmark's model a 64 KiB hole costs 0.26 ms
 // of byte time against the 1.1 ms of seek and overhead it saves. What
 // the share bounds is device bytes, as ROMIO bounds its sieve buffer
-// per call. An eighth caps the worst case, holes on every server, at
-// 9/8 of the payload. Every grant saves one request at the price of
-// its own bytes, so smallest first is the most requests for the bytes.
-// On the benchmark's unaligned section reads (section_mixed, seed 1:
-// 54.4 simulated ms per op at 1.025 device bytes per payload byte
-// without a budget) the share trades time for bytes as
+// per call. Every grant saves one request at the price of its own
+// bytes, so cheapest first is the most requests for the bytes. On the
+// benchmark's unaligned sections (section_mixed, seed 1, writes at
+// writeBudgetShare) the share trades time for bytes as
 //
 //	share  sim ms/op  dev B/B
-//	1/16   44.5       1.068
-//	1/8    35.9       1.111
-//	1/6    32.0       1.137
-//	1/4    26.2       1.192
+//	1/8    35.8       1.116
+//	1/6    30.9       1.144
+//	1/4    23.9       1.198
+//	1/3    20.3       1.251
 //
-// so an eighth buys two thirds of a quarter's saving for half of its
-// extra bytes.
-const holeBudgetShare = 8
+// A third moves 12.6 % more device bytes than an eighth, past the
+// benchmark's 12 % bound on them; a quarter leaves room for writes.
+const holeBudgetShare = 4
+
+// writeBudgetShare sets a write dispatch's hole budget, 1/writeBudgetShare
+// of its accepted payload. A write hole costs its bytes twice, read and
+// written, plus the segment behind it, which the read leg passes over,
+// and joins only in a run of at least two. A store that sees only
+// writes is the worst case for the device bytes: serve_mixed's cache
+// absorbs every read, so all of its device traffic is writes. Seed 1,
+// reads at holeBudgetShare:
+//
+//	share  section_mixed        serve_mixed
+//	       sim ms/op  dev B/B   sim ms/op  dev B/B
+//	none   26.7       1.171     9.88       0.161
+//	1/16   24.9       1.188     9.66       0.169
+//	1/10   23.9       1.198     9.48       0.175
+//	1/8    23.2       1.205     9.36       0.179
+//
+// A tenth keeps the write-only store's device bytes within 9 % of
+// plain writes; an eighth takes them past 11 %.
+const writeBudgetShare = 10
 
 // maxIdle bounds a store's list of idle dispatches: enough for the
 // callers a store sees at once, so a burst does not pin its slabs.
@@ -316,8 +341,8 @@ func (sv *server) serve(ch chan *batch) {
 }
 
 // serveFIFO services a batch in submission order, one request at a
-// time — a request being a segment, or a run of read segments the
-// server reads through (readsThrough): execute, sleep the charged
+// time — a request being a segment, or a run of segments the server
+// reads through (readsThrough): execute, sleep the charged
 // service time when the cost model is real-time (the server is busy —
 // later requests wait, other servers keep serving), settle. The
 // server's lock is held over the list, not taken per request — an
@@ -328,12 +353,12 @@ func (sv *server) serveFIFO(b *batch) {
 	sv.mu.Lock()
 	for k := 0; k < len(b.idx); {
 		j := k + 1
-		for j < len(b.idx) && sv.readsThrough(&d.segs[b.idx[j-1]], &d.segs[b.idx[j]], d.write, d.grantOf(b.idx[j])) {
+		for j < len(b.idx) && readsThrough(&d.segs[b.idx[j-1]], &d.segs[b.idx[j]], d.grantOf(b.idx[j])) {
 			j++
 		}
 		run := b.idx[k:j]
 		first, last := &d.segs[run[0]], &d.segs[run[len(run)-1]]
-		dur := sv.charge(last.off+last.n-first.off, first.off, d.write)
+		dur := sv.chargeRun(first, last, d.write, d.write && len(run) > 1)
 		// A run that sleeps its service time settles after the sleep,
 		// from the outcomes kept in errs.
 		sleep := sv.cost.RealTime && dur > 0
@@ -370,16 +395,27 @@ func (sv *server) serveFIFO(b *batch) {
 // readsThrough reports whether segment s, served right after p on this
 // server, joins p's request because the server reads through the hole
 // of g = s.off − (p.off+p.n) > 0 bytes between them instead of seeking
-// over it. Both must be reads, and grant must not be cut. The hole is
-// read through when it is at most grant, the hole submit granted s out
-// of its dispatch's budget (≤ 0: none), or by the per-pair rule: there
-// is a seek to save, the hole costs less than the seek and request
-// overhead it saves, and it is at most half of each neighbour — so the
-// per-pair holes of a read list never move more than 1.5× its payload
-// off the device.
-func (sv *server) readsThrough(p, s *ioSeg, write bool, grant int64) bool {
+// over it: the hole is at most grant, what submit granted s out of its
+// dispatch's budget (≤ 0: nothing; cut: never). A grant covers its
+// whole hole, so this is whether the hole was granted.
+func readsThrough(p, s *ioSeg, grant int64) bool {
 	g := s.off - (p.off + p.n)
-	return !write && g > 0 && grant != cut && (g <= grant || 2*g <= min(p.n, s.n) && pays(sv.cost, g))
+	return g > 0 && g <= grant
+}
+
+// chargeRun charges the request that serves the segments first through
+// last of one server's list and returns its service time: one request
+// over the span, holes included. A write run joined through holes (rmw)
+// is a read-modify-write and two requests: a read of its interior, from
+// the end of its first segment to the start of its last, then a write
+// of its whole span. Must be called with sv.mu held.
+func (sv *server) chargeRun(first, last *ioSeg, write, rmw bool) time.Duration {
+	var dur time.Duration
+	if rmw {
+		at := first.off + first.n
+		dur = sv.charge(last.off-at, at, false)
+	}
+	return dur + sv.charge(last.off+last.n-first.off, first.off, write)
 }
 
 // pays reports whether reading through a g-byte hole costs less than
@@ -388,8 +424,8 @@ func pays(c CostModel, g int64) bool {
 	return c.SeekLatency > 0 && time.Duration(g)*c.ByteTime < c.SeekLatency+c.RequestOverhead
 }
 
-// grantOf returns the hole granted segment i out of the budget, ≤ 0
-// when none was, cut when a refused segment precedes it.
+// grantOf returns what the hole before segment i cost the budget, ≤ 0
+// when it was not granted, cut when a refused segment precedes it.
 func (d *dispatch) grantOf(i int32) int64 {
 	if len(d.grant) == 0 {
 		return 0
@@ -398,13 +434,14 @@ func (d *dispatch) grantOf(i int32) int64 {
 }
 
 // grantHoles spends budget on the candidate holes, each entered in
-// d.grant as its size negated, which sum to want: smallest first, ties
+// d.grant as its cost negated, which sum to want: cheapest first, ties
 // in submission order, while their sum stays within budget. A grant
-// turns the entry positive; a cut entry is no candidate. When the
-// budget does not cover them all, each pass grants the candidates of
-// the smallest size left, in submission order: an op's holes come in a
-// handful of sizes, so a few linear passes cost less than a sort, and
-// the first hole that does not fit ends them all.
+// turns the entry positive; a cut entry is no candidate. It neither
+// sorts nor allocates: when the budget does not cover them all, each
+// pass grants the candidates of the lowest cost left, in submission
+// order — an op's holes come in a handful of sizes, so a few linear
+// passes cost less than a sort — and the first that does not fit ends
+// them all.
 func (d *dispatch) grantHoles(budget, want int64) {
 	grant := d.grant
 	if want <= budget {
@@ -487,34 +524,20 @@ func (sv *server) moveLocked(d *dispatch, i int32) error {
 // sweep services the frozen requests as a single ascending C-SCAN sweep
 // and returns the emptied list: requests sort by server-local offset
 // (stable, so requests at the same offset keep arrival order), and each
-// maximal group of same-direction segments that touch, or that the
-// server reads through (readsThrough), is serviced as one streamed
-// request — one charge over its span (at most one seek, one request
-// overhead, byte time for the whole stream), then the per-segment data
-// movement. Each request is settled after its group has been serviced.
+// group that span ends (span) is serviced as one streamed request — one
+// charge over its span (chargeRun: at most one seek, one request
+// overhead, byte time for the whole stream; a read first for a write
+// run joined through holes), then the per-segment data movement. Each
+// request is settled after its group has been serviced.
 func (sv *server) sweep(frozen []pend) []pend {
 	slices.SortStableFunc(frozen, func(a, b pend) int { return cmp.Compare(a.seg().off, b.seg().off) })
 	for i := 0; i < len(frozen); {
-		j, write := i+1, frozen[i].b.d.write
-		for j < len(frozen) && frozen[j].b.d.write == write {
-			p, s := frozen[j-1].seg(), frozen[j].seg()
-			// A grant is spent only behind a segment of its own
-			// dispatch: however sweeps interleave callers, each
-			// dispatch's holes stay within its own budget. A cut
-			// holds behind any segment.
-			grant := frozen[j].b.d.grantOf(frozen[j].i)
-			if grant > 0 && frozen[j-1].b != frozen[j].b {
-				grant = 0
-			}
-			if s.off != p.off+p.n && !sv.readsThrough(p, s, write, grant) {
-				break
-			}
-			j++
-		}
+		j, rmw := span(frozen, i)
+		write := frozen[i].b.d.write
 		var attributed int64
 		first, last := frozen[i].seg(), frozen[j-1].seg()
 		sv.mu.Lock()
-		dur := sv.charge(last.off+last.n-first.off, first.off, write)
+		dur := sv.chargeRun(first, last, write, rmw)
 		for k := i; k < j; k++ {
 			r := &frozen[k]
 			r.err = sv.moveLocked(r.b.d, r.i)
@@ -536,6 +559,51 @@ func (sv *server) sweep(frozen []pend) []pend {
 	}
 	clear(frozen) // no batch stays reachable from the list's spare capacity
 	return frozen[:0]
+}
+
+// span returns the end j of the request of a sweep that starts at
+// frozen[i], and whether it is a write run joined through holes (a
+// read-modify-write). A read request takes every following read that
+// touches its last segment or lies a granted hole past it. A write
+// request is either a run through granted holes, two at least, or a
+// stream of writes that touch, which stops short of a segment that
+// opens such a run: FIFO serves that run from its first segment too, so
+// both disciplines charge the same seeks and bytes.
+func span(frozen []pend, i int) (j int, rmw bool) {
+	j = i + 1
+	if !frozen[i].b.d.write {
+		for j < len(frozen) && (touches(frozen, j) || holeTo(frozen, j)) {
+			j++
+		}
+		return j, false
+	}
+	for j < len(frozen) && holeTo(frozen, j) {
+		j++
+	}
+	if j-i > 2 {
+		return j, true
+	}
+	j = i + 1
+	for j < len(frozen) && touches(frozen, j) && (j+1 == len(frozen) || !holeTo(frozen, j+1)) {
+		j++
+	}
+	return j, false
+}
+
+// touches reports whether frozen[k] starts where frozen[k-1] ends, in
+// the same direction.
+func touches(frozen []pend, k int) bool {
+	p, s := frozen[k-1].seg(), frozen[k].seg()
+	return frozen[k].b.d.write == frozen[k-1].b.d.write && s.off == p.off+p.n
+}
+
+// holeTo reports whether the server reads through the hole between
+// frozen[k-1] and frozen[k] (readsThrough). A grant is spent only
+// behind a segment of its own dispatch: however sweeps interleave
+// callers, each dispatch's holes stay within its own budget.
+func holeTo(frozen []pend, k int) bool {
+	b := frozen[k].b
+	return frozen[k-1].b == b && readsThrough(frozen[k-1].seg(), frozen[k].seg(), b.d.grantOf(frozen[k].i))
 }
 
 // submit is the one way requests reach a server. It sorts d's segments
@@ -596,13 +664,18 @@ func (fs *FS) submit(d *dispatch, deadline time.Duration) int {
 // and is recorded in d.fails; unless d.skip, it also ends the
 // submission — the accepted prefix still goes out, and with d.skip the
 // next segment its server accepts is cut. The accepted segments are
-// bucketed by server (submission order kept inside a server), and a
-// read's holes between consecutive segments of one server's list are
-// granted out of its budget (grantHoles).
+// bucketed by server (submission order kept inside a server), and every
+// hole between consecutive segments of one server's list that pays is
+// a candidate for the dispatch's budget (grantHoles). A write's
+// candidates then become runs (joinWrites), whose read legs the
+// injector sees after the segments.
 func (fs *FS) accept(d *dispatch) {
 	inj := fs.inj.Load()
 	c := fs.opts.Cost
-	sieve := !d.write && c.SeekLatency > 0
+	share := int64(holeBudgetShare)
+	if d.write {
+		share = writeBudgetShare
+	}
 	var payload, want int64
 	for i := range d.segs {
 		s := &d.segs[i]
@@ -615,16 +688,16 @@ func (fs *FS) accept(d *dispatch) {
 			}
 			break
 		}
-		if sieve {
-			// A candidate for the budget: a hole the per-pair rule
-			// refuses that pays, whatever its neighbours.
+		if c.SeekLatency > 0 {
 			payload += s.n
 			if b.refused {
 				d.grants()[i] = cut
 			} else if k := len(b.idx); k > 0 {
 				p := &d.segs[b.idx[k-1]]
-				g, m := s.off-(p.off+p.n), min(p.n, s.n)
-				if g > 0 && 2*g > m && pays(c, g) {
+				if g := s.off - (p.off + p.n); g > 0 && pays(c, g) {
+					if d.write {
+						g = 2*g + s.n
+					}
 					d.grants()[i] = -g
 					want += g
 				}
@@ -634,7 +707,40 @@ func (fs *FS) accept(d *dispatch) {
 		b.idx = append(b.idx, int32(i))
 	}
 	if want > 0 {
-		d.grantHoles(payload/holeBudgetShare, want)
+		d.grantHoles(payload/share, want)
+		if d.write {
+			d.joinWrites(inj)
+		}
+	}
+}
+
+// joinWrites keeps the grants of a write dispatch that join runs worth
+// serving as a read-modify-write. A run is a stretch of one server's
+// list whose holes were all granted. One that joins a single hole keeps
+// plain writes, since its read leg costs the request the join saves; a
+// longer one has its read leg, a read of the run's interior, put to
+// the injector. A refused leg leaves its run as plain writes and is no
+// failure of the dispatch.
+func (d *dispatch) joinWrites(inj *injBox) {
+	for s := range d.batches {
+		idx := d.batches[s].idx
+		for k := 1; k < len(idx); k++ {
+			if d.grant[idx[k]] <= 0 {
+				continue
+			}
+			j := k + 1
+			for j < len(idx) && d.grant[idx[j]] > 0 {
+				j++
+			}
+			first, last := &d.segs[idx[k-1]], &d.segs[idx[j-1]]
+			at := first.off + first.n
+			if j-k < 2 || inj.fail(s, false, at, last.off-at) != nil {
+				for _, i := range idx[k:j] {
+					d.grant[i] = 0
+				}
+			}
+			k = j
+		}
 	}
 }
 

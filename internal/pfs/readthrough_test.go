@@ -69,12 +69,15 @@ const readThroughStripe = 8192
 
 // TestReadThrough pins when a server reads through the hole between two
 // segments of one list instead of seeking over it, under both
-// disciplines: a run joined that way is one request, charged its span
-// (at most one seek, one overhead, byte time for holes too), while only
-// the segments' bytes reach memory. A hole is read through by the
-// per-pair rule (at most half of each neighbour), or out of its read
-// dispatch's budget: 1/8 of the payload, spent across all servers on
-// the other holes that pay, whatever their neighbours, smallest first.
+// disciplines. Any hole that pays is a candidate for its dispatch's
+// budget, spent across all servers cheapest first, ties in submission
+// order: 1/4 of the payload for a read, where a hole costs its bytes,
+// and 1/10 for a write, where it costs them twice plus the segment
+// behind it. A read run joined that way is one request, charged its
+// span (at most one seek, one overhead, byte time for holes too). A
+// write run of at least two holes is two: a read of its interior, then
+// a write of its span. Only the segments' bytes reach memory, and
+// holes keep the bytes they had.
 func TestReadThrough(t *testing.T) {
 	bench := benchCost()
 	noSeek := bench
@@ -86,15 +89,30 @@ func TestReadThrough(t *testing.T) {
 	}
 	// Four 512-byte pieces 512 bytes apart on server 0 (holes equal to
 	// their neighbours: 1,536 bytes in all), and one 8,000-byte piece on
-	// each of servers 1-3: the budget is 26,048/8 = 3,256 bytes.
+	// each of servers 1-3: the read budget is 26,048/4 = 6,512 bytes.
 	oneServer := unit(0, 512, 0, 1024, 2048, 3072)
 	for u := int64(1); u < 4; u++ {
 		oneServer = append(oneServer, unit(u, 8000, 0)...)
 	}
+	// The same with 128-byte holes: each costs a write 2×128 + 512 = 768
+	// bytes of its 2,604-byte budget, so all three are granted, and
+	// server 0's run reads the 1,408 bytes between its first piece and its
+	// last, then writes the 2,432 from its first byte to its last.
+	oneServerWrite := unit(0, 512, 0, 640, 1280, 1920)
+	for u := int64(1); u < 4; u++ {
+		oneServerWrite = append(oneServerWrite, unit(u, 8000, 0)...)
+	}
+	// A 1,000-byte and a 100-byte piece 100 bytes apart on server 0, and
+	// servers 1-3's 8,000-byte pieces.
+	twoOnServer0 := []Run{{Off: 64, Len: 1000}, {Off: 1164, Len: 100}}
+	for u := int64(1); u < 4; u++ {
+		twoOnServer0 = append(twoOnServer0, unit(u, 8000, 0)...)
+	}
 	// Three 1,024-byte pieces on each of four servers, with holes of
 	// (600, 900), (800, 800), (700, 700) and (600, 600) bytes: the
-	// budget, 12,288/8 = 1,536 bytes, buys the two smallest, 600 and
-	// 600, taken in submission order: server 0's, then server 3's first.
+	// budget, 12,288/4 = 3,072 bytes, buys the three of 600, server 0's
+	// and then server 3's, and server 2's first 700; its second would
+	// pass the budget, which ends the grants.
 	var everywhere []Run
 	for s, h := range [][2]int64{{600, 900}, {800, 800}, {700, 700}, {600, 600}} {
 		everywhere = append(everywhere, unit(int64(s), 1024, 0, 1024+h[0], 2048+h[0]+h[1])...)
@@ -105,36 +123,51 @@ func TestReadThrough(t *testing.T) {
 		write   bool
 		servers int // 0: one
 		runs    []Run
+		inj     func() *FaultPoint // installed for the operation, and must fire
 		// The charge: requests, seeks and device bytes, and the requests
 		// per server when the store has several.
 		reqs, seeks, bytes int64
 		perServer          []int64
 	}{
-		// The hole is exactly half of the smaller neighbour.
-		{name: "half-hole", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}}, reqs: 1, seeks: 1, bytes: 600},
-		// One byte more, and past 1/8 of the payload: 101 > 500/8.
-		{name: "half-hole-plus-one", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 401, Len: 300}}, reqs: 2, seeks: 2, bytes: 500},
-		// Each hole is judged against the segments beside it: the last is
-		// larger than the 99 bytes after it, so the per-pair rule refuses
-		// it, but it is within the budget, 899/8 = 112 bytes.
-		{name: "budget-larger-than-neighbour", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}, {Off: 800, Len: 300}, {Off: 1200, Len: 99}}, reqs: 1, seeks: 1, bytes: 1199},
-		// The same run 100 bytes further on: a 200-byte hole, over budget.
-		{name: "budget-larger-than-neighbour-over-budget", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}, {Off: 800, Len: 300}, {Off: 1300, Len: 99}}, reqs: 2, seeks: 2, bytes: 1099},
-		// The same hole beside a 100-byte segment is within the budget.
-		{name: "chain-budget", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}, {Off: 800, Len: 300}, {Off: 1200, Len: 100}}, reqs: 1, seeks: 1, bytes: 1200},
+		// The hole is exactly a quarter of the payload: 125 = 500/4.
+		{name: "budget-exact", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 425, Len: 300}}, reqs: 1, seeks: 1, bytes: 625},
+		{name: "budget-plus-one", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 426, Len: 300}}, reqs: 2, seeks: 2, bytes: 500},
+		// No neighbour caps a hole: this one is twice the segment after
+		// it, and within the budget, 1,100/4 = 275 bytes.
+		{name: "budget-larger-than-neighbour", cost: bench, runs: []Run{{Off: 100, Len: 1000}, {Off: 1300, Len: 100}}, reqs: 1, seeks: 1, bytes: 1300},
+		// The same 100 bytes further on: a 300-byte hole, over budget.
+		{name: "budget-larger-than-neighbour-over-budget", cost: bench, runs: []Run{{Off: 100, Len: 1000}, {Off: 1400, Len: 100}}, reqs: 2, seeks: 2, bytes: 1100},
+		// Three 100-byte holes and a 225-byte budget: the first two, in
+		// submission order, are granted.
+		{name: "chain-budget", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}, {Off: 800, Len: 300}, {Off: 1200, Len: 100}}, reqs: 2, seeks: 2, bytes: 1100},
 		{name: "no-seek-latency", cost: noSeek, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}}, reqs: 2, seeks: 2, bytes: 500},
 		{name: "under-break-even", cost: tiny, runs: []Run{{Off: 1000, Len: 1000}, {Off: 2499, Len: 1000}}, reqs: 1, seeks: 1, bytes: 2499},
 		{name: "at-break-even", cost: tiny, runs: []Run{{Off: 1000, Len: 1000}, {Off: 2500, Len: 1000}}, reqs: 2, seeks: 2, bytes: 2000},
-		{name: "write", cost: bench, write: true, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}, {Off: 800, Len: 300}}, reqs: 3, seeks: 3, bytes: 800},
 		// The budget is the dispatch's, so one server's equal holes are
 		// read through although they are most of its own list.
 		{name: "budget-one-server", cost: bench, servers: 4, runs: oneServer,
 			reqs: 4, seeks: 4, bytes: 3584 + 3*8000, perServer: []int64{1, 1, 1, 1}},
 		{name: "budget-everywhere", cost: bench, servers: 4, runs: everywhere,
-			reqs: 10, seeks: 10, bytes: 12*1024 + 1200, perServer: []int64{2, 3, 3, 2}},
-		{name: "budget-write", cost: bench, write: true, servers: 4, runs: oneServer,
-			reqs: 7, seeks: 7, bytes: 2048 + 3*8000, perServer: []int64{4, 1, 1, 1}},
+			reqs: 8, seeks: 8, bytes: 12*1024 + 2500, perServer: []int64{2, 3, 2, 1}},
 		{name: "budget-no-seek-latency", cost: noSeek, servers: 4, runs: oneServer,
+			reqs: 7, seeks: 7, bytes: 2048 + 3*8000, perServer: []int64{4, 1, 1, 1}},
+		// Server 0's run is a read of its interior and a write of its
+		// span: two requests and two seeks instead of four.
+		{name: "budget-write", cost: bench, write: true, servers: 4, runs: oneServerWrite,
+			reqs: 5, seeks: 5, bytes: 1408 + 2432 + 3*8000, perServer: []int64{2, 1, 1, 1}},
+		// Server 0's one hole, granted (300 of a 2,510-byte budget), saves
+		// no request as a read-modify-write: its two segments stay plain
+		// writes.
+		{name: "write-run-of-two", cost: bench, write: true, servers: 4, runs: twoOnServer0,
+			reqs: 5, seeks: 5, bytes: 1100 + 3*8000, perServer: []int64{2, 1, 1, 1}},
+		// Each hole costs 2×100 + 300 bytes of an 80-byte budget.
+		{name: "write-over-budget", cost: bench, write: true, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}, {Off: 800, Len: 300}}, reqs: 3, seeks: 3, bytes: 800},
+		{name: "write-no-seek-latency", cost: noSeek, write: true, servers: 4, runs: oneServerWrite,
+			reqs: 7, seeks: 7, bytes: 2048 + 3*8000, perServer: []int64{4, 1, 1, 1}},
+		// Server 0's read leg is refused: its run goes out as four plain
+		// writes, and the write does not fail.
+		{name: "write-read-leg-refused", cost: bench, write: true, servers: 4, runs: oneServerWrite,
+			inj:  func() *FaultPoint { return &FaultPoint{Server: 0, Op: FaultReads} },
 			reqs: 7, seeks: 7, bytes: 2048 + 3*8000, perServer: []int64{4, 1, 1, 1}},
 	}
 	for _, sched := range []Scheduler{FIFO, Elevator} {
@@ -151,6 +184,11 @@ func TestReadThrough(t *testing.T) {
 					t.Fatal(err)
 				}
 				fs.ResetStats()
+				var inj *FaultPoint
+				if tc.inj != nil {
+					inj = tc.inj()
+					fs.SetInjector(inj)
+				}
 				var payload int64
 				for _, r := range tc.runs {
 					payload += r.Len
@@ -173,6 +211,12 @@ func TestReadThrough(t *testing.T) {
 				} else if n, err := fs.ReadVec(tc.runs, mem); n != payload || err != nil {
 					t.Fatalf("ReadVec = %d, %v", n, err)
 				}
+				if inj != nil {
+					if !inj.Fired() {
+						t.Error("the injector never refused a request")
+					}
+					fs.SetInjector(nil)
+				}
 
 				st := fs.Stats()
 				if st.Requests() != tc.reqs || st.Seeks() != tc.seeks || st.Bytes() != tc.bytes {
@@ -187,10 +231,12 @@ func TestReadThrough(t *testing.T) {
 				if w := busy(tc.cost, tc.reqs, tc.seeks, tc.bytes); st.BusySum() != w {
 					t.Errorf("busy %v, want %v", st.BusySum(), w)
 				}
-				// The multi-server lists have no hole the per-pair rule takes:
-				// every hole byte they read is the budget's.
-				if !tc.write && tc.servers > 0 && 8*(st.BytesRead()-payload) > payload {
-					t.Errorf("read %d hole bytes, over 1/8 of the %d-byte payload", st.BytesRead()-payload, payload)
+				share := int64(holeBudgetShare)
+				if tc.write {
+					share = writeBudgetShare
+				}
+				if extra := st.Bytes() - payload; share*extra > payload {
+					t.Errorf("moved %d device bytes beyond the payload, over 1/%d of its %d bytes", extra, share, payload)
 				}
 				if !intact() {
 					t.Error("bytes outside the segments' memory changed: a hole reached memory")
@@ -214,14 +260,15 @@ func TestReadThrough(t *testing.T) {
 		}
 	}
 	readThroughDegraded(t)
+	readThroughParityWrite(t)
 	t.Run("interleaved/Elevator", readThroughInterleaved)
 }
 
 // readThroughDegraded: on a 6+2 store, a read list whose pieces the
 // healthy servers read through reconstructs the refused segments' bytes
 // and nothing more — with server 0 dead to reads, and with one segment
-// in the middle of a dense run refused. Neither rule reads through a
-// refused segment: the run is split there.
+// in the middle of a dense run refused. No run reads through a refused
+// segment: the run is split there.
 func readThroughDegraded(t *testing.T) {
 	const stripe = 4096
 	// Eight 384-byte rows at a 512-byte pitch in each of the first 12
@@ -234,7 +281,7 @@ func readThroughDegraded(t *testing.T) {
 	}
 	// Server 1's local offsets 64 (1,000 bytes), 1,064 (100 bytes) and
 	// 1,164 (1,000 bytes): refusing the middle one leaves a hole the
-	// per-pair rule would take.
+	// budget would take.
 	small := []Run{{Off: stripe + 64, Len: 1000}, {Off: stripe + 1064, Len: 100}, {Off: stripe + 1164, Len: 1000}}
 	refuseAt := func(refusedOff int64) Injector {
 		return injectorFunc(func(server int, write bool, off, _ int64) error {
@@ -301,18 +348,79 @@ func readThroughDegraded(t *testing.T) {
 	}
 }
 
+// readThroughParityWrite: on a 6+2 store, a write whose runs the data
+// servers join as reads of their holes and writes of their spans keeps
+// parity exact: with any one data server dead to reads, every byte reads
+// back as written, through reconstruction.
+func readThroughParityWrite(t *testing.T) {
+	const stripe = 4096
+	// Eight 384-byte rows at a 512-byte pitch in each of the first 12
+	// stripe units, and the next 6 units whole: 61,440 bytes, a budget of
+	// 6,144 for 640-byte holes (2×128 + 384). Server 0's seven holes in
+	// unit 0 and server 1's first two in unit 1 are granted.
+	var runs []Run
+	var payload int64
+	for u := int64(0); u < 12; u++ {
+		for r := int64(0); r < 8; r++ {
+			runs = append(runs, Run{Off: u*stripe + r*512 + 64, Len: 384})
+		}
+	}
+	runs = append(runs, Run{Off: 12 * stripe, Len: 6 * stripe})
+	for _, r := range runs {
+		payload += r.Len
+	}
+	for _, sched := range []Scheduler{FIFO, Elevator} {
+		t.Run(fmt.Sprintf("6+2-write/%v", map[Scheduler]string{FIFO: "FIFO", Elevator: "Elevator"}[sched]), func(t *testing.T) {
+			fs := degradedFS(t, Options{Servers: 8, Parity: 2, StripeSize: stripe, Scheduler: sched, Cost: benchCost()})
+			want := pattern(18*stripe, 5)
+			if _, err := fs.WriteAt(want, 0); err != nil {
+				t.Fatal(err)
+			}
+			fs.ResetStats()
+			src := pattern(int(payload), 6)
+			if n, err := fs.WriteV(runs, src); n != payload || err != nil {
+				t.Fatalf("WriteV = %d, %v", n, err)
+			}
+			at := int64(0)
+			for _, r := range runs {
+				at += int64(copy(want[r.Off:r.Off+r.Len], src[at:]))
+			}
+			st := fs.Stats()
+			for s, w := range []int64{1, 1} {
+				if got := st.PerServer[s].Reads; got != w {
+					t.Errorf("server %d charged %d read legs, want %d", s, got, w)
+				}
+			}
+			for dead := 0; dead < 6; dead++ {
+				fs.SetInjector(&FaultPoint{Server: dead, Op: FaultReads, Permanent: true})
+				fs.ResetStats()
+				got := make([]byte, len(want))
+				if _, err := fs.ReadAt(got, 0); err != nil {
+					t.Fatal(err)
+				}
+				if fs.Stats().DegradedReads == 0 {
+					t.Errorf("server %d dead: nothing was reconstructed", dead)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("server %d dead: the degraded read differs from the data", dead)
+				}
+			}
+		})
+	}
+}
+
 // readThroughInterleaved: two read dispatches swept together by one
 // elevator each read through only the holes their own budget granted,
 // and only behind a segment of their own. Both are sorted into batches
 // as submit sorts them and handed to one sweep, as an elevator that
 // froze both would sweep them.
 func readThroughInterleaved(t *testing.T) {
-	// A: 27,000 bytes, budget 3,375; its three 1,000-byte holes, each
-	// equal to a neighbour, are granted. B: 10,200 bytes, budget 1,275;
-	// of its two 1,000-byte holes only the first is. B's 200-byte piece
-	// sits in A's last hole, which A then does not read through.
+	// A: 27,000 bytes, budget 6,750; its three 1,000-byte holes are
+	// granted. B: 6,000 bytes, budget 1,500; of its two 1,000-byte holes
+	// only the first is, and its 26,600-byte one is not. B's 200-byte
+	// piece sits in A's last hole, which A then does not read through.
 	a := []Run{{Off: 0, Len: 1000}, {Off: 2000, Len: 1000}, {Off: 4000, Len: 1000}, {Off: 6000, Len: 24000}}
-	b := []Run{{Off: 5200, Len: 200}, {Off: 32000, Len: 1000}, {Off: 34000, Len: 1000}, {Off: 36000, Len: 8000}}
+	b := []Run{{Off: 5200, Len: 200}, {Off: 32000, Len: 1000}, {Off: 34000, Len: 1000}, {Off: 36000, Len: 3800}}
 	// The sweep's requests: A0-A2 with two holes, B's 200 bytes, A3,
 	// B1-B2 with one hole, B3.
 	const reqs, hole = 5, 2000 + 1000
@@ -364,16 +472,20 @@ func readThroughInterleaved(t *testing.T) {
 	}
 }
 
-// TestReadThroughDisciplinesAgree reads seeded single-caller read lists
-// — sorted and non-overlapping, as section I/O sends them — over 1-8
-// servers under the benchmark's cost model, once under FIFO and once
-// under Elevator. Both read through the same holes, so they charge the
-// same seeks and device bytes on every server, and the hole bytes read
-// beyond the per-pair rule stay within 1/8 of the payload. Their request
-// counts differ by the touching segments alone, which only the elevator
-// merges into one request (FIFO serves the second without a seek).
+// TestReadThroughDisciplinesAgree reads and writes seeded single-caller
+// lists — sorted and non-overlapping, as section I/O sends them — over
+// 1-8 servers under the benchmark's cost model, once under FIFO and
+// once under Elevator. Both join the same holes, so they charge the
+// same seeks and device bytes on every server, and the device bytes
+// beyond the payload stay within the op's budget: 1/4 of the payload
+// for a read, 1/10 for a write. Their request counts differ by touching
+// segments alone, which only the elevator merges into one request (FIFO
+// serves the second without a seek): by every touching pair on a read,
+// by at most that many on a write, whose runs through holes take no
+// touching segment in.
 func TestReadThroughDisciplinesAgree(t *testing.T) {
-	var fifoReqs, elevReqs int64
+	var fifoReqs, elevReqs [2]int64
+	var legs int64 // the read legs of joined write runs
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		opts := Options{
@@ -396,70 +508,98 @@ func TestReadThroughDisciplinesAgree(t *testing.T) {
 			off += n
 			payload += n
 		}
-		all := pattern(int(off), seed)
-		var stats [2]Stats
-		var touching, pairHoles int64
-		for k, sched := range []Scheduler{FIFO, Elevator} {
-			opts.Scheduler = sched
-			fs, err := Create("agree", opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fs.WriteAt(all, 0); err != nil {
-				t.Fatal(err)
-			}
-			fs.ResetStats()
-			buf := make([]byte, payload)
-			if _, err := fs.ReadV(runs, buf); err != nil {
-				t.Fatal(err)
-			}
-			stats[k] = fs.Stats()
-			at := int64(0)
-			for _, r := range runs {
-				if !bytes.Equal(buf[at:at+r.Len], all[r.Off:r.Off+r.Len]) {
-					t.Fatalf("seed %d %v: run %+v read the wrong bytes", seed, sched, r)
+		old, src := pattern(int(off), seed), pattern(int(payload), -seed)
+		want := bytes.Clone(old)
+		at := int64(0)
+		for _, r := range runs {
+			at += int64(copy(want[r.Off:r.Off+r.Len], src[at:]))
+		}
+		// Per server, the consecutive segments that touch.
+		var touching int64
+		end := make([]int64, opts.Servers)
+		for i := range end {
+			end[i] = -1
+		}
+		for k, write := range []bool{false, true} {
+			var stats [2]Stats
+			for d, sched := range []Scheduler{FIFO, Elevator} {
+				opts.Scheduler = sched
+				fs, err := Create("agree", opts)
+				if err != nil {
+					t.Fatal(err)
 				}
-				at += r.Len
-			}
-			if k == 0 {
-				// Per server, the consecutive segments that touch, and the
-				// holes the per-pair rule reads through.
-				end, last := make([]int64, opts.Servers), make([]int64, opts.Servers)
-				for i := range end {
-					end[i] = -1
+				if _, err := fs.WriteAt(old, 0); err != nil {
+					t.Fatal(err)
 				}
-				for _, r := range runs {
-					fs.forEachSegment(r.Off, r.Len, func(s int, so, n int64) {
-						if g := so - end[s]; end[s] >= 0 && g == 0 {
-							touching++
-						} else if end[s] >= 0 && 2*g <= min(last[s], n) && pays(opts.Cost, g) {
-							pairHoles += g
+				if k == 0 && d == 0 {
+					for _, r := range runs {
+						fs.forEachSegment(r.Off, r.Len, func(s int, so, n int64) {
+							if end[s] == so {
+								touching++
+							}
+							end[s] = so + n
+						})
+					}
+				}
+				fs.ResetStats()
+				buf := make([]byte, payload)
+				if write {
+					if _, err := fs.WriteV(runs, src); err != nil {
+						t.Fatal(err)
+					}
+					stats[d] = fs.Stats()
+					back := make([]byte, off)
+					if _, err := fs.ReadAt(back, 0); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(back, want) {
+						t.Fatalf("seed %d %v: the store's bytes differ from the write's", seed, sched)
+					}
+				} else {
+					if _, err := fs.ReadV(runs, buf); err != nil {
+						t.Fatal(err)
+					}
+					stats[d] = fs.Stats()
+					at := int64(0)
+					for _, r := range runs {
+						if !bytes.Equal(buf[at:at+r.Len], old[r.Off:r.Off+r.Len]) {
+							t.Fatalf("seed %d %v: run %+v read the wrong bytes", seed, sched, r)
 						}
-						end[s], last[s] = so+n, n
-					})
+						at += r.Len
+					}
+				}
+				fs.Close()
+			}
+			fifo, elev := stats[0], stats[1]
+			op, share := "read", int64(holeBudgetShare)
+			if write {
+				op, share = "write", writeBudgetShare
+			}
+			if extra := fifo.Bytes() - payload; share*extra > payload {
+				t.Errorf("seed %d: a %s moved %d device bytes beyond its payload, over 1/%d of its %d bytes",
+					seed, op, extra, share, payload)
+			}
+			for s := range fifo.PerServer {
+				f, e := &fifo.PerServer[s], &elev.PerServer[s]
+				if f.Seeks != e.Seeks || f.BytesRead != e.BytesRead || f.BytesWritten != e.BytesWritten {
+					t.Errorf("seed %d server %d %s: FIFO charged %d seeks, %d+%d device bytes; Elevator %d, %d+%d",
+						seed, s, op, f.Seeks, f.BytesRead, f.BytesWritten, e.Seeks, e.BytesRead, e.BytesWritten)
 				}
 			}
-			fs.Close()
-		}
-		fifo, elev := stats[0], stats[1]
-		// The op's hole budget: 1/8 of its payload beyond the per-pair holes.
-		if beyond := fifo.BytesRead() - payload - pairHoles; 8*beyond > payload {
-			t.Errorf("seed %d: read %d hole bytes beyond the per-pair rule's, over 1/8 of the %d-byte payload",
-				seed, beyond, payload)
-		}
-		for s := range fifo.PerServer {
-			f, e := &fifo.PerServer[s], &elev.PerServer[s]
-			if f.Seeks != e.Seeks || f.BytesRead != e.BytesRead {
-				t.Errorf("seed %d server %d: FIFO charged %d seeks, %d device bytes; Elevator %d, %d",
-					seed, s, f.Seeks, f.BytesRead, e.Seeks, e.BytesRead)
+			if write {
+				legs += fifo.Reads()
 			}
-		}
-		fifoReqs += fifo.Requests()
-		elevReqs += elev.Requests()
-		if d := fifo.Requests() - elev.Requests(); d != touching {
-			t.Errorf("seed %d: FIFO charged %d requests, Elevator %d; want a difference of the %d touching pairs",
-				seed, fifo.Requests(), elev.Requests(), touching)
+			fifoReqs[k] += fifo.Requests()
+			elevReqs[k] += elev.Requests()
+			if d := fifo.Requests() - elev.Requests(); d != touching && !write || d < 0 || d > touching {
+				t.Errorf("seed %d %s: FIFO charged %d requests, Elevator %d; want a difference of the %d touching pairs",
+					seed, op, fifo.Requests(), elev.Requests(), touching)
+			}
 		}
 	}
-	t.Logf("200 lists: FIFO charged %d requests, Elevator %d", fifoReqs, elevReqs)
+	if legs == 0 {
+		t.Error("no write joined a run through holes")
+	}
+	t.Logf("200 lists: reads, FIFO charged %d requests, Elevator %d; writes, %d and %d, %d of them read legs",
+		fifoReqs[0], elevReqs[0], fifoReqs[1], elevReqs[1], legs)
 }
