@@ -56,7 +56,6 @@ package pfs
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -111,7 +110,9 @@ type batch struct {
 	idx  []int32 // the accepted segments bound for this server, in submission order
 	left int     // not yet serviced; the worker's, once queued
 	// refused: the injector refused a segment for this server since the
-	// last one accepted (accept's; see cut).
+	// last one accepted (accept's): the hole before the next one it
+	// accepts is no candidate, since a refused range never reaches its
+	// server.
 	refused bool
 }
 
@@ -146,15 +147,9 @@ type dispatch struct {
 	// grant[i], when grant is not empty and grant[i] > 0, is what the
 	// hole before segment i cost the dispatch's hole budget: the server
 	// reads through that hole. A negative entry is a candidate that was
-	// not granted, or cut.
+	// not granted.
 	grant []int64
 }
-
-// cut is the grant of a segment whose server must not read through to
-// it from its predecessor: a segment of the same list that the injector
-// refused lies between them, and a refused range never reaches its
-// server.
-const cut = math.MinInt64
 
 // holeBudgetShare sets a read dispatch's hole budget: the holes its
 // servers read through sum to at most 1/holeBudgetShare of the
@@ -396,8 +391,8 @@ func (sv *server) serveFIFO(b *batch) {
 // server, joins p's request because the server reads through the hole
 // of g = s.off − (p.off+p.n) > 0 bytes between them instead of seeking
 // over it: the hole is at most grant, what submit granted s out of its
-// dispatch's budget (≤ 0: nothing; cut: never). A grant covers its
-// whole hole, so this is whether the hole was granted.
+// dispatch's budget (≤ 0: nothing). A grant covers its whole hole, so
+// this is whether the hole was granted.
 func readsThrough(p, s *ioSeg, grant int64) bool {
 	g := s.off - (p.off + p.n)
 	return g > 0 && g <= grant
@@ -425,7 +420,7 @@ func pays(c CostModel, g int64) bool {
 }
 
 // grantOf returns what the hole before segment i cost the budget, ≤ 0
-// when it was not granted, cut when a refused segment precedes it.
+// when it was not granted.
 func (d *dispatch) grantOf(i int32) int64 {
 	if len(d.grant) == 0 {
 		return 0
@@ -436,7 +431,7 @@ func (d *dispatch) grantOf(i int32) int64 {
 // grantHoles spends budget on the candidate holes, each entered in
 // d.grant as its cost negated, which sum to want: cheapest first, ties
 // in submission order, while their sum stays within budget. A grant
-// turns the entry positive; a cut entry is no candidate. It neither
+// turns the entry positive. It neither
 // sorts nor allocates: when the budget does not cover them all, each
 // pass grants the candidates of the lowest cost left, in submission
 // order — an op's holes come in a handful of sizes, so a few linear
@@ -446,7 +441,7 @@ func (d *dispatch) grantHoles(budget, want int64) {
 	grant := d.grant
 	if want <= budget {
 		for i, g := range grant {
-			if g < 0 && g != cut {
+			if g < 0 {
 				grant[i] = -g
 			}
 		}
@@ -455,7 +450,7 @@ func (d *dispatch) grantHoles(budget, want int64) {
 	for {
 		var m int64 // the smallest candidate left
 		for _, g := range grant {
-			if g < 0 && g != cut && (m == 0 || -g < m) {
+			if g < 0 && (m == 0 || -g < m) {
 				m = -g
 			}
 		}
@@ -663,12 +658,12 @@ func (fs *FS) submit(d *dispatch, deadline time.Duration) int {
 // before anything is queued: a refused segment "never reached a server"
 // and is recorded in d.fails; unless d.skip, it also ends the
 // submission — the accepted prefix still goes out, and with d.skip the
-// next segment its server accepts is cut. The accepted segments are
-// bucketed by server (submission order kept inside a server), and every
-// hole between consecutive segments of one server's list that pays is
-// a candidate for the dispatch's budget (grantHoles). A write's
-// candidates then become runs (joinWrites), whose read legs the
-// injector sees after the segments.
+// hole before the next segment its server accepts is no candidate. The
+// accepted segments are bucketed by server (submission order kept
+// inside a server), and every hole between consecutive segments of one
+// server's list that pays is a candidate for the dispatch's budget
+// (grantHoles). A write's grants then become runs (joinWrites), whose
+// read legs the injector sees after the segments.
 func (fs *FS) accept(d *dispatch) {
 	inj := fs.inj.Load()
 	c := fs.opts.Cost
@@ -690,9 +685,7 @@ func (fs *FS) accept(d *dispatch) {
 		}
 		if c.SeekLatency > 0 {
 			payload += s.n
-			if b.refused {
-				d.grants()[i] = cut
-			} else if k := len(b.idx); k > 0 {
+			if k := len(b.idx); k > 0 && !b.refused {
 				p := &d.segs[b.idx[k-1]]
 				if g := s.off - (p.off + p.n); g > 0 && pays(c, g) {
 					if d.write {
