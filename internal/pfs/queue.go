@@ -108,6 +108,7 @@ func (f *segErr) error() error {
 type batch struct {
 	d    *dispatch
 	idx  []int32 // the accepted segments bound for this server, in submission order
+	end  int64   // where the last of them ends (accept's)
 	left int     // not yet serviced; the worker's, once queued
 	// refused: the injector refused a segment for this server since the
 	// last one accepted (accept's): the hole before the next one it
@@ -147,7 +148,7 @@ type dispatch struct {
 	// grant[i], when grant is not empty and grant[i] > 0, is what the
 	// hole before segment i cost the dispatch's hole budget: the server
 	// reads through that hole. A negative entry is a candidate that was
-	// not granted.
+	// not granted. Empty when the store has no seek to save.
 	grant []int64
 }
 
@@ -431,12 +432,11 @@ func (d *dispatch) grantOf(i int32) int64 {
 // grantHoles spends budget on the candidate holes, each entered in
 // d.grant as its cost negated, which sum to want: cheapest first, ties
 // in submission order, while their sum stays within budget. A grant
-// turns the entry positive. It neither
-// sorts nor allocates: when the budget does not cover them all, each
-// pass grants the candidates of the lowest cost left, in submission
-// order — an op's holes come in a handful of sizes, so a few linear
-// passes cost less than a sort — and the first that does not fit ends
-// them all.
+// turns the entry positive. It neither sorts nor allocates: when the
+// budget does not cover them all, each pass grants the candidates of
+// the lowest cost left, in submission order — an op's holes come in a
+// handful of sizes, so a few linear passes cost less than a sort — and
+// the first that does not fit ends them all.
 func (d *dispatch) grantHoles(budget, want int64) {
 	grant := d.grant
 	if want <= budget {
@@ -448,7 +448,7 @@ func (d *dispatch) grantHoles(budget, want int64) {
 		return
 	}
 	for {
-		var m int64 // the smallest candidate left
+		var m int64 // the cheapest candidate left
 		for _, g := range grant {
 			if g < 0 && (m == 0 || -g < m) {
 				m = -g
@@ -519,8 +519,8 @@ func (sv *server) moveLocked(d *dispatch, i int32) error {
 // sweep services the frozen requests as a single ascending C-SCAN sweep
 // and returns the emptied list: requests sort by server-local offset
 // (stable, so requests at the same offset keep arrival order), and each
-// group that span ends (span) is serviced as one streamed request — one
-// charge over its span (chargeRun: at most one seek, one request
+// group of them that span joins is serviced as one streamed request —
+// one charge over its span (chargeRun: at most one seek, one request
 // overhead, byte time for the whole stream; a read first for a write
 // run joined through holes), then the per-segment data movement. Each
 // request is settled after its group has been serviced.
@@ -671,6 +671,11 @@ func (fs *FS) accept(d *dispatch) {
 	if d.write {
 		share = writeBudgetShare
 	}
+	var grant []int64
+	if c.SeekLatency > 0 {
+		grant = grow(&d.grant, len(d.segs))
+		clear(grant)
+	}
 	var payload, want int64
 	for i := range d.segs {
 		s := &d.segs[i]
@@ -683,21 +688,19 @@ func (fs *FS) accept(d *dispatch) {
 			}
 			break
 		}
-		if c.SeekLatency > 0 {
+		if grant != nil {
 			payload += s.n
-			if k := len(b.idx); k > 0 && !b.refused {
-				p := &d.segs[b.idx[k-1]]
-				if g := s.off - (p.off + p.n); g > 0 && pays(c, g) {
-					if d.write {
-						g = 2*g + s.n
-					}
-					d.grants()[i] = -g
-					want += g
+			if g := s.off - b.end; len(b.idx) > 0 && !b.refused && g > 0 && pays(c, g) {
+				if d.write {
+					g = 2*g + s.n
 				}
+				grant[i] = -g
+				want += g
 			}
 		}
 		b.refused = false
 		b.idx = append(b.idx, int32(i))
+		b.end = s.off + s.n
 	}
 	if want > 0 {
 		d.grantHoles(payload/share, want)
@@ -735,15 +738,6 @@ func (d *dispatch) joinWrites(inj *injBox) {
 			k = j
 		}
 	}
-}
-
-// grants returns d.grant, sized and zeroed for d's segments on first use
-// in a submission.
-func (d *dispatch) grants() []int64 {
-	if len(d.grant) == 0 {
-		clear(grow(&d.grant, len(d.segs)))
-	}
-	return d.grant
 }
 
 // dispatch runs d's segments through the servers, waits for them and
