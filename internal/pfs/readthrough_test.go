@@ -129,6 +129,11 @@ func TestReadThrough(t *testing.T) {
 		reqs, seeks, bytes int64
 		perServer          []int64
 	}{
+		// The hole is half of the smaller neighbour, which the budget of
+		// 500/4 = 125 bytes takes; one byte more, which no neighbour caps,
+		// it takes too.
+		{name: "half-hole", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 400, Len: 300}}, reqs: 1, seeks: 1, bytes: 600},
+		{name: "half-hole-plus-one", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 401, Len: 300}}, reqs: 1, seeks: 1, bytes: 601},
 		// The hole is exactly a quarter of the payload: 125 = 500/4.
 		{name: "budget-exact", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 425, Len: 300}}, reqs: 1, seeks: 1, bytes: 625},
 		{name: "budget-plus-one", cost: bench, runs: []Run{{Off: 100, Len: 200}, {Off: 426, Len: 300}}, reqs: 2, seeks: 2, bytes: 500},
