@@ -195,10 +195,100 @@ func TestDegradedReadDeadline(t *testing.T) {
 	if st := fs.Stats(); st.DegradedReads == 0 {
 		t.Fatal("straggler segments were not reconstructed")
 	}
-	// The straggler owes 2 services x 50ms; the deadline is 3 x the
-	// nominal per-server time (a few ms). Allow generous slack for CI.
+	// The straggler owes 2 units, one streamed 50 ms request; the
+	// deadline is 3 x the nominal per-server time (a few ms). Allow
+	// generous slack for CI.
 	if wall >= 2*slowSvc {
 		t.Fatalf("read took %v, no better than waiting on the straggler", wall)
+	}
+}
+
+// TestDegradedReadWaitsForLateHealthyServer: when the deadline fires, a
+// healthy server that is merely late is waited for, not rebuilt. Server
+// 1 serves its list in one 8 ms request against a 6 ms deadline; with
+// one parity server, a row that rebuilt both its server 0 and server 1
+// units would need the straggler's shard, 50 ms behind its own list.
+func TestDegradedReadWaitsForLateHealthyServer(t *testing.T) {
+	const stripe = 1 << 10
+	slowSvc := 50 * time.Millisecond
+	fs := degradedFS(t, Options{
+		Servers:    5,
+		Parity:     1,
+		StripeSize: stripe,
+		Cost: CostModel{
+			RequestOverhead: time.Millisecond,
+			RealTime:        true,
+			SlowFactor:      []float64{float64(slowSvc / time.Millisecond), 8},
+		},
+	})
+	want := pattern(4*stripe*2, 7) // 2 units per data server
+	if _, err := fs.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(want))
+	start := time.Now()
+	if _, err := fs.ReadAt(got, 0); err != nil {
+		t.Fatalf("degraded read: %v", err)
+	}
+	wall := time.Since(start)
+	if !bytes.Equal(got, want) {
+		t.Fatal("deadline-reconstructed read differs")
+	}
+	if st := fs.Stats(); st.DegradedReads == 0 {
+		t.Fatal("straggler segments were not reconstructed")
+	}
+	if wall >= 2*slowSvc {
+		t.Fatalf("read took %v, no better than fetching through the straggler", wall)
+	}
+}
+
+// TestDegradedReadDeadlineAfterRefusal: a refused segment limits the
+// deadline's rebuild only in its own row. With one parity server, the
+// injector refuses server 1's row-0 unit once; the straggler, server 0,
+// serves its row-0 unit (a request of its own: every unit is read from
+// byte 16 on) before the deadline, so both rebuilds fit in m: server
+// 1's unit from its row-mates and parity, the straggler's later units
+// from theirs. Waiting on the straggler instead takes its whole list.
+func TestDegradedReadDeadlineAfterRefusal(t *testing.T) {
+	const stripe, rows, gap = 256, 12, 16
+	perReq := 12 * time.Millisecond // the straggler's; its peers take 1 ms
+	fs := degradedFS(t, Options{
+		Servers:    5,
+		Parity:     1,
+		StripeSize: stripe,
+		// Deadline 3 x 12 x 1 ms = 36 ms; the straggler's list 144 ms.
+		Cost: CostModel{
+			RequestOverhead: time.Millisecond,
+			RealTime:        true,
+			SlowFactor:      []float64{float64(perReq / time.Millisecond)},
+		},
+	})
+	want := pattern(4*stripe*rows, 5)
+	if _, err := fs.WriteAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	var runs []Run
+	var wantRead []byte
+	for u := int64(0); u < 4*rows; u++ {
+		runs = append(runs, Run{Off: u*stripe + gap, Len: stripe - gap})
+		wantRead = append(wantRead, want[u*stripe+gap:(u+1)*stripe]...)
+	}
+	fp := &FaultPoint{Server: 1, Op: FaultReads}
+	fs.SetInjector(fp)
+	got := make([]byte, len(wantRead))
+	start := time.Now()
+	if _, err := fs.ReadV(runs, got); err != nil {
+		t.Fatalf("degraded read: %v", err)
+	}
+	wall := time.Since(start)
+	if !bytes.Equal(got, wantRead) {
+		t.Fatal("deadline-reconstructed read differs")
+	}
+	if !fp.Fired() {
+		t.Fatal("the injector refused nothing")
+	}
+	if wall >= rows*perReq {
+		t.Fatalf("read took %v, no better than waiting on the straggler's %v list", wall, rows*perReq)
 	}
 }
 
@@ -504,7 +594,9 @@ func TestDegradedParityBatchesAndUnsortedRuns(t *testing.T) {
 // row already holds k-1 row-mates of the unit a dead server loses, so
 // the rebuild fetches one shard, a parity unit, and no data unit again
 // — with the vector's runs ascending or descending. Two runs per unit
-// give every server two segments of the read.
+// give every server two segments of the read: ascending, they touch and
+// stream as one request; descending, they are two. The two fetches of
+// the parity unit's halves go out sorted by offset, so they touch too.
 func TestDegradedReadSeedsFromRowMates(t *testing.T) {
 	const stripe, k, m = 64, 6, 2
 	fs := degradedFS(t, Options{Servers: k + m, Parity: m, StripeSize: stripe})
@@ -543,8 +635,12 @@ func TestDegradedReadSeedsFromRowMates(t *testing.T) {
 	for _, leg := range []struct {
 		name string
 		runs []Run
-	}{{"ascending", asc}, {"descending", desc}} {
+		reqs int64 // per data server, healthy
+	}{{"ascending", asc, 1}, {"descending", desc, 2}} {
 		healthy := requests(leg.runs)
+		if want := append(slices.Repeat([]int64{leg.reqs}, k), 0, 0); !slices.Equal(healthy, want) {
+			t.Fatalf("%s: healthy requests per server %v, want %v", leg.name, healthy, want)
+		}
 		fs.SetInjector(&FaultPoint{Server: 0, Op: FaultReads, Permanent: true})
 		degraded := requests(leg.runs)
 		fs.SetInjector(nil)

@@ -28,8 +28,9 @@ func vector(n int, stripe int64) ([]Run, []byte) {
 	return runs, pattern(n*40, int64(n))
 }
 
-// hookWorkers replaces fs's workers with FIFO workers that call before
-// with their server's index for every queue entry they take.
+// hookWorkers replaces fs's workers with ones that call before with
+// their server's index for every queue entry, then hand it to the
+// server's own loop.
 func hookWorkers(fs *FS, before func(server int)) {
 	fs.stopQueues()
 	fs.qclosed = false
@@ -39,10 +40,15 @@ func hookWorkers(fs *FS, before func(server int)) {
 		fs.qwg.Add(1)
 		go func() {
 			defer fs.qwg.Done()
-			for b := range ch {
-				before(i)
-				sv.serveFIFO(b)
-			}
+			hooked := make(chan *batch)
+			go func() {
+				defer close(hooked)
+				for b := range ch {
+					before(i)
+					hooked <- b
+				}
+			}()
+			sv.serve(hooked)
 		}()
 	}
 }
@@ -207,8 +213,11 @@ func (f injectorFunc) Fail(server int, write bool, off, n int64) error {
 // submission order, and then the read leg of every run the write joins
 // through its holes, before any of them has reached a server. Each
 // server holds four 40-byte pieces 24 bytes apart and one 4,000-byte
-// piece: the budget, 16,640/10 bytes, buys the twelve 88-byte holes
-// between the small pieces, so each server joins those into one run.
+// piece, and server 0 two more 40-byte pieces 24 bytes apart: the
+// budget, 16,720/10 bytes, buys the thirteen 88-byte holes between the
+// small pieces, so each server joins its first four into one run.
+// Server 0's last two are a run of one hole, which saves no request:
+// its read leg is never put to the injector.
 func TestListInjectorBeforeQueue(t *testing.T) {
 	const stripe = 4096
 	fs := memFS(t, 4, stripe, schedCost())
@@ -223,6 +232,10 @@ func TestListInjectorBeforeQueue(t *testing.T) {
 	for u := int64(4); u < 8; u++ {
 		runs = append(runs, Run{Off: u * stripe, Len: 4000})
 		want = append(want, fmt.Sprintf("write %d", u-4))
+	}
+	for r := int64(0); r < 2; r++ {
+		runs = append(runs, Run{Off: 12*stripe + r*64 + 7, Len: 40})
+		want = append(want, "write 0")
 	}
 	for s := 0; s < 4; s++ {
 		// From the end of the first piece to the start of the last.
@@ -240,7 +253,7 @@ func TestListInjectorBeforeQueue(t *testing.T) {
 		}
 		return nil
 	}))
-	if _, err := fs.WriteV(runs, pattern(16*40+4*4000, 8)); err != nil {
+	if _, err := fs.WriteV(runs, pattern(18*40+4*4000, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seen, want) {
@@ -289,10 +302,18 @@ func TestListSourceOrderCountsRequests(t *testing.T) {
 // list is reconstructed, the bytes are right, nothing touches the
 // caller's buffer after the call returns (run with -race), and the
 // abandoned dispatch is not reused by the reads that follow while the
-// straggler is still working through it.
+// straggler is still working through it. The read skips the first gap
+// bytes of every unit, so no two of a server's segments touch: each is
+// a request of its own, which the deadline can fall between.
 func TestListDeadlineCutsBatch(t *testing.T) {
-	const stripe, units = 256, 8
+	const stripe, units, gap = 256, 8, 16
 	want := pattern(4*stripe*units, 3)
+	var runs []Run
+	var wantRead []byte
+	for u := int64(0); u < 4*units; u++ {
+		runs = append(runs, Run{Off: u*stripe + gap, Len: stripe - gap})
+		wantRead = append(wantRead, want[u*stripe+gap:(u+1)*stripe]...)
+	}
 	// The cut falls where the machine's timing puts it; a few tries to
 	// see it fall inside server 0's list, every try checked for bytes.
 	for try := 1; ; try++ {
@@ -309,11 +330,11 @@ func TestListDeadlineCutsBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs.ResetStats()
-		got := make([]byte, len(want))
-		if _, err := fs.ReadAt(got, 0); err != nil {
+		got := make([]byte, len(wantRead))
+		if _, err := fs.ReadV(runs, got); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
+		if !bytes.Equal(got, wantRead) {
 			t.Fatal("deadline-cut read differs")
 		}
 		cut := fs.Stats().DegradedReads

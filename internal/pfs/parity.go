@@ -73,7 +73,8 @@
 // that is not one contiguous buffer is assembled in the dispatch's
 // staging buffer and copied out once.) The deadline cuts lists, not
 // calls: when it fires, every segment a server has marked served is
-// kept and the rest of each unfinished list is a straggler. Segments
+// kept, the rest of the slowest servers' lists are stragglers, and the
+// read waits for the other late lists (awaitLate). Segments
 // are read in place unless a deadline is armed; only then can a list be
 // abandoned, and only then do the servers read into a private slab, so
 // a straggler's late completions land in memory nobody reads — and the
@@ -365,7 +366,7 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 		}
 	}
 	if d.recon == nil {
-		d.recon = new(reconScratch)
+		d.recon = &reconScratch{lost: map[[2]int64]bool{}, miss: map[int64]int{}}
 	}
 	sc := d.recon
 	// Only an armed deadline can abandon a request, so only then do the
@@ -388,6 +389,9 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 	begun := fs.writesBegun.Load()
 	quiet := fs.writesEnded.Load() == begun // no data write in flight
 	left := fs.submit(d, deadline)
+	if left > 0 {
+		left = fs.awaitLate(d, sc, left)
+	}
 	var err error
 	for {
 		// Whatever is not marked served — refused, failed, or still
@@ -440,6 +444,54 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 	return total, err
 }
 
+// awaitLate answers a degraded read's deadline, which fired with left of
+// its batches outstanding. Rebuilding a unit fetches the same range of
+// its row's other shards, so rebuilding every late unit can fetch
+// through the very straggler it avoids. The servers that still owe
+// segments are left to the rebuild slowest first (sourceOrder) while no
+// row they owe then misses more than m units, counting the units of the
+// segments that failed; the read waits for the other outstanding
+// batches. It returns the batches still outstanding.
+func (fs *FS) awaitLate(d *dispatch, sc *reconScratch, left int) int {
+	clear(sc.lost)
+	clear(sc.miss)
+	unit := func(i int32) [2]int64 { return [2]int64{d.segs[i].off / fs.opts.StripeSize, int64(d.segs[i].server)} }
+	lose := func(u [2]int64) {
+		if !sc.lost[u] {
+			sc.lost[u] = true
+			sc.miss[u[0]]++
+		}
+	}
+	d.mu.Lock()
+	for _, f := range d.fails {
+		lose(unit(int32(f.idx)))
+	}
+	d.mu.Unlock()
+	rebuilt, order := 0, fs.sourceOrder(sc) // rebuilt: outstanding batches left to the rebuild
+late:
+	for k := len(order) - 1; k >= 0; k-- {
+		owed := sc.owed[:0] // the server's unserved units not lost already
+		for _, i := range d.batches[order[k]].idx {
+			if u := unit(i); !d.served[i].Load() && !sc.lost[u] {
+				if sc.miss[u[0]] >= fs.code.M() {
+					break late // waited for, and so are the faster late servers
+				}
+				owed = append(owed, u)
+			}
+		}
+		for _, u := range owed {
+			lose(u)
+		}
+		if sc.owed = owed; len(owed) > 0 {
+			rebuilt++
+		}
+	}
+	for ; left > rebuilt; left-- {
+		<-d.done
+	}
+	return left
+}
+
 // reconFetch is one source read of a reconstruction: the byte range of
 // job's segment, out of the shard that server holds.
 type reconFetch struct {
@@ -449,26 +501,20 @@ type reconFetch struct {
 	err    segErr // err.err nil: fetched
 }
 
-// serviceReconBatch issues a round of reconstruction source fetches,
-// coalescing per-server contiguous fetches into single requests first:
-// a multi-row degraded read pulls consecutive shard rows from the same
-// source server, and one large request pays one overhead + seek where
-// the per-shard fetches would pay them per row. The fetches' buffers
-// are carved from one slab in request order, so a merged request reads
-// straight into its members. One failure does not stop the others; a
-// merged failure fails every member, which then moves on to its next
-// candidate.
+// serviceReconBatch issues a round of reconstruction source fetches as
+// one dispatch, one segment per fetch, sorted by offset (stably, so ties
+// keep batch order), which each server's list keeps: a multi-row
+// degraded read pulls consecutive shard rows from the same source
+// server, and the server's service loop joins fetches that touch into
+// one request, which pays one overhead + seek where the per-shard
+// fetches would pay them per row. The fetches' buffers are carved from
+// one slab in that order. One failure does not stop the others; a
+// failed fetch moves its job on to its next candidate.
 func (fs *FS) serviceReconBatch(sc *reconScratch, batch []reconFetch) {
-	// Request order is (server, offset), ties in batch order: a stable
-	// counting sort by server, then a stable sort by offset of the one
-	// server's run only where it is out of order (a round's fetches
-	// mostly arrive row by row, so ascending already).
-	idx, at := sc.byServer(fs.opts.Servers, len(batch), func(i int) int { return batch[i].server })
-	byOff := func(a, b int) int { return cmp.Compare(batch[a].job.off, batch[b].job.off) }
-	for s := 0; s < fs.opts.Servers; s++ {
-		if run := idx[at[s]:at[s+1]]; !slices.IsSortedFunc(run, byOff) {
-			slices.SortStableFunc(run, byOff)
-		}
+	// A round's fetches mostly arrive row by row, so sorted already.
+	byOff := func(a, b reconFetch) int { return cmp.Compare(a.job.off, b.job.off) }
+	if !slices.IsSortedFunc(batch, byOff) {
+		slices.SortStableFunc(batch, byOff)
 	}
 	total := 0
 	for i := range batch {
@@ -477,28 +523,17 @@ func (fs *FS) serviceReconBatch(sc *reconScratch, batch []reconFetch) {
 	slab := sc.carve(total)
 	d := fs.newDispatch(Contig(slab), false)
 	d.skip = true
-	first := sc.first[:0] // d.segs[i] serves batch[idx[first[i]:first[i+1]]]
 	var mo int64
-	for k, i := range idx {
+	for i := range batch {
 		f := &batch[i]
 		n := int64(f.job.n)
 		f.p = slab[mo : mo+n]
-		if last := len(d.segs) - 1; last >= 0 && int(d.segs[last].server) == f.server &&
-			d.segs[last].off+d.segs[last].n == f.job.off {
-			d.segs[last].n += n // f.p is the slab's next bytes
-		} else {
-			d.segs = append(d.segs, ioSeg{server: int32(f.server), off: f.job.off, n: n, mo: mo})
-			first = append(first, k)
-		}
+		d.segs = append(d.segs, ioSeg{server: int32(f.server), off: f.job.off, n: n, mo: mo})
 		mo += n
 	}
-	first = append(first, len(idx))
-	sc.first = first
 	fs.submit(d, 0)
 	for _, fl := range d.fails {
-		for _, i := range idx[first[fl.idx]:first[fl.idx+1]] {
-			batch[i].err = fl
-		}
+		batch[fl.idx].err = fl
 	}
 	fs.release(d)
 }
@@ -547,17 +582,19 @@ func (fs *FS) sourceOrder(sc *reconScratch) []int {
 // dispatch and pooled with it; what a read sizes here stays for the
 // next. A deadline that abandons the dispatch abandons its scratch too.
 type reconScratch struct {
-	per     []time.Duration // readDeadline: nominal service time per server
-	order   []int           // sourceOrder: the ranking
-	backlog []int64         //   and the requests queued per server
-	recon   []int           // the segments to reconstruct
+	per     []time.Duration   // readDeadline: nominal service time per server
+	order   []int             // sourceOrder: the ranking
+	backlog []int64           //   and the requests queued per server
+	recon   []int             // the segments to reconstruct
+	owed    [][2]int64        // awaitLate: one server's late (row, server) units
+	lost    map[[2]int64]bool //   the units the rebuild lacks
+	miss    map[int64]int     //   and how many each row lacks
 	jobs    []reconJob
 	tabs    [][]byte // the jobs' shard tables, k+m entries each
 	inRecon []bool
 	batch   []reconFetch
 	idx     []int  // byServer: the items by server
 	at      []int  //   and where each server's items start
-	first   []int  // serviceReconBatch: where each request's fetches start
 	slab    []byte // the source fetches' bytes
 	used    int    // of slab, by this read's earlier rounds
 }

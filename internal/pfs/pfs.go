@@ -60,7 +60,7 @@ type CostModel struct {
 	// ByteTime is charged per byte transferred.
 	ByteTime time.Duration
 	// RealTime makes each server actually sleep its charged service
-	// time while holding its lock: requests to one server serialize
+	// time in its service loop: requests to one server serialize
 	// (a disk services one request at a time) while requests to
 	// different servers overlap. This turns the simulated cost into
 	// wall-clock time, so benchmarks can measure how well concurrent
@@ -84,31 +84,25 @@ func DefaultCost() CostModel {
 	}
 }
 
-// Scheduler selects the service discipline of a server's request
-// queue.
+// Scheduler selects what one sweep of a server's service loop takes
+// (queue.go). Either way the loop walks the sweep in order and serves
+// each run of same-direction segments that touch, or lie a granted hole
+// apart (see CostModel.SeekLatency), as one request.
 type Scheduler int
 
 const (
-	// FIFO services requests strictly in arrival order (one request,
-	// one service, one potential seek); segments a granted hole apart
-	// are one request, or a read and a write (see
-	// CostModel.SeekLatency), the hole judged against the segment
-	// before it in the list.
+	// FIFO sweeps one operation's list at a time, in arrival order, each
+	// in submission order.
 	FIFO Scheduler = iota
-	// Elevator freezes what is queued when a sweep starts and services
-	// that backlog as one ascending C-SCAN sweep: pending segments sort
-	// by server-local offset, and physically adjacent same-direction
-	// segments, or segments a granted hole apart (see
-	// CostModel.SeekLatency), merge into a single streamed service, so
-	// a sweep charges one seek per discontinuity instead of one per
-	// request. A granted hole is read through only when the segment
-	// before it in the sweep belongs to the same operation, so each
-	// operation stays within its own budget however a sweep interleaves
-	// callers. Requests arriving during a sweep wait for the next one,
-	// which bounds how long any request can be bypassed (no
-	// starvation). Note that writes to overlapping extents submitted
-	// concurrently may land in either order — exactly as under FIFO,
-	// where the channel interleaving is already scheduling-dependent.
+	// Elevator freezes what is queued when a sweep starts and sorts it by
+	// server-local offset into one ascending C-SCAN sweep, so segments of
+	// different operations join too and a sweep charges one seek per
+	// discontinuity. A granted hole is read through only behind a segment
+	// of its own operation, so each operation stays within its own
+	// budget. Requests arriving during a sweep wait for the next one,
+	// which bounds how long any request can be bypassed (no starvation).
+	// Concurrent writes to overlapping extents may land in either order,
+	// as under FIFO, where the channel interleaving decides.
 	Elevator
 )
 
@@ -340,12 +334,10 @@ type server struct {
 	cost    CostModel
 	sched   Scheduler
 	slow    float64 // per-server bandwidth-asymmetry factor (>= 1 normally)
-	// queued counts the requests submitted to this server and not yet
-	// settled: the elevator's backlog and sourceOrder's ranking key.
+	// queued counts the requests of the batches submitted to this server
+	// and not yet settled in full: the elevator's backlog and
+	// sourceOrder's ranking key.
 	queued atomic.Int64
-	// errs is serveFIFO's scratch, reused under mu: the outcomes of a
-	// run's segments, kept while the run sleeps its service time.
-	errs []error
 }
 
 // newServer builds server i with its cost model, queue discipline, and

@@ -184,10 +184,12 @@ func TestStripeBoundarySplit(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("misaligned round trip mismatch")
 	}
-	// 95 bytes starting at 7 with unit 10 touches units 0..10 → 11 segments.
+	// 95 bytes starting at 7 with unit 10 touches units 0..10 → 11
+	// segments, whose server-local ranges lie back to back on each of the
+	// 3 servers: one streamed request per server and direction.
 	st := fs.Stats()
-	if reqs := st.Requests(); reqs != 11+11 {
-		t.Fatalf("requests = %d, want 22", reqs)
+	if reqs := st.Requests(); reqs != 3+3 {
+		t.Fatalf("requests = %d, want 6", reqs)
 	}
 }
 

@@ -1,53 +1,54 @@
 // queue.go gives every simulated I/O server its own request queue: a
 // dedicated service goroutine draining a channel, the way each PVFS2
-// server daemon services its own request stream — and, as in PVFS list
-// I/O, what travels on the queue is a list. One logical FS operation
-// splits into per-server segments (one per stripe unit it touches, each
-// ONE charged request), and a queue entry is the operation's whole list
-// for that server: submit hands every server it uses one batch and
-// waits for one signal per batch, so the program pays a scheduler
-// round-trip per (call, server), not per 260-byte piece, while the
-// device model still sees — and charges — every request. Service times
-// overlap across servers (the caller pays max-per-server, not the sum);
-// each server services one request at a time. CostModel.RealTime
-// sleeps inside the server loop (the server is busy; its queue backs
-// up), not in the caller.
+// server daemon services its own request stream — and, as in PVFS
+// list I/O, what travels on the queue is a list. One logical FS
+// operation splits into per-server segments (one per stripe unit it
+// touches, each a charged request unless its server joins it into a
+// run), and a queue entry is the operation's whole list for that
+// server: submit hands every server it uses one batch and waits for
+// one signal per batch, so the program pays a scheduler round-trip
+// per (call, server), not per 260-byte piece, while the device model
+// still sees — and charges — every request. Service times overlap
+// across servers (the caller pays max-per-server, not the sum); each
+// server services one request at a time. CostModel.RealTime sleeps
+// inside the server loop (the server is busy; its queue backs up),
+// not in the caller.
 //
-// The order a server services its requests in is the Options.Scheduler
-// knob. FIFO walks each list in submission order, lists in arrival
-// order. Elevator appends arriving lists to its pending requests,
-// freezes everything queued when a sweep starts — so one call's list is
-// swept whole — and services it as one ascending C-SCAN sweep, merging
-// physically adjacent same-direction segments into single streamed
-// services: a sweep charges one seek per discontinuity instead of one
-// per request.
+// Each server has one service loop (serve): it takes what one sweep
+// services and walks it in order, one request per run of segments.
+// The Options.Scheduler knob decides only what a sweep takes. FIFO
+// takes the next list alone, in submission order. Elevator freezes
+// everything queued when a sweep starts — so one call's list is swept
+// whole — and sorts it into one ascending C-SCAN sweep, so a sweep
+// charges one seek per discontinuity instead of one per request.
 //
-// Under either discipline a list's dense runs are one request: when the
-// next segment lies a hole past the previous one that its operation
-// granted (readsThrough), the server reads through the hole instead of
-// seeking over it — data sieving, done on the server. A read run is
-// charged as one request over its span, holes included (one overhead,
-// at most one seek). A write run is a read-modify-write, as ROMIO's
-// write sieving, but with no file lock to take, since the server holds
-// its own list under one lock: one read of the run's interior, from the
-// end of its first segment to the start of its last, then one write of
-// its whole span. Either way only the segments' bytes move, so hole
-// bytes never reach memory and a write leaves its holes exactly as its
-// read found them. One rule grants holes in both directions: submit
-// sees every server's list of a dispatch, takes every hole between
-// consecutive segments of one server's list that pays (its byte time is
-// less than the seek and request overhead it saves), and grants them
-// cheapest first out of a budget of the dispatch's payload: 1/4 for
-// reads (holeBudgetShare), 1/10 for writes (writeBudgetShare). A read
-// hole costs its own bytes; a write hole costs them twice, read and
-// written, plus the segment behind it, which the read leg passes over.
-// A write run joins at least two holes, since a run of two saves no
-// request, and its read leg is a read request the injector sees: a
-// refused leg leaves the run as plain writes. No run reads through a
-// segment the injector refused: the run stops there.
+// A run is a stretch of same-direction segments that touch, or that
+// lie a hole apart that their operation granted (readsThrough): the
+// server reads through the hole instead of seeking over it — data
+// sieving, done on the server. A run of touching segments is one
+// streamed request. A read run is charged as one request over its
+// span, holes included (one overhead, at most one seek). A write run
+// through holes is a read-modify-write, as ROMIO's write sieving, but
+// with no file lock to take, since the server holds its own list
+// under one lock: one read of the run's interior, from the end of its
+// first segment to the start of its last, then one write of its whole
+// span. Either way only the segments' bytes move, so hole bytes never
+// reach memory and a write leaves its holes exactly as its read found
+// them. One rule grants holes in both directions: submit sees every
+// server's list of a dispatch, takes every hole between consecutive
+// segments of one server's list that pays (its byte time is less than
+// the seek and request overhead it saves), and grants them cheapest
+// first out of a budget of the dispatch's payload: 1/4 for reads
+// (holeBudgetShare), 1/10 for writes (writeBudgetShare). A read hole
+// costs its own bytes; a write hole costs them twice, read and
+// written, plus the segment behind it, which the read leg passes
+// over. A write run joins at least two holes, since a run of two
+// saves no request, and its read leg is a read request the injector
+// sees: a refused leg leaves the run as plain writes. No run reads
+// through a segment the injector refused: the run stops there.
 //
-// The state of one submission (segments, batches, outcomes) is a pooled
-// dispatch, back on its store's idle list once every batch has
+// The state of one submission (segments, batches, outcomes) is a
+// pooled dispatch, back on its store's idle list once every batch has
 // signalled. A degraded read whose straggler deadline fired returns
 // while a batch is still with its server: that dispatch is never
 // recycled — the worker will yet read its segments and write into its
@@ -244,23 +245,15 @@ func (d *dispatch) fail(i int, err error, refused bool) {
 	d.mu.Unlock()
 }
 
-// settle records the outcome of segment i, once its service time has
-// passed.
-func (d *dispatch) settle(i int32, err error) {
-	if err != nil {
-		d.fail(int(i), err, false)
-	} else if len(d.served) > 0 {
-		d.served[i].Store(true)
-	}
-}
-
-// finish takes n serviced requests of the batch off the server's
-// count and, after the batch's last, signals the dispatcher — in that
-// order, so a dispatcher that has all its signals reads settled counts.
-// The worker must not touch the batch after that.
+// finish takes n serviced requests off the batch and, after its last,
+// takes the batch off the server's count and signals the dispatcher —
+// in that order, so a dispatcher that has all its signals reads settled
+// counts. The send never blocks (done has room for a signal per batch),
+// so a sweep makes it under the server's lock. The worker must not
+// touch the batch after that.
 func (b *batch) finish(sv *server, n int) {
-	sv.queued.Add(int64(-n))
 	if b.left -= n; b.left == 0 {
+		sv.queued.Add(int64(-len(b.idx)))
 		b.d.done <- struct{}{}
 	}
 }
@@ -296,107 +289,36 @@ func (fs *FS) stopQueues() {
 	fs.qwg.Wait()
 }
 
-// serve is one server's service loop, under the configured discipline.
+// serve is one server's service loop, for both disciplines: block for a
+// batch, take in what one sweep services, sweep it. FIFO sweeps that
+// batch alone. The elevator takes in what was queued when the sweep
+// starts — submit counts a batch in queued before sending it, so the
+// snapshot covers every batch already on the channel — and sorts it by
+// server-local offset (stable, so requests at the same offset keep
+// arrival order). Requests arriving during a sweep wait for the next
+// one: the frozen backlog is what bounds bypass (no starvation). Once
+// the channel is closed and empty, the loop ends.
 func (sv *server) serve(ch chan *batch) {
-	if sv.sched != Elevator {
-		for b := range ch {
-			sv.serveFIFO(b)
-		}
-		return
-	}
-	// Elevator: block for a batch only when nothing is pending, then
-	// take in what was queued when the sweep starts — submit counts a
-	// batch in queued before sending it, so the snapshot covers every
-	// batch already on the channel — and sweep it all. Requests arriving
-	// during a sweep wait for the next one: the frozen backlog is what
-	// bounds bypass (no starvation). Once the channel is closed and
-	// empty, what is pending is swept out and the loop ends.
-	var pending []pend
-	for open := true; open || len(pending) > 0; {
-		if len(pending) == 0 {
-			b, ok := <-ch
-			if !ok {
-				return
-			}
-			pending = admit(pending, b)
-		}
-		backlog := int(sv.queued.Load())
-	drain:
-		for open && len(pending) < backlog {
-			select {
-			case b, ok := <-ch:
-				if open = ok; ok {
-					pending = admit(pending, b)
+	var frozen []pend
+	for b := range ch {
+		frozen = admit(frozen, b)
+		if sv.sched == Elevator {
+		drain:
+			for backlog := int(sv.queued.Load()); len(frozen) < backlog; {
+				select {
+				case b, ok := <-ch:
+					if !ok {
+						break drain
+					}
+					frozen = admit(frozen, b)
+				default:
+					break drain
 				}
-			default:
-				break drain
 			}
+			slices.SortStableFunc(frozen, byOffset)
 		}
-		pending = sv.sweep(pending)
+		frozen = sv.sweep(frozen)
 	}
-}
-
-// serveFIFO services a batch in submission order, one request at a
-// time — a request being a segment, or a run of segments the server
-// reads through (readsThrough): execute, sleep the charged
-// service time when the cost model is real-time (the server is busy —
-// later requests wait, other servers keep serving), settle. The
-// server's lock is held over the list, not taken per request — an
-// atomic after every 260-byte copy waits for the copy's stores to
-// drain — and only let go for a sleep.
-func (sv *server) serveFIFO(b *batch) {
-	d := b.d
-	sv.mu.Lock()
-	for k := 0; k < len(b.idx); {
-		j := k + 1
-		for j < len(b.idx) && readsThrough(&d.segs[b.idx[j-1]], &d.segs[b.idx[j]], d.grantOf(b.idx[j])) {
-			j++
-		}
-		run := b.idx[k:j]
-		first, last := &d.segs[run[0]], &d.segs[run[len(run)-1]]
-		dur := sv.chargeRun(first, last, d.write, d.write && len(run) > 1)
-		// A run that sleeps its service time settles after the sleep,
-		// from the outcomes kept in errs.
-		sleep := sv.cost.RealTime && dur > 0
-		errs := sv.errs[:0]
-		var moved int64
-		for _, i := range run {
-			if err := sv.moveLocked(d, i); sleep {
-				errs = append(errs, err)
-			} else {
-				d.settle(i, err)
-			}
-			moved += d.segs[i].n
-		}
-		if d.attr {
-			sv.attribute(moved, d.write)
-		}
-		if sleep {
-			sv.errs = nil // errs stays this run's while the lock is let go
-			sv.mu.Unlock()
-			time.Sleep(dur)
-			sv.mu.Lock()
-			for g, i := range run {
-				d.settle(i, errs[g])
-			}
-			clear(errs)
-			sv.errs = errs[:0]
-		}
-		k = j
-	}
-	sv.mu.Unlock()
-	b.finish(sv, len(b.idx))
-}
-
-// readsThrough reports whether segment s, served right after p on this
-// server, joins p's request because the server reads through the hole
-// of g = s.off − (p.off+p.n) > 0 bytes between them instead of seeking
-// over it: the hole is at most grant, what submit granted s out of its
-// dispatch's budget (≤ 0: nothing). A grant covers its whole hole, so
-// this is whether the hole was granted.
-func readsThrough(p, s *ioSeg, grant int64) bool {
-	g := s.off - (p.off + p.n)
-	return g > 0 && g <= grant
 }
 
 // chargeRun charges the request that serves the segments first through
@@ -418,15 +340,6 @@ func (sv *server) chargeRun(first, last *ioSeg, write, rmw bool) time.Duration {
 // the seek and request overhead it saves.
 func pays(c CostModel, g int64) bool {
 	return c.SeekLatency > 0 && time.Duration(g)*c.ByteTime < c.SeekLatency+c.RequestOverhead
-}
-
-// grantOf returns what the hole before segment i cost the budget, ≤ 0
-// when it was not granted.
-func (d *dispatch) grantOf(i int32) int64 {
-	if len(d.grant) == 0 {
-		return 0
-	}
-	return d.grant[i]
 }
 
 // grantHoles spends budget on the candidate holes, each entered in
@@ -469,19 +382,23 @@ func (d *dispatch) grantHoles(budget, want int64) {
 	}
 }
 
-// pend is one request pending at an elevator.
+// pend is one request of a sweep: segment i of b's dispatch, s. failed
+// marks one whose move failed, in the dispatch's fails already.
 type pend struct {
-	b   *batch
-	i   int32
-	err error
+	s      *ioSeg
+	b      *batch
+	i      int32
+	failed bool
 }
 
-func (p *pend) seg() *ioSeg { return &p.b.d.segs[p.i] }
+// byOffset orders an elevator's sweep: by server-local offset.
+func byOffset(a, b pend) int { return cmp.Compare(a.s.off, b.s.off) }
 
 // admit appends a batch's requests to the pending list.
 func admit(pending []pend, b *batch) []pend {
+	segs := b.d.segs
 	for _, i := range b.idx {
-		pending = append(pending, pend{b: b, i: i})
+		pending = append(pending, pend{s: &segs[i], b: b, i: i})
 	}
 	return pending
 }
@@ -516,42 +433,53 @@ func (sv *server) moveLocked(d *dispatch, i int32) error {
 	return nil
 }
 
-// sweep services the frozen requests as a single ascending C-SCAN sweep
-// and returns the emptied list: requests sort by server-local offset
-// (stable, so requests at the same offset keep arrival order), and each
-// group of them that span joins is serviced as one streamed request —
-// one charge over its span (chargeRun: at most one seek, one request
+// sweep services the frozen requests in order and returns the emptied
+// list. Each run of them that span joins is one request: execute — one
+// charge over its span (chargeRun: at most one seek, one request
 // overhead, byte time for the whole stream; a read first for a write
-// run joined through holes), then the per-segment data movement. Each
-// request is settled after its group has been serviced.
+// run joined through holes), then the per-segment data movement — sleep
+// the charged service time when the cost model is real-time (the server
+// is busy: later requests wait, other servers keep serving), then mark
+// the run's segments served. Each batch in the run is signalled once,
+// as soon as the run settles its last request. The server's lock is
+// held over the sweep, not taken per request, and only let go for a
+// sleep.
 func (sv *server) sweep(frozen []pend) []pend {
-	slices.SortStableFunc(frozen, func(a, b pend) int { return cmp.Compare(a.seg().off, b.seg().off) })
+	sv.mu.Lock()
 	for i := 0; i < len(frozen); {
 		j, rmw := span(frozen, i)
 		write := frozen[i].b.d.write
+		dur := sv.chargeRun(frozen[i].s, frozen[j-1].s, write, rmw)
 		var attributed int64
-		first, last := frozen[i].seg(), frozen[j-1].seg()
-		sv.mu.Lock()
-		dur := sv.chargeRun(first, last, write, rmw)
 		for k := i; k < j; k++ {
-			r := &frozen[k]
-			r.err = sv.moveLocked(r.b.d, r.i)
-			if r.b.d.attr {
-				attributed += r.seg().n
+			r, d := &frozen[k], frozen[k].b.d
+			if err := sv.moveLocked(d, r.i); err != nil {
+				d.fail(int(r.i), err, false)
+				r.failed = true
+			}
+			if d.attr {
+				attributed += r.s.n
 			}
 		}
 		if attributed > 0 {
 			sv.attribute(attributed, write)
 		}
-		sv.mu.Unlock()
 		if sv.cost.RealTime && dur > 0 {
+			sv.mu.Unlock()
 			time.Sleep(dur)
+			sv.mu.Lock()
 		}
-		for ; i < j; i++ {
-			frozen[i].b.d.settle(frozen[i].i, frozen[i].err)
-			frozen[i].b.finish(sv, 1)
+		for i < j {
+			b, n := frozen[i].b, 0
+			for ; i < j && frozen[i].b == b; i, n = i+1, n+1 {
+				if len(b.d.served) > 0 && !frozen[i].failed {
+					b.d.served[frozen[i].i].Store(true)
+				}
+			}
+			b.finish(sv, n)
 		}
 	}
+	sv.mu.Unlock()
 	clear(frozen) // no batch stays reachable from the list's spare capacity
 	return frozen[:0]
 }
@@ -562,24 +490,24 @@ func (sv *server) sweep(frozen []pend) []pend {
 // touches its last segment or lies a granted hole past it. A write
 // request is either a run through granted holes, two at least, or a
 // stream of writes that touch, which stops short of a segment that
-// opens such a run: FIFO serves that run from its first segment too, so
-// both disciplines charge the same seeks and bytes.
+// opens such a run, so the run is served from its first segment, the
+// one its grants were priced from.
 func span(frozen []pend, i int) (j int, rmw bool) {
 	j = i + 1
 	if !frozen[i].b.d.write {
-		for j < len(frozen) && (touches(frozen, j) || holeTo(frozen, j)) {
+		for j < len(frozen) && (touches(frozen, j) || readsThrough(frozen, j)) {
 			j++
 		}
 		return j, false
 	}
-	for j < len(frozen) && holeTo(frozen, j) {
+	for j < len(frozen) && readsThrough(frozen, j) {
 		j++
 	}
 	if j-i > 2 {
 		return j, true
 	}
 	j = i + 1
-	for j < len(frozen) && touches(frozen, j) && (j+1 == len(frozen) || !holeTo(frozen, j+1)) {
+	for j < len(frozen) && touches(frozen, j) && (j+1 == len(frozen) || !readsThrough(frozen, j+1)) {
 		j++
 	}
 	return j, false
@@ -588,17 +516,20 @@ func span(frozen []pend, i int) (j int, rmw bool) {
 // touches reports whether frozen[k] starts where frozen[k-1] ends, in
 // the same direction.
 func touches(frozen []pend, k int) bool {
-	p, s := frozen[k-1].seg(), frozen[k].seg()
+	p, s := frozen[k-1].s, frozen[k].s
 	return frozen[k].b.d.write == frozen[k-1].b.d.write && s.off == p.off+p.n
 }
 
-// holeTo reports whether the server reads through the hole between
-// frozen[k-1] and frozen[k] (readsThrough). A grant is spent only
-// behind a segment of its own dispatch: however sweeps interleave
-// callers, each dispatch's holes stay within its own budget.
-func holeTo(frozen []pend, k int) bool {
-	b := frozen[k].b
-	return frozen[k-1].b == b && readsThrough(frozen[k-1].seg(), frozen[k].seg(), b.d.grantOf(frozen[k].i))
+// readsThrough reports whether the server reads through the hole of
+// g = s.off − (p.off+p.n) > 0 bytes between p = frozen[k-1] and
+// s = frozen[k] instead of seeking over it: s's dispatch granted that
+// hole out of its budget (a grant covers its whole hole), and p belongs
+// to the same dispatch — however sweeps interleave callers, each
+// dispatch's holes stay within its own budget.
+func readsThrough(frozen []pend, k int) bool {
+	p, s, b := frozen[k-1].s, frozen[k].s, frozen[k].b
+	g := s.off - (p.off + p.n)
+	return frozen[k-1].b == b && g > 0 && len(b.d.grant) > 0 && g <= b.d.grant[frozen[k].i]
 }
 
 // submit is the one way requests reach a server. It sorts d's segments

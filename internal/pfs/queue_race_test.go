@@ -10,20 +10,30 @@ import (
 	"time"
 )
 
-// segsOf counts the per-server segments a [off, off+n) request splits
-// into: one per stripe unit touched.
-func segsOf(off, n, stripe int64) int64 {
-	if n <= 0 {
-		return 0
+// requestsOf counts the requests a lone list of runs charges on a store
+// with no seek to save: one per segment, but for a segment that starts
+// where its server's previous one ended, which streams with it.
+func requestsOf(fs *FS, runs []Run) (n int64) {
+	end := make([]int64, len(fs.servers))
+	for i := range end {
+		end[i] = -1
 	}
-	return (off+n-1)/stripe - off/stripe + 1
+	for _, r := range runs {
+		fs.forEachSegment(r.Off, r.Len, func(s int, so, l int64) {
+			if end[s] != so {
+				n++
+			}
+			end[s] = so + l
+		})
+	}
+	return n
 }
 
 // TestCollectiveQueueRaceStress hammers the per-server request queues
 // from many goroutines issuing mixed ReadV/WriteV vectors (run with
 // -race). Each goroutine owns a disjoint logical region, so data can be
 // verified exactly; the Stats counters must account every request:
-// Requests equals the analytic segment count, Bytes splits exactly into
+// Requests equals the analytic request count, Bytes splits exactly into
 // BytesRead/BytesWritten, and with a pure per-request cost model the
 // accumulated Busy time is exactly Requests x overhead.
 func TestCollectiveQueueRaceStress(t *testing.T) {
@@ -47,7 +57,7 @@ func TestCollectiveQueueRaceStress(t *testing.T) {
 	}
 	defer fs.Close()
 
-	var wantSegs, wantRead, wantWritten atomic.Int64
+	var wantReqs, wantRead, wantWritten atomic.Int64
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for g := 0; g < workers; g++ {
@@ -90,8 +100,8 @@ func TestCollectiveQueueRaceStress(t *testing.T) {
 					errs[g] = fmt.Errorf("iter %d: readback mismatch", it)
 					return
 				}
+				wantReqs.Add(2 * requestsOf(fs, runs))
 				for _, r := range runs {
-					wantSegs.Add(2 * segsOf(r.Off, r.Len, stripe))
 					wantRead.Add(r.Len)
 					wantWritten.Add(r.Len)
 				}
@@ -106,7 +116,7 @@ func TestCollectiveQueueRaceStress(t *testing.T) {
 	}
 
 	st := fs.Stats()
-	if got, want := st.Requests(), wantSegs.Load(); got != want {
+	if got, want := st.Requests(), wantReqs.Load(); got != want {
 		t.Errorf("Requests() = %d, want %d", got, want)
 	}
 	var read, written int64
