@@ -21,8 +21,11 @@ cross:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
 
+# The paper golden again, three times at GOMAXPROCS 1 and 4: a table
+# cell that follows the scheduler fails here rather than flaking later.
 test:
 	$(GO) test ./...
+	$(GO) test -count=3 -cpu 1,4 -run '^TestPaperGolden$$' ./internal/exp
 
 # The whole suite under the race detector, full-size (~1 min): a new
 # test is raced without having to match a -run pattern.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -661,16 +662,62 @@ func BenchmarkInverse3D(b *testing.B) {
 	}
 }
 
+// BenchmarkMapManyRecords is F* as its record count E grows, every
+// extension interrupting the last: the paper's binary search over each
+// axial vector, O(k + log E), against a linear scan, O(k + E). The
+// search stays nearly flat in E; the scan wins for the small E that
+// merging keeps and loses by several times from E ≈ 256 on.
 func BenchmarkMapManyRecords(b *testing.B) {
-	s, _ := NewSpace([]int{1, 1, 1})
-	for i := 0; i < 300; i++ {
-		_ = s.Extend(i%3, 1)
+	for _, steps := range []int{4, 16, 64, 256, 512, 2048} {
+		s, _ := NewSpace([]int{2, 2, 2})
+		for i := 0; i < steps; i++ {
+			_ = s.Extend(i%3, 1)
+		}
+		bd := s.Bounds()
+		rng := rand.New(rand.NewSource(int64(steps)))
+		probes := make([][]int, 64)
+		for i := range probes {
+			probes[i] = []int{rng.Intn(bd[0]), rng.Intn(bd[1]), rng.Intn(bd[2])}
+			if got, want := linearMap(s, probes[i]), s.mapUnchecked(probes[i]); got != want {
+				b.Fatalf("linearMap(%v) = %d, want %d", probes[i], got, want)
+			}
+		}
+		for _, leg := range []struct {
+			name string
+			f    func(*Space, []int) int64
+		}{{"bsearch", (*Space).mapUnchecked}, {"linear", linearMap}} {
+			b.Run(fmt.Sprintf("E=%d/%s", s.NumRecords(), leg.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					leg.f(s, probes[i%len(probes)])
+				}
+			})
+		}
 	}
-	idx := []int{50, 50, 50}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.mapUnchecked(idx)
+}
+
+// linearMap is mapUnchecked with a linear scan in place of the binary
+// search for each dimension's covering record.
+func linearMap(s *Space, idx []int) int64 {
+	var rz *Record
+	z := -1
+	for j := range idx {
+		recs := s.axial[j].Records
+		rj := &recs[0]
+		for r := 1; r < len(recs) && recs[r].Start <= idx[j]; r++ {
+			rj = &recs[r]
+		}
+		if z < 0 || rj.Base > rz.Base {
+			z, rz = j, rj
+		}
 	}
+	q := rz.Base + int64(idx[z]-rz.Start)*rz.Coef[z]
+	for j, i := range idx {
+		if j != z {
+			q += int64(i) * rz.Coef[j]
+		}
+	}
+	return q
 }
 
 // Vectors returns a deep copy of the axial vectors, for Restore round

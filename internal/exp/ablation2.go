@@ -1,12 +1,11 @@
-// ablation2.go holds the design-choice ablations E12–E15: each isolates
-// one decision of the design (record merging, binary search, chunk
-// caching, the in-process transport shortcut) and measures what the
-// system loses without it.
+// ablation2.go holds the design-choice ablations E12, E14 and E15: each
+// isolates one decision of the design (record merging, chunk caching,
+// the in-process transport shortcut) and measures what the system loses
+// without it.
 package exp
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -22,14 +21,14 @@ import (
 // rule (Section II): repeated growth of one dimension folds into a
 // single axial record. Without merging, E (the record count) grows
 // with every extension, inflating both the replicated metadata and the
-// binary searches inside every F* evaluation.
+// binary searches inside every F* evaluation (what that costs per
+// lookup is BenchmarkMapManyRecords in internal/core).
 func E12MergeAblation(sc Scale) []*report.Table {
 	runs := sc.pick(24, 64)   // interrupted runs (dimension changes)
 	perRun := sc.pick(16, 32) // uninterrupted steps inside each run
-	iters := sc.pick(20000, 200000)
 	t := report.New(fmt.Sprintf(
 		"E12: uninterrupted-expansion merging (%d runs x %d steps, 3-D)", runs, perRun),
-		"variant", "records E", "metadata bytes", "F* ns/op", "F*⁻¹ ns/op")
+		"variant", "records E", "metadata bytes")
 
 	build := func(merge bool) *core.Space {
 		s, err := core.NewSpace([]int{2, 2, 2})
@@ -49,132 +48,20 @@ func E12MergeAblation(sc Scale) []*report.Table {
 		}
 		return s
 	}
-	measure := func(name string, s *core.Space) {
-		b := s.Bounds()
-		rng := rand.New(rand.NewSource(12))
-		probes := make([][]int, 64)
-		for i := range probes {
-			probes[i] = []int{rng.Intn(b[0]), rng.Intn(b[1]), rng.Intn(b[2])}
-		}
-		var sink int64
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			sink += s.MustMap(probes[i%len(probes)])
-		}
-		mapNs := perOp(start, iters)
-		total := s.Total()
-		dst := make([]int, 3)
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			s.MustInverse((int64(i)*2654435761)%total, dst)
-			sink += int64(dst[0])
-		}
-		invNs := perOp(start, iters)
-		_ = sink
-		// One axial record is Start + Base + k coefficients, all
-		// fixed-width on disk and over the metadata broadcast.
-		recBytes := int64(s.NumRecords()) * int64(8+8+3*8)
-		t.AddRow(name, s.NumRecords(), recBytes, mapNs, invNs)
-	}
 	merged, unmerged := build(true), build(false)
 	if fmt.Sprint(merged.Bounds()) != fmt.Sprint(unmerged.Bounds()) {
 		panic("E12: variants diverged")
 	}
-	measure("merged (paper)", merged)
-	measure("no merging", unmerged)
+	// One axial record is Start + Base + k coefficients, all fixed-width
+	// on disk and over the metadata broadcast.
+	row := func(name string, s *core.Space) {
+		t.AddRow(name, s.NumRecords(), int64(s.NumRecords())*int64(8+8+3*8))
+	}
+	row("merged (paper)", merged)
+	row("no merging", unmerged)
 	t.AddNote("identical final bounds (%v) and identical addresses; only the record count differs", merged.Bounds())
 	t.AddNote("shape check: merging keeps E at the number of *interrupted* runs, cutting metadata ~%dx",
 		perRun)
-	return []*report.Table{t}
-}
-
-// linearMap re-implements F* with a linear scan over each axial vector
-// instead of the binary search — the baseline for the search ablation
-// E13. The caller snapshots the vectors once (vecs[j] = records of
-// dimension j) so the scan itself is the only difference measured.
-func linearMap(vecs [][]core.Record, idx []int) int64 {
-	var rz *core.Record
-	z := -1
-	for j := range idx {
-		recs := vecs[j]
-		// Last record with Start <= idx[j], by linear scan.
-		rj := &recs[0]
-		for r := 1; r < len(recs); r++ {
-			if recs[r].Start > idx[j] {
-				break
-			}
-			rj = &recs[r]
-		}
-		if z < 0 || rj.Base > rz.Base {
-			z, rz = j, rj
-		}
-	}
-	q := rz.Base + int64(idx[z]-rz.Start)*rz.Coef[z]
-	for j, i := range idx {
-		if j != z {
-			q += int64(i) * rz.Coef[j]
-		}
-	}
-	return q
-}
-
-// E13SearchAblation measures the axial-record lookup inside F*: the
-// paper's O(k + log E) binary search against a linear O(k + E) scan,
-// as E grows. For small E the two are indistinguishable (E stays small
-// precisely because of merging); the gap opens as expansion histories
-// lengthen.
-func E13SearchAblation(sc Scale) []*report.Table {
-	iters := sc.pick(20000, 100000)
-	t := report.New("E13: record lookup in F* — binary search vs linear scan",
-		"records E", "bsearch ns/op", "linear ns/op", "linear/bsearch")
-	for _, steps := range []int{4, 16, 64, 256, sc.pick(512, 2048)} {
-		s, err := core.NewSpace([]int{2, 2, 2})
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < steps; i++ {
-			// Alternate dimensions so every extension interrupts the
-			// previous one and appends a record.
-			if err := s.Extend(i%3, 1); err != nil {
-				panic(err)
-			}
-		}
-		b := s.Bounds()
-		vecs := make([][]core.Record, 3)
-		for j := range vecs {
-			vecs[j] = s.Records(j)
-		}
-		rng := rand.New(rand.NewSource(int64(steps)))
-		probes := make([][]int, 64)
-		for i := range probes {
-			probes[i] = []int{rng.Intn(b[0]), rng.Intn(b[1]), rng.Intn(b[2])}
-		}
-		for _, p := range probes {
-			if got, want := linearMap(vecs, p), s.MustMap(p); got != want {
-				panic(fmt.Sprintf("E13: linearMap(%v) = %d, want %d", p, got, want))
-			}
-		}
-		// Best of several interleaved passes: a preemption stalls one
-		// pass, not the minimum, so a loaded host cannot flip the order.
-		var sink int64
-		bs, ln := math.Inf(1), math.Inf(1)
-		for pass := 0; pass < 5; pass++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				sink += s.MustMap(probes[i%len(probes)])
-			}
-			bs = math.Min(bs, perOp(start, iters))
-			start = time.Now()
-			for i := 0; i < iters; i++ {
-				sink += linearMap(vecs, probes[i%len(probes)])
-			}
-			ln = math.Min(ln, perOp(start, iters))
-		}
-		_ = sink
-		t.AddRow(s.NumRecords(), bs, ln, report.Ratio(ln, bs))
-	}
-	t.AddNote("shape check: bsearch roughly flat in E; linear grows with E, losing by several x from E~256")
-	t.AddNote("for the small E that merging maintains, the linear scan is competitive (cache-resident records)")
 	return []*report.Table{t}
 }
 

@@ -64,21 +64,6 @@ func TestE12VariantsAgreeOnAddresses(t *testing.T) {
 	}
 }
 
-func TestE13SearchShape(t *testing.T) {
-	tables := E13SearchAblation(Quick)
-	rows := tables[0].Rows
-	if len(rows) < 4 {
-		t.Fatalf("E13 rows = %d", len(rows))
-	}
-	// At the largest E the binary search must win clearly.
-	last := rows[len(rows)-1]
-	bs, _ := strconv.ParseFloat(last[1], 64)
-	ln, _ := strconv.ParseFloat(last[2], 64)
-	if bs <= 0 || ln <= bs {
-		t.Fatalf("E13 at max E: bsearch=%v linear=%v, want linear slower", bs, ln)
-	}
-}
-
 func TestE14CacheShape(t *testing.T) {
 	tables := E14CacheAblation(Quick)
 	rows := tables[0].Rows

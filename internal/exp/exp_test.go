@@ -2,19 +2,89 @@ package exp
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"drxmp/internal/report"
 )
 
-func render(tables []*report.Table) string {
-	var b bytes.Buffer
-	for _, t := range tables {
-		t.Render(&b)
+var update = flag.Bool("update", false, "rewrite testdata/paper.golden from this run")
+
+// scheduled names, per experiment, the columns whose cells follow the
+// goroutine scheduler: in E5 and E6 four ranks share each server's seek
+// state, so the order their requests arrive in moves E5's seeks and
+// both tables' simulated time. Their request counts do not move.
+var scheduled = map[string][]string{
+	"e5": {"seeks", "sim time"},
+	"e6": {"sim time"},
+}
+
+// TestPaperGolden renders every experiment but E15 (wall clock only)
+// at Quick scale as drxbench prints it, the scheduled cells as "~", and
+// compares the text with testdata/paper.golden byte for byte. The
+// experiments share no state, so they run at once.
+// `go test ./internal/exp -run TestPaperGolden -update` rewrites it.
+func TestPaperGolden(t *testing.T) {
+	runs := make([][]*report.Table, len(All))
+	var wg sync.WaitGroup
+	for i, e := range All {
+		if e.Name != "e15" {
+			wg.Add(1)
+			go func() { defer wg.Done(); runs[i] = e.Run(Quick) }()
+		}
 	}
-	return b.String()
+	wg.Wait()
+	var b bytes.Buffer
+	for i, e := range All {
+		if runs[i] == nil {
+			continue
+		}
+		fmt.Fprintf(&b, "### %s — %s\n\n", e.Name, e.Desc)
+		for _, tb := range runs[i] {
+			for c, col := range tb.Columns {
+				if slices.Contains(scheduled[e.Name], col) {
+					for _, row := range tb.Rows {
+						row[c] = "~"
+					}
+				}
+			}
+			tb.Render(&b)
+		}
+	}
+	const path = "testdata/paper.golden"
+	if *update {
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(b.Bytes(), want) {
+		return
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	at := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return "<end of file>"
+	}
+	for i, bad := 0, 0; i < max(len(got), len(wantLines)) && bad < 10; i++ {
+		if g, w := at(got, i), at(wantLines, i); g != w {
+			t.Errorf("%s:%d\n got %q\nwant %q", path, i+1, g, w)
+			bad++
+		}
+	}
+	t.Error("the paper's tables changed; if that is meant, rerun with -update and commit the golden's diff")
 }
 
 func TestFig1GoldenGrid(t *testing.T) {
@@ -53,43 +123,6 @@ func TestFig1GlobalMapMatchesPaperListing(t *testing.T) {
 	}
 }
 
-func TestFig1Render(t *testing.T) {
-	out := render(Fig1())
-	for _, frag := range []string{"F*(4,2) = 18", "P2", "9,10,16,17"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("Fig1 output missing %q:\n%s", frag, out)
-		}
-	}
-}
-
-func TestFig2Render(t *testing.T) {
-	out := render(Fig2())
-	for _, frag := range []string{
-		"row-major", "Z (Morton)", "symmetric linear shell", "arbitrary linear shell",
-		// Golden fragments from the grids:
-		"56 57 58 59 60 61 62 63", // row-major last row
-		"42 43 46 47 58 59 62 63", // morton last row
-		"63 62 61 60 59 58 57 56", // shell last row
-	} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("Fig2 output missing %q", frag)
-		}
-	}
-}
-
-func TestFig3Render(t *testing.T) {
-	out := render(Fig3())
-	for _, frag := range []string{
-		"plane I2=0", "plane I2=3",
-		"(4; 48; 12 3 1)", "(3; 36; 3 12 1)", "(3; 72; 4 1 24)", "(0; -1; 0 0 0)",
-		"F*(2,1,0)=7", "F*(3,1,2)=34", "F*(4,2,2)=56",
-	} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("Fig3 output missing %q:\n%s", frag, out)
-		}
-	}
-}
-
 func TestFig3SpaceMatchesPaper(t *testing.T) {
 	s := Fig3Space()
 	if s.Total() != 96 {
@@ -97,20 +130,6 @@ func TestFig3SpaceMatchesPaper(t *testing.T) {
 	}
 	if got := s.MustMap([]int{4, 2, 2}); got != 56 {
 		t.Fatalf("F*(4,2,2) = %d", got)
-	}
-}
-
-// The E-experiments must run cleanly at Quick scale and produce rows.
-// Their shape claims are asserted where cheap to do so.
-
-func TestE1Runs(t *testing.T) {
-	tables := E1ExtendCost(Quick)
-	if len(tables) != 1 || len(tables[0].Rows) < 8 {
-		t.Fatalf("E1 rows = %d", len(tables[0].Rows))
-	}
-	out := render(tables)
-	if !strings.Contains(out, "drx-axial") || !strings.Contains(out, "dra-rowmajor") {
-		t.Fatalf("E1 output incomplete:\n%s", out)
 	}
 }
 
@@ -133,27 +152,6 @@ func TestE2ShapeHolds(t *testing.T) {
 	// chunks lie back to back on the server and stream as one request.
 	if reqs(2) != 4 || reqs(3) != 16 {
 		t.Fatalf("drx row scan issued %d requests (want 4, one per chunk row), column scan %d (want 16, one per chunk)", reqs(2), reqs(3))
-	}
-}
-
-func TestE3Runs(t *testing.T) {
-	tables := E3MapLatency(Quick)
-	out := render(tables)
-	for _, frag := range []string{"row-major arithmetic", "F* (axial)", "B-tree lookup"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("E3 missing %q:\n%s", frag, out)
-		}
-	}
-}
-
-func TestE4Runs(t *testing.T) {
-	tables := E4Scaling(Quick)
-	if len(tables[0].Rows) != 5 {
-		t.Fatalf("E4 rows = %d", len(tables[0].Rows))
-	}
-	out := render(tables)
-	if strings.Contains(out, "error") {
-		t.Fatalf("E4 reported errors:\n%s", out)
 	}
 }
 
@@ -184,42 +182,6 @@ func atoi(t *testing.T, s string) int64 {
 		v = v*10 + int64(ch-'0')
 	}
 	return v
-}
-
-func TestE6Runs(t *testing.T) {
-	tables := E6ChunkStripe(Quick)
-	if len(tables[0].Rows) < 3 {
-		t.Fatalf("E6 rows = %d", len(tables[0].Rows))
-	}
-}
-
-func TestE7Runs(t *testing.T) {
-	tables := E7Formats(Quick)
-	if len(tables[0].Rows) != 4 {
-		t.Fatalf("E7 rows = %d", len(tables[0].Rows))
-	}
-	out := render(tables)
-	for _, f := range []string{"drx-axial", "hdf5-btree", "dra-rowmajor", "ncdf-record"} {
-		if !strings.Contains(out, f) {
-			t.Fatalf("E7 missing %s", f)
-		}
-	}
-}
-
-func TestE8Runs(t *testing.T) {
-	tables := E8RMA(Quick)
-	out := render(tables)
-	for _, frag := range []string{"local zone memory", "remote zone (one-sided)", "direct file read"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("E8 missing %q:\n%s", frag, out)
-		}
-	}
-	// All three paths must have read correct values.
-	for _, row := range tables[0].Rows {
-		if row[2] != "true" {
-			t.Fatalf("E8 path %q returned wrong values", row[0])
-		}
-	}
 }
 
 func TestE9InvariantHolds(t *testing.T) {

@@ -1,10 +1,3 @@
-// Package exp holds what reproduces the paper: its three figures as
-// exact structural reproductions, experiments E1–E10 turning its
-// performance claims into tables of charged requests, seeks and bytes
-// against conventional array files, and the design ablations E11–E15.
-// Both cmd/drxbench and the root bench_test.go drive these functions,
-// so the command and the `go test -bench` targets always agree. How
-// fast the stack itself runs is bench/'s question, not this package's.
 package exp
 
 import (

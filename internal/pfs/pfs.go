@@ -516,9 +516,11 @@ func Create(name string, opts Options) (*FS, error) {
 	return fs, nil
 }
 
-// Open re-opens an existing Disk-backed striped file. The stripe
-// geometry must match the one used at creation (callers persist it in
-// their metadata, as drx does in the .xmd file).
+// Open re-opens an existing Disk-backed striped file. opts must carry
+// the stripe geometry (Servers, StripeSize, Parity) given to Create.
+// Nothing records that geometry and nothing checks it: drx.Open and
+// drxmp.OpenWith take it from their caller, and Open cannot tell a
+// mismatch.
 func Open(name string, opts Options) (*FS, error) {
 	opts = opts.withDefaults()
 	if opts.Backend != Disk {
