@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"drxmp/internal/report"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/paper.golden from this run")
@@ -25,67 +23,109 @@ var scheduled = map[string][]string{
 	"e6": {"sim time"},
 }
 
-// TestPaperGolden renders every experiment but E15 (wall clock only)
-// at Quick scale as drxbench prints it, the scheduled cells as "~", and
-// compares the text with testdata/paper.golden byte for byte. The
-// experiments share no state, so they run at once.
-// `go test ./internal/exp -run TestPaperGolden -update` rewrites it.
-func TestPaperGolden(t *testing.T) {
-	runs := make([][]*report.Table, len(All))
-	var wg sync.WaitGroup
-	for i, e := range All {
-		if e.Name != "e15" {
-			wg.Add(1)
-			go func() { defer wg.Done(); runs[i] = e.Run(Quick) }()
-		}
-	}
-	wg.Wait()
+const goldenPath = "testdata/paper.golden"
+
+// renderExp renders e at Quick scale as drxbench prints it, under its
+// golden heading, its scheduled cells as "~".
+func renderExp(e Experiment) []byte {
 	var b bytes.Buffer
-	for i, e := range All {
-		if runs[i] == nil {
-			continue
-		}
-		fmt.Fprintf(&b, "### %s — %s\n\n", e.Name, e.Desc)
-		for _, tb := range runs[i] {
-			for c, col := range tb.Columns {
-				if slices.Contains(scheduled[e.Name], col) {
-					for _, row := range tb.Rows {
-						row[c] = "~"
-					}
+	fmt.Fprintf(&b, "### %s — %s\n\n", e.Name, e.Desc)
+	for _, tb := range e.Run(Quick) {
+		for c, col := range tb.Columns {
+			if slices.Contains(scheduled[e.Name], col) {
+				for _, row := range tb.Rows {
+					row[c] = "~"
 				}
 			}
-			tb.Render(&b)
 		}
+		tb.Render(&b)
 	}
-	const path = "testdata/paper.golden"
-	if *update {
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	return b.Bytes()
+}
+
+// diffGolden fails t with the first ten lines where got and want part,
+// numbered from the top of what was compared.
+func diffGolden(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(b.Bytes(), want) {
-		return
-	}
-	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 	at := func(lines []string, i int) string {
 		if i < len(lines) {
 			return lines[i]
 		}
 		return "<end of file>"
 	}
-	for i, bad := 0, 0; i < max(len(got), len(wantLines)) && bad < 10; i++ {
-		if g, w := at(got, i), at(wantLines, i); g != w {
-			t.Errorf("%s:%d\n got %q\nwant %q", path, i+1, g, w)
+	for i, bad := 0, 0; i < max(len(g), len(w)) && bad < 10; i++ {
+		if gl, wl := at(g, i), at(w, i); gl != wl {
+			t.Errorf("%s:%d\n got %q\nwant %q", what, i+1, gl, wl)
 			bad++
 		}
 	}
 	t.Error("the paper's tables changed; if that is meant, rerun with -update and commit the golden's diff")
 }
+
+// TestPaperGolden renders every experiment but E15 (wall clock only)
+// and compares the text with testdata/paper.golden byte for byte. The
+// experiments share no state, so they run at once.
+// `go test ./internal/exp -run TestPaperGolden -update` rewrites it.
+func TestPaperGolden(t *testing.T) {
+	runs := make([][]byte, len(All))
+	var wg sync.WaitGroup
+	for i, e := range All {
+		if e.Name != "e15" {
+			wg.Add(1)
+			go func() { defer wg.Done(); runs[i] = renderExp(e) }()
+		}
+	}
+	wg.Wait()
+	got := bytes.Join(runs, nil)
+	if *update {
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffGolden(t, goldenPath, got, want)
+}
+
+// checkSection compares one experiment's rendering with its own
+// section of the golden, so a change to it fails under its own name.
+func checkSection(t *testing.T, name string) {
+	t.Helper()
+	i := slices.IndexFunc(All, func(e Experiment) bool { return e.Name == name })
+	if i < 0 {
+		t.Fatalf("no experiment %q", name)
+	}
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := bytes.Index(golden, []byte("### "+name+" — "))
+	if start < 0 {
+		t.Fatalf("%s has no section for %s", goldenPath, name)
+	}
+	want := golden[start:]
+	if end := bytes.Index(want[1:], []byte("\n### ")); end >= 0 {
+		want = want[:end+2]
+	}
+	diffGolden(t, goldenPath+" section "+name, renderExp(All[i]), want)
+}
+
+func TestFig1Render(t *testing.T) { checkSection(t, "fig1") }
+func TestFig2Render(t *testing.T) { checkSection(t, "fig2") }
+func TestFig3Render(t *testing.T) { checkSection(t, "fig3") }
+func TestE1Runs(t *testing.T)     { checkSection(t, "e1") }
+func TestE3Runs(t *testing.T)     { checkSection(t, "e3") }
+func TestE4Runs(t *testing.T)     { checkSection(t, "e4") }
+func TestE6Runs(t *testing.T)     { checkSection(t, "e6") }
+func TestE7Runs(t *testing.T)     { checkSection(t, "e7") }
+func TestE8Runs(t *testing.T)     { checkSection(t, "e8") }
 
 func TestFig1GoldenGrid(t *testing.T) {
 	s := Fig1Space()
