@@ -1,6 +1,6 @@
 // Command drxdump inspects a DRX extendible array file pair
-// (<path>.xmd + <path>.xta...): metadata, axial vectors, chunk map, and
-// an optional consistency check of the mapping function.
+// (<path>.xmd + <path>.xta...): metadata, stripe layout, axial vectors,
+// chunk map, and an optional consistency check of the mapping function.
 //
 // Usage:
 //
@@ -47,6 +47,8 @@ func main() {
 		fmt.Printf("chunk order: %v\n", m.MemOrder)
 		fmt.Printf("chunk shape: %v (%d bytes)\n", m.ChunkShape, m.ChunkBytes())
 		fmt.Printf("elem bounds: %v\n", m.ElemBounds)
+		l := m.Layout
+		fmt.Printf("layout     : %d servers (%d data + %d parity), stripe %s\n", l.Servers, l.Servers-l.Parity, l.Parity, bytesHuman(l.StripeSize))
 		fmt.Printf("chunk grid : %v (%d chunks, %s data)\n", m.Space.Bounds(), m.Space.Total(), bytesHuman(m.FileBytes()))
 		fmt.Printf("axial records: %d\n", m.Space.NumRecords())
 		fmt.Print(m.Space.Dump())

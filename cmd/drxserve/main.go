@@ -10,7 +10,9 @@
 //	drxserve -demo <n>x<m> [flags]               serve a demo array "demo"
 //
 // Each <path> names a disk-backed array pair (<path>.xmd + .xta...);
-// the array is served as its base name. Example:
+// the array is served as its base name, with the stripe layout its
+// .xmd records (-servers and -stripe shape the -demo array only).
+// Example:
 //
 //	drxserve -addr :8080 -cache 67108864 -window 1ms /data/climate
 //	curl 'localhost:8080/v1/arrays/climate/section?lo=0,0&hi=16,16' -o part.bin
@@ -38,8 +40,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	servers := flag.Int("servers", 4, "pfs I/O server count (demo arrays / open)")
-	stripe := flag.Int64("stripe", 64<<10, "pfs stripe size in bytes")
+	servers := flag.Int("servers", 4, "pfs I/O server count of the -demo array (an opened array's comes from its .xmd)")
+	stripe := flag.Int64("stripe", 64<<10, "pfs stripe size in bytes of the -demo array (an opened array's comes from its .xmd)")
 	window := flag.Duration("window", 500*time.Microsecond, "coalescing: longest a read queued behind an in-flight fetch is held to merge; an idle read never waits (0 disables)")
 	maxReqs := flag.Int("max-inflight", 64, "admission: max in-flight requests per array (0 = unbounded)")
 	maxBytes := flag.Int64("max-inflight-bytes", 256<<20, "admission: max in-flight payload bytes per array (0 = unbounded)")
@@ -96,10 +98,7 @@ func main() {
 			fmt.Printf("drxserve: serving demo array %q (%v)\n", "demo", f.Bounds())
 		}
 		for _, path := range flag.Args() {
-			f, err := drxmp.OpenWith(c, path, drxmp.OpenOptions{
-				FS:     pfs.Options{Servers: *servers, StripeSize: *stripe},
-				Tuning: tuning,
-			})
+			f, err := drxmp.OpenWith(c, path, drxmp.OpenOptions{Tuning: tuning})
 			if err != nil {
 				return fmt.Errorf("open %s: %w", path, err)
 			}

@@ -5,8 +5,9 @@
 // reorganizing previously written data.
 //
 // An array named "xyz" is a pair of files, exactly as in the paper's
-// Section IV: "xyz.xmd" holds the metadata (axial vectors, chunk shape,
-// bounds, data type) and "xyz.xta" holds the chunk data. An Array is a
+// Section IV: "xyz.xmd" holds the metadata (the extension history that
+// rebuilds the axial vectors, chunk shape, bounds, data type and stripe
+// layout) and "xyz.xta" holds the chunk data. An Array is a
 // drxmp.File opened on a one-rank communicator (cluster.Self), so the
 // serial and the parallel library share one file format and one I/O
 // path. Chunks are cached by drxmp's extent cache (Tuning.CacheBytes):
@@ -109,23 +110,12 @@ func Create(path string, opts Options) (*Array, error) {
 	return &Array{f: f}, nil
 }
 
-// Open opens an existing disk-backed array. fsOpts must carry the
-// Servers/StripeSize geometry used at Create (Backend and Dir default
-// to Disk and the path's directory; a zero StripeSize is the chunk's
-// bytes, read from the .xmd). t carries the cache knobs; the zero
-// Tuning means no cache.
+// Open opens an existing disk-backed array. The stripe layout comes
+// from the .xmd, so fsOpts carries at most Dir (default: the path's
+// directory), the cost model and the scheduler; a non-zero Servers,
+// StripeSize or Parity must match the recorded one. t carries the cache
+// knobs; the zero Tuning means no cache.
 func Open(path string, fsOpts pfs.Options, t drxmp.Tuning) (*Array, error) {
-	if fsOpts.StripeSize == 0 {
-		blob, err := os.ReadFile(xmdName(path))
-		if err != nil {
-			return nil, fmt.Errorf("drx: open metadata: %w", err)
-		}
-		m, err := meta.Decode(blob)
-		if err != nil {
-			return nil, err
-		}
-		fsOpts.StripeSize = m.ChunkBytes()
-	}
 	f, err := drxmp.OpenWith(cluster.Self(), path, drxmp.OpenOptions{FS: fsOpts, Tuning: t})
 	if err != nil {
 		return nil, err
@@ -133,21 +123,22 @@ func Open(path string, fsOpts pfs.Options, t drxmp.Tuning) (*Array, error) {
 	return &Array{f: f}, nil
 }
 
-// Remove deletes the files of a disk-backed array.
-func Remove(path string, fsOpts pfs.Options) error {
-	fsOpts.Backend = pfs.Disk
-	if fsOpts.Dir == "" {
-		fsOpts.Dir = filepath.Dir(path)
+// Remove deletes the files of a disk-backed array. The .xmd names the
+// server files and goes last, so a failed Remove can be retried.
+func Remove(path string) error {
+	blob, err := os.ReadFile(path + ".xmd")
+	if err != nil {
+		return err
 	}
-	err1 := os.Remove(xmdName(path))
-	err2 := pfs.Remove(filepath.Base(path)+".xta", fsOpts)
-	if err1 != nil && !os.IsNotExist(err1) {
-		return err1
+	m, err := meta.Decode(blob)
+	if err != nil {
+		return err
 	}
-	return err2
+	if err := pfs.Remove(filepath.Base(path)+".xta", pfs.Options{Dir: filepath.Dir(path), Servers: m.Layout.Servers}); err != nil {
+		return err
+	}
+	return os.Remove(path + ".xmd")
 }
-
-func xmdName(path string) string { return path + ".xmd" }
 
 // Rank returns the number of dimensions.
 func (a *Array) Rank() int { return a.f.Rank() }

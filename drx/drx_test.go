@@ -324,7 +324,7 @@ func TestDiskPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path, pfs.Options{Servers: 2, StripeSize: 64}, drxmp.Tuning{})
+	re, err := Open(path, pfs.Options{}, drxmp.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +342,13 @@ func TestDiskPersistence(t *testing.T) {
 	if v, _ := re.At([]int{0, 16}); v != 99 {
 		t.Fatalf("extended cell = %v", v)
 	}
-	if err := Remove(path, pfs.Options{Servers: 2}); err != nil {
+	if err := Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path, pfs.Options{Servers: 2, StripeSize: 64}, drxmp.Tuning{}); err == nil {
+	if left, _ := filepath.Glob(path + ".*"); len(left) != 0 {
+		t.Fatalf("Remove left %v", left)
+	}
+	if _, err := Open(path, pfs.Options{}, drxmp.Tuning{}); err == nil {
 		t.Fatal("open after remove succeeded")
 	}
 }
@@ -376,9 +379,7 @@ func TestOneFileFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = cluster.Run(2, func(c *cluster.Comm) error {
-		f, err := drxmp.OpenWith(c, path, drxmp.OpenOptions{
-			FS: pfs.Options{Servers: 2, StripeSize: a.Meta().ChunkBytes()},
-		})
+		f, err := drxmp.OpenWith(c, path, drxmp.OpenOptions{})
 		if err != nil {
 			return err
 		}

@@ -139,7 +139,8 @@ type Options struct {
 type OpenOptions struct {
 	// FS configures the backing parallel file system. The backend is
 	// forced to Disk (only disk-backed arrays can be re-opened) and a
-	// zero Dir defaults to the array path's directory.
+	// zero Dir defaults to the array path's directory. Servers,
+	// StripeSize and Parity come from the .xmd: leave them zero.
 	FS pfs.Options
 	// Decomp selects the zone decomposition (default BLOCK).
 	Decomp zone.Kind
@@ -220,30 +221,9 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 	if err := validateTuning(opts.Tuning); err != nil {
 		return nil, err
 	}
-	// Rank 0 builds the metadata; everyone receives the encoded replica
-	// (identical construction everywhere would also work — the paper
-	// replicates the metadata, which we model faithfully).
-	var blob []byte
-	var mkErr error
-	if c.Rank() == 0 {
-		m, err := meta.New(opts.DType, opts.Order, opts.ChunkShape, opts.Bounds)
-		if err != nil {
-			mkErr = err
-		} else {
-			blob = m.Encode()
-		}
-	}
-	blob, err := c.Bcast(0, blob)
-	if err != nil {
-		return nil, err
-	}
-	if len(blob) == 0 {
-		if mkErr != nil {
-			return nil, mkErr
-		}
-		return nil, errors.New("drxmp: metadata creation failed on rank 0")
-	}
-	m, err := meta.Decode(blob)
+	// Every rank builds its replica from the identical options, so a
+	// rejected geometry fails everywhere alike.
+	m, err := meta.New(opts.DType, opts.Order, opts.ChunkShape, opts.Bounds)
 	if err != nil {
 		return nil, err
 	}
@@ -257,6 +237,9 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The layout recorded is the one the store applied, defaults
+	// included, so an opener needs none of Create's FS options.
+	m.Layout = meta.Layout{Servers: fs.Servers(), StripeSize: fs.StripeSize(), Parity: fs.Parity()}
 	io, err := mpiio.Open(c, fs, opts.Tuning)
 	if err != nil {
 		// The one failing knob is the spill-tier open, which is
@@ -283,7 +266,7 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 	// handle: persistMeta can only fail on rank 0 (it is a no-op
 	// elsewhere), and without the agreement round the other ranks would
 	// return healthy handles on a store rank 0 is about to release.
-	if err := f.agreeRank0(f.persistMeta(), "create: metadata persist"); err != nil {
+	if err := f.agreeRank0(f.persistMeta(m), "create: metadata persist"); err != nil {
 		// Rank 0 owns the store it just created: release it (queue
 		// goroutines, disk files) rather than leak it on a failed create.
 		if c.Rank() == 0 {
@@ -296,9 +279,10 @@ func Create(c *cluster.Comm, path string, opts Options) (*File, error) {
 
 // OpenWith collectively opens an existing disk-backed array
 // (DRXMP_Open): rank 0 reads the .xmd file and broadcasts it; every
-// process installs its replica. It accepts the full Tuning block, so
-// every knob a Create can set is available at open time too.
-// Validation failures wrap ErrBadOptions.
+// process installs its replica, and the store opens with the stripe
+// layout the .xmd records. It accepts the full Tuning block, so every
+// knob a Create can set is available at open time too. Validation
+// failures wrap ErrBadOptions.
 func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 	if opts.CyclicBlock < 0 {
 		return nil, fmt.Errorf("%w: negative CyclicBlock %d", ErrBadOptions, opts.CyclicBlock)
@@ -329,6 +313,13 @@ func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 		return nil, err
 	}
 	fsOpts := opts.FS
+	l := m.Layout
+	if (fsOpts.Servers != 0 && fsOpts.Servers != l.Servers) || (fsOpts.StripeSize != 0 && fsOpts.StripeSize != l.StripeSize) ||
+		(fsOpts.Parity != 0 && fsOpts.Parity != l.Parity) {
+		return nil, fmt.Errorf("%w: FS geometry of %d servers, %d B stripe, %d parity conflicts with %s.xmd's %+v",
+			ErrBadOptions, fsOpts.Servers, fsOpts.StripeSize, fsOpts.Parity, path, l)
+	}
+	fsOpts.Servers, fsOpts.StripeSize, fsOpts.Parity = l.Servers, l.StripeSize, l.Parity
 	fsOpts.Backend = pfs.Disk
 	if fsOpts.Dir == "" {
 		fsOpts.Dir = filepath.Dir(path)
@@ -363,17 +354,15 @@ func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 // Close collectively closes the array (DRXMP_Close). Every rank first
 // flushes its write-behind cache (deferred collective writes become
 // durable before the store shuts down — the flush-before-close
-// guarantee), then rank 0 persists the metadata and closes the shared
-// store. The store's own close-flusher hook (pfs.AddCloseFlusher) backs
-// this up for callers that close the FS directly.
+// guarantee), then rank 0 closes the shared store. The metadata needs
+// no write here: Create and every Extend already persisted it. The
+// store's own close-flusher hook (pfs.AddCloseFlusher) backs this up
+// for callers that close the FS directly.
 func (f *File) Close() error {
-	serr := f.io.Sync()
-	// A persist failure is reported after the barrier and the store
+	// A flush failure is reported after the barrier and the store
 	// close, not instead of them: returning here would strand the other
 	// ranks at the barrier and leak the store.
-	if err := f.persistMeta(); err != nil && serr == nil {
-		serr = err
-	}
+	serr := f.io.Sync()
 	if err := f.comm.Barrier(); err != nil {
 		return err
 	}
@@ -394,11 +383,11 @@ func (f *File) Sync() error {
 	return f.io.SyncAll()
 }
 
-// persistMeta writes the .xmd replica atomically (rank 0 of a
+// persistMeta writes m as the .xmd atomically (rank 0 of a
 // disk-backed array; a no-op elsewhere): the encoding goes to a
 // synced temp file in the same directory and is renamed into place, so
 // a failed or interrupted write leaves the previous .xmd intact.
-func (f *File) persistMeta() error {
+func (f *File) persistMeta(m *meta.Meta) error {
 	if !f.diskBacked || f.comm.Rank() != 0 {
 		return nil
 	}
@@ -409,7 +398,7 @@ func (f *File) persistMeta() error {
 	}
 	err = tmp.Chmod(0o644) // CreateTemp's 0600 would outlive the rename
 	if err == nil {
-		_, err = tmp.Write(f.m.Encode())
+		_, err = tmp.Write(m.Encode())
 	}
 	if err == nil {
 		err = tmp.Sync()
@@ -571,23 +560,29 @@ func (f *File) Extend(dim, by int) error {
 	if dim < 0 || dim >= f.Rank() {
 		return fmt.Errorf("drxmp: dimension %d out of range", dim)
 	}
-	if err := f.m.ExtendElems(dim, f.m.ElemBounds[dim]+by); err != nil {
-		return err
-	}
-	f.decomp = nil
+	bound := f.m.ElemBounds[dim] + by
 	if err := f.comm.Barrier(); err != nil {
 		return err
 	}
-	// Rank 0 grows the store and persists the metadata; every rank then
-	// agrees on its outcome, so a failure surfaces everywhere instead of
-	// stranding the peers at a barrier rank 0 never reaches.
+	// Rank 0 extends a copy of the metadata, grows the store to it and
+	// persists it; every rank then agrees on its outcome, so a failure
+	// surfaces everywhere instead of stranding the peers at a barrier
+	// rank 0 never reaches. Only a success touches the replicas, so a
+	// failed Extend leaves them and the .xmd as they were.
 	var perr error
 	if f.comm.Rank() == 0 {
-		if perr = f.fs.Truncate(f.m.FileBytes()); perr == nil {
-			perr = f.persistMeta()
+		next := f.m.Clone()
+		if perr = next.ExtendElems(dim, bound); perr == nil {
+			if perr = f.fs.Truncate(next.FileBytes()); perr == nil {
+				perr = f.persistMeta(next)
+			}
 		}
 	}
-	return f.agreeRank0(perr, "extend: truncate or metadata persist")
+	if err := f.agreeRank0(perr, "extend"); err != nil {
+		return err
+	}
+	f.decomp = nil
+	return f.m.ExtendElems(dim, bound)
 }
 
 // --- section I/O ---

@@ -53,10 +53,7 @@ func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 			return err
 		}
 
-		f, err = drxmp.OpenWith(c, path, drxmp.OpenOptions{
-			FS:     pfs.Options{Servers: 2, StripeSize: 512},
-			Tuning: want,
-		})
+		f, err = drxmp.OpenWith(c, path, drxmp.OpenOptions{Tuning: want})
 		if err != nil {
 			return err
 		}
@@ -82,7 +79,7 @@ func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		f, err = drxmp.OpenWith(c, path, drxmp.OpenOptions{FS: pfs.Options{Servers: 2, StripeSize: 512}})
+		f, err = drxmp.OpenWith(c, path, drxmp.OpenOptions{})
 		if err != nil {
 			return err
 		}
@@ -97,6 +94,67 @@ func TestServeOpenWithTuningRoundTrip(t *testing.T) {
 		for i := range vals {
 			if got[i] != vals[i] {
 				return fmt.Errorf("data mismatch at %d after zero-tuning OpenWith: %v != %v", i, got[i], vals[i])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenWithLayoutFromFile: the .xmd records the stripe layout, so a
+// zero FS reopens a 5-server, 512 B, parity-1 array byte for byte, and
+// a caller's geometry that differs from the recorded one is refused
+// rather than mapping every offset to the wrong server.
+func TestOpenWithLayoutFromFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "arr")
+	box := drxmp.NewBox([]int{3, 5}, []int{29, 23})
+	vals := make([]float64, box.Volume())
+	for i := range vals {
+		vals[i] = float64(i)*0.5 + 1
+	}
+	err := cluster.Run(2, func(c *cluster.Comm) error {
+		f, err := drxmp.Create(c, path, drxmp.Options{
+			DType: drxmp.Float64, ChunkShape: []int{8, 8}, Bounds: []int{32, 24},
+			FS: pfs.Options{Backend: pfs.Disk, Servers: 5, StripeSize: 512, Parity: 1},
+		})
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			if err := f.WriteSectionFloat64s(box, vals, drxmp.RowMajor); err != nil {
+				return err
+			}
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+
+		f, err = drxmp.OpenWith(c, path, drxmp.OpenOptions{})
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if fs := f.FS(); fs.Servers() != 5 || fs.StripeSize() != 512 || fs.Parity() != 1 {
+			return fmt.Errorf("reopened store: %d servers, %d B stripe, parity %d", fs.Servers(), fs.StripeSize(), fs.Parity())
+		}
+		got, err := f.ReadSectionFloat64s(box, drxmp.RowMajor)
+		if err != nil {
+			return err
+		}
+		for i := range vals {
+			if got[i] != vals[i] {
+				return fmt.Errorf("element %d reads %v after a zero-FS reopen, want %v", i, got[i], vals[i])
+			}
+		}
+		for name, fs := range map[string]pfs.Options{
+			"servers": {Servers: 4},
+			"stripe":  {StripeSize: 1024},
+			"parity":  {Parity: 2},
+		} {
+			if _, err := drxmp.OpenWith(c, path, drxmp.OpenOptions{FS: fs}); !errors.Is(err, drxmp.ErrBadOptions) {
+				return fmt.Errorf("OpenWith with a conflicting %s = %v, want ErrBadOptions", name, err)
 			}
 		}
 		return nil

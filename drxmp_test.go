@@ -318,7 +318,7 @@ func TestDiskPersistenceParallel(t *testing.T) {
 	}
 	// Re-open with a different process count.
 	err = cluster.Run(3, func(c *cluster.Comm) error {
-		f, err := OpenWith(c, path, OpenOptions{FS: pfs.Options{Servers: 3, StripeSize: 128, Dir: dir}})
+		f, err := OpenWith(c, path, OpenOptions{})
 		if err != nil {
 			return err
 		}

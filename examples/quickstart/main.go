@@ -103,7 +103,8 @@ func run() error {
 		return err
 	}
 
-	// Re-open: the metadata (axial vectors) round-trips through .xmd.
+	// Re-open: the metadata (axial vectors, stripe layout) round-trips
+	// through .xmd.
 	re, err := drx.Open(path, pfs.Options{}, drxmp.Tuning{})
 	if err != nil {
 		return err

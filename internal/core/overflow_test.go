@@ -74,7 +74,7 @@ func TestLargeSparseHistoryAddresses(t *testing.T) {
 }
 
 // TestBreakMergeProducesValidSpaces: spaces grown with merging disabled
-// still satisfy every structural invariant and remain restorable.
+// still satisfy every structural invariant and stay a bijection.
 func TestBreakMergeProducesValidSpaces(t *testing.T) {
 	s, err := NewSpace([]int{2, 2})
 	if err != nil {
@@ -92,17 +92,13 @@ func TestBreakMergeProducesValidSpaces(t *testing.T) {
 	if got := s.NumRecords(); got < 11 {
 		t.Fatalf("records = %d, want one per broken extension", got)
 	}
-	r, err := Restore(s.Bounds(), s.Total(), s.Vectors(), s.LastDim())
-	if err != nil {
-		t.Fatalf("restore of unmerged space: %v", err)
-	}
-	for i := int64(0); i < r.Total(); i++ {
-		idx, err := r.Inverse(i, nil)
+	for i := int64(0); i < s.Total(); i++ {
+		idx, err := s.Inverse(i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q := r.MustMap(idx); q != i {
-			t.Fatalf("restored bijection broken at %d -> %v -> %d", i, idx, q)
+		if q := s.MustMap(idx); q != i {
+			t.Fatalf("unmerged bijection broken at %d -> %v -> %d", i, idx, q)
 		}
 	}
 }

@@ -103,7 +103,7 @@ func (v Vector) searchByBase(q int64) int {
 }
 
 // Space is the extendible chunk index space of one array. The zero value
-// is not usable; construct with NewSpace or Restore.
+// is not usable; construct with NewSpace.
 //
 // A Space is not safe for concurrent mutation; concurrent calls to the
 // read-only methods (Map, Inverse, Bounds, ...) are safe provided no
@@ -153,24 +153,6 @@ func NewSpace(bounds []int) (*Space, error) {
 	s.axial[0].Records = []Record{{Start: 0, Base: 0, Coef: coef}}
 	for d := 1; d < k; d++ {
 		s.axial[d].Records = []Record{{Start: 0, Base: SentinelBase, Coef: make([]int64, k)}}
-	}
-	return s, nil
-}
-
-// Restore rebuilds a Space from persisted state (see package meta). It
-// validates structural invariants and returns an error on corruption.
-func Restore(bounds []int, total int64, axial []Vector, lastDim int) (*Space, error) {
-	s := &Space{
-		bounds:  append([]int(nil), bounds...),
-		total:   total,
-		axial:   make([]Vector, len(axial)),
-		lastDim: lastDim,
-	}
-	for i, v := range axial {
-		s.axial[i] = v.clone()
-	}
-	if err := s.Check(); err != nil {
-		return nil, err
 	}
 	return s, nil
 }
@@ -423,8 +405,9 @@ func (s *Space) MustInverse(q int64, dst []int) []int {
 // Check validates the structural invariants of the space:
 // positive bounds, one axial vector per dimension, records sorted by
 // Start and by Base, positive coefficients on non-sentinel records, and
-// dimension 0 rooted at Base 0. It is used when restoring persisted
-// metadata and by the property-based tests.
+// dimension 0 rooted at Base 0. It is the oracle of the property-based
+// tests; persisted metadata needs none, since package meta rebuilds a
+// Space only through NewSpace and Extend.
 func (s *Space) Check() error {
 	k := len(s.bounds)
 	if k == 0 {

@@ -500,58 +500,21 @@ func TestExtendTo(t *testing.T) {
 	checkBijection(t, s)
 }
 
-func TestRestoreRoundTrip(t *testing.T) {
-	s := fig3Space(t)
-	r, err := Restore(s.Bounds(), s.Total(), s.Vectors(), s.LastDim())
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	for q := int64(0); q < s.Total(); q++ {
-		a, _ := s.Inverse(q, nil)
-		b, _ := r.Inverse(q, nil)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("restored space diverges at address %d: %v vs %v", q, a, b)
-		}
-	}
-	// A restored space must keep extending identically (lastDim matters).
-	mustExtend(t, s, 2, 1)
-	mustExtend(t, r, 2, 1)
-	if s.NumRecords() != r.NumRecords() || s.Total() != r.Total() {
-		t.Fatalf("post-restore extension diverged: records %d vs %d, total %d vs %d",
-			s.NumRecords(), r.NumRecords(), s.Total(), r.Total())
-	}
-}
-
-func TestRestoreRejectsCorruption(t *testing.T) {
-	s := fig3Space(t)
-	cases := []func(b []int, total int64, v []Vector, last int) ([]int, int64, []Vector, int){
-		func(b []int, tt int64, v []Vector, l int) ([]int, int64, []Vector, int) {
-			tt++ // total mismatch
-			return b, tt, v, l
-		},
-		func(b []int, tt int64, v []Vector, l int) ([]int, int64, []Vector, int) {
-			b[0] = 0 // zero bound
-			return b, tt, v, l
-		},
-		func(b []int, tt int64, v []Vector, l int) ([]int, int64, []Vector, int) {
-			v[0].Records[0].Base = 5 // dim-0 root moved
-			return b, tt, v, l
-		},
-		func(b []int, tt int64, v []Vector, l int) ([]int, int64, []Vector, int) {
-			v[2].Records[1].Coef[0] = 0 // zero coefficient
-			return b, tt, v, l
-		},
-		func(b []int, tt int64, v []Vector, l int) ([]int, int64, []Vector, int) {
-			v = v[:2] // missing axial vector
-			return b, tt, v, l
-		},
-		func(b []int, tt int64, v []Vector, l int) ([]int, int64, []Vector, int) {
-			return b, tt, v, 9 // lastDim out of range
-		},
+// TestCheckRejectsCorruption: Check, the structural oracle of the
+// property tests, flags each kind of broken space.
+func TestCheckRejectsCorruption(t *testing.T) {
+	cases := []func(s *Space){
+		func(s *Space) { s.total++ },                         // total mismatch
+		func(s *Space) { s.bounds[0] = 0 },                   // zero bound
+		func(s *Space) { s.axial[0].Records[0].Base = 5 },    // dimension-0 root moved
+		func(s *Space) { s.axial[2].Records[1].Coef[0] = 0 }, // zero coefficient
+		func(s *Space) { s.axial = s.axial[:2] },             // missing axial vector
+		func(s *Space) { s.lastDim = 9 },                     // lastDim out of range
 	}
 	for i, corrupt := range cases {
-		b, total, v, last := corrupt(s.Bounds(), s.Total(), s.Vectors(), s.LastDim())
-		if _, err := Restore(b, total, v, last); err == nil {
+		s := fig3Space(t)
+		corrupt(s)
+		if err := s.Check(); err == nil {
 			t.Errorf("corruption case %d accepted", i)
 		}
 	}
@@ -718,14 +681,4 @@ func linearMap(s *Space, idx []int) int64 {
 		}
 	}
 	return q
-}
-
-// Vectors returns a deep copy of the axial vectors, for Restore round
-// trips.
-func (s *Space) Vectors() []Vector {
-	out := make([]Vector, len(s.axial))
-	for i, v := range s.axial {
-		out[i] = v.clone()
-	}
-	return out
 }

@@ -52,8 +52,9 @@ func E12MergeAblation(sc Scale) []*report.Table {
 	if fmt.Sprint(merged.Bounds()) != fmt.Sprint(unmerged.Bounds()) {
 		panic("E12: variants diverged")
 	}
-	// One axial record is Start + Base + k coefficients, all fixed-width
-	// on disk and over the metadata broadcast.
+	// "metadata bytes" counts the records as the address computation
+	// holds them in memory: Start + Base + k coefficients, 8 bytes
+	// each. The .xmd stores a record as a 12-byte history entry instead.
 	row := func(name string, s *core.Space) {
 		t.AddRow(name, s.NumRecords(), int64(s.NumRecords())*int64(8+8+3*8))
 	}

@@ -11,10 +11,16 @@
 // the binary encoding (with CRC32 integrity), decoding with validation,
 // and a JSON debug rendering used by cmd/drxdump.
 //
+// The file keeps only what cannot be derived. The axial vectors are
+// stored as the history that built them, which Decode replays through
+// core.Space.Extend, the code that grew the live array; the stripe
+// layout (servers, stripe unit, parity) is recorded beside it, so an
+// opener never has to repeat it.
+//
 // Layout (all integers little-endian):
 //
 //	magic   "DRXM"            4 bytes
-//	version uint32            currently 1
+//	version uint32            currently 2
 //	payload length uint64
 //	payload:
 //	    dtype      uint8
@@ -22,21 +28,29 @@
 //	    rank k     uint32
 //	    chunkShape k × int64
 //	    elemBounds k × int64  (element-space bounds; need not be chunk-aligned)
-//	    chunkBounds k × int64 (chunk-space bounds, = Space bounds)
-//	    totalChunks int64
-//	    lastDim     uint32
-//	    per dimension: record count uint32, then records
-//	        (start int64, base int64, k × coef int64)
+//	    servers    uint32     stripe layout: I/O servers, data + parity
+//	    stripe     int64      stripe layout: stripe unit in bytes
+//	    parity     uint32     stripe layout: parity servers
+//	    initial    k × int64  chunk grid of the first allocation
+//	    entries    uint32, then per axial record after the first, in
+//	               allocation order: dim uint32, new chunk bound int64
 //	crc32 (IEEE) of payload   uint32
+//
+// Each entry grows its dimension, and no two consecutive entries share
+// one (the initial grid counts as dimension 0's): the second would have
+// merged into the first's record. Decode rejects any other history, so
+// every blob it accepts is the encoding of the Meta it returns.
 package meta
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"drxmp/internal/core"
 	"drxmp/internal/dtype"
@@ -47,7 +61,18 @@ import (
 var Magic = [4]byte{'D', 'R', 'X', 'M'}
 
 // Version is the current format version.
-const Version = 1
+const Version = 2
+
+// maxServers bounds a decoded server count, against a forged blob.
+const maxServers = 1 << 16
+
+// Layout is the stripe geometry of the array's data file, as the file
+// system applied it when the array was created.
+type Layout struct {
+	Servers    int   // I/O servers, data and parity
+	StripeSize int64 // stripe unit in bytes
+	Parity     int   // parity servers among Servers
+}
 
 // Meta describes one extendible array file. It is the in-memory image
 // of an .xmd file, replicated per process when opened in parallel.
@@ -64,6 +89,9 @@ type Meta struct {
 	// index of a dimension does not necessarily fall exactly on a
 	// segment boundary".
 	ElemBounds grid.Shape
+	// Layout is the data file's stripe layout. New leaves it zero for
+	// the caller to fill in; Decode accepts only a usable one.
+	Layout Layout
 	// Space is the chunk-space extendible index mapping (axial vectors).
 	Space *core.Space
 }
@@ -145,6 +173,7 @@ func (m *Meta) Clone() *Meta {
 		MemOrder:   m.MemOrder,
 		ChunkShape: m.ChunkShape.Clone(),
 		ElemBounds: m.ElemBounds.Clone(),
+		Layout:     m.Layout,
 		Space:      m.Space.Clone(),
 	}
 }
@@ -152,54 +181,67 @@ func (m *Meta) Clone() *Meta {
 // Equal reports whether two metadata images describe the same array
 // state (used to assert replica consistency in tests).
 func (m *Meta) Equal(o *Meta) bool {
-	if m.DType != o.DType || m.MemOrder != o.MemOrder ||
-		!m.ChunkShape.Equal(o.ChunkShape) || !m.ElemBounds.Equal(o.ElemBounds) {
-		return false
-	}
-	a, b := m.Encode(), o.Encode()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return string(m.Encode()) == string(o.Encode())
+}
+
+// history returns the chunk grid of s's first allocation and one entry
+// per later axial record, in allocation order: the record's dimension
+// and that dimension's chunk bound where the record's run ended. Every
+// dimension's first record is the initial allocation (dimension 0) or
+// a sentinel; a dimension's bound when its next record began is that
+// record's Start.
+func history(s *core.Space) (initial []int, entries []entry) {
+	initial = s.Bounds()
+	for d := range initial {
+		recs := s.Records(d)
+		if len(recs) > 1 {
+			initial[d] = recs[1].Start
+		}
+		for i := 1; i < len(recs); i++ {
+			end := s.Bound(d)
+			if i+1 < len(recs) {
+				end = recs[i+1].Start
+			}
+			entries = append(entries, entry{dim: d, bound: end, base: recs[i].Base})
 		}
 	}
-	return true
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.base, b.base) })
+	return initial, entries
+}
+
+// entry is one step of the history: dimension dim grew to bound
+// chunks. base orders the entries and is not stored.
+type entry struct {
+	dim, bound int
+	base       int64
 }
 
 // Encode serializes m to the .xmd wire format.
 func (m *Meta) Encode() []byte {
 	var payload []byte
 	put8 := func(v uint8) { payload = append(payload, v) }
-	put32 := func(v uint32) { payload = binary.LittleEndian.AppendUint32(payload, v) }
+	put32 := func(v int) { payload = binary.LittleEndian.AppendUint32(payload, uint32(v)) }
 	put64 := func(v int64) { payload = binary.LittleEndian.AppendUint64(payload, uint64(v)) }
+	putShape := func(s []int) {
+		for _, n := range s {
+			put64(int64(n))
+		}
+	}
 
 	put8(uint8(m.DType))
 	put8(uint8(m.MemOrder))
-	k := m.Rank()
-	put32(uint32(k))
-	for _, c := range m.ChunkShape {
-		put64(int64(c))
-	}
-	for _, n := range m.ElemBounds {
-		put64(int64(n))
-	}
-	for _, n := range m.Space.Bounds() {
-		put64(int64(n))
-	}
-	put64(m.Space.Total())
-	put32(uint32(m.Space.LastDim()))
-	for d := 0; d < k; d++ {
-		recs := m.Space.Records(d)
-		put32(uint32(len(recs)))
-		for _, r := range recs {
-			put64(int64(r.Start))
-			put64(r.Base)
-			for _, c := range r.Coef {
-				put64(c)
-			}
-		}
+	put32(m.Rank())
+	putShape(m.ChunkShape)
+	putShape(m.ElemBounds)
+	put32(m.Layout.Servers)
+	put64(m.Layout.StripeSize)
+	put32(m.Layout.Parity)
+	initial, entries := history(m.Space)
+	putShape(initial)
+	put32(len(entries))
+	for _, e := range entries {
+		put32(e.dim)
+		put64(int64(e.bound))
 	}
 
 	out := make([]byte, 0, 4+4+8+len(payload)+4)
@@ -211,7 +253,9 @@ func (m *Meta) Encode() []byte {
 	return out
 }
 
-// Decode parses and validates an .xmd blob.
+// Decode parses and validates an .xmd blob. It builds the chunk space
+// only through core.NewSpace and Space.Extend, replaying the stored
+// history.
 func Decode(b []byte) (*Meta, error) {
 	if len(b) < 20 {
 		return nil, fmt.Errorf("%w: short blob (%d bytes)", ErrCorrupt, len(b))
@@ -219,8 +263,7 @@ func Decode(b []byte) (*Meta, error) {
 	if string(b[:4]) != string(Magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, b[:4])
 	}
-	ver := binary.LittleEndian.Uint32(b[4:])
-	if ver != Version {
+	if ver := binary.LittleEndian.Uint32(b[4:]); ver != Version {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
 	}
 	plen := binary.LittleEndian.Uint64(b[8:])
@@ -228,103 +271,92 @@ func Decode(b []byte) (*Meta, error) {
 		return nil, fmt.Errorf("%w: payload of %d bytes declared, %d present", ErrCorrupt, plen, len(b)-20)
 	}
 	payload := b[16 : 16+plen]
-	gotCRC := binary.LittleEndian.Uint32(b[16+plen:])
-	if crc32.ChecksumIEEE(payload) != gotCRC {
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[16+plen:]) {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrCorrupt)
 	}
+	m, err := decodePayload(&reader{b: payload})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return m, nil
+}
 
-	r := reader{b: payload}
-	dt := dtype.T(r.u8())
-	mo := grid.Order(r.u8())
-	k := int(r.u32())
+// decodePayload reads and checks the fields in order; Decode wraps its
+// error in ErrCorrupt.
+func decodePayload(r *reader) (*Meta, error) {
+	m := &Meta{DType: dtype.T(r.u8()), MemOrder: grid.Order(r.u8())}
+	k := r.count()
 	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
+		return nil, r.err
 	}
 	if k < 1 || k > 64 {
-		return nil, fmt.Errorf("%w: rank %d", ErrCorrupt, k)
+		return nil, fmt.Errorf("rank %d", k)
 	}
-	if !dt.Valid() {
-		return nil, fmt.Errorf("%w: dtype %d", ErrCorrupt, uint8(dt))
+	if !m.DType.Valid() {
+		return nil, fmt.Errorf("dtype %d", uint8(m.DType))
 	}
-	if mo != grid.RowMajor && mo != grid.ColMajor {
-		return nil, fmt.Errorf("%w: memory order %d", ErrCorrupt, uint8(mo))
+	if m.MemOrder != grid.RowMajor && m.MemOrder != grid.ColMajor {
+		return nil, fmt.Errorf("memory order %d", uint8(m.MemOrder))
 	}
-	readShape := func() grid.Shape {
+	readShape := func() grid.Shape { // every extent is positive
 		s := make(grid.Shape, k)
 		for i := range s {
 			v := r.i64()
-			if v < 0 || v > math.MaxInt32 {
+			if v < 1 || v > math.MaxInt32 {
 				r.fail(fmt.Errorf("shape extent %d", v))
-				return nil
 			}
 			s[i] = int(v)
 		}
 		return s
 	}
-	chunkShape := readShape()
-	elemBounds := readShape()
-	chunkBounds := readShape()
-	total := r.i64()
-	lastDim := int(r.u32())
+	m.ChunkShape = readShape()
+	m.ElemBounds = readShape()
+	m.Layout = Layout{Servers: r.count(), StripeSize: r.i64(), Parity: r.count()}
+	initial := readShape()
+	n := r.count()
 	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
+		return nil, r.err
 	}
-	axial := make([]core.Vector, k)
-	for d := 0; d < k; d++ {
-		n := int(r.u32())
-		// Each record takes 16+8k bytes, so the count is bounded by what
-		// is left before anything is allocated for it.
-		if r.err != nil || n < 1 || n > len(r.b)/(16+8*k) {
-			return nil, fmt.Errorf("%w: record count %d for dimension %d", ErrCorrupt, n, d)
-		}
-		recs := make([]core.Record, n)
-		for i := range recs {
-			start := r.i64()
-			base := r.i64()
-			coef := make([]int64, k)
-			for j := range coef {
-				coef[j] = r.i64()
-			}
-			if r.err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
-			}
-			recs[i] = core.Record{Start: int(start), Base: base, Coef: coef}
-		}
-		axial[d] = core.Vector{Records: recs}
+	if l := m.Layout; l.Servers < 1 || l.Servers > maxServers || l.StripeSize < 1 || l.Parity < 0 || l.Parity >= l.Servers {
+		return nil, fmt.Errorf("layout of %d servers, %d B stripe, %d parity", l.Servers, l.StripeSize, l.Parity)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, r.err)
+	if n > len(r.b)/12 { // 12 bytes an entry: bound n before building anything
+		return nil, fmt.Errorf("%d history entries in %d bytes", n, len(r.b))
+	}
+	space, err := core.NewSpace(initial)
+	if err != nil {
+		return nil, err
+	}
+	prev := 0 // the initial allocation is dimension 0's first record
+	for i := 0; i < n; i++ {
+		d, bound := r.count(), r.i64()
+		switch {
+		case r.err != nil:
+			return nil, r.err
+		case d >= k:
+			return nil, fmt.Errorf("history entry %d: dimension %d of rank %d", i, d, k)
+		case d == prev:
+			return nil, fmt.Errorf("history entry %d repeats dimension %d", i, d)
+		case bound <= int64(space.Bound(d)) || bound > math.MaxInt32:
+			return nil, fmt.Errorf("history entry %d: dimension %d from %d to %d chunks", i, d, space.Bound(d), bound)
+		}
+		if err := space.Extend(d, int(bound)-space.Bound(d)); err != nil {
+			return nil, fmt.Errorf("history entry %d: %v", i, err)
+		}
+		prev = d
 	}
 	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(r.b))
+		return nil, fmt.Errorf("%d trailing payload bytes", len(r.b))
 	}
-	space, err := core.Restore(chunkBounds, total, axial, lastDim)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if g := grid.ChunkGrid(m.ElemBounds, m.ChunkShape); !g.Equal(space.Bounds()) {
+		return nil, fmt.Errorf("element bounds %v make a %v chunk grid, the history a %v one", m.ElemBounds, g, space.Bounds())
 	}
-	m := &Meta{
-		DType:      dt,
-		MemOrder:   mo,
-		ChunkShape: chunkShape,
-		ElemBounds: elemBounds,
-		Space:      space,
-	}
-	// Cross-field consistency: the chunk grid implied by the element
-	// bounds must match the space's bounds.
-	for d := 0; d < k; d++ {
-		if !chunkShape.Positive() {
-			return nil, fmt.Errorf("%w: chunk shape %v", ErrCorrupt, chunkShape)
-		}
-		want := (elemBounds[d] + chunkShape[d] - 1) / chunkShape[d]
-		if want > space.Bound(d) {
-			return nil, fmt.Errorf("%w: element bound %d of dim %d exceeds chunk space %d×%d",
-				ErrCorrupt, elemBounds[d], d, space.Bound(d), chunkShape[d])
-		}
-	}
+	m.Space = space
 	return m, nil
 }
 
-// reader is a tiny cursor with sticky errors.
+// reader is a tiny cursor with sticky errors; past the end it reads
+// zeros.
 type reader struct {
 	b   []byte
 	err error
@@ -337,40 +369,27 @@ func (r *reader) fail(err error) {
 }
 
 func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
 	if len(r.b) < n {
 		r.fail(fmt.Errorf("truncated (need %d, have %d)", n, len(r.b)))
-		return nil
+		return make([]byte, n)
 	}
 	out := r.b[:n]
 	r.b = r.b[n:]
 	return out
 }
 
-func (r *reader) u8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
+func (r *reader) u8() uint8   { return r.take(1)[0] }
+func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
+func (r *reader) i64() int64  { return int64(binary.LittleEndian.Uint64(r.take(8))) }
 
-func (r *reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
+// count reads a uint32 count or index, failing past math.MaxInt32 so
+// the result is non-negative on every platform.
+func (r *reader) count() int {
+	if v := r.u32(); v <= math.MaxInt32 {
+		return int(v)
 	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) i64() int64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(b))
+	r.fail(errors.New("count past math.MaxInt32"))
+	return 0
 }
 
 // jsonMeta is the debug rendering schema.
@@ -379,12 +398,20 @@ type jsonMeta struct {
 	MemOrder    string         `json:"mem_order"`
 	ChunkShape  []int          `json:"chunk_shape"`
 	ElemBounds  []int          `json:"elem_bounds"`
+	Layout      jsonLayout     `json:"layout"`
 	ChunkBounds []int          `json:"chunk_bounds"`
 	TotalChunks int64          `json:"total_chunks"`
 	ChunkBytes  int64          `json:"chunk_bytes"`
 	FileBytes   int64          `json:"file_bytes"`
 	Axial       [][]jsonRecord `json:"axial_vectors"`
 	LastDim     int            `json:"last_extended_dim"`
+}
+
+type jsonLayout struct {
+	Servers int   `json:"servers"`
+	Data    int   `json:"data_servers"`
+	Parity  int   `json:"parity_servers"`
+	Stripe  int64 `json:"stripe_bytes"`
 }
 
 type jsonRecord struct {
@@ -395,11 +422,13 @@ type jsonRecord struct {
 
 // MarshalJSON renders the metadata for human inspection (cmd/drxdump).
 func (m *Meta) MarshalJSON() ([]byte, error) {
+	l := m.Layout
 	jm := jsonMeta{
 		DType:       m.DType.String(),
 		MemOrder:    m.MemOrder.String(),
 		ChunkShape:  m.ChunkShape,
 		ElemBounds:  m.ElemBounds,
+		Layout:      jsonLayout{l.Servers, l.Servers - l.Parity, l.Parity, l.StripeSize},
 		ChunkBounds: m.Space.Bounds(),
 		TotalChunks: m.Space.Total(),
 		ChunkBytes:  m.ChunkBytes(),

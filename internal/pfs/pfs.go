@@ -517,10 +517,10 @@ func Create(name string, opts Options) (*FS, error) {
 }
 
 // Open re-opens an existing Disk-backed striped file. opts must carry
-// the stripe geometry (Servers, StripeSize, Parity) given to Create.
-// Nothing records that geometry and nothing checks it: drx.Open and
-// drxmp.OpenWith take it from their caller, and Open cannot tell a
-// mismatch.
+// the stripe geometry (Servers, StripeSize, Parity) given to Create:
+// the server files do not record it, so Open cannot tell a mismatch.
+// The array libraries keep it in the array's .xmd, and
+// drxmp.OpenWith (drx.Open too) passes the recorded geometry here.
 func Open(name string, opts Options) (*FS, error) {
 	opts = opts.withDefaults()
 	if opts.Backend != Disk {

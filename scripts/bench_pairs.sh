@@ -10,7 +10,9 @@
 # "nothing else got worse" is one command. The base is exported with
 # git archive under .bench_build/ (removed again on exit) and built by
 # its own bench/run.sh, so each side runs the benchmark code of its own
-# commit. Results: .bench_build/pairs/.
+# commit. Results: .bench_build/pairs/. A workload whose runs fail or
+# whose -compare finds a `worse` cell does not stop the rest: the script
+# names every such workload at the end and exits non-zero.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
@@ -34,19 +36,25 @@ git archive "$base" | tar -x -C "$tree"
 run() { # <checkout> <workload> <seed> <result file>
 	bash "$1/bench/run.sh" --workload "$2" --seed "$3" --seconds 15 --trace 0 --json "$4" >/dev/null
 }
+failed=()
 for w in "${workloads[@]}"; do
 	parent="$out/$w.parent.jsonl"
 	change="$out/$w.change.jsonl"
 	rm -f "$parent" "$change"
+	ok=1
 	for i in $(seq 1 "$n"); do
 		if ((i % 2)); then
-			run "$tree" "$w" "$i" "$parent"
-			run "$root" "$w" "$i" "$change"
+			run "$tree" "$w" "$i" "$parent" && run "$root" "$w" "$i" "$change" || ok=0
 		else
-			run "$root" "$w" "$i" "$change"
-			run "$tree" "$w" "$i" "$parent"
+			run "$root" "$w" "$i" "$change" && run "$tree" "$w" "$i" "$parent" || ok=0
 		fi
 		echo "$w: pair $i/$n done" >&2
 	done
-	"$root/.bench_build/drxbench" -compare "$parent" "$change" | grep -E "^(base|workload|$w) "
+	# -compare exits non-zero on a worse cell; its table is printed either way.
+	"$root/.bench_build/drxbench" -compare "$parent" "$change" | grep -E "^(base|workload|$w) " || ok=0
+	((ok)) || failed+=("$w")
 done
+if ((${#failed[@]})); then
+	echo "bench_pairs: failed or worse: ${failed[*]}" >&2
+	exit 1
+fi

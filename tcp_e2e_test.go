@@ -213,16 +213,17 @@ func tcpFrames(t *testing.T, tuning Tuning, reads int) int64 {
 // TestTCPAdaptiveCBNodesFewerFrames pins the frames of one collective
 // write and read under the aggregator rule. On four ranks an Allgather
 // or a Barrier is 6 frames (3 to rank 0, 3 back) and a Bcast is 3.
-// Create is three Bcasts and a Barrier, and Close one Barrier: 21. The
+// Create is two Bcasts (the store's key and the persist agreement) and
+// a Barrier, and Close one Barrier: 18. The
 // 16 KiB slabs are two 8 KiB stripes, so two ranks aggregate, and every
 // rank has pieces in both domains. Each exchange is then 6 frames: one
 // from each aggregator to the other, two from each other rank. The
 // write is its run Allgather, the exchange and the agreement round: 18.
-// The read is the same three: 18. That makes 57. One aggregator per rank
-// made each exchange 12 frames, 69 in all.
+// The read is the same three: 18. That makes 54. One aggregator per rank
+// made each exchange 12 frames, 66 in all.
 func TestTCPAdaptiveCBNodesFewerFrames(t *testing.T) {
-	if got := tcpFrames(t, Tuning{}, 1); got != 57 {
-		t.Fatalf("a collective write and read crossed the wire in %d frames, want 57", got)
+	if got := tcpFrames(t, Tuning{}, 1); got != 54 {
+		t.Fatalf("a collective write and read crossed the wire in %d frames, want 54", got)
 	}
 }
 
