@@ -2,6 +2,9 @@ package drxmp
 
 import "drxmp/internal/mpiio"
 
+// BenchCost is the benchmark's service-time model (benchCost).
+var BenchCost = benchCost
+
 // StoreView returns a cacheless handle on f's store and metadata: its
 // reads go straight to the servers, whatever f's Tuning. It is never
 // closed; f owns the store.

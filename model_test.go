@@ -71,7 +71,7 @@ type modelSpace struct {
 	orders, users                        []drxmp.Order // chunk order; each op's buffer order
 	stripes, wb, cache, readAhead, spill []int64
 	scheds                               []pfs.Scheduler
-	realTime, poison                     []bool
+	realTime, seek, poison               []bool
 	zones, slabs                         []bool      // collective phases on zones; independent ones on slabs
 	must                                 []phaseKind // phases every program has
 }
@@ -87,6 +87,7 @@ func fullSpace() modelSpace {
 		stripes:   []int64{512, 1 << 10, 2 << 10, 4 << 10},
 		scheds:    []pfs.Scheduler{pfs.FIFO, pfs.Elevator},
 		realTime:  append(make([]bool, 15), true),
+		seek:      []bool{false, true},
 		poison:    []bool{false, true},
 		zones:     []bool{false, false, false, true},
 		slabs:     []bool{false, true},
@@ -124,6 +125,8 @@ func drawConfig(s *stream, sp *modelSpace) modelConfig {
 		slow := make([]float64, c.fs.Servers)
 		slow[s.intn(len(slow))] = 4 // one straggler
 		c.fs.Cost = pfs.CostModel{RequestOverhead: 20 * time.Microsecond, RealTime: true, SlowFactor: slow}
+	} else if pick(s, sp.seek) {
+		c.fs.Cost = drxmp.BenchCost // charged, never slept: servers join holes as the benchmark's do
 	}
 	c.tuning = drawTuning(s, sp)
 	return c
@@ -762,6 +765,20 @@ func TestReadCacheEvictionStressRace(t *testing.T) {
 		sp.servers, sp.stripes, sp.scheds, sp.realTime = []int{4}, []int64{512}, []pfs.Scheduler{pfs.Elevator}, []bool{true}
 		sp.wb, sp.cache, sp.readAhead = []int64{2048}, []int64{4096}, []int64{1024}
 	}, collWrite, indep, collRead, syncAll)
+}
+
+// Holes joined under the benchmark's cost model, charged and never
+// slept, on a cache that 2-4 ranks share: their independent writes run
+// at once and meet in it, so one rank's holes lie among the segments
+// another rank is writing.
+func TestSeekHolesSharedCache(t *testing.T) {
+	for ranks := 2; ranks <= 4; ranks++ {
+		t.Run(fmt.Sprintf("ranks%d", ranks), func(t *testing.T) {
+			modelRow(t, func(sp *modelSpace) {
+				sp.ranks, sp.seek, sp.parity, sp.cache = []int{ranks}, []bool{true}, []int{0}, []int64{1 << 20}
+			}, collRead, indep, indep, collWrite, indep, indep)
+		})
+	}
 }
 
 // Independent sections in both buffer orders, with and without parity
