@@ -31,8 +31,10 @@ import (
 // arr through cl. Worker w owns the row band [w*bandRows, (w+1)*bandRows)
 // so bands never overlap; each iteration PUTs a fresh deterministic
 // pattern over the band and GETs it back expecting exactly those bytes.
-// Returns the final payload per worker for end-state verification.
-func chaosWorkload(ctx context.Context, cl *drxclient.Client, arr string, workers, iters, bandRows, cols int, onIter func()) ([][]byte, error) {
+// gate, if set, is called before each iteration; an error from it ends
+// the worker. Returns the final payload per worker for end-state
+// verification.
+func chaosWorkload(ctx context.Context, cl *drxclient.Client, arr string, workers, iters, bandRows, cols int, gate func() error) ([][]byte, error) {
 	const es = 8 // float64
 	final := make([][]byte, workers)
 	errs := make([]error, workers)
@@ -45,6 +47,12 @@ func chaosWorkload(ctx context.Context, cl *drxclient.Client, arr string, worker
 			hi := []int{(w + 1) * bandRows, cols}
 			payload := make([]byte, bandRows*cols*es)
 			for it := 0; it < iters; it++ {
+				if gate != nil {
+					if err := gate(); err != nil {
+						errs[w] = fmt.Errorf("worker %d iter %d: %w", w, it, err)
+						return
+					}
+				}
 				for i := range payload {
 					payload[i] = byte(w*31 + it*7 + i)
 				}
@@ -60,9 +68,6 @@ func chaosWorkload(ctx context.Context, cl *drxclient.Client, arr string, worker
 				if !bytes.Equal(got, payload) {
 					errs[w] = fmt.Errorf("worker %d iter %d: read-your-write violated (%d bytes differ from written)", w, it, len(got))
 					return
-				}
-				if onIter != nil {
-					onIter()
 				}
 			}
 			final[w] = append([]byte(nil), payload...)
@@ -302,23 +307,33 @@ func TestChaosKillRestartMidWorkload(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		defer cancel()
 
-		// The killer waits for workload progress, hard-kills the server,
-		// leaves it dead briefly, then rebinds the same address with a
-		// fresh serving tier over the same file.
-		var ops atomic.Int64
+		// The kills fire at fixed points of the workload: kill k once op
+		// killAt[k] (counting from 1, over all workers) is about to start.
+		// That op, and every later one, waits until the kill has fired, so
+		// both land mid-workload however the goroutines are scheduled. The
+		// killer hard-kills the server, leaves it dead briefly, then
+		// rebinds the same address with a fresh serving tier over the same
+		// file. If the workload ends before a kill fires, the killer says
+		// which at once.
+		killAt := [kills]int64{12, 24}
+		var reached, fired [kills]chan struct{}
+		for k := range kills {
+			reached[k], fired[k] = make(chan struct{}), make(chan struct{})
+		}
+		var started atomic.Int64
+		workDone, killerStopped := make(chan struct{}), make(chan struct{})
 		killerDone := make(chan error, 1)
 		go func() {
-			for k := 0; k < kills; k++ {
-				target := ops.Load() + int64(workers) // let every worker land something first
-				for ops.Load() < target {
-					select {
-					case <-ctx.Done():
-						killerDone <- ctx.Err()
-						return
-					case <-time.After(time.Millisecond):
-					}
+			defer close(killerStopped)
+			for k := range kills {
+				select {
+				case <-reached[k]:
+				case <-workDone:
+					killerDone <- fmt.Errorf("kill %d never fired: the workload ended after %d of %d ops", k+1, started.Load(), workers*iters)
+					return
 				}
 				httpSrv.Close() // hard kill: aborts in-flight connections too
+				close(fired[k])
 				time.Sleep(25 * time.Millisecond)
 				var nln net.Listener
 				deadline := time.Now().Add(5 * time.Second)
@@ -328,7 +343,7 @@ func TestChaosKillRestartMidWorkload(t *testing.T) {
 						break
 					}
 					if time.Now().After(deadline) {
-						killerDone <- fmt.Errorf("rebind %s: %w", addr, err)
+						killerDone <- fmt.Errorf("kill %d: rebind %s: %w", k+1, addr, err)
 						return
 					}
 					time.Sleep(5 * time.Millisecond)
@@ -339,14 +354,36 @@ func TestChaosKillRestartMidWorkload(t *testing.T) {
 			}
 			killerDone <- nil
 		}()
-
-		final, werr := chaosWorkload(ctx, cl, "arr", workers, iters, bandRows, cols, func() { ops.Add(1) })
-		kerr := <-killerDone
-		if werr != nil {
-			return werr
+		gate := func() error {
+			n := started.Add(1)
+			for k := range kills {
+				if n == killAt[k] {
+					close(reached[k])
+				}
+				if n < killAt[k] {
+					continue
+				}
+				select {
+				case <-fired[k]:
+				case <-killerStopped:
+					select {
+					case <-fired[k]:
+					default:
+						return fmt.Errorf("the killer stopped before kill %d", k+1)
+					}
+				}
+			}
+			return nil
 		}
+
+		final, werr := chaosWorkload(ctx, cl, "arr", workers, iters, bandRows, cols, gate)
+		close(workDone)
+		kerr := <-killerDone
 		if kerr != nil {
 			return kerr
+		}
+		if werr != nil {
+			return werr
 		}
 		if err := verifyEndState(ctx, cl, f, "arr", final, bandRows, cols); err != nil {
 			return err

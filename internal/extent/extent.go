@@ -93,6 +93,48 @@ func Intersect(runs, cover []Run) []Run {
 	return out
 }
 
+// Sorted reports whether runs are ascending and pairwise disjoint:
+// each ends at or before the next begins.
+func Sorted(runs []Run) bool {
+	for i := 1; i < len(runs); i++ {
+		if runs[i].Off < runs[i-1].End() {
+			return false
+		}
+	}
+	return true
+}
+
+// Overlaps reports whether any run of runs shares a byte with r: by
+// binary search when sorted says runs are as Sorted reports, else by a
+// walk.
+func Overlaps(runs []Run, r Run, sorted bool) bool {
+	if r.Len <= 0 {
+		return false
+	}
+	if sorted {
+		i, j := 0, len(runs) // the first run ending past r.Off is in [i, j]
+		for i < j {
+			if h := int(uint(i+j) >> 1); runs[h].End() > r.Off {
+				j = h
+			} else {
+				i = h + 1
+			}
+		}
+		for ; i < len(runs) && runs[i].Off < r.End(); i++ {
+			if runs[i].Len > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for _, x := range runs {
+		if max(x.Off, r.Off) < min(x.End(), r.End()) {
+			return true
+		}
+	}
+	return false
+}
+
 // Align widens r to unit boundaries: the start rounds down and the end
 // rounds up to multiples of unit. unit <= 1 returns r unchanged.
 func Align(r Run, unit int64) Run {

@@ -187,6 +187,50 @@ func TestIntersectProperty(t *testing.T) {
 	}
 }
 
+// TestOverlapsProperty: Overlaps agrees with a byte walk, for random
+// run lists (empty runs included) searched both ways when Sorted holds
+// and by the walk when it does not; and Sorted holds exactly for lists
+// of ascending, disjoint runs.
+func TestOverlapsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 500; trial++ {
+		var runs []Run
+		at := int64(rng.Intn(20))
+		for range rng.Intn(9) {
+			n := int64(rng.Intn(30)) // Len 0 allowed
+			runs = append(runs, Run{Off: at, Len: n})
+			at += n + int64(rng.Intn(20))
+		}
+		if trial%3 == 0 && len(runs) > 1 {
+			i := rng.Intn(len(runs) - 1)
+			runs[i], runs[i+1] = runs[i+1], runs[i]
+		}
+		ordered := true
+		for i := 1; i < len(runs); i++ {
+			ordered = ordered && runs[i].Off >= runs[i-1].End()
+		}
+		sorted := Sorted(runs)
+		if sorted != ordered {
+			t.Fatalf("trial %d: Sorted(%v) = %v", trial, runs, sorted)
+		}
+		for range 20 {
+			r := Run{Off: int64(rng.Intn(300)), Len: int64(rng.Intn(40))}
+			want := false
+			for _, x := range runs {
+				for b := r.Off; b < r.End(); b++ {
+					want = want || (b >= x.Off && b < x.End())
+				}
+			}
+			if got := Overlaps(runs, r, false); got != want {
+				t.Fatalf("trial %d: Overlaps(%v, %+v, walk) = %v, want %v", trial, runs, r, got, want)
+			}
+			if got := Overlaps(runs, r, true); sorted && got != want {
+				t.Fatalf("trial %d: Overlaps(%v, %+v, sorted) = %v, want %v", trial, runs, r, got, want)
+			}
+		}
+	}
+}
+
 // TestHolesFixed pins hand-checked hole cases.
 func TestHolesFixed(t *testing.T) {
 	cases := []struct {

@@ -156,13 +156,16 @@ func (f *File) ReadV(runs []pfs.Run, mem Vec) error {
 // discards its dirty and spilled bytes of the runs before the store
 // write and copies the written bytes into its clean copies of them
 // after it, so a re-read of what this process just wrote stays warm.
+// The write's guard is also its hole source: the cache lends the store
+// write the clean bytes of the holes between its segments, which the
+// servers store back with them, one request per joined stretch.
 func (f *File) WriteV(runs []pfs.Run, mem Vec) error {
 	if f.fc == nil {
 		_, err := f.fs.WriteVec(runs, mem)
 		return err
 	}
 	g := f.fc.BeginWrite(runs)
-	_, err := f.fs.WriteVec(runs, mem)
+	_, err := f.fs.WriteVecFrom(runs, mem, g)
 	f.fc.EndWrite(g, runs, mem, err == nil)
 	return err
 }

@@ -1,6 +1,7 @@
 package mpiio
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -217,6 +218,11 @@ type fileCache struct {
 	total  int64                // buffered bytes, clean + dirty
 	guards []*fetchGuard        // the sieve fetches and direct writes in flight
 	clock  int64                // LRU clock
+	// unlent is signalled, over mu, when a write that lent holes ends: a
+	// write or absorb over a lent range waits for it (waitLent).
+	unlent sync.Cond
+	onWait func()        // tests: called as a write or absorb waits on a lent range
+	spare  []*fetchGuard // ended write guards, kept for reuse with their slices
 
 	lend spill.Alloc // the spill tier's Alloc over cache memory (lendBuf)
 
@@ -237,6 +243,7 @@ type fileCache struct {
 func newFileCache(fs *pfs.FS, t Tuning) (*fileCache, error) {
 	w := &fileCache{fs: fs, budget: t.CacheBytes, readAhead: t.ReadAheadBytes}
 	w.lend = w.lendBuf
+	w.unlent.L = &w.mu
 	if t.SpillBytes > 0 {
 		sp, err := spill.Open(t.SpillPath, t.SpillBytes)
 		if err != nil {
@@ -344,15 +351,19 @@ func (w *fileCache) Stats() CacheStats {
 // Unlike BeginWrite, Absorb never waits out the sweeps in flight: its
 // bytes reach the store in a later sweep, and sweeps run one at a time
 // (flushMu), so an older sweep's write of the same bytes lands first.
+// It does wait out a direct write that lent a hole it overlaps, whose
+// old bytes could otherwise land after the sweep's.
 func (w *fileCache) Absorb(off int64, p []byte) {
 	if len(p) == 0 {
 		return
 	}
+	runs := []pfs.Run{{Off: off, Len: int64(len(p))}}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.waitLent(runs, true)
 	w.stats.Absorbed += int64(len(p))
 	w.clock++
-	w.punchLocked([]pfs.Run{{Off: off, Len: int64(len(p))}}, punchClean)
+	w.punchLocked(runs, punchClean)
 	w.mergeDirtyLocked(off, p, nil, w.clock)
 }
 
@@ -447,13 +458,25 @@ func (w *fileCache) leave(e *cext)  { w.unlink(e); w.unref(e.buf) }
 // discard may still be writing them, and the caller's store write has
 // to land AFTER it or the sweep's older bytes would win on the store.
 // So a BeginWrite that discarded dirty bytes waits out the sweeps in
-// flight.
+// flight. Likewise a write whose runs overlap a hole another write in
+// flight has lent waits, before anything else, for that write to end:
+// the lender stores the hole's old bytes (Lend).
+//
+// The guard is the store write's hole source: it carries the cache and
+// runs, which must stay unchanged until EndWrite.
 func (w *fileCache) BeginWrite(runs []pfs.Run) *fetchGuard {
 	w.mu.Lock()
+	w.waitLent(runs, extent.Sorted(runs))
 	was := w.dirtyLocked()
 	w.punchLocked(runs, punchDirty)
 	wait := w.dirtyLocked() < was
-	g := &fetchGuard{}
+	var g *fetchGuard
+	if n := len(w.spare); n > 0 {
+		g, w.spare = w.spare[n-1], w.spare[:n-1]
+	} else {
+		g = &fetchGuard{}
+	}
+	g.w, g.runs, g.sorted = w, runs, extent.Sorted(runs)
 	w.guards = append(w.guards, g)
 	w.mu.Unlock()
 	if wait {
@@ -479,10 +502,17 @@ func (w *fileCache) BeginWrite(runs []pfs.Run) *fetchGuard {
 // flush sweep reads dirty buffers outside mu — and uncached bytes stay
 // uncached. After a failed write, which may have landed on some servers
 // and not others, runs are punched in both tiers.
+//
+// A write that lent holes wakes the writes and absorbs waiting on them;
+// its lent ranges need no update, since it stored them as they were.
 func (w *fileCache) EndWrite(g *fetchGuard, runs []pfs.Run, mem Vec, ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.endGuard(g)
+	defer w.spareGuard(g)
+	if len(g.lent) > 0 {
+		w.unlent.Broadcast()
+	}
 	if !ok {
 		w.punchLocked(runs, punchAll)
 		return
@@ -789,7 +819,142 @@ type hole struct {
 // collects every range punched, absorbed or written while its store
 // call is out (under w.mu). A fetch inserts only outside those ranges;
 // a write punches its clean copies of them (EndWrite).
-type fetchGuard struct{ wrote []pfs.Run }
+//
+// A direct write's guard is also its store write's hole source
+// (pfs.HoleSource): w is its cache, runs the ranges it writes (sorted:
+// ascending and disjoint), lent the holes it has lent (lentSorted: in
+// ascending order) and hint where its last lookup in w.ext ended. A
+// fetch's has none of them.
+type fetchGuard struct {
+	wrote      []pfs.Run
+	w          *fileCache
+	runs       []pfs.Run
+	sorted     bool
+	lent       []pfs.Run
+	lentSorted bool
+	hint       int
+}
+
+// spareGuard keeps an ended write's guard for the next BeginWrite,
+// emptied but for its slices' capacity. Must be called with w.mu held.
+func (w *fileCache) spareGuard(g *fetchGuard) {
+	if len(w.spare) < 8 {
+		*g = fetchGuard{wrote: g.wrote[:0], lent: g.lent[:0]}
+		w.spare = append(w.spare, g)
+	}
+}
+
+// Lock and Unlock take the cache's lock for g's store write, which
+// holds it over its Covers and Lend calls.
+func (g *fetchGuard) Lock()   { g.w.mu.Lock() }
+func (g *fetchGuard) Unlock() { g.w.mu.Unlock() }
+
+// Covers reports whether Lend would lend runs. Must be called with w.mu
+// held, as Lend.
+func (g *fetchGuard) Covers(runs []pfs.Run) bool {
+	for _, r := range runs {
+		if g.w.lendAt(g, r) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Lend is the cache's side of write sieving, the lock ROMIO takes to
+// widen a write from its sieve buffer: it copies into p the bytes of
+// runs, a hole of g's write, and records them as lent, so the store
+// write puts back exactly the bytes already there. It lends only what
+// clean memory extents hold whole and no write in flight writes or has
+// lent: clean bytes equal the store's once the writes over them have
+// ended. Until g's EndWrite, a write or absorb over a lent range waits.
+func (g *fetchGuard) Lend(runs []pfs.Run, p []byte) bool {
+	w := g.w
+	for _, r := range runs {
+		k := w.lendAt(g, r)
+		if k < 0 {
+			return false
+		}
+		for ; r.Len > 0; k++ {
+			e := w.ext[k]
+			n := copy(p, e.data[r.Off-e.off:min(e.end(), r.End())-e.off])
+			p, r.Off, r.Len = p[n:], r.Off+int64(n), r.Len-int64(n)
+		}
+	}
+	for _, r := range runs {
+		n := len(g.lent)
+		g.lentSorted = n == 0 || g.lentSorted && g.lent[n-1].End() <= r.Off
+		g.lent = append(g.lent, r)
+	}
+	return true
+}
+
+// lendAt returns the position in w.ext of the first of the clean memory
+// extents that hold r whole, or -1 when they do not, or when a direct
+// write in flight writes or has lent any of r. That includes the lender
+// g's own write, unless its runs are sorted: a hole then lies between
+// two segments of one server, and none of the write's runs reaches
+// into it. g's lent ranges never overlap a hole of its own. Must be
+// called with w.mu held.
+func (w *fileCache) lendAt(g *fetchGuard, r pfs.Run) int {
+	for _, x := range w.guards {
+		if x == g {
+			if !g.sorted && extent.Overlaps(g.runs, r, false) {
+				return -1
+			}
+		} else if extent.Overlaps(x.runs, r, x.sorted) || x.lentOverlaps(r) {
+			return -1
+		}
+	}
+	k := g.hint
+	if k > len(w.ext) || k > 0 && w.ext[k-1].end() > r.Off {
+		k = 0
+	}
+	k = extent.Find(w.ext, r.Off, k)
+	g.hint = k
+	for i, pos := k, r.Off; pos < r.End(); i++ {
+		if i == len(w.ext) || w.ext[i].off > pos || w.ext[i].dirty {
+			return -1
+		}
+		pos = w.ext[i].end()
+	}
+	return k
+}
+
+// lentOverlaps reports whether a range g has lent overlaps r, sorting
+// g's lent ranges first if need be. Must be called with w.mu held.
+func (g *fetchGuard) lentOverlaps(r pfs.Run) bool {
+	if len(g.lent) == 0 {
+		return false
+	}
+	if !g.lentSorted {
+		slices.SortFunc(g.lent, func(a, b pfs.Run) int { return cmp.Compare(a.Off, b.Off) })
+		g.lentSorted = true
+	}
+	return extent.Overlaps(g.lent, r, true)
+}
+
+// waitLent waits, over w.mu, until no write in flight has lent a range
+// that runs overlap (sorted: runs are ascending and disjoint). Must be
+// called with w.mu held.
+func (w *fileCache) waitLent(runs []pfs.Run, sorted bool) {
+	for w.lentOverlaps(runs, sorted) {
+		if w.onWait != nil {
+			w.onWait()
+		}
+		w.unlent.Wait()
+	}
+}
+
+func (w *fileCache) lentOverlaps(runs []pfs.Run, sorted bool) bool {
+	for _, g := range w.guards {
+		for _, l := range g.lent {
+			if extent.Overlaps(runs, l, sorted) {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // uncovered returns the sub-ranges of span that neither tier holds, at
 // the cost of the extents inside span. Both tiers are "already cached":

@@ -650,7 +650,7 @@ func (fs *FS) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("pfs: negative offset")
 	}
-	if _, err := fs.transfer([]Run{{Off: off, Len: int64(len(p))}}, Contig(p), true, false); err != nil {
+	if _, err := fs.transfer([]Run{{Off: off, Len: int64(len(p))}}, Contig(p), true, false, nil); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -664,7 +664,7 @@ func (fs *FS) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, errors.New("pfs: negative offset")
 	}
-	if _, err := fs.transfer([]Run{{Off: off, Len: int64(len(p))}}, Contig(p), false, false); err != nil {
+	if _, err := fs.transfer([]Run{{Off: off, Len: int64(len(p))}}, Contig(p), false, false, nil); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -688,12 +688,12 @@ func Coalesce(runs []Run) []Run { return extent.Coalesce(runs) }
 // instead of serializing run-by-run, and a per-server segment is one
 // request however many memory segments it lands in.
 func (fs *FS) ReadVec(runs []Run, mem Vec) (int64, error) {
-	return fs.transfer(runs, mem, false, false)
+	return fs.transfer(runs, mem, false, false, nil)
 }
 
 // ReadV is ReadVec into a contiguous buffer.
 func (fs *FS) ReadV(runs []Run, buf []byte) (int64, error) {
-	return fs.transfer(runs, Contig(buf), false, false)
+	return fs.transfer(runs, Contig(buf), false, false, nil)
 }
 
 // SieveReadV is ReadVec with sieve-fetch attribution: the serviced
@@ -702,18 +702,28 @@ func (fs *FS) ReadV(runs []Run, buf []byte) (int64, error) {
 // dispatch. The mpiio file cache sends its sieve-aligned covering
 // reads through this path, straight into its own buffers.
 func (fs *FS) SieveReadV(runs []Run, mem Vec) (int64, error) {
-	return fs.transfer(runs, mem, false, true)
+	return fs.transfer(runs, mem, false, true, nil)
 }
 
 // WriteVec performs a vectored write of runs from mem (the runs' bytes
 // are mem's segments, concatenated). It returns the total bytes written.
 func (fs *FS) WriteVec(runs []Run, mem Vec) (int64, error) {
-	return fs.transfer(runs, mem, true, false)
+	return fs.transfer(runs, mem, true, false, nil)
+}
+
+// WriteVecFrom is WriteVec with a source that lends the bytes of the
+// holes between its segments: a hole the source covers costs the write
+// budget its own bytes, not a read-modify-write's, and once granted and
+// lent it is stored as a segment of its own, so segment, hole and
+// segment are one write request (HoleSource). A parity store takes no
+// source: its holes keep the read-modify-write.
+func (fs *FS) WriteVecFrom(runs []Run, mem Vec, src HoleSource) (int64, error) {
+	return fs.transfer(runs, mem, true, false, src)
 }
 
 // WriteV is WriteVec from a contiguous buffer.
 func (fs *FS) WriteV(runs []Run, buf []byte) (int64, error) {
-	return fs.transfer(runs, Contig(buf), true, false)
+	return fs.transfer(runs, Contig(buf), true, false, nil)
 }
 
 // FlushV is WriteVec with flush-sweep attribution: the serviced bytes
@@ -722,16 +732,20 @@ func (fs *FS) WriteV(runs []Run, buf []byte) (int64, error) {
 // dispatch. Write-behind caches (internal/mpiio) send their deferred
 // dirty extents through this path, one memory segment per extent.
 func (fs *FS) FlushV(runs []Run, mem Vec) (int64, error) {
-	return fs.transfer(runs, mem, true, true)
+	return fs.transfer(runs, mem, true, true, nil)
 }
 
 // transfer is every logical operation: it builds the segment list of
 // the runs that fit mem — stopping at the first that does not, with a
 // validation error — dispatches it, and on a write brings parity and
-// the logical size up to date.
-func (fs *FS) transfer(runs []Run, mem Vec, write, attr bool) (int64, error) {
+// the logical size up to date. src, a write's hole source, is dropped
+// on a parity store.
+func (fs *FS) transfer(runs []Run, mem Vec, write, attr bool, src HoleSource) (int64, error) {
 	d := fs.newDispatch(mem, write)
 	d.attr = attr
+	if fs.code == nil {
+		d.src = src
+	}
 	var verr error
 	var at int64
 	accepted, size, cur := 0, mem.Len(), Cursor{Mem: mem}

@@ -151,6 +151,51 @@ type dispatch struct {
 	// reads through that hole. A negative entry is a candidate that was
 	// not granted. Empty when the store has no seek to save.
 	grant []int64
+	// src lends a write the bytes of its holes (WriteVecFrom); nil on
+	// reads, parity stores and flush sweeps. lendable[i] marks the hole
+	// before segment i as one src covered when accept priced it. A lent
+	// hole becomes a write segment of its own, appended to segs with its
+	// bytes in slab (lentSeg). lruns and idxTmp are lendHoles' scratch.
+	src      HoleSource
+	lendable []bool
+	slab     []byte
+	lruns    []Run
+	idxTmp   []int32
+}
+
+// HoleSource lends a write the bytes that already lie in the holes
+// between its segments on a server, so that the server stores segment,
+// hole and segment as one write request, with no read leg. The write
+// holds the source's lock over all its Covers and Lend calls, once per
+// dispatch, so a hole it covers when priced is still covered when
+// lent. Both methods take a hole as its logical runs, which they must
+// not keep.
+type HoleSource interface {
+	sync.Locker
+	// Covers reports whether Lend would lend the runs.
+	Covers(runs []Run) bool
+	// Lend copies the runs' current bytes, packed back-to-back, into p
+	// and holds them for the write until it ends, so that the bytes the
+	// write stores over the hole are the ones already there. It reports
+	// false, and lends nothing, when it cannot.
+	Lend(runs []Run, p []byte) bool
+}
+
+// lentSeg is the segment of a hole that d's source lent, its bytes at
+// slab offset at; owner is the segment behind the hole, whose grant it
+// took and against which its failure counts. A lent segment's mi is
+// negative, which is how moveLocked and owner tell it apart.
+func lentSeg(server int, off, n, at int64, owner int32) ioSeg {
+	return ioSeg{server: int32(server), off: off, n: n, mo: at, mi: -1 - owner}
+}
+
+// owner returns the submitted segment a failure of segment i counts
+// against: i itself, or for a lent hole the segment behind it.
+func (d *dispatch) owner(i int32) int {
+	if mi := d.segs[i].mi; mi < 0 {
+		return int(-1 - mi)
+	}
+	return int(i)
 }
 
 // holeBudgetShare sets a read dispatch's hole budget: the holes its
@@ -228,8 +273,8 @@ func (fs *FS) release(d *dispatch) {
 	clear(d.served)
 	clear(d.fails)
 	d.segs, d.served, d.fails = d.segs[:0], d.served[:0], d.fails[:0]
-	d.grant = d.grant[:0]
-	d.mem, d.write, d.attr, d.skip, d.capture = nil, false, false, false, false
+	d.grant, d.lendable, d.slab = d.grant[:0], d.lendable[:0], d.slab[:0]
+	d.mem, d.write, d.attr, d.skip, d.capture, d.src = nil, false, false, false, false, nil
 	fs.idleMu.Lock()
 	if len(fs.idle) < maxIdle {
 		fs.idle = append(fs.idle, d)
@@ -409,6 +454,9 @@ func admit(pending []pend, b *batch) []pend {
 func (sv *server) moveLocked(d *dispatch, i int32) error {
 	s := &d.segs[i]
 	off, n, mo := s.off, s.n, s.mo
+	if s.mi < 0 {
+		return sv.storeLocked(d.slab[mo:mo+n], off)
+	}
 	if d.capture {
 		if err := sv.loadLocked(d.pre[d.at[i]:d.at[i]+n], off); err != nil {
 			return err
@@ -454,7 +502,7 @@ func (sv *server) sweep(frozen []pend) []pend {
 		for k := i; k < j; k++ {
 			r, d := &frozen[k], frozen[k].b.d
 			if err := sv.moveLocked(d, r.i); err != nil {
-				d.fail(int(r.i), err, false)
+				d.fail(d.owner(r.i), err, false)
 				r.failed = true
 			}
 			if d.attr {
@@ -593,8 +641,9 @@ func (fs *FS) submit(d *dispatch, deadline time.Duration) int {
 // accepted segments are bucketed by server (submission order kept
 // inside a server), and every hole between consecutive segments of one
 // server's list that pays is a candidate for the dispatch's budget
-// (grantHoles). A write's grants then become runs (joinWrites), whose
-// read legs the injector sees after the segments.
+// (priceWrites, grantHoles). A write's grants then become lent segments
+// (lendHoles) or runs (joinWrites), whose holes and read legs the
+// injector sees after the segments.
 func (fs *FS) accept(d *dispatch) {
 	inj := fs.inj.Load()
 	c := fs.opts.Cost
@@ -622,9 +671,6 @@ func (fs *FS) accept(d *dispatch) {
 		if grant != nil {
 			payload += s.n
 			if g := s.off - b.end; len(b.idx) > 0 && !b.refused && g > 0 && pays(c, g) {
-				if d.write {
-					g = 2*g + s.n
-				}
 				grant[i] = -g
 				want += g
 			}
@@ -633,11 +679,131 @@ func (fs *FS) accept(d *dispatch) {
 		b.idx = append(b.idx, int32(i))
 		b.end = s.off + s.n
 	}
-	if want > 0 {
-		d.grantHoles(payload/share, want)
-		if d.write {
-			d.joinWrites(inj)
+	if want == 0 {
+		return
+	}
+	if d.write {
+		want = fs.priceWrites(d)
+	}
+	d.grantHoles(payload/share, want)
+	if d.src != nil {
+		fs.lendHoles(d, inj)
+	}
+	if d.write {
+		d.joinWrites(inj)
+	}
+}
+
+// priceWrites sets the cost of each candidate hole of a write, entered
+// in d.grant as its bytes g negated, and returns their sum. A hole the
+// source covers is lendable and costs g. Any other is a read-modify-
+// write's: 2g + the segment behind it, since the read leg passes over
+// that segment and the hole is read and written. The source is locked
+// once over all of its Covers calls.
+func (fs *FS) priceWrites(d *dispatch) (want int64) {
+	if d.src != nil {
+		clear(grow(&d.lendable, len(d.segs)))
+		d.src.Lock()
+		defer d.src.Unlock()
+	}
+	for s := range d.batches {
+		idx := d.batches[s].idx
+		for k := 1; k < len(idx); k++ {
+			i := idx[k]
+			g := -d.grant[i]
+			if g == 0 {
+				continue
+			}
+			if p := &d.segs[idx[k-1]]; d.src != nil && d.src.Covers(fs.holeRuns(d, int32(s), p.off+p.n, g)) {
+				d.lendable[i] = true
+			} else {
+				g = 2*g + d.segs[i].n
+			}
+			d.grant[i] = -g
+			want += g
 		}
+	}
+	return want
+}
+
+// holeRuns returns the logical runs of the g bytes at server-local
+// offset off of server s, one per stripe unit: the inverse of locate.
+// They live in d's scratch until the next call.
+func (fs *FS) holeRuns(d *dispatch, s int32, off, g int64) []Run {
+	stripe, k := fs.opts.StripeSize, int64(fs.dataServers())
+	runs := d.lruns[:0]
+	for g > 0 {
+		within := off % stripe
+		take := min(stripe-within, g)
+		runs = append(runs, Run{Off: (off/stripe*k+int64(s))*stripe + within, Len: take})
+		off, g = off+take, g-take
+	}
+	d.lruns = runs
+	return runs
+}
+
+// lentHoles calls fn with each granted lendable hole of d, server by
+// server in list order: its server, the segment i behind it, and its
+// server-local offset and bytes.
+func (d *dispatch) lentHoles(fn func(s int, i int32, off, g int64)) {
+	for s := range d.batches {
+		idx := d.batches[s].idx
+		for k := 1; k < len(idx); k++ {
+			if i := idx[k]; d.grant[i] > 0 && d.lendable[i] {
+				p := &d.segs[idx[k-1]]
+				fn(s, i, p.off+p.n, d.segs[i].off-p.off-p.n)
+			}
+		}
+	}
+}
+
+// lendHoles turns each granted hole that the source covered into a
+// write segment of its own. The injector sees the holes first, as
+// writes; a hole it refuses stays a hole, its grant spent. Then, under
+// one lock of the source, each hole's bytes are lent into d's slab and
+// its segment goes into its server's list between the two it joins.
+// The three touch, so the server stores them as one request. A hole
+// the source has stopped covering since it was priced stays a hole.
+func (fs *FS) lendHoles(d *dispatch, inj *injBox) {
+	var lend int
+	d.lentHoles(func(s int, i int32, off, g int64) {
+		if inj.fail(s, true, off, g) != nil {
+			d.grant[i] = 0
+		} else {
+			lend++
+		}
+	})
+	if lend == 0 {
+		return
+	}
+	n := len(d.segs)
+	d.src.Lock()
+	d.lentHoles(func(s int, i int32, off, g int64) {
+		d.grant[i] = 0 // no hole is left to read through
+		at := int64(len(d.slab))
+		d.slab = slices.Grow(d.slab, int(g))[:at+g]
+		if d.src.Lend(fs.holeRuns(d, int32(s), off, g), d.slab[at:]) {
+			d.segs = append(d.segs, lentSeg(s, off, g, at, i))
+		} else {
+			d.slab = d.slab[:at]
+		}
+	})
+	d.src.Unlock()
+	for range len(d.segs) - n {
+		d.grant = append(d.grant, 0)
+	}
+	// Each lent segment goes in front of its owner in its server's list.
+	for j := n; j < len(d.segs); {
+		b := &d.batches[d.segs[j].server]
+		out := d.idxTmp[:0]
+		for _, i := range b.idx {
+			if j < len(d.segs) && d.owner(int32(j)) == int(i) {
+				out = append(out, int32(j))
+				j++
+			}
+			out = append(out, i)
+		}
+		b.idx, d.idxTmp = out, b.idx
 	}
 }
 

@@ -239,12 +239,50 @@ func TestReadSectionSpendsHoleBudget(t *testing.T) {
 // moves at most 11/10 of the payload, read legs included, and every
 // byte reads back as written with the holes' bytes as they were.
 func TestWriteSectionSpendsHoleBudget(t *testing.T) {
+	st, segs, payload := holeBudgetWrite(t, Tuning{})
+	if st.Requests() >= segs || st.Reads() == 0 {
+		t.Errorf("charged %d requests, %d of them read legs, for %d segments; want fewer requests, and a read leg",
+			st.Requests(), st.Reads(), segs)
+	}
+	if 10*st.Bytes() > 11*payload {
+		t.Errorf("the device moved %d bytes for a %d-byte payload, over 11/10", st.Bytes(), payload)
+	}
+}
+
+// TestCachedWriteSectionLendsHoles is TestWriteSectionSpendsHoleBudget's
+// write on an array its cache holds whole. The cache lends the write
+// the holes' clean bytes, so a hole costs the budget its own 168 bytes
+// instead of 680, and the server stores row, hole and row as one
+// request with no read leg: the write is charged fewer requests than
+// the uncached one, no read, at most 11/10 of the payload in device
+// bytes, and every byte reads back as written, through the cache and
+// straight from the store.
+func TestCachedWriteSectionLendsHoles(t *testing.T) {
+	plain, _, _ := holeBudgetWrite(t, Tuning{})
+	st, _, payload := holeBudgetWrite(t, Tuning{CacheBytes: 1 << 20})
+	if st.Requests() >= plain.Requests() || st.Reads() != 0 {
+		t.Errorf("charged %d requests, %d of them reads; want fewer than the uncached write's %d, and no read",
+			st.Requests(), st.Reads(), plain.Requests())
+	}
+	if 10*st.Bytes() > 11*payload {
+		t.Errorf("the device moved %d bytes for a %d-byte payload, over 11/10", st.Bytes(), payload)
+	}
+}
+
+// holeBudgetWrite writes the unaligned box of the hole-budget tests over
+// a 256×256 float64 array in 64×64 chunks, on 8 servers of one chunk
+// per stripe unit under the benchmark's cost model, with tune's cache
+// read full beforehand. It returns what the write alone cost the
+// servers, its segments and its payload, after checking that every byte
+// reads back as written and the holes' bytes as they were, through the
+// handle and straight from the store.
+func holeBudgetWrite(t *testing.T, tune Tuning) (st pfs.Stats, segs, payload int64) {
+	t.Helper()
 	const dim, chunk = 256, 64
-	fsOpts := pfs.Options{Servers: 8, StripeSize: chunk * chunk * 8, Cost: pfs.CostModel{
-		RequestOverhead: 100 * time.Microsecond, SeekLatency: time.Millisecond, ByteTime: 4 * time.Nanosecond}}
+	fsOpts := pfs.Options{Servers: 8, StripeSize: chunk * chunk * 8, Cost: benchCost}
 	err := cluster.Run(1, func(c *cluster.Comm) error {
 		f, err := Create(c, "write-through", Options{
-			DType: Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{dim, dim}, FS: fsOpts,
+			DType: Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{dim, dim}, FS: fsOpts, Tuning: tune,
 		})
 		if err != nil {
 			return err
@@ -258,44 +296,44 @@ func TestWriteSectionSpendsHoleBudget(t *testing.T) {
 		if err := f.WriteSection(all, flat, RowMajor); err != nil {
 			return err
 		}
+		if err := f.ReadSection(all, make([]byte, len(flat)), RowMajor); err != nil {
+			return err
+		}
 		// Columns 21..234: 43 of 64 in each edge chunk.
 		box := NewBox([]int{10, 21}, []int{118, 235})
 		var p sectionPlan
 		if _, err := f.sectionRuns(&p, box, RowMajor); err != nil {
 			return err
 		}
-		segs := int64(len(p.runs)) // a stripe unit is one chunk: no run crosses one
+		segs = int64(len(p.runs)) // a stripe unit is one chunk: no run crosses one
 		rows, cols := box.Hi[0]-box.Lo[0], box.Hi[1]-box.Lo[1]
 		data := make([]byte, rows*cols*8)
 		for i := range data {
 			data[i] = byte(i*13 + 5)
 		}
+		payload = int64(len(data))
 		f.fs.ResetStats()
 		if err := f.WriteSection(box, data, RowMajor); err != nil {
 			return err
 		}
-		st := f.fs.Stats()
-		if st.Requests() >= segs || st.Reads() == 0 {
-			t.Errorf("charged %d requests, %d of them read legs, for %d segments; want fewer requests, and a read leg",
-				st.Requests(), st.Reads(), segs)
-		}
-		if payload := int64(len(data)); 10*st.Bytes() > 11*payload {
-			t.Errorf("the device moved %d bytes for a %d-byte payload, over 11/10", st.Bytes(), payload)
-		}
+		st = f.fs.Stats()
 		for r := 0; r < rows; r++ {
 			at := ((box.Lo[0]+r)*dim + box.Lo[1]) * 8
 			copy(flat[at:at+cols*8], data[r*cols*8:])
 		}
-		back := make([]byte, len(flat))
-		if err := f.ReadSection(all, back, RowMajor); err != nil {
-			return err
-		}
-		if !bytes.Equal(back, flat) {
-			t.Error("the array differs from what was written")
+		for _, g := range []*File{f, StoreView(f)} {
+			back := make([]byte, len(flat))
+			if err := g.ReadSection(all, back, RowMajor); err != nil {
+				return err
+			}
+			if !bytes.Equal(back, flat) {
+				t.Error("the array differs from what was written")
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st, segs, payload
 }
