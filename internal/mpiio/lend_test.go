@@ -150,12 +150,27 @@ func (v *heldVec) Seg(i int) []byte {
 	return v.Contig.Seg(i)
 }
 
+// reachedStore signals on reached when a write request of exactly n
+// bytes at off reaches the store's injector.
+type reachedStore struct {
+	off, n  int64
+	reached chan struct{}
+}
+
+func (r *reachedStore) Fail(_ int, write bool, off, n int64) error {
+	if write && off == r.off && n == r.n {
+		r.reached <- struct{}{}
+	}
+	return nil
+}
+
 // TestLentRangeHoldsWritesAndAbsorbs: a write through the cache whose
 // store write is held lends the hole between its two runs. A direct
 // write and an absorb that overlap the hole must wait until the lender
 // has ended: the lender stores the hole's old bytes, which would
 // otherwise land over theirs. They must be waiting while the lender is
-// held, return once it has ended, and leave the store with their bytes.
+// held — the write must not have reached the store — return once it
+// has ended, and leave the store with their bytes.
 func TestLentRangeHoldsWritesAndAbsorbs(t *testing.T) {
 	f, flat := lendFile(t, Tuning{CacheBytes: 1 << 20}, 4<<10)
 	w := f.fc
@@ -190,6 +205,8 @@ func TestLentRangeHoldsWritesAndAbsorbs(t *testing.T) {
 	}
 	xRuns := []pfs.Run{{Off: 1050, Len: 10}}
 	xData := bytes.Repeat([]byte{0xE}, 10)
+	xStore := &reachedStore{off: 1050, n: 10, reached: make(chan struct{}, 1)}
+	f.fs.SetInjector(xStore)
 	xDone, yDone := make(chan bool, 1), make(chan bool, 1)
 	go func() {
 		if err := f.WriteV(xRuns, Contig(xData)); err != nil {
@@ -205,7 +222,7 @@ func TestLentRangeHoldsWritesAndAbsorbs(t *testing.T) {
 		var early string
 		select {
 		case <-waiting:
-		case <-xDone:
+		case <-xStore.reached:
 			early = "a write"
 		case <-yDone:
 			early = "an absorb"
@@ -213,7 +230,7 @@ func TestLentRangeHoldsWritesAndAbsorbs(t *testing.T) {
 		if early != "" {
 			close(a.release)
 			<-aDone
-			t.Fatalf("%s over a lent range returned while its lender was held", early)
+			t.Fatalf("%s over a lent range went ahead while its lender was held", early)
 		}
 	}
 	close(a.release)
