@@ -465,8 +465,9 @@ func (w *fileCache) leave(e *cext)  { w.unlink(e); w.unref(e.buf) }
 // The guard is the store write's hole source: it carries the cache and
 // runs, which must stay unchanged until EndWrite.
 func (w *fileCache) BeginWrite(runs []pfs.Run) *fetchGuard {
+	sorted := extent.Sorted(runs)
 	w.mu.Lock()
-	w.waitLent(runs, extent.Sorted(runs))
+	w.waitLent(runs, sorted)
 	was := w.dirtyLocked()
 	w.punchLocked(runs, punchDirty)
 	wait := w.dirtyLocked() < was
@@ -476,7 +477,7 @@ func (w *fileCache) BeginWrite(runs []pfs.Run) *fetchGuard {
 	} else {
 		g = &fetchGuard{}
 	}
-	g.w, g.runs, g.sorted = w, runs, extent.Sorted(runs)
+	g.w, g.runs, g.sorted = w, runs, sorted
 	w.guards = append(w.guards, g)
 	w.mu.Unlock()
 	if wait {

@@ -174,7 +174,7 @@ func (r *reachedStore) Fail(_ int, write bool, off, n int64) error {
 func TestLentRangeHoldsWritesAndAbsorbs(t *testing.T) {
 	f, flat := lendFile(t, Tuning{CacheBytes: 1 << 20}, 4<<10)
 	w := f.fc
-	waiting := make(chan struct{}, 16)
+	waiting := make(chan struct{}, 2) // one per waiter; a wake-up that finds it full is dropped
 	w.onWait = func() {
 		select {
 		case waiting <- struct{}{}:

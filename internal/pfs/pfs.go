@@ -54,8 +54,9 @@ type CostModel struct {
 	// read's payload or 1/10 of a write's. A dense run of a read list is
 	// one request, charged its span, holes included; one of a write list
 	// is a read of its interior and a write of its span, and joins at
-	// least two holes. A run never reads through a segment the injector
-	// refused.
+	// least two holes, unless the write's hole source lends the holes
+	// (WriteVecFrom): then it is one write of its span. A run never reads
+	// through a segment the injector refused.
 	SeekLatency time.Duration
 	// ByteTime is charged per byte transferred.
 	ByteTime time.Duration
