@@ -3,6 +3,7 @@ package drxmp_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -378,12 +379,8 @@ func TestChaosKillRestartMidWorkload(t *testing.T) {
 
 		final, werr := chaosWorkload(ctx, cl, "arr", workers, iters, bandRows, cols, gate)
 		close(workDone)
-		kerr := <-killerDone
-		if kerr != nil {
-			return kerr
-		}
-		if werr != nil {
-			return werr
+		if err := errors.Join(werr, <-killerDone); err != nil {
+			return err
 		}
 		if err := verifyEndState(ctx, cl, f, "arr", final, bandRows, cols); err != nil {
 			return err
