@@ -65,24 +65,34 @@
 // Degraded reads. A segment that is refused by the failure injector,
 // errors in service, or exceeds the straggler deadline
 // (degradedReadFactor × the nominal max per-server service time,
-// RealTime cost models only) is reconstructed: the same byte sub-range of the row's other shards is
-// fetched from the fastest k of the remaining k+m-1 servers (ranked by
-// slow factor, then requests queued), and the missing shard is decoded
-// straight into the caller's buffer — byte-range decoding works
-// because Reed-Solomon over GF(2^8) is bytewise. (A caller's vector
-// that is not one contiguous buffer is assembled in the dispatch's
-// staging buffer and copied out once.) The deadline cuts lists, not
-// calls: when it fires, every segment a server has marked served is
-// kept, the rest of the slowest servers' lists are stragglers, and the
-// read waits for the other late lists (awaitLate). Segments
-// are read in place unless a deadline is armed; only then can a list be
-// abandoned, and only then do the servers read into a private slab, so
-// a straggler's late completions land in memory nobody reads — and the
-// dispatch they belong to is never reused. A degraded read's working
-// memory (reconScratch) rides on its dispatch, so it is pooled with it.
-// A rebuild holds parityGate exclusively, so no write is halfway through
-// the rows it decodes, and the read's own served segments seed it only
-// if no data write overlapped the read (writesBegun, writesEnded). A
+// RealTime cost models only) is reconstructed: the same byte sub-range
+// of the row's other shards is taken from the fastest k of the
+// remaining k+m-1 servers (ranked by slow factor, then requests queued),
+// and the missing shard is decoded straight into the caller's buffer —
+// byte-range decoding works because Reed-Solomon over GF(2^8) is
+// bytewise. (A caller's vector that is not one contiguous buffer is
+// assembled in the dispatch's staging buffer and copied out once.) A
+// source that a served segment of the read holds whole is taken from
+// the read's bytes. A refused segment is known before anything is
+// queued, so the read's own dispatch fetches its other sources
+// (foldSources): each is one more read segment on its server, which the
+// server joins with the read's own segments into their requests. What
+// that cannot rebuild — a segment that failed in service or missed the
+// deadline, one whose planned sources did not all arrive, every one
+// when a write overlapped the read — is rebuilt after the read, its
+// missing sources fetched in rounds of their own. The deadline cuts
+// lists, not calls: when it fires, every segment a server has marked
+// served is kept, the rest of the slowest servers' lists are
+// stragglers, and the read waits for the other late lists (awaitLate).
+// Segments are read in place unless a deadline is armed; only then can
+// a list be abandoned, and only then do the servers read into a private
+// slab, so a straggler's late completions land in memory nobody reads —
+// and the dispatch they belong to is never reused. A degraded read's
+// working memory (reconScratch) rides on its dispatch, so it is pooled
+// with it. A rebuild holds parityGate exclusively, so no write is
+// halfway through the rows it decodes, and the read's own served
+// segments and fetches seed it only if no data write overlapped the
+// read (writesBegun, writesEnded). A
 // straggler whose rows cannot be rebuilt without it, because another of
 // their shards failed too, is waited for instead of failing the read.
 package pfs
@@ -381,7 +391,8 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 	if deadline > 0 || !inPlace {
 		d.mem = Contig(target)
 	}
-	d.skip = true
+	d.skip, d.fold = true, true
+	sc.folds, sc.foldSrc = sc.folds[:0], sc.foldSrc[:0]
 	if cap(d.served) < len(segs) {
 		d.served = make([]atomic.Bool, len(segs))
 	}
@@ -389,6 +400,7 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 	begun := fs.writesBegun.Load()
 	quiet := fs.writesEnded.Load() == begun // no data write in flight
 	left := fs.submit(d, deadline)
+	segs = d.segs[:len(segs)] // the read's own; its source fetches follow
 	if left > 0 {
 		left = fs.awaitLate(d, sc, left)
 	}
@@ -411,13 +423,14 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 		}
 		// A rebuild decodes one state of each row from its row-mates and
 		// coded units, so it holds writers off. The read's own served
-		// segments are row-mates from before the gate: they may seed it
-		// only if no data write overlapped the read, or a write to a
-		// row-mate could pair new data with old parity.
+		// segments, and the sources fetched beside them, were read before
+		// the gate: they may seed it only if no data write overlapped the
+		// read, or a write to a row-mate could pair new data with old
+		// parity.
 		fs.parityGate.Lock()
 		seed := quiet && fs.writesBegun.Load() == begun
 		var failIdx int
-		failIdx, err = fs.reconstructSegs(sc, segs, buf, recon, seed)
+		failIdx, err = fs.reconstructSegs(sc, d, segs, buf, recon, seed)
 		fs.parityGate.Unlock()
 		if err == nil || left == 0 {
 			if err != nil {
@@ -502,7 +515,10 @@ type reconFetch struct {
 }
 
 // serviceReconBatch issues a round of reconstruction source fetches as
-// one dispatch, one segment per fetch, sorted by offset (stably, so ties
+// one dispatch: the rounds of a rebuild that the read's own dispatch
+// could not fetch (foldSources) — service errors, deadline stragglers,
+// a refused or late fetch, a read an overlapping write left unseeded.
+// There is one segment per fetch, sorted by offset (stably, so ties
 // keep batch order), which each server's list keeps: a multi-row
 // degraded read pulls consecutive shard rows from the same source
 // server, and the server's service loop joins fetches that touch into
@@ -541,7 +557,7 @@ func (fs *FS) serviceReconBatch(sc *reconScratch, batch []reconFetch) {
 // byServer orders the items 0..n-1 by their server, stably, with one
 // counting sort: server s's items are idx[at[s]:at[s+1]]. Both slices
 // are sc's, valid until the next call.
-func (sc *reconScratch) byServer(servers, n int, server func(i int) int) (idx, at []int) {
+func (sc *reconScratch) byServer(servers, n int, server func(i int) int) (idx []int32, at []int) {
 	idx = grow(&sc.idx, n)
 	at = grow(&sc.at, servers+1)
 	clear(at)
@@ -553,7 +569,7 @@ func (sc *reconScratch) byServer(servers, n int, server func(i int) int) (idx, a
 	}
 	for i := 0; i < n; i++ {
 		s := server(i)
-		idx[at[s]] = i
+		idx[at[s]] = int32(i)
 		at[s]++
 	}
 	// at[s] has walked to the end of server s's bucket, which is where
@@ -593,10 +609,17 @@ type reconScratch struct {
 	tabs    [][]byte // the jobs' shard tables, k+m entries each
 	inRecon []bool
 	batch   []reconFetch
-	idx     []int  // byServer: the items by server
-	at      []int  //   and where each server's items start
-	slab    []byte // the source fetches' bytes
-	used    int    // of slab, by this read's earlier rounds
+	idx     []int32 // byServer: the items by server
+	at      []int   //   and where each server's items start
+	slab    []byte  // the source fetches' bytes
+	used    int     // of slab, by this read's earlier rounds
+	// foldSources' plan: the refused segments whose k sources it found,
+	// ascending, and those sources, k per segment (segment indices of
+	// the dispatch: a segment of the read, or a fetch in its slab).
+	folds, foldSrc []int32
+	barred         []bool    // foldSources: servers that take no fetch
+	lists          [][]int32 //   each server's accepted segments by offset
+	flat           []int32   //   and the sorted copies of those out of order
 }
 
 // grow returns *s resized to n, reallocated only when too small. The
@@ -645,16 +668,18 @@ func sameSurvivors(a, b [][]byte) bool {
 	return true
 }
 
-// reconstructSegs rebuilds the listed segments from the surviving
-// shards, straight into the segments' places in buf. Source reads batch
-// across jobs per round, so several reconstructions pay max- not
-// sum-per-server service time. Jobs, their shard tables and the
-// fetched bytes all come from sc; the decoder is looked up once per run
-// of jobs with the same survivor set — one per row and failure pattern,
-// not one per segment. With seed, the segments of segs already served
-// stand in for source fetches. On failure it returns the smallest
-// segment index it could not serve.
-func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon []int, seed bool) (int, error) {
+// reconstructSegs rebuilds the listed segments of d — segs, the read's
+// own — from the surviving shards, straight into the segments' places
+// in buf. With seed, a segment whose sources foldSources planned takes
+// them when every one was served, and the other segments take each
+// source that a served segment of segs holds whole (containing); what
+// is still missing is fetched in rounds. Source reads batch across jobs
+// per round, so several reconstructions pay max- not sum-per-server
+// service time. Jobs, their shard tables and the fetched bytes all come
+// from sc; the decoder is looked up once per run of jobs with the same
+// survivor set — one per row and failure pattern, not one per segment.
+// On failure it returns the smallest segment index it could not serve.
+func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf []byte, recon []int, seed bool) (int, error) {
 	k, m := fs.code.K(), fs.code.M()
 	stripe := fs.opts.StripeSize
 	order := fs.sourceOrder(sc)
@@ -666,31 +691,39 @@ func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon 
 	sc.used = 0
 	// The tables point into the caller's buffer: let go of it.
 	defer clear(shardTabs)
+	short, fi := 0, 0 // jobs the plan leaves short of k; the plan's cursor
 	for ji, idx := range recon {
 		s := &segs[idx]
-		jobs[ji] = reconJob{
+		j := &jobs[ji]
+		*j = reconJob{
 			segIdx: idx, server: int(s.server), off: s.off, n: int(s.n),
 			shards: shardTabs[ji*(k+m) : (ji+1)*(k+m)],
 		}
 		inRecon[idx] = true
+		if seed {
+			for fi < len(sc.folds) && int(sc.folds[fi]) < idx {
+				fi++
+			}
+			if fi < len(sc.folds) && int(sc.folds[fi]) == idx {
+				d.foldShards(j, sc.foldSrc[fi*k:(fi+1)*k], buf)
+			}
+		}
+		if j.got < k {
+			short++
+		}
 	}
 	// Seed shards the vector already holds: a row-mate of the target
-	// segment that was served healthily covers the same byte range of
-	// its own stripe unit, so it is a reconstruction source for free —
-	// a whole-row degraded read then only fetches the parity shards. The
+	// segment that was served healthily and holds the same byte range of
+	// its own stripe unit is a reconstruction source for free — a
+	// whole-row degraded read then only fetches the parity shards. The
 	// segments are bucketed by server once, each bucket ascending by
-	// (offset, length) — already so when the vector's runs are — so a
-	// job binary-searches each other server's bucket for its own range,
-	// and takes one shard per server.
-	if seed {
+	// offset — already so when the vector's runs are — so a job
+	// binary-searches each other server's bucket for a segment that
+	// holds its range, and takes one shard per server.
+	if seed && short > 0 {
 		idx, at := sc.byServer(fs.opts.Servers, len(segs), func(i int) int { return int(segs[i].server) })
-		byRange := func(a, b int) int {
-			return cmp.Or(cmp.Compare(segs[a].off, segs[b].off), cmp.Compare(segs[a].n, segs[b].n))
-		}
 		for s := 0; s < fs.opts.Servers; s++ {
-			if b := idx[at[s]:at[s+1]]; !slices.IsSortedFunc(b, byRange) {
-				slices.SortStableFunc(b, byRange)
-			}
+			sortByOffset(segs, idx[at[s]:at[s+1]])
 		}
 		for ji := range jobs {
 			j := &jobs[ji]
@@ -698,23 +731,9 @@ func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon 
 				if c == j.server {
 					continue
 				}
-				lo, hi := at[c], at[c+1] // to the first of c's segments not below j's range
-				for lo < hi {
-					h := int(uint(lo+hi) >> 1)
-					if s := &segs[idx[h]]; s.off < j.off || s.off == j.off && int(s.n) < j.n {
-						lo = h + 1
-					} else {
-						hi = h
-					}
-				}
-				for _, i := range idx[lo:at[c+1]] {
-					if s := &segs[i]; s.off != j.off || int(s.n) != j.n {
-						break
-					} else if !inRecon[i] {
-						j.shards[c] = s.in(buf)
-						j.got++
-						break
-					}
+				if i := containing(segs, idx[at[c]:at[c+1]], j.off, int64(j.n), inRecon); i >= 0 {
+					j.shards[c] = segs[i].within(buf, j.off, int64(j.n))
+					j.got++
 				}
 			}
 		}
@@ -776,4 +795,200 @@ func (fs *FS) reconstructSegs(sc *reconScratch, segs []ioSeg, buf []byte, recon 
 		fs.reconBytes.Add(int64(j.n))
 	}
 	return len(segs), nil
+}
+
+// within returns the n bytes at server-local offset off of the segment,
+// which holds them, in buf, the contiguous memory the segment list was
+// built over.
+func (s *ioSeg) within(buf []byte, off, n int64) []byte {
+	at := s.mo + off - s.off
+	return buf[at : at+n]
+}
+
+// ascending reports whether list, indices into segs, ascends by the
+// segments' offsets, as the lists of a vector whose runs ascend do.
+func ascending(segs []ioSeg, list []int32) bool {
+	for k := 1; k < len(list); k++ {
+		if segs[list[k]].off < segs[list[k-1]].off {
+			return false
+		}
+	}
+	return true
+}
+
+// sortByOffset sorts list, indices into segs, by the segments' offsets,
+// stably, unless it ascends already.
+func sortByOffset(segs []ioSeg, list []int32) {
+	if !ascending(segs, list) {
+		slices.SortStableFunc(list, func(a, b int32) int { return cmp.Compare(segs[a].off, segs[b].off) })
+	}
+}
+
+// containing returns the segment of list — indices into segs of one
+// server's segments, ascending by offset — that holds the n bytes at off
+// whole and that skip (when not nil) does not mark, or -1. It
+// binary-searches for the segments that start at the last offset at or
+// below off and tries each: in a list that does not overlap itself, a
+// segment starting further down ends before them.
+func containing(segs []ioSeg, list []int32, off, n int64, skip []bool) int32 {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if segs[list[h]].off <= off {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	for h := lo - 1; h >= 0 && segs[list[h]].off == segs[list[lo-1]].off; h-- {
+		if i := list[h]; segs[i].off+segs[i].n >= off+n && (skip == nil || !skip[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// foldSources plans, in accept's pass over a degraded read, the
+// reconstruction sources of each segment the injector refused (d.fails,
+// in submission order), so that the read's own dispatch fetches them.
+// It takes the k sources a rebuild needs in sourceOrder. A source that
+// an accepted segment of the read holds whole (containing) is taken
+// from the vector. Any other becomes a read segment of its own, its
+// bytes in the slab and its failure counted against the refused segment
+// (lentSeg), and is put to the injector now. A server that refused a
+// segment of the read takes no fetch. A refused fetch, or fewer than k
+// sources, leaves the segment to the rebuild's rounds, and drops its
+// fetches. The fetches go into their servers' lists in offset order,
+// merged with the read's own segments, and those lists' holes are
+// priced again, so the one hole budget and the joining rules take them
+// in with the read's requests. It returns the dispatch's payload and
+// candidate holes, fetches included.
+func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64, int64) {
+	sc, k, n0 := d.recon, fs.code.K(), len(d.segs)
+	barred := grow(&sc.barred, len(d.batches))
+	clear(barred)
+	for _, f := range d.fails {
+		barred[f.seg.server] = true
+	}
+	// The lookups go through each server's list sorted by offset: the
+	// list itself, or a sorted copy, since the list keeps its order.
+	lists, flat := grow(&sc.lists, len(d.batches)), grow(&sc.flat, n0)[:0]
+	for s := range d.batches {
+		if lists[s] = d.batches[s].idx; !ascending(d.segs, lists[s]) {
+			at := len(flat)
+			flat = append(flat, lists[s]...)
+			lists[s] = flat[at:]
+			sortByOffset(d.segs, lists[s])
+		}
+	}
+	order := fs.sourceOrder(sc)
+	folds, srcs := sc.folds[:0], sc.foldSrc[:0]
+	for _, f := range d.fails {
+		job := f.seg
+		segsAt, slabAt, srcAt := len(d.segs), len(d.slab), len(srcs)
+		for _, c := range order {
+			if len(srcs)-srcAt == k {
+				break
+			}
+			if c == int(job.server) {
+				continue
+			}
+			if i := containing(d.segs, lists[c], job.off, job.n, nil); i >= 0 {
+				srcs = append(srcs, i)
+				continue
+			}
+			if barred[c] {
+				continue
+			}
+			if inj.fail(c, false, job.off, job.n) != nil {
+				barred[c] = true
+				break
+			}
+			at := int64(len(d.slab))
+			d.slab = slices.Grow(d.slab, int(job.n))[:at+job.n]
+			srcs = append(srcs, int32(len(d.segs)))
+			d.segs = append(d.segs, lentSeg(c, job.off, job.n, at, int32(f.idx)))
+		}
+		if len(srcs)-srcAt < k {
+			d.segs, d.slab, srcs = d.segs[:segsAt], d.slab[:slabAt], srcs[:srcAt]
+			continue
+		}
+		folds = append(folds, int32(f.idx))
+	}
+	sc.folds, sc.foldSrc = folds, srcs
+	if len(d.segs) == n0 {
+		return payload, want
+	}
+	if cap(d.served) < len(d.segs) {
+		d.served = make([]atomic.Bool, len(d.segs))
+	}
+	d.served = d.served[:len(d.segs)]
+	priced := len(d.grant) > 0
+	if priced {
+		d.grant = slices.Grow(d.grant, len(d.segs)-n0)[:len(d.segs)]
+		for _, s := range d.segs[n0:] {
+			payload += s.n
+		}
+	}
+	c := fs.opts.Cost
+	idx, at := sc.byServer(len(d.batches), len(d.segs)-n0, func(i int) int { return int(d.segs[n0+i].server) })
+	for s := range d.batches {
+		fetch := idx[at[s]:at[s+1]]
+		if len(fetch) == 0 {
+			continue
+		}
+		for x := range fetch {
+			fetch[x] += int32(n0)
+		}
+		sortByOffset(d.segs, fetch)
+		b := &d.batches[s]
+		own, out := b.idx, d.idxTmp[:0]
+		var end int64 // the furthest end of the list so far
+		for _, i := range own {
+			if priced && d.grant[i] < 0 {
+				want += d.grant[i] // priced again below
+			}
+		}
+		for len(own) > 0 || len(fetch) > 0 {
+			var i int32
+			if len(fetch) == 0 || len(own) > 0 && d.segs[own[0]].off <= d.segs[fetch[0]].off {
+				i, own = own[0], own[1:]
+			} else {
+				i, fetch = fetch[0], fetch[1:]
+			}
+			if priced {
+				sg := &d.segs[i]
+				d.grant[i] = 0
+				if g := sg.off - end; len(out) > 0 && g > 0 && pays(c, g) {
+					d.grant[i] = -g
+					want += g
+				}
+				end = max(end, sg.off+sg.n)
+			}
+			out = append(out, i)
+		}
+		b.idx, d.idxTmp = out, b.idx
+	}
+	return payload, want
+}
+
+// foldShards fills job j's shard table from the sources foldSources
+// planned for it, srcs, if every one of them was served. A source is the
+// job's range of a segment of the read, in buf, or a fetch of that
+// range, in the slab.
+func (d *dispatch) foldShards(j *reconJob, srcs []int32, buf []byte) {
+	for _, i := range srcs {
+		if !d.served[i].Load() {
+			return
+		}
+	}
+	for _, i := range srcs {
+		s := &d.segs[i]
+		if s.mi < 0 {
+			j.shards[s.server] = d.slab[s.mo : s.mo+s.n]
+		} else {
+			j.shards[s.server] = s.within(buf, j.off, int64(j.n))
+		}
+	}
+	j.got = len(srcs)
 }

@@ -58,6 +58,15 @@
 // hole and segment touch and are one request, with no read leg. A hole
 // the source does not cover keeps the read-modify-write.
 //
+// A degraded read (parity.go) takes a refused segment's reconstruction
+// sources into its own dispatch the same way (foldSources): a source
+// that a segment of the read holds is taken from its bytes, and each
+// other becomes a read segment of its own, its bytes in the slab,
+// merged into its server's list in offset order before the holes are
+// priced. The read's segments then join it by the same rules, and a
+// read segment overlapping another of its dispatch joins its request,
+// charged to the furthest end.
+//
 // The state of one submission (segments, batches, outcomes) is a
 // pooled dispatch, back on its store's idle list once every batch has
 // signalled. A degraded read whose straggler deadline fired returns
@@ -139,7 +148,9 @@ type dispatch struct {
 	attr  bool // count the bytes as flush-sweep (write) or sieve-fetch (read) traffic
 	// skip: a segment the injector refuses is skipped and submission goes
 	// on (reads that can reconstruct); otherwise it ends the submission.
-	skip bool
+	// fold: a degraded read; accept plans a refused segment's
+	// reconstruction sources in the same pass (foldSources).
+	skip, fold bool
 
 	batches []batch       // by server
 	done    chan struct{} // one signal per queued batch; never blocks (cap = servers)
@@ -166,8 +177,9 @@ type dispatch struct {
 	// reads, parity stores and flush sweeps. lendable[i] marks the hole
 	// before segment i as one src covered when accept priced it. A lent
 	// hole becomes a write segment of its own, appended to segs with its
-	// bytes in slab (lentSeg). lruns (holeRuns') and idxTmp (lendHoles')
-	// are scratch.
+	// bytes in slab (lentSeg), as does a degraded read's source fetch.
+	// lruns (holeRuns') and idxTmp (lendHoles', foldSources') are
+	// scratch.
 	src      HoleSource
 	lendable []bool
 	slab     []byte
@@ -195,14 +207,17 @@ type HoleSource interface {
 
 // lentSeg is the segment of a hole that d's source lent, its bytes at
 // slab offset at; owner is the segment behind the hole, whose grant it
-// took and against which its failure counts. A lent segment's mi is
-// negative, which is how moveLocked and owner tell it apart.
+// took and against which its failure counts. On a degraded read it is a
+// reconstruction source fetched for the refused segment owner, its
+// bytes read into the slab. A slab segment's mi is negative, which is
+// how moveLocked and owner tell it apart.
 func lentSeg(server int, off, n, at int64, owner int32) ioSeg {
 	return ioSeg{server: int32(server), off: off, n: n, mo: at, mi: -1 - owner}
 }
 
 // owner returns the submitted segment a failure of segment i counts
-// against: i itself, or for a lent hole the segment behind it.
+// against: i itself, for a lent hole the segment behind it, and for a
+// degraded read's source fetch the refused segment it rebuilds.
 func (d *dispatch) owner(i int32) int {
 	if mi := d.segs[i].mi; mi < 0 {
 		return int(-1 - mi)
@@ -291,7 +306,7 @@ func (fs *FS) release(d *dispatch) {
 	clear(d.fails)
 	d.segs, d.served, d.fails = d.segs[:0], d.served[:0], d.fails[:0]
 	d.grant, d.lendable, d.slab = d.grant[:0], d.lendable[:0], d.slab[:0]
-	d.mem, d.write, d.attr, d.skip, d.capture, d.src = nil, false, false, false, false, nil
+	d.mem, d.write, d.attr, d.skip, d.fold, d.capture, d.src = nil, false, false, false, false, false, nil
 	fs.idleMu.Lock()
 	if len(fs.idle) < maxIdle {
 		fs.idle = append(fs.idle, d)
@@ -384,18 +399,18 @@ func (sv *server) serve(ch chan *batch) {
 }
 
 // chargeRun charges the request that serves the segments first through
-// last of one server's list and returns its service time: one request
-// over the span, holes included. A write run joined through holes (rmw)
-// is a read-modify-write and two requests: a read of its interior, from
-// the end of its first segment to the start of its last, then a write
-// of its whole span. Must be called with sv.mu held.
-func (sv *server) chargeRun(first, last *ioSeg, write, rmw bool) time.Duration {
+// last of one server's list, reaching end, and returns its service
+// time: one request over the span, holes included. A write run joined
+// through holes (rmw) is a read-modify-write and two requests: a read of
+// its interior, from the end of its first segment to the start of its
+// last, then a write of its whole span. Must be called with sv.mu held.
+func (sv *server) chargeRun(first, last *ioSeg, end int64, write, rmw bool) time.Duration {
 	var dur time.Duration
 	if rmw {
 		at := first.off + first.n
 		dur = sv.charge(last.off-at, at, false)
 	}
-	return dur + sv.charge(last.off+last.n-first.off, first.off, write)
+	return dur + sv.charge(end-first.off, first.off, write)
 }
 
 // pays reports whether reading through a g-byte hole costs less than
@@ -472,7 +487,10 @@ func (sv *server) moveLocked(d *dispatch, i int32) error {
 	s := &d.segs[i]
 	off, n, mo := s.off, s.n, s.mo
 	if s.mi < 0 {
-		return sv.storeLocked(d.slab[mo:mo+n], off)
+		if d.write {
+			return sv.storeLocked(d.slab[mo:mo+n], off)
+		}
+		return sv.loadLocked(d.slab[mo:mo+n], off)
 	}
 	if d.capture {
 		if err := sv.loadLocked(d.pre[d.at[i]:d.at[i]+n], off); err != nil {
@@ -512,9 +530,9 @@ func (sv *server) moveLocked(d *dispatch, i int32) error {
 func (sv *server) sweep(frozen []pend) []pend {
 	sv.mu.Lock()
 	for i := 0; i < len(frozen); {
-		j, rmw := span(frozen, i)
+		j, end, rmw := span(frozen, i)
 		write := frozen[i].b.d.write
-		dur := sv.chargeRun(frozen[i].s, frozen[j-1].s, write, rmw)
+		dur := sv.chargeRun(frozen[i].s, frozen[j-1].s, end, write, rmw)
 		var attributed int64
 		for k := i; k < j; k++ {
 			r, d := &frozen[k], frozen[k].b.d
@@ -522,7 +540,7 @@ func (sv *server) sweep(frozen []pend) []pend {
 				d.fail(d.owner(r.i), err, false)
 				r.failed = true
 			}
-			if d.attr {
+			if d.attr && r.s.mi >= 0 { // a degraded read's source fetch is no sieve traffic
 				attributed += r.s.n
 			}
 		}
@@ -550,32 +568,57 @@ func (sv *server) sweep(frozen []pend) []pend {
 }
 
 // span returns the end j of the request of a sweep that starts at
-// frozen[i], and whether it is a write run joined through holes (a
-// read-modify-write). A read request takes every following read that
-// touches its last segment or lies a granted hole past it. A write
-// request is either a run through granted holes, two at least, or a
-// stream of writes that touch, which stops short of a segment that
-// opens such a run, so the run is served from its first segment, the
-// one its grants were priced from.
-func span(frozen []pend, i int) (j int, rmw bool) {
+// frozen[i], the server-local offset the request reaches, and whether it
+// is a write run joined through holes (a read-modify-write). A read
+// request takes every following read that joinsRead it, and reaches the
+// furthest end of its segments. A write request is either a run through
+// granted holes, two at least, or a stream of writes that touch, which
+// stops short of a segment that opens such a run, so the run is served
+// from its first segment, the one its grants were priced from.
+func span(frozen []pend, i int) (j int, end int64, rmw bool) {
 	j = i + 1
+	first := frozen[i].s
 	if !frozen[i].b.d.write {
-		for j < len(frozen) && (touches(frozen, j) || readsThrough(frozen, j)) {
-			j++
+		end = first.off + first.n
+		for ; j < len(frozen) && joinsRead(frozen, j, first.off, end); j++ {
+			end = max(end, frozen[j].s.off+frozen[j].s.n)
 		}
-		return j, false
+		return j, end, false
 	}
 	for j < len(frozen) && readsThrough(frozen, j) {
 		j++
 	}
 	if j-i > 2 {
-		return j, true
+		return j, frozen[j-1].s.off + frozen[j-1].s.n, true
 	}
 	j = i + 1
 	for j < len(frozen) && touches(frozen, j) && (j+1 == len(frozen) || !readsThrough(frozen, j+1)) {
 		j++
 	}
-	return j, false
+	return j, frozen[j-1].s.off + frozen[j-1].s.n, false
+}
+
+// joinsRead reports whether the read frozen[k] joins the read request
+// whose segments so far start at start and reach end: it starts at end,
+// or it belongs to the same list as frozen[k-1] and either starts inside
+// the request (the segments of one dispatch overlap: a degraded read's
+// source fetch and a segment of its own) or lies a hole past end that
+// its dispatch granted. Without overlaps, end is frozen[k-1]'s end, and
+// this is touches or readsThrough.
+func joinsRead(frozen []pend, k int, start, end int64) bool {
+	r := &frozen[k]
+	switch {
+	case r.b.d.write:
+		return false
+	case r.s.off == end:
+		return true
+	case frozen[k-1].b != r.b:
+		return false
+	case r.s.off < end:
+		return r.s.off >= start
+	}
+	grant := r.b.d.grant
+	return len(grant) > 0 && r.s.off-end <= grant[r.i]
 }
 
 // touches reports whether frozen[k] starts where frozen[k-1] ends, in
@@ -656,11 +699,13 @@ func (fs *FS) submit(d *dispatch, deadline time.Duration) int {
 // submission — the accepted prefix still goes out, and with d.skip the
 // hole before the next segment its server accepts is no candidate. The
 // accepted segments are bucketed by server (submission order kept
-// inside a server), and every hole between consecutive segments of one
-// server's list that pays is a candidate for the dispatch's budget
-// (priceWrites, grantHoles). A write's grants then become lent segments
-// (lendHoles) or runs (joinWrites), whose holes and read legs the
-// injector sees after the segments.
+// inside a server). A degraded read's refused segments then get their
+// reconstruction sources as segments of their own (foldSources). Every
+// hole between consecutive segments of one server's list that pays is a
+// candidate for the dispatch's budget (priceWrites, grantHoles). A
+// write's grants then become lent segments (lendHoles) or runs
+// (joinWrites), whose holes and read legs the injector sees after the
+// segments.
 func (fs *FS) accept(d *dispatch) {
 	inj := fs.inj.Load()
 	c := fs.opts.Cost
@@ -695,6 +740,9 @@ func (fs *FS) accept(d *dispatch) {
 		b.refused = false
 		b.idx = append(b.idx, int32(i))
 		b.end = s.off + s.n
+	}
+	if d.fold && len(d.fails) > 0 {
+		payload, want = fs.foldSources(d, inj, payload, want)
 	}
 	if want == 0 {
 		return

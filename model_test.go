@@ -781,6 +781,21 @@ func TestSeekHolesSharedCache(t *testing.T) {
 	}
 }
 
+// Degraded reads beside writes, on a store with no cache: with a server
+// dead, the even ranks read their slabs while the odd ones write theirs,
+// so a write often begins while a read is in flight, and the read's
+// rebuild must not use the row-mates and sources it fetched before.
+func TestDegradedReadsBesideWrites(t *testing.T) {
+	for ranks := 2; ranks <= 3; ranks++ {
+		t.Run(fmt.Sprintf("ranks%d", ranks), func(t *testing.T) {
+			modelRow(t, func(sp *modelSpace) {
+				on(ranks, []int{96, 96}, []int{8, 8})(sp)
+				sp.parity, sp.cache, sp.slabs = []int{2}, []int64{0}, []bool{true}
+			}, collWrite, kill, indep, indep, indep, indep)
+		})
+	}
+}
+
 // Independent sections in both buffer orders, with and without parity
 // and the cache (was section_vec_test.go).
 func TestSectionVecOracle(t *testing.T) {

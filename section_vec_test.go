@@ -93,8 +93,8 @@ func sectionBench(b *testing.B, side int, fo pfs.Options, lo, hi int, fn func(f 
 }
 
 // loopSections is the timed loop: one independent section op per
-// iteration, cycling through boxes.
-func loopSections(b *testing.B, f *File, boxes []Box, bytesPerOp int64, write bool) {
+// iteration, cycling through boxes. It returns the ops it ran.
+func loopSections(b *testing.B, f *File, boxes []Box, bytesPerOp int64, write bool) (ops int) {
 	var most int64
 	for _, box := range boxes {
 		most = max(most, box.Volume()*8)
@@ -102,12 +102,13 @@ func loopSections(b *testing.B, f *File, boxes []Box, bytesPerOp int64, write bo
 	buf := make([]byte, most)
 	b.SetBytes(bytesPerOp)
 	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		box := boxes[i%len(boxes)]
+	for ; b.Loop(); ops++ {
+		box := boxes[ops%len(boxes)]
 		if err := f.sectionIO(box, buf[:box.Volume()*8], RowMajor, write, false); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return ops
 }
 
 // BenchmarkSectionIO is one section_mixed op without the benchmark
@@ -132,5 +133,24 @@ func BenchmarkParityWrite(b *testing.B) {
 	sectionBench(b, 1024, fo, 48, 96, func(f *File, boxes []Box, bytesPerOp int64) {
 		f.FS().SetInjector(&pfs.FaultPoint{Server: 0, Op: pfs.FaultReads, Permanent: true})
 		loopSections(b, f, boxes, bytesPerOp, true)
+	})
+}
+
+// BenchmarkDegradedRead is one parity_degraded read op without the
+// benchmark around it: BenchmarkParityWrite's store and boxes, read with
+// server 0 failing every read. Beside time and allocations it reports
+// the requests of one op and its sim-ms/op, the benchmark's
+// sim_ms_per_op: the servers' busy time per op over the server count.
+// Run a multiple of 64 ops (-benchtime=640x) to cycle the boxes evenly.
+func BenchmarkDegradedRead(b *testing.B) {
+	fo := pfs.Options{Servers: 8, Parity: 2, StripeSize: 16 << 10, Cost: benchCost}
+	sectionBench(b, 1024, fo, 48, 96, func(f *File, boxes []Box, bytesPerOp int64) {
+		fs := f.FS()
+		fs.SetInjector(&pfs.FaultPoint{Server: 0, Op: pfs.FaultReads, Permanent: true})
+		before := fs.Stats()
+		ops := float64(loopSections(b, f, boxes, bytesPerOp, false))
+		st := fs.Stats().Sub(before)
+		b.ReportMetric(float64(st.Requests())/ops, "reqs/op")
+		b.ReportMetric(float64(st.BusySum())/float64(time.Millisecond)/ops/float64(len(st.PerServer)), "sim-ms/op")
 	})
 }
