@@ -216,3 +216,22 @@ func TestDegradedReadFoldedFetchFailsInService(t *testing.T) {
 	runs := []Run{{Off: 0, Len: int64(len(file))}}
 	readRequests(t, fs, runs, file)
 }
+
+// TestDegradedReadRoundsFetchInOffsetOrder: a rebuild's rounds fetch in
+// offset order. Server 0's unit is read as two halves, the second
+// first, and fails in service; its row-mates are read whole, so each
+// half's one missing source is its range of the first parity unit. Put
+// in offset order the two fetches touch and are one request.
+func TestDegradedReadRoundsFetchInOffsetOrder(t *testing.T) {
+	const stripe, k, m = 64, 4, 2
+	fs := degradedFS(t, Options{Servers: k + m, Parity: m, StripeSize: stripe, Backend: Disk, Dir: t.TempDir()})
+	file := pattern(k*stripe, 51)
+	if _, err := fs.WriteAt(file, 0); err != nil {
+		t.Fatal(err)
+	}
+	runs := []Run{{Off: stripe / 2, Len: stripe / 2}, {Off: 0, Len: stripe / 2}, {Off: stripe, Len: (k - 1) * stripe}}
+	failReads(t, fs, 0)
+	if reqs := readRequests(t, fs, runs, gather(file, runs)); reqs[k] != 1 {
+		t.Fatalf("requests per server %v with server 0 failing reads: want one fetch from parity server %d", reqs, k)
+	}
+}
