@@ -426,12 +426,14 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 		// segments, and the sources fetched beside them, were read before
 		// the gate: they may seed it only if no data write overlapped the
 		// read, or a write to a row-mate could pair new data with old
-		// parity.
-		fs.parityGate.Lock()
-		seed := quiet && fs.writesBegun.Load() == begun
+		// parity. The gate is let go by defer, so that a rebuild that
+		// panics does not leave every later write and rebuild waiting.
 		var failIdx int
-		failIdx, err = fs.reconstructSegs(sc, d, segs, buf, recon, seed)
-		fs.parityGate.Unlock()
+		failIdx, err = func() (int, error) {
+			fs.parityGate.Lock()
+			defer fs.parityGate.Unlock()
+			return fs.reconstructSegs(sc, d, segs, buf, recon, quiet && fs.writesBegun.Load() == begun)
+		}()
 		if err == nil || left == 0 {
 			if err != nil {
 				// Keep the dispatch contract: bytes of the segments
