@@ -159,6 +159,18 @@ func TestDegradedReadFoldsSources(t *testing.T) {
 	}
 }
 
+// diskFS builds a 4+2 Disk store of 64-byte stripes holding units
+// stripe units of pattern(seed), which it returns beside the store.
+func diskFS(t *testing.T, units int, seed int64) (*FS, []byte) {
+	t.Helper()
+	fs := degradedFS(t, Options{Servers: 6, Parity: 2, StripeSize: 64, Backend: Disk, Dir: t.TempDir()})
+	file := pattern(units*64, seed)
+	if _, err := fs.WriteAt(file, 0); err != nil {
+		t.Fatal(err)
+	}
+	return fs, file
+}
+
 // failReads makes server s's reads fail in service from now on: its
 // file is swapped for one open for writing only, so the request reaches
 // the server and is charged, and the load fails.
@@ -183,12 +195,8 @@ func failReads(t *testing.T, fs *FS, s int) {
 // 3's run ends short of it, so its range is fetched, as is a parity
 // unit's.
 func TestDegradedReadSeedsFromContainingRowMates(t *testing.T) {
-	const stripe, k, m = 64, 4, 2
-	fs := degradedFS(t, Options{Servers: k + m, Parity: m, StripeSize: stripe, Backend: Disk, Dir: t.TempDir()})
-	file := pattern(k*stripe, 31)
-	if _, err := fs.WriteAt(file, 0); err != nil {
-		t.Fatal(err)
-	}
+	const stripe = 64
+	fs, file := diskFS(t, 4, 31)
 	runs := []Run{{Off: 10, Len: 20}, {Off: stripe + 5, Len: 35}, {Off: 2*stripe + 10, Len: 20}, {Off: 3 * stripe, Len: 20}}
 	want := gather(file, runs)
 	healthy := readRequests(t, fs, runs, want)
@@ -205,13 +213,8 @@ func TestDegradedReadSeedsFromContainingRowMates(t *testing.T) {
 // is rebuilt in rounds from other sources, not decoded from the fetch's
 // unfilled bytes.
 func TestDegradedReadFoldedFetchFailsInService(t *testing.T) {
-	const stripe, k, m = 64, 4, 2
-	fs := degradedFS(t, Options{Servers: k + m, Parity: m, StripeSize: stripe, Backend: Disk, Dir: t.TempDir()})
-	file := pattern(3*k*stripe, 41)
-	if _, err := fs.WriteAt(file, 0); err != nil {
-		t.Fatal(err)
-	}
-	failReads(t, fs, k) // the first parity server: the first source a lost unit fetches
+	fs, file := diskFS(t, 12, 41)
+	failReads(t, fs, 4) // the first parity server: the first source a lost unit fetches
 	fs.SetInjector(&FaultPoint{Server: 0, Op: FaultReads, Permanent: true})
 	runs := []Run{{Off: 0, Len: int64(len(file))}}
 	readRequests(t, fs, runs, file)
@@ -223,15 +226,11 @@ func TestDegradedReadFoldedFetchFailsInService(t *testing.T) {
 // half's one missing source is its range of the first parity unit. Put
 // in offset order the two fetches touch and are one request.
 func TestDegradedReadRoundsFetchInOffsetOrder(t *testing.T) {
-	const stripe, k, m = 64, 4, 2
-	fs := degradedFS(t, Options{Servers: k + m, Parity: m, StripeSize: stripe, Backend: Disk, Dir: t.TempDir()})
-	file := pattern(k*stripe, 51)
-	if _, err := fs.WriteAt(file, 0); err != nil {
-		t.Fatal(err)
-	}
-	runs := []Run{{Off: stripe / 2, Len: stripe / 2}, {Off: 0, Len: stripe / 2}, {Off: stripe, Len: (k - 1) * stripe}}
+	const stripe = 64
+	fs, file := diskFS(t, 4, 51)
+	runs := []Run{{Off: stripe / 2, Len: stripe / 2}, {Off: 0, Len: stripe / 2}, {Off: stripe, Len: 3 * stripe}}
 	failReads(t, fs, 0)
-	if reqs := readRequests(t, fs, runs, gather(file, runs)); reqs[k] != 1 {
-		t.Fatalf("requests per server %v with server 0 failing reads: want one fetch from parity server %d", reqs, k)
+	if reqs := readRequests(t, fs, runs, gather(file, runs)); reqs[4] != 1 {
+		t.Fatalf("requests per server %v with server 0 failing reads: want one fetch from parity server 4", reqs)
 	}
 }
