@@ -129,20 +129,10 @@ func main() {
 			ctx, cancel := context.WithTimeout(context.Background(), *shutdownTimeout)
 			defer cancel()
 			err := httpSrv.Shutdown(ctx)
-			// With the handlers drained, make every buffered write
-			// durable before tearing the files down: PUT sections
-			// absorbed into the write-behind cache only exist in memory
-			// until a Sync flushes them, and the old close-only path
-			// silently dropped both sync and close failures.
+			// With the handlers drained, close the files and report any
+			// failure: every PUT section is on the store when its handler
+			// returns, so nothing is left to flush.
 			teardown = true
-			for _, s := range files {
-				if serr := s.f.Sync(); serr != nil {
-					fmt.Fprintf(os.Stderr, "drxserve: sync %s: %v\n", s.name, serr)
-					if err == nil {
-						err = fmt.Errorf("sync %s: %w", s.name, serr)
-					}
-				}
-			}
 			for _, s := range files {
 				if cerr := s.f.Close(); cerr != nil {
 					fmt.Fprintf(os.Stderr, "drxserve: close %s: %v\n", s.name, cerr)

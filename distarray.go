@@ -238,27 +238,22 @@ func (d *DistArray) PutSection(box Box, src []byte) error {
 // file into the local buffers — the inverse of FlushToFile, for
 // workflows that alternate out-of-core passes with distributed ones.
 // With the extent cache on (Options.CacheBytes) the collective read
-// goes through it: every rank's deferred write-behind bytes come from
-// memory, and so does a re-read of a warm file, without touching the
-// I/O servers. Must be called by every process, between RMA epochs (as
+// goes through it: a re-read of a warm file comes from memory, without
+// touching the I/O servers. Must be called by every process, between RMA epochs (as
 // with Distribute, no fence is held).
 func (d *DistArray) Refresh() error {
 	return d.f.ReadSectionAll(d.box, d.local, d.order)
 }
 
 // FlushToFile collectively writes every zone back to the principal
-// array file. With write-behind enabled the zones become dirty extents
-// of the cache like any collective write: every read, on any rank, is
-// served them from the cache, but the bytes reach the I/O servers only
-// on the watermark, budget pressure, Sync, or Close — use Checkpoint
-// when durability is the point.
+// array file; the bytes are on the I/O servers when it returns.
 func (d *DistArray) FlushToFile() error {
 	return d.f.WriteSectionAll(d.box, d.local, d.order)
 }
 
 // Checkpoint collectively writes every zone back to the principal
-// array file and Syncs, so the distributed state is durably on the I/O
-// servers even when collective writes ride write-behind.
+// array file and Syncs (a barrier), so every rank returns only once the
+// whole distributed state is on the I/O servers.
 func (d *DistArray) Checkpoint() error {
 	if err := d.FlushToFile(); err != nil {
 		return err

@@ -12,8 +12,10 @@
 // serial and the parallel library share one file format and one I/O
 // path. Chunks are cached by drxmp's extent cache (Tuning.CacheBytes):
 // with the default stripe of one chunk its sieve block is one chunk,
-// the page of the BerkeleyDB Mpool the paper's DRX caches through, and
-// write-behind (Tuning.WriteBehindBytes) is its dirty write-back.
+// the page of the BerkeleyDB Mpool the paper's DRX caches through.
+// Writes go through to the store at once and keep the cached chunks up
+// to date; unlike Mpool's dirty pages, nothing is written back later
+// (Tuning.WriteBehindBytes is ignored).
 // Sub-arrays are read into memory in either C or Fortran order
 // regardless of how chunks are stored — the "on the fly" transposition
 // the paper advertises.
@@ -78,7 +80,7 @@ type Options struct {
 	FS pfs.Options
 	// Tuning carries the chunk-cache knobs, meaning what they mean in
 	// drxmp: CacheBytes is the cache budget (0, the default, turns the
-	// cache off) and WriteBehindBytes defers writes into it.
+	// cache off); WriteBehindBytes is ignored.
 	drxmp.Tuning
 }
 
@@ -186,11 +188,12 @@ func (a *Array) ExtendTo(dim, newBound int) error {
 	return nil
 }
 
-// Sync flushes the cache's deferred writes to the store. The metadata
-// is already persisted: every Extend rewrites the .xmd atomically.
+// Sync has nothing to flush: every write is on the store when it
+// returns, and every Extend rewrites the .xmd atomically. It stays for
+// callers that order their I/O around it.
 func (a *Array) Sync() error { return a.f.Sync() }
 
-// Close flushes and releases resources.
+// Close releases resources.
 func (a *Array) Close() error { return a.f.Close() }
 
 // elemBox is the one-element section of idx.
@@ -230,7 +233,7 @@ func (a *Array) Read(box Box, dst []byte, order Order) error {
 // Write copies src (densely laid out in the given memory order over
 // `box`) into the array. The box must lie within the current bounds
 // (call Extend first to grow). It is the collective write on the
-// one-rank world, so with write-behind on the cache absorbs it.
+// one-rank world, so it goes through the cache's direct write path.
 func (a *Array) Write(box Box, src []byte, order Order) error {
 	return a.f.WriteSectionAll(box, src, order)
 }

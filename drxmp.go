@@ -56,7 +56,7 @@ type (
 	// (see File.CacheStats).
 	CacheStats = mpiio.CacheStats
 	// Tuning is the performance-knob block of Options and OpenOptions
-	// (write-behind, cache budget, read-ahead, spill tier; mpiio.Tuning
+	// (cache budget, read-ahead, spill tier; mpiio.Tuning
 	// documents each knob). It is fixed when the file opens: to change
 	// it, Close the file and open it again with OpenWith.
 	Tuning = mpiio.Tuning
@@ -83,9 +83,8 @@ func NewBox(lo, hi []int) Box { return grid.NewBox(lo, hi) }
 // errors.Is instead of string-matching.
 var ErrBadOptions = errors.New("drxmp: bad options")
 
-// validateTuning rejects knob values with no defined meaning. A
-// negative WriteBehindBytes (unbounded buffering) is meaningful and
-// stays legal.
+// validateTuning rejects knob values with no defined meaning.
+// WriteBehindBytes is ignored, so any value is legal.
 func validateTuning(t Tuning) error {
 	if t.CacheBytes < 0 {
 		return fmt.Errorf("%w: negative CacheBytes %d", ErrBadOptions, t.CacheBytes)
@@ -95,9 +94,6 @@ func validateTuning(t Tuning) error {
 	}
 	if t.SpillBytes < 0 {
 		return fmt.Errorf("%w: negative SpillBytes %d", ErrBadOptions, t.SpillBytes)
-	}
-	if t.WriteBehindBytes != 0 && t.CacheBytes == 0 {
-		return fmt.Errorf("%w: WriteBehindBytes %d without CacheBytes (write-behind defers writes into the cache)", ErrBadOptions, t.WriteBehindBytes)
 	}
 	if t.ReadAheadBytes > 0 && t.CacheBytes == 0 {
 		return fmt.Errorf("%w: ReadAheadBytes %d without CacheBytes (read-ahead extends cache fetches)", ErrBadOptions, t.ReadAheadBytes)
@@ -129,8 +125,8 @@ type Options struct {
 	// CyclicBlock is the BLOCK_CYCLIC(k) block size (default 1;
 	// negative is rejected).
 	CyclicBlock int
-	// Tuning carries the performance knobs (write-behind, cache budget,
-	// read-ahead, spill tier). Every rank must pass identical values.
+	// Tuning carries the performance knobs (cache budget, read-ahead,
+	// spill tier). Every rank must pass identical values.
 	Tuning
 }
 
@@ -351,36 +347,28 @@ func OpenWith(c *cluster.Comm, path string, opts OpenOptions) (*File, error) {
 	return f, c.Barrier()
 }
 
-// Close collectively closes the array (DRXMP_Close). Every rank first
-// flushes its write-behind cache (deferred collective writes become
-// durable before the store shuts down — the flush-before-close
-// guarantee), then rank 0 closes the shared store. The metadata needs
-// no write here: Create and every Extend already persisted it. The
-// store's own close-flusher hook (pfs.AddCloseFlusher) backs this up
-// for callers that close the FS directly.
+// Close collectively closes the array (DRXMP_Close): a barrier, so no
+// rank's I/O is still out, then rank 0 closes the shared store. Every
+// write is on the servers when it returns, so nothing is flushed, and
+// the metadata needs no write here: Create and every Extend already
+// persisted it.
 func (f *File) Close() error {
-	// A flush failure is reported after the barrier and the store
-	// close, not instead of them: returning here would strand the other
-	// ranks at the barrier and leak the store.
-	serr := f.io.Sync()
 	if err := f.comm.Barrier(); err != nil {
 		return err
 	}
 	if f.comm.Rank() == 0 {
-		if err := f.fs.Close(); err != nil && serr == nil {
-			serr = err
-		}
+		return f.fs.Close()
 	}
-	return serr
+	return nil
 }
 
-// Sync collectively flushes the file's write-behind cache to the I/O
-// servers (MPI_File_sync): flush, then one agreement round that
-// doubles as a barrier, so every rank returns only after all deferred
-// collective writes are durably on the servers and any rank's flush
-// failure surfaces everywhere. Every rank must call it.
+// Sync is a collective barrier (MPI_File_sync's ordering without its
+// flush): every write is on the servers when it returns, so there is
+// nothing to flush. It stays because the benchmark harness (bench/run.go)
+// and drx.Array.Sync call it, and does nothing else. Every rank must
+// call it.
 func (f *File) Sync() error {
-	return f.io.SyncAll()
+	return f.comm.Barrier()
 }
 
 // persistMeta writes m as the .xmd atomically (rank 0 of a
@@ -475,16 +463,11 @@ func (f *File) Tuning() Tuning { return f.io.Tuning() }
 func (f *File) CacheBytes() int64 { return f.io.Tuning().CacheBytes }
 
 // CacheStats returns the cumulative unified-cache accounting for the
-// file (hits, misses, sieve fetches, evictions, absorbs, flushes).
+// file (hits, misses, sieve fetches, evictions, the spill tier).
 func (f *File) CacheStats() mpiio.CacheStats { return f.io.CacheStats() }
 
-// Dirty returns the dirty bytes currently buffered by the file's
-// shared extent cache: every rank's deferred collective writes
-// (benchmarks and tests).
-func (f *File) Dirty() int64 { return f.io.Dirty() }
-
-// Cached returns the total bytes (clean + dirty) currently held by the
-// file's shared extent cache.
+// Cached returns the bytes currently held by the file's shared extent
+// cache.
 func (f *File) Cached() int64 { return f.io.Cached() }
 
 // Decomp returns the current zone decomposition of the chunk grid. It

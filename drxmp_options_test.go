@@ -1,6 +1,7 @@
 package drxmp_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -191,21 +192,15 @@ func TestServeBadOptions(t *testing.T) {
 				o.Tuning = drxmp.Tuning{ReadAheadBytes: 4096}
 				return o
 			}(),
-			"writebehind-no-cache": func() drxmp.Options {
-				o := base
-				o.Tuning = drxmp.Tuning{WriteBehindBytes: -1}
-				return o
-			}(),
 		} {
 			if _, err := drxmp.Create(c, "bad-"+name, opts); !errors.Is(err, drxmp.ErrBadOptions) {
 				return fmt.Errorf("Create(%s) = %v, want ErrBadOptions", name, err)
 			}
 		}
 		for name, opts := range map[string]drxmp.OpenOptions{
-			"cyclic":               {CyclicBlock: -2},
-			"cache":                {Tuning: drxmp.Tuning{CacheBytes: -1}},
-			"readahead-no-cache":   {Tuning: drxmp.Tuning{ReadAheadBytes: 4096}},
-			"writebehind-no-cache": {Tuning: drxmp.Tuning{WriteBehindBytes: 4096}},
+			"cyclic":             {CyclicBlock: -2},
+			"cache":              {Tuning: drxmp.Tuning{CacheBytes: -1}},
+			"readahead-no-cache": {Tuning: drxmp.Tuning{ReadAheadBytes: 4096}},
 		} {
 			if _, err := drxmp.OpenWith(c, "nope", opts); !errors.Is(err, drxmp.ErrBadOptions) {
 				return fmt.Errorf("OpenWith(%s) = %v, want ErrBadOptions", name, err)
@@ -305,5 +300,179 @@ func TestServeExtendPersistFailureAllRanks(t *testing.T) {
 		if err == nil {
 			t.Errorf("rank %d: Extend returned nil despite rank 0's persist failure", r)
 		}
+	}
+}
+
+// WriteBehindBytes is ignored: the benchmark harness still sets it, so
+// the tests below pin that every value is accepted and changes nothing.
+
+// TestWriteBehindCloseFlushes: under every WriteBehindBytes value the
+// same write-only epoch leaves identical stores after Close and flushes
+// nothing. Each rank writes its column half
+// one chunk-row per collective, in an order whose consecutive rows are
+// rarely adjacent in the file.
+func TestWriteBehindCloseFlushes(t *testing.T) {
+	const ranks = 2
+	const n, chunk = 64, 8
+	knobs := []int64{0, n * n * 8 / 2, -1}
+	stores := make([]*pfs.FS, len(knobs))
+	err := cluster.Run(ranks, func(c *cluster.Comm) error {
+		for i, wb := range knobs {
+			f, err := drxmp.Create(c, fmt.Sprintf("wbclose-%d", i), drxmp.Options{
+				DType: drxmp.Float64, ChunkShape: []int{chunk, chunk}, Bounds: []int{n, n},
+				FS:     pfs.Options{Servers: 2, StripeSize: 512},
+				Tuning: drxmp.Tuning{WriteBehindBytes: wb, CacheBytes: 1 << 20},
+			})
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				stores[i] = f.FS()
+			}
+			q := n / ranks
+			for _, row := range []int{0, 2, 1, 3, 4, 6, 5, 7} {
+				box := drxmp.NewBox([]int{row * chunk, c.Rank() * q}, []int{(row + 1) * chunk, (c.Rank() + 1) * q})
+				if err := f.WriteSectionAll(box, rankData(c.Rank(), box, int64(5+row)), drxmp.RowMajor); err != nil {
+					return err
+				}
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, n*n*8)
+	if _, err := stores[0].ReadAt(want, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, wb := range knobs {
+		st := stores[i].Stats()
+		if st.FlushBytes() != 0 {
+			t.Errorf("WriteBehindBytes %d: %d flush bytes", wb, st.FlushBytes())
+		}
+		got := make([]byte, len(want))
+		if _, err := stores[i].ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("WriteBehindBytes %d: the store differs from the one written with 0", wb)
+		}
+	}
+}
+
+// TestWriteBehindKnobPlumbing: the knob reads back from Tuning as
+// given, needs no cache, and a collective write is on the store before
+// any Sync.
+func TestWriteBehindKnobPlumbing(t *testing.T) {
+	err := cluster.Run(1, func(c *cluster.Comm) error {
+		for _, cache := range []int64{0, 1 << 20} {
+			f, err := drxmp.Create(c, "wbknob", drxmp.Options{
+				DType: drxmp.Float64, ChunkShape: []int{4, 4}, Bounds: []int{8, 8},
+				Tuning: drxmp.Tuning{WriteBehindBytes: -1, CacheBytes: cache},
+			})
+			if err != nil {
+				return fmt.Errorf("cache %d: %w", cache, err)
+			}
+			if got := f.Tuning().WriteBehindBytes; got != -1 {
+				return fmt.Errorf("WriteBehindBytes = %d, want -1", got)
+			}
+			box := drxmp.NewBox([]int{0, 0}, []int{8, 8})
+			data := rankData(0, box, 9)
+			if err := f.WriteSectionAll(box, data, drxmp.RowMajor); err != nil {
+				return err
+			}
+			got := make([]byte, box.Volume()*8)
+			if err := drxmp.StoreView(f).ReadSection(box, got, drxmp.RowMajor); err != nil {
+				return err
+			}
+			if !bytes.Equal(got, data) {
+				return fmt.Errorf("cache %d: the store lacks the collective's bytes before Sync", cache)
+			}
+			if err := f.Sync(); err != nil {
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDistArrayCheckpointWriteBehind: the Global-Array workflow with the
+// knob set — Distribute (collective read), PutSection into remote zones,
+// Checkpoint (FlushToFile + Sync) — leaves the store holding exactly
+// the distributed state, and Get observes it.
+func TestDistArrayCheckpointWriteBehind(t *testing.T) {
+	const ranks = 4
+	const n = 24
+	err := cluster.Run(ranks, func(c *cluster.Comm) error {
+		f, err := drxmp.Create(c, "wbga", drxmp.Options{
+			DType: drxmp.Float64, ChunkShape: []int{6, 6}, Bounds: []int{n, n},
+			FS:     pfs.Options{Servers: 2, StripeSize: 512},
+			Tuning: drxmp.Tuning{WriteBehindBytes: -1, CacheBytes: 1 << 20},
+		})
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		box := slabBox([]int{n, n}, ranks, c.Rank())
+		seed := make([]float64, box.Volume())
+		for i := range seed {
+			seed[i] = float64(c.Rank()*1000 + i)
+		}
+		if err := f.WriteSectionFloat64s(box, seed, drxmp.RowMajor); err != nil {
+			return err
+		}
+		da, err := f.Distribute(drxmp.RowMajor)
+		if err != nil {
+			return err
+		}
+		defer da.Free()
+		if got, err := da.Get([]int{box.Lo[0], 0}); err != nil || got != seed[0] {
+			return fmt.Errorf("rank %d: Get = %v/%v, want %v", c.Rank(), got, err, seed[0])
+		}
+		// Rank 0 rewrites one remote row one-sidedly, then checkpoints.
+		if err := da.Fence(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			row := drxmp.NewBox([]int{n - 1, 0}, []int{n, n})
+			vals := make([]byte, row.Volume()*8)
+			for i := range vals {
+				vals[i] = byte(i + 3)
+			}
+			if err := da.PutSection(row, vals); err != nil {
+				return err
+			}
+		}
+		if err := da.Fence(); err != nil {
+			return err
+		}
+		if err := da.Checkpoint(); err != nil {
+			return err
+		}
+		// After Checkpoint every rank's independent read sees the row.
+		row := drxmp.NewBox([]int{n - 1, 0}, []int{n, n})
+		got := make([]byte, row.Volume()*8)
+		if err := f.ReadSection(row, got, drxmp.RowMajor); err != nil {
+			return err
+		}
+		for i := range got {
+			if got[i] != byte(i+3) {
+				return fmt.Errorf("rank %d: checkpointed byte %d = %d, want %d", c.Rank(), i, got[i], byte(i+3))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

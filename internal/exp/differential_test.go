@@ -34,9 +34,8 @@ func TestDifferentialEngines(t *testing.T) {
 
 		ax, err := drx.Create("diff-ax", drx.Options{
 			DType: drx.Float64, ChunkShape: []int{c0, c1}, Bounds: []int{n0, n1},
-			// Tiny write-behind cache: force the eviction and
-			// flush-on-evict paths.
-			Tuning: drxmp.Tuning{CacheBytes: int64(4 * c0 * c1 * 8), WriteBehindBytes: -1},
+			// Tiny cache: force the eviction path.
+			Tuning: drxmp.Tuning{CacheBytes: int64(4 * c0 * c1 * 8)},
 		})
 		if err != nil {
 			t.Fatal(err)

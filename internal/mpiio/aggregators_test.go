@@ -14,9 +14,8 @@ import (
 // keep the name of cb_nodes, the ROMIO hint that once set the count.
 
 // carveN is the count a File on four ranks carves for total bytes
-// over [lo, hi) on a store of the given stripe, under the span (wb 0)
-// or the block-cyclic (wb -1) carving.
-func carveN(t *testing.T, stripe, lo, hi, total, wb int64) int {
+// over [lo, hi) on a store of the given stripe.
+func carveN(t *testing.T, stripe, lo, hi, total int64) int {
 	fs, err := pfs.Create("cbn", pfs.Options{Servers: 2, StripeSize: stripe})
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +23,7 @@ func carveN(t *testing.T, stripe, lo, hi, total, wb int64) int {
 	defer fs.Close()
 	ns := make([]int, 4)
 	err = cluster.Run(4, func(c *cluster.Comm) error {
-		f, err := Open(c, fs, Tuning{WriteBehindBytes: wb, CacheBytes: 1 << 20})
+		f, err := Open(c, fs, Tuning{CacheBytes: 1 << 20})
 		if err != nil {
 			return err
 		}
@@ -48,10 +47,8 @@ func TestCBNodesResolution(t *testing.T) {
 		{1 << 20, 4},     // large: clamped to nranks
 		{3*1024 + 17, 3}, // truncating division
 	} {
-		for _, wb := range []int64{0, -1} {
-			if got := carveN(t, 1<<10, 0, tc.total, tc.total, wb); got != tc.want {
-				t.Errorf("%d bytes, WriteBehind %d: %d aggregators, want %d", tc.total, wb, got, tc.want)
-			}
+		if got := carveN(t, 1<<10, 0, tc.total, tc.total); got != tc.want {
+			t.Errorf("%d bytes: %d aggregators, want %d", tc.total, got, tc.want)
 		}
 	}
 }
@@ -60,7 +57,7 @@ func TestCBNodesResolution(t *testing.T) {
 // payload, not the span it is spread over.
 func TestCBNodesPlacementPolicyDomainCount(t *testing.T) {
 	// One byte touched every 128 bytes: 8 bytes total over 897.
-	if got := carveN(t, 1<<20, 0, 7*128+1, 8, 0); got != 1 {
+	if got := carveN(t, 1<<20, 0, 7*128+1, 8); got != 1 {
 		t.Fatalf("%d aggregators, want 1", got)
 	}
 }

@@ -46,15 +46,15 @@ func interleave(steps []int, fn func(order []int)) {
 	rec()
 }
 
-// demote moves the clean memory extents over runs into the spill tier,
-// as budget eviction does.
+// demote moves the memory extents over runs into the spill tier, as
+// budget eviction does.
 func demote(w *fileCache, runs []pfs.Run) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, r := range runs {
 		i, j := extent.Window(w.ext, r, 0)
 		for _, e := range slices.Clone(w.ext[i:j]) {
-			if !e.dirty && w.spill.Put(e.off, e.data, false) {
+			if w.spill.Put(e.off, e.data, false) {
 				w.remove(e)
 			}
 		}
@@ -306,4 +306,180 @@ func TestOpenSharesOneCache(t *testing.T) {
 	if err1 == nil || err2 != err1 {
 		t.Fatalf("Opens with an unopenable spill file returned %v, then %v: want one error, twice", err1, err2)
 	}
+}
+
+func fill(n int, v byte) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = v
+	}
+	return p
+}
+
+// runShared runs fn on `ranks` ranks of one fresh store, each through a
+// handle over a 1 MiB cache with WriteBehindBytes wb — a knob the
+// benchmark harness still sets and the handle ignores — and returns the
+// store. Rank r works in its own 512-byte region of the file (see mine).
+func runShared(t *testing.T, ranks int, wb int64, fn func(c *cluster.Comm, f *File) error) *pfs.FS {
+	t.Helper()
+	fs, err := pfs.Create(t.Name(), pfs.Options{Servers: 2, StripeSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	err = cluster.Run(ranks, func(c *cluster.Comm) error {
+		f, err := Open(c, fs, Tuning{WriteBehindBytes: wb, CacheBytes: 1 << 20})
+		if err != nil {
+			return err
+		}
+		return fn(c, f)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
+
+// mine is the run of n bytes at off within rank c's 512-byte region.
+func mine(c *cluster.Comm, off, n int64) []pfs.Run {
+	return []pfs.Run{{Off: int64(c.Rank())*512 + off, Len: n}}
+}
+
+// TestWriteBehindWatermark: WriteBehindBytes is ignored. Below and past
+// what was its watermark, each collective write is on the store when it
+// returns, and the cache absorbs and flushes nothing.
+func TestWriteBehindWatermark(t *testing.T) {
+	fs := runShared(t, 1, 1024, func(c *cluster.Comm, f *File) error {
+		for i, off := range []int64{0, 512} {
+			data := fill(512, byte(7+i))
+			if err := f.WriteAllV(mine(c, off, 512), Contig(data)); err != nil {
+				return err
+			}
+			got := make([]byte, 512)
+			if _, err := f.FS().ReadAt(got, off); err != nil {
+				return err
+			}
+			if !bytes.Equal(got, data) {
+				return fmt.Errorf("write %d: the store does not hold the collective's bytes", i)
+			}
+		}
+		if st := f.CacheStats(); st.Absorbed != 0 || st.Flushes != 0 {
+			return fmt.Errorf("cache absorbed %d B in %d flushes, want none", st.Absorbed, st.Flushes)
+		}
+		return nil
+	})
+	if st := fs.Stats(); st.FlushBytes() != 0 || st.Bytes()-st.BytesRead() != 1024 {
+		t.Fatalf("FlushBytes %d, bytes written %d; want 0, 1024", st.FlushBytes(), st.Bytes()-st.BytesRead())
+	}
+}
+
+// TestWriteBehindIndependentWritePunches: an independent write through
+// the same handle over part of a collective write's warm bytes wins, in
+// the cache and on the store.
+func TestWriteBehindIndependentWritePunches(t *testing.T) {
+	fs := runShared(t, 1, -1, func(c *cluster.Comm, f *File) error {
+		if err := f.ReadV(mine(c, 0, 256), Contig(make([]byte, 256))); err != nil { // warm
+			return err
+		}
+		if err := f.WriteAllV(mine(c, 0, 256), Contig(fill(256, 1))); err != nil {
+			return err
+		}
+		if err := f.WriteV(mine(c, 64, 64), Contig(fill(64, 9))); err != nil { // newer
+			return err
+		}
+		got := make([]byte, 256)
+		if err := f.ReadV(mine(c, 0, 256), Contig(got)); err != nil {
+			return err
+		}
+		for i := range got {
+			want := byte(1)
+			if i >= 64 && i < 128 {
+				want = 9
+			}
+			if got[i] != want {
+				return fmt.Errorf("byte %d = %d, want %d", i, got[i], want)
+			}
+		}
+		return nil
+	})
+	got := make([]byte, 256)
+	if _, err := fs.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got[63] != 1 || got[64] != 9 || got[127] != 9 || got[128] != 1 {
+		t.Fatalf("store bytes 63, 64, 127, 128 = %v, want [1 9 9 1]", []byte{got[63], got[64], got[127], got[128]})
+	}
+}
+
+// TestWriteBehindCrossRankReadCoherence pins the shared cache: with
+// every rank's region warm, a collective write whose bytes other ranks'
+// aggregators write updates the one cache, so each rank's independent
+// re-read of its region comes from memory with the new bytes.
+func TestWriteBehindCrossRankReadCoherence(t *testing.T) {
+	runShared(t, 4, -1, func(c *cluster.Comm, f *File) error {
+		if err := f.ReadV(mine(c, 0, 512), Contig(make([]byte, 512))); err != nil { // warm
+			return err
+		}
+		data := make([]byte, 512)
+		for i := range data {
+			data[i] = byte(c.Rank()*41 + i)
+		}
+		if err := f.WriteAllV(mine(c, 0, 512), Contig(data)); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		before := f.CacheStats()
+		got := make([]byte, 512)
+		if err := f.ReadV(mine(c, 0, 512), Contig(got)); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, data) {
+			return fmt.Errorf("rank %d: independent read missed the collective's bytes", c.Rank())
+		}
+		if st := f.CacheStats(); st.HitBytes-before.HitBytes < 512 {
+			return fmt.Errorf("rank %d: re-read of a warm region missed the cache", c.Rank())
+		}
+		return c.Barrier()
+	})
+}
+
+// TestWriteBehindCrossRankLostUpdate: an independent write newer than a
+// collective write wins, also where another rank's aggregator wrote the
+// older bytes into the shared cache.
+func TestWriteBehindCrossRankLostUpdate(t *testing.T) {
+	runShared(t, 2, -1, func(c *cluster.Comm, f *File) error {
+		if err := f.ReadV(mine(c, 0, 512), Contig(make([]byte, 512))); err != nil { // warm
+			return err
+		}
+		if err := f.WriteAllV(mine(c, 0, 512), Contig(fill(512, byte(1+c.Rank())))); err != nil {
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			if err := f.WriteV(mine(c, 100, 64), Contig(fill(64, 99))); err != nil {
+				return err
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		got := make([]byte, 512)
+		if err := f.ReadV(mine(c, 0, 512), Contig(got)); err != nil {
+			return err
+		}
+		for i := range got {
+			want := byte(1 + c.Rank())
+			if c.Rank() == 1 && i >= 100 && i < 164 {
+				want = 99
+			}
+			if got[i] != want {
+				return fmt.Errorf("rank %d: byte %d = %d, want %d (lost update)", c.Rank(), i, got[i], want)
+			}
+		}
+		return nil
+	})
 }

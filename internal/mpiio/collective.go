@@ -60,9 +60,7 @@ import (
 // Phase 2 has consumed it, in both directions, so in the steady state a
 // remote piece allocates nothing — the pool that fed the sender refills
 // on the receiver. A staging buffer returns when the aggregate write
-// has landed, has been absorbed (under write-behind the extent cache
-// copies the runs into its own memory), or the last piece has been
-// copied out of it.
+// has landed or the last piece has been copied out of it.
 //
 // GOMAXPROCS workers (internal/par) fan out the stages whose items are
 // independent — carving each rank's pieces, packing each peer's read
@@ -72,21 +70,15 @@ import (
 // in one fixed order on every rank, so the worker count is invisible to
 // the data and to the error-agreement semantics.
 //
-// With write-behind enabled (Tuning.WriteBehindBytes; it requires a
-// cache budget), a collective write does not dispatch at all: each
-// aggregator absorbs its coalesced union runs into the file's SHARED
-// extent cache (filecache.go — one cache per store, used by every
-// rank's handle), merging with the unions of earlier collectives, and
-// the cache flushes in large vectored sweeps on the watermark, on
-// Sync/Close, or on budget-pressure eviction. The domains partition
-// the collective's union, and each aggregator's absorb (or, without
-// write-behind, its direct write) discards the older dirty and spilled
-// bytes of its domain, so stale deferred data for ranges whose domain
-// ownership moved cannot outlive the collective that rewrote them.
-// With a cache budget the read side goes through the same cache:
-// aggregateRead serves cached stripes (clean or deferred-dirty) from
-// memory and sieve-fetches only the holes, so a collective read needs
-// no coherence round of its own.
+// With a cache budget both sides go through the file's SHARED extent
+// cache (filecache.go — one cache per store, used by every rank's
+// handle). Each aggregator writes its domain as a direct write of the
+// cache (File.WriteV), which updates the cached copies of its bytes and
+// lends the store write the cached bytes of its holes; the domains
+// partition the collective's union, so no older cached byte of it
+// survives. aggregateRead serves cached stripes from memory and
+// sieve-fetches only the holes, so a collective read needs no coherence
+// round of its own.
 
 // Buf is a byte buffer from the package's pool. B has the requested
 // length and UNSPECIFIED contents: the taker overwrites every byte it
@@ -188,9 +180,7 @@ type placed struct {
 
 // splitRun cuts a run at domain boundaries, in offset order, for ANY
 // carving, and appends the pieces to out. Zero-length runs produce no
-// pieces. Adjacent pieces of the run with the same owner merge (under
-// the cyclic carving with one aggregator, every block has the same
-// owner).
+// pieces. Adjacent pieces of the run with the same owner merge.
 func splitRun(out []placed, d place.Domains, run pfs.Run) []placed {
 	first := len(out)
 	off, remaining := run.Off, run.Len
@@ -405,12 +395,11 @@ func (f *File) agree(opErr error) error {
 // (the aggregator count is clamp(totalBytes/stripe, 1, nranks)).
 func (f *File) carve(lo, hi, totalBytes int64) place.Domains {
 	return place.ByteCyclic{}.Carve(place.Req{
-		Lo:          lo,
-		Hi:          hi,
-		TotalBytes:  totalBytes,
-		Ranks:       f.comm.Size(),
-		Stripe:      f.fs.StripeSize(),
-		WriteBehind: f.t.WriteBehindBytes != 0,
+		Lo:         lo,
+		Hi:         hi,
+		TotalBytes: totalBytes,
+		Ranks:      f.comm.Size(),
+		Stripe:     f.fs.StripeSize(),
 	})
 }
 
@@ -454,9 +443,7 @@ func domainRuns(owner int, placedBy [][]placed) []pfs.Run {
 
 // staging is an aggregator's phase-1 buffer: the domain's coalesced
 // union runs packed back-to-back, exactly the layout ReadV/WriteV use.
-// It holds precisely the domain's bytes — no span-sized allocation, so
-// the cyclic carving (whose domains interleave across nearly the whole
-// collective span) costs the same memory as the span carving.
+// It holds precisely the domain's bytes — no span-sized allocation.
 type staging struct {
 	runs   []pfs.Run
 	start  []int64 // packed offset of runs[i]
@@ -500,9 +487,8 @@ func (s *staging) slice(off, n int64) []byte {
 // every per-server segment of the domain is queued up front, so service
 // time overlaps across servers and the elevator sees the whole batch
 // without needing workers. With a cache budget, the read goes through
-// the unified cache instead: cached stripes (including other ranks'
-// deferred dirty bytes) come from memory and only the holes are
-// sieve-fetched, so a re-read of a warm domain touches no server at
+// the unified cache instead: cached stripes come from memory and only
+// the holes are sieve-fetched, so a re-read of a warm domain touches no server at
 // all. Either way every byte of the pooled staging buffer is
 // overwritten; the caller releases it.
 func (f *File) aggregateRead(placedBy [][]placed) (*staging, error) {
@@ -526,10 +512,8 @@ func (f *File) aggregateRead(placedBy [][]placed) (*staging, error) {
 
 // aggregateWrite overlays every rank's pieces for this rank's domain
 // onto the packed staging buffer — this rank's own straight from mem,
-// the others from their received payloads — then either absorbs the
-// coalesced union into the shared write-behind cache (WriteBehind
-// enabled — dispatch is deferred to a flush sweep) or writes it back
-// immediately as ONE vectored WriteV of the runs. Every byte of
+// the others from their received payloads — then writes the coalesced
+// union back as ONE vectored WriteV of the runs. Every byte of
 // the union is covered by some rank's piece, so no read-modify-write
 // round is needed, the gaps between runs are never touched, and the
 // staging buffer's prior contents never reach a server. Overlapping
@@ -567,21 +551,6 @@ func (f *File) aggregateWrite(placedBy [][]placed, recv [][]byte, mem Vec) error
 			copy(s.slice(p.fileOff, p.n), payload[cursor:cursor+p.n])
 			cursor += p.n
 		}
-	}
-	if wb := f.t.WriteBehindBytes; wb != 0 {
-		w := f.fc
-		for i, r := range runs {
-			w.Absorb(r.Off, s.data[s.start[i]:s.start[i]+r.Len])
-		}
-		// The memory budget caps clean + dirty: over it, clean extents
-		// evict and LRU dirty extents flush-on-evict.
-		if err := w.EnforceBudget(); err != nil {
-			return err
-		}
-		if wb > 0 && w.Bytes() >= wb {
-			return w.FlushAll()
-		}
-		return nil
 	}
 	// The packed staging layout is exactly WriteV's: one vectored call
 	// dispatches every per-server segment of the domain at once, and the

@@ -65,53 +65,3 @@ func TestFaultSieveFallbackSurfacesRealError(t *testing.T) {
 		t.Fatalf("err = %v, want the injected sentinel", err)
 	}
 }
-
-// TestFaultFlushFailureRetainsDirty (bugfix pin): a FlushAll whose
-// FlushV sweep fails must leave the extents dirty in place, so a retry
-// after the fault clears still makes them durable — with any newer
-// absorb winning over them.
-func TestFaultFlushFailureRetainsDirty(t *testing.T) {
-	fs, w := wbCacheForTest(t)
-	data := make([]byte, 300)
-	for i := range data {
-		data[i] = byte(i % 97)
-	}
-	w.Absorb(100, data)
-	if w.Bytes() != 300 {
-		t.Fatalf("dirty = %d, want 300", w.Bytes())
-	}
-	fs.SetInjector(&pfs.FaultPoint{Server: pfs.AnyServer, Op: pfs.FaultWrites, Permanent: true})
-	if err := w.FlushAll(); err == nil {
-		t.Fatal("flush through a dead server succeeded")
-	}
-	if w.Bytes() != 300 {
-		t.Fatalf("dirty after failed flush = %d, want 300 (bytes lost)", w.Bytes())
-	}
-	// Newer absorbs win over the bytes the failed sweep kept: overwrite
-	// part of the range between the failed flush and the retry.
-	upd := make([]byte, 50)
-	for i := range upd {
-		upd[i] = 0xAB
-	}
-	w.Absorb(150, upd)
-	fs.SetInjector(nil)
-	if err := w.FlushAll(); err != nil {
-		t.Fatalf("retry flush: %v", err)
-	}
-	if w.Bytes() != 0 {
-		t.Fatalf("dirty after retry = %d, want 0", w.Bytes())
-	}
-	got := make([]byte, 300)
-	if _, err := fs.ReadAt(got, 100); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		want := byte(i % 97)
-		if i >= 50 && i < 100 {
-			want = 0xAB
-		}
-		if got[i] != want {
-			t.Fatalf("byte %d = %#x, want %#x after retried flush", i, got[i], want)
-		}
-	}
-}

@@ -1,7 +1,6 @@
 // Package mpiio reimplements the slice of MPI-IO that DRX-MP uses:
 // independent and collective (read_all/write_all, two-phase) transfers
-// over the striped parallel file system, with a shared extent cache and
-// write-behind.
+// over the striped parallel file system, with a shared extent cache.
 //
 // A transfer names its file bytes as a list of absolute runs
 // (offset, length), which is the representation PVFS's list I/O uses,
@@ -26,11 +25,10 @@ type File struct {
 	t    Tuning // fixed at Open
 
 	// fc is the store's shared extent cache, resolved at Open; nil when
-	// the handle has no budget. It is the one read rule, on the
-	// independent and the collective path alike: with a cache, reads go
-	// through it (ReadThrough), which serves deferred dirty bytes from
-	// memory; without one they go straight to the store, and no dirty
-	// bytes exist, since write-behind requires a budget.
+	// the handle has no budget. It is the one rule on the independent and
+	// the collective path alike: with a cache, reads go through it
+	// (ReadThrough) and writes through its BeginWrite/EndWrite pair;
+	// without one both go straight to the store.
 	fc *fileCache
 }
 
@@ -43,29 +41,21 @@ type File struct {
 // worker count are rules, not knobs: one aggregator per stripe of
 // payload, clamped to [1, nranks], and GOMAXPROCS workers.
 type Tuning struct {
-	// WriteBehindBytes selects write-behind buffering for collective
-	// writes: 0 (the default) dispatches each collective's coalesced
-	// union immediately; > 0 buffers dirty unions across collectives
-	// and flushes the cache in one vectored sweep once that many bytes
-	// are buffered (the watermark counts the file's total buffered
-	// bytes — the cache is shared by every rank's handle); < 0 buffers
-	// without bound (flush on Sync, Close, or budget pressure only).
-	// The deferred bytes are the extent cache's dirty extents, so
-	// write-behind requires CacheBytes > 0, and reads through any
-	// handle — independent or collective, any rank — are served them
-	// from the cache. Use Sync for durability ordering (bytes on the
-	// servers) and around concurrent conflicting access, whose outcome
-	// is otherwise undefined exactly as in MPI. Every rank must pass the
-	// same value.
+	// WriteBehindBytes is ignored: every write goes straight to the
+	// store through the cache's direct write path, which lends its holes
+	// the cached bytes — cheaper than buffering the writes behind, which
+	// kept dirty bytes out of the cache's room for clean blocks and
+	// merged none of them. The field stays because the benchmark harness
+	// (bench/workloads.go) sets it, and does nothing else.
 	WriteBehindBytes int64
 	// CacheBytes turns the unified per-file extent cache on with that
 	// memory budget in bytes: independent and collective reads fetch
 	// sieve-aligned covering blocks (one vectored request per miss) into
-	// the cache, hole-free re-reads come from memory, write-behind keeps
-	// its deferred bytes there, and the budget caps the file's TOTAL
-	// cached bytes — clean extents evict LRU-first, deferred write-behind
-	// extents flush-on-evict. 0 (the default) turns the cache off, and
-	// with it write-behind. The cache is shared by every rank's handle on
+	// the cache, hole-free re-reads come from memory, writes keep the
+	// cached copies of their bytes up to date and borrow the cached bytes
+	// of the holes between their segments, and the budget caps the
+	// file's TOTAL cached bytes, evicting LRU-first. 0 (the default)
+	// turns the cache off. The cache is shared by every rank's handle on
 	// the store, so a block fetched by one rank warms all of them. The
 	// sieve block granularity is the stripe size; it is not a knob. Every
 	// rank must pass the same value.
@@ -78,13 +68,10 @@ type Tuning struct {
 	ReadAheadBytes int64
 	// SpillBytes enables the local-disk spill tier of the extent cache
 	// with that byte budget: extents evicted from the CacheBytes memory
-	// tier demote to a local spill file instead of dropping (clean) or
-	// flushing (dirty), reads consult memory → spill → pfs with spill
-	// hits promoted back under LRU, and write-behind can buffer far
-	// past RAM (spilled dirty bytes count toward the watermark and
-	// flush in the same vectored sweep). 0 (the default) disables the
-	// tier; requires CacheBytes > 0. Every rank must pass the same
-	// value.
+	// tier demote to a local spill file instead of dropping, and reads
+	// consult memory → spill → pfs with spill hits promoted back under
+	// LRU. 0 (the default) disables the tier; requires CacheBytes > 0.
+	// Every rank must pass the same value.
 	SpillBytes int64
 	// SpillPath names the spill file; empty (the default) selects a
 	// temp file. The file is created when the cache is and removed when
@@ -92,35 +79,8 @@ type Tuning struct {
 	SpillPath string
 }
 
-// Sync flushes every buffered dirty extent of the file — all ranks'
-// deferred collective writes share one cache — to the file system as
-// one vectored flush sweep (MPI_File_sync). The flushed extents stay
-// cached (clean), so a post-Sync re-read is warm.
-// A file with nothing dirty is a no-op.
-func (f *File) Sync() error {
-	if f.fc != nil {
-		return f.fc.FlushAll()
-	}
-	return nil
-}
-
-// SyncAll is the collective Sync: flush, then one agreement round
-// (which doubles as a barrier), so every rank returns only after all
-// deferred bytes are on the servers and any rank's flush failure
-// surfaces everywhere. Every rank must call it.
-func (f *File) SyncAll() error { return f.agree(f.Sync()) }
-
-// Dirty returns the dirty bytes currently buffered by the file's
-// shared extent cache.
-func (f *File) Dirty() int64 {
-	if f.fc != nil {
-		return f.fc.Bytes()
-	}
-	return 0
-}
-
-// Cached returns the total bytes (clean + dirty) currently held by the
-// file's shared extent cache.
+// Cached returns the bytes currently held by the file's shared extent
+// cache.
 func (f *File) Cached() int64 {
 	if f.fc != nil {
 		return f.fc.Cached()
@@ -129,7 +89,7 @@ func (f *File) Cached() int64 {
 }
 
 // CacheStats returns the cumulative extent-cache accounting for the
-// file (absorbs, flushes, hits/misses, sieve fetches, evictions).
+// file (hits/misses, sieve fetches, evictions, the spill tier).
 func (f *File) CacheStats() CacheStats {
 	if f.fc != nil {
 		return f.fc.Stats()
@@ -139,8 +99,8 @@ func (f *File) CacheStats() CacheStats {
 
 // ReadV reads the coalesced runs into mem (their bytes packed
 // back-to-back fill its segments in order): through the shared cache
-// when the handle has a budget — covered bytes, dirty or clean, come
-// from memory and holes are sieve-fetched — and otherwise straight from
+// when the handle has a budget — covered bytes come from memory and
+// holes are sieve-fetched — and otherwise straight from
 // the store, whose servers move the bytes into mem's segments.
 func (f *File) ReadV(runs []pfs.Run, mem Vec) error {
 	if f.fc != nil {
@@ -153,9 +113,8 @@ func (f *File) ReadV(runs []pfs.Run, mem Vec) error {
 // WriteV writes the coalesced runs from mem (its segments,
 // concatenated, supply the runs' bytes) straight to the store. With a
 // cache, the write goes through its BeginWrite/EndWrite pair: the cache
-// discards its dirty and spilled bytes of the runs before the store
-// write and copies the written bytes into its clean copies of them
-// after it, so a re-read of what this process just wrote stays warm.
+// discards its spilled bytes of the runs before the store write and
+// copies the written bytes into its memory copies of them after it, so a re-read of what this process just wrote stays warm.
 // The write's guard is also its hole source: the cache lends the store
 // write the clean bytes of the holes between its segments, which the
 // servers store back with them, one request per joined stretch.

@@ -114,11 +114,11 @@ func fragmentedCache(tb testing.TB, n int, budget, spillBytes int64) (*fileCache
 	refill := func() {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		w.punchLocked([]pfs.Run{{Off: 0, Len: int64(len(file))}}, punchAll)
+		w.punchLocked([]pfs.Run{{Off: 0, Len: int64(len(file))}})
 		for off := int64(0); off < int64(len(file)); off += 2 * benchExt {
 			w.clock++
 			b := w.getBuf(benchExt)
-			w.insert(newExt(off, b.b[:copy(b.b, file[off:off+benchExt])], b, false, w.clock))
+			w.insert(newExt(off, b.b[:copy(b.b, file[off:off+benchExt])], b, w.clock))
 		}
 	}
 	refill()
@@ -175,9 +175,8 @@ func TestPunchVCostIsItsVictims(t *testing.T) {
 // TestFileCacheOwnsItsMemory pins the cache's memory ownership by
 // counts: a warmed cache takes every byte it caches from the buffers it
 // freed before, so its steady state allocates almost nothing per
-// payload byte. "cycles" drives a cache with a budget, a spill tier
-// and write-behind through miss → evict → demote → promote → absorb →
-// flush; "fetch-over-budget" is an out-of-core scan whose every read
+// payload byte. "cycles" drives a cache with a budget and a spill tier
+// through miss → evict → demote → promote → write; "fetch-over-budget" is an out-of-core scan whose every read
 // fetches a sieve plan twice the budget, so each read frees more than
 // the budget and takes it again on the next.
 func TestFileCacheOwnsItsMemory(t *testing.T) {
@@ -215,17 +214,13 @@ func TestFileCacheOwnsItsMemory(t *testing.T) {
 			// Window i was last read 28 cycles ago and has left both
 			// tiers: a store miss, whose inserts evict and demote. Window
 			// i-4 was demoted 3 cycles ago and is in the spill tier: a
-			// promotion. Then a write-behind absorb and its flush sweep.
+			// promotion. Then a direct write into window i+1.
 			for _, r := range []pfs.Run{window(i), window(i - 4)} {
 				if err := w.ReadThrough([]pfs.Run{r}, Contig(buf)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			w.Absorb(window(i+1).Off+block/2, buf[:block])
-			if err := w.EnforceBudget(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.FlushAll(); err != nil {
+			if err := writeThrough(fs, w, []pfs.Run{{Off: window(i+1).Off + block/2, Len: block}}, buf[:block]); err != nil {
 				t.Fatal(err)
 			}
 			return 9 * block
@@ -236,7 +231,7 @@ func TestFileCacheOwnsItsMemory(t *testing.T) {
 		before := w.Stats()
 		steady(t, cycle, 40, 100, 0.1)
 		st := w.Stats().Sub(before)
-		if st.Misses == 0 || st.SpillDemoted == 0 || st.SpillPromoted == 0 || st.Absorbed == 0 || st.Flushes == 0 {
+		if st.Misses == 0 || st.SpillDemoted == 0 || st.SpillPromoted == 0 {
 			t.Fatalf("the cycles missed a path: %+v", st)
 		}
 		if err := checkInvariants(w); err != nil {

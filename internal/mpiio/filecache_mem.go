@@ -43,9 +43,9 @@ func (w *fileCache) getBuf(n int64) *cbuf {
 
 // newExt makes an extent over data, a sub-slice of b, and counts it in
 // b's references.
-func newExt(off int64, data []byte, b *cbuf, dirty bool, use int64) *cext {
+func newExt(off int64, data []byte, b *cbuf, use int64) *cext {
 	b.refs++
-	return &cext{off: off, data: data, buf: b, dirty: dirty, use: use}
+	return &cext{off: off, data: data, buf: b, use: use}
 }
 
 func (w *fileCache) pin(b *cbuf) { b.refs++; b.pins++ }

@@ -17,8 +17,7 @@ import (
 func checkInvariants(w *fileCache) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var total, dirty int64
-	var colors [2][]*cext
+	var total int64
 	for i, e := range w.ext {
 		if len(e.data) == 0 {
 			return fmt.Errorf("empty extent at %d", e.off)
@@ -28,29 +27,19 @@ func checkInvariants(w *fileCache) error {
 			if p.end() > e.off {
 				return fmt.Errorf("extents [%d,%d) and [%d,%d) out of order or overlapping", p.off, p.end(), e.off, e.end())
 			}
-			if p.dirty && e.dirty && p.end() == e.off {
-				return fmt.Errorf("adjacent dirty extents at %d were not merged", e.off)
-			}
 		}
 		if !e.node.Linked() {
 			return fmt.Errorf("resident extent at %d is in no recency heap", e.off)
 		}
 		total += int64(len(e.data))
-		if e.dirty {
-			dirty += int64(len(e.data))
-		}
-		colors[e.color()] = append(colors[e.color()], e)
 	}
-	if total != w.total || dirty != w.dirty {
-		return fmt.Errorf("books say %d total / %d dirty, extents sum to %d / %d", w.total, w.dirty, total, dirty)
+	if total != w.total {
+		return fmt.Errorf("books say %d bytes, extents sum to %d", w.total, total)
 	}
-	for c, want := range colors {
-		got := slices.Clone(w.lru[c].Items())
-		byOff := func(a, b *cext) int { return int(a.off - b.off) }
-		slices.SortFunc(got, byOff)
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("recency heap %d holds %d extents, the list has %d of that color (or they differ)", c, len(got), len(want))
-		}
+	got := slices.Clone(w.lru.Items())
+	slices.SortFunc(got, func(a, b *cext) int { return int(a.off - b.off) })
+	if !slices.Equal(got, w.ext) {
+		return fmt.Errorf("recency heap holds %d extents, the list %d (or they differ)", len(got), len(w.ext))
 	}
 	if err := checkMemory(w); err != nil {
 		return err
@@ -72,16 +61,8 @@ func checkInvariants(w *fileCache) error {
 	if used := w.spill.Used(); used != spilled {
 		return fmt.Errorf("spill.Used = %d, its entries sum to %d", used, spilled)
 	}
-	chunks, err := w.spill.CollectDirty(nil)
-	if err != nil {
-		return err
-	}
-	var spillDirty int64
-	for _, c := range chunks {
-		spillDirty += int64(len(c.Data))
-	}
-	if d := w.spill.Dirty(); d != spillDirty {
-		return fmt.Errorf("spill.Dirty = %d, its dirty entries sum to %d", d, spillDirty)
+	if d := w.spill.Dirty(); d != 0 {
+		return fmt.Errorf("spill.Dirty = %d: the cache spilled bytes the store lacks", d)
 	}
 	return nil
 }
@@ -168,35 +149,15 @@ func (m *cacheModel) write(runs []pfs.Run) error {
 	return nil
 }
 
-// absorb is the write-behind aggregator: defer every run, then settle
-// the budget.
-func (m *cacheModel) absorb(runs []pfs.Run) error {
-	p := m.payload(runs)
-	each(runs, p, func(r pfs.Run, b []byte) {
-		m.w.Absorb(r.Off, b)
-		copy(m.want[r.Off:], b)
-	})
-	clear(p) // Absorb copies: the caller may reuse its memory at once
-	return m.enforce()
-}
-
-// enforce settles the budget and checks that it then holds.
-func (m *cacheModel) enforce() error {
-	if err := m.w.EnforceBudget(); err != nil {
-		return err
-	}
-	if got := m.w.Cached(); m.sole() && got > m.cfg.CacheBytes {
-		return fmt.Errorf("%d bytes cached after EnforceBudget, budget %d", got, m.cfg.CacheBytes)
-	}
-	return nil
-}
-
 // read is File.ReadV's protocol through the cache, checked against the
-// model.
+// model; a read leaves the cache within its budget.
 func (m *cacheModel) read(runs []pfs.Run) error {
 	buf := packed(runs)
 	if err := m.w.ReadThrough(runs, Contig(buf)); err != nil {
 		return err
+	}
+	if got := m.w.Cached(); m.sole() && got > m.cfg.CacheBytes {
+		return fmt.Errorf("%d bytes cached after a read, budget %d", got, m.cfg.CacheBytes)
 	}
 	var bad error
 	each(runs, buf, func(r pfs.Run, b []byte) {
@@ -216,7 +177,7 @@ func (m *cacheModel) durable(runs []pfs.Run) error {
 	var bad error
 	each(runs, buf, func(r pfs.Run, b []byte) {
 		if bad == nil && !bytes.Equal(b, m.want[r.Off:r.End()]) {
-			bad = fmt.Errorf("store differs from the model in [%d,%d) after a flush", r.Off, r.End())
+			bad = fmt.Errorf("store differs from the model in [%d,%d)", r.Off, r.End())
 		}
 	})
 	return bad
@@ -225,20 +186,13 @@ func (m *cacheModel) durable(runs []pfs.Run) error {
 // step runs one random operation.
 func (m *cacheModel) step() error {
 	runs := m.runs()
-	switch k := m.rng.Intn(17); {
-	case k < 4:
+	switch k := m.rng.Intn(16); {
+	case k < 7:
 		return m.write(runs)
-	case k < 9:
-		return m.absorb(runs)
 	case k < 15:
 		return m.read(runs)
-	case k == 15:
-		if err := m.w.FlushAll(); err != nil {
-			return err
-		}
-		return m.durable([]pfs.Run{{Off: m.lo, Len: m.hi - m.lo}})
 	}
-	return m.enforce()
+	return m.durable([]pfs.Run{{Off: m.lo, Len: m.hi - m.lo}})
 }
 
 // sole reports whether this driver has the whole file, and therefore
@@ -283,9 +237,6 @@ func TestFileCacheModel(t *testing.T) {
 			if err := m.read(whole); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.w.FlushAll(); err != nil {
-				t.Fatal(err)
-			}
 			if err := m.durable(whole); err != nil {
 				t.Fatal(err)
 			}
@@ -294,8 +245,8 @@ func TestFileCacheModel(t *testing.T) {
 }
 
 // TestFileCacheModelConcurrent: four drivers on disjoint quarters of
-// the file's first 16 KiB share the cache (sieve blocks, read-ahead and
-// flush sweeps cross the quarter boundaries), each checked against its
+// the file's first 16 KiB share the cache (sieve blocks and read-ahead
+// cross the quarter boundaries), each checked against its
 // own slice of the model, while two writers share the last 2 KiB — their
 // direct writes overlap each other, and their reads keep clean copies
 // there for the writes to update — and a seventh goroutine asserts the
@@ -376,9 +327,6 @@ func TestFileCacheModelConcurrent(t *testing.T) {
 	copy(base.want[size:], want)
 	whole := []pfs.Run{{Off: 0, Len: size + shared}}
 	if err := base.read(whole); err != nil {
-		t.Fatal(err)
-	}
-	if err := base.w.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 	if err := base.durable(whole); err != nil {

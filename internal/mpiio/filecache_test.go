@@ -51,12 +51,12 @@ func writeThrough(fs *pfs.FS, w *fileCache, runs []pfs.Run, p []byte) error {
 	return err
 }
 
-// punch removes runs from both tiers of w in every color, as
-// EndWrite does after a failed store write.
+// punch removes runs from both tiers of w, as EndWrite does after a
+// failed store write.
 func punch(w *fileCache, runs []pfs.Run) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.punchLocked(runs, punchAll)
+	w.punchLocked(runs)
 }
 
 // wantPattern checks buf against the seeded store pattern at off.
@@ -130,67 +130,52 @@ func TestFileCacheReadAhead(t *testing.T) {
 	}
 }
 
-// TestFileCacheServesDirtyWithoutFlush: with clean caching on, a read
-// covering dirty extents is served from memory — nothing is flushed,
-// nothing is read from the store for the dirty range.
-func TestFileCacheServesDirtyWithoutFlush(t *testing.T) {
+// TestFileCacheDirtyStraddleRead (the ID of the write-behind test it
+// replaces): a read straddling a written range merges the bytes the
+// write updated in memory with sieve-fetched store bytes around them,
+// the written bytes the cache did not hold coming from the store.
+func TestFileCacheDirtyStraddleRead(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 128, 0)
-	w.Absorb(128, bytes.Repeat([]byte{9}, 128)) // exactly one sieve block
-	buf := make([]byte, 128)
-	if err := w.ReadThrough([]pfs.Run{{Off: 128, Len: 128}}, Contig(buf)); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 128, Len: 128}}, make(Contig, 128)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf, bytes.Repeat([]byte{9}, 128)) {
-		t.Fatal("dirty bytes not served from cache")
+	if err := writeThrough(fs, w, []pfs.Run{{Off: 200, Len: 100}}, bytes.Repeat([]byte{7}, 100)); err != nil {
+		t.Fatal(err)
 	}
-	st := fs.Stats()
-	if st.Reads() != 0 || st.FlushBytes() != 0 {
-		t.Fatalf("dirty-covered read touched the store: %d reads, %d flush bytes",
-			st.Reads(), st.FlushBytes())
+	if w.Cached() != 128 {
+		t.Fatalf("cached = %d after the write, want 128 (uncached bytes stay uncached)", w.Cached())
 	}
-	if w.Bytes() != 128 {
-		t.Fatalf("dirty bytes = %d, want 128 (still deferred)", w.Bytes())
-	}
-}
-
-// TestFileCacheDirtyStraddleRead: a read straddling a dirty extent
-// boundary merges dirty bytes from memory with sieve-fetched store
-// bytes around them.
-func TestFileCacheDirtyStraddleRead(t *testing.T) {
-	_, w := fcForTest(t, 1<<20, 128, 0)
-	w.Absorb(200, bytes.Repeat([]byte{7}, 100)) // dirty [200, 300)
 	buf := make([]byte, 256)
 	if err := w.ReadThrough([]pfs.Run{{Off: 100, Len: 256}}, Contig(buf)); err != nil {
 		t.Fatal(err)
 	}
-	wantPattern(t, buf[:100], 100) // [100, 200): store
+	wantPattern(t, buf[:100], 100) // [100, 200): store, then memory
 	if !bytes.Equal(buf[100:200], bytes.Repeat([]byte{7}, 100)) {
-		t.Fatal("dirty middle wrong")
+		t.Fatal("written middle wrong")
 	}
 	wantPattern(t, buf[200:], 300) // [300, 356): store
 }
 
-// TestFileCacheFlushKeepsWarm: in caching mode FlushAll writes dirty
-// bytes back but keeps the extents (clean), so a post-Sync re-read is
-// a pure hit.
+// TestFileCacheFlushKeepsWarm (the ID of the write-behind test it
+// replaces): a write over cached bytes reaches the store and leaves
+// them cached with its bytes, so the re-read is a pure hit.
 func TestFileCacheFlushKeepsWarm(t *testing.T) {
 	fs, w := fcForTest(t, 1<<20, 128, 0)
-	w.Absorb(0, bytes.Repeat([]byte{5}, 256))
-	if err := w.FlushAll(); err != nil {
+	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 256}}, make(Contig, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if w.Bytes() != 0 {
-		t.Fatalf("dirty = %d after FlushAll", w.Bytes())
+	if err := writeThrough(fs, w, []pfs.Run{{Off: 0, Len: 256}}, bytes.Repeat([]byte{5}, 256)); err != nil {
+		t.Fatal(err)
 	}
 	if w.Cached() != 256 {
-		t.Fatalf("cached = %d after FlushAll, want 256 (kept clean)", w.Cached())
+		t.Fatalf("cached = %d after the write, want 256 (kept)", w.Cached())
 	}
 	back := make([]byte, 256)
 	if _, err := fs.ReadAt(back, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back, bytes.Repeat([]byte{5}, 256)) {
-		t.Fatal("flush did not reach the store")
+		t.Fatal("the write did not reach the store")
 	}
 	fs.ResetStats()
 	buf := make([]byte, 256)
@@ -201,7 +186,7 @@ func TestFileCacheFlushKeepsWarm(t *testing.T) {
 		t.Fatal("warm re-read wrong")
 	}
 	if fs.Stats().Reads() != 0 {
-		t.Fatal("post-flush re-read went to the store")
+		t.Fatal("re-read after the write went to the store")
 	}
 }
 
@@ -246,45 +231,6 @@ func TestFileCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestFileCacheDirtyFlushOnEvict: when dirty bytes alone exceed the
-// budget, EnforceBudget flushes the LRU dirty extents through FlushV
-// and leaves the cache within budget — no deferred byte is lost.
-func TestFileCacheDirtyFlushOnEvict(t *testing.T) {
-	fs, w := fcForTest(t, 256, 128, 0)
-	w.Absorb(0, bytes.Repeat([]byte{1}, 256))
-	w.Absorb(1024, bytes.Repeat([]byte{2}, 256)) // 512 dirty > 256 budget
-	if err := w.EnforceBudget(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Cached() > 256 {
-		t.Fatalf("cached = %d after EnforceBudget, want <= 256", w.Cached())
-	}
-	st := fs.Stats()
-	if st.FlushBytes() == 0 {
-		t.Fatal("no dirty bytes were flush-evicted")
-	}
-	if w.Stats().FlushEvicted == 0 {
-		t.Fatal("flush-evictions not accounted")
-	}
-	// Every byte is durable-or-buffered: flush the rest and check both
-	// regions on the store.
-	if err := w.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		off int64
-		v   byte
-	}{{0, 1}, {1024, 2}} {
-		back := make([]byte, 256)
-		if _, err := fs.ReadAt(back, c.off); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(back, bytes.Repeat([]byte{c.v}, 256)) {
-			t.Fatalf("region at %d lost after flush-evict", c.off)
-		}
-	}
-}
-
 // TestFileCachePunchDropsClean: a direct write that fails punches the
 // clean extents it overlaps, so the next read re-fetches whatever the
 // store holds — here the bytes that landed before the failure was
@@ -309,35 +255,12 @@ func TestFileCachePunchDropsClean(t *testing.T) {
 	}
 }
 
-// TestFileCacheAbsorbPunchesClean: absorbing a dirty run over cached
-// clean bytes replaces them — the dirty data wins, and the clean
-// remainder outside the write survives.
-func TestFileCacheAbsorbPunchesClean(t *testing.T) {
-	_, w := fcForTest(t, 1<<20, 128, 0)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 256}}, make(Contig, 256)); err != nil {
-		t.Fatal(err)
-	}
-	w.Absorb(64, bytes.Repeat([]byte{9}, 64))
-	buf := make([]byte, 256)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 256}}, Contig(buf)); err != nil {
-		t.Fatal(err)
-	}
-	wantPattern(t, buf[:64], 0)
-	if !bytes.Equal(buf[64:128], bytes.Repeat([]byte{9}, 64)) {
-		t.Fatal("absorbed bytes not served")
-	}
-	wantPattern(t, buf[128:], 128)
-	if w.Bytes() != 64 {
-		t.Fatalf("dirty = %d, want 64", w.Bytes())
-	}
-}
-
-// TestCollectiveReadCacheCoherent: the mpiio-level integration — a
-// 4-rank collective write rides write-behind, a collective re-read
-// serves every rank coherently, and a second re-read issues no further
-// store reads (warm across ranks: the cache is shared per store).
+// TestCollectiveReadCacheCoherent: the mpiio-level integration — after
+// a 4-rank collective write, a collective re-read serves every rank
+// coherently, and a second re-read issues no further store reads (warm
+// across ranks: the cache is shared per store).
 func TestCollectiveReadCacheCoherent(t *testing.T) {
-	runWB(t, 4, -1, func(c *cluster.Comm, f *File) error {
+	runShared(t, 4, -1, func(c *cluster.Comm, f *File) error {
 		data := make([]byte, 512)
 		for i := range data {
 			data[i] = byte(c.Rank()*31 + i)
@@ -345,7 +268,15 @@ func TestCollectiveReadCacheCoherent(t *testing.T) {
 		if err := f.WriteAllV(mine(c, 0, 512), Contig(data)); err != nil {
 			return err
 		}
+		var warm int64
 		for round := 0; round < 2; round++ {
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			warm = f.FS().Stats().Reads()
+			if err := c.Barrier(); err != nil {
+				return err
+			}
 			buf := make([]byte, 512)
 			if err := f.ReadAllV(mine(c, 0, 512), Contig(buf)); err != nil {
 				return err
@@ -354,8 +285,8 @@ func TestCollectiveReadCacheCoherent(t *testing.T) {
 				return fmt.Errorf("rank %d round %d: cached collective read incoherent", c.Rank(), round)
 			}
 		}
-		if n := f.FS().Stats().Reads(); c.Rank() == 0 && n != 0 {
-			return fmt.Errorf("cached reads over deferred dirty bytes touched the store (%d reads)", n)
+		if n := f.FS().Stats().Reads() - warm; c.Rank() == 0 && n != 0 {
+			return fmt.Errorf("the warm re-read touched the store (%d reads)", n)
 		}
 		return nil
 	})

@@ -98,22 +98,20 @@ func TestLendRefusedOverInFlightWrite(t *testing.T) {
 	w.EndWrite(gA, nil, Contig(nil), true)
 }
 
-// TestLendRefusedOverDirtySpilledUncached: only clean memory bytes are
-// lent. Dirty bytes are newer than the store's, spilled ones are not in
-// memory, and uncached ones are not known at all: a hole over any of
-// them, even in part, is not lent, and a refused Lend lends nothing.
+// TestLendRefusedOverDirtySpilledUncached (an ID kept from when the
+// cache also held dirty bytes): only memory bytes are lent. Spilled ones
+// are not in memory, and uncached ones are not known at all: a hole
+// over either, even in part, is not lent, and a refused Lend lends
+// nothing.
 func TestLendRefusedOverDirtySpilledUncached(t *testing.T) {
 	f, flat := lendFile(t, Tuning{CacheBytes: 1 << 20, SpillBytes: 64 << 10}, 2<<10)
 	w := f.fc
-	w.Absorb(100, bytes.Repeat([]byte{0xD}, 100))
 	demote(w, []pfs.Run{{Off: 1024, Len: 512}})
 	g := w.BeginWrite([]pfs.Run{{Off: 3500, Len: 10}})
 	for _, c := range []struct {
 		what string
 		r    pfs.Run
 	}{
-		{"dirty", pfs.Run{Off: 100, Len: 100}},
-		{"partly dirty", pfs.Run{Off: 50, Len: 100}},
 		{"spilled", pfs.Run{Off: 1100, Len: 10}},
 		{"partly spilled", pfs.Run{Off: 1000, Len: 100}},
 		{"uncached", pfs.Run{Off: 2500, Len: 10}},
@@ -150,27 +148,28 @@ func (v *heldVec) Seg(i int) []byte {
 	return v.Contig.Seg(i)
 }
 
-// reachedStore signals on reached when a write request of exactly n
-// bytes at off reaches the store's injector.
+// reachedStore signals on reached when a write request of exactly one
+// of runs reaches the store's injector.
 type reachedStore struct {
-	off, n  int64
+	runs    []pfs.Run
 	reached chan struct{}
 }
 
 func (r *reachedStore) Fail(_ int, write bool, off, n int64) error {
-	if write && off == r.off && n == r.n {
+	if write && slices.Contains(r.runs, pfs.Run{Off: off, Len: n}) {
 		r.reached <- struct{}{}
 	}
 	return nil
 }
 
-// TestLentRangeHoldsWritesAndAbsorbs: a write through the cache whose
-// store write is held lends the hole between its two runs. A direct
-// write and an absorb that overlap the hole must wait until the lender
-// has ended: the lender stores the hole's old bytes, which would
-// otherwise land over theirs. They must be waiting while the lender is
-// held — the write must not have reached the store — return once it
-// has ended, and leave the store with their bytes.
+// TestLentRangeHoldsWritesAndAbsorbs (an ID kept from when an absorb was
+// the second waiter): a write through the cache whose store write is
+// held lends the hole between its two runs. Two direct writes that
+// overlap the hole must wait until the lender has ended: the lender
+// stores the hole's old bytes, which would otherwise land over theirs.
+// They must be waiting while the lender is held — neither may have
+// reached the store — return once it has ended, and leave the store
+// with their bytes.
 func TestLentRangeHoldsWritesAndAbsorbs(t *testing.T) {
 	f, flat := lendFile(t, Tuning{CacheBytes: 1 << 20}, 4<<10)
 	w := f.fc
@@ -203,10 +202,10 @@ func TestLentRangeHoldsWritesAndAbsorbs(t *testing.T) {
 		defer w.mu.Unlock()
 		return !slices.ContainsFunc(w.guards, func(g *fetchGuard) bool { return len(g.lent) > 0 })
 	}
-	xRuns := []pfs.Run{{Off: 1050, Len: 10}}
-	xData := bytes.Repeat([]byte{0xE}, 10)
-	xStore := &reachedStore{off: 1050, n: 10, reached: make(chan struct{}, 1)}
-	f.fs.SetInjector(xStore)
+	xRuns, yRuns := []pfs.Run{{Off: 1050, Len: 10}}, []pfs.Run{{Off: 1060, Len: 10}}
+	xData, yData := bytes.Repeat([]byte{0xE}, 10), bytes.Repeat([]byte{0xF}, 10)
+	store := &reachedStore{runs: []pfs.Run{xRuns[0], yRuns[0]}, reached: make(chan struct{}, 2)}
+	f.fs.SetInjector(store)
 	xDone, yDone := make(chan bool, 1), make(chan bool, 1)
 	go func() {
 		if err := f.WriteV(xRuns, Contig(xData)); err != nil {
@@ -215,22 +214,18 @@ func TestLentRangeHoldsWritesAndAbsorbs(t *testing.T) {
 		xDone <- ended()
 	}()
 	go func() {
-		w.Absorb(1060, bytes.Repeat([]byte{0xF}, 10))
+		if err := f.WriteV(yRuns, Contig(yData)); err != nil {
+			t.Error(err)
+		}
 		yDone <- ended()
 	}()
 	for range 2 {
-		var early string
 		select {
 		case <-waiting:
-		case <-xStore.reached:
-			early = "a write"
-		case <-yDone:
-			early = "an absorb"
-		}
-		if early != "" {
+		case <-store.reached:
 			close(a.release)
 			<-aDone
-			t.Fatalf("%s over a lent range went ahead while its lender was held", early)
+			t.Fatal("a write over a lent range went ahead while its lender was held")
 		}
 	}
 	close(a.release)
@@ -240,14 +235,11 @@ func TestLentRangeHoldsWritesAndAbsorbs(t *testing.T) {
 	if !<-xDone || !<-yDone {
 		t.Error("a waiter returned before the lender ended")
 	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
 	want := slices.Clone(flat)
 	copy(want[0:1000], a.Contig)
 	copy(want[1100:2100], a.Contig[1000:])
 	copy(want[1050:1060], xData)
-	copy(want[1060:1070], bytes.Repeat([]byte{0xF}, 10))
+	copy(want[1060:1070], yData)
 	got := make([]byte, len(want))
 	if _, err := f.fs.ReadAt(got, 0); err != nil {
 		t.Fatal(err)

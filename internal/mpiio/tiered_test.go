@@ -131,63 +131,36 @@ func TestTieredSpillCorruptionFallsBackToPFS(t *testing.T) {
 	}
 }
 
-// TestTieredDirtySpillLossSurfaces: dirty bytes are a different story —
-// if the spill tier cannot read a demoted DIRTY extent back, the flush
-// must fail loudly instead of silently dropping the write.
-func TestTieredDirtySpillLossSurfaces(t *testing.T) {
-	_, w, path := tieredForTest(t, 1024, 8192)
-	w.Absorb(0, bytes.Repeat([]byte{7}, 2048))
-	if err := w.EnforceBudget(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Stats().SpillDirty == 0 {
-		t.Fatal("dirty bytes were not demoted; the loss under test never happens")
-	}
-	if err := os.Truncate(path, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.FlushAll(); err == nil {
-		t.Fatal("flush silently succeeded after the spill tier lost dirty bytes")
-	}
-}
-
-// TestTieredDirtyLossKeepsNeighbours: a promotion that loses one dirty
-// spilled extent still promotes the ones it read back. Both dirty
-// extents demote; the spill file is cut so only the second is
-// unreadable. The read reports that loss, and the first extent — out of
-// the spill tier by then — must still reach the store.
+// TestTieredDirtyLossKeepsNeighbours (an ID kept from when the lost
+// extents were dirty): a promotion that loses one spilled extent still
+// promotes the ones it read back. Two reads demote [0, 2048) to the
+// spill tier in offset order, and the spill file is cut so only the
+// first half reads back: a read across both serves the store's bytes
+// for the lost half, promotes the first, and reports no error.
 func TestTieredDirtyLossKeepsNeighbours(t *testing.T) {
 	fs, w, path := tieredForTest(t, 512, 8192)
-	w.Absorb(0, bytes.Repeat([]byte{7}, 1024))
-	w.Absorb(2048, bytes.Repeat([]byte{9}, 1024))
-	if err := w.EnforceBudget(); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Stats().SpillDirty; got != 2048 {
-		t.Fatalf("%d dirty bytes demoted, want both extents (2048)", got)
+	readRange(t, w, 0, 2048)
+	readRange(t, w, 3072, 512) // pushes the rest of [0, 2048) out
+	if got := w.Stats().SpillUsed; got != 2048 {
+		t.Fatalf("%d bytes demoted, want [0, 2048)", got)
 	}
 	if err := os.Truncate(path, 1024); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 3072)
-	if err := w.ReadThrough([]pfs.Run{{Off: 0, Len: 3072}}, Contig(buf)); err == nil {
-		t.Fatal("read across a lost dirty extent reported no error")
+	before, promoted := fs.Stats().Reads(), w.Stats().SpillPromoted
+	readRange(t, w, 0, 2048)
+	if got := w.Stats().SpillPromoted - promoted; got != 1024 {
+		t.Fatalf("%d bytes promoted, want the readable 1024", got)
 	}
-	if err := w.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.ReadAt(buf[:1024], 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf[:1024], bytes.Repeat([]byte{7}, 1024)) {
-		t.Fatal("the readable dirty extent [0,1024) was lost along with its neighbour")
+	if fs.Stats().Reads() == before {
+		t.Fatal("the lost half was not re-fetched from the store")
 	}
 }
 
 // TestTieredBudgetAccountingUnderChurn hammers overlapping reads from
 // many goroutines — promotions, demotions and evictions interleave —
-// then checks the books: the extent list sums to the accounted total,
-// nothing is dirty, and no byte is covered by both tiers at once.
+// then checks the books: the extent list sums to the accounted total
+// and no byte is covered by both tiers at once.
 func TestTieredBudgetAccountingUnderChurn(t *testing.T) {
 	_, w, _ := tieredForTest(t, 1024, 8192)
 	var wg sync.WaitGroup
@@ -215,18 +188,12 @@ func TestTieredBudgetAccountingUnderChurn(t *testing.T) {
 	wg.Wait()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var sum, dirty int64
+	var sum int64
 	for _, e := range w.ext {
 		sum += int64(len(e.data))
-		if e.dirty {
-			dirty += int64(len(e.data))
-		}
 	}
-	if sum != w.total || dirty != w.dirty {
-		t.Fatalf("accounting drifted: extents sum to %d/%d dirty, books say %d/%d", sum, dirty, w.total, w.dirty)
-	}
-	if w.dirty != 0 || w.spill.Dirty() != 0 {
-		t.Fatalf("read-only churn left dirty bytes: mem %d, spill %d", w.dirty, w.spill.Dirty())
+	if sum != w.total {
+		t.Fatalf("accounting drifted: extents sum to %d, books say %d", sum, w.total)
 	}
 	// Tier disjointness: no memory extent overlaps a spilled range.
 	for _, r := range w.spill.Coverage(nil) {
@@ -239,8 +206,7 @@ func TestTieredBudgetAccountingUnderChurn(t *testing.T) {
 }
 
 // TestTieredDifferentialAgainstRAMOnly drives an identical seeded
-// workload of absorbs, reads, flushes and budget sweeps through two
-// caches — spill off, spill on — over two identically seeded stores.
+// workload of writes and reads through two caches — spill off, spill on — over two identically seeded stores.
 // Every read and the end state must be byte-identical: the tier is pure
 // policy, never content. The spill-off cache must also finish with
 // every spill counter at zero and its gauges at the configured values
@@ -275,12 +241,11 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 		case op < 4:
 			p := bytes.Repeat([]byte{byte(step) | 1}, int(n))
 			for _, w := range caches {
-				w.Absorb(off, p)
-				if err := w.EnforceBudget(); err != nil {
+				if err := writeThrough(w.fs, w, []pfs.Run{{Off: off, Len: n}}, p); err != nil {
 					t.Fatal(err)
 				}
 			}
-		case op < 8:
+		default:
 			var got [][]byte
 			for _, w := range caches {
 				buf := make([]byte, n)
@@ -292,17 +257,6 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 			if !bytes.Equal(got[0], got[1]) {
 				t.Fatalf("step %d: read [%d,+%d) diverged across tier configs", step, off, n)
 			}
-		default:
-			for _, w := range caches {
-				if err := w.FlushAll(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	for _, w := range caches {
-		if err := w.FlushAll(); err != nil {
-			t.Fatal(err)
 		}
 	}
 	want := make([]byte, fileN)
@@ -319,7 +273,7 @@ func TestTieredDifferentialAgainstRAMOnly(t *testing.T) {
 	cs := base.Stats()
 	if cs.SpillDemoted != 0 || cs.SpillPromoted != 0 || cs.SpillHits != 0 ||
 		cs.SpillHitBytes != 0 || cs.SpillRejected != 0 || cs.SpillUsed != 0 ||
-		cs.SpillDirty != 0 || cs.Retunes != 0 {
+		cs.Retunes != 0 {
 		t.Fatalf("spill-off cache shows tier activity: %+v", cs)
 	}
 	if cs.SieveSize != 256 || cs.ReadAheadBytes != 0 {

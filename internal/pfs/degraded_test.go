@@ -117,13 +117,13 @@ func TestDegradedWriteParityMaintained(t *testing.T) {
 	}
 }
 
-// TestDegradedReadVectored covers the ReadV path (and FlushV-fed data)
+// TestDegradedReadVectored covers the ReadV path (and WriteVec-fed data)
 // under a dead server.
 func TestDegradedReadVectored(t *testing.T) {
 	const stripe = 32
 	fs := degradedFS(t, Options{Servers: 4, Parity: 1, StripeSize: stripe, Scheduler: Elevator})
 	want := pattern(3*stripe*5, 5)
-	if _, err := fs.FlushV([]Run{{Off: 0, Len: int64(len(want))}}, Contig(want)); err != nil {
+	if _, err := fs.WriteVec([]Run{{Off: 0, Len: int64(len(want))}}, Contig(want)); err != nil {
 		t.Fatal(err)
 	}
 	fs.SetInjector(&FaultPoint{Server: 2, Op: FaultReads, Permanent: true})

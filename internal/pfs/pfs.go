@@ -153,17 +153,10 @@ type ServerStats struct {
 	Seeks        int64
 	// Busy is the accumulated simulated service time.
 	Busy time.Duration
-	// FlushWrites counts the write services that carried write-behind
-	// flush-sweep bytes, and FlushBytes the bytes themselves — the
-	// attribution that splits ordinary dispatch from deferred flush
-	// traffic.
-	FlushWrites int64
-	FlushBytes  int64
 	// SieveReads counts the read services that carried data-sieving
 	// fetch bytes (the mpiio file cache's SieveReadV traffic), and
-	// SieveBytes the bytes themselves — the read-side mirror of the
-	// flush attribution, splitting sieve-block fetches from ordinary
-	// reads.
+	// SieveBytes the bytes themselves, splitting sieve-block fetches
+	// from ordinary reads.
 	SieveReads int64
 	SieveBytes int64
 	// LocalBytes / RemoteBytes attribute collective payload held by
@@ -247,15 +240,10 @@ func (s Stats) BusySum() time.Duration {
 	return time.Duration(s.total(func(ps *ServerStats) int64 { return int64(ps.Busy) }))
 }
 
-// FlushWrites returns total flush-sweep write services across servers.
-func (s Stats) FlushWrites() int64 {
-	return s.total(func(ps *ServerStats) int64 { return ps.FlushWrites })
-}
-
-// FlushBytes returns total flush-sweep bytes across servers.
-func (s Stats) FlushBytes() int64 {
-	return s.total(func(ps *ServerStats) int64 { return ps.FlushBytes })
-}
+// FlushBytes is always zero: no layer above the store buffers writes
+// to flush later. It stays because the benchmark harness
+// (bench/report.go) reports it, and does nothing else.
+func (s Stats) FlushBytes() int64 { return 0 }
 
 // SieveReads returns total sieve-fetch read services across servers.
 func (s Stats) SieveReads() int64 {
@@ -305,8 +293,6 @@ func (s Stats) Sub(t Stats) Stats {
 			BytesWritten: a.BytesWritten - b.BytesWritten,
 			Seeks:        a.Seeks - b.Seeks,
 			Busy:         a.Busy - b.Busy,
-			FlushWrites:  a.FlushWrites - b.FlushWrites,
-			FlushBytes:   a.FlushBytes - b.FlushBytes,
 			SieveReads:   a.SieveReads - b.SieveReads,
 			SieveBytes:   a.SieveBytes - b.SieveBytes,
 			LocalBytes:   a.LocalBytes - b.LocalBytes,
@@ -380,17 +366,11 @@ func (sv *server) charge(n int64, off int64, write bool) time.Duration {
 	return d
 }
 
-// attribute counts n bytes of one service as flush-sweep (write) or
-// sieve-fetch (read) traffic. Must be called with sv.mu held, after the
-// service's charge.
-func (sv *server) attribute(n int64, write bool) {
-	if write {
-		sv.stats.FlushWrites++
-		sv.stats.FlushBytes += n
-	} else {
-		sv.stats.SieveReads++
-		sv.stats.SieveBytes += n
-	}
+// attribute counts n bytes of one read service as sieve-fetch traffic.
+// Must be called with sv.mu held, after the service's charge.
+func (sv *server) attribute(n int64) {
+	sv.stats.SieveReads++
+	sv.stats.SieveBytes += n
 }
 
 // storeLocked moves p into the backend at off and grows the per-server
@@ -484,7 +464,7 @@ type FS struct {
 	idle   []*dispatch // dispatches between submissions (queue.go)
 
 	flushMu  sync.Mutex     // guards flushers
-	flushers []func() error // write-behind flushes Close runs before draining
+	flushers []func() error // hooks Close runs before draining
 
 	auxMu sync.Mutex     // guards aux
 	aux   map[string]any // per-store slots for layered caches (see Aux)
@@ -727,23 +707,15 @@ func (fs *FS) WriteV(runs []Run, buf []byte) (int64, error) {
 	return fs.transfer(runs, Contig(buf), true, false, nil)
 }
 
-// FlushV is WriteVec with flush-sweep attribution: the serviced bytes
-// are additionally counted in ServerStats.FlushWrites/FlushBytes, so
-// benchmarks can split write-behind flush traffic from ordinary
-// dispatch. Write-behind caches (internal/mpiio) send their deferred
-// dirty extents through this path, one memory segment per extent.
-func (fs *FS) FlushV(runs []Run, mem Vec) (int64, error) {
-	return fs.transfer(runs, mem, true, true, nil)
-}
-
 // transfer is every logical operation: it builds the segment list of
 // the runs that fit mem — stopping at the first that does not, with a
 // validation error — dispatches it, and on a write brings parity and
-// the logical size up to date. src, a write's hole source, is dropped
-// on a parity store.
-func (fs *FS) transfer(runs []Run, mem Vec, write, attr bool, src HoleSource) (int64, error) {
+// the logical size up to date. sieve marks a read's bytes as sieve-fetch
+// traffic (SieveReadV). src, a write's hole source, is dropped on a
+// parity store.
+func (fs *FS) transfer(runs []Run, mem Vec, write, sieve bool, src HoleSource) (int64, error) {
 	d := fs.newDispatch(mem, write)
-	d.attr = attr
+	d.sieve = sieve
 	if fs.code == nil {
 		d.src = src
 	}
@@ -769,8 +741,7 @@ func (fs *FS) transfer(runs []Run, mem Vec, write, attr bool, src HoleSource) (i
 	// With parity on, the parity of every row the accepted runs touch is
 	// brought up to date — also when the dispatch failed, because
 	// segments ahead of the failure landed and parity describes stored
-	// bytes. FlushV sweeps come through here too, so write-behind
-	// flushes maintain parity like direct writes.
+	// bytes.
 	var done int64
 	var err, perr error
 	if fs.code != nil {
@@ -843,7 +814,7 @@ func (fs *FS) ResetStats() {
 
 // Aux returns the store's slot for key, calling mk to fill it on first
 // use (mk runs at most once per key; nil is never stored). Layers
-// above the store — the mpiio write-behind cache — hang their
+// above the store — the mpiio extent cache — hang their
 // per-file state here, so its lifetime is exactly the store's: no
 // global registry, nothing pinned after the store is dropped.
 func (fs *FS) Aux(key string, mk func() any) any {
@@ -861,21 +832,19 @@ func (fs *FS) Aux(key string, mk func() any) any {
 }
 
 // AddCloseFlusher registers fn to run at the start of Close, before
-// the per-server queues drain. Write-behind caches layered above the
-// store register their flush here, which gives them the ordering
-// guarantee they need: deferred dirty extents are dispatched through
-// the still-open queues (under the configured scheduler, interleaving
-// with any queued reads) rather than racing the drain and falling into
-// the post-Close synchronous path. Flushers run once, in registration
-// order; a second Close does not re-run them.
+// the per-server queues drain, so any I/O it issues goes through the
+// still-open queues (under the configured scheduler, interleaving with
+// any queued reads) rather than racing the drain and falling into the
+// post-Close synchronous path. The mpiio extent cache releases its
+// spill file here. Flushers run once, in registration order; a second
+// Close does not re-run them.
 func (fs *FS) AddCloseFlusher(fn func() error) {
 	fs.flushMu.Lock()
 	fs.flushers = append(fs.flushers, fn)
 	fs.flushMu.Unlock()
 }
 
-// Close flushes registered write-behind caches (see AddCloseFlusher),
-// then drains and stops the per-server queues, then releases backend
+// Close runs the registered hooks (see AddCloseFlusher), then drains and stops the per-server queues, then releases backend
 // resources (Disk files are synced and closed). I/O issued after Close
 // is serviced synchronously in the caller (the pre-queue semantics).
 func (fs *FS) Close() error {

@@ -145,7 +145,7 @@ type dispatch struct {
 	segs  []ioSeg
 	mem   Vec
 	write bool
-	attr  bool // count the bytes as flush-sweep (write) or sieve-fetch (read) traffic
+	sieve bool // count a read's bytes as sieve-fetch traffic
 	// skip: a segment the injector refuses is skipped and submission goes
 	// on (reads that can reconstruct); otherwise it ends the submission.
 	// fold: a degraded read; accept plans a refused segment's
@@ -306,7 +306,7 @@ func (fs *FS) release(d *dispatch) {
 	clear(d.fails)
 	d.segs, d.served, d.fails = d.segs[:0], d.served[:0], d.fails[:0]
 	d.grant, d.lendable, d.slab = d.grant[:0], d.lendable[:0], d.slab[:0]
-	d.mem, d.write, d.attr, d.skip, d.fold, d.capture, d.src = nil, false, false, false, false, false, nil
+	d.mem, d.write, d.sieve, d.skip, d.fold, d.capture, d.src = nil, false, false, false, false, false, nil
 	fs.idleMu.Lock()
 	if len(fs.idle) < maxIdle {
 		fs.idle = append(fs.idle, d)
@@ -540,12 +540,12 @@ func (sv *server) sweep(frozen []pend) []pend {
 				d.fail(d.owner(r.i), err, false)
 				r.failed = true
 			}
-			if d.attr && r.s.mi >= 0 { // a degraded read's source fetch is no sieve traffic
+			if d.sieve && r.s.mi >= 0 { // a degraded read's source fetch is no sieve traffic
 				attributed += r.s.n
 			}
 		}
 		if attributed > 0 {
-			sv.attribute(attributed, write)
+			sv.attribute(attributed)
 		}
 		if sv.cost.RealTime && dur > 0 {
 			sv.mu.Unlock()

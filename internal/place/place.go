@@ -1,13 +1,13 @@
 // Package place carves collective-I/O aggregation domains: given the
 // byte span a collective touches, the carving decides how many
-// aggregators serve it and which aggregator owns each file byte. The
-// two-phase exchange and the write-behind watermark consult the same
-// Domains object, so "which rank is responsible for these bytes" has
-// exactly one answer per collective.
+// aggregators serve it and which aggregator owns each file byte. Both
+// phases of the two-phase exchange consult the same Domains object, so
+// "which rank is responsible for these bytes" has exactly one answer
+// per collective.
 //
 // The carving is a pure function of replicated state (the allgathered
-// span, the stripe and the write-behind mode): every rank computes the
-// identical Domains with no extra communication.
+// span and the stripe): every rank computes the identical Domains with
+// no extra communication.
 package place
 
 import "drxmp/internal/pfs"
@@ -24,10 +24,6 @@ type Req struct {
 	Ranks int
 	// Stripe is the parallel file system stripe size.
 	Stripe int64
-	// WriteBehind reports whether the handle buffers writes behind a
-	// dirty-extent cache (ByteCyclic carves block-cyclic in that mode
-	// so successive unions merge server-aligned).
-	WriteBehind bool
 	// Runs is the allgathered per-rank run set. The carving ignores it;
 	// it is kept because the benchmark's layer replay (bench/layers.go)
 	// fills it.
@@ -49,13 +45,9 @@ type Domains interface {
 	BlockEnd(off int64) int64
 }
 
-// ByteCyclic carves by byte arithmetic alone: under write-behind,
-// file-aligned block-cyclic stripes — the same aggregator owns the same
-// file stripes in EVERY collective, so dirty unions absorbed across
-// successive collectives merge into growing extents and, because
-// stripe u lands on server u mod S, flush as server-aligned ascending
-// sweeps; otherwise a stripe-aligned partition of the collective's own
-// span whose last domain absorbs the tail. The aggregator count is the
+// ByteCyclic carves by byte arithmetic alone: a stripe-aligned
+// partition of the collective's own span into contiguous domains, the
+// last of which takes the tail. The aggregator count is the
 // rule clamp(TotalBytes/Stripe, 1, Ranks): one aggregator per stripe of
 // payload, so small transfers coalesce onto few aggregators while large
 // ones keep every rank busy.
@@ -64,9 +56,6 @@ type ByteCyclic struct{}
 // Carve carves the domains of one collective.
 func (ByteCyclic) Carve(r Req) Domains {
 	n := int(max(min(r.TotalBytes/r.Stripe, int64(r.Ranks)), 1))
-	if r.WriteBehind {
-		return cyclicDomains{per: r.Stripe, n: n}
-	}
 	alo := (r.Lo / r.Stripe) * r.Stripe
 	span := r.Hi - alo
 	per := (span + int64(n) - 1) / int64(n)
@@ -75,18 +64,6 @@ func (ByteCyclic) Carve(r Req) Domains {
 		per = r.Stripe
 	}
 	return spanDomains{lo: alo, per: per, n: n}
-}
-
-// cyclicDomains assigns file-aligned per-sized blocks round-robin.
-type cyclicDomains struct {
-	per int64
-	n   int
-}
-
-func (d cyclicDomains) N() int              { return d.n }
-func (d cyclicDomains) Owner(off int64) int { return int((off / d.per) % int64(d.n)) }
-func (d cyclicDomains) BlockEnd(off int64) int64 {
-	return (off/d.per + 1) * d.per
 }
 
 // spanDomains partitions [lo, ∞) into n contiguous per-sized domains;

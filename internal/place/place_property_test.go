@@ -37,10 +37,9 @@ func randomReq(rng *rand.Rand) Req {
 	stripes := []int64{64, 256, 1024}
 	return Req{
 		Lo: lo, Hi: hi, TotalBytes: total,
-		Ranks:       ranks,
-		Stripe:      stripes[rng.Intn(len(stripes))],
-		WriteBehind: rng.Intn(2) == 0,
-		Runs:        runs,
+		Ranks:  ranks,
+		Stripe: stripes[rng.Intn(len(stripes))],
+		Runs:   runs,
 	}
 }
 

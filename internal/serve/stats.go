@@ -65,7 +65,6 @@ type PFSStats struct {
 	BytesWritten int64 `json:"bytes_written"`
 	Seeks        int64 `json:"seeks"`
 	SieveReads   int64 `json:"sieve_reads"`
-	FlushWrites  int64 `json:"flush_writes"`
 }
 
 func pfsSummary(st pfs.Stats) PFSStats {
@@ -77,7 +76,6 @@ func pfsSummary(st pfs.Stats) PFSStats {
 		out.BytesWritten += ps.BytesWritten
 		out.Seeks += ps.Seeks
 		out.SieveReads += ps.SieveReads
-		out.FlushWrites += ps.FlushWrites
 	}
 	return out
 }
