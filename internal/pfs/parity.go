@@ -622,6 +622,7 @@ type reconScratch struct {
 	barred         []bool    // foldSources: servers that take no fetch
 	lists          [][]int32 //   each server's accepted segments by offset
 	flat           []int32   //   and the sorted copies of those out of order
+	hint           []int     // containing's search hint per server's list
 }
 
 // grow returns *s resized to n, reallocated only when too small. The
@@ -719,11 +720,14 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 	// its own stripe unit is a reconstruction source for free — a
 	// whole-row degraded read then only fetches the parity shards. The
 	// segments are bucketed by server once, each bucket ascending by
-	// offset — already so when the vector's runs are — so a job
-	// binary-searches each other server's bucket for a segment that
-	// holds its range, and takes one shard per server.
+	// offset — already so when the vector's runs are — so a job searches
+	// each other server's bucket for a segment that holds its range, from
+	// where the last job's search of that bucket ended, and takes one
+	// shard per server.
 	if seed && short > 0 {
 		idx, at := sc.byServer(fs.opts.Servers, len(segs), func(i int) int { return int(segs[i].server) })
+		hint := grow(&sc.hint, fs.opts.Servers)
+		clear(hint)
 		for s := 0; s < fs.opts.Servers; s++ {
 			sortByOffset(segs, idx[at[s]:at[s+1]])
 		}
@@ -733,7 +737,8 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 				if c == j.server {
 					continue
 				}
-				if i := containing(segs, idx[at[c]:at[c+1]], j.off, int64(j.n), inRecon); i >= 0 {
+				var i int32
+				if i, hint[c] = containing(segs, idx[at[c]:at[c+1]], j.off, int64(j.n), inRecon, hint[c]); i >= 0 {
 					j.shards[c] = segs[i].within(buf, j.off, int64(j.n))
 					j.got++
 				}
@@ -828,12 +833,22 @@ func sortByOffset(segs []ioSeg, list []int32) {
 
 // containing returns the segment of list — indices into segs of one
 // server's segments, ascending by offset — that holds the n bytes at off
-// whole and that skip (when not nil) does not mark, or -1. It
-// binary-searches for the segments that start at the last offset at or
-// below off and tries each: in a list that does not overlap itself, a
-// segment starting further down ends before them.
-func containing(segs []ioSeg, list []int32, off, n int64, skip []bool) int32 {
-	lo, hi := 0, len(list)
+// whole and that skip (when not nil) does not mark, or -1, and the
+// position to pass as from to the next query of the list. It searches
+// for the segments that start at the last offset at or below off and
+// tries each: in a list that does not overlap itself, a segment
+// starting further down ends before them. The search gallops forward
+// from position from, a hint, so a batch of ascending queries costs
+// O(log gap) apiece; a query below the hint starts from 0.
+func containing(segs []ioSeg, list []int32, off, n int64, skip []bool, from int) (int32, int) {
+	if from > len(list) || from > 0 && segs[list[from-1]].off > off {
+		from = 0 // the query went backwards
+	}
+	lo, hi := from, from
+	for step := 1; hi < len(list) && segs[list[hi]].off <= off; step *= 2 {
+		lo, hi = hi+1, hi+step
+	}
+	hi = min(hi, len(list))
 	for lo < hi {
 		h := int(uint(lo+hi) >> 1)
 		if segs[list[h]].off <= off {
@@ -844,10 +859,10 @@ func containing(segs []ioSeg, list []int32, off, n int64, skip []bool) int32 {
 	}
 	for h := lo - 1; h >= 0 && segs[list[h]].off == segs[list[lo-1]].off; h-- {
 		if i := list[h]; segs[i].off+segs[i].n >= off+n && (skip == nil || !skip[i]) {
-			return i
+			return i, lo
 		}
 	}
-	return -1
+	return -1, lo
 }
 
 // foldSources plans, in accept's pass over a degraded read, the
@@ -884,6 +899,8 @@ func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64,
 		}
 	}
 	order := fs.sourceOrder(sc)
+	hint := grow(&sc.hint, len(d.batches))
+	clear(hint)
 	folds, srcs := sc.folds[:0], sc.foldSrc[:0]
 	for _, f := range d.fails {
 		job := f.seg
@@ -895,7 +912,8 @@ func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64,
 			if c == int(job.server) {
 				continue
 			}
-			if i := containing(d.segs, lists[c], job.off, job.n, nil); i >= 0 {
+			var i int32
+			if i, hint[c] = containing(d.segs, lists[c], job.off, job.n, nil, hint[c]); i >= 0 {
 				srcs = append(srcs, i)
 				continue
 			}
