@@ -234,3 +234,46 @@ func TestDegradedReadRoundsFetchInOffsetOrder(t *testing.T) {
 		t.Fatalf("requests per server %v with server 0 failing reads: want one fetch from parity server 4", reqs)
 	}
 }
+
+// TestDegradedReadRebuildsAfterRowMateWrite: a write over one whole
+// parity row — the lost unit's row-mates and the lost unit itself —
+// begins and ends after the degraded read's dispatch has served the
+// row-mates and fetched the row's coded units, and before its rebuild.
+// The sources the read holds are then the row's old state, so the
+// rebuild must not take them: it fetches the row again in rounds and
+// decodes the written unit. Every other byte is what the dispatch
+// served, the old ones.
+func TestDegradedReadRebuildsAfterRowMateWrite(t *testing.T) {
+	const stripe, k, m, row = 256, 6, 2, 5
+	fs := degradedFS(t, Options{Servers: k + m, Parity: m, StripeSize: stripe, Cost: foldCost})
+	file := pattern(32*32*8, 37)
+	if _, err := fs.WriteAt(file, 0); err != nil {
+		t.Fatal(err)
+	}
+	runs := boxRuns(0, 32, 0, 32)
+	want := gather(file, runs)
+	upd := pattern(k*stripe, 38)
+	copy(want[row*k*stripe:], upd[:stripe]) // server 0's unit of the row, rebuilt
+	fs.SetInjector(&FaultPoint{Server: 0, Op: FaultReads, Permanent: true})
+	wrote := false
+	fs.onRebuild = func() {
+		if !wrote {
+			wrote = true
+			if _, err := fs.WriteAt(upd, row*k*stripe); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	got := make([]byte, len(want))
+	if _, err := fs.ReadV(runs, got); err != nil {
+		t.Fatal(err)
+	}
+	if !wrote {
+		t.Fatal("the read rebuilt nothing")
+	}
+	for u := 0; u < len(want)/stripe; u++ {
+		if g, w := got[u*stripe:(u+1)*stripe], want[u*stripe:(u+1)*stripe]; !bytes.Equal(g, w) {
+			t.Errorf("unit %d (server %d, row %d) differs from what the read should return", u, u%k, u/k)
+		}
+	}
+}

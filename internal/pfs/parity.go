@@ -428,6 +428,9 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 		// read, or a write to a row-mate could pair new data with old
 		// parity. The gate is let go by defer, so that a rebuild that
 		// panics does not leave every later write and rebuild waiting.
+		if fs.onRebuild != nil {
+			fs.onRebuild()
+		}
 		var failIdx int
 		failIdx, err = func() (int, error) {
 			fs.parityGate.Lock()

@@ -449,6 +449,7 @@ type FS struct {
 	code                     *ec.Code
 	parityGate               sync.RWMutex
 	writesBegun, writesEnded atomic.Int64
+	onRebuild                func() // tests: called as a degraded read's rebuild begins, before the gate
 	parityMu                 sync.Mutex
 	parity                   parityScratch // guarded by parityMu
 	stale                    []int64       // rows whose coded units may not have landed, ascending; guarded by parityMu
