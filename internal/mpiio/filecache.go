@@ -119,6 +119,7 @@ type CacheStats struct {
 	MissBytes    int64 // requested bytes that had to be fetched
 	SieveFetched int64 // bytes fetched by sieve reads (>= MissBytes: rounding + read-ahead)
 	Evicted      int64 // bytes evicted by the memory budget
+	Lends        int64 // holes lent to direct writes' store writes (Lend)
 
 	// Spill tier (all zero when Tuning.SpillBytes is 0).
 	SpillDemoted  int64 // bytes demoted from memory into the spill tier
@@ -147,6 +148,7 @@ func (s CacheStats) Sub(t CacheStats) CacheStats {
 		MissBytes:    s.MissBytes - t.MissBytes,
 		SieveFetched: s.SieveFetched - t.SieveFetched,
 		Evicted:      s.Evicted - t.Evicted,
+		Lends:        s.Lends - t.Lends,
 
 		SpillDemoted:  s.SpillDemoted - t.SpillDemoted,
 		SpillPromoted: s.SpillPromoted - t.SpillPromoted,
@@ -515,6 +517,7 @@ func (g *fetchGuard) Lend(runs []pfs.Run, p []byte) bool {
 		g.lentSorted = n == 0 || g.lentSorted && g.lent[n-1].End() <= r.Off
 		g.lent = append(g.lent, r)
 	}
+	w.stats.Lends++
 	return true
 }
 
