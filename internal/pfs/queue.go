@@ -174,7 +174,7 @@ type dispatch struct {
 	// not granted. Empty when the store has no seek to save.
 	grant []int64
 	// src lends a write the bytes of its holes (WriteVecFrom); nil on
-	// reads, parity stores and flush sweeps. lendable[i] marks the hole
+	// reads, parity stores and cacheless writes. lendable[i] marks the hole
 	// before segment i as one src covered when accept priced it. A lent
 	// hole becomes a write segment of its own, appended to segs with its
 	// bytes in slab (lentSeg), as does a degraded read's source fetch.

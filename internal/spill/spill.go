@@ -12,14 +12,14 @@
 // steady-state churn does not grow the file. A byte budget caps the
 // LIVE bytes (clean entries evict LRU to make room; dirty entries are
 // never dropped by the spill tier — their lifecycle belongs to the
-// memory cache above, which flushes them).
+// caller, which flushes them). The extent cache stages no dirty data
+// here any more: it demotes clean extents only.
 //
 // The spill tier is strictly a performance layer: every operation that
 // can fail on disk degrades to "not spilled" / "not found", and the
 // cache above falls back to the parallel file system. The one
-// exception is DIRTY data — deferred writes staged here before their
-// flush — whose loss is a real error the Take/CollectDirty callers
-// must surface.
+// exception is DIRTY data, whose loss is a real error the
+// Take/CollectDirty callers must surface.
 package spill
 
 import (
@@ -308,8 +308,10 @@ func (s *Store) evictLocked(need int64) bool {
 // evict LRU to make room; if the budget still cannot fit the extent —
 // or the disk write fails — Put reports false and the tier is
 // unchanged (minus the punch), leaving the caller to fall back to
-// dropping (clean) or flushing (dirty) exactly as without a spill
-// tier.
+// dropping the extent exactly as without a spill tier. The extent
+// cache spills clean extents only (dirty false); dirty stays in the
+// signature because the benchmark harness (bench/layers.go) calls Put,
+// and the dirty mode it selects has no other caller.
 func (s *Store) Put(off int64, data []byte, dirty bool) bool {
 	n := int64(len(data))
 	if n == 0 {
