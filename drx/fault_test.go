@@ -70,8 +70,8 @@ func TestFaultSurfacesOnWriteOrSync(t *testing.T) {
 	vals := make([]float64, box.Volume())
 	err := a.WriteFloat64s(box, vals, RowMajor)
 	if err == nil {
-		// Write-back pool: the failure may be deferred to flush time,
-		// but it must not be silently dropped.
+		// Were the failure deferred past Write, Sync would have to
+		// report it: it must not be silently dropped.
 		err = a.Sync()
 	}
 	if err == nil {

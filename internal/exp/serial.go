@@ -56,13 +56,11 @@ func E1ExtendCost(sc Scale) []*report.Table {
 			continue
 		}
 		fillDrx(a, n)
-		_ = a.Sync() // flush the fill before measuring
 		a.FS().ResetStats()
 		before := a.FS().Stats()
 		if err := a.Extend(1, chunk); err != nil {
 			t.AddNote("axial extend: %v", err)
 		}
-		_ = a.Sync()
 		d := a.FS().Stats().Sub(before)
 		t.AddRow(n, "drx-axial", report.Bytes(d.Bytes()), d.Requests(), d.Elapsed())
 		a.Close()
@@ -164,7 +162,6 @@ func E2AccessOrder(sc Scale) []*report.Table {
 			Tuning: drxmp.Tuning{CacheBytes: int64(n/chunk) * int64(chunk*chunk*8)}, // one chunk row
 		})
 		fillDrx(a, n)
-		_ = a.Sync()
 		a.FS().ResetStats()
 		buf := make([]byte, int64(n)*8)
 		if !colScan {
@@ -251,8 +248,8 @@ func E7Formats(sc Scale) []*report.Table {
 			FS:     pfs.Options{Cost: cost},
 			Tuning: drxmp.Tuning{CacheBytes: 8 * int64(chunk*chunk*8)}, // eight chunks
 		})
-		wT := timedStat(a.FS(), func() { fillDrx(a, n); _ = a.Sync() })
-		eT := timedStat(a.FS(), func() { _ = a.Extend(1, chunk); _ = a.Sync() })
+		wT := timedStat(a.FS(), func() { fillDrx(a, n) })
+		eT := timedStat(a.FS(), func() { _ = a.Extend(1, chunk) })
 		rT := timedStat(a.FS(), func() {
 			for i := 0; i < n; i++ {
 				_ = a.Read(drx.NewBox([]int{i, 0}, []int{i + 1, n}), rowBuf, drx.RowMajor)
@@ -382,7 +379,6 @@ func E10Transpose(sc Scale) []*report.Table {
 		FS: pfs.Options{Cost: cost},
 	})
 	fillDrx(a, n)
-	_ = a.Sync()
 	a.FS().ResetStats()
 	full := drx.NewBox([]int{0, 0}, []int{n, n})
 	buf := make([]byte, full.Volume()*8)
