@@ -631,7 +631,7 @@ func TestModel(t *testing.T) {
 	// The 32 seeds must reach the cache's lend path (seeds 13 and 23 do):
 	// it needs a cache, parity 0 and warm holes within a write's budget
 	// at once, which the full space rarely draws together.
-	if n := modelLends.Load(); ran == 32 && n == 0 {
+	if ran == 32 && modelLends.Load() == 0 {
 		t.Error("no program lent a hole to a write: the draw no longer reaches the lend path")
 	}
 }
