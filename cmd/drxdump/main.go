@@ -47,8 +47,14 @@ func main() {
 		fmt.Printf("chunk order: %v\n", m.MemOrder)
 		fmt.Printf("chunk shape: %v (%d bytes)\n", m.ChunkShape, m.ChunkBytes())
 		fmt.Printf("elem bounds: %v\n", m.ElemBounds)
+		fmt.Printf("format     : .xmd v%d\n", meta.Version)
 		l := m.Layout
-		fmt.Printf("layout     : %d servers (%d data + %d parity), stripe %s\n", l.Servers, l.Servers-l.Parity, l.Parity, bytesHuman(l.StripeSize))
+		if l.Parity == 0 {
+			fmt.Printf("layout     : %d servers, stripe %s, no parity\n", l.Servers, bytesHuman(l.StripeSize))
+		} else {
+			fmt.Printf("layout     : %d servers, stripe %s; rows of %d data + %d coded units, rotated one server a row\n",
+				l.Servers, bytesHuman(l.StripeSize), l.Servers-l.Parity, l.Parity)
+		}
 		fmt.Printf("chunk grid : %v (%d chunks, %s data)\n", m.Space.Bounds(), m.Space.Total(), bytesHuman(m.FileBytes()))
 		fmt.Printf("axial records: %d\n", m.Space.NumRecords())
 		fmt.Print(m.Space.Dump())

@@ -2,6 +2,7 @@ package drxmp_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 
 	"drxmp"
 	"drxmp/internal/cluster"
+	"drxmp/internal/meta"
 	"drxmp/internal/pfs"
 )
 
@@ -162,6 +164,27 @@ func TestOpenWithLayoutFromFile(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// The same .xmd as format version 2, whose parity sat on the last
+	// server, is refused as corrupt rather than read as rotated.
+	blob, err := os.ReadFile(path + ".xmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(blob[4:], 2)
+	if err := os.WriteFile(path+".xmd", blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = cluster.Run(1, func(c *cluster.Comm) error {
+		f, err := drxmp.OpenWith(c, path, drxmp.OpenOptions{})
+		if err == nil {
+			f.Close()
+		}
+		return err
+	})
+	if !errors.Is(err, meta.ErrCorrupt) {
+		t.Fatalf("OpenWith of a version 2 .xmd with parity = %v, want meta.ErrCorrupt", err)
 	}
 }
 

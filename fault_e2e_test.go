@@ -219,10 +219,11 @@ func TestFaultDegradedCollectiveReadByteIdentical(t *testing.T) {
 				if err := f.WriteSection(full, encodeF64(vals), RowMajor); err != nil {
 					return err
 				}
-				// Server 1 dies mid-collective: its first two read
+				// Server 3, which holds a data unit of each of the four
+				// parity rows, dies mid-collective: its first two read
 				// requests are served, every later one fails permanently.
 				f.FS().SetInjector(&pfs.FaultPoint{
-					Server: 1, Op: pfs.FaultReads, After: 2, Permanent: true,
+					Server: 3, Op: pfs.FaultReads, After: 2, Permanent: true,
 				})
 			}
 			if err := c.Barrier(); err != nil {

@@ -15,12 +15,16 @@
 // stored as the history that built them, which Decode replays through
 // core.Space.Extend, the code that grew the live array; the stripe
 // layout (servers, stripe unit, parity) is recorded beside it, so an
-// opener never has to repeat it.
+// opener never has to repeat it. There is one placement per parity
+// count: with parity, a row's coded units rotate over every server
+// (internal/pfs). Decode refuses older versions as corrupt: version 2
+// put the coded units on the last servers, and version 1 recorded no
+// layout.
 //
 // Layout (all integers little-endian):
 //
 //	magic   "DRXM"            4 bytes
-//	version uint32            currently 2
+//	version uint32            currently 3
 //	payload length uint64
 //	payload:
 //	    dtype      uint8
@@ -61,7 +65,7 @@ import (
 var Magic = [4]byte{'D', 'R', 'X', 'M'}
 
 // Version is the current format version.
-const Version = 2
+const Version = 3
 
 // maxServers bounds a decoded server count, against a forged blob.
 const maxServers = 1 << 16
@@ -71,7 +75,7 @@ const maxServers = 1 << 16
 type Layout struct {
 	Servers    int   // I/O servers, data and parity
 	StripeSize int64 // stripe unit in bytes
-	Parity     int   // parity servers among Servers
+	Parity     int   // coded units per row among Servers, rotated
 }
 
 // Meta describes one extendible array file. It is the in-memory image

@@ -156,6 +156,23 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesFixedParityLayout: a version 2 blob of an array with
+// parity put its coded units on the last servers, where version 3 rotates
+// them. Decode refuses it as corrupt, the blob otherwise intact, so such
+// a file is never opened under the rotated layout.
+func TestDecodeRefusesFixedParityLayout(t *testing.T) {
+	m := newMeta(t)
+	m.Layout = Layout{Servers: 8, StripeSize: 16 << 10, Parity: 2}
+	blob := m.Encode()
+	if _, err := Decode(blob); err != nil {
+		t.Fatalf("the version %d blob fails: %v", Version, err)
+	}
+	binary.LittleEndian.PutUint32(blob[4:], 2)
+	if _, err := Decode(blob); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a version 2 blob with parity decodes with err = %v, want ErrCorrupt", err)
+	}
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	m := newMeta(t)
 	blob := m.Encode()

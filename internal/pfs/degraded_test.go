@@ -179,7 +179,7 @@ func TestDegradedReadDeadline(t *testing.T) {
 			SlowFactor:      []float64{float64(slowSvc / time.Millisecond)},
 		},
 	})
-	want := pattern(4*stripe*2, 7) // 2 units per data server
+	want := pattern(4*stripe*2, 7) // two rows: server 0 holds a data unit of row 0 only
 	if _, err := fs.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestDegradedReadDeadline(t *testing.T) {
 	if st := fs.Stats(); st.DegradedReads == 0 {
 		t.Fatal("straggler segments were not reconstructed")
 	}
-	// The straggler owes 2 units, one streamed 50 ms request; the
+	// The straggler owes 1 unit, one 50 ms request; the
 	// deadline is 3 x the nominal per-server time (a few ms). Allow
 	// generous slack for CI.
 	if wall >= 2*slowSvc {
@@ -205,9 +205,10 @@ func TestDegradedReadDeadline(t *testing.T) {
 
 // TestDegradedReadWaitsForLateHealthyServer: when the deadline fires, a
 // healthy server that is merely late is waited for, not rebuilt. Server
-// 1 serves its list in one 8 ms request against a 6 ms deadline; with
-// one parity server, a row that rebuilt both its server 0 and server 1
-// units would need the straggler's shard, 50 ms behind its own list.
+// 1 holds a data unit of each of the two rows and serves them in one
+// 8 ms request against a 6 ms deadline; with one coded unit a row, row
+// 0, which rebuilt both its server 0 and server 1 units, would need the
+// straggler's shard, 50 ms behind its own list.
 func TestDegradedReadWaitsForLateHealthyServer(t *testing.T) {
 	const stripe = 1 << 10
 	slowSvc := 50 * time.Millisecond
@@ -221,7 +222,7 @@ func TestDegradedReadWaitsForLateHealthyServer(t *testing.T) {
 			SlowFactor:      []float64{float64(slowSvc / time.Millisecond), 8},
 		},
 	})
-	want := pattern(4*stripe*2, 7) // 2 units per data server
+	want := pattern(4*stripe*2, 7) // two rows
 	if _, err := fs.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +244,14 @@ func TestDegradedReadWaitsForLateHealthyServer(t *testing.T) {
 }
 
 // TestDegradedReadDeadlineAfterRefusal: a refused segment limits the
-// deadline's rebuild only in its own row. With one parity server, the
-// injector refuses server 1's row-0 unit once; the straggler, server 0,
-// serves its row-0 unit (a request of its own: every unit is read from
-// byte 16 on) before the deadline, so both rebuilds fit in m: server
-// 1's unit from its row-mates and parity, the straggler's later units
-// from theirs. Waiting on the straggler instead takes its whole list.
+// deadline's rebuild only in its own row. With one coded unit a row,
+// the injector refuses server 1's row-0 unit once; the straggler,
+// server 0, serves its row-0 unit (a request of its own: every unit is
+// read from byte 16 on) before the deadline, so both rebuilds fit in m:
+// server 1's unit from its row-mates and parity, the straggler's later
+// units from theirs. Waiting on the straggler instead takes its whole
+// list: its data units of the 12 rows, 9 (the coded unit of rows 1, 6
+// and 11 is server 0's).
 func TestDegradedReadDeadlineAfterRefusal(t *testing.T) {
 	const stripe, rows, gap = 256, 12, 16
 	perReq := 12 * time.Millisecond // the straggler's; its peers take 1 ms
@@ -256,7 +259,8 @@ func TestDegradedReadDeadlineAfterRefusal(t *testing.T) {
 		Servers:    5,
 		Parity:     1,
 		StripeSize: stripe,
-		// Deadline 3 x 12 x 1 ms = 36 ms; the straggler's list 144 ms.
+		// Deadline 3 x 10 x 1 ms = 30 ms (servers 1-3 hold 10 data units
+		// each); the straggler's list 9 x 12 = 108 ms.
 		Cost: CostModel{
 			RequestOverhead: time.Millisecond,
 			RealTime:        true,
@@ -287,8 +291,14 @@ func TestDegradedReadDeadlineAfterRefusal(t *testing.T) {
 	if !fp.Fired() {
 		t.Fatal("the injector refused nothing")
 	}
-	if wall >= rows*perReq {
-		t.Fatalf("read took %v, no better than waiting on the straggler's %v list", wall, rows*perReq)
+	var list time.Duration // the straggler's
+	for u := int64(0); u < 4*rows; u++ {
+		if s, _ := fs.locate(u * stripe); s == 0 {
+			list += perReq
+		}
+	}
+	if wall >= list {
+		t.Fatalf("read took %v, no better than waiting on the straggler's %v list", wall, list)
 	}
 }
 
@@ -592,24 +602,21 @@ func TestDegradedParityBatchesAndUnsortedRuns(t *testing.T) {
 
 // TestDegradedReadSeedsFromRowMates: a vector that covers a whole parity
 // row already holds k-1 row-mates of the unit a dead server loses, so
-// the rebuild fetches one shard, a parity unit, and no data unit again
-// — with the vector's runs ascending or descending. Two runs per unit
-// give every server two segments of the read: ascending, they touch and
-// stream as one request; descending, they are two. The two fetches of
-// the parity unit's halves go out sorted by offset, so they touch too.
+// the rebuild fetches one shard, a coded unit, and no data unit again
+// — with the vector's runs ascending or descending, in row 0 (server 0
+// holds data shard 0, servers 6 and 7 the coded units) and row 3 (server
+// 0 holds data shard 5, servers 1 and 2 the coded units). Two runs per
+// unit give every server two segments of the read: ascending, they
+// touch and stream as one request; descending, they are two. The two
+// fetches of the coded unit's halves go out sorted by offset, so they
+// touch too.
 func TestDegradedReadSeedsFromRowMates(t *testing.T) {
 	const stripe, k, m = 64, 6, 2
 	fs := degradedFS(t, Options{Servers: k + m, Parity: m, StripeSize: stripe})
-	want := pattern(k*stripe, 7)
+	want := pattern(4*k*stripe, 7)
 	if _, err := fs.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
-	var asc []Run
-	for off := int64(0); off < k*stripe; off += stripe / 2 {
-		asc = append(asc, Run{Off: off, Len: stripe / 2})
-	}
-	desc := slices.Clone(asc)
-	slices.Reverse(desc)
 	// requests reads runs and returns the requests each server served.
 	requests := func(runs []Run) []int64 {
 		before := fs.Stats()
@@ -632,22 +639,43 @@ func TestDegradedReadSeedsFromRowMates(t *testing.T) {
 		}
 		return reqs
 	}
-	for _, leg := range []struct {
-		name string
-		runs []Run
-		reqs int64 // per data server, healthy
-	}{{"ascending", asc, 1}, {"descending", desc, 2}} {
-		healthy := requests(leg.runs)
-		if want := append(slices.Repeat([]int64{leg.reqs}, k), 0, 0); !slices.Equal(healthy, want) {
-			t.Fatalf("%s: healthy requests per server %v, want %v", leg.name, healthy, want)
+	for _, row := range []int64{0, 3} {
+		var asc []Run
+		for off := row * k * stripe; off < (row+1)*k*stripe; off += stripe / 2 {
+			asc = append(asc, Run{Off: off, Len: stripe / 2})
 		}
-		fs.SetInjector(&FaultPoint{Server: 0, Op: FaultReads, Permanent: true})
-		degraded := requests(leg.runs)
-		fs.SetInjector(nil)
-		if fetched := degraded[k] + degraded[k+1]; fetched != 1 || degraded[0] != 0 ||
-			!slices.Equal(degraded[1:k], healthy[1:k]) {
-			t.Fatalf("%s: requests per server %v healthy, %v with server 0 dead: want the row-mates' unchanged and one parity fetch",
-				leg.name, healthy, degraded)
+		desc := slices.Clone(asc)
+		slices.Reverse(desc)
+		for _, leg := range []struct {
+			name string
+			runs []Run
+			reqs int64 // per data server of the row, healthy
+		}{{"ascending", asc, 1}, {"descending", desc, 2}} {
+			healthy := requests(leg.runs)
+			wantHealthy := make([]int64, k+m)
+			for s := range wantHealthy {
+				if fs.shardOf(row, s) < k {
+					wantHealthy[s] = leg.reqs
+				}
+			}
+			if !slices.Equal(healthy, wantHealthy) {
+				t.Fatalf("row %d %s: healthy requests per server %v, want %v", row, leg.name, healthy, wantHealthy)
+			}
+			fs.SetInjector(&FaultPoint{Server: 0, Op: FaultReads, Permanent: true})
+			degraded := requests(leg.runs)
+			fs.SetInjector(nil)
+			var fetched int64
+			for s := range degraded {
+				if fs.shardOf(row, s) >= k {
+					fetched += degraded[s]
+				} else if s != 0 && degraded[s] != healthy[s] {
+					fetched = -1
+				}
+			}
+			if fetched != 1 || degraded[0] != 0 {
+				t.Fatalf("row %d %s: requests per server %v healthy, %v with server 0 dead: want the row-mates' unchanged and one coded-unit fetch",
+					row, leg.name, healthy, degraded)
+			}
 		}
 	}
 }

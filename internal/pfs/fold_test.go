@@ -47,9 +47,9 @@ func gather(file []byte, runs []Run) []byte {
 	return p
 }
 
-// readRequests reads runs from fs, checks the bytes against want and
-// returns the requests each server served for the read.
-func readRequests(t *testing.T, fs *FS, runs []Run, want []byte) []int64 {
+// readStats reads runs from fs, checks the bytes against want and
+// returns what the servers served meanwhile.
+func readStats(t *testing.T, fs *FS, runs []Run, want []byte) Stats {
 	t.Helper()
 	before := fs.Stats()
 	got := make([]byte, len(want))
@@ -59,10 +59,18 @@ func readRequests(t *testing.T, fs *FS, runs []Run, want []byte) []int64 {
 	if !bytes.Equal(got, want) {
 		t.Fatal("read returned other bytes than were written")
 	}
-	st := fs.Stats().Sub(before)
+	return fs.Stats().Sub(before)
+}
+
+// readRequests reads runs from fs, checks the bytes against want and
+// returns the read requests each server served meanwhile: the read's,
+// not those of a write an injector makes during it.
+func readRequests(t *testing.T, fs *FS, runs []Run, want []byte) []int64 {
+	t.Helper()
+	st := readStats(t, fs, runs, want)
 	reqs := make([]int64, len(st.PerServer))
 	for s, ps := range st.PerServer {
-		reqs[s] = ps.Reads + ps.Writes
+		reqs[s] = ps.Reads
 	}
 	return reqs
 }
@@ -100,15 +108,18 @@ func (w *writeOnRefusal) Fail(server int, write bool, off, n int64) error {
 func TestDegradedReadFoldsSources(t *testing.T) {
 	const stripe, k, m = 256, 6, 2
 	runs := boxRuns(3, 21, 5, 27)
-	// Requests per server of the degraded read; a healthy one serves
-	// [2 1 2 5 8 3 0 0]. Fetched with the read, the sources fill the
-	// holes between the row-mates' own segments, and their bytes add to
-	// the budget that joins them. Fetched in rounds after the read, as a
-	// second dispatch, the same sources served [0 2 5 6 10 5 2 0] under
-	// either discipline.
+	// Read requests per server of the degraded read; a healthy one
+	// serves [2 2 1 1 2 4 5 5]. Server 0 holds two segments of the box,
+	// in rows 0 and 3, and every source of either is a row-mate segment
+	// of the read but two: row 0's first coded unit, on server 6, and
+	// row 3's, on server 1. Fetched with the read, server 6's touches its
+	// own next segment and is one request with it; server 1's is too far
+	// from its own to join. Fetched in rounds after the read, as a second
+	// dispatch, the same sources served [0 3 1 1 2 4 6 5] under either
+	// discipline.
 	folded := map[Scheduler][]int64{
-		FIFO:     {0, 1, 1, 1, 1, 1, 1, 0},
-		Elevator: {0, 1, 1, 1, 1, 1, 1, 0},
+		FIFO:     {0, 3, 1, 1, 2, 4, 5, 5},
+		Elevator: {0, 3, 1, 1, 2, 4, 5, 5},
 	}
 	for _, sched := range []Scheduler{FIFO, Elevator} {
 		t.Run(map[Scheduler]string{FIFO: "FIFO", Elevator: "Elevator"}[sched], func(t *testing.T) {
@@ -121,21 +132,33 @@ func TestDegradedReadFoldsSources(t *testing.T) {
 			healthy := readRequests(t, fs, runs, want)
 			dead := &FaultPoint{Server: 0, Op: FaultReads, Permanent: true}
 			fs.SetInjector(dead)
-			before := fs.Stats().DegradedReads
-			reqs := readRequests(t, fs, runs, want)
-			lost := fs.Stats().DegradedReads - before
+			st := readStats(t, fs, runs, want)
+			lost := st.DegradedReads
+			reqs := make([]int64, k+m)
+			for s, ps := range st.PerServer {
+				reqs[s] = ps.Reads
+			}
 			if !slices.Equal(reqs, folded[sched]) {
-				t.Errorf("requests per server %v with server 0 refused (healthy %v), want %v", reqs, healthy, folded[sched])
+				t.Errorf("read requests per server %v with server 0 refused (healthy %v), want %v", reqs, healthy, folded[sched])
 			}
 
-			// Server 6, the first parity server, refuses too: the first
-			// lost unit's fetch there is refused, so that unit is rebuilt
-			// in rounds, from server 7; the others fetch from server 7 at
-			// once.
-			fs.SetInjector(Multi{dead, &FaultPoint{Server: k, Op: FaultReads, Permanent: true}})
-			reqs = readRequests(t, fs, runs, want)
-			if reqs[k] != 0 || reqs[k+1] == 0 {
-				t.Errorf("requests per server %v with servers 0 and %d refused: want none on %d, some on %d", reqs, k, k, k+1)
+			// The first lost unit's first coded unit refuses too: that
+			// unit's fetch there is refused, so it is rebuilt in rounds,
+			// from the row's second coded unit.
+			var row int64 = -1
+			for _, r := range runs {
+				fs.forEachSegment(r.Off, r.Len, func(s int, so, _ int64) {
+					if s == 0 && row < 0 {
+						row = so / stripe
+					}
+				})
+			}
+			p0, p1 := fs.serverOf(row, k), fs.serverOf(row, k+1)
+			fs.SetInjector(Multi{dead, &FaultPoint{Server: p0, Op: FaultReads, Permanent: true}})
+			both := readStats(t, fs, runs, want)
+			if r, b := both.PerServer[p0].Reads, both.PerServer[p1].BytesRead; r != 0 || b <= st.PerServer[p1].BytesRead {
+				t.Errorf("servers 0 and %d refused: %d read requests on %d, want none; %d B read on %d, want more than the %d B with server 0 alone refused",
+					p0, r, p0, b, p1, st.PerServer[p1].BytesRead)
 			}
 
 			// A write over part of the box begins while the read is in
@@ -145,14 +168,14 @@ func TestDegradedReadFoldsSources(t *testing.T) {
 			upd := pattern(3000, 22)
 			copy(file[2000:], upd)
 			fs.SetInjector(&writeOnRefusal{fs: fs, p: upd, off: 2000})
-			before = fs.Stats().DegradedReads
+			before := fs.Stats().DegradedReads
 			reqs = readRequests(t, fs, runs, gather(file, runs))
 			if got := fs.Stats().DegradedReads - before; got != lost {
 				t.Errorf("%d units rebuilt under an overlapping write, want %d", got, lost)
 			}
-			for s := 1; s < k; s++ {
+			for s := 1; s < k+m; s++ {
 				if reqs[s] <= folded[sched][s] {
-					t.Errorf("requests per server %v under an overlapping write: row-mate %d was not fetched again", reqs, s)
+					t.Errorf("read requests per server %v under an overlapping write: row-mate %d was not fetched again", reqs, s)
 				}
 			}
 		})
@@ -214,7 +237,7 @@ func TestDegradedReadSeedsFromContainingRowMates(t *testing.T) {
 // unfilled bytes.
 func TestDegradedReadFoldedFetchFailsInService(t *testing.T) {
 	fs, file := diskFS(t, 12, 41)
-	failReads(t, fs, 4) // the first parity server: the first source a lost unit fetches
+	failReads(t, fs, 4) // row 0's first coded unit: the one source server 0's lost unit fetches
 	fs.SetInjector(&FaultPoint{Server: 0, Op: FaultReads, Permanent: true})
 	runs := []Run{{Off: 0, Len: int64(len(file))}}
 	readRequests(t, fs, runs, file)
@@ -223,15 +246,16 @@ func TestDegradedReadFoldedFetchFailsInService(t *testing.T) {
 // TestDegradedReadRoundsFetchInOffsetOrder: a rebuild's rounds fetch in
 // offset order. Server 0's unit is read as two halves, the second
 // first, and fails in service; its row-mates are read whole, so each
-// half's one missing source is its range of the first parity unit. Put
-// in offset order the two fetches touch and are one request.
+// half's one missing source is its range of the row's first coded unit,
+// on server 4. Put in offset order the two fetches touch and are one
+// request.
 func TestDegradedReadRoundsFetchInOffsetOrder(t *testing.T) {
 	const stripe = 64
 	fs, file := diskFS(t, 4, 51)
 	runs := []Run{{Off: stripe / 2, Len: stripe / 2}, {Off: 0, Len: stripe / 2}, {Off: stripe, Len: 3 * stripe}}
 	failReads(t, fs, 0)
 	if reqs := readRequests(t, fs, runs, gather(file, runs)); reqs[4] != 1 {
-		t.Fatalf("requests per server %v with server 0 failing reads: want one fetch from parity server 4", reqs)
+		t.Fatalf("requests per server %v with server 0 failing reads: want one fetch from server 4", reqs)
 	}
 }
 
@@ -242,9 +266,9 @@ func TestDegradedReadRoundsFetchInOffsetOrder(t *testing.T) {
 // The sources the read holds are then the row's old state, so the
 // rebuild must not take them: it fetches the row again in rounds and
 // decodes the written unit. Every other byte is what the dispatch
-// served, the old ones.
+// served, the old ones. Server 0 holds data shard 4 of row 4.
 func TestDegradedReadRebuildsAfterRowMateWrite(t *testing.T) {
-	const stripe, k, m, row = 256, 6, 2, 5
+	const stripe, k, m, row = 256, 6, 2, 4
 	fs := degradedFS(t, Options{Servers: k + m, Parity: m, StripeSize: stripe, Cost: foldCost})
 	file := pattern(32*32*8, 37)
 	if _, err := fs.WriteAt(file, 0); err != nil {
@@ -253,7 +277,8 @@ func TestDegradedReadRebuildsAfterRowMateWrite(t *testing.T) {
 	runs := boxRuns(0, 32, 0, 32)
 	want := gather(file, runs)
 	upd := pattern(k*stripe, 38)
-	copy(want[row*k*stripe:], upd[:stripe]) // server 0's unit of the row, rebuilt
+	lost := fs.shardOf(row, 0)
+	copy(want[(row*k+lost)*stripe:], upd[lost*stripe:][:stripe]) // server 0's unit of the row, rebuilt
 	fs.SetInjector(&FaultPoint{Server: 0, Op: FaultReads, Permanent: true})
 	wrote := false
 	fs.onRebuild = func() {
@@ -273,7 +298,8 @@ func TestDegradedReadRebuildsAfterRowMateWrite(t *testing.T) {
 	}
 	for u := 0; u < len(want)/stripe; u++ {
 		if g, w := got[u*stripe:(u+1)*stripe], want[u*stripe:(u+1)*stripe]; !bytes.Equal(g, w) {
-			t.Errorf("unit %d (server %d, row %d) differs from what the read should return", u, u%k, u/k)
+			s, _ := fs.locate(int64(u * stripe))
+			t.Errorf("unit %d (server %d, row %d) differs from what the read should return", u, s, u/k)
 		}
 	}
 }

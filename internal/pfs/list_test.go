@@ -272,9 +272,9 @@ func TestListSourceOrderCountsRequests(t *testing.T) {
 			<-gate
 		}
 	})
-	runs := make([]Run, 7) // all on data server 1 (k = 3)
-	for i := range runs {
-		runs[i] = Run{Off: int64(3*i+1) * 64, Len: 64}
+	var runs []Run // all on server 1
+	for _, off := range unitsOn(fs, 1, 7) {
+		runs = append(runs, Run{Off: off, Len: 64})
 	}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -388,12 +388,11 @@ func TestListScatteredMemory(t *testing.T) {
 		if n, err := fs.WriteVec(runs, mk(want)); n != 800 || err != nil {
 			t.Fatalf("parity %d: WriteVec = %d, %v", parity, n, err)
 		}
-		var dataReqs int64
-		for _, ps := range fs.Stats().PerServer[:4] {
-			dataReqs += ps.Writes
-		}
-		if dataReqs != 5 {
-			t.Fatalf("parity %d: %d data requests for 5 segments", parity, dataReqs)
+		// Five segments are five requests. With parity, rows 0-2's six
+		// coded units add four: row r's second one and row r+1's first
+		// share a server and touch.
+		if got, want := fs.Stats().Requests(), map[int]int64{0: 5, 2: 9}[parity]; got != want {
+			t.Fatalf("parity %d: %d requests for 5 segments, want %d", parity, got, want)
 		}
 		if parity > 0 {
 			fs.SetInjector(&FaultPoint{Server: 0, Op: FaultReads, Permanent: true})

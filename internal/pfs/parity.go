@@ -4,15 +4,22 @@
 // hdpsr/Grasure designs (straggler deadline, fastest-k
 // reconstruction).
 //
-// Layout. With Options.Parity = m > 0, data stripes round-robin over
-// the first k = Servers-m servers (locate in pfs.go) and the last m
-// servers are parity-only, RAID-4 style: parity row r — the k data
-// units of striping round r — stores its j-th coded unit on server k+j
-// at server-local offset r*StripeSize, the same local offset its data
-// units occupy on their servers. A shard of row r is therefore
-// addressed uniformly by its server index, which is what lets the
-// degraded path turn a failed read segment straight into a
-// reconstruction over the other servers.
+// Layout. With Options.Parity = m > 0 on n servers, parity row r is
+// the k = n-m consecutive stripe units rk..rk+k-1 — its data shards
+// 0..k-1 — and m coded units, its shards k..n-1. Shard i of row r lives
+// on server (i + r) mod n (serverOf; shardOf inverts it), at
+// server-local offset r*StripeSize on every server of the row. The
+// coded units rotate, left-symmetric as in RAID-5 (Patterson, Gibson &
+// Katz, SIGMOD 1988): each server holds coded units in m of any n
+// consecutive rows and data in the rest, so a dead server holds 1/n of
+// the data, not 1/k, and every survivor serves reads and rebuilds
+// alike. Every site that maps a shard to a server and back goes through
+// serverOf and shardOf: locate (pfs.go) and holeRuns (queue.go), the
+// coded units' loads and writes, the rebuild's shard tables. A failed
+// read segment's row is its local offset over the stripe, which is what
+// lets the degraded path turn it straight into a reconstruction over
+// the row's other servers. With parity 0 a row is one striping round
+// in server order, the layout of a store without parity.
 //
 // Writes. Parity follows a write by delta, the RAID small-write
 // read-modify-write: for every data segment stored,
@@ -23,12 +30,13 @@
 // dispatch the writer XORs its new bytes in to form the deltas, loads
 // each touched row's m stored coded units, adds the deltas in
 // (ec.Code.Update) and dispatches the coded units as ordinary (charged,
-// injectable) writes to the parity servers. The work is m × the payload
-// instead of a k-unit re-encode of every touched row. Coded units are
-// still written whole, not the written sub-range: the coded units of
-// consecutive rows then stay contiguous on a parity server, which saves
-// a seek worth far more than the bytes, and the device sees the same
-// requests as a re-encode would make. The row loads are deliberately
+// injectable) writes to the servers that hold them. The work is m × the
+// payload instead of a k-unit re-encode of every touched row. Coded
+// units are still written whole, not the written sub-range: coded unit
+// j of row r and coded unit j-1 of row r+1 share a server at touching
+// offsets, so they stay one request, which saves a seek worth far more
+// than the bytes, and the device sees the same requests as a re-encode
+// would make. The row loads are deliberately
 // uncharged: they model the parity engine's server-local
 // read-modify-write, not client traffic.
 //
@@ -67,7 +75,9 @@
 // (degradedReadFactor × the nominal max per-server service time,
 // RealTime cost models only) is reconstructed: the same byte sub-range
 // of the row's other shards is taken from the fastest k of the
-// remaining k+m-1 servers (ranked by slow factor, then requests queued),
+// remaining k+m-1 servers (ranked by slow factor, then requests queued,
+// then the shard order of the row, so a rebuild of a data unit takes
+// the row's data shards before its coded ones),
 // and the missing shard is decoded straight into the caller's buffer —
 // byte-range decoding works because Reed-Solomon over GF(2^8) is
 // bytewise. (A caller's vector that is not one contiguous buffer is
@@ -130,8 +140,31 @@ func (fs *FS) initParity() error {
 	return nil
 }
 
-// dataServers returns the number of servers holding data stripes.
+// dataServers returns the number of data units in a row: every server
+// without parity, k = Servers-Parity with it.
 func (fs *FS) dataServers() int { return fs.opts.Servers - fs.opts.Parity }
+
+// serverOf returns the server holding shard i of row r: data shards
+// 0..k-1, coded shards k..n-1. Without parity a row is the k = n units
+// of one striping round, in server order. With it, shard i of row r
+// lives on server (i + r) mod n, so the coded units rotate over every
+// server, m of any n consecutive rows each.
+func (fs *FS) serverOf(r int64, i int) int {
+	if fs.opts.Parity == 0 {
+		return i
+	}
+	return int((int64(i) + r) % int64(fs.opts.Servers))
+}
+
+// shardOf returns the shard of row r that server s holds: the inverse
+// of serverOf.
+func (fs *FS) shardOf(r int64, s int) int {
+	if fs.opts.Parity == 0 {
+		return s
+	}
+	n := int64(fs.opts.Servers)
+	return int((int64(s) - r%n + n) % n)
+}
 
 // parityRowBatch bounds how many rows one parity sweep encodes before
 // dispatching, which bounds the coded-unit buffers held in memory for
@@ -232,7 +265,7 @@ func (d *dispatch) deltas() {
 }
 
 // updateParity writes the coded units of rows — ascending, unique — to
-// the parity servers, parityRowBatch rows per dispatch. With deltas nil
+// their servers, parityRowBatch rows per dispatch. With deltas nil
 // every row is re-encoded from its stored data units; otherwise each
 // row's stored coded units are loaded and the deltas of deltas'
 // segments in the row are added in. Rows whose coded units may not
@@ -286,10 +319,10 @@ func (fs *FS) parityBatch(batch []int64, deltas *dispatch) error {
 	for bi, row := range batch {
 		for j := 0; j < m; j++ {
 			shards[k+j] = sc.buf[at(bi, j):][:stripe]
-			d.segs = append(d.segs, ioSeg{server: int32(k + j), off: row * stripe, n: stripe, mo: at(bi, j)})
+			d.segs = append(d.segs, ioSeg{server: int32(fs.serverOf(row, k+j)), off: row * stripe, n: stripe, mo: at(bi, j)})
 		}
 		for c := load; c < load+n; c++ {
-			sv := fs.servers[c]
+			sv := fs.servers[fs.serverOf(row, c)]
 			sv.mu.Lock()
 			err := sv.loadLocked(shards[c], row*stripe)
 			sv.mu.Unlock()
@@ -316,7 +349,7 @@ func (fs *FS) parityBatch(batch []int64, deltas *dispatch) error {
 			for j := 0; j < m; j++ {
 				shards[k+j] = sc.buf[at(bi, j):][:stripe]
 			}
-			if err := fs.code.Update(shards[k:], int(s.server), int(s.off-row*stripe), deltas.pre[deltas.at[i]:][:s.n]); err != nil {
+			if err := fs.code.Update(shards[k:], fs.shardOf(row, int(s.server)), int(s.off-row*stripe), deltas.pre[deltas.at[i]:][:s.n]); err != nil {
 				fs.release(d)
 				return err
 			}
@@ -585,39 +618,68 @@ func (sc *reconScratch) byServer(servers, n int, server func(i int) int) (idx []
 }
 
 // sourceOrder ranks servers for reconstruction sources: healthy-fast
-// first (ascending slow factor), then fewest requests queued, then
-// index — the "fastest k of k+m" selection.
+// first (ascending slow factor), then fewest requests queued — the
+// "fastest k of k+m" selection. Servers that tie stay in index order
+// here; rowSources puts them in one row's shard order.
 func (fs *FS) sourceOrder(sc *reconScratch) []int {
 	order := grow(&sc.order, fs.opts.Servers)
 	backlog := grow(&sc.backlog, len(order))
 	for i := range order {
 		order[i], backlog[i] = i, fs.servers[i].queued.Load()
 	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(fs.servers[a].slow, fs.servers[b].slow), cmp.Compare(backlog[a], backlog[b]))
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return fs.rank(sc, a, b) })
 	return order
+}
+
+// rank compares two servers as sources: slow factor, then the backlog
+// sourceOrder sampled.
+func (fs *FS) rank(sc *reconScratch, a, b int) int {
+	return cmp.Or(cmp.Compare(fs.servers[a].slow, fs.servers[b].slow), cmp.Compare(sc.backlog[a], sc.backlog[b]))
+}
+
+// rowSources returns the ranking order, from sourceOrder, for the lost
+// units of row r: each run of servers that tie in it is put in the row's
+// shard order, so that among equals a rebuild takes the row's data
+// shards first and its coded ones last, and which server a rebuild
+// leaves out varies with the row. Shard order is server order rotated
+// to start at the first server at or past r mod n. The ranking is sc's,
+// valid until the next call.
+func (fs *FS) rowSources(sc *reconScratch, order []int, r int64) []int {
+	out := grow(&sc.rowOrder, len(order))
+	first := fs.serverOf(r, 0)
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && fs.rank(sc, order[lo], order[hi]) == 0 {
+			hi++
+		}
+		tie := order[lo:hi]
+		p, _ := slices.BinarySearch(tie, first)
+		copy(out[lo+copy(out[lo:], tie[p:]):], tie[:p])
+		lo = hi
+	}
+	return out
 }
 
 // reconScratch is a degraded read's working memory, carried by its
 // dispatch and pooled with it; what a read sizes here stays for the
 // next. A deadline that abandons the dispatch abandons its scratch too.
 type reconScratch struct {
-	per     []time.Duration   // readDeadline: nominal service time per server
-	order   []int             // sourceOrder: the ranking
-	backlog []int64           //   and the requests queued per server
-	recon   []int             // the segments to reconstruct
-	owed    [][2]int64        // awaitLate: one server's late (row, server) units
-	lost    map[[2]int64]bool //   the units the rebuild lacks
-	miss    map[int64]int     //   and how many each row lacks
-	jobs    []reconJob
-	tabs    [][]byte // the jobs' shard tables, k+m entries each
-	inRecon []bool
-	batch   []reconFetch
-	idx     []int32 // byServer: the items by server
-	at      []int   //   and where each server's items start
-	slab    []byte  // the source fetches' bytes
-	used    int     // of slab, by this read's earlier rounds
+	per      []time.Duration   // readDeadline: nominal service time per server
+	order    []int             // sourceOrder: the ranking
+	backlog  []int64           //   and the requests queued per server
+	rowOrder []int             // rowSources: the ranking for one row
+	recon    []int             // the segments to reconstruct
+	owed     [][2]int64        // awaitLate: one server's late (row, server) units
+	lost     map[[2]int64]bool //   the units the rebuild lacks
+	miss     map[int64]int     //   and how many each row lacks
+	jobs     []reconJob
+	tabs     [][]byte // the jobs' shard tables, k+m entries each
+	inRecon  []bool
+	batch    []reconFetch
+	idx      []int32 // byServer: the items by server
+	at       []int   //   and where each server's items start
+	slab     []byte  // the source fetches' bytes
+	used     int     // of slab, by this read's earlier rounds
 	// foldSources' plan: the refused segments whose k sources it found,
 	// ascending, and those sources, k per segment (segment indices of
 	// the dispatch: a segment of the read, or a fetch in its slab).
@@ -654,17 +716,18 @@ func (sc *reconScratch) carve(n int) []byte {
 // holds, and how far down the source ranking it has asked.
 type reconJob struct {
 	segIdx int
-	server int      // the segment's own server: the shard to rebuild
+	server int      // the segment's own server
+	shard  int      //   and the shard of the row it holds: the one to rebuild
 	off    int64    // server-local offset, the same on every server of the row
 	n      int      // segment length
-	shards [][]byte // k+m entries; non-nil = held
+	shards [][]byte // k+m entries by shard; non-nil = held
 	got    int
 	next   int    // next entry of the source ranking to try
 	lastE  segErr // the last source fetch that failed, if any
 }
 
-// sameSurvivors reports whether two jobs hold shards of the same
-// servers, and so decode through the same ec.Decoder.
+// sameSurvivors reports whether two jobs hold the same shards, and so
+// decode through the same ec.Decoder.
 func sameSurvivors(a, b [][]byte) bool {
 	for i := range a {
 		if (a[i] == nil) != (b[i] == nil) {
@@ -702,7 +765,7 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 		s := &segs[idx]
 		j := &jobs[ji]
 		*j = reconJob{
-			segIdx: idx, server: int(s.server), off: s.off, n: int(s.n),
+			segIdx: idx, server: int(s.server), shard: fs.shardOf(s.off/stripe, int(s.server)), off: s.off, n: int(s.n),
 			shards: shardTabs[ji*(k+m) : (ji+1)*(k+m)],
 		}
 		inRecon[idx] = true
@@ -711,7 +774,7 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 				fi++
 			}
 			if fi < len(sc.folds) && int(sc.folds[fi]) == idx {
-				d.foldShards(j, sc.foldSrc[fi*k:(fi+1)*k], buf)
+				fs.foldShards(d, j, sc.foldSrc[fi*k:(fi+1)*k], buf)
 			}
 		}
 		if j.got < k {
@@ -742,7 +805,7 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 				}
 				var i int32
 				if i, hint[c] = containing(segs, idx[at[c]:at[c+1]], j.off, int64(j.n), inRecon, hint[c]); i >= 0 {
-					j.shards[c] = segs[i].within(buf, j.off, int64(j.n))
+					j.shards[fs.shardOf(j.off/stripe, c)] = segs[i].within(buf, j.off, int64(j.n))
 					j.got++
 				}
 			}
@@ -753,10 +816,15 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 		batch = batch[:0]
 		for ji := range jobs {
 			j := &jobs[ji]
-			for need := k - j.got; need > 0 && j.next < len(order); {
-				c := order[j.next]
+			if j.got >= k || j.next >= len(order) {
+				continue
+			}
+			row := j.off / stripe
+			ranked := fs.rowSources(sc, order, row)
+			for need := k - j.got; need > 0 && j.next < len(ranked); {
+				c := ranked[j.next]
 				j.next++
-				if c == j.server || j.shards[c] != nil {
+				if c == j.server || j.shards[fs.shardOf(row, c)] != nil {
 					continue // its own server, or already seeded from the vector
 				}
 				batch = append(batch, reconFetch{job: j, server: c})
@@ -774,7 +842,7 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 				f.job.lastE = f.err
 				continue
 			}
-			f.job.shards[f.server] = f.p
+			f.job.shards[fs.shardOf(f.job.off/stripe, f.server)] = f.p
 			f.job.got++
 		}
 	}
@@ -798,7 +866,7 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 			}
 			decFor = j.shards
 		}
-		if err := dec.Decode(s.in(buf), j.server, j.shards); err != nil {
+		if err := dec.Decode(s.in(buf), j.shard, j.shards); err != nil {
 			return j.segIdx, fmt.Errorf("pfs: degraded read: %w", err)
 		}
 		fs.degraded.Add(1)
@@ -908,7 +976,7 @@ func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64,
 	for _, f := range d.fails {
 		job := f.seg
 		segsAt, slabAt, srcAt := len(d.segs), len(d.slab), len(srcs)
-		for _, c := range order {
+		for _, c := range fs.rowSources(sc, order, job.off/fs.opts.StripeSize) {
 			if len(srcs)-srcAt == k {
 				break
 			}
@@ -996,21 +1064,22 @@ func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64,
 }
 
 // foldShards fills job j's shard table from the sources foldSources
-// planned for it, srcs, if every one of them was served. A source is the
-// job's range of a segment of the read, in buf, or a fetch of that
-// range, in the slab.
-func (d *dispatch) foldShards(j *reconJob, srcs []int32, buf []byte) {
+// planned for it in d, srcs, if every one of them was served. A source
+// is the job's range of a segment of the read, in buf, or a fetch of
+// that range, in the slab.
+func (fs *FS) foldShards(d *dispatch, j *reconJob, srcs []int32, buf []byte) {
 	for _, i := range srcs {
 		if !d.served[i].Load() {
 			return
 		}
 	}
+	row := j.off / fs.opts.StripeSize
 	for _, i := range srcs {
 		s := &d.segs[i]
 		if s.mi < 0 {
-			j.shards[s.server] = d.slab[s.mo : s.mo+s.n]
+			j.shards[fs.shardOf(row, int(s.server))] = d.slab[s.mo : s.mo+s.n]
 		} else {
-			j.shards[s.server] = s.within(buf, j.off, int64(j.n))
+			j.shards[fs.shardOf(row, int(s.server))] = s.within(buf, j.off, int64(j.n))
 		}
 	}
 	j.got = len(srcs)

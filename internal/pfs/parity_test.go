@@ -39,11 +39,12 @@ func badParityRows(t testing.TB, fs *FS) []int64 {
 	}
 	var bad []int64
 	for row := int64(0); row < rows; row++ {
-		for s, sv := range fs.servers {
-			p := shards[s]
-			if s >= k {
-				p = stored[s-k]
+		for i := 0; i < k+m; i++ {
+			p := shards[i]
+			if i >= k {
+				p = stored[i-k]
 			}
+			sv := fs.servers[fs.serverOf(row, i)]
 			sv.mu.Lock()
 			err := sv.loadLocked(p, row*stripe)
 			sv.mu.Unlock()
@@ -187,7 +188,7 @@ func TestParityWriteFailureHealsStale(t *testing.T) {
 	if _, err := fs.WriteAt(want, 0); err != nil {
 		t.Fatal(err)
 	}
-	fs.SetInjector(&FaultPoint{Server: k + 1, Op: FaultWrites}) // the second parity server
+	fs.SetInjector(&FaultPoint{Server: fs.serverOf(1, k+1), Op: FaultWrites}) // row 1's second coded unit
 	upd := pattern(50, 21)
 	if _, err := fs.WriteAt(upd, row+10); err == nil {
 		t.Fatal("a write whose parity write was refused reported success")

@@ -121,16 +121,16 @@ type Options struct {
 	Cost CostModel
 	// Scheduler selects the per-server queue discipline (default FIFO).
 	Scheduler Scheduler
-	// Parity reserves the last Parity servers of the stripe for
-	// Reed-Solomon parity: data stripes round-robin over the first
-	// k = Servers-Parity servers, and each parity row (the k data units
-	// sharing one round) stores Parity coded units on the reserved
-	// servers. Any k of the k+Parity units reconstruct the rest, so a
-	// read that hits a dead server (failure injection) or a straggler
-	// (past the degraded-read deadline, armed on RealTime cost models
-	// only) is served by reconstruction from the fastest k instead of
-	// failing or waiting. 0 (the default) disables parity entirely and
-	// is byte- and accounting-identical to the pre-parity layout.
+	// Parity adds Parity Reed-Solomon coded units to every parity row
+	// (k = Servers-Parity consecutive data units), one row per
+	// server-local stripe offset. A row's k+Parity units sit on distinct
+	// servers, rotated by one server per row, so every server holds data
+	// and coded units alike (parity.go). Any k of a row's units
+	// reconstruct the rest, so a read that hits a dead server (failure
+	// injection) or a straggler (past the degraded-read deadline, armed
+	// on RealTime cost models only) is served by reconstruction from the
+	// fastest k instead of failing or waiting. 0 (the default) disables
+	// parity entirely: stripe unit u then lives on server u mod Servers.
 	Parity int
 }
 
@@ -529,16 +529,15 @@ func Open(name string, opts Options) (*FS, error) {
 		sv.f, sv.size = f, st.Size()
 		fs.servers[i] = sv
 		// Reconstruct a lower bound of the logical size from the stripe
-		// layout: data server i holding b bytes implies logical size >=
-		// the end of its last full-or-partial stripe unit. Parity
-		// servers hold coded units, not logical bytes, so they do not
-		// contribute.
-		if i < k && st.Size() > 0 {
-			units := (st.Size() + opts.StripeSize - 1) / opts.StripeSize
-			last := (units-1)*int64(k)*opts.StripeSize + int64(i)*opts.StripeSize
-			end := last + (st.Size() - (units-1)*opts.StripeSize)
-			if end > logical {
-				logical = end
+		// layout: a server whose last full-or-partial unit, in row r,
+		// holds data shard t implies logical size >= the end of that
+		// unit. A coded unit holds no logical bytes, and is written only
+		// beside data of its row, whose servers bound the size.
+		if st.Size() > 0 {
+			row := (st.Size() - 1) / opts.StripeSize
+			if t := fs.shardOf(row, i); t < k {
+				end := (row*int64(k)+int64(t))*opts.StripeSize + st.Size() - row*opts.StripeSize
+				logical = max(logical, end)
 			}
 		}
 	}
@@ -560,10 +559,10 @@ func Remove(name string, opts Options) error {
 	return first
 }
 
-// Servers returns the server count (data + parity).
+// Servers returns the server count.
 func (fs *FS) Servers() int { return fs.opts.Servers }
 
-// Parity returns the number of parity servers.
+// Parity returns the number of coded units per parity row.
 func (fs *FS) Parity() int { return fs.opts.Parity }
 
 // StripeSize returns the stripe unit in bytes.
@@ -590,17 +589,15 @@ func (fs *FS) Truncate(n int64) error {
 	return nil
 }
 
-// locate maps a logical offset to (server, server-local offset). Data
-// stripes round-robin over the first dataServers() servers; with
-// Parity 0 that is every server and the layout is unchanged from the
-// pre-parity code.
+// locate maps a logical offset to (server, server-local offset). Stripe
+// unit u is data shard u mod k of row u / k, at the row's local offset
+// on the server serverOf places the shard on; with Parity 0 that is
+// server u mod Servers.
 func (fs *FS) locate(off int64) (int, int64) {
-	k := int64(fs.dataServers())
-	unit := off / fs.opts.StripeSize
-	within := off % fs.opts.StripeSize
-	s := int(unit % k)
-	round := unit / k
-	return s, round*fs.opts.StripeSize + within
+	stripe := fs.opts.StripeSize
+	unit, k := off/stripe, int64(fs.dataServers())
+	row := unit / k
+	return fs.serverOf(row, int(unit%k)), row*stripe + off%stripe
 }
 
 // forEachSegment splits [off, off+n) into per-server contiguous

@@ -793,14 +793,15 @@ func (fs *FS) priceWrites(d *dispatch) (want int64) {
 
 // holeRuns returns the logical runs of the g bytes at server-local
 // offset off of server s, one per stripe unit: the inverse of locate.
-// They live in d's scratch until the next call.
+// Only a store without parity takes a hole source, so every unit here
+// is a data unit. They live in d's scratch until the next call.
 func (fs *FS) holeRuns(d *dispatch, s int32, off, g int64) []Run {
 	stripe, k := fs.opts.StripeSize, int64(fs.dataServers())
 	runs := d.lruns[:0]
 	for g > 0 {
-		within := off % stripe
+		row, within := off/stripe, off%stripe
 		take := min(stripe-within, g)
-		runs = append(runs, Run{Off: (off/stripe*k+int64(s))*stripe + within, Len: take})
+		runs = append(runs, Run{Off: (row*k+int64(fs.shardOf(row, int(s))))*stripe + within, Len: take})
 		off, g = off+take, g-take
 	}
 	d.lruns = runs

@@ -278,7 +278,8 @@ func TestReadThrough(t *testing.T) {
 func readThroughDegraded(t *testing.T) {
 	const stripe = 4096
 	// Eight 384-byte rows at a 512-byte pitch in each of the first 12
-	// stripe units: a dense run on every data server.
+	// stripe units, parity rows 0 and 1: a dense run on each of servers
+	// 0-6. Server 1 holds units 1 and 6.
 	var rows []Run
 	for u := int64(0); u < 12; u++ {
 		for r := int64(0); r < 8; r++ {

@@ -784,13 +784,21 @@ func TestReadCacheEvictionStressRace(t *testing.T) {
 // Holes joined under the benchmark's cost model, charged and never
 // slept, on a cache that 2-4 ranks share: their independent writes run
 // at once and meet in it, so one rank's holes lie among the segments
-// another rank is writing.
+// another rank is writing. The collective read warms the cache before
+// the writes, the store has no parity, and the array, 64x48 elements in
+// 8x8 chunks, is large enough that writes leave holes between their
+// segments on a server: every row must lend some to its writes.
 func TestSeekHolesSharedCache(t *testing.T) {
 	for ranks := 2; ranks <= 4; ranks++ {
 		t.Run(fmt.Sprintf("ranks%d", ranks), func(t *testing.T) {
+			modelLends.Store(0)
 			modelRow(t, func(sp *modelSpace) {
-				sp.ranks, sp.seek, sp.parity, sp.cache = []int{ranks}, []bool{true}, []int{0}, []int64{1 << 20}
+				on(ranks, []int{64, 48}, []int{8, 8})(sp)
+				sp.seek, sp.parity, sp.cache = []bool{true}, []int{0}, []int64{1 << 20}
 			}, collRead, indep, indep, collWrite, indep, indep)
+			if modelLends.Load() == 0 {
+				t.Error("no hole was lent to a write: the row no longer reaches the lend path")
+			}
 		})
 	}
 }
