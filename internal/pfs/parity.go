@@ -717,7 +717,6 @@ func (sc *reconScratch) carve(n int) []byte {
 type reconJob struct {
 	segIdx int
 	server int      // the segment's own server
-	shard  int      //   and the shard of the row it holds: the one to rebuild
 	off    int64    // server-local offset, the same on every server of the row
 	n      int      // segment length
 	shards [][]byte // k+m entries by shard; non-nil = held
@@ -765,7 +764,7 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 		s := &segs[idx]
 		j := &jobs[ji]
 		*j = reconJob{
-			segIdx: idx, server: int(s.server), shard: fs.shardOf(s.off/stripe, int(s.server)), off: s.off, n: int(s.n),
+			segIdx: idx, server: int(s.server), off: s.off, n: int(s.n),
 			shards: shardTabs[ji*(k+m) : (ji+1)*(k+m)],
 		}
 		inRecon[idx] = true
@@ -866,7 +865,7 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 			}
 			decFor = j.shards
 		}
-		if err := dec.Decode(s.in(buf), j.shard, j.shards); err != nil {
+		if err := dec.Decode(s.in(buf), fs.shardOf(j.off/stripe, j.server), j.shards); err != nil {
 			return j.segIdx, fmt.Errorf("pfs: degraded read: %w", err)
 		}
 		fs.degraded.Add(1)
