@@ -972,6 +972,14 @@ func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64,
 	hint := grow(&sc.hint, len(d.batches))
 	clear(hint)
 	folds, srcs := sc.folds[:0], sc.foldSrc[:0]
+	// A refused segment fetches at most k sources of its bytes: the slab
+	// is sized for them all at once, so a read that needs more than the
+	// dispatch has held grows it in one step, not fetch by fetch.
+	var most int64
+	for _, f := range d.fails {
+		most += int64(k) * f.seg.n
+	}
+	d.slab = slices.Grow(d.slab, int(most))
 	for _, f := range d.fails {
 		job := f.seg
 		segsAt, slabAt, srcAt := len(d.segs), len(d.slab), len(srcs)
@@ -995,7 +1003,7 @@ func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64,
 				break
 			}
 			at := int64(len(d.slab))
-			d.slab = slices.Grow(d.slab, int(job.n))[:at+job.n]
+			d.slab = d.slab[:at+job.n]
 			srcs = append(srcs, int32(len(d.segs)))
 			d.segs = append(d.segs, lentSeg(c, job.off, job.n, at, int32(f.idx)))
 		}
