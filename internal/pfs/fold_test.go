@@ -63,11 +63,15 @@ func readStats(t *testing.T, fs *FS, runs []Run, want []byte) Stats {
 }
 
 // readRequests reads runs from fs, checks the bytes against want and
-// returns the read requests each server served meanwhile: the read's,
-// not those of a write an injector makes during it.
+// returns the read requests each server served meanwhile.
 func readRequests(t *testing.T, fs *FS, runs []Run, want []byte) []int64 {
 	t.Helper()
-	st := readStats(t, fs, runs, want)
+	return reads(readStats(t, fs, runs, want))
+}
+
+// reads returns st's read requests per server: a read's, not those of
+// a write an injector makes during it.
+func reads(st Stats) []int64 {
 	reqs := make([]int64, len(st.PerServer))
 	for s, ps := range st.PerServer {
 		reqs[s] = ps.Reads
@@ -133,11 +137,7 @@ func TestDegradedReadFoldsSources(t *testing.T) {
 			dead := &FaultPoint{Server: 0, Op: FaultReads, Permanent: true}
 			fs.SetInjector(dead)
 			st := readStats(t, fs, runs, want)
-			lost := st.DegradedReads
-			reqs := make([]int64, k+m)
-			for s, ps := range st.PerServer {
-				reqs[s] = ps.Reads
-			}
+			lost, reqs := st.DegradedReads, reads(st)
 			if !slices.Equal(reqs, folded[sched]) {
 				t.Errorf("read requests per server %v with server 0 refused (healthy %v), want %v", reqs, healthy, folded[sched])
 			}

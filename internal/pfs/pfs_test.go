@@ -354,42 +354,48 @@ func TestVectoredIO(t *testing.T) {
 }
 
 func TestDiskBackendRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Servers: 3, StripeSize: 32, Backend: Disk, Dir: dir}
-	fs, err := Create("arr", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 500)
-	for i := range data {
-		data[i] = byte(i % 251)
-	}
-	if _, err := fs.WriteAt(data, 17); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open("arr", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	got := make([]byte, 500)
-	if _, err := re.ReadAt(got, 17); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("disk round trip mismatch")
-	}
-	if re.Size() < 517 {
-		t.Fatalf("reopened size = %d, want >= 517", re.Size())
-	}
-	if err := Remove("arr", opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open("arr", opts); err == nil {
-		t.Fatal("open after remove succeeded")
+	// Reopened, the size is the end of the last data unit a server
+	// holds; with parity a server whose last unit is coded adds nothing.
+	// The last byte is in row 4, where the rotation has moved every
+	// shard by four servers.
+	for _, parity := range []int{0, 2} {
+		dir := t.TempDir()
+		opts := Options{Servers: 3 + parity, Parity: parity, StripeSize: 32, Backend: Disk, Dir: dir}
+		fs, err := Create("arr", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, 400)
+		for i := range data {
+			data[i] = byte(i % 251)
+		}
+		if _, err := fs.WriteAt(data, 17); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open("arr", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 400)
+		if _, err := re.ReadAt(got, 17); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("parity %d: disk round trip mismatch", parity)
+		}
+		if re.Size() != 417 {
+			t.Fatalf("parity %d: reopened size = %d, want 417", parity, re.Size())
+		}
+		re.Close()
+		if err := Remove("arr", opts); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open("arr", opts); err == nil {
+			t.Fatal("open after remove succeeded")
+		}
 	}
 }
 
