@@ -28,17 +28,20 @@
 // server: it loads the bytes a segment is about to overwrite into the
 // dispatch's pre slab under the same lock hold as the store. After the
 // dispatch the writer XORs its new bytes in to form the deltas, loads
-// each touched row's m stored coded units, adds the deltas in
-// (ec.Code.Update) and dispatches the coded units as ordinary (charged,
-// injectable) writes to the servers that hold them. The work is m × the
-// payload instead of a k-unit re-encode of every touched row. Coded
-// units are still written whole, not the written sub-range: coded unit
-// j of row r and coded unit j-1 of row r+1 share a server at touching
-// offsets, so they stay one request, which saves a seek worth far more
-// than the bytes, and the device sees the same requests as a re-encode
-// would make. The row loads are deliberately
-// uncharged: they model the parity engine's server-local
-// read-modify-write, not client traffic.
+// the touched span of each touched row's m stored coded units — the
+// union of the in-unit ranges its segments stored in the row, one span
+// for all m — adds the deltas in (ec.Code.Update) and dispatches the
+// spans as ordinary (charged, injectable) writes to the servers that
+// hold them. The work is m × the payload instead of a k-unit re-encode
+// of every touched row. Coded unit j of row r and coded unit j-1 of row
+// r+1 share a server at touching offsets, so whole they are one
+// request: where an update touches both, each runs to their common
+// edge, and a run of touching units is trimmed at its two ends only.
+// The device sees every request and seek a whole-unit update would
+// make, and only the bytes between. The loads — pre-images, coded
+// spans, a re-encode's data units — model the parity engine's
+// server-local read-modify-write, not client traffic: they are counted
+// in ServerStats.ParityLoads, not charged as requests.
 //
 // Why concurrent writers agree. The code is linear, so deltas apply in
 // any order; and since a pre-image is taken atomically with its store,
@@ -65,10 +68,10 @@
 //
 // Row buffers. An update works out of the store's parityScratch, which
 // parityMu guards: k stripe units the data of a re-encoded row is
-// loaded into, reused row after row, and m coded units per row of the
+// loaded into, reused row after row; m coded units per row of the
 // batch, which the parity dispatch reads from and has finished with
-// when it returns. The pre slab belongs to the data write's dispatch
-// and is pooled with it.
+// when it returns; and the batch's per-row spans. The pre slab belongs
+// to the data write's dispatch and is pooled with it.
 //
 // Degraded reads. A segment that is refused by the failure injector,
 // errors in service, or exceeds the straggler deadline
@@ -173,10 +176,11 @@ const parityRowBatch = 64
 
 // parityScratch is updateParity's working memory, regrown on demand.
 type parityScratch struct {
-	buf    []byte   // k data units, then m coded units per row of a batch
-	mem    Vec      // buf, as the parity writes' memory vector
-	shards [][]byte // the k+m view of the row being coded
-	rows   []int64  // the rows of the update
+	buf    []byte     // k data units, then m coded units per row of a batch
+	mem    Vec        // buf, as the parity writes' memory vector
+	shards [][]byte   // the k+m view of the row being coded
+	rows   []int64    // the rows of the update
+	spans  [][2]int64 // parityBatch: each row's in-unit range [lo, hi) to update
 }
 
 // parityRows appends to rows the parity rows intersecting runs,
@@ -300,38 +304,78 @@ func (fs *FS) updateParity(rows []int64, deltas *dispatch) error {
 }
 
 // parityBatch codes one batch of rows into the scratch — coded unit j
-// of the batch's row bi at(bi, j) bytes in — and dispatches them.
+// of the batch's row bi at(bi, j) bytes in — and dispatches them. A
+// re-encode loads, codes and writes every unit whole. A delta update
+// loads, updates and writes each coded unit over its row's touched
+// span only: the union of the in-unit ranges of the row's delta
+// segments, one span for all m units. Where a unit touches a coded unit
+// of the batch's previous or next row on its server — unit j of row r
+// and unit j-1 of row r+1 share a server at touching offsets — it runs
+// to that edge, so a run of touching units is cut only at its two ends
+// and stays the one request it is whole.
 func (fs *FS) parityBatch(batch []int64, deltas *dispatch) error {
 	k, m := fs.code.K(), fs.code.M()
 	stripe := fs.opts.StripeSize
 	sc := &fs.parity
 	shards := sc.shards
 	at := func(bi, j int) int64 { return int64(k+bi*m+j) * stripe }
-	d := fs.newDispatch(sc.mem, true)
-	// The parity engine's local read-modify-write, uncharged: a re-encode
-	// loads the row's stored data units (holes read as zeros, and zero
-	// data encodes to zero parity, so never-written rows stay
-	// consistent), a delta update the row's stored coded units.
-	load, n := 0, k
+	// A re-encode's spans are whole units; a delta update's grow from
+	// empty over its segments.
+	spans := grow(&sc.spans, len(batch))
+	for bi := range spans {
+		spans[bi] = [2]int64{0, stripe}
+		if deltas != nil {
+			spans[bi] = [2]int64{stripe, 0}
+		}
+	}
 	if deltas != nil {
-		load, n = k, m
+		for i := range deltas.segs {
+			s := &deltas.segs[i]
+			row := s.off / stripe
+			if bi, ok := slices.BinarySearch(batch, row); ok {
+				col := s.off - row*stripe
+				spans[bi] = [2]int64{min(spans[bi][0], col), max(spans[bi][1], col+s.n)}
+			}
+		}
+	}
+	// The parity engine's local read-modify-write, not charged as
+	// requests (ParityLoads counts it): a re-encode loads the row's stored
+	// data units (holes read as zeros, and zero data encodes to zero
+	// parity, so never-written rows stay consistent), a delta update the
+	// spans of the row's stored coded units it writes back.
+	d := fs.newDispatch(sc.mem, true)
+	load := func(p []byte, s int, off int64) error {
+		sv := fs.servers[s]
+		sv.mu.Lock()
+		defer sv.mu.Unlock()
+		return sv.parityLoadLocked(p, off)
 	}
 	for bi, row := range batch {
 		for j := 0; j < m; j++ {
 			shards[k+j] = sc.buf[at(bi, j):][:stripe]
-			d.segs = append(d.segs, ioSeg{server: int32(fs.serverOf(row, k+j)), off: row * stripe, n: stripe, mo: at(bi, j)})
-		}
-		for c := load; c < load+n; c++ {
-			sv := fs.servers[fs.serverOf(row, c)]
-			sv.mu.Lock()
-			err := sv.loadLocked(shards[c], row*stripe)
-			sv.mu.Unlock()
-			if err != nil {
-				fs.release(d)
-				return fmt.Errorf("pfs: parity row %d read: %w", row, err)
+			lo, hi := spans[bi][0], spans[bi][1]
+			if j+1 < m && bi > 0 && batch[bi-1] == row-1 {
+				lo = 0 // touches unit j+1 of the row before
+			}
+			if j > 0 && bi+1 < len(batch) && batch[bi+1] == row+1 {
+				hi = stripe // touches unit j-1 of the row after
+			}
+			sv := fs.serverOf(row, k+j)
+			d.segs = append(d.segs, ioSeg{server: int32(sv), off: row*stripe + lo, n: hi - lo, mo: at(bi, j) + lo})
+			if deltas != nil {
+				if err := load(shards[k+j][lo:hi], sv, row*stripe+lo); err != nil {
+					fs.release(d)
+					return fmt.Errorf("pfs: parity row %d read: %w", row, err)
+				}
 			}
 		}
 		if deltas == nil {
+			for c := 0; c < k; c++ {
+				if err := load(shards[c], fs.serverOf(row, c), row*stripe); err != nil {
+					fs.release(d)
+					return fmt.Errorf("pfs: parity row %d read: %w", row, err)
+				}
+			}
 			if err := fs.code.Encode(shards); err != nil {
 				fs.release(d)
 				return err

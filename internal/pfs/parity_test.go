@@ -253,3 +253,108 @@ func TestParityOffTakesNoPreImage(t *testing.T) {
 		t.Fatalf("a %d-byte write with parity allocated %d bytes, no pre-image slab: the check cannot see one", payload, got)
 	}
 }
+
+// TestParityDeltaTrimsCodedUnits pins a delta update's bill. (a) Runs
+// in one row store, and load, the row's touched span of each of its m
+// coded units: the union of the runs' in-unit ranges, not the unit.
+// (b) Runs in rows 1 and 2 trim their coded units too, but unit 1 of
+// row 1 and unit 0 of row 2 share a server at touching offsets: that
+// pair runs from row 1's first touched byte to row 2's last and stays
+// one request. Each server then serves the requests and seeks of the
+// same write with its rows re-encoded whole, and writes the bridged
+// span's bytes.
+func TestParityDeltaTrimsCodedUnits(t *testing.T) {
+	const k, m, stripe = 4, 2, 64
+	opts := Options{Servers: k + m, Parity: m, StripeSize: stripe}
+	// unitRun is the run of in-unit bytes [lo, hi) of data shard i of row.
+	unitRun := func(row int64, i int, lo, hi int64) Run {
+		return Run{Off: (row*k+int64(i))*stripe + lo, Len: hi - lo}
+	}
+	// write stores runs on fs and returns the per-server accounting.
+	write := func(fs *FS, runs []Run) []ServerStats {
+		var n int64
+		for _, r := range runs {
+			n += r.Len
+		}
+		before := fs.Stats()
+		if _, err := fs.WriteV(runs, pattern(int(n), n)); err != nil {
+			t.Fatal(err)
+		}
+		checkParity(t, fs, "after the write")
+		return fs.Stats().Sub(before).PerServer
+	}
+	// data returns the bytes and segments runs store on each server.
+	data := func(fs *FS, runs []Run) (bytes, segs []int64) {
+		bytes, segs = make([]int64, k+m), make([]int64, k+m)
+		for _, r := range runs {
+			s, _ := fs.locate(r.Off)
+			bytes[s] += r.Len
+			segs[s]++
+		}
+		return bytes, segs
+	}
+
+	t.Run("one-row", func(t *testing.T) {
+		fs := degradedFS(t, opts)
+		a, b := [2]int64{30, 45}, [2]int64{10, 20} // in-unit ranges of data shards 2 and 0
+		runs := []Run{unitRun(1, 2, a[0], a[1]), unitRun(1, 0, b[0], b[1])}
+		lo, hi := min(a[0], b[0]), max(a[1], b[1]) // the row's touched span
+		st := write(fs, runs)
+		dataB, dataN := data(fs, runs)
+		coded := make([]int64, k+m)
+		for j := 0; j < m; j++ {
+			coded[fs.serverOf(1, k+j)] = hi - lo
+		}
+		for s, ps := range st {
+			if want := dataB[s] + coded[s]; ps.BytesWritten != want || ps.ParityLoadBytes != want {
+				t.Errorf("server %d: wrote %d B and loaded %d B for parity, want %d each (data %d, coded span %d)",
+					s, ps.BytesWritten, ps.ParityLoadBytes, want, dataB[s], coded[s])
+			}
+			loads := dataN[s]
+			if coded[s] > 0 {
+				loads++
+			}
+			if ps.ParityLoads != loads || ps.Reads != 0 || ps.BytesRead != 0 {
+				t.Errorf("server %d: %d parity loads, %d reads of %d B; want %d loads and no reads",
+					s, ps.ParityLoads, ps.Reads, ps.BytesRead, loads)
+			}
+		}
+	})
+
+	t.Run("bridged", func(t *testing.T) {
+		trim, whole := degradedFS(t, opts), degradedFS(t, opts)
+		whole.stale = []int64{1} // the write re-encodes rows 1 and 2 whole
+		shared := trim.serverOf(1, k+1)
+		if other := trim.serverOf(2, k); other != shared {
+			t.Fatalf("unit 1 of row 1 is on server %d, unit 0 of row 2 on %d: the layout no longer pairs them", shared, other)
+		}
+		span := [][2]int64{1: {20, 30}, 2: {5, 50}} // each row's touched span
+		runs := []Run{unitRun(1, 1, span[1][0], span[1][1]), unitRun(2, 3, span[2][0], span[2][1])}
+		got, ref := write(trim, runs), write(whole, runs)
+		coded := make([]int64, k+m)
+		coded[trim.serverOf(1, k)] += span[1][1] - span[1][0]
+		coded[shared] += stripe - span[1][0] + span[2][1]
+		coded[trim.serverOf(2, k+1)] += span[2][1] - span[2][0]
+		wholeB := make([]int64, k+m)
+		for _, row := range []int64{1, 2} {
+			for j := 0; j < m; j++ {
+				wholeB[trim.serverOf(row, k+j)] += stripe
+			}
+		}
+		for s := range got {
+			g, r := got[s], ref[s]
+			if g.Writes != r.Writes || g.Seeks != r.Seeks || g.Reads != r.Reads {
+				t.Errorf("server %d: %d writes, %d seeks, %d reads; re-encoded whole %d, %d, %d",
+					s, g.Writes, g.Seeks, g.Reads, r.Writes, r.Seeks, r.Reads)
+			}
+			dataB := r.BytesWritten - wholeB[s]
+			if want := dataB + coded[s]; g.BytesWritten != want || g.ParityLoadBytes != want {
+				t.Errorf("server %d: wrote %d B and loaded %d B for parity, want %d each (data %d, coded spans %d)",
+					s, g.BytesWritten, g.ParityLoadBytes, want, dataB, coded[s])
+			}
+		}
+		if got[shared].Writes != 1 {
+			t.Errorf("server %d wrote its two coded units in %d requests, want 1", shared, got[shared].Writes)
+		}
+	})
+}

@@ -166,6 +166,13 @@ type ServerStats struct {
 	// collective (mpiio); independent I/O leaves them zero.
 	LocalBytes  int64
 	RemoteBytes int64
+	// ParityLoads counts the parity engine's server-local loads — a
+	// parity write's pre-image captures, its delta update's coded-unit
+	// loads and its re-encode's data-unit loads — and ParityLoadBytes
+	// their bytes. They are no requests: Reads, BytesRead and Busy leave
+	// them out.
+	ParityLoads     int64
+	ParityLoadBytes int64
 	// ReqSize is the per-request transfer-size histogram and SvcTime
 	// the per-request service-latency histogram (microseconds), both in
 	// power-of-two buckets (see Hist).
@@ -287,18 +294,20 @@ func (s Stats) Sub(t Stats) Stats {
 			b = t.PerServer[i]
 		}
 		out.PerServer[i] = ServerStats{
-			Reads:        a.Reads - b.Reads,
-			Writes:       a.Writes - b.Writes,
-			BytesRead:    a.BytesRead - b.BytesRead,
-			BytesWritten: a.BytesWritten - b.BytesWritten,
-			Seeks:        a.Seeks - b.Seeks,
-			Busy:         a.Busy - b.Busy,
-			SieveReads:   a.SieveReads - b.SieveReads,
-			SieveBytes:   a.SieveBytes - b.SieveBytes,
-			LocalBytes:   a.LocalBytes - b.LocalBytes,
-			RemoteBytes:  a.RemoteBytes - b.RemoteBytes,
-			ReqSize:      a.ReqSize.Sub(b.ReqSize),
-			SvcTime:      a.SvcTime.Sub(b.SvcTime),
+			Reads:           a.Reads - b.Reads,
+			Writes:          a.Writes - b.Writes,
+			BytesRead:       a.BytesRead - b.BytesRead,
+			BytesWritten:    a.BytesWritten - b.BytesWritten,
+			Seeks:           a.Seeks - b.Seeks,
+			Busy:            a.Busy - b.Busy,
+			SieveReads:      a.SieveReads - b.SieveReads,
+			SieveBytes:      a.SieveBytes - b.SieveBytes,
+			LocalBytes:      a.LocalBytes - b.LocalBytes,
+			RemoteBytes:     a.RemoteBytes - b.RemoteBytes,
+			ParityLoads:     a.ParityLoads - b.ParityLoads,
+			ParityLoadBytes: a.ParityLoadBytes - b.ParityLoadBytes,
+			ReqSize:         a.ReqSize.Sub(b.ReqSize),
+			SvcTime:         a.SvcTime.Sub(b.SvcTime),
 		}
 	}
 	return out
@@ -397,6 +406,15 @@ func (sv *server) storeLocked(p []byte, off int64) error {
 		sv.size = end
 	}
 	return nil
+}
+
+// parityLoadLocked is loadLocked for the parity engine: it counts the
+// load in ParityLoads and ParityLoadBytes, and charges no request. Must
+// be called with sv.mu held.
+func (sv *server) parityLoadLocked(p []byte, off int64) error {
+	sv.stats.ParityLoads++
+	sv.stats.ParityLoadBytes += int64(len(p))
+	return sv.loadLocked(p, off)
 }
 
 // loadLocked fills p from the backend at off (holes and regions past

@@ -493,7 +493,7 @@ func (sv *server) moveLocked(d *dispatch, i int32) error {
 		return sv.loadLocked(d.slab[mo:mo+n], off)
 	}
 	if d.capture {
-		if err := sv.loadLocked(d.pre[d.at[i]:d.at[i]+n], off); err != nil {
+		if err := sv.parityLoadLocked(d.pre[d.at[i]:d.at[i]+n], off); err != nil {
 			return err
 		}
 	}

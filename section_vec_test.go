@@ -127,30 +127,41 @@ func BenchmarkSectionIO(b *testing.B) {
 // BenchmarkParityWrite is one parity_degraded write op without the
 // benchmark around it: a 1024x1024 float64 array on a 6+2 store of
 // 16 KiB stripe units whose server 0 fails every read, independent
-// section writes of 48-96 elements a side.
+// section writes of 48-96 elements a side. It reports the op's server
+// bill (loopServers). Run a multiple of 64 ops (-benchtime=640x) to
+// cycle the boxes evenly.
 func BenchmarkParityWrite(b *testing.B) {
 	fo := pfs.Options{Servers: 8, Parity: 2, StripeSize: 16 << 10, Cost: benchCost}
 	sectionBench(b, 1024, fo, 48, 96, func(f *File, boxes []Box, bytesPerOp int64) {
 		f.FS().SetInjector(&pfs.FaultPoint{Server: 0, Op: pfs.FaultReads, Permanent: true})
-		loopSections(b, f, boxes, bytesPerOp, true)
+		loopServers(b, f, boxes, bytesPerOp, true)
 	})
 }
 
 // BenchmarkDegradedRead is one parity_degraded read op without the
 // benchmark around it: BenchmarkParityWrite's store and boxes, read with
-// server 0 failing every read. Beside time and allocations it reports
-// the requests of one op and its sim-ms/op, the benchmark's
-// sim_ms_per_op: the servers' busy time per op over the server count.
-// Run a multiple of 64 ops (-benchtime=640x) to cycle the boxes evenly.
+// server 0 failing every read. It reports the op's server bill
+// (loopServers). Run a multiple of 64 ops (-benchtime=640x) to cycle
+// the boxes evenly.
 func BenchmarkDegradedRead(b *testing.B) {
 	fo := pfs.Options{Servers: 8, Parity: 2, StripeSize: 16 << 10, Cost: benchCost}
 	sectionBench(b, 1024, fo, 48, 96, func(f *File, boxes []Box, bytesPerOp int64) {
-		fs := f.FS()
-		fs.SetInjector(&pfs.FaultPoint{Server: 0, Op: pfs.FaultReads, Permanent: true})
-		before := fs.Stats()
-		ops := float64(loopSections(b, f, boxes, bytesPerOp, false))
-		st := fs.Stats().Sub(before)
-		b.ReportMetric(float64(st.Requests())/ops, "reqs/op")
-		b.ReportMetric(float64(st.BusySum())/float64(time.Millisecond)/ops/float64(len(st.PerServer)), "sim-ms/op")
+		f.FS().SetInjector(&pfs.FaultPoint{Server: 0, Op: pfs.FaultReads, Permanent: true})
+		loopServers(b, f, boxes, bytesPerOp, false)
 	})
+}
+
+// loopServers is loopSections reporting, beside time and allocations,
+// what the servers did per op as the benchmark scores it: requests
+// (reqs/op), the servers' busy time over the server count (sim-ms/op,
+// sim_ms_per_op) and device bytes per payload byte (dev-B/B,
+// dev_b_per_payload_b).
+func loopServers(b *testing.B, f *File, boxes []Box, bytesPerOp int64, write bool) {
+	fs := f.FS()
+	before := fs.Stats()
+	ops := float64(loopSections(b, f, boxes, bytesPerOp, write))
+	st := fs.Stats().Sub(before)
+	b.ReportMetric(float64(st.Requests())/ops, "reqs/op")
+	b.ReportMetric(float64(st.BusySum())/float64(time.Millisecond)/ops/float64(len(st.PerServer)), "sim-ms/op")
+	b.ReportMetric(float64(st.Bytes())/(ops*float64(bytesPerOp)), "dev-B/B")
 }
