@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeReconstruct$$' -fuzztime $(FUZZTIME) ./internal/ec
 	$(GO) test -run '^$$' -fuzz '^FuzzMulXor$$' -fuzztime $(FUZZTIME) ./internal/ec
 	$(GO) test -run '^$$' -fuzz '^FuzzParityUpdate$$' -fuzztime $(FUZZTIME) ./internal/pfs
+	$(GO) test -run '^$$' -fuzz '^FuzzDegradedRead$$' -fuzztime $(FUZZTIME) ./internal/pfs
 	$(GO) test -run '^$$' -fuzz '^FuzzMetaDecode$$' -fuzztime $(FUZZTIME) ./internal/meta
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBox$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzPunchV$$' -fuzztime $(FUZZTIME) ./internal/extent

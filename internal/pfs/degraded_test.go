@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"slices"
 	"sync"
 	"testing"
@@ -25,6 +26,23 @@ func pattern(n int, seed int64) []byte {
 	p := make([]byte, n)
 	rand.New(rand.NewSource(seed)).Read(p)
 	return p
+}
+
+// failReads makes server s's reads fail in service from now on: its
+// file is swapped for one open for writing only, so the request reaches
+// the server and is charged, and the load fails.
+func failReads(t *testing.T, fs *FS, s int) {
+	t.Helper()
+	sv := fs.servers[s]
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	f, err := os.OpenFile(sv.f.Name(), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := sv.f
+	sv.f = f
+	t.Cleanup(func() { old.Close() })
 }
 
 // TestDegradedReadDeadServer: with one data server permanently dead to
@@ -678,4 +696,74 @@ func TestDegradedReadSeedsFromRowMates(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzDegradedRead reads a random vector from a parity store on Disk
+// with up to m+1 servers failing, each either refused by the injector or
+// failing its reads in service (failReads). With at most m failing, the
+// read returns what was written. With more, every row lacks a shard it
+// needs, so every segment on a failing server is lost: the read fails
+// exactly when it touches one, and returns the bytes of the segments
+// ahead of the earliest. The seed corpus is in testdata/fuzz.
+func FuzzDegradedRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, nIn, mIn, failIn uint8, elevator bool) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + int(nIn%8)
+		m := 1 + int(mIn)%min(3, n-1)
+		opts := Options{Servers: n, Parity: m, StripeSize: int64(16 + rng.Intn(113)), Backend: Disk, Dir: t.TempDir()}
+		if elevator {
+			opts.Scheduler = Elevator
+		}
+		if rng.Intn(2) == 0 {
+			opts.Cost = foldCost // every hole pays: the hole budget decides
+		}
+		fs := degradedFS(t, opts)
+		file := pattern(int(int64(2+rng.Intn(4))*int64(n-m)*opts.StripeSize), seed)
+		if _, err := fs.WriteAt(file, 0); err != nil {
+			t.Fatal(err)
+		}
+		runs := make([]Run, 1+rng.Intn(8))
+		for i := range runs {
+			l := 1 + rng.Int63n(int64(len(file))/2)
+			runs[i] = Run{Off: rng.Int63n(int64(len(file)) - l + 1), Len: l}
+		}
+		failing := rng.Perm(n)[:int(failIn)%(m+2)]
+		var refused Multi
+		for _, s := range failing {
+			if rng.Intn(2) == 0 {
+				refused = append(refused, &FaultPoint{Server: s, Op: FaultReads, Permanent: true})
+			} else {
+				failReads(t, fs, s)
+			}
+		}
+		fs.SetInjector(refused)
+		want := gather(file, runs)
+		got := make([]byte, len(want))
+		done, err := fs.ReadV(runs, got)
+		if len(failing) <= m {
+			if err != nil {
+				t.Fatalf("%d+%d servers, %v failing, runs %v: %v", n-m, m, failing, runs, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d+%d servers, %v failing, runs %v: read returned other bytes than were written", n-m, m, failing, runs)
+			}
+			return
+		}
+		lost := int64(-1) // the bytes ahead of the earliest segment on a failing server
+		var at int64
+		for _, r := range runs {
+			fs.forEachSegment(r.Off, r.Len, func(s int, _, l int64) {
+				if lost < 0 && slices.Contains(failing, s) {
+					lost = at
+				}
+				at += l
+			})
+		}
+		switch {
+		case lost < 0 && (err != nil || !bytes.Equal(got, want)):
+			t.Fatalf("%d+%d servers, %v failing, runs %v touch none of them: %d B, %v", n-m, m, failing, runs, done, err)
+		case lost >= 0 && (err == nil || done != lost):
+			t.Fatalf("%d+%d servers, %v failing, runs %v: %d B, %v; want an error after %d B", n-m, m, failing, runs, done, err, lost)
+		}
+	})
 }

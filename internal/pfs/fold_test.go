@@ -2,7 +2,6 @@ package pfs
 
 import (
 	"bytes"
-	"os"
 	"slices"
 	"testing"
 	"time"
@@ -107,8 +106,9 @@ func (w *writeOnRefusal) Fail(server int, write bool, off, n int64) error {
 // server 0 refused fetches the sources of its lost units in its own
 // dispatch, beside its own segments, which join them into their
 // requests; the bytes are a healthy read's. A source server that
-// refuses too leaves the unit it was asked for to the rebuild's rounds,
-// and a write that overlaps the read leaves every lost unit to them.
+// refuses too is passed over for the row's next source, and a write
+// that overlaps the read leaves every lost unit to be folded again, in a
+// dispatch of the rebuild's own.
 func TestDegradedReadFoldsSources(t *testing.T) {
 	const stripe, k, m = 256, 6, 2
 	runs := boxRuns(3, 21, 5, 27)
@@ -118,7 +118,7 @@ func TestDegradedReadFoldsSources(t *testing.T) {
 	// of the read but two: row 0's first coded unit, on server 6, and
 	// row 3's, on server 1. Fetched with the read, server 6's touches its
 	// own next segment and is one request with it; server 1's is too far
-	// from its own to join. Fetched in rounds after the read, as a second
+	// from its own to join. Folded again after the read, as a second
 	// dispatch, the same sources served [0 3 1 1 2 4 6 5] under either
 	// discipline.
 	folded := map[Scheduler][]int64{
@@ -143,8 +143,8 @@ func TestDegradedReadFoldsSources(t *testing.T) {
 			}
 
 			// The first lost unit's first coded unit refuses too: that
-			// unit's fetch there is refused, so it is rebuilt in rounds,
-			// from the row's second coded unit.
+			// unit's fetch there is refused, so the read's own dispatch
+			// fetches the row's second coded unit instead.
 			var row int64 = -1
 			for _, r := range runs {
 				fs.forEachSegment(r.Off, r.Len, func(s int, so, _ int64) {
@@ -163,7 +163,7 @@ func TestDegradedReadFoldsSources(t *testing.T) {
 
 			// A write over part of the box begins while the read is in
 			// accept: nothing the read fetched before its rebuild may seed
-			// it, so every lost unit is rebuilt in rounds from the stored
+			// it, so every lost unit is folded again from the stored
 			// bytes, and the read returns the write's bytes.
 			upd := pattern(3000, 22)
 			copy(file[2000:], upd)
@@ -194,29 +194,12 @@ func diskFS(t *testing.T, units int, seed int64) (*FS, []byte) {
 	return fs, file
 }
 
-// failReads makes server s's reads fail in service from now on: its
-// file is swapped for one open for writing only, so the request reaches
-// the server and is charged, and the load fails.
-func failReads(t *testing.T, fs *FS, s int) {
-	t.Helper()
-	sv := fs.servers[s]
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	f, err := os.OpenFile(sv.f.Name(), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := sv.f
-	sv.f = f
-	t.Cleanup(func() { old.Close() })
-}
-
 // TestDegradedReadSeedsFromContainingRowMates: a unit whose read fails
-// in service is rebuilt in rounds, seeded with every row-mate segment of
-// the read that holds its range whole. Server 1's run is wider than the
-// lost run and server 2's the same: neither is fetched again. Server
-// 3's run ends short of it, so its range is fetched, as is a parity
-// unit's.
+// in service is folded again after the read, seeded with every row-mate
+// segment of the read that holds its range whole. Server 1's run is
+// wider than the lost run and server 2's the same: neither is fetched
+// again. Server 3's run ends short of it, so its range is fetched, as
+// is a parity unit's.
 func TestDegradedReadSeedsFromContainingRowMates(t *testing.T) {
 	const stripe = 64
 	fs, file := diskFS(t, 4, 31)
@@ -233,8 +216,8 @@ func TestDegradedReadSeedsFromContainingRowMates(t *testing.T) {
 
 // TestDegradedReadFoldedFetchFailsInService: a source fetch the read's
 // own dispatch makes for a refused unit fails in service, so the unit
-// is rebuilt in rounds from other sources, not decoded from the fetch's
-// unfilled bytes.
+// is folded again — from other sources once server 4 has failed a pass
+// of the rebuild too — not decoded from the fetch's unfilled bytes.
 func TestDegradedReadFoldedFetchFailsInService(t *testing.T) {
 	fs, file := diskFS(t, 12, 41)
 	failReads(t, fs, 4) // row 0's first coded unit: the one source server 0's lost unit fetches
@@ -243,7 +226,7 @@ func TestDegradedReadFoldedFetchFailsInService(t *testing.T) {
 	readRequests(t, fs, runs, file)
 }
 
-// TestDegradedReadRoundsFetchInOffsetOrder: a rebuild's rounds fetch in
+// TestDegradedReadRoundsFetchInOffsetOrder: a rebuild's fold fetches in
 // offset order. Server 0's unit is read as two halves, the second
 // first, and fails in service; its row-mates are read whole, so each
 // half's one missing source is its range of the row's first coded unit,
@@ -264,8 +247,8 @@ func TestDegradedReadRoundsFetchInOffsetOrder(t *testing.T) {
 // begins and ends after the degraded read's dispatch has served the
 // row-mates and fetched the row's coded units, and before its rebuild.
 // The sources the read holds are then the row's old state, so the
-// rebuild must not take them: it fetches the row again in rounds and
-// decodes the written unit. Every other byte is what the dispatch
+// rebuild must not take them: it folds the unit again, fetching the row
+// anew, and decodes the written unit. Every other byte is what the dispatch
 // served, the old ones. Server 0 holds data shard 4 of row 4.
 func TestDegradedReadRebuildsAfterRowMateWrite(t *testing.T) {
 	const stripe, k, m, row = 256, 6, 2, 4

@@ -92,22 +92,23 @@
 // server joins with the read's own segments into their requests. What
 // that cannot rebuild — a segment that failed in service or missed the
 // deadline, one whose planned sources did not all arrive, every one
-// when a write overlapped the read — is rebuilt after the read, its
-// missing sources fetched in rounds of their own. The deadline cuts
-// lists, not calls: when it fires, every segment a server has marked
-// served is kept, the rest of the slowest servers' lists are
-// stragglers, and the read waits for the other late lists (awaitLate).
-// Segments are read in place unless a deadline is armed; only then can
-// a list be abandoned, and only then do the servers read into a private
-// slab, so a straggler's late completions land in memory nobody reads —
-// and the dispatch they belong to is never reused. A degraded read's
-// working memory (reconScratch) rides on its dispatch, so it is pooled
-// with it. A rebuild holds parityGate exclusively, so no write is
-// halfway through the rows it decodes, and the read's own served
-// segments and fetches seed it only if no data write overlapped the
-// read (writesBegun, writesEnded). A
-// straggler whose rows cannot be rebuilt without it, because another of
-// their shards failed too, is waited for instead of failing the read.
+// when a write overlapped the read — is folded again after the read:
+// foldSources plans its sources into a dispatch of their own, and a
+// server that fails that pass is barred from the next (reconstructSegs).
+// The deadline cuts lists, not calls: when it fires, every segment a
+// server has marked served is kept, the rest of the slowest servers'
+// lists are stragglers, and the read waits for the other late lists
+// (awaitLate). Segments are read in place unless a deadline is armed;
+// only then can a list be abandoned, and only then do the servers read
+// into a private slab, so a straggler's late completions land in memory
+// nobody reads — and the dispatch they belong to is never reused. A
+// degraded read's working memory (reconScratch) rides on its dispatch,
+// so it is pooled with it. A rebuild holds parityGate exclusively, so
+// no write is halfway through the rows it decodes, and the read's own
+// served segments and fetches seed it only if no data write overlapped
+// the read (writesBegun, writesEnded). A straggler whose rows cannot be
+// rebuilt without it, because another of their shards failed too, is
+// waited for instead of failing the read.
 package pfs
 
 import (
@@ -468,7 +469,7 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 	if deadline > 0 || !inPlace {
 		d.mem = Contig(target)
 	}
-	d.skip, d.fold = true, true
+	d.fold = d
 	sc.folds, sc.foldSrc = sc.folds[:0], sc.foldSrc[:0]
 	if cap(d.served) < len(segs) {
 		d.served = make([]atomic.Bool, len(segs))
@@ -524,7 +525,9 @@ func (fs *FS) dispatchDegraded(d *dispatch) (int64, error) {
 		}
 		// A straggler is slow, not lost. When its rows cannot be rebuilt
 		// without it (another of their shards failed too), wait for it
-		// and go again with what it returned.
+		// and go again with what it returned. The rebuild's folds have
+		// planned over the read's own, whose fetches are not taken again.
+		sc.folds = sc.folds[:0]
 		for ; left > 0; left-- {
 			<-d.done
 		}
@@ -585,55 +588,6 @@ late:
 		<-d.done
 	}
 	return left
-}
-
-// reconFetch is one source read of a reconstruction: the byte range of
-// job's segment, out of the shard that server holds.
-type reconFetch struct {
-	job    *reconJob
-	server int
-	p      []byte // carved by serviceReconBatch
-	err    segErr // err.err nil: fetched
-}
-
-// serviceReconBatch issues a round of reconstruction source fetches as
-// one dispatch: the rounds of a rebuild that the read's own dispatch
-// could not fetch (foldSources) — service errors, deadline stragglers,
-// a refused or late fetch, a read an overlapping write left unseeded.
-// There is one segment per fetch, sorted by offset (stably, so ties
-// keep batch order), which each server's list keeps: a multi-row
-// degraded read pulls consecutive shard rows from the same source
-// server, and the server's service loop joins fetches that touch into
-// one request, which pays one overhead + seek where the per-shard
-// fetches would pay them per row. The fetches' buffers are carved from
-// one slab in that order. One failure does not stop the others; a
-// failed fetch moves its job on to its next candidate.
-func (fs *FS) serviceReconBatch(sc *reconScratch, batch []reconFetch) {
-	// A round's fetches mostly arrive row by row, so sorted already.
-	byOff := func(a, b reconFetch) int { return cmp.Compare(a.job.off, b.job.off) }
-	if !slices.IsSortedFunc(batch, byOff) {
-		slices.SortStableFunc(batch, byOff)
-	}
-	total := 0
-	for i := range batch {
-		total += batch[i].job.n
-	}
-	slab := sc.carve(total)
-	d := fs.newDispatch(Contig(slab), false)
-	d.skip = true
-	var mo int64
-	for i := range batch {
-		f := &batch[i]
-		n := int64(f.job.n)
-		f.p = slab[mo : mo+n]
-		d.segs = append(d.segs, ioSeg{server: int32(f.server), off: f.job.off, n: n, mo: mo})
-		mo += n
-	}
-	fs.submit(d, 0)
-	for _, fl := range d.fails {
-		batch[fl.idx].err = fl
-	}
-	fs.release(d)
 }
 
 // byServer orders the items 0..n-1 by their server, stably, with one
@@ -718,20 +672,17 @@ type reconScratch struct {
 	miss     map[int64]int     //   and how many each row lacks
 	jobs     []reconJob
 	tabs     [][]byte // the jobs' shard tables, k+m entries each
-	inRecon  []bool
-	batch    []reconFetch
-	idx      []int32 // byServer: the items by server
-	at       []int   //   and where each server's items start
-	slab     []byte  // the source fetches' bytes
-	used     int     // of slab, by this read's earlier rounds
-	// foldSources' plan: the refused segments whose k sources it found,
-	// ascending, and those sources, k per segment (segment indices of
-	// the dispatch: a segment of the read, or a fetch in its slab).
-	folds, foldSrc []int32
-	barred         []bool    // foldSources: servers that take no fetch
-	lists          [][]int32 //   each server's accepted segments by offset
-	flat           []int32   //   and the sorted copies of those out of order
-	hint           []int     // containing's search hint per server's list
+	held     []bool   // the read's segments that may seed the rebuild
+	idx      []int32  // byServer: the items by server
+	at       []int    //   and where each server's items start
+	// foldSources' plan: the lost segments it plans for, those whose k
+	// sources it found, ascending, and those sources, k per segment (a
+	// segment i of the read, or -1-i for fetch i of the planning pass).
+	todo, folds, foldSrc []int32
+	barred               []bool    // servers that take no fetch
+	lists                [][]int32 // foldSources: each server's sources by offset
+	flat                 []int32   //   and the sorted copies they are made of
+	hint                 []int     // containing's search hint per server's list
 }
 
 // grow returns *s resized to n, reallocated only when too small. The
@@ -744,29 +695,12 @@ func grow[T any](s *[]T, n int) []T {
 	return *s
 }
 
-// carve returns n bytes of the slab that no earlier round of this read
-// holds. A round that does not fit gets a fresh slab; the earlier
-// rounds' fetches keep the old one alive until the read is decoded.
-func (sc *reconScratch) carve(n int) []byte {
-	if sc.used+n > len(sc.slab) {
-		sc.slab, sc.used = make([]byte, max(n, 2*len(sc.slab))), 0
-	}
-	p := sc.slab[sc.used : sc.used+n : sc.used+n]
-	sc.used += n
-	return p
-}
-
 // reconJob tracks one segment being reconstructed: which shards it
-// holds, and how far down the source ranking it has asked.
+// holds.
 type reconJob struct {
 	segIdx int
-	server int      // the segment's own server
-	off    int64    // server-local offset, the same on every server of the row
-	n      int      // segment length
 	shards [][]byte // k+m entries by shard; non-nil = held
 	got    int
-	next   int    // next entry of the source ranking to try
-	lastE  segErr // the last source fetch that failed, if any
 }
 
 // sameSurvivors reports whether two jobs hold the same shards, and so
@@ -782,111 +716,65 @@ func sameSurvivors(a, b [][]byte) bool {
 
 // reconstructSegs rebuilds the listed segments of d — segs, the read's
 // own — from the surviving shards, straight into the segments' places
-// in buf. With seed, a segment whose sources foldSources planned takes
-// them when every one was served, and the other segments take each
-// source that a served segment of segs holds whole (containing); what
-// is still missing is fetched in rounds. Source reads batch across jobs
-// per round, so several reconstructions pay max- not sum-per-server
-// service time. Jobs, their shard tables and the fetched bytes all come
-// from sc; the decoder is looked up once per run of jobs with the same
-// survivor set — one per row and failure pattern, not one per segment.
-// On failure it returns the smallest segment index it could not serve.
+// in buf. With seed, the read's served segments may be sources
+// (sc.held), and a segment whose sources the read's own dispatch
+// planned takes them when every one is there (foldShards). A segment
+// left short is folded again: foldSources plans its sources into a
+// dispatch of their own, with every server that failed or refused a
+// pass of the rebuild barred, and that repeats while a segment is short
+// and the last pass barred a new server. The decoder is looked up once
+// per run of jobs with the same survivor set — one per row and failure
+// pattern, not one per segment. On failure it returns the smallest
+// segment index it could not serve, and an error that wraps its cause.
 func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf []byte, recon []int, seed bool) (int, error) {
 	k, m := fs.code.K(), fs.code.M()
 	stripe := fs.opts.StripeSize
-	order := fs.sourceOrder(sc)
 	jobs := grow(&sc.jobs, len(recon))
 	shardTabs := grow(&sc.tabs, len(recon)*(k+m))
-	inRecon := grow(&sc.inRecon, len(segs))
 	clear(shardTabs)
-	clear(inRecon)
-	sc.used = 0
-	// The tables point into the caller's buffer: let go of it.
+	// The tables point into the caller's buffer and the passes' slabs:
+	// let go of them.
 	defer clear(shardTabs)
-	short, fi := 0, 0 // jobs the plan leaves short of k; the plan's cursor
+	held := grow(&sc.held, len(segs))
+	for i := range held {
+		held[i] = seed
+	}
 	for ji, idx := range recon {
-		s := &segs[idx]
-		j := &jobs[ji]
-		*j = reconJob{
-			segIdx: idx, server: int(s.server), off: s.off, n: int(s.n),
-			shards: shardTabs[ji*(k+m) : (ji+1)*(k+m)],
-		}
-		inRecon[idx] = true
-		if seed {
-			for fi < len(sc.folds) && int(sc.folds[fi]) < idx {
-				fi++
-			}
-			if fi < len(sc.folds) && int(sc.folds[fi]) == idx {
-				fs.foldShards(d, j, sc.foldSrc[fi*k:(fi+1)*k], buf)
-			}
-		}
-		if j.got < k {
-			short++
-		}
+		jobs[ji] = reconJob{segIdx: idx, shards: shardTabs[ji*(k+m) : (ji+1)*(k+m)]}
+		held[idx] = false
 	}
-	// Seed shards the vector already holds: a row-mate of the target
-	// segment that was served healthily and holds the same byte range of
-	// its own stripe unit is a reconstruction source for free — a
-	// whole-row degraded read then only fetches the parity shards. The
-	// segments are bucketed by server once, each bucket ascending by
-	// offset — already so when the vector's runs are — so a job searches
-	// each other server's bucket for a segment that holds its range, from
-	// where the last job's search of that bucket ended, and takes one
-	// shard per server.
-	if seed && short > 0 {
-		idx, at := sc.byServer(fs.opts.Servers, len(segs), func(i int) int { return int(segs[i].server) })
-		hint := grow(&sc.hint, fs.opts.Servers)
-		clear(hint)
-		for s := 0; s < fs.opts.Servers; s++ {
-			sortByOffset(segs, idx[at[s]:at[s+1]])
-		}
-		for ji := range jobs {
-			j := &jobs[ji]
-			for c := 0; c < fs.opts.Servers && j.got < k; c++ {
-				if c == j.server {
-					continue
-				}
-				var i int32
-				if i, hint[c] = containing(segs, idx[at[c]:at[c+1]], j.off, int64(j.n), inRecon, hint[c]); i >= 0 {
-					j.shards[fs.shardOf(j.off/stripe, c)] = segs[i].within(buf, j.off, int64(j.n))
-					j.got++
-				}
-			}
-		}
+	// A server that failed the read's own dispatch is asked again, since
+	// a refusal may have been its last; one that fails a rebuild's pass
+	// is barred from the next.
+	clear(sc.barred)
+	if seed {
+		fs.foldShards(d, d, jobs, buf)
 	}
-	batch := sc.batch
+	var passes []*dispatch // their slabs hold fetched shards until the decode
+	defer func() {
+		for _, p := range passes {
+			fs.release(p)
+		}
+	}()
 	for {
-		batch = batch[:0]
+		todo := sc.todo[:0]
 		for ji := range jobs {
-			j := &jobs[ji]
-			if j.got >= k || j.next >= len(order) {
-				continue
-			}
-			row := j.off / stripe
-			ranked := fs.rowSources(sc, order, row)
-			for need := k - j.got; need > 0 && j.next < len(ranked); {
-				c := ranked[j.next]
-				j.next++
-				if c == j.server || j.shards[fs.shardOf(row, c)] != nil {
-					continue // its own server, or already seeded from the vector
-				}
-				batch = append(batch, reconFetch{job: j, server: c})
-				need--
+			if jobs[ji].got < k {
+				todo = append(todo, int32(jobs[ji].segIdx))
 			}
 		}
-		if len(batch) == 0 {
+		if sc.todo = todo; len(todo) == 0 {
 			break
 		}
-		sc.batch = batch
-		fs.serviceReconBatch(sc, batch)
-		for i := range batch {
-			f := &batch[i]
-			if f.err.err != nil {
-				f.job.lastE = f.err
-				continue
-			}
-			f.job.shards[fs.shardOf(f.job.off/stripe, f.server)] = f.p
-			f.job.got++
+		p := fs.newDispatch(nil, false)
+		p.fold, passes = d, append(passes, p)
+		fs.submit(p, 0)
+		for _, f := range p.fails {
+			sc.barred[f.seg.server] = true
+		}
+		fs.foldShards(d, p, jobs, buf)
+		if len(p.fails) == 0 { // none barred: a new plan would be this one
+			break
 		}
 	}
 	var dec *ec.Decoder
@@ -895,12 +783,24 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 		j := &jobs[ji]
 		s := &segs[j.segIdx]
 		if j.got < k {
-			err := j.lastE.error()
+			// Its cause: its own failure if it has one, else the last of
+			// its sources'.
+			var cause segErr
+			d.mu.Lock()
+			for _, p := range append([]*dispatch{d}, passes...) {
+				for _, f := range p.fails {
+					if f.idx == j.segIdx && (cause.err == nil || cause.seg.server != s.server) {
+						cause = f
+					}
+				}
+			}
+			d.mu.Unlock()
+			err := cause.error()
 			if err == nil {
-				err = fmt.Errorf("only %d of %d shards reachable", j.got, k)
+				err = fmt.Errorf("fewer than %d shards reachable", k)
 			}
 			return j.segIdx, fmt.Errorf("pfs: degraded read: cannot reconstruct server %d row %d: %w",
-				s.server, j.off/stripe, err)
+				s.server, s.off/stripe, err)
 		}
 		if dec == nil || !sameSurvivors(j.shards, decFor) {
 			var err error
@@ -909,11 +809,11 @@ func (fs *FS) reconstructSegs(sc *reconScratch, d *dispatch, segs []ioSeg, buf [
 			}
 			decFor = j.shards
 		}
-		if err := dec.Decode(s.in(buf), fs.shardOf(j.off/stripe, j.server), j.shards); err != nil {
+		if err := dec.Decode(s.in(buf), fs.shardOf(s.off/stripe, int(s.server)), j.shards); err != nil {
 			return j.segIdx, fmt.Errorf("pfs: degraded read: %w", err)
 		}
 		fs.degraded.Add(1)
-		fs.reconBytes.Add(int64(j.n))
+		fs.reconBytes.Add(s.n)
 	}
 	return len(segs), nil
 }
@@ -947,14 +847,13 @@ func sortByOffset(segs []ioSeg, list []int32) {
 
 // containing returns the segment of list — indices into segs of one
 // server's segments, ascending by offset — that holds the n bytes at off
-// whole and that skip (when not nil) does not mark, or -1, and the
-// position to pass as from to the next query of the list. It searches
-// for the segments that start at the last offset at or below off and
-// tries each: in a list that does not overlap itself, a segment
-// starting further down ends before them. The search gallops forward
-// from position from, a hint, so a batch of ascending queries costs
-// O(log gap) apiece; a query below the hint starts from 0.
-func containing(segs []ioSeg, list []int32, off, n int64, skip []bool, from int) (int32, int) {
+// whole, or -1, and the position to pass as from to the next query of
+// the list. It searches for the segments that start at the last offset
+// at or below off and tries each: in a list that does not overlap
+// itself, a segment starting further down ends before them. The search
+// gallops forward from position from, a hint, so a batch of ascending
+// queries costs O(log gap) apiece; a query below the hint starts from 0.
+func containing(segs []ioSeg, list []int32, off, n int64, from int) (int32, int) {
 	if from > len(list) || from > 0 && segs[list[from-1]].off > off {
 		from = 0 // the query went backwards
 	}
@@ -972,60 +871,76 @@ func containing(segs []ioSeg, list []int32, off, n int64, skip []bool, from int)
 		}
 	}
 	for h := lo - 1; h >= 0 && segs[list[h]].off == segs[list[lo-1]].off; h-- {
-		if i := list[h]; segs[i].off+segs[i].n >= off+n && (skip == nil || !skip[i]) {
+		if i := list[h]; segs[i].off+segs[i].n >= off+n {
 			return i, lo
 		}
 	}
 	return -1, lo
 }
 
-// foldSources plans, in accept's pass over a degraded read, the
-// reconstruction sources of each segment the injector refused (d.fails,
-// in submission order), so that the read's own dispatch fetches them.
+// foldSources plans, in accept's pass over d, the reconstruction sources
+// of the lost segments of the read d.fold, so that d fetches them: on
+// the read's own dispatch the segments the injector refused (d.fails,
+// in submission order), on a rebuild's the ones still short (sc.todo).
 // It takes the k sources a rebuild needs in sourceOrder. A source that
-// an accepted segment of the read holds whole (containing) is taken
-// from the vector. Any other becomes a read segment of its own, its
-// bytes in the slab and its failure counted against the refused segment
-// (lentSeg), and is put to the injector now. A server that refused a
-// segment of the read takes no fetch. A refused fetch, or fewer than k
-// sources, leaves the segment to the rebuild's rounds, and drops its
-// fetches. The fetches go into their servers' lists in offset order,
-// merged with the read's own segments, and those lists' holes are
+// a segment of the read holds whole (containing) is taken from it — on
+// the read's own dispatch any accepted segment, on a rebuild's one that
+// may seed it (sc.held). Any other becomes a read segment of d, its
+// bytes in the slab and its failure counted against the lost segment
+// (lentSeg), and is put to the injector now. A barred server takes no
+// fetch (sc.barred: on the read's own dispatch one that refused a
+// segment of it, on a rebuild's one that failed a pass), and one that
+// refuses a fetch is barred. A segment left with fewer than k sources
+// drops its fetches. The fetches go into their servers' lists in offset
+// order, merged with d's own segments, and those lists' holes are
 // priced again, so the one hole budget and the joining rules take them
-// in with the read's requests. It returns the dispatch's payload and
-// candidate holes, fetches included.
+// in with d's requests. It returns the dispatch's payload and candidate
+// holes, fetches included.
 func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64, int64) {
-	sc, k, n0 := d.recon, fs.code.K(), len(d.segs)
-	barred := grow(&sc.barred, len(d.batches))
-	clear(barred)
-	for _, f := range d.fails {
-		barred[f.seg.server] = true
-	}
-	// The lookups go through each server's list sorted by offset: the
-	// list itself, or a sorted copy, since the list keeps its order.
-	lists, flat := grow(&sc.lists, len(d.batches)), grow(&sc.flat, n0)[:0]
-	for s := range d.batches {
-		if lists[s] = d.batches[s].idx; !ascending(d.segs, lists[s]) {
-			at := len(flat)
-			flat = append(flat, lists[s]...)
-			lists[s] = flat[at:]
-			sortByOffset(d.segs, lists[s])
+	read := d.fold
+	sc, k, n0 := read.recon, fs.code.K(), len(d.segs)
+	if read == d {
+		clear(grow(&sc.barred, len(d.batches)))
+		sc.todo = sc.todo[:0]
+		for _, f := range d.fails {
+			sc.todo = append(sc.todo, int32(f.idx))
+			sc.barred[f.seg.server] = true
 		}
+	}
+	if len(sc.todo) == 0 {
+		return payload, want
+	}
+	// The lookups go through each server's sources sorted by offset: the
+	// read's accepted list itself, or a sorted copy, since the list keeps
+	// its order; on a rebuild's dispatch, a copy of those that may seed.
+	lists, flat := grow(&sc.lists, len(d.batches)), grow(&sc.flat, len(read.segs))[:0]
+	for s := range d.batches {
+		if lists[s] = read.batches[s].idx; read == d && ascending(d.segs, lists[s]) {
+			continue
+		}
+		at := len(flat)
+		for _, i := range lists[s] {
+			if read == d || int(i) < len(sc.held) && sc.held[i] {
+				flat = append(flat, i)
+			}
+		}
+		lists[s] = flat[at:]
+		sortByOffset(read.segs, lists[s])
 	}
 	order := fs.sourceOrder(sc)
 	hint := grow(&sc.hint, len(d.batches))
 	clear(hint)
 	folds, srcs := sc.folds[:0], sc.foldSrc[:0]
-	// A refused segment fetches at most k sources of its bytes: the slab
-	// is sized for them all at once, so a read that needs more than the
+	// A lost segment fetches at most k sources of its bytes: the slab is
+	// sized for them all at once, so a read that needs more than the
 	// dispatch has held grows it in one step, not fetch by fetch.
 	var most int64
-	for _, f := range d.fails {
-		most += int64(k) * f.seg.n
+	for _, j := range sc.todo {
+		most += int64(k) * read.segs[j].n
 	}
 	d.slab = slices.Grow(d.slab, int(most))
-	for _, f := range d.fails {
-		job := f.seg
+	for _, j := range sc.todo {
+		job := read.segs[j]
 		segsAt, slabAt, srcAt := len(d.segs), len(d.slab), len(srcs)
 		for _, c := range fs.rowSources(sc, order, job.off/fs.opts.StripeSize) {
 			if len(srcs)-srcAt == k {
@@ -1035,27 +950,28 @@ func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64,
 				continue
 			}
 			var i int32
-			if i, hint[c] = containing(d.segs, lists[c], job.off, job.n, nil, hint[c]); i >= 0 {
+			if i, hint[c] = containing(read.segs, lists[c], job.off, job.n, hint[c]); i >= 0 {
 				srcs = append(srcs, i)
 				continue
 			}
-			if barred[c] {
+			if sc.barred[c] {
 				continue
 			}
-			if inj.fail(c, false, job.off, job.n) != nil {
-				barred[c] = true
-				break
+			if err := inj.fail(c, false, job.off, job.n); err != nil {
+				sc.barred[c] = true
+				d.fails = append(d.fails, segErr{idx: int(j), err: err, refused: true, seg: ioSeg{server: int32(c), off: job.off, n: job.n}})
+				continue
 			}
 			at := int64(len(d.slab))
 			d.slab = d.slab[:at+job.n]
-			srcs = append(srcs, int32(len(d.segs)))
-			d.segs = append(d.segs, lentSeg(c, job.off, job.n, at, int32(f.idx)))
+			srcs = append(srcs, -1-int32(len(d.segs)))
+			d.segs = append(d.segs, lentSeg(c, job.off, job.n, at, j))
 		}
 		if len(srcs)-srcAt < k {
 			d.segs, d.slab, srcs = d.segs[:segsAt], d.slab[:slabAt], srcs[:srcAt]
 			continue
 		}
-		folds = append(folds, int32(f.idx))
+		folds = append(folds, j)
 	}
 	sc.folds, sc.foldSrc = folds, srcs
 	if len(d.segs) == n0 {
@@ -1065,7 +981,7 @@ func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64,
 		d.served = make([]atomic.Bool, len(d.segs))
 	}
 	d.served = d.served[:len(d.segs)]
-	priced := len(d.grant) > 0
+	priced := fs.opts.Cost.SeekLatency > 0 // as accept prices
 	if priced {
 		d.grant = slices.Grow(d.grant, len(d.segs)-n0)[:len(d.segs)]
 		for _, s := range d.segs[n0:] {
@@ -1114,24 +1030,38 @@ func (fs *FS) foldSources(d *dispatch, inj *injBox, payload, want int64) (int64,
 	return payload, want
 }
 
-// foldShards fills job j's shard table from the sources foldSources
-// planned for it in d, srcs, if every one of them was served. A source
-// is the job's range of a segment of the read, in buf, or a fetch of
-// that range, in the slab.
-func (fs *FS) foldShards(d *dispatch, j *reconJob, srcs []int32, buf []byte) {
-	for _, i := range srcs {
-		if !d.served[i].Load() {
-			return
+// foldShards fills the shard table of each job that the plan of pass
+// dp covers (sc.folds) if every source planned for it is there: a
+// segment of the read d that may seed the rebuild (sc.held), whose
+// range is in buf, or a fetch that dp served, in dp's slab.
+func (fs *FS) foldShards(d, dp *dispatch, jobs []reconJob, buf []byte) {
+	sc, k, fi := d.recon, fs.code.K(), 0
+next:
+	for ji := range jobs {
+		j := &jobs[ji]
+		for fi < len(sc.folds) && int(sc.folds[fi]) < j.segIdx {
+			fi++
 		}
-	}
-	row := j.off / fs.opts.StripeSize
-	for _, i := range srcs {
-		s := &d.segs[i]
-		if s.mi < 0 {
-			j.shards[fs.shardOf(row, int(s.server))] = d.slab[s.mo : s.mo+s.n]
-		} else {
-			j.shards[fs.shardOf(row, int(s.server))] = s.within(buf, j.off, int64(j.n))
+		if fi == len(sc.folds) || int(sc.folds[fi]) != j.segIdx {
+			continue
 		}
+		srcs := sc.foldSrc[fi*k : (fi+1)*k]
+		for _, i := range srcs {
+			if i >= 0 && !sc.held[i] || i < 0 && !dp.served[-1-i].Load() {
+				continue next
+			}
+		}
+		lost := &d.segs[j.segIdx]
+		row := lost.off / fs.opts.StripeSize
+		for _, i := range srcs {
+			if i >= 0 {
+				s := &d.segs[i]
+				j.shards[fs.shardOf(row, int(s.server))] = s.within(buf, lost.off, lost.n)
+			} else {
+				s := &dp.segs[-1-i]
+				j.shards[fs.shardOf(row, int(s.server))] = dp.slab[s.mo : s.mo+s.n]
+			}
+		}
+		j.got = k
 	}
-	j.got = len(srcs)
 }

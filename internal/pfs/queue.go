@@ -105,9 +105,10 @@ type ioSeg struct {
 // the segment list was built over.
 func (s *ioSeg) in(buf []byte) []byte { return buf[s.mo : s.mo+s.n] }
 
-// segErr is the failure of one segment, by submission index: a service
-// error, or the raw error an injector refused the segment with, kept
-// beside the segment (refused) and wrapped only where it is returned.
+// segErr is the failure of segment seg, counted against the submitted
+// segment idx, its owner: a service error, or the raw error an injector
+// refused seg with, kept beside it (refused) and wrapped only where it
+// is returned.
 type segErr struct {
 	idx     int
 	err     error
@@ -146,11 +147,10 @@ type dispatch struct {
 	mem   Vec
 	write bool
 	sieve bool // count a read's bytes as sieve-fetch traffic
-	// skip: a segment the injector refuses is skipped and submission goes
-	// on (reads that can reconstruct); otherwise it ends the submission.
-	// fold: a degraded read; accept plans a refused segment's
-	// reconstruction sources in the same pass (foldSources).
-	skip, fold bool
+	// fold: a pass of a degraded read, the read itself or a rebuild's
+	// fetches for it; accept skips a refused segment and goes on, and
+	// plans the sources of the read's lost segments (foldSources).
+	fold *dispatch
 
 	batches []batch       // by server
 	done    chan struct{} // one signal per queued batch; never blocks (cap = servers)
@@ -207,17 +207,17 @@ type HoleSource interface {
 
 // lentSeg is the segment of a hole that d's source lent, its bytes at
 // slab offset at; owner is the segment behind the hole, whose grant it
-// took and against which its failure counts. On a degraded read it is a
-// reconstruction source fetched for the refused segment owner, its
-// bytes read into the slab. A slab segment's mi is negative, which is
-// how moveLocked and owner tell it apart.
+// took and against which its failure counts. On a degraded read's pass
+// it is a reconstruction source fetched for the read's lost segment
+// owner, its bytes read into the slab. A slab segment's mi is negative,
+// which is how moveLocked and owner tell it apart.
 func lentSeg(server int, off, n, at int64, owner int32) ioSeg {
 	return ioSeg{server: int32(server), off: off, n: n, mo: at, mi: -1 - owner}
 }
 
 // owner returns the submitted segment a failure of segment i counts
 // against: i itself, for a lent hole the segment behind it, and for a
-// degraded read's source fetch the refused segment it rebuilds.
+// degraded read's source fetch the read's segment it rebuilds.
 func (d *dispatch) owner(i int32) int {
 	if mi := d.segs[i].mi; mi < 0 {
 		return int(-1 - mi)
@@ -306,7 +306,7 @@ func (fs *FS) release(d *dispatch) {
 	clear(d.fails)
 	d.segs, d.served, d.fails = d.segs[:0], d.served[:0], d.fails[:0]
 	d.grant, d.lendable, d.slab = d.grant[:0], d.lendable[:0], d.slab[:0]
-	d.mem, d.write, d.sieve, d.skip, d.fold, d.capture, d.src = nil, false, false, false, false, false, nil
+	d.mem, d.write, d.sieve, d.fold, d.capture, d.src = nil, false, false, nil, false, nil
 	fs.idleMu.Lock()
 	if len(fs.idle) < maxIdle {
 		fs.idle = append(fs.idle, d)
@@ -314,11 +314,11 @@ func (fs *FS) release(d *dispatch) {
 	fs.idleMu.Unlock()
 }
 
-// fail records the failure of segment i; refused marks an injector's
-// refusal.
-func (d *dispatch) fail(i int, err error, refused bool) {
+// fail records the failure of segment i against its owner; refused
+// marks an injector's refusal.
+func (d *dispatch) fail(i int32, err error, refused bool) {
 	d.mu.Lock()
-	d.fails = append(d.fails, segErr{idx: i, err: err, refused: refused, write: d.write, seg: d.segs[i]})
+	d.fails = append(d.fails, segErr{idx: d.owner(i), err: err, refused: refused, write: d.write, seg: d.segs[i]})
 	d.mu.Unlock()
 }
 
@@ -537,7 +537,7 @@ func (sv *server) sweep(frozen []pend) []pend {
 		for k := i; k < j; k++ {
 			r, d := &frozen[k], frozen[k].b.d
 			if err := sv.moveLocked(d, r.i); err != nil {
-				d.fail(d.owner(r.i), err, false)
+				d.fail(r.i, err, false)
 				r.failed = true
 			}
 			if d.sieve && r.s.mi >= 0 { // a degraded read's source fetch is no sieve traffic
@@ -695,11 +695,11 @@ func (fs *FS) submit(d *dispatch, deadline time.Duration) int {
 
 // accept consults the injector once per segment, in submission order,
 // before anything is queued: a refused segment "never reached a server"
-// and is recorded in d.fails; unless d.skip, it also ends the
-// submission — the accepted prefix still goes out, and with d.skip the
-// hole before the next segment its server accepts is no candidate. The
-// accepted segments are bucketed by server (submission order kept
-// inside a server). A degraded read's refused segments then get their
+// and is recorded in d.fails; unless d is a degraded read's pass, it
+// also ends the submission — the accepted prefix still goes out, and in
+// such a pass the hole before the next segment its server accepts is no
+// candidate. The accepted segments are bucketed by server (submission
+// order kept inside a server). The read's lost segments then get their
 // reconstruction sources as segments of their own (foldSources). Every
 // hole between consecutive segments of one server's list that pays is a
 // candidate for the dispatch's budget (priceWrites, grantHoles). A
@@ -723,8 +723,8 @@ func (fs *FS) accept(d *dispatch) {
 		s := &d.segs[i]
 		b := &d.batches[s.server]
 		if err := inj.fail(int(s.server), d.write, s.off, s.n); err != nil {
-			d.fail(i, err, true)
-			if d.skip {
+			d.fail(int32(i), err, true)
+			if d.fold != nil {
 				b.refused = true
 				continue
 			}
@@ -741,7 +741,7 @@ func (fs *FS) accept(d *dispatch) {
 		b.idx = append(b.idx, int32(i))
 		b.end = s.off + s.n
 	}
-	if d.fold && len(d.fails) > 0 {
+	if d.fold != nil {
 		payload, want = fs.foldSources(d, inj, payload, want)
 	}
 	if want == 0 {
